@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -741,20 +740,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/sample")
 	})
-}
-
-// BenchmarkMatMulParallel measures the parallel dense kernel that dominates
-// training time.
-func BenchmarkMatMulParallel(b *testing.B) {
-	a := tensor.New(256, 256)
-	c := tensor.New(256, 256)
-	a.Fill(1.5)
-	c.Fill(0.5)
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(a, c)
-	}
 }
 
 // BenchmarkVariantSweep measures full instance enumeration for the suite.

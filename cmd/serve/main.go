@@ -2,10 +2,10 @@
 // service. With -model-dir it boots from registry checkpoints written by
 // `train -save-dir` — no training at startup, and a platform can serve
 // several named model versions; without it, it falls back to training one
-// model per requested platform. Requests are answered batched, cached and
-// bounded (internal/serve); with -cache-file the advise-response cache is
-// snapshotted periodically and on shutdown, so a restarted process answers
-// repeat traffic warm.
+// model per requested platform. Requests are answered cached and bounded,
+// an advise grid as one model call (internal/serve); with -cache-file the
+// advise-response cache is snapshotted periodically and on shutdown, so a
+// restarted process answers repeat traffic warm.
 //
 // With -self and -peers, N serve processes form a consistent-hash sharded
 // tier (internal/shard): each advise/predict cache key is owned by its
@@ -94,9 +94,10 @@
 // On SIGINT/SIGTERM the server first drains its cluster role (tombstones
 // itself in the gossip view and streams owned cache entries to the new
 // owners, bounded by -drain-timeout; a no-op outside cluster mode or after
-// an explicit /v1/cluster/leave), then stops accepting requests, drains
-// in-flight batches, flushes the cache snapshot, and exits. docs/API.md
-// documents the wire format; docs/OPERATIONS.md covers running it.
+// an explicit /v1/cluster/leave), then stops accepting requests, lets
+// in-flight evaluations finish, flushes the cache snapshot, and exits.
+// docs/API.md documents the wire format; docs/OPERATIONS.md covers
+// running it.
 package main
 
 import (
@@ -232,8 +233,8 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	// Stop accepting and let in-flight requests finish, then drain the
-	// batchers (srv.Close) before the final snapshot so every completed
+	// Stop accepting and let in-flight requests finish, then wait out the
+	// async jobs (srv.Close) before the final snapshot so every completed
 	// response is eligible for persistence.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -296,8 +297,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	snapshotEvery := fs.Duration("cache-snapshot", 5*time.Minute, "periodic cache snapshot interval (0 = only on shutdown)")
 	adviseCache := fs.Int("advise-cache", 0, "advise/prediction cache entries (0 = default)")
 	encodeCache := fs.Int("encode-cache", 0, "encoded-graph cache entries (0 = default)")
-	maxBatch := fs.Int("batch", 0, "max samples per batched forward pass (0 = default)")
-	batchWait := fs.Duration("batch-wait", 0, "micro-batching window (0 = default)")
 	poolSize := fs.Int("pool", 0, "max evaluations in flight (0 = GOMAXPROCS)")
 	gridWorkers := fs.Int("grid-workers", 0, "per-advise grid fan-out (0 = GOMAXPROCS)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the pool before 503 shedding (0 = default)")
@@ -384,8 +383,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	srv, err := serve.NewServer(backends, serve.Options{
 		AdviseCacheSize: *adviseCache,
 		EncodeCacheSize: *encodeCache,
-		MaxBatch:        *maxBatch,
-		BatchWait:       *batchWait,
 		PoolSize:        *poolSize,
 		GridWorkers:     *gridWorkers,
 		QueueLimit:      *admitQueue,

@@ -31,7 +31,7 @@
 //	  experiments            regenerates the paper's tables and figures
 //	  advisor                variant generation → prediction → ranking
 //	  registry               versioned model checkpoints (weights + manifest)
-//	  serve                  the HTTP service: caches, batching, pool,
+//	  serve                  the HTTP service: caches, admission, pool,
 //	                         singleflight, snapshots, cluster routing
 //	                         with replicated ownership
 //	  shard                  consistent-hash ring (successor-list owners)
@@ -75,17 +75,19 @@
 // them (keyed by hash of kernel source, level, threads, bindings and model
 // version). On a miss, identical concurrent requests are collapsed into a
 // single evaluation (singleflight), a bounded worker pool admits it, and
-// the advisor fans the variant grid across goroutines (internal/advisor).
-// Each variant's prediction finally lands on a per-model micro-batching
-// queue that coalesces concurrently-arriving samples into
-// gnn.Model.PredictBatch forward passes. Rankings are bit-identical to the
-// serial pipeline; only throughput and latency change.
+// the advisor evaluates it in two phases (internal/advisor): every grid
+// point is generated, parsed, built and encoded, fanned across goroutines;
+// then the whole grid goes to the model as one gnn.Model.PredictBatch call
+// through a per-model metered front (serve.Batcher). Nothing is coalesced
+// across requests — a batch costs the engine the same per sample as a lone
+// call. Rankings are bit-identical to the serial pipeline; only throughput
+// and latency change.
 //
 // With -cache-file the advise-response cache is snapshotted periodically
 // (-cache-snapshot) and on SIGTERM/SIGINT — shutdown stops the listener,
-// drains in-flight batches, then flushes — so a restarted process answers
-// previously-cached requests as hits immediately. examples/serveclient
-// shows the client side end to end.
+// lets in-flight evaluations finish, then flushes — so a restarted process
+// answers previously-cached requests as hits immediately.
+// examples/serveclient shows the client side end to end.
 //
 // # Cluster mode
 //

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"paragraph/internal/analysis"
 	"paragraph/internal/apps"
@@ -27,27 +28,30 @@ import (
 	"paragraph/internal/variants"
 )
 
-// Predictor is the cost-model interface: a scaled-runtime regressor over
-// encoded samples. Advise fans its variant grid across goroutines (see
-// SetWorkers), so implementations must be safe for concurrent Predict
-// calls — or the advisor must be pinned to SetWorkers(1). *gnn.Model is
-// safe (each call builds its own forward pass over read-only weights), as
-// is the serving batcher (internal/serve), which coalesces concurrent
-// Predict calls into batches.
+// Predictor is the minimal cost-model interface: a scaled-runtime
+// regressor over one encoded sample. A predictor that also implements
+// BatchPredictor or ContextBatchPredictor is handed a whole variant grid in
+// one call instead (see New); one that offers only Predict is called per
+// sample from the SetWorkers goroutines, so it must then be safe for
+// concurrent Predict calls — or the advisor pinned to SetWorkers(1).
 type Predictor interface {
 	Predict(*gnn.Sample) float64
 }
 
-// ContextPredictor is an optional Predictor extension: a predictor that
-// threads the request context through, so a request-scoped trace
-// (internal/obs) reaches the batching layer and its queue-wait and
-// predict spans land on the right request — and so cancellation
-// propagates: a predictor may return ctx.Err() instead of a value when
-// the caller gave up, letting an advise grid abort mid-fan-out rather
-// than evaluate work nobody is waiting for. Plain Predictors keep
-// working untraced and uncancellable.
-type ContextPredictor interface {
-	PredictCtx(context.Context, *gnn.Sample) (float64, error)
+// BatchPredictor is the optional bulk extension: one call predicts a whole
+// slice, results in input order and identical to per-sample Predict.
+// *gnn.Model and registry.Entry implement it.
+type BatchPredictor interface {
+	PredictBatch([]*gnn.Sample) []float64
+}
+
+// ContextBatchPredictor is BatchPredictor with the request context threaded
+// through, so a request-scoped trace (internal/obs) receives the predict
+// span and a caller that gave up gets ctx.Err() instead of an evaluation
+// nobody is waiting for. The serving layer's metered model front
+// (internal/serve.Batcher) implements it.
+type ContextBatchPredictor interface {
+	PredictBatchCtx(context.Context, []*gnn.Sample) ([]float64, error)
 }
 
 // EncodeCache memoizes the parse→BuildKernel→Encode pipeline across Advise
@@ -63,18 +67,41 @@ type EncodeCache interface {
 
 // Advisor ranks kernel variants by predicted runtime on one machine.
 type Advisor struct {
-	model    Predictor
+	// predict evaluates a slice of samples in one model call, in input
+	// order; New resolves it from what the predictor offers.
+	predict  func(context.Context, []*gnn.Sample) ([]float64, error)
 	prep     *dataset.Prepared // training-time scalers
 	machine  hw.Machine
 	level    paragraph.Level
-	workers  int         // grid-evaluation goroutines; 0 = GOMAXPROCS
+	workers  int         // front-end goroutines; 0 = GOMAXPROCS
 	encCache EncodeCache // nil = no memoization
 }
 
 // New builds an advisor from a trained predictor and the Prepared dataset
-// it was trained on (whose scalers must be reused at inference).
+// it was trained on (whose scalers must be reused at inference). The
+// widest prediction call the predictor offers is resolved here, once:
+// ContextBatchPredictor, else BatchPredictor, else per-sample Predict
+// fanned over the SetWorkers goroutines. All three produce the same
+// numbers; they differ in how many model calls a grid costs.
 func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
-	return &Advisor{model: model, prep: prep, machine: machine, level: paragraph.LevelParaGraph}
+	a := &Advisor{prep: prep, machine: machine, level: paragraph.LevelParaGraph}
+	switch m := model.(type) {
+	case ContextBatchPredictor:
+		a.predict = m.PredictBatchCtx
+	case BatchPredictor:
+		a.predict = func(_ context.Context, ss []*gnn.Sample) ([]float64, error) {
+			return m.PredictBatch(ss), nil
+		}
+	default:
+		a.predict = func(ctx context.Context, ss []*gnn.Sample) ([]float64, error) {
+			out := make([]float64, len(ss))
+			return out, a.forEach(ctx, len(ss), func(i int) error {
+				out[i] = model.Predict(ss[i])
+				return nil
+			})
+		}
+	}
+	return a
 }
 
 // SetLevel selects the representation level EncodeInstance builds graphs
@@ -82,14 +109,16 @@ func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
 // was trained on (registry checkpoints record theirs in the manifest).
 func (a *Advisor) SetLevel(l paragraph.Level) { a.level = l }
 
-// SetWorkers bounds the goroutines Advise fans the variant grid across.
-// n <= 0 restores the default (GOMAXPROCS); n == 1 recovers the serial
-// evaluation order exactly.
+// SetWorkers bounds the goroutines Advise fans the grid's front end
+// (generate → parse → build → encode) across, and the per-sample fallback
+// for predictors without a batch call. n <= 0 restores the default
+// (GOMAXPROCS); n == 1 runs everything on the calling goroutine. The
+// ranking is the same for every n.
 func (a *Advisor) SetWorkers(n int) { a.workers = n }
 
-// SetEncodeCache injects a cache for encoded graphs, letting repeated
-// Advise calls (and grid points sharing a source) skip the expensive
-// parse→build→encode pipeline. Pass nil to disable.
+// SetEncodeCache injects a cache for encoded graphs, letting a repeated
+// Advise call skip the parse→build→encode pipeline. Points of one grid
+// never share an entry (see EncodeKey). Pass nil to disable.
 func (a *Advisor) SetEncodeCache(c EncodeCache) { a.encCache = c }
 
 // SearchSpace is the variant/parallelism grid to rank.
@@ -119,27 +148,26 @@ type Recommendation struct {
 
 // Advise enumerates the machine-compatible variants of kernel k under
 // bindings, predicts each statically, and returns them sorted by predicted
-// runtime (fastest first). Each grid point's generate→encode→predict chain
-// is independent, so the grid is fanned out across SetWorkers goroutines;
-// results keep the serial enumeration order before the stable sort, so the
-// ranking is identical to a one-worker run.
+// runtime (fastest first). It runs in two phases: every grid point is
+// generated, parsed, built and encoded (fanned across the SetWorkers
+// goroutines into a slice in enumeration order), then the whole grid goes
+// to the predictor as one batch. Predictions do not depend on their
+// batchmates and the sort is stable, so the ranking is identical to a
+// one-worker, one-sample-at-a-time run.
 func (a *Advisor) Advise(k apps.Kernel, bindings analysis.Env, space SearchSpace) ([]Recommendation, error) {
 	return a.AdviseCtx(context.Background(), k, bindings, space)
 }
 
-// AdviseCtx is Advise with a request context: a trace attached to ctx
-// (obs.WithTrace) receives per-stage spans — encode on pipeline runs,
-// queue wait and predict from a batching ContextPredictor, rank around the
-// final sort.
+// AdviseCtx is Advise with a request context. A trace attached to ctx
+// (obs.WithTrace) receives one encode span for the front-end phase, the
+// predictor's predict span (from a ContextBatchPredictor) and rank around
+// the final sort. A context that ends during the front-end phase returns
+// ctx.Err() before the model is called at all.
 func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysis.Env, space SearchSpace) ([]Recommendation, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	type pt struct {
-		kind           variants.Kind
-		teams, threads int
-	}
-	var grid []pt
+	var recs []Recommendation
 	for _, kind := range variants.Kinds() {
 		if kind.IsGPU() != a.machine.IsGPU {
 			continue
@@ -150,83 +178,106 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 		if kind.IsGPU() {
 			for _, g := range space.GPUTeams {
 				for _, t := range space.GPUThreads {
-					grid = append(grid, pt{kind, g, t})
+					recs = append(recs, Recommendation{Kind: kind, Teams: g, Threads: t})
 				}
 			}
 		} else {
 			for _, t := range space.CPUThreads {
-				grid = append(grid, pt{kind, 0, t})
+				recs = append(recs, Recommendation{Kind: kind, Threads: t})
 			}
 		}
 	}
-	if len(grid) == 0 {
+	if len(recs) == 0 {
 		return nil, fmt.Errorf("advisor: no %s-compatible variants for kernel %q",
 			machineClass(a.machine), k.Name)
 	}
 
-	recs := make([]Recommendation, len(grid))
-	errs := make([]error, len(grid))
-	eval := func(i int) {
-		g := grid[i]
-		src, err := variants.Generate(k, g.kind, g.teams, g.threads)
+	tr := obs.TraceFrom(ctx)
+	enc := tr.StartSpan("encode")
+	enc.Annotate(fmt.Sprintf("points=%d", len(recs)))
+	samples := make([]*gnn.Sample, len(recs))
+	err := a.forEach(ctx, len(recs), func(i int) error {
+		r := &recs[i]
+		src, err := variants.Generate(k, r.Kind, r.Teams, r.Threads)
+		if err == nil {
+			r.Source = src
+			samples[i], err = a.EncodeInstance(variants.Instance{
+				Kernel: k, Kind: r.Kind, Teams: r.Teams, Threads: r.Threads,
+				Bindings: bindings, Source: src,
+			})
+		}
 		if err != nil {
-			errs[i] = err
-			return
+			return fmt.Errorf("advisor: variant %s g%d t%d: %w", r.Kind, r.Teams, r.Threads, err)
 		}
-		in := variants.Instance{
-			Kernel: k, Kind: g.kind, Teams: g.teams, Threads: g.threads,
-			Bindings: bindings, Source: src,
-		}
-		us, err := a.PredictInstanceUSCtx(ctx, in)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		recs[i] = Recommendation{
-			Kind: g.kind, Teams: g.teams, Threads: g.threads,
-			PredictedUS: us, Source: src,
-		}
+		return nil
+	})
+	enc.End()
+	if err != nil {
+		return nil, err
 	}
 
+	preds, err := a.predict(ctx, samples)
+	if err != nil {
+		return nil, err
+	}
+	for i := range recs {
+		recs[i].PredictedUS = a.prep.DescaleUS(preds[i])
+	}
+	rank := tr.StartSpan("rank")
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].PredictedUS < recs[j].PredictedUS })
+	rank.End()
+	return recs, nil
+}
+
+// forEach runs fn(0..n-1) across the advisor's workers, handing indices
+// out in increasing order and stopping at the first failure or once ctx
+// ends. It returns ctx.Err() if the context ended, else the error of the
+// lowest failing index — every lower index was handed out earlier and ran
+// to completion, so that is the error a serial run reports.
+func (a *Advisor) forEach(ctx context.Context, n int, fn func(int) error) error {
 	workers := a.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(grid) {
-		workers = len(grid)
+	if workers > n {
+		workers = n
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	run := func() {
+		for ctx.Err() == nil && !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
 	}
 	if workers <= 1 {
-		for i := range grid {
-			eval(i)
-		}
+		run()
 	} else {
 		var wg sync.WaitGroup
-		work := make(chan int)
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				for i := range work {
-					eval(i)
-				}
+				run()
 			}()
 		}
-		for i := range grid {
-			work <- i
-		}
-		close(work)
 		wg.Wait()
 	}
-	for i, err := range errs {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("advisor: variant %s g%d t%d: %w",
-				grid[i].kind, grid[i].teams, grid[i].threads, err)
+			return err
 		}
 	}
-	rank := obs.TraceFrom(ctx).StartSpan("rank")
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].PredictedUS < recs[j].PredictedUS })
-	rank.End()
-	return recs, nil
+	return nil
 }
 
 // Best returns the top recommendation.
@@ -244,45 +295,41 @@ func (a *Advisor) PredictInstanceUS(in variants.Instance) (float64, error) {
 	return a.PredictInstanceUSCtx(context.Background(), in)
 }
 
-// PredictInstanceUSCtx is PredictInstanceUS with a request context. A
-// ContextPredictor receives the context (tracing the batch queue wait and
-// forward pass); a plain Predictor is called as before.
+// PredictInstanceUSCtx is PredictInstanceUS with a request context: the
+// same encode and predict spans and cancellation as AdviseCtx, for a grid
+// of one.
 func (a *Advisor) PredictInstanceUSCtx(ctx context.Context, in variants.Instance) (float64, error) {
 	s, err := a.EncodeInstanceCtx(ctx, in)
 	if err != nil {
 		return 0, err
 	}
-	if cp, ok := a.model.(ContextPredictor); ok {
-		v, err := cp.PredictCtx(ctx, s)
-		if err != nil {
-			return 0, err
-		}
-		return a.prep.DescaleUS(v), nil
+	preds, err := a.predict(ctx, []*gnn.Sample{s})
+	if err != nil {
+		return 0, err
 	}
-	return a.prep.DescaleUS(a.model.Predict(s)), nil
+	return a.prep.DescaleUS(preds[0]), nil
+}
+
+// EncodeInstanceCtx is EncodeInstance with a request context: the call is
+// recorded as an "encode" span on the context's trace, whether it succeeds
+// or fails.
+func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (*gnn.Sample, error) {
+	sp := obs.TraceFrom(ctx).StartSpan("encode")
+	defer sp.End()
+	return a.EncodeInstance(in)
 }
 
 // EncodeInstance builds the model-ready sample for an unseen instance,
 // consulting the encode cache (when injected) before running the
 // parse→BuildKernel→Encode pipeline.
 func (a *Advisor) EncodeInstance(in variants.Instance) (*gnn.Sample, error) {
-	return a.EncodeInstanceCtx(context.Background(), in)
-}
-
-// EncodeInstanceCtx is EncodeInstance with a request context: a cache miss
-// that runs the encode pipeline records an "encode" span on the context's
-// trace (cache hits record nothing — they cost microseconds).
-func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (*gnn.Sample, error) {
 	var key string
 	var eg *gnn.Graph
 	if a.encCache != nil {
 		key = EncodeKey(in.Source, a.level, in.Threads, in.Bindings)
-		if g, ok := a.encCache.Get(key); ok {
-			eg = g
-		}
+		eg, _ = a.encCache.Get(key)
 	}
 	if eg == nil {
-		sp := obs.TraceFrom(ctx).StartSpan("encode")
 		// Thread-count division matches dataset.Prepare (see the note there).
 		g, err := paragraph.BuildKernel(in.Source, paragraph.Options{
 			Level:    a.level,
@@ -299,7 +346,6 @@ func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (
 		if a.encCache != nil {
 			a.encCache.Add(key, eg)
 		}
-		sp.End()
 	}
 	// Copy the graph header before applying this advisor's weight scaling:
 	// the cache may be shared between advisors trained with different
@@ -321,8 +367,10 @@ func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (
 // result: a hash over everything BuildKernel+Encode read — the transformed
 // source, the representation level, the weight-dividing thread count, and
 // the size bindings (serialized in sorted order so the key is stable).
-// Teams are deliberately absent: they feed the runtime-configuration
-// features, not the graph.
+// Teams need no field of their own: they reach the graph through the
+// num_teams(%d) literal in the transformed source, whose value is a node
+// feature. With threads in the key as well, no two points of one grid
+// share an entry — the cache only ever hits on a repeated request.
 func EncodeKey(source string, level paragraph.Level, threads int, bindings analysis.Env) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d\x00%d\x00%s\x00", level, threads, BindingsKey(bindings))

@@ -1,14 +1,20 @@
 package advisor
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"paragraph/internal/apps"
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
+	"paragraph/internal/obs"
 	"paragraph/internal/variants"
 )
 
@@ -201,6 +207,153 @@ func TestConcurrentAdviseMatchesSerial(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("workers=%d: rec %d = %+v, want %+v", workers, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// predictOnly hides a model's batch calls, leaving the per-sample Predict
+// the serial reference evaluates with.
+type predictOnly struct{ m Predictor }
+
+func (p predictOnly) Predict(s *gnn.Sample) float64 { return p.m.Predict(s) }
+
+// ctxBatch is a ContextBatchPredictor over a model, recording every call's
+// size.
+type ctxBatch struct {
+	m     *gnn.Model
+	calls []int
+}
+
+func (c *ctxBatch) Predict(s *gnn.Sample) float64 { return c.m.Predict(s) }
+
+func (c *ctxBatch) PredictBatchCtx(ctx context.Context, ss []*gnn.Sample) ([]float64, error) {
+	c.calls = append(c.calls, len(ss))
+	return c.m.PredictBatch(ss), ctx.Err()
+}
+
+// TestBatchAdviseMatchesSerialReference: for every suite kernel on a CPU
+// and a GPU machine, the batched evaluation — through PredictBatch and
+// through PredictBatchCtx, one model call per grid — returns the serial
+// one-sample-at-a-time ranking, in order and bit for bit.
+func TestBatchAdviseMatchesSerialReference(t *testing.T) {
+	m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 2, Relations: 8})
+	for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
+		serial := New(predictOnly{m}, testPrep(), machine)
+		serial.SetWorkers(1)
+		batch := New(m, testPrep(), machine)
+		traced := &ctxBatch{m: m}
+		ctxAdv := New(traced, testPrep(), machine)
+		kernels := apps.Kernels()
+		for _, k := range kernels {
+			bindings := map[string]float64{}
+			for _, p := range k.Params {
+				bindings[p.Name] = float64(p.Values[0])
+			}
+			want, err := serial.Advise(k, bindings, DefaultSearchSpace())
+			if err != nil {
+				t.Fatalf("%s on %s: %v", k.Name, machine.Name, err)
+			}
+			for name, adv := range map[string]*Advisor{"PredictBatch": batch, "PredictBatchCtx": ctxAdv} {
+				got, err := adv.Advise(k, bindings, DefaultSearchSpace())
+				if err != nil {
+					t.Fatalf("%s on %s via %s: %v", k.Name, machine.Name, name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s on %s via %s: ranking differs from the serial reference", k.Name, machine.Name, name)
+				}
+			}
+			if last := traced.calls[len(traced.calls)-1]; last != len(want) {
+				t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
+			}
+		}
+		if len(traced.calls) != len(kernels) {
+			t.Errorf("%s: %d model calls for %d grids", machine.Name, len(traced.calls), len(kernels))
+		}
+	}
+}
+
+// TestAdviseGridPointErrorNamesVariant: a front-end failure is reported
+// against the first failing grid point in enumeration order, whatever the
+// worker count, and the model is never called.
+func TestAdviseGridPointErrorNamesVariant(t *testing.T) {
+	k := apps.Kernel{
+		App: "custom", Name: "broken", FuncName: "broken",
+		Source: "void broken(double *a, int n) {\n__PRAGMA__\n    for (int i = 0; i < n; i++) {\n        a[i] = ;\n    }\n}\n",
+		Params: []apps.Param{{Name: "n", Values: []int{64}}},
+	}
+	for _, workers := range []int{1, 4} {
+		model := &ctxBatch{}
+		a := New(model, testPrep(), hw.V100())
+		a.SetWorkers(workers)
+		_, err := a.Advise(k, map[string]float64{"n": 64}, SearchSpace{GPUTeams: []int{32, 64}, GPUThreads: []int{128}})
+		if err == nil || !strings.Contains(err.Error(), "variant gpu g32 t128") {
+			t.Errorf("workers=%d: err = %v, want it to name variant gpu g32 t128", workers, err)
+		}
+		if len(model.calls) != 0 {
+			t.Errorf("workers=%d: model called %d times for a grid that failed to encode", workers, len(model.calls))
+		}
+	}
+}
+
+// TestEncodeSpanSurvivesFailure: the encode stage is on the trace of the
+// request that failed in it — the one trace an operator goes looking for.
+func TestEncodeSpanSurvivesFailure(t *testing.T) {
+	tracer := obs.NewTracer(obs.TracerOptions{})
+	tr := tracer.Start("enc-fail", "predict")
+	a := New(weightOracle{}, testPrep(), hw.V100())
+	_, err := a.PredictInstanceUSCtx(obs.WithTrace(context.Background(), tr), variants.Instance{
+		Kind: variants.GPU, Teams: 64, Threads: 128, Source: "void f( {",
+	})
+	if err == nil {
+		t.Fatal("unparseable source accepted")
+	}
+	tracer.Finish(tr, 422)
+	ft, _ := tracer.Find("enc-fail")
+	if len(ft.Spans) != 1 || ft.Spans[0].Name != "encode" {
+		t.Errorf("spans = %+v, want the failed encode", ft.Spans)
+	}
+}
+
+// cancellingCache is an EncodeCache that never hits and cancels a context
+// on its nth lookup — a request abandoned mid-way through the front end.
+type cancellingCache struct {
+	cancel  context.CancelFunc
+	lookups atomic.Int64
+	n       int64
+}
+
+func (c *cancellingCache) Get(string) (*gnn.Graph, bool) {
+	if c.lookups.Add(1) == c.n {
+		c.cancel()
+	}
+	return nil, false
+}
+
+func (c *cancellingCache) Add(string, *gnn.Graph) {}
+
+// TestAdviseCancelledDuringFrontEnd: a context that ends while the grid is
+// being encoded returns ctx.Err(), stops encoding, and never reaches the
+// model.
+func TestAdviseCancelledDuringFrontEnd(t *testing.T) {
+	k, _ := apps.ByName("matmul")
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cache := &cancellingCache{cancel: cancel, n: 3}
+		model := &ctxBatch{m: gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 1, Relations: 8})}
+		a := New(model, testPrep(), hw.V100())
+		a.SetWorkers(workers)
+		a.SetEncodeCache(cache)
+		_, err := a.AdviseCtx(ctx, k, map[string]float64{"n": 256}, DefaultSearchSpace())
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if len(model.calls) != 0 {
+			t.Errorf("workers=%d: model called %d times after cancellation", workers, len(model.calls))
+		}
+		// Each worker finishes at most the point it was on.
+		if n := cache.lookups.Load(); n > cache.n+int64(workers) {
+			t.Errorf("workers=%d: %d of 48 points encoded after cancellation at point %d", workers, n, cache.n)
 		}
 	}
 }

@@ -268,8 +268,9 @@ func (m *Model) PredictTape(s *Sample) float64 {
 // the batch across a bounded worker pool (at most GOMAXPROCS goroutines)
 // with one pooled engine workspace per worker. Each sample's forward
 // computation is independent of its batchmates, so the results are
-// identical to calling Predict per sample. This is the fast path the
-// serving batcher (internal/serve) coalesces concurrent requests onto.
+// identical to calling Predict per sample. This is the call an advise
+// request's whole variant grid arrives on (internal/advisor, and
+// internal/serve's metered Batcher in front of it).
 // PredictAll is the same fan-out with a caller-chosen worker bound.
 func (m *Model) PredictBatch(samples []*Sample) []float64 {
 	out := make([]float64, len(samples))

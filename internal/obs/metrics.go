@@ -100,8 +100,8 @@ var DefLatencyBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// BatchSizeBuckets bucket a micro-batch's sample count (power-of-two
-// steps up to well past any sane -batch setting).
+// BatchSizeBuckets bucket a model call's sample count (power-of-two steps
+// to well past the largest default advise grid, 48).
 var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // Histogram counts observations into fixed upper-bound buckets (le

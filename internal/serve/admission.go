@@ -9,14 +9,11 @@ import (
 	"time"
 
 	"paragraph/internal/admit"
-	"paragraph/internal/advisor"
-	"paragraph/internal/apps"
-	"paragraph/internal/variants"
 )
 
 // This file is the glue between internal/admit (pure policy) and the HTTP
 // layer: client identity, deadline extraction, evaluation-cost estimation
-// from the batcher's live latency histograms, and the single place a
+// from each model's live latency histograms, and the single place a
 // ShedError becomes a 503 with a Retry-After header.
 
 // clientKey identifies the requester for fair queueing: the
@@ -54,52 +51,18 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	return ctx, cancel, nil
 }
 
-// evalUnit is the live per-evaluation cost estimate for one model: the
-// median per-prediction latency through its batcher. Zero until the model
-// has served traffic — a cold server never sheds on a guess.
+// evalUnit is the live cost estimate of one /v1/predict evaluation: the
+// model's median per-prediction latency. Zero until the model has served
+// traffic — a cold server never sheds on a guess.
 func evalUnit(ms *modelState) time.Duration {
 	return time.Duration(ms.batcher.latency.Quantile(0.5) * float64(time.Second))
 }
 
-// adviseGridPoints counts the predictions one advise request will fan
-// out, mirroring AdviseCtx's enumeration (machine-compatible variant
-// kinds × the search space) without generating anything.
-func adviseGridPoints(be *backendState, k apps.Kernel, space advisor.SearchSpace) int {
-	points := 0
-	for _, kind := range variants.Kinds() {
-		if kind.IsGPU() != be.machine.IsGPU {
-			continue
-		}
-		if kind.IsCollapse() && !k.Collapsible {
-			continue
-		}
-		if kind.IsGPU() {
-			points += len(space.GPUTeams) * len(space.GPUThreads)
-		} else {
-			points += len(space.CPUThreads)
-		}
-	}
-	return points
-}
-
-// adviseCost estimates one advise evaluation end to end: grid points
-// spread over the advisor's workers, each wave costing the model's live
-// per-prediction unit.
-func (s *Server) adviseCost(be *backendState, ms *modelState, k apps.Kernel, space advisor.SearchSpace) time.Duration {
-	unit := evalUnit(ms)
-	if unit <= 0 {
-		return 0
-	}
-	points := adviseGridPoints(be, k, space)
-	workers := s.opts.GridWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	waves := (points + workers - 1) / workers
-	if waves < 1 {
-		waves = 1
-	}
-	return time.Duration(waves) * unit
+// adviseCost is the live cost estimate of one cold advise evaluation: the
+// median of the whole evaluations this model has served, measured around
+// AdviseCtx. Zero until one has finished, like evalUnit.
+func adviseCost(ms *modelState) time.Duration {
+	return time.Duration(ms.adviseEval.Quantile(0.5) * float64(time.Second))
 }
 
 // shedCheck decides up front whether a deadline-carrying request should

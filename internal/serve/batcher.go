@@ -11,242 +11,100 @@ import (
 	"paragraph/internal/obs"
 )
 
-// BatchPredictor is the batched cost-model interface the batcher drives.
-// *gnn.Model satisfies it via PredictBatch. Implementations must be safe
-// for concurrent use: batches are evaluated in parallel goroutines.
+// BatchPredictor is the batched cost-model interface the server drives.
+// *gnn.Model and registry.Entry satisfy it via PredictBatch. Implementations
+// must be safe for concurrent use: every request evaluates on its own
+// goroutine.
 type BatchPredictor interface {
 	PredictBatch([]*gnn.Sample) []float64
 }
 
-// Batcher coalesces concurrently-arriving Predict calls into PredictBatch
-// calls, amortizing forward-pass setup across requests. It implements
-// advisor.Predictor, so an Advisor wired to a Batcher transparently batches
-// the predictions its grid workers fan out. Predictions are identical to
-// unbatched ones (see gnn.Model.PredictBatch); only latency and throughput
-// change.
+// Batcher is the metered front of one served model: a synchronous call into
+// PredictBatch that checks the caller's context first and feeds the
+// per-model counters, histograms and trace spans. It implements
+// advisor.ContextBatchPredictor, so an advise request hands it the whole
+// variant grid as one batch; a single prediction is a batch of one.
 //
-// A background collector goroutine gathers requests until either MaxBatch
-// samples are waiting or MaxWait has passed since the batch opened, then
-// hands the batch to its own evaluation goroutine — collection continues
-// while earlier batches are still in the model, so inference is not
-// serialized behind the collector. Concurrent evaluations are bounded by
-// the number of blocked callers (the server's pool and grid workers).
+// Calls are never coalesced across requests: a batch costs the engine the
+// same per sample as a lone call, and every request already evaluates on
+// its own goroutine under the pool bound, so holding a sample back for
+// company would buy only latency. The batcher owns no goroutine.
 type Batcher struct {
-	model    BatchPredictor
-	maxBatch int
-	maxWait  time.Duration
+	model BatchPredictor
 
-	reqs chan batchRequest
+	mu      sync.Mutex
+	batches uint64
+	samples uint64
+	maxSeen int
 
-	closeOnce sync.Once
-	quit      chan struct{} // closed by Close; unblocks senders and the collector
-	done      chan struct{} // closed when the collector and all flushes finished
-	flushes   sync.WaitGroup
-
-	mu         sync.Mutex
-	batches    uint64
-	samples    uint64
-	maxSeen    int
-	sumBatched uint64 // total samples that shared a batch with at least one other
-
-	latency   *obs.Histogram // per-Predict latency (enqueue → result), seconds
-	sizes     *obs.Histogram // samples per evaluated batch
-	queued    atomic.Int64   // requests enqueued but not yet in a model evaluation
-	cancelled atomic.Uint64  // PredictCtx calls abandoned by their context
+	latency   *obs.Histogram // per-prediction latency (a call's duration ÷ its size), seconds
+	sizes     *obs.Histogram // samples per model call
+	cancelled atomic.Uint64  // calls abandoned by their context before the model ran
 }
 
-type batchRequest struct {
-	ctx context.Context // caller's context; flush skips dead requests
-	s   *gnn.Sample
-	out chan float64
-	tr  *obs.Trace // originating request's trace; nil = untraced
-	enq time.Time  // enqueue instant, the queue_wait span's start
+// NewBatcher wraps model. The two sizing arguments are ignored; they are
+// retained because bench/layers.go, which BENCHMARK.json freezes, calls
+// NewBatcher(p, 0, 0) — they go when ROADMAP item 4(d) deletes that mirror.
+func NewBatcher(model BatchPredictor, _ int, _ time.Duration) *Batcher {
+	return &Batcher{
+		model:   model,
+		latency: obs.NewHistogram(obs.DefLatencyBuckets),
+		sizes:   obs.NewHistogram(obs.BatchSizeBuckets),
+	}
 }
 
-// NewBatcher starts a batcher over model. maxBatch <= 0 defaults to 16;
-// maxWait <= 0 defaults to 2ms. Close releases the collector goroutine.
-func NewBatcher(model BatchPredictor, maxBatch int, maxWait time.Duration) *Batcher {
-	if maxBatch <= 0 {
-		maxBatch = 16
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
-	}
-	b := &Batcher{
-		model:    model,
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		reqs:     make(chan batchRequest),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-		latency:  obs.NewHistogram(obs.DefLatencyBuckets),
-		sizes:    obs.NewHistogram(obs.BatchSizeBuckets),
-	}
-	go b.collect()
-	return b
-}
-
-// Predict enqueues one sample and blocks until its batch is evaluated.
-// Safe for concurrent use, including racing Close: a request that misses
-// the collector is answered by a direct (unbatched) forward pass instead
-// of panicking or hanging. Each call's end-to-end latency (batch wait
-// included — it is what callers experience) feeds the model's latency
-// histogram, surfaced per model in /v1/stats and /metrics.
+// Predict evaluates one sample (advisor.Predictor). Safe for concurrent use.
 func (b *Batcher) Predict(s *gnn.Sample) float64 {
 	// Background context: never cancelled, so the error path is dead.
 	v, _ := b.PredictCtx(context.Background(), s)
 	return v
 }
 
-// PredictCtx is Predict with a request context (the batcher implements
-// advisor.ContextPredictor). A trace attached to ctx receives queue_wait
-// and predict spans for this sample; an untraced context adds no work to
-// the fast path.
-//
-// A context that ends returns ctx.Err() immediately — before enqueueing,
-// while blocked on a busy collector, or while waiting for the batch to
-// evaluate. A request abandoned after enqueue is not orphaned work: flush
-// drops dead-context requests from the batch before the model runs, and
-// the buffered result channel means a flush racing the abandonment leaks
-// nothing.
+// PredictCtx is PredictBatchCtx for a batch of one.
 func (b *Batcher) PredictCtx(ctx context.Context, s *gnn.Sample) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		b.cancelled.Add(1)
+	out, err := b.PredictBatchCtx(ctx, []*gnn.Sample{s})
+	if err != nil {
 		return 0, err
 	}
-	tr := obs.TraceFrom(ctx)
-	start := time.Now()
-	out := make(chan float64, 1)
-	b.queued.Add(1)
-	select {
-	case b.reqs <- batchRequest{ctx: ctx, s: s, out: out, tr: tr, enq: start}:
-		select {
-		case v := <-out:
-			b.latency.Observe(time.Since(start).Seconds())
-			return v, nil
-		case <-ctx.Done():
-			// The request is in the collector's hands; flush sees the dead
-			// context and skips it. queued is reconciled there, not here.
-			b.cancelled.Add(1)
-			return 0, ctx.Err()
-		}
-	case <-ctx.Done():
-		b.queued.Add(-1)
+	return out[0], nil
+}
+
+// PredictBatchCtx evaluates samples in one model call, results in input
+// order. A context that already ended returns ctx.Err() without reaching
+// the model; once the engine is running the call completes (a forward pass
+// has no cancellation point and a grid costs milliseconds). A trace
+// attached to ctx receives one predict span with detail batch=N.
+func (b *Batcher) PredictBatchCtx(ctx context.Context, samples []*gnn.Sample) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
 		b.cancelled.Add(1)
-		return 0, ctx.Err()
-	case <-b.quit:
-		b.queued.Add(-1)
-		pstart := time.Now()
-		v := b.model.PredictBatch([]*gnn.Sample{s})[0]
-		tr.AddSpan("queue_wait", "", start, pstart.Sub(start))
-		tr.AddSpan("predict", "direct", pstart, time.Since(pstart))
-		b.latency.Observe(time.Since(start).Seconds())
-		return v, nil
+		return nil, err
 	}
-}
-
-// Close stops the collector and waits for in-flight batches to finish.
-// Predict calls that already enqueued still receive their results; later
-// calls degrade to direct evaluation. Idempotent.
-func (b *Batcher) Close() {
-	b.closeOnce.Do(func() { close(b.quit) })
-	<-b.done
-}
-
-// collect is the batching loop: block for the first request, top the batch
-// up until it is full or the window expires, then evaluate asynchronously.
-func (b *Batcher) collect() {
-	defer close(b.done)
-	defer b.flushes.Wait()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
+	n := len(samples)
+	if n == 0 {
+		return nil, nil
 	}
-	for {
-		var first batchRequest
-		select {
-		case first = <-b.reqs:
-		case <-b.quit:
-			return
-		}
-		batch := []batchRequest{first}
-		timer.Reset(b.maxWait)
-		timerFired := false
-	fill:
-		for len(batch) < b.maxBatch {
-			select {
-			case r := <-b.reqs:
-				batch = append(batch, r)
-			case <-timer.C:
-				timerFired = true
-				break fill
-			case <-b.quit:
-				break fill
-			}
-		}
-		if !timerFired && !timer.Stop() {
-			<-timer.C
-		}
-		b.flushes.Add(1)
-		go func(batch []batchRequest) {
-			defer b.flushes.Done()
-			b.flush(batch)
-		}(batch)
-	}
-}
-
-// flush evaluates one batch and fans results back to the waiters.
-func (b *Batcher) flush(batch []batchRequest) {
-	b.queued.Add(-int64(len(batch)))
-	// Drop requests whose caller already gave up: cancellation aborts work
-	// sitting in the queue, not just the wait for it. No send on their out
-	// channels — the waiters are gone, and the buffer makes the skip safe
-	// even if one is mid-race on its ctx.Done select.
-	live := batch[:0]
-	for _, r := range batch {
-		if r.ctx != nil && r.ctx.Err() != nil {
-			continue
-		}
-		live = append(live, r)
-	}
-	batch = live
-	if len(batch) == 0 {
-		return
-	}
-	samples := make([]*gnn.Sample, len(batch))
-	for i, r := range batch {
-		samples[i] = r.s
-	}
-	pstart := time.Now()
+	start := time.Now()
 	preds := b.model.PredictBatch(samples)
-	pdur := time.Since(pstart)
-	// Count before delivering: a caller's Predict returns the moment its
-	// result lands, and Stats() observed right after must include it.
-	b.sizes.Observe(float64(len(batch)))
+	dur := time.Since(start)
+
+	b.latency.Observe(dur.Seconds() / float64(n))
+	b.sizes.Observe(float64(n))
 	b.mu.Lock()
 	b.batches++
-	b.samples += uint64(len(batch))
-	if len(batch) > b.maxSeen {
-		b.maxSeen = len(batch)
-	}
-	if len(batch) > 1 {
-		b.sumBatched += uint64(len(batch))
+	b.samples += uint64(n)
+	if n > b.maxSeen {
+		b.maxSeen = n
 	}
 	b.mu.Unlock()
-	// Spans land on each traced request before its result is delivered, so
-	// the caller's trace is complete by the time its handler finishes.
-	var detail string
-	for i, r := range batch {
-		if r.tr != nil {
-			if detail == "" {
-				detail = fmt.Sprintf("batch=%d", len(batch))
-			}
-			r.tr.AddSpan("queue_wait", "", r.enq, pstart.Sub(r.enq))
-			r.tr.AddSpan("predict", detail, pstart, pdur)
-		}
-		r.out <- preds[i]
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		tr.AddSpan("predict", fmt.Sprintf("batch=%d", n), start, dur)
 	}
+	return preds, nil
 }
+
+// Close is a no-op — there is nothing to stop — kept for bench/layers.go
+// alongside NewBatcher's sizing arguments.
+func (b *Batcher) Close() {}
 
 // LatencyStats is the quantile snapshot exposed through /v1/stats: total
 // observation count plus p50/p99 in milliseconds, estimated from the same
@@ -258,29 +116,26 @@ type LatencyStats struct {
 	P99MS float64 `json:"p99_ms"`
 }
 
-// BatcherStats snapshots the batching counters and the per-prediction
-// latency quantiles (the model's observable serving latency).
+// BatcherStats snapshots one model's call counters and its per-prediction
+// latency quantiles: one observation per model call, the call's duration
+// divided by its batch size.
 type BatcherStats struct {
-	Batches        uint64       `json:"batches"`
-	Samples        uint64       `json:"samples"`
-	MaxBatch       int          `json:"max_batch"`
-	MeanBatch      float64      `json:"mean_batch"`
-	CoalescedShare float64      `json:"coalesced_share"`     // fraction of samples that shared a batch
-	Cancelled      uint64       `json:"cancelled,omitempty"` // predictions abandoned by their context
-	Latency        LatencyStats `json:"latency"`
+	Batches   uint64       `json:"batches"`             // model calls
+	Samples   uint64       `json:"samples"`             // predictions across all calls
+	MaxBatch  int          `json:"max_batch"`           // largest single call
+	MeanBatch float64      `json:"mean_batch"`          // samples / batches
+	Cancelled uint64       `json:"cancelled,omitempty"` // calls abandoned by their context
+	Latency   LatencyStats `json:"latency"`
 }
 
 // Stats returns a snapshot of the batcher counters.
 func (b *Batcher) Stats() BatcherStats {
 	b.mu.Lock()
 	st := BatcherStats{Batches: b.batches, Samples: b.samples, MaxBatch: b.maxSeen, Cancelled: b.cancelled.Load()}
-	if b.batches > 0 {
-		st.MeanBatch = float64(b.samples) / float64(b.batches)
-	}
-	if b.samples > 0 {
-		st.CoalescedShare = float64(b.sumBatched) / float64(b.samples)
-	}
 	b.mu.Unlock()
+	if st.Batches > 0 {
+		st.MeanBatch = float64(st.Samples) / float64(st.Batches)
+	}
 	st.Latency = LatencyStats{
 		Count: b.latency.Count(),
 		P50MS: b.latency.Quantile(0.50) * 1000,

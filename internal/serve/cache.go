@@ -8,10 +8,12 @@
 // The scaling layers, in request order: a content-addressed sharded LRU
 // cache memoizes whole advise responses and the parse→build→encode
 // pipeline behind them; identical concurrent misses collapse into one
-// evaluation (singleflight); a bounded worker pool caps evaluations in
-// flight while each fans its variant grid across goroutines
-// (internal/advisor); and a per-model micro-batching queue coalesces
-// concurrently-arriving samples into gnn.Model.PredictBatch calls. The
+// evaluation (singleflight); per-client fair admission and a bounded
+// worker pool cap evaluations in flight; and each evaluation encodes its
+// whole variant grid across goroutines (internal/advisor), then predicts it
+// in one gnn.Model.PredictBatch call through the model's metered Batcher —
+// a cold advise is one batch, and nothing waits to be coalesced with
+// another request's samples. The
 // advise-response cache can be snapshotted and restored across restarts
 // (snapshot.go), and EnableCluster shards the whole tier across processes
 // with a consistent-hash ring over the cache keys — each key owned by its

@@ -177,11 +177,14 @@ func TestAsyncJobStoreBounds(t *testing.T) {
 
 // TestAsyncJobDeadline: a deadline header bounds the background
 // evaluation — the job fails at its budget instead of running forever.
+// The budget is honoured wherever a job can wait (the admission queue,
+// between grid points, before the model call), not inside a running forward
+// pass, so the job here sits behind a wedged evaluation slot.
 func TestAsyncJobDeadline(t *testing.T) {
 	model := &blockingModel{release: make(chan struct{})}
 	s, err := NewServer([]Backend{
 		{Machine: hw.V100(), Model: model, Prep: testPrep()},
-	}, Options{})
+	}, Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +197,14 @@ func TestAsyncJobDeadline(t *testing.T) {
 	}
 	defer s.Close()
 	defer release()
+
+	wedge := submitAsync(t, s, overloadReq(0))
+	for deadline := time.Now().Add(10 * time.Second); s.admit.Stats().Running == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("wedge job never acquired the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	rec := doH(t, s, http.MethodPost, "/v1/advise?async=1", overloadReq(1),
 		map[string]string{"X-Paragraph-Deadline": "30ms"})
@@ -208,6 +219,9 @@ func TestAsyncJobDeadline(t *testing.T) {
 	if jp.Error == "" {
 		t.Error("failed job carries no error")
 	}
+
+	release()
+	waitJob(t, s, wedge.Poll, "done")
 
 	// A malformed deadline rejects the submission itself.
 	if rec := doH(t, s, http.MethodPost, "/v1/advise?async=1", overloadReq(3),

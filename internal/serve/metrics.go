@@ -181,19 +181,19 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 
 	labels := obs.L("platform", machine, "model", name)
 	m.reg.RegisterHistogram("serve_batcher_latency_seconds",
-		"Per-prediction latency through the micro-batcher (enqueue to result), by model.",
+		"Per-prediction model latency (a call's duration over its batch size), by model.",
 		labels, ms.batcher.latency)
 	m.reg.RegisterHistogram("serve_batch_size",
-		"Samples per evaluated micro-batch, by model.", labels, ms.batcher.sizes)
-	m.reg.GaugeFunc("serve_batcher_queue_depth",
-		"Samples enqueued but not yet in a model evaluation, by model.", labels,
-		func() float64 { return float64(ms.batcher.queued.Load()) })
+		"Samples per model call (an advise grid is one call), by model.", labels, ms.batcher.sizes)
 	m.reg.CounterFunc("serve_batcher_batches_total",
-		"Batches evaluated, by model.", labels,
+		"Model calls, by model.", labels,
 		func() float64 { return float64(ms.batcher.Stats().Batches) })
 	m.reg.CounterFunc("serve_batcher_cancelled_total",
-		"Predictions abandoned by their context before evaluation, by model.", labels,
+		"Model calls abandoned by their context before the engine ran, by model.", labels,
 		func() float64 { return float64(ms.batcher.cancelled.Load()) })
+	m.reg.RegisterHistogram("serve_advise_eval_seconds",
+		"Whole cold advise evaluations (front end, one model call, rank); the median is admission's advise cost. By model.",
+		labels, ms.adviseEval)
 	m.reg.CounterFunc("serve_model_advise_total",
 		"Advise responses computed or served, by model.", labels,
 		func() float64 { return float64(ms.advise.Load()) })

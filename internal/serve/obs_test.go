@@ -63,7 +63,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE serve_batcher_latency_seconds histogram",
 		`serve_batcher_latency_seconds_count{platform="NVIDIA V100 (GPU)",model="default"}`,
 		`serve_batch_size_bucket{platform="NVIDIA V100 (GPU)",model="default",le="+Inf"}`,
-		`serve_batcher_queue_depth{platform="NVIDIA V100 (GPU)",model="default"} 0`,
+		`serve_batcher_batches_total{platform="NVIDIA V100 (GPU)",model="default"} 1`,
+		`serve_advise_eval_seconds_count{platform="NVIDIA V100 (GPU)",model="default"} 1`,
 		`serve_model_advise_total{platform="NVIDIA V100 (GPU)",model="default"} 2`,
 		"serve_traces_started_total 2",
 		"serve_uptime_seconds",
@@ -117,19 +118,27 @@ func TestTraceCapturesRequestSpans(t *testing.T) {
 	if ft.Endpoint != "advise" || ft.Status != http.StatusOK {
 		t.Errorf("trace = endpoint %q status %d, want advise/200", ft.Endpoint, ft.Status)
 	}
-	names := map[string]bool{}
+	count, detail := map[string]int{}, map[string]string{}
 	for _, sp := range ft.Spans {
-		names[sp.Name] = true
+		count[sp.Name]++
+		detail[sp.Name] = sp.Detail
 		if sp.DurUS < 0 {
 			t.Errorf("span %q has negative duration %d", sp.Name, sp.DurUS)
 		}
 	}
-	// A cold advise runs the full path: decode, response-cache lookup,
-	// pool admission, batcher queue wait, model predict and the final rank.
-	for _, want := range []string{"decode", "cache_lookup", "pool_wait", "queue_wait", "predict", "rank"} {
-		if !names[want] {
-			t.Errorf("trace missing span %q (got %v)", want, names)
+	// A cold advise runs the full path: decode, response-cache lookup, pool
+	// admission, then one span per phase — the front end over the whole grid
+	// (4 GPU kinds × 2 teams × 1 threads), the single model call, the rank.
+	for _, want := range []string{"decode", "cache_lookup", "pool_wait", "encode", "predict", "rank"} {
+		if count[want] != 1 {
+			t.Errorf("trace has %d %q spans, want 1 (got %v)", count[want], want, count)
 		}
+	}
+	if count["queue_wait"] != 0 {
+		t.Error("trace still carries a queue_wait span; there is no queue")
+	}
+	if detail["encode"] != "points=8" || detail["predict"] != "batch=8" {
+		t.Errorf("encode/predict details = %q/%q, want points=8/batch=8", detail["encode"], detail["predict"])
 	}
 }
 

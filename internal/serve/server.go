@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -61,12 +62,10 @@ type ModelInfo struct {
 
 // Options tunes the service layers. Zero values pick sensible defaults.
 type Options struct {
-	AdviseCacheSize int           // whole-response + prediction cache entries (default 512)
-	EncodeCacheSize int           // encoded-graph cache entries (default 2048)
-	MaxBatch        int           // batcher: max samples per forward pass (default 16)
-	BatchWait       time.Duration // batcher: batch window (default 2ms)
-	PoolSize        int           // max advise/predict evaluations in flight (default GOMAXPROCS)
-	GridWorkers     int           // per-advise grid fan-out (default GOMAXPROCS)
+	AdviseCacheSize int // whole-response + prediction cache entries (default 512)
+	EncodeCacheSize int // encoded-graph cache entries (default 2048)
+	PoolSize        int // max advise/predict evaluations in flight (default GOMAXPROCS)
+	GridWorkers     int // per-advise front-end fan-out (default GOMAXPROCS)
 
 	// QueueLimit bounds the total requests waiting for an evaluation slot
 	// across all clients; arrivals beyond it are shed with 503 queue_full
@@ -203,6 +202,9 @@ type modelState struct {
 	info    ModelInfo
 	advisor *advisor.Advisor
 	batcher *Batcher
+	// adviseEval is the wall time of whole cold advise evaluations (front
+	// end + one model call + rank); its median is admission's advise cost.
+	adviseEval *obs.Histogram
 
 	advise   atomic.Uint64
 	predict  atomic.Uint64
@@ -239,11 +241,6 @@ type Server struct {
 	// lifecycle is non-nil when Options.FeedbackDir enabled the
 	// feedback→retrain→rollout loop.
 	lifecycle *lifecycle
-	// retired holds batchers of versions unregistered at runtime (pruned by
-	// GC): requests that already resolved them must still finish, so they
-	// close only in Close.
-	retiredMu sync.Mutex
-	retired   []*Batcher
 
 	// cluster is non-nil once EnableCluster put the server into a
 	// consistent-hash sharded tier; nil means every request serves locally.
@@ -369,14 +366,17 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 }
 
 // newModelState wires one model version into the serving plumbing: its
-// micro-batcher, the advisor on top, and the shared encode cache.
+// metered batcher, the advisor on top, and the shared encode cache.
 func (s *Server) newModelState(machine hw.Machine, name string, model BatchPredictor, prep *dataset.Prepared, info ModelInfo) *modelState {
-	batcher := NewBatcher(model, s.opts.MaxBatch, s.opts.BatchWait)
+	batcher := NewBatcher(model, 0, 0)
 	adv := advisor.New(batcher, prep, machine)
 	adv.SetLevel(info.Level)
 	adv.SetWorkers(s.opts.GridWorkers)
 	adv.SetEncodeCache(encodeCacheAdapter{s.encodeCache})
-	return &modelState{name: name, info: info, advisor: adv, batcher: batcher}
+	return &modelState{
+		name: name, info: info, advisor: adv, batcher: batcher,
+		adviseEval: obs.NewHistogram(obs.DefLatencyBuckets),
+	}
 }
 
 // addModel registers a new model version on a live server (candidate
@@ -393,7 +393,6 @@ func (s *Server) addModel(platform, name string, model BatchPredictor, prep *dat
 	be.mu.Lock()
 	defer be.mu.Unlock()
 	if _, dup := be.models[name]; dup {
-		ms.batcher.Close()
 		return nil, fmt.Errorf("serve: model %s/%s already registered", platform, name)
 	}
 	be.models[name] = ms
@@ -401,24 +400,18 @@ func (s *Server) addModel(platform, name string, model BatchPredictor, prep *dat
 }
 
 // removeModel unregisters a version (checkpoint pruned by GC). The
-// platform's default is never removed; the retired batcher closes in Close
-// so in-flight requests that already resolved the version still finish.
+// platform's default is never removed. Requests that already resolved the
+// version finish on the modelState they hold.
 func (s *Server) removeModel(platform, name string) {
 	be, ok := s.backends[platform]
 	if !ok {
 		return
 	}
 	be.mu.Lock()
-	ms, ok := be.models[name]
-	if !ok || name == be.defaultName {
-		be.mu.Unlock()
-		return
+	defer be.mu.Unlock()
+	if name != be.defaultName {
+		delete(be.models, name)
 	}
-	delete(be.models, name)
-	be.mu.Unlock()
-	s.retiredMu.Lock()
-	s.retired = append(s.retired, ms.batcher)
-	s.retiredMu.Unlock()
 }
 
 // setDefault re-points a platform's default alias (promotion, restart
@@ -481,36 +474,16 @@ func (be *backendState) modelNamesLocked() []string {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops the async-job workers (cancelling their evaluations and
-// waiting them out), the job store's sweeper, the per-model batchers
-// (after draining in-flight batches) and, in cluster mode, the membership
-// background loops and the forwarder's async replication workers.
+// waiting them out), any background retrain, the job store's sweeper and,
+// in cluster mode, the membership background loops and the forwarder's
+// async replication workers.
 func (s *Server) Close() {
 	s.jobsCancel()
 	s.jobsWG.Wait()
-	// Background retrains register new batchers; wait them out before the
-	// batcher sweep so nothing is created after it.
 	if s.lifecycle != nil {
 		s.lifecycle.wg.Wait()
 	}
 	s.jobs.Close()
-	for _, be := range s.backends {
-		be.mu.RLock()
-		batchers := make([]*Batcher, 0, len(be.models))
-		for _, ms := range be.models {
-			batchers = append(batchers, ms.batcher)
-		}
-		be.mu.RUnlock()
-		for _, b := range batchers {
-			b.Close()
-		}
-	}
-	s.retiredMu.Lock()
-	retired := s.retired
-	s.retired = nil
-	s.retiredMu.Unlock()
-	for _, b := range retired {
-		b.Close()
-	}
 	if s.cluster != nil {
 		s.cluster.stop()
 	}
@@ -686,6 +659,30 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	s.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody caps an advise or predict body. A custom kernel is a few
+// kB of C source, so 1 MiB is generous; uncapped, one request could make
+// the decoder buffer whatever it was sent.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes a size-capped JSON request body into v under the
+// trace's decode span, answering 413 for an oversized body and 400 for a
+// malformed one. It reports whether v is usable.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := obs.TraceFrom(r.Context()).StartSpan("decode")
+	defer dec.End()
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+	} else {
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // resolveBackend finds the backend for a machine name.
 func (s *Server) resolveBackend(machine string) (*backendState, error) {
 	be, ok := s.backends[machine]
@@ -780,13 +777,10 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
-	dec := tr.StartSpan("decode")
 	var req AdviseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	dec.End()
 	be, err := s.resolveBackend(req.Machine)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, "%v", err)
@@ -839,7 +833,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	recs, pr, cached, coalesced, err := s.adviseRecs(ctx, tr, p)
 	if err != nil {
 		if shed, ok := asShed(err); ok {
-			s.writeShed(w, shed, s.adviseCost(be, ms, k, space))
+			s.writeShed(w, shed, adviseCost(ms))
 			return
 		}
 		s.fail(w, http.StatusUnprocessableEntity, "advise %s on %s/%s: %v", k.Name, be.machine.Name, ms.name, err)
@@ -900,7 +894,7 @@ func (s *Server) adviseRecs(ctx context.Context, tr *obs.Trace, p adviseParams) 
 	// Deadline-aware shedding: a request that predictably cannot finish
 	// inside its budget is rejected before it holds anything — each caller
 	// applies its own deadline even when it would coalesce into a flight.
-	if shed := s.shedCheck(ctx, s.adviseCost(p.be, p.ms, p.k, p.space)); shed != nil {
+	if shed := s.shedCheck(ctx, adviseCost(p.ms)); shed != nil {
 		return nil, nil, false, false, shed
 	}
 	// The miss may belong to a peer: in cluster mode it is forwarded to
@@ -940,8 +934,12 @@ func (s *Server) adviseRecs(ctx context.Context, tr *obs.Trace, p adviseParams) 
 		var out []advisor.Recommendation
 		err := s.admitRun(ctx, p.client, func() error {
 			poolWait.End()
+			start := time.Now()
 			var err error
 			out, err = p.ms.advisor.AdviseCtx(ctx, p.k, p.req.Bindings, p.space)
+			if err == nil {
+				p.ms.adviseEval.Observe(time.Since(start).Seconds())
+			}
 			return err
 		})
 		if err != nil {
@@ -1038,13 +1036,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.TraceFrom(r.Context())
-	dec := tr.StartSpan("decode")
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	dec.End()
 	be, err := s.resolveBackend(req.Machine)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, "%v", err)
@@ -1110,7 +1105,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Deadline-aware shedding before any work is held: one prediction
-	// costs one batcher unit, and a backlog that cannot drain inside the
+	// costs one evalUnit, and a backlog that cannot drain inside the
 	// request's budget is rejected with Retry-After (cache hits above are
 	// never shed — they always beat any deadline).
 	if shed := s.shedCheck(ctx, evalUnit(ms)); shed != nil {

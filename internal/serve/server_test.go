@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -224,6 +226,105 @@ __PRAGMA__
 	}
 	if resp.Kernel != "scale" {
 		t.Errorf("kernel = %q", resp.Kernel)
+	}
+}
+
+// TestRequestBodyLimit: /v1/advise and /v1/predict refuse a body over
+// maxRequestBody with 413 before decoding it, and a custom kernel that
+// fills the cap to the byte is still served.
+func TestRequestBodyLimit(t *testing.T) {
+	s := newTestServer(t)
+	spec := func(pad int) *KernelSpec {
+		return &KernelSpec{
+			Name:     "scale",
+			FuncName: "scale",
+			Source: "void scale(double *a, int n) {\n__PRAGMA__\n" +
+				"    for (int i = 0; i < n; i++) {\n        a[i] = a[i] * 2.0;\n    }\n}\n" +
+				strings.Repeat(" ", pad),
+			Params: []ParamSpec{{Name: "n", Values: []int{1024}}},
+		}
+	}
+	advise := func(pad int) any {
+		return AdviseRequest{
+			Custom: spec(pad), Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
+			Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}},
+		}
+	}
+	predict := func(pad int) any {
+		return PredictRequest{
+			Custom: spec(pad), Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
+			Variant: "gpu", Teams: 64, Threads: 128,
+		}
+	}
+	// sized renders build's request padded to exactly size bytes (a space
+	// inside a JSON string is one byte).
+	sized := func(build func(pad int) any, size int) []byte {
+		bare, err := json.Marshal(build(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(build(size - len(bare)))
+		if err != nil || len(body) != size {
+			t.Fatalf("padded body is %d bytes, want %d (%v)", len(body), size, err)
+		}
+		return body
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		code       int
+	}{
+		{"oversized advise", "/v1/advise", sized(advise, maxRequestBody+1), http.StatusRequestEntityTooLarge},
+		{"oversized predict", "/v1/predict", sized(predict, maxRequestBody+1), http.StatusRequestEntityTooLarge},
+		{"advise at the cap", "/v1/advise", sized(advise, maxRequestBody), http.StatusOK},
+		{"predict at the cap", "/v1/predict", sized(predict, maxRequestBody), http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body)))
+			if rec.Code != tc.code {
+				t.Fatalf("%s with %d bytes = %d, want %d: %.200s", tc.path, len(tc.body), rec.Code, tc.code, rec.Body.String())
+			}
+			var e errorResponse
+			if tc.code != http.StatusOK && (json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "") {
+				t.Errorf("error body not JSON: %s", rec.Body.String())
+			}
+		})
+	}
+}
+
+// TestColdRequestIsOneModelCall: a cold advise hands the model its whole
+// grid in a single call, a cold predict a batch of one, cache hits nothing —
+// and /v1/stats reports exactly those calls.
+func TestColdRequestIsOneModelCall(t *testing.T) {
+	model := &echoModel{}
+	s := newOverloadServer(t, model, Options{})
+	preq := PredictRequest{
+		Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
+		Variant: "gpu_collapse", Teams: 64, Threads: 128,
+		Bindings: map[string]float64{"n": 256},
+	}
+	for i, step := range []struct {
+		path string
+		body any
+		want []int // model call sizes so far
+	}{
+		{"/v1/advise", adviseReq("NVIDIA V100 (GPU)"), []int{8}}, // 4 GPU kinds × 2 teams × 1 threads
+		{"/v1/advise", adviseReq("NVIDIA V100 (GPU)"), []int{8}}, // hit
+		{"/v1/predict", preq, []int{8, 1}},
+		{"/v1/predict", preq, []int{8, 1}}, // hit
+	} {
+		if rec := do(t, s, http.MethodPost, step.path, step.body, nil); rec.Code != http.StatusOK {
+			t.Fatalf("step %d %s: %d %s", i, step.path, rec.Code, rec.Body.String())
+		}
+		if got := model.callSizes(); !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("step %d %s: model calls = %v, want %v", i, step.path, got, step.want)
+		}
+	}
+	var st Stats
+	do(t, s, http.MethodGet, "/v1/stats", nil, &st)
+	if b := st.Models[0].Batcher; b.Batches != 2 || b.Samples != 9 || b.MeanBatch != 4.5 || b.MaxBatch != 8 {
+		t.Errorf("/v1/stats batcher = %+v, want 9 samples in 2 batches", b)
 	}
 }
 
