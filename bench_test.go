@@ -23,6 +23,7 @@ import (
 	"sync"
 	"testing"
 
+	"paragraph/internal/advisor"
 	"paragraph/internal/apps"
 	"paragraph/internal/cparse"
 	"paragraph/internal/dataset"
@@ -322,66 +323,112 @@ func BenchmarkGNNForward(b *testing.B) {
 	}
 }
 
+// benchGrid encodes the 48 points of matmul's default V100 grid the way a
+// cold advise does: advisor enumeration order (kind-major, then teams, then
+// threads), one freshly built graph per point, the advisor's WScale set. It
+// is the batch the engine is measured on, because a batch's cost depends on
+// what its samples share: 48 clones of one graph would be family
+// evaluation's zero-dirty-row case (head only) and measure nothing.
+func benchGrid(b *testing.B) []*gnn.Sample {
+	b.Helper()
+	k, ok := apps.ByName("matmul")
+	if !ok {
+		b.Fatal("no matmul kernel")
+	}
+	// Encoding needs the advisor's scalers, never its predictor.
+	a := advisor.New(gnn.NewModel(gnn.Config{Seed: 1, Hidden: 4, Layers: 1}), benchServePrep(), hw.V100())
+	space := advisor.DefaultSearchSpace()
+	var grid []*gnn.Sample
+	for _, kind := range variants.Kinds() {
+		if !kind.IsGPU() {
+			continue
+		}
+		for _, teams := range space.GPUTeams {
+			for _, threads := range space.GPUThreads {
+				src, err := variants.Generate(k, kind, teams, threads)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := a.EncodeInstance(variants.Instance{
+					Kernel: k, Kind: kind, Teams: teams, Threads: threads,
+					Bindings: map[string]float64{"n": 512}, Source: src,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				grid = append(grid, s)
+			}
+		}
+	}
+	if len(grid) != 48 {
+		b.Fatalf("matmul V100 grid has %d points, want 48", len(grid))
+	}
+	return grid
+}
+
+// perSample reports the benchmark's mean cost per sample of an n-sample
+// iteration.
+func perSample(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+}
+
 // BenchmarkPredictFastPath compares the tape path (the pre-engine Predict:
 // a fresh inference tape and a fresh matrix per op) against the pooled
-// fused engine, single-sample and across a 32-sample batch. The engine
-// batch path additionally fans across cores; tape-batch mirrors the old
-// serial PredictBatch loop.
+// fused engine: on a single sample, and across the 48-point matmul V100
+// grid (benchGrid) — per point through the tape, as one PredictBatch call
+// through the engine (family evaluation, additionally fanned across cores),
+// and, as the engine's unbatched twin over the same 48 samples, one Predict
+// per point. grid-48 against unbatched-48 is the family gain.
 func BenchmarkPredictFastPath(b *testing.B) {
 	s := benchSample(b)
+	grid := benchGrid(b)
 	m := gnn.NewModel(gnn.Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
-	batch := make([]*gnn.Sample, 32)
-	for i := range batch {
-		clone := *s
-		clone.Feats = [2]float64{float64(i) / 32, 0.5}
-		batch[i] = &clone
-	}
 	b.Run("tape-single", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = m.PredictTape(s)
 		}
 	})
-	b.Run("engine-single", func(b *testing.B) {
+	b.Run("tape-grid-48", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = m.Predict(s)
-		}
-	})
-	b.Run("tape-batch-32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, bs := range batch {
-				_ = m.PredictTape(bs)
+			for _, gs := range grid {
+				_ = m.PredictTape(gs)
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/sample")
+		perSample(b, len(grid))
 	})
-	b.Run("engine-batch-32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = m.PredictBatch(batch)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/sample")
-	})
-	// The float32 inference-weights path (what registry-served models run by
-	// default). Enabled last so the float64 sub-benchmarks above measure the
-	// default engine.
+	engine := func(prefix string) {
+		b.Run(prefix+"-single", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = m.Predict(s)
+			}
+		})
+		b.Run(prefix+"-grid-48", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = m.PredictBatch(grid)
+			}
+			perSample(b, len(grid))
+		})
+		b.Run(prefix+"-unbatched-48", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, gs := range grid {
+					_ = m.Predict(gs)
+				}
+			}
+			perSample(b, len(grid))
+		})
+	}
+	engine("engine")
+	// The float32 inference path (what registry-served models run by
+	// default). Enabled last so the sub-benchmarks above measure the default
+	// float64 engine.
 	m.SetFloat32Inference(true)
 	m.PrecomputeInference()
-	b.Run("engine32-single", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = m.Predict(s)
-		}
-	})
-	b.Run("engine32-batch-32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = m.PredictBatch(batch)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/sample")
-	})
+	engine("engine32")
 }
 
 // BenchmarkGNNTrainStep measures one forward+backward+accumulate pass.
@@ -709,36 +756,31 @@ func BenchmarkCacheSnapshotRestore(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatch compares the batched forward path against
-// per-sample prediction at several batch sizes; ns/sample is the number the
-// micro-batching queue banks on.
+// BenchmarkPredictBatch measures PredictBatch over prefixes of the 48-point
+// matmul V100 grid (benchGrid) — one point, one variant kind's 12-point
+// family, the whole grid — against one Predict per point over the same 48
+// samples; ns/sample falls with the batch as more points share a family.
 func BenchmarkPredictBatch(b *testing.B) {
 	m := gnn.NewModel(gnn.Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
-	s := benchSample(b)
-	for _, size := range []int{1, 8, 32} {
-		batch := make([]*gnn.Sample, size)
-		for i := range batch {
-			clone := *s
-			clone.Feats = [2]float64{float64(i) / float64(size), 0.5}
-			batch[i] = &clone
-		}
-		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+	grid := benchGrid(b)
+	for _, size := range []int{1, 12, 48} {
+		batch := grid[:size]
+		b.Run(fmt.Sprintf("grid-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = m.PredictBatch(batch)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
+			perSample(b, size)
 		})
 	}
-	b.Run("unbatched-32", func(b *testing.B) {
+	b.Run("unbatched-48", func(b *testing.B) {
 		b.ReportAllocs()
-		clone := *s
 		for i := 0; i < b.N; i++ {
-			for j := 0; j < 32; j++ {
-				_ = m.Predict(&clone)
+			for _, s := range grid {
+				_ = m.Predict(s)
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/sample")
+		perSample(b, len(grid))
 	})
 }
 

@@ -28,15 +28,20 @@ type comparison struct {
 
 // comparisons is the gate's tracked set. GNNForward and engine-single
 // measure the same operation (one fused engine forward) from two harnesses;
-// both gate against the recorded engine single-sample time.
+// both gate against the recorded engine single-sample time. The grid-48
+// rows are one PredictBatch over the 48-point matmul V100 grid (family
+// evaluation); unbatched-48 is one Predict per point over the same samples,
+// so a full pass that got slower cannot hide behind the family gain.
 var comparisons = []comparison{
 	{"BenchmarkPredictFastPath/tape-single", "ns/op", "tape_single_ns_op"},
 	{"BenchmarkPredictFastPath/engine-single", "ns/op", "engine_single_ns_op"},
 	{"BenchmarkGNNForward", "ns/op", "engine_single_ns_op"},
 	{"BenchmarkPredictFastPath/engine32-single", "ns/op", "engine32_single_ns_op"},
-	{"BenchmarkPredictFastPath/tape-batch-32", "ns/sample", "tape_batch32_ns_sample"},
-	{"BenchmarkPredictFastPath/engine-batch-32", "ns/sample", "engine_batch32_ns_sample"},
-	{"BenchmarkPredictFastPath/engine32-batch-32", "ns/sample", "engine32_batch32_ns_sample"},
+	{"BenchmarkPredictFastPath/tape-grid-48", "ns/sample", "tape_grid48_ns_sample"},
+	{"BenchmarkPredictFastPath/engine-grid-48", "ns/sample", "engine_grid48_ns_sample"},
+	{"BenchmarkPredictFastPath/engine32-grid-48", "ns/sample", "engine32_grid48_ns_sample"},
+	{"BenchmarkPredictFastPath/engine-unbatched-48", "ns/sample", "engine_unbatched48_ns_sample"},
+	{"BenchmarkPredictFastPath/engine32-unbatched-48", "ns/sample", "engine32_unbatched48_ns_sample"},
 }
 
 // parseBench reads raw `go test -bench` output. Each benchmark result line
@@ -64,7 +69,7 @@ func parseBench(r io.Reader) (*benchData, error) {
 			continue
 		}
 		// Benchmarks print a -GOMAXPROCS suffix on multi-proc runs and none
-		// on single-proc ones, and names like "engine-batch-32" end in a
+		// on single-proc ones, and names like "engine-grid-48" end in a
 		// number themselves — so record each sample under both the raw name
 		// and the suffix-stripped one; lookups hit whichever matches the
 		// tracked name.

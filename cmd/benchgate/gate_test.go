@@ -14,8 +14,9 @@ BenchmarkGNNForward-4      	    6500	    501000 ns/op	      30 B/op	       0 all
 BenchmarkGNNForward-4      	    6900	    479000 ns/op	      30 B/op	       0 allocs/op
 BenchmarkPredictFastPath/tape-single-4         	     810	   2647854 ns/op	 3016627 B/op	    1401 allocs/op
 BenchmarkPredictFastPath/engine-single-4       	    4215	    490776 ns/op	       0 B/op	       0 allocs/op
-BenchmarkPredictFastPath/tape-batch-32-4       	      26	  96020912 ns/op	   3000652 ns/sample	96532120 B/op	   44849 allocs/op
-BenchmarkPredictFastPath/engine-batch-32-4     	     128	  18457302 ns/op	    476790 ns/sample	     257 B/op	       1 allocs/op
+BenchmarkPredictFastPath/tape-grid-48-4        	      26	 144031368 ns/op	   3000652 ns/sample	126995760 B/op	   67266 allocs/op
+BenchmarkPredictFastPath/engine-grid-48-4      	     128	   4608000 ns/op	     96000 ns/sample	     386 B/op	       1 allocs/op
+BenchmarkPredictFastPath/engine-unbatched-48-4 	     128	  22885920 ns/op	    476790 ns/sample	       0 B/op	       0 allocs/op
 PASS
 `
 
@@ -24,11 +25,12 @@ func sampleBaseline() *baselineEntry {
 		Date: "2026-08-08", PR: 7,
 		CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz",
 		Results: map[string]float64{
-			"tape_single_ns_op":        2650000,
-			"engine_single_ns_op":      490000,
-			"tape_batch32_ns_sample":   3000000,
-			"engine_batch32_ns_sample": 480000,
-			"single_speedup":           5.4,
+			"tape_single_ns_op":            2650000,
+			"engine_single_ns_op":          490000,
+			"tape_grid48_ns_sample":        3000000,
+			"engine_grid48_ns_sample":      100000,
+			"engine_unbatched48_ns_sample": 480000,
+			"single_speedup":               5.4,
 		},
 	}
 }
@@ -58,8 +60,8 @@ func TestParseBench(t *testing.T) {
 	}
 	// The -GOMAXPROCS suffix is stripped; custom ns/sample metrics are kept
 	// separately from ns/op.
-	if got := data.Samples["BenchmarkPredictFastPath/engine-batch-32|ns/sample"]; len(got) != 1 || got[0] != 476790 {
-		t.Errorf("engine-batch-32 ns/sample = %v", got)
+	if got := data.Samples["BenchmarkPredictFastPath/engine-grid-48|ns/sample"]; len(got) != 1 || got[0] != 96000 {
+		t.Errorf("engine-grid-48 ns/sample = %v", got)
 	}
 	if got := data.Samples["BenchmarkPredictFastPath/engine-single|ns/op"]; len(got) != 1 || got[0] != 490776 {
 		t.Errorf("engine-single ns/op = %v", got)
@@ -71,19 +73,19 @@ func TestParseBench(t *testing.T) {
 }
 
 // TestParseBenchNoSuffix covers single-proc runs, where Go prints no
-// -GOMAXPROCS suffix: a name whose own tail is numeric (engine-batch-32)
+// -GOMAXPROCS suffix: a name whose own tail is numeric (engine-grid-48)
 // must still be found under its printed name.
 func TestParseBenchNoSuffix(t *testing.T) {
 	out := `cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkPredictFastPath/engine-batch-32         	      78	  15144228 ns/op	    473256 ns/sample	     257 B/op	       1 allocs/op
+BenchmarkPredictFastPath/engine-grid-48         	      78	   4544640 ns/op	     94680 ns/sample	     386 B/op	       1 allocs/op
 `
 	data, err := parseBench(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := data.Samples["BenchmarkPredictFastPath/engine-batch-32|ns/sample"]
-	if len(got) != 1 || got[0] != 473256 {
-		t.Errorf("no-suffix engine-batch-32 ns/sample = %v", got)
+	got := data.Samples["BenchmarkPredictFastPath/engine-grid-48|ns/sample"]
+	if len(got) != 1 || got[0] != 94680 {
+		t.Errorf("no-suffix engine-grid-48 ns/sample = %v", got)
 	}
 }
 
@@ -102,21 +104,29 @@ func TestGatePassesWithinThreshold(t *testing.T) {
 }
 
 // TestGateFailsOnSyntheticRegression is the acceptance check for the gate
-// itself: a >20% engine slowdown must flip the verdict.
+// itself: a >20% slowdown of the single pass, of the grid call, or of the
+// per-point loop over the grid must each flip the verdict.
 func TestGateFailsOnSyntheticRegression(t *testing.T) {
-	slower := strings.ReplaceAll(sampleOutput,
-		"4215	    490776 ns/op",
-		"3000	    650000 ns/op") // engine-single +33%
-	data, err := parseBench(strings.NewReader(slower))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, ok := gate(data, sampleBaseline(), 0.20)
-	if ok {
-		t.Fatalf("gate passed a 33%% regression:\n%s", report)
-	}
-	if !strings.Contains(report, "REGRESSION") || !strings.Contains(report, "verdict: FAIL") {
-		t.Errorf("report:\n%s", report)
+	for name, edit := range map[string][2]string{
+		"engine-single +33%":       {"4215	    490776 ns/op", "3000	    650000 ns/op"},
+		"engine-grid-48 +35%":      {"     96000 ns/sample", "    130000 ns/sample"},
+		"engine-unbatched-48 +34%": {"    476790 ns/sample", "    640000 ns/sample"},
+	} {
+		slower := strings.ReplaceAll(sampleOutput, edit[0], edit[1])
+		if slower == sampleOutput {
+			t.Fatalf("%s: fixture edit matched nothing", name)
+		}
+		data, err := parseBench(strings.NewReader(slower))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, ok := gate(data, sampleBaseline(), 0.20)
+		if ok {
+			t.Fatalf("gate passed %s:\n%s", name, report)
+		}
+		if !strings.Contains(report, "REGRESSION") || !strings.Contains(report, "verdict: FAIL") {
+			t.Errorf("%s: report:\n%s", name, report)
+		}
 	}
 }
 

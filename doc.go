@@ -78,10 +78,12 @@
 // the advisor evaluates it in two phases (internal/advisor): every grid
 // point is generated, parsed, built and encoded, fanned across goroutines;
 // then the whole grid goes to the model as one gnn.Model.PredictBatch call
-// through a per-model metered front (serve.Batcher). Nothing is coalesced
-// across requests — a batch costs the engine the same per sample as a lone
-// call. Rankings are bit-identical to the serial pipeline; only throughput
-// and latency change.
+// through a per-model metered front (serve.Batcher). The engine evaluates
+// the grid as topology families — the points of one variant kind are one
+// graph seen under different weights, so it runs one full pass per kind and
+// recomputes only the rows each further point changes. Nothing is coalesced
+// across requests — two requests never share a family. Rankings are
+// bit-identical to the serial pipeline; only throughput and latency change.
 //
 // With -cache-file the advise-response cache is snapshotted periodically
 // (-cache-snapshot) and on SIGTERM/SIGINT — shutdown stops the listener,

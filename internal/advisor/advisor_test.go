@@ -234,40 +234,44 @@ func (c *ctxBatch) PredictBatchCtx(ctx context.Context, ss []*gnn.Sample) ([]flo
 // TestBatchAdviseMatchesSerialReference: for every suite kernel on a CPU
 // and a GPU machine, the batched evaluation — through PredictBatch and
 // through PredictBatchCtx, one model call per grid — returns the serial
-// one-sample-at-a-time ranking, in order and bit for bit.
+// one-sample-at-a-time ranking, in order and bit for bit, against a real
+// model in both inference widths.
 func TestBatchAdviseMatchesSerialReference(t *testing.T) {
-	m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 2, Relations: 8})
-	for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
-		serial := New(predictOnly{m}, testPrep(), machine)
-		serial.SetWorkers(1)
-		batch := New(m, testPrep(), machine)
-		traced := &ctxBatch{m: m}
-		ctxAdv := New(traced, testPrep(), machine)
-		kernels := apps.Kernels()
-		for _, k := range kernels {
-			bindings := map[string]float64{}
-			for _, p := range k.Params {
-				bindings[p.Name] = float64(p.Values[0])
-			}
-			want, err := serial.Advise(k, bindings, DefaultSearchSpace())
-			if err != nil {
-				t.Fatalf("%s on %s: %v", k.Name, machine.Name, err)
-			}
-			for name, adv := range map[string]*Advisor{"PredictBatch": batch, "PredictBatchCtx": ctxAdv} {
-				got, err := adv.Advise(k, bindings, DefaultSearchSpace())
+	for _, f32 := range []bool{false, true} {
+		m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 2, Relations: 8})
+		m.SetFloat32Inference(f32)
+		for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
+			serial := New(predictOnly{m}, testPrep(), machine)
+			serial.SetWorkers(1)
+			batch := New(m, testPrep(), machine)
+			traced := &ctxBatch{m: m}
+			ctxAdv := New(traced, testPrep(), machine)
+			kernels := apps.Kernels()
+			for _, k := range kernels {
+				bindings := map[string]float64{}
+				for _, p := range k.Params {
+					bindings[p.Name] = float64(p.Values[0])
+				}
+				want, err := serial.Advise(k, bindings, DefaultSearchSpace())
 				if err != nil {
-					t.Fatalf("%s on %s via %s: %v", k.Name, machine.Name, name, err)
+					t.Fatalf("%s on %s: %v", k.Name, machine.Name, err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s on %s via %s: ranking differs from the serial reference", k.Name, machine.Name, name)
+				for name, adv := range map[string]*Advisor{"PredictBatch": batch, "PredictBatchCtx": ctxAdv} {
+					got, err := adv.Advise(k, bindings, DefaultSearchSpace())
+					if err != nil {
+						t.Fatalf("%s on %s via %s: %v", k.Name, machine.Name, name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s on %s via %s (f32=%v): ranking differs from the serial reference", k.Name, machine.Name, name, f32)
+					}
+				}
+				if last := traced.calls[len(traced.calls)-1]; last != len(want) {
+					t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
 				}
 			}
-			if last := traced.calls[len(traced.calls)-1]; last != len(want) {
-				t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
+			if len(traced.calls) != len(kernels) {
+				t.Errorf("%s: %d model calls for %d grids", machine.Name, len(traced.calls), len(kernels))
 			}
-		}
-		if len(traced.calls) != len(kernels) {
-			t.Errorf("%s: %d model calls for %d grids", machine.Name, len(traced.calls), len(kernels))
 		}
 	}
 }

@@ -2,6 +2,8 @@ package gnn
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,13 +11,48 @@ import (
 )
 
 // This file is the inference engine: the allocation-free forward pass behind
-// Predict/PredictBatch. The autodiff tape (Forward) remains the training
-// path and the reference semantics; the engine reproduces its arithmetic up
-// to float reassociation — the kernels below reassociate sums (tiled
-// matmuls, precomputed attention projections, fused softmax scaling) to run
-// near the FLOP limit, so predictions agree with the tape to a relaxed
-// tolerance (TestInferEngineMatchesTape enforces ≤ 1e-9; the float32
-// weights path is gated at ≤ 1e-4) instead of bit for bit.
+// Predict/PredictBatch, one body generic over the element width
+// (tensor.Float) and instantiated for float64 and float32. The autodiff tape
+// (Forward) remains the training path and the reference semantics; the
+// engine reproduces its arithmetic up to float reassociation — the kernels
+// below reassociate sums (tiled matmuls, precomputed attention projections,
+// fused softmax scaling) to run near the FLOP limit, so predictions agree
+// with the tape to a relaxed tolerance (TestInferEngineMatchesTape enforces
+// ≤ 1e-9 in float64, ≤ 1e-4 in float32) instead of bit for bit. Softmax
+// exponentials go through float64 math.Exp in both widths (there is no
+// float32 exp in the standard library); everything else runs in F.
+//
+// A batch is evaluated as topology families, not as independent samples.
+// The grid an advise request sweeps is one graph seen many times: a
+// variant's (teams, threads) configuration reaches the model through edge
+// weights and a few literal feature rows, never through structure. So:
+//
+//   - Group (families.group): samples whose graphs have equal NumNodes,
+//     Kinds, SubKinds, WScale and per-relation Src/Dst form a family. That
+//     is observed in the input, never hinted by the caller; unrelated
+//     samples simply form families of one.
+//   - Base: a family's first member runs the full pass and keeps its
+//     per-layer state (layer inputs h⁰…h^L, their self projections and, per
+//     relation, the projected source rows q and source attention scores) in
+//     a workspace slot.
+//   - Members: every later member starts from a copy of a retained
+//     sibling's state — the one with the same edge weights if there is one,
+//     else the first member — and recomputes exactly the rows that can
+//     differ: D₀ = feature rows that differ, W = destinations with a
+//     differing in-edge weight, D_{ℓ+1} = D_ℓ ∪ W ∪ out-neighbours(D_ℓ).
+//     Layer ℓ re-projects the rows of D_ℓ and re-aggregates the rows of
+//     D_{ℓ+1}. The first member seen with a new weight vector keeps its
+//     state as a further base, up to maxBases.
+//
+// There is one layer routine: the full pass is the member pass with every
+// row dirty. PredictBatch(ss)[i] is bit-identical to Predict(ss[i])
+// whatever else is in the batch, because every kernel on the path computes
+// a row from its inputs alone in one fixed accumulation order (see
+// tensor/inplace.go), each recomputed row is rebuilt from scratch in the
+// full pass's relation and edge order, clean rows are copies, and pooling
+// and the head run per member over its fully materialised h^L. (The
+// tiled/skip-zero kernel choice may differ between a member and its own
+// full pass; the two kernels are bit-identical for finite weights.)
 //
 // Three precomputed structures make the hot path cheap:
 //
@@ -25,18 +62,21 @@ import (
 //     additionally derives the relation's unique-source list: the only rows
 //     whose W_r projection the relation ever reads. Most ParaGraph
 //     relations touch a small fraction of the graph, so projecting source
-//     rows only cuts the dominant N·H² matmul cost to |sources|·H².
+//     rows only cuts the dominant N·H² matmul cost to |sources|·H². It is
+//     topology only, so one plan — the first member's — serves a family.
 //
-//   - inferModel (model.go): weight-derived constants computed once at
-//     checkpoint-load time, not per forward — the per-relation attention
-//     projections p_src = W_r·aSrc and p_dst = W_r·aDst (so attention
-//     scores become one H-dot per node instead of an H²-projection), and,
-//     when float32 inference is enabled, the converted float32 weight set.
+//   - weights (inferparams.go): the parameters and the constants derived
+//     from them, converted once at checkpoint-load time — the per-relation
+//     attention projections p_src = W_r·aSrc and p_dst = W_r·aDst (so
+//     attention scores become one H-dot per node instead of an
+//     H²-projection).
 //
-//   - inferWorkspace: the scratch matrices of one forward pass, sized from
-//     the model Config and graph shape, backed by tensor arenas and pooled
-//     on the Model via sync.Pool. In steady state a forward pass performs
-//     zero heap allocations (asserted by TestInferForwardZeroAllocs).
+//   - workspace: the state slots and scratch of one worker, sized from the
+//     model Config and graph shape, backed by a tensor arena and pooled on
+//     the Model via sync.Pool. In steady state a forward pass performs zero
+//     heap allocations (asserted by TestInferForwardZeroAllocs). Nothing
+//     derived from a graph's weights outlives the call: dataset.Prepare
+//     rewrites WScale after encoding.
 //
 // The matmuls dispatch between the register-blocked tiled kernel and the
 // skip-zero row kernel on the measured density of the layer input: ReLU
@@ -45,21 +85,22 @@ import (
 
 // relPlan is one relation's edges re-ordered by destination node.
 type relPlan struct {
-	logW       []float64 // raw log1p edge weight per edge, destination-grouped
-	edgeSrcIdx []int     // per edge: index of its source node in srcList
-	runStart   []int     // len(runs)+1 offsets into logW/edgeSrcIdx
-	runDst     []int     // destination node of each run
-	srcList    []int     // unique source nodes, ascending
+	edge       []int // per slot: the edge's index in Relation.Src/Dst/LogW
+	edgeSrcIdx []int // per slot: index of its source node in srcList
+	runStart   []int // len(runs)+1 offsets into edge/edgeSrcIdx
+	runDst     []int // destination node of each run
+	srcList    []int // unique source nodes, ascending
 }
 
 // InferencePlan is the per-graph constant structure of the fused RGAT path:
-// destination-grouped edge lists and unique-source lists for every relation
-// plus the longest attention segment (which sizes the softmax scratch
-// buffer). It depends only on the graph topology — not on WScale or any
-// model parameter — so one plan serves every model and every
-// advisor-scaled view of the graph.
+// destination-grouped edge permutations and unique-source lists for every
+// relation plus the longest attention segment (which sizes the softmax
+// scratch buffer). It depends only on the graph topology — not on edge
+// weights, WScale or any model parameter — so one plan serves every model,
+// every advisor-scaled view of the graph, and every member of a family.
 type InferencePlan struct {
 	rels   []relPlan
+	srcOff []int // prefix sums of len(srcList): a relation's rows in a state slot's q block
 	maxRun int
 }
 
@@ -96,11 +137,12 @@ func (g *Graph) plan() *InferencePlan {
 // counting sort. Stability keeps softmax sums and message scatter-adds
 // accumulating in the tape ops' edge order within each destination.
 func buildPlan(g *Graph) *InferencePlan {
-	p := &InferencePlan{rels: make([]relPlan, len(g.Rels))}
+	p := &InferencePlan{rels: make([]relPlan, len(g.Rels)), srcOff: make([]int, len(g.Rels)+1)}
 	for r := range g.Rels {
 		rel := &g.Rels[r]
 		e := len(rel.Src)
 		if e == 0 {
+			p.srcOff[r+1] = p.srcOff[r]
 			continue
 		}
 		rp := &p.rels[r]
@@ -132,15 +174,16 @@ func buildPlan(g *Graph) *InferencePlan {
 				rp.srcList = append(rp.srcList, i)
 			}
 		}
+		p.srcOff[r+1] = p.srcOff[r] + len(rp.srcList)
 		rp.edgeSrcIdx = make([]int, e)
-		rp.logW = make([]float64, e)
+		rp.edge = make([]int, e)
 		next := make([]int, g.NumNodes)
 		copy(next, start[:g.NumNodes])
 		for i, d := range rel.Dst {
 			slot := next[d]
 			next[d]++
 			rp.edgeSrcIdx[slot] = idxOf[rel.Src[i]]
-			rp.logW[slot] = rel.LogW[i]
+			rp.edge[slot] = i
 		}
 		rp.runStart = make([]int, 0, runs+1)
 		rp.runDst = make([]int, 0, runs)
@@ -155,6 +198,79 @@ func buildPlan(g *Graph) *InferencePlan {
 	return p
 }
 
+// sameSlice reports whether two slices hold equal elements, short-circuiting
+// on a shared backing array (header copies of one encoded graph).
+func sameSlice[T comparable](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
+}
+
+// sameTopology is the family rule: equal node codes, weight scale and
+// per-relation edge lists. Node features and edge weights may differ.
+func sameTopology(a, b *Graph) bool {
+	if a == b {
+		return true
+	}
+	if a.NumNodes != b.NumNodes || a.WScale != b.WScale || len(a.Rels) != len(b.Rels) ||
+		!sameSlice(a.Kinds, b.Kinds) || !sameSlice(a.SubKinds, b.SubKinds) {
+		return false
+	}
+	for r := range a.Rels {
+		if !sameSlice(a.Rels[r].Src, b.Rels[r].Src) || !sameSlice(a.Rels[r].Dst, b.Rels[r].Dst) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameWeights reports whether two graphs of one family carry equal edge
+// weights, exiting at the first difference.
+func sameWeights(a, b *Graph) bool {
+	for r := range a.Rels {
+		if !sameSlice(a.Rels[r].LogW, b.Rels[r].LogW) {
+			return false
+		}
+	}
+	return true
+}
+
+// families partitions a batch by sameTopology: family f is the chain
+// heads[f], next[heads[f]], … (ending at -1), members in batch order.
+type families struct {
+	heads, tails, next []int
+	sigs               []uint64 // per family: a cheap topology digest, scanned before any element compare
+}
+
+// resize returns s with length n, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// group rebuilds the partition for samples, reusing the slices' capacity.
+func (f *families) group(samples []*Sample) {
+	f.heads, f.tails, f.sigs = f.heads[:0], f.tails[:0], f.sigs[:0]
+	f.next = resize(f.next, len(samples))
+	for i, s := range samples {
+		f.next[i] = -1
+		sig := uint64(s.G.NumNodes)<<32 | uint64(uint32(s.G.NumEdges()))
+		fam := -1
+		for k, fs := range f.sigs {
+			if fs == sig && sameTopology(samples[f.heads[k]].G, s.G) {
+				fam = k
+				break
+			}
+		}
+		if fam < 0 {
+			f.heads, f.tails, f.sigs = append(f.heads, i), append(f.tails, i), append(f.sigs, sig)
+			continue
+		}
+		f.next[f.tails[fam]] = i
+		f.tails[fam] = i
+	}
+}
+
 // denseCutoff is the zero fraction above which a layer input routes its
 // matmuls through the skip-zero kernel instead of the tiled one. On paper:
 // at zero fraction z the skip kernel does (1-z) of the naive work while the
@@ -167,96 +283,247 @@ func buildPlan(g *Graph) *InferencePlan {
 // inputs pay their way through the skip kernel.
 const denseCutoff = 0.7
 
-// reluIntoDensity computes dst = max(src, 0) element-wise (dst is reshaped
-// to src's shape via the arena) and reports whether the result is dense
-// enough that the next layer's matmuls should stay on the tiled kernel.
-// Both the rectification and the zero count are branchless — the input's
-// sign pattern is effectively random, so a compare-and-branch here would
-// mispredict on half the elements.
-func reluIntoDensity(ar *tensor.Arena, src, dst *tensor.Matrix) bool {
-	ar.GetMatrix(dst, src.Rows, src.Cols)
-	neg := 0
-	for i, v := range src.Data {
-		neg += int(math.Float64bits(v) >> 63)
-		dst.Data[i] = max(v, 0)
+// maxBases bounds the member states a family keeps as bases: the first
+// member plus the first members seen with a new edge-weight vector. A GPU
+// grid has one weighting per thread count (three by default); weightings
+// past the bound are evaluated against the first member and not kept.
+const maxBases = 4
+
+// slot is one member's retained per-layer state, laid out in one buffer so
+// a sibling starts from it with a single copy: h⁰…h^L (N×H each), then per
+// layer the self projection h^ℓ·W_self + b (N×H), the q block (the plan's
+// source rows × H, relation by relation) and the source-score block (one
+// per source row).
+type slot[F tensor.Float] struct {
+	g   *Graph // the member buf describes; nil outside a family evaluation
+	buf []F
+}
+
+// workspace holds the state slots and every scratch buffer one worker
+// needs. Buffers are sized from the family's shape, backed by the arena
+// where they hold elements, and reused across calls, so re-running a pass
+// over a same-shaped graph touches no allocator at all. Workspaces are
+// pooled per Model and used by one goroutine at a time.
+type workspace[F tensor.Float] struct {
+	arena tensor.Arena[F]
+	families
+
+	// The current family's shape: nodes, hidden width, source rows across
+	// relations, and where the per-layer blocks start in a slot's buffer
+	// and how long each is.
+	n, hdim, srcRows, layerOff, layerLen int
+	plan                                 *InferencePlan
+
+	slots [maxBases + 1]slot[F] // retained bases, then the scratch member
+
+	dirty, dirtyNext, wDirty []bool // D_ℓ, D_ℓ₊₁ and W, indexed by node
+	rows, rowsNext           []int  // D_ℓ and D_ℓ₊₁ as ascending lists
+	srcNodes, srcSlots       []int  // a relation's dirty sources: node ids and srcList indices
+	gather, proj             tensor.Dense[F]
+	logits                   []float64 // longest-run softmax scratch
+
+	pooled  tensor.Dense[F] // 1×H mean-pooled graph embedding
+	emb     tensor.Dense[F] // 1×H fc1 output
+	emb2    tensor.Dense[F] // 1×H fc2 output
+	featIn  tensor.Dense[F] // 1×2 (teams, threads) input row
+	featEmb tensor.Dense[F] // 1×F feature-branch embedding
+	concat  tensor.Dense[F] // 1×(H+F) head input
+	outBuf  tensor.Dense[F] // 1×1 prediction
+}
+
+// acquireWS takes a pooled workspace of width F. The pool holds whichever
+// width the model last served; a workspace of the other width (after
+// SetFloat32Inference) is dropped for the collector.
+func acquireWS[F tensor.Float](m *Model) *workspace[F] {
+	if ws, ok := m.wsPool.Get().(*workspace[F]); ok {
+		return ws
 	}
-	return float64(neg) < denseCutoff*float64(len(src.Data))
+	return new(workspace[F])
 }
 
-// inferWorkspace holds every scratch buffer one engine forward pass needs,
-// for both element widths (only the width the model serves is ever grown).
-// Matrices are stored by value (headers owned here, data owned by the
-// arenas), so re-running a pass over a same-shaped graph touches no
-// allocator at all. Workspaces are pooled per Model and used by one
-// goroutine at a time.
-type inferWorkspace struct {
-	arena tensor.Arena
-
-	h        tensor.Matrix // N×H node embeddings (layer input)
-	layerOut tensor.Matrix // N×H convolution accumulator
-	hs       tensor.Matrix // S×H gathered source rows
-	qc       tensor.Matrix // S×H projected source rows
-	srcScore []float64     // S source attention scores
-	logits   []float64     // longest-run softmax scratch
-
-	pooled  tensor.Matrix // 1×H mean-pooled graph embedding
-	emb     tensor.Matrix // 1×H fc1 output
-	emb2    tensor.Matrix // 1×H fc2 output
-	featIn  tensor.Matrix // 1×2 (teams, threads) input row
-	featEmb tensor.Matrix // 1×F feature-branch embedding
-	concat  tensor.Matrix // 1×(H+F) head input
-	outBuf  tensor.Matrix // 1×1 prediction
-
-	// Float32 twins (see infer32.go), used when the model serves the
-	// float32 inference-weights path.
-	arena32    tensor.Arena32
-	h32        tensor.Matrix32
-	layerOut32 tensor.Matrix32
-	hs32       tensor.Matrix32
-	qc32       tensor.Matrix32
-	srcScore32 []float32
-	pooled32   tensor.Matrix32
-	emb32      tensor.Matrix32
-	emb232     tensor.Matrix32
-	featIn32   tensor.Matrix32
-	featEmb32  tensor.Matrix32
-	concat32   tensor.Matrix32
-	outBuf32   tensor.Matrix32
+// h returns layer l's input matrix (l == layers: the final embedding) in st.
+func (ws *workspace[F]) h(st *slot[F], l int) tensor.Dense[F] {
+	sz := ws.n * ws.hdim
+	return tensor.Dense[F]{Rows: ws.n, Cols: ws.hdim, Data: st.buf[l*sz : (l+1)*sz]}
 }
 
-// acquireWS takes a pooled workspace (allocating the empty shell only the
-// first few times under concurrency).
-func (m *Model) acquireWS() *inferWorkspace {
-	return m.wsPool.Get().(*inferWorkspace)
+// self returns layer l's self projection (bias included) of every node.
+func (ws *workspace[F]) self(st *slot[F], l int) tensor.Dense[F] {
+	off := ws.layerOff + l*ws.layerLen
+	return tensor.Dense[F]{Rows: ws.n, Cols: ws.hdim, Data: st.buf[off : off+ws.n*ws.hdim]}
 }
 
-func (m *Model) releaseWS(ws *inferWorkspace) { m.wsPool.Put(ws) }
+// q returns relation r's projected source rows and source scores at layer l.
+func (ws *workspace[F]) q(st *slot[F], l, r int) (tensor.Dense[F], []F) {
+	off := ws.layerOff + l*ws.layerLen + ws.n*ws.hdim
+	lo, hi := ws.plan.srcOff[r], ws.plan.srcOff[r+1]
+	scores := off + ws.srcRows*ws.hdim
+	return tensor.Dense[F]{Rows: hi - lo, Cols: ws.hdim, Data: st.buf[off+lo*ws.hdim : off+hi*ws.hdim]},
+		st.buf[scores+lo : scores+hi]
+}
 
-// inferForward runs one engine forward pass: fused node-feature assembly,
-// the fused RGAT convolutions, mean pooling, and the two-branch head. It
-// mirrors Model.Forward (the tape path) up to float reassociation,
-// dispatching to the float32 engine when the model serves converted
-// inference weights.
-func (m *Model) inferForward(ws *inferWorkspace, s *Sample) float64 {
-	ip := m.inferParams()
-	if ip.f32 != nil {
-		return m.inferForward32(ws, s, ip.f32)
+// predictInto evaluates samples family by family across a bounded worker
+// pool, writing predictions into out (same length as samples). workers <= 0
+// defaults to GOMAXPROCS; the bound is clamped to the family count, and a
+// single-worker run stays on the calling goroutine.
+func (m *Model) predictInto(out []float64, samples []*Sample, workers int) {
+	if len(samples) == 0 {
+		return
 	}
-	g := s.G
+	if ip := m.inferParams(); ip.f32 != nil {
+		predictFamilies(m, ip.f32, out, samples, workers)
+	} else {
+		predictFamilies(m, ip.f64, out, samples, workers)
+	}
+}
+
+// predictOne is Predict's engine entry: a family of one on the calling
+// goroutine. It is separate from predictFamilies because that function's
+// worker closures make its arguments escape, and a lone prediction must not
+// allocate.
+func predictOne[F tensor.Float](m *Model, w *weights[F], s *Sample) float64 {
+	ws := acquireWS[F](m)
+	defer m.wsPool.Put(ws)
+	var out [1]float64
+	w.family(ws, out[:], []*Sample{s}, 0, []int{-1})
+	return out[0]
+}
+
+// predictFamilies groups samples on the calling goroutine's workspace and
+// evaluates the families, serially or across workers (see predictInto).
+func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, samples []*Sample, workers int) {
+	ws := acquireWS[F](m)
+	defer m.wsPool.Put(ws)
+	ws.group(samples)
+	heads, next := ws.heads, ws.next
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(heads) {
+		workers = len(heads)
+	}
+	if workers <= 1 {
+		for _, first := range heads {
+			w.family(ws, out, samples, first, next)
+		}
+		return
+	}
+	// Families are handed out in batch order; the calling goroutine is one
+	// of the workers.
+	var cursor atomic.Int64
+	run := func(ws *workspace[F]) {
+		for f := int(cursor.Add(1)) - 1; f < len(heads); f = int(cursor.Add(1)) - 1 {
+			w.family(ws, out, samples, heads[f], next)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			ws := acquireWS[F](m)
+			defer m.wsPool.Put(ws)
+			run(ws)
+		}()
+	}
+	run(ws)
+	wg.Wait()
+}
+
+// family evaluates the chain of same-topology samples starting at first
+// (see families), choosing each member's base and state slot.
+func (w *weights[F]) family(ws *workspace[F], out []float64, samples []*Sample, first int, next []int) {
+	g := samples[first].G
 	p := g.plan()
-	n, hdim := g.NumNodes, m.cfg.Hidden
-	ar := &ws.arena
+	ws.plan, ws.n, ws.hdim, ws.srcRows = p, g.NumNodes, w.hidden, p.srcOff[len(p.srcOff)-1]
+	ws.layerOff = (len(w.layers) + 1) * ws.n * ws.hdim
+	ws.layerLen = ws.n*ws.hdim + ws.srcRows*(ws.hdim+1)
+	size := ws.layerOff + len(w.layers)*ws.layerLen
+	ws.dirty, ws.dirtyNext, ws.wDirty = resize(ws.dirty, ws.n), resize(ws.dirtyNext, ws.n), resize(ws.wDirty, ws.n)
+	ws.logits = resize(ws.logits, p.maxRun)
+
+	bases := 0
+	for i := first; i >= 0; i = next[i] {
+		s := samples[i]
+		st, base := &ws.slots[0], (*slot[F])(nil)
+		if bases == 0 {
+			bases = 1
+		} else {
+			st = &ws.slots[maxBases]
+			clear(ws.wDirty)
+			for b := range ws.slots[:bases] {
+				if w.noWeights || sameWeights(ws.slots[b].g, s.G) {
+					base = &ws.slots[b]
+					break
+				}
+			}
+			if base == nil {
+				// A new weighting: evaluated against the first member, and
+				// kept as a base for later members while there is room.
+				base = &ws.slots[0]
+				for r := range s.G.Rels {
+					rel, bw := &s.G.Rels[r], base.g.Rels[r].LogW
+					for e, lw := range rel.LogW {
+						if lw != bw[e] {
+							ws.wDirty[rel.Dst[e]] = true
+						}
+					}
+				}
+				if bases < maxBases {
+					st = &ws.slots[bases]
+					bases++
+				}
+			}
+		}
+		st.buf = ws.arena.GetSlice(st.buf, size)
+		out[i] = w.forward(ws, st, base, s)
+	}
+	// Nothing of the call's graphs may outlive it in the pooled workspace.
+	ws.plan = nil
+	for b := range ws.slots {
+		ws.slots[b].g = nil
+	}
+}
+
+// forward computes one member into st and returns its prediction: fused
+// node-feature assembly, the fused RGAT convolutions, mean pooling, and the
+// two-branch head. It mirrors Model.Forward (the tape path) up to float
+// reassociation. With a nil base every row is computed — the full pass;
+// otherwise st starts as a copy of base's state and the rows that can
+// differ from it (ws.wDirty is set by the caller) are recomputed.
+func (w *weights[F]) forward(ws *workspace[F], st, base *slot[F], s *Sample) float64 {
+	g := s.G
+	st.g = g
+	dirty := ws.dirty
+	if base == nil {
+		for i := range dirty {
+			dirty[i] = true
+		}
+	} else {
+		copy(st.buf, base.buf)
+		bf := base.g.Feats.Data
+		for i, f := range g.Feats.Data {
+			dirty[i] = f != bf[i]
+		}
+	}
+
+	rows := ws.rows[:0]
+	for i, d := range dirty {
+		if d {
+			rows = append(rows, i)
+		}
+	}
+	ws.rows = rows
 
 	// Node features: kind embedding + sub-kind embedding + scalar feature
-	// projected through featVec, fused into one pass over the rows.
-	ar.GetMatrix(&ws.h, n, hdim)
-	kt, st := m.kindEmb.Table.Value, m.subEmb.Table.Value
-	fv := m.featVec.Value.Row(0)
-	for i := 0; i < n; i++ {
-		krow := kt.Row(g.Kinds[i])
-		srow := st.Row(g.SubKinds[i])
-		hrow := ws.h.Row(i)
-		f := g.Feats.Data[i]
+	// projected through featVec, fused into one pass over the dirty rows.
+	h0 := ws.h(st, 0)
+	fv := w.featVec
+	for _, i := range rows {
+		krow := w.kindTab.Row(g.Kinds[i])
+		srow := w.subTab.Row(g.SubKinds[i])
+		hrow := h0.Row(i)
+		f := F(g.Feats.Data[i])
 		if f != 0 {
 			for j := range hrow {
 				hrow[j] = krow[j] + srow[j] + f*fv[j]
@@ -268,107 +535,187 @@ func (m *Model) inferForward(ws *inferWorkspace, s *Sample) float64 {
 		}
 	}
 
-	ws.logits = ar.GetSlice(ws.logits, p.maxRun)
 	dense := true // the embedding sum is dense; ReLU sparsifies later layers
-	for li, l := range m.layers {
-		l.infer(ws, p, g, &ip.layers[li], dense)
-		// h = ReLU(layerOut), measuring density for the next layer's kernels.
-		dense = reluIntoDensity(ar, &ws.layerOut, &ws.h)
+	for li := range w.layers {
+		dense = w.layer(ws, st, li, dense)
 	}
 
-	tensor.MeanRowsInto(&ws.h, &ws.pooled)
-	tensor.MatMulInto(&ws.pooled, m.fc1.W.Value, &ws.emb)
-	tensor.AddBiasInto(&ws.emb, m.fc1.B.Value, &ws.emb)
+	final := ws.h(st, len(w.layers))
+	tensor.MeanRowsInto(&final, &ws.pooled)
+	tensor.MatMulInto(&ws.pooled, w.fc1W, &ws.emb)
+	tensor.AddBiasInto(&ws.emb, w.fc1B, &ws.emb)
 	tensor.LeakyReLUInto(&ws.emb, 0, &ws.emb)
-	tensor.MatMulInto(&ws.emb, m.fc2.W.Value, &ws.emb2)
-	tensor.AddBiasInto(&ws.emb2, m.fc2.B.Value, &ws.emb2)
+	tensor.MatMulInto(&ws.emb, w.fc2W, &ws.emb2)
+	tensor.AddBiasInto(&ws.emb2, w.fc2B, &ws.emb2)
 	tensor.LeakyReLUInto(&ws.emb2, 0, &ws.emb2)
 
-	ar.GetMatrix(&ws.featIn, 1, 2)
-	ws.featIn.Data[0], ws.featIn.Data[1] = s.Feats[0], s.Feats[1]
-	tensor.MatMulInto(&ws.featIn, m.featFC.W.Value, &ws.featEmb)
-	tensor.AddBiasInto(&ws.featEmb, m.featFC.B.Value, &ws.featEmb)
+	ws.arena.GetMatrix(&ws.featIn, 1, 2)
+	ws.featIn.Data[0], ws.featIn.Data[1] = F(s.Feats[0]), F(s.Feats[1])
+	tensor.MatMulInto(&ws.featIn, w.featW, &ws.featEmb)
+	tensor.AddBiasInto(&ws.featEmb, w.featB, &ws.featEmb)
 	tensor.LeakyReLUInto(&ws.featEmb, 0, &ws.featEmb)
 
 	hc, fc := ws.emb2.Cols, ws.featEmb.Cols
-	ar.GetMatrix(&ws.concat, 1, hc+fc)
+	ws.arena.GetMatrix(&ws.concat, 1, hc+fc)
 	copy(ws.concat.Data[:hc], ws.emb2.Data)
 	copy(ws.concat.Data[hc:], ws.featEmb.Data)
-	tensor.MatMulInto(&ws.concat, m.out.W.Value, &ws.outBuf)
-	tensor.AddBiasInto(&ws.outBuf, m.out.B.Value, &ws.outBuf)
-	return ws.outBuf.Data[0]
+	tensor.MatMulInto(&ws.concat, w.outW, &ws.outBuf)
+	tensor.AddBiasInto(&ws.outBuf, w.outB, &ws.outBuf)
+	return float64(ws.outBuf.Data[0])
 }
 
-// infer is the fused engine counterpart of rgatLayer.apply: per relation it
-// gathers the unique source rows, projects them through W_r with one tiled
-// (or skip-zero, when the layer input is ReLU-sparse) matmul, reads the
-// attention scores off the precomputed projections p_src/p_dst — one H-dot
-// per node instead of re-projecting through W_r — and runs LeakyReLU,
-// segment softmax, static-weight scaling and message aggregation as one
-// loop nest over the plan's destination-grouped runs, accumulating straight
-// into the layer output.
-func (l *rgatLayer) infer(ws *inferWorkspace, p *InferencePlan, g *Graph, ex *inferLayerExtras, dense bool) {
-	if dense {
-		tensor.MatMulInto(&ws.h, l.self.Value, &ws.layerOut)
-	} else {
-		tensor.MatMulSparseInto(&ws.h, l.self.Value, &ws.layerOut)
+// project computes dst = src[rows]×b, one output row per listed row, through
+// the tiled kernel or — when the layer input is ReLU-sparse — the skip-zero
+// one. rows is ascending, so a list as long as src is every row and src is
+// multiplied where it lies instead of through a gathered copy.
+func (ws *workspace[F]) project(src *tensor.Dense[F], rows []int, b, dst *tensor.Dense[F], dense bool) {
+	a := src
+	if len(rows) != src.Rows {
+		a = &ws.gather
+		ws.arena.GetMatrix(a, len(rows), src.Cols)
+		for k, i := range rows {
+			copy(a.Row(k), src.Row(i))
+		}
 	}
-	tensor.AddBiasInto(&ws.layerOut, l.bias.Value, &ws.layerOut)
+	if dense {
+		tensor.MatMulInto(a, b, dst)
+	} else {
+		tensor.MatMulSparseInto(a, b, dst)
+	}
+}
+
+// layer is the fused engine counterpart of rgatLayer.apply, computing the
+// rows of h^{li+1} that can differ from the base (ws.dirty and ws.rows hold
+// D_li on entry and D_li+1 on return; every row, on a full pass). The rows
+// of D_li — those whose input changed — are re-projected: the self
+// projection, and per relation the dirty unique source rows through W_r
+// with one tiled (or skip-zero) matmul, their attention scores read off the
+// precomputed projections p_src/p_dst — one H-dot per node instead of
+// re-projecting through W_r. The rows of D_li+1 are then rebuilt from their
+// self projection: LeakyReLU, segment softmax, static-weight scaling and
+// message aggregation run as one loop nest over the plan's
+// destination-grouped runs, accumulating straight into the output row;
+// then ReLU. It reports whether the rows it wrote are dense enough that the
+// next layer's matmuls should stay on the tiled kernel.
+func (w *weights[F]) layer(ws *workspace[F], st *slot[F], li int, dense bool) bool {
+	l := &w.layers[li]
+	g, p := st.g, ws.plan
+	in, out := ws.h(st, li), ws.h(st, li+1)
+	rels := g.Rels[:min(len(g.Rels), len(l.w))]
+
+	// D_li+1. A full pass (every input row changed) has nothing to
+	// propagate and, below, no source lists to build.
+	changed := ws.rows
+	all := len(changed) == ws.n
+	dirty, next := ws.dirty, ws.dirtyNext
+	for i, d := range dirty {
+		next[i] = d || ws.wDirty[i]
+	}
+	for r := 0; r < len(rels) && !all; r++ {
+		rel := &rels[r]
+		for e, s := range rel.Src {
+			if dirty[s] {
+				next[rel.Dst[e]] = true
+			}
+		}
+	}
+	rows := ws.rowsNext[:0]
+	for d, is := range next {
+		if is {
+			rows = append(rows, d)
+		}
+	}
+	ws.dirty, ws.dirtyNext = next, dirty
+	ws.rows, ws.rowsNext = rows, changed
+
+	// Self projection plus bias of the changed rows (with every row changed
+	// it lands in place); each output row to rebuild restarts from its own.
+	self := ws.self(st, li)
+	if len(changed) > 0 {
+		dst := &ws.proj
+		if all {
+			dst = &self
+		}
+		ws.project(&in, changed, l.self, dst, dense)
+		bias := l.bias
+		for k, d := range changed {
+			srow, prow := self.Row(d)[:len(bias)], dst.Row(k)[:len(bias)]
+			for j, b := range bias {
+				srow[j] = prow[j] + b
+			}
+		}
+	}
+	for _, d := range rows {
+		copy(out.Row(d), self.Row(d))
+	}
+
 	wscale := g.WScale
 	if wscale <= 0 {
 		wscale = 1
 	}
-	hdim := ws.h.Cols
-	for r := range g.Rels {
-		if r >= len(l.w) {
-			break
-		}
+	for r := range rels {
 		rp := &p.rels[r]
-		if len(rp.edgeSrcIdx) == 0 {
+		if len(rp.edge) == 0 {
 			continue
 		}
-		// Gather the relation's unique source rows and project them through
-		// W_r: qc[si] = h[srcList[si]]×W_r. Only these rows are ever read as
-		// messages, so the projection cost scales with the relation's source
-		// set, not the graph.
-		sn := len(rp.srcList)
-		ws.arena.GetMatrix(&ws.hs, sn, hdim)
-		for si, node := range rp.srcList {
-			copy(ws.hs.Row(si), ws.h.Row(node))
+		// Project the relation's dirty unique source rows through W_r:
+		// q[si] = h[srcList[si]]×W_r. Only these rows are ever read as
+		// messages, so the projection cost scales with the relation's
+		// source set, not the graph. Attention scores come off the
+		// precomputed projections: one dot with p_src per source row;
+		// destination scores are one dot with p_dst per run, computed
+		// inline (each destination owns exactly one run).
+		q, score := ws.q(st, li, r)
+		nodes, slots := rp.srcList, ws.srcSlots[:0] // the dirty sources and, when only some are, their rows in q
+		if !all {
+			nodes = ws.srcNodes[:0]
+			for si, node := range rp.srcList {
+				if dirty[node] {
+					nodes, slots = append(nodes, node), append(slots, si)
+				}
+			}
+			ws.srcNodes, ws.srcSlots = nodes, slots
 		}
-		if dense {
-			tensor.MatMulInto(&ws.hs, l.w[r].Value, &ws.qc)
-		} else {
-			tensor.MatMulSparseInto(&ws.hs, l.w[r].Value, &ws.qc)
+		if len(nodes) > 0 {
+			some := len(nodes) < q.Rows
+			dst := &q
+			if some {
+				dst = &ws.proj
+			}
+			ws.project(&in, nodes, l.w[r], dst, dense)
+			pSrc := l.pSrc[r]
+			for k, node := range nodes {
+				si := k
+				if some {
+					si = slots[k]
+					copy(q.Row(si), dst.Row(k))
+				}
+				score[si] = tensor.Dot(in.Row(node), pSrc)
+			}
 		}
-		// Attention scores off the precomputed projections: one dot with
-		// p_src per source row; destination scores are one dot with p_dst
-		// per run, computed inline (each destination owns exactly one run).
-		ws.srcScore = ws.arena.GetSlice(ws.srcScore, sn)
-		pSrc, pDst := ex.pSrc[r], ex.pDst[r]
-		for si := 0; si < sn; si++ {
-			ws.srcScore[si] = tensor.Dot(ws.hs.Row(si), pSrc)
-		}
-		c := l.wCoef[r].Value.Data[0]
-		for t := 0; t+1 < len(rp.runStart); t++ {
+		pDst, c := l.pDst[r], l.wCoef[r]
+		logW := g.Rels[r].LogW
+		for t, d := range rp.runDst {
+			if !next[d] {
+				continue
+			}
 			lo, hi := rp.runStart[t], rp.runStart[t+1]
-			d := rp.runDst[t]
-			ds := tensor.Dot(ws.h.Row(d), pDst)
+			ds := tensor.Dot(in.Row(d), pDst)
 			run := ws.logits[:hi-lo]
-			mx := math.Inf(-1)
+			mx := F(math.Inf(-1))
 			for i := lo; i < hi; i++ {
-				v := ws.srcScore[rp.edgeSrcIdx[i]] + ds
+				v := score[rp.edgeSrcIdx[i]] + ds
 				if v < 0 {
 					v = l.alpha * v
 				}
-				run[i-lo] = v
+				run[i-lo] = float64(v)
 				if v > mx {
 					mx = v
 				}
 			}
 			var sum float64
 			for i, v := range run {
-				e := math.Exp(v - mx)
+				e := math.Exp(v - float64(mx))
 				run[i] = e
 				sum += e
 			}
@@ -378,22 +725,37 @@ func (l *rgatLayer) infer(ws *inferWorkspace, p *InferencePlan, g *Graph, ex *in
 			if sum > 0 {
 				inv = 1 / sum
 			}
-			drow := ws.layerOut.Row(d)
+			drow := out.Row(d)
 			for i := lo; i < hi; i++ {
 				// Static edge weights scale the message through the learned
 				// per-relation coefficient: (α·q)·(1 + c_r·w̃), folded into
 				// one per-edge factor.
-				f := run[i-lo] * inv
-				if !l.noWeights {
-					if wt := rp.logW[i] / wscale; wt != 0 {
+				f := F(run[i-lo] * inv)
+				if !w.noWeights {
+					if wt := F(logW[rp.edge[i]] / wscale); wt != 0 {
 						f *= wt*c + 1
 					}
 				}
-				qrow := ws.qc.Row(rp.edgeSrcIdx[i])
-				for j, qv := range qrow {
+				for j, qv := range q.Row(rp.edgeSrcIdx[i]) {
 					drow[j] += qv * f
 				}
 			}
 		}
 	}
+
+	// h = ReLU(out) over the rows written, measuring their density for the
+	// next layer's kernels. Both the rectification and the zero count are
+	// branchless — the sign pattern is effectively random, so a
+	// compare-and-branch here would mispredict on half the elements. (A
+	// conversion to float32 keeps the sign bit whatever it rounds to, and
+	// is free in the serving width.)
+	neg := 0
+	for _, d := range rows {
+		row := out.Row(d)
+		for j, v := range row {
+			neg += int(math.Float32bits(float32(v)) >> 31)
+			row[j] = max(v, 0)
+		}
+	}
+	return float64(neg) < denseCutoff*float64(len(rows)*ws.hdim)
 }

@@ -4,62 +4,58 @@ import (
 	"paragraph/internal/tensor"
 )
 
-// This file holds inferModel: the weight-derived constants of the inference
-// engine, computed once per checkpoint instead of once per forward pass.
-// Training mutates parameters in place (Adam steps, checkpoint loads), so
-// the derived view is invalidated on every mutation the package performs
-// (Train's optimizer steps, Load) and rebuilt lazily on the next Predict.
-// Code that mutates parameter values directly — tests, ablation tooling —
-// must call InvalidateInference afterwards.
+// This file holds the engine's weight set: the model parameters plus the
+// constants derived from them, converted once per checkpoint — not once per
+// forward pass — to the element width the engine runs in. Training mutates
+// parameters in place (Adam steps, checkpoint loads), so the converted set
+// is invalidated on every mutation the package performs (Train's optimizer
+// steps, Load) and rebuilt lazily on the next Predict. Code that mutates
+// parameter values directly — tests, ablation tooling — must call
+// InvalidateInference afterwards.
 
-// inferLayerExtras carries one convolution's precomputed attention
-// projections: pSrc[r] = W_r·aSrc_r and pDst[r] = W_r·aDst_r (length
-// Hidden). The tape scores an edge as (h·W_r)·a; the engine reassociates to
-// h·(W_r·a), turning the per-node score into a single H-dot against these
-// vectors — the H²-per-node projection cost disappears from the score path
-// entirely.
-type inferLayerExtras struct {
-	pSrc [][]float64
-	pDst [][]float64
+// layerWeights is one convolution's weights in width F. pSrc[r] = W_r·aSrc_r
+// and pDst[r] = W_r·aDst_r (length Hidden) are the precomputed attention
+// projections: the tape scores an edge as (h·W_r)·a; the engine
+// reassociates to h·(W_r·a), turning the per-node score into a single H-dot
+// against these vectors — the H²-per-node projection cost disappears from
+// the score path entirely.
+type layerWeights[F tensor.Float] struct {
+	w     []*tensor.Dense[F] // per-relation projection H×H
+	pSrc  [][]F              // per-relation W_r·aSrc, length H
+	pDst  [][]F              // per-relation W_r·aDst, length H
+	wCoef []F                // per-relation edge-weight coefficient
+	self  *tensor.Dense[F]   // H×H
+	bias  []F                // length H
+	alpha F
 }
 
-// layer32 is one convolution's weights converted to float32.
-type layer32 struct {
-	w     []*tensor.Matrix32 // per-relation projection H×H
-	pSrc  [][]float32        // per-relation W_r·aSrc, length H
-	pDst  [][]float32        // per-relation W_r·aDst, length H
-	wCoef []float32          // per-relation edge-weight coefficient
-	self  *tensor.Matrix32   // H×H
-	bias  *tensor.Matrix32   // 1×H
-	alpha float32
-}
+// weights is the full inference weight set in width F, converted from the
+// float64 parameters at build time. Derived vectors (pSrc/pDst) are computed
+// in float64 first and rounded once, so conversion error does not compound
+// through the precomputation. It is immutable once built and shared by
+// every concurrent forward pass.
+type weights[F tensor.Float] struct {
+	hidden  int
+	kindTab *tensor.Dense[F]
+	subTab  *tensor.Dense[F]
+	featVec []F
 
-// weights32 is the full float32 inference weight set, converted from the
-// float64 parameters at build time. Derived vectors (pSrc/pDst) are
-// computed in float64 first and rounded once, so conversion error does not
-// compound through the precomputation.
-type weights32 struct {
-	kindTab *tensor.Matrix32
-	subTab  *tensor.Matrix32
-	featVec []float32
+	layers []layerWeights[F]
 
-	layers []layer32
-
-	fc1W, fc1B   *tensor.Matrix32
-	fc2W, fc2B   *tensor.Matrix32
-	featW, featB *tensor.Matrix32
-	outW, outB   *tensor.Matrix32
+	fc1W, fc1B   *tensor.Dense[F]
+	fc2W, fc2B   *tensor.Dense[F]
+	featW, featB *tensor.Dense[F]
+	outW, outB   *tensor.Dense[F]
 
 	noWeights bool
 }
 
-// inferModel is the engine's derived view of the model weights: always the
-// float64 attention projections, plus the converted float32 weight set when
-// float32 inference is enabled. It is immutable once built and shared by
-// every concurrent forward pass via an atomic pointer.
+// inferModel is the engine's derived view of the model: the weight set in
+// the one width the model currently serves (the other field is nil),
+// published through an atomic pointer.
 type inferModel struct {
-	layers []inferLayerExtras
-	f32    *weights32
+	f64 *weights[float64]
+	f32 *weights[float32]
 }
 
 // inferParams returns the current derived weights, building them under the
@@ -74,7 +70,12 @@ func (m *Model) inferParams() *inferModel {
 	if p := m.inferP.Load(); p != nil {
 		return p
 	}
-	p := m.buildInferModel()
+	p := &inferModel{}
+	if m.f32Mode.Load() {
+		p.f32 = buildWeights[float32](m)
+	} else {
+		p.f64 = buildWeights[float64](m)
+	}
 	m.inferP.Store(p)
 	return p
 }
@@ -91,9 +92,8 @@ func (m *Model) PrecomputeInference() { m.inferParams() }
 
 // SetFloat32Inference switches the inference engine between float64
 // arithmetic (the default, ≤1e-9 relative error against the tape) and
-// converted float32 weights (≤1e-4, roughly half the memory traffic).
-// Training and the tape path are always float64; the switch only affects
-// Predict/PredictBatch.
+// float32 (≤1e-4, roughly half the memory traffic). Training and the tape
+// path are always float64; the switch only affects Predict/PredictBatch.
 func (m *Model) SetFloat32Inference(on bool) {
 	if m.f32Mode.Swap(on) != on {
 		m.InvalidateInference()
@@ -102,25 +102,6 @@ func (m *Model) SetFloat32Inference(on bool) {
 
 // Float32Inference reports whether the engine serves the float32 path.
 func (m *Model) Float32Inference() bool { return m.f32Mode.Load() }
-
-// buildInferModel derives the inference constants from the current
-// parameter values.
-func (m *Model) buildInferModel() *inferModel {
-	ip := &inferModel{layers: make([]inferLayerExtras, len(m.layers))}
-	for li, l := range m.layers {
-		ex := &ip.layers[li]
-		ex.pSrc = make([][]float64, len(l.w))
-		ex.pDst = make([][]float64, len(l.w))
-		for r := range l.w {
-			ex.pSrc[r] = projectAttention(l.w[r].Value, l.aSrc[r].Value)
-			ex.pDst[r] = projectAttention(l.w[r].Value, l.aDst[r].Value)
-		}
-	}
-	if m.f32Mode.Load() {
-		ip.f32 = m.buildWeights32(ip)
-	}
-	return ip
-}
 
 // projectAttention computes W·a for an H×H projection and an H×1 attention
 // vector: the precomputed form of the engine's attention scores.
@@ -132,36 +113,37 @@ func projectAttention(w, a *tensor.Matrix) []float64 {
 	return out
 }
 
-// buildWeights32 converts the parameter set (and the already-derived
-// float64 projections) to float32.
-func (m *Model) buildWeights32(ip *inferModel) *weights32 {
-	w := &weights32{
-		kindTab: tensor.Convert32(m.kindEmb.Table.Value),
-		subTab:  tensor.Convert32(m.subEmb.Table.Value),
-		featVec: tensor.Convert32Slice(m.featVec.Value.Data),
-		fc1W:    tensor.Convert32(m.fc1.W.Value),
-		fc1B:    tensor.Convert32(m.fc1.B.Value),
-		fc2W:    tensor.Convert32(m.fc2.W.Value),
-		fc2B:    tensor.Convert32(m.fc2.B.Value),
-		featW:   tensor.Convert32(m.featFC.W.Value),
-		featB:   tensor.Convert32(m.featFC.B.Value),
-		outW:    tensor.Convert32(m.out.W.Value),
-		outB:    tensor.Convert32(m.out.B.Value),
+// buildWeights converts the current parameter values, and the attention
+// projections derived from them, to width F.
+func buildWeights[F tensor.Float](m *Model) *weights[F] {
+	w := &weights[F]{
+		hidden:    m.cfg.Hidden,
+		kindTab:   tensor.Convert[F](m.kindEmb.Table.Value),
+		subTab:    tensor.Convert[F](m.subEmb.Table.Value),
+		featVec:   tensor.ConvertSlice[F](m.featVec.Value.Data),
+		fc1W:      tensor.Convert[F](m.fc1.W.Value),
+		fc1B:      tensor.Convert[F](m.fc1.B.Value),
+		fc2W:      tensor.Convert[F](m.fc2.W.Value),
+		fc2B:      tensor.Convert[F](m.fc2.B.Value),
+		featW:     tensor.Convert[F](m.featFC.W.Value),
+		featB:     tensor.Convert[F](m.featFC.B.Value),
+		outW:      tensor.Convert[F](m.out.W.Value),
+		outB:      tensor.Convert[F](m.out.B.Value),
+		noWeights: m.cfg.DisableEdgeWeights,
 	}
-	for li, l := range m.layers {
-		w.noWeights = l.noWeights
-		l32 := layer32{
-			self:  tensor.Convert32(l.self.Value),
-			bias:  tensor.Convert32(l.bias.Value),
-			alpha: float32(l.alpha),
+	for _, l := range m.layers {
+		lw := layerWeights[F]{
+			self:  tensor.Convert[F](l.self.Value),
+			bias:  tensor.ConvertSlice[F](l.bias.Value.Data),
+			alpha: F(l.alpha),
 		}
 		for r := range l.w {
-			l32.w = append(l32.w, tensor.Convert32(l.w[r].Value))
-			l32.pSrc = append(l32.pSrc, tensor.Convert32Slice(ip.layers[li].pSrc[r]))
-			l32.pDst = append(l32.pDst, tensor.Convert32Slice(ip.layers[li].pDst[r]))
-			l32.wCoef = append(l32.wCoef, float32(l.wCoef[r].Value.Data[0]))
+			lw.w = append(lw.w, tensor.Convert[F](l.w[r].Value))
+			lw.pSrc = append(lw.pSrc, tensor.ConvertSlice[F](projectAttention(l.w[r].Value, l.aSrc[r].Value)))
+			lw.pDst = append(lw.pDst, tensor.ConvertSlice[F](projectAttention(l.w[r].Value, l.aDst[r].Value)))
+			lw.wCoef = append(lw.wCoef, F(l.wCoef[r].Value.Data[0]))
 		}
-		w.layers = append(w.layers, l32)
+		w.layers = append(w.layers, lw)
 	}
 	return w
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,7 +15,7 @@ import (
 // featRow lays the two runtime-configuration features out as a 1×2 input.
 // The tape path builds one per pass because the tape owns its inputs until
 // Backward finishes; the inference engine keeps the row in its pooled
-// workspace instead (see inferWorkspace.featIn).
+// workspace instead (see workspace.featIn).
 func featRow(f [2]float64) *tensor.Matrix {
 	return tensor.FromData(1, 2, []float64{f[0], f[1]})
 }
@@ -166,9 +165,9 @@ type Model struct {
 	// goroutine at a time.
 	wsPool sync.Pool
 
-	// Derived inference weights (see inferparams.go): precomputed attention
-	// projections and, when f32Mode is set, the converted float32 weight
-	// set. Rebuilt lazily after any invalidation.
+	// Derived inference weights (see inferparams.go): the parameters and
+	// precomputed attention projections in the width f32Mode selects.
+	// Rebuilt lazily after any invalidation.
 	inferMu sync.Mutex
 	inferP  atomic.Pointer[inferModel]
 	f32Mode atomic.Bool
@@ -200,7 +199,6 @@ func NewModel(cfg Config) *Model {
 	m.params = append(m.params, m.fc2.Params()...)
 	m.params = append(m.params, m.featFC.Params()...)
 	m.params = append(m.params, m.out.Params()...)
-	m.wsPool.New = func() any { return new(inferWorkspace) }
 	return m
 }
 
@@ -245,15 +243,16 @@ func (m *Model) Forward(f *nn.Forward, s *Sample) *autodiff.Var {
 // Predict returns the scaled prediction for a sample. It routes through the
 // inference engine (infer.go): a pooled, allocation-free forward pass whose
 // result matches the tape path (PredictTape) to a tight relative tolerance
-// (≤1e-9 in the default float64 mode, ≤1e-4 with float32 inference weights;
-// see the equivalence tests). The engine's kernels reassociate sums —
-// tiled matmuls, precomputed attention projections — so agreement is
+// (≤1e-9 in the default float64 mode, ≤1e-4 with float32 inference; see the
+// equivalence tests). The engine's kernels reassociate sums — tiled
+// matmuls, precomputed attention projections — so agreement is
 // relaxed-equivalent rather than bit-exact.
 func (m *Model) Predict(s *Sample) float64 {
-	ws := m.acquireWS()
-	v := m.inferForward(ws, s)
-	m.releaseWS(ws)
-	return v
+	ip := m.inferParams()
+	if ip.f32 != nil {
+		return predictOne(m, ip.f32, s)
+	}
+	return predictOne(m, ip.f64, s)
 }
 
 // PredictTape is the reference prediction: the autodiff tape path Forward
@@ -264,60 +263,21 @@ func (m *Model) PredictTape(s *Sample) float64 {
 	return m.Forward(f, s).Value.At(0, 0)
 }
 
-// PredictBatch returns scaled predictions for a batch of samples, fanning
-// the batch across a bounded worker pool (at most GOMAXPROCS goroutines)
-// with one pooled engine workspace per worker. Each sample's forward
-// computation is independent of its batchmates, so the results are
-// identical to calling Predict per sample. This is the call an advise
-// request's whole variant grid arrives on (internal/advisor, and
-// internal/serve's metered Batcher in front of it).
-// PredictAll is the same fan-out with a caller-chosen worker bound.
+// PredictBatch returns scaled predictions for a batch of samples. The batch
+// is evaluated as topology families (infer.go): samples whose graphs share
+// their structure — the points of one advise grid — share every row of work
+// that their features and edge weights leave equal, and the families are
+// fanned across a bounded worker pool (at most GOMAXPROCS goroutines) with
+// one pooled engine workspace per worker. Each sample's prediction is
+// independent of its batchmates in value — bit-identical to calling Predict
+// on it alone — though not in cost. This is the call an advise request's
+// whole variant grid arrives on (internal/advisor, and internal/serve's
+// metered Batcher in front of it).
+// PredictAll is the same evaluation with a caller-chosen worker bound.
 func (m *Model) PredictBatch(samples []*Sample) []float64 {
 	out := make([]float64, len(samples))
 	m.predictInto(out, samples, 0)
 	return out
-}
-
-// predictInto fans engine forward passes over samples across a bounded
-// worker pool, writing predictions into out (same length as samples).
-// workers <= 0 defaults to GOMAXPROCS; the bound is clamped to the sample
-// count, and a single-worker run stays on the calling goroutine.
-func (m *Model) predictInto(out []float64, samples []*Sample, workers int) {
-	if len(samples) == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(samples) {
-		workers = len(samples)
-	}
-	if workers <= 1 {
-		ws := m.acquireWS()
-		for i, s := range samples {
-			out[i] = m.inferForward(ws, s)
-		}
-		m.releaseWS(ws)
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ws := m.acquireWS()
-			defer m.releaseWS(ws)
-			for i := range work {
-				out[i] = m.inferForward(ws, samples[i])
-			}
-		}()
-	}
-	for i := range samples {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }
 
 // Save writes the model weights as a checkpoint. The architecture (Config)

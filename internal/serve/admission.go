@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"paragraph/internal/admit"
+	"paragraph/internal/obs"
 )
 
 // This file is the glue between internal/admit (pure policy) and the HTTP
@@ -51,18 +52,17 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	return ctx, cancel, nil
 }
 
-// evalUnit is the live cost estimate of one /v1/predict evaluation: the
-// model's median per-prediction latency. Zero until the model has served
-// traffic — a cold server never sheds on a guess.
-func evalUnit(ms *modelState) time.Duration {
-	return time.Duration(ms.batcher.latency.Quantile(0.5) * float64(time.Second))
-}
-
-// adviseCost is the live cost estimate of one cold advise evaluation: the
-// median of the whole evaluations this model has served, measured around
-// AdviseCtx. Zero until one has finished, like evalUnit.
-func adviseCost(ms *modelState) time.Duration {
-	return time.Duration(ms.adviseEval.Quantile(0.5) * float64(time.Second))
+// evalCost is the live cost estimate of one evaluation of the kind eval
+// records — modelState.adviseEval for a cold advise, modelState.predictEval
+// for a cold /v1/predict: the median of the whole evaluations of that kind
+// this model has served, each timed inside its admission slot (admitRun).
+// Zero until one has finished — a cold server never sheds on a guess. The
+// batcher's per-prediction latency is not an input: on a server that mostly
+// answers advises it is a grid's per-sample share, several times below what
+// a lone prediction costs, and it never included a request's own generate →
+// parse → build → encode.
+func evalCost(eval *obs.Histogram) time.Duration {
+	return time.Duration(eval.Quantile(0.5) * float64(time.Second))
 }
 
 // shedCheck decides up front whether a deadline-carrying request should
@@ -126,11 +126,20 @@ func remainingBudget(ctx context.Context) time.Duration {
 }
 
 // admitRun wraps an evaluation in the fair queue and the eval pool: the
-// queue grants slots per-client fair (its concurrency equals the pool
-// size, so the pool itself never queues and its stats stay meaningful),
-// the pool keeps its oversubscription accounting.
-func (s *Server) admitRun(ctx context.Context, client string, fn func() error) error {
+// queue grants slots per-client fair (its concurrency equals the pool size,
+// so the pool itself never queues and its stats stay meaningful), the pool
+// keeps its oversubscription accounting. A successful evaluation's wall
+// time — fn alone, no queueing — is observed into eval, the histogram
+// evalCost prices the next request of that kind from.
+func (s *Server) admitRun(ctx context.Context, client string, eval *obs.Histogram, fn func() error) error {
 	return s.admit.Run(ctx, client, func() error {
-		return s.pool.Run(fn)
+		return s.pool.Run(func() error {
+			start := time.Now()
+			err := fn()
+			if err == nil {
+				eval.Observe(time.Since(start).Seconds())
+			}
+			return err
+		})
 	})
 }

@@ -25,10 +25,12 @@ type BatchPredictor interface {
 // advisor.ContextBatchPredictor, so an advise request hands it the whole
 // variant grid as one batch; a single prediction is a batch of one.
 //
-// Calls are never coalesced across requests: a batch costs the engine the
-// same per sample as a lone call, and every request already evaluates on
-// its own goroutine under the pool bound, so holding a sample back for
-// company would buy only latency. The batcher owns no goroutine.
+// Calls are never coalesced across requests. A batch is cheaper per sample
+// than a lone call only where its samples share a topology family (see
+// gnn/infer.go) — the points of one grid do, and they already arrive
+// together; two requests never share a family, and every request already
+// evaluates on its own goroutine under the pool bound, so holding a sample
+// back for company would buy only latency. The batcher owns no goroutine.
 type Batcher struct {
 	model BatchPredictor
 
@@ -37,7 +39,7 @@ type Batcher struct {
 	samples uint64
 	maxSeen int
 
-	latency   *obs.Histogram // per-prediction latency (a call's duration ÷ its size), seconds
+	latency   *obs.Histogram // per-prediction latency (a call's duration ÷ its size, so a grid's per-sample share), seconds
 	sizes     *obs.Histogram // samples per model call
 	cancelled atomic.Uint64  // calls abandoned by their context before the model ran
 }
@@ -118,7 +120,10 @@ type LatencyStats struct {
 
 // BatcherStats snapshots one model's call counters and its per-prediction
 // latency quantiles: one observation per model call, the call's duration
-// divided by its batch size.
+// divided by its batch size. A grid's call shares work between its points,
+// so on advise traffic this is a per-sample share, several times below what
+// a lone prediction costs — admission does not price requests from it (see
+// evalCost).
 type BatcherStats struct {
 	Batches   uint64       `json:"batches"`             // model calls
 	Samples   uint64       `json:"samples"`             // predictions across all calls

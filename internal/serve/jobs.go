@@ -56,7 +56,7 @@ func (s *Server) startAdviseJob(w http.ResponseWriter, r *http.Request, p advise
 	id, err := s.jobs.Submit()
 	if err != nil {
 		if shed, ok := asShed(err); ok {
-			s.writeShed(w, shed, adviseCost(p.ms))
+			s.writeShed(w, shed, evalCost(p.ms.adviseEval))
 			return
 		}
 		s.fail(w, http.StatusInternalServerError, "submit job: %v", err)

@@ -194,6 +194,9 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 	m.reg.RegisterHistogram("serve_advise_eval_seconds",
 		"Whole cold advise evaluations (front end, one model call, rank); the median is admission's advise cost. By model.",
 		labels, ms.adviseEval)
+	m.reg.RegisterHistogram("serve_predict_eval_seconds",
+		"Whole cold /v1/predict evaluations (generate, front end, a model call of one); the median is admission's predict cost. By model.",
+		labels, ms.predictEval)
 	m.reg.CounterFunc("serve_model_advise_total",
 		"Advise responses computed or served, by model.", labels,
 		func() float64 { return float64(ms.advise.Load()) })

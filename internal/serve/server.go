@@ -202,9 +202,10 @@ type modelState struct {
 	info    ModelInfo
 	advisor *advisor.Advisor
 	batcher *Batcher
-	// adviseEval is the wall time of whole cold advise evaluations (front
-	// end + one model call + rank); its median is admission's advise cost.
-	adviseEval *obs.Histogram
+	// adviseEval and predictEval are the wall times of whole cold
+	// evaluations (front end + one model call, + rank for an advise), one
+	// histogram per request kind; their medians are admission's costs.
+	adviseEval, predictEval *obs.Histogram
 
 	advise   atomic.Uint64
 	predict  atomic.Uint64
@@ -375,7 +376,8 @@ func (s *Server) newModelState(machine hw.Machine, name string, model BatchPredi
 	adv.SetEncodeCache(encodeCacheAdapter{s.encodeCache})
 	return &modelState{
 		name: name, info: info, advisor: adv, batcher: batcher,
-		adviseEval: obs.NewHistogram(obs.DefLatencyBuckets),
+		adviseEval:  obs.NewHistogram(obs.DefLatencyBuckets),
+		predictEval: obs.NewHistogram(obs.DefLatencyBuckets),
 	}
 }
 
@@ -833,7 +835,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	recs, pr, cached, coalesced, err := s.adviseRecs(ctx, tr, p)
 	if err != nil {
 		if shed, ok := asShed(err); ok {
-			s.writeShed(w, shed, adviseCost(ms))
+			s.writeShed(w, shed, evalCost(ms.adviseEval))
 			return
 		}
 		s.fail(w, http.StatusUnprocessableEntity, "advise %s on %s/%s: %v", k.Name, be.machine.Name, ms.name, err)
@@ -894,7 +896,7 @@ func (s *Server) adviseRecs(ctx context.Context, tr *obs.Trace, p adviseParams) 
 	// Deadline-aware shedding: a request that predictably cannot finish
 	// inside its budget is rejected before it holds anything — each caller
 	// applies its own deadline even when it would coalesce into a flight.
-	if shed := s.shedCheck(ctx, adviseCost(p.ms)); shed != nil {
+	if shed := s.shedCheck(ctx, evalCost(p.ms.adviseEval)); shed != nil {
 		return nil, nil, false, false, shed
 	}
 	// The miss may belong to a peer: in cluster mode it is forwarded to
@@ -932,14 +934,10 @@ func (s *Server) adviseRecs(ctx context.Context, tr *obs.Trace, p adviseParams) 
 		}
 		poolWait := tr.StartSpan("pool_wait")
 		var out []advisor.Recommendation
-		err := s.admitRun(ctx, p.client, func() error {
+		err := s.admitRun(ctx, p.client, p.ms.adviseEval, func() error {
 			poolWait.End()
-			start := time.Now()
 			var err error
 			out, err = p.ms.advisor.AdviseCtx(ctx, p.k, p.req.Bindings, p.space)
-			if err == nil {
-				p.ms.adviseEval.Observe(time.Since(start).Seconds())
-			}
 			return err
 		})
 		if err != nil {
@@ -1104,12 +1102,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Deadline-aware shedding before any work is held: one prediction
-	// costs one evalUnit, and a backlog that cannot drain inside the
-	// request's budget is rejected with Retry-After (cache hits above are
-	// never shed — they always beat any deadline).
-	if shed := s.shedCheck(ctx, evalUnit(ms)); shed != nil {
-		s.writeShed(w, shed, evalUnit(ms))
+	// Deadline-aware shedding before any work is held: a cold prediction
+	// costs what the ones before it did (evalCost over predictEval), and a
+	// backlog that cannot drain inside the request's budget is rejected
+	// with Retry-After (cache hits above are never shed — they always beat
+	// any deadline).
+	if shed := s.shedCheck(ctx, evalCost(ms.predictEval)); shed != nil {
+		s.writeShed(w, shed, evalCost(ms.predictEval))
 		return
 	}
 	// Cluster mode: a missed key owned by a peer is forwarded there — the
@@ -1137,7 +1136,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		poolWait := tr.StartSpan("pool_wait")
 		var us float64
-		err := s.admitRun(ctx, clientKey(r), func() error {
+		err := s.admitRun(ctx, clientKey(r), ms.predictEval, func() error {
 			poolWait.End()
 			src, err := variants.Generate(k, kind, req.Teams, req.Threads)
 			if err != nil {
@@ -1162,7 +1161,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		if shed, ok := asShed(err); ok {
-			s.writeShed(w, shed, evalUnit(ms))
+			s.writeShed(w, shed, evalCost(ms.predictEval))
 			return
 		}
 		s.fail(w, http.StatusUnprocessableEntity, "predict %s on %s/%s: %v", k.Name, be.machine.Name, ms.name, err)

@@ -2,13 +2,14 @@ package tensor
 
 import "math/bits"
 
-// freelist recycles buffers in power-of-two size classes; it is the shared
-// engine behind Arena (float64) and Arena32 (float32). A forward workspace
-// (internal/gnn) sizes its scratch matrices through one arena, so when
-// request graph shapes vary the outgrown buffers are reused for the next
-// shape instead of becoming garbage — the whole pass keeps riding one flat
-// set of allocations.
-type freelist[F Float] struct {
+// Arena recycles buffers of one element width in power-of-two size classes.
+// A forward workspace (internal/gnn) sizes its scratch matrices through one
+// arena, so when request graph shapes vary the outgrown buffers are reused
+// for the next shape instead of becoming garbage — the whole pass keeps
+// riding one flat set of allocations.
+//
+// An Arena is not safe for concurrent use; each workspace owns its own.
+type Arena[F Float] struct {
 	classes map[int][][]F
 }
 
@@ -21,9 +22,9 @@ func sizeClass(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// get returns a length-n buffer, reusing a recycled one from n's size class
+// Get returns a length-n buffer, reusing a recycled one from n's size class
 // when available. Contents are unspecified; callers overwrite.
-func (a *freelist[F]) get(n int) []F {
+func (a *Arena[F]) Get(n int) []F {
 	if n == 0 {
 		return nil
 	}
@@ -36,10 +37,10 @@ func (a *freelist[F]) get(n int) []F {
 	return make([]F, n, c)
 }
 
-// put recycles buf into its size class for a later get. Buffers whose
+// Put recycles buf into its size class for a later Get. Buffers whose
 // capacity is not a power-of-two class (built outside the arena) are filed
 // under the largest class they can fully serve.
-func (a *freelist[F]) put(buf []F) {
+func (a *Arena[F]) Put(buf []F) {
 	c := cap(buf)
 	if c < 8 {
 		return
@@ -54,76 +55,21 @@ func (a *freelist[F]) put(buf []F) {
 	a.classes[class] = append(a.classes[class], buf[:0])
 }
 
-// getSlice returns a length-n slice, recycling prev through the free lists.
-// A steady-state call (cap(prev) >= n) reslices without touching them.
-func (a *freelist[F]) getSlice(prev []F, n int) []F {
-	if cap(prev) >= n {
-		return prev[:n]
-	}
-	a.put(prev)
-	return a.get(n)
-}
-
-// Arena recycles float64 buffers in power-of-two size classes.
-//
-// An Arena is not safe for concurrent use; each workspace owns its own.
-type Arena struct {
-	freelist[float64]
-}
-
-// Get returns a length-n buffer, reusing a recycled one from n's size class
-// when available. Contents are unspecified; callers overwrite.
-func (a *Arena) Get(n int) []float64 { return a.get(n) }
-
-// Put recycles buf into its size class for a later Get.
-func (a *Arena) Put(buf []float64) { a.put(buf) }
-
 // GetMatrix shapes m as rows×cols backed by an arena buffer, recycling m's
 // previous backing array first. Use it to (re)size workspace matrices: in
 // steady state (same shape as the last call) it touches nothing.
-func (a *Arena) GetMatrix(m *Matrix, rows, cols int) {
-	n := rows * cols
-	if cap(m.Data) >= n {
-		m.Rows, m.Cols = rows, cols
-		m.Data = m.Data[:n]
-		return
-	}
-	a.put(m.Data)
+func (a *Arena[F]) GetMatrix(m *Dense[F], rows, cols int) {
+	m.Data = a.GetSlice(m.Data, rows*cols)
 	m.Rows, m.Cols = rows, cols
-	m.Data = a.get(n)
 }
 
-// GetSlice returns a length-n slice, recycling prev through the arena. Like
-// GetMatrix, a steady-state call (cap(prev) >= n) reslices without touching
-// the free lists.
-func (a *Arena) GetSlice(prev []float64, n int) []float64 { return a.getSlice(prev, n) }
-
-// Arena32 is the float32 arena behind the inference-weights fast path's
-// workspaces. Like Arena, it is single-goroutine by design.
-type Arena32 struct {
-	freelist[float32]
-}
-
-// Get returns a length-n buffer, reusing a recycled one from n's size class
-// when available. Contents are unspecified; callers overwrite.
-func (a *Arena32) Get(n int) []float32 { return a.get(n) }
-
-// Put recycles buf into its size class for a later Get.
-func (a *Arena32) Put(buf []float32) { a.put(buf) }
-
-// GetMatrix shapes m as rows×cols backed by an arena buffer, recycling m's
-// previous backing array first.
-func (a *Arena32) GetMatrix(m *Matrix32, rows, cols int) {
-	n := rows * cols
-	if cap(m.Data) >= n {
-		m.Rows, m.Cols = rows, cols
-		m.Data = m.Data[:n]
-		return
+// GetSlice returns a length-n slice, recycling prev through the arena. A
+// steady-state call (cap(prev) >= n) reslices without touching the free
+// lists.
+func (a *Arena[F]) GetSlice(prev []F, n int) []F {
+	if cap(prev) >= n {
+		return prev[:n]
 	}
-	a.put(m.Data)
-	m.Rows, m.Cols = rows, cols
-	m.Data = a.get(n)
+	a.Put(prev)
+	return a.Get(n)
 }
-
-// GetSlice returns a length-n slice, recycling prev through the arena.
-func (a *Arena32) GetSlice(prev []float32, n int) []float32 { return a.getSlice(prev, n) }

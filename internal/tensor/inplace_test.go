@@ -13,6 +13,10 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
+// dense views a float64 Matrix as the generic kernels' operand type; the two
+// share their backing array.
+func dense(m *Matrix) *Dense[float64] { return (*Dense[float64])(m) }
+
 func assertExact(t *testing.T, name string, got, want *Matrix) {
 	t.Helper()
 	if !got.SameShape(want) {
@@ -34,7 +38,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	b := randMat(rng, 5, 7)
 	dst := New(0, 0)
 
-	MatMulInto(a, b, dst)
+	MatMulInto(dense(a), dense(b), dense(dst))
 	assertExact(t, "MatMulInto", dst, MatMul(a, b))
 
 	bias := randMat(rng, 1, 5)
@@ -45,7 +49,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 			row[j] += v
 		}
 	}
-	AddBiasInto(a, bias, dst)
+	AddBiasInto(dense(a), dense(bias), dense(dst))
 	assertExact(t, "AddBiasInto", dst, want)
 
 	want = a.Clone()
@@ -54,7 +58,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 			want.Data[i] = 0.1 * v
 		}
 	}
-	LeakyReLUInto(a, 0.1, dst)
+	LeakyReLUInto(dense(a), 0.1, dense(dst))
 	assertExact(t, "LeakyReLUInto", dst, want)
 
 	want = New(1, a.Cols)
@@ -64,7 +68,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 		}
 	}
 	want.ScaleInPlace(1 / float64(a.Rows))
-	MeanRowsInto(a, dst)
+	MeanRowsInto(dense(a), dense(dst))
 	assertExact(t, "MeanRowsInto", dst, want)
 }
 
@@ -75,14 +79,14 @@ func TestIntoKernelsAlias(t *testing.T) {
 	a := randMat(rng, 4, 3)
 	bias := randMat(rng, 1, 3)
 	ref := New(0, 0)
-	AddBiasInto(a, bias, ref)
+	AddBiasInto(dense(a), dense(bias), dense(ref))
 	aCopy := a.Clone()
-	AddBiasInto(aCopy, bias, aCopy)
+	AddBiasInto(dense(aCopy), dense(bias), dense(aCopy))
 	assertExact(t, "AddBiasInto aliased", aCopy, ref)
 
-	LeakyReLUInto(a, 0.2, ref)
+	LeakyReLUInto(dense(a), 0.2, dense(ref))
 	aCopy = a.Clone()
-	LeakyReLUInto(aCopy, 0.2, aCopy)
+	LeakyReLUInto(dense(aCopy), 0.2, dense(aCopy))
 	assertExact(t, "LeakyReLUInto aliased", aCopy, ref)
 }
 
@@ -92,7 +96,7 @@ func TestMatMulIntoRejectsBadShapes(t *testing.T) {
 			t.Error("mismatched MatMulInto did not panic")
 		}
 	}()
-	MatMulInto(New(2, 3), New(2, 3), New(0, 0))
+	MatMulInto(dense(New(2, 3)), dense(New(2, 3)), dense(New(0, 0)))
 }
 
 // TestIntoKernelsReuseCapacity verifies the steady-state contract: a dst
@@ -102,7 +106,7 @@ func TestIntoKernelsReuseCapacity(t *testing.T) {
 	a.Fill(1)
 	dst := New(8, 8) // 64 capacity, plenty for 4×4
 	data := &dst.Data[0]
-	MatMulInto(a, a, dst)
+	MatMulInto(dense(a), dense(a), dense(dst))
 	if &dst.Data[0] != data {
 		t.Error("MatMulInto reallocated despite sufficient capacity")
 	}
@@ -115,7 +119,7 @@ func TestIntoKernelsReuseCapacity(t *testing.T) {
 }
 
 func TestArenaRecycles(t *testing.T) {
-	var a Arena
+	var a Arena[float64]
 	b1 := a.Get(100) // class 128
 	if len(b1) != 100 {
 		t.Fatalf("len = %d", len(b1))
@@ -136,8 +140,8 @@ func TestArenaRecycles(t *testing.T) {
 }
 
 func TestArenaGetMatrixSteadyState(t *testing.T) {
-	var a Arena
-	var m Matrix
+	var a Arena[float64]
+	var m Dense[float64]
 	a.GetMatrix(&m, 6, 7)
 	if m.Rows != 6 || m.Cols != 7 || len(m.Data) != 42 {
 		t.Fatalf("shape %dx%d len %d", m.Rows, m.Cols, len(m.Data))
@@ -158,7 +162,7 @@ func TestArenaGetMatrixSteadyState(t *testing.T) {
 }
 
 func TestArenaGetSlice(t *testing.T) {
-	var a Arena
+	var a Arena[float64]
 	s := a.GetSlice(nil, 10)
 	if len(s) != 10 {
 		t.Fatalf("len = %d", len(s))

@@ -1,7 +1,7 @@
 package tensor
 
 // This file holds the cache-blocked matrix-multiply kernels behind
-// MatMulInto (and the float32 mirror in f32.go). The kernels are generic
+// MatMulInto and MatMulSparseInto (inplace.go). The kernels are generic
 // over the element type so the float64 inference path and the float32
 // inference-weights path compile from one implementation.
 //

@@ -72,7 +72,7 @@ func TestTiledMatchesNaive(t *testing.T) {
 			for _, k := range ks {
 				a := randSparseMat(rng, m, k, 0.3)
 				b := randMat(rng, k, n)
-				MatMulInto(a, b, dst)
+				MatMulInto(dense(a), dense(b), dense(dst))
 				want := MatMul(a, b)
 				assertWithinOneUlp(t, "MatMulInto", dst, want)
 			}
@@ -93,10 +93,10 @@ func TestTiledMatchesNaiveFuzz(t *testing.T) {
 		b := randMat(rng, k, n)
 		want := MatMul(a, b)
 
-		MatMulInto(a, b, dst)
+		MatMulInto(dense(a), dense(b), dense(dst))
 		assertWithinOneUlp(t, "MatMulInto", dst, want)
 
-		MatMulSparseInto(a, b, dst)
+		MatMulSparseInto(dense(a), dense(b), dense(dst))
 		assertExact(t, "MatMulSparseInto", dst, want)
 	}
 }
@@ -107,9 +107,9 @@ func TestTiledMatchesNaiveFuzz(t *testing.T) {
 func TestTiledOverwritesStaleDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dst := New(0, 0)
-	MatMulInto(randMat(rng, 6, 5), randMat(rng, 5, 70), dst) // dirty the buffer
+	MatMulInto(dense(randMat(rng, 6, 5)), dense(randMat(rng, 5, 70)), dense(dst)) // dirty the buffer
 	a, b := New(6, 0), New(0, 70)
-	MatMulInto(a, b, dst)
+	MatMulInto(dense(a), dense(b), dense(dst))
 	for i, v := range dst.Data {
 		if v != 0 {
 			t.Fatalf("k=0 product element %d = %v, want 0", i, v)
@@ -118,7 +118,7 @@ func TestTiledOverwritesStaleDst(t *testing.T) {
 	// Shrinking reuse: a smaller product into the same buffer must reshape
 	// and not read stale tail values.
 	a2, b2 := randMat(rng, 3, 4), randMat(rng, 4, 2)
-	MatMulInto(a2, b2, dst)
+	MatMulInto(dense(a2), dense(b2), dense(dst))
 	assertWithinOneUlp(t, "shrunk dst", dst, MatMul(a2, b2))
 }
 
