@@ -40,20 +40,21 @@
 //
 // Usage:
 //
-//	serve [-addr :8080] [-model-dir DIR | -scale tiny|small|full]
+//	serve [-addr :8080] [-model-dir DIR [-model-max-loaded N] | -scale tiny|small|full]
 //	      [-platforms "IBM POWER9 (CPU),NVIDIA V100 (GPU)"]
 //	      [-epochs N] [-points N]
-//	      [-cache-file PATH] [-cache-snapshot 5m]
+//	      [-cache-file PATH] [-cache-snapshot 5m] [-advise-cache 512]
+//	      [-pool N] [-grid-workers N]
 //	      [-admit-queue N] [-admit-per-client N]
 //	      [-jobs-max N] [-jobs-ttl 5m]
 //	      [-feedback-dir DIR] [-rollout-split 10] [-retrain-after 100]
-//	      [-retrain-epochs N] [-quality-window 512] [-quality-min 30]
+//	      [-retrain-epochs N] [-quality-min 30]
 //	      [-promote-after 3] [-rollback-after 3] [-gc-keep 2]
-//	      [-self http://host:8080 -peers http://host:8080,http://host2:8080]
-//	      [-seed http://host:8080] [-replication 2]
+//	      [-self http://host:8080 -seed http://host2:8080 | -peers http://host:8080,http://host2:8080]
+//	      [-replication 2]
 //	      [-heartbeat 1s] [-suspect-after 3s] [-evict-after 10s]
 //	      [-drain-timeout 30s] [-anti-entropy 30s]
-//	      [-log-level info] [-trace-slow 250ms] [-trace-ring 128]
+//	      [-log-level info] [-trace-slow 250ms]
 //	      [-pprof-addr 127.0.0.1:6060]
 //
 // Endpoints:
@@ -65,7 +66,7 @@
 //	GET  /v1/jobs/{id}  poll an async advise job (?stream=1 for NDJSON)
 //	GET  /v1/healthz    liveness and served machines
 //	GET  /v1/models     served model versions per platform (+ rollout roles)
-//	GET  /v1/stats      cache/batcher/pool/per-model/cluster/rollout counters
+//	GET  /v1/stats      cache/batcher/admission/per-model/cluster/rollout counters
 //	GET  /v1/ring       cluster membership, ownership, forward counters
 //	GET  /v1/trace      recent request traces (?id= for one, ?n= to bound)
 //	GET  /metrics       Prometheus text exposition of every serve_* series
@@ -77,12 +78,12 @@
 //	GET  /v1/cluster/entry  peer-internal single-entry fetch (?key=K)
 //
 // Overload behaviour (docs/OPERATIONS.md, "Overload & Admission Control"):
-// requests beyond the pool queue per client under deficit-round-robin
-// fairness up to -admit-queue/-admit-per-client, then shed with 503 +
-// Retry-After; an X-Paragraph-Deadline request header sheds eagerly when
-// the estimated drain exceeds the budget, and the remaining budget
-// propagates across cluster forwards. -jobs-max/-jobs-ttl bound the async
-// job store.
+// requests beyond the -pool evaluation slots queue per client under
+// deficit-round-robin fairness up to -admit-queue/-admit-per-client, then
+// shed with 503 + Retry-After; an X-Paragraph-Deadline request header
+// sheds eagerly when the estimated drain exceeds the budget, and the
+// remaining budget propagates across cluster forwards. -jobs-max/-jobs-ttl
+// bound the async job store.
 //
 // Observability (docs/OPERATIONS.md, "Monitoring & Profiling"): GET
 // /metrics serves Prometheus text exposition, GET /v1/trace the recent
@@ -296,22 +297,19 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	cacheFile := fs.String("cache-file", "", "persist the advise-response cache to this file across restarts")
 	snapshotEvery := fs.Duration("cache-snapshot", 5*time.Minute, "periodic cache snapshot interval (0 = only on shutdown)")
 	adviseCache := fs.Int("advise-cache", 0, "advise/prediction cache entries (0 = default)")
-	encodeCache := fs.Int("encode-cache", 0, "encoded-graph cache entries (0 = default)")
-	poolSize := fs.Int("pool", 0, "max evaluations in flight (0 = GOMAXPROCS)")
+	poolSize := fs.Int("pool", 0, "evaluation slots: max advise/predict evaluations in flight (0 = GOMAXPROCS)")
 	gridWorkers := fs.Int("grid-workers", 0, "per-advise grid fan-out (0 = GOMAXPROCS)")
-	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the pool before 503 shedding (0 = default)")
+	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the -pool slots before 503 shedding (0 = default)")
 	admitPerClient := fs.Int("admit-per-client", 0, "per-client cap on queued+running work (0 = default)")
 	jobsMax := fs.Int("jobs-max", 0, "async advise jobs retained before submissions shed (0 = default)")
 	jobsTTL := fs.Duration("jobs-ttl", 0, "finished async jobs retained this long for polling (0 = default)")
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn or error")
 	traceSlow := fs.Duration("trace-slow", 0, "log traced requests at or above this latency (0 = default 250ms, negative = disable)")
-	traceRing := fs.Int("trace-ring", 0, "finished request traces retained for GET /v1/trace (0 = default)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	feedbackDir := fs.String("feedback-dir", "", "accept POST /v1/feedback and append measured runtimes under this directory (empty = lifecycle disabled)")
 	rolloutSplit := fs.Float64("rollout-split", 0, "percentage of unpinned traffic a fresh candidate serves (0 = default 10)")
 	retrainAfter := fs.Int("retrain-after", 0, "accepted measurements per platform between background retrains (0 = default 100, negative = never retrain)")
 	retrainEpochs := fs.Int("retrain-epochs", 0, "epochs per incremental retrain (0 = trainer default)")
-	qualityWindow := fs.Int("quality-window", 0, "per-model (predicted, measured) pairs kept in the quality window (0 = default 512)")
 	qualityMin := fs.Int("quality-min", 0, "pairs both windows need before promote/rollback decisions (0 = default 30)")
 	promoteAfter := fs.Int("promote-after", 0, "consecutive non-inferior evaluations before a candidate promotes (0 = default 3)")
 	rollbackAfter := fs.Int("rollback-after", 0, "consecutive regressing evaluations before a candidate rolls back (0 = default 3)")
@@ -319,8 +317,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	self := fs.String("self", "", "cluster mode: this process's base URL as peers reach it (http://host:port)")
 	peersFlag := fs.String("peers", "", "cluster mode: comma-separated base URLs of the initial members (including -self)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through at startup (alternative to -peers)")
-	vnodes := fs.Int("ring-vnodes", 0, "cluster mode: virtual nodes per peer on the hash ring (0 = default)")
-	forwardTimeout := fs.Duration("forward-timeout", 0, "cluster mode: per-forwarded-request timeout (0 = default)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
 	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip interval (0 = default 1s)")
 	suspectAfter := fs.Duration("suspect-after", 0, "cluster mode: mark a silent member suspect after this long (0 = 3x heartbeat)")
@@ -382,7 +378,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 
 	srv, err := serve.NewServer(backends, serve.Options{
 		AdviseCacheSize: *adviseCache,
-		EncodeCacheSize: *encodeCache,
 		PoolSize:        *poolSize,
 		GridWorkers:     *gridWorkers,
 		QueueLimit:      *admitQueue,
@@ -390,7 +385,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		JobLimit:        *jobsMax,
 		JobTTL:          *jobsTTL,
 		TraceSlow:       *traceSlow,
-		TraceRing:       *traceRing,
 		Logger:          logger,
 
 		FeedbackDir:       *feedbackDir,
@@ -398,7 +392,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		RolloutSplit:      *rolloutSplit,
 		RetrainAfter:      *retrainAfter,
 		RetrainEpochs:     *retrainEpochs,
-		QualityWindow:     *qualityWindow,
 		MinQualitySamples: *qualityMin,
 		PromoteAfter:      *promoteAfter,
 		RollbackAfter:     *rollbackAfter,
@@ -413,17 +406,15 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	}
 	if clusterMode {
 		if err := srv.EnableCluster(serve.ClusterConfig{
-			Self:           *self,
-			Peers:          peers,
-			Seeds:          seeds,
-			VNodes:         *vnodes,
-			ForwardTimeout: *forwardTimeout,
-			Replication:    *replication,
-			Heartbeat:      *heartbeat,
-			SuspectAfter:   *suspectAfter,
-			EvictAfter:     *evictAfter,
-			AntiEntropy:    *antiEntropy,
-			DrainTimeout:   *drainTimeout,
+			Self:         *self,
+			Peers:        peers,
+			Seeds:        seeds,
+			Replication:  *replication,
+			Heartbeat:    *heartbeat,
+			SuspectAfter: *suspectAfter,
+			EvictAfter:   *evictAfter,
+			AntiEntropy:  *antiEntropy,
+			DrainTimeout: *drainTimeout,
 		}); err != nil {
 			srv.Close()
 			return nil, serveConfig{}, err

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -441,6 +445,79 @@ func TestBuildServerDefaultsAllPlatforms(t *testing.T) {
 	for _, frag := range []string{"POWER9", "V100", "EPYC", "MI50"} {
 		if !strings.Contains(names, frag) {
 			t.Errorf("default platforms missing %s", frag)
+		}
+	}
+}
+
+// TestFlagsDocumented holds the two places an operator reads flags from —
+// docs/OPERATIONS.md's flag table and this command's header usage block —
+// to the flags buildServer defines: each defined flag appears in both, and
+// neither documents one that does not exist.
+func TestFlagsDocumented(t *testing.T) {
+	// A flag as all three sources write it: "-name" after a space, an
+	// opening bracket or a backtick.
+	flagRE := regexp.MustCompile("(?:^|[\\s\\[`])(-[a-z][a-z-]*[a-z])")
+	flagsIn := func(text string) map[string]bool {
+		set := map[string]bool{}
+		for _, m := range flagRE.FindAllStringSubmatch(text, -1) {
+			set[m[1]] = true
+		}
+		return set
+	}
+
+	// -h makes the flag set print its defaults — one "  -name type" line
+	// per defined flag, its help text on the next — and stop before
+	// anything is built.
+	var help bytes.Buffer
+	if _, _, err := buildServer([]string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("buildServer(-h) = %v, want flag.ErrHelp", err)
+	}
+	var names []string
+	for _, line := range strings.Split(help.String(), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			names = append(names, strings.Fields(line)[0])
+		}
+	}
+	defined := flagsIn(strings.Join(names, " "))
+	if len(defined) < 30 {
+		t.Fatalf("parsed only %d flags from the usage output:\n%s", len(defined), help.String())
+	}
+
+	// The table: the first cell of each row under the "## Flags" heading.
+	ops, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(ops), "\n## Flags\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var cells []string
+	for _, line := range strings.Split(section, "\n") {
+		if row := strings.Split(line, "|"); len(row) > 2 {
+			cells = append(cells, row[1])
+		}
+	}
+
+	// The header: the block between "// Usage:" and "// Endpoints:".
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, usage, _ := strings.Cut(string(src), "// Usage:\n")
+	usage, _, _ = strings.Cut(usage, "// Endpoints:")
+
+	for where, documented := range map[string]map[string]bool{
+		"docs/OPERATIONS.md's flag table": flagsIn(strings.Join(cells, " ")),
+		"main.go's usage block":           flagsIn(usage),
+	} {
+		for name := range defined {
+			if !documented[name] {
+				t.Errorf("%s does not list %s", where, name)
+			}
+		}
+		for name := range documented {
+			if !defined[name] {
+				t.Errorf("%s lists %s, which buildServer does not define", where, name)
+			}
 		}
 	}
 }

@@ -31,7 +31,7 @@
 //	  experiments            regenerates the paper's tables and figures
 //	  advisor                variant generation → prediction → ranking
 //	  registry               versioned model checkpoints (weights + manifest)
-//	  serve                  the HTTP service: caches, admission, pool,
+//	  serve                  the HTTP service: response cache, admission,
 //	                         singleflight, snapshots, cluster routing
 //	                         with replicated ownership
 //	  shard                  consistent-hash ring (successor-list owners)
@@ -50,7 +50,7 @@
 //	POST /v1/predict    predict one variant's runtime
 //	GET  /v1/healthz    liveness and served machines
 //	GET  /v1/models     served model versions per platform
-//	GET  /v1/stats      cache/batcher/pool/per-model/cluster counters
+//	GET  /v1/stats      cache/batcher/admission/per-model/cluster counters
 //	GET  /v1/ring       cluster membership, ownership, replication counters
 //	GET  /v1/trace      recent request traces with per-stage spans
 //	GET  /metrics       Prometheus text exposition of every serve series
@@ -71,10 +71,10 @@
 //
 // A request flows through three layers. A content-addressed sharded LRU
 // cache first answers exact repeats (whole advise responses and single
-// predictions) and memoizes the parse→BuildKernel→Encode pipeline behind
-// them (keyed by hash of kernel source, level, threads, bindings and model
-// version). On a miss, identical concurrent requests are collapsed into a
-// single evaluation (singleflight), a bounded worker pool admits it, and
+// predictions, keyed by hash of kernel template, bindings, search space
+// and model version). On a miss, identical concurrent requests are
+// collapsed into a single evaluation (singleflight), a per-client fair
+// queue admits it into one of -pool evaluation slots, and
 // the advisor evaluates it in two phases (internal/advisor): every grid
 // point is generated, parsed, built and encoded, fanned across goroutines;
 // then the whole grid goes to the model as one gnn.Model.PredictBatch call

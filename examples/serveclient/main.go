@@ -131,8 +131,8 @@ func main() {
 	if err := getJSON(base+"/v1/stats", &st); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("service stats: %d advise requests, %d response-cache hits, %d coalesced, encode cache %d/%d hit/miss\n",
-		st.Requests.Advise, st.AdviseCacheHits, st.Coalesced, st.EncodeCache.Hits, st.EncodeCache.Misses)
+	fmt.Printf("service stats: %d advise requests, %d response-cache hits, %d coalesced, %d evaluations admitted\n",
+		st.Requests.Advise, st.AdviseCacheHits, st.Coalesced, st.Admit.Admitted)
 	for _, m := range st.Models {
 		fmt.Printf("  model %s/%s: %d advise, batcher %d samples in %d batches\n",
 			m.Platform, m.Name, m.Advise, m.Batcher.Samples, m.Batcher.Batches)

@@ -9,8 +9,6 @@ package advisor
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
@@ -54,27 +52,15 @@ type ContextBatchPredictor interface {
 	PredictBatchCtx(context.Context, []*gnn.Sample) ([]float64, error)
 }
 
-// EncodeCache memoizes the parse→BuildKernel→Encode pipeline across Advise
-// calls: Get returns a previously encoded graph for a content key, Add
-// stores one. Implementations must be safe for concurrent use; cached
-// graphs are treated as immutable (EncodeInstance copies the header before
-// applying per-advisor scaling). internal/serve provides a sharded LRU
-// implementation.
-type EncodeCache interface {
-	Get(key string) (*gnn.Graph, bool)
-	Add(key string, g *gnn.Graph)
-}
-
 // Advisor ranks kernel variants by predicted runtime on one machine.
 type Advisor struct {
 	// predict evaluates a slice of samples in one model call, in input
 	// order; New resolves it from what the predictor offers.
-	predict  func(context.Context, []*gnn.Sample) ([]float64, error)
-	prep     *dataset.Prepared // training-time scalers
-	machine  hw.Machine
-	level    paragraph.Level
-	workers  int         // front-end goroutines; 0 = GOMAXPROCS
-	encCache EncodeCache // nil = no memoization
+	predict func(context.Context, []*gnn.Sample) ([]float64, error)
+	prep    *dataset.Prepared // training-time scalers
+	machine hw.Machine
+	level   paragraph.Level
+	workers int // front-end goroutines; 0 = GOMAXPROCS
 }
 
 // New builds an advisor from a trained predictor and the Prepared dataset
@@ -115,11 +101,6 @@ func (a *Advisor) SetLevel(l paragraph.Level) { a.level = l }
 // (GOMAXPROCS); n == 1 runs everything on the calling goroutine. The
 // ranking is the same for every n.
 func (a *Advisor) SetWorkers(n int) { a.workers = n }
-
-// SetEncodeCache injects a cache for encoded graphs, letting a repeated
-// Advise call skip the parse→build→encode pipeline. Points of one grid
-// never share an entry (see EncodeKey). Pass nil to disable.
-func (a *Advisor) SetEncodeCache(c EncodeCache) { a.encCache = c }
 
 // SearchSpace is the variant/parallelism grid to rank.
 type SearchSpace struct {
@@ -319,42 +300,17 @@ func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (
 	return a.EncodeInstance(in)
 }
 
-// EncodeInstance builds the model-ready sample for an unseen instance,
-// consulting the encode cache (when injected) before running the
-// parse→BuildKernel→Encode pipeline.
+// EncodeInstance builds the model-ready sample for an unseen instance: the
+// graph dataset.Prepare would build for it (the same front end, see
+// dataset.EncodeSource), scaled with the training-time scalers.
 func (a *Advisor) EncodeInstance(in variants.Instance) (*gnn.Sample, error) {
-	var key string
-	var eg *gnn.Graph
-	if a.encCache != nil {
-		key = EncodeKey(in.Source, a.level, in.Threads, in.Bindings)
-		eg, _ = a.encCache.Get(key)
+	eg, err := dataset.EncodeSource(in.Source, a.level, in.Threads, in.Bindings)
+	if err != nil {
+		return nil, err
 	}
-	if eg == nil {
-		// Thread-count division matches dataset.Prepare (see the note there).
-		g, err := paragraph.BuildKernel(in.Source, paragraph.Options{
-			Level:    a.level,
-			Threads:  in.Threads,
-			Bindings: in.Bindings,
-		})
-		if err != nil {
-			return nil, err
-		}
-		eg, err = gnn.Encode(g, int(paragraph.NumEdgeTypes))
-		if err != nil {
-			return nil, err
-		}
-		if a.encCache != nil {
-			a.encCache.Add(key, eg)
-		}
-	}
-	// Copy the graph header before applying this advisor's weight scaling:
-	// the cache may be shared between advisors trained with different
-	// WScale, and cached entries must stay immutable. The edge/feature
-	// slices are shared (read-only during prediction).
-	scaled := *eg
-	scaled.WScale = a.prep.WScale
+	eg.WScale = a.prep.WScale
 	return &gnn.Sample{
-		G: &scaled,
+		G: eg,
 		Feats: [2]float64{
 			a.prep.TeamScaler.Scale(float64(in.Teams)),
 			a.prep.ThreadScaler.Scale(float64(in.Threads)),
@@ -363,26 +319,8 @@ func (a *Advisor) EncodeInstance(in variants.Instance) (*gnn.Sample, error) {
 	}, nil
 }
 
-// EncodeKey is the content-addressed cache key of one encode-pipeline
-// result: a hash over everything BuildKernel+Encode read — the transformed
-// source, the representation level, the weight-dividing thread count, and
-// the size bindings (serialized in sorted order so the key is stable).
-// Teams need no field of their own: they reach the graph through the
-// num_teams(%d) literal in the transformed source, whose value is a node
-// feature. With threads in the key as well, no two points of one grid
-// share an entry — the cache only ever hits on a repeated request.
-func EncodeKey(source string, level paragraph.Level, threads int, bindings analysis.Env) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d\x00%d\x00%s\x00", level, threads, BindingsKey(bindings))
-	b.WriteString(source)
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
-}
-
 // BindingsKey renders size bindings deterministically (sorted name=value
-// pairs) for content-addressed cache keys. EncodeKey and the serving
-// layer's response keys share it so the two cache levels cannot drift in
-// how they canonicalize the same request.
+// pairs) for the serving layer's content-addressed cache keys.
 func BindingsKey(bindings analysis.Env) string {
 	names := make([]string, 0, len(bindings))
 	for name := range bindings {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -318,22 +317,28 @@ func TestEncodeSpanSurvivesFailure(t *testing.T) {
 	}
 }
 
-// cancellingCache is an EncodeCache that never hits and cancels a context
-// on its nth lookup — a request abandoned mid-way through the front end.
-type cancellingCache struct {
-	cancel  context.CancelFunc
-	lookups atomic.Int64
-	n       int64
+// selfCancelling is a context that cancels itself on its nth Err call.
+// forEach polls Err once before handing out each grid point, so this is a
+// request abandoned as the front end reaches its nth point. admitted counts
+// the polls that let a point start.
+type selfCancelling struct {
+	context.Context
+	cancel   context.CancelFunc
+	n        int64
+	polls    atomic.Int64
+	admitted atomic.Int64
 }
 
-func (c *cancellingCache) Get(string) (*gnn.Graph, bool) {
-	if c.lookups.Add(1) == c.n {
+func (c *selfCancelling) Err() error {
+	if c.polls.Add(1) == c.n {
 		c.cancel()
 	}
-	return nil, false
+	err := c.Context.Err()
+	if err == nil {
+		c.admitted.Add(1)
+	}
+	return err
 }
-
-func (c *cancellingCache) Add(string, *gnn.Graph) {}
 
 // TestAdviseCancelledDuringFrontEnd: a context that ends while the grid is
 // being encoded returns ctx.Err(), stops encoding, and never reaches the
@@ -341,12 +346,11 @@ func (c *cancellingCache) Add(string, *gnn.Graph) {}
 func TestAdviseCancelledDuringFrontEnd(t *testing.T) {
 	k, _ := apps.ByName("matmul")
 	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cache := &cancellingCache{cancel: cancel, n: 3}
+		inner, cancel := context.WithCancel(context.Background())
+		ctx := &selfCancelling{Context: inner, cancel: cancel, n: 3}
 		model := &ctxBatch{m: gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 1, Relations: 8})}
 		a := New(model, testPrep(), hw.V100())
 		a.SetWorkers(workers)
-		a.SetEncodeCache(cache)
 		_, err := a.AdviseCtx(ctx, k, map[string]float64{"n": 256}, DefaultSearchSpace())
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -355,112 +359,11 @@ func TestAdviseCancelledDuringFrontEnd(t *testing.T) {
 		if len(model.calls) != 0 {
 			t.Errorf("workers=%d: model called %d times after cancellation", workers, len(model.calls))
 		}
-		// Each worker finishes at most the point it was on.
-		if n := cache.lookups.Load(); n > cache.n+int64(workers) {
-			t.Errorf("workers=%d: %d of 48 points encoded after cancellation at point %d", workers, n, cache.n)
-		}
-	}
-}
-
-// countingCache is a trivial EncodeCache recording traffic.
-type countingCache struct {
-	mu         sync.Mutex
-	m          map[string]*gnn.Graph
-	hits, adds int
-}
-
-func newCountingCache() *countingCache { return &countingCache{m: map[string]*gnn.Graph{}} }
-
-func (c *countingCache) Get(key string) (*gnn.Graph, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.m[key]
-	if ok {
-		c.hits++
-	}
-	return g, ok
-}
-
-func (c *countingCache) Add(key string, g *gnn.Graph) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = g
-	c.adds++
-}
-
-func TestEncodeCacheMemoizesAndStaysImmutable(t *testing.T) {
-	k, _ := apps.ByName("matmul")
-	bindings := map[string]float64{"n": 256}
-	space := SearchSpace{GPUTeams: []int{16, 64}, GPUThreads: []int{128}}
-	cache := newCountingCache()
-
-	a := New(weightOracle{}, testPrep(), hw.V100())
-	a.SetEncodeCache(cache)
-	a.SetWorkers(1)
-	first, err := a.Advise(k, bindings, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.adds == 0 {
-		t.Fatal("cache never populated")
-	}
-	coldAdds := cache.adds
-	second, err := a.Advise(k, bindings, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.adds != coldAdds {
-		t.Errorf("warm Advise re-encoded: adds %d → %d", coldAdds, cache.adds)
-	}
-	if cache.hits == 0 {
-		t.Error("warm Advise never hit the cache")
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Errorf("cached rec %d differs: %+v vs %+v", i, second[i], first[i])
-		}
-	}
-	// A second advisor with a different WScale sharing the cache must not
-	// see (or cause) scaled entries.
-	prep2 := testPrep()
-	prep2.WScale = 99
-	b := New(weightOracle{}, prep2, hw.V100())
-	b.SetEncodeCache(cache)
-	src, err := variants.Generate(k, variants.GPU, 16, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := variants.Instance{Kernel: k, Kind: variants.GPU, Teams: 16, Threads: 128,
-		Bindings: bindings, Source: src}
-	sb, err := b.EncodeInstance(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.G.WScale != 99 {
-		t.Errorf("advisor b sample WScale = %v, want 99", sb.G.WScale)
-	}
-	sa, err := a.EncodeInstance(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.G.WScale != testPrep().WScale {
-		t.Errorf("shared cache leaked WScale across advisors: got %v", sa.G.WScale)
-	}
-}
-
-func TestEncodeKeyDiscriminates(t *testing.T) {
-	base := EncodeKey("void f(){}", 2, 8, map[string]float64{"n": 64, "m": 32})
-	if base != EncodeKey("void f(){}", 2, 8, map[string]float64{"m": 32, "n": 64}) {
-		t.Error("key depends on bindings map order")
-	}
-	for name, other := range map[string]string{
-		"source":   EncodeKey("void g(){}", 2, 8, map[string]float64{"n": 64, "m": 32}),
-		"level":    EncodeKey("void f(){}", 1, 8, map[string]float64{"n": 64, "m": 32}),
-		"threads":  EncodeKey("void f(){}", 2, 4, map[string]float64{"n": 64, "m": 32}),
-		"bindings": EncodeKey("void f(){}", 2, 8, map[string]float64{"n": 64, "m": 33}),
-	} {
-		if other == base {
-			t.Errorf("key ignores %s", name)
+		// Each worker finishes at most the point it was on: n-1 points
+		// started before the cancelling poll, and each other worker's poll
+		// racing it may admit one more.
+		if got, max := ctx.admitted.Load(), ctx.n-1+int64(workers-1); got > max {
+			t.Errorf("workers=%d: %d of 48 points started, want at most %d after cancelling at poll %d", workers, got, max, ctx.n)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"paragraph/internal/analysis"
 	"paragraph/internal/apps"
 	"paragraph/internal/cast"
+	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/graph"
 	"paragraph/internal/hw"
@@ -286,5 +287,75 @@ func TestGeneratedKernelGridsShareTopology(t *testing.T) {
 		}
 		checkFamily(t, fmt.Sprintf("progen kernel %d (cpu)", i), cpu, false, 0)
 		checkFamily(t, fmt.Sprintf("progen kernel %d (gpu)", i), gpu, true, 0)
+	}
+}
+
+// TestServedGraphMatchesTrainingGraph is the train/serve parity check: for
+// every suite kernel × variant kind at one grid point, the sample
+// EncodeInstance hands the model at serving time is the sample
+// dataset.Prepare built for the same instance at training time — node
+// codes, every relation's edges and weights, node features, WScale and the
+// scaled (teams, threads) pair. Both go through dataset.EncodeSource; this
+// pins that neither adds an option of its own on the way.
+func TestServedGraphMatchesTrainingGraph(t *testing.T) {
+	var points []dataset.Point
+	for _, k := range apps.Kernels() {
+		bindings := analysis.Env{}
+		for _, p := range k.Params {
+			bindings[p.Name] = float64(p.Values[0])
+		}
+		for _, kind := range variants.Kinds() {
+			if kind.IsCollapse() && !k.Collapsible {
+				continue
+			}
+			teams, threads := 0, 8
+			if kind.IsGPU() {
+				teams, threads = 64, 128
+			}
+			src, err := variants.Generate(k, kind, teams, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points = append(points, dataset.Point{
+				Instance: variants.Instance{
+					Kernel: k, Kind: kind, Teams: teams, Threads: threads,
+					Bindings: bindings, Source: src,
+				},
+				RuntimeUS: float64(100 + len(points)),
+			})
+		}
+	}
+	prep, err := dataset.Prepare(points, dataset.PrepConfig{Level: paragraph.LevelParaGraph, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := map[string]*gnn.Sample{}
+	for _, s := range append(append([]*gnn.Sample{}, prep.Train...), prep.Val...) {
+		trained[s.Name] = s
+	}
+	if len(trained) != len(points) {
+		t.Fatalf("%d distinct training samples for %d points", len(trained), len(points))
+	}
+	a := New(weightOracle{}, prep, hw.V100())
+	for _, pt := range points {
+		want := trained[pt.Instance.Name()]
+		got, err := a.EncodeInstance(pt.Instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := pt.Instance.Name()
+		if got.G.NumNodes != want.G.NumNodes || !reflect.DeepEqual(got.G.Kinds, want.G.Kinds) || !reflect.DeepEqual(got.G.SubKinds, want.G.SubKinds) {
+			t.Errorf("%s: node codes differ between serving and training", name)
+		}
+		if !reflect.DeepEqual(got.G.Feats, want.G.Feats) {
+			t.Errorf("%s: node features differ between serving and training", name)
+		}
+		if !reflect.DeepEqual(got.G.Rels, want.G.Rels) {
+			t.Errorf("%s: relation edges or weights differ between serving and training", name)
+		}
+		if got.G.WScale != want.G.WScale || got.Feats != want.Feats {
+			t.Errorf("%s: scaling differs: serving WScale %v feats %v, training WScale %v feats %v",
+				name, got.G.WScale, got.Feats, want.G.WScale, want.Feats)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 
+	"paragraph/internal/analysis"
 	"paragraph/internal/cluster"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
@@ -219,7 +220,6 @@ type PrepConfig struct {
 	ValFraction float64 // default 0.1 (paper: 9:1 split)
 	Seed        int64
 	Workers     int // graph-building workers; default GOMAXPROCS
-	DefaultTrip float64
 }
 
 func (c PrepConfig) withDefaults() PrepConfig {
@@ -254,7 +254,7 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				samples[i], errs[i] = buildSample(points[i], cfg)
+				samples[i], errs[i] = buildSample(points[i], cfg.Level)
 			}
 		}()
 	}
@@ -312,23 +312,31 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 	return prep, nil
 }
 
-// buildSample parses and encodes one point's ParaGraph.
-func buildSample(pt Point, cfg PrepConfig) (*gnn.Sample, error) {
-	in := pt.Instance
-	// Weight division uses the thread count, not teams×threads: the paper
-	// divides iterations "by the number of threads" (§III-A.3), and using
-	// total GPU parallelism would clamp most annotated-loop weights to 1,
-	// collapsing different problem sizes onto identical graphs.
-	g, err := paragraph.BuildKernel(in.Source, paragraph.Options{
-		Level:       cfg.Level,
-		Threads:     in.Threads,
-		Bindings:    in.Bindings,
-		DefaultTrip: cfg.DefaultTrip,
+// EncodeSource is the front end every graph the model sees comes through —
+// training samples here, retrain samples in registry, served requests in
+// advisor: parse one variant's source, build its ParaGraph at level and
+// encode it. threads is the instance's thread count, which divides the
+// weights of parallel loops — threads, not teams×threads: the paper divides
+// iterations "by the number of threads" (§III-A.3), and using total GPU
+// parallelism would clamp most annotated-loop weights to 1, collapsing
+// different problem sizes onto identical graphs. The graph's WScale is the
+// caller's to set.
+func EncodeSource(source string, level paragraph.Level, threads int, bindings analysis.Env) (*gnn.Graph, error) {
+	g, err := paragraph.BuildKernel(source, paragraph.Options{
+		Level:    level,
+		Threads:  threads,
+		Bindings: bindings,
 	})
 	if err != nil {
 		return nil, err
 	}
-	eg, err := gnn.Encode(g, int(paragraph.NumEdgeTypes))
+	return gnn.Encode(g, int(paragraph.NumEdgeTypes))
+}
+
+// buildSample parses and encodes one point's ParaGraph.
+func buildSample(pt Point, level paragraph.Level) (*gnn.Sample, error) {
+	in := pt.Instance
+	eg, err := EncodeSource(in.Source, level, in.Threads, in.Bindings)
 	if err != nil {
 		return nil, err
 	}

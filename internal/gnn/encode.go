@@ -38,11 +38,10 @@ type Graph struct {
 	WScale float64
 
 	// planBox caches the graph's InferencePlan (see infer.go). It is a
-	// pointer so shallow header copies (advisor.EncodeInstance clones the
-	// header to override WScale) share one cached plan, and so the plan
-	// rides along with the graph in the serving tier's encode cache. Encode
-	// installs it; hand-built graphs may leave it nil (InitPlanCache adds
-	// it) at the cost of re-deriving the plan on every prediction.
+	// pointer so shallow header copies (a copy made to override WScale)
+	// share one cached plan. Encode installs it; hand-built graphs may
+	// leave it nil (InitPlanCache adds it) at the cost of re-deriving the
+	// plan on every prediction.
 	planBox *planBox
 }
 

@@ -56,14 +56,14 @@ import (
 //
 // Three precomputed structures make the hot path cheap:
 //
-//   - InferencePlan: per encoded Graph, derived once and cached in the graph
-//     (and therefore in the serving tier's encode cache). It re-orders each
-//     relation's edge list CSR-style — grouped by destination node — and
-//     additionally derives the relation's unique-source list: the only rows
-//     whose W_r projection the relation ever reads. Most ParaGraph
-//     relations touch a small fraction of the graph, so projecting source
-//     rows only cuts the dominant N·H² matmul cost to |sources|·H². It is
-//     topology only, so one plan — the first member's — serves a family.
+//   - InferencePlan: per encoded Graph, derived once and cached in the graph.
+//     It re-orders each relation's edge list CSR-style — grouped by
+//     destination node — and additionally derives the relation's
+//     unique-source list: the only rows whose W_r projection the relation
+//     ever reads. Most ParaGraph relations touch a small fraction of the
+//     graph, so projecting source rows only cuts the dominant N·H² matmul
+//     cost to |sources|·H². It is topology only, so one plan — the first
+//     member's — serves a family.
 //
 //   - weights (inferparams.go): the parameters and the constants derived
 //     from them, converted once at checkpoint-load time — the per-relation

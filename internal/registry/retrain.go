@@ -92,9 +92,6 @@ type RetrainOptions struct {
 	// MinRecords gates retraining until enough usable feedback exists.
 	// Default 20.
 	MinRecords int
-	// DefaultTrip is the loop-trip fallback used when rebuilding graphs
-	// from feedback sources (dataset.Config's default applies when zero).
-	DefaultTrip float64
 }
 
 // RetrainResult reports what a retrain produced.
@@ -188,7 +185,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	}
 
 	// Rebuild samples from the feedback records with the manifest's scalers.
-	samples, skipped := FeedbackSamples(recs, platform, man, level, opts.DefaultTrip)
+	samples, skipped := FeedbackSamples(recs, platform, man, level)
 	res.Skipped = skipped
 	if len(samples) < opts.MinRecords {
 		return res, fmt.Errorf("registry: retrain: only %d usable feedback records for %s (need %d)",
@@ -280,7 +277,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 // manifest's target scaler; grid features by its team/thread scalers).
 // Records whose source no longer parses, or that belong to a different
 // platform, are counted in skipped rather than failing the batch.
-func FeedbackSamples(recs []feedback.Record, platform string, man Manifest, level paragraph.Level, defaultTrip float64) ([]*gnn.Sample, int) {
+func FeedbackSamples(recs []feedback.Record, platform string, man Manifest, level paragraph.Level) ([]*gnn.Sample, int) {
 	var out []*gnn.Sample
 	skipped := 0
 	for _, rec := range recs {
@@ -288,19 +285,7 @@ func FeedbackSamples(recs []feedback.Record, platform string, man Manifest, leve
 			skipped++
 			continue
 		}
-		// Threads-per-team, exactly as dataset.Prepare feeds buildSample, so
-		// retrain samples match the original training distribution.
-		g, err := paragraph.BuildKernel(rec.Source, paragraph.Options{
-			Level:       level,
-			Threads:     rec.Threads,
-			Bindings:    rec.Bindings,
-			DefaultTrip: defaultTrip,
-		})
-		if err != nil {
-			skipped++
-			continue
-		}
-		eg, err := gnn.Encode(g, int(paragraph.NumEdgeTypes))
+		eg, err := dataset.EncodeSource(rec.Source, level, rec.Threads, rec.Bindings)
 		if err != nil {
 			skipped++
 			continue

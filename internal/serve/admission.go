@@ -125,21 +125,17 @@ func remainingBudget(ctx context.Context) time.Duration {
 	return 0
 }
 
-// admitRun wraps an evaluation in the fair queue and the eval pool: the
-// queue grants slots per-client fair (its concurrency equals the pool size,
-// so the pool itself never queues and its stats stay meaningful), the pool
-// keeps its oversubscription accounting. A successful evaluation's wall
+// admitRun runs an evaluation in a slot of the fair queue, which grants its
+// Options.PoolSize slots per-client fair. A successful evaluation's wall
 // time — fn alone, no queueing — is observed into eval, the histogram
 // evalCost prices the next request of that kind from.
 func (s *Server) admitRun(ctx context.Context, client string, eval *obs.Histogram, fn func() error) error {
 	return s.admit.Run(ctx, client, func() error {
-		return s.pool.Run(func() error {
-			start := time.Now()
-			err := fn()
-			if err == nil {
-				eval.Observe(time.Since(start).Seconds())
-			}
-			return err
-		})
+		start := time.Now()
+		err := fn()
+		if err == nil {
+			eval.Observe(time.Since(start).Seconds())
+		}
+		return err
 	})
 }

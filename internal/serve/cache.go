@@ -6,16 +6,17 @@
 // "default" alias.
 //
 // The scaling layers, in request order: a content-addressed sharded LRU
-// cache memoizes whole advise responses and the parse→build→encode
-// pipeline behind them; identical concurrent misses collapse into one
-// evaluation (singleflight); per-client fair admission and a bounded
-// worker pool cap evaluations in flight; and each evaluation encodes its
+// cache memoizes whole advise responses and single predictions; identical
+// concurrent misses collapse into one evaluation (singleflight); and
+// per-client fair admission caps evaluations in flight — one path for both
+// endpoints, Server.serveKeyed. Each evaluation encodes its
 // whole variant grid across goroutines (internal/advisor), then predicts it
 // in one gnn.Model.PredictBatch call through the model's metered Batcher —
 // a cold advise is one batch, and nothing waits to be coalesced with
 // another request's samples. The
 // advise-response cache can be snapshotted and restored across restarts
-// (snapshot.go), and EnableCluster shards the whole tier across processes
+// (snapshot.go; entry.go holds the one wire schema an entry travels in),
+// and EnableCluster shards the whole tier across processes
 // with a consistent-hash ring over the cache keys — each key owned by its
 // first rf ring successors, with asynchronous write-through to replicas
 // and failover in successor order (cluster.go, internal/shard).

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"paragraph/internal/advisor"
 	"paragraph/internal/obs"
 	"paragraph/internal/shard"
 )
@@ -54,21 +53,12 @@ type ClusterConfig struct {
 	// single-member ring and a background loop POSTs /v1/cluster/join to
 	// each seed in turn until one admits it.
 	Seeds []string
-	// VNodes is the virtual-node count per member (<= 0 = shard.DefaultVNodes).
-	VNodes int
-	// ForwardTimeout bounds one proxied request (<= 0 = shard default).
-	ForwardTimeout time.Duration
-	// MaxPeerConns caps connections per peer (<= 0 = shard default).
-	MaxPeerConns int
 	// Replication is how many ring successors own each key (the tier's
 	// RF). 1 — or 0, the zero value — keeps the original single-owner
 	// behavior with no replication traffic at all; values above the
 	// current ring size are clamped to it at use time. Every peer must use
 	// the same value.
 	Replication int
-	// ReplicationQueue bounds the async write-through queue; posts beyond
-	// it are dropped, never blocked on (<= 0 = shard default).
-	ReplicationQueue int
 	// Heartbeat is the gossip interval (0 = 1s default; < 0 disables the
 	// background gossip/join/anti-entropy loops entirely — tests drive the
 	// state machine by hand).
@@ -88,10 +78,11 @@ type ClusterConfig struct {
 	// DrainTimeout bounds a planned departure's key handoff
 	// (0 = 30s default).
 	DrainTimeout time.Duration
-	// RefillConcurrency caps concurrent anti-entropy entry fetches
-	// (0 = 4) so a refill never starves the serving path.
-	RefillConcurrency int
 }
+
+// refillConcurrency caps concurrent anti-entropy entry fetches so a refill
+// never starves the serving path.
+const refillConcurrency = 4
 
 // cluster is the Server's live cluster state. The ring is no longer a
 // fixed field: membership owns it and swaps in a new epoch-stamped ring on
@@ -103,11 +94,10 @@ type cluster struct {
 	fwd  *shard.Forwarder
 	rf   int // configured replication factor, >= 1; clamped per-use by Owners
 
-	seeds         []string
-	heartbeat     time.Duration
-	antiEntropy   time.Duration
-	drainTimeout  time.Duration
-	refillWorkers int
+	seeds        []string
+	heartbeat    time.Duration
+	antiEntropy  time.Duration
+	drainTimeout time.Duration
 
 	quit     chan struct{}
 	bg       sync.WaitGroup
@@ -223,29 +213,19 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	if drainTimeout <= 0 {
 		drainTimeout = 30 * time.Second
 	}
-	refill := cfg.RefillConcurrency
-	if refill <= 0 {
-		refill = 4
-	}
 	c := &cluster{
-		self:          self,
-		rf:            rf,
-		seeds:         seeds,
-		heartbeat:     heartbeat,
-		antiEntropy:   antiEntropy,
-		drainTimeout:  drainTimeout,
-		refillWorkers: refill,
-		quit:          make(chan struct{}),
-		fwd: shard.NewForwarder(self, shard.ForwardOptions{
-			Timeout:         cfg.ForwardTimeout,
-			MaxConnsPerPeer: cfg.MaxPeerConns,
-			AsyncQueue:      cfg.ReplicationQueue,
-		}),
+		self:         self,
+		rf:           rf,
+		seeds:        seeds,
+		heartbeat:    heartbeat,
+		antiEntropy:  antiEntropy,
+		drainTimeout: drainTimeout,
+		quit:         make(chan struct{}),
+		fwd:          shard.NewForwarder(self, shard.ForwardOptions{}),
 	}
 	mem, err := shard.NewMembership(shard.MembershipConfig{
 		Self:         self,
 		Peers:        members,
-		VNodes:       cfg.VNodes,
 		SuspectAfter: suspectAfter,
 		EvictAfter:   evictAfter,
 		// Every ring swap prunes the forwarder's peer clients down to the
@@ -356,38 +336,44 @@ type proxiedResponse struct {
 	body   []byte
 }
 
-// tryForward marshals req and forwards it to the targets in successor
-// order — the primary owner first, then the replicas — relaying the first
-// answer it gets. ok=false means every target was unreachable (one local
-// fallback is counted) and the caller must evaluate locally — degraded,
-// never failing. An answer from any target after the first is counted as a
-// replica hit: the primary was down but the tier's warmth survived on a
-// successor. A target's HTTP errors are authoritative answers and come
-// back ok=true, relayed not retried. The hop is recorded as a "forward"
-// span on tr, annotated with the answering peer (or "unreachable"), and
-// carries tr's id so the answering peer's trace joins this request's, and
-// ctx's remaining deadline budget so the peer sheds by the same clock the
-// origin would.
+// tryForward re-marshals a decoded advise or predict request and forwards
+// it (see cluster.forward); a request that will not marshal is served
+// locally like one no owner answered.
 func (s *Server) tryForward(ctx context.Context, tr *obs.Trace, targets []string, path string, req any) (proxiedResponse, bool) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return proxiedResponse{}, false
 	}
+	return s.cluster.forward(ctx, tr, targets, path, body)
+}
+
+// forward posts body to the targets in successor order — the primary owner
+// first, then the replicas — relaying the first answer it gets. ok=false
+// means every target was unreachable (one local fallback is counted) and
+// the caller must serve locally — degraded, never failing. An answer from
+// any target after the first is counted as a replica hit: the primary was
+// down but the tier's warmth survived on a successor. A target's HTTP
+// errors are authoritative answers and come back ok=true, relayed not
+// retried. The hop is recorded as a "forward" span on tr, annotated with
+// the answering peer (or "unreachable"), and carries tr's id so the
+// answering peer's trace joins this request's, and ctx's remaining deadline
+// budget so the peer sheds by the same clock the origin would.
+func (c *cluster) forward(ctx context.Context, tr *obs.Trace, targets []string, path string, body []byte) (proxiedResponse, bool) {
 	meta := shard.Meta{TraceID: tr.ID(), Deadline: remainingBudget(ctx)}
 	sp := tr.StartSpan("forward")
 	for i, t := range targets {
-		status, respBody, err := s.cluster.fwd.Forward(ctx, t, path, body, meta)
+		status, respBody, err := c.fwd.Forward(ctx, t, path, body, meta)
 		if err != nil {
 			continue
 		}
 		if i > 0 {
-			s.cluster.replicaHits.Add(1)
+			c.replicaHits.Add(1)
 		}
 		sp.Annotate(t)
 		sp.End()
 		return proxiedResponse{status: status, body: respBody}, true
 	}
-	s.cluster.fallbacks.Add(1)
+	c.fallbacks.Add(1)
 	sp.Annotate("unreachable")
 	sp.End()
 	return proxiedResponse{}, false
@@ -409,7 +395,7 @@ func (s *Server) replicate(key string, val any, owners []string, owned bool, tra
 	if c == nil || c.rf < 2 || !owned || len(owners) == 0 {
 		return
 	}
-	body, err := marshalReplicate(key, val)
+	body, err := encodeEntries(CacheItem{Key: key, Val: val})
 	if err != nil {
 		return
 	}
@@ -433,7 +419,7 @@ const maxReplicateBytes = 4 << 20
 
 // handleReplicate accepts a write-through from a peer that just evaluated
 // a key this process replicates. The body is the cache-snapshot schema
-// (snapshot.go) holding one entry; it is inserted into the local
+// (entry.go) holding one entry; it is inserted into the local
 // advise-response cache and nothing else happens — no forwarding, no
 // re-replication, no evaluation — which is the loop guard that keeps
 // replication traffic acyclic by construction.
@@ -468,21 +454,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	c.replicatedIn.Add(uint64(n))
 	s.writeJSON(w, http.StatusOK, map[string]int{"accepted": n})
-}
-
-// marshalReplicate renders one cache entry in the snapshot schema, the
-// wire format of POST /v1/replicate.
-func marshalReplicate(key string, val any) ([]byte, error) {
-	snap := cacheSnapshot{Version: snapshotVersion}
-	switch v := val.(type) {
-	case []advisor.Recommendation:
-		snap.Advise = []adviseSnap{adviseSnapOf(key, v)}
-	case float64:
-		snap.Predict = []predictSnap{{Key: key, US: v}}
-	default:
-		return nil, fmt.Errorf("serve: unreplicatable cache value %T", val)
-	}
-	return json.Marshal(snap)
 }
 
 // writeProxied relays a peer's response verbatim.

@@ -544,7 +544,7 @@ func TestReplicateEndpoint(t *testing.T) {
 	// immediately servable.
 	req := bindN(40000)
 	key := adviseKeyFor(t, req)
-	body, err := marshalReplicate(key, []advisor.Recommendation{{Threads: 8, PredictedUS: 123}})
+	body, err := encodeEntries(CacheItem{Key: key, Val: []advisor.Recommendation{{Threads: 8, PredictedUS: 123}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,34 +578,6 @@ func TestReplicateEndpoint(t *testing.T) {
 	}
 	if rec := doRaw(t, a.srv, http.MethodGet, "/v1/replicate", nil, peers[1].http.URL); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/replicate: %d", rec.Code)
-	}
-}
-
-// TestWrongTypedCacheEntryIsAMiss: a cache entry whose value type does not
-// match its key's endpoint — reachable via a confused or hostile
-// /v1/replicate write, since keys are opaque hashes the handler cannot
-// type-check — must be recomputed and overwritten, never panic the
-// handler or be served.
-func TestWrongTypedCacheEntryIsAMiss(t *testing.T) {
-	peers := startClusterRF(t, 2, 2)
-	a := peers[0]
-	req := findOwnedBinding(t, a.srv.cluster.ring(), a.http.URL, 50000)
-	key := adviseKeyFor(t, req)
-
-	// Poison the advise key with a predict-typed value, as a bad peer
-	// write would.
-	a.srv.adviseCache.Add(key, float64(42))
-	resp := postAdvise(t, a.http.URL, req)
-	if resp.Cached {
-		t.Fatal("wrong-typed entry served as a cache hit")
-	}
-	if len(resp.Recommendations) == 0 {
-		t.Fatal("recomputation after a poisoned entry returned no ranking")
-	}
-	if v, ok := a.srv.adviseCache.Get(key); !ok {
-		t.Fatal("recomputed entry not cached")
-	} else if _, ok := v.([]advisor.Recommendation); !ok {
-		t.Fatalf("poisoned entry not overwritten: %T", v)
 	}
 }
 

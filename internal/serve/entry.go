@@ -1,0 +1,126 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+
+	"paragraph/internal/advisor"
+)
+
+// The entry codec: how a response-cache value goes on the wire. One schema
+// serves the persisted cache snapshot (snapshot.go), the POST /v1/replicate
+// write-through and drain batches, and the GET /v1/cluster/entry pulls
+// behind anti-entropy and read repair — a single-entry body is a snapshot
+// holding one entry. snapshotOf is the only place a value's Go type picks
+// its wire form and entries the only place the wire form is turned back;
+// everything else in the package calls them.
+
+// snapshotVersion guards the schema; bump on incompatible change.
+const snapshotVersion = 1
+
+// recSnap is the wire form of one advisor.Recommendation. Kind travels by
+// name so entries survive reorderings of the variants.Kind enum.
+type recSnap struct {
+	Kind        string  `json:"kind"`
+	Teams       int     `json:"teams,omitempty"`
+	Threads     int     `json:"threads"`
+	PredictedUS float64 `json:"predicted_us"`
+	Source      string  `json:"source,omitempty"`
+}
+
+type adviseSnap struct {
+	Key  string    `json:"key"`
+	Recs []recSnap `json:"recs"`
+}
+
+type predictSnap struct {
+	Key string  `json:"key"`
+	US  float64 `json:"us"`
+}
+
+type cacheSnapshot struct {
+	Version int           `json:"version"`
+	Advise  []adviseSnap  `json:"advise"`
+	Predict []predictSnap `json:"predict"`
+}
+
+// snapshotOf renders cache items in the schema, in the order given. A value
+// that is neither a ranking nor a prediction has no wire form and is left
+// out (the response cache holds nothing else).
+func snapshotOf(items ...CacheItem) cacheSnapshot {
+	snap := cacheSnapshot{Version: snapshotVersion}
+	for _, it := range items {
+		switch v := it.Val.(type) {
+		case []advisor.Recommendation:
+			as := adviseSnap{Key: it.Key, Recs: make([]recSnap, len(v))}
+			for i, r := range v {
+				as.Recs[i] = recSnap{
+					Kind: r.Kind.String(), Teams: r.Teams, Threads: r.Threads,
+					PredictedUS: r.PredictedUS, Source: r.Source,
+				}
+			}
+			snap.Advise = append(snap.Advise, as)
+		case float64:
+			snap.Predict = append(snap.Predict, predictSnap{Key: it.Key, US: v})
+		}
+	}
+	return snap
+}
+
+// entries turns a decoded snapshot back into cache items, oldest first —
+// snapshots list each kind most-recent first, so feeding the result to
+// Cache.Add in order keeps the recency the LRU had. A ranking naming a
+// variant this build does not know (a snapshot from a future build) is
+// dropped rather than failing the rest.
+func (snap cacheSnapshot) entries() ([]CacheItem, error) {
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("unsupported version %d", snap.Version)
+	}
+	items := make([]CacheItem, 0, len(snap.Advise)+len(snap.Predict))
+advise:
+	for i := len(snap.Advise) - 1; i >= 0; i-- {
+		as := snap.Advise[i]
+		recs := make([]advisor.Recommendation, len(as.Recs))
+		for j, rs := range as.Recs {
+			kind, err := kindByName(rs.Kind)
+			if err != nil {
+				continue advise
+			}
+			recs[j] = advisor.Recommendation{
+				Kind: kind, Teams: rs.Teams, Threads: rs.Threads,
+				PredictedUS: rs.PredictedUS, Source: rs.Source,
+			}
+		}
+		items = append(items, CacheItem{Key: as.Key, Val: recs})
+	}
+	for i := len(snap.Predict) - 1; i >= 0; i-- {
+		items = append(items, CacheItem{Key: snap.Predict[i].Key, Val: snap.Predict[i].US})
+	}
+	return items, nil
+}
+
+// encodeEntries is the body of a POST /v1/replicate (one entry for a
+// write-through, a batch for a drain) and of a GET /v1/cluster/entry answer.
+func encodeEntries(items ...CacheItem) ([]byte, error) {
+	return json.Marshal(snapshotOf(items...))
+}
+
+// decodeEntry decodes a GET /v1/cluster/entry answer, which must hold
+// exactly one entry this build can use.
+func decodeEntry(body []byte) (CacheItem, error) {
+	var snap cacheSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		return CacheItem{}, fmt.Errorf("serve: decoding entry: %w", err)
+	}
+	if len(snap.Advise)+len(snap.Predict) != 1 {
+		return CacheItem{}, fmt.Errorf("serve: entry body must hold exactly one entry")
+	}
+	items, err := snap.entries()
+	if err != nil {
+		return CacheItem{}, fmt.Errorf("serve: entry: %w", err)
+	}
+	if len(items) != 1 {
+		return CacheItem{}, fmt.Errorf("serve: entry names an unknown variant")
+	}
+	return items[0], nil
+}

@@ -86,9 +86,9 @@ func (s *Server) runAdviseJob(id string, p adviseParams, budget time.Duration) {
 		defer cancel()
 	}
 	s.jobs.Start(id)
-	start := time.Now()
-	recs, pr, cached, coalesced, err := s.adviseRecs(ctx, nil, p)
-	if err != nil {
+	resp, pr, err := s.advise(ctx, nil, p)
+	switch {
+	case err != nil:
 		if shed, ok := asShed(err); ok {
 			if c, ok := s.metrics.shed[shed.Reason]; ok {
 				c.Inc()
@@ -96,30 +96,16 @@ func (s *Server) runAdviseJob(id string, p adviseParams, budget time.Duration) {
 			err = shed
 		}
 		s.jobs.Finish(id, nil, err)
-		return
-	}
-	if coalesced {
-		s.metrics.coalesced.Inc()
-	}
-	if pr != nil {
+	case pr == nil:
+		s.jobs.Finish(id, resp, nil)
+	case pr.status/100 == 2:
 		// A peer answered. Its 2xx body is a rendered AdviseResponse and
 		// becomes the result verbatim; anything else is the evaluation's
 		// authoritative failure.
-		if pr.status/100 == 2 {
-			s.jobs.Finish(id, json.RawMessage(pr.body), nil)
-		} else {
-			s.jobs.Finish(id, nil, fmt.Errorf("peer answered %d: %s", pr.status, strings.TrimSpace(string(pr.body))))
-		}
-		return
+		s.jobs.Finish(id, json.RawMessage(pr.body), nil)
+	default:
+		s.jobs.Finish(id, nil, fmt.Errorf("peer answered %d: %s", pr.status, strings.TrimSpace(string(pr.body))))
 	}
-	p.ms.advise.Add(1)
-	p.ms.touch()
-	if s.lifecycle != nil {
-		s.lifecycle.noteAdvise(p, recs)
-	}
-	resp := s.renderAdvise(p, recs, cached, coalesced)
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	s.jobs.Finish(id, resp, nil)
 }
 
 // handleJobs serves GET /v1/jobs/{id}: the job's state while it runs, its

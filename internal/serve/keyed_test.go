@@ -1,0 +1,382 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime/debug"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"paragraph/internal/advisor"
+	"paragraph/internal/apps"
+	"paragraph/internal/gnn"
+	"paragraph/internal/hw"
+	"paragraph/internal/variants"
+)
+
+// keyedKind is one of the two endpoints that answer through serveKeyed, as
+// the scenarios below drive it. Requests are distinguished by one binding,
+// n, so every n is its own cache key.
+type keyedKind struct {
+	name    string
+	path    string
+	request func(n float64) any
+	key     func(t *testing.T, n float64) string
+	typed   func(any) bool
+	planted any // a value of this kind, as a co-owner would hold it
+	other   any // a value of the other kind: what a confused peer might write
+}
+
+func predictN(n float64) PredictRequest {
+	return PredictRequest{
+		Kernel: "matmul", Machine: hw.V100().Name, Variant: "gpu_collapse",
+		Teams: 64, Threads: 128, Bindings: map[string]float64{"n": n},
+	}
+}
+
+// predictKeyFor replicates handlePredict's cache-key derivation, as
+// adviseKeyFor does for handleAdvise.
+func predictKeyFor(t *testing.T, req PredictRequest) string {
+	t.Helper()
+	k, ok := apps.ByName(req.Kernel)
+	if !ok {
+		t.Fatalf("unknown kernel %q", req.Kernel)
+	}
+	return Key("predict", req.Machine, "default", kernelKey(k), req.Variant,
+		fmt.Sprintf("g%d_t%d", req.Teams, req.Threads), advisor.BindingsKey(req.Bindings))
+}
+
+var keyedKinds = []keyedKind{{
+	name:    "advise",
+	path:    "/v1/advise",
+	request: func(n float64) any { return bindN(n) },
+	key:     func(t *testing.T, n float64) string { return adviseKeyFor(t, bindN(n)) },
+	typed:   isA[[]advisor.Recommendation],
+	planted: []advisor.Recommendation{{Kind: variants.GPU, Teams: 64, Threads: 128, PredictedUS: 123.5}},
+	other:   42.0,
+}, {
+	name:    "predict",
+	path:    "/v1/predict",
+	request: func(n float64) any { return predictN(n) },
+	key:     func(t *testing.T, n float64) string { return predictKeyFor(t, predictN(n)) },
+	typed:   isA[float64],
+	planted: 123.5,
+	other:   []advisor.Recommendation{{Kind: variants.GPU, Teams: 64, Threads: 128, PredictedUS: 42}},
+}}
+
+// ownedN finds an n at or above from whose key's primary owner on s's ring
+// is owner.
+func (k keyedKind) ownedN(t *testing.T, s *Server, owner string, from float64) float64 {
+	t.Helper()
+	for n := from; n < from+512; n++ {
+		if s.cluster.ring().Owner(k.key(t, n)) == owner {
+			return n
+		}
+	}
+	t.Fatalf("no %s key owned by %s in 512 candidates", k.name, owner)
+	return 0
+}
+
+// keyedOutcome is what one request did, in the terms the two endpoints
+// share: the answer's status and flags, and what moved at the server that
+// was asked.
+type keyedOutcome struct {
+	status   int
+	cached   bool
+	servedBy string // "", "self" or "peer"
+
+	hits, coalesced, admitted, shed, entries int // /v1/stats deltas
+	forwards, fallbacks, repairs             int // /v1/ring deltas
+}
+
+func keyedCounters(s *Server) keyedOutcome {
+	st := s.Stats()
+	c := keyedOutcome{
+		hits:      int(st.AdviseCacheHits),
+		coalesced: int(st.Coalesced),
+		admitted:  int(st.Admit.Admitted),
+		entries:   st.AdviseCache.Entries,
+	}
+	for _, n := range st.Shed {
+		c.shed += int(n)
+	}
+	if ring := st.Cluster; ring != nil {
+		c.fallbacks = int(ring.LocalFallbacks)
+		c.repairs = int(ring.AntiEntropy.ReadRepairs)
+		for _, m := range ring.Members {
+			c.forwards += int(m.Forwards)
+		}
+	}
+	return c
+}
+
+// observe runs fn — which sends the scenario's request(s) to s and returns
+// the last answer — and reports that answer with s's counter deltas.
+func observe(t *testing.T, s *Server, fn func() *httptest.ResponseRecorder) keyedOutcome {
+	t.Helper()
+	before := keyedCounters(s)
+	rec := fn()
+	out := keyedCounters(s)
+	out.hits -= before.hits
+	out.coalesced -= before.coalesced
+	out.admitted -= before.admitted
+	out.shed -= before.shed
+	out.entries -= before.entries
+	out.forwards -= before.forwards
+	out.fallbacks -= before.fallbacks
+	out.repairs -= before.repairs
+	out.status = rec.Code
+	if rec.Code == http.StatusOK {
+		var resp struct {
+			Cached   bool   `json:"cached"`
+			ServedBy string `json:"served_by"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("decoding answer: %v\n%s", err, rec.Body.String())
+		}
+		out.cached = resp.Cached
+		switch {
+		case resp.ServedBy == "":
+		case s.cluster != nil && resp.ServedBy == s.cluster.self:
+			out.servedBy = "self"
+		default:
+			out.servedBy = "peer"
+		}
+	}
+	return out
+}
+
+// nanModel answers NaN, as a registry entry whose checkpoint vanished does.
+type nanModel struct{}
+
+func (nanModel) PredictBatch(ss []*gnn.Sample) []float64 {
+	out := make([]float64, len(ss))
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	return out
+}
+
+// TestKeyedPath runs every way a request can leave serveKeyed over both
+// endpoints that enter it, and holds the two to the same outcome: status,
+// cached and served_by, and the same counter deltas — in particular a hit
+// and a read repair count as cache hits for a predict as they always did
+// for an advise. (A wrong-typed entry is TestWrongTypedCacheEntryIsAMiss,
+// over the same kinds.)
+func TestKeyedPath(t *testing.T) {
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, k keyedKind) keyedOutcome
+		want keyedOutcome
+	}{{
+		name: "cold",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			s := newTestServer(t)
+			return observe(t, s, func() *httptest.ResponseRecorder {
+				return do(t, s, http.MethodPost, k.path, k.request(300), nil)
+			})
+		},
+		want: keyedOutcome{status: 200, admitted: 1, entries: 1},
+	}, {
+		name: "hit",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			s := newTestServer(t)
+			do(t, s, http.MethodPost, k.path, k.request(300), nil)
+			return observe(t, s, func() *httptest.ResponseRecorder {
+				return do(t, s, http.MethodPost, k.path, k.request(300), nil)
+			})
+		},
+		want: keyedOutcome{status: 200, cached: true, hits: 1},
+	}, {
+		// A leader mid-evaluation and one identical request behind it: the
+		// pair costs one evaluation and the waiter (the answer reported) is
+		// counted coalesced, not cached.
+		name: "coalesced",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			gm := newGateModel()
+			s := newOverloadServer(t, gm, Options{})
+			return observe(t, s, func() *httptest.ResponseRecorder {
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if rec := do(t, s, http.MethodPost, k.path, k.request(300), nil); rec.Code != http.StatusOK {
+						t.Errorf("leader: %d %s", rec.Code, rec.Body.String())
+					}
+				}()
+				<-gm.started
+				var waiter *httptest.ResponseRecorder
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					waiter = do(t, s, http.MethodPost, k.path, k.request(300), nil)
+				}()
+				waitFor(t, func() bool { return s.flights.waiting() == 1 })
+				close(gm.release)
+				wg.Wait()
+				return waiter
+			})
+		},
+		want: keyedOutcome{status: 200, coalesced: 1, admitted: 1, entries: 1},
+	}, {
+		// One evaluation of the kind has been timed, so a miss whose budget
+		// is below that cost is shed before it holds anything.
+		name: "shed on a deadline",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			s := newOverloadServer(t, slowModel{delay: 30 * time.Millisecond}, Options{})
+			do(t, s, http.MethodPost, k.path, k.request(300), nil)
+			return observe(t, s, func() *httptest.ResponseRecorder {
+				rec := doH(t, s, http.MethodPost, k.path, k.request(301),
+					map[string]string{"X-Paragraph-Deadline": "5ms"})
+				checkRetryAfter(t, rec)
+				return rec
+			})
+		},
+		want: keyedOutcome{status: 503, shed: 1},
+	}, {
+		name: "forwarded",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			peers := startCluster(t, 2)
+			a, b := peers[0], peers[1]
+			n := k.ownedN(t, a.srv, b.http.URL, 300)
+			out := observe(t, a.srv, func() *httptest.ResponseRecorder {
+				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
+			})
+			if got := b.srv.Ring().ForwardedIn; got != 1 {
+				t.Errorf("owner's forwarded_in = %d, want 1", got)
+			}
+			return out
+		},
+		want: keyedOutcome{status: 200, servedBy: "peer", forwards: 1},
+	}, {
+		name: "every owner down",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			peers := startCluster(t, 2)
+			a, b := peers[0], peers[1]
+			n := k.ownedN(t, a.srv, b.http.URL, 300)
+			b.http.Close()
+			return observe(t, a.srv, func() *httptest.ResponseRecorder {
+				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
+			})
+		},
+		want: keyedOutcome{status: 200, servedBy: "self", admitted: 1, entries: 1, fallbacks: 1},
+	}, {
+		// The key's primary misses while its co-owner holds the entry —
+		// the state of a peer that has just rejoined.
+		name: "read-repaired",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			peers := startElasticCluster(t, 2, 2, ClusterConfig{Heartbeat: -1})
+			a, b := peers[0], peers[1]
+			n := k.ownedN(t, a.srv, a.url, 300)
+			body, err := encodeEntries(CacheItem{Key: k.key(t, n), Val: k.planted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := doRaw(t, b.srv, http.MethodPost, "/v1/replicate", body, a.url); rec.Code != http.StatusOK {
+				t.Fatalf("planting the entry on the co-owner: %d", rec.Code)
+			}
+			return observe(t, a.srv, func() *httptest.ResponseRecorder {
+				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
+			})
+		},
+		want: keyedOutcome{status: 200, cached: true, servedBy: "self", hits: 1, entries: 1, repairs: 1},
+	}, {
+		// Asked twice: the failed answer was not cached, so the second
+		// request evaluates again.
+		name: "non-finite prediction",
+		run: func(t *testing.T, k keyedKind) keyedOutcome {
+			s := newOverloadServer(t, nanModel{}, Options{})
+			return observe(t, s, func() *httptest.ResponseRecorder {
+				do(t, s, http.MethodPost, k.path, k.request(300), nil)
+				rec := do(t, s, http.MethodPost, k.path, k.request(300), nil)
+				if !strings.Contains(rec.Body.String(), "non-finite") {
+					t.Errorf("answer does not name the cause: %s", rec.Body.String())
+				}
+				return rec
+			})
+		},
+		want: keyedOutcome{status: 422, admitted: 2},
+	}}
+	for _, sc := range scenarios {
+		for _, k := range keyedKinds {
+			sc, k := sc, k
+			t.Run(sc.name+"/"+k.name, func(t *testing.T) {
+				if got := sc.run(t, k); got != sc.want {
+					t.Errorf("outcome %+v, want %+v", got, sc.want)
+				}
+			})
+		}
+	}
+}
+
+// TestWrongTypedCacheEntryIsAMiss: a cache entry whose value type does not
+// match its key's endpoint — reachable via a confused or hostile
+// /v1/replicate write, since keys are opaque hashes the handler cannot
+// type-check — must be recomputed and overwritten, never panic the
+// handler or be served. Both endpoints, each poisoned with the other's
+// type.
+func TestWrongTypedCacheEntryIsAMiss(t *testing.T) {
+	for _, k := range keyedKinds {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			peers := startClusterRF(t, 2, 2)
+			a, b := peers[0], peers[1]
+			n := k.ownedN(t, a.srv, a.http.URL, 50000)
+			key := k.key(t, n)
+			body, err := encodeEntries(CacheItem{Key: key, Val: k.other})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := doRaw(t, a.srv, http.MethodPost, "/v1/replicate", body, b.http.URL); rec.Code != http.StatusOK {
+				t.Fatalf("poisoning write: %d", rec.Code)
+			}
+			got := observe(t, a.srv, func() *httptest.ResponseRecorder {
+				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
+			})
+			// B holds nothing for the key, so the read repair A tries first
+			// misses; the entry count does not move — the poisoned entry is
+			// overwritten in place.
+			if want := (keyedOutcome{status: 200, servedBy: "self", admitted: 1}); got != want {
+				t.Errorf("outcome %+v, want %+v", got, want)
+			}
+			if v, ok := a.srv.adviseCache.Peek(key); !ok || !k.typed(v) {
+				t.Errorf("poisoned entry not overwritten: %T (present %v)", v, ok)
+			}
+		})
+	}
+}
+
+// TestWarmAdviseAllocations guards serve.hit.allocs_per_op where tier-1 can
+// see it: a warm /v1/advise through Server.Handler allocates no more than it
+// did before the keyed path was re-cut — 203 per request at PR 19, measured
+// by this same loop (request, recorder and the default 48-point grid's
+// rendering included). The hit path builds nothing for the evaluation it
+// does not run.
+func TestWarmAdviseAllocations(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				t.Skip("race instrumentation allocates; counts are only meaningful unraced")
+			}
+		}
+	}
+	const parent = 203
+	s := newTestServer(t)
+	body := `{"kernel":"matmul","machine":"NVIDIA V100 (GPU)","bindings":{"n":256}}`
+	hit := func() {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/advise", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("advise: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	hit() // cold: fills the cache
+	if got := testing.AllocsPerRun(200, hit); got > parent {
+		t.Errorf("a warm advise allocates %v times, %d at the parent", got, parent)
+	}
+}

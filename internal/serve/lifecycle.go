@@ -142,7 +142,6 @@ type lifecycle struct {
 	split         float64
 	retrainAfter  int // accepted measurements per platform between retrains; <= 0 disables
 	retrainEpochs int
-	windowSize    int
 	gcKeep        int // registry.GCPolicy.KeepLast; negative disables GC
 	hcfg          registry.HysteresisConfig
 
@@ -160,6 +159,15 @@ type lifecycle struct {
 
 	outcomes map[string]*obs.Counter // serve_feedback_total{outcome}
 }
+
+const (
+	// feedbackJournalSize bounds the journal of recently served responses
+	// that feedback submissions are validated against.
+	feedbackJournalSize = 4096
+	// qualityWindowSize is the per-model ring of (predicted, measured)
+	// pairs the rank correlation is computed over.
+	qualityWindowSize = 512
+)
 
 // feedbackOutcomes are the serve_feedback_total label values,
 // pre-registered so every outcome series exists at zero.
@@ -182,11 +190,10 @@ func (s *Server) initLifecycle() error {
 		s:             s,
 		log:           lg,
 		root:          s.opts.RegistryRoot,
-		journal:       NewCache(s.opts.FeedbackJournal),
+		journal:       NewCache(feedbackJournalSize),
 		split:         s.opts.RolloutSplit,
 		retrainAfter:  s.opts.RetrainAfter,
 		retrainEpochs: s.opts.RetrainEpochs,
-		windowSize:    s.opts.QualityWindow,
 		gcKeep:        s.opts.GCKeep,
 		hcfg: registry.HysteresisConfig{
 			MinSamples:     s.opts.MinQualitySamples,
@@ -346,7 +353,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	if targets, _, _ := s.route(s.isForwarded(r), freq.Key); len(targets) > 0 {
-		if pr, ok := s.tryForward(ctx, tr, targets, "/v1/feedback", freq); ok {
+		// The owner decodes the same bytes this peer just validated.
+		if pr, ok := s.cluster.forward(ctx, tr, targets, "/v1/feedback", raw); ok {
 			s.writeProxied(w, pr)
 			return
 		}
@@ -472,7 +480,7 @@ func (lc *lifecycle) observe(platform, model string, pred, meas float64) int {
 	p := lc.platLocked(platform)
 	w := p.windows[model]
 	if w == nil {
-		w = registry.NewQualityWindow(lc.windowSize)
+		w = registry.NewQualityWindow(qualityWindowSize)
 		p.windows[model] = w
 	}
 	w.Add(pred, meas)
@@ -668,7 +676,7 @@ func (lc *lifecycle) runRetrain(platform string) error {
 		p.st.Better, p.st.Worse = 0, 0
 	}
 	if p.windows[man.Name] == nil {
-		p.windows[man.Name] = registry.NewQualityWindow(lc.windowSize)
+		p.windows[man.Name] = registry.NewQualityWindow(qualityWindowSize)
 	}
 	lc.mu.Unlock()
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -215,6 +216,49 @@ func TestFeedbackPredictRoundTrip(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestFeedbackForwardsToKeyOwner: in a cluster the owner served and
+// journaled the request, so a measurement handed to another peer is
+// forwarded there — the submitted bytes as they arrived — and accepted.
+func TestFeedbackForwardsToKeyOwner(t *testing.T) {
+	var peers [2]*Server
+	var urls [2]string
+	for i := range peers {
+		peers[i], _ = newFeedbackServer(t)
+		hs := httptest.NewServer(peers[i].Handler())
+		t.Cleanup(hs.Close)
+		urls[i] = hs.URL
+	}
+	for i, p := range peers {
+		if err := p.EnableCluster(ClusterConfig{Self: urls[i], Peers: urls[:], Heartbeat: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := peers[0], peers[1]
+
+	// A prediction asked of A whose key B owns: B evaluates and journals it.
+	var pr PredictResponse
+	for n := 256.0; pr.ServedBy != urls[1]; n++ {
+		if n > 512 {
+			t.Fatal("no key owned by the other peer in 256 candidates")
+		}
+		pr = lcPredict(t, a, n)
+	}
+	rec := postFeedbackRaw(t, a, fmt.Sprintf(`{"key": %q, "measured_us": %g}`, pr.Key, pr.PredictedUS*1.05))
+	var resp FeedbackResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("feedback via the non-owner: %d %s (%v)", rec.Code, rec.Body.String(), err)
+	}
+	if resp.Status != "accepted" || resp.ServedBy != urls[1] || resp.PredictedUS != pr.PredictedUS {
+		t.Errorf("feedback echo = %+v, want it accepted by the owner %s", resp, urls[1])
+	}
+	if got := lcStats(t, b).Lifecycle.FeedbackAccepted; got != 1 {
+		t.Errorf("owner accepted %d measurements, want 1", got)
+	}
+	if got := lcStats(t, a).Lifecycle.FeedbackAccepted; got != 0 {
+		t.Errorf("the forwarding peer accepted %d measurements itself, want 0", got)
 	}
 }
 

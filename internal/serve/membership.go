@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"paragraph/internal/advisor"
 	"paragraph/internal/obs"
 	"paragraph/internal/shard"
 )
@@ -173,7 +171,7 @@ func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "no entry for key")
 		return
 	}
-	body, err := marshalReplicate(key, v)
+	body, err := encodeEntries(CacheItem{Key: key, Val: v})
 	if err != nil {
 		s.fail(w, http.StatusNotFound, "entry not servable: %v", err)
 		return
@@ -339,7 +337,7 @@ func (s *Server) antiEntropyLoop() {
 // without client traffic — the cache-tier analogue of loading exactly the
 // missing shard slices in parallel instead of recomputing them. The sweep
 // runs entirely off the request path: fetches are capped at
-// RefillConcurrency and every pull is a cheap cache-to-cache copy.
+// refillConcurrency and every pull is a cheap cache-to-cache copy.
 func (s *Server) antiEntropyOnce(ctx context.Context) {
 	c := s.cluster
 	ring := c.ring()
@@ -384,7 +382,7 @@ func (s *Server) antiEntropyOnce(ctx context.Context) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		sem := make(chan struct{}, c.refillWorkers)
+		sem := make(chan struct{}, refillConcurrency)
 		var wg sync.WaitGroup
 		for _, key := range keys {
 			wg.Add(1)
@@ -405,26 +403,39 @@ func (s *Server) antiEntropyOnce(ctx context.Context) {
 	c.lastSweepUnix.Store(time.Now().Unix())
 }
 
-// pullEntry fetches one cache entry from the first holder that still has
-// it and inserts it locally.
+// pullEntry is the anti-entropy refill of one key: fetch it from the first
+// holder that still has it.
 func (s *Server) pullEntry(ctx context.Context, key string, holders []string) bool {
+	_, _, ok := s.fetchEntry(ctx, key, holders, s.cluster.heartbeat+5*time.Second)
+	return ok
+}
+
+// fetchEntry asks peers in order for their copy of one cache entry (GET
+// /v1/cluster/entry), each probe bounded by timeout, and inserts the first
+// usable answer into the local cache. Self is skipped; a peer that is
+// down, lacks the entry, or answers a body that does not decode to exactly
+// this key is passed over.
+func (s *Server) fetchEntry(ctx context.Context, key string, peers []string, timeout time.Duration) (val any, from string, ok bool) {
 	c := s.cluster
-	for _, peer := range holders {
-		hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat+5*time.Second)
+	for _, peer := range peers {
+		if peer == c.self {
+			continue
+		}
+		hopCtx, cancel := context.WithTimeout(ctx, timeout)
 		status, body, err := c.fwd.Control(hopCtx, http.MethodGet, peer,
 			"/v1/cluster/entry?key="+url.QueryEscape(key), nil)
 		cancel()
 		if err != nil || status != http.StatusOK {
 			continue
 		}
-		gotKey, val, err := unmarshalReplicateEntry(body)
-		if err != nil || gotKey != key {
+		it, err := decodeEntry(body)
+		if err != nil || it.Key != key {
 			continue
 		}
-		s.adviseCache.Add(key, val)
-		return true
+		s.adviseCache.Add(key, it.Val)
+		return it.Val, peer, true
 	}
-	return false
+	return nil, "", false
 }
 
 // ownersContain reports whether owners includes name.
@@ -458,63 +469,16 @@ func (s *Server) tryRepair(ctx context.Context, tr *obs.Trace, key string, owner
 		return nil, false
 	}
 	sp := tr.StartSpan("read_repair")
-	for _, peer := range owners {
-		if peer == c.self {
-			continue
-		}
-		hopCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		status, body, err := c.fwd.Control(hopCtx, http.MethodGet, peer,
-			"/v1/cluster/entry?key="+url.QueryEscape(key), nil)
-		cancel()
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		gotKey, val, err := unmarshalReplicateEntry(body)
-		if err != nil || gotKey != key {
-			continue
-		}
-		s.adviseCache.Add(key, val)
-		c.readRepairs.Add(1)
-		sp.Annotate(peer)
-		sp.End()
-		return val, true
+	defer sp.End()
+	val, from, ok := s.fetchEntry(ctx, key, owners, 2*time.Second)
+	if !ok {
+		c.repairMisses.Add(1)
+		sp.Annotate("miss")
+		return nil, false
 	}
-	c.repairMisses.Add(1)
-	sp.Annotate("miss")
-	sp.End()
-	return nil, false
-}
-
-// unmarshalReplicateEntry decodes a single-entry replicate body (the
-// /v1/cluster/entry response) into its key and typed value.
-func unmarshalReplicateEntry(body []byte) (string, any, error) {
-	var snap cacheSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return "", nil, fmt.Errorf("serve: decoding entry: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return "", nil, fmt.Errorf("serve: unsupported entry version %d", snap.Version)
-	}
-	switch {
-	case len(snap.Advise) == 1 && len(snap.Predict) == 0:
-		as := snap.Advise[0]
-		recs := make([]advisor.Recommendation, len(as.Recs))
-		for i, rs := range as.Recs {
-			kind, err := kindByName(rs.Kind)
-			if err != nil {
-				return "", nil, err
-			}
-			recs[i] = advisor.Recommendation{
-				Kind: kind, Teams: rs.Teams, Threads: rs.Threads,
-				PredictedUS: rs.PredictedUS, Source: rs.Source,
-			}
-		}
-		return as.Key, recs, nil
-	case len(snap.Predict) == 1 && len(snap.Advise) == 0:
-		return snap.Predict[0].Key, snap.Predict[0].US, nil
-	default:
-		return "", nil, fmt.Errorf("serve: entry body must hold exactly one entry")
-	}
+	c.readRepairs.Add(1)
+	sp.Annotate(from)
+	return val, true
 }
 
 // --- planned departure ---
@@ -540,8 +504,8 @@ type DrainReport struct {
 }
 
 // drainBatchLimit caps entries per handoff POST; drainBatchBytes caps the
-// marshaled payload well under maxReplicateBytes so a receiver never
-// rejects a batch for size.
+// body well under maxReplicateBytes so a receiver never rejects a batch
+// for size.
 const (
 	drainBatchLimit = 128
 	drainBatchBytes = 1 << 20
@@ -639,61 +603,37 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 }
 
 // drainTo streams one target's entries in bounded batches over the
-// replicate wire schema, marking delivered keys in streamed.
+// replicate wire schema, marking delivered keys in streamed. A batch is
+// encoded once and sent; one whose body comes out over drainBatchBytes is
+// halved until it fits (or is a single entry). The next batch is sized from
+// the bytes per entry of the one just built — the response cache mixes
+// rankings carrying source with 60-byte predictions, so a run of large
+// entries must neither be re-encoded at full width every time nor leave
+// the small ones after it trickling out a few per POST.
 func (s *Server) drainTo(ctx context.Context, target string, items []CacheItem, report *DrainReport, streamed map[string]bool) {
-	c := s.cluster
-	var (
-		snap  cacheSnapshot
-		keys  []string
-		bytes int
-	)
-	flush := func() {
-		if len(keys) == 0 {
-			return
+	n := drainBatchLimit
+	for len(items) > 0 && ctx.Err() == nil {
+		n = min(n, len(items))
+		body, err := encodeEntries(items[:n]...)
+		for err == nil && len(body) > drainBatchBytes && n > 1 {
+			n /= 2
+			body, err = encodeEntries(items[:n]...)
 		}
-		snap.Version = snapshotVersion
-		body, err := json.Marshal(snap)
-		if err == nil {
-			status, _, ferr := c.fwd.Forward(ctx, target, "/v1/replicate", body, shard.Meta{})
-			if ferr == nil && status/100 == 2 {
-				for _, k := range keys {
-					streamed[k] = true
-				}
-			} else {
-				report.Errors++
-			}
-			report.Batches++
-		}
-		snap = cacheSnapshot{}
-		keys = keys[:0]
-		bytes = 0
-	}
-	for _, it := range items {
-		if ctx.Err() != nil {
-			break
-		}
-		var size int
-		switch v := it.Val.(type) {
-		case []advisor.Recommendation:
-			as := adviseSnapOf(it.Key, v)
-			b, err := json.Marshal(as)
-			if err != nil {
-				continue
-			}
-			size = len(b)
-			snap.Advise = append(snap.Advise, as)
-		case float64:
-			ps := predictSnap{Key: it.Key, US: v}
-			size = len(it.Key) + 32
-			snap.Predict = append(snap.Predict, ps)
-		default:
+		batch := items[:n]
+		items = items[n:]
+		if err != nil {
+			report.Errors++
 			continue
 		}
-		keys = append(keys, it.Key)
-		bytes += size
-		if len(keys) >= drainBatchLimit || bytes >= drainBatchBytes {
-			flush()
+		n = max(1, min(drainBatchLimit, n*drainBatchBytes/len(body)))
+		status, _, err := s.cluster.fwd.Forward(ctx, target, "/v1/replicate", body, shard.Meta{})
+		if err == nil && status/100 == 2 {
+			for _, it := range batch {
+				streamed[it.Key] = true
+			}
+		} else {
+			report.Errors++
 		}
+		report.Batches++
 	}
-	flush()
 }

@@ -235,12 +235,12 @@ func TestClusterKeysAndEntryEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("entry: %d", rec.Code)
 	}
-	gotKey, val, err := unmarshalReplicateEntry(rec.Body.Bytes())
-	if err != nil || gotKey != key {
-		t.Fatalf("entry decode: key=%q err=%v", gotKey, err)
+	it, err := decodeEntry(rec.Body.Bytes())
+	if err != nil || it.Key != key {
+		t.Fatalf("entry decode: key=%q err=%v", it.Key, err)
 	}
-	if _, ok := val.([]advisor.Recommendation); !ok {
-		t.Fatalf("entry value type %T, want recommendations", val)
+	if _, ok := it.Val.([]advisor.Recommendation); !ok {
+		t.Fatalf("entry value type %T, want recommendations", it.Val)
 	}
 	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry?key=deadbeef", nil, ""); rec.Code != http.StatusNotFound {
 		t.Errorf("missing entry: %d, want 404", rec.Code)
@@ -352,7 +352,7 @@ func TestClusterReadRepairServesOwnedMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	planted := []advisor.Recommendation{{Kind: kind, Teams: 64, Threads: 128, PredictedUS: 123.5}}
-	body, err := marshalReplicate(key, planted)
+	body, err := encodeEntries(CacheItem{Key: key, Val: planted})
 	if err != nil {
 		t.Fatal(err)
 	}

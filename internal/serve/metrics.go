@@ -29,7 +29,7 @@ type endpointInstruments struct {
 // serveMetrics is the server's metric surface: every series /metrics
 // exposes, built on the same instruments /v1/stats snapshots — one source
 // of truth, two renderings. Instruments the request path writes are
-// registry-owned (lock-free); everything else (caches, pool, batchers,
+// registry-owned (lock-free); everything else (cache, fair queue, batchers,
 // cluster) is read from its owning component at scrape time.
 type serveMetrics struct {
 	reg       *obs.Registry
@@ -49,7 +49,7 @@ type serveMetrics struct {
 }
 
 // newServeMetrics builds the registry over a fully assembled server (its
-// caches, pool and per-model batchers must exist; cluster series join
+// cache, fair queue and per-model batchers must exist; cluster series join
 // later via registerCluster).
 func newServeMetrics(s *Server) *serveMetrics {
 	m := &serveMetrics{
@@ -81,26 +81,17 @@ func newServeMetrics(s *Server) *serveMetrics {
 	m.reg.GaugeFunc("serve_uptime_seconds", "Seconds since the server started.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	for name, c := range map[string]*Cache{"advise": s.adviseCache, "encode": s.encodeCache} {
-		c, labels := c, obs.L("cache", name)
-		m.reg.GaugeFunc("serve_cache_entries", "Entries resident, by cache.", labels,
-			func() float64 { return float64(c.Stats().Entries) })
-		m.reg.CounterFunc("serve_cache_hits_total", "Cache hits, by cache.", labels,
-			func() float64 { return float64(c.Stats().Hits) })
-		m.reg.CounterFunc("serve_cache_misses_total", "Cache misses, by cache.", labels,
-			func() float64 { return float64(c.Stats().Misses) })
-		m.reg.CounterFunc("serve_cache_evictions_total", "LRU evictions, by cache.", labels,
-			func() float64 { return float64(c.Stats().Evictions) })
-	}
-
-	m.reg.GaugeFunc("serve_pool_size", "Evaluation pool slot count.", nil,
-		func() float64 { return float64(s.pool.Stats().Size) })
-	m.reg.GaugeFunc("serve_pool_in_flight", "Evaluations holding a pool slot.", nil,
-		func() float64 { return float64(s.pool.inFlight.Load()) })
-	m.reg.GaugeFunc("serve_pool_waiting", "Requests blocked waiting for a pool slot.", nil,
-		func() float64 { return float64(s.pool.waiting.Load()) })
-	m.reg.CounterFunc("serve_pool_evaluations_total", "Evaluations the pool has run.", nil,
-		func() float64 { return float64(s.pool.total.Load()) })
+	// The cache label predates there being one cache; it stays so existing
+	// queries keep matching.
+	labels := obs.L("cache", "advise")
+	m.reg.GaugeFunc("serve_cache_entries", "Entries resident, by cache.", labels,
+		func() float64 { return float64(s.adviseCache.Stats().Entries) })
+	m.reg.CounterFunc("serve_cache_hits_total", "Cache hits, by cache.", labels,
+		func() float64 { return float64(s.adviseCache.Stats().Hits) })
+	m.reg.CounterFunc("serve_cache_misses_total", "Cache misses, by cache.", labels,
+		func() float64 { return float64(s.adviseCache.Stats().Misses) })
+	m.reg.CounterFunc("serve_cache_evictions_total", "LRU evictions, by cache.", labels,
+		func() float64 { return float64(s.adviseCache.Stats().Evictions) })
 
 	// Admission fair queue: aggregate depth and per-client lanes. Lanes
 	// come and go with traffic, so the per-client series are discovered at

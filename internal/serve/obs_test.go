@@ -43,7 +43,7 @@ func scrapeMetrics(t *testing.T, s *Server) string {
 
 func TestMetricsExposition(t *testing.T) {
 	s := newTestServer(t)
-	// One cold advise (evaluates through pool and batcher) and one warm
+	// One cold advise (evaluates through admission and batcher) and one warm
 	// repeat (response-cache hit) give every request-path series a value.
 	do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), nil)
 	do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), nil)
@@ -57,9 +57,7 @@ func TestMetricsExposition(t *testing.T) {
 		"serve_advise_cache_hits_total 1",
 		`serve_cache_entries{cache="advise"} 1`,
 		`serve_cache_hits_total{cache="advise"} 1`,
-		"serve_pool_size ", // value is GOMAXPROCS-dependent
-
-		"serve_pool_evaluations_total 1",
+		"serve_admit_admitted_total 1",
 		"# TYPE serve_batcher_latency_seconds histogram",
 		`serve_batcher_latency_seconds_count{platform="NVIDIA V100 (GPU)",model="default"}`,
 		`serve_batch_size_bucket{platform="NVIDIA V100 (GPU)",model="default",le="+Inf"}`,

@@ -19,7 +19,6 @@ import (
 	"paragraph/internal/advisor"
 	"paragraph/internal/apps"
 	"paragraph/internal/dataset"
-	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 	"paragraph/internal/obs"
 	"paragraph/internal/paragraph"
@@ -63,7 +62,6 @@ type ModelInfo struct {
 // Options tunes the service layers. Zero values pick sensible defaults.
 type Options struct {
 	AdviseCacheSize int // whole-response + prediction cache entries (default 512)
-	EncodeCacheSize int // encoded-graph cache entries (default 2048)
 	PoolSize        int // max advise/predict evaluations in flight (default GOMAXPROCS)
 	GridWorkers     int // per-advise front-end fan-out (default GOMAXPROCS)
 
@@ -85,9 +83,6 @@ type Options struct {
 	// logged as a structured slow-request record (default 250ms; negative
 	// disables slow logging — traces are still recorded and served).
 	TraceSlow time.Duration
-	// TraceRing bounds the in-memory ring of finished traces served at
-	// GET /v1/trace (default 128).
-	TraceRing int
 	// Logger receives slow-trace and per-request debug records (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -111,9 +106,6 @@ type Options struct {
 	// RetrainEpochs bounds each incremental retrain (0 = the trainer's
 	// incremental default).
 	RetrainEpochs int
-	// QualityWindow is the per-model ring of (predicted, measured) pairs the
-	// rank correlation is computed over (default 512).
-	QualityWindow int
 	// MinQualitySamples gates promote/rollback decisions until both windows
 	// hold this many pairs (0 = registry default 30).
 	MinQualitySamples int
@@ -129,17 +121,11 @@ type Options struct {
 	// promotion beyond the protected set (stable, candidate, default alias):
 	// 0 defaults to 2, -1 keeps none, any other negative disables GC.
 	GCKeep int
-	// FeedbackJournal bounds the journal of recently served responses that
-	// feedback submissions are validated against (default 4096).
-	FeedbackJournal int
 }
 
 func (o Options) withDefaults() Options {
 	if o.AdviseCacheSize <= 0 {
 		o.AdviseCacheSize = 512
-	}
-	if o.EncodeCacheSize <= 0 {
-		o.EncodeCacheSize = 2048
 	}
 	if o.PoolSize <= 0 {
 		o.PoolSize = runtime.GOMAXPROCS(0)
@@ -165,9 +151,6 @@ func (o Options) withDefaults() Options {
 	if o.RetrainAfter == 0 {
 		o.RetrainAfter = 100
 	}
-	if o.QualityWindow <= 0 {
-		o.QualityWindow = 512
-	}
 	switch {
 	case o.GCKeep == 0:
 		o.GCKeep = 2
@@ -175,9 +158,6 @@ func (o Options) withDefaults() Options {
 		o.GCKeep = 0
 	case o.GCKeep < -1:
 		o.GCKeep = -1 // registry.GCPolicy: negative disables
-	}
-	if o.FeedbackJournal <= 0 {
-		o.FeedbackJournal = 4096
 	}
 	return o
 }
@@ -221,14 +201,14 @@ type Server struct {
 	opts        Options
 	mux         *http.ServeMux
 	backends    map[string]*backendState
-	adviseCache *Cache // whole advise responses and single predictions
-	encodeCache *Cache // encoded graphs, shared across backends
-	pool        *Pool
+	adviseCache *Cache      // whole advise responses and single predictions
 	flights     flightGroup // collapses identical concurrent cache misses
 
-	// admit fronts the eval pool with per-client fair queueing and bounded
-	// backlogs; jobs backs the async advise path. jobsCtx is the lifetime
-	// of async evaluations (cancelled in Close, then jobsWG drained).
+	// admit bounds the evaluations in flight (Options.PoolSize slots, so a
+	// burst queues instead of oversubscribing the CPU with grid fan-outs)
+	// and orders the waiters per-client fair with bounded backlogs; jobs
+	// backs the async advise path. jobsCtx is the lifetime of async
+	// evaluations (cancelled in Close, then jobsWG drained).
 	admit      *admit.Queue
 	jobs       *admit.Store
 	jobsCtx    context.Context
@@ -248,20 +228,6 @@ type Server struct {
 	cluster *cluster
 }
 
-// encodeCacheAdapter exposes a *Cache as the advisor's EncodeCache.
-type encodeCacheAdapter struct{ c *Cache }
-
-func (a encodeCacheAdapter) Get(key string) (*gnn.Graph, bool) {
-	v, ok := a.c.Get(key)
-	if !ok {
-		return nil, false
-	}
-	g, ok := v.(*gnn.Graph)
-	return g, ok
-}
-
-func (a encodeCacheAdapter) Add(key string, g *gnn.Graph) { a.c.Add(key, g) }
-
 // NewServer assembles the service from trained backends.
 func NewServer(backends []Backend, opts Options) (*Server, error) {
 	if len(backends) == 0 {
@@ -274,11 +240,6 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 		mux:         http.NewServeMux(),
 		backends:    map[string]*backendState{},
 		adviseCache: NewCache(opts.AdviseCacheSize),
-		encodeCache: NewCache(opts.EncodeCacheSize),
-		pool:        NewPool(opts.PoolSize),
-		// The fair queue's concurrency equals the pool size, so the pool
-		// itself never develops a FIFO backlog: ordering policy lives in
-		// the queue, capacity accounting in the pool.
 		admit: admit.NewQueue(admit.QueueConfig{
 			Concurrency:  opts.PoolSize,
 			MaxQueued:    opts.QueueLimit,
@@ -339,9 +300,8 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 	}
 	s.logger = opts.Logger
 	s.tracer = obs.NewTracer(obs.TracerOptions{
-		Slow:     opts.TraceSlow,
-		RingSize: opts.TraceRing,
-		Logger:   opts.Logger,
+		Slow:   opts.TraceSlow,
+		Logger: opts.Logger,
 	})
 	s.metrics = newServeMetrics(s)
 	// Advise, predict and replicate are traced (they carry the expensive
@@ -367,13 +327,12 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 }
 
 // newModelState wires one model version into the serving plumbing: its
-// metered batcher, the advisor on top, and the shared encode cache.
+// metered batcher and the advisor on top.
 func (s *Server) newModelState(machine hw.Machine, name string, model BatchPredictor, prep *dataset.Prepared, info ModelInfo) *modelState {
 	batcher := NewBatcher(model, 0, 0)
 	adv := advisor.New(batcher, prep, machine)
 	adv.SetLevel(info.Level)
 	adv.SetWorkers(s.opts.GridWorkers)
-	adv.SetEncodeCache(encodeCacheAdapter{s.encodeCache})
 	return &modelState{
 		name: name, info: info, advisor: adv, batcher: batcher,
 		adviseEval:  obs.NewHistogram(obs.DefLatencyBuckets),
@@ -814,7 +773,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		fmtInts(space.CPUThreads), fmtInts(space.GPUTeams), fmtInts(space.GPUThreads))
 
 	p := adviseParams{
-		req: req, be: be, ms: ms, k: k, space: space, key: key,
+		req: &req, be: be, ms: ms, k: k, space: space, key: key,
 		client:    clientKey(r),
 		forwarded: s.isForwarded(r),
 	}
@@ -831,37 +790,21 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	startReq := time.Now()
-	recs, pr, cached, coalesced, err := s.adviseRecs(ctx, tr, p)
-	if err != nil {
-		if shed, ok := asShed(err); ok {
-			s.writeShed(w, shed, evalCost(ms.adviseEval))
-			return
-		}
-		s.fail(w, http.StatusUnprocessableEntity, "advise %s on %s/%s: %v", k.Name, be.machine.Name, ms.name, err)
-		return
-	}
-	if coalesced {
-		s.metrics.coalesced.Inc()
-	}
-	if pr != nil {
+	resp, pr, err := s.advise(ctx, tr, p)
+	switch {
+	case err != nil:
+		s.failKeyed(w, err, ms.adviseEval, "advise", k, be, ms)
+	case pr != nil:
 		s.writeProxied(w, *pr)
-		return
+	default:
+		s.writeJSON(w, http.StatusOK, resp)
 	}
-	ms.advise.Add(1)
-	ms.touch()
-	if s.lifecycle != nil {
-		s.lifecycle.noteAdvise(p, recs)
-	}
-	resp := s.renderAdvise(p, recs, cached, coalesced)
-	resp.ElapsedMS = float64(time.Since(startReq).Microseconds()) / 1000
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // adviseParams is one advise evaluation's resolved inputs, shared by the
 // synchronous handler and the async job path.
 type adviseParams struct {
-	req       AdviseRequest
+	req       *AdviseRequest
 	be        *backendState
 	ms        *modelState
 	k         apps.Kernel
@@ -871,112 +814,30 @@ type adviseParams struct {
 	forwarded bool
 }
 
-// adviseRecs serves one advise evaluation: response cache, then the
-// deadline shed check, then forward-or-evaluate inside the singleflight
-// with the evaluation admitted through the per-client fair queue. Exactly
-// one of recs and pr is set on success. Cache hits are never shed — they
-// cost microseconds and always beat any deadline.
-func (s *Server) adviseRecs(ctx context.Context, tr *obs.Trace, p adviseParams) (recs []advisor.Recommendation, pr *proxiedResponse, cached, coalesced bool, err error) {
-	lookup := tr.StartSpan("cache_lookup")
-	v, hit := s.adviseCache.Get(p.key)
-	lookup.End()
-	if hit {
-		// A local hit is served locally even if a peer owns the key: the
-		// entry is content-addressed and immutable, so it is byte-identical
-		// to whatever the owner holds, and the hop is free to skip. The
-		// comma-ok guard treats a wrong-typed entry (a malformed or hostile
-		// /v1/replicate write — keys are opaque hashes, so the handler
-		// cannot tell advise from predict values) as a miss to recompute
-		// and overwrite, never a value to trust.
-		if r2, ok := v.([]advisor.Recommendation); ok {
-			s.metrics.adviseHits.Inc()
-			return r2, nil, true, false, nil
-		}
-	}
-	// Deadline-aware shedding: a request that predictably cannot finish
-	// inside its budget is rejected before it holds anything — each caller
-	// applies its own deadline even when it would coalesce into a flight.
-	if shed := s.shedCheck(ctx, evalCost(p.ms.adviseEval)); shed != nil {
-		return nil, nil, false, false, shed
-	}
-	// The miss may belong to a peer: in cluster mode it is forwarded to
-	// the key's owners in successor order — primary first, replicas when
-	// the primary is unreachable — so the owner's cache and singleflight
-	// absorb all traffic for the key; with every owner unreachable it
-	// falls back to local evaluation — degraded (a duplicate
-	// evaluation), never failing. An owner evaluating the miss itself
-	// writes the entry through to the key's replicas (fire-and-forget),
-	// so one peer death loses no warmth. Forward-or-evaluate runs inside
-	// the singleflight so a burst of identical misses at a non-owner
-	// shares one proxied hop instead of each holding a connection to the
-	// owner. Top and IncludeSource are not in the cache key (a cached
-	// ranking serves any rendering), but a proxied response is already
-	// rendered, so they join the flight key — requests differing only in
-	// rendering must not share proxied bytes.
-	targets, owners, owned := s.route(p.forwarded, p.key)
-	flightKey := fmt.Sprintf("%s|t%d_s%v", p.key, p.req.Top, p.req.IncludeSource)
-	flightStart := time.Now()
-	v, shared, err := s.flights.Do(flightKey, func() (any, error) {
-		if len(targets) > 0 {
-			if fr, ok := s.tryForward(ctx, tr, targets, "/v1/advise", p.req); ok {
-				return fr, nil
-			}
-		}
-		// Owned miss with live co-owners: before paying an evaluation, try
-		// pulling the entry from a replica's cache (read repair). The case
-		// this serves is a peer that just rejoined — it owns its old keys
-		// again but holds none of them until the next anti-entropy sweep,
-		// while its co-owners still do.
-		if v, ok := s.tryRepair(ctx, tr, p.key, owners, owned); ok {
-			if r2, ok := v.([]advisor.Recommendation); ok {
-				return repairedEntry{val: r2}, nil
-			}
-		}
-		poolWait := tr.StartSpan("pool_wait")
-		var out []advisor.Recommendation
-		err := s.admitRun(ctx, p.client, p.ms.adviseEval, func() error {
-			poolWait.End()
-			var err error
-			out, err = p.ms.advisor.AdviseCtx(ctx, p.k, p.req.Bindings, p.space)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := checkFinite(out); err != nil {
-			return nil, err
-		}
-		s.adviseCache.Add(p.key, out)
-		s.replicate(p.key, out, owners, owned, tr.ID())
-		return out, nil
+// advise answers one resolved advise request, for the synchronous handler
+// and the async job alike: the keyed path, then — unless a peer answered
+// (pr) or it failed — the per-model accounting, the feedback journal and
+// the rendering with the request's Top truncation and IncludeSource.
+// ElapsedMS covers this call.
+func (s *Server) advise(ctx context.Context, tr *obs.Trace, p adviseParams) (resp AdviseResponse, pr *proxiedResponse, err error) {
+	start := time.Now()
+	v, pr, cached, coalesced, err := s.serveKeyed(ctx, tr, keyed{
+		key: p.key, top: p.req.Top, withSource: p.req.IncludeSource,
+		client: p.client, forwarded: p.forwarded,
+		path: "/v1/advise", req: p.req, eval: p.ms.adviseEval, typed: isA[[]advisor.Recommendation],
+	}, func(ctx context.Context) (any, error) {
+		return p.ms.advisor.AdviseCtx(ctx, p.k, p.req.Bindings, p.space)
 	})
-	if err != nil {
-		return nil, nil, false, false, err
+	if err != nil || pr != nil {
+		return resp, pr, err
 	}
-	if shared {
-		coalesced = true
-		// Recorded retroactively: a waiter only learns it waited — and
-		// for how long — once the leader's flight lands.
-		tr.AddSpan("singleflight_wait", "", flightStart, time.Since(flightStart))
+	recs := v.([]advisor.Recommendation)
+	p.ms.advise.Add(1)
+	p.ms.touch()
+	if s.lifecycle != nil {
+		s.lifecycle.noteAdvise(p, recs)
 	}
-	if fr, ok := v.(proxiedResponse); ok {
-		return nil, &fr, false, coalesced, nil
-	}
-	if re, ok := v.(repairedEntry); ok {
-		// A repaired entry is a cache hit from the tier's point of view:
-		// the warmth existed, just on a co-owner.
-		s.metrics.adviseHits.Inc()
-		return re.val.([]advisor.Recommendation), nil, true, coalesced, nil
-	}
-	return v.([]advisor.Recommendation), nil, false, coalesced, nil
-}
-
-// renderAdvise shapes the ranked grid into the response envelope,
-// applying the request's Top truncation and IncludeSource rendering.
-// ElapsedMS is the caller's to fill (the sync path measures the request,
-// the async path the evaluation).
-func (s *Server) renderAdvise(p adviseParams, recs []advisor.Recommendation, cached, coalesced bool) AdviseResponse {
-	resp := AdviseResponse{
+	resp = AdviseResponse{
 		Machine:   p.be.machine.Name,
 		Model:     p.ms.name,
 		Kernel:    p.k.Name,
@@ -1001,20 +862,163 @@ func (s *Server) renderAdvise(p adviseParams, recs []advisor.Recommendation, cac
 		}
 		resp.Recommendations = append(resp.Recommendations, out)
 	}
-	return resp
+	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	return resp, nil, nil
 }
 
-// checkFinite rejects rankings carrying non-finite predictions — the
-// signature of a registry model whose checkpoint vanished or corrupted
-// under a live server (registry entries answer NaN rather than crash the
-// batcher). Failing the request keeps poisoned rankings out of the cache.
-func checkFinite(recs []advisor.Recommendation) error {
+// keyed is one advise or predict request as the keyed path (serveKeyed)
+// sees it: where its answer is cached, whom it may share an evaluation
+// with, where it is forwarded and what it costs. How it is evaluated is
+// serveKeyed's other argument.
+type keyed struct {
+	key       string // content-addressed response-cache key
+	client    string // fair-queue lane
+	forwarded bool   // arrived with the loop-guard header: never forward again
+	path      string // endpoint an owning peer answers it on ...
+	req       any    // ... and the decoded request to send there (a pointer)
+	// top and withSource are an advise's rendering options (a predict has
+	// none). They are not in key — a cached ranking serves any rendering —
+	// but a proxied answer is already rendered, so they join the
+	// singleflight key: requests differing only in rendering must not
+	// share proxied bytes.
+	top        int
+	withSource bool
+	// eval holds the wall times of this kind's whole cold evaluations on
+	// this model; its median prices the request for admission.
+	eval *obs.Histogram
+	// typed reports whether a cached value is of this endpoint's type.
+	typed func(any) bool
+}
+
+// isA is keyed.typed for an endpoint whose answers are cached as T.
+func isA[T any](v any) bool { _, ok := v.(T); return ok }
+
+// allFinite reports whether every prediction in an evaluation's result —
+// a ranking or a single prediction — is a finite number.
+func allFinite(v any) bool {
+	if us, ok := v.(float64); ok {
+		return finite(us)
+	}
+	recs, _ := v.([]advisor.Recommendation)
 	for _, r := range recs {
-		if math.IsNaN(r.PredictedUS) || math.IsInf(r.PredictedUS, 0) {
-			return fmt.Errorf("model produced a non-finite prediction (checkpoint unavailable?)")
+		if !finite(r.PredictedUS) {
+			return false
 		}
 	}
-	return nil
+	return true
+}
+
+func finite(us float64) bool { return !math.IsNaN(us) && !math.IsInf(us, 0) }
+
+// serveKeyed is the one path every advise and predict answer takes:
+// response cache, then the deadline shed check, then forward-or-evaluate
+// inside the singleflight with the evaluation admitted through the
+// per-client fair queue. On success exactly one of val and pr is set.
+// Cache hits are never shed — they cost microseconds and always beat any
+// deadline. evaluate is a parameter rather than a field of q because a
+// func that is only called stays on its caller's stack: a hit allocates
+// nothing for the evaluation it does not run.
+func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluate func(context.Context) (any, error)) (val any, pr *proxiedResponse, cached, coalesced bool, err error) {
+	lookup := tr.StartSpan("cache_lookup")
+	v, hit := s.adviseCache.Get(q.key)
+	lookup.End()
+	// A local hit is served locally even if a peer owns the key: the entry
+	// is content-addressed and immutable, so it is byte-identical to
+	// whatever the owner holds, and the hop is free to skip. An entry of
+	// the other endpoint's type (a malformed or hostile /v1/replicate write
+	// — keys are opaque hashes, so that handler cannot tell advise from
+	// predict values) is a miss to recompute and overwrite, never a value to
+	// trust.
+	if hit && q.typed(v) {
+		s.metrics.adviseHits.Inc()
+		return v, nil, true, false, nil
+	}
+	// Deadline-aware shedding: a request that predictably cannot finish
+	// inside its budget is rejected before it holds anything — each caller
+	// applies its own deadline even when it would coalesce into a flight.
+	if shed := s.shedCheck(ctx, evalCost(q.eval)); shed != nil {
+		return nil, nil, false, false, shed
+	}
+	// The miss may belong to a peer: in cluster mode it is forwarded to
+	// the key's owners in successor order — primary first, replicas when
+	// the primary is unreachable — so the owner's cache and singleflight
+	// absorb all traffic for the key; with every owner unreachable it
+	// falls back to local evaluation — degraded (a duplicate
+	// evaluation), never failing. An owner evaluating the miss itself
+	// writes the entry through to the key's replicas (fire-and-forget),
+	// so one peer death loses no warmth. Forward-or-evaluate runs inside
+	// the singleflight so a burst of identical misses at a non-owner
+	// shares one proxied hop instead of each holding a connection to the
+	// owner.
+	targets, owners, owned := s.route(q.forwarded, q.key)
+	flightKey := fmt.Sprintf("%s|t%d_s%v", q.key, q.top, q.withSource)
+	flightStart := time.Now()
+	v, shared, err := s.flights.Do(flightKey, func() (any, error) {
+		if len(targets) > 0 {
+			if fr, ok := s.tryForward(ctx, tr, targets, q.path, q.req); ok {
+				return fr, nil
+			}
+		}
+		// Owned miss with live co-owners: before paying an evaluation, try
+		// pulling the entry from a replica's cache (read repair). The case
+		// this serves is a peer that just rejoined — it owns its old keys
+		// again but holds none of them until the next anti-entropy sweep,
+		// while its co-owners still do.
+		if rv, ok := s.tryRepair(ctx, tr, q.key, owners, owned); ok && q.typed(rv) {
+			return repairedEntry{val: rv}, nil
+		}
+		poolWait := tr.StartSpan("pool_wait")
+		var out any
+		err := s.admitRun(ctx, q.client, q.eval, func() (err error) {
+			poolWait.End()
+			out, err = evaluate(ctx)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		// A non-finite prediction is the signature of a registry model
+		// whose checkpoint vanished or corrupted under a live server
+		// (registry entries answer NaN rather than crash the batcher).
+		// Failing the request keeps the poisoned answer out of the cache.
+		if !allFinite(out) {
+			return nil, errors.New("model produced a non-finite prediction (checkpoint unavailable?)")
+		}
+		s.adviseCache.Add(q.key, out)
+		s.replicate(q.key, out, owners, owned, tr.ID())
+		return out, nil
+	})
+	if err != nil {
+		return nil, nil, false, false, err
+	}
+	if shared {
+		coalesced = true
+		s.metrics.coalesced.Inc()
+		// Recorded retroactively: a waiter only learns it waited — and
+		// for how long — once the leader's flight lands.
+		tr.AddSpan("singleflight_wait", "", flightStart, time.Since(flightStart))
+	}
+	switch v := v.(type) {
+	case proxiedResponse:
+		return nil, &v, false, coalesced, nil
+	case repairedEntry:
+		// A repaired entry is a cache hit from the tier's point of view:
+		// the warmth existed, just on a co-owner.
+		s.metrics.adviseHits.Inc()
+		return v.val, nil, true, coalesced, nil
+	}
+	return v, nil, false, coalesced, nil
+}
+
+// failKeyed answers a keyed request whose evaluation failed: a shed (or
+// an expired deadline) is 503 + Retry-After priced from eval, anything
+// else the evaluation's own 422.
+func (s *Server) failKeyed(w http.ResponseWriter, err error, eval *obs.Histogram, what string, k apps.Kernel, be *backendState, ms *modelState) {
+	if shed, ok := asShed(err); ok {
+		s.writeShed(w, shed, evalCost(eval))
+		return
+	}
+	s.fail(w, http.StatusUnprocessableEntity, "%s %s on %s/%s: %v", what, k.Name, be.machine.Name, ms.name, err)
 }
 
 // kindByName parses a variant name ("cpu", "gpu_collapse_mem", ...).
@@ -1080,112 +1084,38 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	key := Key("predict", be.machine.Name, ms.name, kernelKey(k), req.Variant,
 		fmt.Sprintf("g%d_t%d", req.Teams, req.Threads), advisor.BindingsKey(req.Bindings))
-	resp := PredictResponse{
-		Machine: be.machine.Name, Model: ms.name, Kernel: k.Name, Key: key,
-		Variant: req.Variant, Teams: req.Teams, Threads: req.Threads, ServedBy: s.servedBy(),
-	}
-	lookup := tr.StartSpan("cache_lookup")
-	v, hit := s.adviseCache.Get(key)
-	lookup.End()
-	if hit {
-		// Comma-ok for the same reason as handleAdvise: a wrong-typed
-		// entry is a miss to overwrite, not a panic.
-		if us, ok := v.(float64); ok {
-			ms.predict.Add(1)
-			ms.touch()
-			resp.PredictedUS = us
-			resp.Cached = true
-			if s.lifecycle != nil {
-				s.lifecycle.notePredict(key, be.machine.Name, ms.name, k, req, us)
-			}
-			s.writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	// Deadline-aware shedding before any work is held: a cold prediction
-	// costs what the ones before it did (evalCost over predictEval), and a
-	// backlog that cannot drain inside the request's budget is rejected
-	// with Retry-After (cache hits above are never shed — they always beat
-	// any deadline).
-	if shed := s.shedCheck(ctx, evalCost(ms.predictEval)); shed != nil {
-		s.writeShed(w, shed, evalCost(ms.predictEval))
-		return
-	}
-	// Cluster mode: a missed key owned by a peer is forwarded there — the
-	// primary owner first, replicas in successor order when it is down —
-	// with local evaluation as the fallback when every owner is unreachable
-	// (same degraded-never-failing contract as handleAdvise), and the same
-	// write-through to the key's replicas after an owner evaluates. As
-	// there, the forward runs inside the singleflight so identical
-	// concurrent misses share one hop; predict responses have no rendering
-	// options, so the flight key is the cache key.
-	targets, owners, owned := s.route(s.isForwarded(r), key)
-	flightStart := time.Now()
-	v, shared, err := s.flights.Do(key, func() (any, error) {
-		if len(targets) > 0 {
-			if pr, ok := s.tryForward(ctx, tr, targets, "/v1/predict", req); ok {
-				return pr, nil
-			}
-		}
-		// Read repair, as in adviseRecs: an owned miss may exist on a
-		// co-owner's cache (this peer just rejoined and is not yet warm).
-		if rv, ok := s.tryRepair(ctx, tr, key, owners, owned); ok {
-			if us, ok := rv.(float64); ok {
-				return repairedEntry{val: us}, nil
-			}
-		}
-		poolWait := tr.StartSpan("pool_wait")
-		var us float64
-		err := s.admitRun(ctx, clientKey(r), ms.predictEval, func() error {
-			poolWait.End()
-			src, err := variants.Generate(k, kind, req.Teams, req.Threads)
-			if err != nil {
-				return err
-			}
-			in := variants.Instance{
-				Kernel: k, Kind: kind, Teams: req.Teams, Threads: req.Threads,
-				Bindings: req.Bindings, Source: src,
-			}
-			us, err = ms.advisor.PredictInstanceUSCtx(ctx, in)
-			return err
-		})
+	v, pr, cached, _, err := s.serveKeyed(ctx, tr, keyed{
+		key: key, client: clientKey(r), forwarded: s.isForwarded(r),
+		path: "/v1/predict", req: &req, eval: ms.predictEval, typed: isA[float64],
+	}, func(ctx context.Context) (any, error) {
+		src, err := variants.Generate(k, kind, req.Teams, req.Threads)
 		if err != nil {
 			return nil, err
 		}
-		if math.IsNaN(us) || math.IsInf(us, 0) {
-			return nil, fmt.Errorf("model produced a non-finite prediction (checkpoint unavailable?)")
-		}
-		s.adviseCache.Add(key, us)
-		s.replicate(key, us, owners, owned, tr.ID())
-		return us, nil
+		return ms.advisor.PredictInstanceUSCtx(ctx, variants.Instance{
+			Kernel: k, Kind: kind, Teams: req.Teams, Threads: req.Threads,
+			Bindings: req.Bindings, Source: src,
+		})
 	})
 	if err != nil {
-		if shed, ok := asShed(err); ok {
-			s.writeShed(w, shed, evalCost(ms.predictEval))
-			return
-		}
-		s.fail(w, http.StatusUnprocessableEntity, "predict %s on %s/%s: %v", k.Name, be.machine.Name, ms.name, err)
+		s.failKeyed(w, err, ms.predictEval, "predict", k, be, ms)
 		return
 	}
-	if shared {
-		s.metrics.coalesced.Inc()
-		tr.AddSpan("singleflight_wait", "", flightStart, time.Since(flightStart))
-	}
-	if pr, ok := v.(proxiedResponse); ok {
-		s.writeProxied(w, pr)
+	if pr != nil {
+		s.writeProxied(w, *pr)
 		return
 	}
-	if re, ok := v.(repairedEntry); ok {
-		resp.Cached = true
-		v = re.val
-	}
+	us := v.(float64)
 	ms.predict.Add(1)
 	ms.touch()
-	resp.PredictedUS = v.(float64)
 	if s.lifecycle != nil {
-		s.lifecycle.notePredict(key, be.machine.Name, ms.name, k, req, resp.PredictedUS)
+		s.lifecycle.notePredict(key, be.machine.Name, ms.name, k, req, us)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, PredictResponse{
+		Machine: be.machine.Name, Model: ms.name, Kernel: k.Name, Key: key,
+		Variant: req.Variant, Teams: req.Teams, Threads: req.Threads,
+		PredictedUS: us, Cached: cached, ServedBy: s.servedBy(),
+	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"paragraph/internal/advisor"
 )
 
 // Cache persistence: the advise-response cache (ranked grids and single
@@ -16,67 +14,13 @@ import (
 // RestoreCache refills it, letting a restarted process answer repeat
 // traffic as cache hits immediately instead of re-earning its cache. Keys
 // are the content-addressed request hashes, which are stable across
-// processes by construction. The encode cache is deliberately not
-// persisted: encoded graphs are big, rebuildable, and refill quickly once
-// responses are warm.
-
-// snapshotVersion guards the snapshot schema; bump on incompatible change.
-const snapshotVersion = 1
-
-// recSnap is the persisted form of one advisor.Recommendation. Kind travels
-// by name so snapshots survive resorderings of the variants.Kind enum.
-type recSnap struct {
-	Kind        string  `json:"kind"`
-	Teams       int     `json:"teams,omitempty"`
-	Threads     int     `json:"threads"`
-	PredictedUS float64 `json:"predicted_us"`
-	Source      string  `json:"source,omitempty"`
-}
-
-type adviseSnap struct {
-	Key  string    `json:"key"`
-	Recs []recSnap `json:"recs"`
-}
-
-type predictSnap struct {
-	Key string  `json:"key"`
-	US  float64 `json:"us"`
-}
-
-type cacheSnapshot struct {
-	Version int           `json:"version"`
-	Advise  []adviseSnap  `json:"advise"`
-	Predict []predictSnap `json:"predict"`
-}
-
-// adviseSnapOf renders one cached ranking in the snapshot schema. Shared
-// by cache persistence and the /v1/replicate wire format (cluster.go),
-// which is the same schema carrying a single entry.
-func adviseSnapOf(key string, recs []advisor.Recommendation) adviseSnap {
-	as := adviseSnap{Key: key, Recs: make([]recSnap, len(recs))}
-	for i, r := range recs {
-		as.Recs[i] = recSnap{
-			Kind: r.Kind.String(), Teams: r.Teams, Threads: r.Threads,
-			PredictedUS: r.PredictedUS, Source: r.Source,
-		}
-	}
-	return as
-}
+// processes by construction. entry.go holds the schema.
 
 // SnapshotCache writes the advise-response cache to w. Concurrent requests
 // keep running; the snapshot is a consistent-enough point-in-time copy
 // (each shard is walked under its lock).
 func (s *Server) SnapshotCache(w io.Writer) error {
-	snap := cacheSnapshot{Version: snapshotVersion}
-	for _, item := range s.adviseCache.Items() {
-		switch v := item.Val.(type) {
-		case []advisor.Recommendation:
-			snap.Advise = append(snap.Advise, adviseSnapOf(item.Key, v))
-		case float64:
-			snap.Predict = append(snap.Predict, predictSnap{Key: item.Key, US: v})
-		}
-	}
-	return json.NewEncoder(w).Encode(snap)
+	return json.NewEncoder(w).Encode(snapshotOf(s.adviseCache.Items()...))
 }
 
 // RestoreCache refills the advise-response cache from a SnapshotCache
@@ -89,36 +33,14 @@ func (s *Server) RestoreCache(r io.Reader) (int, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return 0, fmt.Errorf("serve: decoding cache snapshot: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return 0, fmt.Errorf("serve: unsupported cache snapshot version %d", snap.Version)
+	items, err := snap.entries()
+	if err != nil {
+		return 0, fmt.Errorf("serve: cache snapshot: %w", err)
 	}
-	n := 0
-	for i := len(snap.Advise) - 1; i >= 0; i-- {
-		as := snap.Advise[i]
-		recs := make([]advisor.Recommendation, len(as.Recs))
-		ok := true
-		for j, rs := range as.Recs {
-			kind, err := kindByName(rs.Kind)
-			if err != nil {
-				ok = false // unknown variant from a future build: drop entry
-				break
-			}
-			recs[j] = advisor.Recommendation{
-				Kind: kind, Teams: rs.Teams, Threads: rs.Threads,
-				PredictedUS: rs.PredictedUS, Source: rs.Source,
-			}
-		}
-		if !ok {
-			continue
-		}
-		s.adviseCache.Add(as.Key, recs)
-		n++
+	for _, it := range items {
+		s.adviseCache.Add(it.Key, it.Val)
 	}
-	for i := len(snap.Predict) - 1; i >= 0; i-- {
-		s.adviseCache.Add(snap.Predict[i].Key, snap.Predict[i].US)
-		n++
-	}
-	return n, nil
+	return len(items), nil
 }
 
 // SaveCacheFile snapshots the cache to path atomically (temp file in the

@@ -18,8 +18,8 @@ type ModelStats struct {
 	Batcher      BatcherStats `json:"batcher"`
 }
 
-// Stats is the /v1/stats payload: a full snapshot of the service's caches,
-// batching, pooling, singleflight and traffic counters, plus the per-model
+// Stats is the /v1/stats payload: a full snapshot of the service's cache,
+// batching, admission, singleflight and traffic counters, plus the per-model
 // breakdown. It is assembled from the same instruments /metrics exposes
 // (internal/obs via metrics.go), so the two endpoints cannot drift; the
 // JSON shape predates the metrics registry and is kept byte-compatible.
@@ -55,10 +55,13 @@ type Stats struct {
 	// request's evaluation (singleflight) instead of their own.
 	Coalesced   uint64     `json:"coalesced"`
 	AdviseCache CacheStats `json:"advise_cache"`
+	// EncodeCache is always zero: the encoded-graph cache is gone (no two
+	// points of a grid share a graph, so it never hit). The field stays only
+	// because the frozen bench/tracerun.go reads it; it goes with ROADMAP
+	// item 4(d).
 	EncodeCache CacheStats `json:"encode_cache"`
 
 	Models []ModelStats `json:"models"`
-	Pool   PoolStats    `json:"pool"`
 
 	// Admit is the fair-queue admission view: per-client lanes, queue
 	// depth, and shed counters (the overload-control surface).
@@ -98,7 +101,6 @@ func (s *Server) snapshot() Stats {
 	st.AdviseCacheHits = s.metrics.adviseHits.Value()
 	st.Coalesced = s.metrics.coalesced.Value()
 	st.AdviseCache = s.adviseCache.Stats()
-	st.EncodeCache = s.encodeCache.Stats()
 	for _, machine := range st.Machines {
 		be := s.backends[machine]
 		be.mu.RLock()
@@ -116,7 +118,6 @@ func (s *Server) snapshot() Stats {
 		}
 		be.mu.RUnlock()
 	}
-	st.Pool = s.pool.Stats()
 	st.Admit = s.admit.Stats()
 	st.Shed = make(map[string]uint64, len(admit.Reasons()))
 	for _, reason := range admit.Reasons() {
