@@ -1,11 +1,11 @@
 // Command serve runs the ParaGraph advisor as a long-running HTTP/JSON
-// service. With -model-dir it boots from registry checkpoints written by
-// `train -save-dir` — no training at startup, and a platform can serve
-// several named model versions; without it, it falls back to training one
-// model per requested platform. Requests are answered cached and bounded,
-// an advise grid as one model call (internal/serve); with -cache-file the
-// advise-response cache is snapshotted periodically and on shutdown, so a
-// restarted process answers repeat traffic warm.
+// service. It boots from the registry checkpoints under -model-dir, written
+// by `train -save-dir` — every one is loaded and verified at startup and
+// stays resident, nothing trains, and a platform can serve several named
+// model versions. Requests are answered cached and bounded, an advise grid
+// as one model call (internal/serve); with -cache-file the advise-response
+// cache is snapshotted periodically and on shutdown, so a restarted process
+// answers repeat traffic warm.
 //
 // With -self and -peers, N serve processes form a consistent-hash sharded
 // tier (internal/shard): each advise/predict cache key is owned by its
@@ -29,9 +29,9 @@
 //
 // With -feedback-dir the serving loop closes (docs/OPERATIONS.md, "Staged
 // Rollouts"): POST /v1/feedback accepts measured runtimes for served
-// predictions, appends them to a durable per-platform log, and — when
-// -model-dir is also set — enough accumulated measurements trigger a
-// background incremental retrain whose output serves as a *candidate* on
+// predictions, appends them to a durable per-platform log, and enough
+// accumulated measurements trigger a background incremental retrain (its
+// output saved under -model-dir) that serves as a *candidate* on
 // -rollout-split percent of unpinned traffic. Sustained measured
 // non-inferiority promotes the candidate to stable (pruning superseded
 // checkpoints under -gc-keep); sustained regression rolls it back. The
@@ -40,11 +40,10 @@
 //
 // Usage:
 //
-//	serve [-addr :8080] [-model-dir DIR [-model-max-loaded N] | -scale tiny|small|full]
+//	serve -model-dir DIR [-addr :8080]
 //	      [-platforms "IBM POWER9 (CPU),NVIDIA V100 (GPU)"]
-//	      [-epochs N] [-points N]
 //	      [-cache-file PATH] [-cache-snapshot 5m] [-advise-cache 512]
-//	      [-pool N] [-grid-workers N]
+//	      [-pool N]
 //	      [-admit-queue N] [-admit-per-client N]
 //	      [-jobs-max N] [-jobs-ttl 5m]
 //	      [-feedback-dir DIR] [-rollout-split 10] [-retrain-after 100]
@@ -117,9 +116,7 @@ import (
 	"syscall"
 	"time"
 
-	"paragraph/internal/experiments"
 	"paragraph/internal/hw"
-	"paragraph/internal/paragraph"
 	"paragraph/internal/registry"
 	"paragraph/internal/serve"
 )
@@ -280,25 +277,19 @@ func parseLogLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("unknown -log-level %q: want debug, info, warn or error", s)
 }
 
-// buildServer parses flags and assembles the service — from registry
-// checkpoints when -model-dir is set, else by training per-platform models;
-// the caller decides how to listen (main serves TCP, tests mount the
-// handler directly).
+// buildServer parses flags and assembles the service from the registry
+// checkpoints under -model-dir; the caller decides how to listen (main
+// serves TCP, tests mount the handler directly).
 func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(w)
 	addr := fs.String("addr", ":8080", "listen address")
-	modelDir := fs.String("model-dir", "", "boot from registry checkpoints under this directory instead of training")
-	maxLoaded := fs.Int("model-max-loaded", 0, "max checkpoint models resident in memory (0 = registry default)")
-	scaleName := fs.String("scale", "tiny", "training scale when not using -model-dir: tiny, small, or full")
+	modelDir := fs.String("model-dir", "", "registry directory to boot from (required): every checkpoint under it, as written by train -save-dir, is loaded and served")
 	platforms := fs.String("platforms", allPlatformNames(), "comma-separated machine names to serve")
-	epochs := fs.Int("epochs", 0, "override training epochs (0 = scale default)")
-	points := fs.Int("points", 0, "override dataset points per platform (0 = scale default)")
 	cacheFile := fs.String("cache-file", "", "persist the advise-response cache to this file across restarts")
 	snapshotEvery := fs.Duration("cache-snapshot", 5*time.Minute, "periodic cache snapshot interval (0 = only on shutdown)")
 	adviseCache := fs.Int("advise-cache", 0, "advise/prediction cache entries (0 = default)")
 	poolSize := fs.Int("pool", 0, "evaluation slots: max advise/predict evaluations in flight (0 = GOMAXPROCS)")
-	gridWorkers := fs.Int("grid-workers", 0, "per-advise grid fan-out (0 = GOMAXPROCS)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the -pool slots before 503 shedding (0 = default)")
 	admitPerClient := fs.Int("admit-per-client", 0, "per-client cap on queued+running work (0 = default)")
 	jobsMax := fs.Int("jobs-max", 0, "async advise jobs retained before submissions shed (0 = default)")
@@ -336,8 +327,8 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		pprofAddr: *pprofAddr, logger: logger,
 	}
 
-	// Cluster flags are validated before the (possibly expensive) backend
-	// build so a bad invocation fails fast instead of after training.
+	// Cluster flags are validated before the checkpoints are loaded so a bad
+	// invocation fails fast.
 	clusterMode := *peersFlag != "" || *self != "" || *seedFlag != ""
 	var peers, seeds []string
 	if clusterMode {
@@ -366,12 +357,10 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		return nil, serveConfig{}, err
 	}
 
-	var backends []serve.Backend
-	if *modelDir != "" {
-		backends, err = checkpointBackends(*modelDir, *maxLoaded, wanted, logger)
-	} else {
-		backends, err = trainedBackends(*scaleName, *epochs, *points, wanted, logger)
+	if *modelDir == "" {
+		return nil, serveConfig{}, fmt.Errorf("-model-dir is required (train -save-dir DIR writes the checkpoints it boots from)")
 	}
+	backends, err := checkpointBackends(*modelDir, wanted, logger)
 	if err != nil {
 		return nil, serveConfig{}, err
 	}
@@ -379,7 +368,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	srv, err := serve.NewServer(backends, serve.Options{
 		AdviseCacheSize: *adviseCache,
 		PoolSize:        *poolSize,
-		GridWorkers:     *gridWorkers,
 		QueueLimit:      *admitQueue,
 		QueuePerClient:  *admitPerClient,
 		JobLimit:        *jobsMax,
@@ -402,7 +390,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	}
 	if *feedbackDir != "" {
 		logger.Info("feedback lifecycle enabled",
-			"dir", *feedbackDir, "registry", *modelDir, "retrain", *modelDir != "" && *retrainAfter >= 0)
+			"dir", *feedbackDir, "registry", *modelDir, "retrain", *retrainAfter >= 0)
 	}
 	if clusterMode {
 		if err := srv.EnableCluster(serve.ClusterConfig{
@@ -481,10 +469,10 @@ func platformSet(flagValue string) (map[string]bool, error) {
 	return set, nil
 }
 
-// checkpointBackends opens a registry and turns its checkpoints (restricted
-// to the requested platforms) into serving backends — train-free startup.
-func checkpointBackends(dir string, maxLoaded int, wanted map[string]bool, logger *slog.Logger) ([]serve.Backend, error) {
-	reg, err := registry.Open(dir, registry.Options{MaxLoaded: maxLoaded})
+// checkpointBackends opens the registry and turns its checkpoints
+// (restricted to the requested platforms) into serving backends.
+func checkpointBackends(dir string, wanted map[string]bool, logger *slog.Logger) ([]serve.Backend, error) {
+	reg, err := registry.Open(dir, registry.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -496,81 +484,12 @@ func checkpointBackends(dir string, maxLoaded int, wanted map[string]bool, logge
 		logger.Info("loaded checkpoint",
 			"model", e.Manifest.Platform+"/"+e.Manifest.Name,
 			"level", e.Manifest.Level, "val_rmse", e.Manifest.Train.FinalValRMSE)
-		backends = append(backends, serve.Backend{
-			Machine: e.Machine,
-			Model:   e,
-			Prep:    e.Prep,
-			Name:    e.Manifest.Name,
-			Default: reg.Default(e),
-			Info: &serve.ModelInfo{
-				Level:     e.Level,
-				Source:    "checkpoint",
-				Hidden:    e.Manifest.Config.Hidden,
-				Layers:    e.Manifest.Config.Layers,
-				Params:    e.Manifest.Params,
-				Epochs:    e.Manifest.Train.Epochs,
-				ValRMSE:   e.Manifest.Train.FinalValRMSE,
-				CreatedAt: e.Manifest.CreatedAt,
-			},
-		})
+		b := serve.CheckpointBackend(e, "checkpoint")
+		b.Default = reg.Default(e)
+		backends = append(backends, b)
 	}
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("no checkpoints under %s match the requested platforms", dir)
-	}
-	return backends, nil
-}
-
-// trainedBackends is the fallback path: train one model per requested
-// platform at startup, as before checkpoints existed.
-func trainedBackends(scaleName string, epochs, points int, wanted map[string]bool, logger *slog.Logger) ([]serve.Backend, error) {
-	var scale experiments.Scale
-	switch strings.ToLower(scaleName) {
-	case "tiny":
-		scale = experiments.Tiny()
-	case "small":
-		scale = experiments.Small()
-	case "full":
-		scale = experiments.Full()
-	default:
-		return nil, fmt.Errorf("unknown scale %q", scaleName)
-	}
-	if epochs > 0 {
-		scale.Epochs = epochs
-	}
-	if points > 0 {
-		scale.MaxPerPlatform = points
-	}
-
-	var machines []hw.Machine
-	for _, m := range hw.All() {
-		if wanted[m.Name] {
-			machines = append(machines, m)
-		}
-	}
-
-	runner := experiments.NewRunner(scale)
-	var backends []serve.Backend
-	for _, m := range machines {
-		start := time.Now()
-		logger.Info("training model", "platform", m.Name, "scale", scale.Name, "epochs", scale.Epochs)
-		tr, err := runner.Trained(m, paragraph.LevelParaGraph)
-		if err != nil {
-			return nil, fmt.Errorf("training %s: %w", m.Name, err)
-		}
-		logger.Info("model ready", "platform", m.Name,
-			"seconds", time.Since(start).Seconds(), "val_rmse", tr.Hist.FinalValRMSE())
-		backends = append(backends, serve.Backend{
-			Machine: m, Model: tr.Model, Prep: tr.Prep,
-			Info: &serve.ModelInfo{
-				Level:   paragraph.LevelParaGraph,
-				Source:  "trained",
-				Hidden:  tr.Model.Config().Hidden,
-				Layers:  tr.Model.Config().Layers,
-				Params:  tr.Model.NumParams(),
-				Epochs:  scale.Epochs,
-				ValRMSE: tr.Hist.FinalValRMSE(),
-			},
-		})
 	}
 	return backends, nil
 }

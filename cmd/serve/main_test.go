@@ -22,14 +22,12 @@ import (
 	"paragraph/internal/serve"
 )
 
-// startService trains micro models for a CPU and a GPU profile and serves
-// them on a real loopback listener, as main's run path does.
+// startService boots micro checkpoints for a CPU and a GPU profile and
+// serves them on a real loopback listener, as main's run path does.
 func startService(t *testing.T) string {
 	t.Helper()
 	srv, _, err := buildServer([]string{
-		"-scale", "tiny",
-		"-epochs", "1",
-		"-points", "24",
+		"-model-dir", trainCheckpoints(t, hw.Power9(), hw.V100()),
 		"-platforms", "IBM POWER9 (CPU),NVIDIA V100 (GPU)",
 		"-addr", "127.0.0.1:0",
 	}, io.Discard)
@@ -67,12 +65,12 @@ func post(t *testing.T, url string, body any, out any) {
 	}
 }
 
-// TestServeEndToEnd is the acceptance check: the trained service answers
+// TestServeEndToEnd is the acceptance check: the booted service answers
 // /v1/advise for a CPU and a GPU profile over real HTTP, and a repeated
 // identical request is a cache hit visible in /v1/stats.
 func TestServeEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains models in -short mode")
+		t.Skip("trains the checkpoint fixture in -short mode")
 	}
 	base := startService(t)
 
@@ -144,25 +142,28 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// trainCheckpoints writes two micro checkpoints for one platform and
-// returns the registry root.
-func trainCheckpoints(t *testing.T) string {
+// trainCheckpoints trains a micro model per machine (the V100 when none is
+// named), writes each as two checkpoints, "default" and "exp", and returns
+// the registry root.
+func trainCheckpoints(t *testing.T, machines ...hw.Machine) string {
 	t.Helper()
+	if len(machines) == 0 {
+		machines = []hw.Machine{hw.V100()}
+	}
 	dir := t.TempDir()
 	runner := experiments.NewRunner(microScale(1))
-	tr, err := runner.Trained(hw.V100(), paragraph.LevelParaGraph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, save := range []struct {
-		name   string
-		epochs int
-	}{{"default", 1}, {"exp", 1}} {
-		if _, err := registry.Save(dir, hw.V100(), save.name, paragraph.LevelParaGraph,
-			tr.Model, tr.Prep, registry.TrainInfo{Scale: "tiny", Epochs: save.epochs,
-				TrainSamples: len(tr.Prep.Train), ValSamples: len(tr.Prep.Val),
-				FinalValRMSE: tr.Hist.FinalValRMSE()}); err != nil {
+	for _, m := range machines {
+		tr, err := runner.Trained(m, paragraph.LevelParaGraph)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, name := range []string{"default", "exp"} {
+			if _, err := registry.Save(dir, m, name, paragraph.LevelParaGraph,
+				tr.Model, tr.Prep, registry.TrainInfo{Scale: "tiny", Epochs: 1,
+					TrainSamples: len(tr.Prep.Train), ValSamples: len(tr.Prep.Val),
+					FinalValRMSE: tr.Hist.FinalValRMSE()}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return dir
@@ -319,12 +320,17 @@ func doLocal(t *testing.T, srv *serve.Server, req serve.AdviseRequest, out *serv
 
 func TestBuildServerFlagErrors(t *testing.T) {
 	cases := [][]string{
+		// The training boot's flags and the registry's LRU bound are gone:
+		// each is an unknown flag now, not a silent no-op.
 		{"-scale", "huge"},
+		{"-epochs", "1"},
+		{"-points", "24"},
+		{"-model-max-loaded", "4"},
 		{"-platforms", "Cray-1"},
 		{"-platforms", ""},
 		{"-badflag"},
 		{"-model-dir", "/nonexistent/registry"},
-		// Cluster flags fail before any model training.
+		// Cluster flags fail before any checkpoint is loaded.
 		{"-peers", "http://127.0.0.1:1"},
 		{"-self", "http://127.0.0.1:1"},
 		{"-self", "not-a-url", "-peers", "http://127.0.0.1:1"},
@@ -332,15 +338,25 @@ func TestBuildServerFlagErrors(t *testing.T) {
 		{"-self", "http://127.0.0.1:1", "-peers", "http://127.0.0.1:2/suffix"},
 		{"-self", "http://127.0.0.1:1", "-peers", "http://127.0.0.1:2", "-replication", "0"},
 		{"-self", "http://127.0.0.1:1", "-peers", "http://127.0.0.1:2", "-replication", "-3"},
-		// Observability flags are validated before any model training too.
+		// Observability flags are validated before that too.
 		{"-log-level", "loud"},
 	}
+	// None of the cases names a registry that exists, so each must be
+	// refused for its own reason before the boot asks for one.
+	const needsRegistry = "-model-dir is required"
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			if _, _, err := buildServer(args, io.Discard); err == nil {
 				t.Errorf("buildServer(%v) accepted", args)
+			} else if strings.Contains(err.Error(), needsRegistry) {
+				t.Errorf("buildServer(%v) got as far as the boot: %v", args, err)
 			}
 		})
+	}
+	// There is one boot mode, and it needs its registry.
+	if _, _, err := buildServer([]string{"-platforms", "NVIDIA V100 (GPU)"}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), needsRegistry) {
+		t.Errorf("buildServer without -model-dir = %v, want %q", err, needsRegistry)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Command train trains the ParaGraph GNN cost model (and optionally the
 // COMPOFF baseline) for one platform and reports validation metrics. With
 // -save-dir it also writes the trained model as a registry checkpoint
-// (internal/registry: weights + manifest) that cmd/serve -model-dir can
-// boot from without retraining.
+// (internal/registry: weights + manifest) — what cmd/serve -model-dir boots
+// from, and the only thing it boots from. Training is a function of its
+// seed and data: the same invocation writes the same weights_checksum
+// whatever the machine's core count.
 //
 // With -from-feedback it retrains incrementally instead: measured runtimes
 // collected by `serve -feedback-dir` (POST /v1/feedback) are read from the

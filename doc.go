@@ -64,10 +64,10 @@
 // those checkpoints without retraining — several named versions per
 // platform (levels, scales, A/B candidates), resolved through a "default"
 // alias unless a request's optional "model" field picks one. The registry
-// verifies every checkpoint at startup and keeps at most -model-max-loaded
-// models resident, evicting least-recently-used weights and reloading them
-// on demand. Without -model-dir, cmd/serve falls back to training at
-// startup.
+// has one loader: it verifies a checkpoint (manifest version, config,
+// weights checksum) and returns an entry holding the model resident, so
+// every checkpoint is checked at startup and none can go missing under a
+// request. -model-dir is the only way cmd/serve boots.
 //
 // A request flows through three layers. A content-addressed sharded LRU
 // cache first answers exact repeats (whole advise responses and single

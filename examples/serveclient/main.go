@@ -195,16 +195,9 @@ func startLocalService() (base string, stop func(), warmRestart, clusterDemo fun
 	}
 	var backends []serve.Backend
 	for _, e := range reg.Entries() {
-		backends = append(backends, serve.Backend{
-			Machine: e.Machine, Model: e, Prep: e.Prep,
-			Name: e.Manifest.Name, Default: reg.Default(e),
-			Info: &serve.ModelInfo{
-				Level: e.Level, Source: "checkpoint",
-				Hidden: e.Manifest.Config.Hidden, Layers: e.Manifest.Config.Layers,
-				Params: e.Manifest.Params, Epochs: e.Manifest.Train.Epochs,
-				ValRMSE: e.Manifest.Train.FinalValRMSE, CreatedAt: e.Manifest.CreatedAt,
-			},
-		})
+		b := serve.CheckpointBackend(e, "checkpoint")
+		b.Default = reg.Default(e)
+		backends = append(backends, b)
 	}
 	srv, err := serve.NewServer(backends, serve.Options{})
 	if err != nil {

@@ -78,7 +78,33 @@ type parser struct {
 	toks   []clex.Token
 	pos    int
 	scopes []map[string]*cast.Node
+	depth  int // live parseStmt/parseAssign/parseUnary frames, see enter
 }
+
+// maxDepth is the nesting budget: how many statement and expression levels
+// may be open at once. Every cycle of the recursive descent passes through
+// parseStmt, parseAssign or parseUnary, so the one counter bounds the
+// parser's stack — and with it the nesting the recursive walks over the
+// finished tree (markAndWrapRValues, cast.Node.Finalize, cast.Walk,
+// paragraph's edge builders) have to follow. Source arrives over HTTP:
+// without the bound 300 000 nested parentheses, well under the request body
+// cap, overflow the goroutine stack, which no recover can catch. The suite's
+// kernels peak at 17 open levels across every variant kind (their deepest
+// tree is 24 nodes tall), so 256 is a better than 10x margin; it is a
+// constant, not an option. Operator chains the parser folds in a loop —
+// a+b+c, a,b,c, a[0][1] — are flat source and are not counted.
+const maxDepth = 256
+
+// enter opens one nesting level, failing once the budget is spent; the
+// caller pairs it with leave.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxDepth {
+		return p.errorf("nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
 
@@ -357,6 +383,10 @@ func (p *parser) parseCompound() (*cast.Node, error) {
 }
 
 func (p *parser) parseStmt() (*cast.Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.peek()
 	switch {
 	case t.Kind == clex.Pragma:
@@ -552,7 +582,7 @@ func (p *parser) parseEmbeddedExpr(src string, pos clex.Pos) *cast.Node {
 		raw.Pos = pos
 		return raw
 	}
-	sub := &parser{toks: toks, scopes: p.scopes}
+	sub := &parser{toks: toks, scopes: p.scopes, depth: p.depth}
 	e, err := sub.parseExpr()
 	if err != nil || !sub.atEOF() {
 		raw := cast.NewNode(cast.KindDeclRefExpr)
@@ -762,6 +792,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *parser) parseAssign() (*cast.Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -868,6 +902,10 @@ func (p *parser) parseBinary(minPrec int) (*cast.Node, error) {
 }
 
 func (p *parser) parseUnary() (*cast.Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.peek()
 	if t.Kind == clex.Punct {
 		switch t.Text {

@@ -61,7 +61,9 @@ func (h History) FinalValRMSE() float64 {
 
 // Train optimizes the model on train, evaluating on val each epoch.
 // Gradients are computed data-parallel across cfg.Workers goroutines, each
-// with its own tape; parameter updates use Adam on the merged gradients.
+// with its own tape, and merged in batch order (see trainBatch), so the
+// result depends on cfg.Seed and the data, not on Workers; parameter updates
+// use Adam on the merged gradients.
 func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 	cfg = cfg.withDefaults()
 	if len(train) == 0 {
@@ -107,42 +109,53 @@ func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 }
 
 // trainBatch computes and accumulates gradients for one minibatch, returning
-// the mean loss. Each worker owns a Forward (tape); gradient merging into
-// the shared parameters is serialized by a mutex.
+// the mean loss. Workers run the per-sample passes concurrently, each on its
+// own Forward (tape), and leave the sample's parameter gradients and loss in
+// its batch slot; the merge into the shared parameters then runs over the
+// slots in batch order. Floating-point addition does not associate, so a
+// merge in arrival order would make the weights depend on goroutine
+// scheduling; merged in batch order, training is a function of its seed and
+// data at any Workers.
 func (m *Model) trainBatch(batch []int, train []*Sample, cfg TrainConfig) float64 {
 	workers := cfg.Workers
 	if workers > len(batch) {
 		workers = len(batch)
 	}
-	var (
-		mu        sync.Mutex
-		totalLoss float64
-		wg        sync.WaitGroup
-	)
-	scale := 1 / float64(len(batch))
+	grads := make([]map[*nn.Parameter]*tensor.Matrix, len(batch))
+	losses := make([]float64, len(batch))
+	var wg sync.WaitGroup
 	work := make(chan int)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for idx := range work {
-				s := train[idx]
+			for i := range work {
+				s := train[batch[i]]
 				f := nn.NewForward()
 				pred := m.Forward(f, s)
 				loss := f.Tape.MSE(pred, tensor.Scalar(s.Target))
 				f.Backward(loss)
-				mu.Lock()
-				f.Accumulate(scale)
-				totalLoss += loss.Value.At(0, 0) * scale
-				mu.Unlock()
+				// The gradient matrices outlive the pass; its tape does not.
+				grads[i], losses[i] = f.Gradients(), loss.Value.At(0, 0)
 			}
 		}()
 	}
-	for _, idx := range batch {
-		work <- idx
+	for i := range batch {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
+
+	scale := 1 / float64(len(batch))
+	var totalLoss float64
+	for i, g := range grads {
+		for _, p := range m.params {
+			if pg, ok := g[p]; ok {
+				p.Grad.AxpyInPlace(scale, pg)
+			}
+		}
+		totalLoss += losses[i] * scale
+	}
 	return totalLoss
 }
 

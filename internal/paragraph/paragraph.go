@@ -112,8 +112,13 @@ type Options struct {
 
 	// Threads is the effective parallelism the annotated loop's iterations
 	// are statically divided across (paper: "dividing the number of
-	// iterations by the number of threads"). For offloaded kernels pass
-	// teams*threads. Zero or one means no division.
+	// iterations by the number of threads", §III-A.3). For offloaded
+	// kernels this is still the per-team thread count, not teams*threads:
+	// total GPU parallelism would clamp most annotated-loop weights to 1
+	// and collapse different problem sizes onto one graph, and the team
+	// count reaches the model as a num_teams literal and a grid feature
+	// instead (dataset.EncodeSource is the one caller that decides this).
+	// Zero or one means no division.
 	Threads int
 
 	// Bindings resolves symbolic loop bounds (parameter values).

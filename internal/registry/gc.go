@@ -91,19 +91,7 @@ func GC(root, platform string, protected []string, pol GCPolicy) (GCResult, erro
 	// The alias target is protected even when nothing is named "default":
 	// deleting the version the default alias currently resolves to would
 	// change what unpinned clients get.
-	newest := cps[0]
-	for _, cp := range cps[1:] {
-		if cp.Manifest.Name == "default" {
-			newest = cp
-			break
-		}
-		if newest.Manifest.Name != "default" &&
-			(cp.Manifest.CreatedAt.After(newest.Manifest.CreatedAt) ||
-				(cp.Manifest.CreatedAt.Equal(newest.Manifest.CreatedAt) && cp.Manifest.Name < newest.Manifest.Name)) {
-			newest = cp
-		}
-	}
-	keep[newest.Manifest.Name] = true
+	keep[pickDefault(cps).Manifest.Name] = true
 
 	// Sort newest first; retain KeepLast beyond the protected set.
 	sort.Slice(cps, func(i, j int) bool {

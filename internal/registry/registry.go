@@ -13,25 +13,27 @@
 // representation levels, A/B candidates) side by side; each platform gets a
 // default alias (a version literally named "default", else the newest).
 //
-// A Registry opened over such a root verifies every checkpoint eagerly
-// (config/weights mismatches and checksum drift fail Open, not a later
-// request), then keeps at most MaxLoaded models resident: entries are
-// loaded on first use and evicted least-recently-used, so a fleet of
-// checkpoints can be served from bounded memory. Entry implements the
-// serving layer's BatchPredictor, which is how cmd/serve plugs checkpoints
-// straight into its batcher without knowing about files.
+// There is one way from a checkpoint directory to a model: Load, which
+// reads and verifies the manifest and weights (a config/weights mismatch or
+// checksum drift fails there, not in a later request) and returns an Entry
+// holding the model resident with its float32 serving weights built. Open
+// loads every checkpoint under a root and indexes them; retraining loads the
+// stable it fine-tunes from, and the serving lifecycle the candidate it
+// adopts, through the same function. A model is at most 34 873 parameters
+// (272 kB in float64), so nothing is loaded lazily or evicted: an Entry,
+// once built, never touches its files again. Entry implements the serving
+// layer's BatchPredictor, which is how cmd/serve plugs checkpoints straight
+// into its batcher without knowing about files.
 package registry
 
 import (
-	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"paragraph/internal/dataset"
@@ -55,6 +57,17 @@ type Scalers struct {
 	Team   dataset.Scaler `json:"team"`
 	Thread dataset.Scaler `json:"thread"`
 	WScale float64        `json:"w_scale"`
+}
+
+// Prepared returns the scalers in the shape the advisor and Save take them
+// (Train/Val are empty; serving never touches them).
+func (sc Scalers) Prepared() *dataset.Prepared {
+	return &dataset.Prepared{
+		TargetScaler: sc.Target,
+		TeamScaler:   sc.Team,
+		ThreadScaler: sc.Thread,
+		WScale:       sc.WScale,
+	}
 }
 
 // TrainInfo records how a checkpoint was produced, for /v1/models and ops.
@@ -141,20 +154,27 @@ func PlatformSlug(name string) string {
 // checkpoint visible to Discover.
 func Save(root string, m hw.Machine, name string, level paragraph.Level,
 	model *gnn.Model, prep *dataset.Prepared, info TrainInfo) (string, error) {
+	cp, err := save(root, m, name, level, model, prep, info)
+	return cp.Dir, err
+}
+
+// save is Save returning the manifest it wrote along with the directory.
+func save(root string, m hw.Machine, name string, level paragraph.Level,
+	model *gnn.Model, prep *dataset.Prepared, info TrainInfo) (Checkpoint, error) {
 	if err := validName(name); err != nil {
-		return "", err
+		return Checkpoint{}, err
 	}
 	if model == nil || prep == nil {
-		return "", fmt.Errorf("registry: model and prepared dataset required")
+		return Checkpoint{}, fmt.Errorf("registry: model and prepared dataset required")
 	}
 	dir := filepath.Join(root, PlatformSlug(m.Name), name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("registry: %w", err)
+		return Checkpoint{}, fmt.Errorf("registry: %w", err)
 	}
 	if err := writeFileAtomic(filepath.Join(dir, weightsFile), func(f *os.File) error {
 		return model.Save(f)
 	}); err != nil {
-		return "", fmt.Errorf("registry: writing weights: %w", err)
+		return Checkpoint{}, fmt.Errorf("registry: writing weights: %w", err)
 	}
 	man := Manifest{
 		FormatVersion: FormatVersion,
@@ -179,9 +199,9 @@ func Save(root string, m hw.Machine, name string, level paragraph.Level,
 		return enc.Encode(man)
 	})
 	if err != nil {
-		return "", fmt.Errorf("registry: writing manifest: %w", err)
+		return Checkpoint{}, fmt.Errorf("registry: writing manifest: %w", err)
 	}
-	return dir, nil
+	return Checkpoint{Dir: dir, Manifest: man}, nil
 }
 
 // writeFileAtomic writes via a temp file in the target directory and
@@ -202,10 +222,29 @@ func writeFileAtomic(path string, write func(*os.File) error) error {
 	return os.Rename(f.Name(), path)
 }
 
-// Checkpoint is one discovered (not yet loaded) checkpoint.
+// Checkpoint is one checkpoint on disk: its directory and parsed manifest,
+// the model not loaded.
 type Checkpoint struct {
 	Dir      string
 	Manifest Manifest
+}
+
+// readManifest reads and parses one checkpoint directory's manifest and
+// checks its schema version. A missing manifest is an os.ErrNotExist
+// (wrapped), which Discover skips.
+func readManifest(dir string) (Manifest, error) {
+	var man Manifest
+	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		return man, fmt.Errorf("registry: %w", err)
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return man, fmt.Errorf("registry: %s: bad manifest: %w", dir, err)
+	}
+	if man.FormatVersion != FormatVersion {
+		return man, fmt.Errorf("registry: %s: unsupported manifest format %d", dir, man.FormatVersion)
+	}
+	return man, nil
 }
 
 // Discover scans root for checkpoints (any <root>/*/*/manifest.json). A
@@ -230,19 +269,12 @@ func Discover(root string) ([]Checkpoint, error) {
 				continue
 			}
 			dir := filepath.Join(root, pd.Name(), vd.Name())
-			raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
-			if os.IsNotExist(err) {
+			man, err := readManifest(dir)
+			if errors.Is(err, os.ErrNotExist) {
 				continue
 			}
 			if err != nil {
-				return nil, fmt.Errorf("registry: %w", err)
-			}
-			var man Manifest
-			if err := json.Unmarshal(raw, &man); err != nil {
-				return nil, fmt.Errorf("registry: %s: bad manifest: %w", dir, err)
-			}
-			if man.FormatVersion != FormatVersion {
-				return nil, fmt.Errorf("registry: %s: unsupported manifest format %d", dir, man.FormatVersion)
+				return nil, err
 			}
 			cps = append(cps, Checkpoint{Dir: dir, Manifest: man})
 		}
@@ -256,110 +288,50 @@ func Discover(root string) ([]Checkpoint, error) {
 	return cps, nil
 }
 
-// Options tunes a Registry.
-type Options struct {
-	// MaxLoaded bounds the models resident in memory; least-recently-used
-	// entries beyond it are evicted (and transparently reloaded from disk
-	// on next use). <= 0 defaults to 8.
-	MaxLoaded int
+// Options is empty: the registry has nothing left to tune. The type stays
+// only because Open's signature is compiled against by the frozen bench/
+// module (ROADMAP item 4(d)).
+type Options struct{}
 
-	// Float64Inference opts loaded models out of the float32
-	// inference-weights fast path. By default every model the registry
-	// loads serves predictions through weights converted to float32 at
-	// load time (checkpoints on disk stay float64, and the checksum is
-	// verified against the float64 values before conversion) — agreement
-	// with the float64 reference is within 1e-4 relative error, the
-	// engine's gated tolerance. Set this when exact float64 serving
-	// arithmetic is required.
-	Float64Inference bool
-}
-
-// Registry serves the checkpoints under one root directory.
+// Registry indexes the checkpoints under one root directory, every one of
+// them loaded. It is immutable once Open returns.
 type Registry struct {
-	root      string
-	maxLoaded int
-	f64       bool
-
-	mu       sync.Mutex
+	sorted   []*Entry          // by (platform, name), Discover's order
 	entries  map[string]*Entry // platform + "\x00" + name
-	byPlat   map[string][]*Entry
-	defaults map[string]*Entry
-	loaded   *list.List // of *Entry; front = most recently used
-
-	loads, evictions uint64
+	defaults map[string]*Entry // platform → its default alias
 }
 
-// Entry is one registered checkpoint. It implements the serving layer's
-// BatchPredictor: PredictBatch loads the model from disk on first use (and
-// after eviction) and delegates to it, so callers can hold Entries for
-// every checkpoint while only MaxLoaded models occupy memory.
+// Entry is one loaded checkpoint: manifest, the serving stack's view of it
+// (machine profile, representation level, scalers) and the model itself.
+// It implements the serving layer's BatchPredictor and is self-contained —
+// nothing it does reads the checkpoint directory again.
 type Entry struct {
-	reg      *Registry
-	Dir      string
 	Manifest Manifest
 	Machine  hw.Machine
 	Level    paragraph.Level
-	// Prep carries the manifest's scalers in the shape the advisor wants
-	// (Train/Val are empty; serving never touches them).
+	// Prep carries the manifest's scalers in the shape the advisor wants.
 	Prep *dataset.Prepared
 
-	loadMu sync.Mutex
-	model  *gnn.Model
-	elem   *list.Element
-	loads  uint64
+	model *gnn.Model
 }
 
-// Open discovers, validates and indexes every checkpoint under root. Each
-// model is loaded once up front — a config/weights mismatch or checksum
-// drift fails here, not mid-request — then the resident set is trimmed to
-// MaxLoaded.
-func Open(root string, opts Options) (*Registry, error) {
-	if opts.MaxLoaded <= 0 {
-		opts.MaxLoaded = 8
-	}
-	cps, err := Discover(root)
+// Load reads one checkpoint directory into a resident Entry.
+func Load(dir string) (*Entry, error) {
+	man, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(cps) == 0 {
-		return nil, fmt.Errorf("registry: no checkpoints under %s", root)
-	}
-	r := &Registry{
-		root:      root,
-		maxLoaded: opts.MaxLoaded,
-		f64:       opts.Float64Inference,
-		entries:   map[string]*Entry{},
-		byPlat:    map[string][]*Entry{},
-		defaults:  map[string]*Entry{},
-		loaded:    list.New(),
-	}
-	for _, cp := range cps {
-		e, err := r.newEntry(cp)
-		if err != nil {
-			return nil, err
-		}
-		key := entryKey(e.Manifest.Platform, e.Manifest.Name)
-		if _, dup := r.entries[key]; dup {
-			return nil, fmt.Errorf("registry: duplicate checkpoint %s/%s", e.Manifest.Platform, e.Manifest.Name)
-		}
-		r.entries[key] = e
-		r.byPlat[e.Manifest.Platform] = append(r.byPlat[e.Manifest.Platform], e)
-		// Verify now: Open fails fast on broken checkpoints.
-		if _, err := e.acquire(); err != nil {
-			return nil, err
-		}
-	}
-	for plat, es := range r.byPlat {
-		r.defaults[plat] = pickDefault(es)
-	}
-	return r, nil
+	return load(Checkpoint{Dir: dir, Manifest: man})
 }
 
-func entryKey(platform, name string) string { return platform + "\x00" + name }
-
-// newEntry validates a discovered checkpoint's manifest and builds its
-// (unloaded) entry.
-func (r *Registry) newEntry(cp Checkpoint) (*Entry, error) {
+// load is the one loader: it validates the manifest, reads the weights,
+// verifies them against the manifest's config and checksum, and builds the
+// model's derived inference weights — the precomputed attention projections
+// and the float32 weight set predictions are served from — so the first
+// request pays no one-time conversion. Checkpoints on disk stay float64 and
+// the checksum covers those values; float32 serving agrees with the float64
+// reference within 1e-4 relative error, the engine's gated tolerance.
+func load(cp Checkpoint) (*Entry, error) {
 	man := cp.Manifest
 	machine, err := hw.ByName(man.Platform)
 	if err != nil {
@@ -375,36 +347,81 @@ func (r *Registry) newEntry(cp Checkpoint) (*Entry, error) {
 	if man.Scalers.WScale <= 0 {
 		return nil, fmt.Errorf("registry: %s: manifest w_scale %g must be positive", cp.Dir, man.Scalers.WScale)
 	}
+	f, err := os.Open(filepath.Join(cp.Dir, weightsFile))
+	if err != nil {
+		return nil, fmt.Errorf("registry: %s: %w", cp.Dir, err)
+	}
+	defer f.Close()
+	m := gnn.NewModel(man.Config)
+	if err := m.Load(f); err != nil {
+		return nil, fmt.Errorf("registry: %s: config/weights mismatch: %w", cp.Dir, err)
+	}
+	if man.Checksum != "" && m.Checksum() != man.Checksum {
+		return nil, fmt.Errorf("registry: %s: weights checksum mismatch (manifest %.12s…, file %.12s…)",
+			cp.Dir, man.Checksum, m.Checksum())
+	}
+	m.SetFloat32Inference(true)
+	m.PrecomputeInference()
 	return &Entry{
-		reg:      r,
-		Dir:      cp.Dir,
 		Manifest: man,
 		Machine:  machine,
 		Level:    level,
-		Prep: &dataset.Prepared{
-			TargetScaler: man.Scalers.Target,
-			TeamScaler:   man.Scalers.Team,
-			ThreadScaler: man.Scalers.Thread,
-			WScale:       man.Scalers.WScale,
-		},
+		Prep:     man.Scalers.Prepared(),
+		model:    m,
 	}, nil
 }
 
-// pickDefault resolves a platform's default alias: a version literally
-// named "default" wins, else the newest CreatedAt (name as tiebreak).
-func pickDefault(es []*Entry) *Entry {
-	best := es[0]
-	for _, e := range es[1:] {
+// Open discovers, loads and indexes every checkpoint under root; a broken
+// one fails here, not mid-request.
+func Open(root string, _ Options) (*Registry, error) {
+	cps, err := Discover(root)
+	if err != nil {
+		return nil, err
+	}
+	if len(cps) == 0 {
+		return nil, fmt.Errorf("registry: no checkpoints under %s", root)
+	}
+	r := &Registry{entries: map[string]*Entry{}, defaults: map[string]*Entry{}}
+	byPlat := map[string][]Checkpoint{}
+	for _, cp := range cps {
+		e, err := load(cp)
+		if err != nil {
+			return nil, err
+		}
+		plat := cp.Manifest.Platform
+		key := entryKey(plat, cp.Manifest.Name)
+		if _, dup := r.entries[key]; dup {
+			return nil, fmt.Errorf("registry: duplicate checkpoint %s/%s", plat, cp.Manifest.Name)
+		}
+		r.sorted = append(r.sorted, e)
+		r.entries[key] = e
+		byPlat[plat] = append(byPlat[plat], cp)
+	}
+	for plat, cps := range byPlat {
+		r.defaults[plat] = r.entries[entryKey(plat, pickDefault(cps).Manifest.Name)]
+	}
+	return r, nil
+}
+
+func entryKey(platform, name string) string { return platform + "\x00" + name }
+
+// pickDefault resolves the default alias among one platform's checkpoints:
+// a version literally named "default" wins, else the newest CreatedAt (name
+// as tiebreak). It is the only statement of that rule — Open, retraining
+// and GC all ask it.
+func pickDefault(cps []Checkpoint) Checkpoint {
+	best := cps[0]
+	for _, cp := range cps[1:] {
 		if best.Manifest.Name == "default" {
 			break
 		}
 		switch {
-		case e.Manifest.Name == "default":
-			best = e
-		case e.Manifest.CreatedAt.After(best.Manifest.CreatedAt):
-			best = e
-		case e.Manifest.CreatedAt.Equal(best.Manifest.CreatedAt) && e.Manifest.Name < best.Manifest.Name:
-			best = e
+		case cp.Manifest.Name == "default":
+			best = cp
+		case cp.Manifest.CreatedAt.After(best.Manifest.CreatedAt):
+			best = cp
+		case cp.Manifest.CreatedAt.Equal(best.Manifest.CreatedAt) && cp.Manifest.Name < best.Manifest.Name:
+			best = cp
 		}
 	}
 	return best
@@ -413,8 +430,6 @@ func pickDefault(es []*Entry) *Entry {
 // Lookup resolves a (platform, version) pair; an empty or "default" name
 // follows the platform's default alias.
 func (r *Registry) Lookup(platform, name string) (*Entry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if name == "" || name == "default" {
 		if e, ok := r.defaults[platform]; ok {
 			return e, nil
@@ -428,158 +443,12 @@ func (r *Registry) Lookup(platform, name string) (*Entry, error) {
 }
 
 // Default reports whether e is its platform's default alias.
-func (r *Registry) Default(e *Entry) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.defaults[e.Manifest.Platform] == e
-}
-
-// Platforms lists the platforms with at least one checkpoint, sorted.
-func (r *Registry) Platforms() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.byPlat))
-	for p := range r.byPlat {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *Registry) Default(e *Entry) bool { return r.defaults[e.Manifest.Platform] == e }
 
 // Entries lists every checkpoint, sorted by (platform, name).
-func (r *Registry) Entries() []*Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []*Entry
-	for _, es := range r.byPlat {
-		out = append(out, es...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Manifest.Platform != out[j].Manifest.Platform {
-			return out[i].Manifest.Platform < out[j].Manifest.Platform
-		}
-		return out[i].Manifest.Name < out[j].Manifest.Name
-	})
-	return out
-}
+func (r *Registry) Entries() []*Entry { return append([]*Entry(nil), r.sorted...) }
 
-// Stats is the registry's counter snapshot.
-type Stats struct {
-	Checkpoints int    `json:"checkpoints"`
-	Loaded      int    `json:"loaded"`
-	MaxLoaded   int    `json:"max_loaded"`
-	Loads       uint64 `json:"loads"`     // disk loads, including Open's verification pass
-	Evictions   uint64 `json:"evictions"` // models dropped by the LRU bound
-}
-
-// Stats snapshots the registry counters.
-func (r *Registry) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Stats{
-		Checkpoints: len(r.entries),
-		Loaded:      r.loaded.Len(),
-		MaxLoaded:   r.maxLoaded,
-		Loads:       r.loads,
-		Evictions:   r.evictions,
-	}
-}
-
-// PredictBatch implements the serving layer's BatchPredictor over the
-// lazily-loaded model. A load failure (checkpoint deleted or corrupted
-// under a live registry) yields NaN predictions; the serving layer turns
-// NaN rankings into request errors, so the process stays up.
+// PredictBatch implements the serving layer's BatchPredictor.
 func (e *Entry) PredictBatch(samples []*gnn.Sample) []float64 {
-	m, err := e.acquire()
-	if err != nil {
-		out := make([]float64, len(samples))
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	return m.PredictBatch(samples)
-}
-
-// Loaded reports whether the entry's model is currently resident.
-func (e *Entry) Loaded() bool {
-	e.reg.mu.Lock()
-	defer e.reg.mu.Unlock()
-	return e.model != nil
-}
-
-// Loads returns how many times this entry was loaded from disk.
-func (e *Entry) Loads() uint64 {
-	e.reg.mu.Lock()
-	defer e.reg.mu.Unlock()
-	return e.loads
-}
-
-// acquire returns the entry's model, loading it from disk (and evicting the
-// registry's least-recently-used entry beyond MaxLoaded) when needed.
-func (e *Entry) acquire() (*gnn.Model, error) {
-	r := e.reg
-	r.mu.Lock()
-	if e.model != nil {
-		r.loaded.MoveToFront(e.elem)
-		m := e.model
-		r.mu.Unlock()
-		return m, nil
-	}
-	r.mu.Unlock()
-
-	// Load outside the registry lock (other entries keep serving); the
-	// per-entry mutex collapses concurrent loads of the same checkpoint.
-	e.loadMu.Lock()
-	defer e.loadMu.Unlock()
-	r.mu.Lock()
-	if e.model != nil {
-		r.loaded.MoveToFront(e.elem)
-		m := e.model
-		r.mu.Unlock()
-		return m, nil
-	}
-	r.mu.Unlock()
-
-	m, err := e.loadModel()
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	e.model = m
-	e.elem = r.loaded.PushFront(e)
-	e.loads++
-	r.loads++
-	for r.loaded.Len() > r.maxLoaded {
-		victim := r.loaded.Remove(r.loaded.Back()).(*Entry)
-		victim.model = nil
-		victim.elem = nil
-		r.evictions++
-	}
-	r.mu.Unlock()
-	return m, nil
-}
-
-// loadModel reads and verifies the weights file against the manifest, then
-// builds the model's derived inference weights (precomputed attention
-// projections and — unless the registry was opened with Float64Inference —
-// the converted float32 weight set) so the first request served pays no
-// one-time conversion cost.
-func (e *Entry) loadModel() (*gnn.Model, error) {
-	f, err := os.Open(filepath.Join(e.Dir, weightsFile))
-	if err != nil {
-		return nil, fmt.Errorf("registry: %s: %w", e.Dir, err)
-	}
-	defer f.Close()
-	m := gnn.NewModel(e.Manifest.Config)
-	if err := m.Load(f); err != nil {
-		return nil, fmt.Errorf("registry: %s: config/weights mismatch: %w", e.Dir, err)
-	}
-	if e.Manifest.Checksum != "" && m.Checksum() != e.Manifest.Checksum {
-		return nil, fmt.Errorf("registry: %s: weights checksum mismatch (manifest %.12s…, file %.12s…)",
-			e.Dir, e.Manifest.Checksum, m.Checksum())
-	}
-	m.SetFloat32Inference(!e.reg.f64)
-	m.PrecomputeInference()
-	return m, nil
+	return e.model.PredictBatch(samples)
 }

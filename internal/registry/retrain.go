@@ -1,19 +1,14 @@
 package registry
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"paragraph/internal/dataset"
 	"paragraph/internal/feedback"
 	"paragraph/internal/gnn"
-	"paragraph/internal/hw"
 	"paragraph/internal/paragraph"
 )
 
@@ -24,51 +19,6 @@ import (
 // model is fine-tuned incrementally from its current weights, and the result
 // is saved as a new candidate version with the platform's rollout state
 // pointed at it.
-
-// LoadCheckpoint reads one checkpoint directory into a resident model,
-// verifying config, weights, and checksum — the standalone counterpart of a
-// Registry entry load, for callers (retrain, candidate adoption) that want
-// the model itself rather than a lazily-loaded serving entry. When f32 is
-// true the model also precomputes the float32 inference weights used by the
-// serving default.
-func LoadCheckpoint(dir string, f32 bool) (*gnn.Model, Checkpoint, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if err != nil {
-		return nil, Checkpoint{}, fmt.Errorf("registry: %w", err)
-	}
-	var man Manifest
-	if err := jsonUnmarshalStrictVersion(raw, &man); err != nil {
-		return nil, Checkpoint{}, fmt.Errorf("registry: %s: %w", dir, err)
-	}
-	cp := Checkpoint{Dir: dir, Manifest: man}
-	f, err := os.Open(filepath.Join(dir, weightsFile))
-	if err != nil {
-		return nil, Checkpoint{}, fmt.Errorf("registry: %s: %w", dir, err)
-	}
-	defer f.Close()
-	m := gnn.NewModel(man.Config)
-	if err := m.Load(f); err != nil {
-		return nil, Checkpoint{}, fmt.Errorf("registry: %s: config/weights mismatch: %w", dir, err)
-	}
-	if man.Checksum != "" && m.Checksum() != man.Checksum {
-		return nil, Checkpoint{}, fmt.Errorf("registry: %s: weights checksum mismatch", dir)
-	}
-	if f32 {
-		m.SetFloat32Inference(true)
-		m.PrecomputeInference()
-	}
-	return m, cp, nil
-}
-
-func jsonUnmarshalStrictVersion(raw []byte, man *Manifest) error {
-	if err := json.Unmarshal(raw, man); err != nil {
-		return fmt.Errorf("bad manifest: %w", err)
-	}
-	if man.FormatVersion != FormatVersion {
-		return fmt.Errorf("unsupported manifest format %d", man.FormatVersion)
-	}
-	return nil
-}
 
 // RetrainOptions tunes RetrainFromFeedback. Zero values take the noted
 // defaults.
@@ -124,68 +74,48 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 		opts.MinRecords = 20
 	}
 
-	machine, err := hw.ByName(platform)
-	if err != nil {
-		return res, fmt.Errorf("registry: retrain: %w", err)
-	}
-
 	// Resolve the stable checkpoint to fine-tune from.
 	cps, err := Discover(root)
 	if err != nil {
 		return res, err
 	}
-	byName := map[string]Checkpoint{}
+	var plat []Checkpoint
+	taken := map[string]bool{}
 	for _, cp := range cps {
 		if cp.Manifest.Platform == platform {
-			byName[cp.Manifest.Name] = cp
+			plat = append(plat, cp)
+			taken[cp.Manifest.Name] = true
 		}
 	}
-	if len(byName) == 0 {
+	if len(plat) == 0 {
 		return res, fmt.Errorf("registry: retrain: no checkpoints for platform %q under %s", platform, root)
 	}
 	st, err := LoadRollout(root, platform)
 	if err != nil {
 		return res, err
 	}
-	var stable Checkpoint
+	stable := pickDefault(plat)
 	if st != nil && st.Stable != "" {
-		if cp, ok := byName[st.Stable]; ok {
-			stable = cp
-		}
-	}
-	if stable.Dir == "" {
-		// Default alias: a version literally named "default" wins, else the
-		// newest CreatedAt (name as tiebreak), matching pickDefault.
-		names := make([]string, 0, len(byName))
-		for n := range byName {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		stable = byName[names[0]]
-		for _, n := range names[1:] {
-			cp := byName[n]
-			if stable.Manifest.Name == "default" {
-				break
-			}
-			if cp.Manifest.Name == "default" || cp.Manifest.CreatedAt.After(stable.Manifest.CreatedAt) {
+		for _, cp := range plat {
+			if cp.Manifest.Name == st.Stable {
 				stable = cp
 			}
 		}
 	}
 	res.Stable = stable.Manifest.Name
 
-	model, cp, err := LoadCheckpoint(stable.Dir, false)
+	// A private copy of the stable, loaded like any other: fine-tuning
+	// mutates its weights, and whoever serves the stable keeps their own.
+	// Its per-epoch validation runs in float64, as training from scratch
+	// validates, so the two kinds of manifest report comparable RMSEs.
+	e, err := load(stable)
 	if err != nil {
 		return res, err
 	}
-	man := cp.Manifest
-	level, err := ParseLevel(man.Level)
-	if err != nil {
-		return res, fmt.Errorf("registry: retrain: %w", err)
-	}
+	e.model.SetFloat32Inference(false)
 
 	// Rebuild samples from the feedback records with the manifest's scalers.
-	samples, skipped := FeedbackSamples(recs, platform, man, level)
+	samples, skipped := FeedbackSamples(recs, platform, e.Manifest, e.Level)
 	res.Skipped = skipped
 	if len(samples) < opts.MinRecords {
 		return res, fmt.Errorf("registry: retrain: only %d usable feedback records for %s (need %d)",
@@ -201,7 +131,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	val, train := samples[:nVal], samples[nVal:]
 	res.TrainSamples, res.ValSamples = len(train), len(val)
 
-	hist, err := model.FitIncremental(train, val, gnn.TrainConfig{
+	hist, err := e.model.FitIncremental(train, val, gnn.TrainConfig{
 		Epochs:    opts.Epochs,
 		BatchSize: opts.BatchSize,
 		LR:        opts.LR,
@@ -219,7 +149,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	if name == "" {
 		name = fmt.Sprintf("fb-%s", time.Now().UTC().Format("20060102-150405"))
 		for i := 2; ; i++ {
-			if _, taken := byName[name]; !taken {
+			if !taken[name] {
 				break
 			}
 			name = fmt.Sprintf("fb-%s.%d", time.Now().UTC().Format("20060102-150405"), i)
@@ -232,13 +162,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 		return res, fmt.Errorf("registry: retrain: candidate name %q equals the stable version", name)
 	}
 
-	prep := &dataset.Prepared{
-		TargetScaler: man.Scalers.Target,
-		TeamScaler:   man.Scalers.Team,
-		ThreadScaler: man.Scalers.Thread,
-		WScale:       man.Scalers.WScale,
-	}
-	dir, err := Save(root, machine, name, level, model, prep, TrainInfo{
+	res.Candidate, err = save(root, e.Machine, name, e.Level, e.model, e.Prep, TrainInfo{
 		Scale:        "feedback",
 		Epochs:       len(hist.TrainLoss),
 		TrainSamples: len(train),
@@ -247,14 +171,6 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	})
 	if err != nil {
 		return res, err
-	}
-	cman := man
-	cman.Name = name
-	res.Candidate = Checkpoint{Dir: dir}
-	if _, cp, err := LoadCheckpoint(dir, false); err == nil {
-		res.Candidate = cp
-	} else {
-		res.Candidate.Manifest = cman
 	}
 
 	// Point the rollout state at the new candidate.

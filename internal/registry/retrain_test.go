@@ -37,29 +37,30 @@ func feedbackRecords(n int) []feedback.Record {
 	return recs
 }
 
-func TestLoadCheckpoint(t *testing.T) {
+func TestLoad(t *testing.T) {
 	root := t.TempDir()
 	orig := saveTest(t, root, hw.V100(), "v1", 7)
 	dir := ckptDir(root, hw.V100(), "v1")
 
-	m, cp, err := LoadCheckpoint(dir, false)
+	e, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Manifest.Name != "v1" || cp.Manifest.Platform != hw.V100().Name {
-		t.Fatalf("manifest = %+v", cp.Manifest)
+	if e.Manifest.Name != "v1" || e.Manifest.Platform != hw.V100().Name || e.Machine.Name != hw.V100().Name {
+		t.Fatalf("entry = %+v", e.Manifest)
 	}
-	if m.Checksum() != orig.Checksum() {
+	if e.model.Checksum() != orig.Checksum() {
 		t.Fatal("loaded weights differ from saved")
-	}
-	if _, _, err := LoadCheckpoint(dir, true); err != nil {
-		t.Fatalf("f32 load: %v", err)
 	}
 
 	// Checksum drift must fail the load.
 	rewriteManifest(t, dir, func(man *Manifest) { man.Checksum = strings.Repeat("0", 64) })
-	if _, _, err := LoadCheckpoint(dir, false); err == nil {
+	if _, err := Load(dir); err == nil {
 		t.Fatal("checksum drift not detected")
+	}
+	// So must a directory that is not a checkpoint.
+	if _, err := Load(t.TempDir()); err == nil {
+		t.Fatal("Load of an empty directory succeeded")
 	}
 }
 
@@ -85,21 +86,28 @@ func TestRetrainFromFeedback(t *testing.T) {
 		t.Fatalf("candidate manifest = %+v", cand)
 	}
 	// The candidate reuses the stable's scalers verbatim (never refit).
-	_, scp, err := LoadCheckpoint(ckptDir(root, hw.V100(), "v1"), false)
+	se, err := Load(ckptDir(root, hw.V100(), "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cand.Scalers != scp.Manifest.Scalers {
-		t.Fatalf("candidate scalers %+v != stable scalers %+v", cand.Scalers, scp.Manifest.Scalers)
+	if cand.Scalers != se.Manifest.Scalers {
+		t.Fatalf("candidate scalers %+v != stable scalers %+v", cand.Scalers, se.Manifest.Scalers)
+	}
+	// Retraining fine-tuned its own copy: the stable on disk is untouched.
+	if se.model.Checksum() != stable.Checksum() {
+		t.Fatal("retraining changed the stable checkpoint")
 	}
 
-	// Fine-tuning moved the weights; the saved candidate is loadable and
-	// differs from the stable.
-	m, _, err := LoadCheckpoint(res.Candidate.Dir, false)
+	// Fine-tuning moved the weights; the saved candidate is loadable, is
+	// what the result says it is, and differs from the stable.
+	ce, err := Load(res.Candidate.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Checksum() == stable.Checksum() {
+	if ce.Manifest != cand {
+		t.Fatalf("candidate on disk %+v, result reports %+v", ce.Manifest, cand)
+	}
+	if ce.model.Checksum() == stable.Checksum() {
 		t.Fatal("candidate weights identical to stable — no training happened")
 	}
 

@@ -1,9 +1,8 @@
 // Package serve turns the one-shot advisor pipeline into a long-running
 // service: an HTTP/JSON API (POST /v1/advise, POST /v1/predict, GET
 // /v1/healthz, /v1/stats, /v1/models, /v1/ring) answered from shared cost
-// models — trained at startup or loaded as registry checkpoints
-// (internal/registry), several named versions per platform behind a
-// "default" alias.
+// models — registry checkpoints (internal/registry) loaded resident,
+// several named versions per platform behind a "default" alias.
 //
 // The scaling layers, in request order: a content-addressed sharded LRU
 // cache memoizes whole advise responses and single predictions; identical

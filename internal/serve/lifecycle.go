@@ -14,7 +14,6 @@ import (
 
 	"paragraph/internal/advisor"
 	"paragraph/internal/apps"
-	"paragraph/internal/dataset"
 	"paragraph/internal/feedback"
 	"paragraph/internal/obs"
 	"paragraph/internal/registry"
@@ -566,8 +565,9 @@ func (lc *lifecycle) persistLocked(p *platRollout) {
 }
 
 // gcLocked prunes the platform's superseded checkpoints, unregistering
-// pruned versions from serving (their predictions would go non-finite once
-// the weights files are gone). Caller holds lc.mu.
+// pruned versions from serving: a version this process still answered for
+// but a restart could not find would be a surprise waiting for that restart.
+// Caller holds lc.mu.
 func (lc *lifecycle) gcLocked(p *platRollout) {
 	if lc.root == "" || lc.gcKeep < 0 {
 		return
@@ -629,39 +629,21 @@ func (lc *lifecycle) runRetrain(platform string) error {
 		return err
 	}
 
-	// Adopt the candidate: load it resident (float32 inference, like the
-	// serving default) and register it before flipping the rollout pointer,
-	// so routing never names a version that is not yet servable. Metric
-	// registration happens outside lc.mu (lock-ordering contract above).
-	model, cp, err := registry.LoadCheckpoint(res.Candidate.Dir, true)
+	// Adopt the candidate: load it from disk like any checkpoint (verifying
+	// what the retrain wrote) and register it before flipping the rollout
+	// pointer, so routing never names a version that is not yet servable.
+	// Metric registration happens outside lc.mu (lock-ordering contract
+	// above).
+	e, err := registry.Load(res.Candidate.Dir)
 	if err != nil {
 		return err
 	}
-	man := cp.Manifest
-	level, err := registry.ParseLevel(man.Level)
+	name := e.Manifest.Name
+	ms, err := lc.s.addModel(CheckpointBackend(e, "feedback"))
 	if err != nil {
 		return err
 	}
-	prep := &dataset.Prepared{
-		TargetScaler: man.Scalers.Target,
-		TeamScaler:   man.Scalers.Team,
-		ThreadScaler: man.Scalers.Thread,
-		WScale:       man.Scalers.WScale,
-	}
-	ms, err := lc.s.addModel(platform, man.Name, model, prep, ModelInfo{
-		Level:     level,
-		Source:    "feedback",
-		Hidden:    man.Config.Hidden,
-		Layers:    man.Config.Layers,
-		Params:    man.Params,
-		Epochs:    man.Train.Epochs,
-		ValRMSE:   man.Train.FinalValRMSE,
-		CreatedAt: man.CreatedAt,
-	})
-	if err != nil {
-		return err
-	}
-	lc.s.metrics.registerModel(platform, man.Name, ms)
+	lc.s.metrics.registerModel(platform, name, ms)
 
 	lc.mu.Lock()
 	p := lc.platLocked(platform)
@@ -671,17 +653,17 @@ func (lc *lifecycle) runRetrain(platform string) error {
 		p.st = st
 	} else {
 		p.st.Stable = res.Stable
-		p.st.Candidate = man.Name
+		p.st.Candidate = name
 		p.st.SplitPct = lc.split
 		p.st.Better, p.st.Worse = 0, 0
 	}
-	if p.windows[man.Name] == nil {
-		p.windows[man.Name] = registry.NewQualityWindow(qualityWindowSize)
+	if p.windows[name] == nil {
+		p.windows[name] = registry.NewQualityWindow(qualityWindowSize)
 	}
 	lc.mu.Unlock()
 
 	lc.s.logger.Info("rollout: candidate adopted", "platform", platform,
-		"stable", res.Stable, "candidate", man.Name, "split_pct", lc.split,
+		"stable", res.Stable, "candidate", name, "split_pct", lc.split,
 		"train_samples", res.TrainSamples, "val_samples", res.ValSamples,
 		"val_rmse", res.FinalValRMSE)
 	return nil

@@ -49,28 +49,52 @@ func saveLCCheckpoint(t *testing.T, root, name string, seed int64) {
 	}
 }
 
-// registryBackends loads saved checkpoints back resident (float32 inference,
-// like cmd/serve does) as serving backends; the first name is the default.
+// registryBackends loads saved checkpoints as serving backends the way
+// cmd/serve does; the first name is the default.
 func registryBackends(t *testing.T, root string, names ...string) []Backend {
 	t.Helper()
 	var bs []Backend
 	for i, name := range names {
-		dir := filepath.Join(root, registry.PlatformSlug(hw.V100().Name), name)
-		model, cp, err := registry.LoadCheckpoint(dir, true)
+		e, err := registry.Load(filepath.Join(root, registry.PlatformSlug(hw.V100().Name), name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		level, err := registry.ParseLevel(cp.Manifest.Level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs = append(bs, Backend{
-			Machine: hw.V100(), Model: model, Prep: testPrep(), Name: name,
-			Default: i == 0,
-			Info:    &ModelInfo{Level: level, Source: "checkpoint"},
-		})
+		b := CheckpointBackend(e, "checkpoint")
+		b.Default = i == 0
+		bs = append(bs, b)
 	}
 	return bs
+}
+
+// TestCheckpointBackendDescribesTheManifest pins the one Entry → Backend
+// conversion: /v1/models reports a served checkpoint field for field from
+// its manifest, under the source the caller names.
+func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
+	root := t.TempDir()
+	saveLCCheckpoint(t, root, "v1", 7)
+	e, err := registry.Load(filepath.Join(root, registry.PlatformSlug(hw.V100().Name), "v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := CheckpointBackend(e, "checkpoint")
+	if b.Model != BatchPredictor(e) || b.Prep != e.Prep || b.Machine.Name != hw.V100().Name || b.Default {
+		t.Errorf("backend = %+v", b)
+	}
+	s, err := NewServer([]Backend{b}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	man := e.Manifest
+	want := ModelDesc{
+		Platform: hw.V100().Name, Name: "v1", Default: true,
+		Level: "ParaGraph", Source: "checkpoint",
+		Hidden: 8, Layers: 1, Params: man.Params, Epochs: 1,
+		CreatedAt: man.CreatedAt.UTC().Format(time.RFC3339),
+	}
+	if got := lcModels(t, s)["v1"]; got != want || man.Params == 0 || man.CreatedAt.IsZero() {
+		t.Errorf("/v1/models entry = %+v, want %+v", got, want)
+	}
 }
 
 func lcPredictReq(n float64) PredictRequest {
@@ -411,6 +435,11 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 	}
 	if d, ok := descs[cand]; !ok || d.Role != "candidate" || d.RolloutSplit != 50 || d.Source != "feedback" {
 		t.Errorf("candidate desc = %+v", d)
+	} else if v1 := descs["v1"]; d.Level != v1.Level || d.Hidden != v1.Hidden || d.Layers != v1.Layers ||
+		d.Params != v1.Params || d.Epochs != 1 || d.CreatedAt == "" {
+		// An adopted candidate is described from its manifest, like a
+		// checkpoint served from boot.
+		t.Errorf("candidate desc = %+v, want the stable's architecture (%+v) after 1 epoch", d, v1)
 	}
 	out := scrapeMetrics(t, s)
 	for _, want := range []string{

@@ -22,6 +22,7 @@ import (
 	"paragraph/internal/hw"
 	"paragraph/internal/obs"
 	"paragraph/internal/paragraph"
+	"paragraph/internal/registry"
 	"paragraph/internal/variants"
 )
 
@@ -50,13 +51,38 @@ type Backend struct {
 // ModelInfo is per-model metadata surfaced through /v1/models.
 type ModelInfo struct {
 	Level     paragraph.Level
-	Source    string // "trained", "checkpoint", ...
+	Source    string // "checkpoint", "feedback" (an adopted retrain), "trained"
 	Hidden    int
 	Layers    int
 	Params    int // scalar parameter count
 	Epochs    int
 	ValRMSE   float64 // final validation RMSE (scaled)
 	CreatedAt time.Time
+}
+
+// CheckpointBackend is the one conversion from a loaded registry entry to a
+// servable Backend and its /v1/models description. source says how the
+// checkpoint came to be served: "checkpoint" at boot, "feedback" for an
+// adopted retrain candidate. Default is left for the caller, who knows the
+// registry's alias (registry.Registry.Default).
+func CheckpointBackend(e *registry.Entry, source string) Backend {
+	man := e.Manifest
+	return Backend{
+		Machine: e.Machine,
+		Model:   e,
+		Prep:    e.Prep,
+		Name:    man.Name,
+		Info: &ModelInfo{
+			Level:     e.Level,
+			Source:    source,
+			Hidden:    man.Config.Hidden,
+			Layers:    man.Config.Layers,
+			Params:    man.Params,
+			Epochs:    man.Train.Epochs,
+			ValRMSE:   man.Train.FinalValRMSE,
+			CreatedAt: man.CreatedAt,
+		},
+	}
 }
 
 // Options tunes the service layers. Zero values pick sensible defaults.
@@ -264,11 +290,7 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 		if _, dup := be.models[name]; dup {
 			return nil, fmt.Errorf("serve: duplicate backend %s/%s", b.Machine.Name, name)
 		}
-		info := ModelInfo{Level: paragraph.LevelParaGraph, Source: "trained"}
-		if b.Info != nil {
-			info = *b.Info
-		}
-		be.models[name] = s.newModelState(b.Machine, name, b.Model, b.Prep, info)
+		be.models[name] = s.newModelState(b, name)
 		if b.Default {
 			if be.defaultName != "" && be.defaultName != name {
 				return nil, fmt.Errorf("serve: platform %q declares two default models (%s, %s)",
@@ -326,11 +348,15 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// newModelState wires one model version into the serving plumbing: its
-// metered batcher and the advisor on top.
-func (s *Server) newModelState(machine hw.Machine, name string, model BatchPredictor, prep *dataset.Prepared, info ModelInfo) *modelState {
-	batcher := NewBatcher(model, 0, 0)
-	adv := advisor.New(batcher, prep, machine)
+// newModelState wires one backend into the serving plumbing under its
+// resolved version name: its metered batcher and the advisor on top.
+func (s *Server) newModelState(b Backend, name string) *modelState {
+	info := ModelInfo{Level: paragraph.LevelParaGraph, Source: "trained"}
+	if b.Info != nil {
+		info = *b.Info
+	}
+	batcher := NewBatcher(b.Model, 0, 0)
+	adv := advisor.New(batcher, b.Prep, b.Machine)
 	adv.SetLevel(info.Level)
 	adv.SetWorkers(s.opts.GridWorkers)
 	return &modelState{
@@ -342,21 +368,21 @@ func (s *Server) newModelState(machine hw.Machine, name string, model BatchPredi
 
 // addModel registers a new model version on a live server (candidate
 // adoption). The version name must be fresh and not an alias.
-func (s *Server) addModel(platform, name string, model BatchPredictor, prep *dataset.Prepared, info ModelInfo) (*modelState, error) {
-	be, err := s.resolveBackend(platform)
+func (s *Server) addModel(b Backend) (*modelState, error) {
+	be, err := s.resolveBackend(b.Machine.Name)
 	if err != nil {
 		return nil, err
 	}
-	if name == "" || name == "default" {
-		return nil, fmt.Errorf("serve: invalid live model name %q", name)
+	if b.Name == "" || b.Name == "default" {
+		return nil, fmt.Errorf("serve: invalid live model name %q", b.Name)
 	}
-	ms := s.newModelState(be.machine, name, model, prep, info)
+	ms := s.newModelState(b, b.Name)
 	be.mu.Lock()
 	defer be.mu.Unlock()
-	if _, dup := be.models[name]; dup {
-		return nil, fmt.Errorf("serve: model %s/%s already registered", platform, name)
+	if _, dup := be.models[b.Name]; dup {
+		return nil, fmt.Errorf("serve: model %s/%s already registered", be.machine.Name, b.Name)
 	}
-	be.models[name] = ms
+	be.models[b.Name] = ms
 	return ms, nil
 }
 
@@ -977,12 +1003,13 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 		if err != nil {
 			return nil, err
 		}
-		// A non-finite prediction is the signature of a registry model
-		// whose checkpoint vanished or corrupted under a live server
-		// (registry entries answer NaN rather than crash the batcher).
-		// Failing the request keeps the poisoned answer out of the cache.
+		// A non-finite prediction means arithmetic the model did not
+		// survive: a fine-tune that diverged (NaN weights pass a checksum
+		// like any others), or an output so large that exponentiating it
+		// back to microseconds overflows. Failing the request keeps the
+		// poisoned answer out of the cache and off the key's replicas.
 		if !allFinite(out) {
-			return nil, errors.New("model produced a non-finite prediction (checkpoint unavailable?)")
+			return nil, errors.New("model produced a non-finite prediction")
 		}
 		s.adviseCache.Add(q.key, out)
 		s.replicate(q.key, out, owners, owned, tr.ID())

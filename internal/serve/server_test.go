@@ -226,6 +226,43 @@ __PRAGMA__
 	}
 }
 
+// TestDeepCustomKernelIsAnError is the ROADMAP's process kill as a request:
+// a custom kernel assigning 300 000 nested parentheses — 600 kB, under the
+// body cap — used to end the process with a stack overflow inside cparse.
+// It is answered 422 by the parser's nesting budget, on advise and predict
+// alike, and the server keeps answering.
+func TestDeepCustomKernelIsAnError(t *testing.T) {
+	s := newTestServer(t)
+	const depth = 300_000
+	spec := &KernelSpec{
+		Name:     "deep",
+		FuncName: "deep",
+		Source: "void deep(double *a, int n) {\n__PRAGMA__\n" +
+			"    for (int i = 0; i < n; i++) {\n        a[0] = " +
+			strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + ";\n    }\n}\n",
+		Params: []ParamSpec{{Name: "n", Values: []int{1024}}},
+	}
+	for path, req := range map[string]any{
+		"/v1/advise": AdviseRequest{
+			Custom: spec, Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
+			Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}},
+		},
+		"/v1/predict": PredictRequest{
+			Custom: spec, Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
+			Variant: "gpu", Teams: 64, Threads: 128,
+		},
+	} {
+		rec := do(t, s, http.MethodPost, path, req, nil)
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "nesting deeper than") {
+			t.Errorf("%s with %d nested parentheses: %d %.200s, want 422 naming the nesting budget",
+				path, depth, rec.Code, rec.Body.String())
+		}
+		if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, nil); rec.Code != http.StatusOK {
+			t.Errorf("healthz after the deep %s: %d", path, rec.Code)
+		}
+	}
+}
+
 // TestRequestBodyLimit: /v1/advise and /v1/predict refuse a body over
 // maxRequestBody with 413 before decoding it, and a custom kernel that
 // fills the cap to the byte is still served.
