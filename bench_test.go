@@ -561,6 +561,32 @@ func BenchmarkServeAdviseCold(b *testing.B) {
 	}
 }
 
+// BenchmarkAdviseColdSuite measures what a cold advise costs in process at
+// the shape bench/'s advise_cold serves: the 17 suite kernels round-robin
+// over the default search space on the V100 profile (24–48 points, 2–4
+// variant kinds), Hidden 24 / Layers 3 in float32, bindings that never
+// repeat. BenchmarkServeAdviseCold sweeps a two-point, one-kind grid and
+// cannot see what a grid shares.
+func BenchmarkAdviseColdSuite(b *testing.B) {
+	model := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3,
+		Relations: int(paragraph.NumEdgeTypes)})
+	model.SetFloat32Inference(true)
+	a := advisor.New(model, benchServePrep(), hw.V100())
+	kernels, space := apps.Kernels(), advisor.DefaultSearchSpace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := kernels[i%len(kernels)]
+		bindings := map[string]float64{}
+		for _, p := range k.Params {
+			bindings[p.Name] = float64(p.Values[0] + i)
+		}
+		if _, err := a.Advise(k, bindings, space); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServeAdviseCached measures the same request answered from the
 // content-addressed response cache — the steady-state cost of repeated
 // identical traffic.

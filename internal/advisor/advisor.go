@@ -11,8 +11,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -81,7 +81,7 @@ func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
 	default:
 		a.predict = func(ctx context.Context, ss []*gnn.Sample) ([]float64, error) {
 			out := make([]float64, len(ss))
-			return out, a.forEach(ctx, len(ss), func(i int) error {
+			return out, a.forEach(ctx, len(ss), func(i int) string { return "predicting " + ss[i].Name }, func(i int) error {
 				out[i] = model.Predict(ss[i])
 				return nil
 			})
@@ -95,11 +95,11 @@ func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
 // was trained on (registry checkpoints record theirs in the manifest).
 func (a *Advisor) SetLevel(l paragraph.Level) { a.level = l }
 
-// SetWorkers bounds the goroutines Advise fans the grid's front end
-// (generate → parse → build → encode) across, and the per-sample fallback
-// for predictors without a batch call. n <= 0 restores the default
-// (GOMAXPROCS); n == 1 runs everything on the calling goroutine. The
-// ranking is the same for every n.
+// SetWorkers bounds the goroutines Advise fans the grid's front end across
+// — one variant kind (parse → topology → its points) at a time — and the
+// per-sample fallback for predictors without a batch call. n <= 0 restores
+// the default (GOMAXPROCS); n == 1 runs everything on the calling
+// goroutine. The ranking is the same for every n.
 func (a *Advisor) SetWorkers(n int) { a.workers = n }
 
 // SearchSpace is the variant/parallelism grid to rank.
@@ -118,6 +118,69 @@ func DefaultSearchSpace() SearchSpace {
 	}
 }
 
+// MaxGridPoints bounds the grid one Advise evaluates. The default space is
+// 24–48 points; the bound keeps a request from the network from sizing the
+// server's work and memory by a product of three lists.
+const MaxGridPoints = 4096
+
+// SpaceError is a search space Advise refuses. Reason is a stable token —
+// "space_value" for an entry below 1, "grid_points" for a grid over
+// MaxGridPoints — for callers that count refusals by cause.
+type SpaceError struct {
+	Reason string
+	msg    string
+}
+
+func (e *SpaceError) Error() string { return e.msg }
+
+// PanicError is a panic under the advisor — in the front end on a worker
+// goroutine, where no caller's recover reaches, or in the predictor — turned
+// into the request's error.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// ranks reports whether Advise ranks variant kind for k on m.
+func ranks(kind variants.Kind, k apps.Kernel, m hw.Machine) bool {
+	return kind.IsGPU() == m.IsGPU && (k.Collapsible || !kind.IsCollapse())
+}
+
+// CheckSpace reports, as a *SpaceError, why Advise would refuse space for k
+// on m: an entry below 1 (a zero drops a clause and changes the topology in
+// the middle of a kind), or more than MaxGridPoints points. It costs three
+// list scans and no allocation, so a server can refuse at the edge, ahead of
+// its cache.
+func CheckSpace(k apps.Kernel, m hw.Machine, space SearchSpace) error {
+	for _, list := range [...][]int{space.CPUThreads, space.GPUTeams, space.GPUThreads} {
+		for _, v := range list {
+			if v < 1 {
+				return &SpaceError{"space_value", fmt.Sprintf("advisor: search space entry %d: team and thread counts must be at least 1", v)}
+			}
+		}
+	}
+	perKind := len(space.CPUThreads)
+	if m.IsGPU {
+		perKind = len(space.GPUTeams) * len(space.GPUThreads)
+		if len(space.GPUTeams) > MaxGridPoints || len(space.GPUThreads) > MaxGridPoints {
+			perKind = MaxGridPoints + 1 // the product could overflow
+		}
+	}
+	kinds := 0
+	for kind := variants.Kind(0); kind < variants.NumKinds; kind++ {
+		if ranks(kind, k, m) {
+			kinds++
+		}
+	}
+	if perKind > MaxGridPoints || kinds*perKind > MaxGridPoints {
+		return &SpaceError{"grid_points", fmt.Sprintf("advisor: search space of %d variant kinds x %d points exceeds %d grid points",
+			kinds, perKind, MaxGridPoints)}
+	}
+	return nil
+}
+
 // Recommendation is one ranked candidate.
 type Recommendation struct {
 	Kind        variants.Kind
@@ -129,12 +192,17 @@ type Recommendation struct {
 
 // Advise enumerates the machine-compatible variants of kernel k under
 // bindings, predicts each statically, and returns them sorted by predicted
-// runtime (fastest first). It runs in two phases: every grid point is
-// generated, parsed, built and encoded (fanned across the SetWorkers
-// goroutines into a slice in enumeration order), then the whole grid goes
-// to the predictor as one batch. Predictions do not depend on their
+// runtime (fastest first). It runs in two phases. The front end works a
+// variant kind at a time (fanned across the SetWorkers goroutines): a kind's
+// sources differ only in their num_teams/thread_limit/num_threads literals,
+// so its first point is parsed and its topology derived once
+// (dataset.Encoder), and each point then only gets its own literal feature
+// rows and the Child weights of its thread count — weighed once per distinct
+// count and shared across team counts. Then the whole grid, in enumeration
+// order, goes to the predictor as one batch. The samples are the ones a
+// per-point EncodeInstance yields, predictions do not depend on their
 // batchmates and the sort is stable, so the ranking is identical to a
-// one-worker, one-sample-at-a-time run.
+// one-worker, one-point-at-a-time run.
 func (a *Advisor) Advise(k apps.Kernel, bindings analysis.Env, space SearchSpace) ([]Recommendation, error) {
 	return a.AdviseCtx(context.Background(), k, bindings, space)
 }
@@ -148,56 +216,48 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	var recs []Recommendation
+	if err := CheckSpace(k, a.machine, space); err != nil {
+		return nil, err
+	}
+	var kinds []variants.Kind
 	for _, kind := range variants.Kinds() {
-		if kind.IsGPU() != a.machine.IsGPU {
-			continue
-		}
-		if kind.IsCollapse() && !k.Collapsible {
-			continue
-		}
-		if kind.IsGPU() {
-			for _, g := range space.GPUTeams {
-				for _, t := range space.GPUThreads {
-					recs = append(recs, Recommendation{Kind: kind, Teams: g, Threads: t})
-				}
-			}
-		} else {
-			for _, t := range space.CPUThreads {
-				recs = append(recs, Recommendation{Kind: kind, Threads: t})
-			}
+		if ranks(kind, k, a.machine) {
+			kinds = append(kinds, kind)
 		}
 	}
-	if len(recs) == 0 {
+	teams, threads := []int{0}, space.CPUThreads
+	if a.machine.IsGPU {
+		teams, threads = space.GPUTeams, space.GPUThreads
+	}
+	perKind := len(teams) * len(threads)
+	if len(kinds)*perKind == 0 {
 		return nil, fmt.Errorf("advisor: no %s-compatible variants for kernel %q",
 			machineClass(a.machine), k.Name)
+	}
+	recs := make([]Recommendation, 0, len(kinds)*perKind)
+	for _, kind := range kinds {
+		for _, g := range teams {
+			for _, t := range threads {
+				recs = append(recs, Recommendation{Kind: kind, Teams: g, Threads: t})
+			}
+		}
 	}
 
 	tr := obs.TraceFrom(ctx)
 	enc := tr.StartSpan("encode")
 	enc.Annotate(fmt.Sprintf("points=%d", len(recs)))
 	samples := make([]*gnn.Sample, len(recs))
-	err := a.forEach(ctx, len(recs), func(i int) error {
-		r := &recs[i]
-		src, err := variants.Generate(k, r.Kind, r.Teams, r.Threads)
-		if err == nil {
-			r.Source = src
-			samples[i], err = a.EncodeInstance(variants.Instance{
-				Kernel: k, Kind: r.Kind, Teams: r.Teams, Threads: r.Threads,
-				Bindings: bindings, Source: src,
-			})
-		}
-		if err != nil {
-			return fmt.Errorf("advisor: variant %s g%d t%d: %w", r.Kind, r.Teams, r.Threads, err)
-		}
-		return nil
+	kindName := func(kind int) string { return "variant " + kinds[kind].String() }
+	err := a.forEach(ctx, len(kinds), kindName, func(kind int) error {
+		lo := kind * perKind
+		return a.encodeKind(k, bindings, recs[lo:lo+perKind], samples[lo:lo+perKind])
 	})
 	enc.End()
 	if err != nil {
 		return nil, err
 	}
 
-	preds, err := a.predict(ctx, samples)
+	preds, err := a.callModel(ctx, samples)
 	if err != nil {
 		return nil, err
 	}
@@ -210,12 +270,70 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 	return recs, nil
 }
 
+// encodeKind is the front end of one variant kind's points: every point's
+// source is generated, the first is parsed, and each point's sample comes
+// off that one topology. CheckSpace made every count positive, so the
+// points all spell the first one's clauses.
+func (a *Advisor) encodeKind(k apps.Kernel, bindings analysis.Env, recs []Recommendation, samples []*gnn.Sample) error {
+	var grid *dataset.Grid
+	for i := range recs {
+		r := &recs[i]
+		fail := func(err error) error {
+			return fmt.Errorf("advisor: variant %s g%d t%d: %w", r.Kind, r.Teams, r.Threads, err)
+		}
+		src, err := variants.Generate(k, r.Kind, r.Teams, r.Threads)
+		if err != nil {
+			return fail(err)
+		}
+		r.Source = src
+		if grid == nil {
+			enc, err := dataset.NewEncoder(src, a.level, k.PragmaOffset())
+			if err != nil {
+				return fail(err)
+			}
+			grid = enc.Bind(bindings)
+		}
+		eg, err := grid.Graph(r.Teams, r.Threads)
+		if err != nil {
+			return fail(err)
+		}
+		samples[i] = a.sample(eg, variants.Instance{Kernel: k, Kind: r.Kind, Teams: r.Teams, Threads: r.Threads, Bindings: bindings})
+	}
+	return nil
+}
+
+// guard runs fn, turning a panic in it into a *PanicError under what()'s
+// name.
+func guard(what func() string, fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("advisor: %s: %w", what(), &PanicError{Value: v, Stack: debug.Stack()})
+		}
+	}()
+	return fn()
+}
+
+// callModel hands samples to the predictor. A panic under it — a model bug
+// on a grid no test fed it — is the request's error like a front-end one:
+// an async job runs this on a goroutine of its own.
+func (a *Advisor) callModel(ctx context.Context, samples []*gnn.Sample) (preds []float64, err error) {
+	what := func() string { return fmt.Sprintf("predicting %d samples from %s", len(samples), samples[0].Name) }
+	err = guard(what, func() (err error) {
+		preds, err = a.predict(ctx, samples)
+		return err
+	})
+	return preds, err
+}
+
 // forEach runs fn(0..n-1) across the advisor's workers, handing indices
 // out in increasing order and stopping at the first failure or once ctx
 // ends. It returns ctx.Err() if the context ended, else the error of the
 // lowest failing index — every lower index was handed out earlier and ran
-// to completion, so that is the error a serial run reports.
-func (a *Advisor) forEach(ctx context.Context, n int, fn func(int) error) error {
+// to completion, so that is the error a serial run reports. A panic in fn
+// is that index's error, a *PanicError under what(i)'s name: these
+// goroutines are not under net/http's per-connection recover, so it would
+// otherwise end the process.
+func (a *Advisor) forEach(ctx context.Context, n int, what func(int) string, fn func(int) error) error {
 	workers := a.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -232,7 +350,7 @@ func (a *Advisor) forEach(ctx context.Context, n int, fn func(int) error) error 
 			if i >= n {
 				return
 			}
-			if errs[i] = fn(i); errs[i] != nil {
+			if errs[i] = guard(func() string { return what(i) }, func() error { return fn(i) }); errs[i] != nil {
 				failed.Store(true)
 			}
 		}
@@ -284,7 +402,7 @@ func (a *Advisor) PredictInstanceUSCtx(ctx context.Context, in variants.Instance
 	if err != nil {
 		return 0, err
 	}
-	preds, err := a.predict(ctx, []*gnn.Sample{s})
+	preds, err := a.callModel(ctx, []*gnn.Sample{s})
 	if err != nil {
 		return 0, err
 	}
@@ -301,13 +419,19 @@ func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (
 }
 
 // EncodeInstance builds the model-ready sample for an unseen instance: the
-// graph dataset.Prepare would build for it (the same front end, see
-// dataset.EncodeSource), scaled with the training-time scalers.
+// graph dataset.Prepare would build for it (the same front end, a
+// dataset.Encoder with a grid of one), scaled with the training-time
+// scalers.
 func (a *Advisor) EncodeInstance(in variants.Instance) (*gnn.Sample, error) {
 	eg, err := dataset.EncodeSource(in.Source, a.level, in.Threads, in.Bindings)
 	if err != nil {
 		return nil, err
 	}
+	return a.sample(eg, in), nil
+}
+
+// sample scales an encoded instance with the training-time scalers.
+func (a *Advisor) sample(eg *gnn.Graph, in variants.Instance) *gnn.Sample {
 	eg.WScale = a.prep.WScale
 	return &gnn.Sample{
 		G: eg,
@@ -316,23 +440,12 @@ func (a *Advisor) EncodeInstance(in variants.Instance) (*gnn.Sample, error) {
 			a.prep.ThreadScaler.Scale(float64(in.Threads)),
 		},
 		Name: in.Name(),
-	}, nil
+	}
 }
 
 // BindingsKey renders size bindings deterministically (sorted name=value
 // pairs) for the serving layer's content-addressed cache keys.
-func BindingsKey(bindings analysis.Env) string {
-	names := make([]string, 0, len(bindings))
-	for name := range bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s=%g;", name, bindings[name])
-	}
-	return b.String()
-}
+func BindingsKey(bindings analysis.Env) string { return bindings.Key() }
 
 func machineClass(m hw.Machine) string {
 	if m.IsGPU {

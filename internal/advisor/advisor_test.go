@@ -3,12 +3,14 @@ package advisor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
-	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"paragraph/internal/analysis"
 	"paragraph/internal/apps"
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
@@ -217,23 +219,66 @@ type predictOnly struct{ m Predictor }
 func (p predictOnly) Predict(s *gnn.Sample) float64 { return p.m.Predict(s) }
 
 // ctxBatch is a ContextBatchPredictor over a model, recording every call's
-// size.
+// size and the last call's samples.
 type ctxBatch struct {
 	m     *gnn.Model
 	calls []int
+	last  []*gnn.Sample
 }
 
 func (c *ctxBatch) Predict(s *gnn.Sample) float64 { return c.m.Predict(s) }
 
 func (c *ctxBatch) PredictBatchCtx(ctx context.Context, ss []*gnn.Sample) ([]float64, error) {
 	c.calls = append(c.calls, len(ss))
+	c.last = ss
 	return c.m.PredictBatch(ss), ctx.Err()
 }
 
+// referenceAdvise is the ranking Advise must return, computed with nothing
+// shared between grid points: each point's own source through the public
+// per-point pipeline (parse → paragraph.Build → gnn.Encode, see buildPoint),
+// scaled by hand, one lone Predict each, a stable sort.
+func referenceAdvise(t *testing.T, m *gnn.Model, prep *dataset.Prepared, k apps.Kernel, machine hw.Machine, bindings analysis.Env) []Recommendation {
+	t.Helper()
+	var recs []Recommendation
+	for _, p := range gridOf(k, machine) {
+		src, err := variants.Generate(k, p.kind, p.teams, p.threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eg := buildPoint(t, src, p.teams, p.threads, bindings).eg
+		eg.WScale = prep.WScale
+		pred := m.Predict(&gnn.Sample{G: eg, Feats: [2]float64{
+			prep.TeamScaler.Scale(float64(p.teams)), prep.ThreadScaler.Scale(float64(p.threads)),
+		}})
+		recs = append(recs, Recommendation{Kind: p.kind, Teams: p.teams, Threads: p.threads, PredictedUS: prep.DescaleUS(pred), Source: src})
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].PredictedUS < recs[j].PredictedUS })
+	return recs
+}
+
+// requireSameRanking fails unless got is want in order, with PredictedUS
+// equal bit for bit.
+func requireSameRanking(t *testing.T, name string, got, want []Recommendation) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d recommendations, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Kind != w.Kind || g.Teams != w.Teams || g.Threads != w.Threads || g.Source != w.Source ||
+			math.Float64bits(g.PredictedUS) != math.Float64bits(w.PredictedUS) {
+			t.Fatalf("%s: rank %d is %s g%d t%d at %v µs, the per-point reference has %s g%d t%d at %v µs",
+				name, i, g.Kind, g.Teams, g.Threads, g.PredictedUS, w.Kind, w.Teams, w.Threads, w.PredictedUS)
+		}
+	}
+}
+
 // TestBatchAdviseMatchesSerialReference: for every suite kernel on a CPU
-// and a GPU machine, the batched evaluation — through PredictBatch and
-// through PredictBatchCtx, one model call per grid — returns the serial
-// one-sample-at-a-time ranking, in order and bit for bit, against a real
+// and a GPU machine, Advise — one worker and one Predict at a time, through
+// PredictBatch, and through PredictBatchCtx with one model call per grid —
+// returns the ranking of referenceAdvise, which parses, builds and encodes
+// every grid point on its own: in order and bit for bit, against a real
 // model in both inference widths.
 func TestBatchAdviseMatchesSerialReference(t *testing.T) {
 	for _, f32 := range []bool{false, true} {
@@ -247,22 +292,17 @@ func TestBatchAdviseMatchesSerialReference(t *testing.T) {
 			ctxAdv := New(traced, testPrep(), machine)
 			kernels := apps.Kernels()
 			for _, k := range kernels {
-				bindings := map[string]float64{}
-				for _, p := range k.Params {
-					bindings[p.Name] = float64(p.Values[0])
-				}
-				want, err := serial.Advise(k, bindings, DefaultSearchSpace())
-				if err != nil {
-					t.Fatalf("%s on %s: %v", k.Name, machine.Name, err)
-				}
-				for name, adv := range map[string]*Advisor{"PredictBatch": batch, "PredictBatchCtx": ctxAdv} {
-					got, err := adv.Advise(k, bindings, DefaultSearchSpace())
+				bindings := firstBindings(k)
+				want := referenceAdvise(t, m, testPrep(), k, machine, bindings)
+				for _, adv := range []struct {
+					name string
+					a    *Advisor
+				}{{"Predict", serial}, {"PredictBatch", batch}, {"PredictBatchCtx", ctxAdv}} {
+					got, err := adv.a.Advise(k, bindings, DefaultSearchSpace())
 					if err != nil {
-						t.Fatalf("%s on %s via %s: %v", k.Name, machine.Name, name, err)
+						t.Fatalf("%s on %s via %s: %v", k.Name, machine.Name, adv.name, err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s on %s via %s (f32=%v): ranking differs from the serial reference", k.Name, machine.Name, name, f32)
-					}
+					requireSameRanking(t, fmt.Sprintf("%s on %s via %s (f32=%v)", k.Name, machine.Name, adv.name, f32), got, want)
 				}
 				if last := traced.calls[len(traced.calls)-1]; last != len(want) {
 					t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
@@ -298,6 +338,86 @@ func TestAdviseGridPointErrorNamesVariant(t *testing.T) {
 	}
 }
 
+// TestSearchSpaceBounds: a space with an entry below 1, or more grid points
+// than MaxGridPoints, is refused with the reason — before anything is
+// generated or parsed — and a space exactly at the bound is not.
+func TestSearchSpaceBounds(t *testing.T) {
+	k, _ := apps.ByName("matmul") // collapsible: 4 GPU kinds, 2 CPU kinds
+	seq := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i + 1
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		machine hw.Machine
+		space   SearchSpace
+		reason  string
+	}{
+		{"zero threads", hw.V100(), SearchSpace{GPUTeams: []int{64}, GPUThreads: []int{0}}, "space_value"},
+		{"negative teams", hw.V100(), SearchSpace{GPUTeams: []int{-4}, GPUThreads: []int{64}}, "space_value"},
+		{"zero cpu threads", hw.Power9(), SearchSpace{CPUThreads: []int{8, 0}}, "space_value"},
+		{"zero in the list the machine ignores", hw.V100(), SearchSpace{CPUThreads: []int{0}, GPUTeams: []int{64}, GPUThreads: []int{64}}, "space_value"},
+		{"5000 points", hw.V100(), SearchSpace{GPUTeams: seq(50), GPUThreads: seq(25)}, "grid_points"},
+		{"one over", hw.Power9(), SearchSpace{CPUThreads: seq(MaxGridPoints/2 + 1)}, "grid_points"},
+		{"product overflows", hw.V100(), SearchSpace{GPUTeams: seq(1 << 16), GPUThreads: seq(1 << 16)}, "grid_points"},
+		{"at the bound", hw.V100(), SearchSpace{GPUTeams: seq(32), GPUThreads: seq(32)}, ""},
+	}
+	for _, c := range cases {
+		model := &ctxBatch{m: gnn.NewModel(gnn.Config{Seed: 1, Hidden: 4, Layers: 1, Relations: 8})}
+		_, err := New(model, testPrep(), c.machine).Advise(k, map[string]float64{"n": 64}, c.space)
+		var refused *SpaceError
+		switch {
+		case c.reason == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.reason != "" && (!errors.As(err, &refused) || refused.Reason != c.reason):
+			t.Errorf("%s: err = %v, want a SpaceError with reason %s", c.name, err, c.reason)
+		case c.reason != "" && len(model.calls) != 0:
+			t.Errorf("%s: model called for a refused space", c.name)
+		}
+		if check := CheckSpace(k, c.machine, c.space); (check == nil) != (err == nil) {
+			t.Errorf("%s: CheckSpace says %v, Advise %v", c.name, check, err)
+		}
+	}
+}
+
+// panicsOn is a per-sample predictor that panics on the sample named name.
+type panicsOn struct{ name string }
+
+func (p panicsOn) Predict(s *gnn.Sample) float64 {
+	if s.Name == p.name {
+		panic("predictor bug")
+	}
+	return 0.5
+}
+
+// TestWorkerPanicIsTheRequestsError: a panic on a worker goroutine — out of
+// reach of any caller's recover — comes back as that request's error, a
+// *PanicError naming the grid point, at any worker count; the advisor keeps
+// working.
+func TestWorkerPanicIsTheRequestsError(t *testing.T) {
+	k, _ := apps.ByName("matmul")
+	bindings := map[string]float64{"n": 256}
+	bad := variants.Instance{Kernel: k, Kind: variants.GPUMem, Teams: 128, Threads: 64, Bindings: bindings}.Name()
+	for _, workers := range []int{1, 4} {
+		a := New(panicsOn{bad}, testPrep(), hw.V100())
+		a.SetWorkers(workers)
+		_, err := a.Advise(k, bindings, DefaultSearchSpace())
+		var pe *PanicError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "predictor bug") {
+			t.Fatalf("workers=%d: err = %v, want a PanicError naming %s", workers, err, bad)
+		}
+		if !strings.Contains(string(pe.Stack), "panicsOn") {
+			t.Errorf("workers=%d: the panic's stack does not reach the predictor:\n%s", workers, pe.Stack)
+		}
+		if _, err := a.Advise(k, map[string]float64{"n": 128}, DefaultSearchSpace()); err != nil {
+			t.Errorf("workers=%d: the advisor does not work after a recovered panic: %v", workers, err)
+		}
+	}
+}
+
 // TestEncodeSpanSurvivesFailure: the encode stage is on the trace of the
 // request that failed in it — the one trace an operator goes looking for.
 func TestEncodeSpanSurvivesFailure(t *testing.T) {
@@ -318,9 +438,9 @@ func TestEncodeSpanSurvivesFailure(t *testing.T) {
 }
 
 // selfCancelling is a context that cancels itself on its nth Err call.
-// forEach polls Err once before handing out each grid point, so this is a
-// request abandoned as the front end reaches its nth point. admitted counts
-// the polls that let a point start.
+// forEach polls Err once before handing out each unit of front-end work — a
+// variant kind — so this is a request abandoned as the front end reaches its
+// nth kind. admitted counts the polls that let a kind start.
 type selfCancelling struct {
 	context.Context
 	cancel   context.CancelFunc
@@ -359,11 +479,11 @@ func TestAdviseCancelledDuringFrontEnd(t *testing.T) {
 		if len(model.calls) != 0 {
 			t.Errorf("workers=%d: model called %d times after cancellation", workers, len(model.calls))
 		}
-		// Each worker finishes at most the point it was on: n-1 points
-		// started before the cancelling poll, and each other worker's poll
-		// racing it may admit one more.
+		// Each worker finishes at most the kind it was on: n-1 kinds started
+		// before the cancelling poll, and each other worker's poll racing it
+		// may admit one more.
 		if got, max := ctx.admitted.Load(), ctx.n-1+int64(workers-1); got > max {
-			t.Errorf("workers=%d: %d of 48 points started, want at most %d after cancelling at poll %d", workers, got, max, ctx.n)
+			t.Errorf("workers=%d: %d of 4 kinds started, want at most %d after cancelling at poll %d", workers, got, max, ctx.n)
 		}
 	}
 }

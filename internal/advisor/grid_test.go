@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -59,10 +61,23 @@ func firstBindings(k apps.Kernel) analysis.Env {
 	return b
 }
 
+// adviseGrid returns the samples Advise hands the model for k on machine over
+// the default space, in enumeration order.
+func adviseGrid(t *testing.T, m *gnn.Model, k apps.Kernel, machine hw.Machine, bindings analysis.Env) []*gnn.Sample {
+	t.Helper()
+	rec := &ctxBatch{m: m}
+	if _, err := New(rec, testPrep(), machine).Advise(k, bindings, DefaultSearchSpace()); err != nil {
+		t.Fatal(err)
+	}
+	return rec.last
+}
+
 // TestGridBatchBitIdenticalToPerSample is the engine's family contract on
 // real grids: for every suite kernel on a CPU and a GPU machine, in both
-// inference widths, PredictBatch over the whole encoded grid returns, at
-// every index, the bits a lone Predict of that point returns.
+// inference widths, PredictBatch returns, at every index, the bits a lone
+// Predict of that point's own per-point encoding returns — over the grid
+// encoded point by point (EncodeInstance), and over the grid Advise hands
+// the model, whose points share one topology per kind by pointer.
 func TestGridBatchBitIdenticalToPerSample(t *testing.T) {
 	for _, f32 := range []bool{false, true} {
 		m := gnn.NewModel(gnn.Config{Seed: 2, Hidden: 12, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
@@ -82,11 +97,74 @@ func TestGridBatchBitIdenticalToPerSample(t *testing.T) {
 					}
 					grid = append(grid, s)
 				}
-				got := m.PredictBatch(grid)
+				shared := adviseGrid(t, m, k, machine, firstBindings(k))
+				if len(shared) != len(grid) {
+					t.Fatalf("%s on %s: Advise hands the model %d samples for a grid of %d", k.Name, machine.Name, len(shared), len(grid))
+				}
+				got, gotShared := m.PredictBatch(grid), m.PredictBatch(shared)
 				for i, s := range grid {
-					if want := m.Predict(s); math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("%s on %s f32=%v: PredictBatch[%d] = %v, Predict = %v", k.Name, machine.Name, f32, i, got[i], want)
+					want := math.Float64bits(m.Predict(s))
+					if math.Float64bits(got[i]) != want {
+						t.Fatalf("%s on %s f32=%v: PredictBatch[%d] = %v, Predict = %v", k.Name, machine.Name, f32, i, got[i], m.Predict(s))
 					}
+					if math.Float64bits(gotShared[i]) != want || shared[i].Name != s.Name {
+						t.Fatalf("%s on %s f32=%v: PredictBatch over Advise's grid gives %v for point %d (%s), a lone Predict of %s encoded on its own %v",
+							k.Name, machine.Name, f32, gotShared[i], i, shared[i].Name, s.Name, m.Predict(s))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdviseGridSharesStructure: the sharing is real, not equal copies.
+// Within one kind of the grid Advise hands the model, node codes and every
+// relation's edge lists are the same slices, and the Child weights the same
+// column at every team count of one thread count; across kinds nothing is
+// shared; every point has a feature column and a WScale header of its own.
+func TestAdviseGridSharesStructure(t *testing.T) {
+	m := gnn.NewModel(gnn.Config{Seed: 2, Hidden: 8, Layers: 1, Relations: int(paragraph.NumEdgeTypes)})
+	child := int(paragraph.Child)
+	for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
+		for _, k := range apps.Kernels() {
+			pts := gridOf(k, machine)
+			grid := adviseGrid(t, m, k, machine, firstBindings(k))
+			heads := map[variants.Kind]*gnn.Graph{}
+			weights := map[gridPoint]*gnn.Graph{} // by kind and thread count
+			feats := map[*float64]bool{}
+			for i, p := range pts {
+				g := grid[i].G
+				name := fmt.Sprintf("%s/%s g%d t%d on %s", k.Name, p.kind, p.teams, p.threads, machine.Name)
+				if feats[&g.Feats.Data[0]] {
+					t.Fatalf("%s: feature column shared with another point", name)
+				}
+				feats[&g.Feats.Data[0]] = true
+				head, seen := heads[p.kind]
+				if !seen {
+					for other, h := range heads {
+						if &h.Kinds[0] == &g.Kinds[0] {
+							t.Fatalf("%s: shares node codes with kind %s", name, other)
+						}
+					}
+					heads[p.kind] = g
+					head = g
+				}
+				if &g.Kinds[0] != &head.Kinds[0] || &g.SubKinds[0] != &head.SubKinds[0] {
+					t.Fatalf("%s: node codes are not the kind's shared slices", name)
+				}
+				for r := range g.Rels {
+					if len(g.Rels[r].Src) > 0 && (&g.Rels[r].Src[0] != &head.Rels[r].Src[0] || &g.Rels[r].Dst[0] != &head.Rels[r].Dst[0]) {
+						t.Fatalf("%s: %v edge lists are not the kind's shared slices", name, paragraph.EdgeType(r))
+					}
+					if r != child && len(g.Rels[r].LogW) > 0 && &g.Rels[r].LogW[0] != &head.Rels[r].LogW[0] {
+						t.Fatalf("%s: %v zero weight column is not the kind's shared one", name, paragraph.EdgeType(r))
+					}
+				}
+				wkey := gridPoint{kind: p.kind, threads: p.threads}
+				if sib, seen := weights[wkey]; !seen {
+					weights[wkey] = g
+				} else if &g.Rels[child].LogW[0] != &sib.Rels[child].LogW[0] {
+					t.Fatalf("%s: Child weights are not the column the first team count got at this thread count", name)
 				}
 			}
 		}
@@ -357,5 +435,49 @@ func TestServedGraphMatchesTrainingGraph(t *testing.T) {
 			t.Errorf("%s: scaling differs: serving WScale %v feats %v, training WScale %v feats %v",
 				name, got.G.WScale, got.Feats, want.G.WScale, want.Feats)
 		}
+	}
+}
+
+// TestColdAdviseAllocations pins the cold path's garbage where tier-1 can
+// see it: one cold default-space V100 Advise, averaged over the suite at the
+// bench/ checkpoint's shape (Hidden 24, Layers 3, float32), allocates at
+// most 5 000 times and 1.2 MB. Parsing every grid point made that 16 484
+// allocations and 3.16 MB; one parse per variant kind measures 2 174 and
+// 0.38 MB (BenchmarkAdviseColdSuite).
+func TestColdAdviseAllocations(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				t.Skip("race instrumentation allocates; counts are only meaningful unraced")
+			}
+		}
+	}
+	m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
+	m.SetFloat32Inference(true)
+	a := New(m, testPrep(), hw.V100())
+	kernels, space := apps.Kernels(), DefaultSearchSpace()
+	sweep := func(offset int) {
+		for _, k := range kernels {
+			bindings := analysis.Env{}
+			for _, p := range k.Params {
+				bindings[p.Name] = float64(p.Values[0] + offset)
+			}
+			if _, err := a.Advise(k, bindings, space); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sweep(0) // size the engine's pooled workspaces
+	const rounds = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 1; r <= rounds; r++ {
+		sweep(r)
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(rounds * len(kernels))
+	allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
+	if allocs > 5000 || bytes > 1.2e6 {
+		t.Errorf("a cold advise allocates %.0f times and %.0f bytes, want at most 5000 and 1.2e6", allocs, bytes)
 	}
 }

@@ -7,7 +7,9 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -18,6 +20,21 @@ import (
 // resolve symbolic loop bounds such as `for (i = 0; i < n; i++)` at dataset
 // generation time.
 type Env map[string]float64
+
+// Key renders the bindings deterministically (sorted name=value pairs), so
+// environments that bind the same identifiers to the same values share a key.
+func (e Env) Key() string {
+	names := make([]string, 0, len(e))
+	for name := range e {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s=%g;", name, e[name])
+	}
+	return b.String()
+}
 
 // Eval statically evaluates an expression subtree. It returns the value and
 // true when the expression is a compile-time constant under env, or 0 and

@@ -69,6 +69,11 @@ func (k Kernel) SerialSource() string {
 	return strings.Replace(k.Source, PragmaMarker+"\n", "", 1)
 }
 
+// PragmaOffset returns the byte offset of the pragma marker in the kernel
+// source — where a variant's directive starts in every source generated
+// from it — or -1 without a marker.
+func (k Kernel) PragmaOffset() int { return strings.Index(k.Source, PragmaMarker) }
+
 // AppInfo summarizes one application for Table I.
 type AppInfo struct {
 	Name       string

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 
-	"paragraph/internal/analysis"
 	"paragraph/internal/cluster"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
@@ -219,7 +218,7 @@ type PrepConfig struct {
 	Level       paragraph.Level
 	ValFraction float64 // default 0.1 (paper: 9:1 split)
 	Seed        int64
-	Workers     int // graph-building workers; default GOMAXPROCS
+	Workers     int // graph-building workers, fanned over topology families; default GOMAXPROCS
 }
 
 func (c PrepConfig) withDefaults() PrepConfig {
@@ -243,23 +242,21 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 
 	samples := make([]*gnn.Sample, len(points))
 	errs := make([]error, len(points))
+	families := groupByTopology(points)
 	var wg sync.WaitGroup
-	work := make(chan int)
-	workers := cfg.Workers
-	if workers > len(points) {
-		workers = len(points)
-	}
+	work := make(chan family)
+	workers := min(cfg.Workers, len(families))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				samples[i], errs[i] = buildSample(points[i], cfg.Level)
+			for f := range work {
+				f.encode(points, cfg.Level, samples, errs)
 			}
 		}()
 	}
-	for i := range points {
-		work <- i
+	for _, f := range families {
+		work <- f
 	}
 	close(work)
 	wg.Wait()
@@ -312,38 +309,75 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 	return prep, nil
 }
 
-// EncodeSource is the front end every graph the model sees comes through —
-// training samples here, retrain samples in registry, served requests in
-// advisor: parse one variant's source, build its ParaGraph at level and
-// encode it. threads is the instance's thread count, which divides the
-// weights of parallel loops — threads, not teams×threads: the paper divides
-// iterations "by the number of threads" (§III-A.3), and using total GPU
-// parallelism would clamp most annotated-loop weights to 1, collapsing
-// different problem sizes onto identical graphs. The graph's WScale is the
-// caller's to set.
-func EncodeSource(source string, level paragraph.Level, threads int, bindings analysis.Env) (*gnn.Graph, error) {
-	g, err := paragraph.BuildKernel(source, paragraph.Options{
-		Level:    level,
-		Threads:  threads,
-		Bindings: bindings,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return gnn.Encode(g, int(paragraph.NumEdgeTypes))
+// family is the points of one slice that share a topology: one kernel
+// template's sources at one variant kind spelling the same clauses, which
+// differ only in the literals Grid.Graph rewrites. directive is the offset
+// NewEncoder takes. A point whose source is not what variants.Generate yields
+// for its fields is a family of one, encoded as itself (directive -1).
+type family struct {
+	directive int
+	points    []int // indices into the slice, increasing
 }
 
-// buildSample parses and encodes one point's ParaGraph.
-func buildSample(pt Point, level paragraph.Level) (*gnn.Sample, error) {
-	in := pt.Instance
-	eg, err := EncodeSource(in.Source, level, in.Threads, in.Bindings)
-	if err != nil {
-		return nil, err
+// groupByTopology partitions points into families, in order of first
+// appearance. Membership is observed, not assumed: a point joins a family
+// only if its Source is exactly what variants.Generate writes from the
+// kernel of the family's first point at the point's own (teams, threads).
+func groupByTopology(points []Point) []family {
+	type key struct {
+		template       string
+		kind           variants.Kind
+		teams, threads bool // which clauses the directive spells
 	}
-	return &gnn.Sample{
-		G:     eg,
-		RawUS: pt.RuntimeUS,
-		App:   in.Kernel.App,
-		Name:  in.Name(),
-	}, nil
+	index := map[key]int{}
+	var families []family
+	for i, pt := range points {
+		in := pt.Instance
+		k := key{in.Kernel.Source, in.Kind, in.Teams > 0, in.Threads > 0}
+		f, seen := index[k]
+		from := in.Kernel
+		if seen {
+			from = points[families[f].points[0]].Instance.Kernel
+		}
+		if src, err := variants.Generate(from, in.Kind, in.Teams, in.Threads); err != nil || src != in.Source {
+			families = append(families, family{directive: -1, points: []int{i}})
+			continue
+		}
+		if !seen {
+			f = len(families)
+			index[k] = f
+			families = append(families, family{directive: in.Kernel.PragmaOffset()})
+		}
+		families[f].points = append(families[f].points, i)
+	}
+	return families
+}
+
+// encode builds the family's samples: one Encoder, one Grid per distinct
+// bindings, one weight column per distinct (threads, bindings). A source
+// that does not parse fails every member — they differ only in literals.
+func (f family) encode(points []Point, level paragraph.Level, samples []*gnn.Sample, errs []error) {
+	enc, err := NewEncoder(points[f.points[0]].Instance.Source, level, f.directive)
+	if err != nil {
+		for _, i := range f.points {
+			errs[i] = err
+		}
+		return
+	}
+	grids := map[string]*Grid{}
+	for _, i := range f.points {
+		in := points[i].Instance
+		bk := in.Bindings.Key()
+		grid := grids[bk]
+		if grid == nil {
+			grid = enc.Bind(in.Bindings)
+			grids[bk] = grid
+		}
+		eg, err := grid.Graph(in.Teams, in.Threads)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		samples[i] = &gnn.Sample{G: eg, RawUS: points[i].RuntimeUS, App: in.Kernel.App, Name: in.Name()}
+	}
 }

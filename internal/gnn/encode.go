@@ -97,6 +97,89 @@ func Encode(g *graph.Graph, numRelations int) (*Graph, error) {
 	return eg, nil
 }
 
+// Topology is what sibling graphs share: the grid an advisor sweeps is one
+// graph seen many times (see infer.go), so its node codes, edge lists, the
+// zero weight columns of the unweighted relations and the inference plan are
+// held once here and every Graph made from it points at them. Nothing reads
+// a Topology but Graph; the slices it shares are never written after
+// NewTopology returns — per-sample state (Feats, the weighted relation's
+// LogW, WScale) lives in each Graph's own header.
+type Topology struct {
+	kinds, subKinds []int
+	rels            []Relation // Src, Dst and an all-zero LogW per relation
+	planBox         *planBox
+}
+
+// NewTopology checks and adopts a graph structure in Encode's form: kinds
+// and subKinds per node (sub-kinds clamped into the vocabulary, as Encode
+// clamps them) and one Src/Dst edge list per relation. kinds, src and dst are
+// kept, not copied: the caller must not write them afterwards.
+func NewTopology(kinds, subKinds []int, src, dst [][]int) (*Topology, error) {
+	n := len(kinds)
+	if n == 0 {
+		return nil, fmt.Errorf("gnn: cannot encode empty graph")
+	}
+	if len(subKinds) != n || len(src) != len(dst) {
+		return nil, fmt.Errorf("gnn: topology of %d kinds, %d sub-kinds, %d source and %d destination lists",
+			n, len(subKinds), len(src), len(dst))
+	}
+	t := &Topology{kinds: kinds, subKinds: make([]int, n), rels: make([]Relation, len(src)), planBox: &planBox{}}
+	for i, sk := range subKinds {
+		t.subKinds[i] = min(max(sk, 0), MaxSubKinds-1)
+	}
+	for r := range src {
+		if len(src[r]) != len(dst[r]) {
+			return nil, fmt.Errorf("gnn: relation %d has %d sources for %d destinations", r, len(src[r]), len(dst[r]))
+		}
+		for e, s := range src[r] {
+			if d := dst[r][e]; s < 0 || s >= n || d < 0 || d >= n {
+				return nil, fmt.Errorf("gnn: relation %d edge %d (%d→%d) out of range [0,%d)", r, e, s, d, n)
+			}
+		}
+		if len(src[r]) > 0 {
+			t.rels[r] = Relation{Src: src[r], Dst: dst[r], LogW: make([]float64, len(src[r]))}
+		}
+	}
+	return t, nil
+}
+
+// Graph is the one constructor of a Graph over a shared Topology: feats is
+// the node feature column and logW the log1p weights of relation weighted,
+// in its edge order; every other relation weighs zero (ParaGraph's W is zero
+// off the Child type). Both slices are kept, so graphs given one logW share
+// it and the engine's same-weights test is a pointer compare. Given the
+// columns Encode would derive, the result equals Encode's, field for field.
+func (t *Topology) Graph(feats []float64, weighted int, logW []float64) (*Graph, error) {
+	if len(feats) != len(t.kinds) {
+		return nil, fmt.Errorf("gnn: %d features for %d nodes", len(feats), len(t.kinds))
+	}
+	if weighted < 0 || weighted >= len(t.rels) || len(logW) != len(t.rels[weighted].Src) {
+		return nil, fmt.Errorf("gnn: %d weights for relation %d", len(logW), weighted)
+	}
+	rels := append([]Relation(nil), t.rels...)
+	if len(logW) > 0 {
+		rels[weighted].LogW = logW
+	}
+	return &Graph{
+		NumNodes: len(t.kinds),
+		Kinds:    t.kinds,
+		SubKinds: t.subKinds,
+		Feats:    &tensor.Matrix{Rows: len(feats), Cols: 1, Data: feats},
+		Rels:     rels,
+		WScale:   1,
+		planBox:  t.planBox,
+	}, nil
+}
+
+// LogWeights rewrites a column of edge weights in place as Encode stores
+// them (log1p) and returns it.
+func LogWeights(ws []float64) []float64 {
+	for i, w := range ws {
+		ws[i] = math.Log1p(w)
+	}
+	return ws
+}
+
 // MaxLogWeight returns the largest log1p edge weight in the graph.
 func (g *Graph) MaxLogWeight() float64 {
 	var mx float64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"paragraph/internal/graph"
@@ -388,5 +389,70 @@ func TestEvalRMSEEmptyAndExact(t *testing.T) {
 	h := History{}
 	if !math.IsInf(h.FinalValRMSE(), 1) {
 		t.Error("empty history RMSE should be +Inf")
+	}
+}
+
+// TestTopologyGraphsShareStructure: graphs made from one Topology equal
+// Encode's field for field, share its slices, plan cache and zero weight
+// columns by pointer, and are one family — with one thread count's weight
+// column the same base — to the engine's grouping.
+func TestTopologyGraphsShareStructure(t *testing.T) {
+	want := encode(t, buildTestGraph(t, 4))
+	src, dst := make([][]int, len(want.Rels)), make([][]int, len(want.Rels))
+	for r, rel := range want.Rels {
+		src[r], dst[r] = rel.Src, rel.Dst
+	}
+	topo, err := NewTopology(want.Kinds, want.SubKinds, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := int(paragraph.Child)
+	logW := want.Rels[child].LogW
+	a, err := topo.Graph(append([]float64(nil), want.Feats.Data...), child, logW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := topo.Graph(append([]float64(nil), want.Feats.Data...), child, logW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumNodes != want.NumNodes || !slices.Equal(a.Kinds, want.Kinds) || !slices.Equal(a.SubKinds, want.SubKinds) ||
+		!slices.Equal(a.Feats.Data, want.Feats.Data) || a.WScale != want.WScale || len(a.Rels) != len(want.Rels) {
+		t.Fatal("Topology.Graph differs from Encode in its node columns")
+	}
+	for r := range want.Rels {
+		if !slices.Equal(a.Rels[r].Src, want.Rels[r].Src) || !slices.Equal(a.Rels[r].Dst, want.Rels[r].Dst) || !slices.Equal(a.Rels[r].LogW, want.Rels[r].LogW) {
+			t.Fatalf("Topology.Graph differs from Encode in relation %d", r)
+		}
+		if (a.Rels[r].Src == nil) != (want.Rels[r].Src == nil) || (a.Rels[r].LogW == nil) != (want.Rels[r].LogW == nil) {
+			t.Fatalf("relation %d: empty relations must stay nil, as Encode leaves them", r)
+		}
+		if len(a.Rels[r].Src) > 0 && (&a.Rels[r].Src[0] != &b.Rels[r].Src[0] || &a.Rels[r].LogW[0] != &b.Rels[r].LogW[0]) {
+			t.Fatalf("relation %d is copied between sibling graphs", r)
+		}
+	}
+	if &a.Kinds[0] != &b.Kinds[0] || &a.SubKinds[0] != &b.SubKinds[0] || a.planBox == nil || a.planBox != b.planBox || a.plan() != b.plan() {
+		t.Fatal("sibling graphs do not share node codes and the inference plan")
+	}
+	if !sameTopology(a, b) || !sameWeights(a, b) {
+		t.Fatal("sibling graphs are not one family at one weighting")
+	}
+	b.WScale = 7 // a caller scaling its own header
+	if a.WScale != 1 {
+		t.Fatal("WScale is shared between sibling graphs")
+	}
+
+	if _, err := topo.Graph(make([]float64, want.NumNodes+1), child, logW); err == nil {
+		t.Error("feature column of the wrong length accepted")
+	}
+	if _, err := topo.Graph(want.Feats.Data, child, logW[1:]); err == nil {
+		t.Error("weight column of the wrong length accepted")
+	}
+	src[child] = append([]int{want.NumNodes}, src[child][1:]...)
+	if _, err := NewTopology(want.Kinds, want.SubKinds, src, dst); err == nil {
+		t.Error("edge endpoint out of range accepted")
+	}
+	if _, err := NewTopology(nil, nil, nil, nil); err == nil {
+		t.Error("empty topology accepted")
 	}
 }

@@ -12,6 +12,12 @@
 //     (divided by the thread count under static scheduling), if-branches
 //     divided by two. Non-Child edges carry weight zero, matching the
 //     formalization ParaGraph = (V, E, T, W) with W zero off the Child type.
+//
+// Construction has two forms over one edge walker and one weight rule. Build
+// yields a graph.Graph, labels and all: the DOT/JSON/CLI form and the
+// reference. Topology (topology.go) is the same graph split at the line the
+// paper draws — V, E and T once per AST, W per (threads, bindings) — for the
+// model's front end, which sweeps only W and a few literals over a grid.
 package paragraph
 
 import (
@@ -117,8 +123,10 @@ type Options struct {
 	// total GPU parallelism would clamp most annotated-loop weights to 1
 	// and collapse different problem sizes onto one graph, and the team
 	// count reaches the model as a num_teams literal and a grid feature
-	// instead (dataset.EncodeSource is the one caller that decides this).
-	// Zero or one means no division.
+	// instead. One thread divides by one. Zero alone means "read the
+	// directive": the divisor is then its literal num_teams*num_threads
+	// clauses — the standalone DOT/CLI reading, which the model's front end
+	// (dataset.EncodeSource) never takes: it always passes at least 1.
 	Threads int
 
 	// Bindings resolves symbolic loop bounds (parameter values).
@@ -139,35 +147,40 @@ const (
 )
 
 // Build constructs the graph representation of the AST subtree rooted at
-// root (typically a FunctionDecl) at the requested level.
+// root (typically a FunctionDecl) at the requested level. It is the DOT/CLI
+// path and the oracle the split front end (NewTopology + ChildWeights) is
+// tested against; both emit their edges through walkEdges, so there is one
+// construction order and one weight rule.
 func Build(root *cast.Node, opts Options) (*graph.Graph, error) {
 	if root == nil {
 		return nil, fmt.Errorf("paragraph: nil AST root")
 	}
-	if opts.DefaultTrip <= 0 {
-		opts.DefaultTrip = defaultTrip
+	g := graph.New(EdgeTypeNames())
+	g.KindNames = KindNames()
+	id := make(map[*cast.Node]int)
+	cast.Walk(root, func(n *cast.Node) bool {
+		id[n] = g.AddNode(graph.Node{
+			Kind:    int(n.Kind),
+			SubKind: subKind(n),
+			Feature: nodeFeature(n),
+			Label:   nodeLabel(n),
+		})
+		return true
+	})
+	rule := newWeightRule(opts)
+	rule.trip = func(fs *cast.Node) float64 {
+		return analysis.ForTrip(fs, opts.Bindings, rule.defaultTrip).Trip
 	}
-	if opts.MaxWeight <= 0 {
-		opts.MaxWeight = defaultMaxWeight
-	}
-	b := &builder{
-		opts: opts,
-		g:    graph.New(EdgeTypeNames()),
-		id:   make(map[*cast.Node]int),
-	}
-	b.g.KindNames = KindNames()
-	b.addNodes(root)
-	b.addChildEdges(root, 1)
-	if opts.Level >= LevelAugmentedAST {
-		b.addNextToken(root)
-		b.addNextSib(root)
-		b.addRef(root)
-		b.addControlFlow(root)
-	}
-	if err := b.g.Validate(); err != nil {
+	walkEdges(root, rule, func(src, dst *cast.Node, t EdgeType, w float64) {
+		// A Ref may point at a declaration outside the built subtree.
+		if d, ok := id[dst]; ok {
+			g.AddEdge(id[src], d, int(t), w)
+		}
+	})
+	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("paragraph: built invalid graph: %w", err)
 	}
-	return b.g, nil
+	return g, nil
 }
 
 // BuildKernel parses C source and builds the graph of its first function.
@@ -179,57 +192,75 @@ func BuildKernel(src string, opts Options) (*graph.Graph, error) {
 	return Build(fn, opts)
 }
 
-type builder struct {
-	opts Options
-	g    *graph.Graph
-	id   map[*cast.Node]int
-}
+// edgeFunc receives a ParaGraph's edges in construction order.
+type edgeFunc func(src, dst *cast.Node, t EdgeType, w float64)
 
-// addNodes creates one graph node per AST node, in preorder.
-func (b *builder) addNodes(root *cast.Node) {
-	cast.Walk(root, func(n *cast.Node) bool {
-		gn := graph.Node{
-			Kind:    int(n.Kind),
-			SubKind: subKind(n),
-			Feature: nodeFeature(n),
-			Label:   nodeLabel(n),
-		}
-		b.id[n] = b.g.AddNode(gn)
-		return true
-	})
-}
-
-// addChildEdges walks the tree adding weighted Child edges. scale is the
-// static execution-count estimate for the current region.
-func (b *builder) addChildEdges(n *cast.Node, scale float64) {
-	weighted := b.opts.Level >= LevelParaGraph
-	// parallelism pending division: applied to the outermost loop associated
-	// with an OMP loop directive.
-	b.childEdgesRec(n, scale, 0, weighted)
-}
-
-// childEdgesRec descends the AST. pendingPar > 1 means the next ForStmt
-// encountered is the directive-associated loop whose iterations are divided
-// across pendingPar workers.
-func (b *builder) childEdgesRec(n *cast.Node, scale float64, pendingPar float64, weighted bool) {
-	emit := func(child *cast.Node, w float64) {
-		if !weighted {
-			w = 1
-		}
-		b.g.AddEdge(b.id[n], b.id[child], int(Child), math.Min(w, b.opts.MaxWeight))
+// walkEdges emits every edge of root's ParaGraph at the rule's level: the
+// Child edges under the rule, then — from LevelAugmentedAST up — the
+// NextToken, NextSib, Ref and control-flow edges at weight zero. The order
+// within each edge type is the order gnn relations keep, so it is part of
+// the encoding.
+func walkEdges(root *cast.Node, rule *weightRule, emit edgeFunc) {
+	rule.childEdges(root, 1, 0, emit)
+	if rule.level >= LevelAugmentedAST {
+		nextTokenEdges(root, emit)
+		nextSibEdges(root, emit)
+		refEdges(root, emit)
+		controlFlowEdges(root, emit)
 	}
-	switch n.Kind {
-	case cast.KindForStmt:
-		init, cond, body, inc := n.ForParts()
-		if init == nil {
-			// Malformed ForStmt: fall through to the generic case.
-			for _, c := range n.Children {
-				emit(c, scale)
-				b.childEdgesRec(c, scale, 0, weighted)
-			}
-			return
+}
+
+// weightRule is ParaGraph's Child-edge weight (§III-A.3), written once: a
+// static execution-count estimate per AST region — loop bodies multiplied by
+// trip counts, the directive-associated loop's trips divided across threads,
+// if-branches halved, every weight capped at maxWeight. Below LevelParaGraph
+// every Child edge weighs 1.
+type weightRule struct {
+	level       Level
+	threads     int
+	defaultTrip float64
+	maxWeight   float64
+	// trip is a well-formed ForStmt's iteration count under the bindings;
+	// childEdges calls it exactly once per such loop, in walk order.
+	trip func(fs *cast.Node) float64
+}
+
+func newWeightRule(opts Options) *weightRule {
+	r := &weightRule{
+		level:       opts.Level,
+		threads:     opts.Threads,
+		defaultTrip: opts.DefaultTrip,
+		maxWeight:   opts.MaxWeight,
+	}
+	if r.defaultTrip <= 0 {
+		r.defaultTrip = defaultTrip
+	}
+	if r.maxWeight <= 0 {
+		r.maxWeight = defaultMaxWeight
+	}
+	return r
+}
+
+// childEdges descends the AST emitting n's Child edges. scale is the static
+// execution-count estimate for the current region; pendingPar > 1 means the
+// next ForStmt encountered is the directive-associated loop whose iterations
+// are divided across pendingPar workers.
+func (r *weightRule) childEdges(n *cast.Node, scale, pendingPar float64, emit edgeFunc) {
+	// sub emits the edge to child and descends into it; the region under
+	// child runs w times.
+	sub := func(child *cast.Node, w, pendingPar float64) {
+		ew := w
+		if r.level < LevelParaGraph {
+			ew = 1
 		}
-		trip := analysis.ForTrip(n, b.opts.Bindings, b.opts.DefaultTrip).Trip
+		emit(n, child, Child, math.Min(ew, r.maxWeight))
+		r.childEdges(child, w, pendingPar, emit)
+	}
+	init, cond, body, inc := n.ForParts()
+	ifCond, then, els := n.IfParts()
+	switch {
+	case init != nil:
+		trip := r.trip(n)
 		if trip < 1 {
 			trip = 1
 		}
@@ -243,59 +274,46 @@ func (b *builder) childEdgesRec(n *cast.Node, scale float64, pendingPar float64,
 		inner := scale * trip
 		// Figure 2: init keeps the enclosing weight; cond, body and inc run
 		// once per iteration.
-		emit(init, scale)
-		b.childEdgesRec(init, scale, 0, weighted)
-		emit(cond, inner)
-		b.childEdgesRec(cond, inner, 0, weighted)
-		emit(body, inner)
-		b.childEdgesRec(body, inner, 0, weighted)
-		emit(inc, inner)
-		b.childEdgesRec(inc, inner, 0, weighted)
-	case cast.KindWhileStmt, cast.KindDoStmt:
-		trip := b.opts.DefaultTrip
-		inner := scale * trip
+		sub(init, scale, 0)
+		sub(cond, inner, 0)
+		sub(body, inner, 0)
+		sub(inc, inner, 0)
+	case n.Kind == cast.KindWhileStmt || n.Kind == cast.KindDoStmt:
 		for _, c := range n.Children {
-			emit(c, inner)
-			b.childEdgesRec(c, inner, 0, weighted)
+			sub(c, scale*r.defaultTrip, 0)
 		}
-	case cast.KindIfStmt:
-		cond, then, els := n.IfParts()
-		if cond == nil {
-			for _, c := range n.Children {
-				emit(c, scale)
-				b.childEdgesRec(c, scale, 0, weighted)
-			}
-			return
-		}
+	case ifCond != nil:
 		// Paper §III-A.3: each branch taken with probability 1/2.
-		emit(cond, scale)
-		b.childEdgesRec(cond, scale, 0, weighted)
-		emit(then, scale/2)
-		b.childEdgesRec(then, scale/2, 0, weighted)
+		sub(ifCond, scale, 0)
+		sub(then, scale/2, 0)
 		if els != nil {
-			emit(els, scale/2)
-			b.childEdgesRec(els, scale/2, 0, weighted)
+			sub(els, scale/2, 0)
 		}
-	case cast.KindOMPExecutableDirective:
-		par := b.parallelism(n)
+	case n.Kind == cast.KindOMPExecutableDirective:
+		par := r.parallelism(n)
 		for _, c := range n.Children {
-			emit(c, scale)
-			b.childEdgesRec(c, scale, par, weighted)
+			sub(c, scale, par)
+		}
+	case n.Kind == cast.KindForStmt || n.Kind == cast.KindIfStmt:
+		// Malformed loop or branch: plain children, and no pending division
+		// survives it.
+		for _, c := range n.Children {
+			sub(c, scale, 0)
 		}
 	default:
 		for _, c := range n.Children {
-			emit(c, scale)
-			b.childEdgesRec(c, scale, pendingPar, weighted)
+			sub(c, scale, pendingPar)
 		}
 	}
 }
 
-// parallelism derives the worker count dividing the associated loop's
-// iterations: Options.Threads when set, else the directive's literal
+// parallelism is the worker count dividing the iterations of the loop
+// associated with directive n: Options.Threads when positive — one thread
+// divides by one — and only for Threads == 0 the directive's own literal
 // num_teams*num_threads clauses.
-func (b *builder) parallelism(n *cast.Node) float64 {
-	if b.opts.Threads > 1 {
-		return float64(b.opts.Threads)
+func (r *weightRule) parallelism(n *cast.Node) float64 {
+	if r.threads > 0 {
+		return float64(r.threads)
 	}
 	d := n.Dir
 	if d == nil || !d.Kind.IsLoopAssociated() {
@@ -313,42 +331,46 @@ func (b *builder) parallelism(n *cast.Node) float64 {
 	return 0
 }
 
-// addNextToken chains terminal nodes (syntax tokens) left to right.
-func (b *builder) addNextToken(root *cast.Node) {
-	terms := cast.Terminals(root)
-	for i := 0; i+1 < len(terms); i++ {
-		b.g.AddEdge(b.id[terms[i]], b.id[terms[i+1]], int(NextToken), 0)
-	}
+// nextTokenEdges chains terminal nodes (syntax tokens) left to right.
+func nextTokenEdges(root *cast.Node, emit edgeFunc) {
+	var prev *cast.Node
+	cast.Walk(root, func(n *cast.Node) bool {
+		if n.IsTerminal() {
+			if prev != nil {
+				emit(prev, n, NextToken, 0)
+			}
+			prev = n
+		}
+		return true
+	})
 }
 
-// addNextSib connects each node to its next sibling.
-func (b *builder) addNextSib(root *cast.Node) {
+// nextSibEdges connects each node to its next sibling.
+func nextSibEdges(root *cast.Node, emit edgeFunc) {
 	cast.Walk(root, func(n *cast.Node) bool {
 		for i := 0; i+1 < len(n.Children); i++ {
-			b.g.AddEdge(b.id[n.Children[i]], b.id[n.Children[i+1]], int(NextSib), 0)
+			emit(n.Children[i], n.Children[i+1], NextSib, 0)
 		}
 		return true
 	})
 }
 
-// addRef connects DeclRefExpr nodes to their declarations (paper: "Ref edges
+// refEdges connects DeclRefExpr nodes to their declarations (paper: "Ref edges
 // connecting a DeclRefExpr node to where the corresponding variable is
-// defined"). References to declarations outside the built subtree are
-// skipped.
-func (b *builder) addRef(root *cast.Node) {
+// defined"). The receiver skips references to declarations outside the built
+// subtree.
+func refEdges(root *cast.Node, emit edgeFunc) {
 	cast.Walk(root, func(n *cast.Node) bool {
 		if n.Kind == cast.KindDeclRefExpr && n.Ref != nil {
-			if declID, ok := b.id[n.Ref]; ok {
-				b.g.AddEdge(b.id[n], declID, int(Ref), 0)
-			}
+			emit(n, n.Ref, Ref, 0)
 		}
 		return true
 	})
 }
 
-// addControlFlow adds ForExec/ForNext edges on loops and ConTrue/ConFalse on
-// if statements.
-func (b *builder) addControlFlow(root *cast.Node) {
+// controlFlowEdges adds ForExec/ForNext edges on loops and ConTrue/ConFalse
+// on if statements.
+func controlFlowEdges(root *cast.Node, emit edgeFunc) {
 	cast.Walk(root, func(n *cast.Node) bool {
 		switch n.Kind {
 		case cast.KindForStmt:
@@ -359,31 +381,31 @@ func (b *builder) addControlFlow(root *cast.Node) {
 			// ForExec: flow into the next iteration's execution
 			// (init→cond, cond→body); ForNext: deciding/advancing the next
 			// iteration (body→inc, inc→cond). Paper §III-A.2.
-			b.g.AddEdge(b.id[init], b.id[cond], int(ForExec), 0)
-			b.g.AddEdge(b.id[cond], b.id[body], int(ForExec), 0)
-			b.g.AddEdge(b.id[body], b.id[inc], int(ForNext), 0)
-			b.g.AddEdge(b.id[inc], b.id[cond], int(ForNext), 0)
+			emit(init, cond, ForExec, 0)
+			emit(cond, body, ForExec, 0)
+			emit(body, inc, ForNext, 0)
+			emit(inc, cond, ForNext, 0)
 		case cast.KindWhileStmt:
 			// Natural extension of the paper's scheme to while loops:
 			// cond→body executes an iteration, body→cond re-checks.
 			if len(n.Children) == 2 {
-				b.g.AddEdge(b.id[n.Children[0]], b.id[n.Children[1]], int(ForExec), 0)
-				b.g.AddEdge(b.id[n.Children[1]], b.id[n.Children[0]], int(ForNext), 0)
+				emit(n.Children[0], n.Children[1], ForExec, 0)
+				emit(n.Children[1], n.Children[0], ForNext, 0)
 			}
 		case cast.KindDoStmt:
 			if len(n.Children) == 2 {
 				// children are [body, cond].
-				b.g.AddEdge(b.id[n.Children[1]], b.id[n.Children[0]], int(ForExec), 0)
-				b.g.AddEdge(b.id[n.Children[0]], b.id[n.Children[1]], int(ForNext), 0)
+				emit(n.Children[1], n.Children[0], ForExec, 0)
+				emit(n.Children[0], n.Children[1], ForNext, 0)
 			}
 		case cast.KindIfStmt:
 			cond, then, els := n.IfParts()
 			if cond == nil {
 				return true
 			}
-			b.g.AddEdge(b.id[cond], b.id[then], int(ConTrue), 0)
+			emit(cond, then, ConTrue, 0)
 			if els != nil {
-				b.g.AddEdge(b.id[cond], b.id[els], int(ConFalse), 0)
+				emit(cond, els, ConFalse, 0)
 			}
 		}
 		return true
@@ -422,7 +444,7 @@ func nodeFeature(n *cast.Node) float64 {
 	switch n.Kind {
 	case cast.KindIntegerLiteral, cast.KindFloatingLiteral:
 		if v, ok := analysis.Eval(n, nil); ok {
-			return math.Log1p(math.Abs(v))
+			return literalFeature(v)
 		}
 	case cast.KindOMPExecutableDirective:
 		if n.Dir != nil {
@@ -431,6 +453,9 @@ func nodeFeature(n *cast.Node) float64 {
 	}
 	return 0
 }
+
+// literalFeature is the feature of a numeric literal of value v.
+func literalFeature(v float64) float64 { return math.Log1p(math.Abs(v)) }
 
 func nodeLabel(n *cast.Node) string {
 	switch {

@@ -287,6 +287,24 @@ void f(double *a) {
 	}
 }
 
+// TestOneThreadDividesByOne: only Threads == 0 reads the directive's
+// literals; one thread per team is a divisor of one, not "unset".
+func TestOneThreadDividesByOne(t *testing.T) {
+	src := `
+void f(double *a) {
+    #pragma omp target teams distribute parallel for num_teams(2) num_threads(5)
+    for (int i = 0; i < 100; i++) {
+        a[i] = 0.0;
+    }
+}`
+	for threads, want := range map[int]float64{0: 10, 1: 100, 2: 50} {
+		g := build(t, src, Options{Level: LevelParaGraph, Threads: threads})
+		if w, ok := childWeight(g, "ForStmt", "CompoundStmt"); !ok || w != want {
+			t.Errorf("Threads=%d: body weight = %v, want %v", threads, w, want)
+		}
+	}
+}
+
 func TestBindingsResolveSymbolicBounds(t *testing.T) {
 	src := `
 void f(double *a, int n) {

@@ -43,6 +43,10 @@ type serveMetrics struct {
 	// operators alert on rate() over them, which needs a baseline.
 	shed map[admit.Reason]*obs.Counter
 
+	// rejected counts requests refused at the edge for what they ask, by
+	// reason (serve_rejected_total); pre-registered like shed.
+	rejected map[string]*obs.Counter
+
 	mu       sync.Mutex
 	errors   map[string]*obs.Counter // endpoint "\x00" status class
 	perModel map[string]bool         // platform "\x00" model: series registered
@@ -56,6 +60,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 		reg:       obs.NewRegistry(),
 		endpoints: map[string]*endpointInstruments{},
 		shed:      map[admit.Reason]*obs.Counter{},
+		rejected:  map[string]*obs.Counter{},
 		errors:    map[string]*obs.Counter{},
 		perModel:  map[string]bool{},
 	}
@@ -63,6 +68,11 @@ func newServeMetrics(s *Server) *serveMetrics {
 		m.shed[reason] = m.reg.Counter("serve_shed_total",
 			"Requests rejected by admission control, by reason.",
 			obs.L("reason", string(reason)))
+	}
+	for _, reason := range []string{"grid_points", "space_value"} {
+		m.rejected[reason] = m.reg.Counter("serve_rejected_total",
+			"Requests refused for their content (400), by reason.",
+			obs.L("reason", reason))
 	}
 	for _, ep := range serveEndpoints {
 		m.endpoints[ep] = &endpointInstruments{

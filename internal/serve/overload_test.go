@@ -277,11 +277,13 @@ func TestOverloadDeadlineShedding(t *testing.T) {
 type gatedModel struct {
 	delay  atomic.Int64 // nanoseconds slept per call
 	wedged atomic.Bool
+	parked atomic.Int64 // calls that have found the model wedged
 	resume chan struct{}
 }
 
 func (m *gatedModel) PredictBatch(ss []*gnn.Sample) []float64 {
 	if m.wedged.Load() {
+		m.parked.Add(1)
 		<-m.resume
 	}
 	time.Sleep(time.Duration(m.delay.Load()))
@@ -309,15 +311,18 @@ func TestOverloadPredictPricedFromPredictEvaluations(t *testing.T) {
 	// the function that releases it and waits for it to finish.
 	wedge := func(n int) func() {
 		model.wedged.Store(true)
+		parked := model.parked.Load()
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			do(t, s, http.MethodPost, "/v1/advise", overloadReq(n), nil)
 		}()
-		for deadline := time.Now().Add(10 * time.Second); s.admit.Stats().Running == 0; time.Sleep(time.Millisecond) {
+		// Holding the slot is not yet being parked in the model: released
+		// between the two, the request would never take the resume.
+		for deadline := time.Now().Add(10 * time.Second); model.parked.Load() == parked; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatal("wedge request never acquired the slot")
+				t.Fatal("wedge request never reached the model")
 			}
 		}
 		return func() {

@@ -779,6 +779,10 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	space := req.Space.space()
+	if err := advisor.CheckSpace(k, be.machine, space); err != nil {
+		s.rejectSpace(w, err)
+		return
+	}
 
 	// Route key: the request's content *without* the model version — A/B
 	// routing assigns a fixed request to a version, so the version cannot be
@@ -1037,15 +1041,36 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 	return v, nil, false, coalesced, nil
 }
 
+// rejectSpace answers a search space the advisor refuses (an entry below 1,
+// or too many grid points) with a 400 naming the reason, counted by reason in
+// serve_rejected_total.
+func (s *Server) rejectSpace(w http.ResponseWriter, err error) {
+	var refused *advisor.SpaceError
+	if errors.As(err, &refused) {
+		if c, ok := s.metrics.rejected[refused.Reason]; ok {
+			c.Inc()
+		}
+	}
+	s.fail(w, http.StatusBadRequest, "%v", err)
+}
+
 // failKeyed answers a keyed request whose evaluation failed: a shed (or
-// an expired deadline) is 503 + Retry-After priced from eval, anything
-// else the evaluation's own 422.
+// an expired deadline) is 503 + Retry-After priced from eval, a panic under
+// the advisor a 500 with its stack logged, anything else the evaluation's
+// own 422.
 func (s *Server) failKeyed(w http.ResponseWriter, err error, eval *obs.Histogram, what string, k apps.Kernel, be *backendState, ms *modelState) {
 	if shed, ok := asShed(err); ok {
 		s.writeShed(w, shed, evalCost(eval))
 		return
 	}
-	s.fail(w, http.StatusUnprocessableEntity, "%s %s on %s/%s: %v", what, k.Name, be.machine.Name, ms.name, err)
+	status := http.StatusUnprocessableEntity
+	var bug *advisor.PanicError
+	if errors.As(err, &bug) {
+		status = http.StatusInternalServerError
+		s.logger.Error("panic in evaluation", "what", what, "kernel", k.Name, "machine", be.machine.Name,
+			"model", ms.name, "err", err, "stack", string(bug.Stack))
+	}
+	s.fail(w, status, "%s %s on %s/%s: %v", what, k.Name, be.machine.Name, ms.name, err)
 }
 
 // kindByName parses a variant name ("cpu", "gpu_collapse_mem", ...).

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -260,6 +262,113 @@ func TestDeepCustomKernelIsAnError(t *testing.T) {
 		if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, nil); rec.Code != http.StatusOK {
 			t.Errorf("healthz after the deep %s: %d", path, rec.Code)
 		}
+	}
+}
+
+// TestSearchSpaceIsBoundedAtTheEdge: a space with an entry below 1 or more
+// than advisor.MaxGridPoints points is a 400 naming the reason, counted in
+// serve_rejected_total{reason}, and costs no evaluation — the grid is never
+// materialised, admitted, cached or forwarded.
+func TestSearchSpaceIsBoundedAtTheEdge(t *testing.T) {
+	s := newTestServer(t)
+	seq := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i + 1
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		space  SpaceSpec
+		reason string
+		say    string
+	}{
+		{"zero gpu_threads", SpaceSpec{GPUThreads: []int{0}}, "space_value", "at least 1"},
+		{"negative gpu_teams", SpaceSpec{GPUTeams: []int{64, -2}, GPUThreads: []int{128}}, "space_value", "at least 1"},
+		{"5000 points", SpaceSpec{GPUTeams: seq(50), GPUThreads: seq(25)}, "grid_points", "exceeds 4096 grid points"},
+	} {
+		before := s.metrics.rejected[c.reason].Value()
+		req := adviseReq("NVIDIA V100 (GPU)")
+		req.Space = &c.space
+		rec := do(t, s, http.MethodPost, "/v1/advise", req, nil)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.say) {
+			t.Errorf("%s: %d %s, want 400 saying %q", c.name, rec.Code, rec.Body.String(), c.say)
+		}
+		if got := s.metrics.rejected[c.reason].Value(); got != before+1 {
+			t.Errorf("%s: serve_rejected_total{reason=%q} went %d → %d, want +1", c.name, c.reason, before, got)
+		}
+	}
+	if st := s.admit.Stats(); st.Admitted != 0 {
+		t.Errorf("%d evaluations admitted for refused spaces", st.Admitted)
+	}
+	out := scrapeMetrics(t, s)
+	for _, want := range []string{`serve_rejected_total{reason="space_value"} 2`, `serve_rejected_total{reason="grid_points"} 1`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// panickyModel is a model with a bug on one input: it panics on any batch
+// holding a sample of the named kernel.
+type panickyModel struct {
+	oracleModel
+	kernel string
+}
+
+func (m panickyModel) PredictBatch(ss []*gnn.Sample) []float64 {
+	for _, s := range ss {
+		if strings.HasPrefix(s.Name, m.kernel+"_") {
+			panic("model bug on " + s.Name)
+		}
+	}
+	return m.oracleModel.PredictBatch(ss)
+}
+
+// TestPanickingModelIsA500: a panic under an evaluation is that request's
+// 500 — synchronous or as an async job, whose goroutine no net/http recover
+// covers — and the server keeps answering, the same model included.
+func TestPanickingModelIsA500(t *testing.T) {
+	s, err := NewServer([]Backend{
+		{Machine: hw.V100(), Model: panickyModel{kernel: "transpose"}, Prep: testPrep()},
+	}, Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	bad := AdviseRequest{Kernel: "transpose", Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 512, "m": 512}}
+	rec := do(t, s, http.MethodPost, "/v1/advise", bad, nil)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "panic: model bug on transpose_gpu_") {
+		t.Fatalf("advise on a panicking model: %d %s, want 500 naming the panic", rec.Code, rec.Body.String())
+	}
+	rec = do(t, s, http.MethodPost, "/v1/predict", PredictRequest{
+		Kernel: "transpose", Machine: "NVIDIA V100 (GPU)", Bindings: bad.Bindings, Variant: "gpu", Teams: 64, Threads: 128,
+	}, nil)
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("predict on a panicking model: %d %s, want 500", rec.Code, rec.Body.String())
+	}
+
+	var sub JobSubmitResponse
+	if rec := do(t, s, http.MethodPost, "/v1/advise?async=1", bad, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("async advise: %d %s", rec.Code, rec.Body.String())
+	} else if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+		t.Fatal(err)
+	}
+	s.jobsWG.Wait()
+	if rec := do(t, s, http.MethodGet, sub.Poll, nil, nil); !strings.Contains(rec.Body.String(), "panic: model bug") {
+		t.Errorf("async job on a panicking model: %d %s, want a failed job naming the panic", rec.Code, rec.Body.String())
+	}
+
+	if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, nil); rec.Code != http.StatusOK {
+		t.Errorf("healthz after the panics: %d", rec.Code)
+	}
+	if rec := do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), nil); rec.Code != http.StatusOK {
+		t.Errorf("advise on another kernel after the panics: %d %s", rec.Code, rec.Body.String())
+	}
+	if out := scrapeMetrics(t, s); !strings.Contains(out, `serve_errors_total{endpoint="advise",code="5xx"} 1`) ||
+		!strings.Contains(out, `serve_errors_total{endpoint="predict",code="5xx"} 1`) {
+		t.Error("the 500s are not counted in serve_errors_total{code=\"5xx\"}")
 	}
 }
 
