@@ -1,7 +1,8 @@
 // Command datagen runs the data-collection pipeline of Figure 3: it sweeps
 // kernel variants, measures them on the simulated accelerators through the
 // cluster substrate, prints the Table II statistics, and optionally writes
-// the per-platform datasets as JSON.
+// the per-platform datasets as JSON, one DIR/<hw.Slug of the platform>.json
+// each (nvidia-v100-gpu.json).
 //
 // Usage:
 //
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"paragraph/internal/dataset"
 	"paragraph/internal/experiments"
@@ -35,7 +35,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := experiments.ParseScale(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -72,14 +72,7 @@ func writePlatform(dir string, p *dataset.Platform) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	name := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		}
-		return '_'
-	}, p.Machine.Name)
-	path := filepath.Join(dir, name+".json")
+	path := filepath.Join(dir, hw.Slug(p.Machine.Name)+".json")
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -90,16 +83,4 @@ func writePlatform(dir string, p *dataset.Platform) error {
 	}
 	fmt.Printf("  wrote %s\n", path)
 	return nil
-}
-
-func parseScale(s string) (experiments.Scale, error) {
-	switch strings.ToLower(s) {
-	case "tiny":
-		return experiments.Tiny(), nil
-	case "small":
-		return experiments.Small(), nil
-	case "full":
-		return experiments.Full(), nil
-	}
-	return experiments.Scale{}, fmt.Errorf("unknown scale %q", s)
 }

@@ -7,19 +7,20 @@ import (
 	"testing"
 
 	"paragraph/internal/dataset"
+	"paragraph/internal/experiments"
 )
 
 func TestParseScale(t *testing.T) {
 	for _, name := range []string{"tiny", "small", "full", "TINY"} {
-		s, err := parseScale(name)
+		s, err := experiments.ParseScale(name)
 		if err != nil {
-			t.Errorf("parseScale(%q): %v", name, err)
+			t.Errorf("ParseScale(%q): %v", name, err)
 		}
 		if s.Name != strings.ToLower(name) {
-			t.Errorf("parseScale(%q).Name = %q", name, s.Name)
+			t.Errorf("ParseScale(%q).Name = %q", name, s.Name)
 		}
 	}
-	if _, err := parseScale("enormous"); err == nil {
+	if _, err := experiments.ParseScale("enormous"); err == nil {
 		t.Error("unknown scale accepted")
 	}
 }
@@ -34,8 +35,8 @@ func TestRunCollectsAndWritesPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("wrote %d files, want 1", len(entries))
+	if len(entries) != 1 || entries[0].Name() != "nvidia-v100-gpu.json" {
+		t.Fatalf("wrote %v, want one nvidia-v100-gpu.json", entries)
 	}
 	path := filepath.Join(dir, entries[0].Name())
 	f, err := os.Open(path)

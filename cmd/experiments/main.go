@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"paragraph/internal/experiments"
 )
@@ -37,51 +36,19 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	var scale experiments.Scale
-	switch strings.ToLower(*scaleName) {
-	case "tiny":
-		scale = experiments.Tiny()
-	case "small":
-		scale = experiments.Small()
-	case "full":
-		scale = experiments.Full()
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	scale, err := experiments.ParseScale(*scaleName)
+	if err != nil {
+		return err
 	}
 	r := experiments.NewRunner(scale)
 
-	if *all || (*table == 0 && *figure == 0) {
+	switch {
+	case *all || (*table == 0 && *figure == 0):
 		fmt.Fprintf(w, "== ParaGraph experiment suite (scale %s) ==\n\n", scale.Name)
 		return r.RunAll(w)
-	}
-	switch *table {
-	case 0:
-	case 1:
-		experiments.RenderTable1(w)
-		return nil
-	case 2:
-		return r.RenderTable2(w)
-	case 3:
-		return r.RenderTable3(w)
-	case 4:
-		return r.RenderTable4(w)
+	case *table != 0:
+		return r.Render(w, "table", *table)
 	default:
-		return fmt.Errorf("no table %d in the paper", *table)
-	}
-	switch *figure {
-	case 4:
-		return r.RenderFigure4(w)
-	case 5:
-		return r.RenderFigure5(w)
-	case 6:
-		return r.RenderFigure6(w)
-	case 7:
-		return r.RenderFigure7(w)
-	case 8:
-		return r.RenderFigure8(w)
-	case 9:
-		return r.RenderFigure9(w)
-	default:
-		return fmt.Errorf("no figure %d in the paper's evaluation", *figure)
+		return r.Render(w, "figure", *figure)
 	}
 }

@@ -47,7 +47,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	level, err := parseLevel(*levelName)
+	level, err := paragraph.ParseLevel(*levelName)
 	if err != nil {
 		return err
 	}
@@ -111,18 +111,6 @@ func readSource(path string, stdin io.Reader) (string, error) {
 	}
 	b, err := os.ReadFile(path)
 	return string(b), err
-}
-
-func parseLevel(s string) (paragraph.Level, error) {
-	switch strings.ToLower(s) {
-	case "raw":
-		return paragraph.LevelRawAST, nil
-	case "aug":
-		return paragraph.LevelAugmentedAST, nil
-	case "para", "paragraph":
-		return paragraph.LevelParaGraph, nil
-	}
-	return 0, fmt.Errorf("unknown level %q (want raw, aug, or para)", s)
 }
 
 func parseBindings(s string) (analysis.Env, error) {

@@ -125,9 +125,9 @@ func TestParseLevelAndBindings(t *testing.T) {
 		"para": paragraph.LevelParaGraph, "paragraph": paragraph.LevelParaGraph,
 		"PARA": paragraph.LevelParaGraph,
 	} {
-		got, err := parseLevel(name)
+		got, err := paragraph.ParseLevel(name)
 		if err != nil || got != want {
-			t.Errorf("parseLevel(%q) = %v, %v", name, got, err)
+			t.Errorf("ParseLevel(%q) = %v, %v", name, got, err)
 		}
 	}
 	env, err := parseBindings("n=10, m = 2.5")

@@ -4,8 +4,8 @@
 // stays resident, nothing trains, and a platform can serve several named
 // model versions. Requests are answered cached and bounded, an advise grid
 // as one model call (internal/serve); with -cache-file the advise-response
-// cache is snapshotted periodically and on shutdown, so a restarted process
-// answers repeat traffic warm.
+// cache is snapshotted every five minutes and on shutdown, so a restarted
+// process answers repeat traffic warm.
 //
 // With -self and -peers, N serve processes form a consistent-hash sharded
 // tier (internal/shard): each advise/predict cache key is owned by its
@@ -16,11 +16,11 @@
 // degrading to local serving. Membership is elastic: a new peer starts
 // with -self and -seed pointing at any live member and joins at runtime
 // (no restarts, no synchronized -peers lists); every member gossips a
-// versioned membership view each -heartbeat, evicts peers silent past
-// -evict-after, and swaps the ring under a new epoch on every change. A
+// versioned membership view each -heartbeat, evicts peers silent for ten
+// heartbeats, and swaps the ring under a new epoch on every change. A
 // leaving peer drains first — POST /v1/cluster/leave or plain SIGTERM
-// streams its owned cache entries to the new owners (bounded by
-// -drain-timeout) before the process exits — and a background
+// streams its owned cache entries to the new owners (for at most 30s)
+// before the process exits — and a background
 // anti-entropy sweep every -anti-entropy diffs local warmth against ring
 // ownership and refills missing replica entries from peers, so a
 // rejoined or freshly added peer converges to full warmth without
@@ -42,17 +42,14 @@
 //
 //	serve -model-dir DIR [-addr :8080]
 //	      [-platforms "IBM POWER9 (CPU),NVIDIA V100 (GPU)"]
-//	      [-cache-file PATH] [-cache-snapshot 5m] [-advise-cache 512]
-//	      [-pool N]
+//	      [-cache-file PATH] [-pool N]
 //	      [-admit-queue N] [-admit-per-client N]
-//	      [-jobs-max N] [-jobs-ttl 5m]
 //	      [-feedback-dir DIR] [-rollout-split 10] [-retrain-after 100]
 //	      [-retrain-epochs N] [-quality-min 30]
-//	      [-promote-after 3] [-rollback-after 3] [-gc-keep 2]
+//	      [-promote-after 3] [-gc-keep 2]
 //	      [-self http://host:8080 -seed http://host2:8080 | -peers http://host:8080,http://host2:8080]
 //	      [-replication 2]
-//	      [-heartbeat 1s] [-suspect-after 3s] [-evict-after 10s]
-//	      [-drain-timeout 30s] [-anti-entropy 30s]
+//	      [-heartbeat 1s] [-anti-entropy 30s]
 //	      [-log-level info] [-trace-slow 250ms]
 //	      [-pprof-addr 127.0.0.1:6060]
 //
@@ -81,8 +78,8 @@
 // deficit-round-robin fairness up to -admit-queue/-admit-per-client, then
 // shed with 503 + Retry-After; an X-Paragraph-Deadline request header
 // sheds eagerly when the estimated drain exceeds the budget, and the
-// remaining budget propagates across cluster forwards. -jobs-max/-jobs-ttl
-// bound the async job store.
+// remaining budget propagates across cluster forwards. The async job store
+// holds 256 jobs, finished ones for ten minutes.
 //
 // Observability (docs/OPERATIONS.md, "Monitoring & Profiling"): GET
 // /metrics serves Prometheus text exposition, GET /v1/trace the recent
@@ -93,7 +90,7 @@
 //
 // On SIGINT/SIGTERM the server first drains its cluster role (tombstones
 // itself in the gossip view and streams owned cache entries to the new
-// owners, bounded by -drain-timeout; a no-op outside cluster mode or after
+// owners, for at most 30s; a no-op outside cluster mode or after
 // an explicit /v1/cluster/leave), then stops accepting requests, lets
 // in-flight evaluations finish, flushes the cache snapshot, and exits.
 // docs/API.md documents the wire format; docs/OPERATIONS.md covers
@@ -130,14 +127,21 @@ func main() {
 
 // serveConfig is what buildServer resolves beyond the assembled Server.
 type serveConfig struct {
-	addr          string
-	cacheFile     string        // "" = no cache persistence
-	snapshotEvery time.Duration // periodic snapshot interval; <= 0 disables
-	pprofAddr     string        // "" = no pprof listener
-	logger        *slog.Logger  // process-wide structured logger
-	cluster       bool          // cluster mode: drain membership on shutdown
-	drainTimeout  time.Duration // bound on the departure drain
+	addr      string
+	cacheFile string       // "" = no cache persistence
+	pprofAddr string       // "" = no pprof listener
+	logger    *slog.Logger // process-wide structured logger
+	cluster   bool         // cluster mode: drain membership on shutdown
 }
+
+const (
+	// snapshotEvery is the periodic -cache-file snapshot interval: a hard
+	// kill loses at most this much warmth.
+	snapshotEvery = 5 * time.Minute
+	// drainTimeout bounds streaming owned keys to their new owners at a
+	// planned departure (serve.ClusterConfig's own default for /v1/cluster/leave).
+	drainTimeout = 30 * time.Second
+)
 
 func run(args []string, w io.Writer) error {
 	srv, cfg, err := buildServer(args, w)
@@ -186,9 +190,9 @@ func run(args []string, w io.Writer) error {
 
 	// Periodic cache snapshots so even a hard kill loses at most one
 	// interval of warmth.
-	if cfg.cacheFile != "" && cfg.snapshotEvery > 0 {
+	if cfg.cacheFile != "" {
 		go func() {
-			tick := time.NewTicker(cfg.snapshotEvery)
+			tick := time.NewTicker(snapshotEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -220,7 +224,7 @@ func run(args []string, w io.Writer) error {
 	// this process exits. Idempotent — an operator who already POSTed
 	// /v1/cluster/leave gets a no-op here.
 	if cfg.cluster {
-		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
+		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		report := srv.DrainCluster(drainCtx)
 		cancel()
 		if !report.AlreadyDraining {
@@ -287,13 +291,9 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	modelDir := fs.String("model-dir", "", "registry directory to boot from (required): every checkpoint under it, as written by train -save-dir, is loaded and served")
 	platforms := fs.String("platforms", allPlatformNames(), "comma-separated machine names to serve")
 	cacheFile := fs.String("cache-file", "", "persist the advise-response cache to this file across restarts")
-	snapshotEvery := fs.Duration("cache-snapshot", 5*time.Minute, "periodic cache snapshot interval (0 = only on shutdown)")
-	adviseCache := fs.Int("advise-cache", 0, "advise/prediction cache entries (0 = default)")
 	poolSize := fs.Int("pool", 0, "evaluation slots: max advise/predict evaluations in flight (0 = GOMAXPROCS)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the -pool slots before 503 shedding (0 = default)")
 	admitPerClient := fs.Int("admit-per-client", 0, "per-client cap on queued+running work (0 = default)")
-	jobsMax := fs.Int("jobs-max", 0, "async advise jobs retained before submissions shed (0 = default)")
-	jobsTTL := fs.Duration("jobs-ttl", 0, "finished async jobs retained this long for polling (0 = default)")
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn or error")
 	traceSlow := fs.Duration("trace-slow", 0, "log traced requests at or above this latency (0 = default 250ms, negative = disable)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
@@ -303,16 +303,12 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	retrainEpochs := fs.Int("retrain-epochs", 0, "epochs per incremental retrain (0 = trainer default)")
 	qualityMin := fs.Int("quality-min", 0, "pairs both windows need before promote/rollback decisions (0 = default 30)")
 	promoteAfter := fs.Int("promote-after", 0, "consecutive non-inferior evaluations before a candidate promotes (0 = default 3)")
-	rollbackAfter := fs.Int("rollback-after", 0, "consecutive regressing evaluations before a candidate rolls back (0 = default 3)")
 	gcKeep := fs.Int("gc-keep", 0, "superseded checkpoint versions kept after a promotion (0 = default 2, -1 = keep none, -2 = disable GC)")
 	self := fs.String("self", "", "cluster mode: this process's base URL as peers reach it (http://host:port)")
 	peersFlag := fs.String("peers", "", "cluster mode: comma-separated base URLs of the initial members (including -self)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through at startup (alternative to -peers)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
 	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip interval (0 = default 1s)")
-	suspectAfter := fs.Duration("suspect-after", 0, "cluster mode: mark a silent member suspect after this long (0 = 3x heartbeat)")
-	evictAfter := fs.Duration("evict-after", 0, "cluster mode: declare a silent member dead after this long (0 = 10x heartbeat)")
-	drainTimeout := fs.Duration("drain-timeout", 0, "cluster mode: bound on streaming owned keys to new owners at departure (0 = default 30s)")
 	antiEntropy := fs.Duration("anti-entropy", 0, "cluster mode: self-healing replica refill sweep interval (0 = default 30s, negative = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return nil, serveConfig{}, err
@@ -323,8 +319,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	}
 	logger := slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
 	cfg := serveConfig{
-		addr: *addr, cacheFile: *cacheFile, snapshotEvery: *snapshotEvery,
-		pprofAddr: *pprofAddr, logger: logger,
+		addr: *addr, cacheFile: *cacheFile, pprofAddr: *pprofAddr, logger: logger,
 	}
 
 	// Cluster flags are validated before the checkpoints are loaded so a bad
@@ -366,14 +361,11 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	}
 
 	srv, err := serve.NewServer(backends, serve.Options{
-		AdviseCacheSize: *adviseCache,
-		PoolSize:        *poolSize,
-		QueueLimit:      *admitQueue,
-		QueuePerClient:  *admitPerClient,
-		JobLimit:        *jobsMax,
-		JobTTL:          *jobsTTL,
-		TraceSlow:       *traceSlow,
-		Logger:          logger,
+		PoolSize:       *poolSize,
+		QueueLimit:     *admitQueue,
+		QueuePerClient: *admitPerClient,
+		TraceSlow:      *traceSlow,
+		Logger:         logger,
 
 		FeedbackDir:       *feedbackDir,
 		RegistryRoot:      *modelDir,
@@ -382,7 +374,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		RetrainEpochs:     *retrainEpochs,
 		MinQualitySamples: *qualityMin,
 		PromoteAfter:      *promoteAfter,
-		RollbackAfter:     *rollbackAfter,
 		GCKeep:            *gcKeep,
 	})
 	if err != nil {
@@ -394,24 +385,17 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	}
 	if clusterMode {
 		if err := srv.EnableCluster(serve.ClusterConfig{
-			Self:         *self,
-			Peers:        peers,
-			Seeds:        seeds,
-			Replication:  *replication,
-			Heartbeat:    *heartbeat,
-			SuspectAfter: *suspectAfter,
-			EvictAfter:   *evictAfter,
-			AntiEntropy:  *antiEntropy,
-			DrainTimeout: *drainTimeout,
+			Self:        *self,
+			Peers:       peers,
+			Seeds:       seeds,
+			Replication: *replication,
+			Heartbeat:   *heartbeat,
+			AntiEntropy: *antiEntropy,
 		}); err != nil {
 			srv.Close()
 			return nil, serveConfig{}, err
 		}
 		cfg.cluster = true
-		cfg.drainTimeout = *drainTimeout
-		if cfg.drainTimeout <= 0 {
-			cfg.drainTimeout = 30 * time.Second
-		}
 		ring := srv.Ring()
 		rf := 1
 		if ring.Replication != nil {

@@ -495,7 +495,7 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 	}
 	defined := flagsIn(strings.Join(names, " "))
-	if len(defined) < 30 {
+	if len(defined) < 20 {
 		t.Fatalf("parsed only %d flags from the usage output:\n%s", len(defined), help.String())
 	}
 

@@ -29,7 +29,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"paragraph/internal/experiments"
@@ -83,16 +82,9 @@ func run(args []string, w io.Writer) error {
 			*rolloutSplit, *epochs, *minRecords)
 	}
 
-	var scale experiments.Scale
-	switch strings.ToLower(*scaleName) {
-	case "tiny":
-		scale = experiments.Tiny()
-	case "small":
-		scale = experiments.Small()
-	case "full":
-		scale = experiments.Full()
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	scale, err := experiments.ParseScale(*scaleName)
+	if err != nil {
+		return err
 	}
 	if *epochs > 0 {
 		scale.Epochs = *epochs
@@ -100,16 +92,9 @@ func run(args []string, w io.Writer) error {
 	if *points > 0 {
 		scale.MaxPerPlatform = *points
 	}
-	var level paragraph.Level
-	switch strings.ToLower(*levelName) {
-	case "raw":
-		level = paragraph.LevelRawAST
-	case "aug":
-		level = paragraph.LevelAugmentedAST
-	case "para":
-		level = paragraph.LevelParaGraph
-	default:
-		return fmt.Errorf("unknown level %q", *levelName)
+	level, err := paragraph.ParseLevel(*levelName)
+	if err != nil {
+		return err
 	}
 	m, err := hw.ByName(*platform)
 	if err != nil {
@@ -195,10 +180,8 @@ func retrainFromFeedback(w io.Writer, logDir, root, candName, platform string,
 		m.Name, res.Candidate.Manifest.Name, res.Candidate.Dir, res.Stable)
 	fmt.Fprintf(w, "train %d, val %d, unusable %d, final val RMSE (scaled) %.5f\n",
 		res.TrainSamples, res.ValSamples, res.Skipped, res.FinalValRMSE)
-	if st, err := registry.LoadRollout(root, m.Name); err == nil && st != nil {
-		fmt.Fprintf(w, "rollout: stable %s, candidate %s at %.0f%% of unpinned traffic\n",
-			st.Stable, st.Candidate, st.SplitPct)
-	}
+	fmt.Fprintf(w, "rollout: stable %s, candidate %s at %.0f%% of unpinned traffic\n",
+		res.Rollout.Stable, res.Rollout.Candidate, res.Rollout.SplitPct)
 	return nil
 }
 

@@ -24,10 +24,14 @@
 //	  variants               OpenMP code transformations (the variant grid)
 //	  hw, sim, cluster       machine models, analytical runtime simulator,
 //	                         batch-scheduled measurement substrate
-//	  dataset                Figure 3 data assembly, scalers, splits
-//	  tensor, autodiff, nn   dense kernels, reverse-mode tapes, NN blocks
+//	  dataset                Figure 3 data assembly; the MinMax scaler, the
+//	                         one sample constructor (Prepared.Sample) and
+//	                         the one 9:1 split (Split) of §IV-B
+//	  tensor, autodiff, nn   dense kernels, reverse-mode tapes, NN blocks and
+//	                         the one mini-batch trainer (nn.Train)
 //	  gnn                    the RGAT cost model (train + batched inference)
-//	  compoff, metrics       COMPOFF baseline; evaluation measures
+//	  compoff, metrics       COMPOFF baseline (an MLP on nn.Train and
+//	                         dataset.Scaler); evaluation measures
 //	  experiments            regenerates the paper's tables and figures
 //	  advisor                variant generation → prediction → ranking
 //	  registry               versioned model checkpoints (weights + manifest)
@@ -85,8 +89,8 @@
 // across requests — two requests never share a family. Rankings are
 // bit-identical to the serial pipeline; only throughput and latency change.
 //
-// With -cache-file the advise-response cache is snapshotted periodically
-// (-cache-snapshot) and on SIGTERM/SIGINT — shutdown stops the listener,
+// With -cache-file the advise-response cache is snapshotted every five
+// minutes and on SIGTERM/SIGINT — shutdown stops the listener,
 // lets in-flight evaluations finish, then flushes — so a restarted process
 // answers previously-cached requests as hits immediately.
 // examples/serveclient shows the client side end to end.

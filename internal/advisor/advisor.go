@@ -430,17 +430,12 @@ func (a *Advisor) EncodeInstance(in variants.Instance) (*gnn.Sample, error) {
 	return a.sample(eg, in), nil
 }
 
-// sample scales an encoded instance with the training-time scalers.
+// sample scales an encoded, not yet measured instance with the
+// training-time scalers.
 func (a *Advisor) sample(eg *gnn.Graph, in variants.Instance) *gnn.Sample {
-	eg.WScale = a.prep.WScale
-	return &gnn.Sample{
-		G: eg,
-		Feats: [2]float64{
-			a.prep.TeamScaler.Scale(float64(in.Teams)),
-			a.prep.ThreadScaler.Scale(float64(in.Threads)),
-		},
-		Name: in.Name(),
-	}
+	s := a.prep.Sample(eg, in.Teams, in.Threads, 0)
+	s.Name = in.Name()
+	return s
 }
 
 // BindingsKey renders size bindings deterministically (sorted name=value

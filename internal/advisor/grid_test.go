@@ -373,8 +373,10 @@ func TestGeneratedKernelGridsShareTopology(t *testing.T) {
 // EncodeInstance hands the model at serving time is the sample
 // dataset.Prepare built for the same instance at training time — node
 // codes, every relation's edges and weights, node features, WScale and the
-// scaled (teams, threads) pair. Both go through dataset.EncodeSource; this
-// pins that neither adds an option of its own on the way.
+// scaled (teams, threads) pair. Both go through dataset's Encoder and
+// Prepared.Sample; this pins that neither adds an option of its own on the
+// way. (registry's TestSampleIsTheSameWhereverItIsBuilt adds the third
+// producer, the feedback retrain, and a CPU machine.)
 func TestServedGraphMatchesTrainingGraph(t *testing.T) {
 	var points []dataset.Point
 	for _, k := range apps.Kernels() {

@@ -5,7 +5,8 @@
 // into a stacked multi-layer perceptron to predict kernel runtime. As in
 // the paper, it targets GPU execution only (§V-D: "COMPOFF is currently
 // only suitable for GPU execution") and serves as the comparison point for
-// Figures 8 and 9.
+// Figures 8 and 9. It is trained the way the GNN is: the same MinMax scaler
+// (dataset.Scaler) per feature, the same trainer (nn.Train).
 package compoff
 
 import (
@@ -16,6 +17,7 @@ import (
 	"paragraph/internal/analysis"
 	"paragraph/internal/autodiff"
 	"paragraph/internal/cparse"
+	"paragraph/internal/dataset"
 	"paragraph/internal/nn"
 	"paragraph/internal/tensor"
 	"paragraph/internal/variants"
@@ -76,9 +78,9 @@ type Sample struct {
 type Model struct {
 	l1, l2, out *nn.Linear
 	params      []*nn.Parameter
-	// feature scaling fitted on the training set
-	mins, maxs Features
-	fitted     bool
+	// per-feature MinMax scaling (§IV-B), fitted on the training set
+	scalers [NumFeatures]dataset.Scaler
+	fitted  bool
 }
 
 // Config shapes the baseline model.
@@ -109,34 +111,22 @@ func (m *Model) Params() []*nn.Parameter { return m.params }
 
 // FitScaler learns per-feature MinMax bounds from the training samples.
 func (m *Model) FitScaler(samples []*Sample) {
-	for j := 0; j < NumFeatures; j++ {
-		m.mins[j] = math.Inf(1)
-		m.maxs[j] = math.Inf(-1)
-	}
-	for _, s := range samples {
-		for j, v := range s.Feats {
-			if v < m.mins[j] {
-				m.mins[j] = v
-			}
-			if v > m.maxs[j] {
-				m.maxs[j] = v
-			}
+	col := make([]float64, len(samples))
+	for j := range m.scalers {
+		for i, s := range samples {
+			col[i] = s.Feats[j]
 		}
+		m.scalers[j] = dataset.FitScaler(col)
 	}
 	m.fitted = true
 }
 
-// scaleRow normalizes a feature vector to [0,1] per feature.
+// scaleRow normalizes a feature vector to [0,1] per feature (all zeros
+// before FitScaler).
 func (m *Model) scaleRow(f Features) *tensor.Matrix {
 	row := tensor.New(1, NumFeatures)
 	for j, v := range f {
-		lo, hi := m.mins[j], m.maxs[j]
-		if !m.fitted || hi <= lo {
-			row.Data[j] = 0
-			continue
-		}
-		x := (v - lo) / (hi - lo)
-		row.Data[j] = math.Max(0, math.Min(1, x))
+		row.Data[j] = m.scalers[j].Scale(v)
 	}
 	return row
 }
@@ -165,77 +155,22 @@ func (m *Model) PredictAll(samples []*Sample) []float64 {
 	return out
 }
 
-// TrainConfig controls optimization.
-type TrainConfig struct {
-	Epochs    int     // default 60
-	BatchSize int     // default 32
-	LR        float64 // default 3e-3
-	Seed      int64
-}
-
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 60
+// Train fits the MLP with nn.Train — Adam on MSE, the original COMPOFF
+// recipe and the trainer the GNN uses — for 60 epochs unless cfg says
+// otherwise. It fits the feature scaler on train if not already fitted.
+func (m *Model) Train(train, val []*Sample, cfg nn.TrainConfig) (nn.History, error) {
+	if cfg.Epochs <= 0 {
+		cfg.Epochs = 60
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.LR <= 0 {
-		c.LR = 3e-3
-	}
-	return c
-}
-
-// History records per-epoch diagnostics.
-type History struct {
-	TrainLoss []float64
-	ValRMSE   []float64
-}
-
-// Train fits the MLP with Adam + MSE (the original COMPOFF recipe). It fits
-// the feature scaler on train if not already fitted.
-func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
-	cfg = cfg.withDefaults()
-	if len(train) == 0 {
-		return History{}, fmt.Errorf("compoff: empty training set")
-	}
-	if !m.fitted {
+	if !m.fitted && len(train) > 0 {
 		m.FitScaler(train)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := nn.NewAdam(cfg.LR)
-	order := rng.Perm(len(train))
-	var hist History
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var epochLoss float64
-		var batches int
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			batch := order[start:end]
-			scale := 1 / float64(len(batch))
-			var loss float64
-			for _, idx := range batch {
-				s := train[idx]
-				fw := nn.NewForward()
-				pred := m.forward(fw, s)
-				lv := fw.Tape.MSE(pred, tensor.Scalar(s.Target))
-				fw.Backward(lv)
-				fw.Accumulate(scale)
-				loss += lv.Value.At(0, 0) * scale
-			}
-			nn.ClipGradNorm(m.params, 5)
-			opt.Step(m.params)
-			epochLoss += loss
-			batches++
-		}
-		hist.TrainLoss = append(hist.TrainLoss, epochLoss/float64(batches))
-		hist.ValRMSE = append(hist.ValRMSE, m.EvalRMSE(val))
-	}
-	return hist, nil
+	return nn.Train(m.params, len(train), cfg,
+		func(f *nn.Forward, i int) *autodiff.Var {
+			s := train[i]
+			return f.Tape.MSE(m.forward(f, s), tensor.Scalar(s.Target))
+		},
+		func() float64 { return m.EvalRMSE(val) })
 }
 
 // EvalRMSE returns the scaled-space RMSE over samples (0 when empty).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"paragraph/internal/apps"
+	"paragraph/internal/nn"
 	"paragraph/internal/variants"
 )
 
@@ -107,7 +108,7 @@ func TestTrainingConverges(t *testing.T) {
 	before := math.Inf(1)
 	m.FitScaler(train)
 	before = m.EvalRMSE(val)
-	hist, err := m.Train(train, val, TrainConfig{Epochs: 40, Seed: 3})
+	hist, err := m.Train(train, val, nn.TrainConfig{Epochs: 40, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +126,30 @@ func TestTrainingConverges(t *testing.T) {
 
 func TestTrainEmpty(t *testing.T) {
 	m := NewModel(Config{})
-	if _, err := m.Train(nil, nil, TrainConfig{}); err == nil {
+	if _, err := m.Train(nil, nil, nn.TrainConfig{}); err == nil {
 		t.Error("empty training accepted")
+	}
+}
+
+// TestTrainDeterministicAcrossWorkers is gnn's test of the same name for the
+// baseline: the trainer they share merges gradients in batch order, so the
+// same seed and data end at the same weights at any worker count, run after
+// run.
+func TestTrainDeterministicAcrossWorkers(t *testing.T) {
+	samples := synthSamples(60, 7)
+	train, val := samples[:50], samples[50:]
+	checksum := func(workers int) string {
+		m := NewModel(Config{Seed: 2, Hidden: 8})
+		if _, err := m.Train(train, val, nn.TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		return nn.ChecksumParams(m.Params())
+	}
+	want := checksum(1)
+	for _, workers := range []int{1, 2, 8, 2, 8} {
+		if got := checksum(workers); got != want {
+			t.Errorf("Workers %d trained checkpoint %.12s, Workers 1 trained %.12s", workers, got, want)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@
 // platform (Table II), ParaGraphs are built and encoded, and finally
 // targets, edge weights and the (teams, threads) features are normalized
 // with a MinMax scaler and split 9:1 into train/validation — matching
-// §IV-B.
+// §IV-B. Those three steps are written here once — Scaler, Prepared.Sample,
+// Split — for training, serving and the feedback retrain alike.
 package dataset
 
 import (
@@ -213,34 +214,67 @@ func (p *Prepared) DescaleUS(scaled float64) float64 {
 	return math.Exp(p.TargetScaler.Unscale(scaled))
 }
 
-// PrepConfig controls sample preparation.
-type PrepConfig struct {
-	Level       paragraph.Level
-	ValFraction float64 // default 0.1 (paper: 9:1 split)
-	Seed        int64
-	Workers     int // graph-building workers, fanned over topology families; default GOMAXPROCS
+// logUS is the target transform: runtimes span orders of magnitude (Table
+// II's ranges), so the model regresses their logarithm, floored at a
+// nanosecond so a zero measurement stays finite.
+func logUS(us float64) float64 { return math.Log(math.Max(us, 1e-3)) }
+
+// Sample is the one constructor of a model-ready sample: it scales an
+// encoded graph at grid point (teams, threads), measured at measuredUS
+// microseconds, with p's scalers, and sets the graph's WScale. Training
+// (Prepare), serving (advisor) and the feedback retrain (registry) all come
+// through here, so a point is the same sample wherever it is built. An
+// unmeasured point passes 0 and gets the scaler's floor as its Target, which
+// nothing reads.
+func (p *Prepared) Sample(g *gnn.Graph, teams, threads int, measuredUS float64) *gnn.Sample {
+	g.WScale = p.WScale
+	return &gnn.Sample{
+		G:      g,
+		Feats:  [2]float64{p.TeamScaler.Scale(float64(teams)), p.ThreadScaler.Scale(float64(threads))},
+		Target: p.TargetScaler.Scale(logUS(measuredUS)),
+		RawUS:  measuredUS,
+	}
 }
 
-func (c PrepConfig) withDefaults() PrepConfig {
-	if c.ValFraction <= 0 || c.ValFraction >= 1 {
-		c.ValFraction = 0.1
+// valFraction is the paper's 9:1 split (§IV-B).
+const valFraction = 0.1
+
+// Split is the one seeded train/validation split: of the n samples xs, a
+// seed-drawn max(1, ⌊n·valFraction⌋) go to validation and the rest to
+// training, each in the drawn order. Neither side is empty for n >= 2; below
+// that there is nothing to split and train is empty.
+func Split[T any](xs []T, seed int64) (train, val []T) {
+	order := rand.New(rand.NewSource(seed)).Perm(len(xs))
+	nVal := max(int(float64(len(xs))*valFraction), 1)
+	for i, idx := range order {
+		if i < nVal {
+			val = append(val, xs[idx])
+		} else {
+			train = append(train, xs[idx])
+		}
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	return c
+	return train, val
+}
+
+// PrepConfig controls sample preparation.
+type PrepConfig struct {
+	Level   paragraph.Level
+	Seed    int64 // of the train/validation split
+	Workers int   // graph-building workers, fanned over topology families; default GOMAXPROCS
 }
 
 // Prepare builds graph samples for every point at the requested
 // representation level, fits the scalers on the whole slice, and splits
 // train/validation.
 func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("dataset: no points to prepare")
 	}
 
-	samples := make([]*gnn.Sample, len(points))
+	graphs := make([]*gnn.Graph, len(points))
 	errs := make([]error, len(points))
 	families := groupByTopology(points)
 	var wg sync.WaitGroup
@@ -251,7 +285,7 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 		go func() {
 			defer wg.Done()
 			for f := range work {
-				f.encode(points, cfg.Level, samples, errs)
+				f.encode(points, cfg.Level, graphs, errs)
 			}
 		}()
 	}
@@ -266,17 +300,16 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 		}
 	}
 
-	// Fit scalers over the full slice (targets in log-space: runtimes span
-	// orders of magnitude, as Table II's ranges show).
-	logT := make([]float64, len(samples))
-	teams := make([]float64, len(samples))
-	threads := make([]float64, len(samples))
+	// Fit scalers over the full slice.
+	logT := make([]float64, len(points))
+	teams := make([]float64, len(points))
+	threads := make([]float64, len(points))
 	var wmax float64
-	for i, s := range samples {
-		logT[i] = math.Log(math.Max(s.RawUS, 1e-3))
-		teams[i] = float64(points[i].Instance.Teams)
-		threads[i] = float64(points[i].Instance.Threads)
-		if w := s.G.MaxLogWeight(); w > wmax {
+	for i, pt := range points {
+		logT[i] = logUS(pt.RuntimeUS)
+		teams[i] = float64(pt.Instance.Teams)
+		threads[i] = float64(pt.Instance.Threads)
+		if w := graphs[i].MaxLogWeight(); w > wmax {
 			wmax = w
 		}
 	}
@@ -286,26 +319,13 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 		ThreadScaler: FitScaler(threads),
 		WScale:       math.Max(wmax, 1),
 	}
-	for i, s := range samples {
-		s.Target = prep.TargetScaler.Scale(logT[i])
-		s.Feats = [2]float64{prep.TeamScaler.Scale(teams[i]), prep.ThreadScaler.Scale(threads[i])}
-		s.G.WScale = prep.WScale
+	samples := make([]*gnn.Sample, len(points))
+	for i, pt := range points {
+		in := pt.Instance
+		samples[i] = prep.Sample(graphs[i], in.Teams, in.Threads, pt.RuntimeUS)
+		samples[i].App, samples[i].Name = in.Kernel.App, in.Name()
 	}
-
-	// 9:1 shuffle split.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := rng.Perm(len(samples))
-	nVal := int(float64(len(samples)) * cfg.ValFraction)
-	if nVal < 1 {
-		nVal = 1
-	}
-	for i, idx := range order {
-		if i < nVal {
-			prep.Val = append(prep.Val, samples[idx])
-		} else {
-			prep.Train = append(prep.Train, samples[idx])
-		}
-	}
+	prep.Train, prep.Val = Split(samples, cfg.Seed)
 	return prep, nil
 }
 
@@ -353,10 +373,10 @@ func groupByTopology(points []Point) []family {
 	return families
 }
 
-// encode builds the family's samples: one Encoder, one Grid per distinct
+// encode builds the family's graphs: one Encoder, one Grid per distinct
 // bindings, one weight column per distinct (threads, bindings). A source
 // that does not parse fails every member — they differ only in literals.
-func (f family) encode(points []Point, level paragraph.Level, samples []*gnn.Sample, errs []error) {
+func (f family) encode(points []Point, level paragraph.Level, graphs []*gnn.Graph, errs []error) {
 	enc, err := NewEncoder(points[f.points[0]].Instance.Source, level, f.directive)
 	if err != nil {
 		for _, i := range f.points {
@@ -373,11 +393,6 @@ func (f family) encode(points []Point, level paragraph.Level, samples []*gnn.Sam
 			grid = enc.Bind(in.Bindings)
 			grids[bk] = grid
 		}
-		eg, err := grid.Graph(in.Teams, in.Threads)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		samples[i] = &gnn.Sample{G: eg, RawUS: points[i].RuntimeUS, App: in.Kernel.App, Name: in.Name()}
+		graphs[i], errs[i] = grid.Graph(in.Teams, in.Threads)
 	}
 }

@@ -2,9 +2,12 @@ package dataset
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"paragraph/internal/cluster"
+	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 	"paragraph/internal/paragraph"
 	"paragraph/internal/sim"
@@ -165,6 +168,14 @@ func TestPrepareBuildsScaledSamples(t *testing.T) {
 	if len(prep.Val) != wantVal {
 		t.Errorf("val = %d, want %d", len(prep.Val), wantVal)
 	}
+	// Membership and order are the seed's permutation, validation first —
+	// what PR 22's Prepare drew.
+	order := rand.New(rand.NewSource(1)).Perm(total)
+	for i, s := range append(append([]*gnn.Sample{}, prep.Val...), prep.Train...) {
+		if want := p.Points[order[i]].Instance.Name(); s.Name != want {
+			t.Fatalf("split position %d holds %s, want %s", i, s.Name, want)
+		}
+	}
 	for _, s := range prep.Train {
 		if s.Target < 0 || s.Target > 1 {
 			t.Errorf("target %v outside [0,1]", s.Target)
@@ -232,9 +243,46 @@ func TestPrepareDeterministic(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestSplit holds the one train/validation split to its contract: a
+// partition, a function of its seed, max(1, ⌊n/10⌋) validation samples and
+// so never an empty side from two samples up — and, drawn as PR 22's Prepare
+// drew it (the first nVal of rand.Perm validate, the rest train in Perm
+// order), the same membership in the same order, so every checkpoint and
+// bench/'s 64/16 subset are trained on the same samples as before.
+func TestSplit(t *testing.T) {
+	for n := 0; n <= 200; n++ {
+		xs := make([]int, n)
+		for i := range xs {
+			xs[i] = i
+		}
+		train, val := Split(xs, 1)
+		if again, againVal := Split(xs, 1); !slices.Equal(train, again) || !slices.Equal(val, againVal) {
+			t.Fatalf("n=%d: the same seed split two ways", n)
+		}
+		order := rand.New(rand.NewSource(1)).Perm(n)
+		nVal := int(float64(n) * 0.1)
+		if nVal < 1 {
+			nVal = 1
+		}
+		if n == 0 {
+			nVal = 0
+		}
+		if !slices.Equal(val, order[:nVal]) || !slices.Equal(train, order[nVal:]) {
+			t.Fatalf("n=%d: train %v val %v, PR 22 drew train %v val %v", n, train, val, order[nVal:], order[:nVal])
+		}
+		if n >= 2 && (len(train) == 0 || len(val) == 0) {
+			t.Fatalf("n=%d: %d train, %d val", n, len(train), len(val))
+		}
 	}
-	return b
+	xs := make([]int, 20)
+	for i := range xs {
+		xs[i] = i
+	}
+	train, val := Split(xs, 1)
+	if !slices.Equal(val, []int{12, 4}) || !slices.Equal(train[:4], []int{2, 13, 10, 0}) {
+		t.Errorf("seed 1 over 20: val %v, train %v…", val, train[:4])
+	}
+	if other, _ := Split(xs, 2); slices.Equal(train, other) {
+		t.Error("seeds 1 and 2 drew the same split")
+	}
 }

@@ -498,17 +498,40 @@ func (r *Runner) RenderFigure9(w io.Writer) error {
 	return nil
 }
 
+// artifacts is every table and figure this package reproduces, in paper
+// order: what -table N and -figure N select from and what RunAll walks.
+var artifacts = []struct {
+	kind   string // "table" or "figure"
+	number int
+	render func(r *Runner, w io.Writer) error
+}{
+	{"table", 1, func(_ *Runner, w io.Writer) error { RenderTable1(w); return nil }},
+	{"table", 2, (*Runner).RenderTable2},
+	{"table", 3, (*Runner).RenderTable3},
+	{"table", 4, (*Runner).RenderTable4},
+	{"figure", 4, (*Runner).RenderFigure4},
+	{"figure", 5, (*Runner).RenderFigure5},
+	{"figure", 6, (*Runner).RenderFigure6},
+	{"figure", 7, (*Runner).RenderFigure7},
+	{"figure", 8, (*Runner).RenderFigure8},
+	{"figure", 9, (*Runner).RenderFigure9},
+}
+
+// Render prints one artifact: kind is "table" or "figure", number its
+// number in the paper.
+func (r *Runner) Render(w io.Writer, kind string, number int) error {
+	for _, a := range artifacts {
+		if a.kind == kind && a.number == number {
+			return a.render(r, w)
+		}
+	}
+	return fmt.Errorf("no %s %d in the paper's evaluation", kind, number)
+}
+
 // RunAll renders every table and figure to w.
 func (r *Runner) RunAll(w io.Writer) error {
-	RenderTable1(w)
-	fmt.Fprintln(w)
-	steps := []func(io.Writer) error{
-		r.RenderTable2, r.RenderTable3, r.RenderTable4,
-		r.RenderFigure4, r.RenderFigure5, r.RenderFigure6,
-		r.RenderFigure7, r.RenderFigure8, r.RenderFigure9,
-	}
-	for _, step := range steps {
-		if err := step(w); err != nil {
+	for _, a := range artifacts {
+		if err := a.render(r, w); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"paragraph/internal/cluster"
@@ -15,6 +16,7 @@ import (
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
+	"paragraph/internal/nn"
 	"paragraph/internal/paragraph"
 	"paragraph/internal/sim"
 	"paragraph/internal/variants"
@@ -54,6 +56,19 @@ func Full() Scale {
 		Hidden: 32, Layers: 3, BatchSize: 64, LR: 3e-3, Seed: 1}
 }
 
+// ParseScale reads a -scale flag value: tiny, small or full, ignoring case.
+func ParseScale(name string) (Scale, error) {
+	switch strings.ToLower(name) {
+	case "tiny":
+		return Tiny(), nil
+	case "small":
+		return Small(), nil
+	case "full":
+		return Full(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want tiny, small or full)", name)
+}
+
 // Trained bundles a trained cost model with its data and training history.
 type Trained struct {
 	Model *gnn.Model
@@ -62,15 +77,20 @@ type Trained struct {
 	Level paragraph.Level
 }
 
-// ValActualPredUS returns (actual, predicted) runtimes in milliseconds over
+// ValActualPredMS returns (actual, predicted) runtimes in milliseconds over
 // the validation split.
 func (t *Trained) ValActualPredMS() (actual, pred []float64) {
-	preds := t.Model.PredictAll(t.Prep.Val, runtime.GOMAXPROCS(0))
-	actual = make([]float64, len(t.Prep.Val))
-	pred = make([]float64, len(t.Prep.Val))
-	for i, s := range t.Prep.Val {
+	return valActualPredMS(t.Prep, t.Model.PredictAll(t.Prep.Val, runtime.GOMAXPROCS(0)))
+}
+
+// valActualPredMS pairs prep's validation runtimes with a model's scaled
+// predictions for them, both in milliseconds.
+func valActualPredMS(prep *dataset.Prepared, scaled []float64) (actual, pred []float64) {
+	actual = make([]float64, len(prep.Val))
+	pred = make([]float64, len(prep.Val))
+	for i, s := range prep.Val {
 		actual[i] = s.RawUS / 1000
-		pred[i] = t.Prep.DescaleUS(preds[i]) / 1000
+		pred[i] = prep.DescaleUS(scaled[i]) / 1000
 	}
 	return actual, pred
 }
@@ -97,9 +117,8 @@ type Runner struct {
 
 type trainedCompoff struct {
 	model   *compoff.Model
-	samples []*compoff.Sample // validation split, aligned with GNN val set
+	samples []*compoff.Sample // validation split, aligned with prep.Val
 	prep    *dataset.Prepared
-	hist    compoff.History
 }
 
 // NewRunner returns a Runner at the given scale.
@@ -252,27 +271,20 @@ func (r *Runner) Compoff(m hw.Machine) (*trainedCompoff, error) {
 		return nil, err
 	}
 	model := compoff.NewModel(compoff.Config{Hidden: 32, Seed: r.Scale.Seed})
-	hist, err := model.Train(trainS, valS, compoff.TrainConfig{
+	if _, err := model.Train(trainS, valS, nn.TrainConfig{
 		Epochs: r.Scale.CompoffEpochs,
 		Seed:   r.Scale.Seed,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	tc := &trainedCompoff{model: model, samples: valS, prep: prep, hist: hist}
+	tc := &trainedCompoff{model: model, samples: valS, prep: prep}
 	r.mu.Lock()
 	r.compoffs[m.Name] = tc
 	r.mu.Unlock()
 	return tc, nil
 }
 
-// compoffValActualPredMS mirrors Trained.ValActualPredMS for the baseline.
+// valActualPredMS is Trained.ValActualPredMS for the baseline.
 func (tc *trainedCompoff) valActualPredMS() (actual, pred []float64) {
-	actual = make([]float64, len(tc.samples))
-	pred = make([]float64, len(tc.samples))
-	for i, s := range tc.samples {
-		actual[i] = s.RawUS / 1000
-		pred[i] = tc.prep.DescaleUS(tc.model.Predict(s)) / 1000
-	}
-	return actual, pred
+	return valActualPredMS(tc.prep, tc.model.PredictAll(tc.samples))
 }

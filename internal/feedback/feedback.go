@@ -8,7 +8,8 @@
 // single O_APPEND write under a mutex so concurrent appends never interleave.
 // Reads tolerate a torn final line (a crash mid-write) by discarding any
 // trailing bytes that do not decode; everything before the tear is preserved.
-// The package depends only on the standard library.
+// Beyond the standard library the package imports only internal/hw, for the
+// platform → file name rule it shares with the registry (hw.Slug).
 package feedback
 
 import (
@@ -21,6 +22,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"paragraph/internal/hw"
 )
 
 // FormatVersion is stamped into every record so future readers can migrate.
@@ -63,28 +66,6 @@ func (r Record) Validate() error {
 	return nil
 }
 
-// Slug converts a platform name into the filename-safe form used for log
-// files, e.g. "NVIDIA V100 (GPU)" -> "nvidia-v100-gpu". It matches the
-// registry's checkpoint directory naming (the registry cannot be imported
-// here without a cycle).
-func Slug(platform string) string {
-	var b strings.Builder
-	dash := false
-	for _, r := range strings.ToLower(platform) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-			dash = false
-		default:
-			if !dash && b.Len() > 0 {
-				b.WriteByte('-')
-				dash = true
-			}
-		}
-	}
-	return strings.TrimSuffix(b.String(), "-")
-}
-
 // Log is a directory of per-platform JSONL files.
 type Log struct {
 	dir string
@@ -106,7 +87,7 @@ func Open(dir string) (*Log, error) {
 func (l *Log) Dir() string { return l.dir }
 
 func (l *Log) path(platform string) string {
-	return filepath.Join(l.dir, Slug(platform)+".jsonl")
+	return filepath.Join(l.dir, hw.Slug(platform)+".jsonl")
 }
 
 // Append validates rec, stamps the format version, and appends it to the

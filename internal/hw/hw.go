@@ -5,7 +5,10 @@
 // cannot access (internal/sim consumes them as the measurement substrate).
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Machine is an analytical accelerator model consumed by the runtime
 // simulator (package sim). Units: GHz, GB/s, microseconds.
@@ -53,6 +56,30 @@ func (m Machine) MaxParallelism() int {
 
 // String returns the machine name.
 func (m Machine) String() string { return m.Name }
+
+// Slug renders a machine name as the file-system name its checkpoints
+// (registry: <root>/<slug>/<version>) and its feedback log (<dir>/<slug>.jsonl)
+// live under: lower-cased, each run of anything but [a-z0-9] one dash, none
+// leading or trailing ("NVIDIA V100 (GPU)" → "nvidia-v100-gpu"). Registries
+// and logs on disk are laid out by it; the manifest and the records keep the
+// real name.
+func Slug(name string) string {
+	var b strings.Builder
+	dash := false
+	for _, r := range strings.ToLower(name) {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			b.WriteRune(r)
+			dash = false
+		default:
+			if !dash && b.Len() > 0 {
+				b.WriteByte('-')
+				dash = true
+			}
+		}
+	}
+	return strings.TrimSuffix(b.String(), "-")
+}
 
 // Power9 models one socket of Summit's IBM POWER9 (22 cores used, as in the
 // paper's Table III).

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -125,5 +126,98 @@ func TestSummitFasterLinkThanCorona(t *testing.T) {
 	// asymmetry that makes gpu_mem variants relatively cheaper on Summit.
 	if V100().LinkBWGBs <= MI50().LinkBWGBs {
 		t.Error("V100 link should be faster than MI50's")
+	}
+}
+
+// TestSlug pins the one platform → file name rule to what is on disk: the
+// four machines map to the directory names existing registries and feedback
+// logs were written under (internal/registry/testdata carries one), and a
+// slug is its own slug.
+func TestSlug(t *testing.T) {
+	onDisk := map[string]string{
+		"IBM POWER9 (CPU)":   "ibm-power9-cpu",
+		"NVIDIA V100 (GPU)":  "nvidia-v100-gpu",
+		"AMD EPYC7401 (CPU)": "amd-epyc7401-cpu",
+		"AMD MI50 (GPU)":     "amd-mi50-gpu",
+	}
+	for _, m := range All() {
+		want, ok := onDisk[m.Name]
+		if !ok {
+			t.Errorf("machine %q has no pinned directory name", m.Name)
+			continue
+		}
+		if got := Slug(m.Name); got != want {
+			t.Errorf("Slug(%q) = %q, on disk it is %q", m.Name, got, want)
+		}
+		if got := Slug(want); got != want {
+			t.Errorf("Slug not idempotent on %q: %q", want, got)
+		}
+	}
+	for in, want := range map[string]string{
+		"AMD EPYC 7401 (CPU)": "amd-epyc-7401-cpu",
+		"already-slugged":     "already-slugged",
+		"  (lead) and trail ": "lead-and-trail",
+		"---":                 "",
+		"":                    "",
+	} {
+		if got := Slug(in); got != want {
+			t.Errorf("Slug(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// feedbackSlugPR22 and registrySlugPR22 are the two functions Slug replaced
+// (feedback.Slug and registry.PlatformSlug at PR 22), verbatim. They trimmed
+// differently — one suppressed a leading dash by builder length and cut one
+// trailing dash, the other by a flag and cut them all — so that they named
+// the same files, and Slug names them still, is shown rather than assumed.
+func feedbackSlugPR22(platform string) string {
+	var b strings.Builder
+	dash := false
+	for _, r := range strings.ToLower(platform) {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			b.WriteRune(r)
+			dash = false
+		default:
+			if !dash && b.Len() > 0 {
+				b.WriteByte('-')
+				dash = true
+			}
+		}
+	}
+	return strings.TrimSuffix(b.String(), "-")
+}
+
+func registrySlugPR22(name string) string {
+	var b strings.Builder
+	lastDash := true // suppress leading dash
+	for _, r := range strings.ToLower(name) {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			b.WriteRune(r)
+			lastDash = false
+		default:
+			if !lastDash {
+				b.WriteByte('-')
+				lastDash = true
+			}
+		}
+	}
+	return strings.TrimRight(b.String(), "-")
+}
+
+func TestSlugMatchesBothPredecessors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []rune("abzAZ059 -_()./\\\tÉßKK\x00")
+	for i := 0; i < 20000; i++ {
+		name := make([]rune, rng.Intn(12))
+		for j := range name {
+			name[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		in := string(name)
+		if f, r, got := feedbackSlugPR22(in), registrySlugPR22(in), Slug(in); f != r || got != r {
+			t.Fatalf("%q: feedback.Slug %q, registry.PlatformSlug %q, hw.Slug %q", in, f, r, got)
+		}
 	}
 }

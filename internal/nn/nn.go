@@ -1,7 +1,9 @@
 // Package nn provides the neural-network building blocks above autodiff:
 // named parameters, forward-pass parameter binding, linear and embedding
-// layers, gradient clipping and the Adam optimizer. Together with package
-// gnn it substitutes for the paper's PyTorch(-Geometric) stack.
+// layers, gradient clipping, the Adam optimizer, and the one mini-batch
+// training loop (Train, train.go) that the RGAT model and the COMPOFF
+// baseline both fit with. Together with package gnn it substitutes for the
+// paper's PyTorch(-Geometric) stack.
 package nn
 
 import (
@@ -41,8 +43,8 @@ func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
 
 // Forward is one forward/backward pass: a tape plus the parameter→variable
 // bindings made during it. Each training worker owns its Forward, so passes
-// can run concurrently against shared (read-only) parameter values; the
-// trainer merges the per-pass gradients afterwards.
+// can run concurrently against shared (read-only) parameter values; Train
+// merges the per-pass gradients afterwards.
 type Forward struct {
 	Tape     *autodiff.Tape
 	bindings map[*Parameter]*autodiff.Var

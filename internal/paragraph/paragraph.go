@@ -110,6 +110,20 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", int(l))
 }
 
+// ParseLevel reads a level as a flag spells it (raw, aug, para) or as
+// String prints it (checkpoint manifests store that form), ignoring case.
+func ParseLevel(s string) (Level, error) {
+	switch strings.ToLower(s) {
+	case "raw", "raw ast":
+		return LevelRawAST, nil
+	case "aug", "augmented ast":
+		return LevelAugmentedAST, nil
+	case "para", "paragraph":
+		return LevelParaGraph, nil
+	}
+	return 0, fmt.Errorf("paragraph: unknown representation level %q (want raw, aug or para)", s)
+}
+
 // Options configures graph construction.
 type Options struct {
 	// Level selects the construction level; the zero value is LevelRawAST,

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"paragraph/internal/hw"
 )
 
 // Checkpoint GC: without retention, every retrain leaves another version
@@ -50,7 +52,7 @@ func GC(root, platform string, protected []string, pol GCPolicy) (GCResult, erro
 	if pol.KeepLast < 0 {
 		return res, nil
 	}
-	platDir := filepath.Join(root, PlatformSlug(platform))
+	platDir := filepath.Join(root, hw.Slug(platform))
 	ents, err := os.ReadDir(platDir)
 	if os.IsNotExist(err) {
 		return res, nil

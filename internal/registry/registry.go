@@ -4,7 +4,8 @@
 // records everything needed to reconstruct the serving stack around them:
 // the gnn.Config architecture, the platform, the representation level, the
 // training-time feature/target scalers, a weights checksum, and training
-// stats. The layout under a registry root is
+// stats. The layout under a registry root (the slug is hw.Slug of the
+// machine name; the manifest keeps the real name) is
 //
 //	<root>/<platform-slug>/<version>/manifest.json
 //	<root>/<platform-slug>/<version>/weights.json
@@ -33,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"paragraph/internal/dataset"
@@ -93,18 +93,6 @@ type Manifest struct {
 	Train         TrainInfo  `json:"train"`
 }
 
-// ParseLevel inverts paragraph.Level.String for manifest round-trips.
-func ParseLevel(s string) (paragraph.Level, error) {
-	for _, l := range []paragraph.Level{
-		paragraph.LevelRawAST, paragraph.LevelAugmentedAST, paragraph.LevelParaGraph,
-	} {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("registry: unknown representation level %q", s)
-}
-
 // CheckName validates a checkpoint version name without touching disk, so
 // CLIs can reject a bad -save-name before spending a training run on it.
 func CheckName(name string) error { return validName(name) }
@@ -127,27 +115,6 @@ func validName(name string) error {
 	return nil
 }
 
-// PlatformSlug renders a machine name as a directory name
-// ("NVIDIA V100 (GPU)" → "nvidia-v100-gpu"). The manifest keeps the real
-// name; the slug only shapes the layout.
-func PlatformSlug(name string) string {
-	var b strings.Builder
-	lastDash := true // suppress leading dash
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-			lastDash = false
-		default:
-			if !lastDash {
-				b.WriteByte('-')
-				lastDash = true
-			}
-		}
-	}
-	return strings.TrimRight(b.String(), "-")
-}
-
 // Save writes one checkpoint under root and returns its directory. The
 // weights land first (via a temp file + rename so a crash never leaves a
 // manifest pointing at half-written weights), then the manifest makes the
@@ -167,7 +134,7 @@ func save(root string, m hw.Machine, name string, level paragraph.Level,
 	if model == nil || prep == nil {
 		return Checkpoint{}, fmt.Errorf("registry: model and prepared dataset required")
 	}
-	dir := filepath.Join(root, PlatformSlug(m.Name), name)
+	dir := filepath.Join(root, hw.Slug(m.Name), name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Checkpoint{}, fmt.Errorf("registry: %w", err)
 	}
@@ -337,7 +304,7 @@ func load(cp Checkpoint) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: %s: %w", cp.Dir, err)
 	}
-	level, err := ParseLevel(man.Level)
+	level, err := paragraph.ParseLevel(man.Level)
 	if err != nil {
 		return nil, fmt.Errorf("registry: %s: %w", cp.Dir, err)
 	}

@@ -149,7 +149,7 @@ func rewriteManifest(t *testing.T, dir string, mutate func(*Manifest)) {
 }
 
 func ckptDir(root string, m hw.Machine, name string) string {
-	return filepath.Join(root, PlatformSlug(m.Name), name)
+	return filepath.Join(root, hw.Slug(m.Name), name)
 }
 
 func TestOpenRejectsConfigMismatch(t *testing.T) {
@@ -321,7 +321,7 @@ func TestDiscoverSkipsPartialDirs(t *testing.T) {
 	root := t.TempDir()
 	saveTest(t, root, hw.V100(), "default", 7)
 	// A version directory without a manifest (mid-write) is skipped.
-	if err := os.MkdirAll(filepath.Join(root, PlatformSlug(hw.V100().Name), "partial"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(root, hw.Slug(hw.V100().Name), "partial"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	cps, err := Discover(root)
@@ -342,16 +342,19 @@ func TestSaveRejectsBadNames(t *testing.T) {
 	}
 }
 
+// TestPlatformSlug holds the layout to a directory on disk: a registry
+// written before the slug moved to internal/hw (testdata/registry-pr20, by
+// PR 20's Save) keeps its V100 checkpoint where hw.Slug — what Save, GC and
+// the rollout state now ask — says it is. The four names are pinned in
+// internal/hw.
 func TestPlatformSlug(t *testing.T) {
-	cases := map[string]string{
-		"NVIDIA V100 (GPU)":   "nvidia-v100-gpu",
-		"IBM POWER9 (CPU)":    "ibm-power9-cpu",
-		"AMD EPYC 7401 (CPU)": "amd-epyc-7401-cpu",
+	root := filepath.Join("testdata", "registry-pr20")
+	e, err := Load(ckptDir(root, hw.V100(), "parent-pr20"))
+	if err != nil {
+		t.Fatalf("the PR 20 checkpoint is not where hw.Slug looks for it: %v", err)
 	}
-	for in, want := range cases {
-		if got := PlatformSlug(in); got != want {
-			t.Errorf("PlatformSlug(%q) = %q, want %q", in, got, want)
-		}
+	if e.Manifest.Platform != hw.V100().Name {
+		t.Errorf("loaded %q from the V100 directory", e.Manifest.Platform)
 	}
 }
 
@@ -359,12 +362,12 @@ func TestParseLevelRoundTrip(t *testing.T) {
 	for _, l := range []paragraph.Level{
 		paragraph.LevelRawAST, paragraph.LevelAugmentedAST, paragraph.LevelParaGraph,
 	} {
-		got, err := ParseLevel(l.String())
+		got, err := paragraph.ParseLevel(l.String())
 		if err != nil || got != l {
 			t.Errorf("ParseLevel(%q) = %v, %v", l.String(), got, err)
 		}
 	}
-	if _, err := ParseLevel("nope"); err == nil {
+	if _, err := paragraph.ParseLevel("nope"); err == nil {
 		t.Error("ParseLevel accepted garbage")
 	}
 }

@@ -2,14 +2,11 @@ package registry
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"paragraph/internal/dataset"
 	"paragraph/internal/feedback"
 	"paragraph/internal/gnn"
-	"paragraph/internal/paragraph"
 )
 
 // The retrain path turns the feedback log back into model weights: measured
@@ -21,7 +18,8 @@ import (
 // pointed at it.
 
 // RetrainOptions tunes RetrainFromFeedback. Zero values take the noted
-// defaults.
+// defaults. Batch size, learning rate and workers are gnn.FitIncremental's,
+// and the validation share is dataset.Split's: no caller ever set another.
 type RetrainOptions struct {
 	// CandidateName names the new checkpoint; "" derives a unique
 	// "fb-<UTC timestamp>" name.
@@ -29,18 +27,12 @@ type RetrainOptions struct {
 	// SplitPct is the canary traffic percentage recorded in the rollout
 	// state for the new candidate. Default 10.
 	SplitPct float64
-	// Epochs / BatchSize / LR / Workers feed gnn.FitIncremental (its
-	// incremental defaults apply when zero).
-	Epochs    int
-	BatchSize int
-	LR        float64
-	Workers   int
-	Seed      int64
-	// ValFraction of the feedback samples is held out for validation.
-	// Default 0.1.
-	ValFraction float64
+	// Epochs of gnn.FitIncremental (its incremental default when zero).
+	Epochs int
+	// Seed of the train/validation split and the trainer's shuffles.
+	Seed int64
 	// MinRecords gates retraining until enough usable feedback exists.
-	// Default 20.
+	// Default 20; below 2 there is nothing to validate on, so 2 is the floor.
 	MinRecords int
 }
 
@@ -52,13 +44,18 @@ type RetrainResult struct {
 	ValSamples   int
 	Skipped      int // feedback records that could not be rebuilt into samples
 	FinalValRMSE float64
+	// Rollout is the platform's rollout state as just written to disk,
+	// pointing at the candidate.
+	Rollout *RolloutState
 }
 
 // RetrainFromFeedback fine-tunes platform's stable checkpoint on measured
 // feedback records and saves the result as a candidate version under root,
 // updating the platform's rollout state to point at it. The stable version
 // is the rollout state's stable when set (and still on disk), else the
-// platform's default alias.
+// platform's default alias. The usable records are split by dataset.Split —
+// max(1, ⌊n/10⌋) of them validate, the rest train — so a candidate's
+// manifest always reports a real validation.
 func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts RetrainOptions) (RetrainResult, error) {
 	var res RetrainResult
 	if opts.SplitPct <= 0 {
@@ -67,12 +64,10 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	if opts.SplitPct > 100 {
 		opts.SplitPct = 100
 	}
-	if opts.ValFraction <= 0 {
-		opts.ValFraction = 0.1
-	}
 	if opts.MinRecords <= 0 {
 		opts.MinRecords = 20
 	}
+	opts.MinRecords = max(opts.MinRecords, 2)
 
 	// Resolve the stable checkpoint to fine-tune from.
 	cps, err := Discover(root)
@@ -115,35 +110,20 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	e.model.SetFloat32Inference(false)
 
 	// Rebuild samples from the feedback records with the manifest's scalers.
-	samples, skipped := FeedbackSamples(recs, platform, e.Manifest, e.Level)
+	samples, skipped := e.feedbackSamples(recs)
 	res.Skipped = skipped
 	if len(samples) < opts.MinRecords {
 		return res, fmt.Errorf("registry: retrain: only %d usable feedback records for %s (need %d)",
 			len(samples), platform, opts.MinRecords)
 	}
-
-	rng := rand.New(rand.NewSource(opts.Seed))
-	rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-	nVal := int(float64(len(samples)) * opts.ValFraction)
-	if nVal >= len(samples) {
-		nVal = len(samples) - 1
-	}
-	val, train := samples[:nVal], samples[nVal:]
+	train, val := dataset.Split(samples, opts.Seed)
 	res.TrainSamples, res.ValSamples = len(train), len(val)
 
-	hist, err := e.model.FitIncremental(train, val, gnn.TrainConfig{
-		Epochs:    opts.Epochs,
-		BatchSize: opts.BatchSize,
-		LR:        opts.LR,
-		Workers:   opts.Workers,
-		Seed:      opts.Seed,
-	})
+	hist, err := e.model.FitIncremental(train, val, gnn.TrainConfig{Epochs: opts.Epochs, Seed: opts.Seed})
 	if err != nil {
 		return res, fmt.Errorf("registry: retrain: %w", err)
 	}
-	if rmse := hist.FinalValRMSE(); !math.IsInf(rmse, 1) {
-		res.FinalValRMSE = rmse
-	}
+	res.FinalValRMSE = hist.FinalValRMSE()
 
 	name := opts.CandidateName
 	if name == "" {
@@ -185,38 +165,29 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	if err := SaveRollout(root, st); err != nil {
 		return res, err
 	}
+	res.Rollout = st
 	return res, nil
 }
 
-// FeedbackSamples rebuilds gnn training samples from feedback records using
-// a checkpoint manifest's scalers (targets are log-runtimes scaled by the
-// manifest's target scaler; grid features by its team/thread scalers).
-// Records whose source no longer parses, or that belong to a different
-// platform, are counted in skipped rather than failing the batch.
-func FeedbackSamples(recs []feedback.Record, platform string, man Manifest, level paragraph.Level) ([]*gnn.Sample, int) {
-	var out []*gnn.Sample
-	skipped := 0
+// feedbackSamples rebuilds training samples from the feedback records of
+// e's platform with e's scalers and level, through the constructor training
+// and serving use (dataset.Prepared.Sample). Records whose source no longer
+// parses, or that belong to a different platform, are counted in skipped
+// rather than failing the batch.
+func (e *Entry) feedbackSamples(recs []feedback.Record) (samples []*gnn.Sample, skipped int) {
 	for _, rec := range recs {
-		if rec.Platform != platform || rec.Validate() != nil {
+		if rec.Platform != e.Manifest.Platform || rec.Validate() != nil {
 			skipped++
 			continue
 		}
-		eg, err := dataset.EncodeSource(rec.Source, level, rec.Threads, rec.Bindings)
+		eg, err := dataset.EncodeSource(rec.Source, e.Level, rec.Threads, rec.Bindings)
 		if err != nil {
 			skipped++
 			continue
 		}
-		eg.WScale = man.Scalers.WScale
-		s := &gnn.Sample{
-			G:      eg,
-			RawUS:  rec.MeasuredUS,
-			Target: man.Scalers.Target.Scale(math.Log(math.Max(rec.MeasuredUS, 1e-3))),
-			App:    rec.Kernel,
-			Name:   rec.Kernel + "/" + rec.Variant,
-		}
-		s.Feats[0] = man.Scalers.Team.Scale(float64(rec.Teams))
-		s.Feats[1] = man.Scalers.Thread.Scale(float64(rec.Threads))
-		out = append(out, s)
+		s := e.Prep.Sample(eg, rec.Teams, rec.Threads, rec.MeasuredUS)
+		s.App, s.Name = rec.Kernel, rec.Kernel+"/"+rec.Variant
+		samples = append(samples, s)
 	}
-	return out, skipped
+	return samples, skipped
 }

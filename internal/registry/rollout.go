@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"paragraph/internal/hw"
 	"paragraph/internal/metrics"
 )
 
@@ -74,7 +75,7 @@ func (st *RolloutState) Note(ev RolloutEvent) {
 // LoadRollout reads a platform's rollout state; a missing file returns
 // (nil, nil) — no rollout has ever been recorded.
 func LoadRollout(root, platform string) (*RolloutState, error) {
-	raw, err := os.ReadFile(filepath.Join(root, PlatformSlug(platform), rolloutFile))
+	raw, err := os.ReadFile(filepath.Join(root, hw.Slug(platform), rolloutFile))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -100,7 +101,7 @@ func SaveRollout(root string, st *RolloutState) error {
 	if st.UpdatedAt.IsZero() {
 		st.UpdatedAt = time.Now().UTC()
 	}
-	dir := filepath.Join(root, PlatformSlug(st.Platform))
+	dir := filepath.Join(root, hw.Slug(st.Platform))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}

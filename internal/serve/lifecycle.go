@@ -647,16 +647,9 @@ func (lc *lifecycle) runRetrain(platform string) error {
 
 	lc.mu.Lock()
 	p := lc.platLocked(platform)
-	// RetrainFromFeedback already wrote the authoritative rollout state;
-	// mirror it in memory (preserving history) rather than re-deriving.
-	if st, err := registry.LoadRollout(lc.root, platform); err == nil && st != nil {
-		p.st = st
-	} else {
-		p.st.Stable = res.Stable
-		p.st.Candidate = name
-		p.st.SplitPct = lc.split
-		p.st.Better, p.st.Worse = 0, 0
-	}
+	// The rollout state RetrainFromFeedback just wrote is the authoritative
+	// one, history included.
+	p.st = res.Rollout
 	if p.windows[name] == nil {
 		p.windows[name] = registry.NewQualityWindow(qualityWindowSize)
 	}

@@ -55,7 +55,7 @@ func registryBackends(t *testing.T, root string, names ...string) []Backend {
 	t.Helper()
 	var bs []Backend
 	for i, name := range names {
-		e, err := registry.Load(filepath.Join(root, registry.PlatformSlug(hw.V100().Name), name))
+		e, err := registry.Load(filepath.Join(root, hw.Slug(hw.V100().Name), name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func registryBackends(t *testing.T, root string, names ...string) []Backend {
 func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
 	root := t.TempDir()
 	saveLCCheckpoint(t, root, "v1", 7)
-	e, err := registry.Load(filepath.Join(root, registry.PlatformSlug(hw.V100().Name), "v1"))
+	e, err := registry.Load(filepath.Join(root, hw.Slug(hw.V100().Name), "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 	if d := descs[cand]; d.Role != "stable" || !d.Default {
 		t.Errorf("promoted desc = %+v, want default stable", d)
 	}
-	if _, err := os.Stat(filepath.Join(root, registry.PlatformSlug(hw.V100().Name), "v1")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(root, hw.Slug(hw.V100().Name), "v1")); !os.IsNotExist(err) {
 		t.Errorf("superseded checkpoint still on disk (err=%v)", err)
 	}
 	if pr := lcPredict(t, s, 99999); pr.Model != cand {
@@ -592,7 +592,7 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 	if d := descs["v1"]; d.Role != "stable" || !d.Default {
 		t.Errorf("stable desc = %+v", d)
 	}
-	if _, err := os.Stat(filepath.Join(root, registry.PlatformSlug(hw.V100().Name), "v2")); err != nil {
+	if _, err := os.Stat(filepath.Join(root, hw.Slug(hw.V100().Name), "v2")); err != nil {
 		t.Errorf("rolled-back checkpoint missing: %v", err)
 	}
 	var pinned PredictResponse
