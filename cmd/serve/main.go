@@ -139,7 +139,7 @@ const (
 	// kill loses at most this much warmth.
 	snapshotEvery = 5 * time.Minute
 	// drainTimeout bounds streaming owned keys to their new owners at a
-	// planned departure (serve.ClusterConfig's own default for /v1/cluster/leave).
+	// planned departure (the same bound the server gives /v1/cluster/leave).
 	drainTimeout = 30 * time.Second
 )
 

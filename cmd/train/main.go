@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"time"
 
@@ -114,7 +113,7 @@ func run(args []string, w io.Writer) error {
 	actual, pred := tr.ValActualPredMS()
 	fmt.Fprintf(w, "\nvalidation (n=%d): RMSE %.4g ms, Norm-RMSE %.3e, Pearson(log) %.4f\n",
 		len(actual), metrics.RMSE(pred, actual), metrics.NormRMSE(pred, actual),
-		logPearson(pred, actual))
+		metrics.LogPearson(pred, actual))
 
 	if *saveDir != "" {
 		dir, err := registry.Save(*saveDir, m, *saveName, level, tr.Model, tr.Prep, registry.TrainInfo{
@@ -183,21 +182,4 @@ func retrainFromFeedback(w io.Writer, logDir, root, candName, platform string,
 	fmt.Fprintf(w, "rollout: stable %s, candidate %s at %.0f%% of unpinned traffic\n",
 		res.Rollout.Stable, res.Rollout.Candidate, res.Rollout.SplitPct)
 	return nil
-}
-
-func logPearson(pred, actual []float64) float64 {
-	lp := make([]float64, len(pred))
-	la := make([]float64, len(actual))
-	for i := range pred {
-		lp[i] = safeLog(pred[i])
-		la[i] = safeLog(actual[i])
-	}
-	return metrics.Pearson(lp, la)
-}
-
-func safeLog(v float64) float64 {
-	if v < 1e-9 {
-		v = 1e-9
-	}
-	return math.Log(v)
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"io"
-	"math"
 	"strings"
 	"testing"
 
@@ -96,21 +95,5 @@ func TestSaveDirRejectsBadNameEarly(t *testing.T) {
 	}, io.Discard)
 	if err == nil {
 		t.Error("invalid -save-name accepted")
-	}
-}
-
-func TestSafeLogClamps(t *testing.T) {
-	if v := safeLog(0); math.IsInf(v, -1) || math.IsNaN(v) {
-		t.Errorf("safeLog(0) = %v", v)
-	}
-	if safeLog(math.E) != 1 {
-		t.Errorf("safeLog(e) = %v", safeLog(math.E))
-	}
-}
-
-func TestLogPearsonPerfectCorrelation(t *testing.T) {
-	pred := []float64{10, 100, 1000, 10000}
-	if r := logPearson(pred, pred); math.Abs(r-1) > 1e-12 {
-		t.Errorf("logPearson(x, x) = %v, want 1", r)
 	}
 }

@@ -5,8 +5,8 @@
 //
 // Three cooperating pieces:
 //
-//   - Queue (queue.go): per-client weighted fair queueing in front of the
-//     evaluation pool. Each client gets a FIFO lane; a deficit-round-robin
+//   - Queue (queue.go): per-client fair queueing in front of the
+//     evaluation pool. Each client gets a FIFO lane; a round-robin
 //     dispatcher cycles the lanes, so one bulk client saturating the
 //     server cannot starve interactive traffic. Totals and per-lane depth
 //     are bounded; requests beyond the bounds are shed immediately.

@@ -18,10 +18,6 @@ type QueueConfig struct {
 	// arrivals are shed with ReasonLaneFull while other clients keep
 	// queueing. Default 256 (clamped to MaxQueued).
 	MaxPerClient int
-	// Weight returns a client's scheduling weight: how many consecutive
-	// dispatches its lane gets per round-robin turn. nil or non-positive
-	// values mean 1 (plain round-robin).
-	Weight func(client string) int
 }
 
 func (c QueueConfig) withDefaults() QueueConfig {
@@ -47,12 +43,11 @@ type waiter struct {
 	cancelled  bool          // set (under the queue mutex) when the waiter gave up
 }
 
-// lane is one client's FIFO of waiters plus its round-robin credit.
+// lane is one client's FIFO of waiters.
 type lane struct {
 	client string
 	fifo   []*waiter
 	live   int // fifo entries not yet cancelled
-	credit int // dispatches left before the round-robin cursor moves on
 }
 
 // maxTrackedClients bounds the cumulative per-client counter map; clients
@@ -70,11 +65,11 @@ type clientCount struct {
 	shed     uint64
 }
 
-// Queue is a per-client weighted fair queue bounding concurrent work:
-// Acquire blocks until a slot is granted (or sheds/cancels), Release
-// frees the slot and dispatches the next waiter. Dispatch order is
-// deficit round-robin across per-client FIFO lanes — FIFO within a
-// client, fair across clients — so a client flooding the queue delays
+// Queue is a per-client fair queue bounding concurrent work: Acquire
+// blocks until a slot is granted (or sheds/cancels), Release frees the
+// slot and dispatches the next waiter. Dispatch order is round-robin
+// across per-client FIFO lanes, one waiter per lane per turn — FIFO within
+// a client, fair across clients — so a client flooding the queue delays
 // mostly itself. Lanes are created on first use and removed when they
 // drain, keeping memory proportional to live waiters, not to the client
 // population ever seen. Safe for concurrent use.
@@ -210,25 +205,15 @@ func (q *Queue) Run(ctx context.Context, client string, fn func() error) error {
 }
 
 // lane returns (creating if needed) the client's lane, linked into the
-// round-robin ring with a fresh credit.
+// round-robin ring.
 func (q *Queue) lane(client string) *lane {
 	l, ok := q.lanes[client]
 	if !ok {
-		l = &lane{client: client, credit: q.weight(client)}
+		l = &lane{client: client}
 		q.lanes[client] = l
 		q.order = append(q.order, l)
 	}
 	return l
-}
-
-func (q *Queue) weight(client string) int {
-	if q.cfg.Weight == nil {
-		return 1
-	}
-	if w := q.cfg.Weight(client); w > 0 {
-		return w
-	}
-	return 1
 }
 
 // counter returns the client's cumulative counters, folding clients
@@ -285,17 +270,14 @@ func (q *Queue) dispatchLocked() {
 	}
 }
 
-// nextLocked pops the next live waiter under deficit round-robin: the
-// cursor lane dispatches while it has credit, then its credit refills and
-// the cursor advances. Lanes that drain (or hold only cancelled waiters)
-// are removed as they are encountered. Returns nil only when no live
-// waiter exists.
+// nextLocked pops the next live waiter under round-robin: the cursor lane
+// dispatches one waiter and the cursor advances. Lanes that drain (or hold
+// only cancelled waiters) are removed as they are encountered. Returns nil
+// only when no live waiter exists.
 func (q *Queue) nextLocked() (*waiter, string) {
-	// Each iteration either removes a lane, advances past a lane whose
-	// credit ran out (at most once per lane per full cycle, since the
-	// advance refills it), or dispatches. 3n+3 therefore always suffices
-	// to find a live waiter when queued > 0.
-	for guard := 3*len(q.order) + 3; guard > 0 && len(q.order) > 0; guard-- {
+	// Each iteration either removes a lane or dispatches, so the loop ends
+	// within len(q.order)+1 iterations.
+	for len(q.order) > 0 {
 		if q.cur >= len(q.order) {
 			q.cur = 0
 		}
@@ -307,15 +289,9 @@ func (q *Queue) nextLocked() (*waiter, string) {
 			q.dropLaneLocked(l)
 			continue
 		}
-		if l.credit <= 0 {
-			l.credit = q.weight(l.client)
-			q.cur++
-			continue
-		}
 		w := l.fifo[0]
 		l.fifo = l.fifo[1:]
 		l.live--
-		l.credit--
 		// Sweep trailing cancelled entries too: if this pop took the last
 		// live waiter, no future dispatch pass would revisit the lane to
 		// clean them up, and the empty lane would pin ring memory.
@@ -323,7 +299,9 @@ func (q *Queue) nextLocked() (*waiter, string) {
 			l.fifo = l.fifo[1:]
 		}
 		if l.live == 0 && len(l.fifo) == 0 {
-			q.dropLaneLocked(l)
+			q.dropLaneLocked(l) // the cursor now rests on the lane after l
+		} else {
+			q.cur++
 		}
 		return w, l.client
 	}

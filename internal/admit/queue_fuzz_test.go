@@ -53,9 +53,6 @@ func FuzzQueue(f *testing.F) {
 			Concurrency:  concurrency,
 			MaxQueued:    maxQueued,
 			MaxPerClient: maxPerClient,
-			Weight: func(client string) int {
-				return 1 + int(client[len(client)-1]-'0')%3
-			},
 		})
 
 		// Admitted work blocks on gate until the program releases it, so

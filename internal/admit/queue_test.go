@@ -139,59 +139,6 @@ func TestQueueRoundRobinNoStarvation(t *testing.T) {
 	}
 }
 
-// TestQueueWeightedShares: a client with weight 3 should receive ~3x the
-// dispatches of a weight-1 client while both lanes stay saturated.
-func TestQueueWeightedShares(t *testing.T) {
-	q := NewQueue(QueueConfig{
-		Concurrency: 1,
-		Weight: func(client string) int {
-			if client == "heavy" {
-				return 3
-			}
-			return 1
-		},
-	})
-	rec := &orderRecorder{}
-	if err := q.Acquire(context.Background(), "holder"); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	enqueue := func(client string, n int) {
-		for i := 0; i < n; i++ {
-			i := i
-			before := q.Stats().Queued
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = q.Run(context.Background(), client, func() error {
-					rec.note(fmt.Sprintf("%s-%d", client, i))
-					return nil
-				})
-			}()
-			waitForQueued(t, q, before+1)
-		}
-	}
-	enqueue("heavy", 9)
-	enqueue("light", 3)
-
-	q.Release()
-	wg.Wait()
-
-	// In the first 8 grants the 3:1 credit split must show: heavy gets
-	// 6, light 2 (two full DRR cycles).
-	got := rec.snapshot()[:8]
-	heavy := 0
-	for _, tag := range got {
-		if tag[:5] == "heavy" {
-			heavy++
-		}
-	}
-	if heavy != 6 {
-		t.Errorf("heavy got %d of first 8 grants, want 6 (weighted 3:1): %v", heavy, got)
-	}
-}
-
 // TestQueueShedsAtBounds: total and per-lane bounds shed immediately with
 // the right reasons, and other clients keep queueing past a full lane.
 func TestQueueShedsAtBounds(t *testing.T) {

@@ -462,16 +462,9 @@ func (r *Runner) Figure9(maxPoints int) (Figure9Result, error) {
 	actual, pgPred := tr.ValActualPredMS()
 	_, cPred := tc.valActualPredMS()
 
-	logs := func(xs []float64) []float64 {
-		out := make([]float64, len(xs))
-		for i, v := range xs {
-			out[i] = math.Log(math.Max(v, 1e-9))
-		}
-		return out
-	}
 	res := Figure9Result{
-		ParaGraphPearson: metrics.Pearson(logs(pgPred), logs(actual)),
-		CompoffPearson:   metrics.Pearson(logs(cPred), logs(actual)),
+		ParaGraphPearson: metrics.LogPearson(pgPred, actual),
+		CompoffPearson:   metrics.LogPearson(cPred, actual),
 	}
 	n := len(actual)
 	if maxPoints > 0 && n > maxPoints {

@@ -409,9 +409,14 @@ func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, sam
 		return
 	}
 	// Families are handed out in batch order; the calling goroutine is one
-	// of the workers.
+	// of the workers. A panic on any worker is held until every worker has
+	// stopped and then re-raised on the calling goroutine, where its
+	// caller's recover can answer for it; unrecovered on a worker it would
+	// end the process.
 	var cursor atomic.Int64
-	run := func(ws *workspace[F]) {
+	panics := make([]any, workers)
+	run := func(i int, ws *workspace[F]) {
+		defer func() { panics[i] = recover() }()
 		for f := int(cursor.Add(1)) - 1; f < len(heads); f = int(cursor.Add(1)) - 1 {
 			w.family(ws, out, samples, heads[f], next)
 		}
@@ -423,11 +428,16 @@ func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, sam
 			defer wg.Done()
 			ws := acquireWS[F](m)
 			defer m.wsPool.Put(ws)
-			run(ws)
+			run(i, ws)
 		}()
 	}
-	run(ws)
+	run(0, ws)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // family evaluates the chain of same-topology samples starting at first

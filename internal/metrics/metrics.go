@@ -120,6 +120,21 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
+// LogPearson is Pearson over the natural logs of two runtime series — the
+// log-space correlation of predicted and measured runtimes that Figure 9
+// reports. Each value is clamped to at least 1e-9 before its log, so a zero
+// or negative prediction stays finite (NaN stays NaN).
+func LogPearson(xs, ys []float64) float64 {
+	logs := func(vs []float64) []float64 {
+		out := make([]float64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Log(math.Max(v, 1e-9))
+		}
+		return out
+	}
+	return Pearson(logs(xs), logs(ys))
+}
+
 // ranks assigns 1-based ranks to xs, averaging ranks across ties (the
 // "fractional ranking" used by Spearman's rho).
 func ranks(xs []float64) []float64 {

@@ -84,6 +84,34 @@ func TestPearson(t *testing.T) {
 	}
 }
 
+// TestLogPearsonPerfectCorrelation: a runtime series correlates perfectly
+// with itself in log space.
+func TestLogPearsonPerfectCorrelation(t *testing.T) {
+	pred := []float64{10, 100, 1000, 10000}
+	if r := LogPearson(pred, pred); math.Abs(r-1) > 1e-12 {
+		t.Errorf("LogPearson(x, x) = %v, want 1", r)
+	}
+}
+
+// TestLogPearsonClamps: zero and negative runtimes are clamped to 1e-9
+// before the log, so they neither poison the result with -Inf/NaN nor
+// differ from an explicit 1e-9.
+func TestLogPearsonClamps(t *testing.T) {
+	clamped := []float64{0, -5, 10, 100}
+	ys := []float64{1, 2, 3, 4}
+	r := LogPearson(clamped, ys)
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		t.Fatalf("LogPearson with non-positive runtimes = %v", r)
+	}
+	if want := LogPearson([]float64{1e-9, 1e-9, 10, 100}, ys); r != want {
+		t.Errorf("LogPearson(%v) = %v, want %v as with 1e-9", clamped, r, want)
+	}
+	if want := Pearson([]float64{math.Log(1e-9), math.Log(1e-9), math.Log(10), math.Log(100)},
+		[]float64{0, math.Log(2), math.Log(3), math.Log(4)}); r != want {
+		t.Errorf("LogPearson = %v, want Pearson of the logs %v", r, want)
+	}
+}
+
 func TestPearsonScaleInvariance(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) < 3 {

@@ -6,13 +6,13 @@
 // exposition writer speaks just enough of the text format (version 0.0.4)
 // for any Prometheus-compatible scraper.
 //
-// Two registration styles coexist. Instruments created through the
-// registry (Counter, Histogram) are the source of truth for what they
-// count and are read lock-free at scrape time. Scrape-time functions
-// (CounterFunc, GaugeFunc, CollectFunc) adapt counters that already live
-// elsewhere — cache stats, pool occupancy, cluster forward tables — so the
-// serving layer's existing atomics stay the single source of truth and
-// /metrics cannot drift from /v1/stats.
+// Two registration styles coexist. Instruments (Counter, Histogram) are the
+// source of truth for what they count and are read lock-free at scrape
+// time, whether the registry created them or a component that owns them
+// registered them. Scrape-time functions (CounterFunc, GaugeFunc,
+// CollectFunc) adapt state that already lives elsewhere — cache stats, pool
+// occupancy, cluster forward tables — so /metrics cannot drift from
+// /v1/stats.
 package obs
 
 import (
@@ -250,8 +250,16 @@ func (f *family) add(labels Labels, write func(w io.Writer, name, labels string)
 // Counter creates, registers and returns a counter series.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	c := &Counter{}
-	r.CounterFunc(name, help, labels, func() float64 { return float64(c.Value()) })
+	r.RegisterCounter(name, help, labels, c)
 	return c
+}
+
+// RegisterCounter registers an existing counter as one series of the named
+// family — the counterpart of RegisterHistogram for a counter another
+// component owns (e.g. a batcher's cancellations) that must also serve
+// /v1/stats.
+func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) {
+	r.CounterFunc(name, help, labels, func() float64 { return float64(c.Value()) })
 }
 
 // CounterFunc registers a counter series whose value is read at scrape

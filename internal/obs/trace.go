@@ -155,14 +155,17 @@ type TracerOptions struct {
 	// Slow is the duration at or above which a finished trace is logged
 	// as a structured slow-request record. <= 0 disables slow logging.
 	Slow time.Duration
-	// RingSize bounds the in-memory ring of recent traces (default 128).
-	RingSize int
-	// MaxSpans bounds the spans kept per trace (default 128); excess
-	// spans are counted in SpansDropped.
-	MaxSpans int
 	// Logger receives slow-trace records (default slog.Default()).
 	Logger *slog.Logger
 }
+
+// traceRing bounds the ring of recent traces a Tracer retains, and
+// traceSpans the spans kept per trace (excess spans are counted in
+// SpansDropped).
+const (
+	traceRing  = 128
+	traceSpans = 128
+)
 
 // Tracer starts traces at ingress and retains finished ones in a bounded
 // ring for GET /v1/trace. All methods are safe for concurrent use.
@@ -182,20 +185,14 @@ type Tracer struct {
 
 // NewTracer returns a tracer with the given options.
 func NewTracer(opts TracerOptions) *Tracer {
-	if opts.RingSize <= 0 {
-		opts.RingSize = 128
-	}
-	if opts.MaxSpans <= 0 {
-		opts.MaxSpans = 128
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
 	return &Tracer{
 		slow:     opts.Slow,
-		maxSpans: opts.MaxSpans,
+		maxSpans: traceSpans,
 		logger:   opts.Logger,
-		ring:     make([]FinishedTrace, opts.RingSize),
+		ring:     make([]FinishedTrace, traceRing),
 	}
 }
 

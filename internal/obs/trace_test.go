@@ -103,7 +103,8 @@ func TestTraceSpansAndContext(t *testing.T) {
 }
 
 func TestSpanLimit(t *testing.T) {
-	tracer := NewTracer(TracerOptions{MaxSpans: 2})
+	tracer := NewTracer(TracerOptions{})
+	tracer.maxSpans = 2
 	tr := tracer.Start("", "x")
 	for i := 0; i < 5; i++ {
 		tr.StartSpan("s").End()
@@ -116,7 +117,8 @@ func TestSpanLimit(t *testing.T) {
 }
 
 func TestRingBoundAndOrder(t *testing.T) {
-	tracer := NewTracer(TracerOptions{RingSize: 3})
+	tracer := NewTracer(TracerOptions{})
+	tracer.ring = make([]FinishedTrace, 3)
 	var ids []string
 	for i := 0; i < 5; i++ {
 		tr := tracer.Start("", "x")
@@ -173,7 +175,8 @@ func TestSlowLogging(t *testing.T) {
 }
 
 func TestConcurrentTraceUse(t *testing.T) {
-	tracer := NewTracer(TracerOptions{RingSize: 16})
+	tracer := NewTracer(TracerOptions{})
+	tracer.ring = make([]FinishedTrace, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -141,35 +141,30 @@ type HysteresisConfig struct {
 	// MinSamples gates any decision until both versions' quality windows
 	// hold this many (prediction, measurement) pairs. Default 30.
 	MinSamples int
-	// PromoteMargin is the non-inferiority slack: the candidate promotes
-	// when its rank correlation stays within this margin below (or anywhere
-	// above) the stable's. Default 0.02.
-	PromoteMargin float64
-	// RollbackMargin is the clear-regression threshold: the candidate rolls
-	// back when its rank correlation falls more than this below the
-	// stable's. Default 0.10. Between the margins is a dead band: hold.
-	RollbackMargin float64
-	// PromoteAfter / RollbackAfter are the hysteresis depths: how many
-	// *consecutive* evaluations must agree before acting. Default 3 each.
-	PromoteAfter  int
-	RollbackAfter int
+	// PromoteAfter is how many *consecutive* non-inferior evaluations
+	// promote the candidate. Default 3.
+	PromoteAfter int
 }
+
+// The state machine's fixed margins and rollback depth. promoteMargin is
+// the non-inferiority slack: the candidate promotes when its rank
+// correlation stays within it below (or anywhere above) the stable's.
+// rollbackMargin is the clear-regression threshold: the candidate rolls
+// back when its correlation falls more than it below the stable's; between
+// the margins is a dead band (hold). rollbackAfter consecutive regressions
+// roll back.
+const (
+	promoteMargin  = 0.02
+	rollbackMargin = 0.10
+	rollbackAfter  = 3
+)
 
 func (c HysteresisConfig) withDefaults() HysteresisConfig {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 30
 	}
-	if c.PromoteMargin <= 0 {
-		c.PromoteMargin = 0.02
-	}
-	if c.RollbackMargin <= 0 {
-		c.RollbackMargin = 0.10
-	}
 	if c.PromoteAfter <= 0 {
 		c.PromoteAfter = 3
-	}
-	if c.RollbackAfter <= 0 {
-		c.RollbackAfter = 3
 	}
 	return c
 }
@@ -201,10 +196,10 @@ func (d Decision) String() string {
 //
 // Transition rules, applied only once both windows reach MinSamples:
 //
-//   - candidate within PromoteMargin of (or better than) stable → Better++,
+//   - candidate within promoteMargin of (or better than) stable → Better++,
 //     Worse reset; Better reaching PromoteAfter → Promote.
-//   - candidate more than RollbackMargin below stable → Worse++, Better
-//     reset; Worse reaching RollbackAfter → Rollback.
+//   - candidate more than rollbackMargin below stable → Worse++, Better
+//     reset; Worse reaching rollbackAfter → Rollback.
 //   - in the dead band between the margins → both counters reset (a streak
 //     must be consecutive to act).
 //
@@ -226,8 +221,8 @@ func Observe(st *RolloutState, stableCorr, candCorr float64, stableN, candN int,
 	case sNaN:
 		better = true
 	default:
-		better = candCorr >= stableCorr-cfg.PromoteMargin
-		worse = candCorr < stableCorr-cfg.RollbackMargin
+		better = candCorr >= stableCorr-promoteMargin
+		worse = candCorr < stableCorr-rollbackMargin
 	}
 	switch {
 	case worse:
@@ -239,7 +234,7 @@ func Observe(st *RolloutState, stableCorr, candCorr float64, stableN, candN int,
 	default: // dead band
 		st.Better, st.Worse = 0, 0
 	}
-	if st.Worse >= cfg.RollbackAfter {
+	if st.Worse >= rollbackAfter {
 		st.Better, st.Worse = 0, 0
 		return Rollback
 	}

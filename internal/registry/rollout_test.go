@@ -154,13 +154,7 @@ func TestQualityWindow(t *testing.T) {
 // TestHysteresisTransitions walks the promote/rollback state machine through
 // its full transition diagram with a scripted evaluation sequence.
 func TestHysteresisTransitions(t *testing.T) {
-	cfg := HysteresisConfig{
-		MinSamples:     10,
-		PromoteMargin:  0.02,
-		RollbackMargin: 0.10,
-		PromoteAfter:   3,
-		RollbackAfter:  2,
-	}
+	cfg := HysteresisConfig{MinSamples: 10, PromoteAfter: 3}
 	type step struct {
 		name           string
 		stable, cand   float64
@@ -183,12 +177,14 @@ func TestHysteresisTransitions(t *testing.T) {
 		{"better 1 again", 0.90, 0.91, 50, 50, Hold, 1, 0},
 		{"better 2 again", 0.90, 0.92, 50, 50, Hold, 2, 0},
 		{"promote", 0.90, 0.93, 50, 50, Promote, 0, 0},
-		// Full rollback streak (RollbackAfter = 2).
+		// Full rollback streak (rollbackAfter = 3).
 		{"worse 1", 0.90, 0.60, 50, 50, Hold, 0, 1},
+		{"worse 2", 0.90, 0.60, 50, 50, Hold, 0, 2},
 		{"rollback", 0.90, 0.60, 50, 50, Rollback, 0, 0},
 		// NaN semantics: candidate with no ranking signal is a regression,
 		// stable with none cannot hold a candidate back, both NaN holds.
 		{"cand NaN", 0.90, math.NaN(), 50, 50, Hold, 0, 1},
+		{"cand NaN 2", 0.90, math.NaN(), 50, 50, Hold, 0, 2},
 		{"cand NaN rollback", 0.90, math.NaN(), 50, 50, Rollback, 0, 0},
 		{"stable NaN", math.NaN(), 0.5, 50, 50, Hold, 1, 0},
 		{"both NaN", math.NaN(), math.NaN(), 50, 50, Hold, 1, 0},

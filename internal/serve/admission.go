@@ -106,9 +106,7 @@ func (s *Server) writeShed(w http.ResponseWriter, shed *admit.ShedError, cost ti
 		retry = admit.EstimateDrain(st.Queued+st.Running, st.Concurrency, cost)
 	}
 	secs := admit.RetryAfterSeconds(retry)
-	if c, ok := s.metrics.shed[shed.Reason]; ok {
-		c.Inc()
-	}
+	s.metrics.shed[shed.Reason].Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	s.fail(w, http.StatusServiceUnavailable, "overloaded: %s (retry after %ds)", shed.Reason, secs)
 }

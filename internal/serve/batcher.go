@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"paragraph/internal/gnn"
@@ -34,14 +33,12 @@ type BatchPredictor interface {
 type Batcher struct {
 	model BatchPredictor
 
-	mu      sync.Mutex
-	batches uint64
-	samples uint64
-	maxSeen int
-
 	latency   *obs.Histogram // per-prediction latency (a call's duration ÷ its size, so a grid's per-sample share), seconds
-	sizes     *obs.Histogram // samples per model call
-	cancelled atomic.Uint64  // calls abandoned by their context before the model ran
+	sizes     *obs.Histogram // samples per model call: its count is the calls, its sum the samples
+	cancelled *obs.Counter   // calls abandoned by their context before the model ran
+
+	mu      sync.Mutex
+	maxSeen int // largest single call
 }
 
 // NewBatcher wraps model. The two sizing arguments are ignored; they are
@@ -49,9 +46,10 @@ type Batcher struct {
 // NewBatcher(p, 0, 0) — they go when ROADMAP item 4(d) deletes that mirror.
 func NewBatcher(model BatchPredictor, _ int, _ time.Duration) *Batcher {
 	return &Batcher{
-		model:   model,
-		latency: obs.NewHistogram(obs.DefLatencyBuckets),
-		sizes:   obs.NewHistogram(obs.BatchSizeBuckets),
+		model:     model,
+		latency:   obs.NewHistogram(obs.DefLatencyBuckets),
+		sizes:     obs.NewHistogram(obs.BatchSizeBuckets),
+		cancelled: new(obs.Counter),
 	}
 }
 
@@ -78,7 +76,7 @@ func (b *Batcher) PredictCtx(ctx context.Context, s *gnn.Sample) (float64, error
 // attached to ctx receives one predict span with detail batch=N.
 func (b *Batcher) PredictBatchCtx(ctx context.Context, samples []*gnn.Sample) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
-		b.cancelled.Add(1)
+		b.cancelled.Inc()
 		return nil, err
 	}
 	n := len(samples)
@@ -92,11 +90,7 @@ func (b *Batcher) PredictBatchCtx(ctx context.Context, samples []*gnn.Sample) ([
 	b.latency.Observe(dur.Seconds() / float64(n))
 	b.sizes.Observe(float64(n))
 	b.mu.Lock()
-	b.batches++
-	b.samples += uint64(n)
-	if n > b.maxSeen {
-		b.maxSeen = n
-	}
+	b.maxSeen = max(b.maxSeen, n)
 	b.mu.Unlock()
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		tr.AddSpan("predict", fmt.Sprintf("batch=%d", n), start, dur)
@@ -135,8 +129,9 @@ type BatcherStats struct {
 
 // Stats returns a snapshot of the batcher counters.
 func (b *Batcher) Stats() BatcherStats {
+	st := BatcherStats{Batches: b.sizes.Count(), Samples: uint64(b.sizes.Sum()), Cancelled: b.cancelled.Value()}
 	b.mu.Lock()
-	st := BatcherStats{Batches: b.batches, Samples: b.samples, MaxBatch: b.maxSeen, Cancelled: b.cancelled.Load()}
+	st.MaxBatch = b.maxSeen
 	b.mu.Unlock()
 	if st.Batches > 0 {
 		st.MeanBatch = float64(st.Samples) / float64(st.Batches)

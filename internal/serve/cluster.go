@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,28 +62,26 @@ type ClusterConfig struct {
 	Replication int
 	// Heartbeat is the gossip interval (0 = 1s default; < 0 disables the
 	// background gossip/join/anti-entropy loops entirely — tests drive the
-	// state machine by hand).
+	// state machine by hand). A silent member turns suspect in /v1/ring
+	// health after 3 heartbeats and is declared dead and dropped from the
+	// ring after 10 — a comfortable multiple, so healthy peers never evict
+	// each other on jitter.
 	Heartbeat time.Duration
-	// SuspectAfter marks a silent member suspect in /v1/ring health
-	// (0 = 3× Heartbeat).
-	SuspectAfter time.Duration
-	// EvictAfter declares a silent member dead and drops it from the ring
-	// (0 = 10× Heartbeat). It must dominate the heartbeat by a comfortable
-	// multiple or healthy peers evict each other on jitter.
-	EvictAfter time.Duration
 	// AntiEntropy is the self-healing sweep interval: how often this peer
 	// diffs the ring's owner lists against its local cache and pulls the
 	// replica entries it should hold but does not (0 = 30s default; < 0
 	// disables the sweep).
 	AntiEntropy time.Duration
-	// DrainTimeout bounds a planned departure's key handoff
-	// (0 = 30s default).
-	DrainTimeout time.Duration
 }
 
-// refillConcurrency caps concurrent anti-entropy entry fetches so a refill
-// never starves the serving path.
-const refillConcurrency = 4
+const (
+	// refillConcurrency caps concurrent anti-entropy entry fetches so a
+	// refill never starves the serving path.
+	refillConcurrency = 4
+	// drainTimeout bounds the key handoff of a planned departure started by
+	// POST /v1/cluster/leave.
+	drainTimeout = 30 * time.Second
+)
 
 // cluster is the Server's live cluster state. The ring is no longer a
 // fixed field: membership owns it and swaps in a new epoch-stamped ring on
@@ -94,10 +93,9 @@ type cluster struct {
 	fwd  *shard.Forwarder
 	rf   int // configured replication factor, >= 1; clamped per-use by Owners
 
-	seeds        []string
-	heartbeat    time.Duration
-	antiEntropy  time.Duration
-	drainTimeout time.Duration
+	seeds       []string
+	heartbeat   time.Duration
+	antiEntropy time.Duration
 
 	quit     chan struct{}
 	bg       sync.WaitGroup
@@ -105,27 +103,30 @@ type cluster struct {
 	joined   atomic.Bool // a seed admitted us (or no seeds were needed)
 	draining atomic.Bool // a planned departure started
 
-	forwardedIn  atomic.Uint64 // requests received already forwarded by a peer
-	fallbacks    atomic.Uint64 // every owner unreachable, served locally instead
-	replicaHits  atomic.Uint64 // forwards answered by a replica after the primary failed
-	repWrites    atomic.Uint64 // cache entries enqueued for write-through to replicas
-	repDrops     atomic.Uint64 // write-throughs dropped (queue full)
-	replicatedIn atomic.Uint64 // cache entries accepted via POST /v1/replicate
+	// The cluster's counts, each one instrument: registerCluster
+	// (metrics.go) creates them in the /metrics registry and Ring reads
+	// them back for /v1/ring.
+	forwardedIn  *obs.Counter // requests received already forwarded by a peer
+	fallbacks    *obs.Counter // every owner unreachable, served locally instead
+	replicaHits  *obs.Counter // forwards answered by a replica after the primary failed
+	repWrites    *obs.Counter // cache entries enqueued for write-through to replicas
+	repDrops     *obs.Counter // write-throughs dropped (queue full)
+	replicatedIn *obs.Counter // cache entries accepted via POST /v1/replicate
 
-	joinsIn    atomic.Uint64 // join requests admitted by this peer
-	gossipIn   atomic.Uint64 // gossip exchanges received
-	gossipOut  atomic.Uint64 // gossip exchanges sent and answered
-	gossipErrs atomic.Uint64 // gossip/join sends that reached no peer
-	pruned     atomic.Uint64 // peer clients dropped on ring rebuilds
+	joinsIn    *obs.Counter // join requests admitted by this peer
+	gossipIn   *obs.Counter // gossip exchanges received
+	gossipOut  *obs.Counter // gossip exchanges sent and answered
+	gossipErrs *obs.Counter // gossip/join sends that reached no peer
+	pruned     *obs.Counter // peer clients dropped on ring rebuilds
 
-	aeSweeps      atomic.Uint64 // anti-entropy sweeps completed
-	aeRefills     atomic.Uint64 // cache entries pulled in by anti-entropy
-	aeErrs        atomic.Uint64 // anti-entropy key-list or entry fetches that failed
-	lastSweepUnix atomic.Int64  // when the last sweep finished
+	aeSweeps      *obs.Counter // anti-entropy sweeps completed
+	aeRefills     *obs.Counter // cache entries pulled in by anti-entropy
+	aeErrs        *obs.Counter // anti-entropy key-list or entry fetches that failed
+	lastSweepUnix atomic.Int64 // when the last sweep finished
 
-	readRepairs  atomic.Uint64 // owned misses answered by pulling a co-owner's copy
-	repairMisses atomic.Uint64 // read-repair attempts no co-owner could answer
-	drainedOut   atomic.Uint64 // cache entries streamed to new owners during drain
+	readRepairs  *obs.Counter // owned misses answered by pulling a co-owner's copy
+	repairMisses *obs.Counter // read-repair attempts no co-owner could answer
+	drainedOut   *obs.Counter // cache entries streamed to new owners during drain
 }
 
 // ring returns the current ring snapshot — nil only after this peer
@@ -197,37 +198,24 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 		// per-exchange timeouts of hand-driven rounds (tests).
 		heartbeat = time.Second
 	}
-	suspectAfter := cfg.SuspectAfter
-	if suspectAfter <= 0 {
-		suspectAfter = 3 * heartbeat
-	}
-	evictAfter := cfg.EvictAfter
-	if evictAfter <= 0 {
-		evictAfter = 10 * heartbeat
-	}
 	antiEntropy := cfg.AntiEntropy
 	if antiEntropy == 0 {
 		antiEntropy = 30 * time.Second
 	}
-	drainTimeout := cfg.DrainTimeout
-	if drainTimeout <= 0 {
-		drainTimeout = 30 * time.Second
-	}
 	c := &cluster{
-		self:         self,
-		rf:           rf,
-		seeds:        seeds,
-		heartbeat:    heartbeat,
-		antiEntropy:  antiEntropy,
-		drainTimeout: drainTimeout,
-		quit:         make(chan struct{}),
-		fwd:          shard.NewForwarder(self, shard.ForwardOptions{}),
+		self:        self,
+		rf:          rf,
+		seeds:       seeds,
+		heartbeat:   heartbeat,
+		antiEntropy: antiEntropy,
+		quit:        make(chan struct{}),
+		fwd:         shard.NewForwarder(self),
 	}
 	mem, err := shard.NewMembership(shard.MembershipConfig{
 		Self:         self,
 		Peers:        members,
-		SuspectAfter: suspectAfter,
-		EvictAfter:   evictAfter,
+		SuspectAfter: 3 * heartbeat,
+		EvictAfter:   10 * heartbeat,
 		// Every ring swap prunes the forwarder's peer clients down to the
 		// new member set, closing departed peers' idle connections — the
 		// membership-shrink counterpart of the lazily created clients.
@@ -236,9 +224,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 			if ring != nil {
 				keep = ring.Members()
 			}
-			if n := c.fwd.Prune(keep); n > 0 {
-				c.pruned.Add(uint64(n))
-			}
+			c.pruned.Add(uint64(c.fwd.Prune(keep)))
 		},
 	})
 	if err != nil {
@@ -246,8 +232,8 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	}
 	c.mem = mem
 	c.joined.Store(len(seeds) == 0)
+	s.metrics.registerCluster(c) // c's counters exist before a handler can see c
 	s.cluster = c
-	s.metrics.registerCluster(c)
 	if loops {
 		s.startClusterLoops()
 	}
@@ -260,7 +246,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 // semantics.
 func (s *Server) noteForwarded(r *http.Request) {
 	if c := s.cluster; c != nil && r.Header.Get(shard.ForwardedByHeader) != "" {
-		c.forwardedIn.Add(1)
+		c.forwardedIn.Inc()
 	}
 }
 
@@ -308,12 +294,7 @@ func (s *Server) route(forwarded bool, key string) (targets, owners []string, ow
 	if forwarded {
 		// Forced local: still report ownership so a primary evaluating a
 		// forwarded-in miss replicates the result.
-		for _, o := range owners {
-			if o == c.self {
-				return nil, owners, true
-			}
-		}
-		return nil, owners, false
+		return nil, owners, slices.Contains(owners, c.self)
 	}
 	if owners[0] == c.self {
 		return nil, owners, true
@@ -367,13 +348,13 @@ func (c *cluster) forward(ctx context.Context, tr *obs.Trace, targets []string, 
 			continue
 		}
 		if i > 0 {
-			c.replicaHits.Add(1)
+			c.replicaHits.Inc()
 		}
 		sp.Annotate(t)
 		sp.End()
 		return proxiedResponse{status: status, body: respBody}, true
 	}
-	c.fallbacks.Add(1)
+	c.fallbacks.Inc()
 	sp.Annotate("unreachable")
 	sp.End()
 	return proxiedResponse{}, false
@@ -404,9 +385,9 @@ func (s *Server) replicate(key string, val any, owners []string, owned bool, tra
 			continue
 		}
 		if c.fwd.ForwardAsync(o, "/v1/replicate", body, traceID) {
-			c.repWrites.Add(1)
+			c.repWrites.Inc()
 		} else {
-			c.repDrops.Add(1)
+			c.repDrops.Inc()
 		}
 	}
 }
@@ -623,8 +604,8 @@ func (s *Server) Ring() RingResponse {
 		Enabled:        true,
 		Self:           c.self,
 		Epoch:          c.mem.Epoch(),
-		ForwardedIn:    c.forwardedIn.Load(),
-		LocalFallbacks: c.fallbacks.Load(),
+		ForwardedIn:    c.forwardedIn.Value(),
+		LocalFallbacks: c.fallbacks.Value(),
 	}
 	if c.rf > 1 {
 		// Report the effective factor: the configured rf clamped to the
@@ -638,33 +619,33 @@ func (s *Server) Ring() RingResponse {
 		async := c.fwd.Async()
 		resp.Replication = &ReplicationStats{
 			Factor:       factor,
-			Writes:       c.repWrites.Load(),
-			WriteDrops:   c.repDrops.Load(),
+			Writes:       c.repWrites.Value(),
+			WriteDrops:   c.repDrops.Value(),
 			WriteErrors:  async.Errors,
-			ReplicatedIn: c.replicatedIn.Load(),
-			ReplicaHits:  c.replicaHits.Load(),
+			ReplicatedIn: c.replicatedIn.Value(),
+			ReplicaHits:  c.replicaHits.Value(),
 		}
 	}
 	counters := c.mem.Counters()
 	ms := &MembershipStats{
 		Joined:         c.joined.Load(),
 		Draining:       c.draining.Load(),
-		JoinsIn:        c.joinsIn.Load(),
-		GossipSent:     c.gossipOut.Load(),
-		GossipReceived: c.gossipIn.Load(),
-		GossipErrors:   c.gossipErrs.Load(),
+		JoinsIn:        c.joinsIn.Value(),
+		GossipSent:     c.gossipOut.Value(),
+		GossipReceived: c.gossipIn.Value(),
+		GossipErrors:   c.gossipErrs.Value(),
 		Evictions:      counters.Evictions,
 		Refutations:    counters.Refutations,
-		PrunedClients:  c.pruned.Load(),
-		DrainedOut:     c.drainedOut.Load(),
+		PrunedClients:  c.pruned.Value(),
+		DrainedOut:     c.drainedOut.Value(),
 	}
 	resp.AntiEntropy = &AntiEntropyStats{
-		Sweeps:        c.aeSweeps.Load(),
+		Sweeps:        c.aeSweeps.Value(),
 		LastSweepUnix: c.lastSweepUnix.Load(),
-		Refilled:      c.aeRefills.Load(),
-		Errors:        c.aeErrs.Load(),
-		ReadRepairs:   c.readRepairs.Load(),
-		RepairMisses:  c.repairMisses.Load(),
+		Refilled:      c.aeRefills.Value(),
+		Errors:        c.aeErrs.Value(),
+		ReadRepairs:   c.readRepairs.Value(),
+		RepairMisses:  c.repairMisses.Value(),
 	}
 	health := map[string]shard.MemberHealth{}
 	for _, h := range c.mem.Health() {

@@ -396,12 +396,12 @@ func waitReplicated(t *testing.T, p *clusterPeer, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if p.srv.cluster.replicatedIn.Load() >= want {
+		if p.srv.cluster.replicatedIn.Value() >= want {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("peer %s never accepted %d replicated entries (have %d)",
-				p.http.URL, want, p.srv.cluster.replicatedIn.Load())
+				p.http.URL, want, p.srv.cluster.replicatedIn.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

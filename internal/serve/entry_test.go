@@ -88,7 +88,7 @@ func TestEntryCodecRoundTrips(t *testing.T) {
 			a.srv.replicate(it.Key, it.Val, owners, true, "")
 		}
 		waitCond(t, 10*time.Second, "the write-throughs to land", func() bool {
-			return b.srv.cluster.replicatedIn.Load() >= 20
+			return b.srv.cluster.replicatedIn.Value() >= 20
 		})
 		holds(t, "replicate", b.srv, items[:20])
 	})

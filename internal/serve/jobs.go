@@ -90,9 +90,7 @@ func (s *Server) runAdviseJob(id string, p adviseParams, budget time.Duration) {
 	switch {
 	case err != nil:
 		if shed, ok := asShed(err); ok {
-			if c, ok := s.metrics.shed[shed.Reason]; ok {
-				c.Inc()
-			}
+			s.metrics.shed[shed.Reason].Inc()
 			err = shed
 		}
 		s.jobs.Finish(id, nil, err)
@@ -131,6 +129,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.streamJob(w, j)
 		return
 	}
+	s.writeJSON(w, http.StatusOK, jobResponse(j))
+}
+
+// jobResponse renders a job's state, timing and result.
+func jobResponse(j admit.Job) JobResponse {
 	resp := JobResponse{
 		JobID:       j.ID,
 		Status:      string(j.State),
@@ -141,7 +144,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !j.Finished.IsZero() && !j.Started.IsZero() {
 		resp.ElapsedMS = float64(j.Finished.Sub(j.Started).Microseconds()) / 1000
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // streamJob renders one finished job as NDJSON: a header object first,
@@ -158,15 +161,7 @@ func (s *Server) streamJob(w http.ResponseWriter, j admit.Job) {
 			flusher.Flush()
 		}
 	}
-	head := JobResponse{
-		JobID:       j.ID,
-		Status:      string(j.State),
-		CreatedUnix: j.Created.Unix(),
-		Error:       j.Error,
-	}
-	if !j.Finished.IsZero() && !j.Started.IsZero() {
-		head.ElapsedMS = float64(j.Finished.Sub(j.Started).Microseconds()) / 1000
-	}
+	head := jobResponse(j)
 	if resp, ok := j.Result.(AdviseResponse); ok {
 		recs := resp.Recommendations
 		resp.Recommendations = nil
@@ -179,7 +174,6 @@ func (s *Server) streamJob(w http.ResponseWriter, j admit.Job) {
 		}
 		return
 	}
-	head.Result = j.Result
 	_ = enc.Encode(head)
 	flush()
 }

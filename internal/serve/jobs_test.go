@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"paragraph/internal/admit"
 	"paragraph/internal/hw"
 )
 
@@ -143,10 +144,12 @@ func TestAsyncJobStoreBounds(t *testing.T) {
 	model := &blockingModel{release: make(chan struct{})}
 	s, err := NewServer([]Backend{
 		{Machine: hw.V100(), Model: model, Prep: testPrep()},
-	}, Options{JobLimit: 1})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.jobs.Close()
+	s.jobs = admit.NewStore(1, jobTTL)
 	released := false
 	release := func() {
 		if !released {
@@ -235,10 +238,12 @@ func TestAsyncJobDeadline(t *testing.T) {
 func TestAsyncJobExpires(t *testing.T) {
 	s, err := NewServer([]Backend{
 		{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()},
-	}, Options{JobTTL: 100 * time.Millisecond})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.jobs.Close()
+	s.jobs = admit.NewStore(jobLimit, 100*time.Millisecond)
 	t.Cleanup(s.Close)
 
 	sub := submitAsync(t, s, overloadReq(1))

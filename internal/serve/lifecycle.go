@@ -7,9 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"paragraph/internal/advisor"
@@ -132,31 +130,30 @@ type platRollout struct {
 
 // lifecycle owns the feedback→retrain→rollout loop for a server. nil on
 // servers started without a feedback directory.
+//
+// Its settings are the server's Options: RegistryRoot ("" disables
+// retrain, GC and persistence), RolloutSplit, RetrainAfter (<= 0 disables
+// auto-retrain), RetrainEpochs, GCKeep (registry.GCPolicy.KeepLast;
+// negative disables GC) and the hysteresis pair.
 type lifecycle struct {
 	s       *Server
 	log     *feedback.Log
-	root    string // registry root; "" disables retrain, GC and persistence
 	journal *Cache
-
-	split         float64
-	retrainAfter  int // accepted measurements per platform between retrains; <= 0 disables
-	retrainEpochs int
-	gcKeep        int // registry.GCPolicy.KeepLast; negative disables GC
-	hcfg          registry.HysteresisConfig
+	hcfg    registry.HysteresisConfig
 
 	mu    sync.Mutex
 	plats map[string]*platRollout
 	wg    sync.WaitGroup
 
-	accepted      atomic.Uint64
-	rejected      atomic.Uint64
-	retrains      atomic.Uint64
-	retrainErrors atomic.Uint64
-	promotions    atomic.Uint64
-	rollbacks     atomic.Uint64
-	gcRemoved     atomic.Uint64
-
-	outcomes map[string]*obs.Counter // serve_feedback_total{outcome}
+	// The lifecycle's counts, each one instrument created by
+	// registerLifecycle (metrics.go). Accepted and rejected feedback are
+	// not counted twice: they are read off outcomes.
+	outcomes      map[string]*obs.Counter // serve_feedback_total{outcome}
+	retrains      *obs.Counter
+	retrainErrors *obs.Counter
+	promotions    *obs.Counter
+	rollbacks     *obs.Counter
+	gcRemoved     *obs.Counter
 }
 
 const (
@@ -186,20 +183,12 @@ func (s *Server) initLifecycle() error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	lc := &lifecycle{
-		s:             s,
-		log:           lg,
-		root:          s.opts.RegistryRoot,
-		journal:       NewCache(feedbackJournalSize),
-		split:         s.opts.RolloutSplit,
-		retrainAfter:  s.opts.RetrainAfter,
-		retrainEpochs: s.opts.RetrainEpochs,
-		gcKeep:        s.opts.GCKeep,
+		s:       s,
+		log:     lg,
+		journal: NewCache(feedbackJournalSize),
 		hcfg: registry.HysteresisConfig{
-			MinSamples:     s.opts.MinQualitySamples,
-			PromoteMargin:  s.opts.PromoteMargin,
-			RollbackMargin: s.opts.RollbackMargin,
-			PromoteAfter:   s.opts.PromoteAfter,
-			RollbackAfter:  s.opts.RollbackAfter,
+			MinSamples:   s.opts.MinQualitySamples,
+			PromoteAfter: s.opts.PromoteAfter,
 		},
 		plats: map[string]*platRollout{},
 	}
@@ -212,11 +201,11 @@ func (s *Server) initLifecycle() error {
 // restore loads persisted rollout state for every served platform and
 // re-anchors the serving defaults to it.
 func (lc *lifecycle) restore() {
-	if lc.root == "" {
+	if lc.s.opts.RegistryRoot == "" {
 		return
 	}
 	for _, platform := range lc.s.machineNames() {
-		st, err := registry.LoadRollout(lc.root, platform)
+		st, err := registry.LoadRollout(lc.s.opts.RegistryRoot, platform)
 		if err != nil {
 			lc.s.logger.Warn("rollout: state unreadable, starting fresh", "platform", platform, "err", err)
 			continue
@@ -241,7 +230,7 @@ func (lc *lifecycle) restore() {
 			changed = true
 		}
 		if changed {
-			if err := registry.SaveRollout(lc.root, st); err != nil {
+			if err := registry.SaveRollout(lc.s.opts.RegistryRoot, st); err != nil {
 				lc.s.logger.Warn("rollout: persist state", "platform", platform, "err", err)
 			}
 		}
@@ -266,11 +255,8 @@ func (lc *lifecycle) platLocked(platform string) *platRollout {
 	return p
 }
 
-func (lc *lifecycle) count(outcome string) {
-	if c, ok := lc.outcomes[outcome]; ok {
-		c.Inc()
-	}
-}
+// reject counts one refused feedback submission under its outcome.
+func (lc *lifecycle) reject(outcome string) { lc.outcomes[outcome].Inc() }
 
 // routedModel resolves the version an unpinned request routes to: "" when
 // the platform has no live candidate (the default alias decides), else the
@@ -333,15 +319,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	tr := obs.TraceFrom(r.Context())
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFeedbackBody))
 	if err != nil {
-		lc.count("invalid")
-		lc.rejected.Add(1)
+		lc.reject("invalid")
 		s.fail(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	freq, err := decodeFeedback(raw)
 	if err != nil {
-		lc.count("invalid")
-		lc.rejected.Add(1)
+		lc.reject("invalid")
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -372,15 +356,13 @@ func (lc *lifecycle) accept(freq FeedbackRequest) (FeedbackResponse, int, error)
 	var resp FeedbackResponse
 	v, ok := lc.journal.Get(freq.Key)
 	if !ok {
-		lc.count("unknown_key")
-		lc.rejected.Add(1)
+		lc.reject("unknown_key")
 		return resp, http.StatusNotFound,
 			fmt.Errorf("unknown request key %s (not served recently by this process)", freq.Key)
 	}
 	je, ok := v.(*journalEntry)
 	if !ok {
-		lc.count("unknown_key")
-		lc.rejected.Add(1)
+		lc.reject("unknown_key")
 		return resp, http.StatusNotFound, fmt.Errorf("unknown request key %s", freq.Key)
 	}
 	var matches []journalPoint
@@ -398,13 +380,11 @@ func (lc *lifecycle) accept(freq FeedbackRequest) (FeedbackResponse, int, error)
 	}
 	switch {
 	case len(matches) == 0:
-		lc.count("mismatch")
-		lc.rejected.Add(1)
+		lc.reject("mismatch")
 		return resp, http.StatusUnprocessableEntity,
 			fmt.Errorf("measured point does not match any point of the original request")
 	case len(matches) > 1:
-		lc.count("mismatch")
-		lc.rejected.Add(1)
+		lc.reject("mismatch")
 		return resp, http.StatusUnprocessableEntity,
 			fmt.Errorf("ambiguous point: the original request has %d matching points — specify variant, teams and threads", len(matches))
 	}
@@ -413,14 +393,12 @@ func (lc *lifecycle) accept(freq FeedbackRequest) (FeedbackResponse, int, error)
 
 	kind, err := kindByName(pt.variant)
 	if err != nil {
-		lc.count("error")
-		lc.rejected.Add(1)
+		lc.reject("error")
 		return resp, http.StatusInternalServerError, fmt.Errorf("rebuild variant: %v", err)
 	}
 	src, err := variants.Generate(je.kernel, kind, pt.teams, pt.threads)
 	if err != nil {
-		lc.count("error")
-		lc.rejected.Add(1)
+		lc.reject("error")
 		return resp, http.StatusInternalServerError, fmt.Errorf("rebuild variant source: %v", err)
 	}
 	rec := feedback.Record{
@@ -438,12 +416,10 @@ func (lc *lifecycle) accept(freq FeedbackRequest) (FeedbackResponse, int, error)
 		UnixNano:    time.Now().UnixNano(),
 	}
 	if err := lc.log.Append(rec); err != nil {
-		lc.count("error")
-		lc.rejected.Add(1)
+		lc.reject("error")
 		return resp, http.StatusInternalServerError, fmt.Errorf("append feedback: %v", err)
 	}
-	lc.count("accepted")
-	lc.accepted.Add(1)
+	lc.outcomes["accepted"].Inc()
 
 	pairs := lc.observe(je.machine, je.model, pred, freq.MeasuredUS)
 	resp = FeedbackResponse{
@@ -498,8 +474,8 @@ func (lc *lifecycle) observe(platform, model string, pred, meas float64) int {
 	}
 
 	startRetrain := false
-	if p.st.Candidate == "" && !p.retraining && lc.root != "" &&
-		lc.retrainAfter > 0 && p.sinceRetrain >= lc.retrainAfter {
+	if p.st.Candidate == "" && !p.retraining && lc.s.opts.RegistryRoot != "" &&
+		lc.s.opts.RetrainAfter > 0 && p.sinceRetrain >= lc.s.opts.RetrainAfter {
 		p.retraining = true
 		p.sinceRetrain = 0
 		startRetrain = true
@@ -525,7 +501,7 @@ func (lc *lifecycle) promoteLocked(p *platRollout, stableCorr, candCorr float64)
 		Event: "promote", Stable: cand, Candidate: "",
 		StableCorr: stableCorr, CandCorr: candCorr,
 	})
-	lc.promotions.Add(1)
+	lc.promotions.Inc()
 	lc.s.setDefault(p.st.Platform, cand)
 	lc.persistLocked(p)
 	lc.gcLocked(p)
@@ -546,7 +522,7 @@ func (lc *lifecycle) rollbackLocked(p *platRollout, stableCorr, candCorr float64
 		Event: "rollback", Stable: p.st.Stable, Candidate: cand,
 		StableCorr: stableCorr, CandCorr: candCorr,
 	})
-	lc.rollbacks.Add(1)
+	lc.rollbacks.Inc()
 	lc.persistLocked(p)
 	lc.s.logger.Warn("rollout: candidate rolled back", "platform", p.st.Platform,
 		"stable", p.st.Stable, "candidate", cand,
@@ -556,10 +532,10 @@ func (lc *lifecycle) rollbackLocked(p *platRollout, stableCorr, candCorr float64
 // persistLocked writes the platform's rollout state through to disk (a
 // no-op without a registry root). Caller holds lc.mu.
 func (lc *lifecycle) persistLocked(p *platRollout) {
-	if lc.root == "" {
+	if lc.s.opts.RegistryRoot == "" {
 		return
 	}
-	if err := registry.SaveRollout(lc.root, p.st); err != nil {
+	if err := registry.SaveRollout(lc.s.opts.RegistryRoot, p.st); err != nil {
 		lc.s.logger.Warn("rollout: persist state", "platform", p.st.Platform, "err", err)
 	}
 }
@@ -569,18 +545,18 @@ func (lc *lifecycle) persistLocked(p *platRollout) {
 // but a restart could not find would be a surprise waiting for that restart.
 // Caller holds lc.mu.
 func (lc *lifecycle) gcLocked(p *platRollout) {
-	if lc.root == "" || lc.gcKeep < 0 {
+	if lc.s.opts.RegistryRoot == "" || lc.s.opts.GCKeep < 0 {
 		return
 	}
-	res, err := registry.GC(lc.root, p.st.Platform,
-		[]string{p.st.Stable, p.st.Candidate}, registry.GCPolicy{KeepLast: lc.gcKeep})
+	res, err := registry.GC(lc.s.opts.RegistryRoot, p.st.Platform,
+		[]string{p.st.Stable, p.st.Candidate}, registry.GCPolicy{KeepLast: lc.s.opts.GCKeep})
 	if err != nil {
 		lc.s.logger.Warn("rollout: checkpoint gc", "platform", p.st.Platform, "err", err)
 	}
 	for _, name := range res.Removed {
 		lc.s.removeModel(p.st.Platform, name)
 		delete(p.windows, name)
-		lc.gcRemoved.Add(1)
+		lc.gcRemoved.Inc()
 	}
 	if len(res.Removed) > 0 {
 		lc.s.logger.Info("rollout: checkpoints pruned", "platform", p.st.Platform,
@@ -592,9 +568,9 @@ func (lc *lifecycle) gcLocked(p *platRollout) {
 // as the live candidate.
 func (lc *lifecycle) retrain(platform string) {
 	defer lc.wg.Done()
-	lc.retrains.Add(1)
+	lc.retrains.Inc()
 	if err := lc.runRetrain(platform); err != nil {
-		lc.retrainErrors.Add(1)
+		lc.retrainErrors.Inc()
 		lc.s.logger.Warn("rollout: retrain failed", "platform", platform, "err", err)
 	}
 	lc.mu.Lock()
@@ -615,15 +591,12 @@ func (lc *lifecycle) runRetrain(platform string) error {
 	}
 	// MinRecords follows the retrain pacing so small thresholds (tests,
 	// low-traffic tiers) are honored, capped at the registry default.
-	minRecords := lc.retrainAfter
-	if minRecords > 20 {
-		minRecords = 20
-	}
-	res, err := registry.RetrainFromFeedback(lc.root, platform, recs, registry.RetrainOptions{
-		SplitPct:   lc.split,
-		Epochs:     lc.retrainEpochs,
+	opts := lc.s.opts
+	res, err := registry.RetrainFromFeedback(opts.RegistryRoot, platform, recs, registry.RetrainOptions{
+		SplitPct:   opts.RolloutSplit,
+		Epochs:     opts.RetrainEpochs,
 		Seed:       time.Now().UnixNano(),
-		MinRecords: minRecords,
+		MinRecords: min(opts.RetrainAfter, 20),
 	})
 	if err != nil {
 		return err
@@ -656,7 +629,7 @@ func (lc *lifecycle) runRetrain(platform string) error {
 	lc.mu.Unlock()
 
 	lc.s.logger.Info("rollout: candidate adopted", "platform", platform,
-		"stable", res.Stable, "candidate", name, "split_pct", lc.split,
+		"stable", res.Stable, "candidate", name, "split_pct", lc.s.opts.RolloutSplit,
 		"train_samples", res.TrainSamples, "val_samples", res.ValSamples,
 		"val_rmse", res.FinalValRMSE)
 	return nil
@@ -703,13 +676,18 @@ type LifecycleStats struct {
 
 func (lc *lifecycle) stats() *LifecycleStats {
 	out := &LifecycleStats{
-		FeedbackAccepted: lc.accepted.Load(),
-		FeedbackRejected: lc.rejected.Load(),
-		Retrains:         lc.retrains.Load(),
-		RetrainErrors:    lc.retrainErrors.Load(),
-		Promotions:       lc.promotions.Load(),
-		Rollbacks:        lc.rollbacks.Load(),
-		GCRemoved:        lc.gcRemoved.Load(),
+		Retrains:      lc.retrains.Value(),
+		RetrainErrors: lc.retrainErrors.Value(),
+		Promotions:    lc.promotions.Value(),
+		Rollbacks:     lc.rollbacks.Value(),
+		GCRemoved:     lc.gcRemoved.Value(),
+	}
+	for oc, c := range lc.outcomes {
+		if oc == "accepted" {
+			out.FeedbackAccepted = c.Value()
+		} else {
+			out.FeedbackRejected += c.Value()
+		}
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
@@ -730,7 +708,7 @@ func (lc *lifecycle) stats() *LifecycleStats {
 			SinceRetrain: p.sinceRetrain,
 			Retraining:   p.retraining,
 		}
-		for _, name := range sortedWindowNames(p.windows) {
+		for _, name := range sortedKeys(p.windows) {
 			corr, n, total := p.windows[name].Snapshot()
 			mq := ModelQuality{Name: name, Pairs: n, Total: total}
 			if !math.IsNaN(corr) {
@@ -782,13 +760,4 @@ func (lc *lifecycle) collectRollout(visit func(platform string, p *platRollout))
 			visit(platform, p)
 		}
 	}
-}
-
-func sortedWindowNames(ws map[string]*registry.QualityWindow) []string {
-	names := make([]string, 0, len(ws))
-	for name := range ws {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -388,7 +388,6 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 		RetrainEpochs:     1,
 		MinQualitySamples: 5,
 		PromoteAfter:      3,
-		RollbackAfter:     3,
 		GCKeep:            -1, // keep nothing beyond stable/candidate
 	})
 	if err != nil {
@@ -412,7 +411,7 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 	var cand string
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		if n := s.lifecycle.retrainErrors.Load(); n > 0 {
+		if n := s.lifecycle.retrainErrors.Value(); n > 0 {
 			t.Fatal("background retrain failed (see log)")
 		}
 		st := lcStats(t, s)
@@ -463,7 +462,7 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 		if _, rec := postFeedback(t, s, FeedbackRequest{Key: pr.Key, MeasuredUS: pr.PredictedUS}); rec.Code != http.StatusOK {
 			t.Fatalf("phase-2 feedback %d: %d %s", i, rec.Code, rec.Body.String())
 		}
-		promoted = s.lifecycle.promotions.Load() > 0
+		promoted = s.lifecycle.promotions.Value() > 0
 	}
 	if !promoted {
 		t.Fatalf("candidate never promoted (served %d of 35 measured requests)", candServed)
@@ -542,7 +541,6 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 		RetrainAfter:      1 << 30, // keep the retrain path out of this test
 		MinQualitySamples: 5,
 		PromoteAfter:      3,
-		RollbackAfter:     2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +562,7 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 		if _, rec := postFeedback(t, s, FeedbackRequest{Key: pr.Key, MeasuredUS: meas}); rec.Code != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body.String())
 		}
-		if rolledAt < 0 && s.lifecycle.rollbacks.Load() > 0 {
+		if rolledAt < 0 && s.lifecycle.rollbacks.Value() > 0 {
 			rolledAt = i
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -82,7 +83,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	c := s.cluster
 	if peer != c.self {
-		c.joinsIn.Add(1)
+		c.joinsIn.Inc()
 	}
 	view := c.mem.Join(peer)
 	s.writeJSON(w, http.StatusOK, view)
@@ -106,7 +107,7 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c := s.cluster
-	c.gossipIn.Add(1)
+	c.gossipIn.Inc()
 	c.mem.Observe(view.From)
 	c.mem.Merge(view)
 	s.writeJSON(w, http.StatusOK, c.mem.View())
@@ -122,7 +123,7 @@ func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cluster.drainTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), drainTimeout)
 	defer cancel()
 	report := s.DrainCluster(ctx)
 	s.writeJSON(w, http.StatusOK, report)
@@ -238,12 +239,12 @@ func (s *Server) tryJoin() bool {
 		status, resp, err := c.fwd.Control(ctx, http.MethodPost, seed, "/v1/cluster/join", body)
 		cancel()
 		if err != nil || status/100 != 2 {
-			c.gossipErrs.Add(1)
+			c.gossipErrs.Inc()
 			continue
 		}
 		var view shard.View
 		if err := json.Unmarshal(resp, &view); err != nil {
-			c.gossipErrs.Add(1)
+			c.gossipErrs.Inc()
 			continue
 		}
 		c.mem.Merge(view)
@@ -298,17 +299,17 @@ func (s *Server) gossipOnce(ctx context.Context) {
 			defer cancel()
 			status, resp, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", body)
 			if err != nil || status/100 != 2 {
-				c.gossipErrs.Add(1)
+				c.gossipErrs.Inc()
 				return
 			}
 			var remote shard.View
 			if err := json.Unmarshal(resp, &remote); err != nil {
-				c.gossipErrs.Add(1)
+				c.gossipErrs.Inc()
 				return
 			}
 			c.mem.Observe(peer)
 			c.mem.Merge(remote)
-			c.gossipOut.Add(1)
+			c.gossipOut.Inc()
 		}(peer)
 	}
 	wg.Wait()
@@ -358,19 +359,19 @@ func (s *Server) antiEntropyOnce(ctx context.Context) {
 		status, body, err := c.fwd.Control(hopCtx, http.MethodGet, peer, "/v1/cluster/keys", nil)
 		cancel()
 		if err != nil || status/100 != 2 {
-			c.aeErrs.Add(1)
+			c.aeErrs.Inc()
 			continue
 		}
 		var resp clusterKeysResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
-			c.aeErrs.Add(1)
+			c.aeErrs.Inc()
 			continue
 		}
 		for _, key := range resp.Keys {
 			if local[key] {
 				continue
 			}
-			if !ownersContain(ring.Owners(key, c.rf), c.self) {
+			if !slices.Contains(ring.Owners(key, c.rf), c.self) {
 				continue
 			}
 			missing[key] = append(missing[key], peer)
@@ -391,15 +392,15 @@ func (s *Server) antiEntropyOnce(ctx context.Context) {
 				defer wg.Done()
 				defer func() { <-sem }()
 				if s.pullEntry(ctx, key, holders) {
-					c.aeRefills.Add(1)
+					c.aeRefills.Inc()
 				} else {
-					c.aeErrs.Add(1)
+					c.aeErrs.Inc()
 				}
 			}(key, missing[key])
 		}
 		wg.Wait()
 	}
-	c.aeSweeps.Add(1)
+	c.aeSweeps.Inc()
 	c.lastSweepUnix.Store(time.Now().Unix())
 }
 
@@ -438,16 +439,6 @@ func (s *Server) fetchEntry(ctx context.Context, key string, peers []string, tim
 	return nil, "", false
 }
 
-// ownersContain reports whether owners includes name.
-func ownersContain(owners []string, name string) bool {
-	for _, o := range owners {
-		if o == name {
-			return true
-		}
-	}
-	return false
-}
-
 // --- read repair ---
 
 // repairedEntry marks a singleflight value that was pulled from a
@@ -472,11 +463,11 @@ func (s *Server) tryRepair(ctx context.Context, tr *obs.Trace, key string, owner
 	defer sp.End()
 	val, from, ok := s.fetchEntry(ctx, key, owners, 2*time.Second)
 	if !ok {
-		c.repairMisses.Add(1)
+		c.repairMisses.Inc()
 		sp.Annotate("miss")
 		return nil, false
 	}
-	c.readRepairs.Add(1)
+	c.readRepairs.Inc()
 	sp.Annotate(from)
 	return val, true
 }
@@ -554,7 +545,7 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 				hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat+5*time.Second)
 				defer cancel()
 				if _, _, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", view); err != nil {
-					c.gossipErrs.Add(1)
+					c.gossipErrs.Inc()
 				}
 			}(peer)
 		}
@@ -574,7 +565,7 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 	// restores full replica fan-out in one pass.
 	perTarget := map[string][]CacheItem{}
 	for _, it := range s.adviseCache.Items() {
-		if !ownersContain(oldRing.Owners(it.Key, c.rf), c.self) {
+		if !slices.Contains(oldRing.Owners(it.Key, c.rf), c.self) {
 			continue
 		}
 		report.OwnedKeys++

@@ -15,7 +15,7 @@ import (
 // elasticHeartbeat is the gossip interval for the elastic-membership tests:
 // fast enough that joins, evictions and anti-entropy sweeps land within a
 // test's patience, slow enough that loaded CI machines don't false-evict
-// (EvictAfter defaults to 10x this).
+// (a member is evicted after 10x this).
 const elasticHeartbeat = 25 * time.Millisecond
 
 // elasticPeer is one live peer of an elastic cluster: unlike clusterPeer,
@@ -62,16 +62,18 @@ func bootElasticPeer(t *testing.T, addr string, cfg ClusterConfig) *elasticPeer 
 	t.Helper()
 	ln := listenOn(t, addr)
 	s := newTestServer(t)
-	hs := &httptest.Server{Listener: ln, Config: &http.Server{Handler: s.Handler()}}
-	hs.Start()
-	t.Cleanup(hs.Close)
 	cfg.Self = "http://" + ln.Addr().String()
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = elasticHeartbeat
 	}
+	// Cluster mode is on before the first request can arrive: handlers
+	// read s.cluster, which EnableCluster writes.
 	if err := s.EnableCluster(cfg); err != nil {
 		t.Fatal(err)
 	}
+	hs := &httptest.Server{Listener: ln, Config: &http.Server{Handler: s.Handler()}}
+	hs.Start()
+	t.Cleanup(hs.Close)
 	return &elasticPeer{srv: s, hs: hs, url: cfg.Self}
 }
 
@@ -88,9 +90,6 @@ func startElasticCluster(t *testing.T, n, rf int, cfg ClusterConfig) []*elasticP
 	peers := make([]*elasticPeer, n)
 	for i := range peers {
 		s := newTestServer(t)
-		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: s.Handler()}}
-		hs.Start()
-		t.Cleanup(hs.Close)
 		c := cfg
 		c.Self = urls[i]
 		c.Peers = urls
@@ -98,9 +97,12 @@ func startElasticCluster(t *testing.T, n, rf int, cfg ClusterConfig) []*elasticP
 		if c.Heartbeat == 0 {
 			c.Heartbeat = elasticHeartbeat
 		}
-		if err := s.EnableCluster(c); err != nil {
+		if err := s.EnableCluster(c); err != nil { // before serving, as in bootElasticPeer
 			t.Fatal(err)
 		}
+		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: s.Handler()}}
+		hs.Start()
+		t.Cleanup(hs.Close)
 		peers[i] = &elasticPeer{srv: s, hs: hs, url: urls[i]}
 	}
 	return peers
@@ -140,7 +142,7 @@ func waitRingSize(t *testing.T, peers []*elasticPeer, want int) {
 func totalReplicatedIn(peers []*elasticPeer) uint64 {
 	var n uint64
 	for _, p := range peers {
-		n += p.srv.cluster.replicatedIn.Load()
+		n += p.srv.cluster.replicatedIn.Value()
 	}
 	return n
 }
@@ -157,7 +159,7 @@ func TestClusterJoinViaSeed(t *testing.T) {
 	if !joiner.srv.cluster.joined.Load() {
 		t.Error("joiner never marked itself admitted")
 	}
-	if seed.srv.cluster.joinsIn.Load() == 0 {
+	if seed.srv.cluster.joinsIn.Value() == 0 {
 		t.Error("seed admitted nobody")
 	}
 	sr, jr := seed.srv.Ring(), joiner.srv.Ring()
@@ -305,8 +307,8 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 }
 
 // TestClusterEvictsSilentPeer: a crashed peer (no drain, no goodbye) is
-// declared dead after EvictAfter and drops out of the survivors' rings; the
-// tier keeps serving its keys by fallback.
+// declared dead after 10 silent heartbeats and drops out of the survivors'
+// rings; the tier keeps serving its keys by fallback.
 func TestClusterEvictsSilentPeer(t *testing.T) {
 	peers := startElasticCluster(t, 3, 1, ClusterConfig{})
 	peers[2].kill()
@@ -367,14 +369,14 @@ func TestClusterReadRepairServesOwnedMiss(t *testing.T) {
 	if len(resp.Recommendations) != 1 || resp.Recommendations[0].PredictedUS != 123.5 {
 		t.Fatalf("response %+v did not come from the planted co-owner entry", resp.Recommendations)
 	}
-	if got := a.srv.cluster.readRepairs.Load(); got != 1 {
+	if got := a.srv.cluster.readRepairs.Value(); got != 1 {
 		t.Errorf("read repairs = %d, want 1", got)
 	}
 	// The repair warmed A: the replay is a plain local hit.
 	if again := postAdvise(t, a.url, req); !again.Cached {
 		t.Error("repaired entry did not stick in the local cache")
 	}
-	if got := a.srv.cluster.readRepairs.Load(); got != 1 {
+	if got := a.srv.cluster.readRepairs.Value(); got != 1 {
 		t.Errorf("replay repaired again (%d), want the local cache to answer", got)
 	}
 }
@@ -430,7 +432,7 @@ func TestClusterAntiEntropyWarmsJoinedPeer(t *testing.T) {
 		}
 		return true
 	})
-	if got := joiner.srv.cluster.aeRefills.Load(); got < uint64(len(owned)) {
+	if got := joiner.srv.cluster.aeRefills.Value(); got < uint64(len(owned)) {
 		t.Errorf("anti-entropy refills = %d, want >= %d", got, len(owned))
 	}
 	view := joiner.srv.Ring()

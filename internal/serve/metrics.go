@@ -28,9 +28,12 @@ type endpointInstruments struct {
 
 // serveMetrics is the server's metric surface: every series /metrics
 // exposes, built on the same instruments /v1/stats snapshots — one source
-// of truth, two renderings. Instruments the request path writes are
-// registry-owned (lock-free); everything else (cache, fair queue, batchers,
-// cluster) is read from its owning component at scrape time.
+// of truth, two renderings. Every count the serving tier keeps itself is
+// one lock-free instrument: created here (request, cluster and lifecycle
+// counters) or owned by a model version and registered here (its batcher's
+// and traffic instruments). Components with their own state (cache, fair
+// queue, job store, forwarder, membership, tracer) are read at scrape
+// time.
 type serveMetrics struct {
 	reg       *obs.Registry
 	endpoints map[string]*endpointInstruments
@@ -188,48 +191,41 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 		"Samples per model call (an advise grid is one call), by model.", labels, ms.batcher.sizes)
 	m.reg.CounterFunc("serve_batcher_batches_total",
 		"Model calls, by model.", labels,
-		func() float64 { return float64(ms.batcher.Stats().Batches) })
-	m.reg.CounterFunc("serve_batcher_cancelled_total",
+		func() float64 { return float64(ms.batcher.sizes.Count()) })
+	m.reg.RegisterCounter("serve_batcher_cancelled_total",
 		"Model calls abandoned by their context before the engine ran, by model.", labels,
-		func() float64 { return float64(ms.batcher.cancelled.Load()) })
+		ms.batcher.cancelled)
 	m.reg.RegisterHistogram("serve_advise_eval_seconds",
 		"Whole cold advise evaluations (front end, one model call, rank); the median is admission's advise cost. By model.",
 		labels, ms.adviseEval)
 	m.reg.RegisterHistogram("serve_predict_eval_seconds",
 		"Whole cold /v1/predict evaluations (generate, front end, a model call of one); the median is admission's predict cost. By model.",
 		labels, ms.predictEval)
-	m.reg.CounterFunc("serve_model_advise_total",
-		"Advise responses computed or served, by model.", labels,
-		func() float64 { return float64(ms.advise.Load()) })
-	m.reg.CounterFunc("serve_model_predict_total",
-		"Predict responses computed or served, by model.", labels,
-		func() float64 { return float64(ms.predict.Load()) })
+	m.reg.RegisterCounter("serve_model_advise_total",
+		"Advise responses computed or served, by model.", labels, ms.advise)
+	m.reg.RegisterCounter("serve_model_predict_total",
+		"Predict responses computed or served, by model.", labels, ms.predict)
 }
 
-// registerLifecycle adds the feedback→retrain→rollout series. Per-platform
-// and per-model rollout gauges are discovered at scrape time (CollectFunc):
-// candidates come and go with retrains.
+// registerLifecycle adds the feedback→retrain→rollout series, creating lc's
+// counters. Per-platform and per-model rollout gauges are discovered at
+// scrape time (CollectFunc): candidates come and go with retrains.
 func (m *serveMetrics) registerLifecycle(lc *lifecycle) {
 	lc.outcomes = map[string]*obs.Counter{}
 	for _, oc := range feedbackOutcomes {
 		lc.outcomes[oc] = m.reg.Counter("serve_feedback_total",
 			"Feedback submissions, by outcome.", obs.L("outcome", oc))
 	}
-	m.reg.CounterFunc("serve_retrains_total",
-		"Background retrains started from accumulated feedback.", nil,
-		func() float64 { return float64(lc.retrains.Load()) })
-	m.reg.CounterFunc("serve_retrain_errors_total",
-		"Background retrains that failed.", nil,
-		func() float64 { return float64(lc.retrainErrors.Load()) })
-	m.reg.CounterFunc("serve_promotions_total",
-		"Candidates promoted to stable.", nil,
-		func() float64 { return float64(lc.promotions.Load()) })
-	m.reg.CounterFunc("serve_rollbacks_total",
-		"Candidates rolled back for regressing measured quality.", nil,
-		func() float64 { return float64(lc.rollbacks.Load()) })
-	m.reg.CounterFunc("serve_gc_removed_total",
-		"Superseded checkpoint versions pruned after promotion.", nil,
-		func() float64 { return float64(lc.gcRemoved.Load()) })
+	lc.retrains = m.reg.Counter("serve_retrains_total",
+		"Background retrains started from accumulated feedback.", nil)
+	lc.retrainErrors = m.reg.Counter("serve_retrain_errors_total",
+		"Background retrains that failed.", nil)
+	lc.promotions = m.reg.Counter("serve_promotions_total",
+		"Candidates promoted to stable.", nil)
+	lc.rollbacks = m.reg.Counter("serve_rollbacks_total",
+		"Candidates rolled back for regressing measured quality.", nil)
+	lc.gcRemoved = m.reg.Counter("serve_gc_removed_total",
+		"Superseded checkpoint versions pruned after promotion.", nil)
 	m.reg.CollectFunc("serve_rollout_stage",
 		"Rollout stage, by platform: 0 stable-only, 1 candidate taking traffic.", "gauge",
 		func(emit func(obs.Labels, float64)) {
@@ -256,7 +252,7 @@ func (m *serveMetrics) registerLifecycle(lc *lifecycle) {
 		"Windowed Spearman rank correlation between predicted and measured runtimes, by model.", "gauge",
 		func(emit func(obs.Labels, float64)) {
 			lc.collectRollout(func(platform string, p *platRollout) {
-				for _, name := range sortedWindowNames(p.windows) {
+				for _, name := range sortedKeys(p.windows) {
 					corr, _, _ := p.windows[name].Snapshot()
 					if !math.IsNaN(corr) {
 						emit(obs.L("platform", platform, "model", name), corr)
@@ -268,7 +264,7 @@ func (m *serveMetrics) registerLifecycle(lc *lifecycle) {
 		"Measured (predicted, measured) pairs in the quality window, by model.", "gauge",
 		func(emit func(obs.Labels, float64)) {
 			lc.collectRollout(func(platform string, p *platRollout) {
-				for _, name := range sortedWindowNames(p.windows) {
+				for _, name := range sortedKeys(p.windows) {
 					_, n, _ := p.windows[name].Snapshot()
 					emit(obs.L("platform", platform, "model", name), float64(n))
 				}
@@ -276,28 +272,23 @@ func (m *serveMetrics) registerLifecycle(lc *lifecycle) {
 		})
 }
 
-// registerCluster adds the cluster-mode series. Per-peer forward counters
-// are discovered at scrape time (peers appear once traffic reaches them),
-// hence CollectFunc rather than fixed series.
+// registerCluster adds the cluster-mode series, creating c's counters (c
+// must not be visible to handlers before it returns). Per-peer forward
+// counters are discovered at scrape time (peers appear once traffic reaches
+// them), hence CollectFunc rather than fixed series.
 func (m *serveMetrics) registerCluster(c *cluster) {
-	m.reg.CounterFunc("serve_cluster_forwarded_in_total",
-		"Requests received already forwarded by a peer.", nil,
-		func() float64 { return float64(c.forwardedIn.Load()) })
-	m.reg.CounterFunc("serve_cluster_local_fallbacks_total",
-		"Requests served locally because every owner was unreachable.", nil,
-		func() float64 { return float64(c.fallbacks.Load()) })
-	m.reg.CounterFunc("serve_cluster_replica_hits_total",
-		"Forwards answered by a replica after the primary owner failed.", nil,
-		func() float64 { return float64(c.replicaHits.Load()) })
-	m.reg.CounterFunc("serve_cluster_replication_writes_total",
-		"Cache entries enqueued for write-through to replicas.", nil,
-		func() float64 { return float64(c.repWrites.Load()) })
-	m.reg.CounterFunc("serve_cluster_replication_drops_total",
-		"Write-throughs dropped because the async queue was full.", nil,
-		func() float64 { return float64(c.repDrops.Load()) })
-	m.reg.CounterFunc("serve_cluster_replicated_in_total",
-		"Cache entries accepted via POST /v1/replicate.", nil,
-		func() float64 { return float64(c.replicatedIn.Load()) })
+	c.forwardedIn = m.reg.Counter("serve_cluster_forwarded_in_total",
+		"Requests received already forwarded by a peer.", nil)
+	c.fallbacks = m.reg.Counter("serve_cluster_local_fallbacks_total",
+		"Requests served locally because every owner was unreachable.", nil)
+	c.replicaHits = m.reg.Counter("serve_cluster_replica_hits_total",
+		"Forwards answered by a replica after the primary owner failed.", nil)
+	c.repWrites = m.reg.Counter("serve_cluster_replication_writes_total",
+		"Cache entries enqueued for write-through to replicas.", nil)
+	c.repDrops = m.reg.Counter("serve_cluster_replication_drops_total",
+		"Write-throughs dropped because the async queue was full.", nil)
+	c.replicatedIn = m.reg.Counter("serve_cluster_replicated_in_total",
+		"Cache entries accepted via POST /v1/replicate.", nil)
 	m.reg.GaugeFunc("serve_cluster_replication_queue_depth",
 		"Write-throughs waiting in the async queue.", nil,
 		func() float64 { return float64(c.fwd.Async().Queued) })
@@ -338,68 +329,41 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 			}
 			return 0
 		})
-	m.reg.CounterFunc("serve_cluster_joins_total",
-		"Join requests admitted by this peer.", nil,
-		func() float64 { return float64(c.joinsIn.Load()) })
-	m.reg.CounterFunc("serve_cluster_gossip_sent_total",
-		"Gossip exchanges this peer initiated and completed.", nil,
-		func() float64 { return float64(c.gossipOut.Load()) })
-	m.reg.CounterFunc("serve_cluster_gossip_received_total",
-		"Gossip exchanges answered.", nil,
-		func() float64 { return float64(c.gossipIn.Load()) })
-	m.reg.CounterFunc("serve_cluster_gossip_errors_total",
-		"Failed gossip or join exchanges.", nil,
-		func() float64 { return float64(c.gossipErrs.Load()) })
+	c.joinsIn = m.reg.Counter("serve_cluster_joins_total",
+		"Join requests admitted by this peer.", nil)
+	c.gossipOut = m.reg.Counter("serve_cluster_gossip_sent_total",
+		"Gossip exchanges this peer initiated and completed.", nil)
+	c.gossipIn = m.reg.Counter("serve_cluster_gossip_received_total",
+		"Gossip exchanges answered.", nil)
+	c.gossipErrs = m.reg.Counter("serve_cluster_gossip_errors_total",
+		"Failed gossip or join exchanges.", nil)
 	m.reg.CounterFunc("serve_cluster_evictions_total",
 		"Members this peer declared dead after missed heartbeats.", nil,
 		func() float64 { return float64(c.mem.Counters().Evictions) })
 	m.reg.CounterFunc("serve_cluster_refutations_total",
 		"Times this peer refuted its own death or departure.", nil,
 		func() float64 { return float64(c.mem.Counters().Refutations) })
-	m.reg.CounterFunc("serve_cluster_pruned_clients_total",
-		"Idle peer HTTP clients closed after members left the ring.", nil,
-		func() float64 { return float64(c.pruned.Load()) })
-	m.reg.CounterFunc("serve_cluster_anti_entropy_sweeps_total",
-		"Anti-entropy sweeps completed.", nil,
-		func() float64 { return float64(c.aeSweeps.Load()) })
-	m.reg.CounterFunc("serve_cluster_anti_entropy_refills_total",
-		"Missing owned entries refilled from peer caches by anti-entropy.", nil,
-		func() float64 { return float64(c.aeRefills.Load()) })
-	m.reg.CounterFunc("serve_cluster_anti_entropy_errors_total",
-		"Failed anti-entropy fetches.", nil,
-		func() float64 { return float64(c.aeErrs.Load()) })
-	m.reg.CounterFunc("serve_cluster_read_repairs_total",
-		"Owned misses answered from a co-owner's cache on the request path.", nil,
-		func() float64 { return float64(c.readRepairs.Load()) })
-	m.reg.CounterFunc("serve_cluster_read_repair_misses_total",
-		"Read-repair attempts where no co-owner held the entry.", nil,
-		func() float64 { return float64(c.repairMisses.Load()) })
-	m.reg.CounterFunc("serve_cluster_drained_out_total",
-		"Cache entries streamed to new owners during planned departure.", nil,
-		func() float64 { return float64(c.drainedOut.Load()) })
-}
-
-// statusClass folds an HTTP status into its class label ("4xx", "5xx").
-func statusClass(status int) string {
-	switch status / 100 {
-	case 2:
-		return "2xx"
-	case 3:
-		return "3xx"
-	case 4:
-		return "4xx"
-	case 5:
-		return "5xx"
-	default:
-		return fmt.Sprintf("%dxx", status/100)
-	}
+	c.pruned = m.reg.Counter("serve_cluster_pruned_clients_total",
+		"Idle peer HTTP clients closed after members left the ring.", nil)
+	c.aeSweeps = m.reg.Counter("serve_cluster_anti_entropy_sweeps_total",
+		"Anti-entropy sweeps completed.", nil)
+	c.aeRefills = m.reg.Counter("serve_cluster_anti_entropy_refills_total",
+		"Missing owned entries refilled from peer caches by anti-entropy.", nil)
+	c.aeErrs = m.reg.Counter("serve_cluster_anti_entropy_errors_total",
+		"Failed anti-entropy fetches.", nil)
+	c.readRepairs = m.reg.Counter("serve_cluster_read_repairs_total",
+		"Owned misses answered from a co-owner's cache on the request path.", nil)
+	c.repairMisses = m.reg.Counter("serve_cluster_read_repair_misses_total",
+		"Read-repair attempts where no co-owner held the entry.", nil)
+	c.drainedOut = m.reg.Counter("serve_cluster_drained_out_total",
+		"Cache entries streamed to new owners during planned departure.", nil)
 }
 
 // errorCounter returns (creating on first use) the serve_errors_total
-// series for one endpoint and status class. Lazy because the full
-// endpoint × class product would be mostly dead series.
+// series for one endpoint and status class ("4xx", "5xx"). Lazy because
+// the full endpoint × class product would be mostly dead series.
 func (m *serveMetrics) errorCounter(endpoint string, status int) *obs.Counter {
-	class := statusClass(status)
+	class := fmt.Sprintf("%dxx", status/100)
 	key := endpoint + "\x00" + class
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -5,11 +5,17 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"paragraph/internal/hw"
 	"paragraph/internal/obs"
+	"paragraph/internal/shard"
 )
 
 // metricsLine matches one sample line of the Prometheus text exposition
@@ -198,5 +204,253 @@ func TestErrorAccountingByEndpointAndClass(t *testing.T) {
 	}
 	if st.Requests.Advise != 2 {
 		t.Errorf("stats advise requests = %d, want 2 (failed requests count as received)", st.Requests.Advise)
+	}
+}
+
+// surfaceServer is the same-surface goldens' server: the oracle backends
+// with the feedback lifecycle on, in cluster mode as a one-member ring at
+// RF 2 with its background loops off (nothing to reach, nothing timed),
+// after a fixed request script — three advises (two cold, one repeat that
+// hits the cache, one arriving forwarded by a peer), two accepted
+// measurements, one mismatched measurement, one gossip exchange.
+func surfaceServer(t *testing.T) *Server {
+	t.Helper()
+	s, err := NewServer([]Backend{
+		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
+		{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()},
+	}, Options{FeedbackDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	const self = "http://127.0.0.1:1"
+	if err := s.EnableCluster(ClusterConfig{Self: self, Peers: []string{self}, Replication: 2, Heartbeat: -1}); err != nil {
+		t.Fatal(err)
+	}
+	var first AdviseResponse
+	if rec := do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), &first); rec.Code != http.StatusOK {
+		t.Fatalf("advise: %d %s", rec.Code, rec.Body.String())
+	}
+	do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), nil)
+	forwarded := adviseReq("NVIDIA V100 (GPU)")
+	forwarded.Bindings = map[string]float64{"n": 512}
+	if rec := doH(t, s, http.MethodPost, "/v1/advise", forwarded,
+		map[string]string{shard.ForwardedByHeader: self}); rec.Code != http.StatusOK {
+		t.Fatalf("forwarded advise: %d %s", rec.Code, rec.Body.String())
+	}
+	for _, r := range first.Recommendations[:2] {
+		if _, rec := postFeedback(t, s, FeedbackRequest{
+			Key: first.Key, Variant: r.Variant, Teams: r.Teams, Threads: r.Threads, MeasuredUS: 100,
+		}); rec.Code != http.StatusOK {
+			t.Fatalf("feedback: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	if _, rec := postFeedback(t, s, FeedbackRequest{Key: first.Key, Variant: "cpu", MeasuredUS: 100}); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("mismatched feedback: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s, http.MethodPost, "/v1/cluster/gossip", shard.View{From: self}, nil); rec.Code != http.StatusOK {
+		t.Fatalf("gossip: %d %s", rec.Code, rec.Body.String())
+	}
+	return s
+}
+
+// metricSeries parses an exposition into its series: "TYPE name{labels}"
+// per series (a histogram once, without its le buckets) and the value of
+// every counter and gauge sample keyed by "name{labels}".
+func metricSeries(out string) (series []string, values map[string]float64) {
+	values = map[string]float64{}
+	seen := map[string]bool{}
+	types := map[string]string{}
+	le := regexp.MustCompile(`,?le="[^"]*"`)
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		id := line[:i]
+		name, labels, _ := strings.Cut(id, "{")
+		typ := types[name]
+		if typ == "" { // a histogram's _bucket, _sum or _count sample
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(name, suffix); base != name && types[base] == "histogram" {
+					name, typ = base, "histogram"
+				}
+			}
+			labels = strings.TrimPrefix(le.ReplaceAllString("{"+labels, "{"), "{")
+		} else if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			values[id] = v
+		}
+		key := typ + " " + name
+		if labels = strings.TrimSuffix(labels, "}"); labels != "" {
+			key += "{" + labels + "}"
+		}
+		if !seen[key] {
+			seen[key] = true
+			series = append(series, key)
+		}
+	}
+	sort.Strings(series)
+	return series, values
+}
+
+// jsonKeyPaths lists every object key path in a JSON document, arrays
+// folded to "[]", sorted.
+func jsonKeyPaths(t *testing.T, raw []byte) []string {
+	t.Helper()
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, child := range v {
+				seen[prefix+"."+k] = true
+				walk(prefix+"."+k, child)
+			}
+		case []any:
+			for _, child := range v {
+				walk(prefix+"[]", child)
+			}
+		}
+	}
+	walk("", doc)
+	paths := make([]string, 0, len(seen))
+	for p := range seen {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// surfaceText renders the surface TestServingSurfaceGolden pins.
+func surfaceText(t *testing.T, s *Server) string {
+	t.Helper()
+	series, _ := metricSeries(scrapeMetrics(t, s))
+	var b strings.Builder
+	b.WriteString("# /metrics series\n")
+	for _, l := range series {
+		b.WriteString(l + "\n")
+	}
+	for _, path := range []string{"/v1/stats", "/v1/ring"} {
+		rec := do(t, s, http.MethodGet, path, nil, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		b.WriteString("# " + path + " keys\n")
+		for _, p := range jsonKeyPaths(t, rec.Body.Bytes()) {
+			b.WriteString(p + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestServingSurfaceGolden pins what the serving tier exposes — the
+// /metrics series with their label sets and types, and the key paths of
+// /v1/stats and /v1/ring — after surfaceServer's script, against
+// testdata/surface.golden. A series or key that appears, vanishes or
+// changes type is a change to the operator-facing surface and must be
+// made deliberately, by rewriting the golden.
+func TestServingSurfaceGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "surface.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := surfaceText(t, surfaceServer(t)); got != string(want) {
+		gotLines, wantLines := map[string]bool{}, map[string]bool{}
+		for _, l := range strings.Split(got, "\n") {
+			gotLines[l] = true
+		}
+		for _, l := range strings.Split(string(want), "\n") {
+			wantLines[l] = true
+			if !gotLines[l] {
+				t.Errorf("surface lost %q", l)
+			}
+		}
+		for _, l := range strings.Split(got, "\n") {
+			if !wantLines[l] {
+				t.Errorf("surface gained %q", l)
+			}
+		}
+	}
+}
+
+// TestServingCountsAgree reads every count surfaceServer's script moves,
+// and the cluster and lifecycle counts it leaves at zero, from /metrics
+// and from the JSON views, and requires both to equal the script's value.
+func TestServingCountsAgree(t *testing.T) {
+	s := surfaceServer(t)
+	_, metrics := metricSeries(scrapeMetrics(t, s))
+	st := lcStats(t, s)
+	var v100 ModelStats
+	for _, m := range st.Models {
+		if m.Platform == "NVIDIA V100 (GPU)" {
+			v100 = m
+		}
+	}
+	cl, lc := st.Cluster, st.Lifecycle
+	model := `{platform="NVIDIA V100 (GPU)",model="default"}`
+	const rejected = "serve_feedback_total, every outcome but accepted"
+	for _, oc := range []string{"unknown_key", "mismatch", "invalid", "error"} {
+		metrics[rejected] += metrics[`serve_feedback_total{outcome="`+oc+`"}`]
+	}
+	for _, c := range []struct {
+		series string
+		json   uint64 // the JSON reading
+		want   uint64
+	}{
+		{`serve_requests_total{endpoint="advise"}`, st.Requests.Advise, 3},
+		{`serve_requests_total{endpoint="feedback"}`, st.Requests.Feedback, 3},
+		{`serve_requests_total{endpoint="cluster"}`, st.Requests.Cluster, 1},
+		{"serve_advise_cache_hits_total", st.AdviseCacheHits, 1},
+		{"serve_coalesced_total", st.Coalesced, 0},
+		{`serve_cache_hits_total{cache="advise"}`, st.AdviseCache.Hits, 1},
+		{`serve_cache_misses_total{cache="advise"}`, st.AdviseCache.Misses, 2},
+		{"serve_admit_admitted_total", st.Admit.Admitted, 2},
+		{"serve_model_advise_total" + model, v100.Advise, 3},
+		{"serve_model_predict_total" + model, v100.Predict, 0},
+		{"serve_batcher_batches_total" + model, v100.Batcher.Batches, 2},
+		{"serve_batcher_cancelled_total" + model, v100.Batcher.Cancelled, 0},
+		{`serve_feedback_total{outcome="accepted"}`, lc.FeedbackAccepted, 2},
+		{rejected, lc.FeedbackRejected, 1},
+		{"serve_retrains_total", lc.Retrains, 0},
+		{"serve_retrain_errors_total", lc.RetrainErrors, 0},
+		{"serve_promotions_total", lc.Promotions, 0},
+		{"serve_rollbacks_total", lc.Rollbacks, 0},
+		{"serve_gc_removed_total", lc.GCRemoved, 0},
+		{"serve_cluster_forwarded_in_total", cl.ForwardedIn, 1},
+		{"serve_cluster_local_fallbacks_total", cl.LocalFallbacks, 0},
+		{"serve_cluster_replica_hits_total", cl.Replication.ReplicaHits, 0},
+		{"serve_cluster_replication_writes_total", cl.Replication.Writes, 0},
+		{"serve_cluster_replication_drops_total", cl.Replication.WriteDrops, 0},
+		{"serve_cluster_replicated_in_total", cl.Replication.ReplicatedIn, 0},
+		{"serve_cluster_joins_total", cl.Membership.JoinsIn, 0},
+		{"serve_cluster_gossip_sent_total", cl.Membership.GossipSent, 0},
+		{"serve_cluster_gossip_received_total", cl.Membership.GossipReceived, 1},
+		{"serve_cluster_gossip_errors_total", cl.Membership.GossipErrors, 0},
+		{"serve_cluster_evictions_total", cl.Membership.Evictions, 0},
+		{"serve_cluster_refutations_total", cl.Membership.Refutations, 0},
+		{"serve_cluster_pruned_clients_total", cl.Membership.PrunedClients, 0},
+		{"serve_cluster_drained_out_total", cl.Membership.DrainedOut, 0},
+		{"serve_cluster_anti_entropy_sweeps_total", cl.AntiEntropy.Sweeps, 0},
+		{"serve_cluster_anti_entropy_refills_total", cl.AntiEntropy.Refilled, 0},
+		{"serve_cluster_anti_entropy_errors_total", cl.AntiEntropy.Errors, 0},
+		{"serve_cluster_read_repairs_total", cl.AntiEntropy.ReadRepairs, 0},
+		{"serve_cluster_read_repair_misses_total", cl.AntiEntropy.RepairMisses, 0},
+	} {
+		m, ok := metrics[c.series]
+		if !ok {
+			t.Errorf("%s: not in /metrics", c.series)
+			continue
+		}
+		if m != float64(c.want) || c.json != c.want {
+			t.Errorf("%s: /metrics %v, JSON %d, want %d", c.series, m, c.json, c.want)
+		}
 	}
 }

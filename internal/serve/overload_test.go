@@ -189,7 +189,7 @@ func TestOverloadShedsAtQueueBounds(t *testing.T) {
 // keeps queueing and cache hits keep serving interactive traffic fast.
 func TestOverloadDeadlineShedding(t *testing.T) {
 	s := newOverloadServer(t, slowModel{delay: 30 * time.Millisecond}, Options{
-		PoolSize: 1, GridWorkers: 1,
+		PoolSize: 1,
 	})
 
 	// Warm-up: a cold server never sheds on a guess, so this must succeed
@@ -300,7 +300,7 @@ func (m *gatedModel) PredictBatch(ss []*gnn.Sample) []float64 {
 // Retry-After sized by them.
 func TestOverloadPredictPricedFromPredictEvaluations(t *testing.T) {
 	model := &gatedModel{resume: make(chan struct{})}
-	s := newOverloadServer(t, model, Options{PoolSize: 1, GridWorkers: 1})
+	s := newOverloadServer(t, model, Options{PoolSize: 1})
 	predict := func(n int) PredictRequest {
 		return PredictRequest{
 			Kernel: "matmul", Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": float64(n)},
@@ -462,7 +462,7 @@ func TestOverloadDeadlineHonoredInQueue(t *testing.T) {
 // states — appear in /metrics, and /v1/stats carries the same numbers.
 func TestAdmissionMetricsExposition(t *testing.T) {
 	s := newOverloadServer(t, slowModel{delay: 20 * time.Millisecond}, Options{
-		PoolSize: 1, GridWorkers: 1,
+		PoolSize: 1,
 	})
 
 	// One successful evaluation (seeds histograms), one deadline shed, one

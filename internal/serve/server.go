@@ -87,9 +87,7 @@ func CheckpointBackend(e *registry.Entry, source string) Backend {
 
 // Options tunes the service layers. Zero values pick sensible defaults.
 type Options struct {
-	AdviseCacheSize int // whole-response + prediction cache entries (default 512)
-	PoolSize        int // max advise/predict evaluations in flight (default GOMAXPROCS)
-	GridWorkers     int // per-advise front-end fan-out (default GOMAXPROCS)
+	PoolSize int // max advise/predict evaluations in flight (default GOMAXPROCS)
 
 	// QueueLimit bounds the total requests waiting for an evaluation slot
 	// across all clients; arrivals beyond it are shed with 503 queue_full
@@ -98,12 +96,6 @@ type Options struct {
 	// QueuePerClient bounds one client's waiting requests; beyond it that
 	// client sheds 503 lane_full while others keep queueing (default 256).
 	QueuePerClient int
-	// JobLimit bounds the async job store; submissions beyond it are shed
-	// with 503 jobs_full (default 256).
-	JobLimit int
-	// JobTTL is how long finished async jobs stay fetchable before GC
-	// (default 10m).
-	JobTTL time.Duration
 
 	// TraceSlow is the latency at or above which a traced request is
 	// logged as a structured slow-request record (default 250ms; negative
@@ -135,29 +127,28 @@ type Options struct {
 	// MinQualitySamples gates promote/rollback decisions until both windows
 	// hold this many pairs (0 = registry default 30).
 	MinQualitySamples int
-	// PromoteAfter / RollbackAfter are the consecutive-evaluation hysteresis
-	// thresholds (0 = registry defaults, 3 each).
-	PromoteAfter  int
-	RollbackAfter int
-	// PromoteMargin / RollbackMargin are the rank-correlation margins around
-	// the stable's quality (0 = registry defaults 0.02 / 0.10).
-	PromoteMargin  float64
-	RollbackMargin float64
+	// PromoteAfter is how many consecutive non-inferior evaluations promote
+	// a candidate (0 = registry default 3).
+	PromoteAfter int
 	// GCKeep bounds how many superseded checkpoint versions survive a
 	// promotion beyond the protected set (stable, candidate, default alias):
 	// 0 defaults to 2, -1 keeps none, any other negative disables GC.
 	GCKeep int
 }
 
+// The serving tier's fixed sizes: response-cache entries (whole advise
+// rankings and single predictions), and the async job store's bound
+// (submissions beyond it are shed with 503 jobs_full) and how long a
+// finished job stays fetchable.
+const (
+	adviseCacheSize = 512
+	jobLimit        = 256
+	jobTTL          = 10 * time.Minute
+)
+
 func (o Options) withDefaults() Options {
-	if o.AdviseCacheSize <= 0 {
-		o.AdviseCacheSize = 512
-	}
 	if o.PoolSize <= 0 {
 		o.PoolSize = runtime.GOMAXPROCS(0)
-	}
-	if o.GridWorkers <= 0 {
-		o.GridWorkers = runtime.GOMAXPROCS(0)
 	}
 	if o.TraceSlow == 0 {
 		o.TraceSlow = 250 * time.Millisecond
@@ -212,9 +203,10 @@ type modelState struct {
 	// evaluations (front end + one model call, + rank for an advise), one
 	// histogram per request kind; their medians are admission's costs.
 	adviseEval, predictEval *obs.Histogram
+	// advise and predict count the responses this version computed or
+	// served; registerModel exposes them.
+	advise, predict *obs.Counter
 
-	advise   atomic.Uint64
-	predict  atomic.Uint64
 	lastUsed atomic.Int64 // unix seconds; 0 = never
 }
 
@@ -265,13 +257,13 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 		opts:        opts,
 		mux:         http.NewServeMux(),
 		backends:    map[string]*backendState{},
-		adviseCache: NewCache(opts.AdviseCacheSize),
+		adviseCache: NewCache(adviseCacheSize),
 		admit: admit.NewQueue(admit.QueueConfig{
 			Concurrency:  opts.PoolSize,
 			MaxQueued:    opts.QueueLimit,
 			MaxPerClient: opts.QueuePerClient,
 		}),
-		jobs: admit.NewStore(opts.JobLimit, opts.JobTTL),
+		jobs: admit.NewStore(jobLimit, jobTTL),
 	}
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
 	for _, b := range backends {
@@ -358,11 +350,12 @@ func (s *Server) newModelState(b Backend, name string) *modelState {
 	batcher := NewBatcher(b.Model, 0, 0)
 	adv := advisor.New(batcher, b.Prep, b.Machine)
 	adv.SetLevel(info.Level)
-	adv.SetWorkers(s.opts.GridWorkers)
 	return &modelState{
 		name: name, info: info, advisor: adv, batcher: batcher,
 		adviseEval:  obs.NewHistogram(obs.DefLatencyBuckets),
 		predictEval: obs.NewHistogram(obs.DefLatencyBuckets),
+		advise:      new(obs.Counter),
+		predict:     new(obs.Counter),
 	}
 }
 
@@ -448,13 +441,16 @@ func (be *backendState) modelNames() []string {
 }
 
 // modelNamesLocked is modelNames for callers already holding be.mu.
-func (be *backendState) modelNamesLocked() []string {
-	names := make([]string, 0, len(be.models))
-	for name := range be.models {
-		names = append(names, name)
+func (be *backendState) modelNamesLocked() []string { return sortedKeys(be.models) }
+
+// sortedKeys returns a map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(keys)
+	return keys
 }
 
 // Handler returns the service's HTTP handler.
@@ -479,14 +475,7 @@ func (s *Server) Close() {
 // Stats snapshots the service counters (the same payload /v1/stats serves).
 func (s *Server) Stats() Stats { return s.snapshot() }
 
-func (s *Server) machineNames() []string {
-	names := make([]string, 0, len(s.backends))
-	for name := range s.backends {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (s *Server) machineNames() []string { return sortedKeys(s.backends) }
 
 // --- request/response types ---
 
@@ -862,7 +851,7 @@ func (s *Server) advise(ctx context.Context, tr *obs.Trace, p adviseParams) (res
 		return resp, pr, err
 	}
 	recs := v.([]advisor.Recommendation)
-	p.ms.advise.Add(1)
+	p.ms.advise.Inc()
 	p.ms.touch()
 	if s.lifecycle != nil {
 		s.lifecycle.noteAdvise(p, recs)
@@ -1158,7 +1147,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	us := v.(float64)
-	ms.predict.Add(1)
+	ms.predict.Inc()
 	ms.touch()
 	if s.lifecycle != nil {
 		s.lifecycle.notePredict(key, be.machine.Name, ms.name, k, req, us)

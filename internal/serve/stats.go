@@ -110,8 +110,8 @@ func (s *Server) snapshot() Stats {
 				Platform:     machine,
 				Name:         name,
 				Default:      name == be.defaultName,
-				Advise:       ms.advise.Load(),
-				Predict:      ms.predict.Load(),
+				Advise:       ms.advise.Value(),
+				Predict:      ms.predict.Value(),
 				LastUsedUnix: ms.lastUsed.Load(),
 				Batcher:      ms.batcher.Stats(),
 			})

@@ -24,39 +24,22 @@ import (
 // fans them back out.
 const ForwardedByHeader = "X-Paragraph-Forwarded-By"
 
-// ForwardOptions tunes the peer-forwarding clients. Zero values pick
-// defaults.
-type ForwardOptions struct {
-	// Timeout bounds one forwarded request end to end (connect, send,
-	// owner's evaluation, response). Default 15s — an advise miss on the
-	// owner pays a full grid evaluation, which dwarfs the network hop.
-	Timeout time.Duration
-	// MaxConnsPerPeer caps concurrent connections to one peer; idle
-	// connections up to the cap are kept for reuse. Default 8.
-	MaxConnsPerPeer int
-	// AsyncQueue bounds the fire-and-forget post queue (ForwardAsync).
-	// When it is full new posts are dropped, never blocked on — async
-	// traffic is best-effort by contract. Default 256.
-	AsyncQueue int
-	// AsyncWorkers is how many goroutines drain the async queue. Default 2.
-	AsyncWorkers int
-}
-
-func (o ForwardOptions) withDefaults() ForwardOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 15 * time.Second
-	}
-	if o.MaxConnsPerPeer <= 0 {
-		o.MaxConnsPerPeer = 8
-	}
-	if o.AsyncQueue <= 0 {
-		o.AsyncQueue = 256
-	}
-	if o.AsyncWorkers <= 0 {
-		o.AsyncWorkers = 2
-	}
-	return o
-}
+// The peer-forwarding clients' fixed bounds.
+const (
+	// forwardTimeout bounds one forwarded request end to end (connect,
+	// send, owner's evaluation, response): an advise miss on the owner pays
+	// a full grid evaluation, which dwarfs the network hop.
+	forwardTimeout = 15 * time.Second
+	// maxConnsPerPeer caps concurrent connections to one peer; idle
+	// connections up to the cap are kept for reuse.
+	maxConnsPerPeer = 8
+	// asyncQueue bounds the fire-and-forget post queue (ForwardAsync). When
+	// it is full new posts are dropped, never blocked on — async traffic is
+	// best-effort by contract.
+	asyncQueue = 256
+	// asyncWorkers is how many goroutines drain the async queue.
+	asyncWorkers = 2
+)
 
 // peerClient is one peer's bounded HTTP client plus its traffic counters.
 type peerClient struct {
@@ -85,7 +68,6 @@ type asyncPost struct {
 // latency to the request that produced them.
 type Forwarder struct {
 	self string
-	opts ForwardOptions
 
 	mu    sync.Mutex
 	peers map[string]*peerClient
@@ -101,13 +83,11 @@ type Forwarder struct {
 
 // NewForwarder returns a Forwarder that identifies itself as self (the
 // value written into ForwardedByHeader).
-func NewForwarder(self string, opts ForwardOptions) *Forwarder {
-	opts = opts.withDefaults()
+func NewForwarder(self string) *Forwarder {
 	return &Forwarder{
 		self:  self,
-		opts:  opts,
 		peers: map[string]*peerClient{},
-		queue: make(chan asyncPost, opts.AsyncQueue),
+		queue: make(chan asyncPost, asyncQueue),
 		quit:  make(chan struct{}),
 	}
 }
@@ -118,10 +98,10 @@ func (f *Forwarder) peer(name string) *peerClient {
 	pc, ok := f.peers[name]
 	if !ok {
 		pc = &peerClient{client: &http.Client{
-			Timeout: f.opts.Timeout,
+			Timeout: forwardTimeout,
 			Transport: &http.Transport{
-				MaxIdleConnsPerHost: f.opts.MaxConnsPerPeer,
-				MaxConnsPerHost:     f.opts.MaxConnsPerPeer,
+				MaxIdleConnsPerHost: maxConnsPerPeer,
+				MaxConnsPerHost:     maxConnsPerPeer,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		}}
@@ -266,7 +246,7 @@ func (f *Forwarder) Forward(ctx context.Context, peer, path string, body []byte,
 // traceID ("" = untraced) propagates the originating request's trace.
 func (f *Forwarder) ForwardAsync(peer, path string, body []byte, traceID string) bool {
 	f.startOnce.Do(func() {
-		for i := 0; i < f.opts.AsyncWorkers; i++ {
+		for i := 0; i < asyncWorkers; i++ {
 			go f.drainAsync()
 		}
 	})

@@ -28,7 +28,7 @@ func TestForwardRoundTrip(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	f := NewForwarder("http://self:1", ForwardOptions{})
+	f := NewForwarder("http://self:1")
 	status, body, err := f.Forward(context.Background(), peer.URL, "/v1/advise", []byte(`{"kernel":"matmul"}`), Meta{TraceID: "trace-42"})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestForwardUnreachablePeer(t *testing.T) {
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	peer.Close() // nothing listens anymore
 
-	f := NewForwarder("http://self:1", ForwardOptions{Timeout: 2 * time.Second})
+	f := NewForwarder("http://self:1")
 	if _, _, err := f.Forward(context.Background(), peer.URL, "/v1/advise", nil, Meta{}); err == nil {
 		t.Fatal("forward to a closed peer succeeded")
 	}
@@ -83,7 +83,7 @@ func TestForwardPropagatesDeadline(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	f := NewForwarder("http://self:1", ForwardOptions{})
+	f := NewForwarder("http://self:1")
 	if _, _, err := f.Forward(context.Background(), peer.URL, "/v1/advise", nil,
 		Meta{Deadline: 1500 * time.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestForwardHonorsContext(t *testing.T) {
 	defer peer.Close()
 	defer close(release)
 
-	f := NewForwarder("http://self:1", ForwardOptions{})
+	f := NewForwarder("http://self:1")
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -142,7 +142,7 @@ func TestForwardAsyncDelivers(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	f := NewForwarder("http://self:1", ForwardOptions{})
+	f := NewForwarder("http://self:1")
 	defer f.Close()
 	if !f.ForwardAsync(peer.URL, "/v1/replicate", []byte(`{"version":1}`), "trace-7") {
 		t.Fatal("async post rejected by an empty queue")
@@ -175,12 +175,13 @@ func TestForwardAsyncDropsUnderBackpressure(t *testing.T) {
 	defer peer.Close()
 	defer close(release)
 
-	f := NewForwarder("http://self:1", ForwardOptions{AsyncQueue: 1, AsyncWorkers: 1})
+	f := NewForwarder("http://self:1")
+	f.queue = make(chan asyncPost, 1)
 	defer f.Close()
-	// First post occupies the worker; the queue (cap 1) fills behind it.
-	// Enqueueing is racy against the worker draining, so keep posting until
-	// a drop is recorded — with the worker wedged, at most two posts are
-	// absorbed (one in flight, one queued) before drops must appear.
+	// The first posts occupy the workers; the queue (cap 1) fills behind
+	// them. Enqueueing is racy against the workers draining, so keep posting
+	// until a drop is recorded — with the workers wedged, at most three posts
+	// are absorbed (two in flight, one queued) before drops must appear.
 	deadline := time.Now().Add(5 * time.Second)
 	for f.Async().Dropped == 0 {
 		if time.Now().After(deadline) {
@@ -201,7 +202,7 @@ func TestForwardErrorStatusIsNotAnError(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	f := NewForwarder("http://self:1", ForwardOptions{})
+	f := NewForwarder("http://self:1")
 	status, _, err := f.Forward(context.Background(), peer.URL, "/v1/advise", []byte(`{}`), Meta{})
 	if err != nil {
 		t.Fatalf("HTTP 400 from the owner reported as transport error: %v", err)
