@@ -1,10 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
+	"paragraph/internal/feedback"
 	"paragraph/internal/registry"
 )
 
@@ -84,6 +86,50 @@ func TestSaveDirWritesLoadableCheckpoint(t *testing.T) {
 	}
 	if e.Manifest.Train.TrainSamples == 0 || e.Manifest.Train.ValSamples == 0 {
 		t.Errorf("train info lacks sample counts: %+v", e.Manifest.Train)
+	}
+}
+
+// TestFromFeedbackSavesCandidate is the offline retrain: measured records
+// in a feedback log fine-tune the stable checkpoint under -save-dir into a
+// candidate, which the rollout state then points at.
+func TestFromFeedbackSavesCandidate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training in -short mode")
+	}
+	const platform = "IBM POWER9 (CPU)"
+	ckpt := t.TempDir()
+	if err := run([]string{"-scale", "tiny", "-epochs", "1", "-points", "24",
+		"-platform", platform, "-save-dir", ckpt}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	logDir := t.TempDir()
+	lg, err := feedback.Open(logDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := lg.Append(feedback.Record{
+			Key: fmt.Sprintf("%064x", i), Platform: platform, Model: "default",
+			Kernel: "scale", Variant: "cpu", Threads: 1 + i,
+			Bindings:   map[string]float64{"n": float64(100 * (i + 1))},
+			Source:     "void scale(double *a, int n) {\n#pragma omp parallel for\nfor (int i = 0; i < n; i++) a[i] = 2.0 * a[i];\n}\n",
+			MeasuredUS: float64(50 + 10*i),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var out strings.Builder
+	if err := run([]string{"-from-feedback", logDir, "-save-dir", ckpt, "-platform", platform,
+		"-epochs", "1", "-min-records", "5"}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "candidate "+platform+"/fb-") {
+		t.Errorf("output names no fb-* candidate:\n%s", out.String())
+	}
+	rs, err := registry.LoadRollout(ckpt, platform)
+	if err != nil || rs == nil || rs.Stable != "default" || !strings.HasPrefix(rs.Candidate, "fb-") {
+		t.Errorf("rollout after the retrain = %+v, %v; want stable default, candidate fb-*", rs, err)
 	}
 }
 

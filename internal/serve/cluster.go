@@ -574,7 +574,7 @@ type RingResponse struct {
 	Members []RingMember `json:"members,omitempty"`
 	// ForwardedIn counts requests that arrived already forwarded by a peer
 	// (this process answered them as owner). Deliberately not omitempty:
-	// operators and the CI smoke read these as plain numbers even at zero.
+	// operators and scripts read these as plain numbers even at zero.
 	ForwardedIn uint64 `json:"forwarded_in"`
 	// LocalFallbacks counts requests whose every owner was unreachable,
 	// served locally instead.

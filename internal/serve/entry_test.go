@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -144,7 +145,7 @@ func TestDrainBatchesFitTheReceiver(t *testing.T) {
 		recv.Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(hs.Close)
-	sender := bootElasticPeer(t, "", ClusterConfig{Peers: []string{hs.URL}, Heartbeat: -1})
+	sender := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Peers: []string{hs.URL}, Heartbeat: -1})
 	if err := recv.EnableCluster(ClusterConfig{Self: hs.URL, Peers: []string{sender.url}, Heartbeat: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +234,40 @@ func TestEntryCodecGolden(t *testing.T) {
 	}
 }
 
+// FuzzDecodeEntries feeds arbitrary bytes to both decoders of the entry
+// codec — a snapshot body (what -cache-file and /v1/replicate restore) and
+// a single-entry body (/v1/cluster/entry). Neither may panic, and every
+// item either accepts must encode and decode back to the same key and
+// value, with the encoding a fixed point.
+func FuzzDecodeEntries(f *testing.F) {
+	for _, seed := range []string{goldenSnapshot, goldenReplicateAdvise, goldenReplicatePredict} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var items []CacheItem
+		var snap cacheSnapshot
+		if json.Unmarshal(data, &snap) == nil {
+			items, _ = snap.entries() // a refused snapshot accepts no item
+		}
+		if it, err := decodeEntry(data); err == nil {
+			items = append(items, it)
+		}
+		for _, it := range items {
+			body, err := encodeEntries(it)
+			if err != nil {
+				t.Fatalf("re-encoding %s: %v", it.Key, err)
+			}
+			back, err := decodeEntry(body)
+			if err != nil || back.Key != it.Key || !reflect.DeepEqual(back.Val, it.Val) {
+				t.Fatalf("%s does not round-trip: got %#v, %v, want %#v", body, back, err, it)
+			}
+			if again, _ := encodeEntries(back); !bytes.Equal(again, body) {
+				t.Fatalf("encoding is not a fixed point:\n%s\n%s", body, again)
+			}
+		}
+	})
+}
+
 // TestEntryCodecRejectsHostileBodies: what a confused or hostile peer can
 // put on the wire is refused where it always was — an entry body must be
 // exactly one entry of this version, every variant known, for the key that
@@ -260,7 +295,7 @@ func TestEntryCodecRejectsHostileBodies(t *testing.T) {
 		_, _ = w.Write([]byte(goldenReplicatePredict))
 	}))
 	t.Cleanup(liar.Close)
-	p := bootElasticPeer(t, "", ClusterConfig{Peers: []string{liar.URL}, Heartbeat: -1})
+	p := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Peers: []string{liar.URL}, Heartbeat: -1})
 	if p.srv.pullEntry(context.Background(), "the-key-asked-for", []string{liar.URL}) {
 		t.Error("pullEntry accepted an entry for another key")
 	}

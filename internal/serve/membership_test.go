@@ -6,10 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"paragraph/internal/advisor"
+	"paragraph/internal/shard"
 )
 
 // elasticHeartbeat is the gossip interval for the elastic-membership tests:
@@ -55,12 +57,12 @@ func listenOn(t *testing.T, addr string) net.Listener {
 	}
 }
 
-// bootElasticPeer starts one peer on the given address (or a fresh one
-// when addr is ""). The caller sets bootstrap Peers or Seeds in cfg; Self
-// and (unless overridden) the fast heartbeat are wired here.
-func bootElasticPeer(t *testing.T, addr string, cfg ClusterConfig) *elasticPeer {
+// bootElasticPeer starts one peer on a bound listener (listenOn), so a
+// caller can know the peer's URL before it exists. The caller sets
+// bootstrap Peers or Seeds in cfg; Self and (unless overridden) the fast
+// heartbeat are wired here.
+func bootElasticPeer(t *testing.T, ln net.Listener, cfg ClusterConfig) *elasticPeer {
 	t.Helper()
-	ln := listenOn(t, addr)
 	s := newTestServer(t)
 	cfg.Self = "http://" + ln.Addr().String()
 	if cfg.Heartbeat == 0 {
@@ -151,8 +153,8 @@ func totalReplicatedIn(peers []*elasticPeer) uint64 {
 // runtime — no restarts, no synchronized member lists — and both sides
 // converge on the same two-member ring under a bumped epoch.
 func TestClusterJoinViaSeed(t *testing.T) {
-	seed := bootElasticPeer(t, "", ClusterConfig{})
-	joiner := bootElasticPeer(t, "", ClusterConfig{Seeds: []string{seed.url}})
+	seed := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{})
+	joiner := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Seeds: []string{seed.url}})
 	both := []*elasticPeer{seed, joiner}
 	waitRingSize(t, both, 2)
 
@@ -175,15 +177,14 @@ func TestClusterJoinViaSeed(t *testing.T) {
 		}
 	}
 
-	// The joined tier routes: both peers answer, and keys spread across the
-	// two members.
-	served := map[string]bool{}
-	for i := 0; i < 8; i++ {
-		resp := postAdvise(t, joiner.url, bindN(float64(60000+16*i)))
-		served[resp.ServedBy] = true
-	}
-	if len(served) != 2 {
-		t.Errorf("8 spread keys served by %d peers, want both", len(served))
+	// The joined tier routes: a key each member owns, sent to the joiner, is
+	// answered by its owner.
+	ring := joiner.srv.cluster.ring()
+	for _, owner := range both {
+		req := findOwnedBinding(t, ring, owner.url, 60000)
+		if resp := postAdvise(t, joiner.url, req); resp.ServedBy != owner.url {
+			t.Errorf("n=%v served by %q, want its owner %q", req.Bindings["n"], resp.ServedBy, owner.url)
+		}
 	}
 }
 
@@ -260,19 +261,16 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 	peers := startElasticCluster(t, 2, 1, ClusterConfig{Heartbeat: -1})
 	a, b := peers[0], peers[1]
 
+	// Two keys each peer owns, all sent to A.
+	const aOwned = 2
 	var reqs []AdviseRequest
-	aOwned := 0
 	ring := a.srv.cluster.ring()
-	for i := 0; i < 8; i++ {
-		req := bindN(float64(70000 + 16*i))
-		if ring.Owner(adviseKeyFor(t, req)) == a.url {
-			aOwned++
-		}
+	from := 70000.0
+	for _, owner := range []string{a.url, a.url, b.url, b.url} {
+		req := findOwnedBinding(t, ring, owner, from)
+		from = req.Bindings["n"] + 1
 		reqs = append(reqs, req)
 		postAdvise(t, a.url, req)
-	}
-	if aOwned == 0 {
-		t.Fatal("no key owned by peer A in 8 probes")
 	}
 
 	var report DrainReport
@@ -389,55 +387,56 @@ func TestClusterAntiEntropyWarmsJoinedPeer(t *testing.T) {
 	cfg := ClusterConfig{AntiEntropy: 150 * time.Millisecond}
 	peers := startElasticCluster(t, 3, 2, cfg)
 
-	var keys []string
-	for i := 0; i < 10; i++ {
-		req := bindN(float64(100000 + 16*i))
-		keys = append(keys, adviseKeyFor(t, req))
-		postAdvise(t, peers[0].url, req)
+	// The joiner's address is bound first, so the ring it will join is
+	// known up front and every warmed key can be one it is going to own.
+	joinerLn := listenOn(t, "")
+	joinerURL := "http://" + joinerLn.Addr().String()
+	members := []string{joinerURL}
+	for _, p := range peers {
+		members = append(members, p.url)
+	}
+	ring4, err := shard.NewRing(members, peers[0].srv.cluster.ring().VNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []AdviseRequest
+	for n := 100000.0; len(reqs) < 6; n++ {
+		if req := bindN(n); slices.Contains(ring4.Owners(adviseKeyFor(t, req), 2), joinerURL) {
+			reqs = append(reqs, req)
+			postAdvise(t, peers[0].url, req)
+		}
 	}
 	waitCond(t, 10*time.Second, "write-through replication", func() bool {
-		return totalReplicatedIn(peers) >= 10
+		return totalReplicatedIn(peers) >= uint64(len(reqs))
 	})
 
-	joiner := bootElasticPeer(t, "", ClusterConfig{
+	joiner := bootElasticPeer(t, joinerLn, ClusterConfig{
 		Seeds:       []string{peers[0].url},
 		Replication: 2,
 		AntiEntropy: 150 * time.Millisecond,
 	})
-	all := append(append([]*elasticPeer{}, peers...), joiner)
-	waitRingSize(t, all, 4)
+	waitRingSize(t, append(append([]*elasticPeer{}, peers...), joiner), 4)
 
-	// Every warmed key the joiner now owns must appear in its local cache
-	// without a single client request reaching it.
-	owned := func() []string {
-		ring := joiner.srv.cluster.ring()
-		var mine []string
-		for _, k := range keys {
-			for _, o := range ring.Owners(k, 2) {
-				if o == joiner.url {
-					mine = append(mine, k)
-				}
-			}
-		}
-		return mine
-	}()
-	if len(owned) == 0 {
-		t.Skip("joiner owns none of the warmed keys (unlucky ring); nothing to heal")
-	}
-	waitCond(t, 10*time.Second, "anti-entropy to refill the joiner's owned keys", func() bool {
-		for _, k := range owned {
-			if _, ok := joiner.srv.adviseCache.Peek(k); !ok {
-				return false
-			}
-		}
-		return true
+	// The second sweep counted after the ring reached four members began
+	// with that ring, and a sweep is counted only once its pulls are in the
+	// cache: so every warmed key has been refilled by then, with no client
+	// request reaching the joiner.
+	sweeps := joiner.srv.cluster.aeSweeps.Value()
+	waitCond(t, 10*time.Second, "two anti-entropy sweeps on the four-member ring", func() bool {
+		return joiner.srv.cluster.aeSweeps.Value() >= sweeps+2
 	})
-	if got := joiner.srv.cluster.aeRefills.Value(); got < uint64(len(owned)) {
-		t.Errorf("anti-entropy refills = %d, want >= %d", got, len(owned))
+	if got := joiner.srv.cluster.aeRefills.Value(); got < uint64(len(reqs)) {
+		t.Errorf("anti-entropy refills = %d, want >= %d", got, len(reqs))
 	}
-	view := joiner.srv.Ring()
-	if view.AntiEntropy == nil || view.AntiEntropy.Sweeps == 0 {
-		t.Error("ring view reports no anti-entropy sweeps")
+	// A replay through the joiner is all local hits: none recomputed, none
+	// pulled on demand by read repair.
+	for _, req := range reqs {
+		if resp := postAdvise(t, joiner.url, req); !resp.Cached || resp.ServedBy != joiner.url {
+			t.Errorf("n=%v replayed as cached:%v served_by:%q, want a local hit", req.Bindings["n"], resp.Cached, resp.ServedBy)
+		}
+	}
+	if got := joiner.srv.cluster.readRepairs.Value(); got != 0 {
+		t.Errorf("read repairs = %d, want 0: the sweep alone must warm the joiner", got)
 	}
 }
 
@@ -481,7 +480,7 @@ func TestClusterRollingRestartZeroMisses(t *testing.T) {
 
 		// Restart on the same address — same ring identity, empty cache —
 		// joining through a survivor.
-		peers[i] = bootElasticPeer(t, addr, ClusterConfig{
+		peers[i] = bootElasticPeer(t, listenOn(t, addr), ClusterConfig{
 			Seeds:       []string{survivors[0].url},
 			Replication: 2,
 			AntiEntropy: 150 * time.Millisecond,

@@ -124,17 +124,26 @@ type Meta struct {
 	Deadline time.Duration
 }
 
-// post performs one loop-guarded JSON POST to peer+path on the peer's
-// bounded client. Shared by the synchronous and async paths; counting is
-// the caller's job because the two paths have different counters. meta's
-// trace id and deadline ride along in their headers; ctx bounds the hop
-// in addition to the client's own timeout.
-func (f *Forwarder) post(ctx context.Context, pc *peerClient, peer, path string, body []byte, meta Meta) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: building forward to %s: %w", peer, err)
+// do performs one loop-guarded request to peer+path on the peer's bounded
+// client and returns the status and body of whatever the peer answered.
+// Every path to a peer goes through it — forwards, async writes and
+// control requests — and counting is the caller's job, because each path
+// counts differently. The loop-guard header is also the sender's identity
+// (receivers gate peer-only endpoints on it); meta's trace id and deadline
+// ride along in their headers. body may be nil for GETs. ctx bounds the
+// hop in addition to the client's own timeout.
+func (f *Forwarder) do(ctx context.Context, method, peer, path string, body []byte, meta Meta) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, peer+path, rd)
+	if err != nil {
+		return 0, nil, fmt.Errorf("shard: building request to %s: %w", peer, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	req.Header.Set(ForwardedByHeader, f.self)
 	if meta.TraceID != "" {
 		req.Header.Set(obs.TraceHeader, meta.TraceID)
@@ -142,14 +151,14 @@ func (f *Forwarder) post(ctx context.Context, pc *peerClient, peer, path string,
 	if meta.Deadline > 0 {
 		req.Header.Set(admit.DeadlineHeader, admit.FormatDeadline(meta.Deadline))
 	}
-	resp, err := pc.client.Do(req)
+	resp, err := f.peer(peer).client.Do(req)
 	if err != nil {
-		return 0, nil, fmt.Errorf("shard: forwarding to %s: %w", peer, err)
+		return 0, nil, fmt.Errorf("shard: %s %s%s: %w", method, peer, path, err)
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, nil, fmt.Errorf("shard: reading forward response from %s: %w", peer, err)
+		return 0, nil, fmt.Errorf("shard: reading response from %s: %w", peer, err)
 	}
 	return resp.StatusCode, out, nil
 }
@@ -158,32 +167,10 @@ func (f *Forwarder) post(ctx context.Context, pc *peerClient, peer, path string,
 // without touching the per-peer forwarding counters: membership gossip,
 // anti-entropy key exchange and read-repair fetches are control-plane
 // chatter that must not inflate the request-forwarding stats operators
-// read off /v1/ring. The loop-guard header still rides along as the
-// sender's identity (receivers gate peer-only endpoints on it). body may
-// be nil for GETs. The caller owns error counting.
+// read off /v1/ring. body may be nil for GETs. The caller owns error
+// counting.
 func (f *Forwarder) Control(ctx context.Context, method, peer, path string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, peer+path, rd)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: building control request to %s: %w", peer, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(ForwardedByHeader, f.self)
-	resp, err := f.peer(peer).client.Do(req)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: control request to %s: %w", peer, err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: reading control response from %s: %w", peer, err)
-	}
-	return resp.StatusCode, out, nil
+	return f.do(ctx, method, peer, path, body, Meta{})
 }
 
 // Prune drops the clients of peers not in keep, closing their idle
@@ -227,7 +214,7 @@ func (f *Forwarder) Prune(keep []string) int {
 // originating request's trace id and remaining deadline budget.
 func (f *Forwarder) Forward(ctx context.Context, peer, path string, body []byte, meta Meta) (int, []byte, error) {
 	pc := f.peer(peer)
-	status, out, err := f.post(ctx, pc, peer, path, body, meta)
+	status, out, err := f.do(ctx, http.MethodPost, peer, path, body, meta)
 	if err != nil {
 		pc.errors.Add(1)
 		return 0, nil, err
@@ -266,8 +253,7 @@ func (f *Forwarder) drainAsync() {
 		case <-f.quit:
 			return
 		case job := <-f.queue:
-			pc := f.peer(job.peer)
-			status, _, err := f.post(context.Background(), pc, job.peer, job.path, job.body, Meta{TraceID: job.traceID})
+			status, _, err := f.do(context.Background(), http.MethodPost, job.peer, job.path, job.body, Meta{TraceID: job.traceID})
 			if err != nil || status/100 != 2 {
 				f.asyncErrs.Add(1)
 			} else {
