@@ -29,14 +29,16 @@
 //
 // With -feedback-dir the serving loop closes (docs/OPERATIONS.md, "Staged
 // Rollouts"): POST /v1/feedback accepts measured runtimes for served
-// predictions, appends them to a durable per-platform log, and enough
-// accumulated measurements trigger a background incremental retrain (its
-// output saved under -model-dir) that serves as a *candidate* on
-// -rollout-split percent of unpinned traffic. Sustained measured
-// non-inferiority promotes the candidate to stable (pruning superseded
-// checkpoints under -gc-keep); sustained regression rolls it back. The
-// stable version never stops serving either way, and the rollout state
-// persists in the registry so restarts resume where the process left off.
+// predictions, appends them to a durable per-platform log, and 100
+// accepted measurements of a platform since its last retrain trigger a
+// background incremental retrain (its output saved under -model-dir) that
+// serves as a *candidate* on 10% of unpinned traffic. Once both versions
+// hold 30 measured pairs, three consecutive non-inferior evaluations
+// promote the candidate to stable (keeping the two newest superseded
+// checkpoints and pruning the rest); three consecutive regressions roll it
+// back. The stable version never stops serving either way, and the
+// rollout state persists in the registry so restarts resume where the
+// process left off.
 //
 // Usage:
 //
@@ -44,9 +46,7 @@
 //	      [-platforms "IBM POWER9 (CPU),NVIDIA V100 (GPU)"]
 //	      [-cache-file PATH] [-pool N]
 //	      [-admit-queue N] [-admit-per-client N]
-//	      [-feedback-dir DIR] [-rollout-split 10] [-retrain-after 100]
-//	      [-retrain-epochs N] [-quality-min 30]
-//	      [-promote-after 3] [-gc-keep 2]
+//	      [-feedback-dir DIR]
 //	      [-self http://host:8080 -seed http://host2:8080 | -peers http://host:8080,http://host2:8080]
 //	      [-replication 2]
 //	      [-heartbeat 1s] [-anti-entropy 30s]
@@ -134,14 +134,9 @@ type serveConfig struct {
 	cluster   bool         // cluster mode: drain membership on shutdown
 }
 
-const (
-	// snapshotEvery is the periodic -cache-file snapshot interval: a hard
-	// kill loses at most this much warmth.
-	snapshotEvery = 5 * time.Minute
-	// drainTimeout bounds streaming owned keys to their new owners at a
-	// planned departure (the same bound the server gives /v1/cluster/leave).
-	drainTimeout = 30 * time.Second
-)
+// snapshotEvery is the periodic -cache-file snapshot interval: a hard kill
+// loses at most this much warmth.
+const snapshotEvery = 5 * time.Minute
 
 func run(args []string, w io.Writer) error {
 	srv, cfg, err := buildServer(args, w)
@@ -224,9 +219,7 @@ func run(args []string, w io.Writer) error {
 	// this process exits. Idempotent — an operator who already POSTed
 	// /v1/cluster/leave gets a no-op here.
 	if cfg.cluster {
-		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		report := srv.DrainCluster(drainCtx)
-		cancel()
+		report := srv.DrainCluster(context.Background())
 		if !report.AlreadyDraining {
 			logger.Info("cluster drain complete",
 				"owned", report.OwnedKeys, "streamed", report.Streamed,
@@ -298,12 +291,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	traceSlow := fs.Duration("trace-slow", 0, "log traced requests at or above this latency (0 = default 250ms, negative = disable)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	feedbackDir := fs.String("feedback-dir", "", "accept POST /v1/feedback and append measured runtimes under this directory (empty = lifecycle disabled)")
-	rolloutSplit := fs.Float64("rollout-split", 0, "percentage of unpinned traffic a fresh candidate serves (0 = default 10)")
-	retrainAfter := fs.Int("retrain-after", 0, "accepted measurements per platform between background retrains (0 = default 100, negative = never retrain)")
-	retrainEpochs := fs.Int("retrain-epochs", 0, "epochs per incremental retrain (0 = trainer default)")
-	qualityMin := fs.Int("quality-min", 0, "pairs both windows need before promote/rollback decisions (0 = default 30)")
-	promoteAfter := fs.Int("promote-after", 0, "consecutive non-inferior evaluations before a candidate promotes (0 = default 3)")
-	gcKeep := fs.Int("gc-keep", 0, "superseded checkpoint versions kept after a promotion (0 = default 2, -1 = keep none, -2 = disable GC)")
 	self := fs.String("self", "", "cluster mode: this process's base URL as peers reach it (http://host:port)")
 	peersFlag := fs.String("peers", "", "cluster mode: comma-separated base URLs of the initial members (including -self)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through at startup (alternative to -peers)")
@@ -367,21 +354,14 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		TraceSlow:      *traceSlow,
 		Logger:         logger,
 
-		FeedbackDir:       *feedbackDir,
-		RegistryRoot:      *modelDir,
-		RolloutSplit:      *rolloutSplit,
-		RetrainAfter:      *retrainAfter,
-		RetrainEpochs:     *retrainEpochs,
-		MinQualitySamples: *qualityMin,
-		PromoteAfter:      *promoteAfter,
-		GCKeep:            *gcKeep,
+		FeedbackDir:  *feedbackDir,
+		RegistryRoot: *modelDir,
 	})
 	if err != nil {
 		return nil, serveConfig{}, err
 	}
 	if *feedbackDir != "" {
-		logger.Info("feedback lifecycle enabled",
-			"dir", *feedbackDir, "registry", *modelDir, "retrain", *retrainAfter >= 0)
+		logger.Info("feedback lifecycle enabled", "dir", *feedbackDir, "registry", *modelDir)
 	}
 	if clusterMode {
 		if err := srv.EnableCluster(serve.ClusterConfig{

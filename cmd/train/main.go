@@ -20,7 +20,10 @@
 //	      [-level raw|aug|para] [-compoff] [-epochs N] [-points N]
 //	      [-save-dir DIR] [-save-name NAME]
 //	train -from-feedback DIR -save-dir DIR [-platform NAME]
-//	      [-epochs N] [-rollout-split 10] [-min-records 20] [-save-name NAME]
+//	      [-epochs N] [-save-name NAME]
+//
+// A feedback retrain needs at least 20 usable records, and its candidate
+// takes 10% of unpinned traffic.
 package main
 
 import (
@@ -57,8 +60,6 @@ func run(args []string, w io.Writer) error {
 	saveDir := fs.String("save-dir", "", "write the trained model as a registry checkpoint under this directory")
 	saveName := fs.String("save-name", "default", "checkpoint version name within -save-dir")
 	fromFeedback := fs.String("from-feedback", "", "incremental retrain: fine-tune the stable checkpoint under -save-dir on measured feedback from this log directory")
-	rolloutSplit := fs.Float64("rollout-split", 0, "canary traffic percentage recorded for the retrained candidate (0 = default 10)")
-	minRecords := fs.Int("min-records", 0, "feedback records required before retraining (0 = default 20)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -77,8 +78,7 @@ func run(args []string, w io.Writer) error {
 				candName = *saveName
 			}
 		})
-		return retrainFromFeedback(w, *fromFeedback, *saveDir, candName, *platform,
-			*rolloutSplit, *epochs, *minRecords)
+		return retrainFromFeedback(w, *fromFeedback, *saveDir, candName, *platform, *epochs)
 	}
 
 	scale, err := experiments.ParseScale(*scaleName)
@@ -143,8 +143,7 @@ func run(args []string, w io.Writer) error {
 // retrainFromFeedback is the -from-feedback mode: read the measured-runtime
 // log, fine-tune the platform's stable checkpoint, save the candidate and
 // report the rollout state the serving tier will pick up.
-func retrainFromFeedback(w io.Writer, logDir, root, candName, platform string,
-	splitPct float64, epochs, minRecords int) error {
+func retrainFromFeedback(w io.Writer, logDir, root, candName, platform string, epochs int) error {
 	if root == "" {
 		return fmt.Errorf("-from-feedback requires -save-dir (the registry root holding the stable checkpoint)")
 	}
@@ -167,10 +166,8 @@ func retrainFromFeedback(w io.Writer, logDir, root, candName, platform string,
 		m.Name, len(recs), logDir)
 	res, err := registry.RetrainFromFeedback(root, m.Name, recs, registry.RetrainOptions{
 		CandidateName: candName,
-		SplitPct:      splitPct,
 		Epochs:        epochs,
 		Seed:          time.Now().UnixNano(),
-		MinRecords:    minRecords,
 	})
 	if err != nil {
 		return err

@@ -16,6 +16,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-platform", "Cray-1"},
 		{"-level", "mega"},
 		{"-badflag"},
+		// The feedback retrain's split and record floor are constants now.
+		{"-rollout-split", "50"},
+		{"-min-records", "5"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
@@ -107,7 +110,7 @@ func TestFromFeedbackSavesCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 20; i++ {
 		if err := lg.Append(feedback.Record{
 			Key: fmt.Sprintf("%064x", i), Platform: platform, Model: "default",
 			Kernel: "scale", Variant: "cpu", Threads: 1 + i,
@@ -121,7 +124,7 @@ func TestFromFeedbackSavesCandidate(t *testing.T) {
 
 	var out strings.Builder
 	if err := run([]string{"-from-feedback", logDir, "-save-dir", ckpt, "-platform", platform,
-		"-epochs", "1", "-min-records", "5"}, &out); err != nil {
+		"-epochs", "1"}, &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "candidate "+platform+"/fb-") {

@@ -48,15 +48,6 @@ func SavePoints(w io.Writer, points []Point) error {
 	return enc.Encode(f)
 }
 
-// kindByName maps the paper's variant names back to kinds.
-var kindByName = func() map[string]variants.Kind {
-	m := map[string]variants.Kind{}
-	for _, k := range variants.Kinds() {
-		m[k.String()] = k
-	}
-	return m
-}()
-
 // LoadPoints reads a JSON dataset, regenerating each instance's transformed
 // source from the kernel suite.
 func LoadPoints(r io.Reader) ([]Point, error) {
@@ -73,9 +64,9 @@ func LoadPoints(r io.Reader) ([]Point, error) {
 		if !ok {
 			return nil, fmt.Errorf("dataset: unknown kernel %q", rec.Kernel)
 		}
-		kind, ok := kindByName[rec.Kind]
-		if !ok {
-			return nil, fmt.Errorf("dataset: unknown variant kind %q", rec.Kind)
+		kind, err := variants.ParseKind(rec.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: %w", err)
 		}
 		src, err := variants.Generate(k, kind, rec.Teams, rec.Threads)
 		if err != nil {

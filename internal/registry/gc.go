@@ -14,7 +14,7 @@ import (
 // directory behind and -save-dir grows forever. GC prunes a platform's
 // superseded versions while never touching the versions that matter: the
 // rollout's stable and candidate, anything the caller pins, the "default"
-// alias, and the newest KeepLast survivors beyond those.
+// alias, and the newest keepLast survivors beyond those.
 //
 // Deletion order is chosen for crash safety: the manifest goes first, so a
 // checkpoint interrupted mid-delete is exactly a "directory without a
@@ -25,33 +25,27 @@ import (
 // crash-mid-GC behavior. Production value: os.Remove.
 var removeFileHook = os.Remove
 
-// GCPolicy tunes retention.
-type GCPolicy struct {
-	// KeepLast is how many non-protected versions (newest first by
-	// CreatedAt) survive beyond the protected set. Negative disables GC.
-	KeepLast int
-}
+// keepLast is how many non-protected versions (newest first by CreatedAt)
+// survive a GC pass beyond the protected set.
+const keepLast = 2
 
 // GCResult reports what one GC pass did.
 type GCResult struct {
 	Removed []string // version names deleted
-	Kept    []string // version names retained (protected or within KeepLast)
+	Kept    []string // version names retained (protected or within keepLast)
 }
 
 // GC prunes platform's checkpoint versions under root. protected names are
 // never removed (pass the rollout's stable and candidate); the "default"
 // alias — a version literally named "default", else the platform's newest —
 // is always protected as well. Remaining versions are kept newest-first up
-// to pol.KeepLast, and the rest are deleted manifest-first.
+// to keepLast, and the rest are deleted manifest-first.
 //
 // On a deletion error GC stops and returns the partial result with the
 // error; everything already removed stays removed, everything else is
 // untouched and still loadable.
-func GC(root, platform string, protected []string, pol GCPolicy) (GCResult, error) {
+func GC(root, platform string, protected []string) (GCResult, error) {
 	var res GCResult
-	if pol.KeepLast < 0 {
-		return res, nil
-	}
 	platDir := filepath.Join(root, hw.Slug(platform))
 	ents, err := os.ReadDir(platDir)
 	if os.IsNotExist(err) {
@@ -95,7 +89,7 @@ func GC(root, platform string, protected []string, pol GCPolicy) (GCResult, erro
 	// change what unpinned clients get.
 	keep[pickDefault(cps).Manifest.Name] = true
 
-	// Sort newest first; retain KeepLast beyond the protected set.
+	// Sort newest first; retain keepLast beyond the protected set.
 	sort.Slice(cps, func(i, j int) bool {
 		if !cps[i].Manifest.CreatedAt.Equal(cps[j].Manifest.CreatedAt) {
 			return cps[i].Manifest.CreatedAt.After(cps[j].Manifest.CreatedAt)
@@ -109,7 +103,7 @@ func GC(root, platform string, protected []string, pol GCPolicy) (GCResult, erro
 			res.Kept = append(res.Kept, cp.Manifest.Name)
 			continue
 		}
-		if spared < pol.KeepLast {
+		if spared < keepLast {
 			spared++
 			res.Kept = append(res.Kept, cp.Manifest.Name)
 			continue

@@ -39,14 +39,14 @@ func gcNames(t *testing.T, root string) []string {
 func TestGCRetention(t *testing.T) {
 	root := t.TempDir()
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= 7; i++ {
 		saveTestAt(t, root, fmt.Sprintf("v%d", i), base.Add(time.Duration(i)*time.Hour))
 	}
 
-	// Protect stable v2 and candidate v3; keep 1 beyond protected. The
-	// newest (v6) is the default-alias target, so it survives too; then one
-	// KeepLast slot goes to the next-newest unprotected (v5).
-	res, err := GC(root, hw.V100().Name, []string{"v2", "v3"}, GCPolicy{KeepLast: 1})
+	// Protect stable v2 and candidate v3. The newest (v7) is the
+	// default-alias target, so it survives too; then the two keepLast slots
+	// go to the next-newest unprotected (v6, v5).
+	res, err := GC(root, hw.V100().Name, []string{"v2", "v3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestGCRetention(t *testing.T) {
 	if strings.Join(res.Removed, ",") != "v1,v4" {
 		t.Fatalf("Removed = %v", res.Removed)
 	}
-	if got := gcNames(t, root); strings.Join(got, ",") != "v2,v3,v5,v6" {
+	if got := gcNames(t, root); strings.Join(got, ",") != "v2,v3,v5,v6,v7" {
 		t.Fatalf("survivors = %v", got)
 	}
 
@@ -64,15 +64,9 @@ func TestGCRetention(t *testing.T) {
 	}
 
 	// Idempotent: a second pass has nothing to remove.
-	res, err = GC(root, hw.V100().Name, []string{"v2", "v3"}, GCPolicy{KeepLast: 1})
+	res, err = GC(root, hw.V100().Name, []string{"v2", "v3"})
 	if err != nil || len(res.Removed) != 0 {
 		t.Fatalf("second pass removed %v, err %v", res.Removed, err)
-	}
-
-	// Negative KeepLast disables GC outright.
-	res, err = GC(root, hw.V100().Name, nil, GCPolicy{KeepLast: -1})
-	if err != nil || len(res.Removed) != 0 {
-		t.Fatalf("disabled GC removed %v, err %v", res.Removed, err)
 	}
 }
 
@@ -82,36 +76,38 @@ func TestGCProtectsAlias(t *testing.T) {
 	// A version literally named "default" is the alias target even though it
 	// is the OLDEST — GC must never delete it.
 	saveTestAt(t, root, "default", base)
-	saveTestAt(t, root, "v2", base.Add(1*time.Hour))
-	saveTestAt(t, root, "v3", base.Add(2*time.Hour))
+	for i := 2; i <= 5; i++ {
+		saveTestAt(t, root, fmt.Sprintf("v%d", i), base.Add(time.Duration(i)*time.Hour))
+	}
 
-	res, err := GC(root, hw.V100().Name, []string{"v3"}, GCPolicy{KeepLast: 0})
+	res, err := GC(root, hw.V100().Name, []string{"v5"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(res.Removed, ",") != "v2" {
 		t.Fatalf("Removed = %v", res.Removed)
 	}
-	if got := gcNames(t, root); strings.Join(got, ",") != "default,v3" {
+	if got := gcNames(t, root); strings.Join(got, ",") != "default,v3,v4,v5" {
 		t.Fatalf("survivors = %v", got)
 	}
 
 	// Without a literal "default", the newest version carries the alias and
-	// is protected even with KeepLast 0 and no explicit protection.
+	// is protected with no explicit protection, beyond the keepLast slots.
 	root2 := t.TempDir()
-	saveTestAt(t, root2, "a", base)
-	saveTestAt(t, root2, "b", base.Add(time.Hour))
-	res, err = GC(root2, hw.V100().Name, nil, GCPolicy{KeepLast: 0})
+	for i, name := range []string{"a", "b", "c", "d"} {
+		saveTestAt(t, root2, name, base.Add(time.Duration(i)*time.Hour))
+	}
+	res, err = GC(root2, hw.V100().Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(res.Removed, ",") != "a" || strings.Join(gcNames(t, root2), ",") != "b" {
+	if strings.Join(res.Removed, ",") != "a" || strings.Join(gcNames(t, root2), ",") != "b,c,d" {
 		t.Fatalf("alias-by-recency: removed %v, left %v", res.Removed, gcNames(t, root2))
 	}
 }
 
 func TestGCMissingPlatform(t *testing.T) {
-	res, err := GC(t.TempDir(), hw.V100().Name, nil, GCPolicy{})
+	res, err := GC(t.TempDir(), hw.V100().Name, nil)
 	if err != nil || len(res.Removed) != 0 {
 		t.Fatalf("GC on empty root = %+v, %v", res, err)
 	}
@@ -125,7 +121,7 @@ func TestGCCrashMidPass(t *testing.T) {
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	setup := func(t *testing.T) string {
 		root := t.TempDir()
-		for i := 1; i <= 3; i++ {
+		for i := 1; i <= 4; i++ {
 			saveTestAt(t, root, fmt.Sprintf("v%d", i), base.Add(time.Duration(i)*time.Hour))
 		}
 		return root
@@ -140,7 +136,7 @@ func TestGCCrashMidPass(t *testing.T) {
 			}
 			return os.Remove(path)
 		}
-		res, err := GC(root, hw.V100().Name, []string{"v3"}, GCPolicy{KeepLast: 0})
+		res, err := GC(root, hw.V100().Name, []string{"v4"})
 		if err == nil {
 			t.Fatal("injected failure not surfaced")
 		}
@@ -148,7 +144,7 @@ func TestGCCrashMidPass(t *testing.T) {
 			t.Fatalf("Removed = %v", res.Removed)
 		}
 		// Nothing was deleted: every checkpoint still loads.
-		if got := gcNames(t, root); strings.Join(got, ",") != "v1,v2,v3" {
+		if got := gcNames(t, root); strings.Join(got, ",") != "v1,v2,v3,v4" {
 			t.Fatalf("survivors = %v", got)
 		}
 		if _, err := Open(root, Options{}); err != nil {
@@ -164,7 +160,7 @@ func TestGCCrashMidPass(t *testing.T) {
 			}
 			return os.Remove(path)
 		}
-		res, err := GC(root, hw.V100().Name, []string{"v3"}, GCPolicy{KeepLast: 1})
+		res, err := GC(root, hw.V100().Name, []string{"v4"})
 		if err == nil {
 			t.Fatal("injected failure not surfaced")
 		}
@@ -173,7 +169,7 @@ func TestGCCrashMidPass(t *testing.T) {
 		}
 		// v1's manifest is gone, its weights stranded — Discover must skip
 		// the torn directory and Open must serve the survivors.
-		if got := gcNames(t, root); strings.Join(got, ",") != "v2,v3" {
+		if got := gcNames(t, root); strings.Join(got, ",") != "v2,v3,v4" {
 			t.Fatalf("survivors = %v", got)
 		}
 		if _, err := Open(root, Options{}); err != nil {
@@ -183,10 +179,10 @@ func TestGCCrashMidPass(t *testing.T) {
 		// directory is invisible to Discover (it could equally be a Save
 		// mid-write, so GC leaves it alone) and the survivors are stable.
 		removeFileHook = os.Remove
-		if _, err := GC(root, hw.V100().Name, []string{"v3"}, GCPolicy{KeepLast: 1}); err != nil {
+		if _, err := GC(root, hw.V100().Name, []string{"v4"}); err != nil {
 			t.Fatal(err)
 		}
-		if got := gcNames(t, root); strings.Join(got, ",") != "v2,v3" {
+		if got := gcNames(t, root); strings.Join(got, ",") != "v2,v3,v4" {
 			t.Fatalf("survivors after rerun = %v", got)
 		}
 	})

@@ -17,24 +17,28 @@ import (
 // is saved as a new candidate version with the platform's rollout state
 // pointed at it.
 
-// RetrainOptions tunes RetrainFromFeedback. Zero values take the noted
-// defaults. Batch size, learning rate and workers are gnn.FitIncremental's,
-// and the validation share is dataset.Split's: no caller ever set another.
+// RetrainOptions tunes RetrainFromFeedback. Batch size, learning rate and
+// workers are gnn.FitIncremental's, the validation share is dataset.Split's,
+// and the candidate's traffic share and the feedback floor are the
+// constants below: no caller ever set another.
 type RetrainOptions struct {
 	// CandidateName names the new checkpoint; "" derives a unique
 	// "fb-<UTC timestamp>" name.
 	CandidateName string
-	// SplitPct is the canary traffic percentage recorded in the rollout
-	// state for the new candidate. Default 10.
-	SplitPct float64
 	// Epochs of gnn.FitIncremental (its incremental default when zero).
 	Epochs int
 	// Seed of the train/validation split and the trainer's shuffles.
 	Seed int64
-	// MinRecords gates retraining until enough usable feedback exists.
-	// Default 20; below 2 there is nothing to validate on, so 2 is the floor.
-	MinRecords int
 }
+
+const (
+	// candidateSplitPct is the percentage of unpinned traffic the rollout
+	// state routes to a fresh candidate.
+	candidateSplitPct = 10
+	// minRetrainRecords gates retraining until enough usable feedback
+	// exists to train on and validate against.
+	minRetrainRecords = 20
+)
 
 // RetrainResult reports what a retrain produced.
 type RetrainResult struct {
@@ -58,16 +62,6 @@ type RetrainResult struct {
 // manifest always reports a real validation.
 func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts RetrainOptions) (RetrainResult, error) {
 	var res RetrainResult
-	if opts.SplitPct <= 0 {
-		opts.SplitPct = 10
-	}
-	if opts.SplitPct > 100 {
-		opts.SplitPct = 100
-	}
-	if opts.MinRecords <= 0 {
-		opts.MinRecords = 20
-	}
-	opts.MinRecords = max(opts.MinRecords, 2)
 
 	// Resolve the stable checkpoint to fine-tune from.
 	cps, err := Discover(root)
@@ -112,9 +106,9 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	// Rebuild samples from the feedback records with the manifest's scalers.
 	samples, skipped := e.feedbackSamples(recs)
 	res.Skipped = skipped
-	if len(samples) < opts.MinRecords {
+	if len(samples) < minRetrainRecords {
 		return res, fmt.Errorf("registry: retrain: only %d usable feedback records for %s (need %d)",
-			len(samples), platform, opts.MinRecords)
+			len(samples), platform, minRetrainRecords)
 	}
 	train, val := dataset.Split(samples, opts.Seed)
 	res.TrainSamples, res.ValSamples = len(train), len(val)
@@ -159,7 +153,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	}
 	st.Stable = res.Stable
 	st.Candidate = name
-	st.SplitPct = opts.SplitPct
+	st.SplitPct = candidateSplitPct
 	st.Better, st.Worse = 0, 0
 	st.Note(RolloutEvent{Event: "candidate", Stable: st.Stable, Candidate: name})
 	if err := SaveRollout(root, st); err != nil {

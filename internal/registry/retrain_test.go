@@ -147,37 +147,36 @@ func TestRetrainFromFeedback(t *testing.T) {
 
 // TestRetrainAlwaysValidates holds the smallest retrains to the shared split:
 // max(1, ⌊n/10⌋) usable records validate, so a candidate's manifest reports a
-// real evaluation. (With its own split, int(6 × 0.1) = 0: six records under
-// MinRecords 5 trained on six, validated on none and recorded
-// final_val_rmse 0 — reachable as serve -retrain-after 5.) One record cannot
-// be split and is refused whatever MinRecords says.
+// real evaluation. (With its own split and a settable floor, six records
+// trained on six, validated on none and recorded final_val_rmse 0.) Below
+// the fixed floor of twenty usable records a retrain is refused.
 func TestRetrainAlwaysValidates(t *testing.T) {
 	root := t.TempDir()
 	saveTest(t, root, hw.V100(), "v1", 7)
 	plat := hw.V100().Name
 
-	res, err := RetrainFromFeedback(root, plat, feedbackRecords(6), RetrainOptions{Epochs: 2, Seed: 1, MinRecords: 5})
+	res, err := RetrainFromFeedback(root, plat, feedbackRecords(minRetrainRecords+1), RetrainOptions{Epochs: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TrainSamples != 5 || res.ValSamples != 1 {
-		t.Fatalf("6 records split %d train / %d val, want 5 / 1", res.TrainSamples, res.ValSamples)
+	if res.TrainSamples != 19 || res.ValSamples != 2 {
+		t.Fatalf("21 records split %d train / %d val, want 19 / 2", res.TrainSamples, res.ValSamples)
 	}
 	ce, err := Load(res.Candidate.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	info := ce.Manifest.Train
-	if info.TrainSamples != 5 || info.ValSamples != 1 {
+	if info.TrainSamples != 19 || info.ValSamples != 2 {
 		t.Errorf("manifest records %d train / %d val", info.TrainSamples, info.ValSamples)
 	}
 	if !(info.FinalValRMSE > 0) || info.FinalValRMSE != res.FinalValRMSE {
 		t.Errorf("manifest final_val_rmse %v, result %v: not a real evaluation", info.FinalValRMSE, res.FinalValRMSE)
 	}
 
-	_, err = RetrainFromFeedback(root, plat, feedbackRecords(1), RetrainOptions{Epochs: 1, MinRecords: 1})
-	if err == nil || !strings.Contains(err.Error(), "only 1 usable feedback records") {
-		t.Fatalf("retrain on one record: %v", err)
+	_, err = RetrainFromFeedback(root, plat, feedbackRecords(minRetrainRecords-1), RetrainOptions{Epochs: 1})
+	if err == nil || !strings.Contains(err.Error(), "only 19 usable feedback records") {
+		t.Fatalf("retrain on 19 records: %v", err)
 	}
 }
 
@@ -275,7 +274,7 @@ func TestRetrainGuards(t *testing.T) {
 	saveTest(t, root, hw.V100(), "v1", 7)
 	// Too little feedback.
 	if _, err := RetrainFromFeedback(root, plat, feedbackRecords(3), RetrainOptions{Epochs: 1}); err == nil {
-		t.Fatal("retrain below MinRecords succeeded")
+		t.Fatal("retrain below the record floor succeeded")
 	}
 	// Records for another platform (or unparseable sources) are skipped.
 	recs := feedbackRecords(40)
@@ -283,7 +282,7 @@ func TestRetrainGuards(t *testing.T) {
 		recs[i].Platform = hw.Power9().Name
 	}
 	recs[10].Source = "not C at all %%%"
-	res, err := RetrainFromFeedback(root, plat, recs, RetrainOptions{Epochs: 1, MinRecords: 25, Seed: 3})
+	res, err := RetrainFromFeedback(root, plat, recs, RetrainOptions{Epochs: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,39 +135,19 @@ func RouteCandidate(key string, splitPct float64) bool {
 	return frac < threshold
 }
 
-// HysteresisConfig tunes the promote/rollback state machine. Zero values
-// take the defaults noted per field.
-type HysteresisConfig struct {
-	// MinSamples gates any decision until both versions' quality windows
-	// hold this many (prediction, measurement) pairs. Default 30.
-	MinSamples int
-	// PromoteAfter is how many *consecutive* non-inferior evaluations
-	// promote the candidate. Default 3.
-	PromoteAfter int
-}
-
-// The state machine's fixed margins and rollback depth. promoteMargin is
+// The state machine's fixed margins and streak depths. promoteMargin is
 // the non-inferiority slack: the candidate promotes when its rank
 // correlation stays within it below (or anywhere above) the stable's.
 // rollbackMargin is the clear-regression threshold: the candidate rolls
 // back when its correlation falls more than it below the stable's; between
-// the margins is a dead band (hold). rollbackAfter consecutive regressions
-// roll back.
+// the margins is a dead band (hold). promoteAfter consecutive non-inferior
+// evaluations promote; rollbackAfter consecutive regressions roll back.
 const (
 	promoteMargin  = 0.02
 	rollbackMargin = 0.10
+	promoteAfter   = 3
 	rollbackAfter  = 3
 )
-
-func (c HysteresisConfig) withDefaults() HysteresisConfig {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 30
-	}
-	if c.PromoteAfter <= 0 {
-		c.PromoteAfter = 3
-	}
-	return c
-}
 
 // Decision is the outcome of one hysteresis evaluation.
 type Decision int
@@ -192,12 +172,13 @@ func (d Decision) String() string {
 // Observe feeds one quality evaluation into the hysteresis counters carried
 // by st (Better/Worse) and returns the resulting decision. stableCorr and
 // candCorr are Spearman rank correlations of predicted vs. measured
-// runtimes; stableN and candN are the sample counts behind them.
+// runtimes; how many pairs must stand behind them before an evaluation
+// counts is the caller's gate (the serving lifecycle owns the windows).
 //
-// Transition rules, applied only once both windows reach MinSamples:
+// Transition rules:
 //
 //   - candidate within promoteMargin of (or better than) stable → Better++,
-//     Worse reset; Better reaching PromoteAfter → Promote.
+//     Worse reset; Better reaching promoteAfter → Promote.
 //   - candidate more than rollbackMargin below stable → Worse++, Better
 //     reset; Worse reaching rollbackAfter → Rollback.
 //   - in the dead band between the margins → both counters reset (a streak
@@ -206,9 +187,8 @@ func (d Decision) String() string {
 // A candidate whose correlation is NaN (constant predictions — no ranking
 // signal) counts as a regression when the stable has signal; a stable with
 // NaN correlation cannot hold back a candidate with signal. Both NaN holds.
-func Observe(st *RolloutState, stableCorr, candCorr float64, stableN, candN int, cfg HysteresisConfig) Decision {
-	cfg = cfg.withDefaults()
-	if st.Candidate == "" || candN < cfg.MinSamples || stableN < cfg.MinSamples {
+func Observe(st *RolloutState, stableCorr, candCorr float64) Decision {
+	if st.Candidate == "" {
 		return Hold
 	}
 	sNaN, cNaN := math.IsNaN(stableCorr), math.IsNaN(candCorr)
@@ -238,7 +218,7 @@ func Observe(st *RolloutState, stableCorr, candCorr float64, stableN, candN int,
 		st.Better, st.Worse = 0, 0
 		return Rollback
 	}
-	if st.Better >= cfg.PromoteAfter {
+	if st.Better >= promoteAfter {
 		st.Better, st.Worse = 0, 0
 		return Promote
 	}

@@ -154,44 +154,39 @@ func TestQualityWindow(t *testing.T) {
 // TestHysteresisTransitions walks the promote/rollback state machine through
 // its full transition diagram with a scripted evaluation sequence.
 func TestHysteresisTransitions(t *testing.T) {
-	cfg := HysteresisConfig{MinSamples: 10, PromoteAfter: 3}
 	type step struct {
-		name           string
-		stable, cand   float64
-		stableN, candN int
-		want           Decision
-		better, worse  int // expected counters after the step
+		name          string
+		stable, cand  float64
+		want          Decision
+		better, worse int // expected counters after the step
 	}
 	steps := []step{
-		// Insufficient samples: nothing moves.
-		{"cand window cold", 0.9, 0.95, 50, 3, Hold, 0, 0},
-		{"stable window cold", 0.9, 0.95, 3, 50, Hold, 0, 0},
 		// Better streak building toward promote...
-		{"better 1", 0.90, 0.95, 50, 50, Hold, 1, 0},
-		{"better 2 (within margin)", 0.90, 0.89, 50, 50, Hold, 2, 0},
+		{"better 1", 0.90, 0.95, Hold, 1, 0},
+		{"better 2 (within margin)", 0.90, 0.89, Hold, 2, 0},
 		// ...broken by a clear regression (counters swap).
-		{"worse 1 resets better", 0.90, 0.70, 50, 50, Hold, 0, 1},
+		{"worse 1 resets better", 0.90, 0.70, Hold, 0, 1},
 		// Dead band resets both: streaks must be consecutive.
-		{"dead band", 0.90, 0.85, 50, 50, Hold, 0, 0},
+		{"dead band", 0.90, 0.85, Hold, 0, 0},
 		// Full promote streak.
-		{"better 1 again", 0.90, 0.91, 50, 50, Hold, 1, 0},
-		{"better 2 again", 0.90, 0.92, 50, 50, Hold, 2, 0},
-		{"promote", 0.90, 0.93, 50, 50, Promote, 0, 0},
+		{"better 1 again", 0.90, 0.91, Hold, 1, 0},
+		{"better 2 again", 0.90, 0.92, Hold, 2, 0},
+		{"promote", 0.90, 0.93, Promote, 0, 0},
 		// Full rollback streak (rollbackAfter = 3).
-		{"worse 1", 0.90, 0.60, 50, 50, Hold, 0, 1},
-		{"worse 2", 0.90, 0.60, 50, 50, Hold, 0, 2},
-		{"rollback", 0.90, 0.60, 50, 50, Rollback, 0, 0},
+		{"worse 1", 0.90, 0.60, Hold, 0, 1},
+		{"worse 2", 0.90, 0.60, Hold, 0, 2},
+		{"rollback", 0.90, 0.60, Rollback, 0, 0},
 		// NaN semantics: candidate with no ranking signal is a regression,
 		// stable with none cannot hold a candidate back, both NaN holds.
-		{"cand NaN", 0.90, math.NaN(), 50, 50, Hold, 0, 1},
-		{"cand NaN 2", 0.90, math.NaN(), 50, 50, Hold, 0, 2},
-		{"cand NaN rollback", 0.90, math.NaN(), 50, 50, Rollback, 0, 0},
-		{"stable NaN", math.NaN(), 0.5, 50, 50, Hold, 1, 0},
-		{"both NaN", math.NaN(), math.NaN(), 50, 50, Hold, 1, 0},
+		{"cand NaN", 0.90, math.NaN(), Hold, 0, 1},
+		{"cand NaN 2", 0.90, math.NaN(), Hold, 0, 2},
+		{"cand NaN rollback", 0.90, math.NaN(), Rollback, 0, 0},
+		{"stable NaN", math.NaN(), 0.5, Hold, 1, 0},
+		{"both NaN", math.NaN(), math.NaN(), Hold, 1, 0},
 	}
 	st := &RolloutState{Platform: "p", Stable: "v1", Candidate: "fb-1"}
 	for _, s := range steps {
-		got := Observe(st, s.stable, s.cand, s.stableN, s.candN, cfg)
+		got := Observe(st, s.stable, s.cand)
 		if got != s.want || st.Better != s.better || st.Worse != s.worse {
 			t.Fatalf("%s: decision=%v better=%d worse=%d, want %v/%d/%d",
 				s.name, got, st.Better, st.Worse, s.want, s.better, s.worse)
@@ -201,7 +196,7 @@ func TestHysteresisTransitions(t *testing.T) {
 	// No candidate: Observe never acts, whatever the numbers say.
 	idle := &RolloutState{Platform: "p", Stable: "v1"}
 	for i := 0; i < 10; i++ {
-		if got := Observe(idle, 0.1, 0.99, 100, 100, cfg); got != Hold {
+		if got := Observe(idle, 0.1, 0.99); got != Hold {
 			t.Fatalf("no-candidate Observe = %v", got)
 		}
 	}
@@ -210,19 +205,25 @@ func TestHysteresisTransitions(t *testing.T) {
 	}
 }
 
+// TestHysteresisDefaults pins the fixed streak depths: three consecutive
+// non-inferior evaluations promote, three regressions roll back.
 func TestHysteresisDefaults(t *testing.T) {
 	st := &RolloutState{Platform: "p", Stable: "v1", Candidate: "c"}
-	// Defaults: MinSamples 30, PromoteAfter 3.
-	if got := Observe(st, 0.5, 0.9, 29, 29, HysteresisConfig{}); got != Hold || st.Better != 0 {
-		t.Fatalf("below default MinSamples: %v, better=%d", got, st.Better)
-	}
 	for i := 0; i < 2; i++ {
-		if got := Observe(st, 0.5, 0.9, 30, 30, HysteresisConfig{}); got != Hold {
+		if got := Observe(st, 0.5, 0.9); got != Hold {
 			t.Fatalf("step %d = %v", i, got)
 		}
 	}
-	if got := Observe(st, 0.5, 0.9, 30, 30, HysteresisConfig{}); got != Promote {
+	if got := Observe(st, 0.5, 0.9); got != Promote {
 		t.Fatalf("third better eval = %v, want Promote", got)
+	}
+	for i := 0; i < 2; i++ {
+		if got := Observe(st, 0.9, 0.5); got != Hold {
+			t.Fatalf("regression %d = %v", i, got)
+		}
+	}
+	if got := Observe(st, 0.9, 0.5); got != Rollback {
+		t.Fatalf("third regression = %v, want Rollback", got)
 	}
 	if s := Promote.String() + Rollback.String() + Hold.String(); s != "promoterollbackhold" {
 		t.Fatalf("Decision strings = %q", s)

@@ -78,8 +78,8 @@ const (
 	// refillConcurrency caps concurrent anti-entropy entry fetches so a
 	// refill never starves the serving path.
 	refillConcurrency = 4
-	// drainTimeout bounds the key handoff of a planned departure started by
-	// POST /v1/cluster/leave.
+	// drainTimeout bounds a planned departure (DrainCluster), whether POST
+	// /v1/cluster/leave or a shutdown started it.
 	drainTimeout = 30 * time.Second
 )
 

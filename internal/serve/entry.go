@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"paragraph/internal/advisor"
+	"paragraph/internal/variants"
 )
 
 // The entry codec: how a response-cache value goes on the wire. One schema
@@ -82,7 +83,7 @@ advise:
 		as := snap.Advise[i]
 		recs := make([]advisor.Recommendation, len(as.Recs))
 		for j, rs := range as.Recs {
-			kind, err := kindByName(rs.Kind)
+			kind, err := variants.ParseKind(rs.Kind)
 			if err != nil {
 				continue advise
 			}

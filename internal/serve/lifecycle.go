@@ -26,8 +26,9 @@ import (
 // becomes a *candidate* version taking a deterministic percentage of
 // unpinned traffic; sustained non-inferiority promotes it to stable,
 // sustained regression rolls it back — the stable version never stops
-// serving either way. Promotion also prunes superseded checkpoints under
-// the configured retention.
+// serving either way. Promotion also prunes superseded checkpoints beyond
+// the registry's fixed retention. Rollout state, candidates and pruning all
+// live in the registry root the server booted from.
 //
 // Lock ordering: lifecycle.mu is always taken before backendState.mu, and
 // never while holding the metrics registry's lock (scrape-time collectors
@@ -130,16 +131,16 @@ type platRollout struct {
 
 // lifecycle owns the feedback→retrain→rollout loop for a server. nil on
 // servers started without a feedback directory.
-//
-// Its settings are the server's Options: RegistryRoot ("" disables
-// retrain, GC and persistence), RolloutSplit, RetrainAfter (<= 0 disables
-// auto-retrain), RetrainEpochs, GCKeep (registry.GCPolicy.KeepLast;
-// negative disables GC) and the hysteresis pair.
 type lifecycle struct {
 	s       *Server
+	root    string // registry root: rollout state, retrain candidates, GC
 	log     *feedback.Log
 	journal *Cache
-	hcfg    registry.HysteresisConfig
+
+	// minSamples is how many pairs both quality windows hold before a
+	// promote/rollback evaluation counts: minQualitySamples, shrunk by
+	// in-package tests before any traffic.
+	minSamples int
 
 	mu    sync.Mutex
 	plats map[string]*platRollout
@@ -163,6 +164,12 @@ const (
 	// qualityWindowSize is the per-model ring of (predicted, measured)
 	// pairs the rank correlation is computed over.
 	qualityWindowSize = 512
+	// retrainAfter is how many accepted measurements a platform accumulates
+	// between background retrains.
+	retrainAfter = 100
+	// minQualitySamples is how many pairs the stable's and the candidate's
+	// windows must both hold before a promote/rollback evaluation counts.
+	minQualitySamples = 30
 )
 
 // feedbackOutcomes are the serve_feedback_total label values,
@@ -173,24 +180,27 @@ var feedbackOutcomes = []string{"accepted", "unknown_key", "mismatch", "invalid"
 // set) and restores each platform's rollout state from the registry root,
 // so a restart resumes exactly where the previous process left off — in
 // particular, a restart after a rollback serves the rolled-back-to stable,
-// not the newest (bad) checkpoint.
+// not the newest (bad) checkpoint. The loop needs the root: retrains write
+// their candidates there and every transition persists there.
 func (s *Server) initLifecycle() error {
 	if s.opts.FeedbackDir == "" {
 		return nil
+	}
+	root := s.opts.RegistryRoot
+	if root == "" {
+		return fmt.Errorf("serve: the feedback lifecycle needs a registry root to retrain into")
 	}
 	lg, err := feedback.Open(s.opts.FeedbackDir)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	lc := &lifecycle{
-		s:       s,
-		log:     lg,
-		journal: NewCache(feedbackJournalSize),
-		hcfg: registry.HysteresisConfig{
-			MinSamples:   s.opts.MinQualitySamples,
-			PromoteAfter: s.opts.PromoteAfter,
-		},
-		plats: map[string]*platRollout{},
+		s:          s,
+		root:       root,
+		log:        lg,
+		journal:    NewCache(feedbackJournalSize),
+		minSamples: minQualitySamples,
+		plats:      map[string]*platRollout{},
 	}
 	s.lifecycle = lc
 	s.metrics.registerLifecycle(lc)
@@ -201,11 +211,8 @@ func (s *Server) initLifecycle() error {
 // restore loads persisted rollout state for every served platform and
 // re-anchors the serving defaults to it.
 func (lc *lifecycle) restore() {
-	if lc.s.opts.RegistryRoot == "" {
-		return
-	}
 	for _, platform := range lc.s.machineNames() {
-		st, err := registry.LoadRollout(lc.s.opts.RegistryRoot, platform)
+		st, err := registry.LoadRollout(lc.root, platform)
 		if err != nil {
 			lc.s.logger.Warn("rollout: state unreadable, starting fresh", "platform", platform, "err", err)
 			continue
@@ -230,7 +237,7 @@ func (lc *lifecycle) restore() {
 			changed = true
 		}
 		if changed {
-			if err := registry.SaveRollout(lc.s.opts.RegistryRoot, st); err != nil {
+			if err := registry.SaveRollout(lc.root, st); err != nil {
 				lc.s.logger.Warn("rollout: persist state", "platform", platform, "err", err)
 			}
 		}
@@ -391,7 +398,7 @@ func (lc *lifecycle) accept(freq FeedbackRequest) (FeedbackResponse, int, error)
 	pt := matches[0]
 	pred := je.points[pt]
 
-	kind, err := kindByName(pt.variant)
+	kind, err := variants.ParseKind(pt.variant)
 	if err != nil {
 		lc.reject("error")
 		return resp, http.StatusInternalServerError, fmt.Errorf("rebuild variant: %v", err)
@@ -448,8 +455,8 @@ func windowSnapshot(w *registry.QualityWindow) (float64, int) {
 
 // observe feeds one (predicted, measured) pair into the serving model's
 // quality window, evaluates the promote/rollback hysteresis when a
-// candidate is live, and paces the background retrain. Returns the model's
-// windowed pair count.
+// candidate is live and both windows hold minSamples pairs, and paces the
+// background retrain. Returns the model's windowed pair count.
 func (lc *lifecycle) observe(platform, model string, pred, meas float64) int {
 	lc.mu.Lock()
 	p := lc.platLocked(platform)
@@ -465,17 +472,18 @@ func (lc *lifecycle) observe(platform, model string, pred, meas float64) int {
 	if p.st.Candidate != "" {
 		stableCorr, stableN := windowSnapshot(p.windows[p.st.Stable])
 		candCorr, candN := windowSnapshot(p.windows[p.st.Candidate])
-		switch registry.Observe(p.st, stableCorr, candCorr, stableN, candN, lc.hcfg) {
-		case registry.Promote:
-			lc.promoteLocked(p, stableCorr, candCorr)
-		case registry.Rollback:
-			lc.rollbackLocked(p, stableCorr, candCorr)
+		if min(stableN, candN) >= lc.minSamples {
+			switch registry.Observe(p.st, stableCorr, candCorr) {
+			case registry.Promote:
+				lc.promoteLocked(p, stableCorr, candCorr)
+			case registry.Rollback:
+				lc.rollbackLocked(p, stableCorr, candCorr)
+			}
 		}
 	}
 
 	startRetrain := false
-	if p.st.Candidate == "" && !p.retraining && lc.s.opts.RegistryRoot != "" &&
-		lc.s.opts.RetrainAfter > 0 && p.sinceRetrain >= lc.s.opts.RetrainAfter {
+	if p.st.Candidate == "" && !p.retraining && p.sinceRetrain >= retrainAfter {
 		p.retraining = true
 		p.sinceRetrain = 0
 		startRetrain = true
@@ -491,7 +499,7 @@ func (lc *lifecycle) observe(platform, model string, pred, meas float64) int {
 
 // promoteLocked makes the candidate the platform's stable and serving
 // default, persists the transition, and prunes superseded checkpoints
-// under the retention policy. Caller holds lc.mu.
+// beyond the registry's retention. Caller holds lc.mu.
 func (lc *lifecycle) promoteLocked(p *platRollout, stableCorr, candCorr float64) {
 	old := p.st.Stable
 	cand := p.st.Candidate
@@ -529,13 +537,10 @@ func (lc *lifecycle) rollbackLocked(p *platRollout, stableCorr, candCorr float64
 		"stable_corr", stableCorr, "cand_corr", candCorr)
 }
 
-// persistLocked writes the platform's rollout state through to disk (a
-// no-op without a registry root). Caller holds lc.mu.
+// persistLocked writes the platform's rollout state through to disk.
+// Caller holds lc.mu.
 func (lc *lifecycle) persistLocked(p *platRollout) {
-	if lc.s.opts.RegistryRoot == "" {
-		return
-	}
-	if err := registry.SaveRollout(lc.s.opts.RegistryRoot, p.st); err != nil {
+	if err := registry.SaveRollout(lc.root, p.st); err != nil {
 		lc.s.logger.Warn("rollout: persist state", "platform", p.st.Platform, "err", err)
 	}
 }
@@ -545,11 +550,7 @@ func (lc *lifecycle) persistLocked(p *platRollout) {
 // but a restart could not find would be a surprise waiting for that restart.
 // Caller holds lc.mu.
 func (lc *lifecycle) gcLocked(p *platRollout) {
-	if lc.s.opts.RegistryRoot == "" || lc.s.opts.GCKeep < 0 {
-		return
-	}
-	res, err := registry.GC(lc.s.opts.RegistryRoot, p.st.Platform,
-		[]string{p.st.Stable, p.st.Candidate}, registry.GCPolicy{KeepLast: lc.s.opts.GCKeep})
+	res, err := registry.GC(lc.root, p.st.Platform, []string{p.st.Stable, p.st.Candidate})
 	if err != nil {
 		lc.s.logger.Warn("rollout: checkpoint gc", "platform", p.st.Platform, "err", err)
 	}
@@ -589,14 +590,8 @@ func (lc *lifecycle) runRetrain(platform string) error {
 		lc.s.logger.Warn("rollout: torn/malformed feedback lines skipped",
 			"platform", platform, "skipped", skipped)
 	}
-	// MinRecords follows the retrain pacing so small thresholds (tests,
-	// low-traffic tiers) are honored, capped at the registry default.
-	opts := lc.s.opts
-	res, err := registry.RetrainFromFeedback(opts.RegistryRoot, platform, recs, registry.RetrainOptions{
-		SplitPct:   opts.RolloutSplit,
-		Epochs:     opts.RetrainEpochs,
-		Seed:       time.Now().UnixNano(),
-		MinRecords: min(opts.RetrainAfter, 20),
+	res, err := registry.RetrainFromFeedback(lc.root, platform, recs, registry.RetrainOptions{
+		Seed: time.Now().UnixNano(),
 	})
 	if err != nil {
 		return err
@@ -629,7 +624,7 @@ func (lc *lifecycle) runRetrain(platform string) error {
 	lc.mu.Unlock()
 
 	lc.s.logger.Info("rollout: candidate adopted", "platform", platform,
-		"stable", res.Stable, "candidate", name, "split_pct", lc.s.opts.RolloutSplit,
+		"stable", res.Stable, "candidate", name, "split_pct", res.Rollout.SplitPct,
 		"train_samples", res.TrainSamples, "val_samples", res.ValSamples,
 		"val_rmse", res.FinalValRMSE)
 	return nil

@@ -20,15 +20,16 @@ import (
 )
 
 // newFeedbackServer serves the oracle backends with the feedback loop
-// enabled but no registry root: measurements are accepted and windowed, but
-// nothing retrains. Returns the feedback directory for log inspection.
+// enabled over an empty registry root: measurements are accepted and
+// windowed, and no test sends enough of them to start a retrain. Returns
+// the feedback directory for log inspection.
 func newFeedbackServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := NewServer([]Backend{
 		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
 		{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()},
-	}, Options{FeedbackDir: dir})
+	}, Options{FeedbackDir: dir, RegistryRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,33 +372,39 @@ func TestFeedbackValidation(t *testing.T) {
 	if st := lcStats(t, off); st.Lifecycle != nil {
 		t.Error("disabled lifecycle still appears in stats")
 	}
+
+	// There is no in-memory mode: the loop retrains into, persists to and
+	// prunes a registry root, so feedback without one is refused at start.
+	if _, err := NewServer([]Backend{{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()}},
+		Options{FeedbackDir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), "registry root") {
+		t.Errorf("NewServer with a feedback dir and no registry root = %v, want refused", err)
+	}
 }
 
 // TestLifecyclePromoteE2E drives the whole loop against real checkpoints:
 // serve → measured feedback → background incremental retrain → candidate
-// serving its configured split → sustained non-inferiority → promotion →
-// superseded checkpoint pruned under keep-none retention.
+// serving the fixed 10% split → sustained non-inferiority → promotion →
+// superseded checkpoints beyond the two newest pruned.
 func TestLifecyclePromoteE2E(t *testing.T) {
 	root := t.TempDir()
+	// Two older checkpoints on disk, never served: after the promotion the
+	// superseded v1 and old2 fill the two retention slots and old1 goes.
+	saveLCCheckpoint(t, root, "old1", 5)
+	saveLCCheckpoint(t, root, "old2", 6)
 	saveLCCheckpoint(t, root, "v1", 7)
 	s, err := NewServer(registryBackends(t, root, "v1"), Options{
-		FeedbackDir:       t.TempDir(),
-		RegistryRoot:      root,
-		RolloutSplit:      50,
-		RetrainAfter:      40,
-		RetrainEpochs:     1,
-		MinQualitySamples: 5,
-		PromoteAfter:      3,
-		GCKeep:            -1, // keep nothing beyond stable/candidate
+		FeedbackDir:  t.TempDir(),
+		RegistryRoot: root,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	s.lifecycle.minSamples = 5
 
 	// Phase 1: enough measured traffic to trigger a retrain. Measurements
 	// match predictions exactly, so the stable's rank correlation is 1.
-	for i := 0; i < 40; i++ {
+	for i := 0; i < retrainAfter; i++ {
 		pr := lcPredict(t, s, float64(100+25*i))
 		if pr.Model != "v1" {
 			t.Fatalf("pre-candidate predict served by %q, want v1", pr.Model)
@@ -432,19 +439,19 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 	if d := descs["v1"]; d.Role != "stable" || !d.Default {
 		t.Errorf("v1 desc = %+v, want default stable", d)
 	}
-	if d, ok := descs[cand]; !ok || d.Role != "candidate" || d.RolloutSplit != 50 || d.Source != "feedback" {
+	if d, ok := descs[cand]; !ok || d.Role != "candidate" || d.RolloutSplit != 10 || d.Source != "feedback" {
 		t.Errorf("candidate desc = %+v", d)
 	} else if v1 := descs["v1"]; d.Level != v1.Level || d.Hidden != v1.Hidden || d.Layers != v1.Layers ||
-		d.Params != v1.Params || d.Epochs != 1 || d.CreatedAt == "" {
+		d.Params != v1.Params || d.Epochs != 8 || d.CreatedAt == "" {
 		// An adopted candidate is described from its manifest, like a
 		// checkpoint served from boot.
-		t.Errorf("candidate desc = %+v, want the stable's architecture (%+v) after 1 epoch", d, v1)
+		t.Errorf("candidate desc = %+v, want the stable's architecture (%+v) after gnn.FitIncremental's 8 epochs", d, v1)
 	}
 	out := scrapeMetrics(t, s)
 	for _, want := range []string{
 		"serve_retrains_total 1",
 		`serve_rollout_stage{platform="NVIDIA V100 (GPU)"} 1`,
-		`serve_rollout_split{platform="NVIDIA V100 (GPU)"} 50`,
+		`serve_rollout_split{platform="NVIDIA V100 (GPU)"} 10`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
@@ -454,7 +461,7 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 	// Phase 2: measured traffic across the split. The candidate also
 	// predicts its own measurements perfectly → non-inferior → promote.
 	candServed, promoted := 0, false
-	for i := 0; i < 35 && !promoted; i++ {
+	for i := 0; i < 400 && !promoted; i++ {
 		pr := lcPredict(t, s, float64(5000+i))
 		if pr.Model == cand {
 			candServed++
@@ -465,14 +472,15 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 		promoted = s.lifecycle.promotions.Value() > 0
 	}
 	if !promoted {
-		t.Fatalf("candidate never promoted (served %d of 35 measured requests)", candServed)
+		t.Fatalf("candidate never promoted (served %d of 400 measured requests)", candServed)
 	}
 	if candServed == 0 {
 		t.Fatal("candidate promoted without serving any traffic")
 	}
 
 	// The promoted candidate is the new stable and serving default; the
-	// superseded v1 is unregistered and its checkpoint pruned (keep-none).
+	// superseded v1 stays within retention, and the oldest checkpoint is
+	// pruned.
 	st := lcStats(t, s)
 	ro := st.Lifecycle.Rollouts[0]
 	if ro.Stable != cand || ro.Candidate != "" {
@@ -483,14 +491,20 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 			st.Lifecycle.Promotions, st.Lifecycle.Rollbacks, st.Lifecycle.GCRemoved)
 	}
 	descs = lcModels(t, s)
-	if _, ok := descs["v1"]; ok {
-		t.Error("superseded v1 still served after promotion under keep-none retention")
+	if d, ok := descs["v1"]; !ok || d.Role != "" || d.Default {
+		t.Errorf("superseded v1 desc = %+v (served %v), want served without a role", d, ok)
 	}
 	if d := descs[cand]; d.Role != "stable" || !d.Default {
 		t.Errorf("promoted desc = %+v, want default stable", d)
 	}
-	if _, err := os.Stat(filepath.Join(root, hw.Slug(hw.V100().Name), "v1")); !os.IsNotExist(err) {
-		t.Errorf("superseded checkpoint still on disk (err=%v)", err)
+	platDir := filepath.Join(root, hw.Slug(hw.V100().Name))
+	if _, err := os.Stat(filepath.Join(platDir, "old1")); !os.IsNotExist(err) {
+		t.Errorf("oldest checkpoint still on disk (err=%v)", err)
+	}
+	for _, kept := range []string{"old2", "v1"} {
+		if _, err := os.Stat(filepath.Join(platDir, kept)); err != nil {
+			t.Errorf("checkpoint %s within retention: %v", kept, err)
+		}
 	}
 	if pr := lcPredict(t, s, 99999); pr.Model != cand {
 		t.Errorf("post-promote default predict served by %q, want %q", pr.Model, cand)
@@ -536,11 +550,8 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := NewServer(registryBackends(t, root, "v1", "v2"), Options{
-		FeedbackDir:       t.TempDir(),
-		RegistryRoot:      root,
-		RetrainAfter:      1 << 30, // keep the retrain path out of this test
-		MinQualitySamples: 5,
-		PromoteAfter:      3,
+		FeedbackDir:  t.TempDir(),
+		RegistryRoot: root,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -549,7 +560,7 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 
 	served := map[string]int{}
 	rolledAt := -1
-	for i := 0; i < 80; i++ {
+	for i := 0; i < 200; i++ {
 		pr := lcPredict(t, s, float64(4000+i)) // lcPredict fails the test on any non-200
 		served[pr.Model]++
 		if rolledAt >= 0 && pr.Model != "v1" {
@@ -569,8 +580,8 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 	if rolledAt < 0 {
 		t.Fatalf("poisoned candidate never rolled back (served %d requests)", served["v2"])
 	}
-	if served["v2"] < 5 {
-		t.Fatalf("candidate served %d requests before rollback, want >= MinQualitySamples", served["v2"])
+	if served["v2"] < minQualitySamples {
+		t.Fatalf("candidate served %d requests before rollback, want >= %d quality samples", served["v2"], minQualitySamples)
 	}
 	if served["v1"] == 0 {
 		t.Fatal("stable served nothing during the canary")
@@ -639,7 +650,6 @@ func TestLifecycleRoutingDeterminism(t *testing.T) {
 	opts := Options{
 		FeedbackDir:  t.TempDir(),
 		RegistryRoot: root,
-		RetrainAfter: 1 << 30,
 	}
 	serveAll := func(s *Server) map[int]string {
 		t.Helper()

@@ -123,10 +123,7 @@ func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), drainTimeout)
-	defer cancel()
-	report := s.DrainCluster(ctx)
-	s.writeJSON(w, http.StatusOK, report)
+	s.writeJSON(w, http.StatusOK, s.DrainCluster(r.Context()))
 }
 
 // clusterKeysResponse is the GET /v1/cluster/keys payload: the local
@@ -267,15 +264,16 @@ func (s *Server) gossipLoop() {
 		case <-c.quit:
 			return
 		case <-ticker.C:
-			s.gossipOnce(context.Background())
+			s.gossipOnce(context.Background(), c.heartbeat)
 		}
 	}
 }
 
 // gossipOnce runs one heartbeat round: sweep, beat, exchange with every
-// other ring member concurrently. Each exchange is bounded by the
-// heartbeat interval so a hung peer cannot stall the round past one tick.
-func (s *Server) gossipOnce(ctx context.Context) {
+// other ring member concurrently. Each exchange is bounded by hop — the
+// heartbeat interval on the loop, so a hung peer cannot stall the round
+// past one tick.
+func (s *Server) gossipOnce(ctx context.Context, hop time.Duration) {
 	c := s.cluster
 	c.mem.Sweep()
 	view := c.mem.Beat()
@@ -295,7 +293,7 @@ func (s *Server) gossipOnce(ctx context.Context) {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat)
+			hopCtx, cancel := context.WithTimeout(ctx, hop)
 			defer cancel()
 			status, resp, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", body)
 			if err != nil || status/100 != 2 {
@@ -503,10 +501,10 @@ const (
 )
 
 // DrainCluster executes this peer's planned departure: tombstone self in
-// the membership view, push the new view to every old ring member
-// synchronously (so the tier re-rings before the handoff lands), then
-// stream every owned cache entry to its new owners over the /v1/replicate
-// wire schema in bounded batches. Idempotent — the second caller (POST
+// the membership view, run a gossip round synchronously (so the tier
+// re-rings before the handoff lands), then stream every owned cache entry
+// to its new owners over the /v1/replicate wire schema in bounded batches,
+// all within drainTimeout of ctx. Idempotent — the second caller (POST
 // /v1/cluster/leave followed by SIGTERM is the normal pair) gets
 // AlreadyDraining and no work. Outside cluster mode it reports an empty
 // drain. The process keeps serving afterwards, local-only; exiting is the
@@ -519,6 +517,8 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 	if !c.draining.CompareAndSwap(false, true) {
 		return DrainReport{AlreadyDraining: true, Epoch: c.mem.Epoch()}
 	}
+	ctx, cancel := context.WithTimeout(ctx, drainTimeout)
+	defer cancel()
 	start := time.Now()
 	oldRing := c.ring()
 	c.mem.Leave(c.self)
@@ -528,29 +528,12 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 		return report
 	}
 
-	// Announce first: peers that re-ring before the handoff arrives accept
-	// the writes anyway (the tombstone keeps us a known member), and
+	// Announce first, through a gossip round with the drain's longer
+	// per-exchange bound: peers that re-ring before the handoff arrives
+	// accept the writes anyway (the tombstone keeps us a known member), and
 	// announcing early stops them forwarding fresh misses to a peer that
 	// is about to vanish.
-	view, err := json.Marshal(c.mem.View())
-	if err == nil {
-		var wg sync.WaitGroup
-		for _, peer := range oldRing.Members() {
-			if peer == c.self {
-				continue
-			}
-			wg.Add(1)
-			go func(peer string) {
-				defer wg.Done()
-				hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat+5*time.Second)
-				defer cancel()
-				if _, _, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", view); err != nil {
-					c.gossipErrs.Inc()
-				}
-			}(peer)
-		}
-		wg.Wait()
-	}
+	s.gossipOnce(ctx, c.heartbeat+5*time.Second)
 
 	newRing := c.ring()
 	if newRing == nil {

@@ -12,6 +12,7 @@ import (
 
 	"paragraph/internal/advisor"
 	"paragraph/internal/shard"
+	"paragraph/internal/variants"
 )
 
 // elasticHeartbeat is the gossip interval for the elastic-membership tests:
@@ -347,11 +348,7 @@ func TestClusterReadRepairServesOwnedMiss(t *testing.T) {
 	// exactly the state a just-rejoined A would be in.
 	req := findOwnedBinding(t, a.srv.cluster.ring(), a.url, 90000)
 	key := adviseKeyFor(t, req)
-	kind, err := kindByName("gpu_collapse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	planted := []advisor.Recommendation{{Kind: kind, Teams: 64, Threads: 128, PredictedUS: 123.5}}
+	planted := []advisor.Recommendation{{Kind: variants.GPUCollapse, Teams: 64, Threads: 128, PredictedUS: 123.5}}
 	body, err := encodeEntries(CacheItem{Key: key, Val: planted})
 	if err != nil {
 		t.Fatal(err)

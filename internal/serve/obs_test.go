@@ -218,7 +218,7 @@ func surfaceServer(t *testing.T) *Server {
 	s, err := NewServer([]Backend{
 		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
 		{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()},
-	}, Options{FeedbackDir: t.TempDir()})
+	}, Options{FeedbackDir: t.TempDir(), RegistryRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

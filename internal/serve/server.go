@@ -110,30 +110,10 @@ type Options struct {
 	// logs under this directory. Empty disables the loop (the endpoint then
 	// answers 409).
 	FeedbackDir string
-	// RegistryRoot is the checkpoint directory retrains write candidates to
-	// and rollout state persists under (normally the -model-dir the server
-	// booted from). Empty keeps rollout state in memory and disables
-	// retraining and GC.
+	// RegistryRoot is the checkpoint directory retrains write candidates to,
+	// rollout state persists under and promotions prune (normally the
+	// -model-dir the server booted from). FeedbackDir requires it.
 	RegistryRoot string
-	// RolloutSplit is the percentage of unpinned traffic a fresh candidate
-	// takes (default 10).
-	RolloutSplit float64
-	// RetrainAfter is how many accepted measurements a platform accumulates
-	// between retrains (default 100; negative disables auto-retrain).
-	RetrainAfter int
-	// RetrainEpochs bounds each incremental retrain (0 = the trainer's
-	// incremental default).
-	RetrainEpochs int
-	// MinQualitySamples gates promote/rollback decisions until both windows
-	// hold this many pairs (0 = registry default 30).
-	MinQualitySamples int
-	// PromoteAfter is how many consecutive non-inferior evaluations promote
-	// a candidate (0 = registry default 3).
-	PromoteAfter int
-	// GCKeep bounds how many superseded checkpoint versions survive a
-	// promotion beyond the protected set (stable, candidate, default alias):
-	// 0 defaults to 2, -1 keeps none, any other negative disables GC.
-	GCKeep int
 }
 
 // The serving tier's fixed sizes: response-cache entries (whole advise
@@ -158,23 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
-	}
-	if o.RolloutSplit <= 0 {
-		o.RolloutSplit = 10
-	}
-	if o.RolloutSplit > 100 {
-		o.RolloutSplit = 100
-	}
-	if o.RetrainAfter == 0 {
-		o.RetrainAfter = 100
-	}
-	switch {
-	case o.GCKeep == 0:
-		o.GCKeep = 2
-	case o.GCKeep == -1:
-		o.GCKeep = 0
-	case o.GCKeep < -1:
-		o.GCKeep = -1 // registry.GCPolicy: negative disables
 	}
 	return o
 }
@@ -1062,16 +1025,6 @@ func (s *Server) failKeyed(w http.ResponseWriter, err error, eval *obs.Histogram
 	s.fail(w, status, "%s %s on %s/%s: %v", what, k.Name, be.machine.Name, ms.name, err)
 }
 
-// kindByName parses a variant name ("cpu", "gpu_collapse_mem", ...).
-func kindByName(name string) (variants.Kind, error) {
-	for _, k := range variants.Kinds() {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown variant %q", name)
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.noteForwarded(r)
 	if r.Method != http.MethodPost {
@@ -1093,7 +1046,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	kind, err := kindByName(req.Variant)
+	kind, err := variants.ParseKind(req.Variant)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return

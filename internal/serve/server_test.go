@@ -48,7 +48,7 @@ func testPrep() *dataset.Prepared {
 }
 
 // newTestServer serves a CPU and a GPU profile from oracle models.
-func newTestServer(t *testing.T) *Server {
+func newTestServer(t testing.TB) *Server {
 	t.Helper()
 	s, err := NewServer([]Backend{
 		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
@@ -771,4 +771,34 @@ func TestPerModelStats(t *testing.T) {
 			t.Errorf("%s: malformed quantiles %+v", name, lat)
 		}
 	}
+}
+
+// FuzzAdviseBody posts arbitrary bytes to the two evaluating endpoints of a
+// server outside cluster mode. Untrusted input must never cost a 5xx: every
+// answer is a 200 or a 4xx naming what was wrong with the request.
+func FuzzAdviseBody(f *testing.F) {
+	custom := `{"custom":{"name":"scale","func_name":"scale","params":[{"name":"n","values":[1024]}],` +
+		`"source":"void scale(double *a, int n) {\n__PRAGMA__\nfor (int i = 0; i < n; i++) a[i] = a[i] * 2.0;\n}\n"},` +
+		`"machine":"NVIDIA V100 (GPU)","bindings":{"n":1024},"space":{"gpu_teams":[64],"gpu_threads":[128]}}`
+	for _, seed := range []string{
+		`{"kernel":"matmul","machine":"NVIDIA V100 (GPU)","bindings":{"n":256},"space":{"gpu_teams":[64,128],"gpu_threads":[128]},"top":2}`,
+		`{"kernel":"matmul","machine":"IBM POWER9 (CPU)","bindings":{"n":512},"space":{"cpu_threads":[2,8]},"include_source":true}`,
+		`{"kernel":"matmul","machine":"NVIDIA V100 (GPU)","variant":"gpu_collapse_mem","teams":64,"threads":128,"bindings":{"n":256}}`,
+		`{"kernel":"matmul","machine":"IBM POWER9 (CPU)","variant":"cpu","threads":8,"bindings":{"n":1e300}}`,
+		`{"kernel":"matmul","machine":"NVIDIA V100 (GPU)","model":"nope","space":{"gpu_threads":[0]}}`,
+		custom,
+		`{"kernel":"matmul"}`, `{}`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := newTestServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/advise", "/v1/predict"} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
+				t.Fatalf("POST %s %q: %d %s", path, body, rec.Code, rec.Body.String())
+			}
+		}
+	})
 }

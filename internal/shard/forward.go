@@ -72,13 +72,11 @@ type Forwarder struct {
 	mu    sync.Mutex
 	peers map[string]*peerClient
 
-	queue      chan asyncPost
-	quit       chan struct{}
-	startOnce  sync.Once
-	closeOnce  sync.Once
-	asyncSent  atomic.Uint64 // async posts answered with a 2xx status
-	asyncDrops atomic.Uint64 // async posts dropped because the queue was full
-	asyncErrs  atomic.Uint64 // async posts that reached no peer
+	queue     chan asyncPost
+	quit      chan struct{}
+	startOnce sync.Once
+	closeOnce sync.Once
+	asyncErrs atomic.Uint64 // async posts that reached no peer
 }
 
 // NewForwarder returns a Forwarder that identifies itself as self (the
@@ -226,10 +224,10 @@ func (f *Forwarder) Forward(ctx context.Context, peer, path string, body []byte,
 // ForwardAsync enqueues a fire-and-forget POST to peer+path and returns
 // immediately. The post is carried by a background worker on the peer's
 // bounded client; nothing is retried and no result is reported back. When
-// the queue is full the post is dropped (counted in AsyncStats.Dropped)
-// rather than blocking the caller — async traffic exists to shed work off
-// the request path, so backpressure must never travel back up it. The
-// return value reports whether the post was accepted into the queue.
+// the queue is full the post is dropped rather than blocking the caller —
+// async traffic exists to shed work off the request path, so backpressure
+// must never travel back up it. The return value reports whether the post
+// was accepted into the queue; counting drops is the caller's job.
 // traceID ("" = untraced) propagates the originating request's trace.
 func (f *Forwarder) ForwardAsync(peer, path string, body []byte, traceID string) bool {
 	f.startOnce.Do(func() {
@@ -241,7 +239,6 @@ func (f *Forwarder) ForwardAsync(peer, path string, body []byte, traceID string)
 	case f.queue <- asyncPost{peer: peer, path: path, body: body, traceID: traceID}:
 		return true
 	default:
-		f.asyncDrops.Add(1)
 		return false
 	}
 }
@@ -256,8 +253,6 @@ func (f *Forwarder) drainAsync() {
 			status, _, err := f.do(context.Background(), http.MethodPost, job.peer, job.path, job.body, Meta{TraceID: job.traceID})
 			if err != nil || status/100 != 2 {
 				f.asyncErrs.Add(1)
-			} else {
-				f.asyncSent.Add(1)
 			}
 		}
 	}
@@ -294,12 +289,9 @@ func (f *Forwarder) Stats() []PeerStats {
 	return out
 }
 
-// AsyncStats snapshots the fire-and-forget queue's counters.
+// AsyncStats snapshots the fire-and-forget queue: what only the forwarder
+// can see once a post is accepted.
 type AsyncStats struct {
-	// Sent counts posts a peer answered with a 2xx status.
-	Sent uint64
-	// Dropped counts posts rejected because the queue was full.
-	Dropped uint64
 	// Errors counts posts that reached no peer or got a non-2xx answer.
 	Errors uint64
 	// Queued is the queue's current depth.
@@ -308,10 +300,5 @@ type AsyncStats struct {
 
 // Async snapshots the async-path counters.
 func (f *Forwarder) Async() AsyncStats {
-	return AsyncStats{
-		Sent:    f.asyncSent.Load(),
-		Dropped: f.asyncDrops.Load(),
-		Errors:  f.asyncErrs.Load(),
-		Queued:  len(f.queue),
-	}
+	return AsyncStats{Errors: f.asyncErrs.Load(), Queued: len(f.queue)}
 }

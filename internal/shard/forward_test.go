@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,9 +132,9 @@ func TestForwardHonorsContext(t *testing.T) {
 	}
 }
 
-// TestForwardAsyncDelivers: an async post reaches the peer with the
-// loop-guard and trace headers set, and a 2xx answer lands in the Sent
-// counter.
+// TestForwardAsyncDelivers: an accepted async post reaches the peer with
+// the loop-guard and trace headers set, and a 2xx answer leaves the error
+// counter at zero.
 func TestForwardAsyncDelivers(t *testing.T) {
 	got := make(chan string, 1)
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -155,21 +156,21 @@ func TestForwardAsyncDelivers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("async post never reached the peer")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.Async().Sent == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("async stats after delivery = %+v", f.Async())
-		}
-		time.Sleep(time.Millisecond)
+	if st := f.Async(); st.Errors != 0 {
+		t.Errorf("async stats after delivery = %+v, want no errors", st)
 	}
 }
 
 // TestForwardAsyncDropsUnderBackpressure: with the queue full (workers
-// wedged on a stalled peer), further posts are dropped and counted, never
-// blocked on — replication backpressure must not reach the request path.
+// wedged on a stalled peer), further posts are refused — ForwardAsync
+// returns false at once, never blocks — so replication backpressure cannot
+// reach the request path. Every post the peer sees was one ForwardAsync
+// accepted.
 func TestForwardAsyncDropsUnderBackpressure(t *testing.T) {
 	release := make(chan struct{})
+	var arrived atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived.Add(1)
 		<-release
 	}))
 	defer peer.Close()
@@ -180,17 +181,21 @@ func TestForwardAsyncDropsUnderBackpressure(t *testing.T) {
 	defer f.Close()
 	// The first posts occupy the workers; the queue (cap 1) fills behind
 	// them. Enqueueing is racy against the workers draining, so keep posting
-	// until a drop is recorded — with the workers wedged, at most three posts
-	// are absorbed (two in flight, one queued) before drops must appear.
+	// until one is refused — with the workers wedged, at most three posts
+	// are absorbed (two in flight, one queued) before refusals must appear.
+	accepted := 0
 	deadline := time.Now().Add(5 * time.Second)
-	for f.Async().Dropped == 0 {
+	for f.ForwardAsync(peer.URL, "/v1/replicate", nil, "") {
+		accepted++
 		if time.Now().After(deadline) {
-			t.Fatal("queue never overflowed while the worker was wedged")
+			t.Fatal("queue never overflowed while the workers were wedged")
 		}
-		f.ForwardAsync(peer.URL, "/v1/replicate", nil, "")
 	}
-	if f.Async().Dropped == 0 {
-		t.Errorf("async stats = %+v, want drops counted", f.Async())
+	if accepted > asyncWorkers+cap(f.queue) {
+		t.Errorf("%d posts accepted with %d wedged workers and a queue of %d", accepted, asyncWorkers, cap(f.queue))
+	}
+	if n := arrived.Load(); n > int64(accepted) {
+		t.Errorf("peer saw %d posts, only %d were accepted", n, accepted)
 	}
 }
 

@@ -105,9 +105,8 @@ type View struct {
 // a record; Peers seed the initial alive set (the static -peers list, may
 // be empty when joining via a seed node).
 type MembershipConfig struct {
-	Self   string
-	Peers  []string
-	VNodes int
+	Self  string
+	Peers []string
 	// SuspectAfter is how long a member's record may sit still before the
 	// local health view reports it suspect (default 3s). Purely
 	// informational — suspects stay in the ring.
@@ -206,7 +205,7 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 		m.recs[p] = Member{Name: p, Incarnation: 1, Heartbeat: 0, Status: StatusAlive}
 		m.seen[p] = now
 	}
-	ring, err := NewRing(m.aliveLocked(), cfg.VNodes)
+	ring, err := NewRing(m.aliveLocked(), DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +275,7 @@ func (m *Membership) rebuildLocked() (changed bool, st *ringState) {
 	}
 	next := &ringState{epoch: cur.epoch + 1}
 	if len(alive) > 0 {
-		ring, err := NewRing(alive, m.cfg.VNodes)
+		ring, err := NewRing(alive, DefaultVNodes)
 		if err != nil {
 			// Unreachable: alive names are non-empty and non-blank by
 			// construction. Keep the old ring rather than serve a nil one.

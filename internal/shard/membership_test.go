@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -393,4 +394,57 @@ func TestMembershipChurnProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzMembershipMerge merges arbitrary gossip views — what POST
+// /v1/cluster/gossip decodes off the network — into a membership on a fake
+// clock. Whatever the view says, the merge never panics, the ring is exactly
+// the sorted alive records, self stays alive, merging the same view again
+// changes nothing, and a later failure-detector sweep keeps all of it true.
+func FuzzMembershipMerge(f *testing.F) {
+	for _, seed := range []string{
+		`{"from":"b","epoch":2,"members":[{"name":"a","incarnation":1,"heartbeat":3,"status":"alive"},{"name":"b","incarnation":1,"heartbeat":9,"status":"alive"}]}`,
+		`{"from":"b","members":[{"name":"a","incarnation":4,"heartbeat":1,"status":"dead"}]}`,
+		`{"from":"c","members":[{"name":"b","incarnation":2,"heartbeat":1,"status":"left"},{"name":"d","incarnation":1,"status":"alive"}]}`,
+		`{"members":[{"name":"a","incarnation":18446744073709551615,"status":"left"}]}`,
+		`{"members":[{"name":"","status":"alive"},{"name":"e","status":"zombie"},{"name":"e","incarnation":3,"status":"alive"}]}`,
+		`{}`, `null`, `[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var view View
+		if json.Unmarshal(data, &view) != nil {
+			return
+		}
+		clock := newFakeClock()
+		m := mustMembership(t, MembershipConfig{Self: "a", Peers: []string{"b", "c"}, Clock: clock.Now})
+		check := func(when string) {
+			t.Helper()
+			var alive []string
+			selfAlive := false
+			for _, h := range m.Health() { // sorted by name
+				if h.Status == StatusAlive {
+					alive = append(alive, h.Name)
+				}
+				selfAlive = selfAlive || h.Name == "a" && h.Status == StatusAlive
+			}
+			if !selfAlive {
+				t.Fatalf("%s: self is not alive: %+v", when, m.Health())
+			}
+			if ring := m.Ring(); ring == nil || !reflect.DeepEqual(ring.Members(), alive) {
+				t.Fatalf("%s: ring %v, alive records %v", when, ring.Members(), alive)
+			}
+		}
+
+		m.Merge(view)
+		check("after the merge")
+		if m.Merge(view) {
+			t.Fatal("merging the same view a second time changed the ring")
+		}
+		check("after the repeat")
+		clock.Advance(11 * time.Second) // past the default EvictAfter
+		m.Sweep()
+		check("after a sweep")
+	})
 }

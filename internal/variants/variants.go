@@ -53,6 +53,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// ParseKind is String's inverse: it maps the paper's variant name
+// ("cpu", "gpu_collapse_mem", ...) back to its kind.
+func ParseKind(name string) (Kind, error) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q", name)
+}
+
 // IsGPU reports whether the variant offloads to a device.
 func (k Kind) IsGPU() bool { return k >= GPU }
 

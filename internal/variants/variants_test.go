@@ -47,9 +47,17 @@ func TestKindProperties(t *testing.T) {
 		if c.kind.String() != c.name {
 			t.Errorf("%v String = %q, want %q", c.kind, c.kind.String(), c.name)
 		}
+		if k, err := ParseKind(c.name); err != nil || k != c.kind {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", c.name, k, err, c.kind)
+		}
 	}
 	if Kind(99).String() != "Kind(99)" {
 		t.Error("out-of-range kind name")
+	}
+	for _, name := range []string{"", "Kind(99)", "GPU", "warp_simd"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted", name)
+		}
 	}
 	if len(Kinds()) != int(NumKinds) {
 		t.Errorf("Kinds() = %d", len(Kinds()))
