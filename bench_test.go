@@ -431,18 +431,64 @@ func BenchmarkPredictFastPath(b *testing.B) {
 	engine("engine32")
 }
 
-// BenchmarkGNNTrainStep measures one forward+backward+accumulate pass.
+// BenchmarkGNNTrainStep measures one sample's gradient at the default
+// width: the autodiff tape's forward, backward and accumulate (the oracle,
+// and what gnn.train_step_us in bench/ times), against the engine's forward
+// and hand-derived backward that gnn.Model.Train runs.
 func BenchmarkGNNTrainStep(b *testing.B) {
 	s := benchSample(b)
 	m := gnn.NewModel(gnn.Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
+	b.Run("tape", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := nn.NewForward()
+			pred := m.Forward(f, s)
+			loss := f.Tape.MSE(pred, tensor.Scalar(s.Target))
+			f.Backward(loss)
+			f.Accumulate(1)
+			nn.ZeroGrads(m.Params())
+		}
+	})
+	b.Run("engine", func(b *testing.B) {
+		grad := make([]float64, m.NumParams())
+		step := m.Gradient([]*gnn.Sample{s})
+		step(0, grad)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clear(grad)
+			step(0, grad)
+		}
+	})
+}
+
+// BenchmarkFitIncremental is the retrain cmd/serve runs in the background
+// once a platform has accumulated 100 measured records: FitIncremental's
+// default schedule (8 epochs, batch 16) on a 90/10 split of 100 prepared
+// V100 samples, from a fresh default-width model each iteration.
+func BenchmarkFitIncremental(b *testing.B) {
+	cfg := dataset.DefaultConfig()
+	cfg.MaxPerPlatform = 120
+	plat, err := dataset.Collect(hw.V100(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := dataset.Prepare(plat.Points, dataset.PrepConfig{Level: paragraph.LevelParaGraph, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := append(append([]*gnn.Sample(nil), prep.Train...), prep.Val...)
+	if len(samples) < 100 {
+		b.Fatalf("%d prepared samples, want 100", len(samples))
+	}
+	train, val := dataset.Split(samples[:100], 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := nn.NewForward()
-		pred := m.Forward(f, s)
-		loss := f.Tape.MSE(pred, tensor.Scalar(s.Target))
-		f.Backward(loss)
-		f.Accumulate(1)
-		nn.ZeroGrads(m.Params())
+		m := gnn.NewModel(gnn.Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
+		if _, err := m.FitIncremental(train, val, gnn.TrainConfig{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

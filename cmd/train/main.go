@@ -107,8 +107,9 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	for epoch, v := range tr.Hist.ValRMSE {
-		fmt.Fprintf(w, "epoch %3d: train loss %.5f, val RMSE (scaled) %.5f\n",
-			epoch+1, tr.Hist.TrainLoss[epoch], v)
+		sec := tr.Hist.EpochSeconds[epoch]
+		fmt.Fprintf(w, "epoch %3d: train loss %.5f, val RMSE (scaled) %.5f, %.1f ms, %.0f samples/s\n",
+			epoch+1, tr.Hist.TrainLoss[epoch], v, 1e3*sec, float64(len(tr.Prep.Train))/sec)
 	}
 	actual, pred := tr.ValActualPredMS()
 	fmt.Fprintf(w, "\nvalidation (n=%d): RMSE %.4g ms, Norm-RMSE %.3e, Pearson(log) %.4f\n",

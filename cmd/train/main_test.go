@@ -51,6 +51,13 @@ func TestRunTinyEndToEnd(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
+	// Each epoch line ends in its wall time and training throughput.
+	var loss, rmse, ms, rate float64
+	line := got[strings.Index(got, "epoch   1"):]
+	line = line[:strings.IndexByte(line, '\n')]
+	if _, err := fmt.Sscanf(line, "epoch   1: train loss %f, val RMSE (scaled) %f, %f ms, %f samples/s", &loss, &rmse, &ms, &rate); err != nil || ms <= 0 || rate <= 0 {
+		t.Errorf("epoch line %q: want ms per epoch and samples/s (%v)", line, err)
+	}
 }
 
 // TestSaveDirWritesLoadableCheckpoint trains a micro model with -save-dir

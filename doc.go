@@ -27,9 +27,11 @@
 //	  dataset                Figure 3 data assembly; the MinMax scaler, the
 //	                         one sample constructor (Prepared.Sample) and
 //	                         the one 9:1 split (Split) of §IV-B
-//	  tensor, autodiff, nn   dense kernels, reverse-mode tapes, NN blocks and
-//	                         the one mini-batch trainer (nn.Train)
-//	  gnn                    the RGAT cost model (train + batched inference)
+//	  tensor, autodiff, nn   dense kernels, the reference reverse-mode tape,
+//	                         NN blocks and the one mini-batch trainer
+//	                         (nn.Train)
+//	  gnn                    the RGAT cost model (one engine forward for
+//	                         batched inference and training, a hand backward)
 //	  compoff, metrics       COMPOFF baseline (an MLP on nn.Train and
 //	                         dataset.Scaler); evaluation measures
 //	  experiments            regenerates the paper's tables and figures

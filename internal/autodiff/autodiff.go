@@ -4,15 +4,18 @@
 // products, broadcasts, activations, row gather/scatter for message passing,
 // and segment softmax for per-node attention normalization.
 //
-// A Tape is single-goroutine; data-parallel training gives each worker its
-// own tape and merges parameter gradients afterwards (package nn).
+// A Tape is single-goroutine; a caller running passes in parallel gives each
+// goroutine its own tape.
 //
-// The tape is the training path and the reference semantics for inference:
-// gnn's fused engine (gnn/infer.go) reproduces each op's forward arithmetic
-// — loop body and accumulation order — without tape or per-op allocation,
-// and an equivalence fuzz pins the two together. Changing a forward formula
-// here therefore requires the matching engine change (the gnn tests fail
-// loudly if they drift).
+// The tape is the reference semantics, no longer a production path. Nothing
+// in the main module trains or predicts through it: gnn's fused engine
+// (gnn/infer.go) is the one forward pass, gnn's hand-derived backward
+// (gnn/backward.go) and COMPOFF's compute every training gradient, and
+// equivalence fuzzes pin each of them to the tape — predictions and
+// gradients within 1e-9 relative. Changing a formula here therefore
+// requires the matching engine and backward change (the gnn and compoff
+// tests fail loudly if they drift). The tape stays public because the
+// repository benchmark's gnn.train_step_us (bench/layers.go) times it.
 package autodiff
 
 import (

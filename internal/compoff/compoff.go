@@ -15,11 +15,9 @@ import (
 	"math/rand"
 
 	"paragraph/internal/analysis"
-	"paragraph/internal/autodiff"
 	"paragraph/internal/cparse"
 	"paragraph/internal/dataset"
 	"paragraph/internal/nn"
-	"paragraph/internal/tensor"
 	"paragraph/internal/variants"
 )
 
@@ -123,28 +121,119 @@ func (m *Model) FitScaler(samples []*Sample) {
 
 // scaleRow normalizes a feature vector to [0,1] per feature (all zeros
 // before FitScaler).
-func (m *Model) scaleRow(f Features) *tensor.Matrix {
-	row := tensor.New(1, NumFeatures)
+func (m *Model) scaleRow(f Features) Features {
+	var row Features
 	for j, v := range f {
-		row.Data[j] = m.scalers[j].Scale(v)
+		row[j] = m.scalers[j].Scale(v)
 	}
 	return row
 }
 
+// pass is one forward pass: the scaled input, each hidden layer's
+// pre-activation z and ReLU output h, and the prediction.
+type pass struct {
+	x              Features
+	z1, h1, z2, h2 []float64
+	pred           float64
+}
+
+// dense computes z = x·W + b the way the tape's MatMul and AddBias do:
+// each output accumulates its products in input order, zero inputs
+// skipped, and the bias is added last.
+func dense(x []float64, l *nn.Linear) []float64 {
+	z := make([]float64, l.W.Value.Cols)
+	for k, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		for j, wv := range l.W.Value.Row(k) {
+			z[j] += xv * wv
+		}
+	}
+	for j, b := range l.B.Value.Data {
+		z[j] += b
+	}
+	return z
+}
+
+// relu returns max(z, 0) element-wise.
+func relu(z []float64) []float64 {
+	h := make([]float64, len(z))
+	for j, v := range z {
+		h[j] = max(v, 0)
+	}
+	return h
+}
+
 // forward computes the scaled prediction for one sample.
-func (m *Model) forward(f *nn.Forward, s *Sample) *autodiff.Var {
-	tp := f.Tape
-	x := tp.Const(m.scaleRow(s.Feats))
-	h := tp.ReLU(m.l1.Apply(f, x))
-	h = tp.ReLU(m.l2.Apply(f, h))
-	return m.out.Apply(f, h)
+func (m *Model) forward(s *Sample) pass {
+	p := pass{x: m.scaleRow(s.Feats)}
+	p.z1 = dense(p.x[:], m.l1)
+	p.h1 = relu(p.z1)
+	p.z2 = dense(p.h1, m.l2)
+	p.h2 = relu(p.z2)
+	p.pred = dense(p.h2, m.out)[0]
+	return p
+}
+
+// gradient writes the squared error's gradient for s into grad — the
+// parameters in Params order, zeroed — and returns the squared error. It
+// is the tape's backward written out: the same products in the same
+// order, so the two agree bit for bit.
+func (m *Model) gradient(s *Sample, grad []float64) float64 {
+	p := m.forward(s)
+	d := p.pred - s.Target
+	gL1, rest := grad[:size(m.l1)], grad[size(m.l1):]
+	gL2, gOut := rest[:size(m.l2)], rest[size(m.l2):]
+	dh2 := backDense(p.h2, []float64{2 * d}, m.out, gOut)
+	dh1 := backDense(p.h1, reluGrad(dh2, p.z2), m.l2, gL2)
+	backDense(p.x[:], reluGrad(dh1, p.z1), m.l1, gL1)
+	return d * d
+}
+
+// size is a layer's scalar parameter count: its block in a gradient.
+func size(l *nn.Linear) int { return len(l.W.Value.Data) + len(l.B.Value.Data) }
+
+// backDense backpropagates dz through z = x·W + b: it adds xᵀ·dz and dz
+// into the layer's block of grad (W, then b) and returns dz·Wᵀ.
+func backDense(x, dz []float64, l *nn.Linear, grad []float64) []float64 {
+	gW, gB := grad[:len(l.W.Value.Data)], grad[len(l.W.Value.Data):]
+	for k, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		row := gW[k*len(dz) : (k+1)*len(dz)]
+		for j, g := range dz {
+			row[j] += xv * g
+		}
+	}
+	dx := make([]float64, len(x))
+	for j, g := range dz {
+		gB[j] += g
+		if g == 0 {
+			continue
+		}
+		for k := range dx {
+			dx[k] += g * l.W.Value.At(k, j)
+		}
+	}
+	return dx
+}
+
+// reluGrad passes dh where the pre-activation z is ≥ 0, as the tape's ReLU
+// does (z == 0 included).
+func reluGrad(dh, z []float64) []float64 {
+	dz := make([]float64, len(dh))
+	for j, v := range z {
+		if v >= 0 {
+			dz[j] = dh[j]
+		}
+	}
+	return dz
 }
 
 // Predict returns the scaled prediction for one sample.
-func (m *Model) Predict(s *Sample) float64 {
-	fw := nn.NewInference()
-	return m.forward(fw, s).Value.At(0, 0)
-}
+func (m *Model) Predict(s *Sample) float64 { return m.forward(s).pred }
 
 // PredictAll returns scaled predictions for all samples.
 func (m *Model) PredictAll(samples []*Sample) []float64 {
@@ -166,9 +255,8 @@ func (m *Model) Train(train, val []*Sample, cfg nn.TrainConfig) (nn.History, err
 		m.FitScaler(train)
 	}
 	return nn.Train(m.params, len(train), cfg,
-		func(f *nn.Forward, i int) *autodiff.Var {
-			s := train[i]
-			return f.Tape.MSE(m.forward(f, s), tensor.Scalar(s.Target))
+		func() nn.Gradient {
+			return func(i int, grad []float64) float64 { return m.gradient(train[i], grad) }
 		},
 		func() float64 { return m.EvalRMSE(val) })
 }

@@ -7,6 +7,7 @@ import (
 
 	"paragraph/internal/apps"
 	"paragraph/internal/nn"
+	"paragraph/internal/tensor"
 	"paragraph/internal/variants"
 )
 
@@ -186,16 +187,16 @@ func TestScaleRowClamps(t *testing.T) {
 	}
 	row := m.scaleRow(f)
 	for j := 0; j < NumFeatures; j++ {
-		if row.Data[j] < 0 || row.Data[j] > 1 {
-			t.Errorf("scaled feature %d = %v", j, row.Data[j])
+		if row[j] < 0 || row[j] > 1 {
+			t.Errorf("scaled feature %d = %v", j, row[j])
 		}
 	}
 	// Unfitted model scales to zero.
 	m2 := NewModel(Config{})
 	row2 := m2.scaleRow(f)
 	for j := 0; j < NumFeatures; j++ {
-		if row2.Data[j] != 0 {
-			t.Errorf("unfitted scale %d = %v", j, row2.Data[j])
+		if row2[j] != 0 {
+			t.Errorf("unfitted scale %d = %v", j, row2[j])
 		}
 	}
 }
@@ -208,6 +209,83 @@ func TestNumParamsAndNames(t *testing.T) {
 	for _, name := range FeatureNames {
 		if name == "" {
 			t.Error("unnamed feature")
+		}
+	}
+}
+
+// tapeGradient is the oracle the hand-written pass is checked against: the
+// same MLP built on an autodiff tape, its loss and its backward, with the
+// per-parameter gradients laid out in Params order.
+func tapeGradient(m *Model, s *Sample) (grad []float64, pred, loss float64) {
+	f := nn.NewForward()
+	x := m.scaleRow(s.Feats)
+	h := f.Tape.ReLU(m.l1.Apply(f, f.Tape.Const(tensor.FromData(1, NumFeatures, x[:]))))
+	h = f.Tape.ReLU(m.l2.Apply(f, h))
+	out := m.out.Apply(f, h)
+	l := f.Tape.MSE(out, tensor.Scalar(s.Target))
+	f.Backward(l)
+	grads := f.Gradients()
+	for _, p := range m.params {
+		grad = append(grad, grads[p].Data...)
+	}
+	return grad, out.Value.At(0, 0), l.Value.At(0, 0)
+}
+
+// TestGradientMatchesTape holds the hand-written forward and backward to
+// the tape's, bit for bit: random widths and weights, fitted and unfitted
+// scalers (the latter feeds an all-zero input row), exact-zero features.
+func TestGradientMatchesTape(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 60; trial++ {
+		m := NewModel(Config{Seed: rng.Int63n(1000), Hidden: 1 + rng.Intn(16)})
+		samples := synthSamples(6, rng.Int63())
+		samples[0].Feats[3] = 0
+		if trial%4 != 0 {
+			m.FitScaler(samples)
+		}
+		for _, s := range samples {
+			want, pred, wantLoss := tapeGradient(m, s)
+			if got := m.Predict(s); got != pred {
+				t.Fatalf("trial %d: Predict %v, tape %v", trial, got, pred)
+			}
+			got := make([]float64, len(want))
+			if loss := m.gradient(s, got); loss != wantLoss {
+				t.Fatalf("trial %d: loss %v, tape %v", trial, loss, wantLoss)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: gradient element %d = %v, tape %v", trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGradientMatchesFiniteDifferences guards against a mistake the hand
+// pass and the tape could share: every parameter's gradient against a
+// central difference of the loss.
+func TestGradientMatchesFiniteDifferences(t *testing.T) {
+	samples := synthSamples(4, 9)
+	m := NewModel(Config{Seed: 3, Hidden: 6})
+	m.FitScaler(samples)
+	const h = 1e-6
+	for _, s := range samples {
+		grad := make([]float64, nn.NumElements(m.params))
+		m.gradient(s, grad)
+		loss := func() float64 { d := m.Predict(s) - s.Target; return d * d }
+		i := 0
+		for _, p := range m.params {
+			for j, v := range p.Value.Data {
+				p.Value.Data[j] = v + h
+				up := loss()
+				p.Value.Data[j] = v - h
+				down := loss()
+				p.Value.Data[j] = v
+				if fd := (up - down) / (2 * h); math.Abs(fd-grad[i]) > 1e-6*math.Max(1, math.Abs(fd)) {
+					t.Errorf("%s[%d]: gradient %v, central difference %v", p.Name, j, grad[i], fd)
+				}
+				i++
+			}
 		}
 	}
 }

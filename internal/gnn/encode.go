@@ -202,14 +202,19 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
+// weightScale is the divisor of LogW: WScale, or 1 while it is unset (≤ 0).
+func (g *Graph) weightScale() float64 {
+	if g.WScale <= 0 {
+		return 1
+	}
+	return g.WScale
+}
+
 // weightColumn materializes relation r's scaled weight column (E×1).
 func (g *Graph) weightColumn(r int) *tensor.Matrix {
 	rel := g.Rels[r]
 	m := tensor.New(len(rel.LogW), 1)
-	scale := g.WScale
-	if scale <= 0 {
-		scale = 1
-	}
+	scale := g.weightScale()
 	for i, w := range rel.LogW {
 		m.Data[i] = w / scale
 	}

@@ -244,12 +244,9 @@ func TestTrainEmptySet(t *testing.T) {
 	}
 }
 
-// TestTrainDeterministicAcrossWorkers pins training as a function of its
-// seed and data: per-sample gradients are merged in batch order, not in the
-// order the workers finish, so the same run yields the same weights — the
-// same Checksum — at any worker count, run after run. (Merged in arrival
-// order, Workers >= 2 gave a different checkpoint on every run.)
-func TestTrainDeterministicAcrossWorkers(t *testing.T) {
+// determinismData is the seed-pinned training set the two checkpoint pins
+// below train on.
+func determinismData(t *testing.T) (train, val []*Sample) {
 	var samples []*Sample
 	for i, threads := range []int{1, 2, 4, 8, 16, 32} {
 		eg := encode(t, buildTestGraph(t, threads))
@@ -261,10 +258,30 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 			})
 		}
 	}
-	train, val := samples[:20], samples[20:]
+	return samples[:20], samples[20:]
+}
+
+// determinismModel is the model the checkpoint pins start from.
+func determinismModel() *Model {
+	return NewModel(Config{Seed: 9, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
+}
+
+// determinismConfig is the schedule the checkpoint pins train with.
+func determinismConfig(workers int) TrainConfig {
+	return TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3, Workers: workers}
+}
+
+// TestTrainDeterministicAcrossWorkers pins training as a function of its
+// seed and data: per-sample gradients are merged in batch order, not in the
+// order the workers finish, so the same run yields the same weights — the
+// same Checksum — at any worker count, run after run. (Merged in arrival
+// order, Workers >= 2 gave a different checkpoint on every run.) The
+// checkpoint the engine's gradients reach is pinned too.
+func TestTrainDeterministicAcrossWorkers(t *testing.T) {
+	train, val := determinismData(t)
 	checksum := func(workers int) string {
-		m := NewModel(Config{Seed: 9, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
-		if _, err := m.Train(train, val, TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3, Workers: workers}); err != nil {
+		m := determinismModel()
+		if _, err := m.Train(train, val, determinismConfig(workers)); err != nil {
 			t.Fatal(err)
 		}
 		return m.Checksum()
@@ -275,13 +292,30 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("Workers %d trained checkpoint %.12s, Workers 1 trained %.12s", workers, got, want)
 		}
 	}
-	// The loop moved to nn.Train in PR 23; this is the checkpoint PR 22's
-	// gnn.Model.Train reached from the same seed and data, so a change to the
-	// trainer that is meant to keep the numbers has something to keep.
 	// (amd64 only: an architecture that fuses multiply-adds rounds differently.)
+	const engine = "b5a28bff872735d7d5fcb188a679f8ba4b333966ce323a94e2f671646ddee65a"
+	if runtime.GOARCH == "amd64" && want != engine {
+		t.Errorf("trained checkpoint %.12s, want %.12s", want, engine)
+	}
+}
+
+// TestTrainLoopReachesTapeCheckpoint pins the loop apart from the numbers
+// fed into it: nn.Train driven by the tape's gradients still reaches the
+// checkpoint PR 22's gnn.Model.Train reached from the same seed and data,
+// bit for bit, at any worker count — so the shuffle, the slot-order merge,
+// clipping and Adam are unchanged, whatever computes the gradients.
+func TestTrainLoopReachesTapeCheckpoint(t *testing.T) {
+	train, val := determinismData(t)
 	const pr22 = "bafa3dd2afb4d2b2697158e0aaeb00a8ae7365c810768b1a22b85e0a4c9f9659"
-	if runtime.GOARCH == "amd64" && want != pr22 {
-		t.Errorf("trained checkpoint %.12s, PR 22 trained %.12s from the same seed and data", want, pr22)
+	for _, workers := range []int{1, 2, 8} {
+		m := determinismModel()
+		if _, err := nn.Train(m.params, len(train), determinismConfig(workers), tapeGradients(m, train),
+			func() float64 { m.InvalidateInference(); return m.EvalRMSE(val, workers) }); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Checksum(); runtime.GOARCH == "amd64" && got != pr22 {
+			t.Errorf("Workers %d: tape-trained checkpoint %.12s, PR 22 trained %.12s from the same seed and data", workers, got, pr22)
+		}
 	}
 }
 

@@ -12,9 +12,12 @@ import (
 
 // This file is the inference engine: the allocation-free forward pass behind
 // Predict/PredictBatch, one body generic over the element width
-// (tensor.Float) and instantiated for float64 and float32. The autodiff tape
-// (Forward) remains the training path and the reference semantics; the
-// engine reproduces its arithmetic up to float reassociation — the kernels
+// (tensor.Float) and instantiated for float64 and float32. It is the one
+// forward pass: serving runs it in either width, and training runs the
+// float64 instantiation with its ReLU masks recorded, followed by the
+// hand-derived backward over the state it retains (backward.go). The
+// autodiff tape (Forward) is the reference semantics; the engine
+// reproduces its arithmetic up to float reassociation — the kernels
 // below reassociate sums (tiled matmuls, precomputed attention projections,
 // fused softmax scaling) to run near the FLOP limit, so predictions agree
 // with the tape to a relaxed tolerance (TestInferEngineMatchesTape enforces
@@ -329,6 +332,12 @@ type workspace[F tensor.Float] struct {
 	featEmb tensor.Dense[F] // 1×F feature-branch embedding
 	concat  tensor.Dense[F] // 1×(H+F) head input
 	outBuf  tensor.Dense[F] // 1×1 prediction
+
+	// pass is nil on serving passes. A training pass (backward.go) records
+	// in it where each ReLU's pre-activation is ≥ 0 — where the tape's ReLU
+	// passes its gradient, v == 0 included, which max(v, 0) no longer
+	// tells: every layer's N×H block, then the head's emb, emb2 and featEmb.
+	pass []bool
 }
 
 // acquireWS takes a pooled workspace of width F. The pool holds whichever
@@ -440,18 +449,22 @@ func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, sam
 	}
 }
 
-// family evaluates the chain of same-topology samples starting at first
-// (see families), choosing each member's base and state slot.
-func (w *weights[F]) family(ws *workspace[F], out []float64, samples []*Sample, first int, next []int) {
-	g := samples[first].G
+// shape sizes ws for graphs of g's topology under w and returns the length
+// of one state slot.
+func (ws *workspace[F]) shape(w *weights[F], g *Graph) int {
 	p := g.plan()
 	ws.plan, ws.n, ws.hdim, ws.srcRows = p, g.NumNodes, w.hidden, p.srcOff[len(p.srcOff)-1]
 	ws.layerOff = (len(w.layers) + 1) * ws.n * ws.hdim
 	ws.layerLen = ws.n*ws.hdim + ws.srcRows*(ws.hdim+1)
-	size := ws.layerOff + len(w.layers)*ws.layerLen
 	ws.dirty, ws.dirtyNext, ws.wDirty = resize(ws.dirty, ws.n), resize(ws.dirtyNext, ws.n), resize(ws.wDirty, ws.n)
 	ws.logits = resize(ws.logits, p.maxRun)
+	return ws.layerOff + len(w.layers)*ws.layerLen
+}
 
+// family evaluates the chain of same-topology samples starting at first
+// (see families), choosing each member's base and state slot.
+func (w *weights[F]) family(ws *workspace[F], out []float64, samples []*Sample, first int, next []int) {
+	size := ws.shape(w, samples[first].G)
 	bases := 0
 	for i := first; i >= 0; i = next[i] {
 		s := samples[i]
@@ -551,19 +564,20 @@ func (w *weights[F]) forward(ws *workspace[F], st, base *slot[F], s *Sample) flo
 	}
 
 	final := ws.h(st, len(w.layers))
+	head := len(w.layers) * ws.n * ws.hdim // the head's block of ws.pass
 	tensor.MeanRowsInto(&final, &ws.pooled)
 	tensor.MatMulInto(&ws.pooled, w.fc1W, &ws.emb)
 	tensor.AddBiasInto(&ws.emb, w.fc1B, &ws.emb)
-	tensor.LeakyReLUInto(&ws.emb, 0, &ws.emb)
+	ws.relu(&ws.emb, head)
 	tensor.MatMulInto(&ws.emb, w.fc2W, &ws.emb2)
 	tensor.AddBiasInto(&ws.emb2, w.fc2B, &ws.emb2)
-	tensor.LeakyReLUInto(&ws.emb2, 0, &ws.emb2)
+	ws.relu(&ws.emb2, head+ws.hdim)
 
 	ws.arena.GetMatrix(&ws.featIn, 1, 2)
 	ws.featIn.Data[0], ws.featIn.Data[1] = F(s.Feats[0]), F(s.Feats[1])
 	tensor.MatMulInto(&ws.featIn, w.featW, &ws.featEmb)
 	tensor.AddBiasInto(&ws.featEmb, w.featB, &ws.featEmb)
-	tensor.LeakyReLUInto(&ws.featEmb, 0, &ws.featEmb)
+	ws.relu(&ws.featEmb, head+2*ws.hdim)
 
 	hc, fc := ws.emb2.Cols, ws.featEmb.Cols
 	ws.arena.GetMatrix(&ws.concat, 1, hc+fc)
@@ -572,6 +586,17 @@ func (w *weights[F]) forward(ws *workspace[F], st, base *slot[F], s *Sample) flo
 	tensor.MatMulInto(&ws.concat, w.outW, &ws.outBuf)
 	tensor.AddBiasInto(&ws.outBuf, w.outB, &ws.outBuf)
 	return float64(ws.outBuf.Data[0])
+}
+
+// relu is the head's ReLU, LeakyReLUInto at slope 0. A training pass first
+// records the pre-activation's signs in ws.pass from off.
+func (ws *workspace[F]) relu(m *tensor.Dense[F], off int) {
+	if ws.pass != nil {
+		for j, v := range m.Data {
+			ws.pass[off+j] = v >= 0
+		}
+	}
+	tensor.LeakyReLUInto(m, 0, m)
 }
 
 // project computes dst = src[rows]×b, one output row per listed row, through
@@ -659,10 +684,7 @@ func (w *weights[F]) layer(ws *workspace[F], st *slot[F], li int, dense bool) bo
 		copy(out.Row(d), self.Row(d))
 	}
 
-	wscale := g.WScale
-	if wscale <= 0 {
-		wscale = 1
-	}
+	wscale := g.weightScale()
 	for r := range rels {
 		rp := &p.rels[r]
 		if len(rp.edge) == 0 {
@@ -753,6 +775,14 @@ func (w *weights[F]) layer(ws *workspace[F], st *slot[F], li int, dense bool) bo
 		}
 	}
 
+	if ws.pass != nil {
+		pass := ws.pass[li*ws.n*ws.hdim:]
+		for _, d := range rows {
+			for j, v := range out.Row(d) {
+				pass[d*ws.hdim+j] = v >= 0
+			}
+		}
+	}
 	// h = ReLU(out) over the rows written, measuring their density for the
 	// next layer's kernels. Both the rectification and the zero count are
 	// branchless — the sign pattern is effectively random, so a

@@ -92,8 +92,9 @@ func (m *Model) PrecomputeInference() { m.inferParams() }
 
 // SetFloat32Inference switches the inference engine between float64
 // arithmetic (the default, ≤1e-9 relative error against the tape) and
-// float32 (≤1e-4, roughly half the memory traffic). Training and the tape
-// path are always float64; the switch only affects Predict/PredictBatch.
+// float32 (≤1e-4, roughly half the memory traffic). Training (which builds
+// its own weight set per mini-batch) and the tape path are always float64;
+// the switch only affects Predict/PredictBatch.
 func (m *Model) SetFloat32Inference(on bool) {
 	if m.f32Mode.Swap(on) != on {
 		m.InvalidateInference()

@@ -161,9 +161,10 @@ type Model struct {
 	params []*nn.Parameter
 
 	// wsPool recycles inference workspaces (see infer.go) across
-	// Predict/PredictBatch calls; each borrowed workspace is used by one
-	// goroutine at a time.
-	wsPool sync.Pool
+	// Predict/PredictBatch calls, and gradPool training's (backward.go)
+	// across examples and mini-batches; each borrowed workspace is used by
+	// one goroutine at a time.
+	wsPool, gradPool sync.Pool
 
 	// Derived inference weights (see inferparams.go): the parameters and
 	// precomputed attention projections in the width f32Mode selects.
@@ -209,13 +210,7 @@ func (m *Model) Config() Config { return m.cfg }
 func (m *Model) Params() []*nn.Parameter { return m.params }
 
 // NumParams returns the total scalar parameter count.
-func (m *Model) NumParams() int {
-	n := 0
-	for _, p := range m.params {
-		n += len(p.Value.Data)
-	}
-	return n
-}
+func (m *Model) NumParams() int { return nn.NumElements(m.params) }
 
 // Forward computes the scaled runtime prediction (1×1) for one sample.
 func (m *Model) Forward(f *nn.Forward, s *Sample) *autodiff.Var {
@@ -255,9 +250,9 @@ func (m *Model) Predict(s *Sample) float64 {
 	return predictOne(m, ip.f64, s)
 }
 
-// PredictTape is the reference prediction: the autodiff tape path Forward
-// uses for training, run on an inference tape. It exists for the engine
-// equivalence tests and benchmarks; serving traffic should use Predict.
+// PredictTape is the reference prediction: Forward, the autodiff tape path,
+// run on an inference tape. It exists for the engine equivalence tests and
+// benchmarks; serving traffic should use Predict.
 func (m *Model) PredictTape(s *Sample) float64 {
 	f := nn.NewInference()
 	return m.Forward(f, s).Value.At(0, 0)

@@ -3,9 +3,7 @@ package gnn
 import (
 	"math"
 
-	"paragraph/internal/autodiff"
 	"paragraph/internal/nn"
-	"paragraph/internal/tensor"
 )
 
 // TrainConfig and History are the shared trainer's (nn.Train), under the
@@ -16,14 +14,12 @@ type (
 )
 
 // Train optimizes the model on train with nn.Train — MSE against each
-// sample's scaled target — evaluating on val each epoch. The result depends
-// on cfg.Seed and the data, not on cfg.Workers.
+// sample's scaled target, every gradient from the engine and its backward
+// (Gradient) — evaluating on val each epoch. The result depends on cfg.Seed
+// and the data, not on cfg.Workers.
 func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 	return nn.Train(m.params, len(train), cfg,
-		func(f *nn.Forward, i int) *autodiff.Var {
-			s := train[i]
-			return f.Tape.MSE(m.Forward(f, s), tensor.Scalar(s.Target))
-		},
+		func() nn.Gradient { return m.Gradient(train) },
 		func() float64 {
 			// The optimizer mutated parameter values in place; the engine's
 			// precomputed projections (inferparams.go) are now stale.

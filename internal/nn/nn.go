@@ -1,9 +1,12 @@
-// Package nn provides the neural-network building blocks above autodiff:
-// named parameters, forward-pass parameter binding, linear and embedding
-// layers, gradient clipping, the Adam optimizer, and the one mini-batch
+// Package nn provides the neural-network building blocks: named
+// parameters, gradient clipping, the Adam optimizer, and the one mini-batch
 // training loop (Train, train.go) that the RGAT model and the COMPOFF
-// baseline both fit with. Together with package gnn it substitutes for the
-// paper's PyTorch(-Geometric) stack.
+// baseline both fit with, each handing it a per-example Gradient computed
+// by its own forward and backward. The tape-side blocks — a pass that binds
+// parameters to an autodiff tape (Forward), and linear and embedding layers
+// over it — are the reference the models' hand-derived gradients are
+// checked against; the trainer itself never touches a tape. Together with
+// package gnn it substitutes for the paper's PyTorch(-Geometric) stack.
 package nn
 
 import (
@@ -41,10 +44,9 @@ func GlorotParameter(name string, rows, cols int, rng *rand.Rand) *Parameter {
 // ZeroGrad clears the accumulated gradient.
 func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
 
-// Forward is one forward/backward pass: a tape plus the parameter→variable
-// bindings made during it. Each training worker owns its Forward, so passes
-// can run concurrently against shared (read-only) parameter values; Train
-// merges the per-pass gradients afterwards.
+// Forward is one forward/backward pass on the tape: a tape plus the
+// parameter→variable bindings made during it. Passes can run concurrently
+// against shared (read-only) parameter values, one Forward per goroutine.
 type Forward struct {
 	Tape     *autodiff.Tape
 	bindings map[*Parameter]*autodiff.Var
@@ -57,11 +59,9 @@ func NewForward() *Forward {
 }
 
 // NewInference returns a pass that skips gradient bookkeeping: its tape
-// records no backward closures, so prediction allocates only values. The
-// gnn model's serving predictions no longer route through here — its fused
-// inference engine (gnn.Model.Predict) avoids per-op value allocation too —
-// but NewInference remains the reference path (gnn.Model.PredictTape) the
-// engine is verified against.
+// records no backward closures, so prediction allocates only values. It is
+// the reference path (gnn.Model.PredictTape) the gnn engine is verified
+// against.
 func NewInference() *Forward {
 	return &Forward{Tape: autodiff.NewInferenceTape(), bindings: map[*Parameter]*autodiff.Var{}, train: false}
 }

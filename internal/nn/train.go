@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-
-	"paragraph/internal/autodiff"
-	"paragraph/internal/tensor"
+	"time"
 )
 
 // TrainConfig controls optimization. Zero values take the noted defaults.
@@ -44,10 +42,12 @@ const clipNorm = 5
 
 // History records per-epoch training diagnostics; ValRMSE is in the scaled
 // target space (the unit of the paper's Figures 5 and 7 after
-// normalization).
+// normalization). EpochSeconds is each epoch's wall time, its validation
+// included.
 type History struct {
-	TrainLoss []float64
-	ValRMSE   []float64
+	TrainLoss    []float64
+	ValRMSE      []float64
+	EpochSeconds []float64
 }
 
 // FinalValRMSE returns the last validation RMSE, or +Inf when absent.
@@ -58,17 +58,33 @@ func (h History) FinalValRMSE() float64 {
 	return h.ValRMSE[len(h.ValRMSE)-1]
 }
 
+// Gradient writes example i's loss gradient into grad and returns the
+// example's loss. grad is one flat buffer holding every parameter's
+// elements in the params order Train was given; it arrives zeroed. A
+// Gradient runs concurrently with itself and must only read the parameters.
+type Gradient func(i int, grad []float64) float64
+
+// NumElements returns the scalar count of params: the length of a Gradient's
+// buffer.
+func NumElements(params []*Parameter) int {
+	n := 0
+	for _, p := range params {
+		n += len(p.Value.Data)
+	}
+	return n
+}
+
 // Train is the mini-batch trainer of every model in this tree (§IV-B: Adam
 // on MSE): each epoch shuffles the n examples, and each mini-batch computes
 // its examples' gradients data-parallel across cfg.Workers goroutines,
 // merges them in batch order (see batchGradients), clips the global norm
-// and takes one Adam step on params. loss builds example i's loss on the
-// given pass; it runs concurrently with itself and must only read params.
-// validate runs after each epoch's last step and returns that epoch's
-// validation RMSE. The result depends on cfg.Seed, loss and the parameter
+// and takes one Adam step on params. batch is called once per mini-batch,
+// after the previous step, and returns that batch's Gradient, so a model
+// can derive whatever it computes gradients from once per step. validate
+// runs after each epoch's last step and returns that epoch's validation
+// RMSE. The result depends on cfg.Seed, the gradients and the parameter
 // values, not on Workers.
-func Train(params []*Parameter, n int, cfg TrainConfig,
-	loss func(f *Forward, i int) *autodiff.Var, validate func() float64) (History, error) {
+func Train(params []*Parameter, n int, cfg TrainConfig, batch func() Gradient, validate func() float64) (History, error) {
 	cfg = cfg.withDefaults()
 	if n == 0 {
 		return History{}, fmt.Errorf("nn: empty training set")
@@ -81,14 +97,20 @@ func Train(params []*Parameter, n int, cfg TrainConfig,
 	for i := range order {
 		order[i] = i
 	}
+	// One gradient buffer per batch slot, reused by every batch.
+	bufs := make([][]float64, min(cfg.BatchSize, n))
+	for i := range bufs {
+		bufs[i] = make([]float64, NumElements(params))
+	}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		start := time.Now()
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		var batches int
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			batch := order[start:min(start+cfg.BatchSize, len(order))]
-			epochLoss += batchGradients(params, batch, cfg.Workers, loss)
+		for lo := 0; lo < len(order); lo += cfg.BatchSize {
+			idx := order[lo:min(lo+cfg.BatchSize, len(order))]
+			epochLoss += batchGradients(params, idx, cfg.Workers, batch(), bufs)
 			ClipGradNorm(params, clipNorm)
 			opt.Step(params)
 			batches++
@@ -97,6 +119,7 @@ func Train(params []*Parameter, n int, cfg TrainConfig,
 		valRMSE := validate()
 		hist.TrainLoss = append(hist.TrainLoss, epochLoss)
 		hist.ValRMSE = append(hist.ValRMSE, valRMSE)
+		hist.EpochSeconds = append(hist.EpochSeconds, time.Since(start).Seconds())
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, epochLoss, valRMSE)
 		}
@@ -105,15 +128,13 @@ func Train(params []*Parameter, n int, cfg TrainConfig,
 }
 
 // batchGradients computes and accumulates gradients for one minibatch,
-// returning the mean loss. Workers run the per-example passes concurrently,
-// each on its own Forward (tape), and leave the example's parameter
-// gradients and loss in its batch slot; the merge into the shared
-// parameters then runs over the slots in batch order. Floating-point
+// returning the mean loss. Workers run the per-example gradients
+// concurrently, each into its example's batch slot; the merge into the
+// shared parameters then runs over the slots in batch order. Floating-point
 // addition does not associate, so a merge in arrival order would make the
 // weights depend on goroutine scheduling; merged in batch order, training
 // is a function of its seed and data at any worker count.
-func batchGradients(params []*Parameter, batch []int, workers int, loss func(f *Forward, i int) *autodiff.Var) float64 {
-	grads := make([]map[*Parameter]*tensor.Matrix, len(batch))
+func batchGradients(params []*Parameter, batch []int, workers int, grad Gradient, bufs [][]float64) float64 {
 	losses := make([]float64, len(batch))
 	var wg sync.WaitGroup
 	work := make(chan int)
@@ -123,11 +144,8 @@ func batchGradients(params []*Parameter, batch []int, workers int, loss func(f *
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				f := NewForward()
-				l := loss(f, batch[i])
-				f.Backward(l)
-				// The gradient matrices outlive the pass; its tape does not.
-				grads[i], losses[i] = f.Gradients(), l.Value.At(0, 0)
+				clear(bufs[i])
+				losses[i] = grad(batch[i], bufs[i])
 			}
 		}()
 	}
@@ -139,11 +157,13 @@ func batchGradients(params []*Parameter, batch []int, workers int, loss func(f *
 
 	scale := 1 / float64(len(batch))
 	var totalLoss float64
-	for i, g := range grads {
+	for i, buf := range bufs[:len(batch)] {
 		for _, p := range params {
-			if pg, ok := g[p]; ok {
-				p.Grad.AxpyInPlace(scale, pg)
+			pg := p.Grad.Data
+			for j, v := range buf[:len(pg)] {
+				pg[j] += scale * v
 			}
+			buf = buf[len(pg):]
 		}
 		totalLoss += losses[i] * scale
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"paragraph/internal/autodiff"
 	"paragraph/internal/tensor"
 )
 
@@ -24,7 +23,7 @@ func TestTrain(t *testing.T) {
 	}
 	fit := func(workers int) (string, History, int) {
 		lin := NewLinear("lin", 3, 1, rand.New(rand.NewSource(5)))
-		calls := 0
+		calls, batches := 0, 0
 		hist, err := Train(lin.Params(), n, TrainConfig{
 			Epochs: 12, BatchSize: 8, LR: 0.05, Workers: workers, Seed: 6,
 			Progress: func(epoch int, _, _ float64) {
@@ -33,17 +32,36 @@ func TestTrain(t *testing.T) {
 				}
 				calls++
 			},
-		}, func(f *Forward, i int) *autodiff.Var {
-			return f.Tape.MSE(lin.Apply(f, f.Tape.Const(xs[i])), tensor.Scalar(ys[i]))
+		}, func() Gradient {
+			batches++
+			// y = x·W + b: dW = xᵀ·dy, db = dy, in Params order (W, then b).
+			return func(i int, grad []float64) float64 {
+				x := xs[i].Data
+				d := tensor.Dot(x, lin.W.Value.Data) + lin.B.Value.Data[0] - ys[i]
+				for k, v := range x {
+					grad[k] = v * 2 * d
+				}
+				grad[len(x)] = 2 * d
+				return d * d
+			}
 		}, func() float64 { return float64(calls) })
 		if err != nil {
 			t.Fatal(err)
 		}
+		if batches != 12*n/8 {
+			t.Errorf("%d Gradient calls, want one per mini-batch (%d)", batches, 12*n/8)
+		}
 		return ChecksumParams(lin.Params()), hist, calls
 	}
 	want, hist, calls := fit(1)
-	if calls != 12 || len(hist.TrainLoss) != 12 || len(hist.ValRMSE) != 12 {
-		t.Fatalf("12 epochs: %d Progress calls, %d losses, %d validations", calls, len(hist.TrainLoss), len(hist.ValRMSE))
+	if calls != 12 || len(hist.TrainLoss) != 12 || len(hist.ValRMSE) != 12 || len(hist.EpochSeconds) != 12 {
+		t.Fatalf("12 epochs: %d Progress calls, %d losses, %d validations, %d epoch times",
+			calls, len(hist.TrainLoss), len(hist.ValRMSE), len(hist.EpochSeconds))
+	}
+	for epoch, s := range hist.EpochSeconds {
+		if !(s > 0) {
+			t.Errorf("epoch %d took %v s", epoch, s)
+		}
 	}
 	if hist.FinalValRMSE() != 11 {
 		t.Errorf("FinalValRMSE = %v, want the last validate() result", hist.FinalValRMSE())

@@ -4,9 +4,9 @@ package tensor
 // path (internal/gnn): each op writes into a caller-owned matrix instead of
 // allocating a fresh one, so a whole forward pass can run out of a pooled
 // workspace with zero heap traffic. They are generic over the element width
-// (Dense[float64] and Dense[float32] compile from one body); training, the
-// autodiff tape and checkpoint serialization stay on the float64 Matrix,
-// and a Dense is always derived from one (Convert). The elementwise kernels
+// (Dense[float64] and Dense[float32] compile from one body); the autodiff
+// tape, the optimizer and checkpoint serialization stay on the float64
+// Matrix, and a Dense is always derived from one (Convert). The elementwise kernels
 // reuse the exact loop body of their allocating counterparts (or the
 // matching autodiff tape op) and, in float64, produce bit-identical values;
 // MatMulInto instead runs the tiled kernel (tiled.go), which preserves
