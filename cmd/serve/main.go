@@ -19,13 +19,12 @@
 // versioned membership view each -heartbeat, evicts peers silent for ten
 // heartbeats, and swaps the ring under a new epoch on every change. A
 // leaving peer drains first — POST /v1/cluster/leave or plain SIGTERM
-// streams its owned cache entries to the new owners (for at most 30s)
-// before the process exits — and a background
-// anti-entropy sweep every -anti-entropy diffs local warmth against ring
-// ownership and refills missing replica entries from peers, so a
-// rejoined or freshly added peer converges to full warmth without
-// client traffic. All peers must serve the same checkpoints and agree
-// on -replication.
+// hands its owned cache entries to the new owners (for at most 30s)
+// before the process exits — and on every ring change each peer hands
+// the entries it holds to the owners they gained, one heartbeat later
+// (a dropped write-through waits for the same flush), so a rejoined or
+// freshly added peer is warm without client traffic. All peers must
+// serve the same checkpoints and agree on -replication.
 //
 // With -feedback-dir the serving loop closes (docs/OPERATIONS.md, "Staged
 // Rollouts"): POST /v1/feedback accepts measured runtimes for served
@@ -49,7 +48,7 @@
 //	      [-feedback-dir DIR]
 //	      [-self http://host:8080 -seed http://host2:8080 | -peers http://host:8080,http://host2:8080]
 //	      [-replication 2]
-//	      [-heartbeat 1s] [-anti-entropy 30s]
+//	      [-heartbeat 1s]
 //	      [-log-level info] [-trace-slow 250ms]
 //	      [-pprof-addr 127.0.0.1:6060]
 //
@@ -70,7 +69,6 @@
 //	POST /v1/cluster/join   admit a new peer into the ring (cluster mode)
 //	POST /v1/cluster/gossip peer-internal heartbeat view exchange
 //	POST /v1/cluster/leave  drain this peer's keys to their new owners
-//	GET  /v1/cluster/keys   peer-internal cache key list (anti-entropy)
 //	GET  /v1/cluster/entry  peer-internal single-entry fetch (?key=K)
 //
 // Overload behaviour (docs/OPERATIONS.md, "Overload & Admission Control"):
@@ -295,8 +293,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	peersFlag := fs.String("peers", "", "cluster mode: comma-separated base URLs of the initial members (including -self)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through at startup (alternative to -peers)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
-	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip interval (0 = default 1s)")
-	antiEntropy := fs.Duration("anti-entropy", 0, "cluster mode: self-healing replica refill sweep interval (0 = default 30s, negative = disabled)")
+	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip and handoff interval (0 = default 1s)")
 	if err := fs.Parse(args); err != nil {
 		return nil, serveConfig{}, err
 	}
@@ -370,7 +367,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 			Seeds:       seeds,
 			Replication: *replication,
 			Heartbeat:   *heartbeat,
-			AntiEntropy: *antiEntropy,
 		}); err != nil {
 			srv.Close()
 			return nil, serveConfig{}, err

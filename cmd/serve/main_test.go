@@ -503,8 +503,8 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 	}
 	defined := flagsIn(strings.Join(names, " "))
-	if len(defined) != 17 {
-		t.Fatalf("parsed %d flags from the usage output, want the 17 serve defines:\n%s", len(defined), help.String())
+	if len(defined) != 16 {
+		t.Fatalf("parsed %d flags from the usage output, want the 16 serve defines:\n%s", len(defined), help.String())
 	}
 
 	// The table: the first cell of each row under the "## Flags" heading.

@@ -113,8 +113,8 @@ func (c *Cache) Get(key string) (any, bool) {
 }
 
 // Peek returns the cached value for key without touching recency or the
-// hit/miss counters. Cluster-internal probes (anti-entropy pulls, read
-// repairs) read through Peek so peer traffic neither skews the cache
+// hit/miss counters. Cluster-internal reads (outbox handoffs, read
+// repairs) go through Peek so peer traffic neither skews the cache
 // statistics nor keeps entries warm that no client is asking for.
 func (c *Cache) Peek(key string) (any, bool) {
 	s := c.shardFor(key)

@@ -60,28 +60,18 @@ type ClusterConfig struct {
 	// current ring size are clamped to it at use time. Every peer must use
 	// the same value.
 	Replication int
-	// Heartbeat is the gossip interval (0 = 1s default; < 0 disables the
-	// background gossip/join/anti-entropy loops entirely — tests drive the
-	// state machine by hand). A silent member turns suspect in /v1/ring
-	// health after 3 heartbeats and is declared dead and dropped from the
-	// ring after 10 — a comfortable multiple, so healthy peers never evict
-	// each other on jitter.
+	// Heartbeat is the gossip interval, which the outbox flush rides (0 =
+	// 1s default; < 0 disables the background gossip and join loops
+	// entirely — tests drive the state machine by hand). A silent member
+	// turns suspect in /v1/ring health after 3 heartbeats and is declared
+	// dead and dropped from the ring after 10 — a comfortable multiple, so
+	// healthy peers never evict each other on jitter.
 	Heartbeat time.Duration
-	// AntiEntropy is the self-healing sweep interval: how often this peer
-	// diffs the ring's owner lists against its local cache and pulls the
-	// replica entries it should hold but does not (0 = 30s default; < 0
-	// disables the sweep).
-	AntiEntropy time.Duration
 }
 
-const (
-	// refillConcurrency caps concurrent anti-entropy entry fetches so a
-	// refill never starves the serving path.
-	refillConcurrency = 4
-	// drainTimeout bounds a planned departure (DrainCluster), whether POST
-	// /v1/cluster/leave or a shutdown started it.
-	drainTimeout = 30 * time.Second
-)
+// drainTimeout bounds a planned departure (DrainCluster), whether POST
+// /v1/cluster/leave or a shutdown started it.
+const drainTimeout = 30 * time.Second
 
 // cluster is the Server's live cluster state. The ring is no longer a
 // fixed field: membership owns it and swaps in a new epoch-stamped ring on
@@ -93,9 +83,9 @@ type cluster struct {
 	fwd  *shard.Forwarder
 	rf   int // configured replication factor, >= 1; clamped per-use by Owners
 
-	seeds       []string
-	heartbeat   time.Duration
-	antiEntropy time.Duration
+	seeds     []string
+	heartbeat time.Duration
+	out       outbox
 
 	quit     chan struct{}
 	bg       sync.WaitGroup
@@ -119,14 +109,10 @@ type cluster struct {
 	gossipErrs *obs.Counter // gossip/join sends that reached no peer
 	pruned     *obs.Counter // peer clients dropped on ring rebuilds
 
-	aeSweeps      *obs.Counter // anti-entropy sweeps completed
-	aeRefills     *obs.Counter // cache entries pulled in by anti-entropy
-	aeErrs        *obs.Counter // anti-entropy key-list or entry fetches that failed
-	lastSweepUnix atomic.Int64 // when the last sweep finished
-
+	outDelivered *obs.Counter // cache entries the outbox delivered to peers
+	outErrs      *obs.Counter // outbox batches that failed to encode or post
 	readRepairs  *obs.Counter // owned misses answered by pulling a co-owner's copy
 	repairMisses *obs.Counter // read-repair attempts no co-owner could answer
-	drainedOut   *obs.Counter // cache entries streamed to new owners during drain
 }
 
 // ring returns the current ring snapshot — nil only after this peer
@@ -198,18 +184,14 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 		// per-exchange timeouts of hand-driven rounds (tests).
 		heartbeat = time.Second
 	}
-	antiEntropy := cfg.AntiEntropy
-	if antiEntropy == 0 {
-		antiEntropy = 30 * time.Second
-	}
 	c := &cluster{
-		self:        self,
-		rf:          rf,
-		seeds:       seeds,
-		heartbeat:   heartbeat,
-		antiEntropy: antiEntropy,
-		quit:        make(chan struct{}),
-		fwd:         shard.NewForwarder(self),
+		self:      self,
+		rf:        rf,
+		seeds:     seeds,
+		heartbeat: heartbeat,
+		out:       outbox{pending: map[handoff]struct{}{}, limit: adviseCacheSize * rf},
+		quit:      make(chan struct{}),
+		fwd:       shard.NewForwarder(self),
 	}
 	mem, err := shard.NewMembership(shard.MembershipConfig{
 		Self:         self,
@@ -231,6 +213,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 		return err
 	}
 	c.mem = mem
+	c.out.ring = mem.Ring()
 	c.joined.Store(len(seeds) == 0)
 	s.metrics.registerCluster(c) // c's counters exist before a handler can see c
 	s.cluster = c
@@ -362,15 +345,15 @@ func (c *cluster) forward(ctx context.Context, tr *obs.Trace, targets []string, 
 
 // replicate writes a freshly evaluated cache entry through to the key's
 // other owners, fire-and-forget: each write rides the forwarder's bounded
-// async queue (dropped under backpressure, never blocking the request that
-// produced the entry) and the receiving peer's /v1/replicate handler only
-// inserts into its local cache — it never forwards or re-replicates, so
-// replication traffic cannot cycle. owners and owned come from route for
-// the same request (one ring walk serves both routing and write-through);
-// only an owner replicates — a non-owner that evaluated a key because
-// every owner was down has nowhere useful to write. traceID ("" =
-// untraced) attributes the write-through to the request that produced the
-// entry on the receiving peer's trace ring.
+// async queue (under backpressure it is left to the outbox's next flush,
+// never blocking the request that produced the entry) and the receiving
+// peer's /v1/replicate handler only inserts into its local cache — it
+// never forwards or re-replicates, so replication traffic cannot cycle.
+// owners and owned come from route for the same request (one ring walk
+// serves both routing and write-through); only an owner replicates — a
+// non-owner that evaluated a key because every owner was down has nowhere
+// useful to write. traceID ("" = untraced) attributes the write-through to
+// the request that produced the entry on the receiving peer's trace ring.
 func (s *Server) replicate(key string, val any, owners []string, owned bool, traceID string) {
 	c := s.cluster
 	if c == nil || c.rf < 2 || !owned || len(owners) == 0 {
@@ -388,6 +371,7 @@ func (s *Server) replicate(key string, val any, owners []string, owned bool, tra
 			c.repWrites.Inc()
 		} else {
 			c.repDrops.Inc()
+			c.out.add(o, key)
 		}
 	}
 }
@@ -504,25 +488,21 @@ type MembershipStats struct {
 	Refutations uint64 `json:"refutations"`
 	// PrunedClients counts peer HTTP clients dropped on ring rebuilds.
 	PrunedClients uint64 `json:"pruned_clients,omitempty"`
-	// DrainedOut counts cache entries streamed to their new owners during
-	// this peer's planned departure.
-	DrainedOut uint64 `json:"drained_out,omitempty"`
 	// Departed lists tombstoned peers, sorted by name.
 	Departed []DepartedMember `json:"departed,omitempty"`
 }
 
-// AntiEntropyStats is the self-healing section of /v1/ring: the background
-// sweep that pulls replica entries this peer should hold but does not,
-// plus the read-repair counters from the request path.
+// AntiEntropyStats is the self-healing section of /v1/ring: the outbox
+// that hands entries to the owners a ring change, a dropped write-through
+// or a drain owes them, plus the read-repair counters from the request
+// path.
 type AntiEntropyStats struct {
-	// Sweeps counts completed sweeps; LastSweepUnix is when the latest
-	// finished (0 = never).
-	Sweeps        uint64 `json:"sweeps"`
-	LastSweepUnix int64  `json:"last_sweep_unix,omitempty"`
-	// Refilled counts cache entries pulled from peers by sweeps; Errors
-	// counts key-list or entry fetches that failed.
-	Refilled uint64 `json:"refilled"`
-	Errors   uint64 `json:"errors"`
+	// Delivered counts cache entries the outbox handed to peers; Pending
+	// is how many (peer, key) pairs wait for the next flush; Errors counts
+	// handoff batches that failed.
+	Delivered uint64 `json:"delivered"`
+	Pending   int    `json:"pending"`
+	Errors    uint64 `json:"errors"`
 	// ReadRepairs counts owned misses answered by pulling a co-owner's
 	// copy instead of re-evaluating; RepairMisses counts attempts where no
 	// co-owner had the entry (a genuinely cold key).
@@ -585,7 +565,7 @@ type RingResponse struct {
 	// Membership is the gossip view: join/gossip/eviction counters and
 	// tombstoned peers.
 	Membership *MembershipStats `json:"membership,omitempty"`
-	// AntiEntropy is the self-healing view: background refill sweeps and
+	// AntiEntropy is the self-healing view: outbox handoffs and
 	// request-path read repairs.
 	AntiEntropy *AntiEntropyStats `json:"anti_entropy,omitempty"`
 	// KeyOwners answers a ?key= query with that key's owner list; nil
@@ -637,15 +617,13 @@ func (s *Server) Ring() RingResponse {
 		Evictions:      counters.Evictions,
 		Refutations:    counters.Refutations,
 		PrunedClients:  c.pruned.Value(),
-		DrainedOut:     c.drainedOut.Value(),
 	}
 	resp.AntiEntropy = &AntiEntropyStats{
-		Sweeps:        c.aeSweeps.Value(),
-		LastSweepUnix: c.lastSweepUnix.Load(),
-		Refilled:      c.aeRefills.Value(),
-		Errors:        c.aeErrs.Value(),
-		ReadRepairs:   c.readRepairs.Value(),
-		RepairMisses:  c.repairMisses.Value(),
+		Delivered:    c.outDelivered.Value(),
+		Pending:      c.out.size(),
+		Errors:       c.outErrs.Value(),
+		ReadRepairs:  c.readRepairs.Value(),
+		RepairMisses: c.repairMisses.Value(),
 	}
 	health := map[string]shard.MemberHealth{}
 	for _, h := range c.mem.Health() {

@@ -10,8 +10,8 @@ import (
 
 // The entry codec: how a response-cache value goes on the wire. One schema
 // serves the persisted cache snapshot (snapshot.go), the POST /v1/replicate
-// write-through and drain batches, and the GET /v1/cluster/entry pulls
-// behind anti-entropy and read repair — a single-entry body is a snapshot
+// write-through and outbox batches, and the GET /v1/cluster/entry pulls
+// behind read repair — a single-entry body is a snapshot
 // holding one entry. snapshotOf is the only place a value's Go type picks
 // its wire form and entries the only place the wire form is turned back;
 // everything else in the package calls them.

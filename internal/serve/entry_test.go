@@ -60,7 +60,7 @@ func holds(t *testing.T, what string, s *Server, want []CacheItem) {
 
 // TestEntryCodecRoundTrips sends random entries of both kinds down every
 // road an entry travels — snapshot → restore, replicate → handleReplicate,
-// handleClusterEntry → pullEntry, and a drainTo batch — and requires the
+// handleClusterEntry → fetchEntry, and an outbox batch — and requires the
 // far side to hold values DeepEqual to what was sent.
 func TestEntryCodecRoundTrips(t *testing.T) {
 	items := randomEntries(rand.New(rand.NewSource(20)), 60)
@@ -97,8 +97,8 @@ func TestEntryCodecRoundTrips(t *testing.T) {
 	t.Run("pull", func(t *testing.T) {
 		for _, it := range items[20:40] {
 			b.srv.adviseCache.Add(it.Key, it.Val)
-			if !a.srv.pullEntry(context.Background(), it.Key, []string{b.url}) {
-				t.Fatalf("pullEntry(%s) found nothing at its holder", it.Key)
+			if _, _, ok := a.srv.fetchEntry(context.Background(), it.Key, []string{b.url}); !ok {
+				t.Fatalf("fetchEntry(%s) found nothing at its holder", it.Key)
 			}
 		}
 		holds(t, "pull", a.srv, items[20:40])
@@ -107,7 +107,7 @@ func TestEntryCodecRoundTrips(t *testing.T) {
 	t.Run("drain", func(t *testing.T) {
 		var report DrainReport
 		streamed := map[string]bool{}
-		a.srv.drainTo(context.Background(), b.url, items[40:], &report, streamed)
+		a.srv.postEntries(context.Background(), b.url, items[40:], &report, func(key string) { streamed[key] = true })
 		if report.Batches != 1 || report.Errors != 0 || len(streamed) != len(items[40:]) {
 			t.Fatalf("drain report %+v, %d keys streamed, want one clean batch of %d", report, len(streamed), len(items[40:]))
 		}
@@ -117,7 +117,7 @@ func TestEntryCodecRoundTrips(t *testing.T) {
 
 // TestDrainBatchesFitTheReceiver: entries too big for one body are split
 // by the size of the body actually built, so every POST stays under
-// drainBatchBytes (the receiver refuses bodies over maxReplicateBytes) and
+// handoffBatchBytes (the receiver refuses bodies over maxReplicateBytes) and
 // every entry still arrives — and the cache being a mix, the rankings with
 // source at its head must not leave the predictions behind them going out
 // a handful per POST.
@@ -152,18 +152,18 @@ func TestDrainBatchesFitTheReceiver(t *testing.T) {
 
 	var report DrainReport
 	streamed := map[string]bool{}
-	sender.srv.drainTo(context.Background(), hs.URL, items, &report, streamed)
+	sender.srv.postEntries(context.Background(), hs.URL, items, &report, func(key string) { streamed[key] = true })
 	if report.Errors != 0 || len(streamed) != len(items) {
 		t.Fatalf("drain report %+v, %d of %d keys streamed", report, len(streamed), len(items))
 	}
 	// ~2 MB of rankings cannot go in fewer than 2 bodies, and 300 predictions
-	// in fewer than 3 batches of drainBatchLimit; sizing each batch from the
+	// in fewer than 3 batches of handoffBatchLimit; sizing each batch from the
 	// one before it costs a batch or two at each change of entry size.
 	if report.Batches < 2 || report.Batches > 8 {
 		t.Errorf("%d batches for ~2 MB of rankings followed by 300 predictions, want 2..8", report.Batches)
 	}
-	if got := largest.Load(); got == 0 || got > drainBatchBytes {
-		t.Errorf("largest handoff body %d bytes, want within (0, %d]", got, drainBatchBytes)
+	if got := largest.Load(); got == 0 || got > handoffBatchBytes {
+		t.Errorf("largest handoff body %d bytes, want within (0, %d]", got, handoffBatchBytes)
 	}
 	holds(t, "drain", recv, items)
 }
@@ -296,15 +296,15 @@ func TestEntryCodecRejectsHostileBodies(t *testing.T) {
 	}))
 	t.Cleanup(liar.Close)
 	p := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Peers: []string{liar.URL}, Heartbeat: -1})
-	if p.srv.pullEntry(context.Background(), "the-key-asked-for", []string{liar.URL}) {
-		t.Error("pullEntry accepted an entry for another key")
+	if _, _, ok := p.srv.fetchEntry(context.Background(), "the-key-asked-for", []string{liar.URL}); ok {
+		t.Error("fetchEntry accepted an entry for another key")
 	}
 	if n := p.srv.adviseCache.Len(); n != 0 {
 		t.Errorf("%d entries cached from a mismatched answer", n)
 	}
 	// The same holder does satisfy a pull for the key it answers.
-	if !p.srv.pullEntry(context.Background(), "golden-predict-1", []string{liar.URL}) {
-		t.Error("pullEntry refused a matching entry")
+	if _, _, ok := p.srv.fetchEntry(context.Background(), "golden-predict-1", []string{liar.URL}); !ok {
+		t.Error("fetchEntry refused a matching entry")
 	}
 
 	// A replicate body over the cap is refused whole, whatever it holds.

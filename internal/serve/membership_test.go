@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ import (
 )
 
 // elasticHeartbeat is the gossip interval for the elastic-membership tests:
-// fast enough that joins, evictions and anti-entropy sweeps land within a
+// fast enough that joins, evictions and outbox handoffs land within a
 // test's patience, slow enough that loaded CI machines don't false-evict
 // (a member is evicted after 10x this).
 const elasticHeartbeat = 25 * time.Millisecond
@@ -215,25 +217,14 @@ func TestClusterGossipRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestClusterKeysAndEntryEndpoints: the anti-entropy wire surface serves
-// the local key list and single entries in the replicate snapshot schema.
-func TestClusterKeysAndEntryEndpoints(t *testing.T) {
+// TestClusterEntryEndpoint: the read-repair wire surface serves single
+// entries in the replicate snapshot schema; there is no key-list endpoint.
+func TestClusterEntryEndpoint(t *testing.T) {
 	peers := startElasticCluster(t, 1, 1, ClusterConfig{Heartbeat: -1})
 	p := peers[0]
 	req := bindN(42)
 	postAdvise(t, p.url, req)
 	key := adviseKeyFor(t, req)
-
-	var keys clusterKeysResponse
-	if rec := do(t, p.srv, http.MethodGet, "/v1/cluster/keys", nil, &keys); rec.Code != http.StatusOK {
-		t.Fatalf("keys: %d", rec.Code)
-	}
-	if len(keys.Keys) != 1 || keys.Keys[0] != key {
-		t.Fatalf("keys = %v, want [%s]", keys.Keys, key)
-	}
-	if keys.Epoch == 0 {
-		t.Error("keys response carries no epoch")
-	}
 
 	rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry?key="+key, nil, "")
 	if rec.Code != http.StatusOK {
@@ -251,6 +242,9 @@ func TestClusterKeysAndEntryEndpoints(t *testing.T) {
 	}
 	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry", nil, ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("entry without key: %d, want 400", rec.Code)
+	}
+	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/keys", nil, ""); rec.Code != http.StatusNotFound {
+		t.Errorf("key list: %d, want 404", rec.Code)
 	}
 }
 
@@ -302,6 +296,41 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 	second := a.srv.DrainCluster(context.Background())
 	if !second.AlreadyDraining {
 		t.Errorf("second drain = %+v, want AlreadyDraining", second)
+	}
+}
+
+// memberRow returns peer's row in s's /v1/ring members[].
+func memberRow(t *testing.T, s *Server, peer string) RingMember {
+	t.Helper()
+	for _, m := range s.Ring().Members {
+		if m.Peer == peer {
+			return m
+		}
+	}
+	t.Fatalf("%s is not in the ring view", peer)
+	return RingMember{}
+}
+
+// TestClusterDrainIsNotCountedAsForwards: a drain's handoff batches are
+// control-plane traffic, so the leaver's members[].forwards and errors —
+// the request-forwarding counts bench's shard.forwards_per_op reads — do
+// not move.
+func TestClusterDrainIsNotCountedAsForwards(t *testing.T) {
+	peers := startElasticCluster(t, 2, 1, ClusterConfig{Heartbeat: -1})
+	a, b := peers[0], peers[1]
+	postAdvise(t, a.url, findOwnedBinding(t, a.srv.cluster.ring(), a.url, 75000))
+	postAdvise(t, a.url, findOwnedBinding(t, a.srv.cluster.ring(), b.url, 75000))
+
+	before := memberRow(t, a.srv, b.url)
+	if before.Forwards != 1 {
+		t.Fatalf("forwards to B = %d before the drain, want the one B-owned request", before.Forwards)
+	}
+	if report := a.srv.DrainCluster(context.Background()); report.Streamed != 1 || report.Errors != 0 {
+		t.Fatalf("drain report %+v, want the one A-owned entry streamed", report)
+	}
+	if after := memberRow(t, a.srv, b.url); after.Forwards != before.Forwards || after.Errors != before.Errors {
+		t.Errorf("members[B] forwards/errors %d/%d after the drain, want %d/%d",
+			after.Forwards, after.Errors, before.Forwards, before.Errors)
 	}
 }
 
@@ -376,13 +405,21 @@ func TestClusterReadRepairServesOwnedMiss(t *testing.T) {
 	}
 }
 
-// TestClusterAntiEntropyWarmsJoinedPeer is the self-healing acceptance
-// test: a fresh peer joins a warm RF=2 tier and reaches full replica
-// warmth — every owned key resident locally — through the anti-entropy
-// sweep alone, no client traffic to it.
-func TestClusterAntiEntropyWarmsJoinedPeer(t *testing.T) {
-	cfg := ClusterConfig{AntiEntropy: 150 * time.Millisecond}
-	peers := startElasticCluster(t, 3, 2, cfg)
+// totalDelivered sums the entries the peers' outboxes handed off.
+func totalDelivered(peers []*elasticPeer) uint64 {
+	var n uint64
+	for _, p := range peers {
+		n += p.srv.cluster.outDelivered.Value()
+	}
+	return n
+}
+
+// TestClusterHandoffWarmsJoinedPeer is the self-healing acceptance test: a
+// fresh peer joins a warm RF=2 tier and reaches full replica warmth —
+// every owned key resident locally — through its holders' outboxes alone,
+// no client traffic to it and no read repair.
+func TestClusterHandoffWarmsJoinedPeer(t *testing.T) {
+	peers := startElasticCluster(t, 3, 2, ClusterConfig{})
 
 	// The joiner's address is bound first, so the ring it will join is
 	// known up front and every warmed key can be one it is going to own.
@@ -410,21 +447,16 @@ func TestClusterAntiEntropyWarmsJoinedPeer(t *testing.T) {
 	joiner := bootElasticPeer(t, joinerLn, ClusterConfig{
 		Seeds:       []string{peers[0].url},
 		Replication: 2,
-		AntiEntropy: 150 * time.Millisecond,
 	})
 	waitRingSize(t, append(append([]*elasticPeer{}, peers...), joiner), 4)
 
-	// The second sweep counted after the ring reached four members began
-	// with that ring, and a sweep is counted only once its pulls are in the
-	// cache: so every warmed key has been refilled by then, with no client
-	// request reaching the joiner.
-	sweeps := joiner.srv.cluster.aeSweeps.Value()
-	waitCond(t, 10*time.Second, "two anti-entropy sweeps on the four-member ring", func() bool {
-		return joiner.srv.cluster.aeSweeps.Value() >= sweeps+2
+	// Each warmed key has two holders, both its owners on the three-member
+	// ring, and the joiner is the one owner the join gave it: so once the
+	// holders have delivered two entries per key, every key is in the
+	// joiner's cache, with no client request having reached it.
+	waitCond(t, 10*time.Second, "the holders to hand every warmed key to the joiner", func() bool {
+		return totalDelivered(peers) >= uint64(2*len(reqs))
 	})
-	if got := joiner.srv.cluster.aeRefills.Value(); got < uint64(len(reqs)) {
-		t.Errorf("anti-entropy refills = %d, want >= %d", got, len(reqs))
-	}
 	// A replay through the joiner is all local hits: none recomputed, none
 	// pulled on demand by read repair.
 	for _, req := range reqs {
@@ -433,18 +465,147 @@ func TestClusterAntiEntropyWarmsJoinedPeer(t *testing.T) {
 		}
 	}
 	if got := joiner.srv.cluster.readRepairs.Value(); got != 0 {
-		t.Errorf("read repairs = %d, want 0: the sweep alone must warm the joiner", got)
+		t.Errorf("read repairs = %d, want 0: the handoff alone must warm the joiner", got)
+	}
+}
+
+// TestClusterEvictionRestoresReplicaCount: a peer that crashes without a
+// drain is evicted, and the survivors hand each other the keys whose owner
+// list gained a member, so with no client traffic every warmed key ends up
+// resident on both of its surviving owners.
+func TestClusterEvictionRestoresReplicaCount(t *testing.T) {
+	peers := startElasticCluster(t, 3, 2, ClusterConfig{})
+	var keys []string
+	for i := 0; i < 12; i++ {
+		req := bindN(float64(120000 + 16*i))
+		keys = append(keys, adviseKeyFor(t, req))
+		postAdvise(t, peers[0].url, req)
+	}
+	waitCond(t, 10*time.Second, "write-through replication", func() bool {
+		return totalReplicatedIn(peers) >= uint64(len(keys))
+	})
+
+	peers[2].kill()
+	survivors := peers[:2]
+	waitRingSize(t, survivors, 2)
+	waitCond(t, 10*time.Second, "every warmed key on both survivors", func() bool {
+		for _, p := range survivors {
+			for _, key := range keys {
+				if _, ok := p.srv.adviseCache.Peek(key); !ok {
+					return false
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestClusterOutboxRetriesAndDrops drives the outbox by hand (loops off)
+// against a receiver whose answers the test steers: an undelivered pair
+// stays and lands on a later flush, a pair whose entry was evicted or
+// whose target no longer owns the key is dropped, and a write-through the
+// full async queue dropped arrives on the next flush.
+func TestClusterOutboxRetriesAndDrops(t *testing.T) {
+	const (
+		pass = iota
+		abort
+		unavailable
+	)
+	var mode atomic.Int32
+	gate := make(chan struct{}) // replicate posts wait on it until released
+	release := sync.OnceFunc(func() { close(gate) })
+	recv := newTestServer(t)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch mode.Load() {
+		case abort:
+			panic(http.ErrAbortHandler) // the connection drops: unreachable
+		case unavailable:
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		if r.URL.Path == "/v1/replicate" {
+			<-gate
+		}
+		recv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	t.Cleanup(release) // before hs.Close, which waits for blocked handlers
+	sender := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Peers: []string{hs.URL}, Replication: 2, Heartbeat: -1})
+	if err := recv.EnableCluster(ClusterConfig{Self: hs.URL, Peers: []string{sender.url}, Replication: 2, Heartbeat: -1}); err != nil {
+		t.Fatal(err)
+	}
+	s, c := sender.srv, sender.srv.cluster
+	flush := func() DrainReport { return s.flushOutbox(context.Background()) }
+
+	// A write-through the async queue drops waits in the outbox: with the
+	// receiver holding every replicate post, the two async workers block
+	// and the queue fills.
+	var dropped CacheItem
+	for i := 0; dropped.Key == ""; i++ {
+		if i == 1000 {
+			t.Fatal("1000 write-throughs against a blocked receiver and none dropped")
+		}
+		it := CacheItem{Key: Key("dropped", fmt.Sprint(i)), Val: float64(i + 1)}
+		drops := c.repDrops.Value()
+		s.replicate(it.Key, it.Val, []string{sender.url, hs.URL}, true, "")
+		if c.repDrops.Value() > drops {
+			dropped = it
+			s.adviseCache.Add(it.Key, it.Val)
+		}
+	}
+	release()
+	if r := flush(); r.Streamed != 1 || r.Errors != 0 {
+		t.Fatalf("flush after the drop = %+v, want the dropped write-through delivered", r)
+	}
+	holds(t, "dropped write-through", recv, []CacheItem{dropped})
+
+	// A pair the target does not take stays pending until it does: a
+	// dropped connection, then a 503, then a delivery.
+	owed := CacheItem{Key: Key("owed"), Val: 7.5}
+	s.adviseCache.Add(owed.Key, owed.Val)
+	c.out.add(hs.URL, owed.Key)
+	for _, m := range []int32{abort, unavailable} {
+		mode.Store(m)
+		if r := flush(); r.Streamed != 0 || r.Errors != 1 || c.out.size() != 1 {
+			t.Fatalf("flush in mode %d = %+v with %d pending, want one failed batch and the pair kept", m, r, c.out.size())
+		}
+	}
+	mode.Store(pass)
+	if r := flush(); r.Streamed != 1 || r.Errors != 0 || c.out.size() != 0 {
+		t.Fatalf("flush with the receiver back = %+v with %d pending, want the pair delivered", r, c.out.size())
+	}
+	holds(t, "retried pair", recv, []CacheItem{owed})
+	if got := c.outErrs.Value(); got != 2 {
+		t.Errorf("outbox errors = %d, want the 2 failed flushes", got)
+	}
+
+	// A pair whose entry is gone is dropped unsent.
+	c.out.add(hs.URL, Key("never cached"))
+	if r := flush(); r.Batches != 0 || c.out.size() != 0 {
+		t.Fatalf("flush of an evicted entry = %+v with %d pending, want it dropped unsent", r, c.out.size())
+	}
+
+	// So is one whose target has left the ring.
+	gone := CacheItem{Key: Key("target gone"), Val: 9.5}
+	s.adviseCache.Add(gone.Key, gone.Val)
+	c.out.add(hs.URL, gone.Key)
+	c.mem.Leave(hs.URL)
+	if r := flush(); r.Batches != 0 || c.out.size() != 0 {
+		t.Fatalf("flush after the target left = %+v with %d pending, want the pair dropped unsent", r, c.out.size())
+	}
+	if _, ok := recv.adviseCache.Peek(gone.Key); ok {
+		t.Error("an entry was handed to a peer that no longer owns it")
 	}
 }
 
 // TestClusterRollingRestartZeroMisses is the tentpole acceptance test: a
 // 3-peer RF=2 tier warmed with a key set survives draining, killing and
 // rejoining each peer in turn — every replay throughout the roll is
-// answered from cache (drain hands keys off, read repair and anti-entropy
-// re-warm the rejoined peer), so the roll costs zero evaluations.
+// answered from cache (drain hands keys off, read repair and the
+// survivors' outboxes re-warm the rejoined peer), so the roll costs zero
+// evaluations.
 func TestClusterRollingRestartZeroMisses(t *testing.T) {
-	cfg := ClusterConfig{AntiEntropy: 150 * time.Millisecond}
-	peers := startElasticCluster(t, 3, 2, cfg)
+	peers := startElasticCluster(t, 3, 2, ClusterConfig{})
 
 	var reqs []AdviseRequest
 	for i := 0; i < 12; i++ {
@@ -480,7 +641,6 @@ func TestClusterRollingRestartZeroMisses(t *testing.T) {
 		peers[i] = bootElasticPeer(t, listenOn(t, addr), ClusterConfig{
 			Seeds:       []string{survivors[0].url},
 			Replication: 2,
-			AntiEntropy: 150 * time.Millisecond,
 		})
 		waitRingSize(t, peers, 3)
 		for _, req := range reqs {

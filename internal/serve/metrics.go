@@ -308,7 +308,7 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 		})
 
 	// Elastic membership: the gossip/join/eviction surface and the
-	// self-healing (anti-entropy, read-repair, drain) counters.
+	// self-healing (outbox, read-repair) counters.
 	m.reg.GaugeFunc("serve_cluster_epoch",
 		"Ring version; increments on every membership change.", nil,
 		func() float64 { return float64(c.mem.Epoch()) })
@@ -345,18 +345,14 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 		func() float64 { return float64(c.mem.Counters().Refutations) })
 	c.pruned = m.reg.Counter("serve_cluster_pruned_clients_total",
 		"Idle peer HTTP clients closed after members left the ring.", nil)
-	c.aeSweeps = m.reg.Counter("serve_cluster_anti_entropy_sweeps_total",
-		"Anti-entropy sweeps completed.", nil)
-	c.aeRefills = m.reg.Counter("serve_cluster_anti_entropy_refills_total",
-		"Missing owned entries refilled from peer caches by anti-entropy.", nil)
-	c.aeErrs = m.reg.Counter("serve_cluster_anti_entropy_errors_total",
-		"Failed anti-entropy fetches.", nil)
+	c.outDelivered = m.reg.Counter("serve_cluster_outbox_delivered_total",
+		"Cache entries the outbox handed to owners a ring change, dropped write-through or drain owed them.", nil)
+	c.outErrs = m.reg.Counter("serve_cluster_outbox_errors_total",
+		"Outbox handoff batches that failed; their entries stay pending.", nil)
 	c.readRepairs = m.reg.Counter("serve_cluster_read_repairs_total",
 		"Owned misses answered from a co-owner's cache on the request path.", nil)
 	c.repairMisses = m.reg.Counter("serve_cluster_read_repair_misses_total",
 		"Read-repair attempts where no co-owner held the entry.", nil)
-	c.drainedOut = m.reg.Counter("serve_cluster_drained_out_total",
-		"Cache entries streamed to new owners during planned departure.", nil)
 }
 
 // errorCounter returns (creating on first use) the serve_errors_total

@@ -437,10 +437,8 @@ func TestServingCountsAgree(t *testing.T) {
 		{"serve_cluster_evictions_total", cl.Membership.Evictions, 0},
 		{"serve_cluster_refutations_total", cl.Membership.Refutations, 0},
 		{"serve_cluster_pruned_clients_total", cl.Membership.PrunedClients, 0},
-		{"serve_cluster_drained_out_total", cl.Membership.DrainedOut, 0},
-		{"serve_cluster_anti_entropy_sweeps_total", cl.AntiEntropy.Sweeps, 0},
-		{"serve_cluster_anti_entropy_refills_total", cl.AntiEntropy.Refilled, 0},
-		{"serve_cluster_anti_entropy_errors_total", cl.AntiEntropy.Errors, 0},
+		{"serve_cluster_outbox_delivered_total", cl.AntiEntropy.Delivered, 0},
+		{"serve_cluster_outbox_errors_total", cl.AntiEntropy.Errors, 0},
 		{"serve_cluster_read_repairs_total", cl.AntiEntropy.ReadRepairs, 0},
 		{"serve_cluster_read_repair_misses_total", cl.AntiEntropy.RepairMisses, 0},
 	} {

@@ -944,8 +944,8 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 		// Owned miss with live co-owners: before paying an evaluation, try
 		// pulling the entry from a replica's cache (read repair). The case
 		// this serves is a peer that just rejoined — it owns its old keys
-		// again but holds none of them until the next anti-entropy sweep,
-		// while its co-owners still do.
+		// again but holds none of them until its co-owners' next outbox
+		// flush, while those co-owners already do.
 		if rv, ok := s.tryRepair(ctx, tr, q.key, owners, owned); ok && q.typed(rv) {
 			return repairedEntry{val: rv}, nil
 		}

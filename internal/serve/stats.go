@@ -45,7 +45,7 @@ type Stats struct {
 		// tiers without the lifecycle keep their exact prior payload.
 		Feedback uint64 `json:"feedback,omitempty"`
 		// Cluster counts /v1/cluster/* arrivals (join, gossip, leave and
-		// anti-entropy pulls); omitted at zero outside cluster mode.
+		// read-repair pulls); omitted at zero outside cluster mode.
 		Cluster uint64 `json:"cluster,omitempty"`
 		Errors  uint64 `json:"errors"`
 	} `json:"requests"`

@@ -163,7 +163,7 @@ func (f *Forwarder) do(ctx context.Context, method, peer, path string, body []by
 
 // Control performs one request to peer+path on the peer's bounded client
 // without touching the per-peer forwarding counters: membership gossip,
-// anti-entropy key exchange and read-repair fetches are control-plane
+// cache-entry handoff batches and read-repair fetches are control-plane
 // chatter that must not inflate the request-forwarding stats operators
 // read off /v1/ring. body may be nil for GETs. The caller owns error
 // counting.
