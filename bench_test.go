@@ -633,6 +633,40 @@ func BenchmarkAdviseColdSuite(b *testing.B) {
 	}
 }
 
+// BenchmarkAdviseMaxGrid measures the largest grid an advise request may
+// ask for: matmul on the V100 profile over 64 team counts × 16 thread
+// counts, 4 GPU variant kinds × 1024 = advisor.MaxGridPoints points, cold,
+// on BenchmarkAdviseColdSuite's model. Its reading bounds how long an
+// advise on a suite kernel holds a connection and an evaluation slot.
+func BenchmarkAdviseMaxGrid(b *testing.B) {
+	model := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3,
+		Relations: int(paragraph.NumEdgeTypes)})
+	model.SetFloat32Inference(true)
+	a := advisor.New(model, benchServePrep(), hw.V100())
+	k, _ := apps.ByName("matmul")
+	var space advisor.SearchSpace
+	for i := 1; i <= 64; i++ {
+		space.GPUTeams = append(space.GPUTeams, 4*i)
+	}
+	for i := 1; i <= 16; i++ {
+		space.GPUThreads = append(space.GPUThreads, 32*i)
+	}
+	if err := advisor.CheckSpace(k, hw.V100(), space); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := a.Advise(k, map[string]float64{"n": float64(512 + i)}, space)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) != advisor.MaxGridPoints {
+			b.Fatalf("%d grid points, want %d", len(recs), advisor.MaxGridPoints)
+		}
+	}
+}
+
 // BenchmarkServeAdviseCached measures the same request answered from the
 // content-addressed response cache — the steady-state cost of repeated
 // identical traffic.

@@ -55,10 +55,8 @@
 // Endpoints:
 //
 //	POST /v1/advise     rank variant grid for a kernel on one machine
-//	                    (?async=1 submits a job, answered 202 + job id)
 //	POST /v1/predict    predict one variant's runtime
 //	POST /v1/feedback   report a measured runtime for a served prediction
-//	GET  /v1/jobs/{id}  poll an async advise job (?stream=1 for NDJSON)
 //	GET  /v1/healthz    liveness and served machines
 //	GET  /v1/models     served model versions per platform (+ rollout roles)
 //	GET  /v1/stats      cache/batcher/admission/per-model/cluster/rollout counters
@@ -76,8 +74,8 @@
 // deficit-round-robin fairness up to -admit-queue/-admit-per-client, then
 // shed with 503 + Retry-After; an X-Paragraph-Deadline request header
 // sheds eagerly when the estimated drain exceeds the budget, and the
-// remaining budget propagates across cluster forwards. The async job store
-// holds 256 jobs, finished ones for ten minutes.
+// remaining budget propagates across cluster forwards. Every answer
+// arrives on the request's own connection; there is no background job.
 //
 // Observability (docs/OPERATIONS.md, "Monitoring & Profiling"): GET
 // /metrics serves Prometheus text exposition, GET /v1/trace the recent
@@ -226,9 +224,9 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	// Stop accepting and let in-flight requests finish, then wait out the
-	// async jobs (srv.Close) before the final snapshot so every completed
-	// response is eligible for persistence.
+	// Stop accepting and let in-flight requests finish before the final
+	// snapshot, so every completed response is eligible for persistence;
+	// srv.Close waits out a background retrain.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

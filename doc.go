@@ -90,6 +90,9 @@
 // recomputes only the rows each further point changes. Nothing is coalesced
 // across requests — two requests never share a family. Rankings are
 // bit-identical to the serial pipeline; only throughput and latency change.
+// Every answer arrives on the request's own connection: the largest grid a
+// request may ask for (4096 points) evaluates cold in about half a second,
+// so there is no background job to poll.
 //
 // With -cache-file the advise-response cache is snapshotted every five
 // minutes and on SIGTERM/SIGINT — shutdown stops the listener,

@@ -3,7 +3,7 @@
 // whether a request should run now, wait its turn, or be rejected while
 // the server is still healthy enough to say so.
 //
-// Three cooperating pieces:
+// Two cooperating pieces:
 //
 //   - Queue (queue.go): per-client fair queueing in front of the
 //     evaluation pool. Each client gets a FIFO lane; a round-robin
@@ -18,11 +18,6 @@
 //     histograms (EstimateDrain); the shed response carries a Retry-After
 //     hint so well-behaved clients back off instead of hammering.
 //
-//   - Store (jobs.go): a bounded, TTL-evicted async job store backing the
-//     POST /v1/advise?async=1 path, so very large grids return a job id
-//     immediately instead of holding a connection through minutes of
-//     evaluation.
-//
 // The package is policy only — it never touches HTTP or the model — so
 // the scheduler is property-testable in isolation (queue_test.go,
 // queue_fuzz_test.go) and internal/serve stays the single place that maps
@@ -30,8 +25,6 @@
 package admit
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"time"
 )
@@ -62,14 +55,12 @@ const (
 	// ReasonExpired: the deadline had already passed (or the context was
 	// cancelled) before or during the queue wait.
 	ReasonExpired Reason = "expired"
-	// ReasonJobsFull: the async job store was at capacity.
-	ReasonJobsFull Reason = "jobs_full"
 )
 
 // Reasons lists every shed reason, in stable order, so the metrics layer
 // can pre-register the full serve_shed_total family.
 func Reasons() []Reason {
-	return []Reason{ReasonQueueFull, ReasonLaneFull, ReasonDeadline, ReasonExpired, ReasonJobsFull}
+	return []Reason{ReasonQueueFull, ReasonLaneFull, ReasonDeadline, ReasonExpired}
 }
 
 // ShedError is a load-shedding rejection. The serving layer maps it to
@@ -144,15 +135,4 @@ func RetryAfterSeconds(d time.Duration) int {
 		s = 1
 	}
 	return s
-}
-
-// newID returns a random 96-bit hex id (job ids).
-func newID() string {
-	var b [12]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing means the platform is broken; fall back to
-		// a time-derived id rather than take the serving path down.
-		return fmt.Sprintf("t%x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
 }

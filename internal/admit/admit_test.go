@@ -112,7 +112,7 @@ func TestReasonsCoversAll(t *testing.T) {
 	rs := Reasons()
 	want := map[Reason]bool{
 		ReasonQueueFull: true, ReasonLaneFull: true, ReasonDeadline: true,
-		ReasonExpired: true, ReasonJobsFull: true,
+		ReasonExpired: true,
 	}
 	if len(rs) != len(want) {
 		t.Fatalf("Reasons() has %d entries, want %d", len(rs), len(want))

@@ -315,7 +315,8 @@ func guard(what func() string, fn func() error) (err error) {
 
 // callModel hands samples to the predictor. A panic under it — a model bug
 // on a grid no test fed it — is the request's error like a front-end one:
-// an async job runs this on a goroutine of its own.
+// left to net/http's recover, it would drop the connection with no 500 and
+// no stack in the log.
 func (a *Advisor) callModel(ctx context.Context, samples []*gnn.Sample) (preds []float64, err error) {
 	what := func() string { return fmt.Sprintf("predicting %d samples from %s", len(samples), samples[0].Name) }
 	err = guard(what, func() (err error) {

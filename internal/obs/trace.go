@@ -174,8 +174,7 @@ type Tracer struct {
 	maxSpans int
 	logger   *slog.Logger
 
-	started atomic.Uint64
-	slowN   atomic.Uint64
+	slowN atomic.Uint64
 
 	mu   sync.Mutex
 	ring []FinishedTrace // fixed capacity, next is the write cursor
@@ -202,7 +201,6 @@ func (tr *Tracer) Start(id, endpoint string) *Trace {
 	if id == "" {
 		id = NewTraceID()
 	}
-	tr.started.Add(1)
 	return &Trace{id: id, endpoint: endpoint, start: time.Now(), limit: tr.maxSpans}
 }
 
@@ -280,9 +278,6 @@ func (tr *Tracer) Find(id string) (FinishedTrace, bool) {
 	}
 	return FinishedTrace{}, false
 }
-
-// Started returns the number of traces started.
-func (tr *Tracer) Started() uint64 { return tr.started.Load() }
 
 // SlowCount returns the number of traces logged as slow.
 func (tr *Tracer) SlowCount() uint64 { return tr.slowN.Load() }

@@ -138,11 +138,10 @@ func TestRingBoundAndOrder(t *testing.T) {
 	if got := tracer.Recent(1); len(got) != 1 || got[0].ID != ids[4] {
 		t.Fatalf("Recent(1) = %v, want just newest", got)
 	}
-	if _, ok := tracer.Find(ids[0]); ok {
-		t.Fatal("evicted trace still findable")
-	}
-	if tracer.Started() != 5 {
-		t.Fatalf("Started = %d, want 5", tracer.Started())
+	for i, id := range ids {
+		if _, ok := tracer.Find(id); ok != (i >= 2) {
+			t.Fatalf("trace %d of 5 findable = %v in a ring of 3", i, ok)
+		}
 	}
 }
 
@@ -191,7 +190,15 @@ func TestConcurrentTraceUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tracer.Started() != 400 {
-		t.Fatalf("Started = %d, want 400", tracer.Started())
+	recent := tracer.Recent(0)
+	if len(recent) != 16 {
+		t.Fatalf("ring retained %d of 400 traces, want 16", len(recent))
+	}
+	seen := map[string]bool{}
+	for _, ft := range recent {
+		if seen[ft.ID] || len(ft.Spans) != 1 || ft.Status != 200 {
+			t.Fatalf("retained trace %+v: duplicate or torn", ft)
+		}
+		seen[ft.ID] = true
 	}
 }

@@ -177,7 +177,7 @@ func TestBatcherEmptyLatencyStats(t *testing.T) {
 }
 
 // blockingModel parks every PredictBatch call until released (the overload
-// and jobs suites wedge a server with it).
+// suite wedges a server with it).
 type blockingModel struct{ release chan struct{} }
 
 func (m *blockingModel) PredictBatch(ss []*gnn.Sample) []float64 {

@@ -284,16 +284,16 @@ func (lc *lifecycle) routedModel(platform, routeKey string) string {
 
 // noteAdvise journals a served advise ranking so its points can later be
 // measured via /v1/feedback.
-func (lc *lifecycle) noteAdvise(p adviseParams, recs []advisor.Recommendation) {
+func (lc *lifecycle) noteAdvise(key, machine, model string, k apps.Kernel, bindings map[string]float64, recs []advisor.Recommendation) {
 	pts := make(map[journalPoint]float64, len(recs))
 	for _, r := range recs {
 		pts[journalPoint{r.Kind.String(), r.Teams, r.Threads}] = r.PredictedUS
 	}
-	lc.journal.Add(p.key, &journalEntry{
-		machine:  p.be.machine.Name,
-		model:    p.ms.name,
-		kernel:   p.k,
-		bindings: p.req.Bindings,
+	lc.journal.Add(key, &journalEntry{
+		machine:  machine,
+		model:    model,
+		kernel:   k,
+		bindings: bindings,
 		points:   pts,
 	})
 }

@@ -16,7 +16,7 @@ import (
 // stats JSON would break its byte-compatibility contract).
 var serveEndpoints = []string{
 	"advise", "predict", "feedback", "healthz", "stats", "models", "ring",
-	"replicate", "cluster", "jobs", "metrics", "trace",
+	"replicate", "cluster", "metrics", "trace",
 }
 
 // endpointInstruments are one endpoint's request counter and latency
@@ -32,8 +32,7 @@ type endpointInstruments struct {
 // one lock-free instrument: created here (request, cluster and lifecycle
 // counters) or owned by a model version and registered here (its batcher's
 // and traffic instruments). Components with their own state (cache, fair
-// queue, job store, forwarder, membership, tracer) are read at scrape
-// time.
+// queue, forwarder, membership, tracer) are read at scrape time.
 type serveMetrics struct {
 	reg       *obs.Registry
 	endpoints map[string]*endpointInstruments
@@ -139,30 +138,12 @@ func newServeMetrics(s *Server) *serveMetrics {
 			}
 		})
 
-	// Async job store.
-	m.reg.CollectFunc("serve_jobs", "Async jobs resident in the store, by state.", "gauge",
-		func(emit func(obs.Labels, float64)) {
-			st := s.jobs.Stats()
-			emit(obs.L("state", "pending"), float64(st.Pending))
-			emit(obs.L("state", "running"), float64(st.Running))
-			emit(obs.L("state", "done"), float64(st.Done))
-			emit(obs.L("state", "failed"), float64(st.Failed))
-		})
-	m.reg.CounterFunc("serve_jobs_submitted_total", "Async jobs accepted.", nil,
-		func() float64 { return float64(s.jobs.Stats().Submitted) })
-	m.reg.CounterFunc("serve_jobs_rejected_total", "Async jobs rejected (store at capacity).", nil,
-		func() float64 { return float64(s.jobs.Stats().Rejected) })
-	m.reg.CounterFunc("serve_jobs_expired_total", "Finished async jobs reclaimed by TTL.", nil,
-		func() float64 { return float64(s.jobs.Stats().Expired) })
-
 	for machine, be := range s.backends {
 		for name, ms := range be.models {
 			m.registerModel(machine, name, ms)
 		}
 	}
 
-	m.reg.CounterFunc("serve_traces_started_total", "Request traces started.", nil,
-		func() float64 { return float64(s.tracer.Started()) })
 	m.reg.CounterFunc("serve_traces_slow_total", "Traces logged as slow requests.", nil,
 		func() float64 { return float64(s.tracer.SlowCount()) })
 	return m

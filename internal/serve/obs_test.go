@@ -70,12 +70,16 @@ func TestMetricsExposition(t *testing.T) {
 		`serve_batcher_batches_total{platform="NVIDIA V100 (GPU)",model="default"} 1`,
 		`serve_advise_eval_seconds_count{platform="NVIDIA V100 (GPU)",model="default"} 1`,
 		`serve_model_advise_total{platform="NVIDIA V100 (GPU)",model="default"} 2`,
-		"serve_traces_started_total 2",
 		"serve_uptime_seconds",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Traces started are the requests to traced endpoints: the two advises
+	// counted above, each retained in the ring.
+	if got := len(s.tracer.Recent(0)); got != 2 {
+		t.Errorf("tracer retained %d traces, want one per advise request (2)", got)
 	}
 	// A non-cluster server must not advertise cluster series.
 	if strings.Contains(out, "serve_cluster_") {

@@ -458,15 +458,15 @@ func TestOverloadDeadlineHonoredInQueue(t *testing.T) {
 }
 
 // TestAdmissionMetricsExposition: the overload-control series — shed
-// counters by reason, queue gauges, per-client counters, job-store
-// states — appear in /metrics, and /v1/stats carries the same numbers.
+// counters by reason, queue gauges, per-client counters — appear in
+// /metrics, and /v1/stats carries the same numbers.
 func TestAdmissionMetricsExposition(t *testing.T) {
 	s := newOverloadServer(t, slowModel{delay: 20 * time.Millisecond}, Options{
 		PoolSize: 1,
 	})
 
-	// One successful evaluation (seeds histograms), one deadline shed, one
-	// finished async job.
+	// Two successful evaluations (the first seeds histograms) around one
+	// deadline shed.
 	if rec := do(t, s, http.MethodPost, "/v1/advise", overloadReq(0), nil); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up: %d %s", rec.Code, rec.Body.String())
 	}
@@ -474,8 +474,9 @@ func TestAdmissionMetricsExposition(t *testing.T) {
 		map[string]string{"X-Paragraph-Deadline": "1ms"}); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("deadline shed: %d", rec.Code)
 	}
-	sub := submitAsync(t, s, overloadReq(2))
-	waitJob(t, s, sub.Poll, "done")
+	if rec := do(t, s, http.MethodPost, "/v1/advise", overloadReq(2), nil); rec.Code != http.StatusOK {
+		t.Fatalf("second evaluation: %d %s", rec.Code, rec.Body.String())
+	}
 
 	out := scrapeMetrics(t, s)
 	for _, want := range []string{
@@ -484,19 +485,12 @@ func TestAdmissionMetricsExposition(t *testing.T) {
 		`serve_shed_total{reason="queue_full"} 0`,
 		`serve_shed_total{reason="lane_full"} 0`,
 		`serve_shed_total{reason="expired"} 0`,
-		`serve_shed_total{reason="jobs_full"} 0`,
 		"serve_admit_queued 0",
 		"serve_admit_running 0",
 		"serve_admit_lanes 0",
 		"serve_admit_admitted_total 2",
 		`serve_admit_client_admitted_total{client="192.0.2.1"} 2`,
-		`serve_jobs{state="done"} 1`,
-		`serve_jobs{state="pending"} 0`,
-		"serve_jobs_submitted_total 1",
-		"serve_jobs_rejected_total 0",
-		"serve_jobs_expired_total 0",
 		`serve_batcher_cancelled_total{platform="NVIDIA V100 (GPU)",model="default"}`,
-		`serve_requests_total{endpoint="jobs"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -508,18 +502,12 @@ func TestAdmissionMetricsExposition(t *testing.T) {
 	if st.Admit.Concurrency != 1 || st.Admit.Admitted != 2 {
 		t.Errorf("stats admit = %+v", st.Admit)
 	}
-	for _, reason := range []string{"queue_full", "lane_full", "deadline", "expired", "jobs_full"} {
+	for _, reason := range []string{"queue_full", "lane_full", "deadline", "expired"} {
 		if _, ok := st.Shed[reason]; !ok {
 			t.Errorf("stats shed map missing reason %q: %v", reason, st.Shed)
 		}
 	}
 	if st.Shed["deadline"] != 1 {
 		t.Errorf("stats shed[deadline] = %d, want 1", st.Shed["deadline"])
-	}
-	if st.Jobs.Submitted != 1 || st.Jobs.Done != 1 {
-		t.Errorf("stats jobs = %+v", st.Jobs)
-	}
-	if st.Requests.Jobs == 0 {
-		t.Error("stats requests.jobs = 0, want the poll counted")
 	}
 }

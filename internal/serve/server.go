@@ -116,15 +116,9 @@ type Options struct {
 	RegistryRoot string
 }
 
-// The serving tier's fixed sizes: response-cache entries (whole advise
-// rankings and single predictions), and the async job store's bound
-// (submissions beyond it are shed with 503 jobs_full) and how long a
-// finished job stays fetchable.
-const (
-	adviseCacheSize = 512
-	jobLimit        = 256
-	jobTTL          = 10 * time.Minute
-)
+// adviseCacheSize is the response cache's entry bound (whole advise
+// rankings and single predictions).
+const adviseCacheSize = 512
 
 func (o Options) withDefaults() Options {
 	if o.PoolSize <= 0 {
@@ -187,14 +181,8 @@ type Server struct {
 
 	// admit bounds the evaluations in flight (Options.PoolSize slots, so a
 	// burst queues instead of oversubscribing the CPU with grid fan-outs)
-	// and orders the waiters per-client fair with bounded backlogs; jobs
-	// backs the async advise path. jobsCtx is the lifetime of async
-	// evaluations (cancelled in Close, then jobsWG drained).
-	admit      *admit.Queue
-	jobs       *admit.Store
-	jobsCtx    context.Context
-	jobsCancel context.CancelFunc
-	jobsWG     sync.WaitGroup
+	// and orders the waiters per-client fair with bounded backlogs.
+	admit *admit.Queue
 
 	metrics *serveMetrics // every /metrics series; /v1/stats reads the same instruments
 	tracer  *obs.Tracer   // request traces: slow logging + the /v1/trace ring
@@ -226,9 +214,7 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 			MaxQueued:    opts.QueueLimit,
 			MaxPerClient: opts.QueuePerClient,
 		}),
-		jobs: admit.NewStore(jobLimit, jobTTL),
 	}
-	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
 	for _, b := range backends {
 		if b.Model == nil || b.Prep == nil {
 			return nil, fmt.Errorf("serve: backend %q missing model or prepared dataset", b.Machine.Name)
@@ -294,7 +280,6 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 	s.mux.HandleFunc("/v1/replicate", s.instrument("replicate", true, s.handleReplicate))
 	s.mux.HandleFunc("/v1/cluster/", s.instrument("cluster", false, s.handleCluster))
 	s.mux.HandleFunc("/v1/trace", s.instrument("trace", false, s.handleTrace))
-	s.mux.HandleFunc("/v1/jobs/", s.instrument("jobs", false, s.handleJobs))
 	s.mux.HandleFunc("/metrics", s.instrument("metrics", false, s.handleMetrics))
 	if err := s.initLifecycle(); err != nil {
 		s.Close()
@@ -419,17 +404,13 @@ func sortedKeys[V any](m map[string]V) []string {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the async-job workers (cancelling their evaluations and
-// waiting them out), any background retrain, the job store's sweeper and,
-// in cluster mode, the membership background loops and the forwarder's
-// async replication workers.
+// Close waits out any background retrain and, in cluster mode, stops the
+// membership background loops and the forwarder's async replication
+// workers.
 func (s *Server) Close() {
-	s.jobsCancel()
-	s.jobsWG.Wait()
 	if s.lifecycle != nil {
 		s.lifecycle.wg.Wait()
 	}
-	s.jobs.Close()
 	if s.cluster != nil {
 		s.cluster.stop()
 	}
@@ -746,25 +727,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "%v", err)
 		return
 	}
-
-	// Content-addressed response key: everything the ranking depends on,
-	// including the resolved model version (two versions of one platform
-	// rank differently). Top and IncludeSource shape only the rendering, so
-	// they stay out of the key and a hit can serve any truncation.
-	key := Key("advise", be.machine.Name, ms.name, kernelKey(k), advisor.BindingsKey(req.Bindings),
-		fmtInts(space.CPUThreads), fmtInts(space.GPUTeams), fmtInts(space.GPUThreads))
-
-	p := adviseParams{
-		req: &req, be: be, ms: ms, k: k, space: space, key: key,
-		client:    clientKey(r),
-		forwarded: s.isForwarded(r),
-	}
-
-	if async := r.URL.Query().Get("async"); async == "1" || async == "true" {
-		s.startAdviseJob(w, r, p)
-		return
-	}
-
 	ctx, cancel, err := requestContext(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
@@ -772,65 +734,41 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	resp, pr, err := s.advise(ctx, tr, p)
-	switch {
-	case err != nil:
-		s.failKeyed(w, err, ms.adviseEval, "advise", k, be, ms)
-	case pr != nil:
-		s.writeProxied(w, *pr)
-	default:
-		s.writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-// adviseParams is one advise evaluation's resolved inputs, shared by the
-// synchronous handler and the async job path.
-type adviseParams struct {
-	req       *AdviseRequest
-	be        *backendState
-	ms        *modelState
-	k         apps.Kernel
-	space     advisor.SearchSpace
-	key       string
-	client    string
-	forwarded bool
-}
-
-// advise answers one resolved advise request, for the synchronous handler
-// and the async job alike: the keyed path, then — unless a peer answered
-// (pr) or it failed — the per-model accounting, the feedback journal and
-// the rendering with the request's Top truncation and IncludeSource.
-// ElapsedMS covers this call.
-func (s *Server) advise(ctx context.Context, tr *obs.Trace, p adviseParams) (resp AdviseResponse, pr *proxiedResponse, err error) {
+	// Content-addressed response key: everything the ranking depends on,
+	// including the resolved model version (two versions of one platform
+	// rank differently). Top and IncludeSource shape only the rendering, so
+	// they stay out of the key and a hit can serve any truncation.
+	key := Key("advise", be.machine.Name, ms.name, kernelKey(k), advisor.BindingsKey(req.Bindings),
+		fmtInts(space.CPUThreads), fmtInts(space.GPUTeams), fmtInts(space.GPUThreads))
 	start := time.Now()
 	v, pr, cached, coalesced, err := s.serveKeyed(ctx, tr, keyed{
-		key: p.key, top: p.req.Top, withSource: p.req.IncludeSource,
-		client: p.client, forwarded: p.forwarded,
-		path: "/v1/advise", req: p.req, eval: p.ms.adviseEval, typed: isA[[]advisor.Recommendation],
+		key: key, top: req.Top, withSource: req.IncludeSource,
+		client: clientKey(r), forwarded: s.isForwarded(r),
+		path: "/v1/advise", req: &req, eval: ms.adviseEval, typed: isA[[]advisor.Recommendation],
 	}, func(ctx context.Context) (any, error) {
-		return p.ms.advisor.AdviseCtx(ctx, p.k, p.req.Bindings, p.space)
+		return ms.advisor.AdviseCtx(ctx, k, req.Bindings, space)
 	})
-	if err != nil || pr != nil {
-		return resp, pr, err
+	if err != nil {
+		s.failKeyed(w, err, ms.adviseEval, "advise", k, be, ms)
+		return
+	}
+	if pr != nil {
+		s.writeProxied(w, *pr)
+		return
 	}
 	recs := v.([]advisor.Recommendation)
-	p.ms.advise.Inc()
-	p.ms.touch()
+	ms.advise.Inc()
+	ms.touch()
 	if s.lifecycle != nil {
-		s.lifecycle.noteAdvise(p, recs)
+		s.lifecycle.noteAdvise(key, be.machine.Name, ms.name, k, req.Bindings, recs)
 	}
-	resp = AdviseResponse{
-		Machine:   p.be.machine.Name,
-		Model:     p.ms.name,
-		Kernel:    p.k.Name,
-		Key:       p.key,
-		Cached:    cached,
-		Coalesced: coalesced,
-		ServedBy:  s.servedBy(),
+	resp := AdviseResponse{
+		Machine: be.machine.Name, Model: ms.name, Kernel: k.Name, Key: key,
+		Cached: cached, Coalesced: coalesced, ServedBy: s.servedBy(),
 	}
 	n := len(recs)
-	if p.req.Top > 0 && p.req.Top < n {
-		n = p.req.Top
+	if req.Top > 0 && req.Top < n {
+		n = req.Top
 	}
 	for _, rec := range recs[:n] {
 		out := Recommendation{
@@ -839,13 +777,13 @@ func (s *Server) advise(ctx context.Context, tr *obs.Trace, p adviseParams) (res
 			Threads:     rec.Threads,
 			PredictedUS: rec.PredictedUS,
 		}
-		if p.req.IncludeSource {
+		if req.IncludeSource {
 			out.Source = rec.Source
 		}
 		resp.Recommendations = append(resp.Recommendations, out)
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	return resp, nil, nil
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // keyed is one advise or predict request as the keyed path (serveKeyed)

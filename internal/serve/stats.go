@@ -38,9 +38,6 @@ type Stats struct {
 		// throughs); omitted at zero so non-replicated tiers keep their
 		// exact pre-replication stats payload.
 		Replicate uint64 `json:"replicate,omitempty"`
-		// Jobs counts GET /v1/jobs/{id} polls; omitted at zero so tiers
-		// that never use the async path keep their exact prior payload.
-		Jobs uint64 `json:"jobs,omitempty"`
 		// Feedback counts POST /v1/feedback arrivals; omitted at zero so
 		// tiers without the lifecycle keep their exact prior payload.
 		Feedback uint64 `json:"feedback,omitempty"`
@@ -69,8 +66,6 @@ type Stats struct {
 	// Shed breaks admission rejections down by reason, mirroring
 	// serve_shed_total{reason} in /metrics.
 	Shed map[string]uint64 `json:"shed"`
-	// Jobs is the async job store: submissions, live states, expiries.
-	Jobs admit.StoreStats `json:"jobs"`
 
 	// Cluster is the consistent-hash tier view (ring membership, ownership
 	// fractions, per-peer forward/fallback counters); nil outside cluster
@@ -94,7 +89,6 @@ func (s *Server) snapshot() Stats {
 	st.Requests.Models = s.metrics.requests("models")
 	st.Requests.Ring = s.metrics.requests("ring")
 	st.Requests.Replicate = s.metrics.requests("replicate")
-	st.Requests.Jobs = s.metrics.requests("jobs")
 	st.Requests.Feedback = s.metrics.requests("feedback")
 	st.Requests.Cluster = s.metrics.requests("cluster")
 	st.Requests.Errors = s.metrics.totalErrors()
@@ -123,7 +117,6 @@ func (s *Server) snapshot() Stats {
 	for _, reason := range admit.Reasons() {
 		st.Shed[string(reason)] = s.metrics.shed[reason].Value()
 	}
-	st.Jobs = s.jobs.Stats()
 	if s.cluster != nil {
 		ring := s.Ring()
 		st.Cluster = &ring
