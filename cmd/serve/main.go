@@ -20,10 +20,11 @@
 // heartbeats, and swaps the ring under a new epoch on every change. A
 // leaving peer drains first — POST /v1/cluster/leave or plain SIGTERM
 // hands its owned cache entries to the new owners (for at most 30s)
-// before the process exits — and on every ring change each peer hands
-// the entries it holds to the owners they gained, one heartbeat later
-// (a dropped write-through waits for the same flush), so a rejoined or
-// freshly added peer is warm without client traffic. All peers must
+// before the process exits — and on every ring change each peer starts
+// handing the entries it holds to the owners they gained at once,
+// retrying what was not taken every heartbeat (write-throughs ride the
+// same outbox), so a rejoined or freshly added peer is warm without
+// client traffic. All peers must
 // serve the same checkpoints and agree on -replication.
 //
 // With -feedback-dir the serving loop closes (docs/OPERATIONS.md, "Staged
@@ -67,7 +68,6 @@
 //	POST /v1/cluster/join   admit a new peer into the ring (cluster mode)
 //	POST /v1/cluster/gossip peer-internal heartbeat view exchange
 //	POST /v1/cluster/leave  drain this peer's keys to their new owners
-//	GET  /v1/cluster/entry  peer-internal single-entry fetch (?key=K)
 //
 // Overload behaviour (docs/OPERATIONS.md, "Overload & Admission Control"):
 // requests beyond the -pool evaluation slots queue per client under
@@ -291,7 +291,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	peersFlag := fs.String("peers", "", "cluster mode: comma-separated base URLs of the initial members (including -self)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through at startup (alternative to -peers)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
-	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip and handoff interval (0 = default 1s)")
+	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip and handoff retry interval (0 = default 1s)")
 	if err := fs.Parse(args); err != nil {
 		return nil, serveConfig{}, err
 	}

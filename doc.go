@@ -109,8 +109,8 @@
 // Non-owners proxy misses to the primary (so its cache and singleflight
 // absorb all traffic for its keys and aggregate cache capacity scales
 // with N), the primary writes each evaluated entry through to the
-// replicas (POST /v1/replicate: asynchronous, bounded, fire-and-forget),
-// and when the primary is unreachable requests fail over to the replicas'
+// replicas (its outbox posts it to POST /v1/replicate off the request
+// path, retrying until the replica takes it), and when the primary is unreachable requests fail over to the replicas'
 // warm copies before degrading to local serving — one peer death costs a
 // forwarding detour, never recomputation. GET /v1/ring reports
 // membership, exact ownership fractions, forward and replication

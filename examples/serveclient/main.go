@@ -301,9 +301,9 @@ func startLocalService() (base string, stop func(), warmRestart, clusterDemo fun
 			fmt.Printf("  n=%-5.0f served_by=%s — %s\n", n, resp.ServedBy, routed)
 		}
 
-		// Every evaluation was written through to the key's replica
-		// (fire-and-forget), so wait for peer A to have absorbed the
-		// entries peer B evaluated.
+		// Every evaluation was written through to the key's replica off
+		// the request path (the owner's outbox), so wait for peer A to have
+		// absorbed the entries peer B evaluated.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			var ring serve.RingResponse

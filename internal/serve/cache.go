@@ -113,9 +113,9 @@ func (c *Cache) Get(key string) (any, bool) {
 }
 
 // Peek returns the cached value for key without touching recency or the
-// hit/miss counters. Cluster-internal reads (outbox handoffs, read
-// repairs) go through Peek so peer traffic neither skews the cache
-// statistics nor keeps entries warm that no client is asking for.
+// hit/miss counters. Cluster-internal reads (outbox handoffs) go through
+// Peek so peer traffic neither skews the cache statistics nor keeps
+// entries warm that no client is asking for.
 func (c *Cache) Peek(key string) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()

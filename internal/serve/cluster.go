@@ -25,8 +25,9 @@ import (
 // capacity scales with N instead of every peer re-earning every entry.
 //
 // With Replication > 1 the remaining owners are replicas: when the primary
-// evaluates a miss it writes the finished entry through to them via the
-// bounded fire-and-forget POST /v1/replicate path, and when the primary is
+// evaluates a miss it owes the finished entry to them, and its outbox
+// (outbox.go) delivers it over POST /v1/replicate off the request path;
+// when the primary is
 // unreachable a forwarding peer tries the replicas in successor order
 // before degrading to local evaluation. One peer death therefore costs a
 // forwarding detour, never the recomputation of that peer's cache.
@@ -60,9 +61,10 @@ type ClusterConfig struct {
 	// current ring size are clamped to it at use time. Every peer must use
 	// the same value.
 	Replication int
-	// Heartbeat is the gossip interval, which the outbox flush rides (0 =
-	// 1s default; < 0 disables the background gossip and join loops
-	// entirely — tests drive the state machine by hand). A silent member
+	// Heartbeat is the gossip interval, and every tick also retries the
+	// outbox (0 = 1s default; < 0 disables the background gossip and join
+	// loops — tests drive membership by hand — while the outbox flusher
+	// still runs). A silent member
 	// turns suspect in /v1/ring health after 3 heartbeats and is declared
 	// dead and dropped from the ring after 10 — a comfortable multiple, so
 	// healthy peers never evict each other on jitter.
@@ -99,8 +101,8 @@ type cluster struct {
 	forwardedIn  *obs.Counter // requests received already forwarded by a peer
 	fallbacks    *obs.Counter // every owner unreachable, served locally instead
 	replicaHits  *obs.Counter // forwards answered by a replica after the primary failed
-	repWrites    *obs.Counter // cache entries enqueued for write-through to replicas
-	repDrops     *obs.Counter // write-throughs dropped (queue full)
+	repWrites    *obs.Counter // write-throughs the outbox took, one per replica
+	repDrops     *obs.Counter // write-throughs the full outbox refused
 	replicatedIn *obs.Counter // cache entries accepted via POST /v1/replicate
 
 	joinsIn    *obs.Counter // join requests admitted by this peer
@@ -111,8 +113,6 @@ type cluster struct {
 
 	outDelivered *obs.Counter // cache entries the outbox delivered to peers
 	outErrs      *obs.Counter // outbox batches that failed to encode or post
-	readRepairs  *obs.Counter // owned misses answered by pulling a co-owner's copy
-	repairMisses *obs.Counter // read-repair attempts no co-owner could answer
 }
 
 // ring returns the current ring snapshot — nil only after this peer
@@ -189,7 +189,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 		rf:        rf,
 		seeds:     seeds,
 		heartbeat: heartbeat,
-		out:       outbox{pending: map[handoff]struct{}{}, limit: adviseCacheSize * rf},
+		out:       outbox{pending: map[handoff]struct{}{}, limit: adviseCacheSize * rf, kick: make(chan struct{}, 1)},
 		quit:      make(chan struct{}),
 		fwd:       shard.NewForwarder(self),
 	}
@@ -200,13 +200,16 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 		EvictAfter:   10 * heartbeat,
 		// Every ring swap prunes the forwarder's peer clients down to the
 		// new member set, closing departed peers' idle connections — the
-		// membership-shrink counterpart of the lazily created clients.
+		// membership-shrink counterpart of the lazily created clients — and
+		// kicks the outbox, so the keys the change owes a new owner start
+		// moving at once rather than on the next tick.
 		OnChange: func(ring *shard.Ring, _ uint64) {
 			var keep []string
 			if ring != nil {
 				keep = ring.Members()
 			}
 			c.pruned.Add(uint64(c.fwd.Prune(keep)))
+			c.out.kickFlush()
 		},
 	})
 	if err != nil {
@@ -217,9 +220,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	c.joined.Store(len(seeds) == 0)
 	s.metrics.registerCluster(c) // c's counters exist before a handler can see c
 	s.cluster = c
-	if loops {
-		s.startClusterLoops()
-	}
+	s.startClusterLoops(loops)
 	return nil
 }
 
@@ -343,37 +344,32 @@ func (c *cluster) forward(ctx context.Context, tr *obs.Trace, targets []string, 
 	return proxiedResponse{}, false
 }
 
-// replicate writes a freshly evaluated cache entry through to the key's
-// other owners, fire-and-forget: each write rides the forwarder's bounded
-// async queue (under backpressure it is left to the outbox's next flush,
-// never blocking the request that produced the entry) and the receiving
-// peer's /v1/replicate handler only inserts into its local cache — it
-// never forwards or re-replicates, so replication traffic cannot cycle.
-// owners and owned come from route for the same request (one ring walk
-// serves both routing and write-through); only an owner replicates — a
-// non-owner that evaluated a key because every owner was down has nowhere
-// useful to write. traceID ("" = untraced) attributes the write-through to
-// the request that produced the entry on the receiving peer's trace ring.
-func (s *Server) replicate(key string, val any, owners []string, owned bool, traceID string) {
+// replicate writes a freshly cached entry through to the key's other
+// owners: it owes the key to each of them in the outbox and kicks the
+// flusher, which posts the entry off the request path and keeps a pair the
+// replica did not take for the next flush. The receiving peer's
+// /v1/replicate handler only inserts into its local cache — it never
+// forwards or re-replicates, so replication traffic cannot cycle. owners
+// and owned come from route for the same request (one ring walk serves
+// both routing and write-through); only an owner replicates — a non-owner
+// that evaluated a key because every owner was down has nowhere useful to
+// write.
+func (s *Server) replicate(key string, owners []string, owned bool) {
 	c := s.cluster
 	if c == nil || c.rf < 2 || !owned || len(owners) == 0 {
-		return
-	}
-	body, err := encodeEntries(CacheItem{Key: key, Val: val})
-	if err != nil {
 		return
 	}
 	for _, o := range owners {
 		if o == c.self {
 			continue
 		}
-		if c.fwd.ForwardAsync(o, "/v1/replicate", body, traceID) {
+		if c.out.add(o, key) {
 			c.repWrites.Inc()
 		} else {
 			c.repDrops.Inc()
-			c.out.add(o, key)
 		}
 	}
+	c.out.kickFlush()
 }
 
 // maxReplicateBytes bounds one /v1/replicate body. Entries are ranked
@@ -382,21 +378,21 @@ func (s *Server) replicate(key string, val any, owners []string, owned bool, tra
 // the handler buffer arbitrary payloads.
 const maxReplicateBytes = 4 << 20
 
-// handleReplicate accepts a write-through from a peer that just evaluated
-// a key this process replicates. The body is the cache-snapshot schema
-// (entry.go) holding one entry; it is inserted into the local
-// advise-response cache and nothing else happens — no forwarding, no
+// handleReplicate accepts one outbox batch from a peer: write-throughs of
+// keys this process replicates, or entries a ring change or a drain handed
+// it. The body is the cache-snapshot schema (entry.go); its entries are
+// inserted into the local advise-response cache and nothing else happens — no forwarding, no
 // re-replication, no evaluation — which is the loop guard that keeps
 // replication traffic acyclic by construction.
 //
 // The sender must identify itself as a known member via the forwarded-by
-// header (the forwarder's async path sets it). This is trust-model
+// header (the forwarder's control path sets it). This is trust-model
 // consistency, not authentication — the tier has none anywhere — but it
 // keeps the only cache-writing endpoint from accepting writes from
 // clients that know nothing about the cluster. Known deliberately includes
 // tombstoned members, not just current ring members: a draining peer's
 // final key handoff arrives after its departure tombstone, and an evicted
-// peer's in-flight write-throughs race its eviction — both carry entries
+// peer's in-flight outbox batches race its eviction — both carry entries
 // worth keeping.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -493,9 +489,8 @@ type MembershipStats struct {
 }
 
 // AntiEntropyStats is the self-healing section of /v1/ring: the outbox
-// that hands entries to the owners a ring change, a dropped write-through
-// or a drain owes them, plus the read-repair counters from the request
-// path.
+// that hands entries to the owners a write-through, a ring change or a
+// drain owes them.
 type AntiEntropyStats struct {
 	// Delivered counts cache entries the outbox handed to peers; Pending
 	// is how many (peer, key) pairs wait for the next flush; Errors counts
@@ -503,11 +498,6 @@ type AntiEntropyStats struct {
 	Delivered uint64 `json:"delivered"`
 	Pending   int    `json:"pending"`
 	Errors    uint64 `json:"errors"`
-	// ReadRepairs counts owned misses answered by pulling a co-owner's
-	// copy instead of re-evaluating; RepairMisses counts attempts where no
-	// co-owner had the entry (a genuinely cold key).
-	ReadRepairs  uint64 `json:"read_repairs"`
-	RepairMisses uint64 `json:"repair_misses"`
 }
 
 // ReplicationStats is the replication section of /v1/ring and
@@ -516,15 +506,13 @@ type AntiEntropyStats struct {
 type ReplicationStats struct {
 	// Factor is how many ring successors own each key.
 	Factor int `json:"factor"`
-	// Writes counts cache entries this process enqueued for write-through
-	// to replica peers after evaluating a key it owns.
+	// Writes counts (replica, key) pairs this process owed to the outbox
+	// after evaluating a key it owns; a failed delivery stays pending and
+	// counts in anti_entropy.errors.
 	Writes uint64 `json:"writes"`
-	// WriteDrops counts write-throughs dropped because the bounded async
-	// queue was full — backpressure sheds replication, never requests.
+	// WriteDrops counts write-throughs the full outbox refused —
+	// backpressure sheds replication, never requests.
 	WriteDrops uint64 `json:"write_drops"`
-	// WriteErrors counts write-throughs that reached no replica (the peer
-	// was unreachable or rejected the write).
-	WriteErrors uint64 `json:"write_errors"`
 	// ReplicatedIn counts entries this process accepted into its cache via
 	// POST /v1/replicate.
 	ReplicatedIn uint64 `json:"replicated_in"`
@@ -565,8 +553,7 @@ type RingResponse struct {
 	// Membership is the gossip view: join/gossip/eviction counters and
 	// tombstoned peers.
 	Membership *MembershipStats `json:"membership,omitempty"`
-	// AntiEntropy is the self-healing view: outbox handoffs and
-	// request-path read repairs.
+	// AntiEntropy is the self-healing view: the outbox's handoffs.
 	AntiEntropy *AntiEntropyStats `json:"anti_entropy,omitempty"`
 	// KeyOwners answers a ?key= query with that key's owner list; nil
 	// otherwise.
@@ -596,12 +583,10 @@ func (s *Server) Ring() RingResponse {
 		if ring != nil && len(ring.Members()) < factor {
 			factor = len(ring.Members())
 		}
-		async := c.fwd.Async()
 		resp.Replication = &ReplicationStats{
 			Factor:       factor,
 			Writes:       c.repWrites.Value(),
 			WriteDrops:   c.repDrops.Value(),
-			WriteErrors:  async.Errors,
 			ReplicatedIn: c.replicatedIn.Value(),
 			ReplicaHits:  c.replicaHits.Value(),
 		}
@@ -619,11 +604,9 @@ func (s *Server) Ring() RingResponse {
 		PrunedClients:  c.pruned.Value(),
 	}
 	resp.AntiEntropy = &AntiEntropyStats{
-		Delivered:    c.outDelivered.Value(),
-		Pending:      c.out.size(),
-		Errors:       c.outErrs.Value(),
-		ReadRepairs:  c.readRepairs.Value(),
-		RepairMisses: c.repairMisses.Value(),
+		Delivered: c.outDelivered.Value(),
+		Pending:   c.out.size(),
+		Errors:    c.outErrs.Value(),
 	}
 	health := map[string]shard.MemberHealth{}
 	for _, h := range c.mem.Health() {

@@ -9,12 +9,12 @@ import (
 )
 
 // The entry codec: how a response-cache value goes on the wire. One schema
-// serves the persisted cache snapshot (snapshot.go), the POST /v1/replicate
-// write-through and outbox batches, and the GET /v1/cluster/entry pulls
-// behind read repair — a single-entry body is a snapshot
-// holding one entry. snapshotOf is the only place a value's Go type picks
-// its wire form and entries the only place the wire form is turned back;
-// everything else in the package calls them.
+// serves the persisted cache snapshot (snapshot.go) and the outbox's POST
+// /v1/replicate batches, which carry write-throughs, ring-change handoffs
+// and drains alike — a batch is a snapshot holding its entries. snapshotOf
+// is the only place a value's Go type picks its wire form and entries the
+// only place the wire form is turned back; everything else in the package
+// calls them.
 
 // snapshotVersion guards the schema; bump on incompatible change.
 const snapshotVersion = 1
@@ -100,28 +100,7 @@ advise:
 	return items, nil
 }
 
-// encodeEntries is the body of a POST /v1/replicate (one entry for a
-// write-through, a batch for a drain) and of a GET /v1/cluster/entry answer.
+// encodeEntries is the body of one outbox batch, POST /v1/replicate.
 func encodeEntries(items ...CacheItem) ([]byte, error) {
 	return json.Marshal(snapshotOf(items...))
-}
-
-// decodeEntry decodes a GET /v1/cluster/entry answer, which must hold
-// exactly one entry this build can use.
-func decodeEntry(body []byte) (CacheItem, error) {
-	var snap cacheSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return CacheItem{}, fmt.Errorf("serve: decoding entry: %w", err)
-	}
-	if len(snap.Advise)+len(snap.Predict) != 1 {
-		return CacheItem{}, fmt.Errorf("serve: entry body must hold exactly one entry")
-	}
-	items, err := snap.entries()
-	if err != nil {
-		return CacheItem{}, fmt.Errorf("serve: entry: %w", err)
-	}
-	if len(items) != 1 {
-		return CacheItem{}, fmt.Errorf("serve: entry names an unknown variant")
-	}
-	return items[0], nil
 }

@@ -59,9 +59,9 @@ func holds(t *testing.T, what string, s *Server, want []CacheItem) {
 }
 
 // TestEntryCodecRoundTrips sends random entries of both kinds down every
-// road an entry travels — snapshot → restore, replicate → handleReplicate,
-// handleClusterEntry → fetchEntry, and an outbox batch — and requires the
-// far side to hold values DeepEqual to what was sent.
+// road an entry travels — snapshot → restore, a write-through through the
+// outbox's flusher → handleReplicate, and an outbox batch — and requires
+// the far side to hold values DeepEqual to what was sent.
 func TestEntryCodecRoundTrips(t *testing.T) {
 	items := randomEntries(rand.New(rand.NewSource(20)), 60)
 
@@ -85,23 +85,14 @@ func TestEntryCodecRoundTrips(t *testing.T) {
 	owners := []string{a.url, b.url}
 
 	t.Run("replicate", func(t *testing.T) {
-		for _, it := range items[:20] {
-			a.srv.replicate(it.Key, it.Val, owners, true, "")
+		for _, it := range items[:40] {
+			a.srv.adviseCache.Add(it.Key, it.Val)
+			a.srv.replicate(it.Key, owners, true)
 		}
 		waitCond(t, 10*time.Second, "the write-throughs to land", func() bool {
-			return b.srv.cluster.replicatedIn.Value() >= 20
+			return b.srv.cluster.replicatedIn.Value() >= 40
 		})
-		holds(t, "replicate", b.srv, items[:20])
-	})
-
-	t.Run("pull", func(t *testing.T) {
-		for _, it := range items[20:40] {
-			b.srv.adviseCache.Add(it.Key, it.Val)
-			if _, _, ok := a.srv.fetchEntry(context.Background(), it.Key, []string{b.url}); !ok {
-				t.Fatalf("fetchEntry(%s) found nothing at its holder", it.Key)
-			}
-		}
-		holds(t, "pull", a.srv, items[20:40])
+		holds(t, "replicate", b.srv, items[:40])
 	})
 
 	t.Run("drain", func(t *testing.T) {
@@ -210,8 +201,7 @@ func TestEntryCodecGolden(t *testing.T) {
 		t.Errorf("re-encoded snapshot differs from the parent's bytes:\n got %s\nwant %s", buf.String(), goldenSnapshot)
 	}
 
-	// So do the parent's single-entry bodies, as a pulled entry and as a
-	// /v1/replicate write.
+	// So do the parent's single-entry bodies, as /v1/replicate writes.
 	peers := startClusterRF(t, 2, 2)
 	for _, c := range []struct {
 		golden string
@@ -220,10 +210,6 @@ func TestEntryCodecGolden(t *testing.T) {
 		{goldenReplicateAdvise, goldenEntries[0]},
 		{goldenReplicatePredict, goldenEntries[2]},
 	} {
-		got, err := decodeEntry([]byte(c.golden))
-		if err != nil || !reflect.DeepEqual(got, c.want) {
-			t.Errorf("decodeEntry(golden %s) = %#v, %v", c.want.Key, got, err)
-		}
 		if body, err := encodeEntries(c.want); err != nil || string(body) != c.golden {
 			t.Errorf("re-encoded entry differs from the parent's bytes:\n got %s (%v)\nwant %s", body, err, c.golden)
 		}
@@ -234,34 +220,36 @@ func TestEntryCodecGolden(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEntries feeds arbitrary bytes to both decoders of the entry
-// codec — a snapshot body (what -cache-file and /v1/replicate restore) and
-// a single-entry body (/v1/cluster/entry). Neither may panic, and every
-// item either accepts must encode and decode back to the same key and
-// value, with the encoding a fixed point.
+// decodeSnapshot decodes a snapshot body into its cache items, as
+// RestoreCache does for -cache-file and /v1/replicate.
+func decodeSnapshot(body []byte) ([]CacheItem, error) {
+	var snap cacheSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		return nil, err
+	}
+	return snap.entries()
+}
+
+// FuzzDecodeEntries feeds arbitrary bytes to the entry codec's decoder — a
+// snapshot body, what -cache-file and /v1/replicate restore. It may not
+// panic, and every item it accepts must encode alone and decode back to
+// the same key and value, with the encoding a fixed point.
 func FuzzDecodeEntries(f *testing.F) {
 	for _, seed := range []string{goldenSnapshot, goldenReplicateAdvise, goldenReplicatePredict} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var items []CacheItem
-		var snap cacheSnapshot
-		if json.Unmarshal(data, &snap) == nil {
-			items, _ = snap.entries() // a refused snapshot accepts no item
-		}
-		if it, err := decodeEntry(data); err == nil {
-			items = append(items, it)
-		}
+		items, _ := decodeSnapshot(data) // a refused snapshot accepts no item
 		for _, it := range items {
 			body, err := encodeEntries(it)
 			if err != nil {
 				t.Fatalf("re-encoding %s: %v", it.Key, err)
 			}
-			back, err := decodeEntry(body)
-			if err != nil || back.Key != it.Key || !reflect.DeepEqual(back.Val, it.Val) {
+			back, err := decodeSnapshot(body)
+			if err != nil || len(back) != 1 || back[0].Key != it.Key || !reflect.DeepEqual(back[0].Val, it.Val) {
 				t.Fatalf("%s does not round-trip: got %#v, %v, want %#v", body, back, err, it)
 			}
-			if again, _ := encodeEntries(back); !bytes.Equal(again, body) {
+			if again, _ := encodeEntries(back[0]); !bytes.Equal(again, body) {
 				t.Fatalf("encoding is not a fixed point:\n%s\n%s", body, again)
 			}
 		}
@@ -269,58 +257,45 @@ func FuzzDecodeEntries(f *testing.F) {
 }
 
 // TestEntryCodecRejectsHostileBodies: what a confused or hostile peer can
-// put on the wire is refused where it always was — an entry body must be
-// exactly one entry of this version, every variant known, for the key that
-// was asked for; a replicate body must fit maxReplicateBytes.
+// put in a snapshot body — a /v1/replicate write or a -cache-file — is
+// refused where it always was, and nothing of it reaches the cache: the
+// body must parse, be of this version and fit maxReplicateBytes, and a
+// ranking naming a variant this build does not know is dropped.
 func TestEntryCodecRejectsHostileBodies(t *testing.T) {
-	for name, body := range map[string]string{
-		"garbage":            `{not json`,
-		"no entries":         `{"version":1,"advise":null,"predict":null}`,
-		"two rankings":       `{"version":1,"advise":[{"key":"k","recs":[]},{"key":"k2","recs":[]}],"predict":null}`,
-		"one of each kind":   `{"version":1,"advise":[{"key":"k","recs":[]}],"predict":[{"key":"k","us":1}]}`,
-		"two predictions":    `{"version":1,"advise":null,"predict":[{"key":"k","us":1},{"key":"k2","us":2}]}`,
-		"unknown variant":    `{"version":1,"advise":[{"key":"k","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]}],"predict":null}`,
-		"future version":     `{"version":2,"advise":null,"predict":[{"key":"k","us":1}]}`,
-		"no version":         `{"predict":[{"key":"k","us":1}]}`,
-		"non-finite literal": `{"version":1,"advise":null,"predict":[{"key":"k","us":NaN}]}`,
+	peers := startElasticCluster(t, 2, 1, ClusterConfig{Heartbeat: -1})
+	p, member := peers[0], peers[1].url
+	for name, c := range map[string]struct {
+		body   string
+		status int
+	}{
+		"garbage":            {`{not json`, http.StatusBadRequest},
+		"unknown variant":    {`{"version":1,"advise":[{"key":"k","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]}],"predict":null}`, http.StatusOK},
+		"future version":     {`{"version":2,"advise":null,"predict":[{"key":"k","us":1}]}`, http.StatusBadRequest},
+		"no version":         {`{"predict":[{"key":"k","us":1}]}`, http.StatusBadRequest},
+		"non-finite literal": {`{"version":1,"advise":null,"predict":[{"key":"k","us":NaN}]}`, http.StatusBadRequest},
 	} {
-		if it, err := decodeEntry([]byte(body)); err == nil {
-			t.Errorf("%s: decodeEntry accepted %#v", name, it)
+		if rec := doRaw(t, p.srv, http.MethodPost, "/v1/replicate", []byte(c.body), member); rec.Code != c.status {
+			t.Errorf("%s: /v1/replicate answered %d, want %d", name, rec.Code, c.status)
 		}
-	}
-
-	// A holder answering with a well-formed entry for a different key is
-	// passed over, and nothing of its answer is kept.
-	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(goldenReplicatePredict))
-	}))
-	t.Cleanup(liar.Close)
-	p := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Peers: []string{liar.URL}, Heartbeat: -1})
-	if _, _, ok := p.srv.fetchEntry(context.Background(), "the-key-asked-for", []string{liar.URL}); ok {
-		t.Error("fetchEntry accepted an entry for another key")
-	}
-	if n := p.srv.adviseCache.Len(); n != 0 {
-		t.Errorf("%d entries cached from a mismatched answer", n)
-	}
-	// The same holder does satisfy a pull for the key it answers.
-	if _, _, ok := p.srv.fetchEntry(context.Background(), "golden-predict-1", []string{liar.URL}); !ok {
-		t.Error("fetchEntry refused a matching entry")
+		if n, err := p.srv.RestoreCache(strings.NewReader(c.body)); n != 0 || (err == nil) != (c.status == http.StatusOK) {
+			t.Errorf("%s: RestoreCache = %d, %v", name, n, err)
+		}
+		if n := p.srv.adviseCache.Len(); n != 0 {
+			t.Fatalf("%s: %d entries cached", name, n)
+		}
 	}
 
 	// A replicate body over the cap is refused whole, whatever it holds.
 	big := []CacheItem{{Key: "big", Val: []advisor.Recommendation{{Kind: variants.GPU, Threads: 1, PredictedUS: 1,
 		Source: strings.Repeat("x", maxReplicateBytes)}}}}
-	body, err := encodeEntries(big...)
+	oversize, err := encodeEntries(big...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := doRaw(t, p.srv, http.MethodPost, "/v1/replicate", body, liar.URL); rec.Code != http.StatusBadRequest {
+	if rec := doRaw(t, p.srv, http.MethodPost, "/v1/replicate", oversize, member); rec.Code != http.StatusBadRequest {
 		t.Errorf("oversize replicate body: %d, want 400", rec.Code)
 	}
-	if _, ok := p.srv.adviseCache.Peek("big"); ok {
-		t.Error("an entry from an oversize replicate body was cached")
-	}
-	if _, err := p.srv.RestoreCache(strings.NewReader(`{"version":2,"advise":null,"predict":[{"key":"k","us":1}]}`)); err == nil {
-		t.Error("RestoreCache accepted a future version")
+	if n := p.srv.adviseCache.Len(); n != 0 {
+		t.Errorf("%d entries cached from an oversize replicate body", n)
 	}
 }

@@ -28,7 +28,6 @@ type keyedKind struct {
 	request func(n float64) any
 	key     func(t *testing.T, n float64) string
 	typed   func(any) bool
-	planted any // a value of this kind, as a co-owner would hold it
 	other   any // a value of the other kind: what a confused peer might write
 }
 
@@ -57,7 +56,6 @@ var keyedKinds = []keyedKind{{
 	request: func(n float64) any { return bindN(n) },
 	key:     func(t *testing.T, n float64) string { return adviseKeyFor(t, bindN(n)) },
 	typed:   isA[[]advisor.Recommendation],
-	planted: []advisor.Recommendation{{Kind: variants.GPU, Teams: 64, Threads: 128, PredictedUS: 123.5}},
 	other:   42.0,
 }, {
 	name:    "predict",
@@ -65,7 +63,6 @@ var keyedKinds = []keyedKind{{
 	request: func(n float64) any { return predictN(n) },
 	key:     func(t *testing.T, n float64) string { return predictKeyFor(t, predictN(n)) },
 	typed:   isA[float64],
-	planted: 123.5,
 	other:   []advisor.Recommendation{{Kind: variants.GPU, Teams: 64, Threads: 128, PredictedUS: 42}},
 }}
 
@@ -91,7 +88,7 @@ type keyedOutcome struct {
 	servedBy string // "", "self" or "peer"
 
 	hits, coalesced, admitted, shed, entries int // /v1/stats deltas
-	forwards, fallbacks, repairs             int // /v1/ring deltas
+	forwards, fallbacks                      int // /v1/ring deltas
 }
 
 func keyedCounters(s *Server) keyedOutcome {
@@ -107,7 +104,6 @@ func keyedCounters(s *Server) keyedOutcome {
 	}
 	if ring := st.Cluster; ring != nil {
 		c.fallbacks = int(ring.LocalFallbacks)
-		c.repairs = int(ring.AntiEntropy.ReadRepairs)
 		for _, m := range ring.Members {
 			c.forwards += int(m.Forwards)
 		}
@@ -129,7 +125,6 @@ func observe(t *testing.T, s *Server, fn func() *httptest.ResponseRecorder) keye
 	out.entries -= before.entries
 	out.forwards -= before.forwards
 	out.fallbacks -= before.fallbacks
-	out.repairs -= before.repairs
 	out.status = rec.Code
 	if rec.Code == http.StatusOK {
 		var resp struct {
@@ -165,8 +160,7 @@ func (nanModel) PredictBatch(ss []*gnn.Sample) []float64 {
 // TestKeyedPath runs every way a request can leave serveKeyed over both
 // endpoints that enter it, and holds the two to the same outcome: status,
 // cached and served_by, and the same counter deltas — in particular a hit
-// and a read repair count as cache hits for a predict as they always did
-// for an advise. (A wrong-typed entry is TestWrongTypedCacheEntryIsAMiss,
+// counts as a cache hit for a predict as it always did for an advise. (A wrong-typed entry is TestWrongTypedCacheEntryIsAMiss,
 // over the same kinds.)
 func TestKeyedPath(t *testing.T) {
 	scenarios := []struct {
@@ -216,7 +210,7 @@ func TestKeyedPath(t *testing.T) {
 					defer wg.Done()
 					waiter = do(t, s, http.MethodPost, k.path, k.request(300), nil)
 				}()
-				waitFor(t, func() bool { return s.flights.waiting() == 1 })
+				waitCond(t, 5*time.Second, "the waiter to join the flight", func() bool { return s.flights.waiting() == 1 })
 				close(gm.release)
 				wg.Wait()
 				return waiter
@@ -265,26 +259,6 @@ func TestKeyedPath(t *testing.T) {
 			})
 		},
 		want: keyedOutcome{status: 200, servedBy: "self", admitted: 1, entries: 1, fallbacks: 1},
-	}, {
-		// The key's primary misses while its co-owner holds the entry —
-		// the state of a peer that has just rejoined.
-		name: "read-repaired",
-		run: func(t *testing.T, k keyedKind) keyedOutcome {
-			peers := startElasticCluster(t, 2, 2, ClusterConfig{Heartbeat: -1})
-			a, b := peers[0], peers[1]
-			n := k.ownedN(t, a.srv, a.url, 300)
-			body, err := encodeEntries(CacheItem{Key: k.key(t, n), Val: k.planted})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec := doRaw(t, b.srv, http.MethodPost, "/v1/replicate", body, a.url); rec.Code != http.StatusOK {
-				t.Fatalf("planting the entry on the co-owner: %d", rec.Code)
-			}
-			return observe(t, a.srv, func() *httptest.ResponseRecorder {
-				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
-			})
-		},
-		want: keyedOutcome{status: 200, cached: true, servedBy: "self", hits: 1, entries: 1, repairs: 1},
 	}, {
 		// Asked twice: the failed answer was not cached, so the second
 		// request evaluates again.
@@ -338,8 +312,7 @@ func TestWrongTypedCacheEntryIsAMiss(t *testing.T) {
 			got := observe(t, a.srv, func() *httptest.ResponseRecorder {
 				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
 			})
-			// B holds nothing for the key, so the read repair A tries first
-			// misses; the entry count does not move — the poisoned entry is
+			// The entry count does not move: the poisoned entry is
 			// overwritten in place.
 			if want := (keyedOutcome{status: 200, servedBy: "self", admitted: 1}); got != want {
 				t.Errorf("outcome %+v, want %+v", got, want)

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
 
-	"paragraph/internal/obs"
 	"paragraph/internal/shard"
 )
 
@@ -17,12 +15,10 @@ import (
 // machine to the serving tier. Two background loops run per cluster-mode
 // process — a join loop that announces the peer to a seed until admitted,
 // and a heartbeat loop that gossips the epoch-stamped view (sweeping
-// silent members into eviction) and then flushes the outbox (outbox.go),
-// so the entries a ring change owes a joiner or a surviving owner reach
-// it one tick later without waiting on traffic. The /v1/cluster/*
-// endpoints are the wire surface: join and gossip carry membership views,
-// leave triggers a planned-departure drain, and entry is the request
-// path's read-repair source.
+// silent members into eviction) and then kicks the outbox flusher
+// (outbox.go), so whatever a flush could not deliver is retried every
+// tick. The /v1/cluster/* endpoints are the wire surface: join and gossip
+// carry membership views, and leave triggers a planned-departure drain.
 
 // maxGossipBytes bounds one gossip or join body; views are a few hundred
 // bytes per member.
@@ -43,8 +39,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.handleClusterGossip(w, r)
 	case "leave":
 		s.handleClusterLeave(w, r)
-	case "entry":
-		s.handleClusterEntry(w, r)
 	default:
 		s.fail(w, http.StatusNotFound, "unknown cluster endpoint")
 	}
@@ -121,40 +115,18 @@ func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.DrainCluster(r.Context()))
 }
 
-// handleClusterEntry serves one cache entry (?key=K) in the replicate wire
-// schema, feeding read repairs. It reads through Peek so peer probes
-// distort neither recency nor the hit/miss counters, and 404s on a miss —
-// the puller tries the next holder.
-func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		s.fail(w, http.StatusBadRequest, "key required")
-		return
-	}
-	v, ok := s.adviseCache.Peek(key)
-	if !ok {
-		s.fail(w, http.StatusNotFound, "no entry for key")
-		return
-	}
-	body, err := encodeEntries(CacheItem{Key: key, Val: v})
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "entry not servable: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
-}
-
 // --- background loops ---
 
-// startClusterLoops launches the join and gossip loops. Called by
-// EnableCluster when Heartbeat >= 0; Server.Close stops them.
-func (s *Server) startClusterLoops() {
+// startClusterLoops launches the outbox flusher, and with loops (Heartbeat
+// >= 0) the join and gossip loops. Called by EnableCluster; Server.Close
+// stops them.
+func (s *Server) startClusterLoops(loops bool) {
 	c := s.cluster
+	c.bg.Add(1)
+	go s.flushLoop()
+	if !loops {
+		return
+	}
 	if len(c.seeds) > 0 {
 		c.bg.Add(1)
 		go s.joinLoop()
@@ -163,11 +135,10 @@ func (s *Server) startClusterLoops() {
 	go s.gossipLoop()
 }
 
-// stop terminates the background loops and the forwarder's async workers.
+// stop terminates the background loops and the outbox flusher.
 func (c *cluster) stop() {
 	c.stopOnce.Do(func() { close(c.quit) })
 	c.bg.Wait()
-	c.fwd.Close()
 }
 
 // joinLoop announces this peer to its seeds until one admits it: POST
@@ -221,8 +192,7 @@ func (s *Server) tryJoin() bool {
 // gossipLoop is the heartbeat: every interval it sweeps the failure
 // detector and pushes the local view to every other ring member, merging
 // each answer back (push-pull, so one exchange converges both sides), then
-// flushes the outbox against the ring that round left, within one more
-// interval.
+// kicks the outbox flusher, which retries every pair still pending.
 func (s *Server) gossipLoop() {
 	c := s.cluster
 	defer c.bg.Done()
@@ -234,11 +204,7 @@ func (s *Server) gossipLoop() {
 			return
 		case <-ticker.C:
 			s.gossipOnce(context.Background(), c.heartbeat)
-			ctx, cancel := context.WithTimeout(context.Background(), c.heartbeat)
-			c.out.flushMu.Lock()
-			s.flushOutbox(ctx)
-			c.out.flushMu.Unlock()
-			cancel()
+			c.out.kickFlush()
 		}
 	}
 }
@@ -285,65 +251,4 @@ func (s *Server) gossipOnce(ctx context.Context, hop time.Duration) {
 		}(peer)
 	}
 	wg.Wait()
-}
-
-// --- read repair ---
-
-// fetchEntry asks peers in order for their copy of one cache entry (GET
-// /v1/cluster/entry), each probe bounded by 2 s, and inserts the first
-// usable answer into the local cache. Self is skipped; a peer that is
-// down, lacks the entry, or answers a body that does not decode to exactly
-// this key is passed over.
-func (s *Server) fetchEntry(ctx context.Context, key string, peers []string) (val any, from string, ok bool) {
-	c := s.cluster
-	for _, peer := range peers {
-		if peer == c.self {
-			continue
-		}
-		hopCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		status, body, err := c.fwd.Control(hopCtx, http.MethodGet, peer,
-			"/v1/cluster/entry?key="+url.QueryEscape(key), nil)
-		cancel()
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		it, err := decodeEntry(body)
-		if err != nil || it.Key != key {
-			continue
-		}
-		s.adviseCache.Add(key, it.Val)
-		return it.Val, peer, true
-	}
-	return nil, "", false
-}
-
-// repairedEntry marks a singleflight value that was pulled from a
-// co-owner's cache instead of evaluated: the handlers render it as a cache
-// hit, because it is one — the tier had the entry, just not this process.
-type repairedEntry struct{ val any }
-
-// tryRepair attempts to answer an owned miss from a co-owner's cache
-// before paying a local evaluation. The window it exists for: a peer that
-// just rejoined owns its old keys again but holds none of them until its
-// co-owners' next outbox flush hands them over, while those co-owners
-// (who replicated the entries, or inherited them from the departed peer's
-// drain) already hold them. One bounded GET per co-owner is noise next to
-// a full grid evaluation, and on a genuinely cold key every probe 404s
-// fast. Returns the repaired value and whether repair succeeded.
-func (s *Server) tryRepair(ctx context.Context, tr *obs.Trace, key string, owners []string, owned bool) (any, bool) {
-	c := s.cluster
-	if c == nil || !owned || len(owners) < 2 {
-		return nil, false
-	}
-	sp := tr.StartSpan("read_repair")
-	defer sp.End()
-	val, from, ok := s.fetchEntry(ctx, key, owners)
-	if !ok {
-		c.repairMisses.Inc()
-		sp.Annotate("miss")
-		return nil, false
-	}
-	c.readRepairs.Inc()
-	sp.Annotate(from)
-	return val, true
 }

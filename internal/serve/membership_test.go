@@ -7,14 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"paragraph/internal/advisor"
 	"paragraph/internal/shard"
-	"paragraph/internal/variants"
 )
 
 // elasticHeartbeat is the gossip interval for the elastic-membership tests:
@@ -113,7 +110,7 @@ func startElasticCluster(t *testing.T, n, rf int, cfg ClusterConfig) []*elasticP
 	return peers
 }
 
-// waitFor polls cond until it holds or the deadline passes.
+// waitCond polls cond until it holds, failing the test once d passes.
 func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -208,43 +205,16 @@ func TestClusterGossipRejectsGarbage(t *testing.T) {
 	if rec := doRaw(t, s, http.MethodPost, "/v1/cluster/join", []byte(`{"peer":"ftp://nope"}`), ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad join peer URL: %d, want 400", rec.Code)
 	}
-	if rec := doRaw(t, s, http.MethodGet, "/v1/cluster/what", nil, ""); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown cluster endpoint: %d, want 404", rec.Code)
+	// An old peer's read-repair probe (entry) and the retired key list are
+	// unknown endpoints like any other.
+	for _, path := range []string{"/v1/cluster/what", "/v1/cluster/entry?key=k", "/v1/cluster/keys"} {
+		if rec := doRaw(t, s, http.MethodGet, path, nil, ""); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, rec.Code)
+		}
 	}
 	plain := newTestServer(t)
 	if rec := doRaw(t, plain, http.MethodPost, "/v1/cluster/join", []byte(`{}`), ""); rec.Code != http.StatusConflict {
 		t.Errorf("cluster endpoint outside cluster mode: %d, want 409", rec.Code)
-	}
-}
-
-// TestClusterEntryEndpoint: the read-repair wire surface serves single
-// entries in the replicate snapshot schema; there is no key-list endpoint.
-func TestClusterEntryEndpoint(t *testing.T) {
-	peers := startElasticCluster(t, 1, 1, ClusterConfig{Heartbeat: -1})
-	p := peers[0]
-	req := bindN(42)
-	postAdvise(t, p.url, req)
-	key := adviseKeyFor(t, req)
-
-	rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry?key="+key, nil, "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("entry: %d", rec.Code)
-	}
-	it, err := decodeEntry(rec.Body.Bytes())
-	if err != nil || it.Key != key {
-		t.Fatalf("entry decode: key=%q err=%v", it.Key, err)
-	}
-	if _, ok := it.Val.([]advisor.Recommendation); !ok {
-		t.Fatalf("entry value type %T, want recommendations", it.Val)
-	}
-	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry?key=deadbeef", nil, ""); rec.Code != http.StatusNotFound {
-		t.Errorf("missing entry: %d, want 404", rec.Code)
-	}
-	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry", nil, ""); rec.Code != http.StatusBadRequest {
-		t.Errorf("entry without key: %d, want 400", rec.Code)
-	}
-	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/keys", nil, ""); rec.Code != http.StatusNotFound {
-		t.Errorf("key list: %d, want 404", rec.Code)
 	}
 }
 
@@ -366,45 +336,6 @@ func TestClusterEvictsSilentPeer(t *testing.T) {
 	}
 }
 
-// TestClusterReadRepairServesOwnedMiss: an owned miss whose co-owner holds
-// the entry is answered from the co-owner's cache — reported cached, no
-// local evaluation — and the repaired entry sticks locally.
-func TestClusterReadRepairServesOwnedMiss(t *testing.T) {
-	peers := startElasticCluster(t, 2, 2, ClusterConfig{Heartbeat: -1})
-	a, b := peers[0], peers[1]
-
-	// A key whose primary is A, planted only in B's cache (the co-owner):
-	// exactly the state a just-rejoined A would be in.
-	req := findOwnedBinding(t, a.srv.cluster.ring(), a.url, 90000)
-	key := adviseKeyFor(t, req)
-	planted := []advisor.Recommendation{{Kind: variants.GPUCollapse, Teams: 64, Threads: 128, PredictedUS: 123.5}}
-	body, err := encodeEntries(CacheItem{Key: key, Val: planted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := doRaw(t, b.srv, http.MethodPost, "/v1/replicate", body, a.url); rec.Code != http.StatusOK {
-		t.Fatalf("planting entry on B: %d", rec.Code)
-	}
-
-	resp := postAdvise(t, a.url, req)
-	if !resp.Cached {
-		t.Error("read-repaired response not reported cached")
-	}
-	if len(resp.Recommendations) != 1 || resp.Recommendations[0].PredictedUS != 123.5 {
-		t.Fatalf("response %+v did not come from the planted co-owner entry", resp.Recommendations)
-	}
-	if got := a.srv.cluster.readRepairs.Value(); got != 1 {
-		t.Errorf("read repairs = %d, want 1", got)
-	}
-	// The repair warmed A: the replay is a plain local hit.
-	if again := postAdvise(t, a.url, req); !again.Cached {
-		t.Error("repaired entry did not stick in the local cache")
-	}
-	if got := a.srv.cluster.readRepairs.Value(); got != 1 {
-		t.Errorf("replay repaired again (%d), want the local cache to answer", got)
-	}
-}
-
 // totalDelivered sums the entries the peers' outboxes handed off.
 func totalDelivered(peers []*elasticPeer) uint64 {
 	var n uint64
@@ -417,7 +348,7 @@ func totalDelivered(peers []*elasticPeer) uint64 {
 // TestClusterHandoffWarmsJoinedPeer is the self-healing acceptance test: a
 // fresh peer joins a warm RF=2 tier and reaches full replica warmth —
 // every owned key resident locally — through its holders' outboxes alone,
-// no client traffic to it and no read repair.
+// with no client traffic to it.
 func TestClusterHandoffWarmsJoinedPeer(t *testing.T) {
 	peers := startElasticCluster(t, 3, 2, ClusterConfig{})
 
@@ -440,9 +371,12 @@ func TestClusterHandoffWarmsJoinedPeer(t *testing.T) {
 			postAdvise(t, peers[0].url, req)
 		}
 	}
+	// Each write-through is one outbox delivery, so the handoff is counted
+	// from here.
 	waitCond(t, 10*time.Second, "write-through replication", func() bool {
-		return totalReplicatedIn(peers) >= uint64(len(reqs))
+		return totalDelivered(peers) >= uint64(len(reqs))
 	})
+	before := totalDelivered(peers)
 
 	joiner := bootElasticPeer(t, joinerLn, ClusterConfig{
 		Seeds:       []string{peers[0].url},
@@ -455,17 +389,13 @@ func TestClusterHandoffWarmsJoinedPeer(t *testing.T) {
 	// holders have delivered two entries per key, every key is in the
 	// joiner's cache, with no client request having reached it.
 	waitCond(t, 10*time.Second, "the holders to hand every warmed key to the joiner", func() bool {
-		return totalDelivered(peers) >= uint64(2*len(reqs))
+		return totalDelivered(peers)-before >= uint64(2*len(reqs))
 	})
-	// A replay through the joiner is all local hits: none recomputed, none
-	// pulled on demand by read repair.
+	// A replay through the joiner is all local hits: none recomputed.
 	for _, req := range reqs {
 		if resp := postAdvise(t, joiner.url, req); !resp.Cached || resp.ServedBy != joiner.url {
 			t.Errorf("n=%v replayed as cached:%v served_by:%q, want a local hit", req.Bindings["n"], resp.Cached, resp.ServedBy)
 		}
-	}
-	if got := joiner.srv.cluster.readRepairs.Value(); got != 0 {
-		t.Errorf("read repairs = %d, want 0: the handoff alone must warm the joiner", got)
 	}
 }
 
@@ -500,11 +430,10 @@ func TestClusterEvictionRestoresReplicaCount(t *testing.T) {
 	})
 }
 
-// TestClusterOutboxRetriesAndDrops drives the outbox by hand (loops off)
-// against a receiver whose answers the test steers: an undelivered pair
-// stays and lands on a later flush, a pair whose entry was evicted or
-// whose target no longer owns the key is dropped, and a write-through the
-// full async queue dropped arrives on the next flush.
+// TestClusterOutboxRetriesAndDrops drives the outbox by hand against a
+// receiver whose answers the test steers: a write-through the replica does
+// not take stays pending and lands on a later flush, and a pair whose
+// entry was evicted or whose target no longer owns the key is dropped.
 func TestClusterOutboxRetriesAndDrops(t *testing.T) {
 	const (
 		pass = iota
@@ -512,8 +441,6 @@ func TestClusterOutboxRetriesAndDrops(t *testing.T) {
 		unavailable
 	)
 	var mode atomic.Int32
-	gate := make(chan struct{}) // replicate posts wait on it until released
-	release := sync.OnceFunc(func() { close(gate) })
 	recv := newTestServer(t)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch mode.Load() {
@@ -523,47 +450,25 @@ func TestClusterOutboxRetriesAndDrops(t *testing.T) {
 			http.Error(w, "unavailable", http.StatusServiceUnavailable)
 			return
 		}
-		if r.URL.Path == "/v1/replicate" {
-			<-gate
-		}
 		recv.Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(hs.Close)
-	t.Cleanup(release) // before hs.Close, which waits for blocked handlers
 	sender := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Peers: []string{hs.URL}, Replication: 2, Heartbeat: -1})
 	if err := recv.EnableCluster(ClusterConfig{Self: hs.URL, Peers: []string{sender.url}, Replication: 2, Heartbeat: -1}); err != nil {
 		t.Fatal(err)
 	}
 	s, c := sender.srv, sender.srv.cluster
+	// Every flush below is the test's: holding flushMu throughout keeps out
+	// the flusher, which the write-through and the departure kick.
+	c.out.flushMu.Lock()
+	defer c.out.flushMu.Unlock()
 	flush := func() DrainReport { return s.flushOutbox(context.Background()) }
 
-	// A write-through the async queue drops waits in the outbox: with the
-	// receiver holding every replicate post, the two async workers block
-	// and the queue fills.
-	var dropped CacheItem
-	for i := 0; dropped.Key == ""; i++ {
-		if i == 1000 {
-			t.Fatal("1000 write-throughs against a blocked receiver and none dropped")
-		}
-		it := CacheItem{Key: Key("dropped", fmt.Sprint(i)), Val: float64(i + 1)}
-		drops := c.repDrops.Value()
-		s.replicate(it.Key, it.Val, []string{sender.url, hs.URL}, true, "")
-		if c.repDrops.Value() > drops {
-			dropped = it
-			s.adviseCache.Add(it.Key, it.Val)
-		}
-	}
-	release()
-	if r := flush(); r.Streamed != 1 || r.Errors != 0 {
-		t.Fatalf("flush after the drop = %+v, want the dropped write-through delivered", r)
-	}
-	holds(t, "dropped write-through", recv, []CacheItem{dropped})
-
-	// A pair the target does not take stays pending until it does: a
-	// dropped connection, then a 503, then a delivery.
+	// A write-through the replica does not take stays pending until it
+	// does: a dropped connection, then a 503, then a delivery.
 	owed := CacheItem{Key: Key("owed"), Val: 7.5}
 	s.adviseCache.Add(owed.Key, owed.Val)
-	c.out.add(hs.URL, owed.Key)
+	s.replicate(owed.Key, []string{sender.url, hs.URL}, true)
 	for _, m := range []int32{abort, unavailable} {
 		mode.Store(m)
 		if r := flush(); r.Streamed != 0 || r.Errors != 1 || c.out.size() != 1 {
@@ -572,11 +477,14 @@ func TestClusterOutboxRetriesAndDrops(t *testing.T) {
 	}
 	mode.Store(pass)
 	if r := flush(); r.Streamed != 1 || r.Errors != 0 || c.out.size() != 0 {
-		t.Fatalf("flush with the receiver back = %+v with %d pending, want the pair delivered", r, c.out.size())
+		t.Fatalf("flush with the replica back = %+v with %d pending, want the write-through delivered", r, c.out.size())
 	}
-	holds(t, "retried pair", recv, []CacheItem{owed})
+	holds(t, "retried write-through", recv, []CacheItem{owed})
 	if got := c.outErrs.Value(); got != 2 {
 		t.Errorf("outbox errors = %d, want the 2 failed flushes", got)
+	}
+	if rep := s.Ring().Replication; rep.Writes != 1 || rep.WriteDrops != 0 {
+		t.Errorf("replication writes/drops = %d/%d, want 1/0", rep.Writes, rep.WriteDrops)
 	}
 
 	// A pair whose entry is gone is dropped unsent.
@@ -601,8 +509,8 @@ func TestClusterOutboxRetriesAndDrops(t *testing.T) {
 // TestClusterRollingRestartZeroMisses is the tentpole acceptance test: a
 // 3-peer RF=2 tier warmed with a key set survives draining, killing and
 // rejoining each peer in turn — every replay throughout the roll is
-// answered from cache (drain hands keys off, read repair and the
-// survivors' outboxes re-warm the rejoined peer), so the roll costs zero
+// answered from cache (drain hands keys off, and the survivors' outboxes
+// re-warm the rejoined peer before it is asked), so the roll costs zero
 // evaluations.
 func TestClusterRollingRestartZeroMisses(t *testing.T) {
 	peers := startElasticCluster(t, 3, 2, ClusterConfig{})
@@ -643,6 +551,21 @@ func TestClusterRollingRestartZeroMisses(t *testing.T) {
 			Replication: 2,
 		})
 		waitRingSize(t, peers, 3)
+		// Each survivor starts handing the restarted peer its keys in the
+		// flush its own ring change kicks; wait until both have flushed
+		// under the three-member ring with nothing left pending.
+		waitCond(t, 10*time.Second, "the survivors to hand off to the restarted peer", func() bool {
+			for _, p := range survivors {
+				c := p.srv.cluster
+				c.out.flushMu.Lock()
+				done := c.out.ring == c.ring() && c.out.size() == 0
+				c.out.flushMu.Unlock()
+				if !done {
+					return false
+				}
+			}
+			return true
+		})
 		for _, req := range reqs {
 			if resp := postAdvise(t, peers[i].url, req); !resp.Cached {
 				t.Fatalf("round %d: n=%v recomputed after the restart (warmth lost)", i, req.Bindings["n"])

@@ -265,14 +265,14 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 	c.replicaHits = m.reg.Counter("serve_cluster_replica_hits_total",
 		"Forwards answered by a replica after the primary owner failed.", nil)
 	c.repWrites = m.reg.Counter("serve_cluster_replication_writes_total",
-		"Cache entries enqueued for write-through to replicas.", nil)
+		"Write-throughs owed to replicas through the outbox.", nil)
 	c.repDrops = m.reg.Counter("serve_cluster_replication_drops_total",
-		"Write-throughs dropped because the async queue was full.", nil)
+		"Write-throughs dropped because the outbox was full.", nil)
 	c.replicatedIn = m.reg.Counter("serve_cluster_replicated_in_total",
 		"Cache entries accepted via POST /v1/replicate.", nil)
 	m.reg.GaugeFunc("serve_cluster_replication_queue_depth",
-		"Write-throughs waiting in the async queue.", nil,
-		func() float64 { return float64(c.fwd.Async().Queued) })
+		"(peer, key) pairs waiting in the outbox.", nil,
+		func() float64 { return float64(c.out.size()) })
 	m.reg.CollectFunc("serve_cluster_forwards_total",
 		"Requests this process forwarded and had answered, by peer.", "counter",
 		func(emit func(obs.Labels, float64)) {
@@ -289,7 +289,7 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 		})
 
 	// Elastic membership: the gossip/join/eviction surface and the
-	// self-healing (outbox, read-repair) counters.
+	// self-healing (outbox) counters.
 	m.reg.GaugeFunc("serve_cluster_epoch",
 		"Ring version; increments on every membership change.", nil,
 		func() float64 { return float64(c.mem.Epoch()) })
@@ -327,13 +327,9 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 	c.pruned = m.reg.Counter("serve_cluster_pruned_clients_total",
 		"Idle peer HTTP clients closed after members left the ring.", nil)
 	c.outDelivered = m.reg.Counter("serve_cluster_outbox_delivered_total",
-		"Cache entries the outbox handed to owners a ring change, dropped write-through or drain owed them.", nil)
+		"Cache entries the outbox handed to owners a write-through, ring change or drain owed them.", nil)
 	c.outErrs = m.reg.Counter("serve_cluster_outbox_errors_total",
 		"Outbox handoff batches that failed; their entries stay pending.", nil)
-	c.readRepairs = m.reg.Counter("serve_cluster_read_repairs_total",
-		"Owned misses answered from a co-owner's cache on the request path.", nil)
-	c.repairMisses = m.reg.Counter("serve_cluster_read_repair_misses_total",
-		"Read-repair attempts where no co-owner held the entry.", nil)
 }
 
 // errorCounter returns (creating on first use) the serve_errors_total

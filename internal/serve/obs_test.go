@@ -443,8 +443,6 @@ func TestServingCountsAgree(t *testing.T) {
 		{"serve_cluster_pruned_clients_total", cl.Membership.PrunedClients, 0},
 		{"serve_cluster_outbox_delivered_total", cl.AntiEntropy.Delivered, 0},
 		{"serve_cluster_outbox_errors_total", cl.AntiEntropy.Errors, 0},
-		{"serve_cluster_read_repairs_total", cl.AntiEntropy.ReadRepairs, 0},
-		{"serve_cluster_read_repair_misses_total", cl.AntiEntropy.RepairMisses, 0},
 	} {
 		m, ok := metrics[c.series]
 		if !ok {

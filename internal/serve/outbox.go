@@ -11,18 +11,22 @@ import (
 	"paragraph/internal/shard"
 )
 
-// The outbox is how a cache entry moves to a peer off the request path: a
-// pending set of (target peer, key) pairs, filled three ways. A ring change
-// enqueues, for every held key this peer owned under the ring it last
-// handed off under, each owner the key gained (a join, an eviction,
-// another peer's departure); a write-through the forwarder's full async
-// queue dropped enqueues its owner; and this peer's own Leave is a ring
-// change after which every remaining owner counts as gained. The gossip
-// tick flushes it in size-bounded batches over POST /v1/replicate. A pair
-// that was not delivered stays for the next tick; one whose target no
-// longer owns the key, or whose entry was evicted, is dropped. A steady
-// ring sends nothing, and a joiner is warm one heartbeat after its
-// holders see it.
+// The outbox is the one way a cache entry moves to a peer, always off the
+// request path: a pending set of (target peer, key) pairs, filled three
+// ways. A write-through owes a freshly evaluated key to each of its other
+// owners; a ring change owes, for every held key this peer owned under the
+// ring it last handed off under, each owner the key gained (a join, an
+// eviction, another peer's departure); and this peer's own Leave is a ring
+// change after which every remaining owner counts as gained. One flusher
+// goroutine delivers it in size-bounded batches over POST /v1/replicate,
+// woken by a write-through, by every ring swap and by the gossip tick. A
+// pair that was not delivered stays for the next flush; one whose target
+// no longer owns the key, or whose entry was evicted, is dropped.
+//
+// What that bounds: a holder starts handing a joiner its keys in the flush
+// its own ring change kicks — the seed that admits the joiner at once,
+// every other holder after the gossip round that tells it (at most one
+// heartbeat) — and a pair the joiner does not take is retried every tick.
 
 // handoff is one pending pair: key's entry is owed to peer.
 type handoff struct{ peer, key string }
@@ -31,19 +35,33 @@ type handoff struct{ peer, key string }
 // its at most rf owners, so it is bounded by the response cache's
 // capacity × rf.
 type outbox struct {
-	flushMu sync.Mutex  // one flush at a time: the gossip tick or a drain
-	ring    *shard.Ring // the ring the last flush handed off under; guarded by flushMu
+	flushMu sync.Mutex    // one flush at a time: the flusher's or a drain's
+	ring    *shard.Ring   // the ring the last flush handed off under; guarded by flushMu
+	kick    chan struct{} // one slot: wakes the flusher; a kick mid-flush waits for the next
 
 	mu      sync.Mutex
 	pending map[handoff]struct{}
 	limit   int
 }
 
-func (o *outbox) add(peer, key string) {
+// add owes key's entry to peer, reporting whether the outbox took the
+// pair: a full outbox refuses new ones.
+func (o *outbox) add(peer, key string) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if len(o.pending) < o.limit {
-		o.pending[handoff{peer, key}] = struct{}{}
+	h := handoff{peer, key}
+	if _, ok := o.pending[h]; !ok && len(o.pending) >= o.limit {
+		return false
+	}
+	o.pending[h] = struct{}{}
+	return true
+}
+
+// kickFlush wakes the flusher without waiting on it.
+func (o *outbox) kickFlush() {
+	select {
+	case o.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -61,11 +79,30 @@ const (
 	handoffBatchBytes = 1 << 20
 )
 
+// flushLoop is the flusher: one flush per kick, each bounded by a
+// heartbeat, until the cluster stops.
+func (s *Server) flushLoop() {
+	c := s.cluster
+	defer c.bg.Done()
+	for {
+		select {
+		case <-c.quit:
+			return
+		case <-c.out.kick:
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), c.heartbeat)
+		c.out.flushMu.Lock()
+		s.flushOutbox(ctx)
+		c.out.flushMu.Unlock()
+		cancel()
+	}
+}
+
 // flushOutbox enqueues what the ring changed since the last flush, then
 // delivers every pending pair it still can within ctx. The report counts
 // the held keys this peer owned under the previous ring (zero when the
 // ring did not change), the keys delivered, and the batches and failures.
-// The caller holds flushMu, unless no other flush can run (loops off).
+// The caller holds flushMu.
 func (s *Server) flushOutbox(ctx context.Context) DrainReport {
 	c, o := s.cluster, &s.cluster.out
 	var report DrainReport
@@ -209,7 +246,7 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 	ctx, cancel := context.WithTimeout(ctx, drainTimeout)
 	defer cancel()
 	start := time.Now()
-	// Held from the tombstone on, so the gossip tick cannot hand this
+	// Held from the tombstone on, so the flusher cannot hand this
 	// departure off before the report counts it.
 	c.out.flushMu.Lock()
 	defer c.out.flushMu.Unlock()

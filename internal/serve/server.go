@@ -405,8 +405,7 @@ func sortedKeys[V any](m map[string]V) []string {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close waits out any background retrain and, in cluster mode, stops the
-// membership background loops and the forwarder's async replication
-// workers.
+// membership background loops and the outbox flusher.
 func (s *Server) Close() {
 	if s.lifecycle != nil {
 		s.lifecycle.wg.Wait()
@@ -865,8 +864,8 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 	// absorb all traffic for the key; with every owner unreachable it
 	// falls back to local evaluation — degraded (a duplicate
 	// evaluation), never failing. An owner evaluating the miss itself
-	// writes the entry through to the key's replicas (fire-and-forget),
-	// so one peer death loses no warmth. Forward-or-evaluate runs inside
+	// writes the entry through to the key's replicas (through the outbox,
+	// off the request path), so one peer death loses no warmth. Forward-or-evaluate runs inside
 	// the singleflight so a burst of identical misses at a non-owner
 	// shares one proxied hop instead of each holding a connection to the
 	// owner.
@@ -878,14 +877,6 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 			if fr, ok := s.tryForward(ctx, tr, targets, q.path, q.req); ok {
 				return fr, nil
 			}
-		}
-		// Owned miss with live co-owners: before paying an evaluation, try
-		// pulling the entry from a replica's cache (read repair). The case
-		// this serves is a peer that just rejoined — it owns its old keys
-		// again but holds none of them until its co-owners' next outbox
-		// flush, while those co-owners already do.
-		if rv, ok := s.tryRepair(ctx, tr, q.key, owners, owned); ok && q.typed(rv) {
-			return repairedEntry{val: rv}, nil
 		}
 		poolWait := tr.StartSpan("pool_wait")
 		var out any
@@ -906,7 +897,7 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 			return nil, errors.New("model produced a non-finite prediction")
 		}
 		s.adviseCache.Add(q.key, out)
-		s.replicate(q.key, out, owners, owned, tr.ID())
+		s.replicate(q.key, owners, owned)
 		return out, nil
 	})
 	if err != nil {
@@ -919,14 +910,8 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 		// for how long — once the leader's flight lands.
 		tr.AddSpan("singleflight_wait", "", flightStart, time.Since(flightStart))
 	}
-	switch v := v.(type) {
-	case proxiedResponse:
-		return nil, &v, false, coalesced, nil
-	case repairedEntry:
-		// A repaired entry is a cache hit from the tier's point of view:
-		// the warmth existed, just on a co-owner.
-		s.metrics.adviseHits.Inc()
-		return v.val, nil, true, coalesced, nil
+	if pr, ok := v.(proxiedResponse); ok {
+		return nil, &pr, false, coalesced, nil
 	}
 	return v, nil, false, coalesced, nil
 }

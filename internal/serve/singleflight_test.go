@@ -62,7 +62,7 @@ func TestFlightGroupCollapsesConcurrent(t *testing.T) {
 			results <- v.(int)
 		}()
 	}
-	waitFor(t, func() bool { return g.waiting() == followers })
+	waitCond(t, 5*time.Second, "the followers to join the flight", func() bool { return g.waiting() == followers })
 	close(release)
 	for i := 0; i < followers+1; i++ {
 		if v := <-results; v != 42 {
@@ -93,7 +93,7 @@ func TestFlightGroupPropagatesErrors(t *testing.T) {
 		_, _, err := g.Do("k", func() (any, error) { return nil, nil })
 		errc <- err
 	}()
-	waitFor(t, func() bool { return g.waiting() == 1 })
+	waitCond(t, 5*time.Second, "the follower to join the flight", func() bool { return g.waiting() == 1 })
 	close(release)
 	for i := 0; i < 2; i++ {
 		if err := <-errc; !errors.Is(err, boom) {
@@ -103,17 +103,6 @@ func TestFlightGroupPropagatesErrors(t *testing.T) {
 	// A failed flight is forgotten: the next call runs afresh.
 	if _, shared, err := g.Do("k", func() (any, error) { return 1, nil }); shared || err != nil {
 		t.Errorf("post-failure call: shared=%v err=%v", shared, err)
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in time")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -171,7 +160,7 @@ func TestAdviseSingleflightCollapse(t *testing.T) {
 	}
 	// Every follower must block on the leader's flight: the cache is still
 	// empty and the key is identical.
-	waitFor(t, func() bool { return s.flights.waiting() == followers })
+	waitCond(t, 5*time.Second, "the followers to join the flight", func() bool { return s.flights.waiting() == followers })
 	close(gm.release)
 	wg.Wait()
 
@@ -242,7 +231,7 @@ func TestPredictSingleflightCollapse(t *testing.T) {
 	for i := 1; i <= followers; i++ {
 		launch(i)
 	}
-	waitFor(t, func() bool { return s.flights.waiting() == followers })
+	waitCond(t, 5*time.Second, "the followers to join the flight", func() bool { return s.flights.waiting() == followers })
 	close(gm.release)
 	wg.Wait()
 

@@ -19,9 +19,9 @@ import (
 // named peer. A receiving server must answer such a request locally, never
 // re-forward it: during a membership change two peers' rings can briefly
 // disagree about a key's owner, and the guard turns what would be a
-// forwarding loop into at most one extra hop. Async (replication) posts
-// carry it too, so their receiver treats them as peer traffic and never
-// fans them back out.
+// forwarding loop into at most one extra hop. Control requests (gossip,
+// cache-entry handoffs) carry it too, so their receiver treats them as peer
+// traffic and never fans them back out.
 const ForwardedByHeader = "X-Paragraph-Forwarded-By"
 
 // The peer-forwarding clients' fixed bounds.
@@ -33,12 +33,6 @@ const (
 	// maxConnsPerPeer caps concurrent connections to one peer; idle
 	// connections up to the cap are kept for reuse.
 	maxConnsPerPeer = 8
-	// asyncQueue bounds the fire-and-forget post queue (ForwardAsync). When
-	// it is full new posts are dropped, never blocked on — async traffic is
-	// best-effort by contract.
-	asyncQueue = 256
-	// asyncWorkers is how many goroutines drain the async queue.
-	asyncWorkers = 2
 )
 
 // peerClient is one peer's bounded HTTP client plus its traffic counters.
@@ -48,46 +42,21 @@ type peerClient struct {
 	errors   atomic.Uint64 // transport failures (caller fell back to local)
 }
 
-// asyncPost is one queued fire-and-forget POST (a replication write). It
-// carries the originating request's trace id so a write-through is
-// attributable to the request that produced the entry.
-type asyncPost struct {
-	peer, path string
-	body       []byte
-	traceID    string
-}
-
 // Forwarder carries requests to their owning peer over HTTP. Each peer
 // gets its own client with a bounded connection pool, so a slow or dead
 // peer can exhaust only its own connections, never another peer's. Safe
-// for concurrent use.
-//
-// Besides the synchronous Forward path it offers ForwardAsync: a bounded
-// fire-and-forget queue drained by background workers, used by the serving
-// tier to write cache entries through to replica peers without adding
-// latency to the request that produced them.
+// for concurrent use; it starts no goroutine of its own.
 type Forwarder struct {
 	self string
 
 	mu    sync.Mutex
 	peers map[string]*peerClient
-
-	queue     chan asyncPost
-	quit      chan struct{}
-	startOnce sync.Once
-	closeOnce sync.Once
-	asyncErrs atomic.Uint64 // async posts that reached no peer
 }
 
 // NewForwarder returns a Forwarder that identifies itself as self (the
 // value written into ForwardedByHeader).
 func NewForwarder(self string) *Forwarder {
-	return &Forwarder{
-		self:  self,
-		peers: map[string]*peerClient{},
-		queue: make(chan asyncPost, asyncQueue),
-		quit:  make(chan struct{}),
-	}
+	return &Forwarder{self: self, peers: map[string]*peerClient{}}
 }
 
 func (f *Forwarder) peer(name string) *peerClient {
@@ -124,12 +93,12 @@ type Meta struct {
 
 // do performs one loop-guarded request to peer+path on the peer's bounded
 // client and returns the status and body of whatever the peer answered.
-// Every path to a peer goes through it — forwards, async writes and
-// control requests — and counting is the caller's job, because each path
-// counts differently. The loop-guard header is also the sender's identity
-// (receivers gate peer-only endpoints on it); meta's trace id and deadline
-// ride along in their headers. body may be nil for GETs. ctx bounds the
-// hop in addition to the client's own timeout.
+// Every path to a peer goes through it — forwards and control requests —
+// and counting is the caller's job, because each path counts differently.
+// The loop-guard header is also the sender's identity (receivers gate
+// peer-only endpoints on it); meta's trace id and deadline ride along in
+// their headers. body may be nil for GETs. ctx bounds the hop in addition
+// to the client's own timeout.
 func (f *Forwarder) do(ctx context.Context, method, peer, path string, body []byte, meta Meta) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -162,11 +131,10 @@ func (f *Forwarder) do(ctx context.Context, method, peer, path string, body []by
 }
 
 // Control performs one request to peer+path on the peer's bounded client
-// without touching the per-peer forwarding counters: membership gossip,
-// cache-entry handoff batches and read-repair fetches are control-plane
-// chatter that must not inflate the request-forwarding stats operators
-// read off /v1/ring. body may be nil for GETs. The caller owns error
-// counting.
+// without touching the per-peer forwarding counters: membership gossip
+// and cache-entry handoff batches are control-plane chatter that must not
+// inflate the request-forwarding stats operators read off /v1/ring. body
+// may be nil for GETs. The caller owns error counting.
 func (f *Forwarder) Control(ctx context.Context, method, peer, path string, body []byte) (int, []byte, error) {
 	return f.do(ctx, method, peer, path, body, Meta{})
 }
@@ -221,50 +189,6 @@ func (f *Forwarder) Forward(ctx context.Context, peer, path string, body []byte,
 	return status, out, nil
 }
 
-// ForwardAsync enqueues a fire-and-forget POST to peer+path and returns
-// immediately. The post is carried by a background worker on the peer's
-// bounded client; nothing is retried and no result is reported back. When
-// the queue is full the post is dropped rather than blocking the caller —
-// async traffic exists to shed work off the request path, so backpressure
-// must never travel back up it. The return value reports whether the post
-// was accepted into the queue; counting drops is the caller's job.
-// traceID ("" = untraced) propagates the originating request's trace.
-func (f *Forwarder) ForwardAsync(peer, path string, body []byte, traceID string) bool {
-	f.startOnce.Do(func() {
-		for i := 0; i < asyncWorkers; i++ {
-			go f.drainAsync()
-		}
-	})
-	select {
-	case f.queue <- asyncPost{peer: peer, path: path, body: body, traceID: traceID}:
-		return true
-	default:
-		return false
-	}
-}
-
-// drainAsync is one async worker: it posts queued jobs until Close.
-func (f *Forwarder) drainAsync() {
-	for {
-		select {
-		case <-f.quit:
-			return
-		case job := <-f.queue:
-			status, _, err := f.do(context.Background(), http.MethodPost, job.peer, job.path, job.body, Meta{TraceID: job.traceID})
-			if err != nil || status/100 != 2 {
-				f.asyncErrs.Add(1)
-			}
-		}
-	}
-}
-
-// Close stops the async workers. Queued posts that have not been picked up
-// are abandoned (they were fire-and-forget). Synchronous Forward keeps
-// working; Close exists so a shutting-down server does not leak workers.
-func (f *Forwarder) Close() {
-	f.closeOnce.Do(func() { close(f.quit) })
-}
-
 // PeerStats is one peer's forwarding counters.
 type PeerStats struct {
 	Peer     string `json:"peer"`
@@ -287,18 +211,4 @@ func (f *Forwarder) Stats() []PeerStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
-}
-
-// AsyncStats snapshots the fire-and-forget queue: what only the forwarder
-// can see once a post is accepted.
-type AsyncStats struct {
-	// Errors counts posts that reached no peer or got a non-2xx answer.
-	Errors uint64
-	// Queued is the queue's current depth.
-	Queued int
-}
-
-// Async snapshots the async-path counters.
-func (f *Forwarder) Async() AsyncStats {
-	return AsyncStats{Errors: f.asyncErrs.Load(), Queued: len(f.queue)}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,73 +128,6 @@ func TestForwardHonorsContext(t *testing.T) {
 	}
 	if st := f.Stats(); st[0].Errors != 1 {
 		t.Errorf("stats = %+v, want the aborted hop counted as an error", st)
-	}
-}
-
-// TestForwardAsyncDelivers: an accepted async post reaches the peer with
-// the loop-guard and trace headers set, and a 2xx answer leaves the error
-// counter at zero.
-func TestForwardAsyncDelivers(t *testing.T) {
-	got := make(chan string, 1)
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		got <- r.Header.Get(ForwardedByHeader) + "|" + r.Header.Get(obs.TraceHeader) + "|" + string(b)
-	}))
-	defer peer.Close()
-
-	f := NewForwarder("http://self:1")
-	defer f.Close()
-	if !f.ForwardAsync(peer.URL, "/v1/replicate", []byte(`{"version":1}`), "trace-7") {
-		t.Fatal("async post rejected by an empty queue")
-	}
-	select {
-	case msg := <-got:
-		if msg != `http://self:1|trace-7|{"version":1}` {
-			t.Errorf("async post arrived as %q", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("async post never reached the peer")
-	}
-	if st := f.Async(); st.Errors != 0 {
-		t.Errorf("async stats after delivery = %+v, want no errors", st)
-	}
-}
-
-// TestForwardAsyncDropsUnderBackpressure: with the queue full (workers
-// wedged on a stalled peer), further posts are refused — ForwardAsync
-// returns false at once, never blocks — so replication backpressure cannot
-// reach the request path. Every post the peer sees was one ForwardAsync
-// accepted.
-func TestForwardAsyncDropsUnderBackpressure(t *testing.T) {
-	release := make(chan struct{})
-	var arrived atomic.Int64
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		arrived.Add(1)
-		<-release
-	}))
-	defer peer.Close()
-	defer close(release)
-
-	f := NewForwarder("http://self:1")
-	f.queue = make(chan asyncPost, 1)
-	defer f.Close()
-	// The first posts occupy the workers; the queue (cap 1) fills behind
-	// them. Enqueueing is racy against the workers draining, so keep posting
-	// until one is refused — with the workers wedged, at most three posts
-	// are absorbed (two in flight, one queued) before refusals must appear.
-	accepted := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for f.ForwardAsync(peer.URL, "/v1/replicate", nil, "") {
-		accepted++
-		if time.Now().After(deadline) {
-			t.Fatal("queue never overflowed while the workers were wedged")
-		}
-	}
-	if accepted > asyncWorkers+cap(f.queue) {
-		t.Errorf("%d posts accepted with %d wedged workers and a queue of %d", accepted, asyncWorkers, cap(f.queue))
-	}
-	if n := arrived.Load(); n > int64(accepted) {
-		t.Errorf("peer saw %d posts, only %d were accepted", n, accepted)
 	}
 }
 
