@@ -8,7 +8,7 @@
 // process answers repeat traffic warm.
 //
 // With -self and -peers, N serve processes form a consistent-hash sharded
-// tier (internal/shard): each advise/predict cache key is owned by its
+// tier (internal/shard): each advise cache key is owned by its
 // first -replication ring successors (default 2), non-owners proxy misses
 // to the primary owner, evaluated entries are written through to the
 // replicas, and an unreachable primary fails over to its replicas — so one
@@ -29,7 +29,7 @@
 //
 // With -feedback-dir the serving loop closes (docs/OPERATIONS.md, "Staged
 // Rollouts"): POST /v1/feedback accepts measured runtimes for served
-// predictions, appends them to a durable per-platform log, and 100
+// advise points, appends them to a durable per-platform log, and 100
 // accepted measurements of a platform since its last retrain trigger a
 // background incremental retrain (its output saved under -model-dir) that
 // serves as a *candidate* on 10% of unpinned traffic. Once both versions
@@ -56,8 +56,8 @@
 // Endpoints:
 //
 //	POST /v1/advise     rank variant grid for a kernel on one machine
-//	POST /v1/predict    predict one variant's runtime
-//	POST /v1/feedback   report a measured runtime for a served prediction
+//	                    (one variant's runtime: a one-point space)
+//	POST /v1/feedback   report a measured runtime for a served point
 //	GET  /v1/healthz    liveness and served machines
 //	GET  /v1/models     served model versions per platform (+ rollout roles)
 //	GET  /v1/stats      cache/batcher/admission/per-model/cluster/rollout counters
@@ -280,7 +280,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	modelDir := fs.String("model-dir", "", "registry directory to boot from (required): every checkpoint under it, as written by train -save-dir, is loaded and served")
 	platforms := fs.String("platforms", allPlatformNames(), "comma-separated machine names to serve")
 	cacheFile := fs.String("cache-file", "", "persist the advise-response cache to this file across restarts")
-	poolSize := fs.Int("pool", 0, "evaluation slots: max advise/predict evaluations in flight (0 = GOMAXPROCS)")
+	poolSize := fs.Int("pool", 0, "evaluation slots: max advise evaluations in flight (0 = GOMAXPROCS)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the -pool slots before 503 shedding (0 = default)")
 	admitPerClient := fs.Int("admit-per-client", 0, "per-client cap on queued+running work (0 = default)")
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn or error")

@@ -53,7 +53,7 @@
 // exposes trained models over HTTP/JSON (internal/serve):
 //
 //	POST /v1/advise     rank a kernel's variant grid on one machine
-//	POST /v1/predict    predict one variant's runtime
+//	                    (one variant's runtime: a one-point space)
 //	GET  /v1/healthz    liveness and served machines
 //	GET  /v1/models     served model versions per platform
 //	GET  /v1/stats      cache/batcher/admission/per-model/cluster counters
@@ -76,9 +76,8 @@
 // request. -model-dir is the only way cmd/serve boots.
 //
 // A request flows through three layers. A content-addressed sharded LRU
-// cache first answers exact repeats (whole advise responses and single
-// predictions, keyed by hash of kernel template, bindings, search space
-// and model version). On a miss, identical concurrent requests are
+// cache first answers exact repeats (whole advise rankings, keyed by hash
+// of kernel template, bindings, search space and model version). On a miss, identical concurrent requests are
 // collapsed into a single evaluation (singleflight), a per-client fair
 // queue admits it into one of -pool evaluation slots, and
 // the advisor evaluates it in two phases (internal/advisor): every grid

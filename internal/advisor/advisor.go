@@ -389,36 +389,6 @@ func (a *Advisor) Best(k apps.Kernel, bindings analysis.Env, space SearchSpace) 
 	return recs[0], nil
 }
 
-// PredictInstanceUS statically predicts one instance's runtime in
-// microseconds, applying the training-time feature and target scalers.
-func (a *Advisor) PredictInstanceUS(in variants.Instance) (float64, error) {
-	return a.PredictInstanceUSCtx(context.Background(), in)
-}
-
-// PredictInstanceUSCtx is PredictInstanceUS with a request context: the
-// same encode and predict spans and cancellation as AdviseCtx, for a grid
-// of one.
-func (a *Advisor) PredictInstanceUSCtx(ctx context.Context, in variants.Instance) (float64, error) {
-	s, err := a.EncodeInstanceCtx(ctx, in)
-	if err != nil {
-		return 0, err
-	}
-	preds, err := a.callModel(ctx, []*gnn.Sample{s})
-	if err != nil {
-		return 0, err
-	}
-	return a.prep.DescaleUS(preds[0]), nil
-}
-
-// EncodeInstanceCtx is EncodeInstance with a request context: the call is
-// recorded as an "encode" span on the context's trace, whether it succeeds
-// or fails.
-func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (*gnn.Sample, error) {
-	sp := obs.TraceFrom(ctx).StartSpan("encode")
-	defer sp.End()
-	return a.EncodeInstance(in)
-}
-
 // EncodeInstance builds the model-ready sample for an unseen instance: the
 // graph dataset.Prepare would build for it (the same front end, a
 // dataset.Encoder with a grid of one), scaled with the training-time

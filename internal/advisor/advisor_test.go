@@ -142,38 +142,6 @@ func TestAdviseErrors(t *testing.T) {
 	}
 }
 
-func TestPredictInstanceUSAppliesScalers(t *testing.T) {
-	k, _ := apps.ByName("pf_motion")
-	src, err := variants.Generate(k, variants.GPU, 64, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := variants.Instance{
-		Kernel: k, Kind: variants.GPU, Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": 4096}, Source: src,
-	}
-	prep := testPrep()
-	a := New(weightOracle{}, prep, hw.V100())
-	us, err := a.PredictInstanceUS(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if us <= 0 || math.IsNaN(us) {
-		t.Errorf("predicted us = %v", us)
-	}
-	// The sample must carry the training scalers.
-	s, err := a.EncodeInstance(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.G.WScale != prep.WScale {
-		t.Error("WScale not applied")
-	}
-	if s.Feats[0] != prep.TeamScaler.Scale(64) || s.Feats[1] != prep.ThreadScaler.Scale(128) {
-		t.Error("feature scalers not applied")
-	}
-}
-
 func TestDefaultSearchSpaceNonEmpty(t *testing.T) {
 	sp := DefaultSearchSpace()
 	if len(sp.CPUThreads) == 0 || len(sp.GPUTeams) == 0 || len(sp.GPUThreads) == 0 {
@@ -234,14 +202,14 @@ func (c *ctxBatch) PredictBatchCtx(ctx context.Context, ss []*gnn.Sample) ([]flo
 	return c.m.PredictBatch(ss), ctx.Err()
 }
 
-// referenceAdvise is the ranking Advise must return, computed with nothing
-// shared between grid points: each point's own source through the public
-// per-point pipeline (parse → paragraph.Build → gnn.Encode, see buildPoint),
-// scaled by hand, one lone Predict each, a stable sort.
-func referenceAdvise(t *testing.T, m *gnn.Model, prep *dataset.Prepared, k apps.Kernel, machine hw.Machine, bindings analysis.Env) []Recommendation {
+// referenceAdvise is the ranking Advise must return over space, computed
+// with nothing shared between grid points: each point's own source through
+// the public per-point pipeline (parse → paragraph.Build → gnn.Encode, see
+// buildPoint), scaled by hand, one lone Predict each, a stable sort.
+func referenceAdvise(t *testing.T, m *gnn.Model, prep *dataset.Prepared, k apps.Kernel, machine hw.Machine, bindings analysis.Env, space SearchSpace) []Recommendation {
 	t.Helper()
 	var recs []Recommendation
-	for _, p := range gridOf(k, machine) {
+	for _, p := range gridIn(k, machine, space) {
 		src, err := variants.Generate(k, p.kind, p.teams, p.threads)
 		if err != nil {
 			t.Fatal(err)
@@ -279,8 +247,19 @@ func requireSameRanking(t *testing.T, name string, got, want []Recommendation) {
 // PredictBatch, and through PredictBatchCtx with one model call per grid —
 // returns the ranking of referenceAdvise, which parses, builds and encodes
 // every grid point on its own: in order and bit for bit, against a real
-// model in both inference widths.
+// model in both inference widths. Each kernel is ranked over the default
+// space and over a one-point space — one team and thread count, the point
+// moving from kernel to kernel — so a client's one-point advise reads each
+// variant's runtime exactly as a lone per-point prediction computes it.
 func TestBatchAdviseMatchesSerialReference(t *testing.T) {
+	def := DefaultSearchSpace()
+	onePoint := func(i int) SearchSpace {
+		return SearchSpace{
+			CPUThreads: []int{def.CPUThreads[i%len(def.CPUThreads)]},
+			GPUTeams:   []int{def.GPUTeams[i%len(def.GPUTeams)]},
+			GPUThreads: []int{def.GPUThreads[i/len(def.GPUTeams)%len(def.GPUThreads)]},
+		}
+	}
 	for _, f32 := range []bool{false, true} {
 		m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 2, Relations: 8})
 		m.SetFloat32Inference(f32)
@@ -291,25 +270,27 @@ func TestBatchAdviseMatchesSerialReference(t *testing.T) {
 			traced := &ctxBatch{m: m}
 			ctxAdv := New(traced, testPrep(), machine)
 			kernels := apps.Kernels()
-			for _, k := range kernels {
+			for i, k := range kernels {
 				bindings := firstBindings(k)
-				want := referenceAdvise(t, m, testPrep(), k, machine, bindings)
-				for _, adv := range []struct {
-					name string
-					a    *Advisor
-				}{{"Predict", serial}, {"PredictBatch", batch}, {"PredictBatchCtx", ctxAdv}} {
-					got, err := adv.a.Advise(k, bindings, DefaultSearchSpace())
-					if err != nil {
-						t.Fatalf("%s on %s via %s: %v", k.Name, machine.Name, adv.name, err)
+				for _, space := range []SearchSpace{def, onePoint(i)} {
+					want := referenceAdvise(t, m, testPrep(), k, machine, bindings, space)
+					for _, adv := range []struct {
+						name string
+						a    *Advisor
+					}{{"Predict", serial}, {"PredictBatch", batch}, {"PredictBatchCtx", ctxAdv}} {
+						got, err := adv.a.Advise(k, bindings, space)
+						if err != nil {
+							t.Fatalf("%s on %s via %s over %v: %v", k.Name, machine.Name, adv.name, space, err)
+						}
+						requireSameRanking(t, fmt.Sprintf("%s on %s via %s over %v (f32=%v)", k.Name, machine.Name, adv.name, space, f32), got, want)
 					}
-					requireSameRanking(t, fmt.Sprintf("%s on %s via %s (f32=%v)", k.Name, machine.Name, adv.name, f32), got, want)
-				}
-				if last := traced.calls[len(traced.calls)-1]; last != len(want) {
-					t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
+					if last := traced.calls[len(traced.calls)-1]; last != len(want) {
+						t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
+					}
 				}
 			}
-			if len(traced.calls) != len(kernels) {
-				t.Errorf("%s: %d model calls for %d grids", machine.Name, len(traced.calls), len(kernels))
+			if len(traced.calls) != 2*len(kernels) {
+				t.Errorf("%s: %d model calls for %d grids", machine.Name, len(traced.calls), 2*len(kernels))
 			}
 		}
 	}
@@ -422,11 +403,15 @@ func TestWorkerPanicIsTheRequestsError(t *testing.T) {
 // request that failed in it — the one trace an operator goes looking for.
 func TestEncodeSpanSurvivesFailure(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerOptions{})
-	tr := tracer.Start("enc-fail", "predict")
+	tr := tracer.Start("enc-fail", "advise")
 	a := New(weightOracle{}, testPrep(), hw.V100())
-	_, err := a.PredictInstanceUSCtx(obs.WithTrace(context.Background(), tr), variants.Instance{
-		Kind: variants.GPU, Teams: 64, Threads: 128, Source: "void f( {",
-	})
+	k := apps.Kernel{
+		App: "custom", Name: "unparseable", FuncName: "f",
+		Source: "void f( {\n__PRAGMA__\n}\n",
+		Params: []apps.Param{{Name: "n", Values: []int{64}}},
+	}
+	_, err := a.AdviseCtx(obs.WithTrace(context.Background(), tr), k, map[string]float64{"n": 64},
+		SearchSpace{GPUTeams: []int{64}, GPUThreads: []int{128}})
 	if err == nil {
 		t.Fatal("unparseable source accepted")
 	}

@@ -32,7 +32,11 @@ type gridPoint struct {
 // gridOf enumerates the points Advise evaluates for k on machine over the
 // default search space, in its order: kind-major, then teams, then threads.
 func gridOf(k apps.Kernel, machine hw.Machine) []gridPoint {
-	space := DefaultSearchSpace()
+	return gridIn(k, machine, DefaultSearchSpace())
+}
+
+// gridIn is gridOf over space.
+func gridIn(k apps.Kernel, machine hw.Machine, space SearchSpace) []gridPoint {
 	var pts []gridPoint
 	for _, kind := range variants.Kinds() {
 		if kind.IsGPU() != machine.IsGPU || (kind.IsCollapse() && !k.Collapsible) {

@@ -52,14 +52,12 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	return ctx, cancel, nil
 }
 
-// evalCost is the live cost estimate of one evaluation of the kind eval
-// records — modelState.adviseEval for a cold advise, modelState.predictEval
-// for a cold /v1/predict: the median of the whole evaluations of that kind
-// this model has served, each timed inside its admission slot (admitRun).
-// Zero until one has finished — a cold server never sheds on a guess. The
-// batcher's per-prediction latency is not an input: on a server that mostly
-// answers advises it is a grid's per-sample share, several times below what
-// a lone prediction costs, and it never included a request's own generate →
+// evalCost is the live cost estimate of one cold advise on a model: the
+// median of eval, its modelState.adviseEval — the whole evaluations this
+// model has served, each timed inside its admission slot (admitRun). Zero
+// until one has finished — a cold server never sheds on a guess. The
+// batcher's per-prediction latency is not an input: it is a grid's
+// per-sample share, and it never included a request's own generate →
 // parse → build → encode.
 func evalCost(eval *obs.Histogram) time.Duration {
 	return time.Duration(eval.Quantile(0.5) * float64(time.Second))

@@ -1,24 +1,24 @@
 // Package serve turns the one-shot advisor pipeline into a long-running
-// service: an HTTP/JSON API (POST /v1/advise, POST /v1/predict, GET
-// /v1/healthz, /v1/stats, /v1/models, /v1/ring) answered from shared cost
-// models — registry checkpoints (internal/registry) loaded resident,
-// several named versions per platform behind a "default" alias.
+// service: an HTTP/JSON API (POST /v1/advise, GET /v1/healthz, /v1/stats,
+// /v1/models, /v1/ring) answered from shared cost models — registry
+// checkpoints (internal/registry) loaded resident, several named versions
+// per platform behind a "default" alias. One variant's runtime is a
+// one-point advise: a search space of one team and thread count.
 //
 // The scaling layers, in request order: a content-addressed sharded LRU
-// cache memoizes whole advise responses and single predictions; identical
-// concurrent misses collapse into one evaluation (singleflight); and
-// per-client fair admission caps evaluations in flight — one path for both
-// endpoints, Server.serveKeyed. Each evaluation encodes its
-// whole variant grid across goroutines (internal/advisor), then predicts it
-// in one gnn.Model.PredictBatch call through the model's metered Batcher —
-// a cold advise is one batch, and nothing waits to be coalesced with
-// another request's samples. The
+// cache memoizes whole advise rankings; identical concurrent misses
+// collapse into one evaluation (singleflight); and per-client fair
+// admission caps evaluations in flight — one path, Server.serveKeyed.
+// Each evaluation encodes its whole variant grid across goroutines
+// (internal/advisor), then predicts it in one gnn.Model.PredictBatch call
+// through the model's metered Batcher — a cold advise is one batch, and
+// nothing waits to be coalesced with another request's samples. The
 // advise-response cache can be snapshotted and restored across restarts
 // (snapshot.go; entry.go holds the one wire schema an entry travels in),
-// and EnableCluster shards the whole tier across processes
-// with a consistent-hash ring over the cache keys — each key owned by its
-// first rf ring successors, with asynchronous write-through to replicas
-// and failover in successor order (cluster.go, internal/shard).
+// and EnableCluster shards the whole tier across processes with a
+// consistent-hash ring over the cache keys — each key owned by its first
+// rf ring successors, with asynchronous write-through to replicas and
+// failover in successor order (cluster.go, internal/shard).
 //
 // Every layer is instrumented through internal/obs: the same counters and
 // histograms that assemble /v1/stats render as Prometheus exposition at

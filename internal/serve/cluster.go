@@ -17,8 +17,8 @@ import (
 )
 
 // Cluster mode: N serve processes share one consistent-hash ring over the
-// content-addressed request keys (internal/shard), so every advise/predict
-// key has a deterministic owner list — the first `rf` distinct peers
+// content-addressed request keys (internal/shard), so every advise key
+// has a deterministic owner list — the first `rf` distinct peers
 // clockwise from the key's hash (Ring.Owners). Owners[0] is the primary:
 // a request landing elsewhere is proxied to it, so the primary's cache and
 // singleflight see all traffic for its keys and the tier's aggregate cache
@@ -301,15 +301,15 @@ type proxiedResponse struct {
 	body   []byte
 }
 
-// tryForward re-marshals a decoded advise or predict request and forwards
-// it (see cluster.forward); a request that will not marshal is served
-// locally like one no owner answered.
-func (s *Server) tryForward(ctx context.Context, tr *obs.Trace, targets []string, path string, req any) (proxiedResponse, bool) {
+// tryForward re-marshals a decoded advise request and forwards it (see
+// cluster.forward); a request that will not marshal is served locally like
+// one no owner answered.
+func (s *Server) tryForward(ctx context.Context, tr *obs.Trace, targets []string, req *AdviseRequest) (proxiedResponse, bool) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return proxiedResponse{}, false
 	}
-	return s.cluster.forward(ctx, tr, targets, path, body)
+	return s.cluster.forward(ctx, tr, targets, "/v1/advise", body)
 }
 
 // forward posts body to the targets in successor order — the primary owner

@@ -221,39 +221,6 @@ func TestClusterLoopGuard(t *testing.T) {
 	t.Skip("no B-owned key found in 32 probes (astronomically unlikely)")
 }
 
-// TestClusterPredictForwards: /v1/predict routes over the same ring.
-func TestClusterPredictForwards(t *testing.T) {
-	peers := startCluster(t, 2)
-	a, b := peers[0], peers[1]
-
-	sawOther := false
-	for i := 0; i < 16; i++ {
-		req := PredictRequest{
-			Kernel: "matmul", Machine: hw.V100().Name, Variant: "gpu_collapse",
-			Teams: 64, Threads: 128, Bindings: map[string]float64{"n": float64(128 + i)},
-		}
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(a.http.URL+"/v1/predict", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out PredictResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("predict: %d", resp.StatusCode)
-		}
-		if out.ServedBy == b.http.URL {
-			sawOther = true
-		}
-	}
-	if !sawOther {
-		t.Error("no predict request was forwarded to the owning peer")
-	}
-}
-
 // adviseKeyFor replicates handleAdvise's cache-key derivation so tests can
 // pick bindings with a known ring owner without sending probe traffic.
 func adviseKeyFor(t *testing.T, req AdviseRequest) string {

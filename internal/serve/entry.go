@@ -11,10 +11,10 @@ import (
 // The entry codec: how a response-cache value goes on the wire. One schema
 // serves the persisted cache snapshot (snapshot.go) and the outbox's POST
 // /v1/replicate batches, which carry write-throughs, ring-change handoffs
-// and drains alike — a batch is a snapshot holding its entries. snapshotOf
-// is the only place a value's Go type picks its wire form and entries the
-// only place the wire form is turned back; everything else in the package
-// calls them.
+// and drains alike — a batch is a snapshot holding its entries. The
+// response cache holds rankings only ([]advisor.Recommendation); snapshotOf
+// is the only place one is rendered and entries the only place the wire
+// form is turned back; everything else in the package calls them.
 
 // snapshotVersion guards the schema; bump on incompatible change.
 const snapshotVersion = 1
@@ -34,42 +34,33 @@ type adviseSnap struct {
 	Recs []recSnap `json:"recs"`
 }
 
-type predictSnap struct {
-	Key string  `json:"key"`
-	US  float64 `json:"us"`
-}
-
+// cacheSnapshot is the schema's document. Older builds also wrote a
+// "predict" array of single predictions; the decoder skips it as it does
+// any unknown field, so their snapshots and batches restore their rankings.
 type cacheSnapshot struct {
-	Version int           `json:"version"`
-	Advise  []adviseSnap  `json:"advise"`
-	Predict []predictSnap `json:"predict"`
+	Version int          `json:"version"`
+	Advise  []adviseSnap `json:"advise"`
 }
 
-// snapshotOf renders cache items in the schema, in the order given. A value
-// that is neither a ranking nor a prediction has no wire form and is left
-// out (the response cache holds nothing else).
+// snapshotOf renders cache items in the schema, in the order given.
 func snapshotOf(items ...CacheItem) cacheSnapshot {
 	snap := cacheSnapshot{Version: snapshotVersion}
 	for _, it := range items {
-		switch v := it.Val.(type) {
-		case []advisor.Recommendation:
-			as := adviseSnap{Key: it.Key, Recs: make([]recSnap, len(v))}
-			for i, r := range v {
-				as.Recs[i] = recSnap{
-					Kind: r.Kind.String(), Teams: r.Teams, Threads: r.Threads,
-					PredictedUS: r.PredictedUS, Source: r.Source,
-				}
+		recs := it.Val.([]advisor.Recommendation)
+		as := adviseSnap{Key: it.Key, Recs: make([]recSnap, len(recs))}
+		for i, r := range recs {
+			as.Recs[i] = recSnap{
+				Kind: r.Kind.String(), Teams: r.Teams, Threads: r.Threads,
+				PredictedUS: r.PredictedUS, Source: r.Source,
 			}
-			snap.Advise = append(snap.Advise, as)
-		case float64:
-			snap.Predict = append(snap.Predict, predictSnap{Key: it.Key, US: v})
 		}
+		snap.Advise = append(snap.Advise, as)
 	}
 	return snap
 }
 
 // entries turns a decoded snapshot back into cache items, oldest first —
-// snapshots list each kind most-recent first, so feeding the result to
+// snapshots list entries most-recent first, so feeding the result to
 // Cache.Add in order keeps the recency the LRU had. A ranking naming a
 // variant this build does not know (a snapshot from a future build) is
 // dropped rather than failing the rest.
@@ -77,7 +68,7 @@ func (snap cacheSnapshot) entries() ([]CacheItem, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("unsupported version %d", snap.Version)
 	}
-	items := make([]CacheItem, 0, len(snap.Advise)+len(snap.Predict))
+	items := make([]CacheItem, 0, len(snap.Advise))
 advise:
 	for i := len(snap.Advise) - 1; i >= 0; i-- {
 		as := snap.Advise[i]
@@ -93,9 +84,6 @@ advise:
 			}
 		}
 		items = append(items, CacheItem{Key: as.Key, Val: recs})
-	}
-	for i := len(snap.Predict) - 1; i >= 0; i-- {
-		items = append(items, CacheItem{Key: snap.Predict[i].Key, Val: snap.Predict[i].US})
 	}
 	return items, nil
 }

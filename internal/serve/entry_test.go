@@ -19,20 +19,20 @@ import (
 	"paragraph/internal/variants"
 )
 
-// randomEntries draws cache entries of both kinds: rankings of 0–47 points
-// over every variant kind, predictions across many magnitudes, and sources
-// carrying the characters JSON has to escape.
+// randomEntries draws cache entries: rankings of 0–47 points over every
+// variant kind — a third of them one-point — predictions across many
+// magnitudes, and sources carrying the characters JSON has to escape.
 func randomEntries(rng *rand.Rand, n int) []CacheItem {
 	kinds := variants.Kinds()
 	us := func() float64 { return math.Exp(rng.Float64()*40 - 15) }
 	items := make([]CacheItem, n)
 	for i := range items {
 		key := Key("entry", fmt.Sprint(rng.Int63()))
+		points := rng.Intn(48)
 		if rng.Intn(3) == 0 {
-			items[i] = CacheItem{Key: key, Val: us()}
-			continue
+			points = 1
 		}
-		recs := make([]advisor.Recommendation, rng.Intn(48))
+		recs := make([]advisor.Recommendation, points)
 		for j := range recs {
 			recs[j] = advisor.Recommendation{
 				Kind: kinds[rng.Intn(len(kinds))], Teams: rng.Intn(3) * 64,
@@ -58,8 +58,8 @@ func holds(t *testing.T, what string, s *Server, want []CacheItem) {
 	}
 }
 
-// TestEntryCodecRoundTrips sends random entries of both kinds down every
-// road an entry travels — snapshot → restore, a write-through through the
+// TestEntryCodecRoundTrips sends random entries down every road an entry
+// travels — snapshot → restore, a write-through through the
 // outbox's flusher → handleReplicate, and an outbox batch — and requires
 // the far side to hold values DeepEqual to what was sent.
 func TestEntryCodecRoundTrips(t *testing.T) {
@@ -110,8 +110,8 @@ func TestEntryCodecRoundTrips(t *testing.T) {
 // by the size of the body actually built, so every POST stays under
 // handoffBatchBytes (the receiver refuses bodies over maxReplicateBytes) and
 // every entry still arrives — and the cache being a mix, the rankings with
-// source at its head must not leave the predictions behind them going out
-// a handful per POST.
+// source at its head must not leave the one-point rankings behind them
+// going out a handful per POST.
 func TestDrainBatchesFitTheReceiver(t *testing.T) {
 	source := strings.Repeat("x", 2<<10)
 	items := make([]CacheItem, 40, 40+300)
@@ -123,7 +123,9 @@ func TestDrainBatchesFitTheReceiver(t *testing.T) {
 		items[i] = CacheItem{Key: Key("big", fmt.Sprint(i)), Val: recs}
 	}
 	for i := 0; i < 300; i++ {
-		items = append(items, CacheItem{Key: Key("small", fmt.Sprint(i)), Val: float64(i + 1)})
+		items = append(items, CacheItem{Key: Key("small", fmt.Sprint(i)), Val: []advisor.Recommendation{
+			{Kind: variants.CPU, Threads: 8, PredictedUS: float64(i + 1)},
+		}})
 	}
 
 	// The receiver, with the size of every replicate body it is sent.
@@ -147,11 +149,12 @@ func TestDrainBatchesFitTheReceiver(t *testing.T) {
 	if report.Errors != 0 || len(streamed) != len(items) {
 		t.Fatalf("drain report %+v, %d of %d keys streamed", report, len(streamed), len(items))
 	}
-	// ~2 MB of rankings cannot go in fewer than 2 bodies, and 300 predictions
-	// in fewer than 3 batches of handoffBatchLimit; sizing each batch from the
-	// one before it costs a batch or two at each change of entry size.
+	// ~2 MB of rankings cannot go in fewer than 2 bodies, and 300 one-point
+	// rankings in fewer than 3 batches of handoffBatchLimit; sizing each batch
+	// from the one before it costs a batch or two at each change of entry
+	// size.
 	if report.Batches < 2 || report.Batches > 8 {
-		t.Errorf("%d batches for ~2 MB of rankings followed by 300 predictions, want 2..8", report.Batches)
+		t.Errorf("%d batches for ~2 MB of rankings followed by 300 one-point rankings, want 2..8", report.Batches)
 	}
 	if got := largest.Load(); got == 0 || got > handoffBatchBytes {
 		t.Errorf("largest handoff body %d bytes, want within (0, %d]", got, handoffBatchBytes)
@@ -159,18 +162,20 @@ func TestDrainBatchesFitTheReceiver(t *testing.T) {
 	holds(t, "drain", recv, items)
 }
 
-// The wire format as the parent commit (PR 19) wrote it, captured from its
-// SnapshotCache and marshalReplicate: a rolling restart across the codec's
-// rewrite must keep its warmth in both directions, so these bytes restore
-// to goldenEntries and goldenEntries encode back to exactly these bytes.
+// The wire format as older builds wrote it, captured from their
+// SnapshotCache and replicate bodies, when the cache also held single
+// predictions under "predict": a rolling restart must keep its warmth in
+// both directions, so these bytes restore to goldenEntries' rankings — the
+// predictions skipped — and goldenEntries encode back to exactly these
+// bytes with the "predict" key gone, which an older decoder reads as none.
 const (
 	goldenSnapshot         = `{"version":1,"advise":[{"key":"golden-advise-1","recs":[{"kind":"gpu_collapse_mem","teams":64,"threads":128,"predicted_us":12.5,"source":"void f(int n) {\n\t#pragma omp \"x\"\n}\n"},{"kind":"cpu","threads":8,"predicted_us":0.001},{"kind":"gpu","teams":16,"threads":64,"predicted_us":123456.789}]},{"key":"golden-advise-2","recs":[]}],"predict":[{"key":"golden-predict-2","us":0.00007},{"key":"golden-predict-1","us":42.25}]}` + "\n"
 	goldenReplicateAdvise  = `{"version":1,"advise":[{"key":"golden-advise-1","recs":[{"kind":"gpu_collapse_mem","teams":64,"threads":128,"predicted_us":12.5,"source":"void f(int n) {\n\t#pragma omp \"x\"\n}\n"},{"kind":"cpu","threads":8,"predicted_us":0.001},{"kind":"gpu","teams":16,"threads":64,"predicted_us":123456.789}]}],"predict":null}`
 	goldenReplicatePredict = `{"version":1,"advise":null,"predict":[{"key":"golden-predict-1","us":42.25}]}`
 )
 
-// goldenEntries are the cache entries behind the golden bytes, in the order
-// the parent's test added them.
+// goldenEntries are the rankings behind the golden bytes, in the order the
+// test that captured them added them.
 var goldenEntries = []CacheItem{
 	{Key: "golden-advise-1", Val: []advisor.Recommendation{
 		{Kind: variants.GPUCollapseMem, Teams: 64, Threads: 128, PredictedUS: 12.5, Source: "void f(int n) {\n\t#pragma omp \"x\"\n}\n"},
@@ -178,8 +183,14 @@ var goldenEntries = []CacheItem{
 		{Kind: variants.GPU, Teams: 16, Threads: 64, PredictedUS: 123456.789},
 	}},
 	{Key: "golden-advise-2", Val: []advisor.Recommendation{}},
-	{Key: "golden-predict-1", Val: 42.25},
-	{Key: "golden-predict-2", Val: 7e-05},
+}
+
+// withoutPredict is golden as this build writes it: the same bytes with
+// the "predict" member cut.
+func withoutPredict(golden string) string {
+	i := strings.Index(golden, `,"predict":`)
+	j := strings.LastIndex(golden, "}")
+	return golden[:i] + golden[j:]
 }
 
 func TestEntryCodecGolden(t *testing.T) {
@@ -187,36 +198,48 @@ func TestEntryCodecGolden(t *testing.T) {
 		t.Fatalf("snapshotVersion = %d: the golden bytes are version 1", snapshotVersion)
 	}
 
-	// A parent-written snapshot restores, and snapshots back byte for byte.
+	// An older snapshot restores its rankings and skips its predictions,
+	// and snapshots back byte for byte but for the "predict" member.
 	s := newTestServer(t)
 	if n, err := s.RestoreCache(strings.NewReader(goldenSnapshot)); err != nil || n != len(goldenEntries) {
-		t.Fatalf("RestoreCache(golden) = %d, %v, want %d entries", n, err, len(goldenEntries))
+		t.Fatalf("RestoreCache(golden) = %d, %v, want its %d rankings", n, err, len(goldenEntries))
 	}
 	holds(t, "golden snapshot", s, goldenEntries)
+	if n := s.adviseCache.Len(); n != len(goldenEntries) {
+		t.Errorf("%d entries cached from the golden snapshot, want its %d rankings", n, len(goldenEntries))
+	}
 	var buf bytes.Buffer
 	if err := s.SnapshotCache(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != goldenSnapshot {
-		t.Errorf("re-encoded snapshot differs from the parent's bytes:\n got %s\nwant %s", buf.String(), goldenSnapshot)
+	if want := withoutPredict(goldenSnapshot); buf.String() != want {
+		t.Errorf("re-encoded snapshot differs from the older bytes:\n got %s\nwant %s", buf.String(), want)
 	}
 
-	// So do the parent's single-entry bodies, as /v1/replicate writes.
+	// So do an older peer's single-entry bodies, as /v1/replicate takes
+	// them: 200, accepting the rankings a batch carries and no prediction.
 	peers := startClusterRF(t, 2, 2)
 	for _, c := range []struct {
 		golden string
-		want   CacheItem
+		want   []CacheItem
 	}{
-		{goldenReplicateAdvise, goldenEntries[0]},
-		{goldenReplicatePredict, goldenEntries[2]},
+		{goldenReplicateAdvise, goldenEntries[:1]},
+		{goldenReplicatePredict, nil},
 	} {
-		if body, err := encodeEntries(c.want); err != nil || string(body) != c.golden {
-			t.Errorf("re-encoded entry differs from the parent's bytes:\n got %s (%v)\nwant %s", body, err, c.golden)
+		var ack struct {
+			Accepted int `json:"accepted"`
 		}
-		if rec := doRaw(t, peers[0].srv, http.MethodPost, "/v1/replicate", []byte(c.golden), peers[1].http.URL); rec.Code != http.StatusOK {
-			t.Errorf("golden replicate body for %s refused: %d %s", c.want.Key, rec.Code, rec.Body.String())
+		rec := doRaw(t, peers[0].srv, http.MethodPost, "/v1/replicate", []byte(c.golden), peers[1].http.URL)
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusOK || err != nil || ack.Accepted != len(c.want) {
+			t.Errorf("golden replicate body %s: %d %s, want 200 accepting %d", c.golden, rec.Code, rec.Body.String(), len(c.want))
 		}
-		holds(t, "golden replicate", peers[0].srv, []CacheItem{c.want})
+		holds(t, "golden replicate", peers[0].srv, c.want)
+	}
+	if body, err := encodeEntries(goldenEntries[0]); err != nil || string(body) != withoutPredict(goldenReplicateAdvise) {
+		t.Errorf("re-encoded entry differs from the older bytes:\n got %s (%v)\nwant %s", body, err, withoutPredict(goldenReplicateAdvise))
+	}
+	if n := peers[0].srv.adviseCache.Len(); n != 1 {
+		t.Errorf("%d entries cached from the golden replicate bodies, want the one ranking", n)
 	}
 }
 
@@ -233,7 +256,8 @@ func decodeSnapshot(body []byte) ([]CacheItem, error) {
 // FuzzDecodeEntries feeds arbitrary bytes to the entry codec's decoder — a
 // snapshot body, what -cache-file and /v1/replicate restore. It may not
 // panic, and every item it accepts must encode alone and decode back to
-// the same key and value, with the encoding a fixed point.
+// the same key and value, with the encoding a fixed point. The seeds are
+// older builds' bodies, "predict" arrays included.
 func FuzzDecodeEntries(f *testing.F) {
 	for _, seed := range []string{goldenSnapshot, goldenReplicateAdvise, goldenReplicatePredict} {
 		f.Add([]byte(seed))
@@ -269,10 +293,10 @@ func TestEntryCodecRejectsHostileBodies(t *testing.T) {
 		status int
 	}{
 		"garbage":            {`{not json`, http.StatusBadRequest},
-		"unknown variant":    {`{"version":1,"advise":[{"key":"k","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]}],"predict":null}`, http.StatusOK},
-		"future version":     {`{"version":2,"advise":null,"predict":[{"key":"k","us":1}]}`, http.StatusBadRequest},
-		"no version":         {`{"predict":[{"key":"k","us":1}]}`, http.StatusBadRequest},
-		"non-finite literal": {`{"version":1,"advise":null,"predict":[{"key":"k","us":NaN}]}`, http.StatusBadRequest},
+		"unknown variant":    {`{"version":1,"advise":[{"key":"k","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]}]}`, http.StatusOK},
+		"future version":     {`{"version":2,"advise":[{"key":"k","recs":[{"kind":"cpu","threads":8,"predicted_us":1}]}]}`, http.StatusBadRequest},
+		"no version":         {`{"advise":[{"key":"k","recs":[{"kind":"cpu","threads":8,"predicted_us":1}]}]}`, http.StatusBadRequest},
+		"non-finite literal": {`{"version":1,"advise":[{"key":"k","recs":[{"kind":"cpu","threads":8,"predicted_us":NaN}]}]}`, http.StatusBadRequest},
 	} {
 		if rec := doRaw(t, p.srv, http.MethodPost, "/v1/replicate", []byte(c.body), member); rec.Code != c.status {
 			t.Errorf("%s: /v1/replicate answered %d, want %d", name, rec.Code, c.status)

@@ -13,58 +13,32 @@ import (
 	"time"
 
 	"paragraph/internal/advisor"
-	"paragraph/internal/apps"
 	"paragraph/internal/gnn"
-	"paragraph/internal/hw"
-	"paragraph/internal/variants"
 )
 
-// keyedKind is one of the two endpoints that answer through serveKeyed, as
-// the scenarios below drive it. Requests are distinguished by one binding,
-// n, so every n is its own cache key.
+// keyedKind is one of the two shapes of advise the scenarios below drive
+// through serveKeyed: a grid, and one point of each variant kind — how a
+// client asks for one variant's predicted runtime. Requests are
+// distinguished by one binding, n, so every n is its own cache key.
 type keyedKind struct {
-	name    string
-	path    string
-	request func(n float64) any
-	key     func(t *testing.T, n float64) string
-	typed   func(any) bool
-	other   any // a value of the other kind: what a confused peer might write
+	name  string
+	space *SpaceSpec // nil: bindN's grid
 }
 
-func predictN(n float64) PredictRequest {
-	return PredictRequest{
-		Kernel: "matmul", Machine: hw.V100().Name, Variant: "gpu_collapse",
-		Teams: 64, Threads: 128, Bindings: map[string]float64{"n": n},
+func (k keyedKind) request(n float64) AdviseRequest {
+	req := bindN(n)
+	if k.space != nil {
+		req.Space = k.space
 	}
+	return req
 }
 
-// predictKeyFor replicates handlePredict's cache-key derivation, as
-// adviseKeyFor does for handleAdvise.
-func predictKeyFor(t *testing.T, req PredictRequest) string {
-	t.Helper()
-	k, ok := apps.ByName(req.Kernel)
-	if !ok {
-		t.Fatalf("unknown kernel %q", req.Kernel)
-	}
-	return Key("predict", req.Machine, "default", kernelKey(k), req.Variant,
-		fmt.Sprintf("g%d_t%d", req.Teams, req.Threads), advisor.BindingsKey(req.Bindings))
-}
+func (k keyedKind) key(t *testing.T, n float64) string { return adviseKeyFor(t, k.request(n)) }
 
-var keyedKinds = []keyedKind{{
-	name:    "advise",
-	path:    "/v1/advise",
-	request: func(n float64) any { return bindN(n) },
-	key:     func(t *testing.T, n float64) string { return adviseKeyFor(t, bindN(n)) },
-	typed:   isA[[]advisor.Recommendation],
-	other:   42.0,
-}, {
-	name:    "predict",
-	path:    "/v1/predict",
-	request: func(n float64) any { return predictN(n) },
-	key:     func(t *testing.T, n float64) string { return predictKeyFor(t, predictN(n)) },
-	typed:   isA[float64],
-	other:   []advisor.Recommendation{{Kind: variants.GPU, Teams: 64, Threads: 128, PredictedUS: 42}},
-}}
+var keyedKinds = []keyedKind{
+	{name: "advise"},
+	{name: "predict", space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}}}, // one variant's runtime
+}
 
 // ownedN finds an n at or above from whose key's primary owner on s's ring
 // is owner.
@@ -157,10 +131,10 @@ func (nanModel) PredictBatch(ss []*gnn.Sample) []float64 {
 	return out
 }
 
-// TestKeyedPath runs every way a request can leave serveKeyed over both
-// endpoints that enter it, and holds the two to the same outcome: status,
-// cached and served_by, and the same counter deltas — in particular a hit
-// counts as a cache hit for a predict as it always did for an advise. (A wrong-typed entry is TestWrongTypedCacheEntryIsAMiss,
+// TestKeyedPath runs every way a request can leave serveKeyed over a grid
+// and a one-point advise, and holds the two to the same outcome: status,
+// cached and served_by, and the same counter deltas. (An old peer's
+// prediction under a ranking's key is TestWrongTypedCacheEntryIsAMiss,
 // over the same kinds.)
 func TestKeyedPath(t *testing.T) {
 	scenarios := []struct {
@@ -172,7 +146,7 @@ func TestKeyedPath(t *testing.T) {
 		run: func(t *testing.T, k keyedKind) keyedOutcome {
 			s := newTestServer(t)
 			return observe(t, s, func() *httptest.ResponseRecorder {
-				return do(t, s, http.MethodPost, k.path, k.request(300), nil)
+				return do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil)
 			})
 		},
 		want: keyedOutcome{status: 200, admitted: 1, entries: 1},
@@ -180,9 +154,9 @@ func TestKeyedPath(t *testing.T) {
 		name: "hit",
 		run: func(t *testing.T, k keyedKind) keyedOutcome {
 			s := newTestServer(t)
-			do(t, s, http.MethodPost, k.path, k.request(300), nil)
+			do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil)
 			return observe(t, s, func() *httptest.ResponseRecorder {
-				return do(t, s, http.MethodPost, k.path, k.request(300), nil)
+				return do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil)
 			})
 		},
 		want: keyedOutcome{status: 200, cached: true, hits: 1},
@@ -199,7 +173,7 @@ func TestKeyedPath(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if rec := do(t, s, http.MethodPost, k.path, k.request(300), nil); rec.Code != http.StatusOK {
+					if rec := do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil); rec.Code != http.StatusOK {
 						t.Errorf("leader: %d %s", rec.Code, rec.Body.String())
 					}
 				}()
@@ -208,7 +182,7 @@ func TestKeyedPath(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					waiter = do(t, s, http.MethodPost, k.path, k.request(300), nil)
+					waiter = do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil)
 				}()
 				waitCond(t, 5*time.Second, "the waiter to join the flight", func() bool { return s.flights.waiting() == 1 })
 				close(gm.release)
@@ -223,9 +197,9 @@ func TestKeyedPath(t *testing.T) {
 		name: "shed on a deadline",
 		run: func(t *testing.T, k keyedKind) keyedOutcome {
 			s := newOverloadServer(t, slowModel{delay: 30 * time.Millisecond}, Options{})
-			do(t, s, http.MethodPost, k.path, k.request(300), nil)
+			do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil)
 			return observe(t, s, func() *httptest.ResponseRecorder {
-				rec := doH(t, s, http.MethodPost, k.path, k.request(301),
+				rec := doH(t, s, http.MethodPost, "/v1/advise", k.request(301),
 					map[string]string{"X-Paragraph-Deadline": "5ms"})
 				checkRetryAfter(t, rec)
 				return rec
@@ -239,7 +213,7 @@ func TestKeyedPath(t *testing.T) {
 			a, b := peers[0], peers[1]
 			n := k.ownedN(t, a.srv, b.http.URL, 300)
 			out := observe(t, a.srv, func() *httptest.ResponseRecorder {
-				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
+				return do(t, a.srv, http.MethodPost, "/v1/advise", k.request(n), nil)
 			})
 			if got := b.srv.Ring().ForwardedIn; got != 1 {
 				t.Errorf("owner's forwarded_in = %d, want 1", got)
@@ -255,7 +229,7 @@ func TestKeyedPath(t *testing.T) {
 			n := k.ownedN(t, a.srv, b.http.URL, 300)
 			b.http.Close()
 			return observe(t, a.srv, func() *httptest.ResponseRecorder {
-				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
+				return do(t, a.srv, http.MethodPost, "/v1/advise", k.request(n), nil)
 			})
 		},
 		want: keyedOutcome{status: 200, servedBy: "self", admitted: 1, entries: 1, fallbacks: 1},
@@ -266,8 +240,8 @@ func TestKeyedPath(t *testing.T) {
 		run: func(t *testing.T, k keyedKind) keyedOutcome {
 			s := newOverloadServer(t, nanModel{}, Options{})
 			return observe(t, s, func() *httptest.ResponseRecorder {
-				do(t, s, http.MethodPost, k.path, k.request(300), nil)
-				rec := do(t, s, http.MethodPost, k.path, k.request(300), nil)
+				do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil)
+				rec := do(t, s, http.MethodPost, "/v1/advise", k.request(300), nil)
 				if !strings.Contains(rec.Body.String(), "non-finite") {
 					t.Errorf("answer does not name the cause: %s", rec.Body.String())
 				}
@@ -288,12 +262,11 @@ func TestKeyedPath(t *testing.T) {
 	}
 }
 
-// TestWrongTypedCacheEntryIsAMiss: a cache entry whose value type does not
-// match its key's endpoint — reachable via a confused or hostile
-// /v1/replicate write, since keys are opaque hashes the handler cannot
-// type-check — must be recomputed and overwritten, never panic the
-// handler or be served. Both endpoints, each poisoned with the other's
-// type.
+// TestWrongTypedCacheEntryIsAMiss: a single prediction filed under a
+// ranking's key — what an older peer's /v1/replicate batch may carry in its
+// "predict" array, keys being opaque hashes — never reaches the cache: the
+// batch is taken (200, its rankings counted), the prediction skipped, and
+// the request is a miss to evaluate, never a float to serve.
 func TestWrongTypedCacheEntryIsAMiss(t *testing.T) {
 	for _, k := range keyedKinds {
 		k := k
@@ -302,23 +275,22 @@ func TestWrongTypedCacheEntryIsAMiss(t *testing.T) {
 			a, b := peers[0], peers[1]
 			n := k.ownedN(t, a.srv, a.http.URL, 50000)
 			key := k.key(t, n)
-			body, err := encodeEntries(CacheItem{Key: key, Val: k.other})
-			if err != nil {
-				t.Fatal(err)
+			body := fmt.Sprintf(`{"version":1,"advise":null,"predict":[{"key":%q,"us":42}]}`, key)
+			var ack struct {
+				Accepted int `json:"accepted"`
 			}
-			if rec := doRaw(t, a.srv, http.MethodPost, "/v1/replicate", body, b.http.URL); rec.Code != http.StatusOK {
-				t.Fatalf("poisoning write: %d", rec.Code)
+			rec := doRaw(t, a.srv, http.MethodPost, "/v1/replicate", []byte(body), b.http.URL)
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusOK || err != nil || ack.Accepted != 0 {
+				t.Fatalf("old peer's write: %d %s, want 200 accepting no entries", rec.Code, rec.Body.String())
 			}
 			got := observe(t, a.srv, func() *httptest.ResponseRecorder {
-				return do(t, a.srv, http.MethodPost, k.path, k.request(n), nil)
+				return do(t, a.srv, http.MethodPost, "/v1/advise", k.request(n), nil)
 			})
-			// The entry count does not move: the poisoned entry is
-			// overwritten in place.
-			if want := (keyedOutcome{status: 200, servedBy: "self", admitted: 1}); got != want {
+			if want := (keyedOutcome{status: 200, servedBy: "self", admitted: 1, entries: 1}); got != want {
 				t.Errorf("outcome %+v, want %+v", got, want)
 			}
-			if v, ok := a.srv.adviseCache.Peek(key); !ok || !k.typed(v) {
-				t.Errorf("poisoned entry not overwritten: %T (present %v)", v, ok)
+			if v, ok := a.srv.adviseCache.Peek(key); !ok || len(v.([]advisor.Recommendation)) == 0 {
+				t.Errorf("entry after the miss: %v (present %v), want the evaluated ranking", v, ok)
 			}
 		})
 	}

@@ -39,10 +39,10 @@ import (
 const maxFeedbackBody = 1 << 16
 
 // FeedbackRequest reports one measured runtime for a previously served
-// request, identified by the content-addressed Key the advise/predict
-// response carried. Variant/Teams/Threads select the measured point of an
-// advise grid; they may be omitted when the key identifies a single
-// prediction (or to disambiguate, partially).
+// request, identified by the content-addressed Key the advise response
+// carried. Variant/Teams/Threads select the measured point of its grid;
+// any of them may be omitted as long as the rest match exactly one served
+// point (on a one-point space, Variant alone does).
 type FeedbackRequest struct {
 	Key        string  `json:"key"`
 	Variant    string  `json:"variant,omitempty"`
@@ -298,17 +298,6 @@ func (lc *lifecycle) noteAdvise(key, machine, model string, k apps.Kernel, bindi
 	})
 }
 
-// notePredict journals one served prediction.
-func (lc *lifecycle) notePredict(key, machine, model string, k apps.Kernel, req PredictRequest, us float64) {
-	lc.journal.Add(key, &journalEntry{
-		machine:  machine,
-		model:    model,
-		kernel:   k,
-		bindings: req.Bindings,
-		points:   map[journalPoint]float64{{req.Variant, req.Teams, req.Threads}: us},
-	})
-}
-
 // handleFeedback serves POST /v1/feedback. In cluster mode a submission for
 // a key owned by a peer is forwarded there like any keyed write — the owner
 // served (and journaled) the original request.
@@ -338,6 +327,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel, err := requestContext(r)
 	if err != nil {
+		lc.reject("invalid")
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}

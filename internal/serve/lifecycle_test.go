@@ -98,25 +98,48 @@ func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
 	}
 }
 
-func lcPredictReq(n float64) PredictRequest {
-	return PredictRequest{
-		Kernel: "matmul", Machine: hw.V100().Name,
-		Variant: "gpu", Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": n},
-	}
+// lcPointReq is pointReq at binding n — matmul on the V100 at 64 teams ×
+// 128 threads. The lifecycle tests measure its gpu row.
+func lcPointReq(n float64) AdviseRequest {
+	req := pointReq()
+	req.Bindings = map[string]float64{"n": n}
+	return req
 }
 
-func lcPredict(t *testing.T, s *Server, n float64) PredictResponse {
-	t.Helper()
-	var pr PredictResponse
-	if rec := do(t, s, http.MethodPost, "/v1/predict", lcPredictReq(n), &pr); rec.Code != http.StatusOK {
-		t.Fatalf("predict(n=%g): %d %s", n, rec.Code, rec.Body.String())
-	}
-	if len(pr.Key) != 64 {
-		t.Fatalf("predict response key = %q, want 64-char hash", pr.Key)
-	}
-	return pr
+// lcServed is one served point: the answer's key, model and peer, and the
+// gpu row's predicted runtime.
+type lcServed struct {
+	Key, Model, ServedBy string
+	PredictedUS          float64
 }
+
+// measured is the feedback reporting us for the served gpu point.
+func (p lcServed) measured(us float64) FeedbackRequest {
+	return FeedbackRequest{Key: p.Key, Variant: "gpu", MeasuredUS: us}
+}
+
+// lcServe posts req, failing the test on anything but a 200 carrying a key
+// and a gpu row at 64 × 128.
+func lcServe(t *testing.T, s *Server, req AdviseRequest) lcServed {
+	t.Helper()
+	var ar AdviseResponse
+	if rec := do(t, s, http.MethodPost, "/v1/advise", req, &ar); rec.Code != http.StatusOK {
+		t.Fatalf("advise(n=%g): %d %s", req.Bindings["n"], rec.Code, rec.Body.String())
+	}
+	if len(ar.Key) != 64 {
+		t.Fatalf("advise response key = %q, want 64-char hash", ar.Key)
+	}
+	for _, r := range ar.Recommendations {
+		if r.Variant == "gpu" && r.Teams == 64 && r.Threads == 128 {
+			return lcServed{Key: ar.Key, Model: ar.Model, ServedBy: ar.ServedBy, PredictedUS: r.PredictedUS}
+		}
+	}
+	t.Fatalf("advise(n=%g) has no gpu row: %+v", req.Bindings["n"], ar.Recommendations)
+	return lcServed{}
+}
+
+// lcPoint serves lcPointReq(n).
+func lcPoint(t *testing.T, s *Server, n float64) lcServed { return lcServe(t, s, lcPointReq(n)) }
 
 func postFeedback(t *testing.T, s *Server, freq FeedbackRequest) (FeedbackResponse, *httptest.ResponseRecorder) {
 	t.Helper()
@@ -155,15 +178,22 @@ func lcModels(t *testing.T, s *Server) map[string]ModelDesc {
 	return out
 }
 
+// TestFeedbackPredictRoundTrip: a measurement of one variant served by a
+// one-point advise comes back judged against that variant's predicted_us.
+// The V100 key holds one point of each of four GPU kinds, so feedback must
+// name the variant: without it the point is ambiguous (422).
 func TestFeedbackPredictRoundTrip(t *testing.T) {
 	s, dir := newFeedbackServer(t)
 
-	var preds []PredictResponse
+	var preds []lcServed
 	for _, n := range []float64{256, 300, 400} {
-		preds = append(preds, lcPredict(t, s, n))
+		preds = append(preds, lcPoint(t, s, n))
 	}
 	for i, pr := range preds {
-		resp, rec := postFeedback(t, s, FeedbackRequest{Key: pr.Key, MeasuredUS: pr.PredictedUS * 1.05})
+		if _, rec := postFeedback(t, s, FeedbackRequest{Key: pr.Key, MeasuredUS: pr.PredictedUS * 1.05}); rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("feedback %d without a variant: %d %s, want 422 (four kinds match)", i, rec.Code, rec.Body.String())
+		}
+		resp, rec := postFeedback(t, s, pr.measured(pr.PredictedUS*1.05))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body.String())
 		}
@@ -182,14 +212,14 @@ func TestFeedbackPredictRoundTrip(t *testing.T) {
 
 	// The loop's view: /v1/stats counts and windows the measurements.
 	st := lcStats(t, s)
-	if st.Requests.Feedback != 3 {
-		t.Errorf("feedback requests = %d, want 3", st.Requests.Feedback)
+	if st.Requests.Feedback != 6 {
+		t.Errorf("feedback requests = %d, want 6", st.Requests.Feedback)
 	}
 	if st.Lifecycle == nil {
 		t.Fatal("stats carry no lifecycle section")
 	}
-	if st.Lifecycle.FeedbackAccepted != 3 || st.Lifecycle.FeedbackRejected != 0 {
-		t.Errorf("accepted/rejected = %d/%d, want 3/0",
+	if st.Lifecycle.FeedbackAccepted != 3 || st.Lifecycle.FeedbackRejected != 3 {
+		t.Errorf("accepted/rejected = %d/%d, want 3/3",
 			st.Lifecycle.FeedbackAccepted, st.Lifecycle.FeedbackRejected)
 	}
 	if len(st.Lifecycle.Rollouts) != 1 || st.Lifecycle.Rollouts[0].Platform != hw.V100().Name {
@@ -233,6 +263,7 @@ func TestFeedbackPredictRoundTrip(t *testing.T) {
 	out := scrapeMetrics(t, s)
 	for _, want := range []string{
 		`serve_feedback_total{outcome="accepted"} 3`,
+		`serve_feedback_total{outcome="mismatch"} 3`,
 		`serve_feedback_total{outcome="invalid"} 0`,
 		`serve_rollout_stage{platform="NVIDIA V100 (GPU)"} 0`,
 		`serve_model_feedback_pairs{platform="NVIDIA V100 (GPU)",model="default"} 3`,
@@ -263,15 +294,15 @@ func TestFeedbackForwardsToKeyOwner(t *testing.T) {
 	}
 	a, b := peers[0], peers[1]
 
-	// A prediction asked of A whose key B owns: B evaluates and journals it.
-	var pr PredictResponse
+	// A point asked of A whose key B owns: B evaluates and journals it.
+	var pr lcServed
 	for n := 256.0; pr.ServedBy != urls[1]; n++ {
 		if n > 512 {
 			t.Fatal("no key owned by the other peer in 256 candidates")
 		}
-		pr = lcPredict(t, a, n)
+		pr = lcPoint(t, a, n)
 	}
-	rec := postFeedbackRaw(t, a, fmt.Sprintf(`{"key": %q, "measured_us": %g}`, pr.Key, pr.PredictedUS*1.05))
+	rec := postFeedbackRaw(t, a, fmt.Sprintf(`{"key": %q, "variant": "gpu", "measured_us": %g}`, pr.Key, pr.PredictedUS*1.05))
 	var resp FeedbackResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
 		t.Fatalf("feedback via the non-owner: %d %s (%v)", rec.Code, rec.Body.String(), err)
@@ -313,6 +344,11 @@ func TestFeedbackValidation(t *testing.T) {
 			t.Errorf("%s: %d, want 400", tc.name, rec.Code)
 		}
 	}
+	// A malformed deadline header is as invalid as a malformed body.
+	if rec := doH(t, s, http.MethodPost, "/v1/feedback", FeedbackRequest{Key: goodKey, MeasuredUS: 1},
+		map[string]string{"X-Paragraph-Deadline": "soon"}); rec.Code != http.StatusBadRequest {
+		t.Errorf("malformed deadline header: %d, want 400", rec.Code)
+	}
 
 	// Well-formed but never served: rejected against the journal.
 	if _, rec := postFeedback(t, s, FeedbackRequest{Key: goodKey, MeasuredUS: 10}); rec.Code != http.StatusNotFound {
@@ -346,14 +382,14 @@ func TestFeedbackValidation(t *testing.T) {
 	}
 
 	st := lcStats(t, s)
-	if st.Lifecycle.FeedbackAccepted != 1 || st.Lifecycle.FeedbackRejected != 13 {
-		t.Errorf("accepted/rejected = %d/%d, want 1/13",
+	if st.Lifecycle.FeedbackAccepted != 1 || st.Lifecycle.FeedbackRejected != 14 {
+		t.Errorf("accepted/rejected = %d/%d, want 1/14",
 			st.Lifecycle.FeedbackAccepted, st.Lifecycle.FeedbackRejected)
 	}
 	out := scrapeMetrics(t, s)
 	for _, want := range []string{
 		`serve_feedback_total{outcome="accepted"} 1`,
-		`serve_feedback_total{outcome="invalid"} 9`,
+		`serve_feedback_total{outcome="invalid"} 10`,
 		`serve_feedback_total{outcome="unknown_key"} 1`,
 		`serve_feedback_total{outcome="mismatch"} 3`,
 		`serve_feedback_total{outcome="error"} 0`,
@@ -405,11 +441,11 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 	// Phase 1: enough measured traffic to trigger a retrain. Measurements
 	// match predictions exactly, so the stable's rank correlation is 1.
 	for i := 0; i < retrainAfter; i++ {
-		pr := lcPredict(t, s, float64(100+25*i))
+		pr := lcPoint(t, s, float64(100+25*i))
 		if pr.Model != "v1" {
-			t.Fatalf("pre-candidate predict served by %q, want v1", pr.Model)
+			t.Fatalf("pre-candidate advise served by %q, want v1", pr.Model)
 		}
-		if _, rec := postFeedback(t, s, FeedbackRequest{Key: pr.Key, MeasuredUS: pr.PredictedUS}); rec.Code != http.StatusOK {
+		if _, rec := postFeedback(t, s, pr.measured(pr.PredictedUS)); rec.Code != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body.String())
 		}
 	}
@@ -462,11 +498,11 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 	// predicts its own measurements perfectly → non-inferior → promote.
 	candServed, promoted := 0, false
 	for i := 0; i < 400 && !promoted; i++ {
-		pr := lcPredict(t, s, float64(5000+i))
+		pr := lcPoint(t, s, float64(5000+i))
 		if pr.Model == cand {
 			candServed++
 		}
-		if _, rec := postFeedback(t, s, FeedbackRequest{Key: pr.Key, MeasuredUS: pr.PredictedUS}); rec.Code != http.StatusOK {
+		if _, rec := postFeedback(t, s, pr.measured(pr.PredictedUS)); rec.Code != http.StatusOK {
 			t.Fatalf("phase-2 feedback %d: %d %s", i, rec.Code, rec.Body.String())
 		}
 		promoted = s.lifecycle.promotions.Value() > 0
@@ -506,8 +542,8 @@ func TestLifecyclePromoteE2E(t *testing.T) {
 			t.Errorf("checkpoint %s within retention: %v", kept, err)
 		}
 	}
-	if pr := lcPredict(t, s, 99999); pr.Model != cand {
-		t.Errorf("post-promote default predict served by %q, want %q", pr.Model, cand)
+	if pr := lcPoint(t, s, 99999); pr.Model != cand {
+		t.Errorf("post-promote default advise served by %q, want %q", pr.Model, cand)
 	}
 
 	// The transition is durable: a restart would resume from the promoted
@@ -561,19 +597,24 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 	served := map[string]int{}
 	rolledAt := -1
 	for i := 0; i < 200; i++ {
-		pr := lcPredict(t, s, float64(4000+i)) // lcPredict fails the test on any non-200
+		pr := lcPoint(t, s, float64(4000+i)) // lcPoint fails the test on any non-200
 		served[pr.Model]++
-		if rolledAt >= 0 && pr.Model != "v1" {
-			t.Errorf("request %d served by %q after rollback, want v1", i, pr.Model)
+		if rolledAt >= 0 {
+			// Only routing is checked from here: measuring on would reach
+			// retrainAfter and adopt a fresh candidate behind the checks below.
+			if pr.Model != "v1" {
+				t.Errorf("request %d served by %q after rollback, want v1", i, pr.Model)
+			}
+			continue
 		}
 		meas := pr.PredictedUS
 		if pr.Model == "v2" {
 			meas = 1e9 / pr.PredictedUS // inverts the ranking: corr → -1
 		}
-		if _, rec := postFeedback(t, s, FeedbackRequest{Key: pr.Key, MeasuredUS: meas}); rec.Code != http.StatusOK {
+		if _, rec := postFeedback(t, s, pr.measured(meas)); rec.Code != http.StatusOK {
 			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body.String())
 		}
-		if rolledAt < 0 && s.lifecycle.rollbacks.Value() > 0 {
+		if s.lifecycle.rollbacks.Value() > 0 {
 			rolledAt = i
 		}
 	}
@@ -604,11 +645,10 @@ func TestLifecycleRollbackE2E(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, hw.Slug(hw.V100().Name), "v2")); err != nil {
 		t.Errorf("rolled-back checkpoint missing: %v", err)
 	}
-	var pinned PredictResponse
-	req := lcPredictReq(4000)
+	req := lcPointReq(4000)
 	req.Model = "v2"
-	if rec := do(t, s, http.MethodPost, "/v1/predict", req, &pinned); rec.Code != http.StatusOK || pinned.Model != "v2" {
-		t.Errorf("pinned postmortem predict = %d model %q", rec.Code, pinned.Model)
+	if pinned := lcServe(t, s, req); pinned.Model != "v2" {
+		t.Errorf("pinned postmortem advise served by %q", pinned.Model)
 	}
 
 	rs, err := registry.LoadRollout(root, hw.V100().Name)
@@ -655,7 +695,7 @@ func TestLifecycleRoutingDeterminism(t *testing.T) {
 		t.Helper()
 		got := map[int]string{}
 		for i := 0; i < 40; i++ {
-			got[i] = lcPredict(t, s, float64(3000+i)).Model
+			got[i] = lcPoint(t, s, float64(3000+i)).Model
 		}
 		return got
 	}
@@ -695,11 +735,10 @@ func TestLifecycleRoutingDeterminism(t *testing.T) {
 
 	// Pinning overrides the split both ways.
 	for _, want := range []string{"v1", "v2"} {
-		req := lcPredictReq(3000)
+		req := lcPointReq(3000)
 		req.Model = want
-		var pr PredictResponse
-		if rec := do(t, sB, http.MethodPost, "/v1/predict", req, &pr); rec.Code != http.StatusOK || pr.Model != want {
-			t.Errorf("pinned %s predict = %d model %q", want, rec.Code, pr.Model)
+		if pr := lcServe(t, sB, req); pr.Model != want {
+			t.Errorf("pinned %s advise served by %q", want, pr.Model)
 		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"paragraph/internal/advisor"
 	"paragraph/internal/shard"
+	"paragraph/internal/variants"
 )
 
 // elasticHeartbeat is the gossip interval for the elastic-membership tests:
@@ -466,7 +468,7 @@ func TestClusterOutboxRetriesAndDrops(t *testing.T) {
 
 	// A write-through the replica does not take stays pending until it
 	// does: a dropped connection, then a 503, then a delivery.
-	owed := CacheItem{Key: Key("owed"), Val: 7.5}
+	owed := CacheItem{Key: Key("owed"), Val: []advisor.Recommendation{{Kind: variants.CPU, Threads: 8, PredictedUS: 7.5}}}
 	s.adviseCache.Add(owed.Key, owed.Val)
 	s.replicate(owed.Key, []string{sender.url, hs.URL}, true)
 	for _, m := range []int32{abort, unavailable} {
@@ -494,7 +496,7 @@ func TestClusterOutboxRetriesAndDrops(t *testing.T) {
 	}
 
 	// So is one whose target has left the ring.
-	gone := CacheItem{Key: Key("target gone"), Val: 9.5}
+	gone := CacheItem{Key: Key("target gone"), Val: []advisor.Recommendation{{Kind: variants.CPU, Threads: 8, PredictedUS: 9.5}}}
 	s.adviseCache.Add(gone.Key, gone.Val)
 	c.out.add(hs.URL, gone.Key)
 	c.mem.Leave(hs.URL)

@@ -15,7 +15,7 @@ import (
 // metrics and trace exist only in the exposition (adding them to the
 // stats JSON would break its byte-compatibility contract).
 var serveEndpoints = []string{
-	"advise", "predict", "feedback", "healthz", "stats", "models", "ring",
+	"advise", "feedback", "healthz", "stats", "models", "ring",
 	"replicate", "cluster", "metrics", "trace",
 }
 
@@ -86,7 +86,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 		}
 	}
 	m.adviseHits = m.reg.Counter("serve_advise_cache_hits_total",
-		"Advise/predict responses answered from the response cache.", nil)
+		"Advise responses answered from the response cache.", nil)
 	m.coalesced = m.reg.Counter("serve_coalesced_total",
 		"Responses that shared an identical concurrent request's evaluation (singleflight).", nil)
 
@@ -179,13 +179,8 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 	m.reg.RegisterHistogram("serve_advise_eval_seconds",
 		"Whole cold advise evaluations (front end, one model call, rank); the median is admission's advise cost. By model.",
 		labels, ms.adviseEval)
-	m.reg.RegisterHistogram("serve_predict_eval_seconds",
-		"Whole cold /v1/predict evaluations (generate, front end, a model call of one); the median is admission's predict cost. By model.",
-		labels, ms.predictEval)
 	m.reg.RegisterCounter("serve_model_advise_total",
 		"Advise responses computed or served, by model.", labels, ms.advise)
-	m.reg.RegisterCounter("serve_model_predict_total",
-		"Predict responses computed or served, by model.", labels, ms.predict)
 }
 
 // registerLifecycle adds the feedback→retrain→rollout series, creating lc's

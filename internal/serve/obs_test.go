@@ -153,11 +153,7 @@ func TestTraceCapturesRequestSpans(t *testing.T) {
 func TestTraceListingAndErrors(t *testing.T) {
 	s := newTestServer(t)
 	doTraced(t, s, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), "list-a")
-	doTraced(t, s, "/v1/predict", PredictRequest{
-		Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
-		Variant: "gpu_collapse", Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": 256},
-	}, "list-b")
+	doTraced(t, s, "/v1/advise", pointReq(), "list-b")
 
 	var list TraceListResponse
 	do(t, s, http.MethodGet, "/v1/trace", nil, &list)
@@ -418,7 +414,6 @@ func TestServingCountsAgree(t *testing.T) {
 		{`serve_cache_misses_total{cache="advise"}`, st.AdviseCache.Misses, 2},
 		{"serve_admit_admitted_total", st.Admit.Admitted, 2},
 		{"serve_model_advise_total" + model, v100.Advise, 3},
-		{"serve_model_predict_total" + model, v100.Predict, 0},
 		{"serve_batcher_batches_total" + model, v100.Batcher.Batches, 2},
 		{"serve_batcher_cancelled_total" + model, v100.Batcher.Cancelled, 0},
 		{`serve_feedback_total{outcome="accepted"}`, lc.FeedbackAccepted, 2},

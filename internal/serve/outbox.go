@@ -169,11 +169,12 @@ func (s *Server) enqueueGained(last, cur *shard.Ring) (owned int) {
 // encoded once and sent; one whose body comes out over handoffBatchBytes,
 // or will not encode, is halved until it fits (or is a single entry). The
 // next batch is sized from the bytes per entry of the one just built — the
-// response cache mixes rankings carrying source with 60-byte predictions,
-// so a run of large entries must neither be re-encoded at full width every
-// time nor leave the small ones after it trickling out a few per POST. The
-// first batch the target does not take ends its turn; the rest wait for
-// the next flush.
+// response cache mixes whole-grid rankings, each point carrying its
+// source, with one-point rankings a few hundred bytes long, so a run of
+// large entries must neither be re-encoded at full width every time nor
+// leave the small ones after it trickling out a few per POST. The first
+// batch the target does not take ends its turn; the rest wait for the next
+// flush.
 func (s *Server) postEntries(ctx context.Context, target string, items []CacheItem, report *DrainReport, sent func(key string)) {
 	c := s.cluster
 	n := handoffBatchLimit

@@ -8,11 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"paragraph/internal/admit"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 )
@@ -269,141 +267,6 @@ func TestOverloadDeadlineShedding(t *testing.T) {
 	}
 	if stats.Shed["expired"] < 1 {
 		t.Errorf("shed[expired] = %d, want >= 1", stats.Shed["expired"])
-	}
-}
-
-// gatedModel evaluates like the oracle after a settable delay, and parks
-// calls while wedged.
-type gatedModel struct {
-	delay  atomic.Int64 // nanoseconds slept per call
-	wedged atomic.Bool
-	parked atomic.Int64 // calls that have found the model wedged
-	resume chan struct{}
-}
-
-func (m *gatedModel) PredictBatch(ss []*gnn.Sample) []float64 {
-	if m.wedged.Load() {
-		m.parked.Add(1)
-		<-m.resume
-	}
-	time.Sleep(time.Duration(m.delay.Load()))
-	return oracleModel{}.PredictBatch(ss)
-}
-
-// TestOverloadPredictPricedFromPredictEvaluations: /v1/predict's admission
-// cost is the median of whole predict evaluations, not the batcher's
-// per-prediction latency. After grid traffic only, that latency is a
-// grid's per-sample share and carries signal, yet a deadlined predict miss
-// against a wedged pool must not be shed on it — nothing of its kind has
-// been measured — and is released at its deadline instead. Once predict
-// evaluations have been served, the same miss is shed up front with a
-// Retry-After sized by them.
-func TestOverloadPredictPricedFromPredictEvaluations(t *testing.T) {
-	model := &gatedModel{resume: make(chan struct{})}
-	s := newOverloadServer(t, model, Options{PoolSize: 1})
-	predict := func(n int) PredictRequest {
-		return PredictRequest{
-			Kernel: "matmul", Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": float64(n)},
-			Variant: "gpu", Teams: 64, Threads: 128,
-		}
-	}
-	// wedge occupies the single slot with a budget-less advise and returns
-	// the function that releases it and waits for it to finish.
-	wedge := func(n int) func() {
-		model.wedged.Store(true)
-		parked := model.parked.Load()
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			do(t, s, http.MethodPost, "/v1/advise", overloadReq(n), nil)
-		}()
-		// Holding the slot is not yet being parked in the model: released
-		// between the two, the request would never take the resume.
-		for deadline := time.Now().Add(10 * time.Second); model.parked.Load() == parked; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("wedge request never reached the model")
-			}
-		}
-		return func() {
-			model.wedged.Store(false)
-			model.resume <- struct{}{}
-			wg.Wait()
-		}
-	}
-
-	// Warm-up: grid traffic only. 12-point grids at 120ms a call put the
-	// batcher's per-prediction median at ~10ms.
-	model.delay.Store(int64(120 * time.Millisecond))
-	for i := 0; i < 3; i++ {
-		req := overloadReq(i)
-		req.Space = &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{64, 128, 256}} // × 4 GPU kinds
-		if rec := do(t, s, http.MethodPost, "/v1/advise", req, nil); rec.Code != http.StatusOK {
-			t.Fatalf("grid warm-up %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-	}
-	var ms *modelState
-	for _, be := range s.backends {
-		ms = be.models[be.defaultName]
-	}
-	if ms.batcher.latency.Count() == 0 || ms.batcher.latency.Quantile(0.5) <= 0 {
-		t.Fatal("grid warm-up left the batcher latency histogram empty; the test would prove nothing")
-	}
-	if c := evalCost(ms.predictEval); c != 0 {
-		t.Fatalf("predict cost after grid traffic only = %v, want 0 (no predict evaluation has been measured)", c)
-	}
-
-	// Wedged pool, 15ms budget: two waves of the batcher's ~10ms would not
-	// fit, nor would two of an advise's, but neither prices a predict. It is
-	// admitted, waits, and is released at its deadline as expired.
-	release := wedge(100)
-	const budget = 15 * time.Millisecond
-	start := time.Now()
-	rec := doH(t, s, http.MethodPost, "/v1/predict", predict(1), map[string]string{"X-Paragraph-Deadline": budget.String()})
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("deadlined predict against a wedged pool = %d, want 503: %s", rec.Code, rec.Body.String())
-	}
-	checkRetryAfter(t, rec)
-	if elapsed := time.Since(start); elapsed < budget {
-		t.Errorf("predict miss returned after %v, before its %v budget: shed on a cost no predict evaluation produced", elapsed, budget)
-	}
-	release()
-
-	// Serve predict evaluations at 600ms each: their median is now the cost.
-	model.delay.Store(int64(600 * time.Millisecond))
-	if rec := do(t, s, http.MethodPost, "/v1/predict", predict(2), nil); rec.Code != http.StatusOK {
-		t.Fatalf("predict warm-up: %d %s", rec.Code, rec.Body.String())
-	}
-	cost := evalCost(ms.predictEval)
-	if cost < 600*time.Millisecond || cost > 5*time.Second {
-		t.Fatalf("predict cost = %v, want the ~600ms evaluation just served", cost)
-	}
-	if share := time.Duration(ms.batcher.latency.Quantile(0.5) * float64(time.Second)); share > 100*time.Millisecond {
-		t.Fatalf("batcher per-prediction median = %v; the grid share should still dominate it", share)
-	}
-
-	// Wedged again: one evaluation ahead plus this one is two waves of the
-	// predict cost, far beyond the budget, so the miss is shed up front, and
-	// Retry-After covers the excess — whole seconds only predict
-	// evaluations can explain (the batcher's share would round up to 1).
-	release = wedge(101)
-	defer release()
-	start = time.Now()
-	rec = doH(t, s, http.MethodPost, "/v1/predict", predict(3), map[string]string{"X-Paragraph-Deadline": budget.String()})
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("deadlined predict after predict warm-up = %d, want 503: %s", rec.Code, rec.Body.String())
-	}
-	want := admit.RetryAfterSeconds(2*cost - budget)
-	if got, _ := strconv.Atoi(rec.Header().Get("Retry-After")); got != want || want < 2 {
-		t.Errorf("Retry-After = %q, want %d (two waves of the %v predict cost less the %v budget)", rec.Header().Get("Retry-After"), want, cost, budget)
-	}
-	var stats Stats
-	do(t, s, http.MethodGet, "/v1/stats", nil, &stats)
-	if stats.Shed["deadline"] != 1 || stats.Shed["expired"] != 1 {
-		t.Errorf("shed = %v, want one expired (before predict evaluations) and one deadline (after)", stats.Shed)
-	}
-	if out := scrapeMetrics(t, s); !strings.Contains(out, `serve_predict_eval_seconds_count{platform="NVIDIA V100 (GPU)",model="default"} 1`) {
-		t.Error("exposition missing serve_predict_eval_seconds with the one predict evaluation served")
 	}
 }
 

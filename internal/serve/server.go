@@ -23,7 +23,6 @@ import (
 	"paragraph/internal/obs"
 	"paragraph/internal/paragraph"
 	"paragraph/internal/registry"
-	"paragraph/internal/variants"
 )
 
 // Backend is one servable model: a machine profile plus a cost model for
@@ -87,7 +86,7 @@ func CheckpointBackend(e *registry.Entry, source string) Backend {
 
 // Options tunes the service layers. Zero values pick sensible defaults.
 type Options struct {
-	PoolSize int // max advise/predict evaluations in flight (default GOMAXPROCS)
+	PoolSize int // max advise evaluations in flight (default GOMAXPROCS)
 
 	// QueueLimit bounds the total requests waiting for an evaluation slot
 	// across all clients; arrivals beyond it are shed with 503 queue_full
@@ -117,7 +116,7 @@ type Options struct {
 }
 
 // adviseCacheSize is the response cache's entry bound (whole advise
-// rankings and single predictions).
+// rankings).
 const adviseCacheSize = 512
 
 func (o Options) withDefaults() Options {
@@ -156,13 +155,12 @@ type modelState struct {
 	info    ModelInfo
 	advisor *advisor.Advisor
 	batcher *Batcher
-	// adviseEval and predictEval are the wall times of whole cold
-	// evaluations (front end + one model call, + rank for an advise), one
-	// histogram per request kind; their medians are admission's costs.
-	adviseEval, predictEval *obs.Histogram
-	// advise and predict count the responses this version computed or
-	// served; registerModel exposes them.
-	advise, predict *obs.Counter
+	// adviseEval holds the wall times of whole cold advise evaluations
+	// (front end, one model call, rank); its median is admission's cost.
+	adviseEval *obs.Histogram
+	// advise counts the responses this version computed or served;
+	// registerModel exposes it.
+	advise *obs.Counter
 
 	lastUsed atomic.Int64 // unix seconds; 0 = never
 }
@@ -176,7 +174,7 @@ type Server struct {
 	opts        Options
 	mux         *http.ServeMux
 	backends    map[string]*backendState
-	adviseCache *Cache      // whole advise responses and single predictions
+	adviseCache *Cache      // whole advise rankings
 	flights     flightGroup // collapses identical concurrent cache misses
 
 	// admit bounds the evaluations in flight (Options.PoolSize slots, so a
@@ -267,11 +265,10 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 		Logger: opts.Logger,
 	})
 	s.metrics = newServeMetrics(s)
-	// Advise, predict and replicate are traced (they carry the expensive
+	// Advise, feedback and replicate are traced (they carry the expensive
 	// work and cross-peer hops); the read-only introspection endpoints only
 	// get request/latency/error accounting.
 	s.mux.HandleFunc("/v1/advise", s.instrument("advise", true, s.handleAdvise))
-	s.mux.HandleFunc("/v1/predict", s.instrument("predict", true, s.handlePredict))
 	s.mux.HandleFunc("/v1/feedback", s.instrument("feedback", true, s.handleFeedback))
 	s.mux.HandleFunc("/v1/healthz", s.instrument("healthz", false, s.handleHealthz))
 	s.mux.HandleFunc("/v1/stats", s.instrument("stats", false, s.handleStats))
@@ -300,10 +297,8 @@ func (s *Server) newModelState(b Backend, name string) *modelState {
 	adv.SetLevel(info.Level)
 	return &modelState{
 		name: name, info: info, advisor: adv, batcher: batcher,
-		adviseEval:  obs.NewHistogram(obs.DefLatencyBuckets),
-		predictEval: obs.NewHistogram(obs.DefLatencyBuckets),
-		advise:      new(obs.Counter),
-		predict:     new(obs.Counter),
+		adviseEval: obs.NewHistogram(obs.DefLatencyBuckets),
+		advise:     new(obs.Counter),
 	}
 }
 
@@ -528,36 +523,6 @@ type AdviseResponse struct {
 	Recommendations []Recommendation `json:"recommendations"`
 }
 
-// PredictRequest asks for one variant's predicted runtime.
-type PredictRequest struct {
-	Kernel   string             `json:"kernel,omitempty"`
-	Custom   *KernelSpec        `json:"custom,omitempty"`
-	Machine  string             `json:"machine"`
-	Model    string             `json:"model,omitempty"` // version name; "" = platform default
-	Variant  string             `json:"variant"`         // e.g. "gpu_collapse_mem"
-	Teams    int                `json:"teams,omitempty"`
-	Threads  int                `json:"threads"`
-	Bindings map[string]float64 `json:"bindings,omitempty"`
-}
-
-// PredictResponse is one static runtime prediction. ServedBy is as in
-// AdviseResponse: the cluster peer that answered, empty outside cluster
-// mode.
-type PredictResponse struct {
-	Machine string `json:"machine"`
-	Model   string `json:"model"`
-	Kernel  string `json:"kernel"`
-	// Key is the content-addressed request hash; POST /v1/feedback reports
-	// measured runtimes against it.
-	Key         string  `json:"key,omitempty"`
-	Variant     string  `json:"variant"`
-	Teams       int     `json:"teams,omitempty"`
-	Threads     int     `json:"threads"`
-	PredictedUS float64 `json:"predicted_us"`
-	Cached      bool    `json:"cached"`
-	ServedBy    string  `json:"served_by,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -578,7 +543,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	s.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxRequestBody caps an advise or predict body. A custom kernel is a few
+// maxRequestBody caps an advise body. A custom kernel is a few
 // kB of C source, so 1 MiB is generous; uncapped, one request could make
 // the decoder buffer whatever it was sent.
 const maxRequestBody = 1 << 20
@@ -695,7 +660,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	tr := obs.TraceFrom(r.Context())
 	var req AdviseRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -740,22 +704,18 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	key := Key("advise", be.machine.Name, ms.name, kernelKey(k), advisor.BindingsKey(req.Bindings),
 		fmtInts(space.CPUThreads), fmtInts(space.GPUTeams), fmtInts(space.GPUThreads))
 	start := time.Now()
-	v, pr, cached, coalesced, err := s.serveKeyed(ctx, tr, keyed{
-		key: key, top: req.Top, withSource: req.IncludeSource,
-		client: clientKey(r), forwarded: s.isForwarded(r),
-		path: "/v1/advise", req: &req, eval: ms.adviseEval, typed: isA[[]advisor.Recommendation],
-	}, func(ctx context.Context) (any, error) {
-		return ms.advisor.AdviseCtx(ctx, k, req.Bindings, space)
-	})
+	recs, pr, cached, coalesced, err := s.serveKeyed(ctx, r, key, &req, ms.adviseEval,
+		func(ctx context.Context) ([]advisor.Recommendation, error) {
+			return ms.advisor.AdviseCtx(ctx, k, req.Bindings, space)
+		})
 	if err != nil {
-		s.failKeyed(w, err, ms.adviseEval, "advise", k, be, ms)
+		s.failEval(w, err, k, be, ms)
 		return
 	}
 	if pr != nil {
 		s.writeProxied(w, *pr)
 		return
 	}
-	recs := v.([]advisor.Recommendation)
 	ms.advise.Inc()
 	ms.touch()
 	if s.lifecycle != nil {
@@ -785,77 +745,42 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// keyed is one advise or predict request as the keyed path (serveKeyed)
-// sees it: where its answer is cached, whom it may share an evaluation
-// with, where it is forwarded and what it costs. How it is evaluated is
-// serveKeyed's other argument.
-type keyed struct {
-	key       string // content-addressed response-cache key
-	client    string // fair-queue lane
-	forwarded bool   // arrived with the loop-guard header: never forward again
-	path      string // endpoint an owning peer answers it on ...
-	req       any    // ... and the decoded request to send there (a pointer)
-	// top and withSource are an advise's rendering options (a predict has
-	// none). They are not in key — a cached ranking serves any rendering —
-	// but a proxied answer is already rendered, so they join the
-	// singleflight key: requests differing only in rendering must not
-	// share proxied bytes.
-	top        int
-	withSource bool
-	// eval holds the wall times of this kind's whole cold evaluations on
-	// this model; its median prices the request for admission.
-	eval *obs.Histogram
-	// typed reports whether a cached value is of this endpoint's type.
-	typed func(any) bool
-}
-
-// isA is keyed.typed for an endpoint whose answers are cached as T.
-func isA[T any](v any) bool { _, ok := v.(T); return ok }
-
-// allFinite reports whether every prediction in an evaluation's result —
-// a ranking or a single prediction — is a finite number.
-func allFinite(v any) bool {
-	if us, ok := v.(float64); ok {
-		return finite(us)
-	}
-	recs, _ := v.([]advisor.Recommendation)
+// allFinite reports whether every prediction in a ranking is a finite
+// number.
+func allFinite(recs []advisor.Recommendation) bool {
 	for _, r := range recs {
-		if !finite(r.PredictedUS) {
+		if math.IsNaN(r.PredictedUS) || math.IsInf(r.PredictedUS, 0) {
 			return false
 		}
 	}
 	return true
 }
 
-func finite(us float64) bool { return !math.IsNaN(us) && !math.IsInf(us, 0) }
-
-// serveKeyed is the one path every advise and predict answer takes:
-// response cache, then the deadline shed check, then forward-or-evaluate
-// inside the singleflight with the evaluation admitted through the
-// per-client fair queue. On success exactly one of val and pr is set.
-// Cache hits are never shed — they cost microseconds and always beat any
-// deadline. evaluate is a parameter rather than a field of q because a
-// func that is only called stays on its caller's stack: a hit allocates
-// nothing for the evaluation it does not run.
-func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluate func(context.Context) (any, error)) (val any, pr *proxiedResponse, cached, coalesced bool, err error) {
+// serveKeyed is the one path every advise answer takes: response cache
+// under key, then the deadline shed check, then forward-or-evaluate inside
+// the singleflight with the evaluation admitted through r's lane of the
+// per-client fair queue and timed into eval. On success exactly one of recs
+// and pr is set. Cache hits are never shed — they cost microseconds and
+// always beat any deadline. evaluate is a parameter rather than something
+// serveKeyed builds because a func that is only called stays on its
+// caller's stack: a hit allocates nothing for the evaluation it does not
+// run.
+func (s *Server) serveKeyed(ctx context.Context, r *http.Request, key string, req *AdviseRequest, eval *obs.Histogram, evaluate func(context.Context) ([]advisor.Recommendation, error)) (recs []advisor.Recommendation, pr *proxiedResponse, cached, coalesced bool, err error) {
+	tr := obs.TraceFrom(ctx)
 	lookup := tr.StartSpan("cache_lookup")
-	v, hit := s.adviseCache.Get(q.key)
+	v, hit := s.adviseCache.Get(key)
 	lookup.End()
 	// A local hit is served locally even if a peer owns the key: the entry
 	// is content-addressed and immutable, so it is byte-identical to
-	// whatever the owner holds, and the hop is free to skip. An entry of
-	// the other endpoint's type (a malformed or hostile /v1/replicate write
-	// — keys are opaque hashes, so that handler cannot tell advise from
-	// predict values) is a miss to recompute and overwrite, never a value to
-	// trust.
-	if hit && q.typed(v) {
+	// whatever the owner holds, and the hop is free to skip.
+	if hit {
 		s.metrics.adviseHits.Inc()
-		return v, nil, true, false, nil
+		return v.([]advisor.Recommendation), nil, true, false, nil
 	}
 	// Deadline-aware shedding: a request that predictably cannot finish
 	// inside its budget is rejected before it holds anything — each caller
 	// applies its own deadline even when it would coalesce into a flight.
-	if shed := s.shedCheck(ctx, evalCost(q.eval)); shed != nil {
+	if shed := s.shedCheck(ctx, evalCost(eval)); shed != nil {
 		return nil, nil, false, false, shed
 	}
 	// The miss may belong to a peer: in cluster mode it is forwarded to
@@ -865,22 +790,25 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 	// falls back to local evaluation — degraded (a duplicate
 	// evaluation), never failing. An owner evaluating the miss itself
 	// writes the entry through to the key's replicas (through the outbox,
-	// off the request path), so one peer death loses no warmth. Forward-or-evaluate runs inside
-	// the singleflight so a burst of identical misses at a non-owner
-	// shares one proxied hop instead of each holding a connection to the
-	// owner.
-	targets, owners, owned := s.route(q.forwarded, q.key)
-	flightKey := fmt.Sprintf("%s|t%d_s%v", q.key, q.top, q.withSource)
+	// off the request path), so one peer death loses no warmth.
+	// Forward-or-evaluate runs inside the singleflight so a burst of
+	// identical misses at a non-owner shares one proxied hop instead of
+	// each holding a connection to the owner. Top and IncludeSource are not
+	// in key — a cached ranking serves any rendering — but a proxied answer
+	// is already rendered, so they join the flight key: requests differing
+	// only in rendering must not share proxied bytes.
+	targets, owners, owned := s.route(s.isForwarded(r), key)
+	flightKey := fmt.Sprintf("%s|t%d_s%v", key, req.Top, req.IncludeSource)
 	flightStart := time.Now()
 	v, shared, err := s.flights.Do(flightKey, func() (any, error) {
 		if len(targets) > 0 {
-			if fr, ok := s.tryForward(ctx, tr, targets, q.path, q.req); ok {
+			if fr, ok := s.tryForward(ctx, tr, targets, req); ok {
 				return fr, nil
 			}
 		}
 		poolWait := tr.StartSpan("pool_wait")
-		var out any
-		err := s.admitRun(ctx, q.client, q.eval, func() (err error) {
+		var out []advisor.Recommendation
+		err := s.admitRun(ctx, clientKey(r), eval, func() (err error) {
 			poolWait.End()
 			out, err = evaluate(ctx)
 			return err
@@ -896,8 +824,8 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 		if !allFinite(out) {
 			return nil, errors.New("model produced a non-finite prediction")
 		}
-		s.adviseCache.Add(q.key, out)
-		s.replicate(q.key, owners, owned)
+		s.adviseCache.Add(key, out)
+		s.replicate(key, owners, owned)
 		return out, nil
 	})
 	if err != nil {
@@ -913,7 +841,7 @@ func (s *Server) serveKeyed(ctx context.Context, tr *obs.Trace, q keyed, evaluat
 	if pr, ok := v.(proxiedResponse); ok {
 		return nil, &pr, false, coalesced, nil
 	}
-	return v, nil, false, coalesced, nil
+	return v.([]advisor.Recommendation), nil, false, coalesced, nil
 }
 
 // rejectSpace answers a search space the advisor refuses (an entry below 1,
@@ -929,110 +857,23 @@ func (s *Server) rejectSpace(w http.ResponseWriter, err error) {
 	s.fail(w, http.StatusBadRequest, "%v", err)
 }
 
-// failKeyed answers a keyed request whose evaluation failed: a shed (or
-// an expired deadline) is 503 + Retry-After priced from eval, a panic under
-// the advisor a 500 with its stack logged, anything else the evaluation's
-// own 422.
-func (s *Server) failKeyed(w http.ResponseWriter, err error, eval *obs.Histogram, what string, k apps.Kernel, be *backendState, ms *modelState) {
+// failEval answers an advise whose evaluation failed: a shed (or an
+// expired deadline) is 503 + Retry-After priced from the model's
+// evaluations, a panic under the advisor a 500 with its stack logged,
+// anything else the evaluation's own 422.
+func (s *Server) failEval(w http.ResponseWriter, err error, k apps.Kernel, be *backendState, ms *modelState) {
 	if shed, ok := asShed(err); ok {
-		s.writeShed(w, shed, evalCost(eval))
+		s.writeShed(w, shed, evalCost(ms.adviseEval))
 		return
 	}
 	status := http.StatusUnprocessableEntity
 	var bug *advisor.PanicError
 	if errors.As(err, &bug) {
 		status = http.StatusInternalServerError
-		s.logger.Error("panic in evaluation", "what", what, "kernel", k.Name, "machine", be.machine.Name,
+		s.logger.Error("panic in evaluation", "kernel", k.Name, "machine", be.machine.Name,
 			"model", ms.name, "err", err, "stack", string(bug.Stack))
 	}
-	s.fail(w, status, "%s %s on %s/%s: %v", what, k.Name, be.machine.Name, ms.name, err)
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.noteForwarded(r)
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	tr := obs.TraceFrom(r.Context())
-	var req PredictRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	be, err := s.resolveBackend(req.Machine)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	k, err := resolveKernel(req.Kernel, req.Custom)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	kind, err := variants.ParseKind(req.Variant)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if kind.IsGPU() != be.machine.IsGPU {
-		s.fail(w, http.StatusBadRequest, "variant %s incompatible with machine %s",
-			kind, be.machine.Name)
-		return
-	}
-	if req.Threads <= 0 {
-		s.fail(w, http.StatusBadRequest, "threads must be positive")
-		return
-	}
-	// Model-less route key, as in handleAdvise: the A/B split must route the
-	// request's content, not the version it resolves to.
-	routeKey := Key("route", be.machine.Name, kernelKey(k), req.Variant,
-		fmt.Sprintf("g%d_t%d", req.Teams, req.Threads), advisor.BindingsKey(req.Bindings))
-	ms, err := s.pickModel(be, req.Model, routeKey)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-
-	key := Key("predict", be.machine.Name, ms.name, kernelKey(k), req.Variant,
-		fmt.Sprintf("g%d_t%d", req.Teams, req.Threads), advisor.BindingsKey(req.Bindings))
-	v, pr, cached, _, err := s.serveKeyed(ctx, tr, keyed{
-		key: key, client: clientKey(r), forwarded: s.isForwarded(r),
-		path: "/v1/predict", req: &req, eval: ms.predictEval, typed: isA[float64],
-	}, func(ctx context.Context) (any, error) {
-		src, err := variants.Generate(k, kind, req.Teams, req.Threads)
-		if err != nil {
-			return nil, err
-		}
-		return ms.advisor.PredictInstanceUSCtx(ctx, variants.Instance{
-			Kernel: k, Kind: kind, Teams: req.Teams, Threads: req.Threads,
-			Bindings: req.Bindings, Source: src,
-		})
-	})
-	if err != nil {
-		s.failKeyed(w, err, ms.predictEval, "predict", k, be, ms)
-		return
-	}
-	if pr != nil {
-		s.writeProxied(w, *pr)
-		return
-	}
-	us := v.(float64)
-	ms.predict.Inc()
-	ms.touch()
-	if s.lifecycle != nil {
-		s.lifecycle.notePredict(key, be.machine.Name, ms.name, k, req, us)
-	}
-	s.writeJSON(w, http.StatusOK, PredictResponse{
-		Machine: be.machine.Name, Model: ms.name, Kernel: k.Name, Key: key,
-		Variant: req.Variant, Teams: req.Teams, Threads: req.Threads,
-		PredictedUS: us, Cached: cached, ServedBy: s.servedBy(),
-	})
+	s.fail(w, status, "advise %s on %s/%s: %v", k.Name, be.machine.Name, ms.name, err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

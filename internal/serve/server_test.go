@@ -94,6 +94,15 @@ func adviseReq(machine string) AdviseRequest {
 	}
 }
 
+// pointReq is a one-point advise — how a client asks for one variant's
+// runtime: one team and thread count, one point of each of matmul's four
+// GPU variant kinds.
+func pointReq() AdviseRequest {
+	req := adviseReq("NVIDIA V100 (GPU)")
+	req.Space = &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}}
+	return req
+}
+
 func TestAdviseColdThenCached(t *testing.T) {
 	s := newTestServer(t)
 
@@ -236,8 +245,8 @@ __PRAGMA__
 // TestDeepCustomKernelIsAnError is the ROADMAP's process kill as a request:
 // a custom kernel assigning 300 000 nested parentheses — 600 kB, under the
 // body cap — used to end the process with a stack overflow inside cparse.
-// It is answered 422 by the parser's nesting budget, on advise and predict
-// alike, and the server keeps answering.
+// It is answered 422 by the parser's nesting budget, and the server keeps
+// answering.
 func TestDeepCustomKernelIsAnError(t *testing.T) {
 	s := newTestServer(t)
 	const depth = 300_000
@@ -249,24 +258,16 @@ func TestDeepCustomKernelIsAnError(t *testing.T) {
 			strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + ";\n    }\n}\n",
 		Params: []ParamSpec{{Name: "n", Values: []int{1024}}},
 	}
-	for path, req := range map[string]any{
-		"/v1/advise": AdviseRequest{
-			Custom: spec, Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
-			Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}},
-		},
-		"/v1/predict": PredictRequest{
-			Custom: spec, Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
-			Variant: "gpu", Teams: 64, Threads: 128,
-		},
-	} {
-		rec := do(t, s, http.MethodPost, path, req, nil)
-		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "nesting deeper than") {
-			t.Errorf("%s with %d nested parentheses: %d %.200s, want 422 naming the nesting budget",
-				path, depth, rec.Code, rec.Body.String())
-		}
-		if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, nil); rec.Code != http.StatusOK {
-			t.Errorf("healthz after the deep %s: %d", path, rec.Code)
-		}
+	rec := do(t, s, http.MethodPost, "/v1/advise", AdviseRequest{
+		Custom: spec, Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
+		Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}},
+	}, nil)
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "nesting deeper than") {
+		t.Errorf("advise with %d nested parentheses: %d %.200s, want 422 naming the nesting budget",
+			depth, rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, nil); rec.Code != http.StatusOK {
+		t.Errorf("healthz after the deep advise: %d", rec.Code)
 	}
 }
 
@@ -347,11 +348,9 @@ func TestPanickingModelIsA500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "panic: model bug on transpose_gpu_") {
 		t.Fatalf("advise on a panicking model: %d %s, want 500 naming the panic", rec.Code, rec.Body.String())
 	}
-	rec = do(t, s, http.MethodPost, "/v1/predict", PredictRequest{
-		Kernel: "transpose", Machine: "NVIDIA V100 (GPU)", Bindings: bad.Bindings, Variant: "gpu", Teams: 64, Threads: 128,
-	}, nil)
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("predict on a panicking model: %d %s, want 500", rec.Code, rec.Body.String())
+	bad.Space = &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}}
+	if rec := do(t, s, http.MethodPost, "/v1/advise", bad, nil); rec.Code != http.StatusInternalServerError {
+		t.Errorf("one-point advise on a panicking model: %d %s, want 500", rec.Code, rec.Body.String())
 	}
 
 	if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, nil); rec.Code != http.StatusOK {
@@ -360,13 +359,12 @@ func TestPanickingModelIsA500(t *testing.T) {
 	if rec := do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), nil); rec.Code != http.StatusOK {
 		t.Errorf("advise on another kernel after the panics: %d %s", rec.Code, rec.Body.String())
 	}
-	if out := scrapeMetrics(t, s); !strings.Contains(out, `serve_errors_total{endpoint="advise",code="5xx"} 1`) ||
-		!strings.Contains(out, `serve_errors_total{endpoint="predict",code="5xx"} 1`) {
+	if out := scrapeMetrics(t, s); !strings.Contains(out, `serve_errors_total{endpoint="advise",code="5xx"} 2`) {
 		t.Error("the 500s are not counted in serve_errors_total{code=\"5xx\"}")
 	}
 }
 
-// TestRequestBodyLimit: /v1/advise and /v1/predict refuse a body over
+// TestRequestBodyLimit: /v1/advise refuses a body over
 // maxRequestBody with 413 before decoding it, and a custom kernel that
 // fills the cap to the byte is still served.
 func TestRequestBodyLimit(t *testing.T) {
@@ -385,12 +383,6 @@ func TestRequestBodyLimit(t *testing.T) {
 		return AdviseRequest{
 			Custom: spec(pad), Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
 			Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}},
-		}
-	}
-	predict := func(pad int) any {
-		return PredictRequest{
-			Custom: spec(pad), Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
-			Variant: "gpu", Teams: 64, Threads: 128,
 		}
 	}
 	// sized renders build's request padded to exactly size bytes (a space
@@ -412,9 +404,7 @@ func TestRequestBodyLimit(t *testing.T) {
 		code       int
 	}{
 		{"oversized advise", "/v1/advise", sized(advise, maxRequestBody+1), http.StatusRequestEntityTooLarge},
-		{"oversized predict", "/v1/predict", sized(predict, maxRequestBody+1), http.StatusRequestEntityTooLarge},
 		{"advise at the cap", "/v1/advise", sized(advise, maxRequestBody), http.StatusOK},
-		{"predict at the cap", "/v1/predict", sized(predict, maxRequestBody), http.StatusOK},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
@@ -431,16 +421,12 @@ func TestRequestBodyLimit(t *testing.T) {
 }
 
 // TestColdRequestIsOneModelCall: a cold advise hands the model its whole
-// grid in a single call, a cold predict a batch of one, cache hits nothing —
-// and /v1/stats reports exactly those calls.
+// grid in a single call — a one-point advise its point of each variant
+// kind — cache hits nothing, and /v1/stats reports exactly those calls.
 func TestColdRequestIsOneModelCall(t *testing.T) {
 	model := &echoModel{}
 	s := newOverloadServer(t, model, Options{})
-	preq := PredictRequest{
-		Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
-		Variant: "gpu_collapse", Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": 256},
-	}
+	point := pointReq()
 	for i, step := range []struct {
 		path string
 		body any
@@ -448,8 +434,8 @@ func TestColdRequestIsOneModelCall(t *testing.T) {
 	}{
 		{"/v1/advise", adviseReq("NVIDIA V100 (GPU)"), []int{8}}, // 4 GPU kinds × 2 teams × 1 threads
 		{"/v1/advise", adviseReq("NVIDIA V100 (GPU)"), []int{8}}, // hit
-		{"/v1/predict", preq, []int{8, 1}},
-		{"/v1/predict", preq, []int{8, 1}}, // hit
+		{"/v1/advise", point, []int{8, 4}},                       // one point of each GPU kind
+		{"/v1/advise", point, []int{8, 4}},                       // hit
 	} {
 		if rec := do(t, s, http.MethodPost, step.path, step.body, nil); rec.Code != http.StatusOK {
 			t.Fatalf("step %d %s: %d %s", i, step.path, rec.Code, rec.Body.String())
@@ -460,46 +446,8 @@ func TestColdRequestIsOneModelCall(t *testing.T) {
 	}
 	var st Stats
 	do(t, s, http.MethodGet, "/v1/stats", nil, &st)
-	if b := st.Models[0].Batcher; b.Batches != 2 || b.Samples != 9 || b.MeanBatch != 4.5 || b.MaxBatch != 8 {
-		t.Errorf("/v1/stats batcher = %+v, want 9 samples in 2 batches", b)
-	}
-}
-
-func TestPredictEndpoint(t *testing.T) {
-	s := newTestServer(t)
-	req := PredictRequest{
-		Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
-		Variant: "gpu_collapse", Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": 256},
-	}
-	var cold PredictResponse
-	if rec := do(t, s, http.MethodPost, "/v1/predict", req, &cold); rec.Code != http.StatusOK {
-		t.Fatalf("predict: %d %s", rec.Code, rec.Body.String())
-	}
-	if cold.PredictedUS <= 0 || cold.Cached {
-		t.Errorf("cold predict = %+v", cold)
-	}
-	var warm PredictResponse
-	do(t, s, http.MethodPost, "/v1/predict", req, &warm)
-	if !warm.Cached || warm.PredictedUS != cold.PredictedUS {
-		t.Errorf("warm predict = %+v, cold %v", warm, cold.PredictedUS)
-	}
-
-	// The predicted value must agree with the advise ranking's entry.
-	areq := adviseReq("NVIDIA V100 (GPU)")
-	var advise AdviseResponse
-	do(t, s, http.MethodPost, "/v1/advise", areq, &advise)
-	found := false
-	for _, r := range advise.Recommendations {
-		if r.Variant == "gpu_collapse" && r.Teams == 64 && r.Threads == 128 {
-			found = true
-			if math.Abs(r.PredictedUS-cold.PredictedUS) > 1e-9 {
-				t.Errorf("advise %v vs predict %v for same instance", r.PredictedUS, cold.PredictedUS)
-			}
-		}
-	}
-	if !found {
-		t.Error("instance absent from advise grid")
+	if b := st.Models[0].Batcher; b.Batches != 2 || b.Samples != 12 || b.MeanBatch != 6 || b.MaxBatch != 8 {
+		t.Errorf("/v1/stats batcher = %+v, want 12 samples in 2 batches", b)
 	}
 }
 
@@ -537,15 +485,17 @@ func TestRequestErrors(t *testing.T) {
 			http.StatusBadRequest},
 		{"missing kernel", http.MethodPost, "/v1/advise",
 			AdviseRequest{Machine: "NVIDIA V100 (GPU)"}, http.StatusBadRequest},
-		{"unknown variant", http.MethodPost, "/v1/predict",
-			PredictRequest{Kernel: "matmul", Machine: "NVIDIA V100 (GPU)", Variant: "simd", Threads: 8},
-			http.StatusBadRequest},
-		{"variant/machine mismatch", http.MethodPost, "/v1/predict",
-			PredictRequest{Kernel: "matmul", Machine: "IBM POWER9 (CPU)", Variant: "gpu", Teams: 64, Threads: 128},
-			http.StatusBadRequest},
-		{"non-positive threads", http.MethodPost, "/v1/predict",
-			PredictRequest{Kernel: "matmul", Machine: "NVIDIA V100 (GPU)", Variant: "gpu", Teams: 64},
-			http.StatusBadRequest},
+		// One variant's runtime is a one-point advise; the endpoint that
+		// answered it alone is gone, and a one-point advise refuses what it
+		// refused: points of the other machine class, a thread count below 1.
+		{"predict removed", http.MethodPost, "/v1/predict",
+			AdviseRequest{Kernel: "matmul", Machine: "NVIDIA V100 (GPU)"}, http.StatusNotFound},
+		{"variant/machine mismatch", http.MethodPost, "/v1/advise",
+			AdviseRequest{Kernel: "matmul", Machine: "IBM POWER9 (CPU)",
+				Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}}}, http.StatusUnprocessableEntity},
+		{"non-positive threads", http.MethodPost, "/v1/advise",
+			AdviseRequest{Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
+				Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{0}}}, http.StatusBadRequest},
 		{"empty grid", http.MethodPost, "/v1/advise",
 			AdviseRequest{Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
 				Space: &SpaceSpec{CPUThreads: []int{4}}}, http.StatusUnprocessableEntity},
@@ -555,6 +505,9 @@ func TestRequestErrors(t *testing.T) {
 			rec := do(t, s, tc.method, tc.path, tc.body, nil)
 			if rec.Code != tc.code {
 				t.Errorf("%s %s = %d, want %d (%s)", tc.method, tc.path, rec.Code, tc.code, rec.Body.String())
+			}
+			if tc.path == "/v1/predict" {
+				return // no route: the mux's own plain-text 404
 			}
 			var e errorResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
@@ -767,9 +720,11 @@ func TestPerModelStats(t *testing.T) {
 	}
 }
 
-// FuzzAdviseBody posts arbitrary bytes to the two evaluating endpoints of a
-// server outside cluster mode. Untrusted input must never cost a 5xx: every
-// answer is a 200 or a 4xx naming what was wrong with the request.
+// FuzzAdviseBody posts arbitrary bytes to /v1/advise on a server outside
+// cluster mode. Untrusted input must never cost a 5xx: every answer is a
+// 200 or a 4xx naming what was wrong with the request. The seeds naming a
+// variant, teams and threads are bodies of the retired /v1/predict — to
+// /v1/advise, fields it does not know.
 func FuzzAdviseBody(f *testing.F) {
 	custom := `{"custom":{"name":"scale","func_name":"scale","params":[{"name":"n","values":[1024]}],` +
 		`"source":"void scale(double *a, int n) {\n__PRAGMA__\nfor (int i = 0; i < n; i++) a[i] = a[i] * 2.0;\n}\n"},` +
@@ -787,12 +742,10 @@ func FuzzAdviseBody(f *testing.F) {
 	}
 	s := newTestServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, path := range []string{"/v1/advise", "/v1/predict"} {
-			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
-				t.Fatalf("POST %s %q: %d %s", path, body, rec.Code, rec.Body.String())
-			}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/advise", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
+			t.Fatalf("POST /v1/advise %q: %d %s", body, rec.Code, rec.Body.String())
 		}
 	})
 }

@@ -197,50 +197,3 @@ func TestAdviseSingleflightCollapse(t *testing.T) {
 		t.Errorf("stats coalesced = %d, want %d", st.Coalesced, followers)
 	}
 }
-
-// TestPredictSingleflightCollapse covers the single-prediction path.
-func TestPredictSingleflightCollapse(t *testing.T) {
-	gm := newGateModel()
-	s, err := NewServer([]Backend{
-		{Machine: hw.V100(), Model: gm, Prep: testPrep()},
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-
-	req := PredictRequest{
-		Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
-		Variant: "gpu", Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": 256},
-	}
-	const followers = 4
-	var wg sync.WaitGroup
-	resps := make([]PredictResponse, followers+1)
-	launch := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if rec := do(t, s, http.MethodPost, "/v1/predict", req, &resps[i]); rec.Code != http.StatusOK {
-				t.Errorf("request %d: %d %s", i, rec.Code, rec.Body.String())
-			}
-		}()
-	}
-	launch(0)
-	<-gm.started
-	for i := 1; i <= followers; i++ {
-		launch(i)
-	}
-	waitCond(t, 5*time.Second, "the followers to join the flight", func() bool { return s.flights.waiting() == followers })
-	close(gm.release)
-	wg.Wait()
-
-	if n := gm.samples.Load(); n != 1 {
-		t.Errorf("model evaluated %d samples, want 1", n)
-	}
-	for i := 1; i <= followers; i++ {
-		if resps[i].PredictedUS != resps[0].PredictedUS {
-			t.Errorf("request %d prediction %v differs from %v", i, resps[i].PredictedUS, resps[0].PredictedUS)
-		}
-	}
-}

@@ -8,9 +8,9 @@ import (
 	"path/filepath"
 )
 
-// Cache persistence: the advise-response cache (ranked grids and single
-// predictions) is the service's hottest artifact — every entry stands for a
-// full parse→encode→predict sweep — so SnapshotCache serializes it and
+// Cache persistence: the advise-response cache (ranked grids) is the
+// service's hottest artifact — every entry stands for a full
+// parse→encode→predict sweep — so SnapshotCache serializes it and
 // RestoreCache refills it, letting a restarted process answer repeat
 // traffic as cache hits immediately instead of re-earning its cache. Keys
 // are the content-addressed request hashes, which are stable across

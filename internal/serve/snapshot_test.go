@@ -8,31 +8,26 @@ import (
 	"testing"
 )
 
-// warmAndSnapshot runs one advise and one predict through a fresh server
-// and returns the snapshot plus the responses that produced it.
-func warmAndSnapshot(t *testing.T) (snap []byte, advise AdviseResponse, predict PredictResponse) {
+// warmAndSnapshot runs a grid advise and a one-point advise through a fresh
+// server and returns the snapshot plus the responses that produced it.
+func warmAndSnapshot(t *testing.T) (snap []byte, advise, point AdviseResponse) {
 	t.Helper()
 	s := newTestServer(t)
 	if rec := do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), &advise); rec.Code != http.StatusOK {
 		t.Fatalf("advise: %d %s", rec.Code, rec.Body.String())
 	}
-	preq := PredictRequest{
-		Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
-		Variant: "gpu", Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": 256},
-	}
-	if rec := do(t, s, http.MethodPost, "/v1/predict", preq, &predict); rec.Code != http.StatusOK {
-		t.Fatalf("predict: %d %s", rec.Code, rec.Body.String())
+	if rec := do(t, s, http.MethodPost, "/v1/advise", pointReq(), &point); rec.Code != http.StatusOK {
+		t.Fatalf("one-point advise: %d %s", rec.Code, rec.Body.String())
 	}
 	var buf bytes.Buffer
 	if err := s.SnapshotCache(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), advise, predict
+	return buf.Bytes(), advise, point
 }
 
 func TestCacheSnapshotRestoreRoundTrip(t *testing.T) {
-	snap, advise, predict := warmAndSnapshot(t)
+	snap, advise, point := warmAndSnapshot(t)
 
 	// A second process: same backends, fresh caches, restored snapshot.
 	s2 := newTestServer(t)
@@ -44,28 +39,23 @@ func TestCacheSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Errorf("restored %d entries, want 2", n)
 	}
 
-	var warm AdviseResponse
-	do(t, s2, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), &warm)
-	if !warm.Cached {
-		t.Error("restored advise entry missed")
-	}
-	if len(warm.Recommendations) != len(advise.Recommendations) {
-		t.Fatalf("restored ranking has %d recs, want %d", len(warm.Recommendations), len(advise.Recommendations))
-	}
-	for i := range advise.Recommendations {
-		if warm.Recommendations[i] != advise.Recommendations[i] {
-			t.Errorf("restored rec %d = %+v, want %+v", i, warm.Recommendations[i], advise.Recommendations[i])
+	for _, c := range []struct {
+		req  AdviseRequest
+		want AdviseResponse
+	}{{adviseReq("NVIDIA V100 (GPU)"), advise}, {pointReq(), point}} {
+		var warm AdviseResponse
+		do(t, s2, http.MethodPost, "/v1/advise", c.req, &warm)
+		if !warm.Cached {
+			t.Errorf("restored entry for %v missed", c.req.Space)
 		}
-	}
-
-	var warmP PredictResponse
-	do(t, s2, http.MethodPost, "/v1/predict", PredictRequest{
-		Kernel: "matmul", Machine: "NVIDIA V100 (GPU)",
-		Variant: "gpu", Teams: 64, Threads: 128,
-		Bindings: map[string]float64{"n": 256},
-	}, &warmP)
-	if !warmP.Cached || warmP.PredictedUS != predict.PredictedUS {
-		t.Errorf("restored predict = %+v, want cached %v", warmP, predict.PredictedUS)
+		if len(warm.Recommendations) != len(c.want.Recommendations) {
+			t.Fatalf("restored ranking has %d recs, want %d", len(warm.Recommendations), len(c.want.Recommendations))
+		}
+		for i := range c.want.Recommendations {
+			if warm.Recommendations[i] != c.want.Recommendations[i] {
+				t.Errorf("restored rec %d = %+v, want %+v", i, warm.Recommendations[i], c.want.Recommendations[i])
+			}
+		}
 	}
 }
 
@@ -110,12 +100,13 @@ func TestRestoreCacheRejectsGarbage(t *testing.T) {
 
 func TestRestoreCacheDropsUnknownVariants(t *testing.T) {
 	s := newTestServer(t)
-	snap := `{"version":1,"advise":[{"key":"k1","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]}],"predict":[{"key":"k2","us":5}]}`
+	snap := `{"version":1,"advise":[{"key":"k1","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]},` +
+		`{"key":"k2","recs":[{"kind":"cpu","threads":8,"predicted_us":5}]}]}`
 	n, err := s.RestoreCache(strings.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 { // the predict entry survives; the alien advise entry is dropped
+	if n != 1 { // the cpu ranking survives; the alien one is dropped
 		t.Errorf("restored %d entries, want 1", n)
 	}
 }

@@ -13,7 +13,6 @@ type ModelStats struct {
 	Name         string       `json:"name"`
 	Default      bool         `json:"default"`
 	Advise       uint64       `json:"advise"`
-	Predict      uint64       `json:"predict"`
 	LastUsedUnix int64        `json:"last_used_unix,omitempty"` // 0 = never
 	Batcher      BatcherStats `json:"batcher"`
 }
@@ -22,14 +21,14 @@ type ModelStats struct {
 // batching, admission, singleflight and traffic counters, plus the per-model
 // breakdown. It is assembled from the same instruments /metrics exposes
 // (internal/obs via metrics.go), so the two endpoints cannot drift; the
-// JSON shape predates the metrics registry and is kept byte-compatible.
+// JSON shape predates the metrics registry and only loses a field with the
+// endpoint it counted.
 type Stats struct {
 	UptimeSeconds float64  `json:"uptime_seconds"`
 	Machines      []string `json:"machines"`
 
 	Requests struct {
 		Advise  uint64 `json:"advise"`
-		Predict uint64 `json:"predict"`
 		Healthz uint64 `json:"healthz"`
 		Stats   uint64 `json:"stats"`
 		Models  uint64 `json:"models"`
@@ -83,7 +82,6 @@ func (s *Server) snapshot() Stats {
 	st := Stats{UptimeSeconds: time.Since(s.start).Seconds()}
 	st.Machines = s.machineNames()
 	st.Requests.Advise = s.metrics.requests("advise")
-	st.Requests.Predict = s.metrics.requests("predict")
 	st.Requests.Healthz = s.metrics.requests("healthz")
 	st.Requests.Stats = s.metrics.requests("stats")
 	st.Requests.Models = s.metrics.requests("models")
@@ -105,7 +103,6 @@ func (s *Server) snapshot() Stats {
 				Name:         name,
 				Default:      name == be.defaultName,
 				Advise:       ms.advise.Value(),
-				Predict:      ms.predict.Value(),
 				LastUsedUnix: ms.lastUsed.Load(),
 				Batcher:      ms.batcher.Stats(),
 			})
