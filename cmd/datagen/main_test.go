@@ -1,12 +1,12 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
-	"paragraph/internal/dataset"
 	"paragraph/internal/experiments"
 )
 
@@ -25,47 +25,39 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
+// TestRunCollectsAndWritesPlatform: one platform's sweep prints its Table
+// II row, with a non-empty dataset and a positive runtime range.
 func TestRunCollectsAndWritesPlatform(t *testing.T) {
-	dir := t.TempDir()
-	err := run([]string{"-scale", "tiny", "-platform", "NVIDIA V100 (GPU)", "-out", dir})
-	if err != nil {
+	var out bytes.Buffer
+	if err := run([]string{"-scale", "tiny", "-platform", "NVIDIA V100 (GPU)"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "nvidia-v100-gpu.json" {
-		t.Fatalf("wrote %v, want one nvidia-v100-gpu.json", entries)
-	}
-	path := filepath.Join(dir, entries[0].Name())
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	points, err := dataset.LoadPoints(f)
-	if err != nil {
-		t.Fatalf("written dataset does not load: %v", err)
-	}
-	if len(points) == 0 {
-		t.Error("empty dataset written")
-	}
-	for _, p := range points {
-		if !p.Instance.Kind.IsGPU() {
-			t.Errorf("CPU variant %v in V100 dataset", p.Instance.Kind)
+	var row string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "NVIDIA V100 (GPU)") {
+			row = line
 		}
-		if p.RuntimeUS <= 0 {
-			t.Errorf("non-positive runtime %v", p.RuntimeUS)
-		}
+	}
+	var points, lost int
+	var lo, hi, sd float64
+	if _, err := fmt.Sscanf(strings.TrimPrefix(row, "NVIDIA V100 (GPU)"),
+		" %d points, runtime [%g - %g] ms, stddev %g ms, %d lost", &points, &lo, &hi, &sd, &lost); err != nil {
+		t.Fatalf("no Table II row for the platform (%v) in:\n%s", err, out.String())
+	}
+	if points == 0 || lo <= 0 || hi < lo {
+		t.Errorf("row %q: want points and a positive runtime range", row)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-scale", "bogus"}); err == nil {
+	if err := run([]string{"-scale", "bogus"}, io.Discard); err == nil {
 		t.Error("bad scale accepted")
 	}
-	if err := run([]string{"-scale", "tiny", "-platform", "Cray XT5"}); err == nil {
+	if err := run([]string{"-scale", "tiny", "-platform", "Cray XT5"}, io.Discard); err == nil {
 		t.Error("unknown platform accepted")
+	}
+	// datagen writes no dataset file, so -out is not a flag.
+	if err := run([]string{"-scale", "tiny", "-out", t.TempDir()}, io.Discard); err == nil {
+		t.Error("-out accepted")
 	}
 }

@@ -7,25 +7,25 @@
 // cache is snapshotted every five minutes and on shutdown, so a restarted
 // process answers repeat traffic warm.
 //
-// With -self and -peers, N serve processes form a consistent-hash sharded
+// With -self and -seed, N serve processes form a consistent-hash sharded
 // tier (internal/shard): each advise cache key is owned by its
 // first -replication ring successors (default 2), non-owners proxy misses
 // to the primary owner, evaluated entries are written through to the
 // replicas, and an unreachable primary fails over to its replicas — so one
 // peer death costs a forwarding detour, never recomputation — before
-// degrading to local serving. Membership is elastic: a new peer starts
-// with -self and -seed pointing at any live member and joins at runtime
-// (no restarts, no synchronized -peers lists); every member gossips a
-// versioned membership view each -heartbeat, evicts peers silent for ten
-// heartbeats, and swaps the ring under a new epoch on every change. A
-// leaving peer drains first — POST /v1/cluster/leave or plain SIGTERM
-// hands its owned cache entries to the new owners (for at most 30s)
-// before the process exits — and on every ring change each peer starts
-// handing the entries it holds to the owners they gained at once,
-// retrying what was not taken every heartbeat (write-throughs ride the
-// same outbox), so a rejoined or freshly added peer is warm without
-// client traffic. All peers must
-// serve the same checkpoints and agree on -replication.
+// degrading to local serving. Membership is elastic: the first peer
+// starts with -seed naming itself, and every other peer with -seed
+// pointing at any live member; its first gossip exchange admits it at
+// runtime (no restarts, no synchronized member lists). Every member
+// gossips a versioned membership view each -heartbeat, evicts peers
+// silent for ten heartbeats, and swaps the ring under a new epoch on every
+// change. A leaving peer drains first — SIGTERM hands its owned cache
+// entries to the new owners (for at most 30s) before the process exits —
+// and on every ring change each peer starts handing the entries it holds
+// to the owners they gained at once, retrying what was not taken every
+// heartbeat (write-throughs ride the same outbox), so a rejoined or
+// freshly added peer is warm without client traffic. All peers must serve
+// the same checkpoints and agree on -replication.
 //
 // With -feedback-dir the serving loop closes (docs/OPERATIONS.md, "Staged
 // Rollouts"): POST /v1/feedback accepts measured runtimes for served
@@ -47,7 +47,7 @@
 //	      [-cache-file PATH] [-pool N]
 //	      [-admit-queue N] [-admit-per-client N]
 //	      [-feedback-dir DIR]
-//	      [-self http://host:8080 -seed http://host2:8080 | -peers http://host:8080,http://host2:8080]
+//	      [-self http://host:8080 -seed http://host2:8080]
 //	      [-replication 2]
 //	      [-heartbeat 1s]
 //	      [-log-level info] [-trace-slow 250ms]
@@ -65,9 +65,8 @@
 //	GET  /v1/trace      recent request traces (?id= for one, ?n= to bound)
 //	GET  /metrics       Prometheus text exposition of every serve_* series
 //	POST /v1/replicate  peer-internal cache write-through (cluster mode)
-//	POST /v1/cluster/join   admit a new peer into the ring (cluster mode)
-//	POST /v1/cluster/gossip peer-internal heartbeat view exchange
-//	POST /v1/cluster/leave  drain this peer's keys to their new owners
+//	POST /v1/cluster/gossip peer-internal membership view exchange; a new
+//	                    peer's first one is its join (cluster mode)
 //
 // Overload behaviour (docs/OPERATIONS.md, "Overload & Admission Control"):
 // requests beyond the -pool evaluation slots queue per client under
@@ -86,8 +85,8 @@
 //
 // On SIGINT/SIGTERM the server first drains its cluster role (tombstones
 // itself in the gossip view and streams owned cache entries to the new
-// owners, for at most 30s; a no-op outside cluster mode or after
-// an explicit /v1/cluster/leave), then stops accepting requests, lets
+// owners, for at most 30s; a no-op outside cluster mode), then stops
+// accepting requests, lets
 // in-flight evaluations finish, flushes the cache snapshot, and exits.
 // docs/API.md documents the wire format; docs/OPERATIONS.md covers
 // running it.
@@ -212,16 +211,13 @@ func run(args []string, w io.Writer) error {
 	// Cluster departure comes first, while the listener still answers: the
 	// drain tombstones this peer in the gossip view and streams its owned
 	// cache entries to the new owners, so the tier loses no warmth when
-	// this process exits. Idempotent — an operator who already POSTed
-	// /v1/cluster/leave gets a no-op here.
+	// this process exits.
 	if cfg.cluster {
 		report := srv.DrainCluster(context.Background())
-		if !report.AlreadyDraining {
-			logger.Info("cluster drain complete",
-				"owned", report.OwnedKeys, "streamed", report.Streamed,
-				"batches", report.Batches, "errors", report.Errors,
-				"elapsed_ms", report.ElapsedMS)
-		}
+		logger.Info("cluster drain complete",
+			"owned", report.OwnedKeys, "streamed", report.Streamed,
+			"batches", report.Batches, "errors", report.Errors,
+			"elapsed_ms", report.ElapsedMS)
 	}
 
 	// Stop accepting and let in-flight requests finish before the final
@@ -288,8 +284,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	feedbackDir := fs.String("feedback-dir", "", "accept POST /v1/feedback and append measured runtimes under this directory (empty = lifecycle disabled)")
 	self := fs.String("self", "", "cluster mode: this process's base URL as peers reach it (http://host:port)")
-	peersFlag := fs.String("peers", "", "cluster mode: comma-separated base URLs of the initial members (including -self)")
-	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through at startup (alternative to -peers)")
+	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through (the first peer of a ring names itself)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
 	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip and handoff retry interval (0 = default 1s)")
 	if err := fs.Parse(args); err != nil {
@@ -306,14 +301,14 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 
 	// Cluster flags are validated before the checkpoints are loaded so a bad
 	// invocation fails fast.
-	clusterMode := *peersFlag != "" || *self != "" || *seedFlag != ""
-	var peers, seeds []string
+	clusterMode := *self != "" || *seedFlag != ""
+	var seeds []string
 	if clusterMode {
 		if *self == "" {
 			return nil, serveConfig{}, fmt.Errorf("cluster mode needs -self")
 		}
-		if *peersFlag == "" && *seedFlag == "" {
-			return nil, serveConfig{}, fmt.Errorf("cluster mode needs -peers (static bootstrap) or -seed (join a live member)")
+		if *seedFlag == "" {
+			return nil, serveConfig{}, fmt.Errorf("cluster mode needs -seed (a live member, or -self for the first peer)")
 		}
 		if *replication < 1 {
 			return nil, serveConfig{}, fmt.Errorf("-replication must be >= 1 (got %d)", *replication)
@@ -321,10 +316,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		if _, err := serve.NormalizePeerURL(*self); err != nil {
 			return nil, serveConfig{}, fmt.Errorf("-self: %w", err)
 		}
-		if peers, err = splitPeerURLs(*peersFlag, "-peers"); err != nil {
-			return nil, serveConfig{}, err
-		}
-		if seeds, err = splitPeerURLs(*seedFlag, "-seed"); err != nil {
+		if seeds, err = splitPeerURLs(*seedFlag); err != nil {
 			return nil, serveConfig{}, err
 		}
 	}
@@ -361,7 +353,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	if clusterMode {
 		if err := srv.EnableCluster(serve.ClusterConfig{
 			Self:        *self,
-			Peers:       peers,
 			Seeds:       seeds,
 			Replication: *replication,
 			Heartbeat:   *heartbeat,
@@ -383,15 +374,16 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	return srv, cfg, nil
 }
 
-// splitPeerURLs parses a comma-separated URL flag, validating each entry.
-func splitPeerURLs(flagValue, flagName string) ([]string, error) {
+// splitPeerURLs parses the comma-separated -seed flag, validating each
+// entry.
+func splitPeerURLs(flagValue string) ([]string, error) {
 	var urls []string
 	for _, p := range strings.Split(flagValue, ",") {
 		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
 		if _, err := serve.NormalizePeerURL(p); err != nil {
-			return nil, fmt.Errorf("%s: %w", flagName, err)
+			return nil, fmt.Errorf("-seed: %w", err)
 		}
 		urls = append(urls, p)
 	}

@@ -14,6 +14,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"paragraph/internal/experiments"
 	"paragraph/internal/hw"
@@ -338,14 +339,21 @@ func TestBuildServerFlagErrors(t *testing.T) {
 		{"-platforms", ""},
 		{"-badflag"},
 		{"-model-dir", "/nonexistent/registry"},
-		// Cluster flags fail before any checkpoint is loaded.
+		// -peers is gone: -seed is the one bootstrap, so a pre-upgrade
+		// command line with -peers is a usage error, whatever else it says.
 		{"-peers", "http://127.0.0.1:1"},
-		{"-self", "http://127.0.0.1:1"},
 		{"-self", "not-a-url", "-peers", "http://127.0.0.1:1"},
 		{"-self", "http://127.0.0.1:1", "-peers", "ftp://127.0.0.1:2"},
 		{"-self", "http://127.0.0.1:1", "-peers", "http://127.0.0.1:2/suffix"},
 		{"-self", "http://127.0.0.1:1", "-peers", "http://127.0.0.1:2", "-replication", "0"},
-		{"-self", "http://127.0.0.1:1", "-peers", "http://127.0.0.1:2", "-replication", "-3"},
+		// Cluster flags fail before any checkpoint is loaded.
+		{"-seed", "http://127.0.0.1:1"},
+		{"-self", "http://127.0.0.1:1"},
+		{"-self", "not-a-url", "-seed", "http://127.0.0.1:1"},
+		{"-self", "http://127.0.0.1:1", "-seed", "ftp://127.0.0.1:2"},
+		{"-self", "http://127.0.0.1:1", "-seed", "http://127.0.0.1:2/suffix"},
+		{"-self", "http://127.0.0.1:1", "-seed", "http://127.0.0.1:2", "-replication", "0"},
+		{"-self", "http://127.0.0.1:1", "-seed", "http://127.0.0.1:2", "-replication", "-3"},
 		// Observability flags are validated before that too.
 		{"-log-level", "loud"},
 	}
@@ -369,10 +377,10 @@ func TestBuildServerFlagErrors(t *testing.T) {
 }
 
 // TestClusterFlagsFormWorkingTier is the cmd-level acceptance check for
-// -self/-peers: two buildServer instances booted from the same checkpoints
-// forward over the ring, answer with identical rankings regardless of the
-// receiving peer, and losing a peer degrades to local serving without
-// failures.
+// -self/-seed: two buildServer instances booted from the same checkpoints,
+// the second seeded by the first, form one ring, forward over it, answer
+// with identical rankings regardless of the receiving peer, and losing a
+// peer degrades to local serving without failures.
 func TestClusterFlagsFormWorkingTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the checkpoint fixture in -short mode")
@@ -390,12 +398,11 @@ func TestClusterFlagsFormWorkingTier(t *testing.T) {
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
-	peers := strings.Join(urls, ",")
 	srvs := make([]*serve.Server, 2)
 	hss := make([]*http.Server, 2)
 	for i := range srvs {
 		srv, _, err := buildServer([]string{
-			"-model-dir", dir, "-self", urls[i], "-peers", peers, "-replication", "2",
+			"-model-dir", dir, "-self", urls[i], "-seed", urls[0], "-replication", "2",
 		}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
@@ -406,6 +413,15 @@ func TestClusterFlagsFormWorkingTier(t *testing.T) {
 		hs := hss[i]
 		go hs.Serve(lns[i])
 		t.Cleanup(func() { hs.Close() })
+	}
+
+	// The second peer's start-up gossip exchange admits it.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(srvs[0].Ring().Members) != 2 || len(srvs[1].Ring().Members) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ring did not form: %+v / %+v", srvs[0].Ring().Members, srvs[1].Ring().Members)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	forwarded := false
@@ -503,8 +519,8 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 	}
 	defined := flagsIn(strings.Join(names, " "))
-	if len(defined) != 16 {
-		t.Fatalf("parsed %d flags from the usage output, want the 16 serve defines:\n%s", len(defined), help.String())
+	if len(defined) != 15 {
+		t.Fatalf("parsed %d flags from the usage output, want the 15 serve defines:\n%s", len(defined), help.String())
 	}
 
 	// The table: the first cell of each row under the "## Flags" heading.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -22,8 +23,8 @@ import (
 // (the serve, shard, registry and cmd/train suites); this file keeps the
 // rest — the separate pprof listener, -trace-slow reaching the process
 // log, the shed contract of a flag-constrained process seen from
-// cmd/overload (steady, then under SIGSTOP/SIGCONT), and SIGTERM flushing
-// -cache-file.
+// cmd/overload (steady, then under SIGSTOP/SIGCONT), SIGTERM flushing
+// -cache-file, and SIGTERM draining a ring member joined through -seed.
 
 // child is one running binary under test.
 type child struct {
@@ -46,12 +47,11 @@ func freeAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// startServe launches the serve binary on a fresh port with args and
-// returns once /v1/healthz answers. The child dies with the test process
-// (Pdeathsig) and is stopped at cleanup if the test has not stopped it.
-func startServe(t *testing.T, bin string, args ...string) *child {
+// startServe launches the serve binary on addr with args and returns once
+// /v1/healthz answers. The child dies with the test process (Pdeathsig)
+// and is stopped at cleanup if the test has not stopped it.
+func startServe(t *testing.T, bin, addr string, args ...string) *child {
 	t.Helper()
-	addr := freeAddr(t)
 	c := &child{url: "http://" + addr, logPath: filepath.Join(t.TempDir(), "serve.log"), exited: make(chan struct{})}
 	logf, err := os.Create(c.logPath)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestProcess(t *testing.T) {
 
 	pprofAddr := freeAddr(t)
 	cacheFile := filepath.Join(t.TempDir(), "cache.json")
-	srv := startServe(t, filepath.Join(bin, "serve"), "-model-dir", ckpt, "-platforms", machine,
+	srv := startServe(t, filepath.Join(bin, "serve"), freeAddr(t), "-model-dir", ckpt, "-platforms", machine,
 		"-cache-file", cacheFile, "-trace-slow", "1ms", "-pprof-addr", pprofAddr,
 		"-pool", "2", "-admit-queue", "4", "-admit-per-client", "2")
 
@@ -264,4 +264,69 @@ func TestProcess(t *testing.T) {
 	if err != nil || !bytes.Contains(snap, []byte(`"advise":[{`)) {
 		t.Errorf("cache file after SIGTERM holds no advise entry (%v)", err)
 	}
+
+	// A ring: B joins through A with -seed, warms a key it owns, and on
+	// SIGTERM drains it to A before exiting, so A answers it warm.
+	addrA, addrB := freeAddr(t), freeAddr(t)
+	urlA, urlB := "http://"+addrA, "http://"+addrB
+	ringArgs := []string{"-model-dir", ckpt, "-platforms", machine, "-replication", "1"}
+	a := startServe(t, filepath.Join(bin, "serve"), addrA, append(ringArgs, "-self", urlA, "-seed", urlA)...)
+	b := startServe(t, filepath.Join(bin, "serve"), addrB, append(ringArgs, "-self", urlB, "-seed", urlA)...)
+	deadline := time.Now().Add(10 * time.Second)
+	for ringSize(t, a.url) != 2 || ringSize(t, b.url) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the -seed ring did not form")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var owned string
+	for n := 64; owned == "" && n < 64+200; n++ {
+		body := fmt.Sprintf(`{"kernel":"matmul","machine":%q,"bindings":{"n":%d}}`, machine, n)
+		if advise(t, a.url, body).ServedBy == urlB {
+			owned = body
+		}
+	}
+	if owned == "" {
+		t.Fatal("no key of 200 was B's")
+	}
+	b.stop()
+	if b.err != nil {
+		t.Errorf("ring member exited with %v after SIGTERM", b.err)
+	}
+	if log := b.logText(t); !strings.Contains(log, `msg="cluster drain complete"`) || !strings.Contains(log, "streamed=1 ") {
+		t.Errorf("SIGTERM did not drain B's one key:\n%s", log)
+	}
+	if resp := advise(t, a.url, owned); !resp.Cached || resp.ServedBy != urlA {
+		t.Errorf("B's key after the drain: cached=%v served_by=%q, want a hit on A", resp.Cached, resp.ServedBy)
+	}
+}
+
+// ringSize reads the member count of url's /v1/ring.
+func ringSize(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ring serve.RingResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ring); err != nil {
+		t.Fatal(err)
+	}
+	return len(ring.Members)
+}
+
+// advise POSTs an advise body to url and decodes the 200 answer.
+func advise(t *testing.T, url, body string) serve.AdviseResponse {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/advise", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out serve.AdviseResponse
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&out) != nil {
+		t.Fatalf("advise %s: %d", body, resp.StatusCode)
+	}
+	return out
 }

@@ -102,7 +102,7 @@
 // # Cluster mode
 //
 // Because the cache keys are content-addressed, N serve processes started
-// with -self and -peers form a consistent-hash sharded tier
+// with -self and -seed form a consistent-hash sharded tier
 // (internal/shard): each key is owned by its first -replication ring
 // successors (default 2) — the primary first, replicas in failover order.
 // Non-owners proxy misses to the primary (so its cache and singleflight

@@ -12,8 +12,9 @@
 // restart, and finally printing the /v1/stats counters.
 //
 // It closes with the multi-peer walkthrough: two service instances booted
-// from the same checkpoints join a consistent-hash ring with replicated
-// ownership (what `serve -self -peers -replication 2` does). Requests
+// from the same checkpoints share a consistent-hash ring with replicated
+// ownership (the ring a `serve -self -seed -replication 2` tier forms by
+// gossip; built here from a fixed member list). Requests
 // sent to one peer are forwarded to whichever peer primarily owns their
 // cache key — each response's served_by names the answering peer — and
 // every evaluated entry is written through to the key's replica. The demo
@@ -155,7 +156,7 @@ func main() {
 // warmRestart runs the `-cache-file` kill/restart drill: snapshot the first
 // instance's response cache, build a second instance from the same
 // checkpoints, restore the snapshot into it, and replay a request to show
-// it answers as a cache hit. clusterDemo runs the `serve -self -peers`
+// it answers as a cache hit. clusterDemo runs the `serve -self -seed`
 // walkthrough: a two-peer consistent-hash tier over the same checkpoints.
 func startLocalService() (base string, stop func(), warmRestart, clusterDemo func(serve.AdviseRequest) error, err error) {
 	scale := experiments.Tiny()
@@ -250,13 +251,14 @@ func startLocalService() (base string, stop func(), warmRestart, clusterDemo fun
 	}
 
 	// The multi-peer walkthrough: boot two instances from the same
-	// checkpoints, join them on a consistent-hash ring with replicated
-	// ownership (`serve -self -peers -replication 2`), and watch requests
+	// checkpoints, put them on one consistent-hash ring with replicated
+	// ownership (`serve -self -seed -replication 2`; here a fixed member
+	// list, so the ring exists before the first request), and watch requests
 	// route to whichever peer primarily owns their cache key — then kill a
 	// peer and watch its cache warmth survive on the replica: the replayed
 	// requests come back as cache hits, not recomputations.
 	clusterDemo = func(req serve.AdviseRequest) error {
-		fmt.Println("\ncluster mode (`serve -self -peers -replication 2`): two peers, one hash ring, every key on both")
+		fmt.Println("\ncluster mode (`serve -self -seed -replication 2`): two peers, one hash ring, every key on both")
 		var urls [2]string
 		var srvs [2]*serve.Server
 		var listeners [2]*http.Server

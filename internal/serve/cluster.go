@@ -37,23 +37,22 @@ import (
 // at one forwarding hop even while peers' member lists disagree
 // mid-rollout. docs/ARCHITECTURE.md walks the full state machine.
 
-// ClusterConfig puts a Server into cluster mode. Self and Peers are peer
-// base URLs ("http://host:port"); every peer of a cluster must be started
-// with the same Peers list (order does not matter — the ring sorts) and
-// its own Self.
+// ClusterConfig puts a Server into cluster mode. Self, Peers and Seeds are
+// peer base URLs ("http://host:port").
 type ClusterConfig struct {
 	// Self is this process's base URL as the other peers reach it. It is
 	// added to the member set if Peers omits it.
 	Self string
-	// Peers is the static member bootstrap, normally including Self. It
-	// seeds the dynamic membership — peers listed here but never started
-	// are evicted by the failure detector like any other silent member.
-	// May be empty when Seeds is set.
+	// Peers is a fixed member list the ring starts from, normally
+	// including Self; cmd/serve leaves it empty, and in-process callers
+	// use it to build a whole ring at once. Peers listed here but never
+	// started are evicted by the failure detector like any other silent
+	// member.
 	Peers []string
-	// Seeds are existing cluster members to join through instead of (or in
-	// addition to) a static Peers list: the server starts as a
-	// single-member ring and a background loop POSTs /v1/cluster/join to
-	// each seed in turn until one admits it.
+	// Seeds are existing cluster members to join through: the server
+	// starts as a ring of Peers (or of itself) and its gossip rounds
+	// exchange views with every seed — the first at once, then one per
+	// heartbeat — until a reply lists it alive.
 	Seeds []string
 	// Replication is how many ring successors own each key (the tier's
 	// RF). 1 — or 0, the zero value — keeps the original single-owner
@@ -62,17 +61,16 @@ type ClusterConfig struct {
 	// the same value.
 	Replication int
 	// Heartbeat is the gossip interval, and every tick also retries the
-	// outbox (0 = 1s default; < 0 disables the background gossip and join
-	// loops — tests drive membership by hand — while the outbox flusher
-	// still runs). A silent member
+	// outbox (0 = 1s default; < 0 disables the background gossip loop,
+	// seed joins included — tests drive membership by hand — while the
+	// outbox flusher still runs). A silent member
 	// turns suspect in /v1/ring health after 3 heartbeats and is declared
 	// dead and dropped from the ring after 10 — a comfortable multiple, so
 	// healthy peers never evict each other on jitter.
 	Heartbeat time.Duration
 }
 
-// drainTimeout bounds a planned departure (DrainCluster), whether POST
-// /v1/cluster/leave or a shutdown started it.
+// drainTimeout bounds a planned departure (DrainCluster).
 const drainTimeout = 30 * time.Second
 
 // cluster is the Server's live cluster state. The ring is no longer a
@@ -92,7 +90,7 @@ type cluster struct {
 	quit     chan struct{}
 	bg       sync.WaitGroup
 	stopOnce sync.Once
-	joined   atomic.Bool // a seed admitted us (or no seeds were needed)
+	joined   atomic.Bool // a gossip reply listed us alive (or no seeds were needed)
 	draining atomic.Bool // a planned departure started
 
 	// The cluster's counts, each one instrument: registerCluster
@@ -105,10 +103,9 @@ type cluster struct {
 	repDrops     *obs.Counter // write-throughs the full outbox refused
 	replicatedIn *obs.Counter // cache entries accepted via POST /v1/replicate
 
-	joinsIn    *obs.Counter // join requests admitted by this peer
 	gossipIn   *obs.Counter // gossip exchanges received
 	gossipOut  *obs.Counter // gossip exchanges sent and answered
-	gossipErrs *obs.Counter // gossip/join sends that reached no peer
+	gossipErrs *obs.Counter // gossip sends that reached no peer
 	pruned     *obs.Counter // peer clients dropped on ring rebuilds
 
 	outDelivered *obs.Counter // cache entries the outbox delivered to peers
@@ -122,9 +119,10 @@ func (c *cluster) ring() *shard.Ring { return c.mem.Ring() }
 
 // NormalizePeerURL validates a peer base URL and strips the trailing slash
 // so ring membership comparison is exact. cmd/serve calls it during flag
-// validation to reject bad -self/-peers before the expensive backend build;
+// validation to reject bad -self/-seed before the expensive backend build;
 // EnableCluster applies it again so programmatic callers get the same
-// normalization.
+// normalization, and a gossip view naming a peer in any other form is
+// refused.
 func NormalizePeerURL(raw string) (string, error) {
 	raw = strings.TrimRight(strings.TrimSpace(raw), "/")
 	u, err := url.Parse(raw)
@@ -465,13 +463,11 @@ type DepartedMember struct {
 // MembershipStats is the gossip-membership section of /v1/ring, present
 // whenever cluster mode is on.
 type MembershipStats struct {
-	// Joined reports whether this peer is past its seed join (always true
-	// without -seed).
+	// Joined reports whether a gossip reply has listed this peer alive
+	// (always true without -seed).
 	Joined bool `json:"joined"`
 	// Draining reports a planned departure in progress (or completed).
 	Draining bool `json:"draining,omitempty"`
-	// JoinsIn counts join requests this peer admitted.
-	JoinsIn uint64 `json:"joins_in"`
 	// GossipSent counts heartbeat exchanges this peer initiated and got
 	// answered; GossipReceived counts exchanges it answered;
 	// GossipErrors counts sends that reached no peer.
@@ -550,7 +546,7 @@ type RingResponse struct {
 	// Replication is the replicated-ownership view; nil when the factor
 	// is 1 (no replication configured).
 	Replication *ReplicationStats `json:"replication,omitempty"`
-	// Membership is the gossip view: join/gossip/eviction counters and
+	// Membership is the gossip view: gossip/eviction counters and
 	// tombstoned peers.
 	Membership *MembershipStats `json:"membership,omitempty"`
 	// AntiEntropy is the self-healing view: the outbox's handoffs.
@@ -595,7 +591,6 @@ func (s *Server) Ring() RingResponse {
 	ms := &MembershipStats{
 		Joined:         c.joined.Load(),
 		Draining:       c.draining.Load(),
-		JoinsIn:        c.joinsIn.Value(),
 		GossipSent:     c.gossipOut.Value(),
 		GossipReceived: c.gossipIn.Value(),
 		GossipErrors:   c.gossipErrs.Value(),

@@ -3,8 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,75 +13,40 @@ import (
 )
 
 // Elastic membership wiring: this file connects the shard.Membership state
-// machine to the serving tier. Two background loops run per cluster-mode
-// process — a join loop that announces the peer to a seed until admitted,
-// and a heartbeat loop that gossips the epoch-stamped view (sweeping
+// machine to the serving tier. One background loop runs per cluster-mode
+// process: the heartbeat, which gossips the epoch-stamped view (sweeping
 // silent members into eviction) and then kicks the outbox flusher
 // (outbox.go), so whatever a flush could not deliver is retried every
-// tick. The /v1/cluster/* endpoints are the wire surface: join and gossip
-// carry membership views, and leave triggers a planned-departure drain.
+// tick. A gossip exchange is the only membership message: a peer started
+// with seeds joins by exchanging views with them, at start-up and then
+// every heartbeat until a reply lists it alive. POST /v1/cluster/gossip is
+// the whole wire surface; a planned departure is DrainCluster, which a
+// shutdown runs.
 
-// maxGossipBytes bounds one gossip or join body; views are a few hundred
-// bytes per member.
+// maxGossipBytes bounds one gossip body; views are a few hundred bytes per
+// member.
 const maxGossipBytes = 1 << 20
 
-// handleCluster routes the /v1/cluster/* surface. Every endpoint requires
-// cluster mode; the sub-routes are dispatched here rather than registered
-// individually so non-cluster servers keep a single 409 surface.
+// handleCluster serves the /v1/cluster/ prefix: gossip is its one route.
+// The prefix is registered whole so every path under it, known or not,
+// answers 409 outside cluster mode.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		s.fail(w, http.StatusConflict, "cluster endpoints require cluster mode")
 		return
 	}
-	switch strings.TrimPrefix(r.URL.Path, "/v1/cluster/") {
-	case "join":
-		s.handleClusterJoin(w, r)
-	case "gossip":
-		s.handleClusterGossip(w, r)
-	case "leave":
-		s.handleClusterLeave(w, r)
-	default:
+	if r.URL.Path != "/v1/cluster/gossip" {
 		s.fail(w, http.StatusNotFound, "unknown cluster endpoint")
-	}
-}
-
-// joinRequest is the POST /v1/cluster/join body.
-type joinRequest struct {
-	// Peer is the joining process's base URL as the cluster reaches it.
-	Peer string `json:"peer"`
-}
-
-// handleClusterJoin admits a peer: its record enters the view at an
-// incarnation above any tombstone it left behind, the ring rebuilds under
-// a new epoch, and the merged view goes back so the joiner adopts the
-// cluster's full record set in one round trip. Any member can admit —
-// "seed" is a role the joiner picks, not a special node.
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req joinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGossipBytes)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad join body: %v", err)
-		return
-	}
-	peer, err := NormalizePeerURL(req.Peer)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c := s.cluster
-	if peer != c.self {
-		c.joinsIn.Inc()
-	}
-	view := c.mem.Join(peer)
-	s.writeJSON(w, http.StatusOK, view)
+	s.handleClusterGossip(w, r)
 }
 
 // handleClusterGossip answers one heartbeat exchange: merge the sender's
 // view, note the contact as proof of life, and reply with the local view
-// so the exchange converges both directions (push-pull).
+// so the exchange converges both directions (push-pull). A sender this
+// peer has never heard of is admitted by the merge itself — that is how a
+// peer joins.
 func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST required")
@@ -91,8 +57,8 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad gossip body: %v", err)
 		return
 	}
-	if view.From == "" {
-		s.fail(w, http.StatusBadRequest, "gossip view missing sender")
+	if err := checkView(view); err != nil {
+		s.fail(w, http.StatusBadRequest, "bad gossip view: %v", err)
 		return
 	}
 	c := s.cluster
@@ -102,34 +68,36 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, c.mem.View())
 }
 
-// handleClusterLeave starts this peer's planned departure: announce the
-// departure tombstone, hand owned keys to their new owners, and report
-// what moved. The process keeps serving (local-only) afterwards — exiting
-// is the operator's next step, or SIGTERM's, which runs the same drain
-// and finds it already done.
-func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// checkView refuses a view naming anything but a peer base URL in the form
+// NormalizePeerURL gives it, or carrying a status outside the wire set.
+// Every alive name a view carries takes a share of the key space, so the
+// sender and each member must be a peer the ring could reach.
+func checkView(v shard.View) error {
+	names := []string{v.From}
+	for _, m := range v.Members {
+		if m.Status != shard.StatusAlive && m.Status != shard.StatusLeft && m.Status != shard.StatusDead {
+			return fmt.Errorf("member %q: unknown status %q", m.Name, m.Status)
+		}
+		names = append(names, m.Name)
 	}
-	s.writeJSON(w, http.StatusOK, s.DrainCluster(r.Context()))
+	for _, name := range names {
+		if norm, err := NormalizePeerURL(name); err != nil || norm != name {
+			return fmt.Errorf("%q is not a peer base URL in normal form", name)
+		}
+	}
+	return nil
 }
 
 // --- background loops ---
 
 // startClusterLoops launches the outbox flusher, and with loops (Heartbeat
-// >= 0) the join and gossip loops. Called by EnableCluster; Server.Close
-// stops them.
+// >= 0) the gossip loop. Called by EnableCluster; Server.Close stops them.
 func (s *Server) startClusterLoops(loops bool) {
 	c := s.cluster
 	c.bg.Add(1)
 	go s.flushLoop()
 	if !loops {
 		return
-	}
-	if len(c.seeds) > 0 {
-		c.bg.Add(1)
-		go s.joinLoop()
 	}
 	c.bg.Add(1)
 	go s.gossipLoop()
@@ -141,61 +109,18 @@ func (c *cluster) stop() {
 	c.bg.Wait()
 }
 
-// joinLoop announces this peer to its seeds until one admits it: POST
-// /v1/cluster/join, merge the returned view, done. Retries every
-// heartbeat — a seed that is itself still starting is the normal case
-// during a fleet boot.
-func (s *Server) joinLoop() {
-	c := s.cluster
-	defer c.bg.Done()
-	ticker := time.NewTicker(c.heartbeat)
-	defer ticker.Stop()
-	for {
-		if s.tryJoin() {
-			return
-		}
-		select {
-		case <-c.quit:
-			return
-		case <-ticker.C:
-		}
-	}
-}
-
-// tryJoin attempts one join round over the seeds, returning success.
-func (s *Server) tryJoin() bool {
-	c := s.cluster
-	body, err := json.Marshal(joinRequest{Peer: c.self})
-	if err != nil {
-		return false
-	}
-	for _, seed := range c.seeds {
-		ctx, cancel := context.WithTimeout(context.Background(), c.heartbeat)
-		status, resp, err := c.fwd.Control(ctx, http.MethodPost, seed, "/v1/cluster/join", body)
-		cancel()
-		if err != nil || status/100 != 2 {
-			c.gossipErrs.Inc()
-			continue
-		}
-		var view shard.View
-		if err := json.Unmarshal(resp, &view); err != nil {
-			c.gossipErrs.Inc()
-			continue
-		}
-		c.mem.Merge(view)
-		c.joined.Store(true)
-		return true
-	}
-	return false
-}
-
 // gossipLoop is the heartbeat: every interval it sweeps the failure
-// detector and pushes the local view to every other ring member, merging
-// each answer back (push-pull, so one exchange converges both sides), then
-// kicks the outbox flusher, which retries every pair still pending.
+// detector and exchanges views with every other ring member (and the seeds
+// until one admits this peer), then kicks the outbox flusher, which
+// retries every pair still pending. A peer with seeds to join through runs
+// its first round at once, so it is admitted at start-up rather than a
+// heartbeat later.
 func (s *Server) gossipLoop() {
 	c := s.cluster
 	defer c.bg.Done()
+	if !c.joined.Load() {
+		s.gossipOnce(context.Background(), c.heartbeat)
+	}
 	ticker := time.NewTicker(c.heartbeat)
 	defer ticker.Stop()
 	for {
@@ -210,45 +135,94 @@ func (s *Server) gossipLoop() {
 }
 
 // gossipOnce runs one heartbeat round: sweep, beat, exchange with every
-// other ring member concurrently. Each exchange is bounded by hop — the
-// heartbeat interval on the loop, so a hung peer cannot stall the round
-// past one tick.
+// target concurrently. Each exchange is bounded by hop — the heartbeat
+// interval on the loop, so a hung peer cannot stall the round past one
+// tick.
 func (s *Server) gossipOnce(ctx context.Context, hop time.Duration) {
 	c := s.cluster
 	c.mem.Sweep()
-	view := c.mem.Beat()
-	ring := c.ring()
-	if ring == nil {
-		return
-	}
-	body, err := json.Marshal(view)
+	body, err := json.Marshal(c.mem.Beat())
 	if err != nil {
 		return
 	}
 	var wg sync.WaitGroup
-	for _, peer := range ring.Members() {
-		if peer == c.self {
-			continue
-		}
+	for _, peer := range c.gossipTargets() {
 		wg.Add(1)
-		go func(peer string) {
+		go func() {
 			defer wg.Done()
-			hopCtx, cancel := context.WithTimeout(ctx, hop)
-			defer cancel()
-			status, resp, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", body)
-			if err != nil || status/100 != 2 {
-				c.gossipErrs.Inc()
-				return
-			}
-			var remote shard.View
-			if err := json.Unmarshal(resp, &remote); err != nil {
-				c.gossipErrs.Inc()
-				return
-			}
-			c.mem.Observe(peer)
-			c.mem.Merge(remote)
-			c.gossipOut.Inc()
-		}(peer)
+			s.exchange(ctx, hop, peer, body)
+		}()
 	}
 	wg.Wait()
+}
+
+// gossipTargets lists whom a round exchanges views with: every other ring
+// member, plus the seeds until a reply has listed this peer alive.
+func (c *cluster) gossipTargets() []string {
+	var targets []string
+	if ring := c.ring(); ring != nil {
+		for _, peer := range ring.Members() {
+			if peer != c.self {
+				targets = append(targets, peer)
+			}
+		}
+	}
+	if !c.joined.Load() {
+		for _, seed := range c.seeds {
+			if !slices.Contains(targets, seed) {
+				targets = append(targets, seed)
+			}
+		}
+	}
+	return targets
+}
+
+// exchange posts body, this peer's view, to peer and merges the reply. A
+// reply listing this peer alive means peer holds it in its ring: the peer
+// has joined. A reply holding this peer's own tombstone was refuted by the
+// merge, so the exchange runs again at once with the refuting view, at
+// most twice: a restart over a left or dead record is admitted in the
+// round that found the record, the start-up round included.
+func (s *Server) exchange(ctx context.Context, hop time.Duration, peer string, body []byte) {
+	c := s.cluster
+	for retries := 0; ; retries++ {
+		hopCtx, cancel := context.WithTimeout(ctx, hop)
+		status, resp, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", body)
+		cancel()
+		if err != nil || status/100 != 2 {
+			c.gossipErrs.Inc()
+			return
+		}
+		var remote shard.View
+		if err := json.Unmarshal(resp, &remote); err != nil {
+			c.gossipErrs.Inc()
+			return
+		}
+		c.mem.Observe(peer)
+		c.mem.Merge(remote)
+		c.gossipOut.Inc()
+		switch statusOf(remote, c.self) {
+		case shard.StatusAlive:
+			c.joined.Store(true)
+			return
+		case "":
+			return
+		}
+		if retries == 2 || c.mem.Left() {
+			return // a departed peer's own tombstone stands
+		}
+		if body, err = json.Marshal(c.mem.View()); err != nil {
+			return
+		}
+	}
+}
+
+// statusOf returns name's status in v, or "" when v holds no record of it.
+func statusOf(v shard.View, name string) shard.Status {
+	for _, m := range v.Members {
+		if m.Name == name {
+			return m.Status
+		}
+	}
+	return ""
 }

@@ -82,7 +82,7 @@ func bootElasticPeer(t *testing.T, ln net.Listener, cfg ClusterConfig) *elasticP
 }
 
 // startElasticCluster boots n statically bootstrapped peers (each knows
-// the full member list up front, as with cmd/serve -peers).
+// the full member list up front, through ClusterConfig.Peers).
 func startElasticCluster(t *testing.T, n, rf int, cfg ClusterConfig) []*elasticPeer {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -152,71 +152,145 @@ func totalReplicatedIn(peers []*elasticPeer) uint64 {
 }
 
 // TestClusterJoinViaSeed: a peer started with only -seed joins the ring at
-// runtime — no restarts, no synchronized member lists — and both sides
-// converge on the same two-member ring under a bumped epoch.
+// runtime — no restarts, no synchronized member lists — by gossiping with
+// its seed, and both sides converge on the same two-member ring under a
+// bumped epoch.
 func TestClusterJoinViaSeed(t *testing.T) {
-	seed := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{})
-	joiner := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Seeds: []string{seed.url}})
-	both := []*elasticPeer{seed, joiner}
-	waitRingSize(t, both, 2)
-
-	if !joiner.srv.cluster.joined.Load() {
-		t.Error("joiner never marked itself admitted")
-	}
-	if seed.srv.cluster.joinsIn.Value() == 0 {
-		t.Error("seed admitted nobody")
-	}
-	sr, jr := seed.srv.Ring(), joiner.srv.Ring()
-	if sr.Epoch < 2 {
-		t.Errorf("seed epoch = %d after a join, want >= 2", sr.Epoch)
-	}
-	if len(sr.Members) != 2 || len(jr.Members) != 2 {
-		t.Fatalf("ring views: seed %d members, joiner %d", len(sr.Members), len(jr.Members))
-	}
-	for i := range sr.Members {
-		if sr.Members[i].Peer != jr.Members[i].Peer {
-			t.Errorf("member %d differs: %q vs %q", i, sr.Members[i].Peer, jr.Members[i].Peer)
+	t.Run("fresh", func(t *testing.T) {
+		seed := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{})
+		joiner := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Seeds: []string{seed.url}})
+		both := []*elasticPeer{seed, joiner}
+		waitCond(t, 10*time.Second, "the joiner's admission", joiner.srv.cluster.joined.Load)
+		waitRingSize(t, both, 2)
+		if seed.srv.cluster.gossipIn.Value() == 0 {
+			t.Error("seed answered no gossip")
 		}
-	}
-
-	// The joined tier routes: a key each member owns, sent to the joiner, is
-	// answered by its owner.
-	ring := joiner.srv.cluster.ring()
-	for _, owner := range both {
-		req := findOwnedBinding(t, ring, owner.url, 60000)
-		if resp := postAdvise(t, joiner.url, req); resp.ServedBy != owner.url {
-			t.Errorf("n=%v served by %q, want its owner %q", req.Bindings["n"], resp.ServedBy, owner.url)
+		sr, jr := seed.srv.Ring(), joiner.srv.Ring()
+		if sr.Epoch < 2 {
+			t.Errorf("seed epoch = %d after a join, want >= 2", sr.Epoch)
 		}
-	}
+		if len(sr.Members) != 2 || len(jr.Members) != 2 {
+			t.Fatalf("ring views: seed %d members, joiner %d", len(sr.Members), len(jr.Members))
+		}
+		for i := range sr.Members {
+			if sr.Members[i].Peer != jr.Members[i].Peer {
+				t.Errorf("member %d differs: %q vs %q", i, sr.Members[i].Peer, jr.Members[i].Peer)
+			}
+		}
+
+		// The joined tier routes: a key each member owns, sent to the
+		// joiner, is answered by its owner.
+		ring := joiner.srv.cluster.ring()
+		for _, owner := range both {
+			req := findOwnedBinding(t, ring, owner.url, 60000)
+			if resp := postAdvise(t, joiner.url, req); resp.ServedBy != owner.url {
+				t.Errorf("n=%v served by %q, want its owner %q", req.Bindings["n"], resp.ServedBy, owner.url)
+			}
+		}
+	})
+
+	// A seed that is not up yet is retried every heartbeat.
+	t.Run("seed starts late", func(t *testing.T) {
+		seedLn := listenOn(t, "")
+		seedAddr := seedLn.Addr().String()
+		seedLn.Close()
+		joiner := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Seeds: []string{"http://" + seedAddr}})
+		waitCond(t, 10*time.Second, "the joiner to miss its absent seed", func() bool {
+			return joiner.srv.cluster.gossipErrs.Value() > 0
+		})
+		if joiner.srv.cluster.joined.Load() {
+			t.Fatal("joiner admitted before its seed started")
+		}
+		seed := bootElasticPeer(t, listenOn(t, seedAddr), ClusterConfig{})
+		waitCond(t, 10*time.Second, "the joiner's admission", joiner.srv.cluster.joined.Load)
+		waitRingSize(t, []*elasticPeer{seed, joiner}, 2)
+	})
+
+	// A restart over the joiner's own tombstone is admitted by the start-up
+	// exchange alone: the heartbeat is far longer than the wait, so no tick
+	// can help.
+	t.Run("restart over own tombstone", func(t *testing.T) {
+		const slow = 10 * time.Second
+		seed := bootElasticPeer(t, listenOn(t, ""), ClusterConfig{Heartbeat: slow})
+		joinerLn := listenOn(t, "")
+		addr := joinerLn.Addr().String()
+		joiner := bootElasticPeer(t, joinerLn, ClusterConfig{Seeds: []string{seed.url}, Heartbeat: slow})
+		waitCond(t, 5*time.Second, "the first join", func() bool {
+			return len(seed.srv.cluster.ring().Members()) == 2
+		})
+		joiner.srv.DrainCluster(context.Background())
+		joiner.kill()
+		if dep := seed.srv.Ring().Membership.Departed; len(dep) != 1 || dep[0].Status != "left" {
+			t.Fatalf("seed departed view = %+v, want the joiner left", dep)
+		}
+
+		restarted := bootElasticPeer(t, listenOn(t, addr), ClusterConfig{Seeds: []string{seed.url}, Heartbeat: slow})
+		waitCond(t, 5*time.Second, "the restarted peer's admission", restarted.srv.cluster.joined.Load)
+		for _, p := range []*elasticPeer{seed, restarted} {
+			if ring := p.srv.cluster.ring(); ring == nil || len(ring.Members()) != 2 {
+				t.Fatalf("%s ring = %v after the admission, want both peers", p.url, ring.Members())
+			}
+		}
+		if n := restarted.srv.cluster.mem.Counters().Refutations; n != 1 {
+			t.Errorf("restarted peer refutations = %d, want 1 (its left record)", n)
+		}
+		if dep := seed.srv.Ring().Membership.Departed; len(dep) != 0 {
+			t.Errorf("seed still lists %+v as departed", dep)
+		}
+	})
 }
 
-// TestClusterGossipRejectsGarbage: the gossip and join endpoints validate
-// their methods and bodies, and the whole surface 409s outside cluster mode.
+// TestClusterGossipRejectsGarbage: the gossip endpoint validates its method
+// and body — a view is the only way into the ring, so it admits nothing
+// but peer base URLs with a wire status — no other /v1/cluster/* route
+// exists, and the whole surface 409s outside cluster mode.
 func TestClusterGossipRejectsGarbage(t *testing.T) {
 	peers := startElasticCluster(t, 1, 1, ClusterConfig{Heartbeat: -1})
 	s := peers[0].srv
 	if rec := doRaw(t, s, http.MethodPost, "/v1/cluster/gossip", []byte("{nope"), ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("garbage gossip: %d, want 400", rec.Code)
 	}
-	if rec := doRaw(t, s, http.MethodPost, "/v1/cluster/gossip", []byte(`{"members":[]}`), ""); rec.Code != http.StatusBadRequest {
-		t.Errorf("gossip without sender: %d, want 400", rec.Code)
+	if rec := doRaw(t, s, http.MethodGet, "/v1/cluster/gossip", nil, ""); rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET gossip: %d, want 405", rec.Code)
 	}
-	if rec := doRaw(t, s, http.MethodGet, "/v1/cluster/join", nil, ""); rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET join: %d, want 405", rec.Code)
+	const ok = "http://127.0.0.1:2"
+	alive := func(name string) string {
+		return `{"name":"` + name + `","incarnation":1,"heartbeat":1,"status":"alive"}`
 	}
-	if rec := doRaw(t, s, http.MethodPost, "/v1/cluster/join", []byte(`{"peer":"ftp://nope"}`), ""); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad join peer URL: %d, want 400", rec.Code)
+	for _, body := range []string{
+		`{"members":[]}`, // no sender
+		`{"from":"ftp://nope","members":[` + alive("ftp://nope") + `]}`,
+		`{"from":"http://127.0.0.1:1/x?y","members":[` + alive("http://127.0.0.1:1/x?y") + `]}`,
+		`{"from":"http://127.0.0.1:2/","members":[` + alive("http://127.0.0.1:2/") + `]}`,
+		`{"from":"` + ok + `","members":[` + alive(ok) + `,` + alive("ftp://nope") + `]}`,
+		`{"from":"` + ok + `","members":[` + alive(ok) + `,` + alive(" http://127.0.0.1:3") + `]}`,
+		`{"from":"` + ok + `","members":[{"name":"` + ok + `","incarnation":1,"status":"zombie"}]}`,
+		`{"from":"` + ok + `","members":[{"name":"` + ok + `","incarnation":1}]}`,
+	} {
+		if rec := doRaw(t, s, http.MethodPost, "/v1/cluster/gossip", []byte(body), ""); rec.Code != http.StatusBadRequest {
+			t.Errorf("gossip %s: %d, want 400", body, rec.Code)
+		}
 	}
-	// An old peer's read-repair probe (entry) and the retired key list are
-	// unknown endpoints like any other.
+	if got := s.cluster.ring().Members(); len(got) != 1 {
+		t.Errorf("ring after refused gossip = %v, want just self", got)
+	}
+	// The join and leave routes are gone; an old peer's read-repair probe
+	// (entry) and the retired key list are unknown endpoints like any other.
 	for _, path := range []string{"/v1/cluster/what", "/v1/cluster/entry?key=k", "/v1/cluster/keys"} {
 		if rec := doRaw(t, s, http.MethodGet, path, nil, ""); rec.Code != http.StatusNotFound {
 			t.Errorf("GET %s: %d, want 404", path, rec.Code)
 		}
 	}
+	for _, path := range []string{"/v1/cluster/join", "/v1/cluster/leave"} {
+		if rec := doRaw(t, s, http.MethodPost, path, []byte(`{"peer":"`+ok+`"}`), ""); rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s: %d, want 404", path, rec.Code)
+		}
+	}
 	plain := newTestServer(t)
-	if rec := doRaw(t, plain, http.MethodPost, "/v1/cluster/join", []byte(`{}`), ""); rec.Code != http.StatusConflict {
-		t.Errorf("cluster endpoint outside cluster mode: %d, want 409", rec.Code)
+	for _, path := range []string{"/v1/cluster/gossip", "/v1/cluster/join", "/v1/cluster/leave", "/v1/cluster/what"} {
+		if rec := doRaw(t, plain, http.MethodPost, path, []byte(`{}`), ""); rec.Code != http.StatusConflict {
+			t.Errorf("POST %s outside cluster mode: %d, want 409", path, rec.Code)
+		}
 	}
 }
 
@@ -240,10 +314,7 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 		postAdvise(t, a.url, req)
 	}
 
-	var report DrainReport
-	if rec := do(t, a.srv, http.MethodPost, "/v1/cluster/leave", nil, &report); rec.Code != http.StatusOK {
-		t.Fatalf("leave: %d", rec.Code)
-	}
+	report := a.srv.DrainCluster(context.Background())
 	if report.OwnedKeys != aOwned || report.Streamed != aOwned || report.Errors != 0 {
 		t.Fatalf("drain report %+v, want owned=streamed=%d with no errors", report, aOwned)
 	}
@@ -264,7 +335,7 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 		}
 	}
 
-	// A second drain (the SIGTERM after an explicit leave) is a no-op.
+	// A second drain is a no-op.
 	second := a.srv.DrainCluster(context.Background())
 	if !second.AlreadyDraining {
 		t.Errorf("second drain = %+v, want AlreadyDraining", second)

@@ -283,7 +283,7 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 			}
 		})
 
-	// Elastic membership: the gossip/join/eviction surface and the
+	// Elastic membership: the gossip/eviction surface and the
 	// self-healing (outbox) counters.
 	m.reg.GaugeFunc("serve_cluster_epoch",
 		"Ring version; increments on every membership change.", nil,
@@ -298,21 +298,19 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 			return float64(len(ring.Members()))
 		})
 	m.reg.GaugeFunc("serve_cluster_joined",
-		"1 once this peer has been admitted by a seed (always 1 without seeds).", nil,
+		"1 once a gossip reply has listed this peer alive (always 1 without seeds).", nil,
 		func() float64 {
 			if c.joined.Load() {
 				return 1
 			}
 			return 0
 		})
-	c.joinsIn = m.reg.Counter("serve_cluster_joins_total",
-		"Join requests admitted by this peer.", nil)
 	c.gossipOut = m.reg.Counter("serve_cluster_gossip_sent_total",
 		"Gossip exchanges this peer initiated and completed.", nil)
 	c.gossipIn = m.reg.Counter("serve_cluster_gossip_received_total",
 		"Gossip exchanges answered.", nil)
 	c.gossipErrs = m.reg.Counter("serve_cluster_gossip_errors_total",
-		"Failed gossip or join exchanges.", nil)
+		"Failed gossip exchanges.", nil)
 	m.reg.CounterFunc("serve_cluster_evictions_total",
 		"Members this peer declared dead after missed heartbeats.", nil,
 		func() float64 { return float64(c.mem.Counters().Evictions) })

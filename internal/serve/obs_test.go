@@ -429,7 +429,6 @@ func TestServingCountsAgree(t *testing.T) {
 		{"serve_cluster_replication_writes_total", cl.Replication.Writes, 0},
 		{"serve_cluster_replication_drops_total", cl.Replication.WriteDrops, 0},
 		{"serve_cluster_replicated_in_total", cl.Replication.ReplicatedIn, 0},
-		{"serve_cluster_joins_total", cl.Membership.JoinsIn, 0},
 		{"serve_cluster_gossip_sent_total", cl.Membership.GossipSent, 0},
 		{"serve_cluster_gossip_received_total", cl.Membership.GossipReceived, 1},
 		{"serve_cluster_gossip_errors_total", cl.Membership.GossipErrors, 0},

@@ -230,9 +230,9 @@ type DrainReport struct {
 // DrainCluster executes this peer's planned departure: tombstone self in
 // the membership view, run a gossip round synchronously (so the tier
 // re-rings before the handoff lands), then flush the outbox once, all
-// within drainTimeout of ctx. Idempotent — the second caller (POST
-// /v1/cluster/leave followed by SIGTERM is the normal pair) gets
-// AlreadyDraining and no work. Outside cluster mode it reports an empty
+// within drainTimeout of ctx. A shutdown runs it (cmd/serve on SIGTERM).
+// Idempotent — a second caller gets AlreadyDraining and no work.
+// Outside cluster mode it reports an empty
 // drain. The process keeps serving afterwards, local-only, and its gossip
 // tick retries what the flush could not deliver; exiting is the caller's
 // decision.

@@ -40,7 +40,8 @@ type Stats struct {
 		// Feedback counts POST /v1/feedback arrivals; omitted at zero so
 		// tiers without the lifecycle keep their exact prior payload.
 		Feedback uint64 `json:"feedback,omitempty"`
-		// Cluster counts /v1/cluster/* arrivals (join, gossip and leave);
+		// Cluster counts /v1/cluster/* arrivals (gossip, and any unknown
+		// path under the prefix);
 		// omitted at zero outside cluster mode.
 		Cluster uint64 `json:"cluster,omitempty"`
 		Errors  uint64 `json:"errors"`

@@ -28,6 +28,11 @@ import (
 // writes a "left" tombstone that supersedes the member's alive record at
 // the same incarnation.
 //
+// There is no separate join message: a peer joins by merging views with
+// any member. Its alive record enters the member's view like any other
+// record, and a restart over its own tombstone finds that tombstone in the
+// reply and refutes it, so the next exchange admits it.
+//
 // Every ring-membership change swaps in a freshly built Ring under a new
 // epoch. The (ring, epoch) pair is published atomically, so the serving
 // path reads a consistent snapshot without locks while gossip mutates the
@@ -67,7 +72,7 @@ func statusRank(s Status) int {
 }
 
 // Member is one peer's gossip record. Incarnation is bumped only by the
-// member itself (at join and when refuting its own death), Heartbeat on
+// member itself (when refuting its own death or departure), Heartbeat on
 // every gossip round; together they version the record. Status travels
 // with the version so tombstones are just records like any other.
 type Member struct {
@@ -102,8 +107,8 @@ type View struct {
 }
 
 // MembershipConfig configures a Membership. Self is required and is always
-// a record; Peers seed the initial alive set (the static -peers list, may
-// be empty when joining via a seed node).
+// a record; Peers seed the initial alive set (a fixed member list; empty
+// for a peer that joins by gossiping with a seed).
 type MembershipConfig struct {
 	Self  string
 	Peers []string
@@ -133,8 +138,6 @@ type ringState struct {
 
 // MembershipCounters are the state machine's lifetime counters.
 type MembershipCounters struct {
-	// Joins counts members admitted (or re-admitted) through Join.
-	Joins uint64 `json:"joins"`
 	// Evictions counts dead declarations this peer issued itself.
 	Evictions uint64 `json:"evictions"`
 	// Refutations counts times this peer overrode a tombstone about
@@ -165,7 +168,6 @@ type Membership struct {
 	seen map[string]time.Time // when each record last advanced, by this observer's clock
 	left bool                 // self issued a planned departure
 
-	joins     atomic.Uint64
 	evictions atomic.Uint64
 	refutes   atomic.Uint64
 }
@@ -305,7 +307,7 @@ func (m *Membership) viewLocked() View {
 	return v
 }
 
-// View snapshots the full record set for a join response or an on-demand
+// View snapshots the full record set for a gossip reply or an on-demand
 // exchange.
 func (m *Membership) View() View {
 	m.mu.Lock()
@@ -328,8 +330,8 @@ func (m *Membership) Beat() View {
 	return m.viewLocked()
 }
 
-// Observe records direct proof of life for name — an incoming gossip or
-// join from it — independent of whether its record advanced.
+// Observe records direct proof of life for name — a gossip exchange with
+// it — independent of whether its record advanced.
 func (m *Membership) Observe(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -392,31 +394,6 @@ func (m *Membership) fixSelfLocked(now time.Time) {
 		m.seen[m.cfg.Self] = now
 		m.refutes.Add(1)
 	}
-}
-
-// Join admits (or re-admits) name as an alive member at an incarnation
-// above any record already held for it, so a rejoin after a crash or drain
-// beats its own tombstone. Returns the post-join view — the joiner merges
-// it to adopt the cluster's record set. Self-joins are a no-op view read.
-func (m *Membership) Join(name string) View {
-	m.mu.Lock()
-	if name != m.cfg.Self {
-		inc := uint64(1)
-		if rec, ok := m.recs[name]; ok {
-			inc = rec.Incarnation + 1
-		}
-		m.recs[name] = Member{Name: name, Incarnation: inc, Heartbeat: 1, Status: StatusAlive}
-		m.seen[name] = m.cfg.Clock()
-		m.joins.Add(1)
-	}
-	view := m.viewLocked()
-	changed, st := m.rebuildLocked()
-	if changed {
-		view.Epoch = st.epoch
-	}
-	m.mu.Unlock()
-	m.fireChange(changed, st)
-	return view
 }
 
 // Leave writes a planned-departure tombstone for name at its current
@@ -492,7 +469,6 @@ func (m *Membership) Health() []MemberHealth {
 // Counters snapshots the lifetime counters.
 func (m *Membership) Counters() MembershipCounters {
 	return MembershipCounters{
-		Joins:       m.joins.Load(),
 		Evictions:   m.evictions.Load(),
 		Refutations: m.refutes.Load(),
 	}

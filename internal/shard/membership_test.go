@@ -43,19 +43,26 @@ func TestMembershipStaticBootstrap(t *testing.T) {
 	}
 }
 
+// exchange is one push-pull gossip exchange initiated by from: to merges
+// from's view and from merges the reply.
+func exchange(from, to *Membership) {
+	to.Merge(from.View())
+	from.Merge(to.View())
+}
+
 func TestMembershipJoinAndMergeConverge(t *testing.T) {
 	seed := mustMembership(t, MembershipConfig{Self: "a"})
 	joiner := mustMembership(t, MembershipConfig{Self: "b"})
 
-	// b joins via a: a admits it and hands back the merged view.
-	view := seed.Join("b")
+	// b joins via a by gossiping with it: a merges b's record from a view
+	// sent by a stranger and hands back its own.
+	exchange(joiner, seed)
 	if got := seed.Ring().Members(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("seed members after join = %v", got)
 	}
 	if seed.Epoch() != 2 {
 		t.Fatalf("seed epoch = %d, want 2 after one membership change", seed.Epoch())
 	}
-	joiner.Merge(view)
 	if !reflect.DeepEqual(joiner.Ring().Members(), seed.Ring().Members()) {
 		t.Fatalf("joiner ring %v != seed ring %v", joiner.Ring().Members(), seed.Ring().Members())
 	}
@@ -95,16 +102,23 @@ func TestMembershipRejoinBeatsTombstone(t *testing.T) {
 	if a.Ring().Contains("b") {
 		t.Fatal("b still in ring after leave")
 	}
-	// b restarts and joins again: the new incarnation supersedes the
+	// b restarts at incarnation 1 and gossips with a. Its record sits below
+	// the tombstone, so the first exchange does not admit it; the reply
+	// carries the tombstone, which b refutes at a higher incarnation.
+	b := mustMembership(t, MembershipConfig{Self: "b"})
+	exchange(b, a)
+	if a.Ring().Contains("b") {
+		t.Fatal("a record below b's tombstone re-admitted it")
+	}
+	if b.Counters().Refutations != 1 {
+		t.Fatalf("b refutations = %d after seeing its tombstone, want 1", b.Counters().Refutations)
+	}
+	// The next exchange carries the refutation, which supersedes the
 	// tombstone.
-	view := a.Join("b")
+	exchange(b, a)
 	if !a.Ring().Contains("b") {
 		t.Fatal("b not re-admitted")
 	}
-	// The join response lets the rejoined b adopt a record above its own
-	// bootstrap incarnation.
-	b := mustMembership(t, MembershipConfig{Self: "b"})
-	b.Merge(view)
 	if !reflect.DeepEqual(b.Ring().Members(), a.Ring().Members()) {
 		t.Fatalf("rejoined b ring %v != a ring %v", b.Ring().Members(), a.Ring().Members())
 	}
@@ -249,10 +263,10 @@ func TestMembershipChurnProperty(t *testing.T) {
 				sampleKeys[i] = fmt.Sprintf("key-%d", i)
 			}
 
-			// exchange performs one full gossip round: every live peer
+			// gossipRound performs one full gossip round: every live peer
 			// beats, sweeps, and merges every other live peer's view twice
 			// (push and pull) so the fleet reaches the semilattice fixpoint.
-			exchange := func() {
+			gossipRound := func() {
 				for _, n := range names {
 					if members[n] == nil || crashed[n] {
 						continue
@@ -332,11 +346,15 @@ func TestMembershipChurnProperty(t *testing.T) {
 					members[victim] = mustMembership(t, MembershipConfig{
 						Self: victim, EvictAfter: 10 * time.Second, Clock: clock.Now,
 					})
-					members[victim].Merge(seedPeer.Join(victim))
+					// Two exchanges: the first may hand the victim its
+					// own tombstone to refute, the second carries the
+					// refutation.
+					exchange(members[victim], seedPeer)
+					exchange(members[victim], seedPeer)
 				}
 				clock.Advance(time.Second)
-				exchange()
-				exchange() // second round lets eviction verdicts propagate
+				gossipRound()
+				gossipRound() // second round lets eviction verdicts propagate
 
 				// Invariant 1: no key owner-less.
 				obsRing := members[observer].Ring()
@@ -408,6 +426,12 @@ func FuzzMembershipMerge(f *testing.F) {
 		`{"from":"c","members":[{"name":"b","incarnation":2,"heartbeat":1,"status":"left"},{"name":"d","incarnation":1,"status":"alive"}]}`,
 		`{"members":[{"name":"a","incarnation":18446744073709551615,"status":"left"}]}`,
 		`{"members":[{"name":"","status":"alive"},{"name":"e","status":"zombie"},{"name":"e","incarnation":3,"status":"alive"}]}`,
+		// First contact: a stranger's view naming only itself, which is how
+		// a peer joins through a seed.
+		`{"from":"d","epoch":1,"members":[{"name":"d","incarnation":1,"heartbeat":1,"status":"alive"}]}`,
+		// A restarted c's first view, below the tombstone the fixture holds
+		// for it.
+		`{"from":"c","epoch":1,"members":[{"name":"c","incarnation":1,"heartbeat":1,"status":"alive"}]}`,
 		`{}`, `null`, `[]`,
 	} {
 		f.Add([]byte(seed))
@@ -419,6 +443,7 @@ func FuzzMembershipMerge(f *testing.F) {
 		}
 		clock := newFakeClock()
 		m := mustMembership(t, MembershipConfig{Self: "a", Peers: []string{"b", "c"}, Clock: clock.Now})
+		m.Leave("c") // a tombstone for a restarted c to land below
 		check := func(when string) {
 			t.Helper()
 			var alive []string

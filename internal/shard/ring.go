@@ -47,7 +47,7 @@ type Ring struct {
 // NewRing builds a ring over members with vnodes virtual nodes each
 // (vnodes <= 0 picks DefaultVNodes). Members are deduped and sorted, so
 // rings built from the same set in any order are identical — every peer of
-// a cluster computes the same ownership from the same -peers list.
+// a cluster computes the same ownership from the same member list.
 func NewRing(members []string, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes

@@ -18,7 +18,7 @@ func keys(n int) []string {
 
 // TestRingDeterministic: rings built from the same member set in any order
 // agree on every owner and on the ownership fractions — the property that
-// lets each peer compute routing independently from the shared -peers list.
+// lets each peer compute routing independently from the shared member list.
 func TestRingDeterministic(t *testing.T) {
 	a, err := NewRing([]string{"http://a:1", "http://b:2", "http://c:3"}, 64)
 	if err != nil {
