@@ -398,37 +398,28 @@ func BenchmarkPredictFastPath(b *testing.B) {
 		}
 		perSample(b, len(grid))
 	})
-	engine := func(prefix string) {
-		b.Run(prefix+"-single", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = m.Predict(s)
+	b.Run("engine-single", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = m.Predict(s)
+		}
+	})
+	b.Run("engine-grid-48", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = m.PredictBatch(grid)
+		}
+		perSample(b, len(grid))
+	})
+	b.Run("engine-unbatched-48", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, gs := range grid {
+				_ = m.Predict(gs)
 			}
-		})
-		b.Run(prefix+"-grid-48", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = m.PredictBatch(grid)
-			}
-			perSample(b, len(grid))
-		})
-		b.Run(prefix+"-unbatched-48", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, gs := range grid {
-					_ = m.Predict(gs)
-				}
-			}
-			perSample(b, len(grid))
-		})
-	}
-	engine("engine")
-	// The float32 inference path (what registry-served models run by
-	// default). Enabled last so the sub-benchmarks above measure the default
-	// float64 engine.
-	m.SetFloat32Inference(true)
-	m.PrecomputeInference()
-	engine("engine32")
+		}
+		perSample(b, len(grid))
+	})
 }
 
 // BenchmarkGNNTrainStep measures one sample's gradient at the default
@@ -610,13 +601,12 @@ func BenchmarkServeAdviseCold(b *testing.B) {
 // BenchmarkAdviseColdSuite measures what a cold advise costs in process at
 // the shape bench/'s advise_cold serves: the 17 suite kernels round-robin
 // over the default search space on the V100 profile (24–48 points, 2–4
-// variant kinds), Hidden 24 / Layers 3 in float32, bindings that never
-// repeat. BenchmarkServeAdviseCold sweeps a two-point, one-kind grid and
-// cannot see what a grid shares.
+// variant kinds), Hidden 24 / Layers 3, bindings that never repeat.
+// BenchmarkServeAdviseCold sweeps a two-point, one-kind grid and cannot see
+// what a grid shares.
 func BenchmarkAdviseColdSuite(b *testing.B) {
 	model := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3,
 		Relations: int(paragraph.NumEdgeTypes)})
-	model.SetFloat32Inference(true)
 	a := advisor.New(model, benchServePrep(), hw.V100())
 	kernels, space := apps.Kernels(), advisor.DefaultSearchSpace()
 	b.ReportAllocs()
@@ -641,7 +631,6 @@ func BenchmarkAdviseColdSuite(b *testing.B) {
 func BenchmarkAdviseMaxGrid(b *testing.B) {
 	model := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3,
 		Relations: int(paragraph.NumEdgeTypes)})
-	model.SetFloat32Inference(true)
 	a := advisor.New(model, benchServePrep(), hw.V100())
 	k, _ := apps.ByName("matmul")
 	var space advisor.SearchSpace

@@ -63,6 +63,12 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *epochs < 0 {
+		return fmt.Errorf("-epochs %d: must not be negative (0 = scale default)", *epochs)
+	}
+	if *points < 0 {
+		return fmt.Errorf("-points %d: must not be negative (0 = scale default)", *points)
+	}
 	if *saveDir != "" {
 		// Reject a bad version name now, not after the training run.
 		if err := registry.CheckName(*saveName); err != nil {

@@ -11,19 +11,31 @@ import (
 )
 
 func TestRunFlagErrors(t *testing.T) {
-	cases := [][]string{
-		{"-scale", "huge"},
-		{"-platform", "Cray-1"},
-		{"-level", "mega"},
-		{"-badflag"},
+	cases := []struct {
+		args []string
+		want string // in the error, when set
+	}{
+		{args: []string{"-scale", "huge"}},
+		{args: []string{"-platform", "Cray-1"}},
+		{args: []string{"-level", "mega"}},
+		{args: []string{"-badflag"}},
 		// The feedback retrain's split and record floor are constants now.
-		{"-rollout-split", "50"},
-		{"-min-records", "5"},
+		{args: []string{"-rollout-split", "50"}},
+		{args: []string{"-min-records", "5"}},
+		// A negative override is refused before any work, not read as the
+		// scale default — in the feedback retrain too.
+		{args: []string{"-epochs", "-1"}, want: "-epochs"},
+		{args: []string{"-points", "-4"}, want: "-points"},
+		{args: []string{"-from-feedback", "no-such-log", "-epochs", "-1"}, want: "-epochs"},
 	}
-	for _, args := range cases {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			if err := run(args, io.Discard); err == nil {
-				t.Errorf("run(%v) accepted", args)
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			err := run(c.args, io.Discard)
+			if err == nil {
+				t.Fatalf("run(%v) accepted", c.args)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("run(%v) = %v, want an error naming %s", c.args, err, c.want)
 			}
 		})
 	}

@@ -247,10 +247,10 @@ func requireSameRanking(t *testing.T, name string, got, want []Recommendation) {
 // PredictBatch, and through PredictBatchCtx with one model call per grid —
 // returns the ranking of referenceAdvise, which parses, builds and encodes
 // every grid point on its own: in order and bit for bit, against a real
-// model in both inference widths. Each kernel is ranked over the default
-// space and over a one-point space — one team and thread count, the point
-// moving from kernel to kernel — so a client's one-point advise reads each
-// variant's runtime exactly as a lone per-point prediction computes it.
+// model. Each kernel is ranked over the default space and over a one-point
+// space — one team and thread count, the point moving from kernel to
+// kernel — so a client's one-point advise reads each variant's runtime
+// exactly as a lone per-point prediction computes it.
 func TestBatchAdviseMatchesSerialReference(t *testing.T) {
 	def := DefaultSearchSpace()
 	onePoint := func(i int) SearchSpace {
@@ -260,38 +260,35 @@ func TestBatchAdviseMatchesSerialReference(t *testing.T) {
 			GPUThreads: []int{def.GPUThreads[i/len(def.GPUTeams)%len(def.GPUThreads)]},
 		}
 	}
-	for _, f32 := range []bool{false, true} {
-		m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 2, Relations: 8})
-		m.SetFloat32Inference(f32)
-		for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
-			serial := New(predictOnly{m}, testPrep(), machine)
-			serial.SetWorkers(1)
-			batch := New(m, testPrep(), machine)
-			traced := &ctxBatch{m: m}
-			ctxAdv := New(traced, testPrep(), machine)
-			kernels := apps.Kernels()
-			for i, k := range kernels {
-				bindings := firstBindings(k)
-				for _, space := range []SearchSpace{def, onePoint(i)} {
-					want := referenceAdvise(t, m, testPrep(), k, machine, bindings, space)
-					for _, adv := range []struct {
-						name string
-						a    *Advisor
-					}{{"Predict", serial}, {"PredictBatch", batch}, {"PredictBatchCtx", ctxAdv}} {
-						got, err := adv.a.Advise(k, bindings, space)
-						if err != nil {
-							t.Fatalf("%s on %s via %s over %v: %v", k.Name, machine.Name, adv.name, space, err)
-						}
-						requireSameRanking(t, fmt.Sprintf("%s on %s via %s over %v (f32=%v)", k.Name, machine.Name, adv.name, space, f32), got, want)
+	m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 2, Relations: 8})
+	for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
+		serial := New(predictOnly{m}, testPrep(), machine)
+		serial.SetWorkers(1)
+		batch := New(m, testPrep(), machine)
+		traced := &ctxBatch{m: m}
+		ctxAdv := New(traced, testPrep(), machine)
+		kernels := apps.Kernels()
+		for i, k := range kernels {
+			bindings := firstBindings(k)
+			for _, space := range []SearchSpace{def, onePoint(i)} {
+				want := referenceAdvise(t, m, testPrep(), k, machine, bindings, space)
+				for _, adv := range []struct {
+					name string
+					a    *Advisor
+				}{{"Predict", serial}, {"PredictBatch", batch}, {"PredictBatchCtx", ctxAdv}} {
+					got, err := adv.a.Advise(k, bindings, space)
+					if err != nil {
+						t.Fatalf("%s on %s via %s over %v: %v", k.Name, machine.Name, adv.name, space, err)
 					}
-					if last := traced.calls[len(traced.calls)-1]; last != len(want) {
-						t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
-					}
+					requireSameRanking(t, fmt.Sprintf("%s on %s via %s over %v", k.Name, machine.Name, adv.name, space), got, want)
+				}
+				if last := traced.calls[len(traced.calls)-1]; last != len(want) {
+					t.Errorf("%s on %s: model call of %d samples for a grid of %d", k.Name, machine.Name, last, len(want))
 				}
 			}
-			if len(traced.calls) != 2*len(kernels) {
-				t.Errorf("%s: %d model calls for %d grids", machine.Name, len(traced.calls), 2*len(kernels))
-			}
+		}
+		if len(traced.calls) != 2*len(kernels) {
+			t.Errorf("%s: %d model calls for %d grids", machine.Name, len(traced.calls), 2*len(kernels))
 		}
 	}
 }

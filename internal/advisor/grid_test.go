@@ -77,44 +77,41 @@ func adviseGrid(t *testing.T, m *gnn.Model, k apps.Kernel, machine hw.Machine, b
 }
 
 // TestGridBatchBitIdenticalToPerSample is the engine's family contract on
-// real grids: for every suite kernel on a CPU and a GPU machine, in both
-// inference widths, PredictBatch returns, at every index, the bits a lone
-// Predict of that point's own per-point encoding returns — over the grid
-// encoded point by point (EncodeInstance), and over the grid Advise hands
-// the model, whose points share one topology per kind by pointer.
+// real grids: for every suite kernel on a CPU and a GPU machine,
+// PredictBatch returns, at every index, the bits a lone Predict of that
+// point's own per-point encoding returns — over the grid encoded point by
+// point (EncodeInstance), and over the grid Advise hands the model, whose
+// points share one topology per kind by pointer.
 func TestGridBatchBitIdenticalToPerSample(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		m := gnn.NewModel(gnn.Config{Seed: 2, Hidden: 12, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
-		m.SetFloat32Inference(f32)
-		for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
-			a := New(m, testPrep(), machine)
-			for _, k := range apps.Kernels() {
-				var grid []*gnn.Sample
-				for _, p := range gridOf(k, machine) {
-					src, err := variants.Generate(k, p.kind, p.teams, p.threads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s, err := a.EncodeInstance(variants.Instance{Kernel: k, Kind: p.kind, Teams: p.teams, Threads: p.threads, Bindings: firstBindings(k), Source: src})
-					if err != nil {
-						t.Fatal(err)
-					}
-					grid = append(grid, s)
+	m := gnn.NewModel(gnn.Config{Seed: 2, Hidden: 12, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
+	for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
+		a := New(m, testPrep(), machine)
+		for _, k := range apps.Kernels() {
+			var grid []*gnn.Sample
+			for _, p := range gridOf(k, machine) {
+				src, err := variants.Generate(k, p.kind, p.teams, p.threads)
+				if err != nil {
+					t.Fatal(err)
 				}
-				shared := adviseGrid(t, m, k, machine, firstBindings(k))
-				if len(shared) != len(grid) {
-					t.Fatalf("%s on %s: Advise hands the model %d samples for a grid of %d", k.Name, machine.Name, len(shared), len(grid))
+				s, err := a.EncodeInstance(variants.Instance{Kernel: k, Kind: p.kind, Teams: p.teams, Threads: p.threads, Bindings: firstBindings(k), Source: src})
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, gotShared := m.PredictBatch(grid), m.PredictBatch(shared)
-				for i, s := range grid {
-					want := math.Float64bits(m.Predict(s))
-					if math.Float64bits(got[i]) != want {
-						t.Fatalf("%s on %s f32=%v: PredictBatch[%d] = %v, Predict = %v", k.Name, machine.Name, f32, i, got[i], m.Predict(s))
-					}
-					if math.Float64bits(gotShared[i]) != want || shared[i].Name != s.Name {
-						t.Fatalf("%s on %s f32=%v: PredictBatch over Advise's grid gives %v for point %d (%s), a lone Predict of %s encoded on its own %v",
-							k.Name, machine.Name, f32, gotShared[i], i, shared[i].Name, s.Name, m.Predict(s))
-					}
+				grid = append(grid, s)
+			}
+			shared := adviseGrid(t, m, k, machine, firstBindings(k))
+			if len(shared) != len(grid) {
+				t.Fatalf("%s on %s: Advise hands the model %d samples for a grid of %d", k.Name, machine.Name, len(shared), len(grid))
+			}
+			got, gotShared := m.PredictBatch(grid), m.PredictBatch(shared)
+			for i, s := range grid {
+				want := math.Float64bits(m.Predict(s))
+				if math.Float64bits(got[i]) != want {
+					t.Fatalf("%s on %s: PredictBatch[%d] = %v, Predict = %v", k.Name, machine.Name, i, got[i], m.Predict(s))
+				}
+				if math.Float64bits(gotShared[i]) != want || shared[i].Name != s.Name {
+					t.Fatalf("%s on %s: PredictBatch over Advise's grid gives %v for point %d (%s), a lone Predict of %s encoded on its own %v",
+						k.Name, machine.Name, gotShared[i], i, shared[i].Name, s.Name, m.Predict(s))
 				}
 			}
 		}
@@ -446,10 +443,10 @@ func TestServedGraphMatchesTrainingGraph(t *testing.T) {
 
 // TestColdAdviseAllocations pins the cold path's garbage where tier-1 can
 // see it: one cold default-space V100 Advise, averaged over the suite at the
-// bench/ checkpoint's shape (Hidden 24, Layers 3, float32), allocates at
-// most 5 000 times and 1.2 MB. Parsing every grid point made that 16 484
-// allocations and 3.16 MB; one parse per variant kind measures 2 174 and
-// 0.38 MB (BenchmarkAdviseColdSuite).
+// bench/ checkpoint's shape (Hidden 24, Layers 3), allocates at most 5 000
+// times and 1.2 MB. Parsing every grid point made that 16 484 allocations
+// and 3.16 MB; one parse per variant kind measures 2 174 and 0.38 MB
+// (BenchmarkAdviseColdSuite).
 func TestColdAdviseAllocations(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, set := range bi.Settings {
@@ -459,7 +456,6 @@ func TestColdAdviseAllocations(t *testing.T) {
 		}
 	}
 	m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
-	m.SetFloat32Inference(true)
 	a := New(m, testPrep(), hw.V100())
 	kernels, space := apps.Kernels(), DefaultSearchSpace()
 	sweep := func(offset int) {

@@ -8,8 +8,8 @@ import (
 	"paragraph/internal/tensor"
 )
 
-// This file is training's gradient: the float64 engine's forward pass
-// (infer.go) run with the ReLU masks recorded, then a hand-derived backward
+// This file is training's gradient: the engine's forward pass (infer.go)
+// run with the ReLU masks recorded, then a hand-derived backward
 // over the state the engine retains in its slot — h⁰…h^L, each relation's
 // projected source rows q and source scores — and the head activations
 // left in the workspace. The autodiff tape (Model.Forward) is its oracle:
@@ -27,12 +27,11 @@ import (
 // dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ (the product over the
 // relation's source rows only), daSrc = W_rᵀ·g_pSrc and daDst = W_rᵀ·g_pDst.
 
-// trainWeights is one mini-batch's float64 weight set: the engine's, built
-// from the parameter values the previous step left (never the model's
-// serving set, so a model serving in float32 still trains in float64),
-// plus what only the backward reads.
+// trainWeights is one mini-batch's weight set: the engine's, at the
+// parameter values the previous step left, plus what only the backward
+// reads.
 type trainWeights struct {
-	w      *weights[float64]
+	w      *weights
 	layers []trainLayer
 	at     modelAt
 }
@@ -41,8 +40,8 @@ type trainWeights struct {
 // transposed, the attention vectors, and where its parameters sit in a
 // gradient.
 type trainLayer struct {
-	selfT      *tensor.Dense[float64]
-	wT         []*tensor.Dense[float64]
+	selfT      *tensor.Matrix
+	wT         []*tensor.Matrix
 	aSrc, aDst [][]float64
 	at         layerAt
 }
@@ -62,8 +61,9 @@ type (
 	}
 )
 
-// buildTrainWeights converts the current parameter values for one
-// mini-batch.
+// buildTrainWeights assembles one mini-batch's weights from the model's
+// engine weight set, which the caller has rebuilt at the current parameter
+// values.
 func buildTrainWeights(m *Model) *trainWeights {
 	at := map[*nn.Parameter]int{}
 	off := 0
@@ -72,20 +72,17 @@ func buildTrainWeights(m *Model) *trainWeights {
 		off += len(p.Value.Data)
 	}
 	tw := &trainWeights{
-		w: buildWeights[float64](m),
+		w: m.inferParams(),
 		at: modelAt{
 			kind: at[m.kindEmb.Table], sub: at[m.subEmb.Table], featVec: at[m.featVec],
 			fc1W: at[m.fc1.W], fc1B: at[m.fc1.B], fc2W: at[m.fc2.W], fc2B: at[m.fc2.B],
 			featW: at[m.featFC.W], featB: at[m.featFC.B], outW: at[m.out.W], outB: at[m.out.B],
 		},
 	}
-	transposed := func(p *nn.Parameter) *tensor.Dense[float64] {
-		return tensor.Convert[float64](tensor.Transpose(p.Value))
-	}
 	for _, l := range m.layers {
-		tl := trainLayer{selfT: transposed(l.self), at: layerAt{self: at[l.self], bias: at[l.bias]}}
+		tl := trainLayer{selfT: tensor.Transpose(l.self.Value), at: layerAt{self: at[l.self], bias: at[l.bias]}}
 		for r := range l.w {
-			tl.wT = append(tl.wT, transposed(l.w[r]))
+			tl.wT = append(tl.wT, tensor.Transpose(l.w[r].Value))
 			tl.aSrc = append(tl.aSrc, slices.Clone(l.aSrc[r].Value.Data))
 			tl.aDst = append(tl.aDst, slices.Clone(l.aDst[r].Value.Data))
 			tl.at.w = append(tl.at.w, at[l.w[r]])
@@ -105,6 +102,9 @@ func buildTrainWeights(m *Model) *trainWeights {
 // the call are not seen. Workspaces are pooled on the model, so in steady
 // state an example's gradient allocates nothing.
 func (m *Model) Gradient(samples []*Sample) nn.Gradient {
+	// The optimizer mutated parameter values in place since the weight set
+	// was built: rebuild it, for this batch and for any Predict after it.
+	m.InvalidateInference()
 	tw := buildTrainWeights(m)
 	return func(i int, grad []float64) float64 {
 		gw, _ := m.gradPool.Get().(*gradWS)
@@ -119,14 +119,14 @@ func (m *Model) Gradient(samples []*Sample) nn.Gradient {
 // gradWS is one training worker's state: an engine workspace whose passes
 // record the ReLU masks, and the backward's scratch.
 type gradWS struct {
-	workspace[float64]
-	dh, dIn tensor.Dense[float64] // N×H: dL/d(a layer's output), then dL/d(its input)
-	dq      tensor.Dense[float64] // a relation's source rows × H: dL/dq
-	opT     tensor.Dense[float64] // a transposed operand
-	tmp     tensor.Dense[float64] // a product, before it is added in
-	dsSrc   []float64             // per source row of a relation: dL/d(its score)
-	dAlpha  []float64             // one run's dL/dα
-	vec     []float64             // the head's, then one relation's, H-vectors
+	workspace
+	dh, dIn tensor.Matrix // N×H: dL/d(a layer's output), then dL/d(its input)
+	dq      tensor.Matrix // a relation's source rows × H: dL/dq
+	opT     tensor.Matrix // a transposed operand
+	tmp     tensor.Matrix // a product, before it is added in
+	dsSrc   []float64     // per source row of a relation: dL/d(its score)
+	dAlpha  []float64     // one run's dL/dα
+	vec     []float64     // the head's, then one relation's, H-vectors
 }
 
 // gradient runs s forward through the engine and back, adding the squared
@@ -212,7 +212,7 @@ func linearGrad(x, dz, gW, gB []float64) {
 
 // backRow sets dx = dz·Wᵀ, zeroed where pass (when given) says the ReLU
 // that produced x blocked its gradient.
-func backRow(w *tensor.Dense[float64], dz []float64, pass []bool, dx []float64) {
+func backRow(w *tensor.Matrix, dz []float64, pass []bool, dx []float64) {
 	for i := range dx {
 		if pass != nil && !pass[i] {
 			dx[i] = 0
@@ -224,7 +224,7 @@ func backRow(w *tensor.Dense[float64], dz []float64, pass []bool, dx []float64) 
 
 // addATB adds a[rows]ᵀ·b into dst (a.Cols × b.Cols, row-major) through the
 // tiled kernel; nil rows means every row of a.
-func (gw *gradWS) addATB(a *tensor.Dense[float64], rows []int, b *tensor.Dense[float64], dst []float64) {
+func (gw *gradWS) addATB(a *tensor.Matrix, rows []int, b *tensor.Matrix, dst []float64) {
 	m := b.Rows
 	gw.arena.GetMatrix(&gw.opT, a.Cols, m)
 	for k := 0; k < m; k++ {
@@ -253,7 +253,7 @@ func axpy(y []float64, a float64, x []float64) {
 // layer backpropagates convolution li: on entry gw.dh holds dL/dh^{li+1},
 // on return dL/dh^li, and the layer's parameter gradients are added into
 // grad.
-func (gw *gradWS) layer(tw *trainWeights, st *slot[float64], li int, grad []float64) {
+func (gw *gradWS) layer(tw *trainWeights, st *slot, li int, grad []float64) {
 	ws := &gw.workspace
 	l, tl := &tw.w.layers[li], &tw.layers[li]
 	n, hd := ws.n, ws.hdim
@@ -286,7 +286,7 @@ func (gw *gradWS) layer(tw *trainWeights, st *slot[float64], li int, grad []floa
 
 // relation backpropagates relation r's messages at layer li from dL/dOut
 // (gw.dh) into dL/dh^li (gw.dIn) and the relation's parameter gradients.
-func (gw *gradWS) relation(tw *trainWeights, st *slot[float64], li, r int, grad []float64) {
+func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64) {
 	ws, w := &gw.workspace, tw.w
 	l, tl := &w.layers[li], &tw.layers[li]
 	rp, hd := &ws.plan.rels[r], ws.hdim

@@ -36,20 +36,20 @@ func tapeGradients(m *Model, samples []*Sample) func() nn.Gradient {
 }
 
 // checkGradientsMatchTape compares one sample's engine gradient with the
-// tape's, element by element, at relErr ≤ equivTolF64.
+// tape's, element by element, at relErr ≤ equivTol.
 func checkGradientsMatchTape(t *testing.T, m *Model, s *Sample, what string) {
 	t.Helper()
 	want := make([]float64, m.NumParams())
 	wantLoss := tapeGradient(m, s, want)
 	got := make([]float64, len(want))
 	loss := m.Gradient([]*Sample{s})(0, got)
-	if e := relErr(loss, wantLoss); e > equivTolF64 {
+	if e := relErr(loss, wantLoss); e > equivTol {
 		t.Fatalf("%s: loss %v, tape %v (rel err %v)", what, loss, wantLoss, e)
 	}
 	i := 0
 	for _, p := range m.params {
 		for j := range p.Value.Data {
-			if e := relErr(got[i], want[i]); e > equivTolF64 || math.IsNaN(got[i]) {
+			if e := relErr(got[i], want[i]); e > equivTol || math.IsNaN(got[i]) {
 				t.Fatalf("%s: %s[%d] gradient %v, tape %v (rel err %v)", what, p.Name, j, got[i], want[i], e)
 			}
 			i++

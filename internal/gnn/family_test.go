@@ -103,29 +103,27 @@ func randomFamily(rng *rand.Rand, numRels, size int, planCache bool) []*Sample {
 	return out
 }
 
-func fuzzModel(rng *rand.Rand, numRels int, f32 bool) *Model {
-	m := NewModel(Config{
+func fuzzModel(rng *rand.Rand, numRels int) *Model {
+	return NewModel(Config{
 		Seed:               rng.Int63n(1000),
 		Hidden:             []int{4, 8, 16}[rng.Intn(3)],
 		Layers:             1 + rng.Intn(3),
 		Relations:          numRels,
 		DisableEdgeWeights: rng.Intn(4) == 0,
 	})
-	m.SetFloat32Inference(f32)
-	return m
 }
 
 // TestFamilyMatchesPerSampleFuzz is the family ≡ per-sample gate: random
-// topologies × random feature-row and edge-weight perturbations, both
-// widths, with two families interleaved sample by sample, families longer
-// than the retained-base bound, repeated *Sample and *Graph pointers, a
-// WScale-only sibling, both plan-cache states and the DisableEdgeWeights
-// ablation, in shuffled order.
+// topologies × random feature-row and edge-weight perturbations, with two
+// families interleaved sample by sample, families longer than the
+// retained-base bound, repeated *Sample and *Graph pointers, a WScale-only
+// sibling, both plan-cache states and the DisableEdgeWeights ablation, in
+// shuffled order.
 func TestFamilyMatchesPerSampleFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < equivTrials(40); trial++ {
 		numRels := 1 + rng.Intn(8)
-		m := fuzzModel(rng, numRels, trial%2 == 1)
+		m := fuzzModel(rng, numRels)
 		a := randomFamily(rng, numRels, 2+rng.Intn(2*maxBases+4), trial%3 != 0)
 		b := randomFamily(rng, numRels, 1+rng.Intn(6), trial%3 != 1)
 		var batch []*Sample
@@ -145,7 +143,7 @@ func TestFamilyMatchesPerSampleFuzz(t *testing.T) {
 		if trial%2 == 0 {
 			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 		}
-		assertBatchBitIdentical(t, m, batch, fmt.Sprintf("trial %d (cfg %+v, f32=%v)", trial, m.cfg, m.Float32Inference()))
+		assertBatchBitIdentical(t, m, batch, fmt.Sprintf("trial %d (cfg %+v)", trial, m.cfg))
 	}
 }
 
@@ -164,25 +162,22 @@ func TestFamilyEdgeCases(t *testing.T) {
 	for big.NumEdges() == 0 {
 		big = randomEncodedGraph(rng, numRels)
 	}
-	for _, f32 := range []bool{false, true} {
-		for _, disabled := range []bool{false, true} {
-			m := NewModel(Config{Seed: 9, Hidden: 8, Layers: 3, Relations: numRels, DisableEdgeWeights: disabled})
-			m.SetFloat32Inference(f32)
-			for name, g := range map[string]*Graph{"single-node": single, "edgeless": edgeless, "random": big} {
-				batch := []*Sample{{G: g, Feats: [2]float64{0.1, 0.2}}}
-				batch = append(batch, &Sample{G: perturb(rng, g, false, 0, 0), Feats: [2]float64{0.3, 0.4}}) // zero dirty rows
-				batch = append(batch, &Sample{G: perturb(rng, g, true, 1, 1), Feats: [2]float64{0.5, 0.6}})  // every row dirty
-				var weightings []*Graph
-				for i := 0; i < 2*maxBases; i++ {
-					weightings = append(weightings, perturb(rng, g, i%2 == 0, 0, 1))
-				}
-				for round := 0; round < 2; round++ { // second round: every weighting recurs, kept or not
-					for _, wg := range weightings {
-						batch = append(batch, &Sample{G: perturb(rng, wg, true, 0.2, 0), Feats: [2]float64{rng.Float64(), 0.5}})
-					}
-				}
-				assertBatchBitIdentical(t, m, batch, fmt.Sprintf("%s f32=%v disabled=%v", name, f32, disabled))
+	for _, disabled := range []bool{false, true} {
+		m := NewModel(Config{Seed: 9, Hidden: 8, Layers: 3, Relations: numRels, DisableEdgeWeights: disabled})
+		for name, g := range map[string]*Graph{"single-node": single, "edgeless": edgeless, "random": big} {
+			batch := []*Sample{{G: g, Feats: [2]float64{0.1, 0.2}}}
+			batch = append(batch, &Sample{G: perturb(rng, g, false, 0, 0), Feats: [2]float64{0.3, 0.4}}) // zero dirty rows
+			batch = append(batch, &Sample{G: perturb(rng, g, true, 1, 1), Feats: [2]float64{0.5, 0.6}})  // every row dirty
+			var weightings []*Graph
+			for i := 0; i < 2*maxBases; i++ {
+				weightings = append(weightings, perturb(rng, g, i%2 == 0, 0, 1))
 			}
+			for round := 0; round < 2; round++ { // second round: every weighting recurs, kept or not
+				for _, wg := range weightings {
+					batch = append(batch, &Sample{G: perturb(rng, wg, true, 0.2, 0), Feats: [2]float64{rng.Float64(), 0.5}})
+				}
+			}
+			assertBatchBitIdentical(t, m, batch, fmt.Sprintf("%s disabled=%v", name, disabled))
 		}
 	}
 }
@@ -266,9 +261,9 @@ func ompFamily(t *testing.T, rng *rand.Rand) []*Sample {
 func TestFamilyMatchesPerSampleOnGeneratedKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(314))
 	for trial := 0; trial < equivTrials(40)/4; trial++ {
-		m := fuzzModel(rng, int(paragraph.NumEdgeTypes), trial%2 == 0)
+		m := fuzzModel(rng, int(paragraph.NumEdgeTypes))
 		batch := append(ompFamily(t, rng), ompFamily(t, rng)...)
-		assertBatchBitIdentical(t, m, batch, fmt.Sprintf("generated trial %d (f32=%v)", trial, m.Float32Inference()))
+		assertBatchBitIdentical(t, m, batch, fmt.Sprintf("generated trial %d", trial))
 	}
 }
 
@@ -319,16 +314,13 @@ func TestPredictBatchGridAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	grid := matmulGPUGrid(t)
-	for _, f32 := range []bool{false, true} {
-		m := NewModel(Config{Seed: 1, Hidden: 24, Relations: int(paragraph.NumEdgeTypes)})
-		m.SetFloat32Inference(f32)
-		m.PredictBatch(grid) // build plans and derived weights, grow the workspace
-		one := testing.AllocsPerRun(20, func() { m.PredictBatch(grid[:1]) })
-		all := testing.AllocsPerRun(20, func() { m.PredictBatch(grid) })
-		if one != 1 || all != one {
-			t.Errorf("f32=%v: PredictBatch allocates %v times for one sample and %v for the %d-point grid, want 1 and 1",
-				f32, one, all, len(grid))
-		}
+	m := NewModel(Config{Seed: 1, Hidden: 24, Relations: int(paragraph.NumEdgeTypes)})
+	m.PredictBatch(grid) // build plans and derived weights, grow the workspace
+	one := testing.AllocsPerRun(20, func() { m.PredictBatch(grid[:1]) })
+	all := testing.AllocsPerRun(20, func() { m.PredictBatch(grid) })
+	if one != 1 || all != one {
+		t.Errorf("PredictBatch allocates %v times for one sample and %v for the %d-point grid, want 1 and 1",
+			one, all, len(grid))
 	}
 }
 
@@ -339,40 +331,37 @@ func TestPredictBatchGridAllocs(t *testing.T) {
 func TestFamilyConcurrentSharedGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const numRels = 5
-	for _, f32 := range []bool{false, true} {
-		m := NewModel(Config{Seed: 3, Hidden: 8, Layers: 3, Relations: numRels})
-		m.SetFloat32Inference(f32)
-		batch := append(randomFamily(rng, numRels, 12, true), randomFamily(rng, numRels, 7, false)...)
-		want := make([]float64, len(batch))
-		for i, s := range batch {
-			want[i] = m.Predict(s)
-		}
-		var wg sync.WaitGroup
-		errs := make(chan string, 8)
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				mine := append([]*Sample(nil), batch...)
-				order := rand.New(rand.NewSource(int64(w))).Perm(len(mine))
+	m := NewModel(Config{Seed: 3, Hidden: 8, Layers: 3, Relations: numRels})
+	batch := append(randomFamily(rng, numRels, 12, true), randomFamily(rng, numRels, 7, false)...)
+	want := make([]float64, len(batch))
+	for i, s := range batch {
+		want[i] = m.Predict(s)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mine := append([]*Sample(nil), batch...)
+			order := rand.New(rand.NewSource(int64(w))).Perm(len(mine))
+			for i, j := range order {
+				mine[i] = batch[j]
+			}
+			for iter := 0; iter < 10; iter++ {
+				got := m.PredictBatch(mine)
 				for i, j := range order {
-					mine[i] = batch[j]
-				}
-				for iter := 0; iter < 10; iter++ {
-					got := m.PredictBatch(mine)
-					for i, j := range order {
-						if math.Float64bits(got[i]) != math.Float64bits(want[j]) {
-							errs <- fmt.Sprintf("f32=%v worker %d iter %d: sample %d = %v, want %v", f32, w, iter, j, got[i], want[j])
-							return
-						}
+					if math.Float64bits(got[i]) != math.Float64bits(want[j]) {
+						errs <- fmt.Sprintf("worker %d iter %d: sample %d = %v, want %v", w, iter, j, got[i], want[j])
+						return
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for e := range errs {
-			t.Error(e)
-		}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

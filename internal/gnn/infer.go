@@ -11,19 +11,16 @@ import (
 )
 
 // This file is the inference engine: the allocation-free forward pass behind
-// Predict/PredictBatch, one body generic over the element width
-// (tensor.Float) and instantiated for float64 and float32. It is the one
-// forward pass: serving runs it in either width, and training runs the
-// float64 instantiation with its ReLU masks recorded, followed by the
-// hand-derived backward over the state it retains (backward.go). The
-// autodiff tape (Forward) is the reference semantics; the engine
-// reproduces its arithmetic up to float reassociation — the kernels
-// below reassociate sums (tiled matmuls, precomputed attention projections,
-// fused softmax scaling) to run near the FLOP limit, so predictions agree
-// with the tape to a relaxed tolerance (TestInferEngineMatchesTape enforces
-// ≤ 1e-9 in float64, ≤ 1e-4 in float32) instead of bit for bit. Softmax
-// exponentials go through float64 math.Exp in both widths (there is no
-// float32 exp in the standard library); everything else runs in F.
+// Predict/PredictBatch, in float64. It is the one forward pass: serving
+// runs it, and training runs it with its ReLU masks recorded, followed by
+// the hand-derived backward over the state it retains (backward.go), on the
+// same weight set (inferparams.go). The autodiff tape (Forward) is the
+// reference semantics; the engine reproduces its arithmetic up to float
+// reassociation — the kernels below reassociate sums (tiled matmuls,
+// precomputed attention projections, fused softmax scaling) to run near the
+// FLOP limit, so predictions agree with the tape to a relaxed tolerance
+// (TestInferEngineMatchesTape enforces ≤ 1e-9 relative) instead of bit for
+// bit.
 //
 // A batch is evaluated as topology families, not as independent samples.
 // The grid an advise request sweeps is one graph seen many times: a
@@ -69,7 +66,7 @@ import (
 //     member's — serves a family.
 //
 //   - weights (inferparams.go): the parameters and the constants derived
-//     from them, converted once at checkpoint-load time — the per-relation
+//     from them, built once per parameter state — the per-relation
 //     attention projections p_src = W_r·aSrc and p_dst = W_r·aDst (so
 //     attention scores become one H-dot per node instead of an
 //     H²-projection).
@@ -297,9 +294,9 @@ const maxBases = 4
 // layer the self projection h^ℓ·W_self + b (N×H), the q block (the plan's
 // source rows × H, relation by relation) and the source-score block (one
 // per source row).
-type slot[F tensor.Float] struct {
+type slot struct {
 	g   *Graph // the member buf describes; nil outside a family evaluation
-	buf []F
+	buf []float64
 }
 
 // workspace holds the state slots and every scratch buffer one worker
@@ -307,8 +304,8 @@ type slot[F tensor.Float] struct {
 // where they hold elements, and reused across calls, so re-running a pass
 // over a same-shaped graph touches no allocator at all. Workspaces are
 // pooled per Model and used by one goroutine at a time.
-type workspace[F tensor.Float] struct {
-	arena tensor.Arena[F]
+type workspace struct {
+	arena tensor.Arena
 	families
 
 	// The current family's shape: nodes, hidden width, source rows across
@@ -317,21 +314,21 @@ type workspace[F tensor.Float] struct {
 	n, hdim, srcRows, layerOff, layerLen int
 	plan                                 *InferencePlan
 
-	slots [maxBases + 1]slot[F] // retained bases, then the scratch member
+	slots [maxBases + 1]slot // retained bases, then the scratch member
 
 	dirty, dirtyNext, wDirty []bool // D_ℓ, D_ℓ₊₁ and W, indexed by node
 	rows, rowsNext           []int  // D_ℓ and D_ℓ₊₁ as ascending lists
 	srcNodes, srcSlots       []int  // a relation's dirty sources: node ids and srcList indices
-	gather, proj             tensor.Dense[F]
+	gather, proj             tensor.Matrix
 	logits                   []float64 // longest-run softmax scratch
 
-	pooled  tensor.Dense[F] // 1×H mean-pooled graph embedding
-	emb     tensor.Dense[F] // 1×H fc1 output
-	emb2    tensor.Dense[F] // 1×H fc2 output
-	featIn  tensor.Dense[F] // 1×2 (teams, threads) input row
-	featEmb tensor.Dense[F] // 1×F feature-branch embedding
-	concat  tensor.Dense[F] // 1×(H+F) head input
-	outBuf  tensor.Dense[F] // 1×1 prediction
+	pooled  tensor.Matrix // 1×H mean-pooled graph embedding
+	emb     tensor.Matrix // 1×H fc1 output
+	emb2    tensor.Matrix // 1×H fc2 output
+	featIn  tensor.Matrix // 1×2 (teams, threads) input row
+	featEmb tensor.Matrix // 1×F feature-branch embedding
+	concat  tensor.Matrix // 1×(H+F) head input
+	outBuf  tensor.Matrix // 1×1 prediction
 
 	// pass is nil on serving passes. A training pass (backward.go) records
 	// in it where each ReLU's pre-activation is ≥ 0 — where the tape's ReLU
@@ -340,34 +337,32 @@ type workspace[F tensor.Float] struct {
 	pass []bool
 }
 
-// acquireWS takes a pooled workspace of width F. The pool holds whichever
-// width the model last served; a workspace of the other width (after
-// SetFloat32Inference) is dropped for the collector.
-func acquireWS[F tensor.Float](m *Model) *workspace[F] {
-	if ws, ok := m.wsPool.Get().(*workspace[F]); ok {
+// acquireWS takes a pooled workspace.
+func acquireWS(m *Model) *workspace {
+	if ws, ok := m.wsPool.Get().(*workspace); ok {
 		return ws
 	}
-	return new(workspace[F])
+	return new(workspace)
 }
 
 // h returns layer l's input matrix (l == layers: the final embedding) in st.
-func (ws *workspace[F]) h(st *slot[F], l int) tensor.Dense[F] {
+func (ws *workspace) h(st *slot, l int) tensor.Matrix {
 	sz := ws.n * ws.hdim
-	return tensor.Dense[F]{Rows: ws.n, Cols: ws.hdim, Data: st.buf[l*sz : (l+1)*sz]}
+	return tensor.Matrix{Rows: ws.n, Cols: ws.hdim, Data: st.buf[l*sz : (l+1)*sz]}
 }
 
 // self returns layer l's self projection (bias included) of every node.
-func (ws *workspace[F]) self(st *slot[F], l int) tensor.Dense[F] {
+func (ws *workspace) self(st *slot, l int) tensor.Matrix {
 	off := ws.layerOff + l*ws.layerLen
-	return tensor.Dense[F]{Rows: ws.n, Cols: ws.hdim, Data: st.buf[off : off+ws.n*ws.hdim]}
+	return tensor.Matrix{Rows: ws.n, Cols: ws.hdim, Data: st.buf[off : off+ws.n*ws.hdim]}
 }
 
 // q returns relation r's projected source rows and source scores at layer l.
-func (ws *workspace[F]) q(st *slot[F], l, r int) (tensor.Dense[F], []F) {
+func (ws *workspace) q(st *slot, l, r int) (tensor.Matrix, []float64) {
 	off := ws.layerOff + l*ws.layerLen + ws.n*ws.hdim
 	lo, hi := ws.plan.srcOff[r], ws.plan.srcOff[r+1]
 	scores := off + ws.srcRows*ws.hdim
-	return tensor.Dense[F]{Rows: hi - lo, Cols: ws.hdim, Data: st.buf[off+lo*ws.hdim : off+hi*ws.hdim]},
+	return tensor.Matrix{Rows: hi - lo, Cols: ws.hdim, Data: st.buf[off+lo*ws.hdim : off+hi*ws.hdim]},
 		st.buf[scores+lo : scores+hi]
 }
 
@@ -379,19 +374,15 @@ func (m *Model) predictInto(out []float64, samples []*Sample, workers int) {
 	if len(samples) == 0 {
 		return
 	}
-	if ip := m.inferParams(); ip.f32 != nil {
-		predictFamilies(m, ip.f32, out, samples, workers)
-	} else {
-		predictFamilies(m, ip.f64, out, samples, workers)
-	}
+	predictFamilies(m, m.inferParams(), out, samples, workers)
 }
 
 // predictOne is Predict's engine entry: a family of one on the calling
 // goroutine. It is separate from predictFamilies because that function's
 // worker closures make its arguments escape, and a lone prediction must not
 // allocate.
-func predictOne[F tensor.Float](m *Model, w *weights[F], s *Sample) float64 {
-	ws := acquireWS[F](m)
+func predictOne(m *Model, w *weights, s *Sample) float64 {
+	ws := acquireWS(m)
 	defer m.wsPool.Put(ws)
 	var out [1]float64
 	w.family(ws, out[:], []*Sample{s}, 0, []int{-1})
@@ -400,8 +391,8 @@ func predictOne[F tensor.Float](m *Model, w *weights[F], s *Sample) float64 {
 
 // predictFamilies groups samples on the calling goroutine's workspace and
 // evaluates the families, serially or across workers (see predictInto).
-func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, samples []*Sample, workers int) {
-	ws := acquireWS[F](m)
+func predictFamilies(m *Model, w *weights, out []float64, samples []*Sample, workers int) {
+	ws := acquireWS(m)
 	defer m.wsPool.Put(ws)
 	ws.group(samples)
 	heads, next := ws.heads, ws.next
@@ -424,7 +415,7 @@ func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, sam
 	// end the process.
 	var cursor atomic.Int64
 	panics := make([]any, workers)
-	run := func(i int, ws *workspace[F]) {
+	run := func(i int, ws *workspace) {
 		defer func() { panics[i] = recover() }()
 		for f := int(cursor.Add(1)) - 1; f < len(heads); f = int(cursor.Add(1)) - 1 {
 			w.family(ws, out, samples, heads[f], next)
@@ -435,7 +426,7 @@ func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, sam
 	for i := 1; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			ws := acquireWS[F](m)
+			ws := acquireWS(m)
 			defer m.wsPool.Put(ws)
 			run(i, ws)
 		}()
@@ -451,7 +442,7 @@ func predictFamilies[F tensor.Float](m *Model, w *weights[F], out []float64, sam
 
 // shape sizes ws for graphs of g's topology under w and returns the length
 // of one state slot.
-func (ws *workspace[F]) shape(w *weights[F], g *Graph) int {
+func (ws *workspace) shape(w *weights, g *Graph) int {
 	p := g.plan()
 	ws.plan, ws.n, ws.hdim, ws.srcRows = p, g.NumNodes, w.hidden, p.srcOff[len(p.srcOff)-1]
 	ws.layerOff = (len(w.layers) + 1) * ws.n * ws.hdim
@@ -463,12 +454,12 @@ func (ws *workspace[F]) shape(w *weights[F], g *Graph) int {
 
 // family evaluates the chain of same-topology samples starting at first
 // (see families), choosing each member's base and state slot.
-func (w *weights[F]) family(ws *workspace[F], out []float64, samples []*Sample, first int, next []int) {
+func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first int, next []int) {
 	size := ws.shape(w, samples[first].G)
 	bases := 0
 	for i := first; i >= 0; i = next[i] {
 		s := samples[i]
-		st, base := &ws.slots[0], (*slot[F])(nil)
+		st, base := &ws.slots[0], (*slot)(nil)
 		if bases == 0 {
 			bases = 1
 		} else {
@@ -514,7 +505,7 @@ func (w *weights[F]) family(ws *workspace[F], out []float64, samples []*Sample, 
 // reassociation. With a nil base every row is computed — the full pass;
 // otherwise st starts as a copy of base's state and the rows that can
 // differ from it (ws.wDirty is set by the caller) are recomputed.
-func (w *weights[F]) forward(ws *workspace[F], st, base *slot[F], s *Sample) float64 {
+func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 	g := s.G
 	st.g = g
 	dirty := ws.dirty
@@ -546,7 +537,7 @@ func (w *weights[F]) forward(ws *workspace[F], st, base *slot[F], s *Sample) flo
 		krow := w.kindTab.Row(g.Kinds[i])
 		srow := w.subTab.Row(g.SubKinds[i])
 		hrow := h0.Row(i)
-		f := F(g.Feats.Data[i])
+		f := g.Feats.Data[i]
 		if f != 0 {
 			for j := range hrow {
 				hrow[j] = krow[j] + srow[j] + f*fv[j]
@@ -574,7 +565,7 @@ func (w *weights[F]) forward(ws *workspace[F], st, base *slot[F], s *Sample) flo
 	ws.relu(&ws.emb2, head+ws.hdim)
 
 	ws.arena.GetMatrix(&ws.featIn, 1, 2)
-	ws.featIn.Data[0], ws.featIn.Data[1] = F(s.Feats[0]), F(s.Feats[1])
+	ws.featIn.Data[0], ws.featIn.Data[1] = s.Feats[0], s.Feats[1]
 	tensor.MatMulInto(&ws.featIn, w.featW, &ws.featEmb)
 	tensor.AddBiasInto(&ws.featEmb, w.featB, &ws.featEmb)
 	ws.relu(&ws.featEmb, head+2*ws.hdim)
@@ -585,12 +576,12 @@ func (w *weights[F]) forward(ws *workspace[F], st, base *slot[F], s *Sample) flo
 	copy(ws.concat.Data[hc:], ws.featEmb.Data)
 	tensor.MatMulInto(&ws.concat, w.outW, &ws.outBuf)
 	tensor.AddBiasInto(&ws.outBuf, w.outB, &ws.outBuf)
-	return float64(ws.outBuf.Data[0])
+	return ws.outBuf.Data[0]
 }
 
 // relu is the head's ReLU, LeakyReLUInto at slope 0. A training pass first
 // records the pre-activation's signs in ws.pass from off.
-func (ws *workspace[F]) relu(m *tensor.Dense[F], off int) {
+func (ws *workspace) relu(m *tensor.Matrix, off int) {
 	if ws.pass != nil {
 		for j, v := range m.Data {
 			ws.pass[off+j] = v >= 0
@@ -603,7 +594,7 @@ func (ws *workspace[F]) relu(m *tensor.Dense[F], off int) {
 // the tiled kernel or — when the layer input is ReLU-sparse — the skip-zero
 // one. rows is ascending, so a list as long as src is every row and src is
 // multiplied where it lies instead of through a gathered copy.
-func (ws *workspace[F]) project(src *tensor.Dense[F], rows []int, b, dst *tensor.Dense[F], dense bool) {
+func (ws *workspace) project(src *tensor.Matrix, rows []int, b, dst *tensor.Matrix, dense bool) {
 	a := src
 	if len(rows) != src.Rows {
 		a = &ws.gather
@@ -632,7 +623,7 @@ func (ws *workspace[F]) project(src *tensor.Dense[F], rows []int, b, dst *tensor
 // destination-grouped runs, accumulating straight into the output row;
 // then ReLU. It reports whether the rows it wrote are dense enough that the
 // next layer's matmuls should stay on the tiled kernel.
-func (w *weights[F]) layer(ws *workspace[F], st *slot[F], li int, dense bool) bool {
+func (w *weights) layer(ws *workspace, st *slot, li int, dense bool) bool {
 	l := &w.layers[li]
 	g, p := st.g, ws.plan
 	in, out := ws.h(st, li), ws.h(st, li+1)
@@ -734,20 +725,20 @@ func (w *weights[F]) layer(ws *workspace[F], st *slot[F], li int, dense bool) bo
 			lo, hi := rp.runStart[t], rp.runStart[t+1]
 			ds := tensor.Dot(in.Row(d), pDst)
 			run := ws.logits[:hi-lo]
-			mx := F(math.Inf(-1))
+			mx := math.Inf(-1)
 			for i := lo; i < hi; i++ {
 				v := score[rp.edgeSrcIdx[i]] + ds
 				if v < 0 {
 					v = l.alpha * v
 				}
-				run[i-lo] = float64(v)
+				run[i-lo] = v
 				if v > mx {
 					mx = v
 				}
 			}
 			var sum float64
 			for i, v := range run {
-				e := math.Exp(v - float64(mx))
+				e := math.Exp(v - mx)
 				run[i] = e
 				sum += e
 			}
@@ -762,9 +753,9 @@ func (w *weights[F]) layer(ws *workspace[F], st *slot[F], li int, dense bool) bo
 				// Static edge weights scale the message through the learned
 				// per-relation coefficient: (α·q)·(1 + c_r·w̃), folded into
 				// one per-edge factor.
-				f := F(run[i-lo] * inv)
+				f := run[i-lo] * inv
 				if !w.noWeights {
-					if wt := F(logW[rp.edge[i]] / wscale); wt != 0 {
+					if wt := logW[rp.edge[i]] / wscale; wt != 0 {
 						f *= wt*c + 1
 					}
 				}
@@ -786,14 +777,12 @@ func (w *weights[F]) layer(ws *workspace[F], st *slot[F], li int, dense bool) bo
 	// h = ReLU(out) over the rows written, measuring their density for the
 	// next layer's kernels. Both the rectification and the zero count are
 	// branchless — the sign pattern is effectively random, so a
-	// compare-and-branch here would mispredict on half the elements. (A
-	// conversion to float32 keeps the sign bit whatever it rounds to, and
-	// is free in the serving width.)
+	// compare-and-branch here would mispredict on half the elements.
 	neg := 0
 	for _, d := range rows {
 		row := out.Row(d)
 		for j, v := range row {
-			neg += int(math.Float32bits(float32(v)) >> 31)
+			neg += int(math.Float64bits(v) >> 63)
 			row[j] = max(v, 0)
 		}
 	}

@@ -20,12 +20,9 @@ import (
 // equality. Scaled targets live in roughly [0, 1], so the max(1, |tape|)
 // denominator makes the bound absolute near zero and relative for large
 // magnitudes.
-const (
-	equivTolF64 = 1e-9 // float64 engine vs float64 tape
-	equivTolF32 = 1e-4 // float32 inference-weights engine vs float64 tape
-)
+const equivTol = 1e-9
 
-// relErr is the relative-equivalence metric the tolerances above bound.
+// relErr is the relative-equivalence metric equivTol bounds.
 func relErr(engine, tape float64) float64 {
 	return math.Abs(engine-tape) / math.Max(1, math.Abs(tape))
 }
@@ -84,7 +81,7 @@ func randomEncodedGraph(rng *rand.Rand, numRels int) *Graph {
 // (all relation counts, empty relations, single-node graphs), seeds, layer
 // counts, both plan-cache states, and the DisableEdgeWeights ablation, the
 // engine prediction must stay within tol relative error of the tape path.
-func fuzzEngineVsTape(t *testing.T, seed int64, trials int, f32 bool, tol float64) {
+func fuzzEngineVsTape(t *testing.T, seed int64, trials int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
@@ -97,7 +94,6 @@ func fuzzEngineVsTape(t *testing.T, seed int64, trials int, f32 bool, tol float6
 			DisableEdgeWeights: rng.Intn(2) == 0,
 		}
 		m := NewModel(cfg)
-		m.SetFloat32Inference(f32)
 		g := randomEncodedGraph(rng, numRels)
 		if trial%2 == 0 {
 			g.InitPlanCache() // exercise both the cached and per-call plan paths
@@ -108,50 +104,36 @@ func fuzzEngineVsTape(t *testing.T, seed int64, trials int, f32 bool, tol float6
 		if math.IsNaN(engine) || math.IsInf(engine, 0) {
 			t.Fatalf("trial %d: engine produced %v (cfg %+v)", trial, engine, cfg)
 		}
-		if e := relErr(engine, tape); e > tol {
+		if e := relErr(engine, tape); e > equivTol {
 			t.Fatalf("trial %d: engine %v vs tape %v (rel err %v > %v, cfg %+v, nodes %d)",
-				trial, engine, tape, e, tol, cfg, g.NumNodes)
+				trial, engine, tape, e, equivTol, cfg, g.NumNodes)
 		}
 	}
 }
 
 // TestInferEngineMatchesTape is the golden relaxed-equivalence fuzz gating
-// the float64 fast path at ≤1e-9 relative error.
+// the engine at ≤1e-9 relative error.
 func TestInferEngineMatchesTape(t *testing.T) {
-	fuzzEngineVsTape(t, 99, equivTrials(60), false, equivTolF64)
-}
-
-// TestInferEngine32MatchesTape gates the float32 inference-weights path at
-// ≤1e-4 relative error against the float64 tape.
-func TestInferEngine32MatchesTape(t *testing.T) {
-	fuzzEngineVsTape(t, 2024, equivTrials(60), true, equivTolF32)
+	fuzzEngineVsTape(t, 99, equivTrials(60))
 }
 
 // TestInferEngineMatchesTapeOnRealGraph repeats the equivalence check on a
 // real encoded kernel graph (the Encode path installs the plan cache) and
-// across advisor-style header copies that override WScale, in both element
-// widths.
+// across advisor-style header copies that override WScale.
 func TestInferEngineMatchesTapeOnRealGraph(t *testing.T) {
 	for _, threads := range []int{1, 16, 128} {
 		eg := encode(t, buildTestGraph(t, threads))
 		for _, disabled := range []bool{false, true} {
-			for _, f32 := range []bool{false, true} {
-				m := NewModel(Config{Seed: 5, Hidden: 16, Layers: 3,
-					Relations: int(paragraph.NumEdgeTypes), DisableEdgeWeights: disabled})
-				m.SetFloat32Inference(f32)
-				tol := equivTolF64
-				if f32 {
-					tol = equivTolF32
-				}
-				for _, wscale := range []float64{1, 10} {
-					scaled := *eg // what advisor.EncodeInstance does
-					scaled.WScale = wscale
-					s := &Sample{G: &scaled, Feats: [2]float64{0.4, 0.6}}
-					engine, tape := m.Predict(s), m.PredictTape(s)
-					if e := relErr(engine, tape); e > tol {
-						t.Errorf("threads=%d disabled=%v f32=%v wscale=%v: engine %v vs tape %v (rel err %v)",
-							threads, disabled, f32, wscale, engine, tape, e)
-					}
+			m := NewModel(Config{Seed: 5, Hidden: 16, Layers: 3,
+				Relations: int(paragraph.NumEdgeTypes), DisableEdgeWeights: disabled})
+			for _, wscale := range []float64{1, 10} {
+				scaled := *eg // what advisor.EncodeInstance does
+				scaled.WScale = wscale
+				s := &Sample{G: &scaled, Feats: [2]float64{0.4, 0.6}}
+				engine, tape := m.Predict(s), m.PredictTape(s)
+				if e := relErr(engine, tape); e > equivTol {
+					t.Errorf("threads=%d disabled=%v wscale=%v: engine %v vs tape %v (rel err %v)",
+						threads, disabled, wscale, engine, tape, e)
 				}
 			}
 		}
@@ -160,8 +142,8 @@ func TestInferEngineMatchesTapeOnRealGraph(t *testing.T) {
 
 // TestInferRankingMatchesTape pins what the advisor actually consumes: the
 // ranking of the paper-style kernel graph across thread configurations.
-// Wherever the tape separates two configurations by a clear margin, both
-// engine paths must order them the same way.
+// Wherever the tape separates two configurations by a clear margin, the
+// engine must order them the same way.
 func TestInferRankingMatchesTape(t *testing.T) {
 	const margin = 1e-3
 	threads := []int{1, 4, 16, 64, 256, 1024}
@@ -176,15 +158,12 @@ func TestInferRankingMatchesTape(t *testing.T) {
 	for i, s := range samples {
 		tape[i] = m.PredictTape(s)
 	}
-	for _, f32 := range []bool{false, true} {
-		m.SetFloat32Inference(f32)
-		engine := m.PredictBatch(samples)
-		for i := range samples {
-			for j := range samples {
-				if tape[i] < tape[j]-margin && engine[i] >= engine[j] {
-					t.Errorf("f32=%v: tape orders threads %d (%v) below %d (%v) but engine says %v >= %v",
-						f32, threads[i], tape[i], threads[j], tape[j], engine[i], engine[j])
-				}
+	engine := m.PredictBatch(samples)
+	for i := range samples {
+		for j := range samples {
+			if tape[i] < tape[j]-margin && engine[i] >= engine[j] {
+				t.Errorf("tape orders threads %d (%v) below %d (%v) but engine says %v >= %v",
+					threads[i], tape[i], threads[j], tape[j], engine[i], engine[j])
 			}
 		}
 	}
@@ -204,7 +183,7 @@ func TestInferInvalidation(t *testing.T) {
 	l := m.layers[0]
 	l.aSrc[0].Value.Data[0] += 0.5
 	m.InvalidateInference()
-	if e := relErr(m.Predict(s), m.PredictTape(s)); e > equivTolF64 {
+	if e := relErr(m.Predict(s), m.PredictTape(s)); e > equivTol {
 		t.Errorf("after direct mutation + InvalidateInference: rel err %v", e)
 	}
 
@@ -221,7 +200,7 @@ func TestInferInvalidation(t *testing.T) {
 	if got, want := m.Predict(s), donor.Predict(s); got != want {
 		t.Errorf("after Load: engine %v, donor engine %v (stale precomputed weights?)", got, want)
 	}
-	if e := relErr(m.Predict(s), m.PredictTape(s)); e > equivTolF64 {
+	if e := relErr(m.Predict(s), m.PredictTape(s)); e > equivTol {
 		t.Errorf("after Load: rel err %v vs tape", e)
 	}
 }
@@ -241,62 +220,59 @@ func TestInferPlanSharedAcrossHeaderCopies(t *testing.T) {
 // TestPredictBatchConcurrentRace hammers the pooled workspaces: many
 // goroutines run overlapping PredictBatch calls (plus single Predicts) on
 // one model and every result must agree with a serial reference. Run under
-// -race (CI does) this is the workspace-safety gate; the float32 pass also
-// exercises the lazily built converted weight set under concurrency.
+// -race (CI does) this is the workspace-safety gate, and it also exercises
+// the lazily built weight set under concurrency.
 func TestPredictBatchConcurrentRace(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		m := NewModel(Config{Seed: 3, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
-		m.SetFloat32Inference(f32)
-		rng := rand.New(rand.NewSource(4))
-		var samples []*Sample
-		for i := 0; i < 24; i++ {
-			g := randomEncodedGraph(rng, int(paragraph.NumEdgeTypes))
-			g.InitPlanCache()
-			samples = append(samples, &Sample{G: g, Feats: [2]float64{float64(i) / 24, 0.5}})
-		}
-		want := make([]float64, len(samples))
-		for i, s := range samples {
-			want[i] = m.Predict(s)
-		}
-		m.InvalidateInference() // make the concurrent phase rebuild lazily
-		var wg sync.WaitGroup
-		errs := make(chan string, 64)
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for iter := 0; iter < 20; iter++ {
-					if iter%3 == 0 {
-						s := samples[(w+iter)%len(samples)]
-						if got := m.Predict(s); got != want[(w+iter)%len(samples)] {
-							errs <- fmt.Sprintf("f32=%v worker %d: single predict drifted", f32, w)
-							return
-						}
-						continue
+	m := NewModel(Config{Seed: 3, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
+	rng := rand.New(rand.NewSource(4))
+	var samples []*Sample
+	for i := 0; i < 24; i++ {
+		g := randomEncodedGraph(rng, int(paragraph.NumEdgeTypes))
+		g.InitPlanCache()
+		samples = append(samples, &Sample{G: g, Feats: [2]float64{float64(i) / 24, 0.5}})
+	}
+	want := make([]float64, len(samples))
+	for i, s := range samples {
+		want[i] = m.Predict(s)
+	}
+	m.InvalidateInference() // make the concurrent phase rebuild lazily
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				if iter%3 == 0 {
+					s := samples[(w+iter)%len(samples)]
+					if got := m.Predict(s); got != want[(w+iter)%len(samples)] {
+						errs <- fmt.Sprintf("worker %d: single predict drifted", w)
+						return
 					}
-					got := m.PredictBatch(samples)
-					for i := range got {
-						if got[i] != want[i] {
-							errs <- fmt.Sprintf("f32=%v worker %d iter %d: sample %d = %v, want %v",
-								f32, w, iter, i, got[i], want[i])
-							return
-						}
+					continue
+				}
+				got := m.PredictBatch(samples)
+				for i := range got {
+					if got[i] != want[i] {
+						errs <- fmt.Sprintf("worker %d iter %d: sample %d = %v, want %v",
+							w, iter, i, got[i], want[i])
+						return
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for e := range errs {
-			t.Error(e)
-		}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
 // TestInferForwardZeroAllocs is the allocation regression gate: after
 // warm-up, a steady-state engine forward pass over an Encode-built graph
 // (plan cached, workspace pooled and right-sized, derived weights built)
-// must not touch the heap — in either element width.
+// must not touch the heap.
 func TestInferForwardZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful unraced")
@@ -304,13 +280,10 @@ func TestInferForwardZeroAllocs(t *testing.T) {
 	eg := encode(t, buildTestGraph(t, 8))
 	eg.WScale = 10
 	s := &Sample{G: eg, Feats: [2]float64{0.5, 0.5}}
-	for _, f32 := range []bool{false, true} {
-		m := NewModel(Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
-		m.SetFloat32Inference(f32)
-		m.Predict(s) // build the plan and derived weights, grow the workspace
-		if allocs := testing.AllocsPerRun(100, func() { m.Predict(s) }); allocs != 0 {
-			t.Errorf("f32=%v: steady-state engine forward allocates %v times per run, want 0", f32, allocs)
-		}
+	m := NewModel(Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
+	m.Predict(s) // build the plan and derived weights, grow the workspace
+	if allocs := testing.AllocsPerRun(100, func() { m.Predict(s) }); allocs != 0 {
+		t.Errorf("steady-state engine forward allocates %v times per run, want 0", allocs)
 	}
 }
 

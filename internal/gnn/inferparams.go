@@ -1,67 +1,59 @@
 package gnn
 
 import (
+	"slices"
+
 	"paragraph/internal/tensor"
 )
 
-// This file holds the engine's weight set: the model parameters plus the
-// constants derived from them, converted once per checkpoint — not once per
-// forward pass — to the element width the engine runs in. Training mutates
-// parameters in place (Adam steps, checkpoint loads), so the converted set
-// is invalidated on every mutation the package performs (Train's optimizer
-// steps, Load) and rebuilt lazily on the next Predict. Code that mutates
+// This file holds the engine's weight set: a snapshot of the model
+// parameters plus the constants derived from them, built once per parameter
+// state — not once per forward pass. Training mutates parameters in place
+// (Adam steps, checkpoint loads), so the set is a copy, invalidated on
+// every mutation the package performs (each mini-batch's Gradient, Train's
+// epoch ends, Load) and rebuilt lazily on the next use. Code that mutates
 // parameter values directly — tests, ablation tooling — must call
 // InvalidateInference afterwards.
 
-// layerWeights is one convolution's weights in width F. pSrc[r] = W_r·aSrc_r
-// and pDst[r] = W_r·aDst_r (length Hidden) are the precomputed attention
+// layerWeights is one convolution's weights. pSrc[r] = W_r·aSrc_r and
+// pDst[r] = W_r·aDst_r (length Hidden) are the precomputed attention
 // projections: the tape scores an edge as (h·W_r)·a; the engine
 // reassociates to h·(W_r·a), turning the per-node score into a single H-dot
 // against these vectors — the H²-per-node projection cost disappears from
 // the score path entirely.
-type layerWeights[F tensor.Float] struct {
-	w     []*tensor.Dense[F] // per-relation projection H×H
-	pSrc  [][]F              // per-relation W_r·aSrc, length H
-	pDst  [][]F              // per-relation W_r·aDst, length H
-	wCoef []F                // per-relation edge-weight coefficient
-	self  *tensor.Dense[F]   // H×H
-	bias  []F                // length H
-	alpha F
+type layerWeights struct {
+	w     []*tensor.Matrix // per-relation projection H×H
+	pSrc  [][]float64      // per-relation W_r·aSrc, length H
+	pDst  [][]float64      // per-relation W_r·aDst, length H
+	wCoef []float64        // per-relation edge-weight coefficient
+	self  *tensor.Matrix   // H×H
+	bias  []float64        // length H
+	alpha float64
 }
 
-// weights is the full inference weight set in width F, converted from the
-// float64 parameters at build time. Derived vectors (pSrc/pDst) are computed
-// in float64 first and rounded once, so conversion error does not compound
-// through the precomputation. It is immutable once built and shared by
-// every concurrent forward pass.
-type weights[F tensor.Float] struct {
+// weights is the full weight set the engine runs on, serving and training
+// alike. It is immutable once built and shared by every concurrent forward
+// pass.
+type weights struct {
 	hidden  int
-	kindTab *tensor.Dense[F]
-	subTab  *tensor.Dense[F]
-	featVec []F
+	kindTab *tensor.Matrix
+	subTab  *tensor.Matrix
+	featVec []float64
 
-	layers []layerWeights[F]
+	layers []layerWeights
 
-	fc1W, fc1B   *tensor.Dense[F]
-	fc2W, fc2B   *tensor.Dense[F]
-	featW, featB *tensor.Dense[F]
-	outW, outB   *tensor.Dense[F]
+	fc1W, fc1B   *tensor.Matrix
+	fc2W, fc2B   *tensor.Matrix
+	featW, featB *tensor.Matrix
+	outW, outB   *tensor.Matrix
 
 	noWeights bool
 }
 
-// inferModel is the engine's derived view of the model: the weight set in
-// the one width the model currently serves (the other field is nil),
-// published through an atomic pointer.
-type inferModel struct {
-	f64 *weights[float64]
-	f32 *weights[float32]
-}
-
-// inferParams returns the current derived weights, building them under the
-// mutex on first use after an invalidation. The double-checked atomic load
-// keeps the steady-state cost of a forward pass at one atomic read.
-func (m *Model) inferParams() *inferModel {
+// inferParams returns the current weight set, building it under the mutex
+// on first use after an invalidation. The double-checked atomic load keeps
+// the steady-state cost of a forward pass at one atomic read.
+func (m *Model) inferParams() *weights {
 	if p := m.inferP.Load(); p != nil {
 		return p
 	}
@@ -70,12 +62,7 @@ func (m *Model) inferParams() *inferModel {
 	if p := m.inferP.Load(); p != nil {
 		return p
 	}
-	p := &inferModel{}
-	if m.f32Mode.Load() {
-		p.f32 = buildWeights[float32](m)
-	} else {
-		p.f64 = buildWeights[float64](m)
-	}
+	p := buildWeights(m)
 	m.inferP.Store(p)
 	return p
 }
@@ -90,20 +77,6 @@ func (m *Model) InvalidateInference() { m.inferP.Store(nil) }
 // first request served by a freshly loaded model does not pay the build.
 func (m *Model) PrecomputeInference() { m.inferParams() }
 
-// SetFloat32Inference switches the inference engine between float64
-// arithmetic (the default, ≤1e-9 relative error against the tape) and
-// float32 (≤1e-4, roughly half the memory traffic). Training (which builds
-// its own weight set per mini-batch) and the tape path are always float64;
-// the switch only affects Predict/PredictBatch.
-func (m *Model) SetFloat32Inference(on bool) {
-	if m.f32Mode.Swap(on) != on {
-		m.InvalidateInference()
-	}
-}
-
-// Float32Inference reports whether the engine serves the float32 path.
-func (m *Model) Float32Inference() bool { return m.f32Mode.Load() }
-
 // projectAttention computes W·a for an H×H projection and an H×1 attention
 // vector: the precomputed form of the engine's attention scores.
 func projectAttention(w, a *tensor.Matrix) []float64 {
@@ -114,35 +87,35 @@ func projectAttention(w, a *tensor.Matrix) []float64 {
 	return out
 }
 
-// buildWeights converts the current parameter values, and the attention
-// projections derived from them, to width F.
-func buildWeights[F tensor.Float](m *Model) *weights[F] {
-	w := &weights[F]{
+// buildWeights copies the current parameter values and derives the
+// attention projections from them.
+func buildWeights(m *Model) *weights {
+	w := &weights{
 		hidden:    m.cfg.Hidden,
-		kindTab:   tensor.Convert[F](m.kindEmb.Table.Value),
-		subTab:    tensor.Convert[F](m.subEmb.Table.Value),
-		featVec:   tensor.ConvertSlice[F](m.featVec.Value.Data),
-		fc1W:      tensor.Convert[F](m.fc1.W.Value),
-		fc1B:      tensor.Convert[F](m.fc1.B.Value),
-		fc2W:      tensor.Convert[F](m.fc2.W.Value),
-		fc2B:      tensor.Convert[F](m.fc2.B.Value),
-		featW:     tensor.Convert[F](m.featFC.W.Value),
-		featB:     tensor.Convert[F](m.featFC.B.Value),
-		outW:      tensor.Convert[F](m.out.W.Value),
-		outB:      tensor.Convert[F](m.out.B.Value),
+		kindTab:   m.kindEmb.Table.Value.Clone(),
+		subTab:    m.subEmb.Table.Value.Clone(),
+		featVec:   slices.Clone(m.featVec.Value.Data),
+		fc1W:      m.fc1.W.Value.Clone(),
+		fc1B:      m.fc1.B.Value.Clone(),
+		fc2W:      m.fc2.W.Value.Clone(),
+		fc2B:      m.fc2.B.Value.Clone(),
+		featW:     m.featFC.W.Value.Clone(),
+		featB:     m.featFC.B.Value.Clone(),
+		outW:      m.out.W.Value.Clone(),
+		outB:      m.out.B.Value.Clone(),
 		noWeights: m.cfg.DisableEdgeWeights,
 	}
 	for _, l := range m.layers {
-		lw := layerWeights[F]{
-			self:  tensor.Convert[F](l.self.Value),
-			bias:  tensor.ConvertSlice[F](l.bias.Value.Data),
-			alpha: F(l.alpha),
+		lw := layerWeights{
+			self:  l.self.Value.Clone(),
+			bias:  slices.Clone(l.bias.Value.Data),
+			alpha: l.alpha,
 		}
 		for r := range l.w {
-			lw.w = append(lw.w, tensor.Convert[F](l.w[r].Value))
-			lw.pSrc = append(lw.pSrc, tensor.ConvertSlice[F](projectAttention(l.w[r].Value, l.aSrc[r].Value)))
-			lw.pDst = append(lw.pDst, tensor.ConvertSlice[F](projectAttention(l.w[r].Value, l.aDst[r].Value)))
-			lw.wCoef = append(lw.wCoef, F(l.wCoef[r].Value.Data[0]))
+			lw.w = append(lw.w, l.w[r].Value.Clone())
+			lw.pSrc = append(lw.pSrc, projectAttention(l.w[r].Value, l.aSrc[r].Value))
+			lw.pDst = append(lw.pDst, projectAttention(l.w[r].Value, l.aDst[r].Value))
+			lw.wCoef = append(lw.wCoef, l.wCoef[r].Value.Data[0])
 		}
 		w.layers = append(w.layers, lw)
 	}

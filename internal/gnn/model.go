@@ -166,12 +166,11 @@ type Model struct {
 	// one goroutine at a time.
 	wsPool, gradPool sync.Pool
 
-	// Derived inference weights (see inferparams.go): the parameters and
-	// precomputed attention projections in the width f32Mode selects.
-	// Rebuilt lazily after any invalidation.
+	// The engine's weight set (see inferparams.go): a snapshot of the
+	// parameters and the precomputed attention projections. Rebuilt lazily
+	// after any invalidation.
 	inferMu sync.Mutex
-	inferP  atomic.Pointer[inferModel]
-	f32Mode atomic.Bool
+	inferP  atomic.Pointer[weights]
 }
 
 // NewModel constructs the model with seeded initialization.
@@ -237,17 +236,12 @@ func (m *Model) Forward(f *nn.Forward, s *Sample) *autodiff.Var {
 
 // Predict returns the scaled prediction for a sample. It routes through the
 // inference engine (infer.go): a pooled, allocation-free forward pass whose
-// result matches the tape path (PredictTape) to a tight relative tolerance
-// (≤1e-9 in the default float64 mode, ≤1e-4 with float32 inference; see the
+// result matches the tape path (PredictTape) to ≤1e-9 relative (see the
 // equivalence tests). The engine's kernels reassociate sums — tiled
 // matmuls, precomputed attention projections — so agreement is
 // relaxed-equivalent rather than bit-exact.
 func (m *Model) Predict(s *Sample) float64 {
-	ip := m.inferParams()
-	if ip.f32 != nil {
-		return predictOne(m, ip.f32, s)
-	}
-	return predictOne(m, ip.f64, s)
+	return predictOne(m, m.inferParams(), s)
 }
 
 // PredictTape is the reference prediction: Forward, the autodiff tape path,

@@ -17,7 +17,7 @@
 // There is one way from a checkpoint directory to a model: Load, which
 // reads and verifies the manifest and weights (a config/weights mismatch or
 // checksum drift fails there, not in a later request) and returns an Entry
-// holding the model resident with its float32 serving weights built. Open
+// holding the model resident with its engine weights built. Open
 // loads every checkpoint under a root and indexes them; retraining loads the
 // stable it fine-tunes from, and the serving lifecycle the candidate it
 // adopts, through the same function. A model is at most 34 873 parameters
@@ -293,11 +293,10 @@ func Load(dir string) (*Entry, error) {
 
 // load is the one loader: it validates the manifest, reads the weights,
 // verifies them against the manifest's config and checksum, and builds the
-// model's derived inference weights — the precomputed attention projections
-// and the float32 weight set predictions are served from — so the first
-// request pays no one-time conversion. Checkpoints on disk stay float64 and
-// the checksum covers those values; float32 serving agrees with the float64
-// reference within 1e-4 relative error, the engine's gated tolerance.
+// engine's weight set — the weights and their precomputed attention
+// projections — so the first request pays no one-time build. An entry
+// serves in float64, the width the model trained and was evaluated in: its
+// PredictBatch is, bit for bit, the saved model's.
 func load(cp Checkpoint) (*Entry, error) {
 	man := cp.Manifest
 	machine, err := hw.ByName(man.Platform)
@@ -327,7 +326,6 @@ func load(cp Checkpoint) (*Entry, error) {
 		return nil, fmt.Errorf("registry: %s: weights checksum mismatch (manifest %.12s…, file %.12s…)",
 			cp.Dir, man.Checksum, m.Checksum())
 	}
-	m.SetFloat32Inference(true)
 	m.PrecomputeInference()
 	return &Entry{
 		Manifest: man,

@@ -95,13 +95,10 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 
 	// A private copy of the stable, loaded like any other: fine-tuning
 	// mutates its weights, and whoever serves the stable keeps their own.
-	// Its per-epoch validation runs in float64, as training from scratch
-	// validates, so the two kinds of manifest report comparable RMSEs.
 	e, err := load(stable)
 	if err != nil {
 		return res, err
 	}
-	e.model.SetFloat32Inference(false)
 
 	// Rebuild samples from the feedback records with the manifest's scalers.
 	samples, skipped := e.feedbackSamples(recs)

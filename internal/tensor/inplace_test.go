@@ -13,10 +13,6 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-// dense views a float64 Matrix as the generic kernels' operand type; the two
-// share their backing array.
-func dense(m *Matrix) *Dense[float64] { return (*Dense[float64])(m) }
-
 func assertExact(t *testing.T, name string, got, want *Matrix) {
 	t.Helper()
 	if !got.SameShape(want) {
@@ -38,7 +34,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	b := randMat(rng, 5, 7)
 	dst := New(0, 0)
 
-	MatMulInto(dense(a), dense(b), dense(dst))
+	MatMulInto(a, b, dst)
 	assertExact(t, "MatMulInto", dst, MatMul(a, b))
 
 	bias := randMat(rng, 1, 5)
@@ -49,7 +45,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 			row[j] += v
 		}
 	}
-	AddBiasInto(dense(a), dense(bias), dense(dst))
+	AddBiasInto(a, bias, dst)
 	assertExact(t, "AddBiasInto", dst, want)
 
 	want = a.Clone()
@@ -58,7 +54,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 			want.Data[i] = 0.1 * v
 		}
 	}
-	LeakyReLUInto(dense(a), 0.1, dense(dst))
+	LeakyReLUInto(a, 0.1, dst)
 	assertExact(t, "LeakyReLUInto", dst, want)
 
 	want = New(1, a.Cols)
@@ -68,7 +64,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 		}
 	}
 	want.ScaleInPlace(1 / float64(a.Rows))
-	MeanRowsInto(dense(a), dense(dst))
+	MeanRowsInto(a, dst)
 	assertExact(t, "MeanRowsInto", dst, want)
 }
 
@@ -79,14 +75,14 @@ func TestIntoKernelsAlias(t *testing.T) {
 	a := randMat(rng, 4, 3)
 	bias := randMat(rng, 1, 3)
 	ref := New(0, 0)
-	AddBiasInto(dense(a), dense(bias), dense(ref))
+	AddBiasInto(a, bias, ref)
 	aCopy := a.Clone()
-	AddBiasInto(dense(aCopy), dense(bias), dense(aCopy))
+	AddBiasInto(aCopy, bias, aCopy)
 	assertExact(t, "AddBiasInto aliased", aCopy, ref)
 
-	LeakyReLUInto(dense(a), 0.2, dense(ref))
+	LeakyReLUInto(a, 0.2, ref)
 	aCopy = a.Clone()
-	LeakyReLUInto(dense(aCopy), 0.2, dense(aCopy))
+	LeakyReLUInto(aCopy, 0.2, aCopy)
 	assertExact(t, "LeakyReLUInto aliased", aCopy, ref)
 }
 
@@ -96,7 +92,7 @@ func TestMatMulIntoRejectsBadShapes(t *testing.T) {
 			t.Error("mismatched MatMulInto did not panic")
 		}
 	}()
-	MatMulInto(dense(New(2, 3)), dense(New(2, 3)), dense(New(0, 0)))
+	MatMulInto(New(2, 3), New(2, 3), New(0, 0))
 }
 
 // TestIntoKernelsReuseCapacity verifies the steady-state contract: a dst
@@ -106,7 +102,7 @@ func TestIntoKernelsReuseCapacity(t *testing.T) {
 	a.Fill(1)
 	dst := New(8, 8) // 64 capacity, plenty for 4×4
 	data := &dst.Data[0]
-	MatMulInto(dense(a), dense(a), dense(dst))
+	MatMulInto(a, a, dst)
 	if &dst.Data[0] != data {
 		t.Error("MatMulInto reallocated despite sufficient capacity")
 	}
@@ -119,7 +115,7 @@ func TestIntoKernelsReuseCapacity(t *testing.T) {
 }
 
 func TestArenaRecycles(t *testing.T) {
-	var a Arena[float64]
+	var a Arena
 	b1 := a.Get(100) // class 128
 	if len(b1) != 100 {
 		t.Fatalf("len = %d", len(b1))
@@ -140,8 +136,8 @@ func TestArenaRecycles(t *testing.T) {
 }
 
 func TestArenaGetMatrixSteadyState(t *testing.T) {
-	var a Arena[float64]
-	var m Dense[float64]
+	var a Arena
+	var m Matrix
 	a.GetMatrix(&m, 6, 7)
 	if m.Rows != 6 || m.Cols != 7 || len(m.Data) != 42 {
 		t.Fatalf("shape %dx%d len %d", m.Rows, m.Cols, len(m.Data))
@@ -162,7 +158,7 @@ func TestArenaGetMatrixSteadyState(t *testing.T) {
 }
 
 func TestArenaGetSlice(t *testing.T) {
-	var a Arena[float64]
+	var a Arena
 	s := a.GetSlice(nil, 10)
 	if len(s) != 10 {
 		t.Fatalf("len = %d", len(s))

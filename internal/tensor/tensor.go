@@ -1,7 +1,10 @@
-// Package tensor implements the dense float64 matrix kernels underpinning
-// the neural-network stack: allocation, element access, BLAS-like products
-// (with goroutine parallelism for large operands), and seeded random
-// initialization. It is the lowest layer of the substitute for the paper's
+// Package tensor implements the dense float64 matrix and the kernels
+// underpinning the neural-network stack: allocation, element access,
+// BLAS-like products (with goroutine parallelism for large operands), seeded
+// random initialization, and the destination-passing kernels and buffer
+// arena of the inference engine (inplace.go, tiled.go, arena.go). One type,
+// Matrix, carries the autodiff tape, the optimizer, checkpoints and the
+// engine alike. It is the lowest layer of the substitute for the paper's
 // PyTorch-Geometric stack.
 package tensor
 

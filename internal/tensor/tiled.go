@@ -1,9 +1,7 @@
 package tensor
 
 // This file holds the cache-blocked matrix-multiply kernels behind
-// MatMulInto and MatMulSparseInto (inplace.go). The kernels are generic
-// over the element type so the float64 inference path and the float32
-// inference-weights path compile from one implementation.
+// MatMulInto and MatMulSparseInto (inplace.go).
 //
 // Blocking strategy, sized for the inference workload (k = Hidden ≤ 128,
 // m up to a few hundred graph nodes):
@@ -30,9 +28,6 @@ package tensor
 // The remainder row (m odd) and columns (panel width mod 4) fall back to
 // narrower unrolled kernels with identical k ordering.
 
-// Float constrains the element types the tiled kernels are compiled for.
-type Float interface{ ~float32 | ~float64 }
-
 const (
 	mrTile  = 2  // micro-kernel rows: accumulator block height
 	nrTile  = 4  // micro-kernel cols: accumulator block width
@@ -41,7 +36,7 @@ const (
 
 // matMulTiled computes dst = a×b over raw row-major slices: a is m×k, b is
 // k×n, dst is m×n and fully overwritten. dst must not alias a or b.
-func matMulTiled[F Float](a []F, m, k int, b []F, n int, dst []F) {
+func matMulTiled(a []float64, m, k int, b []float64, n int, dst []float64) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -67,13 +62,13 @@ func matMulTiled[F Float](a []F, m, k int, b []F, n int, dst []F) {
 // tiledRows2 computes two output rows across one column panel: the dst rows
 // hold a(2×k) × b[:, jc:jc+nc]. a is the 2×k row block, dst the 2×n row
 // block.
-func tiledRows2[F Float](a []F, k int, b []F, n, jc, nc int, dst []F) {
+func tiledRows2(a []float64, k int, b []float64, n, jc, nc int, dst []float64) {
 	a0, a1 := a[:k], a[k:2*k]
 	d0, d1 := dst[:n], dst[n:2*n]
 	j := jc
 	for ; j+nrTile <= jc+nc; j += nrTile {
-		var c00, c01, c02, c03 F
-		var c10, c11, c12, c13 F
+		var c00, c01, c02, c03 float64
+		var c10, c11, c12, c13 float64
 		for t := 0; t < k; t++ {
 			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
 			b0, b1, b2, b3 := bt[0], bt[1], bt[2], bt[3]
@@ -92,7 +87,7 @@ func tiledRows2[F Float](a []F, k int, b []F, n, jc, nc int, dst []F) {
 		d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
 	}
 	for ; j < jc+nc; j++ {
-		var c0, c1 F
+		var c0, c1 float64
 		for t := 0; t < k; t++ {
 			bv := b[t*n+j]
 			c0 += a0[t] * bv
@@ -104,11 +99,11 @@ func tiledRows2[F Float](a []F, k int, b []F, n, jc, nc int, dst []F) {
 
 // tiledRows1 is the single-row remainder kernel: dst row = a(1×k) ×
 // b[:, jc:jc+nc], with four-column unrolling where the panel allows.
-func tiledRows1[F Float](a []F, b []F, n, jc, nc int, dst []F) {
+func tiledRows1(a, b []float64, n, jc, nc int, dst []float64) {
 	k := len(a)
 	j := jc
 	for ; j+nrTile <= jc+nc; j += nrTile {
-		var c0, c1, c2, c3 F
+		var c0, c1, c2, c3 float64
 		for t := 0; t < k; t++ {
 			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
 			av := a[t]
@@ -120,7 +115,7 @@ func tiledRows1[F Float](a []F, b []F, n, jc, nc int, dst []F) {
 		dst[j], dst[j+1], dst[j+2], dst[j+3] = c0, c1, c2, c3
 	}
 	for ; j < jc+nc; j++ {
-		var c F
+		var c float64
 		for t := 0; t < k; t++ {
 			c += a[t] * b[t*n+j]
 		}
@@ -133,7 +128,7 @@ func tiledRows1[F Float](a []F, b []F, n, jc, nc int, dst []F) {
 // pass. The inference engine routes h-consuming products through it when a
 // ReLU layer output is zero-heavy enough that skipped work beats the tiled
 // kernel's register blocking (see gnn's density dispatch).
-func matMulSparseRows[F Float](a []F, m, k int, b []F, n int, dst []F) {
+func matMulSparseRows(a []float64, m, k int, b []float64, n int, dst []float64) {
 	clear(dst[:m*n])
 	for i := 0; i < m; i++ {
 		ai := a[i*k : (i+1)*k]
@@ -152,12 +147,12 @@ func matMulSparseRows[F Float](a []F, m, k int, b []F, n int, dst []F) {
 
 // Dot returns the inner product of two equal-length vectors, accumulating
 // in index order (the order the attention-score dots are specified in).
-func Dot[F Float](a, b []F) F {
+func Dot(a, b []float64) float64 {
 	if len(a) == 0 {
 		return 0
 	}
 	b = b[:len(a)]
-	var s F
+	var s float64
 	for i, v := range a {
 		s += v * b[i]
 	}

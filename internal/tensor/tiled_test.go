@@ -72,7 +72,7 @@ func TestTiledMatchesNaive(t *testing.T) {
 			for _, k := range ks {
 				a := randSparseMat(rng, m, k, 0.3)
 				b := randMat(rng, k, n)
-				MatMulInto(dense(a), dense(b), dense(dst))
+				MatMulInto(a, b, dst)
 				want := MatMul(a, b)
 				assertWithinOneUlp(t, "MatMulInto", dst, want)
 			}
@@ -83,7 +83,8 @@ func TestTiledMatchesNaive(t *testing.T) {
 // TestTiledMatchesNaiveFuzz hammers random geometries and zero densities
 // through both matmul entry points. The sparse kernel shares the naive
 // kernel's exact loop structure, so it must agree bit for bit; the tiled
-// kernel is held to the exact-or-1-ulp gate.
+// kernel is held to the exact-or-1-ulp gate against it, and to bit
+// identity against the in-order product.
 func TestTiledMatchesNaiveFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	dst := New(0, 0)
@@ -91,13 +92,86 @@ func TestTiledMatchesNaiveFuzz(t *testing.T) {
 		m, k, n := rng.Intn(40), rng.Intn(40), rng.Intn(140)
 		a := randSparseMat(rng, m, k, []float64{0, 0.2, 0.5, 0.9}[rng.Intn(4)])
 		b := randMat(rng, k, n)
-		want := MatMul(a, b)
+		want, inOrder := MatMul(a, b), naiveMatMul(a, b)
 
-		MatMulInto(dense(a), dense(b), dense(dst))
+		MatMulInto(a, b, dst)
 		assertWithinOneUlp(t, "MatMulInto", dst, want)
+		assertExact(t, "MatMulInto vs in-order", dst, inOrder)
 
-		MatMulSparseInto(dense(a), dense(b), dense(dst))
+		MatMulSparseInto(a, b, dst)
 		assertExact(t, "MatMulSparseInto", dst, want)
+	}
+}
+
+// naiveMatMul is the in-order reference product: plain ijk with the k loop
+// innermost and in order — the same per-element accumulation order as the
+// tiled kernel, so on operands without negative zeros the two agree bit for
+// bit.
+func naiveMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow, orow := a.Row(i), out.Row(i)
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for t := 0; t < a.Cols; t++ {
+				s += arow[t] * b.Data[t*b.Cols+j]
+			}
+			orow[j] = s
+		}
+	}
+	return out
+}
+
+// assertBitIdentical compares bit patterns, so signed zeros count.
+func assertBitIdentical(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestMatMulRowSubsetBitIdentical pins the two kernel properties gnn's
+// family evaluation stands on (inplace.go): (1) multiplying any subset of
+// a's rows on its own gives the same bits as those rows of the full
+// product, whatever the subset does to the 2-row micro-kernel's pairing;
+// (2) on ReLU-sparse finite operands (negatives clamped to +0) the
+// skip-zero kernel and the tiled kernel agree bit for bit, so which of the
+// two a row went through never shows.
+func TestMatMulRowSubsetBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	full, fullSparse, part := New(0, 0), New(0, 0), New(0, 0)
+	for trial := 0; trial < 150; trial++ {
+		m, k, n := 1+rng.Intn(24), rng.Intn(33), 1+rng.Intn(70)
+		a := randMat(rng, m, k)
+		for i, v := range a.Data {
+			a.Data[i] = max(v, 0)
+		}
+		b := randMat(rng, k, n)
+		MatMulInto(a, b, full)
+		MatMulSparseInto(a, b, fullSparse)
+		assertBitIdentical(t, "sparse vs tiled", fullSparse.Data, full.Data)
+
+		var rows []int
+		for i := 0; i < m; i++ {
+			if rng.Intn(3) == 0 {
+				rows = append(rows, i)
+			}
+		}
+		sub := &Matrix{Rows: len(rows), Cols: k}
+		for _, i := range rows {
+			sub.Data = append(sub.Data, a.Row(i)...)
+		}
+		for _, mul := range []func(a, b, dst *Matrix){MatMulInto, MatMulSparseInto} {
+			mul(sub, b, part)
+			for j, i := range rows {
+				assertBitIdentical(t, "row subset", part.Row(j), full.Row(i))
+			}
+		}
 	}
 }
 
@@ -107,9 +181,9 @@ func TestTiledMatchesNaiveFuzz(t *testing.T) {
 func TestTiledOverwritesStaleDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dst := New(0, 0)
-	MatMulInto(dense(randMat(rng, 6, 5)), dense(randMat(rng, 5, 70)), dense(dst)) // dirty the buffer
+	MatMulInto(randMat(rng, 6, 5), randMat(rng, 5, 70), dst) // dirty the buffer
 	a, b := New(6, 0), New(0, 70)
-	MatMulInto(dense(a), dense(b), dense(dst))
+	MatMulInto(a, b, dst)
 	for i, v := range dst.Data {
 		if v != 0 {
 			t.Fatalf("k=0 product element %d = %v, want 0", i, v)
@@ -118,7 +192,7 @@ func TestTiledOverwritesStaleDst(t *testing.T) {
 	// Shrinking reuse: a smaller product into the same buffer must reshape
 	// and not read stale tail values.
 	a2, b2 := randMat(rng, 3, 4), randMat(rng, 4, 2)
-	MatMulInto(dense(a2), dense(b2), dense(dst))
+	MatMulInto(a2, b2, dst)
 	assertWithinOneUlp(t, "shrunk dst", dst, MatMul(a2, b2))
 }
 
