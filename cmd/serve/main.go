@@ -27,18 +27,12 @@
 // freshly added peer is warm without client traffic. All peers must serve
 // the same checkpoints and agree on -replication.
 //
-// With -feedback-dir the serving loop closes (docs/OPERATIONS.md, "Staged
-// Rollouts"): POST /v1/feedback accepts measured runtimes for served
-// advise points, appends them to a durable per-platform log, and 100
-// accepted measurements of a platform since its last retrain trigger a
-// background incremental retrain (its output saved under -model-dir) that
-// serves as a *candidate* on 10% of unpinned traffic. Once both versions
-// hold 30 measured pairs, three consecutive non-inferior evaluations
-// promote the candidate to stable (keeping the two newest superseded
-// checkpoints and pruning the rest); three consecutive regressions roll it
-// back. The stable version never stops serving either way, and the
-// rollout state persists in the registry so restarts resume where the
-// process left off.
+// With -feedback-dir, POST /v1/feedback accepts measured runtimes for
+// served advise points, appends them to a durable per-platform log under
+// that directory, and windows each model version's rank correlation
+// (docs/OPERATIONS.md, "Feedback"). Nothing retrains in the process: `train
+// -from-feedback` fits a new version from the log offline, and the next
+// boot serves it. The served model set is fixed at boot.
 //
 // Usage:
 //
@@ -59,8 +53,8 @@
 //	                    (one variant's runtime: a one-point space)
 //	POST /v1/feedback   report a measured runtime for a served point
 //	GET  /v1/healthz    liveness and served machines
-//	GET  /v1/models     served model versions per platform (+ rollout roles)
-//	GET  /v1/stats      cache/batcher/admission/per-model/cluster/rollout counters
+//	GET  /v1/models     served model versions per platform (+ measured quality)
+//	GET  /v1/stats      cache/batcher/admission/per-model/cluster/feedback counters
 //	GET  /v1/ring       cluster membership, ownership, forward counters
 //	GET  /v1/trace      recent request traces (?id= for one, ?n= to bound)
 //	GET  /metrics       Prometheus text exposition of every serve_* series
@@ -221,8 +215,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	// Stop accepting and let in-flight requests finish before the final
-	// snapshot, so every completed response is eligible for persistence;
-	// srv.Close waits out a background retrain.
+	// snapshot, so every completed response is eligible for persistence.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
@@ -282,7 +275,7 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn or error")
 	traceSlow := fs.Duration("trace-slow", 0, "log traced requests at or above this latency (0 = default 250ms, negative = disable)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-	feedbackDir := fs.String("feedback-dir", "", "accept POST /v1/feedback and append measured runtimes under this directory (empty = lifecycle disabled)")
+	feedbackDir := fs.String("feedback-dir", "", "accept POST /v1/feedback and append measured runtimes under this directory (empty = feedback disabled)")
 	self := fs.String("self", "", "cluster mode: this process's base URL as peers reach it (http://host:port)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through (the first peer of a ring names itself)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
@@ -340,15 +333,13 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		QueuePerClient: *admitPerClient,
 		TraceSlow:      *traceSlow,
 		Logger:         logger,
-
-		FeedbackDir:  *feedbackDir,
-		RegistryRoot: *modelDir,
+		FeedbackDir:    *feedbackDir,
 	})
 	if err != nil {
 		return nil, serveConfig{}, err
 	}
 	if *feedbackDir != "" {
-		logger.Info("feedback lifecycle enabled", "dir", *feedbackDir, "registry", *modelDir)
+		logger.Info("feedback enabled", "dir", *feedbackDir)
 	}
 	if clusterMode {
 		if err := srv.EnableCluster(serve.ClusterConfig{
@@ -434,7 +425,7 @@ func checkpointBackends(dir string, wanted map[string]bool, logger *slog.Logger)
 		logger.Info("loaded checkpoint",
 			"model", e.Manifest.Platform+"/"+e.Manifest.Name,
 			"level", e.Manifest.Level, "val_rmse", e.Manifest.Train.FinalValRMSE)
-		b := serve.CheckpointBackend(e, "checkpoint")
+		b := serve.CheckpointBackend(e)
 		b.Default = reg.Default(e)
 		backends = append(backends, b)
 	}

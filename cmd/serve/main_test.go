@@ -241,6 +241,70 @@ func TestModelDirServesCheckpointsWithoutTraining(t *testing.T) {
 	}
 }
 
+// TestBootIgnoresRolloutState is the upgrade path from a registry that an
+// older serve ran its in-process rollout over: testdata/rollout.json, as
+// that serve wrote it after rolling its fb-* candidate back, names v1 the
+// stable. A boot now serves the registry's default alias — the newest
+// version, the rolled-back candidate — and leaves the file as it was. (So
+// OPERATIONS.md has operators remove a rolled-back fb-* directory before
+// upgrading.)
+func TestBootIgnoresRolloutState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the checkpoint fixture in -short mode")
+	}
+	root := t.TempDir()
+	tr, err := experiments.NewRunner(microScale(1)).Trained(hw.V100(), paragraph.LevelParaGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"v1", "fb-20261017-080000"} { // oldest first
+		if _, err := registry.Save(root, hw.V100(), name, paragraph.LevelParaGraph,
+			tr.Model, tr.Prep, registry.TrainInfo{Epochs: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state, err := os.ReadFile(filepath.Join("testdata", "rollout.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	statePath := filepath.Join(root, hw.Slug(hw.V100().Name), "rollout.json")
+	if err := os.WriteFile(statePath, state, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _, err := buildServer([]string{"-model-dir", root, "-feedback-dir", t.TempDir(),
+		"-platforms", hw.V100().Name}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	reg, err := registry.Open(root, registry.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := reg.Lookup(hw.V100().Name, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Manifest.Name != "fb-20261017-080000" {
+		t.Fatalf("the registry's default is %q, want the newest version", want.Manifest.Name)
+	}
+	for _, m := range srv.Models().Models {
+		if m.Default != (m.Name == want.Manifest.Name) {
+			t.Errorf("model %s default = %v, want only %s", m.Name, m.Default, want.Manifest.Name)
+		}
+	}
+	var resp serve.AdviseResponse
+	doLocal(t, srv, serve.AdviseRequest{Kernel: "matmul", Machine: hw.V100().Name,
+		Bindings: map[string]float64{"n": 256}}, &resp)
+	if resp.Model != want.Manifest.Name {
+		t.Errorf("unpinned advise served by %q, want %q", resp.Model, want.Manifest.Name)
+	}
+	if after, err := os.ReadFile(statePath); err != nil || !bytes.Equal(after, state) {
+		t.Errorf("rollout.json changed or went (err %v)", err)
+	}
+}
+
 // TestCacheFileSurvivesRestart is the warm-restart acceptance check: a
 // request cached by one server instance, snapshotted to -cache-file, is a
 // cache hit on a freshly built instance after restore — the kill/restart
@@ -327,8 +391,7 @@ func TestBuildServerFlagErrors(t *testing.T) {
 		{"-epochs", "1"},
 		{"-points", "24"},
 		{"-model-max-loaded", "4"},
-		// So are the lifecycle's policy flags: its split, pacing, epochs,
-		// hysteresis and retention are constants.
+		// So are the retired in-process retrain loop's policy flags.
 		{"-rollout-split", "50"},
 		{"-retrain-after", "6"},
 		{"-retrain-epochs", "1"},

@@ -8,11 +8,12 @@
 //
 // With -from-feedback it retrains incrementally instead: measured runtimes
 // collected by `serve -feedback-dir` (POST /v1/feedback) are read from the
-// given log directory, the platform's stable checkpoint under -save-dir is
-// fine-tuned on them, and the result is saved as a *candidate* version with
-// the platform's rollout state pointing at it — the same path a serving
-// process takes on its own when started with both -feedback-dir and
-// -model-dir, available offline for operators who retrain out of band.
+// given log directory, the platform's default checkpoint under -save-dir is
+// fine-tuned on them, and the result is saved there as a plain new version.
+// This is the only way feedback reaches a model: serve records it and never
+// retrains. The next serve boot makes the version the registry's default
+// rule names (a version literally named "default", else the newest) the
+// platform's default, and train prints which one that is.
 //
 // Usage:
 //
@@ -22,8 +23,7 @@
 //	train -from-feedback DIR -save-dir DIR [-platform NAME]
 //	      [-epochs N] [-save-name NAME]
 //
-// A feedback retrain needs at least 20 usable records, and its candidate
-// takes 10% of unpinned traffic.
+// A feedback retrain needs at least 20 usable records.
 package main
 
 import (
@@ -59,7 +59,7 @@ func run(args []string, w io.Writer) error {
 	points := fs.Int("points", 0, "override dataset points per platform (0 = scale default)")
 	saveDir := fs.String("save-dir", "", "write the trained model as a registry checkpoint under this directory")
 	saveName := fs.String("save-name", "default", "checkpoint version name within -save-dir")
-	fromFeedback := fs.String("from-feedback", "", "incremental retrain: fine-tune the stable checkpoint under -save-dir on measured feedback from this log directory")
+	fromFeedback := fs.String("from-feedback", "", "incremental retrain: fine-tune the default checkpoint under -save-dir on measured feedback from this log directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,15 +76,15 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if *fromFeedback != "" {
-		// The candidate name is derived ("fb-<timestamp>") unless the
+		// The new version's name is derived ("fb-<timestamp>") unless the
 		// operator explicitly chose one.
-		candName := ""
+		name := ""
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "save-name" {
-				candName = *saveName
+				name = *saveName
 			}
 		})
-		return retrainFromFeedback(w, *fromFeedback, *saveDir, candName, *platform, *epochs)
+		return retrainFromFeedback(w, *fromFeedback, *saveDir, name, *platform, *epochs)
 	}
 
 	scale, err := experiments.ParseScale(*scaleName)
@@ -148,9 +148,9 @@ func run(args []string, w io.Writer) error {
 }
 
 // retrainFromFeedback is the -from-feedback mode: read the measured-runtime
-// log, fine-tune the platform's stable checkpoint, save the candidate and
-// report the rollout state the serving tier will pick up.
-func retrainFromFeedback(w io.Writer, logDir, root, candName, platform string, epochs int) error {
+// log, fine-tune the platform's default checkpoint, save the new version and
+// report which version the next serve boot makes the default.
+func retrainFromFeedback(w io.Writer, logDir, root, name, platform string, epochs int) error {
 	if root == "" {
 		return fmt.Errorf("-from-feedback requires -save-dir (the registry root holding the stable checkpoint)")
 	}
@@ -172,18 +172,17 @@ func retrainFromFeedback(w io.Writer, logDir, root, candName, platform string, e
 	fmt.Fprintf(w, "retraining %s incrementally on %d measured records from %s\n",
 		m.Name, len(recs), logDir)
 	res, err := registry.RetrainFromFeedback(root, m.Name, recs, registry.RetrainOptions{
-		CandidateName: candName,
-		Epochs:        epochs,
-		Seed:          time.Now().UnixNano(),
+		Name:   name,
+		Epochs: epochs,
+		Seed:   time.Now().UnixNano(),
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "candidate %s/%s saved to %s (fine-tuned from stable %q)\n",
-		m.Name, res.Candidate.Manifest.Name, res.Candidate.Dir, res.Stable)
+	fmt.Fprintf(w, "checkpoint %s/%s saved to %s (fine-tuned from %q)\n",
+		m.Name, res.Version.Manifest.Name, res.Version.Dir, res.Stable)
 	fmt.Fprintf(w, "train %d, val %d, unusable %d, final val RMSE (scaled) %.5f\n",
 		res.TrainSamples, res.ValSamples, res.Skipped, res.FinalValRMSE)
-	fmt.Fprintf(w, "rollout: stable %s, candidate %s at %.0f%% of unpinned traffic\n",
-		res.Rollout.Stable, res.Rollout.Candidate, res.Rollout.SplitPct)
+	fmt.Fprintf(w, "default on the next serve boot: %s/%s\n", m.Name, res.Default)
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -119,11 +120,6 @@ func TestFromFeedbackSavesCandidate(t *testing.T) {
 		t.Skip("training in -short mode")
 	}
 	const platform = "IBM POWER9 (CPU)"
-	ckpt := t.TempDir()
-	if err := run([]string{"-scale", "tiny", "-epochs", "1", "-points", "24",
-		"-platform", platform, "-save-dir", ckpt}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
 	logDir := t.TempDir()
 	lg, err := feedback.Open(logDir)
 	if err != nil {
@@ -141,17 +137,49 @@ func TestFromFeedbackSavesCandidate(t *testing.T) {
 		}
 	}
 
-	var out strings.Builder
-	if err := run([]string{"-from-feedback", logDir, "-save-dir", ckpt, "-platform", platform,
-		"-epochs", "1"}, &out); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "candidate "+platform+"/fb-") {
-		t.Errorf("output names no fb-* candidate:\n%s", out.String())
-	}
-	rs, err := registry.LoadRollout(ckpt, platform)
-	if err != nil || rs == nil || rs.Stable != "default" || !strings.HasPrefix(rs.Candidate, "fb-") {
-		t.Errorf("rollout after the retrain = %+v, %v; want stable default, candidate fb-*", rs, err)
+	// The retrain saves a plain fb-* version beside the stable, writes no
+	// rollout state, and prints the version the next serve boot defaults
+	// to — which a fresh registry.Open agrees with: the stable while it is
+	// literally named "default", else the new, newest version.
+	for _, stable := range []string{"default", "v1"} {
+		ckpt := t.TempDir()
+		if err := run([]string{"-scale", "tiny", "-epochs", "1", "-points", "24",
+			"-platform", platform, "-save-dir", ckpt, "-save-name", stable}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := run([]string{"-from-feedback", logDir, "-save-dir", ckpt, "-platform", platform,
+			"-epochs", "1"}, &out); err != nil {
+			t.Fatalf("%v\n%s", err, out.String())
+		}
+		if !strings.Contains(out.String(), "checkpoint "+platform+"/fb-") {
+			t.Errorf("stable %s: output names no fb-* version:\n%s", stable, out.String())
+		}
+		if strings.Contains(out.String(), "rollout") || strings.Contains(out.String(), "traffic") {
+			t.Errorf("stable %s: output still reports a traffic split:\n%s", stable, out.String())
+		}
+		reg, err := registry.Open(ckpt, registry.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := reg.Lookup(platform, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := def.Manifest.Name
+		if (stable == "default") != (name == "default") || (stable == "v1") != strings.HasPrefix(name, "fb-") {
+			t.Errorf("stable %s: Open defaults to %q", stable, name)
+		}
+		if want := "default on the next serve boot: " + platform + "/" + name + "\n"; !strings.Contains(out.String(), want) {
+			t.Errorf("stable %s: output lacks %q:\n%s", stable, want, out.String())
+		}
+		if len(reg.Entries()) != 2 {
+			t.Errorf("stable %s: %d versions on disk, want the stable and the new one", stable, len(reg.Entries()))
+		}
+		matches, _ := filepath.Glob(filepath.Join(ckpt, "*", "rollout.json"))
+		if len(matches) != 0 {
+			t.Errorf("stable %s: the retrain wrote %v", stable, matches)
+		}
 	}
 }
 

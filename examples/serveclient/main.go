@@ -196,7 +196,7 @@ func startLocalService() (base string, stop func(), warmRestart, clusterDemo fun
 	}
 	var backends []serve.Backend
 	for _, e := range reg.Entries() {
-		b := serve.CheckpointBackend(e, "checkpoint")
+		b := serve.CheckpointBackend(e)
 		b.Default = reg.Default(e)
 		backends = append(backends, b)
 	}

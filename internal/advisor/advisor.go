@@ -380,15 +380,6 @@ func (a *Advisor) forEach(ctx context.Context, n int, what func(int) string, fn 
 	return nil
 }
 
-// Best returns the top recommendation.
-func (a *Advisor) Best(k apps.Kernel, bindings analysis.Env, space SearchSpace) (Recommendation, error) {
-	recs, err := a.Advise(k, bindings, space)
-	if err != nil {
-		return Recommendation{}, err
-	}
-	return recs[0], nil
-}
-
 // EncodeInstance builds the model-ready sample for an unseen instance: the
 // graph dataset.Prepare would build for it (the same front end, a
 // dataset.Encoder with a grid of one), scaled with the training-time

@@ -112,24 +112,6 @@ func TestAdviseSkipsCollapseForNonCollapsible(t *testing.T) {
 	}
 }
 
-func TestBestMatchesFirstRecommendation(t *testing.T) {
-	k, _ := apps.ByName("matvec")
-	a := New(weightOracle{}, testPrep(), hw.V100())
-	space := SearchSpace{GPUTeams: []int{64, 128}, GPUThreads: []int{64}}
-	bindings := map[string]float64{"n": 1024, "m": 512}
-	recs, err := a.Advise(k, bindings, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := a.Best(k, bindings, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != recs[0] {
-		t.Error("Best != first recommendation")
-	}
-}
-
 func TestAdviseErrors(t *testing.T) {
 	a := New(weightOracle{}, testPrep(), hw.V100())
 	if _, err := a.Advise(apps.Kernel{}, nil, DefaultSearchSpace()); err == nil {

@@ -63,12 +63,6 @@ func (k Kernel) Validate() error {
 	return nil
 }
 
-// SerialSource returns the kernel source with the pragma marker removed,
-// i.e. the plain serial version.
-func (k Kernel) SerialSource() string {
-	return strings.Replace(k.Source, PragmaMarker+"\n", "", 1)
-}
-
 // PragmaOffset returns the byte offset of the pragma marker in the kernel
 // source — where a variant's directive starts in every source generated
 // from it — or -1 without a marker.

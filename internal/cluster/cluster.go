@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -167,16 +166,4 @@ func (c *Cluster) queueWait(id string, attempt int) float64 {
 	h.Write([]byte{0xff, byte(attempt)})
 	rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ c.cfg.Seed))
 	return rng.Float64() * 10
-}
-
-// FailedJobs extracts the IDs of jobs that exhausted retries, sorted.
-func FailedJobs(results []Result) []string {
-	var ids []string
-	for _, r := range results {
-		if r.Err != nil {
-			ids = append(ids, r.JobID)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }

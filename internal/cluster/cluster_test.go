@@ -105,16 +105,6 @@ func TestFailureExhaustion(t *testing.T) {
 			t.Errorf("attempts = %d, want 3", r.Attempts)
 		}
 	}
-	failed := FailedJobs(results)
-	if len(failed) != 10 {
-		t.Errorf("FailedJobs = %d", len(failed))
-	}
-	// Sorted.
-	for i := 1; i < len(failed); i++ {
-		if failed[i] < failed[i-1] {
-			t.Error("FailedJobs not sorted")
-		}
-	}
 }
 
 func TestRealErrorsNotRetried(t *testing.T) {

@@ -255,8 +255,8 @@ void k(double *a, int n, int m) {
 	if d.Dir.CollapseDepth() != 2 {
 		t.Errorf("collapse = %d", d.Dir.CollapseDepth())
 	}
-	if !d.Dir.HasDataTransfer() {
-		t.Error("map(tofrom:...) should imply data transfer")
+	if c, ok := d.Dir.Clause(omp.ClauseMap); !ok || c.MapDir != omp.MapToFrom {
+		t.Errorf("map clause = %+v (present %v), want tofrom", c, ok)
 	}
 	if d.Dir.NumTeams() != 8 || d.Dir.NumThreads() != 128 {
 		t.Errorf("teams/threads = %d/%d", d.Dir.NumTeams(), d.Dir.NumThreads())

@@ -150,19 +150,6 @@ func Collect(m hw.Machine, cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// CollectAll builds all four platform slices (Table II).
-func CollectAll(cfg Config) ([]*Platform, error) {
-	var out []*Platform
-	for _, m := range hw.All() {
-		p, err := Collect(m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // Scaler is the MinMax scaler of §IV-B, mapping [min,max] to [0,1].
 type Scaler struct {
 	Min, Max float64

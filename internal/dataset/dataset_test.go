@@ -107,25 +107,6 @@ func TestCollectMaxPerPlatform(t *testing.T) {
 	}
 }
 
-func TestCollectAllFourPlatforms(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.MaxPerPlatform = 8
-	ps, err := CollectAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 4 {
-		t.Fatalf("platforms = %d", len(ps))
-	}
-	names := map[string]bool{}
-	for _, p := range ps {
-		names[p.Machine.Name] = true
-	}
-	if len(names) != 4 {
-		t.Errorf("platform names = %v", names)
-	}
-}
-
 func TestScaler(t *testing.T) {
 	s := FitScaler([]float64{10, 20, 30})
 	if s.Min != 10 || s.Max != 30 {

@@ -1,8 +1,7 @@
 // Package feedback accumulates measured runtimes reported by clients into an
-// append-only, crash-safe, per-platform log. It is the durable half of the
-// serving tier's feedback→retrain→rollout loop: `POST /v1/feedback` appends
-// here, and `train -from-feedback` (or the serve background retrainer) reads
-// the log back into an incremental training set.
+// append-only, crash-safe, per-platform log: `POST /v1/feedback` appends
+// here, and `train -from-feedback` reads the log back into an incremental
+// training set, offline.
 //
 // Records are newline-delimited JSON, one object per line, written with a
 // single O_APPEND write under a mutex so concurrent appends never interleave.
@@ -20,7 +19,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"paragraph/internal/hw"
@@ -164,20 +162,4 @@ func (l *Log) Read(platform string) (recs []Record, skipped int, err error) {
 func (l *Log) Count(platform string) (int, error) {
 	recs, _, err := l.Read(platform)
 	return len(recs), err
-}
-
-// Platforms lists the platform slugs that have log files, sorted by name.
-func (l *Log) Platforms() ([]string, error) {
-	ents, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil, fmt.Errorf("feedback: list log dir: %w", err)
-	}
-	var out []string
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
-			continue
-		}
-		out = append(out, strings.TrimSuffix(e.Name(), ".jsonl"))
-	}
-	return out, nil
 }

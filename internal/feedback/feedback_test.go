@@ -165,7 +165,7 @@ func TestConcurrentAppend(t *testing.T) {
 
 func TestSlugAndPlatforms(t *testing.T) {
 	// The log's file names are hw.Slug's (pinned in internal/hw); what is
-	// held here is that Append, Read and Platforms agree on them.
+	// held here is that Append writes them and Read finds them.
 	l, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -178,12 +178,13 @@ func TestSlugAndPlatforms(t *testing.T) {
 	if err := l.Append(r); err != nil {
 		t.Fatal(err)
 	}
-	plats, err := l.Platforms()
+	files, err := filepath.Glob(filepath.Join(l.Dir(), "*.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plats) != 2 || plats[0] != "ibm-power9-cpu" || plats[1] != "nvidia-v100-gpu" {
-		t.Fatalf("Platforms = %v", plats)
+	if len(files) != 2 || filepath.Base(files[0]) != "ibm-power9-cpu.jsonl" ||
+		filepath.Base(files[1]) != "nvidia-v100-gpu.jsonl" {
+		t.Fatalf("log files = %v", files)
 	}
 	// Reading by slug or by full name hits the same file.
 	if recs, _, err := l.Read("ibm-power9-cpu"); err != nil || len(recs) != 1 {

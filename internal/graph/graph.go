@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -153,31 +152,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Adjacency is a CSR-style view of incoming edges grouped by destination
-// node, as required by attention softmax over each node's in-neighborhood.
-// For node v, incoming edge indices are Index[Start[v]:Start[v+1]].
-type Adjacency struct {
-	Start []int // len NumNodes+1
-	Index []int // edge indices sorted by Dst
-}
-
-// InAdjacency builds the incoming-edge CSR view.
-func (g *Graph) InAdjacency() Adjacency {
-	idx := make([]int, len(g.Edges))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return g.Edges[idx[a]].Dst < g.Edges[idx[b]].Dst })
-	start := make([]int, len(g.Nodes)+1)
-	for _, ei := range idx {
-		start[g.Edges[ei].Dst+1]++
-	}
-	for v := 0; v < len(g.Nodes); v++ {
-		start[v+1] += start[v]
-	}
-	return Adjacency{Start: start, Index: idx}
-}
-
 // typeName returns a printable name for an edge type.
 func (g *Graph) typeName(t int) string {
 	if t >= 0 && t < len(g.TypeNames) {
@@ -235,18 +209,6 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(g)
-}
-
-// ReadJSON parses a graph from JSON.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var g Graph
-	if err := json.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("graph: decoding JSON: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &g, nil
 }
 
 // Stats summarizes a graph for reporting.

@@ -219,6 +219,3 @@ func (a *Adam) Step(params []*Parameter) {
 		p.ZeroGrad()
 	}
 }
-
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }

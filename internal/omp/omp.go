@@ -258,17 +258,6 @@ func (d *Directive) NumThreads() int {
 	return 0
 }
 
-// HasDataTransfer reports whether any map clause moves data to or from the
-// device (alloc-only maps do not count).
-func (d *Directive) HasDataTransfer() bool {
-	for _, c := range d.Clauses {
-		if c.Kind == ClauseMap && c.MapDir != MapAlloc {
-			return true
-		}
-	}
-	return false
-}
-
 // directivePhrases maps multi-word directive names to kinds, longest match
 // first (order matters: "target teams distribute parallel for" must win over
 // "target teams").

@@ -97,13 +97,6 @@ func TestParseMapClauses(t *testing.T) {
 	if to != 2 || from != 1 || alloc != 1 {
 		t.Errorf("map args to=%d from=%d alloc=%d, want 2/1/1", to, from, alloc)
 	}
-	if !d.HasDataTransfer() {
-		t.Error("HasDataTransfer = false, want true")
-	}
-	d2 := mustParse(t, "#pragma omp target teams distribute parallel for map(alloc: t[0:n])")
-	if d2.HasDataTransfer() {
-		t.Error("alloc-only map should not count as data transfer")
-	}
 }
 
 func TestParseMapDefaultDirection(t *testing.T) {

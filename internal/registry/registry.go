@@ -11,20 +11,20 @@
 //	<root>/<platform-slug>/<version>/weights.json
 //
 // so one platform can carry several named versions (training scales,
-// representation levels, A/B candidates) side by side; each platform gets a
-// default alias (a version literally named "default", else the newest).
+// representation levels, feedback retrains) side by side; each platform
+// gets a default alias (a version literally named "default", else the
+// newest).
 //
 // There is one way from a checkpoint directory to a model: Load, which
 // reads and verifies the manifest and weights (a config/weights mismatch or
 // checksum drift fails there, not in a later request) and returns an Entry
-// holding the model resident with its engine weights built. Open
-// loads every checkpoint under a root and indexes them; retraining loads the
-// stable it fine-tunes from, and the serving lifecycle the candidate it
-// adopts, through the same function. A model is at most 34 873 parameters
-// (272 kB in float64), so nothing is loaded lazily or evicted: an Entry,
-// once built, never touches its files again. Entry implements the serving
-// layer's BatchPredictor, which is how cmd/serve plugs checkpoints straight
-// into its batcher without knowing about files.
+// holding the model resident with its engine weights built. Open loads
+// every checkpoint under a root and indexes them, and retraining loads the
+// stable it fine-tunes from, through the same function. A model is at most
+// 34 873 parameters (272 kB in float64), so nothing is loaded lazily or
+// evicted: an Entry, once built, never touches its files again. Entry
+// implements the serving layer's BatchPredictor, which is how cmd/serve
+// plugs checkpoints straight into its batcher without knowing about files.
 package registry
 
 import (
@@ -372,8 +372,8 @@ func entryKey(platform, name string) string { return platform + "\x00" + name }
 
 // pickDefault resolves the default alias among one platform's checkpoints:
 // a version literally named "default" wins, else the newest CreatedAt (name
-// as tiebreak). It is the only statement of that rule — Open, retraining
-// and GC all ask it.
+// as tiebreak). It is the only statement of that rule — Open and retraining
+// both ask it.
 func pickDefault(cps []Checkpoint) Checkpoint {
 	best := cps[0]
 	for _, cp := range cps[1:] {

@@ -323,9 +323,8 @@ func TestSaveRejectsBadNames(t *testing.T) {
 
 // TestPlatformSlug holds the layout to a directory on disk: a registry
 // written before the slug moved to internal/hw (testdata/registry-pr20, by
-// PR 20's Save) keeps its V100 checkpoint where hw.Slug — what Save, GC and
-// the rollout state now ask — says it is. The four names are pinned in
-// internal/hw.
+// an older Save) keeps its V100 checkpoint where hw.Slug — what Save and
+// Discover ask — says it is. The four names are pinned in internal/hw.
 func TestPlatformSlug(t *testing.T) {
 	root := filepath.Join("testdata", "registry-pr20")
 	e, err := Load(ckptDir(root, hw.V100(), "parent-pr20"))

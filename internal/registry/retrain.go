@@ -9,57 +9,48 @@ import (
 	"paragraph/internal/gnn"
 )
 
-// The retrain path turns the feedback log back into model weights: measured
-// (source, grid point, runtime) records become ParaGraph samples scaled with
-// the *stable checkpoint's* manifest scalers (never refit — the serving
-// stack around the weights must keep meaning the same thing), the stable
-// model is fine-tuned incrementally from its current weights, and the result
-// is saved as a new candidate version with the platform's rollout state
-// pointed at it.
+// The retrain path turns the feedback log back into model weights, offline
+// (`train -from-feedback`): measured (source, grid point, runtime) records
+// become ParaGraph samples scaled with the *stable checkpoint's* manifest
+// scalers (never refit — the serving stack around the weights must keep
+// meaning the same thing), the stable model is fine-tuned incrementally
+// from its current weights, and the result is saved as a plain new version.
+// Nothing points traffic at it: the next serve boot makes whichever version
+// pickDefault names the platform's default.
 
 // RetrainOptions tunes RetrainFromFeedback. Batch size, learning rate and
 // workers are gnn.FitIncremental's, the validation share is dataset.Split's,
-// and the candidate's traffic share and the feedback floor are the
-// constants below: no caller ever set another.
+// and the feedback floor is the constant below: no caller ever set another.
 type RetrainOptions struct {
-	// CandidateName names the new checkpoint; "" derives a unique
+	// Name names the new checkpoint; "" derives a unique
 	// "fb-<UTC timestamp>" name.
-	CandidateName string
+	Name string
 	// Epochs of gnn.FitIncremental (its incremental default when zero).
 	Epochs int
 	// Seed of the train/validation split and the trainer's shuffles.
 	Seed int64
 }
 
-const (
-	// candidateSplitPct is the percentage of unpinned traffic the rollout
-	// state routes to a fresh candidate.
-	candidateSplitPct = 10
-	// minRetrainRecords gates retraining until enough usable feedback
-	// exists to train on and validate against.
-	minRetrainRecords = 20
-)
+// minRetrainRecords gates retraining until enough usable feedback exists to
+// train on and validate against.
+const minRetrainRecords = 20
 
 // RetrainResult reports what a retrain produced.
 type RetrainResult struct {
-	Candidate    Checkpoint
-	Stable       string // the version the retrain started from
+	Version      Checkpoint // the saved version
+	Stable       string     // the version the retrain started from
+	Default      string     // the platform's default alias with Version on disk
 	TrainSamples int
 	ValSamples   int
 	Skipped      int // feedback records that could not be rebuilt into samples
 	FinalValRMSE float64
-	// Rollout is the platform's rollout state as just written to disk,
-	// pointing at the candidate.
-	Rollout *RolloutState
 }
 
-// RetrainFromFeedback fine-tunes platform's stable checkpoint on measured
-// feedback records and saves the result as a candidate version under root,
-// updating the platform's rollout state to point at it. The stable version
-// is the rollout state's stable when set (and still on disk), else the
-// platform's default alias. The usable records are split by dataset.Split —
-// max(1, ⌊n/10⌋) of them validate, the rest train — so a candidate's
-// manifest always reports a real validation.
+// RetrainFromFeedback fine-tunes platform's stable checkpoint — its default
+// alias under root — on measured feedback records and saves the result as a
+// new version under root. The usable records are split by dataset.Split —
+// max(1, ⌊n/10⌋) of them validate, the rest train — so the new manifest
+// always reports a real validation.
 func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts RetrainOptions) (RetrainResult, error) {
 	var res RetrainResult
 
@@ -79,18 +70,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	if len(plat) == 0 {
 		return res, fmt.Errorf("registry: retrain: no checkpoints for platform %q under %s", platform, root)
 	}
-	st, err := LoadRollout(root, platform)
-	if err != nil {
-		return res, err
-	}
 	stable := pickDefault(plat)
-	if st != nil && st.Stable != "" {
-		for _, cp := range plat {
-			if cp.Manifest.Name == st.Stable {
-				stable = cp
-			}
-		}
-	}
 	res.Stable = stable.Manifest.Name
 
 	// A private copy of the stable, loaded like any other: fine-tuning
@@ -116,7 +96,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	}
 	res.FinalValRMSE = hist.FinalValRMSE()
 
-	name := opts.CandidateName
+	name := opts.Name
 	if name == "" {
 		name = fmt.Sprintf("fb-%s", time.Now().UTC().Format("20060102-150405"))
 		for i := 2; ; i++ {
@@ -130,10 +110,10 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 		return res, err
 	}
 	if name == res.Stable {
-		return res, fmt.Errorf("registry: retrain: candidate name %q equals the stable version", name)
+		return res, fmt.Errorf("registry: retrain: new version name %q equals the stable version", name)
 	}
 
-	res.Candidate, err = save(root, e.Machine, name, e.Level, e.model, e.Prep, TrainInfo{
+	res.Version, err = save(root, e.Machine, name, e.Level, e.model, e.Prep, TrainInfo{
 		Scale:        "feedback",
 		Epochs:       len(hist.TrainLoss),
 		TrainSamples: len(train),
@@ -143,20 +123,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	if err != nil {
 		return res, err
 	}
-
-	// Point the rollout state at the new candidate.
-	if st == nil {
-		st = &RolloutState{Platform: platform}
-	}
-	st.Stable = res.Stable
-	st.Candidate = name
-	st.SplitPct = candidateSplitPct
-	st.Better, st.Worse = 0, 0
-	st.Note(RolloutEvent{Event: "candidate", Stable: st.Stable, Candidate: name})
-	if err := SaveRollout(root, st); err != nil {
-		return res, err
-	}
-	res.Rollout = st
+	res.Default = pickDefault(append(plat, res.Version)).Manifest.Name
 	return res, nil
 }
 

@@ -89,53 +89,38 @@ func TestRetrainFromFeedback(t *testing.T) {
 	if res.TrainSamples+res.ValSamples != 40 || res.Skipped != 0 {
 		t.Fatalf("samples = %d train, %d val, %d skipped", res.TrainSamples, res.ValSamples, res.Skipped)
 	}
-	cand := res.Candidate.Manifest
+	cand := res.Version.Manifest
 	if !strings.HasPrefix(cand.Name, "fb-") || cand.Train.Scale != "feedback" {
-		t.Fatalf("candidate manifest = %+v", cand)
+		t.Fatalf("new version's manifest = %+v", cand)
 	}
-	// The candidate reuses the stable's scalers verbatim (never refit).
+	// The new version reuses the stable's scalers verbatim (never refit).
 	se, err := Load(ckptDir(root, hw.V100(), "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cand.Scalers != se.Manifest.Scalers {
-		t.Fatalf("candidate scalers %+v != stable scalers %+v", cand.Scalers, se.Manifest.Scalers)
+		t.Fatalf("new scalers %+v != stable scalers %+v", cand.Scalers, se.Manifest.Scalers)
 	}
 	// Retraining fine-tuned its own copy: the stable on disk is untouched.
 	if se.model.Checksum() != stable.Checksum() {
 		t.Fatal("retraining changed the stable checkpoint")
 	}
 
-	// Fine-tuning moved the weights; the saved candidate is loadable, is
+	// Fine-tuning moved the weights; the saved version is loadable, is
 	// what the result says it is, and differs from the stable.
-	ce, err := Load(res.Candidate.Dir)
+	ce, err := Load(res.Version.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ce.Manifest != cand {
-		t.Fatalf("candidate on disk %+v, result reports %+v", ce.Manifest, cand)
+		t.Fatalf("new version on disk %+v, result reports %+v", ce.Manifest, cand)
 	}
 	if ce.model.Checksum() == stable.Checksum() {
-		t.Fatal("candidate weights identical to stable — no training happened")
+		t.Fatal("new weights identical to stable — no training happened")
 	}
 
-	// The rollout state now points at the candidate, and the result carries
-	// it exactly as written, so no caller re-reads rollout.json.
-	st, err := LoadRollout(root, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st == nil || st.Stable != "v1" || st.Candidate != cand.Name || st.SplitPct != 10 {
-		t.Fatalf("rollout state = %+v", st)
-	}
-	if !reflect.DeepEqual(res.Rollout, st) {
-		t.Fatalf("result carries rollout %+v, disk holds %+v", res.Rollout, st)
-	}
-	if len(st.History) == 0 || st.History[len(st.History)-1].Event != "candidate" {
-		t.Fatalf("rollout history = %+v", st.History)
-	}
-
-	// Both versions open and serve side by side.
+	// Both versions open and serve side by side, and the newest — the one
+	// just saved — is what the result names the default alias.
 	reg, err := Open(root, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -143,10 +128,13 @@ func TestRetrainFromFeedback(t *testing.T) {
 	if _, err := reg.Lookup(plat, cand.Name); err != nil {
 		t.Fatal(err)
 	}
+	if def, _ := reg.Lookup(plat, ""); res.Default != cand.Name || def.Manifest.Name != res.Default {
+		t.Fatalf("result's default = %q, Open's = %q, want the new %q", res.Default, def.Manifest.Name, cand.Name)
+	}
 }
 
 // TestRetrainAlwaysValidates holds the smallest retrains to the shared split:
-// max(1, ⌊n/10⌋) usable records validate, so a candidate's manifest reports a
+// max(1, ⌊n/10⌋) usable records validate, so a retrain's manifest reports a
 // real evaluation. (With its own split and a settable floor, six records
 // trained on six, validated on none and recorded final_val_rmse 0.) Below
 // the fixed floor of twenty usable records a retrain is refused.
@@ -162,7 +150,7 @@ func TestRetrainAlwaysValidates(t *testing.T) {
 	if res.TrainSamples != 19 || res.ValSamples != 2 {
 		t.Fatalf("21 records split %d train / %d val, want 19 / 2", res.TrainSamples, res.ValSamples)
 	}
-	ce, err := Load(res.Candidate.Dir)
+	ce, err := Load(res.Version.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,17 +18,16 @@ import (
 	"paragraph/internal/registry"
 )
 
-// newFeedbackServer serves the oracle backends with the feedback loop
-// enabled over an empty registry root: measurements are accepted and
-// windowed, and no test sends enough of them to start a retrain. Returns
-// the feedback directory for log inspection.
+// newFeedbackServer serves the oracle backends with feedback enabled:
+// measurements are accepted, logged and windowed. Returns the feedback
+// directory for log inspection.
 func newFeedbackServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := NewServer([]Backend{
 		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
 		{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()},
-	}, Options{FeedbackDir: dir, RegistryRoot: t.TempDir()})
+	}, Options{FeedbackDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,23 +48,6 @@ func saveLCCheckpoint(t *testing.T, root, name string, seed int64) {
 	}
 }
 
-// registryBackends loads saved checkpoints as serving backends the way
-// cmd/serve does; the first name is the default.
-func registryBackends(t *testing.T, root string, names ...string) []Backend {
-	t.Helper()
-	var bs []Backend
-	for i, name := range names {
-		e, err := registry.Load(filepath.Join(root, hw.Slug(hw.V100().Name), name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := CheckpointBackend(e, "checkpoint")
-		b.Default = i == 0
-		bs = append(bs, b)
-	}
-	return bs
-}
-
 // TestCheckpointBackendDescribesTheManifest pins the one Entry → Backend
 // conversion: /v1/models reports a served checkpoint field for field from
 // its manifest, under the source the caller names.
@@ -77,7 +58,7 @@ func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := CheckpointBackend(e, "checkpoint")
+	b := CheckpointBackend(e)
 	if b.Model != BatchPredictor(e) || b.Prep != e.Prep || b.Machine.Name != hw.V100().Name || b.Default {
 		t.Errorf("backend = %+v", b)
 	}
@@ -99,7 +80,7 @@ func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
 }
 
 // lcPointReq is pointReq at binding n — matmul on the V100 at 64 teams ×
-// 128 threads. The lifecycle tests measure its gpu row.
+// 128 threads. The feedback tests measure its gpu row.
 func lcPointReq(n float64) AdviseRequest {
 	req := pointReq()
 	req.Bindings = map[string]float64{"n": n}
@@ -210,31 +191,27 @@ func TestFeedbackPredictRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The loop's view: /v1/stats counts and windows the measurements.
+	// /v1/stats counts and windows the measurements.
 	st := lcStats(t, s)
 	if st.Requests.Feedback != 6 {
 		t.Errorf("feedback requests = %d, want 6", st.Requests.Feedback)
 	}
 	if st.Lifecycle == nil {
-		t.Fatal("stats carry no lifecycle section")
+		t.Fatal("stats carry no feedback section")
 	}
 	if st.Lifecycle.FeedbackAccepted != 3 || st.Lifecycle.FeedbackRejected != 3 {
 		t.Errorf("accepted/rejected = %d/%d, want 3/3",
 			st.Lifecycle.FeedbackAccepted, st.Lifecycle.FeedbackRejected)
 	}
-	if len(st.Lifecycle.Rollouts) != 1 || st.Lifecycle.Rollouts[0].Platform != hw.V100().Name {
-		t.Fatalf("rollouts = %+v", st.Lifecycle.Rollouts)
-	}
-	ro := st.Lifecycle.Rollouts[0]
-	if ro.Stable != "default" || ro.Candidate != "" {
-		t.Errorf("rollout = %+v, want stable default and no candidate", ro)
-	}
-	if len(ro.Models) != 1 || ro.Models[0].Pairs != 3 {
-		t.Fatalf("windowed models = %+v", ro.Models)
+	// Only the measured version is listed: the POWER9 model never was.
+	ms := st.Lifecycle.Models
+	if len(ms) != 1 || ms[0].Platform != hw.V100().Name || ms[0].Name != "default" ||
+		ms[0].Pairs != 3 || ms[0].Total != 3 {
+		t.Fatalf("windowed models = %+v", ms)
 	}
 	// measured = 1.05×predicted is a perfect ranking.
-	if ro.Models[0].RankCorr == nil || math.Abs(*ro.Models[0].RankCorr-1) > 1e-12 {
-		t.Errorf("rank corr = %v, want 1", ro.Models[0].RankCorr)
+	if ms[0].RankCorr == nil || math.Abs(*ms[0].RankCorr-1) > 1e-12 {
+		t.Errorf("rank corr = %v, want 1", ms[0].RankCorr)
 	}
 
 	// /v1/models carries the same quality view.
@@ -244,7 +221,7 @@ func TestFeedbackPredictRoundTrip(t *testing.T) {
 	}
 
 	// The measurements are durable: a fresh reader sees all three records
-	// with the rebuilt variant source a retrain needs.
+	// with the rebuilt variant source `train -from-feedback` needs.
 	lg, err := feedback.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +242,6 @@ func TestFeedbackPredictRoundTrip(t *testing.T) {
 		`serve_feedback_total{outcome="accepted"} 3`,
 		`serve_feedback_total{outcome="mismatch"} 3`,
 		`serve_feedback_total{outcome="invalid"} 0`,
-		`serve_rollout_stage{platform="NVIDIA V100 (GPU)"} 0`,
 		`serve_model_feedback_pairs{platform="NVIDIA V100 (GPU)",model="default"} 3`,
 		`serve_model_rank_corr{platform="NVIDIA V100 (GPU)",model="default"} `,
 	} {
@@ -399,347 +375,51 @@ func TestFeedbackValidation(t *testing.T) {
 		}
 	}
 
-	// Without -feedback-dir the loop is off: the endpoint refuses and
+	// Without -feedback-dir feedback is off: the endpoint refuses and
 	// /v1/stats keeps its exact prior shape (no lifecycle section).
 	off := newTestServer(t)
 	if rec := do(t, off, http.MethodPost, "/v1/feedback", FeedbackRequest{Key: goodKey, MeasuredUS: 1}, nil); rec.Code != http.StatusConflict {
 		t.Errorf("disabled feedback = %d, want 409", rec.Code)
 	}
 	if st := lcStats(t, off); st.Lifecycle != nil {
-		t.Error("disabled lifecycle still appears in stats")
+		t.Error("disabled feedback still appears in stats")
 	}
-
-	// There is no in-memory mode: the loop retrains into, persists to and
-	// prunes a registry root, so feedback without one is refused at start.
-	if _, err := NewServer([]Backend{{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()}},
-		Options{FeedbackDir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), "registry root") {
-		t.Errorf("NewServer with a feedback dir and no registry root = %v, want refused", err)
+	if d := lcModels(t, off)["default"]; d.FeedbackPairs != 0 || d.RankCorr != nil {
+		t.Errorf("disabled feedback annotates /v1/models: %+v", d)
 	}
 }
 
-// TestLifecyclePromoteE2E drives the whole loop against real checkpoints:
-// serve → measured feedback → background incremental retrain → candidate
-// serving the fixed 10% split → sustained non-inferiority → promotion →
-// superseded checkpoints beyond the two newest pruned.
-func TestLifecyclePromoteE2E(t *testing.T) {
-	root := t.TempDir()
-	// Two older checkpoints on disk, never served: after the promotion the
-	// superseded v1 and old2 fill the two retention slots and old1 goes.
-	saveLCCheckpoint(t, root, "old1", 5)
-	saveLCCheckpoint(t, root, "old2", 6)
-	saveLCCheckpoint(t, root, "v1", 7)
-	s, err := NewServer(registryBackends(t, root, "v1"), Options{
-		FeedbackDir:  t.TempDir(),
-		RegistryRoot: root,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestQualityWindow holds the per-model window: a Spearman correlation
+// over at most capacity pairs, the oldest evicted first, with the lifetime
+// total kept; a nil window (feedback off) reads empty.
+func TestQualityWindow(t *testing.T) {
+	var off *QualityWindow
+	if corr, n, total := off.Snapshot(); !math.IsNaN(corr) || n != 0 || total != 0 {
+		t.Fatalf("nil window = %v, %d, %d", corr, n, total)
 	}
-	t.Cleanup(s.Close)
-	s.lifecycle.minSamples = 5
-
-	// Phase 1: enough measured traffic to trigger a retrain. Measurements
-	// match predictions exactly, so the stable's rank correlation is 1.
-	for i := 0; i < retrainAfter; i++ {
-		pr := lcPoint(t, s, float64(100+25*i))
-		if pr.Model != "v1" {
-			t.Fatalf("pre-candidate advise served by %q, want v1", pr.Model)
-		}
-		if _, rec := postFeedback(t, s, pr.measured(pr.PredictedUS)); rec.Code != http.StatusOK {
-			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body.String())
+	w := NewQualityWindow(4)
+	if corr, n, total := w.Snapshot(); !math.IsNaN(corr) || n != 0 || total != 0 {
+		t.Fatalf("empty window = %v, %d, %d", corr, n, total)
+	}
+	// Perfectly ranked pairs.
+	for i := 1; i <= 3; i++ {
+		if n := w.Add(float64(i), float64(i*10)); n != i {
+			t.Fatalf("Add %d holds %d pairs", i, n)
 		}
 	}
-
-	// The retrain runs in the background; wait for candidate adoption.
-	var cand string
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		if n := s.lifecycle.retrainErrors.Value(); n > 0 {
-			t.Fatal("background retrain failed (see log)")
-		}
-		st := lcStats(t, s)
-		if len(st.Lifecycle.Rollouts) == 1 && st.Lifecycle.Rollouts[0].Candidate != "" {
-			cand = st.Lifecycle.Rollouts[0].Candidate
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
+	if corr, n, _ := w.Snapshot(); math.Abs(corr-1) > 1e-12 || n != 3 {
+		t.Fatalf("perfect window = %v, %d", corr, n)
 	}
-	if cand == "" {
-		t.Fatal("no candidate adopted within the deadline")
+	// Overflow evicts the oldest; feed reversed pairs to flip the sign.
+	for i := 1; i <= 4; i++ {
+		w.Add(float64(i), float64(-i))
 	}
-	if !strings.HasPrefix(cand, "fb-") {
-		t.Errorf("candidate name = %q, want fb-* (feedback retrain)", cand)
+	corr, n, total := w.Snapshot()
+	if n != 4 || total != 7 {
+		t.Fatalf("window fill = %d, %d", n, total)
 	}
-
-	descs := lcModels(t, s)
-	if d := descs["v1"]; d.Role != "stable" || !d.Default {
-		t.Errorf("v1 desc = %+v, want default stable", d)
-	}
-	if d, ok := descs[cand]; !ok || d.Role != "candidate" || d.RolloutSplit != 10 || d.Source != "feedback" {
-		t.Errorf("candidate desc = %+v", d)
-	} else if v1 := descs["v1"]; d.Level != v1.Level || d.Hidden != v1.Hidden || d.Layers != v1.Layers ||
-		d.Params != v1.Params || d.Epochs != 8 || d.CreatedAt == "" {
-		// An adopted candidate is described from its manifest, like a
-		// checkpoint served from boot.
-		t.Errorf("candidate desc = %+v, want the stable's architecture (%+v) after gnn.FitIncremental's 8 epochs", d, v1)
-	}
-	out := scrapeMetrics(t, s)
-	for _, want := range []string{
-		"serve_retrains_total 1",
-		`serve_rollout_stage{platform="NVIDIA V100 (GPU)"} 1`,
-		`serve_rollout_split{platform="NVIDIA V100 (GPU)"} 10`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-
-	// Phase 2: measured traffic across the split. The candidate also
-	// predicts its own measurements perfectly → non-inferior → promote.
-	candServed, promoted := 0, false
-	for i := 0; i < 400 && !promoted; i++ {
-		pr := lcPoint(t, s, float64(5000+i))
-		if pr.Model == cand {
-			candServed++
-		}
-		if _, rec := postFeedback(t, s, pr.measured(pr.PredictedUS)); rec.Code != http.StatusOK {
-			t.Fatalf("phase-2 feedback %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-		promoted = s.lifecycle.promotions.Value() > 0
-	}
-	if !promoted {
-		t.Fatalf("candidate never promoted (served %d of 400 measured requests)", candServed)
-	}
-	if candServed == 0 {
-		t.Fatal("candidate promoted without serving any traffic")
-	}
-
-	// The promoted candidate is the new stable and serving default; the
-	// superseded v1 stays within retention, and the oldest checkpoint is
-	// pruned.
-	st := lcStats(t, s)
-	ro := st.Lifecycle.Rollouts[0]
-	if ro.Stable != cand || ro.Candidate != "" {
-		t.Errorf("post-promote rollout = %+v", ro)
-	}
-	if st.Lifecycle.Promotions != 1 || st.Lifecycle.Rollbacks != 0 || st.Lifecycle.GCRemoved != 1 {
-		t.Errorf("promotions/rollbacks/gc = %d/%d/%d, want 1/0/1",
-			st.Lifecycle.Promotions, st.Lifecycle.Rollbacks, st.Lifecycle.GCRemoved)
-	}
-	descs = lcModels(t, s)
-	if d, ok := descs["v1"]; !ok || d.Role != "" || d.Default {
-		t.Errorf("superseded v1 desc = %+v (served %v), want served without a role", d, ok)
-	}
-	if d := descs[cand]; d.Role != "stable" || !d.Default {
-		t.Errorf("promoted desc = %+v, want default stable", d)
-	}
-	platDir := filepath.Join(root, hw.Slug(hw.V100().Name))
-	if _, err := os.Stat(filepath.Join(platDir, "old1")); !os.IsNotExist(err) {
-		t.Errorf("oldest checkpoint still on disk (err=%v)", err)
-	}
-	for _, kept := range []string{"old2", "v1"} {
-		if _, err := os.Stat(filepath.Join(platDir, kept)); err != nil {
-			t.Errorf("checkpoint %s within retention: %v", kept, err)
-		}
-	}
-	if pr := lcPoint(t, s, 99999); pr.Model != cand {
-		t.Errorf("post-promote default advise served by %q, want %q", pr.Model, cand)
-	}
-
-	// The transition is durable: a restart would resume from the promoted
-	// stable.
-	rs, err := registry.LoadRollout(root, hw.V100().Name)
-	if err != nil || rs == nil {
-		t.Fatalf("load rollout: %+v, %v", rs, err)
-	}
-	if rs.Stable != cand || rs.Candidate != "" || rs.Promotions != 1 {
-		t.Errorf("persisted rollout = %+v", rs)
-	}
-	if len(rs.History) == 0 || rs.History[len(rs.History)-1].Event != "promote" {
-		t.Errorf("rollout history = %+v, want promote last", rs.History)
-	}
-
-	out = scrapeMetrics(t, s)
-	for _, want := range []string{
-		"serve_promotions_total 1",
-		"serve_rollbacks_total 0",
-		"serve_gc_removed_total 1",
-		`serve_rollout_stage{platform="NVIDIA V100 (GPU)"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestLifecycleRollbackE2E poisons a candidate (measurements anti-correlate
-// with its predictions) and asserts the automatic rollback: unpinned traffic
-// snaps back to stable, the stable version never stops serving, and no
-// request fails at any point.
-func TestLifecycleRollbackE2E(t *testing.T) {
-	root := t.TempDir()
-	saveLCCheckpoint(t, root, "v1", 5)
-	saveLCCheckpoint(t, root, "v2", 6)
-	if err := registry.SaveRollout(root, &registry.RolloutState{
-		Platform: hw.V100().Name, Stable: "v1", Candidate: "v2", SplitPct: 40,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewServer(registryBackends(t, root, "v1", "v2"), Options{
-		FeedbackDir:  t.TempDir(),
-		RegistryRoot: root,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-
-	served := map[string]int{}
-	rolledAt := -1
-	for i := 0; i < 200; i++ {
-		pr := lcPoint(t, s, float64(4000+i)) // lcPoint fails the test on any non-200
-		served[pr.Model]++
-		if rolledAt >= 0 {
-			// Only routing is checked from here: measuring on would reach
-			// retrainAfter and adopt a fresh candidate behind the checks below.
-			if pr.Model != "v1" {
-				t.Errorf("request %d served by %q after rollback, want v1", i, pr.Model)
-			}
-			continue
-		}
-		meas := pr.PredictedUS
-		if pr.Model == "v2" {
-			meas = 1e9 / pr.PredictedUS // inverts the ranking: corr → -1
-		}
-		if _, rec := postFeedback(t, s, pr.measured(meas)); rec.Code != http.StatusOK {
-			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-		if s.lifecycle.rollbacks.Value() > 0 {
-			rolledAt = i
-		}
-	}
-	if rolledAt < 0 {
-		t.Fatalf("poisoned candidate never rolled back (served %d requests)", served["v2"])
-	}
-	if served["v2"] < minQualitySamples {
-		t.Fatalf("candidate served %d requests before rollback, want >= %d quality samples", served["v2"], minQualitySamples)
-	}
-	if served["v1"] == 0 {
-		t.Fatal("stable served nothing during the canary")
-	}
-
-	st := lcStats(t, s)
-	ro := st.Lifecycle.Rollouts[0]
-	if ro.Stable != "v1" || ro.Candidate != "" || st.Lifecycle.Rollbacks != 1 || st.Lifecycle.Promotions != 0 {
-		t.Errorf("post-rollback state = %+v (rollbacks %d)", ro, st.Lifecycle.Rollbacks)
-	}
-	// The rolled-back candidate stays registered (pinnable for postmortem)
-	// and its checkpoint stays on disk — only promotion prunes.
-	descs := lcModels(t, s)
-	if d, ok := descs["v2"]; !ok || d.Role != "" {
-		t.Errorf("rolled-back candidate desc = %+v (present %v)", d, ok)
-	}
-	if d := descs["v1"]; d.Role != "stable" || !d.Default {
-		t.Errorf("stable desc = %+v", d)
-	}
-	if _, err := os.Stat(filepath.Join(root, hw.Slug(hw.V100().Name), "v2")); err != nil {
-		t.Errorf("rolled-back checkpoint missing: %v", err)
-	}
-	req := lcPointReq(4000)
-	req.Model = "v2"
-	if pinned := lcServe(t, s, req); pinned.Model != "v2" {
-		t.Errorf("pinned postmortem advise served by %q", pinned.Model)
-	}
-
-	rs, err := registry.LoadRollout(root, hw.V100().Name)
-	if err != nil || rs == nil {
-		t.Fatalf("load rollout: %+v, %v", rs, err)
-	}
-	if rs.Stable != "v1" || rs.Candidate != "" || rs.Rollbacks != 1 {
-		t.Errorf("persisted rollout = %+v", rs)
-	}
-	if len(rs.History) == 0 || rs.History[len(rs.History)-1].Event != "rollback" {
-		t.Errorf("rollout history = %+v, want rollback last", rs.History)
-	}
-
-	out := scrapeMetrics(t, s)
-	for _, want := range []string{
-		"serve_rollbacks_total 1",
-		"serve_promotions_total 0",
-		`serve_rollout_stage{platform="NVIDIA V100 (GPU)"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestLifecycleRoutingDeterminism restores the same persisted rollout state
-// into two independent server processes and asserts they route every request
-// to the same version: the A/B verdict is a pure function of (key, split),
-// so restarts (and cluster peers) agree with no coordination.
-func TestLifecycleRoutingDeterminism(t *testing.T) {
-	root := t.TempDir()
-	saveLCCheckpoint(t, root, "v1", 3)
-	saveLCCheckpoint(t, root, "v2", 4)
-	if err := registry.SaveRollout(root, &registry.RolloutState{
-		Platform: hw.V100().Name, Stable: "v1", Candidate: "v2", SplitPct: 50,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{
-		FeedbackDir:  t.TempDir(),
-		RegistryRoot: root,
-	}
-	serveAll := func(s *Server) map[int]string {
-		t.Helper()
-		got := map[int]string{}
-		for i := 0; i < 40; i++ {
-			got[i] = lcPoint(t, s, float64(3000+i)).Model
-		}
-		return got
-	}
-
-	sA, err := NewServer(registryBackends(t, root, "v1", "v2"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	descs := lcModels(t, sA)
-	if d := descs["v1"]; d.Role != "stable" || !d.Default || d.RolloutSplit != 50 {
-		t.Errorf("restored v1 desc = %+v", d)
-	}
-	if d := descs["v2"]; d.Role != "candidate" || d.RolloutSplit != 50 {
-		t.Errorf("restored v2 desc = %+v", d)
-	}
-	first := serveAll(sA)
-	sA.Close()
-
-	seen := map[string]int{}
-	for _, m := range first {
-		seen[m]++
-	}
-	if seen["v1"] == 0 || seen["v2"] == 0 {
-		t.Fatalf("split routed nothing to one side: %v", seen)
-	}
-
-	sB, err := NewServer(registryBackends(t, root, "v1", "v2"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sB.Close)
-	for i, m := range serveAll(sB) {
-		if m != first[i] {
-			t.Errorf("request %d routed to %q after restart, was %q", i, m, first[i])
-		}
-	}
-
-	// Pinning overrides the split both ways.
-	for _, want := range []string{"v1", "v2"} {
-		req := lcPointReq(3000)
-		req.Model = want
-		if pr := lcServe(t, sB, req); pr.Model != want {
-			t.Errorf("pinned %s advise served by %q", want, pr.Model)
-		}
+	if math.Abs(corr+1) > 1e-12 {
+		t.Fatalf("reversed window corr = %v, want -1", corr)
 	}
 }
 

@@ -29,7 +29,7 @@ type endpointInstruments struct {
 // serveMetrics is the server's metric surface: every series /metrics
 // exposes, built on the same instruments /v1/stats snapshots — one source
 // of truth, two renderings. Every count the serving tier keeps itself is
-// one lock-free instrument: created here (request, cluster and lifecycle
+// one lock-free instrument: created here (request, cluster and feedback
 // counters) or owned by a model version and registered here (its batcher's
 // and traffic instruments). Components with their own state (cache, fair
 // queue, forwarder, membership, tracer) are read at scrape time.
@@ -49,9 +49,8 @@ type serveMetrics struct {
 	// reason (serve_rejected_total); pre-registered like shed.
 	rejected map[string]*obs.Counter
 
-	mu       sync.Mutex
-	errors   map[string]*obs.Counter // endpoint "\x00" status class
-	perModel map[string]bool         // platform "\x00" model: series registered
+	mu     sync.Mutex
+	errors map[string]*obs.Counter // endpoint "\x00" status class
 }
 
 // newServeMetrics builds the registry over a fully assembled server (its
@@ -64,7 +63,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 		shed:      map[admit.Reason]*obs.Counter{},
 		rejected:  map[string]*obs.Counter{},
 		errors:    map[string]*obs.Counter{},
-		perModel:  map[string]bool{},
 	}
 	for _, reason := range admit.Reasons() {
 		m.shed[reason] = m.reg.Counter("serve_shed_total",
@@ -149,21 +147,9 @@ func newServeMetrics(s *Server) *serveMetrics {
 	return m
 }
 
-// registerModel adds one model version's series. Safe to call for a
-// version adopted at runtime; a (platform, model) pair is registered at
-// most once per process — duplicate registrations would panic the registry.
-// A pruned-then-readopted name would keep scraping the first registration's
-// instruments; candidate names are timestamped, so names never recur.
+// registerModel adds one model version's series, once per version at
+// boot.
 func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
-	key := machine + "\x00" + name
-	m.mu.Lock()
-	if m.perModel[key] {
-		m.mu.Unlock()
-		return
-	}
-	m.perModel[key] = true
-	m.mu.Unlock()
-
 	labels := obs.L("platform", machine, "model", name)
 	m.reg.RegisterHistogram("serve_batcher_latency_seconds",
 		"Per-prediction model latency (a call's duration over its batch size), by model.",
@@ -183,67 +169,30 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 		"Advise responses computed or served, by model.", labels, ms.advise)
 }
 
-// registerLifecycle adds the feedback→retrain→rollout series, creating lc's
-// counters. Per-platform and per-model rollout gauges are discovered at
-// scrape time (CollectFunc): candidates come and go with retrains.
-func (m *serveMetrics) registerLifecycle(lc *lifecycle) {
-	lc.outcomes = map[string]*obs.Counter{}
+// registerFeedback adds the feedback series, creating the recorder's
+// outcome counters. The per-model quality gauges are read at scrape time
+// and list only the versions measured so far.
+func (m *serveMetrics) registerFeedback(s *Server) {
+	fr := s.feedback
+	fr.outcomes = map[string]*obs.Counter{}
 	for _, oc := range feedbackOutcomes {
-		lc.outcomes[oc] = m.reg.Counter("serve_feedback_total",
+		fr.outcomes[oc] = m.reg.Counter("serve_feedback_total",
 			"Feedback submissions, by outcome.", obs.L("outcome", oc))
 	}
-	lc.retrains = m.reg.Counter("serve_retrains_total",
-		"Background retrains started from accumulated feedback.", nil)
-	lc.retrainErrors = m.reg.Counter("serve_retrain_errors_total",
-		"Background retrains that failed.", nil)
-	lc.promotions = m.reg.Counter("serve_promotions_total",
-		"Candidates promoted to stable.", nil)
-	lc.rollbacks = m.reg.Counter("serve_rollbacks_total",
-		"Candidates rolled back for regressing measured quality.", nil)
-	lc.gcRemoved = m.reg.Counter("serve_gc_removed_total",
-		"Superseded checkpoint versions pruned after promotion.", nil)
-	m.reg.CollectFunc("serve_rollout_stage",
-		"Rollout stage, by platform: 0 stable-only, 1 candidate taking traffic.", "gauge",
-		func(emit func(obs.Labels, float64)) {
-			lc.collectRollout(func(platform string, p *platRollout) {
-				stage := 0.0
-				if p.st.Candidate != "" {
-					stage = 1
-				}
-				emit(obs.L("platform", platform), stage)
-			})
-		})
-	m.reg.CollectFunc("serve_rollout_split",
-		"Percentage of unpinned traffic routed to the candidate, by platform.", "gauge",
-		func(emit func(obs.Labels, float64)) {
-			lc.collectRollout(func(platform string, p *platRollout) {
-				split := 0.0
-				if p.st.Candidate != "" {
-					split = p.st.SplitPct
-				}
-				emit(obs.L("platform", platform), split)
-			})
-		})
 	m.reg.CollectFunc("serve_model_rank_corr",
 		"Windowed Spearman rank correlation between predicted and measured runtimes, by model.", "gauge",
 		func(emit func(obs.Labels, float64)) {
-			lc.collectRollout(func(platform string, p *platRollout) {
-				for _, name := range sortedKeys(p.windows) {
-					corr, _, _ := p.windows[name].Snapshot()
-					if !math.IsNaN(corr) {
-						emit(obs.L("platform", platform, "model", name), corr)
-					}
+			s.eachMeasured(func(platform string, ms *modelState, corr float64, _ int, _ uint64) {
+				if !math.IsNaN(corr) {
+					emit(obs.L("platform", platform, "model", ms.name), corr)
 				}
 			})
 		})
 	m.reg.CollectFunc("serve_model_feedback_pairs",
 		"Measured (predicted, measured) pairs in the quality window, by model.", "gauge",
 		func(emit func(obs.Labels, float64)) {
-			lc.collectRollout(func(platform string, p *platRollout) {
-				for _, name := range sortedKeys(p.windows) {
-					_, n, _ := p.windows[name].Snapshot()
-					emit(obs.L("platform", platform, "model", name), float64(n))
-				}
+			s.eachMeasured(func(platform string, ms *modelState, _ float64, n int, _ uint64) {
+				emit(obs.L("platform", platform, "model", ms.name), float64(n))
 			})
 		})
 }

@@ -208,7 +208,7 @@ func TestErrorAccountingByEndpointAndClass(t *testing.T) {
 }
 
 // surfaceServer is the same-surface goldens' server: the oracle backends
-// with the feedback lifecycle on, in cluster mode as a one-member ring at
+// with feedback on, in cluster mode as a one-member ring at
 // RF 2 with its background loops off (nothing to reach, nothing timed),
 // after a fixed request script — three advises (two cold, one repeat that
 // hits the cache, one arriving forwarded by a peer), two accepted
@@ -218,7 +218,7 @@ func surfaceServer(t *testing.T) *Server {
 	s, err := NewServer([]Backend{
 		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
 		{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()},
-	}, Options{FeedbackDir: t.TempDir(), RegistryRoot: t.TempDir()})
+	}, Options{FeedbackDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestServingSurfaceGolden(t *testing.T) {
 }
 
 // TestServingCountsAgree reads every count surfaceServer's script moves,
-// and the cluster and lifecycle counts it leaves at zero, from /metrics
+// and the cluster counts it leaves at zero, from /metrics
 // and from the JSON views, and requires both to equal the script's value.
 func TestServingCountsAgree(t *testing.T) {
 	s := surfaceServer(t)
@@ -418,11 +418,7 @@ func TestServingCountsAgree(t *testing.T) {
 		{"serve_batcher_cancelled_total" + model, v100.Batcher.Cancelled, 0},
 		{`serve_feedback_total{outcome="accepted"}`, lc.FeedbackAccepted, 2},
 		{rejected, lc.FeedbackRejected, 1},
-		{"serve_retrains_total", lc.Retrains, 0},
-		{"serve_retrain_errors_total", lc.RetrainErrors, 0},
-		{"serve_promotions_total", lc.Promotions, 0},
-		{"serve_rollbacks_total", lc.Rollbacks, 0},
-		{"serve_gc_removed_total", lc.GCRemoved, 0},
+		{"serve_model_feedback_pairs" + model, uint64(lc.Models[0].Pairs), 2},
 		{"serve_cluster_forwarded_in_total", cl.ForwardedIn, 1},
 		{"serve_cluster_local_fallbacks_total", cl.LocalFallbacks, 0},
 		{"serve_cluster_replica_hits_total", cl.Replication.ReplicaHits, 0},

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,9 +27,9 @@ import (
 // Backend is one servable model: a machine profile plus a cost model for
 // it and the Prepared dataset (or manifest scalers) carrying that
 // training's normalization. A platform may register several Backends under
-// distinct Names — training scales, representation levels, A/B candidates —
-// and requests pick one with the "model" field; one of them is the
-// platform's default alias.
+// distinct Names — training scales, representation levels, feedback
+// retrains — and requests pick one with the "model" field; one of them is
+// the platform's default alias.
 type Backend struct {
 	Machine hw.Machine
 	Model   BatchPredictor
@@ -50,7 +49,7 @@ type Backend struct {
 // ModelInfo is per-model metadata surfaced through /v1/models.
 type ModelInfo struct {
 	Level     paragraph.Level
-	Source    string // "checkpoint", "feedback" (an adopted retrain), "trained"
+	Source    string // "checkpoint" or "trained"
 	Hidden    int
 	Layers    int
 	Params    int // scalar parameter count
@@ -60,11 +59,9 @@ type ModelInfo struct {
 }
 
 // CheckpointBackend is the one conversion from a loaded registry entry to a
-// servable Backend and its /v1/models description. source says how the
-// checkpoint came to be served: "checkpoint" at boot, "feedback" for an
-// adopted retrain candidate. Default is left for the caller, who knows the
-// registry's alias (registry.Registry.Default).
-func CheckpointBackend(e *registry.Entry, source string) Backend {
+// servable Backend and its /v1/models description. Default is left for the
+// caller, who knows the registry's alias (registry.Registry.Default).
+func CheckpointBackend(e *registry.Entry) Backend {
 	man := e.Manifest
 	return Backend{
 		Machine: e.Machine,
@@ -73,7 +70,7 @@ func CheckpointBackend(e *registry.Entry, source string) Backend {
 		Name:    man.Name,
 		Info: &ModelInfo{
 			Level:     e.Level,
-			Source:    source,
+			Source:    "checkpoint",
 			Hidden:    man.Config.Hidden,
 			Layers:    man.Config.Layers,
 			Params:    man.Params,
@@ -104,15 +101,11 @@ type Options struct {
 	// slog.Default()).
 	Logger *slog.Logger
 
-	// FeedbackDir enables the feedback→retrain→rollout lifecycle: POST
-	// /v1/feedback accepts measured runtimes and appends them to per-platform
-	// logs under this directory. Empty disables the loop (the endpoint then
-	// answers 409).
+	// FeedbackDir enables POST /v1/feedback: measured runtimes are appended
+	// to per-platform logs under this directory (what `train
+	// -from-feedback` reads) and windowed per model version. Empty disables
+	// it (the endpoint then answers 409).
 	FeedbackDir string
-	// RegistryRoot is the checkpoint directory retrains write candidates to,
-	// rollout state persists under and promotions prune (normally the
-	// -model-dir the server booted from). FeedbackDir requires it.
-	RegistryRoot string
 }
 
 // adviseCacheSize is the response cache's entry bound (whole advise
@@ -136,13 +129,10 @@ func (o Options) withDefaults() Options {
 }
 
 // backendState is one served platform: its machine profile and the named
-// models serving it. mu guards models and defaultName — both mutate at
-// runtime once the lifecycle adopts, promotes or prunes versions. The
-// backends map itself is immutable after NewServer.
+// models serving it. Like the backends map, it is immutable once NewServer
+// returns.
 type backendState struct {
-	machine hw.Machine
-
-	mu          sync.RWMutex
+	machine     hw.Machine
 	models      map[string]*modelState
 	defaultName string
 }
@@ -161,6 +151,9 @@ type modelState struct {
 	// advise counts the responses this version computed or served;
 	// registerModel exposes it.
 	advise *obs.Counter
+	// quality windows the measured runtimes reported for this version's
+	// answers; nil when feedback is disabled.
+	quality *QualityWindow
 
 	lastUsed atomic.Int64 // unix seconds; 0 = never
 }
@@ -186,9 +179,9 @@ type Server struct {
 	tracer  *obs.Tracer   // request traces: slow logging + the /v1/trace ring
 	logger  *slog.Logger
 
-	// lifecycle is non-nil when Options.FeedbackDir enabled the
-	// feedback→retrain→rollout loop.
-	lifecycle *lifecycle
+	// feedback is non-nil when Options.FeedbackDir enabled POST
+	// /v1/feedback.
+	feedback *feedbackRecorder
 
 	// cluster is non-nil once EnableCluster put the server into a
 	// consistent-hash sharded tier; nil means every request serves locally.
@@ -278,7 +271,7 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 	s.mux.HandleFunc("/v1/cluster/", s.instrument("cluster", false, s.handleCluster))
 	s.mux.HandleFunc("/v1/trace", s.instrument("trace", false, s.handleTrace))
 	s.mux.HandleFunc("/metrics", s.instrument("metrics", false, s.handleMetrics))
-	if err := s.initLifecycle(); err != nil {
+	if err := s.initFeedback(); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -295,96 +288,19 @@ func (s *Server) newModelState(b Backend, name string) *modelState {
 	batcher := NewBatcher(b.Model, 0, 0)
 	adv := advisor.New(batcher, b.Prep, b.Machine)
 	adv.SetLevel(info.Level)
-	return &modelState{
+	ms := &modelState{
 		name: name, info: info, advisor: adv, batcher: batcher,
 		adviseEval: obs.NewHistogram(obs.DefLatencyBuckets),
 		advise:     new(obs.Counter),
 	}
-}
-
-// addModel registers a new model version on a live server (candidate
-// adoption). The version name must be fresh and not an alias.
-func (s *Server) addModel(b Backend) (*modelState, error) {
-	be, err := s.resolveBackend(b.Machine.Name)
-	if err != nil {
-		return nil, err
+	if s.opts.FeedbackDir != "" {
+		ms.quality = NewQualityWindow(qualityWindowSize)
 	}
-	if b.Name == "" || b.Name == "default" {
-		return nil, fmt.Errorf("serve: invalid live model name %q", b.Name)
-	}
-	ms := s.newModelState(b, b.Name)
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	if _, dup := be.models[b.Name]; dup {
-		return nil, fmt.Errorf("serve: model %s/%s already registered", be.machine.Name, b.Name)
-	}
-	be.models[b.Name] = ms
-	return ms, nil
-}
-
-// removeModel unregisters a version (checkpoint pruned by GC). The
-// platform's default is never removed. Requests that already resolved the
-// version finish on the modelState they hold.
-func (s *Server) removeModel(platform, name string) {
-	be, ok := s.backends[platform]
-	if !ok {
-		return
-	}
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	if name != be.defaultName {
-		delete(be.models, name)
-	}
-}
-
-// setDefault re-points a platform's default alias (promotion, restart
-// restore). Reports whether the named version exists.
-func (s *Server) setDefault(platform, name string) bool {
-	be, ok := s.backends[platform]
-	if !ok {
-		return false
-	}
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	if _, ok := be.models[name]; !ok {
-		return false
-	}
-	be.defaultName = name
-	return true
-}
-
-// hasModel reports whether a platform serves the named version.
-func (s *Server) hasModel(platform, name string) bool {
-	be, ok := s.backends[platform]
-	if !ok {
-		return false
-	}
-	be.mu.RLock()
-	defer be.mu.RUnlock()
-	_, ok = be.models[name]
-	return ok
-}
-
-// defaultModel returns a platform's current default version name.
-func (s *Server) defaultModel(platform string) string {
-	be, ok := s.backends[platform]
-	if !ok {
-		return ""
-	}
-	be.mu.RLock()
-	defer be.mu.RUnlock()
-	return be.defaultName
+	return ms
 }
 
 // modelNames lists a platform's model versions, sorted.
-func (be *backendState) modelNames() []string {
-	be.mu.RLock()
-	defer be.mu.RUnlock()
-	return be.modelNamesLocked()
-}
-
-// modelNamesLocked is modelNames for callers already holding be.mu.
-func (be *backendState) modelNamesLocked() []string { return sortedKeys(be.models) }
+func (be *backendState) modelNames() []string { return sortedKeys(be.models) }
 
 // sortedKeys returns a map's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
@@ -399,12 +315,9 @@ func sortedKeys[V any](m map[string]V) []string {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close waits out any background retrain and, in cluster mode, stops the
-// membership background loops and the outbox flusher.
+// Close, in cluster mode, stops the membership background loops and the
+// outbox flusher.
 func (s *Server) Close() {
-	if s.lifecycle != nil {
-		s.lifecycle.wg.Wait()
-	}
 	if s.cluster != nil {
 		s.cluster.stop()
 	}
@@ -579,38 +492,17 @@ func (s *Server) resolveBackend(machine string) (*backendState, error) {
 
 // pickModel resolves the model version serving one request. An explicit
 // version name is honored verbatim; an empty or "default" name follows the
-// platform's default alias — unless a staged rollout is live, in which
-// case the deterministic A/B split over the request's route key decides,
-// so a fixed request always lands on the same version at a given split
-// (across restarts and peers alike). Responses and cache keys carry the
-// resolved name, so an alias and its target share cache entries.
-func (s *Server) pickModel(be *backendState, requested, routeKey string) (*modelState, error) {
+// platform's default alias. Responses and cache keys carry the resolved
+// name, so an alias and its target share cache entries.
+func (s *Server) pickModel(be *backendState, requested string) (*modelState, error) {
 	name := requested
-	routed := false
 	if name == "" || name == "default" {
-		name = ""
-		if s.lifecycle != nil {
-			name = s.lifecycle.routedModel(be.machine.Name, routeKey)
-			routed = name != ""
-		}
-	}
-	be.mu.RLock()
-	defer be.mu.RUnlock()
-	if name == "" {
 		name = be.defaultName
 	}
 	ms, ok := be.models[name]
 	if !ok {
-		if routed {
-			// The routed version vanished between the routing decision and
-			// this lookup (a rollback or GC racing the request): the stable
-			// default serves it rather than failing it.
-			if ms, ok = be.models[be.defaultName]; ok {
-				return ms, nil
-			}
-		}
 		return nil, fmt.Errorf("unknown model %q for machine %q (serving: %s)",
-			name, be.machine.Name, strings.Join(be.modelNamesLocked(), ", "))
+			name, be.machine.Name, strings.Join(be.modelNames(), ", "))
 	}
 	return ms, nil
 }
@@ -679,13 +571,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		s.rejectSpace(w, err)
 		return
 	}
-
-	// Route key: the request's content *without* the model version — A/B
-	// routing assigns a fixed request to a version, so the version cannot be
-	// part of the identity being routed.
-	routeKey := Key("route", be.machine.Name, kernelKey(k), advisor.BindingsKey(req.Bindings),
-		fmtInts(space.CPUThreads), fmtInts(space.GPUTeams), fmtInts(space.GPUThreads))
-	ms, err := s.pickModel(be, req.Model, routeKey)
+	ms, err := s.pickModel(be, req.Model)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, "%v", err)
 		return
@@ -718,8 +604,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	ms.advise.Inc()
 	ms.touch()
-	if s.lifecycle != nil {
-		s.lifecycle.noteAdvise(key, be.machine.Name, ms.name, k, req.Bindings, recs)
+	if s.feedback != nil {
+		s.feedback.noteAdvise(key, be.machine.Name, ms, k, req.Bindings, recs)
 	}
 	resp := AdviseResponse{
 		Machine: be.machine.Name, Model: ms.name, Kernel: k.Name, Key: key,
@@ -897,11 +783,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.snapshot())
 }
 
-// ModelDesc is one entry of the /v1/models listing. The rollout fields are
-// only set while the feedback lifecycle is enabled: Role marks the
-// platform's stable or candidate, RolloutSplit the percentage of unpinned
-// traffic the version takes during a staged rollout, and RankCorr /
-// FeedbackPairs its online measured quality.
+// ModelDesc is one entry of the /v1/models listing. RankCorr and
+// FeedbackPairs are the version's measured quality, set once feedback has
+// reached it.
 type ModelDesc struct {
 	Platform  string  `json:"platform"`
 	Name      string  `json:"name"`
@@ -915,8 +799,6 @@ type ModelDesc struct {
 	ValRMSE   float64 `json:"val_rmse,omitempty"`
 	CreatedAt string  `json:"created_at,omitempty"` // RFC 3339
 
-	Role          string   `json:"role,omitempty"` // "stable" | "candidate"
-	RolloutSplit  float64  `json:"rollout_split,omitempty"`
 	RankCorr      *float64 `json:"rank_corr,omitempty"`
 	FeedbackPairs int      `json:"feedback_pairs,omitempty"`
 }
@@ -932,9 +814,7 @@ func (s *Server) Models() ModelsResponse {
 	var resp ModelsResponse
 	for _, machine := range s.machineNames() {
 		be := s.backends[machine]
-		be.mu.RLock()
-		var descs []ModelDesc
-		for _, name := range be.modelNamesLocked() {
+		for _, name := range be.modelNames() {
 			ms := be.models[name]
 			d := ModelDesc{
 				Platform: machine,
@@ -951,17 +831,11 @@ func (s *Server) Models() ModelsResponse {
 			if !ms.info.CreatedAt.IsZero() {
 				d.CreatedAt = ms.info.CreatedAt.UTC().Format(time.RFC3339)
 			}
-			descs = append(descs, d)
-		}
-		be.mu.RUnlock()
-		// Rollout annotations happen outside be.mu: the lifecycle lock
-		// orders strictly before the backend lock.
-		if s.lifecycle != nil {
-			for i := range descs {
-				s.lifecycle.annotate(machine, descs[i].Name, &descs[i])
+			if corr, n, _ := ms.quality.Snapshot(); n > 0 {
+				d.RankCorr, d.FeedbackPairs = finite(corr), n
 			}
+			resp.Models = append(resp.Models, d)
 		}
-		resp.Models = append(resp.Models, descs...)
 	}
 	return resp
 }

@@ -38,7 +38,7 @@ type Stats struct {
 		// exact pre-replication stats payload.
 		Replicate uint64 `json:"replicate,omitempty"`
 		// Feedback counts POST /v1/feedback arrivals; omitted at zero so
-		// tiers without the lifecycle keep their exact prior payload.
+		// tiers without feedback keep their exact prior payload.
 		Feedback uint64 `json:"feedback,omitempty"`
 		// Cluster counts /v1/cluster/* arrivals (gossip, and any unknown
 		// path under the prefix);
@@ -72,9 +72,8 @@ type Stats struct {
 	// mode. GET /v1/ring serves the same payload on its own.
 	Cluster *RingResponse `json:"cluster,omitempty"`
 
-	// Lifecycle is the feedback→retrain→rollout view (accepted
-	// measurements, per-platform rollout stage, per-model measured
-	// quality); nil when the loop is disabled.
+	// Lifecycle is the feedback view (accepted and rejected measurements,
+	// per-model measured quality); nil when feedback is disabled.
 	Lifecycle *LifecycleStats `json:"lifecycle,omitempty"`
 }
 
@@ -96,8 +95,7 @@ func (s *Server) snapshot() Stats {
 	st.AdviseCache = s.adviseCache.Stats()
 	for _, machine := range st.Machines {
 		be := s.backends[machine]
-		be.mu.RLock()
-		for _, name := range be.modelNamesLocked() {
+		for _, name := range be.modelNames() {
 			ms := be.models[name]
 			st.Models = append(st.Models, ModelStats{
 				Platform:     machine,
@@ -108,7 +106,6 @@ func (s *Server) snapshot() Stats {
 				Batcher:      ms.batcher.Stats(),
 			})
 		}
-		be.mu.RUnlock()
 	}
 	st.Admit = s.admit.Stats()
 	st.Shed = make(map[string]uint64, len(admit.Reasons()))
@@ -119,8 +116,8 @@ func (s *Server) snapshot() Stats {
 		ring := s.Ring()
 		st.Cluster = &ring
 	}
-	if s.lifecycle != nil {
-		st.Lifecycle = s.lifecycle.stats()
+	if s.feedback != nil {
+		st.Lifecycle = s.feedbackStats()
 	}
 	return st
 }

@@ -107,18 +107,6 @@ func (in Instance) Name() string {
 	return strings.Join(parts, "_")
 }
 
-// Parallelism returns the total worker count the variant's associated loop
-// is divided across: threads for CPU variants, teams*threads for GPU ones.
-func (in Instance) Parallelism() int {
-	if in.Kind.IsGPU() {
-		if in.Teams > 0 {
-			return in.Teams * in.Threads
-		}
-		return in.Threads
-	}
-	return in.Threads
-}
-
 // Generate applies the transformation to the kernel template, producing the
 // transformed source. It fails when a collapse variant is requested for a
 // non-collapsible kernel.

@@ -137,7 +137,7 @@ func TestGeneratedSourcesParse(t *testing.T) {
 			if kind.IsCollapse() && d.CollapseDepth() != 2 {
 				t.Errorf("%s/%v: collapse depth %d", k.Name, kind, d.CollapseDepth())
 			}
-			if kind.HasTransfer() != d.HasDataTransfer() {
+			if kind.HasTransfer() != movesData(d) {
 				t.Errorf("%s/%v: transfer mismatch", k.Name, kind)
 			}
 			if kind.IsGPU() {
@@ -259,21 +259,6 @@ func TestInstanceNameUniqueAndStable(t *testing.T) {
 	}
 }
 
-func TestInstanceParallelism(t *testing.T) {
-	in := Instance{Kind: CPU, Threads: 8}
-	if in.Parallelism() != 8 {
-		t.Errorf("cpu parallelism = %d", in.Parallelism())
-	}
-	in = Instance{Kind: GPU, Teams: 16, Threads: 64}
-	if in.Parallelism() != 1024 {
-		t.Errorf("gpu parallelism = %d", in.Parallelism())
-	}
-	in = Instance{Kind: GPUMem, Teams: 0, Threads: 64}
-	if in.Parallelism() != 64 {
-		t.Errorf("teamless gpu parallelism = %d", in.Parallelism())
-	}
-}
-
 func TestDefaultSweepIsSubstantial(t *testing.T) {
 	ins, err := SweepAll(DefaultSweep())
 	if err != nil {
@@ -284,4 +269,15 @@ func TestDefaultSweepIsSubstantial(t *testing.T) {
 	if len(ins) < 2000 {
 		t.Errorf("default sweep = %d instances, want >= 2000", len(ins))
 	}
+}
+
+// movesData reports whether any of d's map clauses moves data to or from the
+// device (alloc-only maps do not count).
+func movesData(d *omp.Directive) bool {
+	for _, c := range d.Clauses {
+		if c.Kind == omp.ClauseMap && c.MapDir != omp.MapAlloc {
+			return true
+		}
+	}
+	return false
 }
