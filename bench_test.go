@@ -675,6 +675,58 @@ func BenchmarkServeAdviseCached(b *testing.B) {
 	}
 }
 
+// BenchmarkAdviseWarmSuite measures a cache hit in process at the shape
+// bench/'s advise_warm serves: the 17 suite kernels warmed at the default
+// search space on the V100 profile (24–48 recommendations per answer),
+// Hidden 24 / Layers 3, then asked again round-robin through
+// Server.Handler. BenchmarkServeAdviseCached's two-point grid hides what
+// rendering a full ranking costs.
+func BenchmarkAdviseWarmSuite(b *testing.B) {
+	model := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3,
+		Relations: int(paragraph.NumEdgeTypes)})
+	s, err := serve.NewServer([]serve.Backend{
+		{Machine: hw.V100(), Model: model, Prep: benchServePrep()},
+	}, serve.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	var bodies [][]byte
+	for _, k := range apps.Kernels() {
+		bindings := map[string]float64{}
+		for _, p := range k.Params {
+			bindings[p.Name] = float64(p.Values[0])
+		}
+		body, err := json.Marshal(serve.AdviseRequest{Kernel: k.Name, Machine: "NVIDIA V100 (GPU)", Bindings: bindings})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	hit := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/advise", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("advise: %d %s", rec.Code, rec.Body.String())
+		}
+		return rec
+	}
+	for _, body := range bodies {
+		hit(body) // cold: fills the cache
+	}
+	for _, body := range bodies {
+		var resp serve.AdviseResponse
+		if err := json.Unmarshal(hit(body).Body.Bytes(), &resp); err != nil || !resp.Cached {
+			b.Fatalf("warm request not cached: %v", err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit(bodies[i%len(bodies)])
+	}
+}
+
 // benchCluster boots a two-peer consistent-hash tier over loopback HTTP
 // (identical model seeds, so the peers are interchangeable) and returns the
 // peer base URLs. Single-owner (rf=1), so the forwarded benchmark below

@@ -7,7 +7,6 @@
 package analysis
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -30,8 +29,13 @@ func (e Env) Key() string {
 	}
 	sort.Strings(names)
 	var b strings.Builder
+	var num [32]byte
 	for _, name := range names {
-		fmt.Fprintf(&b, "%s=%g;", name, e[name])
+		// name=value; with the value as %g renders it: shortest 'g'.
+		b.WriteString(name)
+		b.WriteByte('=')
+		b.Write(strconv.AppendFloat(num[:0], e[name], 'g', -1, 64))
+		b.WriteByte(';')
 	}
 	return b.String()
 }

@@ -90,40 +90,56 @@ func Apps() []AppInfo {
 	return infos
 }
 
-// ByName returns the kernel with the given Name.
+// ByName returns the kernel with the given Name, built fresh: only that
+// kernel is constructed, and the caller may mutate what it gets.
 func ByName(name string) (Kernel, bool) {
-	for _, k := range Kernels() {
-		if k.Name == name {
-			return k, true
-		}
+	ctor, ok := byName[name]
+	if !ok {
+		return Kernel{}, false
 	}
-	return Kernel{}, false
+	return ctor(), true
 }
+
+// byName indexes the suite's constructors by kernel name.
+var byName = func() map[string]func() Kernel {
+	m := make(map[string]func() Kernel, len(suite))
+	for _, ctor := range suite {
+		m[ctor().Name] = ctor
+	}
+	return m
+}()
 
 // sizes is a shorthand constructor for sweep values.
 func sizes(vs ...int) []int { return vs }
 
+// suite holds the seventeen kernels' constructors in Table I order.
+var suite = []func() Kernel{
+	correlationKernel,
+	covarianceMeanKernel,
+	covarianceMatrixKernel,
+	gaussSeidelKernel,
+	knnKernel,
+	laplaceJacobiKernel,
+	laplaceResidualKernel,
+	matmulKernel,
+	matvecKernel,
+	transposeKernel,
+	pfLikelihoodKernel,
+	pfNormalizeKernel,
+	pfSumWeightsKernel,
+	pfMotionKernel,
+	pfCDFKernel,
+	pfResampleKernel,
+	pfMaxIndexKernel,
+}
+
 // Kernels returns the seventeen benchmark kernels (Table I).
 func Kernels() []Kernel {
-	return []Kernel{
-		correlationKernel(),
-		covarianceMeanKernel(),
-		covarianceMatrixKernel(),
-		gaussSeidelKernel(),
-		knnKernel(),
-		laplaceJacobiKernel(),
-		laplaceResidualKernel(),
-		matmulKernel(),
-		matvecKernel(),
-		transposeKernel(),
-		pfLikelihoodKernel(),
-		pfNormalizeKernel(),
-		pfSumWeightsKernel(),
-		pfMotionKernel(),
-		pfCDFKernel(),
-		pfResampleKernel(),
-		pfMaxIndexKernel(),
+	ks := make([]Kernel, len(suite))
+	for i, ctor := range suite {
+		ks[i] = ctor()
 	}
+	return ks
 }
 
 // --- Statistics / probability ---

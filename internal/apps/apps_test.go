@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,13 +132,26 @@ func TestAnalysisSeesWorkInEveryKernel(t *testing.T) {
 	}
 }
 
+// TestByName checks that the constructor table agrees with the suite: every
+// name finds exactly its Kernels() entry, an unknown name finds nothing, and
+// each call builds a fresh kernel, so a caller's mutation reaches no later
+// caller.
 func TestByName(t *testing.T) {
-	k, ok := ByName("matmul")
-	if !ok || k.App != "Matrix-Matrix Multiplication" {
-		t.Errorf("ByName(matmul) = %+v, %v", k.Name, ok)
+	for _, want := range Kernels() {
+		got, ok := ByName(want.Name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %+v, %v; want the Kernels() entry", want.Name, got.Name, ok)
+		}
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("ByName(nope) should fail")
+	if k, ok := ByName("nope"); ok || !reflect.DeepEqual(k, Kernel{}) {
+		t.Errorf("ByName(nope) = %+v, %v; want the zero kernel, false", k, ok)
+	}
+	k, _ := ByName("matmul")
+	want := k.Params[0].Values[0]
+	k.Params[0].Values[0] = -1
+	if again, _ := ByName("matmul"); again.Params[0].Values[0] != want {
+		t.Errorf("a mutation of one ByName result reached the next: first sweep value %d, want %d",
+			again.Params[0].Values[0], want)
 	}
 }
 

@@ -32,7 +32,8 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"hash"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -209,17 +210,47 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // Key builds a content-addressed cache key: the hex SHA-256 over the parts,
-// NUL-separated so part boundaries cannot collide.
+// NUL-separated so part boundaries cannot collide. The parts are streamed
+// into the hash through a pooled chunk, never joined, so a key costs one
+// allocation (its hex string) whatever the parts' lengths.
 func Key(parts ...string) string {
-	sum := sha256.Sum256([]byte(strings.Join(parts, "\x00")))
-	return hex.EncodeToString(sum[:])
+	kh := keyHashers.Get().(*keyHasher)
+	kh.h.Reset()
+	for i, p := range parts {
+		if i > 0 {
+			kh.chunk[0] = 0
+			kh.h.Write(kh.chunk[:1])
+		}
+		for len(p) > 0 {
+			n := copy(kh.chunk[:], p)
+			kh.h.Write(kh.chunk[:n])
+			p = p[n:]
+		}
+	}
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], kh.h.Sum(kh.chunk[:0]))
+	keyHashers.Put(kh)
+	return string(hexSum[:])
 }
 
-// fmtInts renders an int slice into a key part.
+// keyHasher is one SHA-256 state and the chunk Key copies string parts
+// through on their way into it.
+type keyHasher struct {
+	h     hash.Hash
+	chunk [512]byte
+}
+
+var keyHashers = sync.Pool{New: func() any { return &keyHasher{h: sha256.New()} }}
+
+// fmtInts renders an int slice into a key part: each value followed by a
+// comma.
 func fmtInts(vs []int) string {
 	var b strings.Builder
+	b.Grow(8 * len(vs))
+	var num [20]byte
 	for _, v := range vs {
-		fmt.Fprintf(&b, "%d,", v)
+		b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+		b.WriteByte(',')
 	}
 	return b.String()
 }

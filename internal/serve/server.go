@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -421,7 +422,9 @@ type Recommendation struct {
 // computing or hitting the cache itself. ServedBy names the cluster peer
 // that answered (empty outside cluster mode): when it differs from the
 // peer the client contacted, the request was forwarded to the key's owner
-// on the consistent-hash ring.
+// on the consistent-hash ring. The handler renders it by appending
+// (adviseAnswer.appendJSON), so a change to these fields or their tags
+// changes render.go too; FuzzAdviseResponseWire fails until it does.
 type AdviseResponse struct {
 	Machine string `json:"machine"`
 	Model   string `json:"model"`
@@ -535,12 +538,31 @@ func resolveKernel(name string, custom *KernelSpec) (apps.Kernel, error) {
 // differing in any of them cannot collide in the response caches.
 func kernelKey(k apps.Kernel) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\x00%s\x00%s\x00%v\x00", k.App, k.Name, k.FuncName, k.Collapsible)
+	b.Grow(len(k.Source) + 256)
+	for _, s := range [...]string{k.App, k.Name, k.FuncName, strconv.FormatBool(k.Collapsible)} {
+		b.WriteString(s)
+		b.WriteByte(0)
+	}
+	var num [20]byte
 	for _, p := range k.Params {
-		fmt.Fprintf(&b, "p:%s=%v\x00", p.Name, p.Values)
+		// p:name=[v1 v2 …], the %v rendering of an int slice.
+		b.WriteString("p:")
+		b.WriteString(p.Name)
+		b.WriteString("=[")
+		for i, v := range p.Values {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+		}
+		b.WriteString("]\x00")
 	}
 	for _, a := range k.Arrays {
-		fmt.Fprintf(&b, "a:%s=%s\x00", a.Name, a.SizeExpr)
+		b.WriteString("a:")
+		b.WriteString(a.Name)
+		b.WriteByte('=')
+		b.WriteString(a.SizeExpr)
+		b.WriteByte(0)
 	}
 	b.WriteString(k.Source)
 	return b.String()
@@ -607,28 +629,12 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if s.feedback != nil {
 		s.feedback.noteAdvise(key, be.machine.Name, ms, k, req.Bindings, recs)
 	}
-	resp := AdviseResponse{
-		Machine: be.machine.Name, Model: ms.name, Kernel: k.Name, Key: key,
-		Cached: cached, Coalesced: coalesced, ServedBy: s.servedBy(),
-	}
-	n := len(recs)
-	if req.Top > 0 && req.Top < n {
-		n = req.Top
-	}
-	for _, rec := range recs[:n] {
-		out := Recommendation{
-			Variant:     rec.Kind.String(),
-			Teams:       rec.Teams,
-			Threads:     rec.Threads,
-			PredictedUS: rec.PredictedUS,
-		}
-		if req.IncludeSource {
-			out.Source = rec.Source
-		}
-		resp.Recommendations = append(resp.Recommendations, out)
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	s.writeJSON(w, http.StatusOK, resp)
+	writeAdvise(w, &adviseAnswer{
+		machine: be.machine.Name, model: ms.name, kernel: k.Name, key: key,
+		cached: cached, coalesced: coalesced, servedBy: s.servedBy(),
+		elapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		recs:      recs, top: req.Top, includeSource: req.IncludeSource,
+	})
 }
 
 // allFinite reports whether every prediction in a ranking is a finite
