@@ -453,36 +453,6 @@ func BenchmarkGNNTrainStep(b *testing.B) {
 	})
 }
 
-// BenchmarkFitIncremental is the retrain cmd/serve runs in the background
-// once a platform has accumulated 100 measured records: FitIncremental's
-// default schedule (8 epochs, batch 16) on a 90/10 split of 100 prepared
-// V100 samples, from a fresh default-width model each iteration.
-func BenchmarkFitIncremental(b *testing.B) {
-	cfg := dataset.DefaultConfig()
-	cfg.MaxPerPlatform = 120
-	plat, err := dataset.Collect(hw.V100(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep, err := dataset.Prepare(plat.Points, dataset.PrepConfig{Level: paragraph.LevelParaGraph, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := append(append([]*gnn.Sample(nil), prep.Train...), prep.Val...)
-	if len(samples) < 100 {
-		b.Fatalf("%d prepared samples, want 100", len(samples))
-	}
-	train, val := dataset.Split(samples[:100], 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := gnn.NewModel(gnn.Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
-		if _, err := m.FitIncremental(train, val, gnn.TrainConfig{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- design-choice ablation benchmarks ---
 
 // BenchmarkAblationGraphLevels compares forward-pass cost across the three

@@ -27,20 +27,12 @@
 // freshly added peer is warm without client traffic. All peers must serve
 // the same checkpoints and agree on -replication.
 //
-// With -feedback-dir, POST /v1/feedback accepts measured runtimes for
-// served advise points, appends them to a durable per-platform log under
-// that directory, and windows each model version's rank correlation
-// (docs/OPERATIONS.md, "Feedback"). Nothing retrains in the process: `train
-// -from-feedback` fits a new version from the log offline, and the next
-// boot serves it. The served model set is fixed at boot.
-//
 // Usage:
 //
 //	serve -model-dir DIR [-addr :8080]
 //	      [-platforms "IBM POWER9 (CPU),NVIDIA V100 (GPU)"]
 //	      [-cache-file PATH] [-pool N]
 //	      [-admit-queue N] [-admit-per-client N]
-//	      [-feedback-dir DIR]
 //	      [-self http://host:8080 -seed http://host2:8080]
 //	      [-replication 2]
 //	      [-heartbeat 1s]
@@ -51,10 +43,9 @@
 //
 //	POST /v1/advise     rank variant grid for a kernel on one machine
 //	                    (one variant's runtime: a one-point space)
-//	POST /v1/feedback   report a measured runtime for a served point
 //	GET  /v1/healthz    liveness and served machines
-//	GET  /v1/models     served model versions per platform (+ measured quality)
-//	GET  /v1/stats      cache/batcher/admission/per-model/cluster/feedback counters
+//	GET  /v1/models     served model versions per platform
+//	GET  /v1/stats      cache/batcher/admission/per-model/cluster counters
 //	GET  /v1/ring       cluster membership, ownership, forward counters
 //	GET  /v1/trace      recent request traces (?id= for one, ?n= to bound)
 //	GET  /metrics       Prometheus text exposition of every serve_* series
@@ -275,7 +266,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn or error")
 	traceSlow := fs.Duration("trace-slow", 0, "log traced requests at or above this latency (0 = default 250ms, negative = disable)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-	feedbackDir := fs.String("feedback-dir", "", "accept POST /v1/feedback and append measured runtimes under this directory (empty = feedback disabled)")
 	self := fs.String("self", "", "cluster mode: this process's base URL as peers reach it (http://host:port)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through (the first peer of a ring names itself)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
@@ -333,13 +323,9 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		QueuePerClient: *admitPerClient,
 		TraceSlow:      *traceSlow,
 		Logger:         logger,
-		FeedbackDir:    *feedbackDir,
 	})
 	if err != nil {
 		return nil, serveConfig{}, err
-	}
-	if *feedbackDir != "" {
-		logger.Info("feedback enabled", "dir", *feedbackDir)
 	}
 	if clusterMode {
 		if err := srv.EnableCluster(serve.ClusterConfig{

@@ -247,7 +247,9 @@ func TestModelDirServesCheckpointsWithoutTraining(t *testing.T) {
 // stable. A boot now serves the registry's default alias — the newest
 // version, the rolled-back candidate — and leaves the file as it was. (So
 // OPERATIONS.md has operators remove a rolled-back fb-* directory before
-// upgrading.)
+// upgrading.) A feedback log an older serve appended to, left inside the
+// model directory, is not read or touched either: the boot and an advise
+// leave its bytes, its modification time and its directory as they were.
 func TestBootIgnoresRolloutState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the checkpoint fixture in -short mode")
@@ -271,9 +273,21 @@ func TestBootIgnoresRolloutState(t *testing.T) {
 	if err := os.WriteFile(statePath, state, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	logDir := filepath.Join(root, "feedback")
+	logPath := filepath.Join(logDir, hw.Slug(hw.V100().Name)+".jsonl")
+	logBytes := []byte(`{"v":1,"key":"` + strings.Repeat("ab", 32) + `","platform":"NVIDIA V100 (GPU)","measured_us":120}` + "\n")
+	if err := os.MkdirAll(logDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, logBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logInfo, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	srv, _, err := buildServer([]string{"-model-dir", root, "-feedback-dir", t.TempDir(),
-		"-platforms", hw.V100().Name}, io.Discard)
+	srv, _, err := buildServer([]string{"-model-dir", root, "-platforms", hw.V100().Name}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,6 +316,15 @@ func TestBootIgnoresRolloutState(t *testing.T) {
 	}
 	if after, err := os.ReadFile(statePath); err != nil || !bytes.Equal(after, state) {
 		t.Errorf("rollout.json changed or went (err %v)", err)
+	}
+	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, logBytes) {
+		t.Errorf("the feedback log changed or went (err %v)", err)
+	}
+	if after, err := os.Stat(logPath); err != nil || !after.ModTime().Equal(logInfo.ModTime()) {
+		t.Errorf("the feedback log was written to (err %v)", err)
+	}
+	if entries, err := os.ReadDir(logDir); err != nil || len(entries) != 1 {
+		t.Errorf("the feedback directory holds %d entries (err %v), want the one log", len(entries), err)
 	}
 }
 
@@ -398,6 +421,9 @@ func TestBuildServerFlagErrors(t *testing.T) {
 		{"-quality-min", "5"},
 		{"-promote-after", "3"},
 		{"-gc-keep", "-1"},
+		// And the feedback log it recorded into: POST /v1/feedback is gone,
+		// so a pre-upgrade command line naming a log is refused.
+		{"-feedback-dir", "pg-feedback"},
 		{"-platforms", "Cray-1"},
 		{"-platforms", ""},
 		{"-badflag"},
@@ -582,8 +608,8 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 	}
 	defined := flagsIn(strings.Join(names, " "))
-	if len(defined) != 15 {
-		t.Fatalf("parsed %d flags from the usage output, want the 15 serve defines:\n%s", len(defined), help.String())
+	if len(defined) != 14 {
+		t.Fatalf("parsed %d flags from the usage output, want the 14 serve defines:\n%s", len(defined), help.String())
 	}
 
 	// The table: the first cell of each row under the "## Flags" heading.

@@ -6,24 +6,11 @@
 // seed and data: the same invocation writes the same weights_checksum
 // whatever the machine's core count.
 //
-// With -from-feedback it retrains incrementally instead: measured runtimes
-// collected by `serve -feedback-dir` (POST /v1/feedback) are read from the
-// given log directory, the platform's default checkpoint under -save-dir is
-// fine-tuned on them, and the result is saved there as a plain new version.
-// This is the only way feedback reaches a model: serve records it and never
-// retrains. The next serve boot makes the version the registry's default
-// rule names (a version literally named "default", else the newest) the
-// platform's default, and train prints which one that is.
-//
 // Usage:
 //
 //	train [-scale tiny|small|full] [-platform "NVIDIA V100 (GPU)"]
 //	      [-level raw|aug|para] [-compoff] [-epochs N] [-points N]
 //	      [-save-dir DIR] [-save-name NAME]
-//	train -from-feedback DIR -save-dir DIR [-platform NAME]
-//	      [-epochs N] [-save-name NAME]
-//
-// A feedback retrain needs at least 20 usable records.
 package main
 
 import (
@@ -31,10 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"paragraph/internal/experiments"
-	"paragraph/internal/feedback"
 	"paragraph/internal/hw"
 	"paragraph/internal/metrics"
 	"paragraph/internal/paragraph"
@@ -59,7 +44,6 @@ func run(args []string, w io.Writer) error {
 	points := fs.Int("points", 0, "override dataset points per platform (0 = scale default)")
 	saveDir := fs.String("save-dir", "", "write the trained model as a registry checkpoint under this directory")
 	saveName := fs.String("save-name", "default", "checkpoint version name within -save-dir")
-	fromFeedback := fs.String("from-feedback", "", "incremental retrain: fine-tune the default checkpoint under -save-dir on measured feedback from this log directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -74,17 +58,6 @@ func run(args []string, w io.Writer) error {
 		if err := registry.CheckName(*saveName); err != nil {
 			return err
 		}
-	}
-	if *fromFeedback != "" {
-		// The new version's name is derived ("fb-<timestamp>") unless the
-		// operator explicitly chose one.
-		name := ""
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "save-name" {
-				name = *saveName
-			}
-		})
-		return retrainFromFeedback(w, *fromFeedback, *saveDir, name, *platform, *epochs)
 	}
 
 	scale, err := experiments.ParseScale(*scaleName)
@@ -144,45 +117,5 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "COMPOFF comparison: mean rel err ParaGraph %.4f vs COMPOFF %.4f (ParaGraph wins %.1f%%)\n",
 			res.ParaGraphMeanErr, res.CompoffMeanErr, 100*res.WinFraction)
 	}
-	return nil
-}
-
-// retrainFromFeedback is the -from-feedback mode: read the measured-runtime
-// log, fine-tune the platform's default checkpoint, save the new version and
-// report which version the next serve boot makes the default.
-func retrainFromFeedback(w io.Writer, logDir, root, name, platform string, epochs int) error {
-	if root == "" {
-		return fmt.Errorf("-from-feedback requires -save-dir (the registry root holding the stable checkpoint)")
-	}
-	m, err := hw.ByName(platform)
-	if err != nil {
-		return err
-	}
-	lg, err := feedback.Open(logDir)
-	if err != nil {
-		return err
-	}
-	recs, skipped, err := lg.Read(m.Name)
-	if err != nil {
-		return err
-	}
-	if skipped > 0 {
-		fmt.Fprintf(w, "warning: skipped %d torn or malformed feedback lines\n", skipped)
-	}
-	fmt.Fprintf(w, "retraining %s incrementally on %d measured records from %s\n",
-		m.Name, len(recs), logDir)
-	res, err := registry.RetrainFromFeedback(root, m.Name, recs, registry.RetrainOptions{
-		Name:   name,
-		Epochs: epochs,
-		Seed:   time.Now().UnixNano(),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "checkpoint %s/%s saved to %s (fine-tuned from %q)\n",
-		m.Name, res.Version.Manifest.Name, res.Version.Dir, res.Stable)
-	fmt.Fprintf(w, "train %d, val %d, unusable %d, final val RMSE (scaled) %.5f\n",
-		res.TrainSamples, res.ValSamples, res.Skipped, res.FinalValRMSE)
-	fmt.Fprintf(w, "default on the next serve boot: %s/%s\n", m.Name, res.Default)
 	return nil
 }

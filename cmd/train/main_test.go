@@ -3,11 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"paragraph/internal/feedback"
 	"paragraph/internal/registry"
 )
 
@@ -20,14 +18,15 @@ func TestRunFlagErrors(t *testing.T) {
 		{args: []string{"-platform", "Cray-1"}},
 		{args: []string{"-level", "mega"}},
 		{args: []string{"-badflag"}},
-		// The feedback retrain's split and record floor are constants now.
+		// The removed feedback retrain's split and record floor, and the
+		// retrain itself: unknown flags.
 		{args: []string{"-rollout-split", "50"}},
 		{args: []string{"-min-records", "5"}},
+		{args: []string{"-from-feedback", "no-such-log", "-epochs", "-1"}, want: "-from-feedback"},
 		// A negative override is refused before any work, not read as the
-		// scale default — in the feedback retrain too.
+		// scale default.
 		{args: []string{"-epochs", "-1"}, want: "-epochs"},
 		{args: []string{"-points", "-4"}, want: "-points"},
-		{args: []string{"-from-feedback", "no-such-log", "-epochs", "-1"}, want: "-epochs"},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -109,77 +108,6 @@ func TestSaveDirWritesLoadableCheckpoint(t *testing.T) {
 	}
 	if e.Manifest.Train.TrainSamples == 0 || e.Manifest.Train.ValSamples == 0 {
 		t.Errorf("train info lacks sample counts: %+v", e.Manifest.Train)
-	}
-}
-
-// TestFromFeedbackSavesCandidate is the offline retrain: measured records
-// in a feedback log fine-tune the stable checkpoint under -save-dir into a
-// candidate, which the rollout state then points at.
-func TestFromFeedbackSavesCandidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training in -short mode")
-	}
-	const platform = "IBM POWER9 (CPU)"
-	logDir := t.TempDir()
-	lg, err := feedback.Open(logDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := lg.Append(feedback.Record{
-			Key: fmt.Sprintf("%064x", i), Platform: platform, Model: "default",
-			Kernel: "scale", Variant: "cpu", Threads: 1 + i,
-			Bindings:   map[string]float64{"n": float64(100 * (i + 1))},
-			Source:     "void scale(double *a, int n) {\n#pragma omp parallel for\nfor (int i = 0; i < n; i++) a[i] = 2.0 * a[i];\n}\n",
-			MeasuredUS: float64(50 + 10*i),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The retrain saves a plain fb-* version beside the stable, writes no
-	// rollout state, and prints the version the next serve boot defaults
-	// to — which a fresh registry.Open agrees with: the stable while it is
-	// literally named "default", else the new, newest version.
-	for _, stable := range []string{"default", "v1"} {
-		ckpt := t.TempDir()
-		if err := run([]string{"-scale", "tiny", "-epochs", "1", "-points", "24",
-			"-platform", platform, "-save-dir", ckpt, "-save-name", stable}, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		var out strings.Builder
-		if err := run([]string{"-from-feedback", logDir, "-save-dir", ckpt, "-platform", platform,
-			"-epochs", "1"}, &out); err != nil {
-			t.Fatalf("%v\n%s", err, out.String())
-		}
-		if !strings.Contains(out.String(), "checkpoint "+platform+"/fb-") {
-			t.Errorf("stable %s: output names no fb-* version:\n%s", stable, out.String())
-		}
-		if strings.Contains(out.String(), "rollout") || strings.Contains(out.String(), "traffic") {
-			t.Errorf("stable %s: output still reports a traffic split:\n%s", stable, out.String())
-		}
-		reg, err := registry.Open(ckpt, registry.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		def, err := reg.Lookup(platform, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := def.Manifest.Name
-		if (stable == "default") != (name == "default") || (stable == "v1") != strings.HasPrefix(name, "fb-") {
-			t.Errorf("stable %s: Open defaults to %q", stable, name)
-		}
-		if want := "default on the next serve boot: " + platform + "/" + name + "\n"; !strings.Contains(out.String(), want) {
-			t.Errorf("stable %s: output lacks %q:\n%s", stable, want, out.String())
-		}
-		if len(reg.Entries()) != 2 {
-			t.Errorf("stable %s: %d versions on disk, want the stable and the new one", stable, len(reg.Entries()))
-		}
-		matches, _ := filepath.Glob(filepath.Join(ckpt, "*", "rollout.json"))
-		if len(matches) != 0 {
-			t.Errorf("stable %s: the retrain wrote %v", stable, matches)
-		}
 	}
 }
 

@@ -376,8 +376,8 @@ func TestGeneratedKernelGridsShareTopology(t *testing.T) {
 // codes, every relation's edges and weights, node features, WScale and the
 // scaled (teams, threads) pair. Both go through dataset's Encoder and
 // Prepared.Sample; this pins that neither adds an option of its own on the
-// way. (registry's TestSampleIsTheSameWhereverItIsBuilt adds the third
-// producer, the feedback retrain, and a CPU machine.)
+// way. (registry's TestSampleIsTheSameWhereverItIsBuilt adds a CPU machine
+// and a served checkpoint's scalers.)
 func TestServedGraphMatchesTrainingGraph(t *testing.T) {
 	var points []dataset.Point
 	for _, k := range apps.Kernels() {

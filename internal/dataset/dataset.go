@@ -5,7 +5,7 @@
 // targets, edge weights and the (teams, threads) features are normalized
 // with a MinMax scaler and split 9:1 into train/validation — matching
 // §IV-B. Those three steps are written here once — Scaler, Prepared.Sample,
-// Split — for training, serving and the feedback retrain alike.
+// Split — for training and serving alike.
 package dataset
 
 import (
@@ -209,8 +209,8 @@ func logUS(us float64) float64 { return math.Log(math.Max(us, 1e-3)) }
 // Sample is the one constructor of a model-ready sample: it scales an
 // encoded graph at grid point (teams, threads), measured at measuredUS
 // microseconds, with p's scalers, and sets the graph's WScale. Training
-// (Prepare), serving (advisor) and the feedback retrain (registry) all come
-// through here, so a point is the same sample wherever it is built. An
+// (Prepare) and serving (advisor) both come through here, so a point is the
+// same sample wherever it is built. An
 // unmeasured point passes 0 and gets the scaler's floor as its Target, which
 // nothing reads.
 func (p *Prepared) Sample(g *gnn.Graph, teams, threads int, measuredUS float64) *gnn.Sample {

@@ -51,22 +51,3 @@ func (m *Model) PredictAll(samples []*Sample, workers int) []float64 {
 	m.predictInto(preds, samples, workers)
 	return preds
 }
-
-// FitIncremental continues optimization from the model's current weights —
-// the registry's feedback-retrain entry point. Unlike Train it defaults to a
-// short, low-learning-rate schedule suited to folding a small increment of
-// measured-runtime samples into an already-trained model without erasing
-// what it knows. Zero-valued cfg fields take the incremental defaults
-// (Epochs 8, BatchSize 16, LR 1e-3); explicit values win.
-func (m *Model) FitIncremental(train, val []*Sample, cfg TrainConfig) (History, error) {
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 8
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 1e-3
-	}
-	return m.Train(train, val, cfg)
-}

@@ -58,11 +58,10 @@ func (m Machine) MaxParallelism() int {
 func (m Machine) String() string { return m.Name }
 
 // Slug renders a machine name as the file-system name its checkpoints
-// (registry: <root>/<slug>/<version>) and its feedback log (<dir>/<slug>.jsonl)
-// live under: lower-cased, each run of anything but [a-z0-9] one dash, none
-// leading or trailing ("NVIDIA V100 (GPU)" → "nvidia-v100-gpu"). Registries
-// and logs on disk are laid out by it; the manifest and the records keep the
-// real name.
+// (registry: <root>/<slug>/<version>) live under: lower-cased, each run of
+// anything but [a-z0-9] one dash, none leading or trailing ("NVIDIA V100
+// (GPU)" → "nvidia-v100-gpu"). Registries on disk are laid out by it; the
+// manifest keeps the real name.
 func Slug(name string) string {
 	var b strings.Builder
 	dash := false

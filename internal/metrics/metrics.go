@@ -135,59 +135,6 @@ func LogPearson(xs, ys []float64) float64 {
 	return Pearson(logs(xs), logs(ys))
 }
 
-// ranks assigns 1-based ranks to xs, averaging ranks across ties (the
-// "fractional ranking" used by Spearman's rho).
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && xs[idx[j]] == xs[idx[i]] {
-			j++
-		}
-		// positions i..j-1 are tied; average rank = mean of (i+1)..j
-		avg := float64(i+1+j) / 2
-		for k := i; k < j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j
-	}
-	return out
-}
-
-// Spearman returns Spearman's rank correlation coefficient between two
-// series: Pearson correlation over fractional (tie-averaged) ranks. It is
-// the serving tier's online quality measure — an advisor only needs to
-// *order* variants correctly, so rank correlation of predicted vs. measured
-// runtimes is the right score. Returns NaN for n < 3 or when either series
-// is constant (no ranking information).
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("metrics: Spearman length mismatch %d vs %d", len(xs), len(ys)))
-	}
-	if len(xs) < 3 {
-		return math.NaN()
-	}
-	rx, ry := ranks(xs), ranks(ys)
-	mx, my := Mean(rx), Mean(ry)
-	var sxy, sxx, syy float64
-	for i := range rx {
-		dx, dy := rx[i]-mx, ry[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // Bin is one error bucket of Figure 4 (relative error per 10-second range).
 type Bin struct {
 	Label   string  // e.g. "0-10", "100 <"

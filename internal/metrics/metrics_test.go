@@ -201,76 +201,3 @@ func TestPanicsOnLengthMismatch(t *testing.T) {
 		}()
 	}
 }
-
-func TestSpearman(t *testing.T) {
-	cases := []struct {
-		name   string
-		xs, ys []float64
-		want   float64
-	}{
-		{"perfect monotone", []float64{1, 2, 3, 4, 5}, []float64{10, 20, 30, 40, 50}, 1},
-		{"nonlinear monotone", []float64{1, 2, 3, 4}, []float64{1, 100, 1e4, 1e6}, 1},
-		{"reversed", []float64{1, 2, 3, 4, 5}, []float64{50, 40, 30, 20, 10}, -1},
-		// ranks(xs) = {1, 2.5, 2.5, 4}, ranks(ys) = {1, 3, 2, 4};
-		// Pearson over those ranks = 4.5/sqrt(4.5*5) = sqrt(0.9).
-		{"ties", []float64{1, 2, 2, 4}, []float64{1, 3, 2, 4}, math.Sqrt(0.9)},
-		{"one swap", []float64{1, 2, 3, 4}, []float64{1, 3, 2, 4}, 0.8},
-	}
-	for _, tc := range cases {
-		if got := Spearman(tc.xs, tc.ys); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: Spearman = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestSpearmanDegenerate(t *testing.T) {
-	if got := Spearman([]float64{5, 5, 5, 5}, []float64{1, 2, 3, 4}); !math.IsNaN(got) {
-		t.Errorf("constant xs: Spearman = %v, want NaN", got)
-	}
-	if got := Spearman([]float64{1, 2, 3}, []float64{7, 7, 7}); !math.IsNaN(got) {
-		t.Errorf("constant ys: Spearman = %v, want NaN", got)
-	}
-	for n := 0; n < 3; n++ {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(i)
-		}
-		if got := Spearman(xs, xs); !math.IsNaN(got) {
-			t.Errorf("n=%d: Spearman = %v, want NaN", n, got)
-		}
-	}
-}
-
-func TestSpearmanProperties(t *testing.T) {
-	// Symmetric, and invariant under strictly monotone transforms of either
-	// series (that is the whole point of using ranks).
-	f := func(raw []float64) bool {
-		var xs []float64
-		seen := map[float64]bool{}
-		for _, v := range raw {
-			v = math.Mod(v, 1e6)
-			if !seen[v] && !math.IsNaN(v) {
-				seen[v] = true
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) < 3 {
-			return true
-		}
-		cube := make([]float64, len(xs)) // x*|x| is strictly monotone on all reals
-		for i, v := range xs {
-			cube[i] = v * math.Abs(v)
-		}
-		if got := Spearman(xs, cube); math.Abs(got-1) > 1e-9 {
-			return false
-		}
-		ys := make([]float64, len(xs))
-		for i := range ys {
-			ys[i] = xs[(i+1)%len(xs)]
-		}
-		return math.Abs(Spearman(xs, ys)-Spearman(ys, xs)) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

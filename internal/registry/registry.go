@@ -11,17 +11,15 @@
 //	<root>/<platform-slug>/<version>/weights.json
 //
 // so one platform can carry several named versions (training scales,
-// representation levels, feedback retrains) side by side; each platform
-// gets a default alias (a version literally named "default", else the
-// newest).
+// representation levels) side by side; each platform gets a default alias
+// (a version literally named "default", else the newest).
 //
 // There is one way from a checkpoint directory to a model: Load, which
 // reads and verifies the manifest and weights (a config/weights mismatch or
 // checksum drift fails there, not in a later request) and returns an Entry
 // holding the model resident with its engine weights built. Open loads
-// every checkpoint under a root and indexes them, and retraining loads the
-// stable it fine-tunes from, through the same function. A model is at most
-// 34 873 parameters (272 kB in float64), so nothing is loaded lazily or
+// every checkpoint under a root through it and indexes them. A model is at
+// most 34 873 parameters (272 kB in float64), so nothing is loaded lazily or
 // evicted: an Entry, once built, never touches its files again. Entry
 // implements the serving layer's BatchPredictor, which is how cmd/serve
 // plugs checkpoints straight into its batcher without knowing about files.
@@ -121,27 +119,20 @@ func validName(name string) error {
 // checkpoint visible to Discover.
 func Save(root string, m hw.Machine, name string, level paragraph.Level,
 	model *gnn.Model, prep *dataset.Prepared, info TrainInfo) (string, error) {
-	cp, err := save(root, m, name, level, model, prep, info)
-	return cp.Dir, err
-}
-
-// save is Save returning the manifest it wrote along with the directory.
-func save(root string, m hw.Machine, name string, level paragraph.Level,
-	model *gnn.Model, prep *dataset.Prepared, info TrainInfo) (Checkpoint, error) {
 	if err := validName(name); err != nil {
-		return Checkpoint{}, err
+		return "", err
 	}
 	if model == nil || prep == nil {
-		return Checkpoint{}, fmt.Errorf("registry: model and prepared dataset required")
+		return "", fmt.Errorf("registry: model and prepared dataset required")
 	}
 	dir := filepath.Join(root, hw.Slug(m.Name), name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return Checkpoint{}, fmt.Errorf("registry: %w", err)
+		return "", fmt.Errorf("registry: %w", err)
 	}
 	if err := writeFileAtomic(filepath.Join(dir, weightsFile), func(f *os.File) error {
 		return model.Save(f)
 	}); err != nil {
-		return Checkpoint{}, fmt.Errorf("registry: writing weights: %w", err)
+		return "", fmt.Errorf("registry: writing weights: %w", err)
 	}
 	man := Manifest{
 		FormatVersion: FormatVersion,
@@ -166,9 +157,9 @@ func save(root string, m hw.Machine, name string, level paragraph.Level,
 		return enc.Encode(man)
 	})
 	if err != nil {
-		return Checkpoint{}, fmt.Errorf("registry: writing manifest: %w", err)
+		return "", fmt.Errorf("registry: writing manifest: %w", err)
 	}
-	return Checkpoint{Dir: dir, Manifest: man}, nil
+	return dir, nil
 }
 
 // writeFileAtomic writes via a temp file in the target directory and
@@ -372,8 +363,7 @@ func entryKey(platform, name string) string { return platform + "\x00" + name }
 
 // pickDefault resolves the default alias among one platform's checkpoints:
 // a version literally named "default" wins, else the newest CreatedAt (name
-// as tiebreak). It is the only statement of that rule — Open and retraining
-// both ask it.
+// as tiebreak). It is the only statement of that rule.
 func pickDefault(cps []Checkpoint) Checkpoint {
 	best := cps[0]
 	for _, cp := range cps[1:] {

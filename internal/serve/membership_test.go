@@ -335,10 +335,15 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 		}
 	}
 
-	// A second drain is a no-op.
+	// A second drain is a no-op: it moves nothing and the ring stays at
+	// the first drain's epoch.
 	second := a.srv.DrainCluster(context.Background())
-	if !second.AlreadyDraining {
-		t.Errorf("second drain = %+v, want AlreadyDraining", second)
+	if second.OwnedKeys != 0 || second.Streamed != 0 || second.Batches != 0 ||
+		second.Errors != 0 || len(second.Targets) != 0 || second.ElapsedMS != 0 {
+		t.Errorf("second drain = %+v, want a zero report", second)
+	}
+	if second.Epoch != report.Epoch {
+		t.Errorf("second drain epoch = %d, want the first drain's %d", second.Epoch, report.Epoch)
 	}
 }
 

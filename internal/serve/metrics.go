@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // metrics and trace exist only in the exposition (adding them to the
 // stats JSON would break its byte-compatibility contract).
 var serveEndpoints = []string{
-	"advise", "feedback", "healthz", "stats", "models", "ring",
+	"advise", "healthz", "stats", "models", "ring",
 	"replicate", "cluster", "metrics", "trace",
 }
 
@@ -29,7 +28,7 @@ type endpointInstruments struct {
 // serveMetrics is the server's metric surface: every series /metrics
 // exposes, built on the same instruments /v1/stats snapshots — one source
 // of truth, two renderings. Every count the serving tier keeps itself is
-// one lock-free instrument: created here (request, cluster and feedback
+// one lock-free instrument: created here (request and cluster
 // counters) or owned by a model version and registered here (its batcher's
 // and traffic instruments). Components with their own state (cache, fair
 // queue, forwarder, membership, tracer) are read at scrape time.
@@ -167,34 +166,6 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 		labels, ms.adviseEval)
 	m.reg.RegisterCounter("serve_model_advise_total",
 		"Advise responses computed or served, by model.", labels, ms.advise)
-}
-
-// registerFeedback adds the feedback series, creating the recorder's
-// outcome counters. The per-model quality gauges are read at scrape time
-// and list only the versions measured so far.
-func (m *serveMetrics) registerFeedback(s *Server) {
-	fr := s.feedback
-	fr.outcomes = map[string]*obs.Counter{}
-	for _, oc := range feedbackOutcomes {
-		fr.outcomes[oc] = m.reg.Counter("serve_feedback_total",
-			"Feedback submissions, by outcome.", obs.L("outcome", oc))
-	}
-	m.reg.CollectFunc("serve_model_rank_corr",
-		"Windowed Spearman rank correlation between predicted and measured runtimes, by model.", "gauge",
-		func(emit func(obs.Labels, float64)) {
-			s.eachMeasured(func(platform string, ms *modelState, corr float64, _ int, _ uint64) {
-				if !math.IsNaN(corr) {
-					emit(obs.L("platform", platform, "model", ms.name), corr)
-				}
-			})
-		})
-	m.reg.CollectFunc("serve_model_feedback_pairs",
-		"Measured (predicted, measured) pairs in the quality window, by model.", "gauge",
-		func(emit func(obs.Labels, float64)) {
-			s.eachMeasured(func(platform string, ms *modelState, _ float64, n int, _ uint64) {
-				emit(obs.L("platform", platform, "model", ms.name), float64(n))
-			})
-		})
 }
 
 // registerCluster adds the cluster-mode series, creating c's counters (c

@@ -208,17 +208,16 @@ func TestErrorAccountingByEndpointAndClass(t *testing.T) {
 }
 
 // surfaceServer is the same-surface goldens' server: the oracle backends
-// with feedback on, in cluster mode as a one-member ring at
-// RF 2 with its background loops off (nothing to reach, nothing timed),
-// after a fixed request script — three advises (two cold, one repeat that
-// hits the cache, one arriving forwarded by a peer), two accepted
-// measurements, one mismatched measurement, one gossip exchange.
+// in cluster mode as a one-member ring at RF 2 with its background loops
+// off (nothing to reach, nothing timed), after a fixed request script —
+// three advises (two cold, one repeat that hits the cache, one arriving
+// forwarded by a peer) and one gossip exchange.
 func surfaceServer(t *testing.T) *Server {
 	t.Helper()
 	s, err := NewServer([]Backend{
 		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
 		{Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep()},
-	}, Options{FeedbackDir: t.TempDir()})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +226,7 @@ func surfaceServer(t *testing.T) *Server {
 	if err := s.EnableCluster(ClusterConfig{Self: self, Peers: []string{self}, Replication: 2, Heartbeat: -1}); err != nil {
 		t.Fatal(err)
 	}
-	var first AdviseResponse
-	if rec := do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), &first); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), nil); rec.Code != http.StatusOK {
 		t.Fatalf("advise: %d %s", rec.Code, rec.Body.String())
 	}
 	do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), nil)
@@ -237,16 +235,6 @@ func surfaceServer(t *testing.T) *Server {
 	if rec := doH(t, s, http.MethodPost, "/v1/advise", forwarded,
 		map[string]string{shard.ForwardedByHeader: self}); rec.Code != http.StatusOK {
 		t.Fatalf("forwarded advise: %d %s", rec.Code, rec.Body.String())
-	}
-	for _, r := range first.Recommendations[:2] {
-		if _, rec := postFeedback(t, s, FeedbackRequest{
-			Key: first.Key, Variant: r.Variant, Teams: r.Teams, Threads: r.Threads, MeasuredUS: 100,
-		}); rec.Code != http.StatusOK {
-			t.Fatalf("feedback: %d %s", rec.Code, rec.Body.String())
-		}
-	}
-	if _, rec := postFeedback(t, s, FeedbackRequest{Key: first.Key, Variant: "cpu", MeasuredUS: 100}); rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("mismatched feedback: %d %s", rec.Code, rec.Body.String())
 	}
 	if rec := do(t, s, http.MethodPost, "/v1/cluster/gossip", shard.View{From: self}, nil); rec.Code != http.StatusOK {
 		t.Fatalf("gossip: %d %s", rec.Code, rec.Body.String())
@@ -387,26 +375,21 @@ func TestServingSurfaceGolden(t *testing.T) {
 func TestServingCountsAgree(t *testing.T) {
 	s := surfaceServer(t)
 	_, metrics := metricSeries(scrapeMetrics(t, s))
-	st := lcStats(t, s)
+	st := getStats(t, s)
 	var v100 ModelStats
 	for _, m := range st.Models {
 		if m.Platform == "NVIDIA V100 (GPU)" {
 			v100 = m
 		}
 	}
-	cl, lc := st.Cluster, st.Lifecycle
+	cl := st.Cluster
 	model := `{platform="NVIDIA V100 (GPU)",model="default"}`
-	const rejected = "serve_feedback_total, every outcome but accepted"
-	for _, oc := range []string{"unknown_key", "mismatch", "invalid", "error"} {
-		metrics[rejected] += metrics[`serve_feedback_total{outcome="`+oc+`"}`]
-	}
 	for _, c := range []struct {
 		series string
 		json   uint64 // the JSON reading
 		want   uint64
 	}{
 		{`serve_requests_total{endpoint="advise"}`, st.Requests.Advise, 3},
-		{`serve_requests_total{endpoint="feedback"}`, st.Requests.Feedback, 3},
 		{`serve_requests_total{endpoint="cluster"}`, st.Requests.Cluster, 1},
 		{"serve_advise_cache_hits_total", st.AdviseCacheHits, 1},
 		{"serve_coalesced_total", st.Coalesced, 0},
@@ -416,9 +399,6 @@ func TestServingCountsAgree(t *testing.T) {
 		{"serve_model_advise_total" + model, v100.Advise, 3},
 		{"serve_batcher_batches_total" + model, v100.Batcher.Batches, 2},
 		{"serve_batcher_cancelled_total" + model, v100.Batcher.Cancelled, 0},
-		{`serve_feedback_total{outcome="accepted"}`, lc.FeedbackAccepted, 2},
-		{rejected, lc.FeedbackRejected, 1},
-		{"serve_model_feedback_pairs" + model, uint64(lc.Models[0].Pairs), 2},
 		{"serve_cluster_forwarded_in_total", cl.ForwardedIn, 1},
 		{"serve_cluster_local_fallbacks_total", cl.LocalFallbacks, 0},
 		{"serve_cluster_replica_hits_total", cl.Replication.ReplicaHits, 0},

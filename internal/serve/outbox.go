@@ -210,39 +210,35 @@ func (s *Server) postEntries(ctx context.Context, target string, items []CacheIt
 // DrainReport summarizes a planned departure: what the leaving peer owned
 // and what its outbox delivered to the new owners before the deadline.
 type DrainReport struct {
-	// AlreadyDraining reports a second drain request: the first one's
-	// handoff already ran (or is running) and this call did nothing.
-	AlreadyDraining bool `json:"already_draining,omitempty"`
 	// Epoch is the ring version after the departure tombstone.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// OwnedKeys is how many local cache entries this peer owned under the
 	// pre-departure ring; Streamed how many were delivered to at least
 	// one new owner; Errors how many batch posts failed.
-	OwnedKeys int `json:"owned_keys"`
-	Streamed  int `json:"streamed"`
-	Batches   int `json:"batches"`
-	Errors    int `json:"errors"`
+	OwnedKeys int
+	Streamed  int
+	Batches   int
+	Errors    int
 	// Targets are the peers handoff batches were addressed to, sorted.
-	Targets   []string `json:"targets,omitempty"`
-	ElapsedMS float64  `json:"elapsed_ms"`
+	Targets   []string
+	ElapsedMS float64
 }
 
 // DrainCluster executes this peer's planned departure: tombstone self in
 // the membership view, run a gossip round synchronously (so the tier
 // re-rings before the handoff lands), then flush the outbox once, all
 // within drainTimeout of ctx. A shutdown runs it (cmd/serve on SIGTERM).
-// Idempotent — a second caller gets AlreadyDraining and no work.
-// Outside cluster mode it reports an empty
-// drain. The process keeps serving afterwards, local-only, and its gossip
-// tick retries what the flush could not deliver; exiting is the caller's
-// decision.
+// Idempotent — a second caller gets a zero report at the current epoch
+// and no work. Outside cluster mode it reports an empty drain. The process
+// keeps serving afterwards, local-only, and its gossip tick retries what
+// the flush could not deliver; exiting is the caller's decision.
 func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 	c := s.cluster
 	if c == nil {
 		return DrainReport{}
 	}
 	if !c.draining.CompareAndSwap(false, true) {
-		return DrainReport{AlreadyDraining: true, Epoch: c.mem.Epoch()}
+		return DrainReport{Epoch: c.mem.Epoch()}
 	}
 	ctx, cancel := context.WithTimeout(ctx, drainTimeout)
 	defer cancel()

@@ -28,9 +28,9 @@ import (
 // Backend is one servable model: a machine profile plus a cost model for
 // it and the Prepared dataset (or manifest scalers) carrying that
 // training's normalization. A platform may register several Backends under
-// distinct Names — training scales, representation levels, feedback
-// retrains — and requests pick one with the "model" field; one of them is
-// the platform's default alias.
+// distinct Names — training scales, representation levels — and requests
+// pick one with the "model" field; one of them is the platform's default
+// alias.
 type Backend struct {
 	Machine hw.Machine
 	Model   BatchPredictor
@@ -101,12 +101,6 @@ type Options struct {
 	// Logger receives slow-trace and per-request debug records (default
 	// slog.Default()).
 	Logger *slog.Logger
-
-	// FeedbackDir enables POST /v1/feedback: measured runtimes are appended
-	// to per-platform logs under this directory (what `train
-	// -from-feedback` reads) and windowed per model version. Empty disables
-	// it (the endpoint then answers 409).
-	FeedbackDir string
 }
 
 // adviseCacheSize is the response cache's entry bound (whole advise
@@ -152,9 +146,6 @@ type modelState struct {
 	// advise counts the responses this version computed or served;
 	// registerModel exposes it.
 	advise *obs.Counter
-	// quality windows the measured runtimes reported for this version's
-	// answers; nil when feedback is disabled.
-	quality *QualityWindow
 
 	lastUsed atomic.Int64 // unix seconds; 0 = never
 }
@@ -179,10 +170,6 @@ type Server struct {
 	metrics *serveMetrics // every /metrics series; /v1/stats reads the same instruments
 	tracer  *obs.Tracer   // request traces: slow logging + the /v1/trace ring
 	logger  *slog.Logger
-
-	// feedback is non-nil when Options.FeedbackDir enabled POST
-	// /v1/feedback.
-	feedback *feedbackRecorder
 
 	// cluster is non-nil once EnableCluster put the server into a
 	// consistent-hash sharded tier; nil means every request serves locally.
@@ -259,11 +246,10 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 		Logger: opts.Logger,
 	})
 	s.metrics = newServeMetrics(s)
-	// Advise, feedback and replicate are traced (they carry the expensive
+	// Advise and replicate are traced (they carry the expensive
 	// work and cross-peer hops); the read-only introspection endpoints only
 	// get request/latency/error accounting.
 	s.mux.HandleFunc("/v1/advise", s.instrument("advise", true, s.handleAdvise))
-	s.mux.HandleFunc("/v1/feedback", s.instrument("feedback", true, s.handleFeedback))
 	s.mux.HandleFunc("/v1/healthz", s.instrument("healthz", false, s.handleHealthz))
 	s.mux.HandleFunc("/v1/stats", s.instrument("stats", false, s.handleStats))
 	s.mux.HandleFunc("/v1/models", s.instrument("models", false, s.handleModels))
@@ -272,10 +258,6 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 	s.mux.HandleFunc("/v1/cluster/", s.instrument("cluster", false, s.handleCluster))
 	s.mux.HandleFunc("/v1/trace", s.instrument("trace", false, s.handleTrace))
 	s.mux.HandleFunc("/metrics", s.instrument("metrics", false, s.handleMetrics))
-	if err := s.initFeedback(); err != nil {
-		s.Close()
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -289,15 +271,11 @@ func (s *Server) newModelState(b Backend, name string) *modelState {
 	batcher := NewBatcher(b.Model, 0, 0)
 	adv := advisor.New(batcher, b.Prep, b.Machine)
 	adv.SetLevel(info.Level)
-	ms := &modelState{
+	return &modelState{
 		name: name, info: info, advisor: adv, batcher: batcher,
 		adviseEval: obs.NewHistogram(obs.DefLatencyBuckets),
 		advise:     new(obs.Counter),
 	}
-	if s.opts.FeedbackDir != "" {
-		ms.quality = NewQualityWindow(qualityWindowSize)
-	}
-	return ms
 }
 
 // modelNames lists a platform's model versions, sorted.
@@ -429,8 +407,8 @@ type AdviseResponse struct {
 	Machine string `json:"machine"`
 	Model   string `json:"model"`
 	Kernel  string `json:"kernel"`
-	// Key is the content-addressed request hash; POST /v1/feedback reports
-	// measured runtimes against it.
+	// Key is the content-addressed request hash the response cache (and
+	// the ring's ownership) is keyed by.
 	Key             string           `json:"key,omitempty"`
 	Cached          bool             `json:"cached"`
 	Coalesced       bool             `json:"coalesced,omitempty"`
@@ -626,9 +604,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	ms.advise.Inc()
 	ms.touch()
-	if s.feedback != nil {
-		s.feedback.noteAdvise(key, be.machine.Name, ms, k, req.Bindings, recs)
-	}
 	writeAdvise(w, &adviseAnswer{
 		machine: be.machine.Name, model: ms.name, kernel: k.Name, key: key,
 		cached: cached, coalesced: coalesced, servedBy: s.servedBy(),
@@ -789,9 +764,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.snapshot())
 }
 
-// ModelDesc is one entry of the /v1/models listing. RankCorr and
-// FeedbackPairs are the version's measured quality, set once feedback has
-// reached it.
+// ModelDesc is one entry of the /v1/models listing.
 type ModelDesc struct {
 	Platform  string  `json:"platform"`
 	Name      string  `json:"name"`
@@ -804,9 +777,6 @@ type ModelDesc struct {
 	Epochs    int     `json:"epochs,omitempty"`
 	ValRMSE   float64 `json:"val_rmse,omitempty"`
 	CreatedAt string  `json:"created_at,omitempty"` // RFC 3339
-
-	RankCorr      *float64 `json:"rank_corr,omitempty"`
-	FeedbackPairs int      `json:"feedback_pairs,omitempty"`
 }
 
 // ModelsResponse is the /v1/models payload.
@@ -836,9 +806,6 @@ func (s *Server) Models() ModelsResponse {
 			}
 			if !ms.info.CreatedAt.IsZero() {
 				d.CreatedAt = ms.info.CreatedAt.UTC().Format(time.RFC3339)
-			}
-			if corr, n, _ := ms.quality.Snapshot(); n > 0 {
-				d.RankCorr, d.FeedbackPairs = finite(corr), n
 			}
 			resp.Models = append(resp.Models, d)
 		}

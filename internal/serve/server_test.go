@@ -8,15 +8,19 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 	"paragraph/internal/paragraph"
+	"paragraph/internal/registry"
 )
 
 // oracleModel is a deterministic stand-in for a trained GNN: it predicts
@@ -748,4 +752,132 @@ func FuzzAdviseBody(f *testing.F) {
 			t.Fatalf("POST /v1/advise %q: %d %s", body, rec.Code, rec.Body.String())
 		}
 	})
+}
+
+func getStats(t *testing.T, s *Server) Stats {
+	t.Helper()
+	var st Stats
+	if rec := do(t, s, http.MethodGet, "/v1/stats", nil, &st); rec.Code != http.StatusOK {
+		t.Fatalf("stats: %d", rec.Code)
+	}
+	return st
+}
+
+// TestCheckpointBackendDescribesTheManifest pins the one Entry → Backend
+// conversion: /v1/models reports a served checkpoint field for field from
+// its manifest, under the source the caller names.
+func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
+	root := t.TempDir()
+	model := gnn.NewModel(gnn.Config{
+		Hidden: 8, FeatHidden: 8, Layers: 1,
+		Relations: int(paragraph.NumEdgeTypes), Seed: 7,
+	})
+	if _, err := registry.Save(root, hw.V100(), "v1", paragraph.LevelParaGraph,
+		model, testPrep(), registry.TrainInfo{Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := registry.Load(filepath.Join(root, hw.Slug(hw.V100().Name), "v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := CheckpointBackend(e)
+	if b.Model != BatchPredictor(e) || b.Prep != e.Prep || b.Machine.Name != hw.V100().Name || b.Default {
+		t.Errorf("backend = %+v", b)
+	}
+	s, err := NewServer([]Backend{b}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	man := e.Manifest
+	want := ModelDesc{
+		Platform: hw.V100().Name, Name: "v1", Default: true,
+		Level: "ParaGraph", Source: "checkpoint",
+		Hidden: 8, Layers: 1, Params: man.Params, Epochs: 1,
+		CreatedAt: man.CreatedAt.UTC().Format(time.RFC3339),
+	}
+	var mr ModelsResponse
+	if rec := do(t, s, http.MethodGet, "/v1/models", nil, &mr); rec.Code != http.StatusOK || len(mr.Models) != 1 {
+		t.Fatalf("models: %d %s", rec.Code, rec.Body.String())
+	}
+	if got := mr.Models[0]; got != want || man.Params == 0 || man.CreatedAt.IsZero() {
+		t.Errorf("/v1/models entry = %+v, want %+v", got, want)
+	}
+}
+
+// feedbackBody is what a client of the removed POST /v1/feedback sent for
+// one measured point of the advise answer keyed key.
+func feedbackBody(key string) []byte {
+	return []byte(`{"key":"` + key + `","variant":"gpu","teams":64,"threads":128,"measured_us":120}`)
+}
+
+// TestFeedbackRouteGone: POST /v1/feedback was removed with the feedback
+// log and quality windows; the mux answers it like any unknown path, and
+// nothing counts it.
+func TestFeedbackRouteGone(t *testing.T) {
+	s := newTestServer(t)
+	var ar AdviseResponse
+	if rec := do(t, s, http.MethodPost, "/v1/advise", pointReq(), &ar); rec.Code != http.StatusOK {
+		t.Fatalf("advise: %d %s", rec.Code, rec.Body.String())
+	}
+	for _, method := range []string{http.MethodPost, http.MethodGet} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, "/v1/feedback", bytes.NewReader(feedbackBody(ar.Key))))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s /v1/feedback = %d %s, want 404", method, rec.Code, rec.Body.String())
+		}
+	}
+	if st := getStats(t, s); st.Requests.Errors != 0 {
+		t.Errorf("stats count %d errors, want the 404s uncounted", st.Requests.Errors)
+	}
+}
+
+// TestClusterFeedbackNotForwarded: in cluster mode a measurement posted to
+// a peer that does not own its key is a local 404 — it is not forwarded to
+// the key's owner, which receives no /v1/feedback request at all.
+func TestClusterFeedbackNotForwarded(t *testing.T) {
+	var peers [2]*Server
+	var urls [2]string
+	var ownerFeedback atomic.Bool // peer 1 saw a /v1/feedback request
+	for i := range peers {
+		peers[i] = newTestServer(t)
+		h := peers[i].Handler()
+		if i == 1 {
+			inner := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/feedback" {
+					ownerFeedback.Store(true)
+				}
+				inner.ServeHTTP(w, r)
+			})
+		}
+		hs := httptest.NewServer(h)
+		t.Cleanup(hs.Close)
+		urls[i] = hs.URL
+	}
+	for i, p := range peers {
+		if err := p.EnableCluster(ClusterConfig{Self: urls[i], Peers: urls[:], Heartbeat: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A point asked of peer 0 whose key peer 1 owns.
+	var ar AdviseResponse
+	for n := 256.0; ar.ServedBy != urls[1]; n++ {
+		if n > 512 {
+			t.Fatal("no key owned by the other peer in 256 candidates")
+		}
+		req := pointReq()
+		req.Bindings = map[string]float64{"n": n}
+		if rec := do(t, peers[0], http.MethodPost, "/v1/advise", req, &ar); rec.Code != http.StatusOK {
+			t.Fatalf("advise(n=%g): %d %s", n, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	peers[0].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(feedbackBody(ar.Key))))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("feedback via the non-owner = %d %s, want 404", rec.Code, rec.Body.String())
+	}
+	if ownerFeedback.Load() {
+		t.Error("the key's owner received a /v1/feedback request")
+	}
 }

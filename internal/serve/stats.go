@@ -37,9 +37,6 @@ type Stats struct {
 		// throughs); omitted at zero so non-replicated tiers keep their
 		// exact pre-replication stats payload.
 		Replicate uint64 `json:"replicate,omitempty"`
-		// Feedback counts POST /v1/feedback arrivals; omitted at zero so
-		// tiers without feedback keep their exact prior payload.
-		Feedback uint64 `json:"feedback,omitempty"`
 		// Cluster counts /v1/cluster/* arrivals (gossip, and any unknown
 		// path under the prefix);
 		// omitted at zero outside cluster mode.
@@ -71,10 +68,6 @@ type Stats struct {
 	// fractions, per-peer forward/fallback counters); nil outside cluster
 	// mode. GET /v1/ring serves the same payload on its own.
 	Cluster *RingResponse `json:"cluster,omitempty"`
-
-	// Lifecycle is the feedback view (accepted and rejected measurements,
-	// per-model measured quality); nil when feedback is disabled.
-	Lifecycle *LifecycleStats `json:"lifecycle,omitempty"`
 }
 
 // snapshot assembles the stats payload from the server's live components.
@@ -87,7 +80,6 @@ func (s *Server) snapshot() Stats {
 	st.Requests.Models = s.metrics.requests("models")
 	st.Requests.Ring = s.metrics.requests("ring")
 	st.Requests.Replicate = s.metrics.requests("replicate")
-	st.Requests.Feedback = s.metrics.requests("feedback")
 	st.Requests.Cluster = s.metrics.requests("cluster")
 	st.Requests.Errors = s.metrics.totalErrors()
 	st.AdviseCacheHits = s.metrics.adviseHits.Value()
@@ -115,9 +107,6 @@ func (s *Server) snapshot() Stats {
 	if s.cluster != nil {
 		ring := s.Ring()
 		st.Cluster = &ring
-	}
-	if s.feedback != nil {
-		st.Lifecycle = s.feedbackStats()
 	}
 	return st
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // goldenKeys are advise cache keys as older builds computed them.
-// Snapshots, replicate batches and feedback journals carry these keys, so a
+// Snapshots and replicate batches carry these keys, so a
 // build that derives any other byte for the same request loses every entry
 // an older peer or file holds.
 var goldenKeys = []struct {
