@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -37,7 +38,8 @@ func TestRunTable1(t *testing.T) {
 }
 
 // TestRunTable2 exercises one simulated-collection artifact end to end at
-// tiny scale (no model training involved).
+// tiny scale (no model training involved): the V100 row has points and a
+// positive runtime range.
 func TestRunTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset collection in -short mode")
@@ -46,7 +48,21 @@ func TestRunTable2(t *testing.T) {
 	if err := run([]string{"-scale", "tiny", "-table", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "V100") {
-		t.Errorf("Table 2 output missing platforms:\n%s", out.String())
+	const platform = "NVIDIA V100 (GPU)"
+	var row string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, platform) {
+			row = line
+		}
+	}
+	var cluster string
+	var points, lost int
+	var lo, hi, sd float64
+	if _, err := fmt.Sscanf(strings.TrimPrefix(row, platform),
+		" %s %d [%g - %g] %g %d", &cluster, &points, &lo, &hi, &sd, &lost); err != nil {
+		t.Fatalf("no Table II row for %s (%v) in:\n%s", platform, err, out.String())
+	}
+	if points <= 0 || lo <= 0 || hi < lo {
+		t.Errorf("row %q: want points and 0 < min <= max", row)
 	}
 }

@@ -1,15 +1,15 @@
-// Command train trains the ParaGraph GNN cost model (and optionally the
-// COMPOFF baseline) for one platform and reports validation metrics. With
-// -save-dir it also writes the trained model as a registry checkpoint
-// (internal/registry: weights + manifest) — what cmd/serve -model-dir boots
-// from, and the only thing it boots from. Training is a function of its
-// seed and data: the same invocation writes the same weights_checksum
-// whatever the machine's core count.
+// Command train trains the ParaGraph GNN cost model for one platform and
+// reports validation metrics; the COMPOFF comparison is experiments
+// -figure 8. With -save-dir it also writes the trained model as a registry
+// checkpoint (internal/registry: weights + manifest) — what cmd/serve
+// -model-dir boots from, and the only thing it boots from. Training is a
+// function of its seed and data: the same invocation writes the same
+// weights_checksum whatever the machine's core count.
 //
 // Usage:
 //
 //	train [-scale tiny|small|full] [-platform "NVIDIA V100 (GPU)"]
-//	      [-level raw|aug|para] [-compoff] [-epochs N] [-points N]
+//	      [-level raw|aug|para] [-epochs N] [-points N]
 //	      [-save-dir DIR] [-save-name NAME]
 package main
 
@@ -39,7 +39,6 @@ func run(args []string, w io.Writer) error {
 	scaleName := fs.String("scale", "small", "scale: tiny, small, or full")
 	platform := fs.String("platform", "NVIDIA V100 (GPU)", "platform name")
 	levelName := fs.String("level", "para", "representation: raw, aug, or para")
-	withCompoff := fs.Bool("compoff", false, "also train the COMPOFF baseline (GPU platforms)")
 	epochs := fs.Int("epochs", 0, "override training epochs (0 = scale default)")
 	points := fs.Int("points", 0, "override dataset points per platform (0 = scale default)")
 	saveDir := fs.String("save-dir", "", "write the trained model as a registry checkpoint under this directory")
@@ -107,15 +106,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "checkpoint %s/%s saved to %s\n", m.Name, *saveName, dir)
-	}
-
-	if *withCompoff {
-		res, err := runner.Figure8()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "COMPOFF comparison: mean rel err ParaGraph %.4f vs COMPOFF %.4f (ParaGraph wins %.1f%%)\n",
-			res.ParaGraphMeanErr, res.CompoffMeanErr, 100*res.WinFraction)
 	}
 	return nil
 }

@@ -23,6 +23,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{args: []string{"-rollout-split", "50"}},
 		{args: []string{"-min-records", "5"}},
 		{args: []string{"-from-feedback", "no-such-log", "-epochs", "-1"}, want: "-from-feedback"},
+		// The COMPOFF comparison is experiments -figure 8, on V100 only.
+		{args: []string{"-compoff"}, want: "-compoff"},
 		// A negative override is refused before any work, not read as the
 		// scale default.
 		{args: []string{"-epochs", "-1"}, want: "-epochs"},

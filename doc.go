@@ -9,8 +9,8 @@
 // serving-path benchmarks. README.md is the tour; docs/ARCHITECTURE.md is
 // the serving design doc (request lifecycle, sharding, replication), and
 // docs/API.md and docs/OPERATIONS.md document the HTTP service. Entry
-// points are under cmd/ (paragraph, datagen, train, experiments, serve)
-// and examples/.
+// points are under cmd/ (paragraph, train, experiments, serve, overload)
+// and examples/; experiments -table 2 is the dataset sweep's Table II.
 //
 // # Package tree
 //

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -238,53 +237,5 @@ func TestForTripMatchesSimulationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSectionElems(t *testing.T) {
-	env := Env{"n": 100, "m": 10}
-	cases := []struct {
-		arg  string
-		want float64
-	}{
-		{"a[0:n]", 100},
-		{"a[0:n*m]", 1000},
-		{"a[0:(n+1)*m]", 1010},
-		{"a[0:1024]", 1024},
-		{"scalar", 1},
-		{"a[0:unknown]", 1},
-		{"a[n]", 100}, // single-extent section
-	}
-	for _, c := range cases {
-		if got := sectionElems(c.arg, env); got != c.want {
-			t.Errorf("sectionElems(%q) = %v, want %v", c.arg, got, c.want)
-		}
-	}
-}
-
-func TestEvalStringExpr(t *testing.T) {
-	env := Env{"n": 6, "m": 7}
-	cases := []struct {
-		s    string
-		want float64
-		ok   bool
-	}{
-		{"n*m", 42, true},
-		{"n + m * 2", 20, true},
-		{"(n + m) * 2", 26, true},
-		{"100", 100, true},
-		{"n / 2", 3, true},
-		{"2.5 * 2", 5, true},
-		{"x", 0, false},
-		{"n +", 0, false},
-		{"(n", 0, false},
-		{"n / 0", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := evalStringExpr(c.s, env)
-		if ok != c.ok || (ok && math.Abs(got-c.want) > 1e-12) {
-			t.Errorf("evalStringExpr(%q) = %v, %v; want %v, %v", c.s, got, ok, c.want, c.ok)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"strconv"
 	"strings"
 
 	"paragraph/internal/cast"
@@ -130,20 +129,13 @@ func (a *analyzer) directive(n *cast.Node, mult float64) {
 		if d.Kind.IsTarget() {
 			a.kc.IsOffload = true
 		}
-		for _, c := range d.Clauses {
+		for i, c := range d.Clauses {
 			switch c.Kind {
 			case omp.ClauseMap:
-				if c.MapDir != omp.MapAlloc {
-					// tofrom crosses the link twice: host→device before the
-					// region and device→host after it.
-					factor := 1.0
-					if c.MapDir == omp.MapToFrom {
-						factor = 2
-					}
-					for _, arg := range c.Args {
-						a.kc.TransferBytes += 8 * factor * sectionElems(arg, a.env)
-						a.kc.MappedArrays++
-					}
+				// cparse puts clause i's payload at child i; a standalone
+				// directive (barrier) has none.
+				if c.MapDir != omp.MapAlloc && i < len(n.Children) {
+					a.mapClause(n.Children[i], c.MapDir)
 				}
 			case omp.ClauseReduction:
 				a.kc.ReductionOps++
@@ -164,6 +156,29 @@ func (a *analyzer) directive(n *cast.Node, mult float64) {
 	}
 	for _, c := range n.Children {
 		a.stmt(c, mult)
+	}
+}
+
+// mapClause prices one map clause from the payload cparse built for it:
+// per mapped array, 8 bytes per element of the section's length. A bare
+// name, or a length that does not evaluate to a positive count, is one
+// element.
+func (a *analyzer) mapClause(clause *cast.Node, dir omp.MapType) {
+	// tofrom crosses the link twice: host→device before the region and
+	// device→host after it.
+	factor := 1.0
+	if dir == omp.MapToFrom {
+		factor = 2
+	}
+	for _, sect := range clause.Children {
+		elems := 1.0
+		if sect.Kind == cast.KindArraySubscriptExpr {
+			if v, ok := Eval(sect.Children[1], a.env); ok && v > 0 {
+				elems = v
+			}
+		}
+		a.kc.TransferBytes += 8 * factor * elems
+		a.kc.MappedArrays++
 	}
 }
 
@@ -310,143 +325,4 @@ func isFloatExpr(n *cast.Node) bool {
 
 func isFloatType(ty string) bool {
 	return strings.Contains(ty, "double") || strings.Contains(ty, "float")
-}
-
-// sectionElems parses an OpenMP array-section argument like "a[0:n*m]" or a
-// bare name and returns the element count under env (bare names count as 1
-// scalar element).
-func sectionElems(arg string, env Env) float64 {
-	open := strings.IndexByte(arg, '[')
-	if open < 0 {
-		return 1
-	}
-	close := strings.LastIndexByte(arg, ']')
-	if close < open {
-		return 1
-	}
-	section := arg[open+1 : close]
-	parts := strings.SplitN(section, ":", 2)
-	lenExpr := parts[len(parts)-1]
-	if v, ok := evalStringExpr(lenExpr, env); ok && v > 0 {
-		return v
-	}
-	return 1
-}
-
-// evalStringExpr evaluates a tiny arithmetic expression grammar
-// (ident | int | expr (*|/|+|-) expr | (expr)) used in array sections.
-func evalStringExpr(s string, env Env) (float64, bool) {
-	p := &sexprParser{s: strings.TrimSpace(s), env: env}
-	v, ok := p.addSub()
-	p.skip()
-	if !ok || p.pos != len(p.s) {
-		return 0, false
-	}
-	return v, true
-}
-
-type sexprParser struct {
-	s   string
-	pos int
-	env Env
-}
-
-func (p *sexprParser) skip() {
-	for p.pos < len(p.s) && (p.s[p.pos] == ' ' || p.s[p.pos] == '\t') {
-		p.pos++
-	}
-}
-
-func (p *sexprParser) addSub() (float64, bool) {
-	v, ok := p.mulDiv()
-	if !ok {
-		return 0, false
-	}
-	for {
-		p.skip()
-		if p.pos >= len(p.s) {
-			return v, true
-		}
-		op := p.s[p.pos]
-		if op != '+' && op != '-' {
-			return v, true
-		}
-		p.pos++
-		rhs, ok := p.mulDiv()
-		if !ok {
-			return 0, false
-		}
-		if op == '+' {
-			v += rhs
-		} else {
-			v -= rhs
-		}
-	}
-}
-
-func (p *sexprParser) mulDiv() (float64, bool) {
-	v, ok := p.atom()
-	if !ok {
-		return 0, false
-	}
-	for {
-		p.skip()
-		if p.pos >= len(p.s) {
-			return v, true
-		}
-		op := p.s[p.pos]
-		if op != '*' && op != '/' {
-			return v, true
-		}
-		p.pos++
-		rhs, ok := p.atom()
-		if !ok {
-			return 0, false
-		}
-		if op == '*' {
-			v *= rhs
-		} else {
-			if rhs == 0 {
-				return 0, false
-			}
-			v /= rhs
-		}
-	}
-}
-
-func (p *sexprParser) atom() (float64, bool) {
-	p.skip()
-	if p.pos >= len(p.s) {
-		return 0, false
-	}
-	c := p.s[p.pos]
-	switch {
-	case c == '(':
-		p.pos++
-		v, ok := p.addSub()
-		p.skip()
-		if !ok || p.pos >= len(p.s) || p.s[p.pos] != ')' {
-			return 0, false
-		}
-		p.pos++
-		return v, true
-	case c >= '0' && c <= '9':
-		start := p.pos
-		for p.pos < len(p.s) && (p.s[p.pos] >= '0' && p.s[p.pos] <= '9' || p.s[p.pos] == '.') {
-			p.pos++
-		}
-		v, err := strconv.ParseFloat(p.s[start:p.pos], 64)
-		return v, err == nil
-	case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
-		start := p.pos
-		for p.pos < len(p.s) && (p.s[p.pos] == '_' ||
-			p.s[p.pos] >= 'a' && p.s[p.pos] <= 'z' ||
-			p.s[p.pos] >= 'A' && p.s[p.pos] <= 'Z' ||
-			p.s[p.pos] >= '0' && p.s[p.pos] <= '9') {
-			p.pos++
-		}
-		v, ok := p.env[p.s[start:p.pos]]
-		return v, ok
-	}
-	return 0, false
 }

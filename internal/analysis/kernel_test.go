@@ -97,6 +97,55 @@ void k(double *a, int n) {
 	}
 }
 
+// TestSectionElems prices map clauses from the section lengths cparse
+// parsed: a bare name, or a length that is unresolved, malformed or <= 0,
+// is one element, and a name resolves as a loop bound does, through env or
+// a local's constant initializer.
+func TestSectionElems(t *testing.T) {
+	env := Env{"n": 100, "m": 10}
+	cases := []struct {
+		arg  string
+		want float64
+	}{
+		{"a[0:n]", 100},
+		{"a[0:n*m]", 1000},
+		{"a[0:(n+1)*m]", 1010},
+		{"a[0:1024]", 1024},
+		{"scalar", 1},
+		{"a[0:unknown]", 1},
+		{"a[n]", 100}, // single-extent section
+		{"a[0:len]", 200},
+		{"a[0:n +]", 1},
+		{"a[0:m-n]", 1}, // a length <= 0
+	}
+	for _, c := range cases {
+		kc := analyze(t, `
+void k(double *a, double scalar, int n, int m) {
+    int len = 2 * n;
+    #pragma omp target teams distribute parallel for map(to: `+c.arg+`)
+    for (int i = 0; i < n; i++) a[i] = a[i] + scalar;
+}`, env)
+		if kc.TransferBytes != 8*c.want || kc.MappedArrays != 1 {
+			t.Errorf("map(to: %s): %v bytes in %d arrays, want %v in 1",
+				c.arg, kc.TransferBytes, kc.MappedArrays, 8*c.want)
+		}
+	}
+}
+
+// TestStandaloneDirectiveMapsNothing: cparse attaches no clause payloads to
+// a barrier, so a map clause written on one (not valid OpenMP, but it
+// parses) prices no transfer rather than reading past its children.
+func TestStandaloneDirectiveMapsNothing(t *testing.T) {
+	kc := analyze(t, `
+void k(double *a, int n) {
+    #pragma omp barrier map(to: a[0:n])
+    for (int i = 0; i < n; i++) a[i] = 1.0;
+}`, Env{"n": 100})
+	if kc.TransferBytes != 0 || kc.MappedArrays != 0 {
+		t.Errorf("barrier map: %v bytes in %d arrays, want none", kc.TransferBytes, kc.MappedArrays)
+	}
+}
+
 func TestAnalyzeCollapseParallelIters(t *testing.T) {
 	kc := analyze(t, `
 void k(double *a, int n, int m) {

@@ -25,10 +25,8 @@ type Job struct {
 type Result struct {
 	JobID    string
 	Value    float64
-	Err      error   // non-nil when the job exhausted its retries
-	Attempts int     // total attempts, including the successful one
-	Node     int     // node that ran the final attempt
-	WaitTime float64 // simulated queue wait, arbitrary units
+	Err      error // non-nil when the job exhausted its retries
+	Attempts int   // total attempts, including the successful one
 }
 
 // Config describes the simulated cluster.
@@ -92,15 +90,14 @@ func (c *Cluster) Submit(jobs []Job) ([]Result, Stats) {
 	var wg sync.WaitGroup
 	work := make(chan int)
 
-	worker := func(node int) {
-		defer wg.Done()
-		for idx := range work {
-			results[idx] = c.runJob(jobs[idx], node)
-		}
-	}
 	wg.Add(nodes)
-	for n := 0; n < nodes; n++ {
-		go worker(n)
+	for range nodes {
+		go func() {
+			defer wg.Done()
+			for idx := range work {
+				results[idx] = c.runJob(jobs[idx])
+			}
+		}()
 	}
 	for i := range jobs {
 		work <- i
@@ -122,12 +119,11 @@ func (c *Cluster) Submit(jobs []Job) ([]Result, Stats) {
 }
 
 // runJob attempts one job with retries on injected node failures.
-func (c *Cluster) runJob(j Job, node int) Result {
-	res := Result{JobID: j.ID, Node: node}
+func (c *Cluster) runJob(j Job) Result {
+	res := Result{JobID: j.ID}
 	maxAttempts := c.cfg.maxRetries() + 1
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		res.Attempts = attempt + 1
-		res.WaitTime += c.queueWait(j.ID, attempt)
 		if c.injectFailure(j.ID, attempt) {
 			res.Err = fmt.Errorf("%w (job %s, attempt %d)", ErrNodeFailure, j.ID, attempt+1)
 			continue
@@ -156,14 +152,4 @@ func (c *Cluster) injectFailure(id string, attempt int) bool {
 	h.Write([]byte{byte(attempt)})
 	rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ c.cfg.Seed))
 	return rng.Float64() < c.cfg.FailureRate
-}
-
-// queueWait produces a small deterministic queue-wait figure so campaign
-// statistics have a realistic texture.
-func (c *Cluster) queueWait(id string, attempt int) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	h.Write([]byte{0xff, byte(attempt)})
-	rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ c.cfg.Seed))
-	return rng.Float64() * 10
 }

@@ -176,17 +176,3 @@ func TestEmptySubmit(t *testing.T) {
 		t.Errorf("empty submit: %v %+v", results, st)
 	}
 }
-
-func TestWaitTimesPopulated(t *testing.T) {
-	c := New(Config{Nodes: 2, Seed: 5})
-	results, _ := c.Submit(makeJobs(20))
-	var positive int
-	for _, r := range results {
-		if r.WaitTime > 0 {
-			positive++
-		}
-	}
-	if positive < 15 {
-		t.Errorf("only %d/20 jobs have queue wait", positive)
-	}
-}

@@ -542,7 +542,7 @@ func (p *parser) clauseNode(c omp.Clause, pos clex.Pos) *cast.Node {
 // sectionNode parses a map-clause array section like "a[0:n*m]" into an
 // ArraySubscriptExpr-shaped payload: base DeclRefExpr (scope-resolved) with
 // the section length expression as the index. Bare names become plain
-// DeclRefExprs.
+// DeclRefExprs. analysis prices the clause's transfer from this length.
 func (p *parser) sectionNode(arg string, pos clex.Pos) *cast.Node {
 	base := arg
 	var lenExpr string

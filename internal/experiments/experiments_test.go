@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"paragraph/internal/hw"
@@ -213,6 +214,31 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
+// TestTrainedOnceUnderConcurrency: two callers of one key at once share one
+// training run, and so one *Trained.
+func TestTrainedOnceUnderConcurrency(t *testing.T) {
+	r := NewRunner(Tiny())
+	var got [2]*Trained
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = r.Trained(hw.V100(), paragraph.LevelParaGraph)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0] != got[1] {
+		t.Error("concurrent callers of one key trained twice")
+	}
+}
+
 func TestTable4AndFigure7Ablation(t *testing.T) {
 	rows, err := tinyRunner.Table4()
 	if err != nil {
@@ -309,5 +335,20 @@ func TestScalesAreOrdered(t *testing.T) {
 		if s.Name == "" || s.Hidden <= 0 || s.BatchSize <= 0 || s.LR <= 0 {
 			t.Errorf("scale %+v incomplete", s)
 		}
+	}
+}
+
+func TestParseScale(t *testing.T) {
+	for _, name := range []string{"tiny", "small", "full", "TINY"} {
+		s, err := ParseScale(name)
+		if err != nil {
+			t.Errorf("ParseScale(%q): %v", name, err)
+		}
+		if s.Name != strings.ToLower(name) {
+			t.Errorf("ParseScale(%q).Name = %q", name, s.Name)
+		}
+	}
+	if _, err := ParseScale("enormous"); err == nil {
+		t.Error("unknown scale accepted")
 	}
 }

@@ -108,11 +108,15 @@ func (t *Trained) ValApps() []string {
 type Runner struct {
 	Scale Scale
 
-	mu        sync.Mutex
-	platforms map[string]*dataset.Platform
-	prepared  map[string]*dataset.Prepared
-	trained   map[string]*Trained
-	compoffs  map[string]*trainedCompoff
+	mu    sync.Mutex
+	memos map[string]*memo
+}
+
+// memo is one cached artifact, built once.
+type memo struct {
+	once sync.Once
+	val  any
+	err  error
 }
 
 type trainedCompoff struct {
@@ -123,13 +127,23 @@ type trainedCompoff struct {
 
 // NewRunner returns a Runner at the given scale.
 func NewRunner(scale Scale) *Runner {
-	return &Runner{
-		Scale:     scale,
-		platforms: map[string]*dataset.Platform{},
-		prepared:  map[string]*dataset.Prepared{},
-		trained:   map[string]*Trained{},
-		compoffs:  map[string]*trainedCompoff{},
+	return &Runner{Scale: scale, memos: map[string]*memo{}}
+}
+
+// cached returns r's artifact under key, running build on the first call.
+// Concurrent callers of one key wait for that one build and share its
+// result, an error included; callers of other keys do not wait on it.
+func cached[T any](r *Runner, key string, build func() (T, error)) (T, error) {
+	r.mu.Lock()
+	m, ok := r.memos[key]
+	if !ok {
+		m = &memo{}
+		r.memos[key] = m
 	}
+	r.mu.Unlock()
+	m.once.Do(func() { m.val, m.err = build() })
+	v, _ := m.val.(T)
+	return v, m.err
 }
 
 // datasetConfig derives the collection configuration from the scale.
@@ -145,78 +159,48 @@ func (r *Runner) datasetConfig() dataset.Config {
 
 // Platform returns (collecting on first use) the dataset slice for machine m.
 func (r *Runner) Platform(m hw.Machine) (*dataset.Platform, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.platforms[m.Name]; ok {
-		return p, nil
-	}
-	p, err := dataset.Collect(m, r.datasetConfig())
-	if err != nil {
-		return nil, err
-	}
-	r.platforms[m.Name] = p
-	return p, nil
+	return cached(r, "platform/"+m.Name, func() (*dataset.Platform, error) {
+		return dataset.Collect(m, r.datasetConfig())
+	})
 }
 
 // Prepared returns (building on first use) the prepared samples for machine
 // m at a representation level.
 func (r *Runner) Prepared(m hw.Machine, level paragraph.Level) (*dataset.Prepared, error) {
-	p, err := r.Platform(m)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("%s/%d", m.Name, level)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prep, ok := r.prepared[key]; ok {
-		return prep, nil
-	}
-	prep, err := dataset.Prepare(p.Points, dataset.PrepConfig{
-		Level: level,
-		Seed:  r.Scale.Seed,
+	return cached(r, fmt.Sprintf("prepared/%s/%d", m.Name, level), func() (*dataset.Prepared, error) {
+		p, err := r.Platform(m)
+		if err != nil {
+			return nil, err
+		}
+		return dataset.Prepare(p.Points, dataset.PrepConfig{Level: level, Seed: r.Scale.Seed})
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.prepared[key] = prep
-	return prep, nil
 }
 
 // Trained returns (training on first use) the GNN model for machine m at a
 // representation level.
 func (r *Runner) Trained(m hw.Machine, level paragraph.Level) (*Trained, error) {
-	prep, err := r.Prepared(m, level)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("%s/%d", m.Name, level)
-	r.mu.Lock()
-	if tr, ok := r.trained[key]; ok {
-		r.mu.Unlock()
-		return tr, nil
-	}
-	r.mu.Unlock()
-
-	model := gnn.NewModel(gnn.Config{
-		Hidden:    r.Scale.Hidden,
-		Layers:    r.Scale.Layers,
-		Relations: int(paragraph.NumEdgeTypes),
-		Seed:      r.Scale.Seed,
+	return cached(r, fmt.Sprintf("trained/%s/%d", m.Name, level), func() (*Trained, error) {
+		prep, err := r.Prepared(m, level)
+		if err != nil {
+			return nil, err
+		}
+		model := gnn.NewModel(gnn.Config{
+			Hidden:    r.Scale.Hidden,
+			Layers:    r.Scale.Layers,
+			Relations: int(paragraph.NumEdgeTypes),
+			Seed:      r.Scale.Seed,
+		})
+		hist, err := model.Train(prep.Train, prep.Val, gnn.TrainConfig{
+			Epochs:    r.Scale.Epochs,
+			BatchSize: r.Scale.BatchSize,
+			LR:        r.Scale.LR,
+			Seed:      r.Scale.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &Trained{Model: model, Prep: prep, Hist: hist, Level: level}, nil
 	})
-	hist, err := model.Train(prep.Train, prep.Val, gnn.TrainConfig{
-		Epochs:    r.Scale.Epochs,
-		BatchSize: r.Scale.BatchSize,
-		LR:        r.Scale.LR,
-		Seed:      r.Scale.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr := &Trained{Model: model, Prep: prep, Hist: hist, Level: level}
-	r.mu.Lock()
-	r.trained[key] = tr
-	r.mu.Unlock()
-	return tr, nil
 }
 
 // Compoff returns (training on first use) the COMPOFF baseline for a GPU
@@ -226,62 +210,53 @@ func (r *Runner) Compoff(m hw.Machine) (*trainedCompoff, error) {
 	if !m.IsGPU {
 		return nil, fmt.Errorf("experiments: COMPOFF supports GPU platforms only (got %s)", m.Name)
 	}
-	r.mu.Lock()
-	if tc, ok := r.compoffs[m.Name]; ok {
-		r.mu.Unlock()
-		return tc, nil
-	}
-	r.mu.Unlock()
-
-	p, err := r.Platform(m)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := r.Prepared(m, paragraph.LevelParaGraph)
-	if err != nil {
-		return nil, err
-	}
-	// Index points by instance name to align COMPOFF samples with the
-	// GNN's split.
-	byName := map[string]dataset.Point{}
-	for _, pt := range p.Points {
-		byName[pt.Instance.Name()] = pt
-	}
-	build := func(gs []*gnn.Sample) ([]*compoff.Sample, error) {
-		out := make([]*compoff.Sample, len(gs))
-		for i, s := range gs {
-			pt, ok := byName[s.Name]
-			if !ok {
-				return nil, fmt.Errorf("experiments: point %s missing", s.Name)
-			}
-			feats, err := compoff.Extract(pt.Instance, 0)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = &compoff.Sample{Feats: feats, Target: s.Target, RawUS: s.RawUS, Name: s.Name}
+	return cached(r, "compoff/"+m.Name, func() (*trainedCompoff, error) {
+		p, err := r.Platform(m)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	trainS, err := build(prep.Train)
-	if err != nil {
-		return nil, err
-	}
-	valS, err := build(prep.Val)
-	if err != nil {
-		return nil, err
-	}
-	model := compoff.NewModel(compoff.Config{Hidden: 32, Seed: r.Scale.Seed})
-	if _, err := model.Train(trainS, valS, nn.TrainConfig{
-		Epochs: r.Scale.CompoffEpochs,
-		Seed:   r.Scale.Seed,
-	}); err != nil {
-		return nil, err
-	}
-	tc := &trainedCompoff{model: model, samples: valS, prep: prep}
-	r.mu.Lock()
-	r.compoffs[m.Name] = tc
-	r.mu.Unlock()
-	return tc, nil
+		prep, err := r.Prepared(m, paragraph.LevelParaGraph)
+		if err != nil {
+			return nil, err
+		}
+		// Index points by instance name to align COMPOFF samples with the
+		// GNN's split.
+		byName := map[string]dataset.Point{}
+		for _, pt := range p.Points {
+			byName[pt.Instance.Name()] = pt
+		}
+		build := func(gs []*gnn.Sample) ([]*compoff.Sample, error) {
+			out := make([]*compoff.Sample, len(gs))
+			for i, s := range gs {
+				pt, ok := byName[s.Name]
+				if !ok {
+					return nil, fmt.Errorf("experiments: point %s missing", s.Name)
+				}
+				feats, err := compoff.Extract(pt.Instance, 0)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = &compoff.Sample{Feats: feats, Target: s.Target, RawUS: s.RawUS, Name: s.Name}
+			}
+			return out, nil
+		}
+		trainS, err := build(prep.Train)
+		if err != nil {
+			return nil, err
+		}
+		valS, err := build(prep.Val)
+		if err != nil {
+			return nil, err
+		}
+		model := compoff.NewModel(compoff.Config{Hidden: 32, Seed: r.Scale.Seed})
+		if _, err := model.Train(trainS, valS, nn.TrainConfig{
+			Epochs: r.Scale.CompoffEpochs,
+			Seed:   r.Scale.Seed,
+		}); err != nil {
+			return nil, err
+		}
+		return &trainedCompoff{model: model, samples: valS, prep: prep}, nil
+	})
 }
 
 // valActualPredMS is Trained.ValActualPredMS for the baseline.

@@ -218,20 +218,6 @@ func matMulRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatVec returns a×x for a column vector x given as a slice.
-func MatVec(a *Matrix, x []float64) []float64 {
-	shapeCheck(a.Cols == len(x), "MatVec %dx%d × %d", a.Rows, a.Cols, len(x))
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		var acc float64
-		for j, v := range a.Row(i) {
-			acc += v * x[j]
-		}
-		out[i] = acc
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (m *Matrix) Sum() float64 {
 	var s float64
@@ -247,17 +233,6 @@ func (m *Matrix) Mean() float64 {
 		return 0
 	}
 	return m.Sum() / float64(len(m.Data))
-}
-
-// MaxAbs returns the largest absolute element (0 for empty).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Norm2 returns the Frobenius norm.
