@@ -109,8 +109,7 @@ func (a *analyzer) stmt(n *cast.Node, mult float64) {
 		a.directive(n, mult)
 	case cast.KindOMPClause:
 		// Clause payloads are declarative, not executed per iteration;
-		// their costs (transfer volume) are accounted from the directive's
-		// clause list.
+		// the directive accounts their costs (transfer volume).
 	case cast.KindBreakStmt, cast.KindContinueStmt, cast.KindNullStmt:
 		// no cost
 	default:
@@ -124,34 +123,28 @@ func (a *analyzer) stmt(n *cast.Node, mult float64) {
 // KernelCost reports total dynamic work; the simulator divides by effective
 // parallelism per machine model.
 func (a *analyzer) directive(n *cast.Node, mult float64) {
-	d := n.Dir
-	if d != nil {
-		if d.Kind.IsTarget() {
-			a.kc.IsOffload = true
+	if n.Dir.IsTarget() {
+		a.kc.IsOffload = true
+	}
+	for _, c := range n.Children {
+		switch {
+		case c.Kind != cast.KindOMPClause:
+		case c.Clause == omp.ClauseMap && c.Op != omp.MapAlloc.String():
+			a.mapClause(c)
+		case c.Clause == omp.ClauseReduction:
+			a.kc.ReductionOps++
 		}
-		for i, c := range d.Clauses {
-			switch c.Kind {
-			case omp.ClauseMap:
-				// cparse puts clause i's payload at child i; a standalone
-				// directive (barrier) has none.
-				if c.MapDir != omp.MapAlloc && i < len(n.Children) {
-					a.mapClause(n.Children[i], c.MapDir)
-				}
-			case omp.ClauseReduction:
-				a.kc.ReductionOps++
-			}
+	}
+	if loop := AssociatedStmt(n); loop != nil && n.Dir.IsLoopAssociated() {
+		depth := CollapseDepth(n)
+		a.kc.CollapseDepth = depth
+		iters := 1.0
+		for i := 0; i < depth && loop != nil && loop.Kind == cast.KindForStmt; i++ {
+			iters *= ForTrip(loop, a.env, a.defaultTrip).Trip
+			loop = firstLoopChild(loop)
 		}
-		if loop := AssociatedStmt(n); loop != nil && d.Kind.IsLoopAssociated() {
-			depth := d.CollapseDepth()
-			a.kc.CollapseDepth = depth
-			iters := 1.0
-			for i := 0; i < depth && loop != nil && loop.Kind == cast.KindForStmt; i++ {
-				iters *= ForTrip(loop, a.env, a.defaultTrip).Trip
-				loop = firstLoopChild(loop)
-			}
-			if iters > a.kc.ParallelIters {
-				a.kc.ParallelIters = iters
-			}
+		if iters > a.kc.ParallelIters {
+			a.kc.ParallelIters = iters
 		}
 	}
 	for _, c := range n.Children {
@@ -159,15 +152,24 @@ func (a *analyzer) directive(n *cast.Node, mult float64) {
 	}
 }
 
+// CollapseDepth is how many loops directive n binds: its collapse(k)
+// argument, or 1 when it has none or k is not a positive integer.
+func CollapseDepth(n *cast.Node) int {
+	if k := n.IntClause(omp.ClauseCollapse); k >= 1 {
+		return k
+	}
+	return 1
+}
+
 // mapClause prices one map clause from the payload cparse built for it:
 // per mapped array, 8 bytes per element of the section's length. A bare
 // name, or a length that does not evaluate to a positive count, is one
 // element.
-func (a *analyzer) mapClause(clause *cast.Node, dir omp.MapType) {
+func (a *analyzer) mapClause(clause *cast.Node) {
 	// tofrom crosses the link twice: host→device before the region and
 	// device→host after it.
 	factor := 1.0
-	if dir == omp.MapToFrom {
+	if clause.Op == omp.MapToFrom.String() {
 		factor = 2
 	}
 	for _, sect := range clause.Children {

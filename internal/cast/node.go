@@ -8,6 +8,7 @@ package cast
 
 import (
 	"fmt"
+	"strconv"
 
 	"paragraph/internal/clex"
 	"paragraph/internal/omp"
@@ -122,20 +123,21 @@ func (k Kind) String() string {
 //   - WhileStmt: [cond, body].
 //   - BinaryOperator and CompoundAssignOperator: [lhs, rhs].
 //   - FunctionDecl: [ParmVarDecl..., CompoundStmt body].
-//   - OMPExecutableDirective: [associated statement (usually ForStmt)].
+//   - OMPExecutableDirective: [OMPClause..., associated statement (usually
+//     ForStmt)]; a standalone directive (barrier) has no children.
 type Node struct {
 	Kind     Kind
-	Name     string         // declared or referenced identifier, function name
-	Value    string         // literal spelling for literal kinds
-	Op       string         // operator spelling for operator kinds
-	TypeName string         // type spelling for decls and casts
-	Pos      clex.Pos       // source position of the token that started the node
-	Children []*Node        // ordered children
-	Parent   *Node          // set by Finalize
-	Ref      *Node          // DeclRefExpr: the VarDecl/ParmVarDecl it references
-	Dir      *omp.Directive // OMPExecutableDirective payload
-	Clause   omp.ClauseKind // OMPClause payload
-	ID       int            // stable preorder index, set by Finalize
+	Name     string            // declared or referenced identifier, function name
+	Value    string            // literal spelling for literal kinds
+	Op       string            // operator spelling; an OMPClause's map type or reduction operator
+	TypeName string            // type spelling for decls and casts
+	Pos      clex.Pos          // source position of the token that started the node
+	Children []*Node           // ordered children
+	Parent   *Node             // set by Finalize
+	Ref      *Node             // DeclRefExpr: the VarDecl/ParmVarDecl it references
+	Dir      omp.DirectiveKind // OMPExecutableDirective: which directive
+	Clause   omp.ClauseKind    // OMPClause: which clause
+	ID       int               // stable preorder index, set by Finalize
 }
 
 // NewNode returns a node of the given kind.
@@ -220,10 +222,23 @@ func (n *Node) String() string {
 	case n.Op != "":
 		s += fmt.Sprintf(" '%s'", n.Op)
 	}
-	if n.Dir != nil {
-		s += fmt.Sprintf(" [%s]", n.Dir.Kind)
+	if n.Kind == KindOMPExecutableDirective {
+		s += fmt.Sprintf(" [%s]", n.Dir)
 	}
 	return s
+}
+
+// IntClause returns the integer argument of directive n's first clause of
+// the given kind — strconv.Atoi of its literal's spelling — or 0 when there
+// is no such clause or its argument is not a decimal integer.
+func (n *Node) IntClause(kind omp.ClauseKind) int {
+	for _, c := range n.Children {
+		if c.Kind == KindOMPClause && c.Clause == kind && len(c.Children) == 1 {
+			v, _ := strconv.Atoi(c.Children[0].Value) // 0 on error
+			return v
+		}
+	}
+	return 0
 }
 
 // Finalize assigns preorder IDs and parent pointers across the whole tree

@@ -161,9 +161,40 @@ func TestNodeString(t *testing.T) {
 		t.Errorf("String = %q", op.String())
 	}
 	dir := NewNode(KindOMPExecutableDirective)
-	dir.Dir = &omp.Directive{Kind: omp.DirParallelFor}
-	if !strings.Contains(dir.String(), "parallel for") {
-		t.Errorf("String = %q", dir.String())
+	dir.Dir = omp.DirParallelFor
+	if got := dir.String(); got != "OMPExecutableDirective [parallel for]" {
+		t.Errorf("String = %q", got)
+	}
+	clause := NewNode(KindOMPClause)
+	clause.Name = omp.ClauseMap.String()
+	clause.Clause = omp.ClauseMap
+	clause.Op = omp.MapTo.String()
+	if got := clause.String(); got != `OMPClause "map"` {
+		t.Errorf("String = %q", got)
+	}
+}
+
+// TestIntClause reads a directive's integer clauses the way the parent
+// directive struct's IntArg did: strconv.Atoi of the first such clause's
+// literal, 0 when absent or not a decimal integer.
+func TestIntClause(t *testing.T) {
+	clause := func(kind omp.ClauseKind, arg string) *Node {
+		lit := NewNode(KindIntegerLiteral)
+		lit.Value = arg
+		c := NewNode(KindOMPClause).AddChild(lit)
+		c.Clause = kind
+		return c
+	}
+	dir := NewNode(KindOMPExecutableDirective).AddChild(
+		clause(omp.ClauseCollapse, "2"), clause(omp.ClauseCollapse, "3"),
+		clause(omp.ClauseNumTeams, "0x2"), clause(omp.ClauseNumThreads, "n"),
+		NewNode(KindForStmt))
+	for kind, want := range map[omp.ClauseKind]int{
+		omp.ClauseCollapse: 2, omp.ClauseNumTeams: 0, omp.ClauseNumThreads: 0, omp.ClauseThreadLimit: 0,
+	} {
+		if got := dir.IntClause(kind); got != want {
+			t.Errorf("IntClause(%s) = %d, want %d", kind, got, want)
+		}
 	}
 }
 

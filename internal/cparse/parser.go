@@ -77,6 +77,7 @@ func ParseFunction(src string) (*cast.Node, error) {
 type parser struct {
 	toks   []clex.Token
 	pos    int
+	end    clex.Pos // reported for an error at the end of toks
 	scopes []map[string]*cast.Node
 	depth  int // live parseStmt/parseAssign/parseUnary frames, see enter
 }
@@ -110,7 +111,7 @@ func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
 
 func (p *parser) peek() clex.Token {
 	if p.atEOF() {
-		return clex.Token{Kind: clex.EOF}
+		return clex.Token{Kind: clex.EOF, Pos: p.end}
 	}
 	return p.toks[p.pos]
 }
@@ -131,7 +132,17 @@ func (p *parser) next() clex.Token {
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	return &Error{Pos: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
+	return p.errorAt(p.peek().Pos, format, args...)
+}
+
+func (p *parser) errorAt(pos clex.Pos, format string, args ...any) error {
+	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// sub returns a parser over toks, a pragma's, in p's scope and at its
+// nesting depth.
+func (p *parser) sub(toks []clex.Token, end clex.Pos) *parser {
+	return &parser{toks: toks, end: end, scopes: p.scopes, depth: p.depth}
 }
 
 func (p *parser) expectPunct(s string) (clex.Token, error) {
@@ -460,137 +471,26 @@ func (p *parser) parseStmt() (*cast.Node, error) {
 	}
 }
 
-// parsePragmaStmt parses a pragma followed by its associated statement. A
-// recognized OpenMP pragma wraps the statement in an OMPExecutableDirective
-// node; unrecognized non-OpenMP pragmas are dropped and the following
-// statement is returned bare.
+// parsePragmaStmt parses a pragma followed by its associated statement. An
+// OpenMP pragma wraps the statement in an OMPExecutableDirective node after
+// the directive's OMPClause children; any other pragma (#pragma once) is
+// dropped and the statement returned bare.
 func (p *parser) parsePragmaStmt() (*cast.Node, error) {
-	t := p.next()
-	d, err := omp.ParsePragma(t.Text)
-	if err != nil {
-		return nil, &Error{Pos: t.Pos, Msg: err.Error()}
-	}
-	// Standalone directives (barrier) have no associated statement.
-	if d != nil && d.Kind == omp.DirBarrier {
-		n := cast.NewNode(cast.KindOMPExecutableDirective)
-		n.Dir = d
-		n.Pos = t.Pos
-		return n, nil
-	}
-	stmt, err := p.parseStmt()
+	dir, err := p.parseDirective(p.next())
 	if err != nil {
 		return nil, err
 	}
-	if d == nil {
-		return stmt, nil
+	// A standalone directive (barrier) has no associated statement, and the
+	// graph sees no clauses on it.
+	if dir != nil && dir.Dir == omp.DirBarrier {
+		dir.Children = nil
+		return dir, nil
 	}
-	n := cast.NewNode(cast.KindOMPExecutableDirective)
-	n.Dir = d
-	n.Pos = t.Pos
-	// Clang materializes clause payloads as expression children of the
-	// directive; without them, resident-data and transferring variants of
-	// the same kernel would be indistinguishable graphs.
-	for _, c := range d.Clauses {
-		n.AddChild(p.clauseNode(c, t.Pos))
+	stmt, err := p.parseStmt()
+	if err != nil || dir == nil {
+		return stmt, err
 	}
-	n.AddChild(stmt)
-	return n, nil
-}
-
-// clauseNode builds the AST payload of one OpenMP clause. Variable
-// references resolve against the current scope so Ref edges reach the
-// mapped arrays' declarations.
-func (p *parser) clauseNode(c omp.Clause, pos clex.Pos) *cast.Node {
-	cn := cast.NewNode(cast.KindOMPClause)
-	cn.Name = c.Kind.String()
-	cn.Clause = c.Kind
-	cn.Pos = pos
-	switch c.Kind {
-	case omp.ClauseCollapse, omp.ClauseNumTeams, omp.ClauseNumThreads,
-		omp.ClauseThreadLimit, omp.ClauseSIMDLen:
-		lit := cast.NewNode(cast.KindIntegerLiteral)
-		if len(c.Args) > 0 {
-			lit.Value = c.Args[0]
-		}
-		lit.Pos = pos
-		cn.AddChild(lit)
-	case omp.ClauseMap:
-		for _, arg := range c.Args {
-			cn.AddChild(p.sectionNode(arg, pos))
-		}
-	case omp.ClauseReduction, omp.ClausePrivate, omp.ClauseFirstPrivate,
-		omp.ClauseLastPrivate, omp.ClauseShared:
-		cn.Op = c.Reducer
-		for _, arg := range c.Args {
-			ref := cast.NewNode(cast.KindDeclRefExpr)
-			ref.Name = arg
-			ref.Ref = p.lookup(arg)
-			ref.Pos = pos
-			cn.AddChild(ref)
-		}
-	case omp.ClauseSchedule, omp.ClauseDefault, omp.ClauseIf, omp.ClauseDevice:
-		for _, arg := range c.Args {
-			lit := cast.NewNode(cast.KindStringLiteral)
-			lit.Value = arg
-			lit.Pos = pos
-			cn.AddChild(lit)
-		}
-	}
-	return cn
-}
-
-// sectionNode parses a map-clause array section like "a[0:n*m]" into an
-// ArraySubscriptExpr-shaped payload: base DeclRefExpr (scope-resolved) with
-// the section length expression as the index. Bare names become plain
-// DeclRefExprs. analysis prices the clause's transfer from this length.
-func (p *parser) sectionNode(arg string, pos clex.Pos) *cast.Node {
-	base := arg
-	var lenExpr string
-	if open := strings.IndexByte(arg, '['); open >= 0 {
-		base = strings.TrimSpace(arg[:open])
-		if close := strings.LastIndexByte(arg, ']'); close > open {
-			section := arg[open+1 : close]
-			if colon := strings.IndexByte(section, ':'); colon >= 0 {
-				lenExpr = strings.TrimSpace(section[colon+1:])
-			} else {
-				lenExpr = strings.TrimSpace(section)
-			}
-		}
-	}
-	ref := cast.NewNode(cast.KindDeclRefExpr)
-	ref.Name = base
-	ref.Ref = p.lookup(base)
-	ref.Pos = pos
-	if lenExpr == "" {
-		return ref
-	}
-	sub := cast.NewNode(cast.KindArraySubscriptExpr)
-	sub.Pos = pos
-	length := p.parseEmbeddedExpr(lenExpr, pos)
-	sub.AddChild(ref, length)
-	return sub
-}
-
-// parseEmbeddedExpr parses an expression string (from a pragma clause) in
-// the current scope. Malformed expressions degrade to a DeclRefExpr holding
-// the raw text rather than failing the whole parse.
-func (p *parser) parseEmbeddedExpr(src string, pos clex.Pos) *cast.Node {
-	toks, err := clex.Tokenize(src)
-	if err != nil || len(toks) == 0 {
-		raw := cast.NewNode(cast.KindDeclRefExpr)
-		raw.Name = src
-		raw.Pos = pos
-		return raw
-	}
-	sub := &parser{toks: toks, scopes: p.scopes, depth: p.depth}
-	e, err := sub.parseExpr()
-	if err != nil || !sub.atEOF() {
-		raw := cast.NewNode(cast.KindDeclRefExpr)
-		raw.Name = src
-		raw.Pos = pos
-		return raw
-	}
-	return e
+	return dir.AddChild(stmt), nil
 }
 
 // parseFor builds a ForStmt with the paper's child ordering:

@@ -232,8 +232,8 @@ void axpy(double *x, double *y, double a, int n) {
 		t.Fatalf("found %d directives, want 1", len(dirs))
 	}
 	d := dirs[0]
-	if d.Dir.Kind != omp.DirParallelFor {
-		t.Errorf("directive kind = %v", d.Dir.Kind)
+	if d.Dir != omp.DirParallelFor {
+		t.Errorf("directive kind = %v", d.Dir)
 	}
 	if len(d.Children) != 1 || d.Children[0].Kind != cast.KindForStmt {
 		t.Errorf("directive child = %v", d.Children)
@@ -249,17 +249,10 @@ void k(double *a, int n, int m) {
             a[i * m + j] = 0.0;
 }`)
 	d := cast.Directives(root)[0]
-	if d.Dir.Kind != omp.DirTargetTeamsDistributeParallelFor {
-		t.Errorf("kind = %v", d.Dir.Kind)
-	}
-	if d.Dir.CollapseDepth() != 2 {
-		t.Errorf("collapse = %d", d.Dir.CollapseDepth())
-	}
-	if c, ok := d.Dir.Clause(omp.ClauseMap); !ok || c.MapDir != omp.MapToFrom {
-		t.Errorf("map clause = %+v (present %v), want tofrom", c, ok)
-	}
-	if d.Dir.NumTeams() != 8 || d.Dir.NumThreads() != 128 {
-		t.Errorf("teams/threads = %d/%d", d.Dir.NumTeams(), d.Dir.NumThreads())
+	want := "target teams distribute parallel for collapse=2 teams=8 threads=128: " +
+		"collapse(2) map:tofrom(a[(n*m)]) num_teams(8) num_threads(128)"
+	if got := directiveShape(d); got != want {
+		t.Errorf("directive = %s, want %s", got, want)
 	}
 }
 

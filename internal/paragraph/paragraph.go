@@ -29,6 +29,7 @@ import (
 	"paragraph/internal/cast"
 	"paragraph/internal/cparse"
 	"paragraph/internal/graph"
+	"paragraph/internal/omp"
 )
 
 // EdgeType enumerates ParaGraph's edge types (paper §III-A.2). Child is the
@@ -329,11 +330,10 @@ func (r *weightRule) parallelism(n *cast.Node) float64 {
 	if r.threads > 0 {
 		return float64(r.threads)
 	}
-	d := n.Dir
-	if d == nil || !d.Kind.IsLoopAssociated() {
+	if !n.Dir.IsLoopAssociated() {
 		return 0
 	}
-	teams, threads := d.NumTeams(), d.NumThreads()
+	teams, threads := n.IntClause(omp.ClauseNumTeams), n.IntClause(omp.ClauseNumThreads)
 	switch {
 	case teams > 0 && threads > 0:
 		return float64(teams * threads)
@@ -443,9 +443,7 @@ func subKind(n *cast.Node) int {
 	case cast.KindBinaryOperator, cast.KindCompoundAssignOperator, cast.KindUnaryOperator:
 		return opCodes[n.Op]
 	case cast.KindOMPExecutableDirective:
-		if n.Dir != nil {
-			return int(n.Dir.Kind)
-		}
+		return int(n.Dir)
 	case cast.KindOMPClause:
 		return int(n.Clause)
 	}
@@ -461,9 +459,7 @@ func nodeFeature(n *cast.Node) float64 {
 			return literalFeature(v)
 		}
 	case cast.KindOMPExecutableDirective:
-		if n.Dir != nil {
-			return float64(n.Dir.CollapseDepth())
-		}
+		return float64(analysis.CollapseDepth(n))
 	}
 	return 0
 }
@@ -479,8 +475,8 @@ func nodeLabel(n *cast.Node) string {
 		return n.Kind.String() + ":" + n.Value
 	case n.Op != "":
 		return n.Kind.String() + ":" + n.Op
-	case n.Dir != nil:
-		return "OMP:" + strings.ReplaceAll(n.Dir.Kind.String(), " ", "_")
+	case n.Kind == cast.KindOMPExecutableDirective:
+		return "OMP:" + strings.ReplaceAll(n.Dir.String(), " ", "_")
 	}
 	return n.Kind.String()
 }

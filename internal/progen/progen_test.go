@@ -1,5 +1,5 @@
 // Property tests driving randomly generated programs through the whole
-// static pipeline: lexer → parser → printer → parser, ParaGraph at all
+// static pipeline: lexer → parser, ParaGraph at all
 // three levels, static analysis, and GNN encoding. Any crash, parse error,
 // invalid graph, or non-finite cost is a bug in one of those layers.
 package progen
@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"paragraph/internal/analysis"
-	"paragraph/internal/cast"
 	"paragraph/internal/cparse"
 	"paragraph/internal/gnn"
 	"paragraph/internal/paragraph"
@@ -27,49 +26,6 @@ func TestGeneratedProgramsParse(t *testing.T) {
 			t.Fatalf("trial %d: parse error: %v\n%s", i, err, src)
 		}
 	}
-}
-
-func TestGeneratedProgramsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < trials; i++ {
-		src := Generate(rng, Config{WithOMP: i%3 == 0})
-		root, err := cparse.Parse(src)
-		if err != nil {
-			t.Fatalf("trial %d: %v", i, err)
-		}
-		printed := cast.PrintCString(root)
-		back, err := cparse.Parse(printed)
-		if err != nil {
-			t.Fatalf("trial %d: printed source does not re-parse: %v\n--- original ---\n%s\n--- printed ---\n%s",
-				i, err, src, printed)
-		}
-		if a, b := shape(root), shape(back); a != b {
-			t.Fatalf("trial %d: round-trip shape changed\n--- original ---\n%s\n--- printed ---\n%s", i, src, printed)
-		}
-	}
-}
-
-// shape summarizes a tree, ignoring wrapper nodes.
-func shape(root *cast.Node) string {
-	var sb strings.Builder
-	cast.Walk(root, func(n *cast.Node) bool {
-		switch n.Kind {
-		case cast.KindParenExpr:
-			return true
-		case cast.KindImplicitCastExpr:
-			if n.TypeName == "LValueToRValue" || n.TypeName == "" {
-				return true
-			}
-		}
-		sb.WriteString(n.Kind.String())
-		sb.WriteByte(':')
-		sb.WriteString(n.Name)
-		sb.WriteString(n.Op)
-		sb.WriteString(n.Value)
-		sb.WriteByte(';')
-		return true
-	})
-	return sb.String()
 }
 
 func TestGeneratedParaGraphInvariants(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"paragraph/internal/analysis"
 	"paragraph/internal/apps"
 	"paragraph/internal/cast"
 	"paragraph/internal/cparse"
@@ -130,19 +131,19 @@ func TestGeneratedSourcesParse(t *testing.T) {
 				t.Errorf("%s/%v: %d directives, want 1", k.Name, kind, len(dirs))
 				continue
 			}
-			d := dirs[0].Dir
-			if kind.IsGPU() != d.Kind.IsTarget() {
-				t.Errorf("%s/%v: directive %v target mismatch", k.Name, kind, d.Kind)
+			d := dirs[0]
+			if kind.IsGPU() != d.Dir.IsTarget() {
+				t.Errorf("%s/%v: directive %v target mismatch", k.Name, kind, d.Dir)
 			}
-			if kind.IsCollapse() && d.CollapseDepth() != 2 {
-				t.Errorf("%s/%v: collapse depth %d", k.Name, kind, d.CollapseDepth())
+			if kind.IsCollapse() && analysis.CollapseDepth(d) != 2 {
+				t.Errorf("%s/%v: collapse depth %d", k.Name, kind, analysis.CollapseDepth(d))
 			}
 			if kind.HasTransfer() != movesData(d) {
 				t.Errorf("%s/%v: transfer mismatch", k.Name, kind)
 			}
 			if kind.IsGPU() {
-				if d.Kind != omp.DirTargetTeamsDistributeParallelFor {
-					t.Errorf("%s/%v: directive = %v", k.Name, kind, d.Kind)
+				if d.Dir != omp.DirTargetTeamsDistributeParallelFor {
+					t.Errorf("%s/%v: directive = %v", k.Name, kind, d.Dir)
 				}
 			}
 		}
@@ -271,11 +272,11 @@ func TestDefaultSweepIsSubstantial(t *testing.T) {
 	}
 }
 
-// movesData reports whether any of d's map clauses moves data to or from the
-// device (alloc-only maps do not count).
-func movesData(d *omp.Directive) bool {
-	for _, c := range d.Clauses {
-		if c.Kind == omp.ClauseMap && c.MapDir != omp.MapAlloc {
+// movesData reports whether any of directive d's map clauses moves data to
+// or from the device (alloc-only maps do not count).
+func movesData(d *cast.Node) bool {
+	for _, c := range d.Children {
+		if c.Kind == cast.KindOMPClause && c.Clause == omp.ClauseMap && c.Op != omp.MapAlloc.String() {
 			return true
 		}
 	}
