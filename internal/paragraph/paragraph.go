@@ -323,15 +323,16 @@ func (r *weightRule) childEdges(n *cast.Node, scale, pendingPar float64, emit ed
 }
 
 // parallelism is the worker count dividing the iterations of the loop
-// associated with directive n: Options.Threads when positive — one thread
-// divides by one — and only for Threads == 0 the directive's own literal
+// associated with directive n: none when n binds no loop (parallel, single,
+// target data), else Options.Threads when positive — one thread divides by
+// one — and only for Threads == 0 the directive's own literal
 // num_teams*num_threads clauses.
 func (r *weightRule) parallelism(n *cast.Node) float64 {
-	if r.threads > 0 {
-		return float64(r.threads)
-	}
 	if !n.Dir.IsLoopAssociated() {
 		return 0
+	}
+	if r.threads > 0 {
+		return float64(r.threads)
 	}
 	teams, threads := n.IntClause(omp.ClauseNumTeams), n.IntClause(omp.ClauseNumThreads)
 	switch {

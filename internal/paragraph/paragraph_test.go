@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"paragraph/internal/analysis"
 	"paragraph/internal/cast"
+	"paragraph/internal/cparse"
 	"paragraph/internal/graph"
 )
 
@@ -301,6 +303,44 @@ void f(double *a) {
 		g := build(t, src, Options{Level: LevelParaGraph, Threads: threads})
 		if w, ok := childWeight(g, "ForStmt", "CompoundStmt"); !ok || w != want {
 			t.Errorf("Threads=%d: body weight = %v, want %v", threads, w, want)
+		}
+	}
+}
+
+// TestOnlyLoopDirectivesDivide: Threads divides the iterations of the loop a
+// directive binds, so a directive that binds no loop — as analysis counts
+// ParallelIters only under loop-associated ones — leaves the loop under it
+// undivided, in Build and in the Topology weights alike.
+func TestOnlyLoopDirectivesDivide(t *testing.T) {
+	for pragma, want := range map[string]float64{
+		"single": 800, "critical": 800, "parallel": 800, "target data map(to: a[0:n])": 800,
+		"parallel for": 100, "target teams distribute parallel for": 100,
+	} {
+		src := "void f(double *a, int n) {\n#pragma omp " + pragma +
+			"\nfor (int i = 0; i < n; i++) {\n a[i] = 0.0;\n}\n}"
+		bindings := analysis.Env{"n": 800}
+		g := build(t, src, Options{Level: LevelParaGraph, Threads: 8, Bindings: bindings})
+		if w, ok := childWeight(g, "ForStmt", "CompoundStmt"); !ok || w != want {
+			t.Errorf("%s: body weight = %v, want %v", pragma, w, want)
+		}
+		fn, err := cparse.ParseFunction(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := NewTopology(fn, LevelParaGraph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := topo.ChildWeights(8, topo.Trips(bindings))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := g.EdgesOfType(int(Child))
+		for i, e := range built {
+			if i >= len(ws) || ws[i] != e.Weight {
+				t.Errorf("%s: Topology child weights %v, Build's differ at edge %d", pragma, ws, i)
+				break
+			}
 		}
 	}
 }
