@@ -78,6 +78,40 @@ func TestParseDepthBudget(t *testing.T) {
 	}
 }
 
+// TestParseTokenBudget pins the length budget: a flat body or a pragma of
+// more than maxTokens tokens comes back as a *cparse.Error positioned where
+// the budget ran out, while one just under it still parses.
+func TestParseTokenBudget(t *testing.T) {
+	sum := func(terms int) string {
+		return "void k(double *a, int i) {\n    a[0] = " + strings.Repeat("a[i] + ", terms) + "1;\n}"
+	}
+	mapped := func(items int) string {
+		return "void k(double *a, int i) {\n#pragma omp target map(to: " +
+			strings.Repeat("a[0:i], ", items) + "a)\n    a[0] = 1;\n}"
+	}
+	for name, src := range map[string]string{
+		"sum-20000":    sum(20_000),
+		"sum-200000":   sum(200_000),
+		"pragma-20000": mapped(20_000),
+	} {
+		_, err := cparse.ParseFunction(src)
+		var perr *cparse.Error
+		if !errors.As(err, &perr) || perr.Msg != "source longer than 16384 tokens" || perr.Pos.Line == 0 {
+			t.Errorf("%s (%d bytes): err = %v, want the length budget's error", name, len(src), err)
+			continue
+		}
+		// A term is five tokens in seven bytes: 16 384 tokens end before 24 kB.
+		if perr.Pos.Offset > 24<<10 {
+			t.Errorf("%s: budget error at offset %d, want it where the budget ran out", name, perr.Pos.Offset)
+		}
+	}
+	for _, src := range []string{sum(3_000), mapped(2_000)} {
+		if _, err := cparse.ParseFunction(src); err != nil {
+			t.Errorf("%d bytes under the budget: %v", len(src), err)
+		}
+	}
+}
+
 // FuzzParseFunction holds the parser to its contract on arbitrary bytes: it
 // returns a tree or an error — it does not panic, hang the stack or exit —
 // and a tree it returns can be built and encoded at every representation
@@ -101,6 +135,16 @@ func FuzzParseFunction(f *testing.F) {
 		for _, src := range deepShapes(n) {
 			f.Add(src)
 		}
+	}
+	for _, pragma := range []string{
+		"parallel for collapse(0x2) num_threads(n)", "target map(a, b[0:n]) map(to: a[0:n][0:m])",
+		"target map(to: a[0:n +], b[0:f(n,m)]) map(alloc: s)", "target map(to: a[0:n)", "target map(to: a[0:n]])",
+		"parallel for,collapse(2), reduction(max: s, n) // note", `parallel for if(")") schedule(static, 16)`,
+		"parallel for if(@)", "barrier map(to: a[0:n]) reduction(+: s)", "critical (name)", "parallel(x)",
+		"parallel for private() default(none) nowait nowait", "target teams distribute \\\n parallel for #x",
+	} {
+		f.Add("void k(double *a, double *b, double s, int n, int m) {\n#pragma omp " + pragma +
+			"\nfor (int i = 0; i < n; i++) for (int j = 0; j < m; j++) a[i*m+j] = b[i] * s;\n}")
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		fn, err := cparse.ParseFunction(src)

@@ -14,6 +14,7 @@
 package cparse
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -39,7 +40,7 @@ func Parse(src string) (*cast.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, left: maxTokens}
 	p.pushScope()
 	root := cast.NewNode(cast.KindTranslationUnitDecl)
 	for !p.atEOF() {
@@ -50,7 +51,8 @@ func Parse(src string) (*cast.Node, error) {
 			return nil, p.errorf("file-scope pragma not supported: %s", p.peek().Text)
 		}
 		decl, err := p.parseExternalDecl()
-		if err != nil {
+		// Past the length budget, err is only its echo.
+		if err = cmp.Or(p.over, err); err != nil {
 			return nil, err
 		}
 		root.AddChild(decl)
@@ -79,8 +81,21 @@ type parser struct {
 	pos    int
 	end    clex.Pos // reported for an error at the end of toks
 	scopes []map[string]*cast.Node
-	depth  int // live parseStmt/parseAssign/parseUnary frames, see enter
+	depth  int   // live parseStmt/parseAssign/parseUnary frames, see enter
+	left   int   // tokens the parse may still consume, see maxTokens
+	over   error // set once it consumed more; the parser then sees EOF
 }
+
+// maxTokens is the length budget: how many tokens, pragma text included,
+// one parse may consume. The nesting budget bounds how deep a tree gets;
+// this bounds how big, and with it every later walk. Without it a flat
+// 140 kB body of 20 000 `a[i] +` terms, under the request body cap, costs
+// ~0.1 s to parse and as much to build a topology, per variant kind, inside
+// an admission slot. The suite's largest variant consumes 200 tokens, the
+// largest of 5 000 default progen kernels 2 157. It is charged as tokens
+// are consumed, so a source that breaks the nesting budget first gets that
+// error.
+const maxTokens = 1 << 14
 
 // maxDepth is the nesting budget: how many statement and expression levels
 // may be open at once. Every cycle of the recursive descent passes through
@@ -107,7 +122,7 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
+func (p *parser) atEOF() bool { return p.pos >= len(p.toks) || p.over != nil }
 
 func (p *parser) peek() clex.Token {
 	if p.atEOF() {
@@ -127,22 +142,26 @@ func (p *parser) next() clex.Token {
 	t := p.peek()
 	if !p.atEOF() {
 		p.pos++
+		p.charge(1, t.Pos)
 	}
 	return t
 }
 
-func (p *parser) errorf(format string, args ...any) error {
-	return p.errorAt(p.peek().Pos, format, args...)
+// charge spends n tokens, consumed at pos, of the length budget.
+func (p *parser) charge(n int, pos clex.Pos) {
+	if p.left -= n; p.left < 0 && p.over == nil {
+		p.over = &Error{Pos: pos, Msg: fmt.Sprintf("source longer than %d tokens", maxTokens)}
+	}
 }
 
-func (p *parser) errorAt(pos clex.Pos, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+func (p *parser) errorf(format string, args ...any) error {
+	return &Error{Pos: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 // sub returns a parser over toks, a pragma's, in p's scope and at its
-// nesting depth.
+// nesting depth; p has charged them to its budget.
 func (p *parser) sub(toks []clex.Token, end clex.Pos) *parser {
-	return &parser{toks: toks, end: end, scopes: p.scopes, depth: p.depth}
+	return &parser{toks: toks, end: end, scopes: p.scopes, depth: p.depth, left: len(toks)}
 }
 
 func (p *parser) expectPunct(s string) (clex.Token, error) {

@@ -1,6 +1,7 @@
 package cparse
 
 import (
+	"fmt"
 	"strings"
 	"unicode"
 
@@ -41,6 +42,9 @@ func (p *parser) parseDirective(t clex.Token) (*cast.Node, error) {
 	}
 	if i := skipped(text, toks); i >= 0 {
 		return nil, &Error{Pos: at(clex.Pos{Offset: i}), Msg: "OpenMP pragma: unexpected '#'"}
+	}
+	if p.charge(len(toks), t.Pos); p.over != nil {
+		return nil, p.over
 	}
 	for i := range toks {
 		toks[i].Pos = at(toks[i].Pos)
@@ -109,15 +113,8 @@ func (p *pragma) directive(pos clex.Pos) (*cast.Node, error) {
 	dir := cast.NewNode(cast.KindOMPExecutableDirective)
 	dir.Dir, dir.Pos = kind, pos
 	// critical may name its section; the graph does not see the name.
-	if kind == omp.DirCritical && p.peek().Is("(") {
-		p.next()
-		if p.peek().Kind != clex.Ident {
-			return nil, p.errorf("expected a critical section name, found %q", p.peek().Text)
-		}
-		p.next()
-		if _, err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
+	if kind == omp.DirCritical && p.peek().Is("(") && p.peekAt(1).Kind == clex.Ident && p.peekAt(2).Is(")") {
+		p.pos += 3
 	}
 	for !p.atEOF() {
 		if p.peek().Is(",") {
@@ -167,7 +164,7 @@ func (p *pragma) clause() (*cast.Node, error) {
 		m := omp.MapToFrom // the type is optional
 		if mod != nil {
 			if m, ok = omp.MapTypeByName(*mod); !ok {
-				return nil, p.errorAt(t.Pos, "unknown map type %q", *mod)
+				return nil, &Error{t.Pos, fmt.Sprintf("unknown map type %q", *mod)}
 			}
 		}
 		c.Op = m.String()
@@ -178,7 +175,7 @@ func (p *pragma) clause() (*cast.Node, error) {
 		omp.ClauseLastPrivate, omp.ClauseShared:
 		if kind == omp.ClauseReduction {
 			if mod == nil {
-				return nil, p.errorAt(t.Pos, "reduction clause missing ':'")
+				return nil, &Error{t.Pos, "reduction clause missing ':'"}
 			}
 			c.Op = *mod
 		}
@@ -230,7 +227,7 @@ func (p *pragma) args(modified bool) (mod *string, args []arg, err error) {
 			return mod, args, nil
 		case t.Is(")") || t.Is("]"):
 			if len(open) == 0 || (open[len(open)-1] == "(") != t.Is(")") {
-				return nil, nil, p.errorAt(t.Pos, "%q does not close the clause's brackets", t.Text)
+				return nil, nil, &Error{t.Pos, fmt.Sprintf("%q does not close the clause's brackets", t.Text)}
 			}
 			open = open[:len(open)-1]
 		case len(open) > 0:

@@ -275,6 +275,33 @@ func TestDeepCustomKernelIsAnError(t *testing.T) {
 	}
 }
 
+// TestLongCustomKernelIsAnError: a flat custom kernel of 20 000 `a[i] +`
+// terms — 140 kB, under the body cap, 100 000 tokens — is answered 422 by
+// the parser's length budget instead of being parsed and built once per
+// variant kind inside an admission slot, and the server keeps answering.
+func TestLongCustomKernelIsAnError(t *testing.T) {
+	s := newTestServer(t)
+	spec := &KernelSpec{
+		Name:     "flat",
+		FuncName: "flat",
+		Source: "void flat(double *a, int n) {\n__PRAGMA__\n" +
+			"    for (int i = 0; i < n; i++) {\n        a[i] = " +
+			strings.Repeat("a[i] + ", 20_000) + "1.0;\n    }\n}\n",
+		Params: []ParamSpec{{Name: "n", Values: []int{1024}}},
+	}
+	rec := do(t, s, http.MethodPost, "/v1/advise", AdviseRequest{
+		Custom: spec, Machine: "NVIDIA V100 (GPU)", Bindings: map[string]float64{"n": 1024},
+		Space: &SpaceSpec{GPUTeams: []int{64}, GPUThreads: []int{128}},
+	}, nil)
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "longer than 16384 tokens") {
+		t.Errorf("advise with a 20 000-term body: %d %.200s, want 422 naming the length budget",
+			rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, nil); rec.Code != http.StatusOK {
+		t.Errorf("healthz after the long advise: %d", rec.Code)
+	}
+}
+
 // TestSearchSpaceIsBoundedAtTheEdge: a space with an entry below 1 or more
 // than advisor.MaxGridPoints points is a 400 naming the reason, counted in
 // serve_rejected_total{reason}, and costs no evaluation — the grid is never
