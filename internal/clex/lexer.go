@@ -302,6 +302,12 @@ var punct2 = []string{
 
 func (l *Lexer) lexPunct() (Token, error) {
 	start := l.pos()
+	// Brackets, separators and ?:~ begin no longer operator.
+	switch c := l.peek(); c {
+	case '(', ')', '[', ']', '{', '}', ',', ';', '?', ':', '~':
+		l.advance()
+		return Token{Kind: Punct, Text: string(c), Pos: start}, nil
+	}
 	rest := l.src[l.off:]
 	for _, p := range punct3 {
 		if strings.HasPrefix(rest, p) {

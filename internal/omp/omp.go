@@ -39,7 +39,7 @@ const (
 	DirMaster
 )
 
-var dirNames = map[DirectiveKind]string{
+var dirNames = [...]string{
 	DirUnknown:                          "unknown",
 	DirParallel:                         "parallel",
 	DirFor:                              "for",
@@ -65,8 +65,8 @@ var dirNames = map[DirectiveKind]string{
 
 // String returns the canonical OpenMP spelling of the directive kind.
 func (k DirectiveKind) String() string {
-	if s, ok := dirNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(dirNames) {
+		return dirNames[k]
 	}
 	return fmt.Sprintf("DirectiveKind(%d)", int(k))
 }
@@ -116,7 +116,7 @@ const (
 	ClauseSIMDLen
 )
 
-var clauseNames = map[ClauseKind]string{
+var clauseNames = [...]string{
 	ClauseUnknown:      "unknown",
 	ClauseCollapse:     "collapse",
 	ClauseNumTeams:     "num_teams",
@@ -139,8 +139,8 @@ var clauseNames = map[ClauseKind]string{
 // ClauseByName returns the clause kind an OpenMP clause name spells.
 func ClauseByName(name string) (ClauseKind, bool) {
 	for k, n := range clauseNames {
-		if n == name && k != ClauseUnknown {
-			return k, true
+		if n == name && k != 0 {
+			return ClauseKind(k), true
 		}
 	}
 	return ClauseUnknown, false
@@ -148,8 +148,8 @@ func ClauseByName(name string) (ClauseKind, bool) {
 
 // String returns the OpenMP spelling of the clause kind.
 func (k ClauseKind) String() string {
-	if s, ok := clauseNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(clauseNames) {
+		return clauseNames[k]
 	}
 	return fmt.Sprintf("ClauseKind(%d)", int(k))
 }
@@ -193,8 +193,8 @@ func MatchDirective(words []string) (DirectiveKind, int) {
 	for n := min(len(words), 5); n > 0; n-- {
 		name := strings.Join(words[:n], " ")
 		for k, s := range dirNames {
-			if s == name && k != DirUnknown {
-				return k, n
+			if s == name && k != 0 {
+				return DirectiveKind(k), n
 			}
 		}
 	}
