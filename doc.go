@@ -15,8 +15,9 @@
 // # Package tree
 //
 //	internal/
-//	  clex, cparse, cast     C subset lexer, parser, Clang-style AST
-//	  omp                    OpenMP directive and clause model
+//	  clex, cparse, cast     C subset lexer, parser (OpenMP pragmas too, into
+//	                         the AST), Clang-style AST
+//	  omp                    OpenMP vocabulary: directive, clause, map type
 //	  analysis               static analyses (constant folding, array sizes)
 //	  graph                  typed, weighted multigraph structure
 //	  paragraph              the paper's representation: AST → ParaGraph

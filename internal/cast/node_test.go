@@ -174,9 +174,8 @@ func TestNodeString(t *testing.T) {
 	}
 }
 
-// TestIntClause reads a directive's integer clauses the way the parent
-// directive struct's IntArg did: strconv.Atoi of the first such clause's
-// literal, 0 when absent or not a decimal integer.
+// TestIntClause: a directive's integer clause is strconv.Atoi of the first
+// such clause's literal, and 0 when absent or not decimal (0x2, n).
 func TestIntClause(t *testing.T) {
 	clause := func(kind omp.ClauseKind, arg string) *Node {
 		lit := NewNode(KindIntegerLiteral)

@@ -1,7 +1,8 @@
 // Package clex implements a lexical analyzer for the C subset used by the
 // ParaGraph benchmark kernels. It produces a token stream with source
-// positions, captures #pragma lines verbatim (so the OpenMP layer can parse
-// them), and skips comments and uninteresting preprocessor directives.
+// positions, captures #pragma lines verbatim as one token (cparse tokenizes
+// an OpenMP pragma's text again to parse its clauses), and skips comments
+// and uninteresting preprocessor directives.
 package clex
 
 import "fmt"

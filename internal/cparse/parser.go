@@ -2,7 +2,9 @@
 // into a Clang-style AST (package cast). The subset covers what the paper's
 // nine applications need: function definitions, scalar/pointer/array
 // declarations, for/while/do/if control flow, full C expression precedence,
-// and OpenMP pragmas attached to statements.
+// and OpenMP pragmas attached to statements, whose clauses it parses from
+// tokens into OMPClause children of the directive (pragma.go): the AST is
+// the one record of a pragma.
 //
 // Two Clang behaviours the ParaGraph representation relies on are mimicked:
 //

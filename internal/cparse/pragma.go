@@ -1,6 +1,7 @@
 package cparse
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
@@ -35,7 +36,8 @@ func (p *parser) parseDirective(t clex.Token) (*cast.Node, error) {
 	toks, err := clex.Tokenize(text)
 	if err != nil {
 		pos, msg := t.Pos, err.Error()
-		if lerr, ok := err.(*clex.Error); ok {
+		var lerr *clex.Error
+		if errors.As(err, &lerr) {
 			pos, msg = at(lerr.Pos), lerr.Msg
 		}
 		return nil, &Error{Pos: pos, Msg: "OpenMP pragma: " + msg}
@@ -146,8 +148,7 @@ func (p *pragma) clause() (*cast.Node, error) {
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	modified := kind == omp.ClauseMap || kind == omp.ClauseReduction
-	mod, args, err := p.args(modified)
+	mod, args, err := p.args(kind == omp.ClauseMap || kind == omp.ClauseReduction)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,7 @@
 // Package progen generates random — but always well-formed — C kernels in
 // the subset the frontend supports. It drives property-based tests across
-// the pipeline: every generated program must lex, parse, print,
-// re-parse to the same shape, build a valid ParaGraph at every level,
-// and analyze to finite costs.
+// the pipeline: every generated program must lex, parse, build a valid
+// ParaGraph at every level, and analyze to finite costs.
 package progen
 
 import (
