@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -470,6 +471,11 @@ func TestBuildServerFlagErrors(t *testing.T) {
 // the second seeded by the first, form one ring, forward over it, answer
 // with identical rankings regardless of the receiving peer, and losing a
 // peer degrades to local serving without failures.
+//
+// Two checks need a key the second peer owns, and where a key lands is up
+// to its hash. Each asks its fixed keys (8, then 16) and then fresh ones
+// until it has seen such a key, up to keysToSee of the second peer's ring
+// share: a bound a run exhausts by chance less than once in 2⁴⁰.
 func TestClusterFlagsFormWorkingTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the checkpoint fixture in -short mode")
@@ -513,8 +519,18 @@ func TestClusterFlagsFormWorkingTier(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// Every key is owned by one of the two peers: the second peer's share
+	// of the ring is its chance of owning a fresh key.
+	var shareB float64
+	for _, m := range srvs[0].Ring().Members {
+		if m.Peer == urls[1] {
+			shareB = m.Ownership
+		}
+	}
+	bound := keysToSee(shareB)
+
 	forwarded := false
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 8 || (!forwarded && i < bound); i++ {
 		req := serve.AdviseRequest{
 			Kernel:   "matmul",
 			Machine:  "NVIDIA V100 (GPU)",
@@ -534,7 +550,7 @@ func TestClusterFlagsFormWorkingTier(t *testing.T) {
 		}
 	}
 	if !forwarded {
-		t.Error("no request was forwarded between the two peers")
+		t.Errorf("no request was forwarded between the two peers in %d keys (second peer's share %.3f)", bound, shareB)
 	}
 	ring := srvs[0].Ring()
 	if !ring.Enabled || len(ring.Members) != 2 {
@@ -547,14 +563,15 @@ func TestClusterFlagsFormWorkingTier(t *testing.T) {
 	// Degraded mode: kill peer B outright (listener and every open
 	// connection); peer A keeps answering B-owned keys itself. With rf=2
 	// on two peers A is every key's primary or sole surviving replica, so
-	// fresh B-primary keys count local fallbacks.
+	// fresh B-primary keys count local fallbacks. The bindings are never
+	// a multiple of 32, so no key repeats one from above.
 	hss[1].Close()
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 16 || (srvs[0].Ring().LocalFallbacks == 0 && i < bound); i++ {
 		var resp serve.AdviseResponse
 		post(t, urls[0]+"/v1/advise", serve.AdviseRequest{
 			Kernel:   "matmul",
 			Machine:  "NVIDIA V100 (GPU)",
-			Bindings: map[string]float64{"n": float64(4096 + 32*i)},
+			Bindings: map[string]float64{"n": float64(4096 + 32*i + 16)},
 			Space:    &serve.SpaceSpec{GPUTeams: []int{64, 128}, GPUThreads: []int{128}},
 		}, &resp)
 		if resp.ServedBy != urls[0] {
@@ -562,8 +579,17 @@ func TestClusterFlagsFormWorkingTier(t *testing.T) {
 		}
 	}
 	if srvs[0].Ring().LocalFallbacks == 0 {
-		t.Error("16 fresh keys after peer loss and no local fallback recorded")
+		t.Errorf("%d fresh keys after peer loss and no local fallback recorded", bound)
 	}
+}
+
+// keysToSee returns how many independent fresh keys it takes before missing
+// every key of a share p of the ring is less likely than 2⁻⁴⁰.
+func keysToSee(p float64) int {
+	if p <= 0 || p >= 1 {
+		return 1
+	}
+	return int(math.Ceil(40/-math.Log2(1-p))) + 1
 }
 
 func TestBuildServerDefaultsAllPlatforms(t *testing.T) {

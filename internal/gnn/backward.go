@@ -135,7 +135,7 @@ type gradWS struct {
 func (tw *trainWeights) gradient(gw *gradWS, s *Sample, grad []float64) float64 {
 	w, ws := tw.w, &gw.workspace
 	st := &ws.slots[0]
-	st.buf = ws.arena.GetSlice(st.buf, ws.shape(w, s.G))
+	st.buf = resize(st.buf, ws.shape(w, s.G))
 	ws.pass = resize(ws.pass, len(w.layers)*ws.n*ws.hdim+2*ws.hdim+w.featB.Cols)
 	gw.vec = resize(gw.vec, 3*ws.hdim+w.featB.Cols)
 	d := w.forward(ws, st, nil, s) - s.Target
@@ -175,7 +175,7 @@ func (gw *gradWS) head(tw *trainWeights, dp float64, grad []float64) {
 	backRow(w.fc1W, dEmb, nil, dPooled)
 
 	// pooled = mean over rows of h^L.
-	ws.arena.GetMatrix(&gw.dh, ws.n, hd)
+	reshape(&gw.dh, ws.n, hd)
 	inv := 1 / float64(ws.n)
 	for i := 0; i < ws.n; i++ {
 		row := gw.dh.Row(i)
@@ -226,7 +226,7 @@ func backRow(w *tensor.Matrix, dz []float64, pass []bool, dx []float64) {
 // tiled kernel; nil rows means every row of a.
 func (gw *gradWS) addATB(a *tensor.Matrix, rows []int, b *tensor.Matrix, dst []float64) {
 	m := b.Rows
-	gw.arena.GetMatrix(&gw.opT, a.Cols, m)
+	reshape(&gw.opT, a.Cols, m)
 	for k := 0; k < m; k++ {
 		i := k
 		if rows != nil {
@@ -293,7 +293,7 @@ func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64
 	in, dOut, dIn := ws.h(st, li), &gw.dh, &gw.dIn
 	q, score := ws.q(st, li, r)
 
-	ws.arena.GetMatrix(&gw.dq, q.Rows, hd)
+	reshape(&gw.dq, q.Rows, hd)
 	clear(gw.dq.Data)
 	gw.dsSrc = resize(gw.dsSrc, q.Rows)
 	clear(gw.dsSrc)

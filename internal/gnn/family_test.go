@@ -270,14 +270,25 @@ func TestFamilyMatchesPerSampleOnGeneratedKernels(t *testing.T) {
 // matmulGPUGrid encodes the 48 points of matmul's default V100 grid in the
 // advisor's enumeration order (kind-major, then teams, then threads).
 func matmulGPUGrid(tb testing.TB) []*Sample {
+	grid := gpuGrid(tb, "matmul", map[string]float64{"n": 512})
+	if len(grid) != 48 {
+		tb.Fatalf("matmul GPU grid has %d points, want 48", len(grid))
+	}
+	return grid
+}
+
+// gpuGrid encodes a suite kernel's default V100 grid at bindings, in the
+// advisor's enumeration order (kind-major, then teams, then threads): 12
+// points per GPU variant kind the kernel admits.
+func gpuGrid(tb testing.TB, name string, bindings map[string]float64) []*Sample {
 	tb.Helper()
-	k, ok := apps.ByName("matmul")
+	k, ok := apps.ByName(name)
 	if !ok {
-		tb.Fatal("no matmul kernel")
+		tb.Fatalf("no %s kernel", name)
 	}
 	var grid []*Sample
 	for _, kind := range variants.Kinds() {
-		if !kind.IsGPU() {
+		if !kind.IsGPU() || (kind.IsCollapse() && !k.Collapsible) {
 			continue
 		}
 		for _, teams := range []int{16, 64, 128, 256} {
@@ -286,7 +297,7 @@ func matmulGPUGrid(tb testing.TB) []*Sample {
 				if err != nil {
 					tb.Fatal(err)
 				}
-				g, err := paragraph.BuildKernel(src, paragraph.Options{Level: paragraph.LevelParaGraph, Threads: threads, Bindings: map[string]float64{"n": 512}})
+				g, err := paragraph.BuildKernel(src, paragraph.Options{Level: paragraph.LevelParaGraph, Threads: threads, Bindings: bindings})
 				if err != nil {
 					tb.Fatal(err)
 				}
@@ -299,28 +310,41 @@ func matmulGPUGrid(tb testing.TB) []*Sample {
 			}
 		}
 	}
-	if len(grid) != 48 {
-		tb.Fatalf("matmul GPU grid has %d points, want 48", len(grid))
-	}
 	return grid
 }
 
 // TestPredictBatchGridAllocs: family evaluation keeps its per-call state in
 // the pooled workspace, so a whole 48-point grid allocates what a single
-// sample does — the result slice.
+// sample does — the result slice. So does one batch of several kernels'
+// grids whose node counts run small → large → small: after one warm call
+// the workspace's buffers have grown to fit the largest family and every
+// smaller one reuses them.
 func TestPredictBatchGridAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful unraced")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	grid := matmulGPUGrid(t)
+	var mixed []*Sample
+	for _, name := range []string{"pf_sum_weights", "gauss_seidel_sweep", "transpose"} {
+		k, _ := apps.ByName(name)
+		bindings := map[string]float64{}
+		for _, p := range k.Params {
+			bindings[p.Name] = float64(p.Values[0])
+		}
+		mixed = append(mixed, gpuGrid(t, name, bindings)...)
+	}
 	m := NewModel(Config{Seed: 1, Hidden: 24, Relations: int(paragraph.NumEdgeTypes)})
 	m.PredictBatch(grid) // build plans and derived weights, grow the workspace
+	m.PredictBatch(mixed)
 	one := testing.AllocsPerRun(20, func() { m.PredictBatch(grid[:1]) })
 	all := testing.AllocsPerRun(20, func() { m.PredictBatch(grid) })
 	if one != 1 || all != one {
 		t.Errorf("PredictBatch allocates %v times for one sample and %v for the %d-point grid, want 1 and 1",
 			one, all, len(grid))
+	}
+	if got := testing.AllocsPerRun(20, func() { m.PredictBatch(mixed) }); got != 1 {
+		t.Errorf("PredictBatch allocates %v times for %d points of three kernels' grids, want 1", got, len(mixed))
 	}
 }
 

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -50,9 +51,7 @@ import (
 // a row from its inputs alone in one fixed accumulation order (see
 // tensor/inplace.go), each recomputed row is rebuilt from scratch in the
 // full pass's relation and edge order, clean rows are copies, and pooling
-// and the head run per member over its fully materialised h^L. (The
-// tiled/skip-zero kernel choice may differ between a member and its own
-// full pass; the two kernels are bit-identical for finite weights.)
+// and the head run per member over its fully materialised h^L.
 //
 // Three precomputed structures make the hot path cheap:
 //
@@ -72,16 +71,13 @@ import (
 //     H²-projection).
 //
 //   - workspace: the state slots and scratch of one worker, sized from the
-//     model Config and graph shape, backed by a tensor arena and pooled on
-//     the Model via sync.Pool. In steady state a forward pass performs zero
-//     heap allocations (asserted by TestInferForwardZeroAllocs). Nothing
+//     model Config and graph shape through resize and pooled on the Model
+//     via sync.Pool. In steady state a forward pass performs zero heap
+//     allocations (asserted by TestInferForwardZeroAllocs). Nothing
 //     derived from a graph's weights outlives the call: dataset.Prepare
 //     rewrites WScale after encoding.
 //
-// The matmuls dispatch between the register-blocked tiled kernel and the
-// skip-zero row kernel on the measured density of the layer input: ReLU
-// zeroes roughly half of each hidden layer's activations, and below
-// denseCutoff the skipped inner loops beat the tiled kernel's blocking.
+// Every matmul runs the register-blocked tiled kernel (tensor.MatMulInto).
 
 // relPlan is one relation's edges re-ordered by destination node.
 type relPlan struct {
@@ -240,12 +236,20 @@ type families struct {
 	sigs               []uint64 // per family: a cheap topology digest, scanned before any element compare
 }
 
-// resize returns s with length n, reallocating only to grow.
+// resize returns s with length n, reallocating only to grow, and then to the
+// next power of two: a workspace that sees graphs of varying sizes settles
+// on a few capacities instead of growing a little at every larger graph.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, 1<<bits.Len(uint(n-1)))
 	}
 	return s[:n]
+}
+
+// reshape points m at a rows×cols matrix backed by resize.
+func reshape(m *tensor.Matrix, rows, cols int) {
+	m.Data = resize(m.Data, rows*cols)
+	m.Rows, m.Cols = rows, cols
 }
 
 // group rebuilds the partition for samples, reusing the slices' capacity.
@@ -271,18 +275,6 @@ func (f *families) group(samples []*Sample) {
 	}
 }
 
-// denseCutoff is the zero fraction above which a layer input routes its
-// matmuls through the skip-zero kernel instead of the tiled one. On paper:
-// at zero fraction z the skip kernel does (1-z) of the naive work while the
-// tiled kernel runs at ~0.75× naive, suggesting a crossover near z = 0.25.
-// Measured, the crossover is far higher: ReLU zeros land in unpredictable
-// positions, so the skip branch mispredicts on roughly min(z, 1-z) of
-// elements, and the skip kernel's load-add-store inner loop retires far
-// fewer FLOPs per cycle than the register-blocked one. Typical ParaGraph
-// activations (z ≈ 0.5) run faster fully tiled; only strongly sparse
-// inputs pay their way through the skip kernel.
-const denseCutoff = 0.7
-
 // maxBases bounds the member states a family keeps as bases: the first
 // member plus the first members seen with a new edge-weight vector. A GPU
 // grid has one weighting per thread count (three by default); weightings
@@ -300,12 +292,11 @@ type slot struct {
 }
 
 // workspace holds the state slots and every scratch buffer one worker
-// needs. Buffers are sized from the family's shape, backed by the arena
-// where they hold elements, and reused across calls, so re-running a pass
-// over a same-shaped graph touches no allocator at all. Workspaces are
-// pooled per Model and used by one goroutine at a time.
+// needs. Buffers are sized from the family's shape through resize and
+// reused across calls, so re-running a pass over a same-shaped graph
+// touches no allocator at all. Workspaces are pooled per Model and used by
+// one goroutine at a time.
 type workspace struct {
-	arena tensor.Arena
 	families
 
 	// The current family's shape: nodes, hidden width, source rows across
@@ -489,7 +480,7 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 				}
 			}
 		}
-		st.buf = ws.arena.GetSlice(st.buf, size)
+		st.buf = resize(st.buf, size)
 		out[i] = w.forward(ws, st, base, s)
 	}
 	// Nothing of the call's graphs may outlive it in the pooled workspace.
@@ -549,9 +540,8 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 		}
 	}
 
-	dense := true // the embedding sum is dense; ReLU sparsifies later layers
 	for li := range w.layers {
-		dense = w.layer(ws, st, li, dense)
+		w.layer(ws, st, li)
 	}
 
 	final := ws.h(st, len(w.layers))
@@ -564,14 +554,14 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 	tensor.AddBiasInto(&ws.emb2, w.fc2B, &ws.emb2)
 	ws.relu(&ws.emb2, head+ws.hdim)
 
-	ws.arena.GetMatrix(&ws.featIn, 1, 2)
+	reshape(&ws.featIn, 1, 2)
 	ws.featIn.Data[0], ws.featIn.Data[1] = s.Feats[0], s.Feats[1]
 	tensor.MatMulInto(&ws.featIn, w.featW, &ws.featEmb)
 	tensor.AddBiasInto(&ws.featEmb, w.featB, &ws.featEmb)
 	ws.relu(&ws.featEmb, head+2*ws.hdim)
 
 	hc, fc := ws.emb2.Cols, ws.featEmb.Cols
-	ws.arena.GetMatrix(&ws.concat, 1, hc+fc)
+	reshape(&ws.concat, 1, hc+fc)
 	copy(ws.concat.Data[:hc], ws.emb2.Data)
 	copy(ws.concat.Data[hc:], ws.featEmb.Data)
 	tensor.MatMulInto(&ws.concat, w.outW, &ws.outBuf)
@@ -590,24 +580,19 @@ func (ws *workspace) relu(m *tensor.Matrix, off int) {
 	tensor.LeakyReLUInto(m, 0, m)
 }
 
-// project computes dst = src[rows]×b, one output row per listed row, through
-// the tiled kernel or — when the layer input is ReLU-sparse — the skip-zero
-// one. rows is ascending, so a list as long as src is every row and src is
-// multiplied where it lies instead of through a gathered copy.
-func (ws *workspace) project(src *tensor.Matrix, rows []int, b, dst *tensor.Matrix, dense bool) {
+// project computes dst = src[rows]×b, one output row per listed row. rows is
+// ascending, so a list as long as src is every row and src is multiplied
+// where it lies instead of through a gathered copy.
+func (ws *workspace) project(src *tensor.Matrix, rows []int, b, dst *tensor.Matrix) {
 	a := src
 	if len(rows) != src.Rows {
 		a = &ws.gather
-		ws.arena.GetMatrix(a, len(rows), src.Cols)
+		reshape(a, len(rows), src.Cols)
 		for k, i := range rows {
 			copy(a.Row(k), src.Row(i))
 		}
 	}
-	if dense {
-		tensor.MatMulInto(a, b, dst)
-	} else {
-		tensor.MatMulSparseInto(a, b, dst)
-	}
+	tensor.MatMulInto(a, b, dst)
 }
 
 // layer is the fused engine counterpart of rgatLayer.apply, computing the
@@ -615,15 +600,14 @@ func (ws *workspace) project(src *tensor.Matrix, rows []int, b, dst *tensor.Matr
 // D_li on entry and D_li+1 on return; every row, on a full pass). The rows
 // of D_li — those whose input changed — are re-projected: the self
 // projection, and per relation the dirty unique source rows through W_r
-// with one tiled (or skip-zero) matmul, their attention scores read off the
+// with one tiled matmul, their attention scores read off the
 // precomputed projections p_src/p_dst — one H-dot per node instead of
 // re-projecting through W_r. The rows of D_li+1 are then rebuilt from their
 // self projection: LeakyReLU, segment softmax, static-weight scaling and
 // message aggregation run as one loop nest over the plan's
 // destination-grouped runs, accumulating straight into the output row;
-// then ReLU. It reports whether the rows it wrote are dense enough that the
-// next layer's matmuls should stay on the tiled kernel.
-func (w *weights) layer(ws *workspace, st *slot, li int, dense bool) bool {
+// then ReLU.
+func (w *weights) layer(ws *workspace, st *slot, li int) {
 	l := &w.layers[li]
 	g, p := st.g, ws.plan
 	in, out := ws.h(st, li), ws.h(st, li+1)
@@ -662,7 +646,7 @@ func (w *weights) layer(ws *workspace, st *slot, li int, dense bool) bool {
 		if all {
 			dst = &self
 		}
-		ws.project(&in, changed, l.self, dst, dense)
+		ws.project(&in, changed, l.self, dst)
 		bias := l.bias
 		for k, d := range changed {
 			srow, prow := self.Row(d)[:len(bias)], dst.Row(k)[:len(bias)]
@@ -705,7 +689,7 @@ func (w *weights) layer(ws *workspace, st *slot, li int, dense bool) bool {
 			if some {
 				dst = &ws.proj
 			}
-			ws.project(&in, nodes, l.w[r], dst, dense)
+			ws.project(&in, nodes, l.w[r], dst)
 			pSrc := l.pSrc[r]
 			for k, node := range nodes {
 				si := k
@@ -774,17 +758,13 @@ func (w *weights) layer(ws *workspace, st *slot, li int, dense bool) bool {
 			}
 		}
 	}
-	// h = ReLU(out) over the rows written, measuring their density for the
-	// next layer's kernels. Both the rectification and the zero count are
-	// branchless — the sign pattern is effectively random, so a
-	// compare-and-branch here would mispredict on half the elements.
-	neg := 0
+	// h = ReLU(out) over the rows written, branchless: the sign pattern is
+	// effectively random, so a compare-and-branch would mispredict on half
+	// the elements.
 	for _, d := range rows {
 		row := out.Row(d)
 		for j, v := range row {
-			neg += int(math.Float64bits(v) >> 63)
 			row[j] = max(v, 0)
 		}
 	}
-	return float64(neg) < denseCutoff*float64(len(rows)*ws.hdim)
 }

@@ -363,7 +363,11 @@ func entryKey(platform, name string) string { return platform + "\x00" + name }
 
 // pickDefault resolves the default alias among one platform's checkpoints:
 // a version literally named "default" wins, else the newest CreatedAt (name
-// as tiebreak). It is the only statement of that rule.
+// as tiebreak). This is the rule for a registry's checkpoints: cmd/serve and
+// examples/serveclient pass its choice to serve.NewServer as
+// Backend.Default, so the server's own fallback for backends that declare
+// no default (a model named "default", else the lexicographically first
+// name) never applies to them.
 func pickDefault(cps []Checkpoint) Checkpoint {
 	best := cps[0]
 	for _, cp := range cps[1:] {

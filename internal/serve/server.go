@@ -221,6 +221,9 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 	}
 	// Resolve each platform's default alias: an explicit Default wins, then
 	// a model literally named "default", then the lexicographically first.
+	// The fallback serves callers that declare no default; cmd/serve and
+	// examples/serveclient always declare the registry's choice
+	// (registry.Registry.Default), whose rule (newest checkpoint) differs.
 	for _, be := range s.backends {
 		if be.defaultName != "" {
 			// An explicit default must not shadow a model named "default":

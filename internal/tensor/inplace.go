@@ -6,26 +6,24 @@ package tensor
 // workspace with zero heap traffic. The elementwise kernels reuse the exact
 // loop body of their allocating counterparts (or the matching autodiff tape
 // op) and produce bit-identical values; MatMulInto instead runs the tiled
-// kernel (tiled.go), which preserves per-element accumulation order and so
-// agrees with the naive MatMul to the last ulp.
+// kernel (tiled.go), which keeps the naive MatMul's per-element
+// accumulation order and so agrees with it to the last ulp.
 //
 // These are the kernels the engine calls directly. The message path —
 // gather, attention softmax, scatter — has no op-level form here: gnn's
 // fused RGAT loop nest (gnn/infer.go) runs it in one pass over each
 // relation's edges, and the gnn equivalence fuzz pins that nest to the tape.
 //
-// Both matmuls compute every output row from its input row alone, with one
+// MatMulInto computes every output row from its input row alone, with one
 // fixed accumulation order per element, so any subset of rows multiplied on
-// its own equals the same rows of the full product bit for bit, and the two
-// kernels agree bit for bit on finite operands (a skipped zero would have
-// added exactly 0). gnn's family evaluation recomputes row subsets on that
-// guarantee; TestMatMulRowSubsetBitIdentical pins it.
+// its own equals the same rows of the full product bit for bit. gnn's family
+// evaluation recomputes row subsets on that guarantee;
+// TestMatMulRowSubsetBitIdentical pins it.
 //
 // The kernels are single-goroutine by design: parallelism belongs to the
 // caller, which fans out across samples (gnn.Model.PredictBatch), not across
 // rows of one product. dst is reshaped from its existing capacity,
-// allocating only when it must grow — pre-size it (see Arena) to stay
-// allocation-free.
+// allocating only when it must grow — pre-size it to stay allocation-free.
 
 // reshape points m at a rows×cols view of its backing array, growing the
 // array only when capacity is insufficient.
@@ -52,18 +50,6 @@ func MatMulInto(a, b, dst *Matrix) {
 	shapeCheck(a.Cols == b.Rows, "MatMulInto %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	dst.reshape(a.Rows, b.Cols)
 	matMulTiled(a.Data, a.Rows, a.Cols, b.Data, b.Cols, dst.Data)
-}
-
-// MatMulSparseInto is MatMulInto through the skip-zero row kernel: a zero
-// element of a skips its whole b-row pass, so the cost scales with a's
-// non-zero count. Worth it for operands whose rows are zero-heavy —
-// post-ReLU activations, typically — where skipped inner loops beat the
-// tiled kernel's register blocking; the inference engine dispatches between
-// the two on measured density.
-func MatMulSparseInto(a, b, dst *Matrix) {
-	shapeCheck(a.Cols == b.Rows, "MatMulSparseInto %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	dst.reshape(a.Rows, b.Cols)
-	matMulSparseRows(a.Data, a.Rows, a.Cols, b.Data, b.Cols, dst.Data)
 }
 
 // AddBiasInto computes dst = a + bias, broadcasting the 1×C bias over a's

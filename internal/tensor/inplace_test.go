@@ -113,63 +113,3 @@ func TestIntoKernelsReuseCapacity(t *testing.T) {
 		t.Errorf("product wrong: %v", dst.At(0, 0))
 	}
 }
-
-func TestArenaRecycles(t *testing.T) {
-	var a Arena
-	b1 := a.Get(100) // class 128
-	if len(b1) != 100 {
-		t.Fatalf("len = %d", len(b1))
-	}
-	b1[0] = 42
-	a.Put(b1)
-	b2 := a.Get(120) // same class → same backing array
-	if cap(b2) != cap(b1) || &b2[0] != &b1[0] {
-		t.Error("arena did not recycle the buffer within its size class")
-	}
-	if got := a.Get(120); &got[0] == &b2[0] {
-		t.Error("arena handed out the same buffer twice")
-	}
-	if a.Get(0) != nil {
-		t.Error("Get(0) should be nil")
-	}
-	a.Put(nil) // must not panic
-}
-
-func TestArenaGetMatrixSteadyState(t *testing.T) {
-	var a Arena
-	var m Matrix
-	a.GetMatrix(&m, 6, 7)
-	if m.Rows != 6 || m.Cols != 7 || len(m.Data) != 42 {
-		t.Fatalf("shape %dx%d len %d", m.Rows, m.Cols, len(m.Data))
-	}
-	ptr := &m.Data[0]
-	a.GetMatrix(&m, 6, 7) // same shape: no movement
-	if &m.Data[0] != ptr {
-		t.Error("steady-state GetMatrix moved the buffer")
-	}
-	a.GetMatrix(&m, 3, 2) // shrink: reslice in place
-	if &m.Data[0] != ptr || m.Rows != 3 {
-		t.Error("shrink should reslice in place")
-	}
-	a.GetMatrix(&m, 30, 30) // grow: old buffer recycled into the arena
-	if got := a.Get(40); &got[0] != ptr {
-		t.Error("outgrown buffer was not recycled")
-	}
-}
-
-func TestArenaGetSlice(t *testing.T) {
-	var a Arena
-	s := a.GetSlice(nil, 10)
-	if len(s) != 10 {
-		t.Fatalf("len = %d", len(s))
-	}
-	ptr := &s[0]
-	s2 := a.GetSlice(s, 5)
-	if &s2[0] != ptr {
-		t.Error("shrinking GetSlice moved the buffer")
-	}
-	s3 := a.GetSlice(s2, 1000)
-	if len(s3) != 1000 {
-		t.Fatalf("len = %d", len(s3))
-	}
-}

@@ -1,20 +1,17 @@
 // Package tensor implements the dense float64 matrix and the kernels
-// underpinning the neural-network stack: allocation, element access,
-// BLAS-like products (with goroutine parallelism for large operands), seeded
-// random initialization, and the destination-passing kernels and buffer
-// arena of the inference engine (inplace.go, tiled.go, arena.go). One type,
-// Matrix, carries the autodiff tape, the optimizer, checkpoints and the
-// engine alike. It is the lowest layer of the substitute for the paper's
-// PyTorch-Geometric stack.
+// underpinning the neural-network stack: allocation, element access, the
+// naive reference product, seeded random initialization, and the
+// destination-passing kernels of the inference engine (inplace.go,
+// tiled.go). One type, Matrix, carries the autodiff tape, the optimizer,
+// checkpoints and the engine alike. It is the lowest layer of the
+// substitute for the paper's PyTorch-Geometric stack.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -160,62 +157,25 @@ func Transpose(m *Matrix) *Matrix {
 	return out
 }
 
-// parallelThresholdFlops is the approximate work above which MatMul fans out
-// across cores.
-const parallelThresholdFlops = 1 << 17
-
-// MatMul returns a×b, parallelizing across rows of a when the product is
-// large enough to amortize goroutine startup. The serial kernel is shared
-// with MatMulInto, so the two (and any worker split) are bit-identical.
+// MatMul returns a×b through the naive serial kernel: an ikj loop that
+// streams b row-wise and skips a's zero elements. It is the reference the
+// autodiff tape is defined by, deliberately separate from the engine's tiled
+// kernel (MatMulInto) so the tape stays an independent oracle for it.
 func MatMul(a, b *Matrix) *Matrix {
 	shapeCheck(a.Cols == b.Rows, "MatMul %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	out := New(a.Rows, b.Cols)
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThresholdFlops || a.Rows < 2 {
-		matMulRange(a, b, out, 0, a.Rows)
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRange(a, b, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
-
-// matMulRange computes rows [lo,hi) of out = a×b with an ikj loop order that
-// streams b row-wise (cache friendly).
-func matMulRange(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
+	for i := 0; i < a.Rows; i++ {
 		oi := out.Row(i)
-		for k, av := range ai {
+		for k, av := range a.Row(i) {
 			if av == 0 {
 				continue
 			}
-			bk := b.Row(k)
-			for j, bv := range bk {
+			for j, bv := range b.Row(k) {
 				oi[j] += av * bv
 			}
 		}
 	}
+	return out
 }
 
 // Sum returns the sum of all elements.

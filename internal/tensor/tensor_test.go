@@ -74,23 +74,6 @@ func TestMatMulSmall(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	// Big enough to trigger the parallel path.
-	a := New(128, 96)
-	b := New(96, 64)
-	a.RandN(rng, 1)
-	b.RandN(rng, 1)
-	got := MatMul(a, b)
-	want := New(128, 64)
-	matMulRange(a, b, want, 0, a.Rows)
-	for i := range want.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
-			t.Fatalf("parallel mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestMatMulIdentityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,7 +1,7 @@
 package tensor
 
-// This file holds the cache-blocked matrix-multiply kernels behind
-// MatMulInto and MatMulSparseInto (inplace.go).
+// This file holds the cache-blocked matrix-multiply kernel behind
+// MatMulInto (inplace.go), the engine's only matmul.
 //
 // Blocking strategy, sized for the inference workload (k = Hidden ≤ 128,
 // m up to a few hundred graph nodes):
@@ -18,7 +18,7 @@ package tensor
 //     measuring slower than the naive kernel's working set.
 //   - No k blocking: the k loop runs innermost and in order, so every
 //     dst element accumulates its products in the same sequence as the
-//     naive kernel. Sums can therefore differ from matMulRange only
+//     naive kernel. Sums can therefore differ from MatMul only
 //     through the latter's skip-zero branch (signed-zero placement),
 //     never by reassociation — TestTiledMatchesNaive pins this to
 //     ≤ 1 ulp. At the depths the model uses (k ≤ 128) a micro-kernel's
@@ -120,28 +120,6 @@ func tiledRows1(a, b []float64, n, jc, nc int, dst []float64) {
 			c += a[t] * b[t*n+j]
 		}
 		dst[j] = c
-	}
-}
-
-// matMulSparseRows computes dst = a×b like matMulTiled but with the naive
-// kernel's skip-zero row walk: a row's zero entries skip their whole b-row
-// pass. The inference engine routes h-consuming products through it when a
-// ReLU layer output is zero-heavy enough that skipped work beats the tiled
-// kernel's register blocking (see gnn's density dispatch).
-func matMulSparseRows(a []float64, m, k int, b []float64, n int, dst []float64) {
-	clear(dst[:m*n])
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		di := dst[i*n : (i+1)*n]
-		for t, av := range ai {
-			if av == 0 {
-				continue
-			}
-			bt := b[t*n : t*n+n]
-			for j, bv := range bt {
-				di[j] += av * bv
-			}
-		}
 	}
 }
 
