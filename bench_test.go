@@ -373,7 +373,7 @@ func perSample(b *testing.B, n int) {
 }
 
 // BenchmarkPredictFastPath compares the tape path (the pre-engine Predict:
-// a fresh inference tape and a fresh matrix per op) against the pooled
+// a fresh tape and a fresh matrix per op) against the pooled
 // fused engine: on a single sample, and across the 48-point matmul V100
 // grid (benchGrid) — per point through the tape, as one PredictBatch call
 // through the engine (family evaluation, additionally fanned across cores),

@@ -76,8 +76,8 @@
 // every checkpoint is checked at startup and none can go missing under a
 // request. -model-dir is the only way cmd/serve boots.
 //
-// A request flows through three layers. A content-addressed sharded LRU
-// cache first answers exact repeats (whole advise rankings, keyed by hash
+// A request flows through three layers. A content-addressed LRU cache
+// first answers exact repeats (whole advise rankings, keyed by hash
 // of kernel template, bindings, search space and model version). On a miss, identical concurrent requests are
 // collapsed into a single evaluation (singleflight), a per-client fair
 // queue admits it into one of -pool evaluation slots, and

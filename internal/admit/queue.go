@@ -2,6 +2,7 @@ package admit
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -40,20 +41,18 @@ func (c QueueConfig) withDefaults() QueueConfig {
 type waiter struct {
 	ready      chan struct{} // closed by the dispatcher when the slot is granted
 	dispatched bool          // set (under the queue mutex) before ready closes
-	cancelled  bool          // set (under the queue mutex) when the waiter gave up
 }
 
-// lane is one client's FIFO of waiters.
+// lane is one client's FIFO of waiters; a lane in the queue is never empty.
 type lane struct {
 	client string
 	fifo   []*waiter
-	live   int // fifo entries not yet cancelled
 }
 
 // maxTrackedClients bounds the cumulative per-client counter map; clients
 // beyond it share the overflow bucket so an adversary minting client ids
 // cannot grow the stats surface without bound (the lanes themselves are
-// already bounded by MaxQueued live waiters).
+// already bounded by MaxQueued waiters).
 const maxTrackedClients = 256
 
 // overflowClient is the shared counter bucket once maxTrackedClients
@@ -82,7 +81,7 @@ type Queue struct {
 	cur   int     // ring cursor
 
 	running int
-	queued  int // live waiters across all lanes
+	queued  int // waiters across all lanes
 
 	admitted      uint64
 	shedQueueFull uint64
@@ -131,7 +130,7 @@ func (q *Queue) Acquire(ctx context.Context, client string) error {
 		return &ShedError{Reason: ReasonQueueFull}
 	}
 	l := q.lane(client)
-	if l.live >= q.cfg.MaxPerClient {
+	if len(l.fifo) >= q.cfg.MaxPerClient {
 		q.shedLaneFull++
 		q.counter(client).shed++
 		q.mu.Unlock()
@@ -139,7 +138,6 @@ func (q *Queue) Acquire(ctx context.Context, client string) error {
 	}
 	w := &waiter{ready: make(chan struct{})}
 	l.fifo = append(l.fifo, w)
-	l.live++
 	q.queued++
 	if q.queued > q.peakQueued {
 		q.peakQueued = q.queued
@@ -165,15 +163,12 @@ func (q *Queue) Acquire(ctx context.Context, client string) error {
 			q.mu.Unlock()
 			return nil
 		}
-		w.cancelled = true
-		l.live--
+		// Not dispatched, so w is still in its lane: forget it. A lane
+		// holds at most MaxPerClient waiters, so the search is short.
+		i := slices.Index(l.fifo, w)
+		l.fifo = slices.Delete(l.fifo, i, i+1)
 		q.queued--
-		// Sweep the lane's cancelled prefix now so an idle queue does
-		// not pin empty lanes until the next dispatch pass.
-		for len(l.fifo) > 0 && l.fifo[0].cancelled {
-			l.fifo = l.fifo[1:]
-		}
-		if l.live == 0 && len(l.fifo) == 0 {
+		if len(l.fifo) == 0 {
 			q.dropLaneLocked(l)
 		}
 		q.mu.Unlock()
@@ -258,9 +253,6 @@ func (q *Queue) dropLaneLocked(l *lane) {
 func (q *Queue) dispatchLocked() {
 	for q.running < q.cfg.Concurrency && q.queued > 0 {
 		w, client := q.nextLocked()
-		if w == nil {
-			return
-		}
 		w.dispatched = true
 		q.running++
 		q.queued--
@@ -270,42 +262,22 @@ func (q *Queue) dispatchLocked() {
 	}
 }
 
-// nextLocked pops the next live waiter under round-robin: the cursor lane
-// dispatches one waiter and the cursor advances. Lanes that drain (or hold
-// only cancelled waiters) are removed as they are encountered. Returns nil
-// only when no live waiter exists.
+// nextLocked pops the next waiter under round-robin: the cursor lane
+// dispatches one waiter and the cursor advances. A lane it drains is
+// removed. The caller guarantees a waiter exists (queued > 0).
 func (q *Queue) nextLocked() (*waiter, string) {
-	// Each iteration either removes a lane or dispatches, so the loop ends
-	// within len(q.order)+1 iterations.
-	for len(q.order) > 0 {
-		if q.cur >= len(q.order) {
-			q.cur = 0
-		}
-		l := q.order[q.cur]
-		for len(l.fifo) > 0 && l.fifo[0].cancelled {
-			l.fifo = l.fifo[1:]
-		}
-		if len(l.fifo) == 0 {
-			q.dropLaneLocked(l)
-			continue
-		}
-		w := l.fifo[0]
-		l.fifo = l.fifo[1:]
-		l.live--
-		// Sweep trailing cancelled entries too: if this pop took the last
-		// live waiter, no future dispatch pass would revisit the lane to
-		// clean them up, and the empty lane would pin ring memory.
-		for len(l.fifo) > 0 && l.fifo[0].cancelled {
-			l.fifo = l.fifo[1:]
-		}
-		if l.live == 0 && len(l.fifo) == 0 {
-			q.dropLaneLocked(l) // the cursor now rests on the lane after l
-		} else {
-			q.cur++
-		}
-		return w, l.client
+	if q.cur >= len(q.order) {
+		q.cur = 0
 	}
-	return nil, ""
+	l := q.order[q.cur]
+	w := l.fifo[0]
+	l.fifo = l.fifo[1:]
+	if len(l.fifo) == 0 {
+		q.dropLaneLocked(l) // the cursor now rests on the lane after l
+	} else {
+		q.cur++
+	}
+	return w, l.client
 }
 
 // LaneStat is one live lane's depth.
@@ -354,7 +326,7 @@ func (q *Queue) Stats() QueueStats {
 		ShedLaneFull:  q.shedLaneFull,
 	}
 	for _, l := range q.order {
-		st.LaneStats = append(st.LaneStats, LaneStat{Client: l.client, Queued: l.live})
+		st.LaneStats = append(st.LaneStats, LaneStat{Client: l.client, Queued: len(l.fifo)})
 	}
 	sort.Slice(st.LaneStats, func(i, j int) bool { return st.LaneStats[i].Client < st.LaneStats[j].Client })
 	for client, c := range q.clients {

@@ -48,18 +48,11 @@ func (v *Var) Grad() *tensor.Matrix {
 
 // Tape records operations for reverse-mode differentiation.
 type Tape struct {
-	backward  []func()
-	inference bool
+	backward []func()
 }
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
-
-// NewInferenceTape returns a tape that skips backward bookkeeping entirely:
-// values are computed as usual but no closures are recorded, so a
-// forward-only pass allocates no gradient machinery. Backward on such a
-// tape is a no-op; use it only for prediction (nn.NewInference does).
-func NewInferenceTape() *Tape { return &Tape{inference: true} }
 
 // Var registers a matrix as a graph input. Pass requiresGrad=true for
 // parameters and false for constants.
@@ -82,9 +75,6 @@ func (t *Tape) output(m *tensor.Matrix, inputs ...*Var) *Var {
 }
 
 func (t *Tape) record(fn func()) {
-	if t.inference {
-		return
-	}
 	t.backward = append(t.backward, fn)
 }
 

@@ -275,24 +275,3 @@ func TestGradAccumulatesAcrossUses(t *testing.T) {
 		t.Errorf("grad = %v, want 7", got)
 	}
 }
-
-func TestInferenceTapeMatchesValuesWithoutRecording(t *testing.T) {
-	compute := func(tp *Tape) float64 {
-		x := tp.Var(tensor.FromData(2, 2, []float64{1, -2, 3, 4}), true)
-		y := tp.MatMul(x, x)
-		y = tp.ReLU(y)
-		return tp.Sum(y).Value.At(0, 0)
-	}
-	train := NewTape()
-	infer := NewInferenceTape()
-	want := compute(train)
-	if got := compute(infer); got != want {
-		t.Errorf("inference value %v, training value %v", got, want)
-	}
-	if train.Ops() == 0 {
-		t.Error("training tape recorded nothing")
-	}
-	if infer.Ops() != 0 {
-		t.Errorf("inference tape recorded %d ops", infer.Ops())
-	}
-}

@@ -244,11 +244,11 @@ func (m *Model) Predict(s *Sample) float64 {
 	return predictOne(m, m.inferParams(), s)
 }
 
-// PredictTape is the reference prediction: Forward, the autodiff tape path,
-// run on an inference tape. It exists for the engine equivalence tests and
-// benchmarks; serving traffic should use Predict.
+// PredictTape is the reference prediction: Forward, the autodiff tape path.
+// It exists for the engine equivalence tests and benchmarks; serving
+// traffic should use Predict.
 func (m *Model) PredictTape(s *Sample) float64 {
-	f := nn.NewInference()
+	f := nn.NewForward()
 	return m.Forward(f, s).Value.At(0, 0)
 }
 

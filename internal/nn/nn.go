@@ -50,20 +50,11 @@ func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
 type Forward struct {
 	Tape     *autodiff.Tape
 	bindings map[*Parameter]*autodiff.Var
-	train    bool
 }
 
 // NewForward returns a pass that records gradients.
 func NewForward() *Forward {
-	return &Forward{Tape: autodiff.NewTape(), bindings: map[*Parameter]*autodiff.Var{}, train: true}
-}
-
-// NewInference returns a pass that skips gradient bookkeeping: its tape
-// records no backward closures, so prediction allocates only values. It is
-// the reference path (gnn.Model.PredictTape) the gnn engine is verified
-// against.
-func NewInference() *Forward {
-	return &Forward{Tape: autodiff.NewInferenceTape(), bindings: map[*Parameter]*autodiff.Var{}, train: false}
+	return &Forward{Tape: autodiff.NewTape(), bindings: map[*Parameter]*autodiff.Var{}}
 }
 
 // Bind returns the tape variable for a parameter, creating it on first use.
@@ -71,7 +62,7 @@ func (f *Forward) Bind(p *Parameter) *autodiff.Var {
 	if v, ok := f.bindings[p]; ok {
 		return v
 	}
-	v := f.Tape.Var(p.Value, f.train)
+	v := f.Tape.Var(p.Value, true)
 	f.bindings[p] = v
 	return v
 }

@@ -35,10 +35,6 @@ func TestForwardBindCaching(t *testing.T) {
 	if !v1.RequiresGrad() {
 		t.Error("training bind should require grad")
 	}
-	inf := NewInference()
-	if inf.Bind(p).RequiresGrad() {
-		t.Error("inference bind should not require grad")
-	}
 }
 
 func TestLinearApply(t *testing.T) {

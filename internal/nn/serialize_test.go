@@ -119,8 +119,8 @@ func TestCheckpointPreservesPredictions(t *testing.T) {
 	if err := LoadParams(&buf, l2.Params()); err != nil {
 		t.Fatal(err)
 	}
-	f1 := NewInference()
-	f2 := NewInference()
+	f1 := NewForward()
+	f2 := NewForward()
 	x1 := f1.Tape.Const(tensorFromRow(1, 2, 3))
 	x2 := f2.Tape.Const(tensorFromRow(1, 2, 3))
 	if got, want := l2.Apply(f2, x2).Value.At(0, 0), l.Apply(f1, x1).Value.At(0, 0); got != want {

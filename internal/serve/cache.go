@@ -5,8 +5,8 @@
 // per platform behind a "default" alias. One variant's runtime is a
 // one-point advise: a search space of one team and thread count.
 //
-// The scaling layers, in request order: a content-addressed sharded LRU
-// cache memoizes whole advise rankings; identical concurrent misses
+// The scaling layers, in request order: a content-addressed LRU cache
+// memoizes whole advise rankings; identical concurrent misses
 // collapse into one evaluation (singleflight); and per-client fair
 // admission caps evaluations in flight — one path, Server.serveKeyed.
 // Each evaluation encodes its whole variant grid across goroutines
@@ -38,20 +38,12 @@ import (
 	"sync"
 )
 
-// cacheShards is the shard count of every Cache: small enough that a cache
-// of a few hundred entries still gets useful per-shard capacity, large
-// enough that concurrent request goroutines rarely contend on one mutex.
-const cacheShards = 16
-
-// Cache is a content-addressed, sharded LRU cache. Keys are content hashes
-// (see Key), so a hit is a proof the expensive computation it memoizes was
-// already done for identical inputs. Values are treated as immutable by
-// convention. All methods are safe for concurrent use.
+// Cache is a content-addressed LRU cache holding at most its capacity in
+// entries. Keys are content hashes (see Key), so a hit is a proof the
+// expensive computation it memoizes was already done for identical inputs.
+// Values are treated as immutable by convention. All methods are safe for
+// concurrent use.
 type Cache struct {
-	shards [cacheShards]cacheShard
-}
-
-type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
@@ -65,51 +57,22 @@ type cacheEntry struct {
 	val any
 }
 
-// NewCache returns a cache holding at most capacity entries in total,
-// split evenly across shards (each shard holds at least one entry).
-// capacity <= 0 defaults to 1024.
+// NewCache returns a cache holding at most capacity entries.
 func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	perShard := capacity / cacheShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].capacity = perShard
-		c.shards[i].ll = list.New()
-		c.shards[i].items = map[string]*list.Element{}
-	}
-	return c
-}
-
-// shardFor picks a shard by FNV-1a over the key. Keys are usually hex
-// digests, whose byte values cover only 16 of 256 codes — a naive
-// first-byte mod would leave shards empty — so rehashing spreads them
-// evenly regardless of alphabet.
-func (c *Cache) shardFor(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%cacheShards]
+	return &Cache{capacity: capacity, ll: list.New(), items: map[string]*list.Element{}}
 }
 
 // Get returns the cached value for key, marking it most recently used.
 func (c *Cache) Get(key string) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
-		s.misses++
+		c.misses++
 		return nil, false
 	}
-	s.hits++
-	s.ll.MoveToFront(el)
+	c.hits++
+	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).val, true
 }
 
@@ -118,34 +81,32 @@ func (c *Cache) Get(key string) (any, bool) {
 // Peek so peer traffic neither skews the cache statistics nor keeps
 // entries warm that no client is asking for.
 func (c *Cache) Peek(key string) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
 	return el.Value.(*cacheEntry).val, true
 }
 
-// Add stores val under key, evicting the least recently used entry of the
-// key's shard when the shard is full. Re-adding an existing key replaces
-// its value and refreshes its recency.
+// Add stores val under key, evicting the least recently used entry when
+// the cache is full. Re-adding an existing key replaces its value and
+// refreshes its recency.
 func (c *Cache) Add(key string, val any) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
 		el.Value.(*cacheEntry).val = val
-		s.ll.MoveToFront(el)
+		c.ll.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.ll.PushFront(&cacheEntry{key: key, val: val})
-	if s.ll.Len() > s.capacity {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.items, oldest.Value.(*cacheEntry).key)
-		s.evictions++
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
+	if c.ll.Len() > c.capacity {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*cacheEntry).key)
+		c.evictions++
 	}
 }
 
@@ -155,37 +116,21 @@ type CacheItem struct {
 	Val any
 }
 
-// Items snapshots every entry, most-recently-used first within each shard
-// (shards are concatenated in index order). The snapshot layer feeds
-// persisted caches back through Add in reverse, so restore approximately
-// preserves recency.
+// Items snapshots every entry, most recently used first. The snapshot
+// layer feeds persisted caches back through Add in reverse, so a restore
+// rebuilds the recency order exactly.
 func (c *Cache) Items() []CacheItem {
-	var out []CacheItem
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			out = append(out, CacheItem{Key: e.key, Val: e.val})
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]CacheItem, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		out = append(out, CacheItem{Key: e.key, Val: e.val})
 	}
 	return out
 }
 
-// Len returns the total entry count across shards.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// CacheStats aggregates the per-shard counters.
+// CacheStats is a point-in-time copy of the cache's counters.
 type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Hits      uint64 `json:"hits"`
@@ -193,20 +138,11 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// Stats returns a consistent-enough snapshot of the cache counters (each
-// shard is read atomically; shards are read in sequence).
+// Stats returns the cache's counters, read under one lock.
 func (c *Cache) Stats() CacheStats {
-	var st CacheStats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += s.ll.Len()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Evictions += s.evictions
-		s.mu.Unlock()
-	}
-	return st
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
 }
 
 // Key builds a content-addressed cache key: the hex SHA-256 over the parts,

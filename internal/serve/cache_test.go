@@ -7,8 +7,8 @@ import (
 )
 
 func TestCacheHitMissEvict(t *testing.T) {
-	// Capacity below the shard count still gives each shard one slot.
-	c := NewCache(cacheShards)
+	const capacity = 16
+	c := NewCache(capacity)
 	if _, ok := c.Get(Key("absent")); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -22,55 +22,68 @@ func TestCacheHitMissEvict(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 
-	// Overflow every shard: with one slot per shard, inserting many keys
-	// must evict and never grow beyond capacity.
-	for i := 0; i < 10*cacheShards; i++ {
+	// Overflow the cache: inserting many keys must evict and never grow
+	// beyond capacity.
+	for i := 0; i < 10*capacity; i++ {
 		c.Add(Key(fmt.Sprint("k", i)), i)
 	}
-	if got := c.Len(); got > cacheShards {
-		t.Errorf("Len = %d, capacity %d", got, cacheShards)
+	st = c.Stats()
+	if st.Entries != capacity {
+		t.Errorf("entries = %d, capacity %d", st.Entries, capacity)
 	}
-	if c.Stats().Evictions == 0 {
-		t.Error("no evictions recorded")
+	if want := uint64(10*capacity + 1 - capacity); st.Evictions != want {
+		t.Errorf("evictions = %d, want %d", st.Evictions, want)
 	}
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	// Two entries per shard, three keys in one shard: a Get must refresh
-	// recency so the untouched middle key is the one evicted.
-	c2 := NewCache(2 * cacheShards)
-	shardOf := func(key string) int {
-		s := c2.shardFor(key)
-		for i := range c2.shards {
-			if s == &c2.shards[i] {
-				return i
-			}
-		}
-		return -1
-	}
-	// Find three keys landing in one shard.
-	var keys []string
-	target := -1
-	for i := 0; len(keys) < 3; i++ {
-		k := Key(fmt.Sprint("lru", i))
-		if target == -1 {
-			target = shardOf(k)
-		}
-		if shardOf(k) == target {
-			keys = append(keys, k)
-		}
-	}
-	c2.Add(keys[0], 0)
-	c2.Add(keys[1], 1)
-	if _, ok := c2.Get(keys[0]); !ok { // refresh keys[0]
+	// Capacity two, three keys: a Get must refresh recency so the
+	// untouched middle key is the one evicted.
+	c := NewCache(2)
+	keys := []string{Key("lru", "0"), Key("lru", "1"), Key("lru", "2")}
+	c.Add(keys[0], 0)
+	c.Add(keys[1], 1)
+	if _, ok := c.Get(keys[0]); !ok { // refresh keys[0]
 		t.Fatal("key 0 missing")
 	}
-	c2.Add(keys[2], 2) // evicts keys[1], the least recently used
-	if _, ok := c2.Get(keys[1]); ok {
+	c.Add(keys[2], 2) // evicts keys[1], the least recently used
+	if _, ok := c.Get(keys[1]); ok {
 		t.Error("LRU entry survived eviction")
 	}
-	if _, ok := c2.Get(keys[0]); !ok {
+	if _, ok := c.Get(keys[0]); !ok {
 		t.Error("recently used entry evicted")
+	}
+}
+
+// TestCacheHoldsExactlyCapacity: n distinct keys fit in NewCache(n) with no
+// eviction, whatever their hashes, and the (n+1)-th Add evicts exactly the
+// least recently used key.
+func TestCacheHoldsExactlyCapacity(t *testing.T) {
+	const n = 512
+	c := NewCache(n)
+	keys := make([]string, n+1)
+	for i := range keys {
+		keys[i] = Key("exact", fmt.Sprint(i))
+	}
+	for _, k := range keys[:n] {
+		c.Add(k, k)
+	}
+	if st := c.Stats(); st.Entries != n || st.Evictions != 0 {
+		t.Fatalf("after %d distinct adds: %+v, want %d entries and no evictions", n, st, n)
+	}
+	// Touch the oldest key so the second-oldest becomes the LRU one.
+	if _, ok := c.Get(keys[0]); !ok {
+		t.Fatal("oldest key missing before overflow")
+	}
+	c.Add(keys[n], n)
+	if st := c.Stats(); st.Entries != n || st.Evictions != 1 {
+		t.Fatalf("after overflow: %+v, want %d entries and one eviction", st, n)
+	}
+	for i, k := range keys {
+		_, held := c.Peek(k)
+		if want := i != 1; held != want {
+			t.Errorf("key %d held = %v, want %v", i, held, want)
+		}
 	}
 }
 
@@ -106,19 +119,6 @@ func TestCacheConcurrent(t *testing.T) {
 	st := c.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Error("no traffic recorded")
-	}
-}
-
-func TestCacheShardingCoversAllShards(t *testing.T) {
-	// Hex-digest keys only use 16 byte values; the shard hash must still
-	// reach every shard or capacity silently shrinks.
-	c := NewCache(16 * cacheShards)
-	seen := map[*cacheShard]bool{}
-	for i := 0; i < 4*cacheShards; i++ {
-		seen[c.shardFor(Key(fmt.Sprint("spread", i)))] = true
-	}
-	if len(seen) != cacheShards {
-		t.Errorf("keys reached %d/%d shards", len(seen), cacheShards)
 	}
 }
 

@@ -299,15 +299,15 @@ type proxiedResponse struct {
 	body   []byte
 }
 
-// tryForward re-marshals a decoded advise request and forwards it (see
-// cluster.forward); a request that will not marshal is served locally like
-// one no owner answered.
-func (s *Server) tryForward(ctx context.Context, tr *obs.Trace, targets []string, req *AdviseRequest) (proxiedResponse, bool) {
+// tryForward re-marshals a decoded advise request and forwards it on
+// behalf of client (see cluster.forward); a request that will not marshal
+// is served locally like one no owner answered.
+func (s *Server) tryForward(ctx context.Context, tr *obs.Trace, targets []string, client string, req *AdviseRequest) (proxiedResponse, bool) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return proxiedResponse{}, false
 	}
-	return s.cluster.forward(ctx, tr, targets, "/v1/advise", body)
+	return s.cluster.forward(ctx, tr, targets, client, "/v1/advise", body)
 }
 
 // forward posts body to the targets in successor order — the primary owner
@@ -319,10 +319,12 @@ func (s *Server) tryForward(ctx context.Context, tr *obs.Trace, targets []string
 // errors are authoritative answers and come back ok=true, relayed not
 // retried. The hop is recorded as a "forward" span on tr, annotated with
 // the answering peer (or "unreachable"), and carries tr's id so the
-// answering peer's trace joins this request's, and ctx's remaining deadline
-// budget so the peer sheds by the same clock the origin would.
-func (c *cluster) forward(ctx context.Context, tr *obs.Trace, targets []string, path string, body []byte) (proxiedResponse, bool) {
-	meta := shard.Meta{TraceID: tr.ID(), Deadline: remainingBudget(ctx)}
+// answering peer's trace joins this request's, client so the peer queues
+// the evaluation in the origin client's fair-queue lane, and ctx's
+// remaining deadline budget so the peer sheds by the same clock the origin
+// would.
+func (c *cluster) forward(ctx context.Context, tr *obs.Trace, targets []string, client, path string, body []byte) (proxiedResponse, bool) {
+	meta := shard.Meta{TraceID: tr.ID(), Client: client, Deadline: remainingBudget(ctx)}
 	sp := tr.StartSpan("forward")
 	for i, t := range targets {
 		status, respBody, err := c.fwd.Forward(ctx, t, path, body, meta)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"paragraph/internal/admit"
 	"paragraph/internal/advisor"
 	"paragraph/internal/apps"
 	"paragraph/internal/gnn"
@@ -271,6 +272,62 @@ func TestClusterForwardedInCountsCacheHits(t *testing.T) {
 	}
 	if got := b.srv.Ring().ForwardedIn; got != before+1 {
 		t.Errorf("owner forwarded_in = %d, want %d (cache-hit forwards must count)", got, before+1)
+	}
+}
+
+// TestClusterForwardKeepsClientLane: a cold miss forwarded to its owner
+// is queued in the origin client's fair-queue lane, not in one lane for
+// the forwarding peer — two client ids sent through the non-owner show up
+// as two clients in the owner's /v1/stats.
+func TestClusterForwardKeepsClientLane(t *testing.T) {
+	peers := startCluster(t, 2)
+	a, b := peers[0], peers[1]
+	ring := b.srv.cluster.ring()
+	first := findOwnedBinding(t, ring, b.http.URL, 9000)
+	second := findOwnedBinding(t, ring, b.http.URL, first.Bindings["n"]+1)
+	for client, req := range map[string]AdviseRequest{"alice": first, "bob": second} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.NewRequest(http.MethodPost, a.http.URL+"/v1/advise", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set(admit.ClientHeader, client)
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out AdviseResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || out.ServedBy != b.http.URL || out.Cached {
+			t.Fatalf("%s: served_by %q cached %v (%v), want a cold answer from the owner", client, out.ServedBy, out.Cached, err)
+		}
+	}
+	resp, err := http.Get(b.http.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Admit struct {
+			Clients []struct {
+				Client   string `json:"client"`
+				Admitted uint64 `json:"admitted"`
+			} `json:"clients"`
+		} `json:"admit"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]uint64{}
+	for _, c := range st.Admit.Clients {
+		got[c.Client] = c.Admitted
+	}
+	if len(got) != 2 || got["alice"] != 1 || got["bob"] != 1 {
+		t.Errorf("owner admit.clients = %v, want alice and bob admitted once each", got)
 	}
 }
 

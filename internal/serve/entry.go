@@ -60,8 +60,9 @@ func snapshotOf(items ...CacheItem) cacheSnapshot {
 }
 
 // entries turns a decoded snapshot back into cache items, oldest first —
-// snapshots list entries most-recent first, so feeding the result to
-// Cache.Add in order keeps the recency the LRU had. A ranking naming a
+// snapshots list entries most-recent first (Cache.Items' order), so
+// feeding the result to Cache.Add in order rebuilds exactly the recency
+// the LRU had. A ranking naming a
 // variant this build does not know (a snapshot from a future build) is
 // dropped rather than failing the rest.
 func (snap cacheSnapshot) entries() ([]CacheItem, error) {

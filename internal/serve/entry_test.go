@@ -205,7 +205,7 @@ func TestEntryCodecGolden(t *testing.T) {
 		t.Fatalf("RestoreCache(golden) = %d, %v, want its %d rankings", n, err, len(goldenEntries))
 	}
 	holds(t, "golden snapshot", s, goldenEntries)
-	if n := s.adviseCache.Len(); n != len(goldenEntries) {
+	if n := s.adviseCache.Stats().Entries; n != len(goldenEntries) {
 		t.Errorf("%d entries cached from the golden snapshot, want its %d rankings", n, len(goldenEntries))
 	}
 	var buf bytes.Buffer
@@ -238,7 +238,7 @@ func TestEntryCodecGolden(t *testing.T) {
 	if body, err := encodeEntries(goldenEntries[0]); err != nil || string(body) != withoutPredict(goldenReplicateAdvise) {
 		t.Errorf("re-encoded entry differs from the older bytes:\n got %s (%v)\nwant %s", body, err, withoutPredict(goldenReplicateAdvise))
 	}
-	if n := peers[0].srv.adviseCache.Len(); n != 1 {
+	if n := peers[0].srv.adviseCache.Stats().Entries; n != 1 {
 		t.Errorf("%d entries cached from the golden replicate bodies, want the one ranking", n)
 	}
 }
@@ -304,7 +304,7 @@ func TestEntryCodecRejectsHostileBodies(t *testing.T) {
 		if n, err := p.srv.RestoreCache(strings.NewReader(c.body)); n != 0 || (err == nil) != (c.status == http.StatusOK) {
 			t.Errorf("%s: RestoreCache = %d, %v", name, n, err)
 		}
-		if n := p.srv.adviseCache.Len(); n != 0 {
+		if n := p.srv.adviseCache.Stats().Entries; n != 0 {
 			t.Fatalf("%s: %d entries cached", name, n)
 		}
 	}
@@ -319,7 +319,7 @@ func TestEntryCodecRejectsHostileBodies(t *testing.T) {
 	if rec := doRaw(t, p.srv, http.MethodPost, "/v1/replicate", oversize, member); rec.Code != http.StatusBadRequest {
 		t.Errorf("oversize replicate body: %d, want 400", rec.Code)
 	}
-	if n := p.srv.adviseCache.Len(); n != 0 {
+	if n := p.srv.adviseCache.Stats().Entries; n != 0 {
 		t.Errorf("%d entries cached from an oversize replicate body", n)
 	}
 }

@@ -36,8 +36,7 @@ type serveMetrics struct {
 	reg       *obs.Registry
 	endpoints map[string]*endpointInstruments
 
-	adviseHits *obs.Counter
-	coalesced  *obs.Counter
+	coalesced *obs.Counter
 
 	// shed counts admission rejections by reason (serve_shed_total).
 	// Pre-registered for every reason so the series exist at zero —
@@ -82,8 +81,9 @@ func newServeMetrics(s *Server) *serveMetrics {
 				obs.DefLatencyBuckets),
 		}
 	}
-	m.adviseHits = m.reg.Counter("serve_advise_cache_hits_total",
-		"Advise responses answered from the response cache.", nil)
+	m.reg.CounterFunc("serve_advise_cache_hits_total",
+		"Advise responses answered from the response cache.", nil,
+		func() float64 { return float64(s.adviseCache.Stats().Hits) })
 	m.coalesced = m.reg.Counter("serve_coalesced_total",
 		"Responses that shared an identical concurrent request's evaluation (singleflight).", nil)
 

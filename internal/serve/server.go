@@ -644,7 +644,6 @@ func (s *Server) serveKeyed(ctx context.Context, r *http.Request, key string, re
 	// is content-addressed and immutable, so it is byte-identical to
 	// whatever the owner holds, and the hop is free to skip.
 	if hit {
-		s.metrics.adviseHits.Inc()
 		return v.([]advisor.Recommendation), nil, true, false, nil
 	}
 	// Deadline-aware shedding: a request that predictably cannot finish
@@ -672,7 +671,7 @@ func (s *Server) serveKeyed(ctx context.Context, r *http.Request, key string, re
 	flightStart := time.Now()
 	v, shared, err := s.flights.Do(flightKey, func() (any, error) {
 		if len(targets) > 0 {
-			if fr, ok := s.tryForward(ctx, tr, targets, req); ok {
+			if fr, ok := s.tryForward(ctx, tr, targets, clientKey(r), req); ok {
 				return fr, nil
 			}
 		}
@@ -754,7 +753,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"machines":       s.machineNames(),
-		"level":          paragraph.LevelParaGraph.String(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
 	})
 }

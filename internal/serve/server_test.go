@@ -496,6 +496,32 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestHealthzNamesNoLevel: a server whose model was trained at the raw
+// level must not claim "ParaGraph" anywhere. Healthz reports no level;
+// /v1/models reports each version's own.
+func TestHealthzNamesNoLevel(t *testing.T) {
+	s, err := NewServer([]Backend{{
+		Machine: hw.V100(), Model: oracleModel{}, Prep: testPrep(),
+		Info: &ModelInfo{Level: paragraph.LevelRawAST, Source: "checkpoint"},
+	}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	var h map[string]any
+	if rec := do(t, s, http.MethodGet, "/v1/healthz", nil, &h); rec.Code != http.StatusOK {
+		t.Fatalf("healthz: %d", rec.Code)
+	}
+	if level, ok := h["level"]; ok {
+		t.Errorf("healthz reports level %v for a raw-level model", level)
+	}
+	var models ModelsResponse
+	do(t, s, http.MethodGet, "/v1/models", nil, &models)
+	if len(models.Models) != 1 || models.Models[0].Level != paragraph.LevelRawAST.String() {
+		t.Errorf("models = %+v, want one %q version", models.Models, paragraph.LevelRawAST)
+	}
+}
+
 func TestRequestErrors(t *testing.T) {
 	s := newTestServer(t)
 	cases := []struct {

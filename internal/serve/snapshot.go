@@ -17,8 +17,8 @@ import (
 // processes by construction. entry.go holds the schema.
 
 // SnapshotCache writes the advise-response cache to w. Concurrent requests
-// keep running; the snapshot is a consistent-enough point-in-time copy
-// (each shard is walked under its lock).
+// keep running; the snapshot is a point-in-time copy taken under the
+// cache's lock.
 func (s *Server) SnapshotCache(w io.Writer) error {
 	return json.NewEncoder(w).Encode(snapshotOf(s.adviseCache.Items()...))
 }

@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"paragraph/internal/advisor"
+	"paragraph/internal/variants"
 )
 
 // warmAndSnapshot runs a grid advise and a one-point advise through a fresh
@@ -111,26 +116,64 @@ func TestRestoreCacheDropsUnknownVariants(t *testing.T) {
 	}
 }
 
-// TestSnapshotItemsOrder sanity-checks the Items walk the snapshot is
-// built from: every live entry appears, before and after recency updates.
+// TestSnapshotItemsOrder checks the Items walk the snapshot is built
+// from: every live entry, most recently used first, across the whole cache.
 func TestSnapshotItemsOrder(t *testing.T) {
 	c := NewCache(64)
-	c.Add(Key("a"), 1)
-	c.Add(Key("b"), 2)
+	keys := []string{Key("a"), Key("b"), Key("c")}
+	for i, k := range keys {
+		c.Add(k, i)
+	}
+	c.Get(keys[0])
+	want := []string{keys[0], keys[2], keys[1]}
 	items := c.Items()
-	if len(items) != 2 {
-		t.Fatalf("items = %d", len(items))
+	if len(items) != len(want) {
+		t.Fatalf("items = %d, want %d", len(items), len(want))
 	}
-	// Touch "a" so it becomes most recent in its shard; a fresh Items walk
-	// must reflect that when both landed in the same shard, and in any case
-	// must still list both.
-	c.Get(Key("a"))
-	items = c.Items()
-	seen := map[string]bool{}
-	for _, it := range items {
-		seen[it.Key] = true
+	for i, it := range items {
+		if it.Key != want[i] {
+			t.Errorf("items[%d] = %.8s, want %.8s", i, it.Key, want[i])
+		}
 	}
-	if !seen[Key("a")] || !seen[Key("b")] {
-		t.Errorf("items missing keys: %+v", items)
+}
+
+// TestRestoreFullSnapshotKeepsRecency: a snapshot of a full cache restored
+// into a fresh server's cache fills it without evicting, lists in the same
+// order, and the next new key evicts the snapshot's least recent entry.
+func TestRestoreFullSnapshotKeepsRecency(t *testing.T) {
+	recs := []advisor.Recommendation{{Kind: variants.CPU, Threads: 8, PredictedUS: 1}}
+	src := NewCache(adviseCacheSize)
+	for i := 0; i < adviseCacheSize; i++ {
+		src.Add(Key("full", fmt.Sprint(i)), recs)
+	}
+	src.Get(Key("full", "0")) // the oldest becomes the most recent
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(snapshotOf(src.Items()...)); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t)
+	if n, err := s.RestoreCache(&buf); err != nil || n != adviseCacheSize {
+		t.Fatalf("RestoreCache = %d, %v, want %d", n, err, adviseCacheSize)
+	}
+	want, got := src.Items(), s.adviseCache.Items()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key {
+			t.Fatalf("restored order differs at %d", i)
+		}
+	}
+	if ev := s.adviseCache.Stats().Evictions; ev != 0 {
+		t.Fatalf("restore evicted %d entries", ev)
+	}
+	s.adviseCache.Add(Key("full", "new"), recs)
+	lru := want[len(want)-1].Key
+	if _, held := s.adviseCache.Peek(lru); held {
+		t.Error("snapshot's least recent entry survived the next add")
+	}
+	if st := s.adviseCache.Stats(); st.Evictions != 1 || st.Entries != adviseCacheSize {
+		t.Errorf("after one add: %+v", st)
 	}
 }

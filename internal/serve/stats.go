@@ -82,9 +82,9 @@ func (s *Server) snapshot() Stats {
 	st.Requests.Replicate = s.metrics.requests("replicate")
 	st.Requests.Cluster = s.metrics.requests("cluster")
 	st.Requests.Errors = s.metrics.totalErrors()
-	st.AdviseCacheHits = s.metrics.adviseHits.Value()
-	st.Coalesced = s.metrics.coalesced.Value()
 	st.AdviseCache = s.adviseCache.Stats()
+	st.AdviseCacheHits = st.AdviseCache.Hits
+	st.Coalesced = s.metrics.coalesced.Value()
 	for _, machine := range st.Machines {
 		be := s.backends[machine]
 		for _, name := range be.modelNames() {

@@ -79,12 +79,17 @@ func (f *Forwarder) peer(name string) *peerClient {
 
 // Meta is the request context a forward carries across the wire: the
 // originating request's trace id (so the answering peer's trace joins
-// it), and its remaining deadline budget (so the peer applies the same
-// admission policy the origin would — a forwarded request must not
-// outlive its caller's patience on someone else's queue).
+// it), its client identity (so the peer queues it in the origin client's
+// fair-queue lane, not the forwarding peer's), and its remaining deadline
+// budget (so the peer applies the same admission policy the origin would —
+// a forwarded request must not outlive its caller's patience on someone
+// else's queue).
 type Meta struct {
 	// TraceID propagates the originating request's trace ("" = untraced).
 	TraceID string
+	// Client is the originating request's fair-queue identity; it rides
+	// the client header ("" = none, the peer sees the forwarder's host).
+	Client string
 	// Deadline is the originating request's remaining budget; when
 	// positive it rides the deadline header and the receiving peer treats
 	// it exactly like a client-set deadline. Zero propagates nothing.
@@ -96,8 +101,8 @@ type Meta struct {
 // Every path to a peer goes through it — forwards and control requests —
 // and counting is the caller's job, because each path counts differently.
 // The loop-guard header is also the sender's identity (receivers gate
-// peer-only endpoints on it); meta's trace id and deadline ride along in
-// their headers. body may be nil for GETs. ctx bounds the hop in addition
+// peer-only endpoints on it); meta's trace id, client and deadline ride
+// along in their headers. body may be nil for GETs. ctx bounds the hop in addition
 // to the client's own timeout.
 func (f *Forwarder) do(ctx context.Context, method, peer, path string, body []byte, meta Meta) (int, []byte, error) {
 	var rd io.Reader
@@ -114,6 +119,9 @@ func (f *Forwarder) do(ctx context.Context, method, peer, path string, body []by
 	req.Header.Set(ForwardedByHeader, f.self)
 	if meta.TraceID != "" {
 		req.Header.Set(obs.TraceHeader, meta.TraceID)
+	}
+	if meta.Client != "" {
+		req.Header.Set(admit.ClientHeader, meta.Client)
 	}
 	if meta.Deadline > 0 {
 		req.Header.Set(admit.DeadlineHeader, admit.FormatDeadline(meta.Deadline))
