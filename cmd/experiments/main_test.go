@@ -3,6 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -64,5 +67,44 @@ func TestRunTable2(t *testing.T) {
 	}
 	if points <= 0 || lo <= 0 || hi < lo {
 		t.Errorf("row %q: want points and 0 < min <= max", row)
+	}
+}
+
+// TestAllTinyGolden pins every number `experiments -all -scale tiny` prints:
+// trained models, predictions and every table, byte for byte, against
+// testdata/all_tiny.golden. A change that must not move a prediction (a
+// faster kernel, a refactor of the engine or the trainer) leaves it as it
+// is; one that means to move them rewrites it with
+//
+//	go run ./cmd/experiments -all -scale tiny > cmd/experiments/testdata/all_tiny.golden
+func TestAllTinyGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains every tiny model in -short mode")
+	}
+	if runtime.GOARCH != "amd64" {
+		// The bytes are amd64's: gc fuses a*b+c into one rounding on
+		// arm64, ppc64le, s390x and riscv64 but never on amd64, and
+		// math.Exp is assembly on amd64, arm64 and s390x only. Within
+		// amd64, math.Exp takes an FMA path on CPUs that have FMA (every
+		// AVX2 CPU); the golden was written on one.
+		t.Skipf("golden holds amd64's bits; %s rounds differently", runtime.GOARCH)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all_tiny.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-all", "-scale", "tiny"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(out.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("%d lines, golden has %d", len(gotLines), len(wantLines))
+	}
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d: got %q, golden %q", i+1, gotLines[i], wantLines[i])
+		}
 	}
 }

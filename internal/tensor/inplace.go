@@ -6,8 +6,9 @@ package tensor
 // workspace with zero heap traffic. The elementwise kernels reuse the exact
 // loop body of their allocating counterparts (or the matching autodiff tape
 // op) and produce bit-identical values; MatMulInto instead runs the tiled
-// kernel (tiled.go), which keeps the naive MatMul's per-element
-// accumulation order and so agrees with it to the last ulp.
+// kernel (tiled.go, with an AVX micro-kernel on amd64), which keeps the
+// naive MatMul's per-element accumulation order and so agrees with it to
+// the last ulp.
 //
 // These are the kernels the engine calls directly. The message path —
 // gather, attention softmax, scatter — has no op-level form here: gnn's
@@ -42,8 +43,10 @@ func (m *Matrix) reshape(rows, cols int) {
 // MatMulInto computes dst = a×b. dst must not alias a or b; it is reshaped
 // to a.Rows×b.Cols and fully overwritten. Unlike the allocating MatMul
 // (which stays the naive reference kernel the autodiff tape is defined by),
-// MatMulInto runs the register-blocked tiled kernel (tiled.go): each output
-// element still accumulates its k products in index order, so results agree
+// MatMulInto runs the register-blocked tiled kernel (tiled.go), on AVX where
+// the CPU has it and in Go otherwise. Either way each output element
+// accumulates its k products in index order from +0, each product and each
+// sum rounded on its own, so the two give the same bits, and results agree
 // with MatMul to the last ulp (they can differ only where MatMul's
 // skip-zero branch changes a signed zero).
 func MatMulInto(a, b, dst *Matrix) {

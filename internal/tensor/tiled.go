@@ -7,31 +7,38 @@ package tensor
 // m up to a few hundred graph nodes):
 //
 //   - Column panels: b is walked in panels of ncPanel columns, so the
-//     k×ncPanel working set of b (≤ 64 KiB at k = 128, float64) stays
+//     k×ncPanel working set of b (≤ 60 KiB at k = 128, float64) stays
 //     L1/L2-resident while a's rows stream through it once per panel.
-//   - Register blocking: a 2×4 micro-kernel keeps 8 partial sums in
-//     registers across the whole k loop; each loaded a-value feeds four
-//     multiply-adds and each b-value two, so the inner loop retires
-//     8 FMAs per 6 loads instead of 1 per 2. 2×4 is the empirical
-//     sweet spot for gc on amd64 — wider blocks (4×4, 2×8) need more
-//     than the 16 vector registers and spill accumulators to the stack,
-//     measuring slower than the naive kernel's working set.
-//   - No k blocking: the k loop runs innermost and in order, so every
-//     dst element accumulates its products in the same sequence as the
-//     naive kernel. Sums can therefore differ from MatMul only
-//     through the latter's skip-zero branch (signed-zero placement),
-//     never by reassociation — TestTiledMatchesNaive pins this to
-//     ≤ 1 ulp. At the depths the model uses (k ≤ 128) a micro-kernel's
-//     a-strip is ≤ 2 KiB and needs no further blocking to stay
-//     cache-resident.
+//   - Register blocking: on a CPU with AVX (tiled_amd64.go) each panel's
+//     12-column blocks run a 2×12 micro-kernel in assembly, six 4-wide
+//     accumulators per row pair, with a 1×12 kernel for an odd last row.
+//     The Go kernels below take the panel's remaining columns (n mod 12),
+//     and every column on CPUs without AVX and off amd64: a 2×4 block
+//     keeps 8 partial sums in registers across the whole k loop, so each
+//     loaded a-value feeds four multiply-adds and each b-value two (8 per
+//     6 loads instead of 1 per 2). On amd64 gc compiles `c += av * b` to a
+//     separate multiply and add (MULSD, ADDSD), each rounded, and never
+//     fuses them; the AVX kernel keeps the same two roundings (VMULPD,
+//     VADDPD). (gc does fuse them on arm64 and some other architectures,
+//     which therefore round differently from amd64.)
+//   - No k blocking: the k loop runs innermost and in order from a +0
+//     accumulator, in every kernel, so every dst element accumulates its
+//     products in the same sequence whichever kernel computes it, and the
+//     AVX and Go kernels give the same bits (TestAVXMatchesGo). Against the
+//     naive MatMul, sums can differ only through the latter's skip-zero
+//     branch (signed-zero placement), never by reassociation —
+//     TestTiledMatchesNaive pins this to ≤ 1 ulp. At the depths the model
+//     uses (k ≤ 128) a micro-kernel's a-strip is ≤ 2 KiB and needs no
+//     further blocking to stay cache-resident.
 //
-// The remainder row (m odd) and columns (panel width mod 4) fall back to
+// In Go, the remainder row (m odd) and columns (width mod 4) fall back to
 // narrower unrolled kernels with identical k ordering.
 
 const (
 	mrTile  = 2  // micro-kernel rows: accumulator block height
-	nrTile  = 4  // micro-kernel cols: accumulator block width
-	ncPanel = 64 // b-panel width; k×ncPanel elements kept hot per panel
+	nrTile  = 4  // Go micro-kernel cols: accumulator block width
+	avxCols = 12 // AVX micro-kernel cols: three 4-wide vectors
+	ncPanel = 60 // b-panel width, a multiple of avxCols; k×ncPanel elements kept hot
 )
 
 // matMulTiled computes dst = a×b over raw row-major slices: a is m×k, b is
@@ -45,16 +52,25 @@ func matMulTiled(a []float64, m, k int, b []float64, n int, dst []float64) {
 		return
 	}
 	for jc := 0; jc < n; jc += ncPanel {
-		nc := n - jc
-		if nc > ncPanel {
-			nc = ncPanel
+		nc := min(n-jc, ncPanel)
+		nv := 0 // the panel's leading columns the AVX kernel computes
+		if useAVX {
+			nv = nc - nc%avxCols
 		}
 		i := 0
 		for ; i+mrTile <= m; i += mrTile {
-			tiledRows2(a[i*k:(i+2)*k], k, b, n, jc, nc, dst[i*n:(i+2)*n])
+			a2, d2 := a[i*k:(i+2)*k], dst[i*n:(i+2)*n]
+			if nv > 0 {
+				rows2AVX(a2, k, b, n, jc, nv, d2)
+			}
+			tiledRows2(a2, k, b, n, jc+nv, nc-nv, d2)
 		}
 		for ; i < m; i++ {
-			tiledRows1(a[i*k:(i+1)*k], b, n, jc, nc, dst[i*n:(i+1)*n])
+			a1, d1 := a[i*k:(i+1)*k], dst[i*n:(i+1)*n]
+			if nv > 0 {
+				rows1AVX(a1, k, b, n, jc, nv, d1)
+			}
+			tiledRows1(a1, b, n, jc+nv, nc-nv, d1)
 		}
 	}
 }

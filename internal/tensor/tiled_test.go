@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -69,14 +70,14 @@ func randSparseMat(rng *rand.Rand, rows, cols int, zeroFrac float64) *Matrix {
 
 // TestTiledMatchesNaive sweeps the tile-geometry edge cases: dimensions off
 // every tile boundary (odd rows for the 2-row micro-kernel, columns around
-// the 4-wide register block and the 64-wide panel), single-row and
+// the 4- and 12-wide register blocks and the 60-wide panel), single-row and
 // single-column operands, and empty matrices on each side. The tiled result
 // must match the naive reference kernel exactly or within 1 ulp.
 func TestTiledMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	dims := func(edges ...int) []int { return edges }
 	ms := dims(0, 1, 2, 3, 5, 8, 33)
-	ns := dims(0, 1, 3, 4, 5, 63, 64, 65, 130)
+	ns := dims(0, 1, 3, 4, 5, 12, 13, 59, 60, 61, 63, 64, 65, 130)
 	ks := dims(0, 1, 2, 7, 32)
 	dst := New(0, 0)
 	for _, m := range ms {
@@ -95,26 +96,101 @@ func TestTiledMatchesNaive(t *testing.T) {
 // TestTiledMatchesNaiveFuzz hammers random geometries and zero densities
 // through the tiled kernel, holding it to the exact-or-1-ulp gate against
 // the naive reference kernel and to bit identity against the in-order
-// product.
+// product, and the AVX kernel to the Go kernels' bits on every trial.
 func TestTiledMatchesNaiveFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	dst := New(0, 0)
 	for trial := 0; trial < equivTrials(300); trial++ {
 		m, k, n := rng.Intn(40), rng.Intn(40), rng.Intn(140)
 		a := randSparseMat(rng, m, k, []float64{0, 0.2, 0.5, 0.9}[rng.Intn(4)])
 		b := randMat(rng, k, n)
 		want, inOrder := MatMul(a, b), naiveMatMul(a, b)
 
-		MatMulInto(a, b, dst)
+		dst := matMulBothKernels(t, a, b)
 		assertWithinOneUlp(t, "MatMulInto", dst, want)
 		assertExact(t, "MatMulInto vs in-order", dst, inOrder)
 	}
 }
 
+// matMulBothKernels returns a×b from MatMulInto on the Go kernels alone and,
+// where the CPU has AVX, fails unless the AVX kernel gives the same bits
+// (any NaN matching any NaN).
+func matMulBothKernels(t *testing.T, a, b *Matrix) *Matrix {
+	t.Helper()
+	hasAVX := useAVX
+	defer func() { useAVX = hasAVX }()
+	useAVX = false
+	goDst := New(0, 0)
+	MatMulInto(a, b, goDst)
+	if hasAVX {
+		useAVX = true
+		avxDst := New(0, 0)
+		MatMulInto(a, b, avxDst)
+		assertSameBits(t, "AVX vs Go kernel", avxDst.Data, goDst.Data)
+	}
+	return goDst
+}
+
+// assertSameBits compares bit patterns, so signed zeros count; a NaN
+// matches any NaN, since the payload depends on operand order.
+func assertSameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
+	}
+	for i, w := range want {
+		if math.IsNaN(w) && math.IsNaN(got[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d = %v, want %v", name, i, got[i], w)
+		}
+	}
+}
+
+// specialMat fills a matrix with normal values, about one in 50 replaced by
+// −0, ±Inf, NaN or a subnormal, and multiplies every value by scale: at
+// 1e-160 each product of two normal values is itself subnormal.
+func specialMat(rng *rand.Rand, rows, cols int, scale float64) *Matrix {
+	specials := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -3e-310}
+	m := New(rows, cols)
+	for i := range m.Data {
+		v := rng.NormFloat64()
+		if rng.Intn(50) == 0 {
+			v = specials[rng.Intn(len(specials))]
+		}
+		m.Data[i] = v * scale
+	}
+	return m
+}
+
+// TestAVXMatchesGo sweeps the shapes around the AVX kernel's 2×12 block and
+// the 60-column panel, at the depths the engine uses (k = 24 for a
+// projection, ≈ 100 for the backward pass's node-count sums), over operands
+// with signed zeros, infinities, NaNs and subnormal products. The Go kernels
+// must give the in-order product's bits, and the AVX kernel the Go kernels'.
+func TestAVXMatchesGo(t *testing.T) {
+	if !useAVX {
+		t.Log("CPU without AVX: checking the Go kernels alone")
+	}
+	rng := rand.New(rand.NewSource(25))
+	for _, m := range []int{0, 1, 2, 3, 7, 10} {
+		for _, n := range []int{1, 4, 11, 12, 13, 23, 24, 25, 64, 65, 76} {
+			for _, k := range []int{0, 1, 24, 100} {
+				for _, scale := range []float64{1, 1e-160} {
+					a, b := specialMat(rng, m, k, scale), specialMat(rng, k, n, scale)
+					got := matMulBothKernels(t, a, b)
+					assertSameBits(t, "Go kernel vs in-order", got.Data, naiveMatMul(a, b).Data)
+				}
+			}
+		}
+	}
+}
+
 // naiveMatMul is the in-order reference product: plain ijk with the k loop
-// innermost and in order — the same per-element accumulation order as the
-// tiled kernel, so on operands without negative zeros the two agree bit for
-// bit.
+// innermost and in order from +0 — the same per-element accumulation order
+// as the tiled kernel, so the two agree bit for bit, signed zeros included
+// (a NaN's payload aside).
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -130,28 +206,15 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// assertBitIdentical compares bit patterns, so signed zeros count.
-func assertBitIdentical(t *testing.T, name string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d elements, want %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: element %d = %v, want %v", name, i, got[i], want[i])
-		}
-	}
-}
-
 // TestMatMulRowSubsetBitIdentical pins the kernel property gnn's family
 // evaluation stands on (inplace.go): multiplying any subset of a's rows on
 // its own gives the same bits as those rows of the full product, whatever
-// the subset does to the 2-row micro-kernel's pairing. The operands are
-// ReLU-sparse (negatives clamped to +0), as a hidden layer's input is.
+// the subset does to the 2-row micro-kernel's pairing, on the Go kernels
+// and on the AVX kernel alike. The operands are ReLU-sparse (negatives
+// clamped to +0), as a hidden layer's input is.
 func TestMatMulRowSubsetBitIdentical(t *testing.T) {
 	t.Run("float64", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
-		full, part := New(0, 0), New(0, 0)
 		for trial := 0; trial < equivTrials(150); trial++ {
 			m, k, n := 1+rng.Intn(24), rng.Intn(33), 1+rng.Intn(70)
 			a := randMat(rng, m, k)
@@ -159,7 +222,7 @@ func TestMatMulRowSubsetBitIdentical(t *testing.T) {
 				a.Data[i] = max(v, 0)
 			}
 			b := randMat(rng, k, n)
-			MatMulInto(a, b, full)
+			full := matMulBothKernels(t, a, b)
 
 			var rows []int
 			for i := 0; i < m; i++ {
@@ -171,9 +234,9 @@ func TestMatMulRowSubsetBitIdentical(t *testing.T) {
 			for _, i := range rows {
 				sub.Data = append(sub.Data, a.Row(i)...)
 			}
-			MatMulInto(sub, b, part)
+			part := matMulBothKernels(t, sub, b)
 			for j, i := range rows {
-				assertBitIdentical(t, "row subset", part.Row(j), full.Row(i))
+				assertSameBits(t, "row subset", part.Row(j), full.Row(i))
 			}
 		}
 	})
@@ -219,5 +282,34 @@ func TestDot(t *testing.T) {
 	}
 	if got := Dot([]float64{1, 2}, []float64{3, 4, 5}); got != 11 {
 		t.Errorf("Dot with longer b = %v, want 11", got)
+	}
+}
+
+// BenchmarkMatMulInto times the engine's matmul at the engine's shapes: an
+// m-node projection m×24 · 24×24, and the backward pass's weight gradient
+// 24×N · N×24 at N = 100 nodes. Each shape runs on the Go kernels and,
+// where the CPU has AVX, on the AVX kernel; GMAC/s is multiply-adds per
+// second.
+func BenchmarkMatMulInto(b *testing.B) {
+	shapes := []struct{ m, k, n int }{{1, 24, 24}, {2, 24, 24}, {10, 24, 24}, {96, 24, 24}, {24, 100, 24}}
+	hasAVX := useAVX
+	defer func() { useAVX = hasAVX }()
+	for _, path := range []string{"go", "avx"} {
+		if path == "avx" && !hasAVX {
+			continue
+		}
+		for _, s := range shapes {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", path, s.m, s.k, s.n), func(b *testing.B) {
+				useAVX = path == "avx"
+				rng := rand.New(rand.NewSource(26))
+				x, w, dst := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n), New(s.m, s.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(x, w, dst)
+				}
+				macs := float64(s.m*s.k*s.n) * float64(b.N)
+				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
 	}
 }
