@@ -1,26 +1,24 @@
-// Package paragraph_test is the benchmark harness: one benchmark per table and
-// figure of the paper's evaluation (regenerating the artifact end to end at
-// benchmark scale), plus micro-benchmarks for the pipeline stages (parse,
-// build, encode, simulate, forward, train step).
+// Package paragraph_test is the benchmark harness: one sub-benchmark per
+// table and figure of the paper's evaluation (regenerating the artifact end
+// to end at benchmark scale), plus micro-benchmarks for the pipeline stages
+// (parse, build, encode, simulate, forward, train step).
 //
 // Run everything:
 //
 //	go test -bench=. -benchmem
 //
-// The table/figure benchmarks print their regenerated artifact once (first
-// iteration) so `bench_output.txt` doubles as an experiment record.
+// BenchmarkArtifacts prints each regenerated artifact once, so
+// `bench_output.txt` doubles as an experiment record.
 package paragraph_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sync"
 	"testing"
 
 	"paragraph/internal/advisor"
@@ -39,191 +37,64 @@ import (
 	"paragraph/internal/variants"
 )
 
-// benchRunner is shared across the table/figure benchmarks so dataset
-// collection and model training are paid once and the artifacts stay
-// consistent with each other (the same sharing cmd/experiments does).
-var (
-	benchRunner     *experiments.Runner
-	benchRunnerOnce sync.Once
-)
-
-func runner() *experiments.Runner {
-	benchRunnerOnce.Do(func() {
-		benchRunner = experiments.NewRunner(experiments.Tiny())
-	})
-	return benchRunner
-}
-
-// printOnce emits the regenerated artifact on the first benchmark iteration.
-func printOnce(b *testing.B, i int, render func(io.Writer) error) {
-	if i != 0 {
-		return
-	}
-	b.StopTimer()
-	if err := render(os.Stdout); err != nil {
-		b.Fatal(err)
-	}
-	b.StartTimer()
-}
-
-// --- one benchmark per paper table ---
-
-// BenchmarkTable1AppInventory regenerates Table I (benchmark applications).
-func BenchmarkTable1AppInventory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1()
-		if len(rows) != 9 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-		printOnce(b, i, func(w io.Writer) error { experiments.RenderTable1(w); return nil })
-	}
-}
-
-// BenchmarkTable2DataCollection regenerates Table II (data points per
-// accelerator): full sweep → cluster jobs → simulated runtimes → stats.
-func BenchmarkTable2DataCollection(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-		printOnce(b, i, r.RenderTable2)
-	}
-}
-
-// BenchmarkTable3RuntimePrediction regenerates Table III (RMSE and
-// normalized RMSE of the trained ParaGraph model on all four platforms).
-func BenchmarkTable3RuntimePrediction(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rows {
-			if row.NormRMSE <= 0 {
-				b.Fatalf("degenerate NormRMSE for %s", row.Platform)
+// BenchmarkArtifacts regenerates each table and figure of the paper's
+// evaluation end to end at tiny scale through Runner.Rows, one
+// sub-benchmark per artifact (table1 … figure9). The runner is shared, so
+// dataset collection and training are paid once, by the first
+// sub-benchmark that needs them, and the artifacts stay consistent with
+// each other, as in cmd/experiments. Each artifact is printed once. A
+// sub-benchmark fails on an empty or degenerate result: no row of its
+// check metric, a row of it that is not positive, or any value that is NaN
+// or infinite.
+func BenchmarkArtifacts(b *testing.B) {
+	r := experiments.NewRunner(experiments.Tiny())
+	for _, a := range []struct {
+		kind   string
+		number int
+		check  string // a metric every row of which must be positive
+	}{
+		{"table", 1, "kernels"},
+		{"table", 2, "points"},
+		{"table", 3, "norm_rmse"},
+		{"table", 4, "rmse_ms"},
+		{"figure", 4, "n"},
+		{"figure", 5, "val_rmse"},
+		{"figure", 6, "n"},
+		{"figure", 7, "val_rmse"},
+		{"figure", 8, "n"},
+		{"figure", 9, "log_pearson"},
+	} {
+		printed := false
+		b.Run(fmt.Sprintf("%s%d", a.kind, a.number), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows, err := r.Rows(a.kind, a.number)
+				if err != nil {
+					b.Fatal(err)
+				}
+				checked := 0
+				for _, row := range rows {
+					if math.IsNaN(row.Value) || math.IsInf(row.Value, 0) {
+						b.Fatalf("degenerate row %+v", row)
+					}
+					if row.Metric == a.check {
+						if row.Value <= 0 {
+							b.Fatalf("degenerate row %+v", row)
+						}
+						checked++
+					}
+				}
+				if checked == 0 {
+					b.Fatalf("no %s rows", a.check)
+				}
 			}
-		}
-		printOnce(b, i, r.RenderTable3)
-	}
-}
-
-// BenchmarkTable4Ablation regenerates Table IV (Raw AST vs Augmented AST vs
-// ParaGraph RMSE per platform).
-func BenchmarkTable4Ablation(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-		printOnce(b, i, r.RenderTable4)
-	}
-}
-
-// --- one benchmark per paper figure ---
-
-// BenchmarkFigure4ErrorBins regenerates Figure 4 (relative error per
-// runtime bin, four platforms).
-func BenchmarkFigure4ErrorBins(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		series, err := r.Figure4(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 4 {
-			b.Fatalf("series = %d", len(series))
-		}
-		printOnce(b, i, r.RenderFigure4)
-	}
-}
-
-// BenchmarkFigure5TrainingCurves regenerates Figure 5 (validation
-// normalized RMSE per epoch for the four accelerators).
-func BenchmarkFigure5TrainingCurves(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		series, err := r.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 4 {
-			b.Fatalf("series = %d", len(series))
-		}
-		printOnce(b, i, r.RenderFigure5)
-	}
-}
-
-// BenchmarkFigure6PerApplication regenerates Figure 6 (error rate per
-// application).
-func BenchmarkFigure6PerApplication(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Figure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		printOnce(b, i, r.RenderFigure6)
-	}
-}
-
-// BenchmarkFigure7AblationCurves regenerates Figure 7 (per-epoch validation
-// RMSE of the three representations on MI50).
-func BenchmarkFigure7AblationCurves(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		series, err := r.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 3 {
-			b.Fatalf("series = %d", len(series))
-		}
-		printOnce(b, i, r.RenderFigure7)
-	}
-}
-
-// BenchmarkFigure8VsCompoff regenerates Figure 8 (per-point error of
-// ParaGraph vs COMPOFF on the V100).
-func BenchmarkFigure8VsCompoff(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Figure8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.N == 0 {
-			b.Fatal("no comparison points")
-		}
-		printOnce(b, i, r.RenderFigure8)
-	}
-}
-
-// BenchmarkFigure9Scatter regenerates Figure 9 (predicted vs actual for
-// both models, with log-space correlation).
-func BenchmarkFigure9Scatter(b *testing.B) {
-	r := runner()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Figure9(12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ParaGraphPearson == 0 {
-			b.Fatal("no correlation computed")
-		}
-		printOnce(b, i, r.RenderFigure9)
+			if !printed {
+				printed = true
+				b.StopTimer()
+				if err := r.Render(os.Stdout, a.kind, a.number); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

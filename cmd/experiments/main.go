@@ -1,8 +1,8 @@
 // Command experiments regenerates the paper's tables and figures against
-// the simulated substrate; internal/experiments holds one function per
-// reproduced artifact.
+// the simulated substrate; internal/experiments computes each reproduced
+// artifact as rows and prints it from them.
 //
-// Usage:
+// Usage (one selector at most; none means -all):
 //
 //	experiments -all [-scale tiny|small|full]
 //	experiments -table 3
@@ -34,6 +34,12 @@ func run(args []string, w io.Writer) error {
 	all := fs.Bool("all", false, "regenerate everything")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if (*all && (*table != 0 || *figure != 0)) || (*table != 0 && *figure != 0) {
+		return fmt.Errorf("choose one of -all, -table and -figure")
 	}
 
 	scale, err := experiments.ParseScale(*scaleName)

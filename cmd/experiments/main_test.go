@@ -16,6 +16,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-table", "7"},
 		{"-figure", "1"},
 		{"-badflag"},
+		{"-table", "3", "-figure", "8"},
+		{"-all", "-table", "3"},
+		{"-all", "-figure", "8"},
+		{"-scale", "tiny", "3"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
@@ -81,6 +85,29 @@ func TestAllTinyGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains every tiny model in -short mode")
 	}
+	checkGolden(t, "tiny")
+}
+
+// TestAllSmallGolden is TestAllTinyGolden at -scale small, against
+// testdata/all_small.golden. It trains for minutes, so it runs only when
+// PARAGRAPH_SMALL_GOLDEN is set:
+//
+//	PARAGRAPH_SMALL_GOLDEN=1 go test -run AllSmallGolden -timeout 20m ./cmd/experiments
+//
+// and the file is rewritten with
+//
+//	go run ./cmd/experiments -all -scale small > cmd/experiments/testdata/all_small.golden
+func TestAllSmallGolden(t *testing.T) {
+	if os.Getenv("PARAGRAPH_SMALL_GOLDEN") == "" {
+		t.Skip("trains every small model (minutes); set PARAGRAPH_SMALL_GOLDEN=1 to run")
+	}
+	checkGolden(t, "small")
+}
+
+// checkGolden compares `experiments -all -scale <scale>` stdout with
+// testdata/all_<scale>.golden line by line.
+func checkGolden(t *testing.T, scale string) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		// The bytes are amd64's: gc fuses a*b+c into one rounding on
 		// arm64, ppc64le, s390x and riscv64 but never on amd64, and
@@ -89,12 +116,12 @@ func TestAllTinyGolden(t *testing.T) {
 		// AVX2 CPU); the golden was written on one.
 		t.Skipf("golden holds amd64's bits; %s rounds differently", runtime.GOARCH)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "all_tiny.golden"))
+	want, err := os.ReadFile(filepath.Join("testdata", "all_"+scale+".golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run([]string{"-all", "-scale", "tiny"}, &out); err != nil {
+	if err := run([]string{"-all", "-scale", scale}, &out); err != nil {
 		t.Fatal(err)
 	}
 	gotLines := strings.Split(out.String(), "\n")

@@ -2,13 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"paragraph/internal/hw"
-	"paragraph/internal/metrics"
 	"paragraph/internal/paragraph"
 )
 
@@ -16,93 +21,134 @@ import (
 // cached datasets and models exactly as cmd/experiments does.
 var tinyRunner = NewRunner(Tiny())
 
+var update = flag.Bool("update", false, "rewrite testdata/rows_tiny.golden from this build")
+
+// rowsOf returns one artifact's rows at tiny scale.
+func rowsOf(t *testing.T, kind string, number int) []Row {
+	t.Helper()
+	rows, err := tinyRunner.Rows(kind, number)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// index maps each row, its value zeroed, to its value.
+func index(rows []Row) map[Row]float64 {
+	m := map[Row]float64{}
+	for _, row := range rows {
+		v := row.Value
+		row.Value = 0
+		m[row] = v
+	}
+	return m
+}
+
+// render prints artifacts at tiny scale, each named "table N" or "figure N".
+func render(t *testing.T, names ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, name := range names {
+		var kind string
+		var number int
+		if _, err := fmt.Sscanf(name, "%s %d", &kind, &number); err != nil {
+			t.Fatal(err)
+		}
+		if err := tinyRunner.Render(&buf, kind, number); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
+
+// platformRuns returns rows' runs of one platform each, in order.
+func platformRuns(rows []Row) [][]Row {
+	var out [][]Row
+	runs(rows, byPlatform, func(p []Row) { out = append(out, p) })
+	return out
+}
+
 func TestTable1Shape(t *testing.T) {
-	rows := Table1()
+	rows := rowsOf(t, "table", 1)
 	if len(rows) != 9 {
 		t.Fatalf("applications = %d, want 9", len(rows))
 	}
-	total := 0
+	total := 0.0
 	for _, r := range rows {
-		total += r.NumKernels
+		total += r.Value
 	}
 	if total != 17 {
-		t.Errorf("kernels = %d, want 17", total)
+		t.Errorf("kernels = %v, want 17", total)
 	}
-	var buf bytes.Buffer
-	RenderTable1(&buf)
+	out := render(t, "table 1")
 	for _, want := range []string{"Particle Filter", "Linear Algebra", "Total"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+	if _, err := tinyRunner.Rows("table", 5); err == nil {
+		t.Error("Rows of a table the paper lacks accepted")
 	}
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows, err := tinyRunner.Table2()
-	if err != nil {
-		t.Fatal(err)
+	rows := rowsOf(t, "table", 2)
+	if n := len(platformRuns(rows)); n != 4 {
+		t.Fatalf("platforms = %d, want 4", n)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("platforms = %d, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if r.NumPoints == 0 {
-			t.Errorf("%s: no points", r.Platform)
+	v := index(rows)
+	for _, m := range hw.All() {
+		row := Row{Platform: m.Name, Group: m.Cluster}
+		if v[row.with("points", 0)] <= 0 {
+			t.Errorf("%s: no points", m.Name)
 		}
-		if r.MaxRuntimeMS <= r.MinRuntimeMS {
-			t.Errorf("%s: degenerate range", r.Platform)
+		if v[row.with("max_ms", 0)] <= v[row.with("min_ms", 0)] {
+			t.Errorf("%s: degenerate range", m.Name)
 		}
-		if r.StdDevMS <= 0 {
-			t.Errorf("%s: no dispersion", r.Platform)
+		if v[row.with("std_ms", 0)] <= 0 {
+			t.Errorf("%s: no dispersion", m.Name)
 		}
 	}
-	var buf bytes.Buffer
-	if err := tinyRunner.RenderTable2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Summit") || !strings.Contains(buf.String(), "Corona") {
+	out := render(t, "table 2")
+	if !strings.Contains(out, "Summit") || !strings.Contains(out, "Corona") {
 		t.Error("render missing cluster names")
 	}
 }
 
 func TestTable3AndFigure5(t *testing.T) {
-	rows, err := tinyRunner.Table3()
-	if err != nil {
-		t.Fatal(err)
+	rows := rowsOf(t, "table", 3)
+	if n := len(platformRuns(rows)); n != 4 {
+		t.Fatalf("platforms = %d", n)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.RMSEms <= 0 || math.IsNaN(r.RMSEms) {
-			t.Errorf("%s: RMSE = %v", r.Platform, r.RMSEms)
+	v := index(rows)
+	for _, m := range hw.All() {
+		row := Row{Platform: m.Name, Arm: pgArm}
+		if rmse := v[row.with("rmse_ms", 0)]; rmse <= 0 || math.IsNaN(rmse) {
+			t.Errorf("%s: RMSE = %v", m.Name, rmse)
 		}
 		// Tiny scale is noisy; still, normalized RMSE must be a sane
 		// fraction of the range.
-		if r.NormRMSE <= 0 || r.NormRMSE > 0.5 {
-			t.Errorf("%s: NormRMSE = %v outside (0, 0.5]", r.Platform, r.NormRMSE)
+		if norm := v[row.with("norm_rmse", 0)]; norm <= 0 || norm > 0.5 {
+			t.Errorf("%s: NormRMSE = %v outside (0, 0.5]", m.Name, norm)
 		}
 	}
-	series, err := tinyRunner.Figure5()
-	if err != nil {
-		t.Fatal(err)
+	curves := platformRuns(rowsOf(t, "figure", 5))
+	if len(curves) != 4 {
+		t.Fatalf("figure 5 curves = %d", len(curves))
 	}
-	for _, s := range series {
-		if len(s.ValRMSE) != tinyRunner.Scale.Epochs {
-			t.Errorf("%s: %d epochs, want %d", s.Platform, len(s.ValRMSE), tinyRunner.Scale.Epochs)
+	for _, c := range curves {
+		if len(c) != tinyRunner.Scale.Epochs {
+			t.Errorf("%s: %d epochs, want %d", c[0].Platform, len(c), tinyRunner.Scale.Epochs)
 		}
 		// Training must improve on the first epoch.
-		if s.ValRMSE[len(s.ValRMSE)-1] >= s.ValRMSE[0]*1.5 {
-			t.Errorf("%s: training diverged: %v", s.Platform, s.ValRMSE)
+		if c[len(c)-1].Value >= c[0].Value*1.5 {
+			t.Errorf("%s: training diverged: %v", c[0].Platform, c)
 		}
 	}
 }
 
 func TestFigure4BinsAreSmallError(t *testing.T) {
-	series, err := tinyRunner.Figure4(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := platformRuns(rowsOf(t, "figure", 4))
 	if len(series) != 4 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -112,46 +158,37 @@ func TestFigure4BinsAreSmallError(t *testing.T) {
 		// property. Here we assert the structural shape: bins exist, the
 		// most populated bin has modest error, and errors are weighted-mean
 		// bounded.
-		best := metricsBinMax(s.Bins)
-		if best.Count == 0 {
-			t.Errorf("%s: no occupied bins", s.Platform)
+		var best []Row
+		var wsum, n float64
+		runs(s, byGroup, func(b []Row) {
+			if b[0].Metric != "n" || b[1].Metric != "mean_rel_err" {
+				t.Fatalf("bin rows %v", b)
+			}
+			if best == nil || b[0].Value > best[0].Value {
+				best = b
+			}
+			wsum += b[1].Value * b[0].Value
+			n += b[0].Value
+		})
+		if best == nil || best[0].Value == 0 {
+			t.Errorf("%s: no occupied bins", s[0].Platform)
 			continue
 		}
-		if best.MeanErr > 0.4 {
-			t.Errorf("%s: most-populated bin %s err %v too high", s.Platform, best.Label, best.MeanErr)
-		}
-		var wsum, n float64
-		for _, b := range s.Bins {
-			wsum += b.MeanErr * float64(b.Count)
-			n += float64(b.Count)
+		if best[1].Value > 0.4 {
+			t.Errorf("%s: most-populated bin %s err %v too high", s[0].Platform, best[0].Group, best[1].Value)
 		}
 		if n > 0 && wsum/n > 0.5 {
-			t.Errorf("%s: weighted mean rel err %v too high", s.Platform, wsum/n)
+			t.Errorf("%s: weighted mean rel err %v too high", s[0].Platform, wsum/n)
 		}
 	}
-}
-
-// metricsBinMax returns the bin with the largest population.
-func metricsBinMax(bins []metrics.Bin) metrics.Bin {
-	var best metrics.Bin
-	for _, b := range bins {
-		if b.Count > best.Count {
-			best = b
-		}
-	}
-	return best
 }
 
 func TestFigure6CoversApplications(t *testing.T) {
-	rows, err := tinyRunner.Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
 	apps := map[string]bool{}
-	for _, r := range rows {
-		apps[r.Application] = true
-		if r.ErrorRate < 0 {
-			t.Errorf("negative error rate: %+v", r)
+	for _, r := range rowsOf(t, "figure", 6) {
+		apps[r.Group] = true
+		if r.Value < 0 {
+			t.Errorf("negative %s: %+v", r.Metric, r)
 		}
 	}
 	// The tiny validation split cannot cover all nine apps on every
@@ -162,20 +199,7 @@ func TestFigure6CoversApplications(t *testing.T) {
 }
 
 func TestRenderAllTinyPieces(t *testing.T) {
-	var buf bytes.Buffer
-	if err := tinyRunner.RenderTable3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tinyRunner.RenderFigure4(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tinyRunner.RenderFigure5(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tinyRunner.RenderFigure6(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, "table 3", "figure 4", "figure 5", "figure 6")
 	for _, want := range []string{"Table III", "Figure 4", "Figure 5", "Figure 6"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in render", want)
@@ -240,82 +264,111 @@ func TestTrainedOnceUnderConcurrency(t *testing.T) {
 }
 
 func TestTable4AndFigure7Ablation(t *testing.T) {
-	rows, err := tinyRunner.Table4()
-	if err != nil {
-		t.Fatal(err)
+	names := []string{"Raw AST", "Augmented AST", "ParaGraph"}
+	platforms := platformRuns(rowsOf(t, "table", 4))
+	if len(platforms) != 4 {
+		t.Fatalf("platforms = %d", len(platforms))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		for name, v := range map[string]float64{
-			"raw": r.RawAST, "aug": r.AugAST, "para": r.ParaGraph,
-		} {
-			if v <= 0 || math.IsNaN(v) {
-				t.Errorf("%s %s RMSE = %v", r.Platform, name, v)
+	for _, p := range platforms {
+		if len(p) != len(names) {
+			t.Fatalf("%s: %d arms, want %d", p[0].Platform, len(p), len(names))
+		}
+		for i, r := range p {
+			if r.Arm != names[i] {
+				t.Errorf("%s arm %d = %q, want %q", r.Platform, i, r.Arm, names[i])
+			}
+			if r.Value <= 0 || math.IsNaN(r.Value) {
+				t.Errorf("%s %s RMSE = %v", r.Platform, r.Arm, r.Value)
 			}
 		}
 	}
-	series, err := tinyRunner.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var series [][]Row
+	runs(rowsOf(t, "figure", 7), func(r Row) string { return r.Arm }, func(s []Row) { series = append(series, s) })
 	if len(series) != 3 {
 		t.Fatalf("figure 7 series = %d", len(series))
 	}
-	names := []string{"Raw AST", "Augmented AST", "ParaGraph"}
 	for i, s := range series {
-		if s.Level != names[i] {
-			t.Errorf("series %d level = %q, want %q", i, s.Level, names[i])
+		if s[0].Arm != names[i] {
+			t.Errorf("series %d level = %q, want %q", i, s[0].Arm, names[i])
 		}
-		if len(s.ValRMSE) != tinyRunner.Scale.Epochs {
-			t.Errorf("%s: %d epochs", s.Level, len(s.ValRMSE))
+		if len(s) != tinyRunner.Scale.Epochs {
+			t.Errorf("%s: %d epochs", s[0].Arm, len(s))
 		}
 	}
 }
 
 func TestFigure8And9Comparison(t *testing.T) {
-	res, err := tinyRunner.Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.N == 0 {
+	v := index(rowsOf(t, "figure", 8))
+	platform := hw.V100().Name
+	if v[Row{Platform: platform, Metric: "n"}] == 0 {
 		t.Fatal("no comparison points")
 	}
-	if res.ParaGraphMeanErr < 0 || res.CompoffMeanErr < 0 {
-		t.Errorf("negative errors: %+v", res)
+	pg, co := Row{Platform: platform, Arm: pgArm}, Row{Platform: platform, Arm: compoffArm}
+	if v[pg.with("mean_rel_err", 0)] < 0 || v[co.with("mean_rel_err", 0)] < 0 {
+		t.Errorf("negative errors: %v", v)
 	}
-	if res.WinFraction < 0 || res.WinFraction > 1 {
-		t.Errorf("win fraction = %v", res.WinFraction)
+	if w := v[pg.with("win_share", 0)]; w < 0 || w > 1 {
+		t.Errorf("win share = %v", w)
 	}
-	f9, err := tinyRunner.Figure9(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f9.Points) == 0 || len(f9.Points) > 5 {
-		t.Errorf("points = %d", len(f9.Points))
+	f9 := rowsOf(t, "figure", 9)
+	points := 0
+	runs(f9[2:], byGroup, func([]Row) { points++ })
+	if points == 0 || points > 12 {
+		t.Errorf("points = %d", points)
 	}
 	// Both models should correlate positively with actual runtimes even at
 	// tiny scale.
-	if f9.ParaGraphPearson <= 0 {
-		t.Errorf("ParaGraph correlation = %v", f9.ParaGraphPearson)
+	if r := index(f9)[pg.with("log_pearson", 0)]; r <= 0 {
+		t.Errorf("ParaGraph correlation = %v", r)
 	}
-	var buf bytes.Buffer
-	if err := tinyRunner.RenderTable4(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tinyRunner.RenderFigure7(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tinyRunner.RenderFigure8(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tinyRunner.RenderFigure9(&buf); err != nil {
-		t.Fatal(err)
-	}
+	out := render(t, "table 4", "figure 7", "figure 8", "figure 9")
 	for _, want := range []string{"Table IV", "Figure 7", "Figure 8", "Figure 9"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
+// TestRowsTinyGolden pins every row of every artifact at tiny scale, each
+// value at full precision, against testdata/rows_tiny.golden: unlike the
+// printed tables, it sees a change of one ulp in any number. A change meant
+// to move predictions rewrites the file with
+//
+//	go test ./internal/experiments -run RowsTinyGolden -update
+func TestRowsTinyGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains every tiny model in -short mode")
+	}
+	if runtime.GOARCH != "amd64" {
+		// As cmd/experiments' stdout goldens: gc fuses a*b+c into one
+		// rounding on other architectures, and math.Exp differs there.
+		t.Skipf("golden holds amd64's bits; %s rounds differently", runtime.GOARCH)
+	}
+	var b strings.Builder
+	for _, a := range artifacts {
+		for _, r := range rowsOf(t, a.kind, a.number) {
+			fmt.Fprintf(&b, "%s %d\t%s\t%s\t%s\t%s\t%s\n", a.kind, a.number,
+				r.Platform, r.Arm, r.Group, r.Metric, strconv.FormatFloat(r.Value, 'g', -1, 64))
+		}
+	}
+	path := filepath.Join("testdata", "rows_tiny.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(b.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("%d rows, golden has %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("row %d: got %q, golden %q", i+1, gotLines[i], wantLines[i])
 		}
 	}
 }

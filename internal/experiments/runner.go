@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§IV–V). A Runner caches the expensive shared artifacts —
-// collected platform datasets, prepared samples, trained models — so the
-// table/figure functions compose without repeating work. Each exported
-// table/figure function names the paper artifact it reproduces.
+// collected platform datasets, prepared samples, trained models and their
+// validation splits — so the artifacts compose without repeating work.
+// Runner.Rows computes a table or figure as typed rows; Render prints it.
 package experiments
 
 import (
@@ -93,15 +93,6 @@ func valActualPredMS(prep *dataset.Prepared, scaled []float64) (actual, pred []f
 		pred[i] = prep.DescaleUS(scaled[i]) / 1000
 	}
 	return actual, pred
-}
-
-// ValApps returns the application name of each validation sample.
-func (t *Trained) ValApps() []string {
-	apps := make([]string, len(t.Prep.Val))
-	for i, s := range t.Prep.Val {
-		apps[i] = s.App
-	}
-	return apps
 }
 
 // Runner caches datasets and models across experiments.
@@ -200,6 +191,32 @@ func (r *Runner) Trained(m hw.Machine, level paragraph.Level) (*Trained, error) 
 			return nil, err
 		}
 		return &Trained{Model: model, Prep: prep, Hist: hist, Level: level}, nil
+	})
+}
+
+// split is one trained model's validation split: actual and predicted
+// runtimes in ms, each point's application, and the per-epoch validation
+// curve. Its slices are shared by every artifact and must not be changed.
+type split struct {
+	actual, pred []float64
+	apps         []string
+	curve        []float64
+}
+
+// validation returns (predicting on first use) the validation split of the
+// model trained on m at level.
+func (r *Runner) validation(m hw.Machine, level paragraph.Level) (split, error) {
+	return cached(r, fmt.Sprintf("split/%s/%d", m.Name, level), func() (split, error) {
+		tr, err := r.Trained(m, level)
+		if err != nil {
+			return split{}, err
+		}
+		s := split{curve: tr.Hist.ValRMSE}
+		s.actual, s.pred = tr.ValActualPredMS()
+		for _, v := range tr.Prep.Val {
+			s.apps = append(s.apps, v.App)
+		}
+		return s, nil
 	})
 }
 
