@@ -39,15 +39,14 @@ import (
 
 // BenchmarkArtifacts regenerates each table and figure of the paper's
 // evaluation end to end at tiny scale through Runner.Rows, one
-// sub-benchmark per artifact (table1 … figure9). The runner is shared, so
-// dataset collection and training are paid once, by the first
-// sub-benchmark that needs them, and the artifacts stay consistent with
-// each other, as in cmd/experiments. Each artifact is printed once. A
-// sub-benchmark fails on an empty or degenerate result: no row of its
+// sub-benchmark per artifact (table1 … figure9). Every iteration builds a
+// fresh Runner, so ns/op is the whole regeneration — dataset collection and
+// the training runs the artifact needs, then its rows — not row assembly
+// over a runner an earlier iteration filled. Each artifact is printed once.
+// A sub-benchmark fails on an empty or degenerate result: no row of its
 // check metric, a row of it that is not positive, or any value that is NaN
 // or infinite.
 func BenchmarkArtifacts(b *testing.B) {
-	r := experiments.NewRunner(experiments.Tiny())
 	for _, a := range []struct {
 		kind   string
 		number int
@@ -66,7 +65,9 @@ func BenchmarkArtifacts(b *testing.B) {
 	} {
 		printed := false
 		b.Run(fmt.Sprintf("%s%d", a.kind, a.number), func(b *testing.B) {
+			var r *experiments.Runner
 			for i := 0; i < b.N; i++ {
+				r = experiments.NewRunner(experiments.Tiny())
 				rows, err := r.Rows(a.kind, a.number)
 				if err != nil {
 					b.Fatal(err)

@@ -19,15 +19,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, w io.Writer) error {
+// run writes the artifacts to w and flag errors and usage to stderr, so a
+// redirected stdout holds tables or nothing.
+func run(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(w)
+	fs.SetOutput(stderr)
 	scaleName := fs.String("scale", "small", "scale: tiny, small, or full")
 	table := fs.Int("table", 0, "regenerate one table (1-4)")
 	figure := fs.Int("figure", 0, "regenerate one figure (4-9)")

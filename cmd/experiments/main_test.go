@@ -10,21 +10,36 @@ import (
 	"testing"
 )
 
+// TestRunFlagErrors: each invocation is refused before any work, and
+// writes nothing to stdout, so `experiments ... > out.txt` never leaves a
+// usage text where the tables belong; a flag the set does not define prints
+// its usage on stderr.
 func TestRunFlagErrors(t *testing.T) {
-	cases := [][]string{
-		{"-scale", "huge"},
-		{"-table", "7"},
-		{"-figure", "1"},
-		{"-badflag"},
-		{"-table", "3", "-figure", "8"},
-		{"-all", "-table", "3"},
-		{"-all", "-figure", "8"},
-		{"-scale", "tiny", "3"},
+	cases := []struct {
+		args  []string
+		usage bool // a flag error: usage on stderr
+	}{
+		{args: []string{"-scale", "huge"}},
+		{args: []string{"-table", "7"}},
+		{args: []string{"-figure", "1"}},
+		{args: []string{"-badflag"}, usage: true},
+		{args: []string{"-all", "-scale", "tiny", "-typo"}, usage: true},
+		{args: []string{"-table", "3", "-figure", "8"}},
+		{args: []string{"-all", "-table", "3"}},
+		{args: []string{"-all", "-figure", "8"}},
+		{args: []string{"-scale", "tiny", "3"}},
 	}
-	for _, args := range cases {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			if err := run(args, io.Discard); err == nil {
-				t.Errorf("run(%v) accepted", args)
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if err := run(c.args, &stdout, &stderr); err == nil {
+				t.Errorf("run(%v) accepted", c.args)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("run(%v) wrote to stdout:\n%s", c.args, stdout.String())
+			}
+			if c.usage && !strings.Contains(stderr.String(), "Usage of experiments") {
+				t.Errorf("run(%v) printed no usage on stderr:\n%s", c.args, stderr.String())
 			}
 		})
 	}
@@ -33,7 +48,7 @@ func TestRunFlagErrors(t *testing.T) {
 // TestRunTable1 renders the training-free artifact through the CLI path.
 func TestRunTable1(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-table", "1"}, &out); err != nil {
+	if err := run([]string{"-table", "1"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -52,7 +67,7 @@ func TestRunTable2(t *testing.T) {
 		t.Skip("dataset collection in -short mode")
 	}
 	var out strings.Builder
-	if err := run([]string{"-scale", "tiny", "-table", "2"}, &out); err != nil {
+	if err := run([]string{"-scale", "tiny", "-table", "2"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	const platform = "NVIDIA V100 (GPU)"
@@ -121,7 +136,7 @@ func checkGolden(t *testing.T, scale string) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run([]string{"-all", "-scale", scale}, &out); err != nil {
+	if err := run([]string{"-all", "-scale", scale}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	gotLines := strings.Split(out.String(), "\n")

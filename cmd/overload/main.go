@@ -39,7 +39,7 @@ import (
 )
 
 func main() {
-	code, err := run(os.Args[1:], os.Stdout)
+	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "overload:", err)
 	}
@@ -97,9 +97,10 @@ type sample struct {
 	violation  string        // "" = contract held
 }
 
-func run(args []string, w io.Writer) (int, error) {
+// run writes the report summary to w and flag errors and usage to stderr.
+func run(args []string, w, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("overload", flag.ContinueOnError)
-	fs.SetOutput(w)
+	fs.SetOutput(stderr)
 	target := fs.String("target", "", "base URL of the serve instance (required)")
 	duration := fs.Duration("duration", 10*time.Second, "how long to sustain the load")
 	bulk := fs.Int("bulk", 8, "bulk workers flooding cold evaluations without deadlines")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -53,7 +54,7 @@ func TestRunAgainstSheddingServer(t *testing.T) {
 		"-bulk", "4", "-interactive", "1", "-interactive-pace", "5ms",
 		"-require-shed", "-max-interactive-p99", "5s",
 		"-out", out,
-	}, &buf)
+	}, &buf, io.Discard)
 	if err != nil || code != 0 {
 		t.Fatalf("run = %d, %v\n%s", code, err, buf.String())
 	}
@@ -94,7 +95,7 @@ func TestRunFlagsBrokenRetryAfter(t *testing.T) {
 	var buf bytes.Buffer
 	code, err := run([]string{
 		"-target", srv.URL, "-duration", "200ms", "-bulk", "4", "-interactive", "0",
-	}, &buf)
+	}, &buf, io.Discard)
 	if code != 1 || err == nil {
 		t.Fatalf("run against a non-compliant server = %d, %v", code, err)
 	}
@@ -127,7 +128,7 @@ func TestRunRequireShedFails(t *testing.T) {
 	code, err := run([]string{
 		"-target", srv.URL, "-duration", "100ms", "-bulk", "1", "-interactive", "0",
 		"-require-shed",
-	}, &buf)
+	}, &buf, io.Discard)
 	if code != 1 || err == nil {
 		t.Fatalf("run = %d, %v; want required-shed failure", code, err)
 	}
@@ -162,7 +163,7 @@ func TestBulkHonorsRetryAfter(t *testing.T) {
 	code, _ := run([]string{
 		"-target", srv.URL, "-duration", "300ms", "-bulk", "1", "-interactive", "0",
 		"-backoff-cap", "100ms",
-	}, &buf)
+	}, &buf, io.Discard)
 	if code != 0 {
 		t.Fatalf("run = %d\n%s", code, buf.String())
 	}
@@ -183,14 +184,29 @@ func TestBulkHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRunUsageErrors: missing target and zero workers are usage errors.
+// TestRunUsageErrors: missing target, zero workers and a bad flag are usage
+// errors (exit 2) that write nothing to stdout; the flag set's usage goes to
+// stderr.
 func TestRunUsageErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if code, err := run(nil, &buf); code != 2 || err == nil {
-		t.Errorf("run without -target = %d, %v", code, err)
-	}
-	if code, err := run([]string{"-target", "http://x", "-bulk", "0", "-interactive", "0"}, &buf); code != 2 || err == nil {
-		t.Errorf("run without workers = %d, %v", code, err)
+	for _, c := range []struct {
+		args  []string
+		usage bool // usage on stderr
+	}{
+		{args: nil, usage: true},
+		{args: []string{"-target", "http://x", "-bulk", "0", "-interactive", "0"}},
+		{args: []string{"-target", "http://x", "-typo"}, usage: true},
+	} {
+		var stdout, stderr bytes.Buffer
+		code, err := run(c.args, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("run(%v) = %d, %v, want exit 2", c.args, code, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%v) wrote to stdout:\n%s", c.args, stdout.String())
+		}
+		if c.usage && !strings.Contains(stderr.String(), "Usage of overload") {
+			t.Errorf("run(%v) printed no usage on stderr:\n%s", c.args, stderr.String())
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
@@ -118,8 +118,8 @@ type serveConfig struct {
 // loses at most this much warmth.
 const snapshotEvery = 5 * time.Minute
 
-func run(args []string, w io.Writer) error {
-	srv, cfg, err := buildServer(args, w)
+func run(args []string, w, stderr io.Writer) error {
+	srv, cfg, err := buildServer(args, w, stderr)
 	if err != nil {
 		return err
 	}
@@ -252,10 +252,11 @@ func parseLogLevel(s string) (slog.Level, error) {
 
 // buildServer parses flags and assembles the service from the registry
 // checkpoints under -model-dir; the caller decides how to listen (main
-// serves TCP, tests mount the handler directly).
-func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error) {
+// serves TCP, tests mount the handler directly). The log goes to w, flag
+// errors and usage to stderr.
+func buildServer(args []string, w, stderr io.Writer) (*serve.Server, serveConfig, error) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	fs.SetOutput(w)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	modelDir := fs.String("model-dir", "", "registry directory to boot from (required): every checkpoint under it, as written by train -save-dir, is loaded and served")
 	platforms := fs.String("platforms", allPlatformNames(), "comma-separated machine names to serve")

@@ -32,7 +32,7 @@ func startService(t *testing.T) string {
 		"-model-dir", trainCheckpoints(t, hw.Power9(), hw.V100()),
 		"-platforms", "IBM POWER9 (CPU),NVIDIA V100 (GPU)",
 		"-addr", "127.0.0.1:0",
-	}, io.Discard)
+	}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestModelDirServesCheckpointsWithoutTraining(t *testing.T) {
 	}
 	dir := trainCheckpoints(t)
 	var out strings.Builder
-	srv, _, err := buildServer([]string{"-model-dir", dir}, &out)
+	srv, _, err := buildServer([]string{"-model-dir", dir}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestBootIgnoresRolloutState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _, err := buildServer([]string{"-model-dir", root, "-platforms", hw.V100().Name}, io.Discard)
+	srv, _, err := buildServer([]string{"-model-dir", root, "-platforms", hw.V100().Name}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestCacheFileSurvivesRestart(t *testing.T) {
 
 	// First process lifetime: cold advise, then flush the snapshot (what
 	// run() does on SIGTERM after draining).
-	srv1, cfg, err := buildServer(args, io.Discard)
+	srv1, cfg, err := buildServer(args, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestCacheFileSurvivesRestart(t *testing.T) {
 	}
 
 	// Second process lifetime: restore, and the same request must hit.
-	srv2, cfg2, err := buildServer(args, io.Discard)
+	srv2, cfg2, err := buildServer(args, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,6 +428,7 @@ func TestBuildServerFlagErrors(t *testing.T) {
 		{"-platforms", "Cray-1"},
 		{"-platforms", ""},
 		{"-badflag"},
+		{"-model-dir", "/nonexistent/registry", "-typo"},
 		{"-model-dir", "/nonexistent/registry"},
 		// -peers is gone: -seed is the one bootstrap, so a pre-upgrade
 		// command line with -peers is a usage error, whatever else it says.
@@ -452,15 +453,20 @@ func TestBuildServerFlagErrors(t *testing.T) {
 	const needsRegistry = "-model-dir is required"
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			if _, _, err := buildServer(args, io.Discard); err == nil {
+			var stdout strings.Builder
+			if _, _, err := buildServer(args, &stdout, io.Discard); err == nil {
 				t.Errorf("buildServer(%v) accepted", args)
 			} else if strings.Contains(err.Error(), needsRegistry) {
 				t.Errorf("buildServer(%v) got as far as the boot: %v", args, err)
 			}
+			// Flag errors and usage go to stderr; stdout carries the log.
+			if stdout.Len() != 0 {
+				t.Errorf("buildServer(%v) wrote to stdout:\n%s", args, stdout.String())
+			}
 		})
 	}
 	// There is one boot mode, and it needs its registry.
-	if _, _, err := buildServer([]string{"-platforms", "NVIDIA V100 (GPU)"}, io.Discard); err == nil ||
+	if _, _, err := buildServer([]string{"-platforms", "NVIDIA V100 (GPU)"}, io.Discard, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), needsRegistry) {
 		t.Errorf("buildServer without -model-dir = %v, want %q", err, needsRegistry)
 	}
@@ -498,7 +504,7 @@ func TestClusterFlagsFormWorkingTier(t *testing.T) {
 	for i := range srvs {
 		srv, _, err := buildServer([]string{
 			"-model-dir", dir, "-self", urls[i], "-seed", urls[0], "-replication", "2",
-		}, io.Discard)
+		}, io.Discard, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -624,7 +630,7 @@ func TestFlagsDocumented(t *testing.T) {
 	// per defined flag, its help text on the next — and stop before
 	// anything is built.
 	var help bytes.Buffer
-	if _, _, err := buildServer([]string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
+	if _, _, err := buildServer([]string{"-h"}, io.Discard, &help); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("buildServer(-h) = %v, want flag.ErrHelp", err)
 	}
 	var names []string

@@ -27,15 +27,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "train:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, w io.Writer) error {
+// run writes the training report to w and flag errors and usage to
+// stderr.
+func run(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
-	fs.SetOutput(w)
+	fs.SetOutput(stderr)
 	scaleName := fs.String("scale", "small", "scale: tiny, small, or full")
 	platform := fs.String("platform", "NVIDIA V100 (GPU)", "platform name")
 	levelName := fs.String("level", "para", "representation: raw, aug, or para")

@@ -11,13 +11,15 @@ import (
 
 func TestRunFlagErrors(t *testing.T) {
 	cases := []struct {
-		args []string
-		want string // in the error, when set
+		args  []string
+		want  string // in the error, when set
+		usage bool   // a flag error: usage on stderr
 	}{
 		{args: []string{"-scale", "huge"}},
 		{args: []string{"-platform", "Cray-1"}},
 		{args: []string{"-level", "mega"}},
-		{args: []string{"-badflag"}},
+		{args: []string{"-badflag"}, usage: true},
+		{args: []string{"-scale", "tiny", "-typo"}, usage: true},
 		// The removed feedback retrain's split and record floor, and the
 		// retrain itself: unknown flags.
 		{args: []string{"-rollout-split", "50"}},
@@ -32,12 +34,19 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
-			err := run(c.args, io.Discard)
+			var stdout, stderr strings.Builder
+			err := run(c.args, &stdout, &stderr)
 			if err == nil {
 				t.Fatalf("run(%v) accepted", c.args)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("run(%v) = %v, want an error naming %s", c.args, err, c.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("run(%v) wrote to stdout:\n%s", c.args, stdout.String())
+			}
+			if c.usage && !strings.Contains(stderr.String(), "Usage of train") {
+				t.Errorf("run(%v) printed no usage on stderr:\n%s", c.args, stderr.String())
 			}
 		})
 	}
@@ -55,7 +64,7 @@ func TestRunTinyEndToEnd(t *testing.T) {
 		"-epochs", "1",
 		"-points", "24",
 		"-platform", "IBM POWER9 (CPU)",
-	}, &out)
+	}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +99,7 @@ func TestSaveDirWritesLoadableCheckpoint(t *testing.T) {
 		"-platform", "IBM POWER9 (CPU)",
 		"-save-dir", dir,
 		"-save-name", "smoke",
-	}, &out)
+	}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestSaveDirRejectsBadNameEarly(t *testing.T) {
 	err := run([]string{
 		"-platform", "IBM POWER9 (CPU)",
 		"-save-dir", t.TempDir(), "-save-name", "bad name",
-	}, io.Discard)
+	}, io.Discard, io.Discard)
 	if err == nil {
 		t.Error("invalid -save-name accepted")
 	}

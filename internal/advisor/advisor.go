@@ -10,6 +10,7 @@ package advisor
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -61,6 +62,38 @@ type Advisor struct {
 	machine hw.Machine
 	level   paragraph.Level
 	workers int // front-end goroutines; 0 = GOMAXPROCS
+
+	// encoders memoizes the front end of each suite kernel's variant kinds,
+	// memoKey → *dataset.Encoder: at most 17 kernels × 6 kinds × 3 levels,
+	// never evicted (see encoder).
+	encoders sync.Map
+}
+
+// memoKey names what a variant kind's topology depends on: the kernel's
+// source and arrays (fixed for a suite kernel, so its name stands for
+// them), the kind, and the representation level.
+type memoKey struct {
+	level  paragraph.Level
+	kernel string
+	kind   variants.Kind
+}
+
+// suite holds the benchmark suite's kernels by name, the only kernels
+// whose front end Advise memoizes.
+var suite = func() map[string]apps.Kernel {
+	m := map[string]apps.Kernel{}
+	for _, k := range apps.Kernels() {
+		m[k.Name] = k
+	}
+	return m
+}()
+
+// isSuite reports whether k is its suite entry in every field. A custom
+// kernel under a suite name with other source or arrays is not, and keeps
+// a parse per request.
+func isSuite(k apps.Kernel) bool {
+	s, ok := suite[k.Name]
+	return ok && reflect.DeepEqual(k, s)
 }
 
 // New builds an advisor from a trained predictor and the Prepared dataset
@@ -198,8 +231,10 @@ type Recommendation struct {
 // so its first point is parsed and its topology derived once
 // (dataset.Encoder), and each point then only gets its own literal feature
 // rows and the Child weights of its thread count — weighed once per distinct
-// count and shared across team counts. Then the whole grid, in enumeration
-// order, goes to the predictor as one batch. The samples are the ones a
+// count and shared across team counts. A suite kernel's kind is parsed once
+// per advisor and level: later requests reuse its topology (and the engine's
+// plan cached on it) and weigh only their own bindings. Then the whole grid,
+// in enumeration order, goes to the predictor as one batch. The samples are the ones a
 // per-point EncodeInstance yields, predictions do not depend on their
 // batchmates and the sort is stable, so the ranking is identical to a
 // one-worker, one-point-at-a-time run.
@@ -248,9 +283,10 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 	enc.Annotate(fmt.Sprintf("points=%d", len(recs)))
 	samples := make([]*gnn.Sample, len(recs))
 	kindName := func(kind int) string { return "variant " + kinds[kind].String() }
+	memo := isSuite(k)
 	err := a.forEach(ctx, len(kinds), kindName, func(kind int) error {
 		lo := kind * perKind
-		return a.encodeKind(k, bindings, recs[lo:lo+perKind], samples[lo:lo+perKind])
+		return a.encodeKind(k, memo, bindings, recs[lo:lo+perKind], samples[lo:lo+perKind])
 	})
 	enc.End()
 	if err != nil {
@@ -271,10 +307,11 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 }
 
 // encodeKind is the front end of one variant kind's points: every point's
-// source is generated, the first is parsed, and each point's sample comes
-// off that one topology. CheckSpace made every count positive, so the
-// points all spell the first one's clauses.
-func (a *Advisor) encodeKind(k apps.Kernel, bindings analysis.Env, recs []Recommendation, samples []*gnn.Sample) error {
+// source is generated, the kind's Encoder is taken from the memo (memo set)
+// or the first source is parsed, and each point's sample comes off that one
+// topology. CheckSpace made every count positive, so the points all spell
+// the clauses of whichever point the Encoder was parsed from.
+func (a *Advisor) encodeKind(k apps.Kernel, memo bool, bindings analysis.Env, recs []Recommendation, samples []*gnn.Sample) error {
 	var grid *dataset.Grid
 	for i := range recs {
 		r := &recs[i]
@@ -287,7 +324,7 @@ func (a *Advisor) encodeKind(k apps.Kernel, bindings analysis.Env, recs []Recomm
 		}
 		r.Source = src
 		if grid == nil {
-			enc, err := dataset.NewEncoder(src, a.level, k.PragmaOffset())
+			enc, err := a.encoder(k, memo, r.Kind, src)
 			if err != nil {
 				return fail(err)
 			}
@@ -300,6 +337,26 @@ func (a *Advisor) encodeKind(k apps.Kernel, bindings analysis.Env, recs []Recomm
 		samples[i] = a.sample(eg, variants.Instance{Kernel: k, Kind: r.Kind, Teams: r.Teams, Threads: r.Threads, Bindings: bindings})
 	}
 	return nil
+}
+
+// encoder returns the Encoder of kind's variants of k at the advisor's
+// level, parsing src, one of them, unless memo is set and an earlier request
+// already did. Concurrent first requests may both parse; one Encoder is
+// kept, and every request uses it.
+func (a *Advisor) encoder(k apps.Kernel, memo bool, kind variants.Kind, src string) (*dataset.Encoder, error) {
+	if !memo {
+		return dataset.NewEncoder(src, a.level, k.PragmaOffset())
+	}
+	key := memoKey{level: a.level, kernel: k.Name, kind: kind}
+	if enc, ok := a.encoders.Load(key); ok {
+		return enc.(*dataset.Encoder), nil
+	}
+	enc, err := dataset.NewEncoder(src, a.level, k.PragmaOffset())
+	if err != nil {
+		return nil, err
+	}
+	kept, _ := a.encoders.LoadOrStore(key, enc)
+	return kept.(*dataset.Encoder), nil
 }
 
 // guard runs fn, turning a panic in it into a *PanicError under what()'s
