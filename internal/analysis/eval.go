@@ -119,10 +119,17 @@ func Eval(n *cast.Node, env Env) (float64, bool) {
 		case "*":
 			return a * b, true
 		case "/":
-			if b == 0 {
+			if isFloatExpr(n) {
+				if b == 0 {
+					return 0, false
+				}
+				return a / b, true
+			}
+			// Two integers: C truncates the quotient toward zero.
+			if int64(b) == 0 {
 				return 0, false
 			}
-			return a / b, true
+			return float64(int64(a) / int64(b)), true
 		case "%":
 			if int64(b) == 0 {
 				return 0, false

@@ -34,7 +34,8 @@ func TestEvalConstants(t *testing.T) {
 		{"100UL", 100},
 		{"1 + 2 * 3", 7},
 		{"(1 + 2) * 3", 9},
-		{"10 / 4", 2.5},
+		{"10 / 4", 2},
+		{"10.0 / 4", 2.5},
 		{"10 % 3", 1},
 		{"1 << 4", 16},
 		{"256 >> 2", 64},
@@ -102,6 +103,34 @@ func TestEvalDivisionByZero(t *testing.T) {
 	n = exprOf(t, "1 % 0", "")
 	if _, ok := Eval(n, nil); ok {
 		t.Error("mod by zero should not be constant")
+	}
+}
+
+// TestEvalIntegerDivision holds "/" to C: two integer operands divide as
+// integers, truncating toward zero; a floating operand divides in float64.
+func TestEvalIntegerDivision(t *testing.T) {
+	for _, c := range []struct {
+		expr, params string
+		env          Env
+		want         float64
+	}{
+		{"7 / 2", "", nil, 3},
+		{"-7 / 2", "", nil, -3},
+		{"7 / -2", "", nil, -3},
+		{"n / 2", "int n", Env{"n": 5}, 2},
+		{"7.0 / 2", "", nil, 3.5},
+		{"x / 2", "double x", Env{"x": 7}, 3.5},
+		{"(n + 0.5) / 2", "int n", Env{"n": 5}, 2.75},
+	} {
+		got, ok := Eval(exprOf(t, c.expr, c.params), c.env)
+		if !ok || got != c.want {
+			t.Errorf("Eval(%q) = %v, %v; want %v", c.expr, got, ok, c.want)
+		}
+	}
+	// C runs this loop twice for n = 5, not three times.
+	info := ForTrip(forOf(t, "for (int i = 0; i < n/2; i++) {}", "int n"), Env{"n": 5}, 99)
+	if !info.Known || info.Trip != 2 {
+		t.Errorf("ForTrip(i < n/2, n = 5) = %+v, want 2 trips", info)
 	}
 }
 

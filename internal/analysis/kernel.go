@@ -80,18 +80,18 @@ func (a *analyzer) stmt(n *cast.Node, mult float64) {
 		init, cond, body, inc := n.ForParts()
 		info := ForTrip(n, a.env, a.defaultTrip)
 		a.stmt(init, mult)
-		inner := mult * info.Trip
+		inner := float64(mult * info.Trip)
 		a.kc.TotalIters += inner
 		a.expr(cond, inner, false)
 		a.stmt(body, inner)
 		a.expr(inc, inner, false)
 	case cast.KindWhileStmt:
-		inner := mult * a.defaultTrip
+		inner := float64(mult * a.defaultTrip)
 		a.kc.TotalIters += inner
 		a.expr(n.Children[0], inner, false)
 		a.stmt(n.Children[1], inner)
 	case cast.KindDoStmt:
-		inner := mult * a.defaultTrip
+		inner := float64(mult * a.defaultTrip)
 		a.kc.TotalIters += inner
 		a.stmt(n.Children[0], inner)
 		a.expr(n.Children[1], inner, false)
@@ -179,7 +179,7 @@ func (a *analyzer) mapClause(clause *cast.Node) {
 				elems = v
 			}
 		}
-		a.kc.TransferBytes += 8 * factor * elems
+		a.kc.TransferBytes += float64(8 * factor * elems)
 		a.kc.MappedArrays++
 	}
 }

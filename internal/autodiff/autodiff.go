@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 
+	"paragraph/internal/fp"
 	"paragraph/internal/tensor"
 )
 
@@ -217,7 +218,7 @@ func (t *Tape) LeakyReLU(a *Var, alpha float64) *Var {
 			if v >= 0 {
 				ag.Data[i] += g.Data[i]
 			} else {
-				ag.Data[i] += alpha * g.Data[i]
+				ag.Data[i] += float64(alpha * g.Data[i])
 			}
 		}
 	})
@@ -226,26 +227,6 @@ func (t *Tape) LeakyReLU(a *Var, alpha float64) *Var {
 
 // ReLU returns max(x, 0) element-wise.
 func (t *Tape) ReLU(a *Var) *Var { return t.LeakyReLU(a, 0) }
-
-// Tanh returns tanh(x) element-wise.
-func (t *Tape) Tanh(a *Var) *Var {
-	m := a.Value.Clone()
-	for i, v := range m.Data {
-		m.Data[i] = math.Tanh(v)
-	}
-	out := t.output(m, a)
-	t.record(func() {
-		if !out.requiresGrad || !a.requiresGrad {
-			return
-		}
-		g := out.Grad()
-		ag := a.Grad()
-		for i, y := range out.Value.Data {
-			ag.Data[i] += (1 - y*y) * g.Data[i]
-		}
-	})
-	return out
-}
 
 // --- structural ops ---
 
@@ -371,7 +352,7 @@ func (t *Tape) MulColBroadcast(a, c *Var) *Var {
 				f := c.Value.Data[i]
 				row := ag.Row(i)
 				for j, v := range g.Row(i) {
-					row[j] += f * v
+					row[j] += float64(f * v)
 				}
 			}
 		}
@@ -381,7 +362,7 @@ func (t *Tape) MulColBroadcast(a, c *Var) *Var {
 				var acc float64
 				arow := a.Value.Row(i)
 				for j, v := range g.Row(i) {
-					acc += v * arow[j]
+					acc += float64(v * arow[j])
 				}
 				cg.Data[i] += acc
 			}
@@ -411,7 +392,7 @@ func (t *Tape) SegmentSoftmax(logits *Var, segments []int, numSegments int) *Var
 	sums := make([]float64, numSegments)
 	m := tensor.New(logits.Value.Rows, 1)
 	for e, s := range segments {
-		v := math.Exp(logits.Value.Data[e] - maxes[s])
+		v := fp.Exp(logits.Value.Data[e] - maxes[s])
 		m.Data[e] = v
 		sums[s] += v
 	}
@@ -429,11 +410,11 @@ func (t *Tape) SegmentSoftmax(logits *Var, segments []int, numSegments int) *Var
 		// dL/dx_e = α_e (g_e - Σ_f α_f g_f) within the segment.
 		dots := make([]float64, numSegments)
 		for e, s := range segments {
-			dots[s] += out.Value.Data[e] * g.Data[e]
+			dots[s] += float64(out.Value.Data[e] * g.Data[e])
 		}
 		lg := logits.Grad()
 		for e, s := range segments {
-			lg.Data[e] += out.Value.Data[e] * (g.Data[e] - dots[s])
+			lg.Data[e] += float64(out.Value.Data[e] * (g.Data[e] - dots[s]))
 		}
 	})
 	return out
@@ -464,7 +445,7 @@ func (t *Tape) MeanRows(a *Var) *Var {
 		for i := 0; i < ag.Rows; i++ {
 			row := ag.Row(i)
 			for j := range row {
-				row[j] += g.Data[j] * inv
+				row[j] += float64(g.Data[j] * inv)
 			}
 		}
 	})
@@ -498,7 +479,7 @@ func (t *Tape) MSE(pred *Var, target *tensor.Matrix) *Var {
 	var acc float64
 	for i, v := range pred.Value.Data {
 		d := v - target.Data[i]
-		acc += d * d
+		acc += float64(d * d)
 	}
 	out := t.output(tensor.Scalar(acc/n), pred)
 	t.record(func() {

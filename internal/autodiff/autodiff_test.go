@@ -104,10 +104,6 @@ func TestGradActivations(t *testing.T) {
 			r := tp.ReLU(vs[0])
 			return tp.Sum(tp.Hadamard(r, r))
 		})
-	gradCheck(t, "tanh", []*tensor.Matrix{randMat(rng, 3, 3)},
-		func(tp *Tape, vs []*Var) *Var {
-			return tp.Sum(tp.Tanh(vs[0]))
-		})
 }
 
 func TestGradConcatGatherScatter(t *testing.T) {

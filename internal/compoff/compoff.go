@@ -17,6 +17,7 @@ import (
 	"paragraph/internal/analysis"
 	"paragraph/internal/cparse"
 	"paragraph/internal/dataset"
+	"paragraph/internal/fp"
 	"paragraph/internal/nn"
 	"paragraph/internal/variants"
 )
@@ -48,18 +49,18 @@ func Extract(in variants.Instance, defaultTrip float64) (Features, error) {
 		defaultTrip = 100
 	}
 	kc := analysis.AnalyzeKernel(fn, in.Bindings, defaultTrip)
-	f[0] = math.Log1p(kc.Flops)
-	f[1] = math.Log1p(kc.IntOps)
-	f[2] = math.Log1p(kc.Loads)
-	f[3] = math.Log1p(kc.Stores)
-	f[4] = math.Log1p(kc.Branches)
-	f[5] = math.Log1p(kc.MathCalls)
-	f[6] = math.Log1p(kc.TransferBytes)
-	f[7] = math.Log1p(kc.ParallelIters)
+	f[0] = fp.Log1p(kc.Flops)
+	f[1] = fp.Log1p(kc.IntOps)
+	f[2] = fp.Log1p(kc.Loads)
+	f[3] = fp.Log1p(kc.Stores)
+	f[4] = fp.Log1p(kc.Branches)
+	f[5] = fp.Log1p(kc.MathCalls)
+	f[6] = fp.Log1p(kc.TransferBytes)
+	f[7] = fp.Log1p(kc.ParallelIters)
 	f[8] = float64(kc.CollapseDepth)
 	f[9] = float64(kc.MaxLoopDepth)
-	f[10] = math.Log1p(float64(in.Teams))
-	f[11] = math.Log1p(float64(in.Threads))
+	f[10] = fp.Log1p(float64(in.Teams))
+	f[11] = fp.Log1p(float64(in.Threads))
 	f[12] = float64(kc.ReductionOps)
 	return f, nil
 }
@@ -147,7 +148,7 @@ func dense(x []float64, l *nn.Linear) []float64 {
 			continue
 		}
 		for j, wv := range l.W.Value.Row(k) {
-			z[j] += xv * wv
+			z[j] += float64(xv * wv)
 		}
 	}
 	for j, b := range l.B.Value.Data {
@@ -204,7 +205,7 @@ func backDense(x, dz []float64, l *nn.Linear, grad []float64) []float64 {
 		}
 		row := gW[k*len(dz) : (k+1)*len(dz)]
 		for j, g := range dz {
-			row[j] += xv * g
+			row[j] += float64(xv * g)
 		}
 	}
 	dx := make([]float64, len(x))
@@ -214,7 +215,7 @@ func backDense(x, dz []float64, l *nn.Linear, grad []float64) []float64 {
 			continue
 		}
 		for k := range dx {
-			dx[k] += g * l.W.Value.At(k, j)
+			dx[k] += float64(g * l.W.Value.At(k, j))
 		}
 	}
 	return dx
@@ -269,7 +270,7 @@ func (m *Model) EvalRMSE(samples []*Sample) float64 {
 	var acc float64
 	for _, s := range samples {
 		d := m.Predict(s) - s.Target
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return math.Sqrt(acc / float64(len(samples)))
 }

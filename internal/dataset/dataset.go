@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"paragraph/internal/cluster"
+	"paragraph/internal/fp"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 	"paragraph/internal/metrics"
@@ -182,7 +183,7 @@ func (s Scaler) Scale(v float64) float64 {
 }
 
 // Unscale inverts Scale (without clamping).
-func (s Scaler) Unscale(x float64) float64 { return s.Min + x*(s.Max-s.Min) }
+func (s Scaler) Unscale(x float64) float64 { return s.Min + float64(x*(s.Max-s.Min)) }
 
 // Prepared is a platform dataset ready for training.
 type Prepared struct {
@@ -198,13 +199,13 @@ type Prepared struct {
 
 // DescaleUS converts a scaled model output back to microseconds.
 func (p *Prepared) DescaleUS(scaled float64) float64 {
-	return math.Exp(p.TargetScaler.Unscale(scaled))
+	return fp.Exp(p.TargetScaler.Unscale(scaled))
 }
 
 // logUS is the target transform: runtimes span orders of magnitude (Table
 // II's ranges), so the model regresses their logarithm, floored at a
 // nanosecond so a zero measurement stays finite.
-func logUS(us float64) float64 { return math.Log(math.Max(us, 1e-3)) }
+func logUS(us float64) float64 { return fp.Log(math.Max(us, 1e-3)) }
 
 // Sample is the one constructor of a model-ready sample: it scales an
 // encoded graph at grid point (teams, threads), measured at measuredUS

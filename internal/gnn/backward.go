@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"paragraph/internal/fp"
 	"paragraph/internal/nn"
 	"paragraph/internal/tensor"
 )
@@ -202,7 +203,7 @@ func linearGrad(x, dz, gW, gB []float64) {
 		}
 		row := gW[k*len(dz) : (k+1)*len(dz)]
 		for j, g := range dz {
-			row[j] += xv * g
+			row[j] += float64(xv * g)
 		}
 	}
 	for j, g := range dz {
@@ -246,7 +247,7 @@ func (gw *gradWS) addATB(a *tensor.Matrix, rows []int, b *tensor.Matrix, dst []f
 func axpy(y []float64, a float64, x []float64) {
 	y = y[:len(x)]
 	for j, v := range x {
-		y[j] += a * v
+		y[j] += float64(a * v)
 	}
 }
 
@@ -324,7 +325,7 @@ func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64
 		}
 		var sum float64
 		for i, v := range alpha {
-			alpha[i] = math.Exp(v - mx)
+			alpha[i] = fp.Exp(v - mx)
 			sum += alpha[i]
 		}
 		inv := 1.0
@@ -339,14 +340,14 @@ func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64
 			a, k, wt := alpha[i-lo]*inv, 1.0, 0.0
 			if !w.noWeights {
 				wt = logW[rp.edge[i]] / wscale
-				k = wt*c + 1
+				k = float64(wt*c) + 1
 			}
 			si := rp.edgeSrcIdx[i]
 			dF := tensor.Dot(dRow, q.Row(si))
 			axpy(gw.dq.Row(si), a*k, dRow)
 			dAlpha[i-lo] = k * dF
-			dc += wt * a * dF
-			dot += a * dAlpha[i-lo]
+			dc += float64(wt * a * dF)
+			dot += float64(a * dAlpha[i-lo])
 		}
 		// Segment softmax, then the logits' LeakyReLU, into the two scores.
 		var dsDst float64

@@ -76,7 +76,7 @@ func TestTrainGradientsMatchTape(t *testing.T) {
 		m := NewModel(cfg)
 		g := randomEncodedGraph(rng, numRels)
 		if trial%2 == 0 {
-			g.InitPlanCache()
+			initPlanCache(g)
 		}
 		s := &Sample{G: g, Feats: [2]float64{rng.Float64(), rng.Float64()}, Target: rng.NormFloat64()}
 		checkGradientsMatchTape(t, m, s, "random graph")

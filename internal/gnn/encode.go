@@ -8,8 +8,8 @@ package gnn
 
 import (
 	"fmt"
-	"math"
 
+	"paragraph/internal/fp"
 	"paragraph/internal/graph"
 	"paragraph/internal/tensor"
 )
@@ -40,19 +40,8 @@ type Graph struct {
 	// planBox caches the graph's InferencePlan (see infer.go). It is a
 	// pointer so shallow header copies (a copy made to override WScale)
 	// share one cached plan. Encode installs it; hand-built graphs may
-	// leave it nil (InitPlanCache adds it) at the cost of re-deriving the
-	// plan on every prediction.
+	// leave it nil at the cost of re-deriving the plan on every prediction.
 	planBox *planBox
-}
-
-// InitPlanCache attaches the lazy inference-plan cache Encode installs
-// automatically, for graphs assembled by hand (tests, custom encoders).
-// Call it before the graph is shared across goroutines; predictions work
-// without it but re-derive the edge-ordering plan on every forward pass.
-func (g *Graph) InitPlanCache() {
-	if g.planBox == nil {
-		g.planBox = &planBox{}
-	}
 }
 
 // Encode converts a built graph into model form. numRelations must be at
@@ -92,7 +81,7 @@ func Encode(g *graph.Graph, numRelations int) (*Graph, error) {
 		r := &eg.Rels[e.Type]
 		r.Src = append(r.Src, e.Src)
 		r.Dst = append(r.Dst, e.Dst)
-		r.LogW = append(r.LogW, math.Log1p(e.Weight))
+		r.LogW = append(r.LogW, fp.Log1p(e.Weight))
 	}
 	return eg, nil
 }
@@ -175,7 +164,7 @@ func (t *Topology) Graph(feats []float64, weighted int, logW []float64) (*Graph,
 // them (log1p) and returns it.
 func LogWeights(ws []float64) []float64 {
 	for i, w := range ws {
-		ws[i] = math.Log1p(w)
+		ws[i] = fp.Log1p(w)
 	}
 	return ws
 }

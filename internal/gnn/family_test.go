@@ -87,7 +87,7 @@ func perturb(rng *rand.Rand, g *Graph, share bool, featP, weightP float64) *Grap
 func randomFamily(rng *rand.Rand, numRels, size int, planCache bool) []*Sample {
 	g := randomEncodedGraph(rng, numRels)
 	if planCache {
-		g.InitPlanCache()
+		initPlanCache(g)
 	}
 	graphs := []*Graph{g}
 	for len(graphs) < size {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"paragraph/internal/fp"
 	"paragraph/internal/tensor"
 )
 
@@ -109,7 +110,7 @@ type planBox struct {
 }
 
 // plan returns the graph's InferencePlan, building and caching it on first
-// use. Graphs without a plan cache (hand-built, no InitPlanCache) get a
+// use. Graphs without a plan cache (hand-built, not from Encode) get a
 // fresh plan per call — correct, just not allocation-free.
 func (g *Graph) plan() *InferencePlan {
 	b := g.planBox
@@ -531,7 +532,7 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 		f := g.Feats.Data[i]
 		if f != 0 {
 			for j := range hrow {
-				hrow[j] = krow[j] + srow[j] + f*fv[j]
+				hrow[j] = krow[j] + srow[j] + float64(f*fv[j])
 			}
 		} else {
 			for j := range hrow {
@@ -722,7 +723,7 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 			}
 			var sum float64
 			for i, v := range run {
-				e := math.Exp(v - mx)
+				e := fp.Exp(v - mx)
 				run[i] = e
 				sum += e
 			}
@@ -740,11 +741,11 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 				f := run[i-lo] * inv
 				if !w.noWeights {
 					if wt := logW[rp.edge[i]] / wscale; wt != 0 {
-						f *= wt*c + 1
+						f *= float64(wt*c) + 1
 					}
 				}
 				for j, qv := range q.Row(rp.edgeSrcIdx[i]) {
-					drow[j] += qv * f
+					drow[j] += float64(qv * f)
 				}
 			}
 		}

@@ -39,6 +39,14 @@ func equivTrials(def int) int {
 	return def
 }
 
+// initPlanCache attaches the lazy plan cache Encode installs to a graph
+// assembled by hand, before it is shared across goroutines.
+func initPlanCache(g *Graph) {
+	if g.planBox == nil {
+		g.planBox = &planBox{}
+	}
+}
+
 // randomEncodedGraph builds an arbitrary encoded graph directly: random
 // size (including single-node), random edges per relation (including empty
 // relations and self-loops), random weights (including exact zeros).
@@ -96,7 +104,7 @@ func fuzzEngineVsTape(t *testing.T, seed int64, trials int) {
 		m := NewModel(cfg)
 		g := randomEncodedGraph(rng, numRels)
 		if trial%2 == 0 {
-			g.InitPlanCache() // exercise both the cached and per-call plan paths
+			initPlanCache(g) // exercise both the cached and per-call plan paths
 		}
 		s := &Sample{G: g, Feats: [2]float64{rng.Float64(), rng.Float64()}}
 		engine := m.Predict(s)
@@ -228,7 +236,7 @@ func TestPredictBatchConcurrentRace(t *testing.T) {
 	var samples []*Sample
 	for i := 0; i < 24; i++ {
 		g := randomEncodedGraph(rng, int(paragraph.NumEdgeTypes))
-		g.InitPlanCache()
+		initPlanCache(g)
 		samples = append(samples, &Sample{G: g, Feats: [2]float64{float64(i) / 24, 0.5}})
 	}
 	want := make([]float64, len(samples))

@@ -38,7 +38,7 @@ func (m *Model) EvalRMSE(samples []*Sample, workers int) float64 {
 	var acc float64
 	for i, s := range samples {
 		d := preds[i] - s.Target
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return math.Sqrt(acc / float64(len(samples)))
 }

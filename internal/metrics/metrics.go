@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"paragraph/internal/fp"
 )
 
 // RMSE returns the root mean squared error between pred and actual.
@@ -21,7 +23,7 @@ func RMSE(pred, actual []float64) float64 {
 	var acc float64
 	for i := range pred {
 		d := pred[i] - actual[i]
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return math.Sqrt(acc / float64(len(pred)))
 }
@@ -92,7 +94,7 @@ func StdDev(xs []float64) float64 {
 	var acc float64
 	for _, v := range xs {
 		d := v - m
-		acc += d * d
+		acc += float64(d * d)
 	}
 	return math.Sqrt(acc / float64(len(xs)))
 }
@@ -110,9 +112,9 @@ func Pearson(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0
@@ -128,7 +130,7 @@ func LogPearson(xs, ys []float64) float64 {
 	logs := func(vs []float64) []float64 {
 		out := make([]float64, len(vs))
 		for i, v := range vs {
-			out[i] = math.Log(math.Max(v, 1e-9))
+			out[i] = fp.Log(math.Max(v, 1e-9))
 		}
 		return out
 	}
@@ -155,7 +157,7 @@ func BinnedRelError(pred, actual []float64, binWidth float64, numBins int) []Bin
 	bins := make([]Bin, numBins+1)
 	sums := make([]float64, numBins+1)
 	for i := range bins {
-		lo := float64(i) * binWidth
+		lo := float64(float64(i) * binWidth)
 		if i < numBins {
 			bins[i] = Bin{Label: fmt.Sprintf("%g-%g", lo, lo+binWidth), Lo: lo, Hi: lo + binWidth}
 		} else {

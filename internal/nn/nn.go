@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"paragraph/internal/autodiff"
+	"paragraph/internal/fp"
 	"paragraph/internal/tensor"
 )
 
@@ -150,7 +151,7 @@ func ClipGradNorm(params []*Parameter, max float64) float64 {
 	var total float64
 	for _, p := range params {
 		n := p.Grad.Norm2()
-		total += n * n
+		total += float64(n * n)
 	}
 	norm := math.Sqrt(total)
 	if max > 0 && norm > max {
@@ -190,8 +191,8 @@ func NewAdam(lr float64) *Adam {
 // and zeroes them.
 func (a *Adam) Step(params []*Parameter) {
 	a.step++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	c1 := 1 - fp.Pow(a.Beta1, a.step)
+	c2 := 1 - fp.Pow(a.Beta2, a.step)
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
@@ -201,8 +202,8 @@ func (a *Adam) Step(params []*Parameter) {
 		}
 		v := a.v[p]
 		for i, g := range p.Grad.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
+			m.Data[i] = float64(a.Beta1*m.Data[i]) + float64((1-a.Beta1)*g)
+			v.Data[i] = float64(a.Beta2*v.Data[i]) + float64((1-a.Beta2)*g*g)
 			mh := m.Data[i] / c1
 			vh := v.Data[i] / c2
 			p.Value.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)

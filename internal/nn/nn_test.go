@@ -37,13 +37,22 @@ func TestForwardBindCaching(t *testing.T) {
 	}
 }
 
+// fromRows builds a matrix from literal rows.
+func fromRows(rows [][]float64) *tensor.Matrix {
+	m := tensor.New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestLinearApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLinear("l", 3, 2, rng)
-	l.W.Value = tensor.FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	l.B.Value = tensor.FromRows([][]float64{{10, 20}})
+	l.W.Value = fromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
+	l.B.Value = fromRows([][]float64{{10, 20}})
 	f := NewForward()
-	x := f.Tape.Const(tensor.FromRows([][]float64{{1, 2, 3}}))
+	x := f.Tape.Const(fromRows([][]float64{{1, 2, 3}}))
 	y := l.Apply(f, x)
 	if y.Value.At(0, 0) != 1+3+10 || y.Value.At(0, 1) != 2+3+20 {
 		t.Errorf("Linear output = %v", y.Value)

@@ -161,11 +161,11 @@ func batchGradients(params []*Parameter, batch []int, workers int, grad Gradient
 		for _, p := range params {
 			pg := p.Grad.Data
 			for j, v := range buf[:len(pg)] {
-				pg[j] += scale * v
+				pg[j] += float64(scale * v)
 			}
 			buf = buf[len(pg):]
 		}
-		totalLoss += losses[i] * scale
+		totalLoss += float64(losses[i] * scale)
 	}
 	return totalLoss
 }

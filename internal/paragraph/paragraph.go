@@ -28,6 +28,7 @@ import (
 	"paragraph/internal/analysis"
 	"paragraph/internal/cast"
 	"paragraph/internal/cparse"
+	"paragraph/internal/fp"
 	"paragraph/internal/graph"
 	"paragraph/internal/omp"
 )
@@ -466,7 +467,7 @@ func nodeFeature(n *cast.Node) float64 {
 }
 
 // literalFeature is the feature of a numeric literal of value v.
-func literalFeature(v float64) float64 { return math.Log1p(math.Abs(v)) }
+func literalFeature(v float64) float64 { return fp.Log1p(math.Abs(v)) }
 
 func nodeLabel(n *cast.Node) string {
 	switch {

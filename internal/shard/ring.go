@@ -191,7 +191,7 @@ func (r *Ring) Ownership() map[string]float64 {
 	for i, p := range r.points {
 		prev := r.points[(i+len(r.points)-1)%len(r.points)]
 		arc := p.hash - prev.hash
-		frac[r.members[p.member]] += float64(arc) / (1 << 64)
+		frac[r.members[p.member]] += float64(float64(arc) / (1 << 64))
 	}
 	return frac
 }

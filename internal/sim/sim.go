@@ -25,6 +25,7 @@ import (
 
 	"paragraph/internal/analysis"
 	"paragraph/internal/cparse"
+	"paragraph/internal/fp"
 	"paragraph/internal/hw"
 	"paragraph/internal/variants"
 )
@@ -137,7 +138,7 @@ func cpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 	// Effective speedup: linear with a per-thread efficiency tax, capped at
 	// the core count (oversubscription gains nothing, costs a little).
 	p := math.Min(threads, cores)
-	eff := p / (1 + 0.015*(p-1))
+	eff := p / (1 + float64(0.015*(p-1)))
 	if threads > cores {
 		eff *= 0.95
 	}
@@ -148,7 +149,7 @@ func cpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 	}
 	b.EffParallelism = eff
 
-	clockHz := m.ClockGHz * 1e9
+	clockHz := float64(m.ClockGHz * 1e9)
 	// Scalar pipelines: flops at FlopsPerCycle per core only with perfect
 	// vectorization; benchmark kernels reach about a third of that.
 	flopRate := clockHz * m.FlopsPerCycle * 0.35 // per core
@@ -164,9 +165,9 @@ func cpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 	bwFrac := math.Min(1, m.SingleCoreBWFrac*math.Max(eff, 1))
 	b.MemoryUS = missBytes / (m.MemBWGBs * 1e9 * bwFrac) * 1e6
 
-	b.OverheadUS = m.RegionOverheadUS + threads*m.PerWorkerUS
+	b.OverheadUS = m.RegionOverheadUS + float64(threads*m.PerWorkerUS)
 	if kc.ReductionOps > 0 {
-		b.ReductionUS = float64(kc.ReductionOps) * math.Log2(math.Max(threads, 2)) * 0.5
+		b.ReductionUS = float64(kc.ReductionOps) * fp.Log2(math.Max(threads, 2)) * 0.5
 	}
 	return b
 }
@@ -196,7 +197,7 @@ func gpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 	pEff := math.Min(pAvail, hwLanes)
 	b.EffParallelism = pEff
 
-	clockHz := m.ClockGHz * 1e9
+	clockHz := float64(m.ClockGHz * 1e9)
 	occupancy := math.Max(pEff/hwLanes, 1e-4)
 
 	// Compute: the whole-device rate scaled by occupancy, but never faster
@@ -210,7 +211,7 @@ func gpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 		rate = clockHz
 	}
 	mathCycles := 25.0 // GPUs have fast special-function units
-	computeSec := (kc.Flops+kc.IntOps*0.5)/rate +
+	computeSec := (kc.Flops+float64(kc.IntOps*0.5))/rate +
 		kc.MathCalls*mathCycles/(clockHz*math.Max(pEff/32, 1)) +
 		kc.Branches*8/(clockHz*math.Max(pEff/32, 1)) // divergence tax
 	b.ComputeUS = computeSec * 1e6
@@ -220,11 +221,11 @@ func gpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 	bwFrac := math.Min(1, math.Max(pEff/(hwLanes*0.25), 0.02))
 	b.MemoryUS = missBytes / (m.MemBWGBs * 1e9 * bwFrac) * 1e6
 
-	b.TransferUS = kc.TransferBytes/(m.LinkBWGBs*1e9)*1e6 +
-		float64(kc.MappedArrays)*m.LinkLatencyUS
-	b.OverheadUS = m.RegionOverheadUS + teams*m.PerWorkerUS
+	b.TransferUS = float64(kc.TransferBytes/(m.LinkBWGBs*1e9)*1e6) +
+		float64(float64(kc.MappedArrays)*m.LinkLatencyUS)
+	b.OverheadUS = m.RegionOverheadUS + float64(teams*m.PerWorkerUS)
 	if kc.ReductionOps > 0 {
-		b.ReductionUS = float64(kc.ReductionOps) * math.Log2(math.Max(pEff, 2)) * 0.8
+		b.ReductionUS = float64(kc.ReductionOps) * fp.Log2(math.Max(pEff, 2)) * 0.8
 	}
 	return b
 }
@@ -242,5 +243,5 @@ func noiseFactor(in variants.Instance, m hw.Machine, cfg Config) float64 {
 	h.Write([]byte(m.Name))
 	seed := int64(h.Sum64()) ^ cfg.Seed
 	rng := rand.New(rand.NewSource(seed))
-	return math.Exp(sigma * rng.NormFloat64())
+	return fp.Exp(sigma * rng.NormFloat64())
 }

@@ -36,21 +36,6 @@ func FromData(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// FromRows builds a matrix copying the given rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("tensor: ragged row %d: %d != %d", i, len(r), m.Cols))
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Scalar wraps a single value as a 1×1 matrix.
 func Scalar(v float64) *Matrix { return FromData(1, 1, []float64{v}) }
 
@@ -114,7 +99,7 @@ func (m *Matrix) ScaleInPlace(s float64) {
 func (m *Matrix) AxpyInPlace(s float64, o *Matrix) {
 	shapeCheck(m.SameShape(o), "AxpyInPlace %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)
 	for i, v := range o.Data {
-		m.Data[i] += s * v
+		m.Data[i] += float64(s * v)
 	}
 }
 
@@ -122,16 +107,6 @@ func (m *Matrix) AxpyInPlace(s float64, o *Matrix) {
 func Add(m, o *Matrix) *Matrix {
 	out := m.Clone()
 	out.AddInPlace(o)
-	return out
-}
-
-// Sub returns m - o.
-func Sub(m, o *Matrix) *Matrix {
-	shapeCheck(m.SameShape(o), "Sub %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)
-	out := New(m.Rows, m.Cols)
-	for i := range out.Data {
-		out.Data[i] = m.Data[i] - o.Data[i]
-	}
 	return out
 }
 
@@ -171,7 +146,7 @@ func MatMul(a, b *Matrix) *Matrix {
 				continue
 			}
 			for j, bv := range b.Row(k) {
-				oi[j] += av * bv
+				oi[j] += float64(av * bv)
 			}
 		}
 	}
@@ -199,7 +174,7 @@ func (m *Matrix) Mean() float64 {
 func (m *Matrix) Norm2() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -218,7 +193,9 @@ func (m *Matrix) HasNaN() bool {
 func (m *Matrix) Glorot(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * limit
+		// Float64 scales an integer by a product that would otherwise fuse
+		// into the doubling: round its result first.
+		m.Data[i] = (float64(rng.Float64())*2 - 1) * limit
 	}
 }
 

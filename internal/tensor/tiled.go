@@ -16,11 +16,12 @@ package tensor
 //     and every column on CPUs without AVX and off amd64: a 2×4 block
 //     keeps 8 partial sums in registers across the whole k loop, so each
 //     loaded a-value feeds four multiply-adds and each b-value two (8 per
-//     6 loads instead of 1 per 2). On amd64 gc compiles `c += av * b` to a
-//     separate multiply and add (MULSD, ADDSD), each rounded, and never
-//     fuses them; the AVX kernel keeps the same two roundings (VMULPD,
-//     VADDPD). (gc does fuse them on arm64 and some other architectures,
-//     which therefore round differently from amd64.)
+//     6 loads instead of 1 per 2). The Go kernels write
+//     `c += float64(av * b)`: the explicit conversion rounds the product,
+//     so gc emits a separate multiply and add, each rounded, on every
+//     architecture (it would fuse them on arm64, ppc64le, s390x and
+//     riscv64); the AVX kernel keeps the same two roundings (VMULPD,
+//     VADDPD).
 //   - No k blocking: the k loop runs innermost and in order from a +0
 //     accumulator, in every kernel, so every dst element accumulates its
 //     products in the same sequence whichever kernel computes it, and the
@@ -89,15 +90,15 @@ func tiledRows2(a []float64, k int, b []float64, n, jc, nc int, dst []float64) {
 			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
 			b0, b1, b2, b3 := bt[0], bt[1], bt[2], bt[3]
 			av := a0[t]
-			c00 += av * b0
-			c01 += av * b1
-			c02 += av * b2
-			c03 += av * b3
+			c00 += float64(av * b0)
+			c01 += float64(av * b1)
+			c02 += float64(av * b2)
+			c03 += float64(av * b3)
 			av = a1[t]
-			c10 += av * b0
-			c11 += av * b1
-			c12 += av * b2
-			c13 += av * b3
+			c10 += float64(av * b0)
+			c11 += float64(av * b1)
+			c12 += float64(av * b2)
+			c13 += float64(av * b3)
 		}
 		d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
 		d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
@@ -106,8 +107,8 @@ func tiledRows2(a []float64, k int, b []float64, n, jc, nc int, dst []float64) {
 		var c0, c1 float64
 		for t := 0; t < k; t++ {
 			bv := b[t*n+j]
-			c0 += a0[t] * bv
-			c1 += a1[t] * bv
+			c0 += float64(a0[t] * bv)
+			c1 += float64(a1[t] * bv)
 		}
 		d0[j], d1[j] = c0, c1
 	}
@@ -123,17 +124,17 @@ func tiledRows1(a, b []float64, n, jc, nc int, dst []float64) {
 		for t := 0; t < k; t++ {
 			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
 			av := a[t]
-			c0 += av * bt[0]
-			c1 += av * bt[1]
-			c2 += av * bt[2]
-			c3 += av * bt[3]
+			c0 += float64(av * bt[0])
+			c1 += float64(av * bt[1])
+			c2 += float64(av * bt[2])
+			c3 += float64(av * bt[3])
 		}
 		dst[j], dst[j+1], dst[j+2], dst[j+3] = c0, c1, c2, c3
 	}
 	for ; j < jc+nc; j++ {
 		var c float64
 		for t := 0; t < k; t++ {
-			c += a[t] * b[t*n+j]
+			c += float64(a[t] * b[t*n+j])
 		}
 		dst[j] = c
 	}
@@ -148,7 +149,7 @@ func Dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
