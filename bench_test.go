@@ -19,6 +19,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"paragraph/internal/advisor"
@@ -463,6 +465,35 @@ func BenchmarkAdviseColdSuite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAdviseColdSuiteParallel is BenchmarkAdviseColdSuite with one
+// caller per P at once (b.RunParallel): the in-process shape of a server
+// whose every evaluation slot is busy. Caller c of p sweeps the same
+// rotation at bindings first value + c + p·i, so no two requests repeat.
+func BenchmarkAdviseColdSuiteParallel(b *testing.B) {
+	model := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3,
+		Relations: int(paragraph.NumEdgeTypes)})
+	a := advisor.New(model, benchServePrep(), hw.V100())
+	kernels, space := apps.Kernels(), advisor.DefaultSearchSpace()
+	procs := runtime.GOMAXPROCS(0)
+	var callers atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		offset := int(callers.Add(1)) - 1
+		for i := 0; pb.Next(); i++ {
+			k := kernels[i%len(kernels)]
+			bindings := map[string]float64{}
+			for _, p := range k.Params {
+				bindings[p.Name] = float64(p.Values[0] + offset + procs*i)
+			}
+			if _, err := a.Advise(k, bindings, space); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkAdviseMaxGrid measures the largest grid an advise request may

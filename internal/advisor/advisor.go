@@ -11,11 +11,9 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"paragraph/internal/analysis"
 	"paragraph/internal/apps"
@@ -30,9 +28,8 @@ import (
 // Predictor is the minimal cost-model interface: a scaled-runtime
 // regressor over one encoded sample. A predictor that also implements
 // BatchPredictor or ContextBatchPredictor is handed a whole variant grid in
-// one call instead (see New); one that offers only Predict is called per
-// sample from the SetWorkers goroutines, so it must then be safe for
-// concurrent Predict calls — or the advisor pinned to SetWorkers(1).
+// one call instead (see New); one that offers only Predict is called once
+// per sample, in grid order, on the goroutine that called Advise.
 type Predictor interface {
 	Predict(*gnn.Sample) float64
 }
@@ -61,7 +58,6 @@ type Advisor struct {
 	prep    *dataset.Prepared // training-time scalers
 	machine hw.Machine
 	level   paragraph.Level
-	workers int // front-end goroutines; 0 = GOMAXPROCS
 
 	// encoders memoizes the front end of each suite kernel's variant kinds,
 	// memoKey → *dataset.Encoder: at most 17 kernels × 6 kinds × 3 levels,
@@ -99,9 +95,9 @@ func isSuite(k apps.Kernel) bool {
 // New builds an advisor from a trained predictor and the Prepared dataset
 // it was trained on (whose scalers must be reused at inference). The
 // widest prediction call the predictor offers is resolved here, once:
-// ContextBatchPredictor, else BatchPredictor, else per-sample Predict
-// fanned over the SetWorkers goroutines. All three produce the same
-// numbers; they differ in how many model calls a grid costs.
+// ContextBatchPredictor, else BatchPredictor, else per-sample Predict. All
+// three produce the same numbers; they differ in how many model calls a
+// grid costs.
 func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
 	a := &Advisor{prep: prep, machine: machine, level: paragraph.LevelParaGraph}
 	switch m := model.(type) {
@@ -114,7 +110,7 @@ func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
 	default:
 		a.predict = func(ctx context.Context, ss []*gnn.Sample) ([]float64, error) {
 			out := make([]float64, len(ss))
-			return out, a.forEach(ctx, len(ss), func(i int) string { return "predicting " + ss[i].Name }, func(i int) error {
+			return out, forEach(ctx, len(ss), func(i int) string { return "predicting " + ss[i].Name }, func(i int) error {
 				out[i] = model.Predict(ss[i])
 				return nil
 			})
@@ -123,17 +119,18 @@ func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
 	return a
 }
 
-// SetLevel selects the representation level EncodeInstance builds graphs
-// at. The default is LevelParaGraph; it must match the level the predictor
-// was trained on (registry checkpoints record theirs in the manifest).
+// SetLevel selects the representation level the advisor builds graphs at:
+// Advise's front end and EncodeInstance both read it, and it is part of the
+// key under which Advise memoizes a suite kernel's parsed kinds. The
+// default is LevelParaGraph; it must match the level the predictor was
+// trained on (registry checkpoints record theirs in the manifest).
 func (a *Advisor) SetLevel(l paragraph.Level) { a.level = l }
 
-// SetWorkers bounds the goroutines Advise fans the grid's front end across
-// — one variant kind (parse → topology → its points) at a time — and the
-// per-sample fallback for predictors without a batch call. n <= 0 restores
-// the default (GOMAXPROCS); n == 1 runs everything on the calling
-// goroutine. The ranking is the same for every n.
-func (a *Advisor) SetWorkers(n int) { a.workers = n }
+// SetWorkers does nothing. Advise runs on its caller's goroutine, and a
+// server bounds the cores its evaluations use by how many it admits. It is
+// kept only because bench/oracle.go calls it, and goes with that caller
+// (ROADMAP item 26).
+func (a *Advisor) SetWorkers(int) {}
 
 // SearchSpace is the variant/parallelism grid to rank.
 type SearchSpace struct {
@@ -166,9 +163,8 @@ type SpaceError struct {
 
 func (e *SpaceError) Error() string { return e.msg }
 
-// PanicError is a panic under the advisor — in the front end on a worker
-// goroutine, where no caller's recover reaches, or in the predictor — turned
-// into the request's error.
+// PanicError is a panic under the advisor — in the front end or in the
+// predictor — turned into the request's error.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -225,8 +221,8 @@ type Recommendation struct {
 
 // Advise enumerates the machine-compatible variants of kernel k under
 // bindings, predicts each statically, and returns them sorted by predicted
-// runtime (fastest first). It runs in two phases. The front end works a
-// variant kind at a time (fanned across the SetWorkers goroutines): a kind's
+// runtime (fastest first). It runs in two phases, both on the calling
+// goroutine. The front end works a variant kind at a time: a kind's
 // sources differ only in their num_teams/thread_limit/num_threads literals,
 // so its first point is parsed and its topology derived once
 // (dataset.Encoder), and each point then only gets its own literal feature
@@ -237,7 +233,7 @@ type Recommendation struct {
 // in enumeration order, goes to the predictor as one batch. The samples are the ones a
 // per-point EncodeInstance yields, predictions do not depend on their
 // batchmates and the sort is stable, so the ranking is identical to a
-// one-worker, one-point-at-a-time run.
+// one-point-at-a-time run.
 func (a *Advisor) Advise(k apps.Kernel, bindings analysis.Env, space SearchSpace) ([]Recommendation, error) {
 	return a.AdviseCtx(context.Background(), k, bindings, space)
 }
@@ -284,7 +280,7 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 	samples := make([]*gnn.Sample, len(recs))
 	kindName := func(kind int) string { return "variant " + kinds[kind].String() }
 	memo := isSuite(k)
-	err := a.forEach(ctx, len(kinds), kindName, func(kind int) error {
+	err := forEach(ctx, len(kinds), kindName, func(kind int) error {
 		lo := kind * perKind
 		return a.encodeKind(k, memo, bindings, recs[lo:lo+perKind], samples[lo:lo+perKind])
 	})
@@ -383,58 +379,17 @@ func (a *Advisor) callModel(ctx context.Context, samples []*gnn.Sample) (preds [
 	return preds, err
 }
 
-// forEach runs fn(0..n-1) across the advisor's workers, handing indices
-// out in increasing order and stopping at the first failure or once ctx
-// ends. It returns ctx.Err() if the context ended, else the error of the
-// lowest failing index — every lower index was handed out earlier and ran
-// to completion, so that is the error a serial run reports. A panic in fn
-// is that index's error, a *PanicError under what(i)'s name: these
-// goroutines are not under net/http's per-connection recover, so it would
-// otherwise end the process.
-func (a *Advisor) forEach(ctx context.Context, n int, what func(int) string, fn func(int) error) error {
-	workers := a.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	run := func() {
-		for ctx.Err() == nil && !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if errs[i] = guard(func() string { return what(i) }, func() error { return fn(i) }); errs[i] != nil {
-				failed.Store(true)
-			}
-		}
-	}
-	if workers <= 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
+// forEach runs fn(0..n-1) in order, checking ctx before each index, and
+// stops at the first failure, whose error it returns, or once ctx ends,
+// returning ctx.Err(). A panic in fn is that index's error, a *PanicError
+// under what(i)'s name.
+func forEach(ctx context.Context, n int, what func(int) string, fn func(int) error) error {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		if err := guard(func() string { return what(i) }, func() error { return fn(i) }); err != nil {
 			return err
 		}
 	}
-	return nil
+	return ctx.Err()
 }
 
 // EncodeInstance builds the model-ready sample for an unseen instance: the

@@ -131,37 +131,6 @@ func TestDefaultSearchSpaceNonEmpty(t *testing.T) {
 	}
 }
 
-// TestConcurrentAdviseMatchesSerial pins the service contract: fanning the
-// grid across workers must reproduce the serial ranking exactly.
-func TestConcurrentAdviseMatchesSerial(t *testing.T) {
-	k, _ := apps.ByName("matmul")
-	bindings := map[string]float64{"n": 256}
-	space := SearchSpace{GPUTeams: []int{16, 64, 128, 256}, GPUThreads: []int{64, 128, 256}}
-
-	serial := New(weightOracle{}, testPrep(), hw.V100())
-	serial.SetWorkers(1)
-	want, err := serial.Advise(k, bindings, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		conc := New(weightOracle{}, testPrep(), hw.V100())
-		conc.SetWorkers(workers)
-		got, err := conc.Advise(k, bindings, space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d recs, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: rec %d = %+v, want %+v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // predictOnly hides a model's batch calls, leaving the per-sample Predict
 // the serial reference evaluates with.
 type predictOnly struct{ m Predictor }
@@ -225,7 +194,7 @@ func requireSameRanking(t *testing.T, name string, got, want []Recommendation) {
 }
 
 // TestBatchAdviseMatchesSerialReference: for every suite kernel on a CPU
-// and a GPU machine, Advise — one worker and one Predict at a time, through
+// and a GPU machine, Advise — one Predict at a time, through
 // PredictBatch, and through PredictBatchCtx with one model call per grid —
 // returns the ranking of referenceAdvise, which parses, builds and encodes
 // every grid point on its own: in order and bit for bit, against a real
@@ -245,7 +214,6 @@ func TestBatchAdviseMatchesSerialReference(t *testing.T) {
 	m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 2, Relations: 8})
 	for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
 		serial := New(predictOnly{m}, testPrep(), machine)
-		serial.SetWorkers(1)
 		batch := New(m, testPrep(), machine)
 		traced := &ctxBatch{m: m}
 		ctxAdv := New(traced, testPrep(), machine)
@@ -276,25 +244,21 @@ func TestBatchAdviseMatchesSerialReference(t *testing.T) {
 }
 
 // TestAdviseGridPointErrorNamesVariant: a front-end failure is reported
-// against the first failing grid point in enumeration order, whatever the
-// worker count, and the model is never called.
+// against the first failing grid point in enumeration order, and the model
+// is never called.
 func TestAdviseGridPointErrorNamesVariant(t *testing.T) {
 	k := apps.Kernel{
 		App: "custom", Name: "broken", FuncName: "broken",
 		Source: "void broken(double *a, int n) {\n__PRAGMA__\n    for (int i = 0; i < n; i++) {\n        a[i] = ;\n    }\n}\n",
 		Params: []apps.Param{{Name: "n", Values: []int{64}}},
 	}
-	for _, workers := range []int{1, 4} {
-		model := &ctxBatch{}
-		a := New(model, testPrep(), hw.V100())
-		a.SetWorkers(workers)
-		_, err := a.Advise(k, map[string]float64{"n": 64}, SearchSpace{GPUTeams: []int{32, 64}, GPUThreads: []int{128}})
-		if err == nil || !strings.Contains(err.Error(), "variant gpu g32 t128") {
-			t.Errorf("workers=%d: err = %v, want it to name variant gpu g32 t128", workers, err)
-		}
-		if len(model.calls) != 0 {
-			t.Errorf("workers=%d: model called %d times for a grid that failed to encode", workers, len(model.calls))
-		}
+	model := &ctxBatch{}
+	_, err := New(model, testPrep(), hw.V100()).Advise(k, map[string]float64{"n": 64}, SearchSpace{GPUTeams: []int{32, 64}, GPUThreads: []int{128}})
+	if err == nil || !strings.Contains(err.Error(), "variant gpu g32 t128") {
+		t.Errorf("err = %v, want it to name variant gpu g32 t128", err)
+	}
+	if len(model.calls) != 0 {
+		t.Errorf("model called %d times for a grid that failed to encode", len(model.calls))
 	}
 }
 
@@ -353,28 +317,25 @@ func (p panicsOn) Predict(s *gnn.Sample) float64 {
 	return 0.5
 }
 
-// TestWorkerPanicIsTheRequestsError: a panic on a worker goroutine — out of
-// reach of any caller's recover — comes back as that request's error, a
-// *PanicError naming the grid point, at any worker count; the advisor keeps
-// working.
+// TestWorkerPanicIsTheRequestsError: a panic in a per-sample predictor comes
+// back as that request's error, a *PanicError naming the grid point whose
+// stack reaches the predictor, not as a dropped connection; the advisor
+// keeps working.
 func TestWorkerPanicIsTheRequestsError(t *testing.T) {
 	k, _ := apps.ByName("matmul")
 	bindings := map[string]float64{"n": 256}
 	bad := variants.Instance{Kernel: k, Kind: variants.GPUMem, Teams: 128, Threads: 64, Bindings: bindings}.Name()
-	for _, workers := range []int{1, 4} {
-		a := New(panicsOn{bad}, testPrep(), hw.V100())
-		a.SetWorkers(workers)
-		_, err := a.Advise(k, bindings, DefaultSearchSpace())
-		var pe *PanicError
-		if !errors.As(err, &pe) || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "predictor bug") {
-			t.Fatalf("workers=%d: err = %v, want a PanicError naming %s", workers, err, bad)
-		}
-		if !strings.Contains(string(pe.Stack), "panicsOn") {
-			t.Errorf("workers=%d: the panic's stack does not reach the predictor:\n%s", workers, pe.Stack)
-		}
-		if _, err := a.Advise(k, map[string]float64{"n": 128}, DefaultSearchSpace()); err != nil {
-			t.Errorf("workers=%d: the advisor does not work after a recovered panic: %v", workers, err)
-		}
+	a := New(panicsOn{bad}, testPrep(), hw.V100())
+	_, err := a.Advise(k, bindings, DefaultSearchSpace())
+	var pe *PanicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "predictor bug") {
+		t.Fatalf("err = %v, want a PanicError naming %s", err, bad)
+	}
+	if !strings.Contains(string(pe.Stack), "panicsOn") {
+		t.Errorf("the panic's stack does not reach the predictor:\n%s", pe.Stack)
+	}
+	if _, err := a.Advise(k, map[string]float64{"n": 128}, DefaultSearchSpace()); err != nil {
+		t.Errorf("the advisor does not work after a recovered panic: %v", err)
 	}
 }
 
@@ -402,9 +363,9 @@ func TestEncodeSpanSurvivesFailure(t *testing.T) {
 }
 
 // selfCancelling is a context that cancels itself on its nth Err call.
-// forEach polls Err once before handing out each unit of front-end work — a
-// variant kind — so this is a request abandoned as the front end reaches its
-// nth kind. admitted counts the polls that let a kind start.
+// forEach polls Err once before each unit of front-end work — a variant
+// kind — so this is a request abandoned as the front end reaches its nth
+// kind. admitted counts the polls that let a kind start.
 type selfCancelling struct {
 	context.Context
 	cancel   context.CancelFunc
@@ -425,30 +386,24 @@ func (c *selfCancelling) Err() error {
 }
 
 // TestAdviseCancelledDuringFrontEnd: a context that ends while the grid is
-// being encoded returns ctx.Err(), stops encoding, and never reaches the
-// model.
+// being encoded returns ctx.Err(), stops encoding at the next kind — the
+// n-1 kinds before the cancelling poll ran, no other — and never reaches
+// the model.
 func TestAdviseCancelledDuringFrontEnd(t *testing.T) {
 	k, _ := apps.ByName("matmul")
-	for _, workers := range []int{1, 4} {
-		inner, cancel := context.WithCancel(context.Background())
-		ctx := &selfCancelling{Context: inner, cancel: cancel, n: 3}
-		model := &ctxBatch{m: gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 1, Relations: 8})}
-		a := New(model, testPrep(), hw.V100())
-		a.SetWorkers(workers)
-		_, err := a.AdviseCtx(ctx, k, map[string]float64{"n": 256}, DefaultSearchSpace())
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if len(model.calls) != 0 {
-			t.Errorf("workers=%d: model called %d times after cancellation", workers, len(model.calls))
-		}
-		// Each worker finishes at most the kind it was on: n-1 kinds started
-		// before the cancelling poll, and each other worker's poll racing it
-		// may admit one more.
-		if got, max := ctx.admitted.Load(), ctx.n-1+int64(workers-1); got > max {
-			t.Errorf("workers=%d: %d of 4 kinds started, want at most %d after cancelling at poll %d", workers, got, max, ctx.n)
-		}
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &selfCancelling{Context: inner, cancel: cancel, n: 3}
+	model := &ctxBatch{m: gnn.NewModel(gnn.Config{Seed: 1, Hidden: 8, Layers: 1, Relations: 8})}
+	_, err := New(model, testPrep(), hw.V100()).AdviseCtx(ctx, k, map[string]float64{"n": 256}, DefaultSearchSpace())
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if len(model.calls) != 0 {
+		t.Errorf("model called %d times after cancellation", len(model.calls))
+	}
+	if got := ctx.admitted.Load(); got != ctx.n-1 {
+		t.Errorf("%d of 4 kinds started, want exactly %d after cancelling at poll %d", got, ctx.n-1, ctx.n)
 	}
 }
 

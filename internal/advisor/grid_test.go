@@ -447,12 +447,11 @@ func TestServedGraphMatchesTrainingGraph(t *testing.T) {
 // times and 137 kB. The warm-up sweep also fills the advisor's encoder memo,
 // so the rounds measure a cold request on a kind parsed before — what every
 // advise_cold request after the first per (kernel, kind) is — at 876
-// allocations and 105.7 kB, the limits being those figures × 1.3. The engine
-// keeps one workspace per worker in a sync.Pool, which a GC empties and
-// whose per-P slots decide which workspace a worker gets; what regrowing
-// them costs depends on the collector's timing and the scheduler (106–196 kB
-// at GOMAXPROCS 2, 411 kB at 8), not on the request. So the measurement
-// runs on one P with the collector off. History: parsing every grid point
+// allocations and 105.7 kB, the limits being those figures × 1.3. The
+// bound holds at any GOMAXPROCS with the collector on: an advise runs on one
+// goroutine and one engine workspace, which the model keeps on its own free
+// list, so a collection between the warm-up and the rounds costs no
+// regrowth. History: parsing every grid point
 // made it 16 484 allocations and 3.16 MB; one parse per variant kind and
 // request, 2 174 and 0.38 MB (limits 5 000 and 1.2 MB).
 func TestColdAdviseAllocations(t *testing.T) {
@@ -463,8 +462,6 @@ func TestColdAdviseAllocations(t *testing.T) {
 			}
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m := gnn.NewModel(gnn.Config{Seed: 1, Hidden: 24, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
 	a := New(m, testPrep(), hw.V100())
 	kernels, space := apps.Kernels(), DefaultSearchSpace()
@@ -479,7 +476,8 @@ func TestColdAdviseAllocations(t *testing.T) {
 			}
 		}
 	}
-	sweep(0) // size the engine's pooled workspaces and fill the encoder memo
+	sweep(0) // size the engine's workspace and fill the encoder memo
+	runtime.GC()
 	const rounds = 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -100,20 +100,18 @@ func buildTrainWeights(m *Model) *trainWeights {
 // current parameter values, in nn.Train's form: the squared error against
 // each sample's scaled target, differentiated with respect to every
 // parameter. Train takes one per mini-batch; parameter changes made after
-// the call are not seen. Workspaces are pooled on the model, so in steady
-// state an example's gradient allocates nothing.
+// the call are not seen. The model keeps its training workspaces on a free
+// list, so in steady state an example's gradient allocates nothing.
 func (m *Model) Gradient(samples []*Sample) nn.Gradient {
 	// The optimizer mutated parameter values in place since the weight set
 	// was built: rebuild it, for this batch and for any Predict after it.
 	m.InvalidateInference()
 	tw := buildTrainWeights(m)
 	return func(i int, grad []float64) float64 {
-		gw, _ := m.gradPool.Get().(*gradWS)
-		if gw == nil {
-			gw = new(gradWS)
-		}
-		defer m.gradPool.Put(gw)
-		return tw.gradient(gw, samples[i], grad)
+		gw := m.grads.get()
+		loss := tw.gradient(gw, samples[i], grad)
+		m.grads.put(gw)
+		return loss
 	}
 }
 
@@ -146,7 +144,7 @@ func (tw *trainWeights) gradient(gw *gradWS, s *Sample, grad []float64) float64 
 		gw.layer(tw, st, li, grad)
 	}
 	gw.embeddings(tw, s.G, grad)
-	// Nothing of the call's graph may outlive it in the pooled workspace.
+	// Nothing of the call's graph may outlive it in the kept workspace.
 	ws.plan, st.g = nil, nil
 	return d * d
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,8 +21,8 @@ import (
 // has the same bits as Predict(ss[i]) whatever else is in the batch and in
 // whatever order. These tests hold the engine to it.
 
-// assertBatchBitIdentical evaluates batch through PredictBatch (GOMAXPROCS
-// workers) and PredictAll on one worker and compares every prediction's bit
+// assertBatchBitIdentical evaluates batch through PredictBatch and through
+// PredictAll in one chunk and in three, and compares every prediction's bit
 // pattern with a lone Predict of the same sample.
 func assertBatchBitIdentical(t *testing.T, m *Model, batch []*Sample, what string) {
 	t.Helper()
@@ -314,16 +315,16 @@ func gpuGrid(tb testing.TB, name string, bindings map[string]float64) []*Sample 
 }
 
 // TestPredictBatchGridAllocs: family evaluation keeps its per-call state in
-// the pooled workspace, so a whole 48-point grid allocates what a single
+// the model's workspace, so a whole 48-point grid allocates what a single
 // sample does — the result slice. So does one batch of several kernels'
 // grids whose node counts run small → large → small: after one warm call
 // the workspace's buffers have grown to fit the largest family and every
-// smaller one reuses them.
+// smaller one reuses them. It holds at any GOMAXPROCS and across a
+// collection, which leaves the model's workspaces where they were.
 func TestPredictBatchGridAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful unraced")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	grid := matmulGPUGrid(t)
 	var mixed []*Sample
 	for _, name := range []string{"pf_sum_weights", "gauss_seidel_sweep", "transpose"} {
@@ -337,6 +338,7 @@ func TestPredictBatchGridAllocs(t *testing.T) {
 	m := NewModel(Config{Seed: 1, Hidden: 24, Relations: int(paragraph.NumEdgeTypes)})
 	m.PredictBatch(grid) // build plans and derived weights, grow the workspace
 	m.PredictBatch(mixed)
+	runtime.GC()
 	one := testing.AllocsPerRun(20, func() { m.PredictBatch(grid[:1]) })
 	all := testing.AllocsPerRun(20, func() { m.PredictBatch(grid) })
 	if one != 1 || all != one {
@@ -387,5 +389,46 @@ func TestFamilyConcurrentSharedGraphs(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestWorkspacesBoundedByCallers: k goroutines predicting on one model at
+// once leave it holding at most k workspaces, and after a collection a run
+// of serial calls takes every workspace from those it holds, allocating
+// none.
+func TestWorkspacesBoundedByCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const numRels = 4
+	batch := append(randomFamily(rng, numRels, 6, true), randomFamily(rng, numRels, 5, false)...)
+	for _, k := range []int{1, 2, 4, 8} {
+		m := NewModel(Config{Seed: 4, Hidden: 8, Layers: 2, Relations: numRels})
+		var wg sync.WaitGroup
+		for g := 0; g < k; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for iter := 0; iter < 20; iter++ {
+					m.PredictBatch(batch)
+				}
+			}()
+		}
+		wg.Wait()
+		held := append([]*workspace(nil), m.ws.free...)
+		if len(held) < 1 || len(held) > k {
+			t.Fatalf("%d concurrent callers left the model holding %d workspaces, want 1 to %d", k, len(held), k)
+		}
+		runtime.GC()
+		for iter := 0; iter < 20; iter++ {
+			m.PredictBatch(batch)
+			m.Predict(batch[iter%len(batch)])
+		}
+		if len(m.ws.free) != len(held) {
+			t.Fatalf("k=%d: serial calls left %d workspaces, want the %d held before", k, len(m.ws.free), len(held))
+		}
+		for _, ws := range m.ws.free {
+			if !slices.Contains(held, ws) {
+				t.Fatalf("k=%d: a serial call after a collection allocated a new workspace", k)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package gnn
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -71,9 +70,9 @@ import (
 //     attention scores become one H-dot per node instead of an
 //     H²-projection).
 //
-//   - workspace: the state slots and scratch of one worker, sized from the
-//     model Config and graph shape through resize and pooled on the Model
-//     via sync.Pool. In steady state a forward pass performs zero heap
+//   - workspace: the state slots and scratch of one call, sized from the
+//     model Config and graph shape through resize and kept on the Model's
+//     free list. In steady state a forward pass performs zero heap
 //     allocations (asserted by TestInferForwardZeroAllocs). Nothing
 //     derived from a graph's weights outlives the call: dataset.Prepare
 //     rewrites WScale after encoding.
@@ -292,11 +291,11 @@ type slot struct {
 	buf []float64
 }
 
-// workspace holds the state slots and every scratch buffer one worker
+// workspace holds the state slots and every scratch buffer one call
 // needs. Buffers are sized from the family's shape through resize and
 // reused across calls, so re-running a pass over a same-shaped graph
-// touches no allocator at all. Workspaces are pooled per Model and used by
-// one goroutine at a time.
+// touches no allocator at all. A Model keeps its workspaces on a free list
+// (Model.ws), and each is used by one goroutine at a time.
 type workspace struct {
 	families
 
@@ -329,14 +328,6 @@ type workspace struct {
 	pass []bool
 }
 
-// acquireWS takes a pooled workspace.
-func acquireWS(m *Model) *workspace {
-	if ws, ok := m.wsPool.Get().(*workspace); ok {
-		return ws
-	}
-	return new(workspace)
-}
-
 // h returns layer l's input matrix (l == layers: the final embedding) in st.
 func (ws *workspace) h(st *slot, l int) tensor.Matrix {
 	sz := ws.n * ws.hdim
@@ -358,78 +349,21 @@ func (ws *workspace) q(st *slot, l, r int) (tensor.Matrix, []float64) {
 		st.buf[scores+lo : scores+hi]
 }
 
-// predictInto evaluates samples family by family across a bounded worker
-// pool, writing predictions into out (same length as samples). workers <= 0
-// defaults to GOMAXPROCS; the bound is clamped to the family count, and a
-// single-worker run stays on the calling goroutine.
-func (m *Model) predictInto(out []float64, samples []*Sample, workers int) {
+// predict evaluates samples into out (same length) on the calling
+// goroutine: it groups them into families and evaluates each family in turn
+// on one workspace from the model's free list. Predict, PredictBatch and
+// each of PredictAll's chunks run it.
+func (m *Model) predict(out []float64, samples []*Sample) {
 	if len(samples) == 0 {
 		return
 	}
-	predictFamilies(m, m.inferParams(), out, samples, workers)
-}
-
-// predictOne is Predict's engine entry: a family of one on the calling
-// goroutine. It is separate from predictFamilies because that function's
-// worker closures make its arguments escape, and a lone prediction must not
-// allocate.
-func predictOne(m *Model, w *weights, s *Sample) float64 {
-	ws := acquireWS(m)
-	defer m.wsPool.Put(ws)
-	var out [1]float64
-	w.family(ws, out[:], []*Sample{s}, 0, []int{-1})
-	return out[0]
-}
-
-// predictFamilies groups samples on the calling goroutine's workspace and
-// evaluates the families, serially or across workers (see predictInto).
-func predictFamilies(m *Model, w *weights, out []float64, samples []*Sample, workers int) {
-	ws := acquireWS(m)
-	defer m.wsPool.Put(ws)
+	w := m.inferParams()
+	ws := m.ws.get()
 	ws.group(samples)
-	heads, next := ws.heads, ws.next
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	for _, first := range ws.heads {
+		w.family(ws, out, samples, first, ws.next)
 	}
-	if workers > len(heads) {
-		workers = len(heads)
-	}
-	if workers <= 1 {
-		for _, first := range heads {
-			w.family(ws, out, samples, first, next)
-		}
-		return
-	}
-	// Families are handed out in batch order; the calling goroutine is one
-	// of the workers. A panic on any worker is held until every worker has
-	// stopped and then re-raised on the calling goroutine, where its
-	// caller's recover can answer for it; unrecovered on a worker it would
-	// end the process.
-	var cursor atomic.Int64
-	panics := make([]any, workers)
-	run := func(i int, ws *workspace) {
-		defer func() { panics[i] = recover() }()
-		for f := int(cursor.Add(1)) - 1; f < len(heads); f = int(cursor.Add(1)) - 1 {
-			w.family(ws, out, samples, heads[f], next)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			ws := acquireWS(m)
-			defer m.wsPool.Put(ws)
-			run(i, ws)
-		}()
-	}
-	run(0, ws)
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
+	m.ws.put(ws)
 }
 
 // shape sizes ws for graphs of g's topology under w and returns the length
@@ -484,7 +418,7 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 		st.buf = resize(st.buf, size)
 		out[i] = w.forward(ws, st, base, s)
 	}
-	// Nothing of the call's graphs may outlive it in the pooled workspace.
+	// Nothing of the call's graphs may outlive it in the kept workspace.
 	ws.plan = nil
 	for b := range ws.slots {
 		ws.slots[b].g = nil

@@ -14,7 +14,7 @@ import (
 
 // featRow lays the two runtime-configuration features out as a 1×2 input.
 // The tape path builds one per pass because the tape owns its inputs until
-// Backward finishes; the inference engine keeps the row in its pooled
+// Backward finishes; the inference engine keeps the row in its
 // workspace instead (see workspace.featIn).
 func featRow(f [2]float64) *tensor.Matrix {
 	return tensor.FromData(1, 2, []float64{f[0], f[1]})
@@ -160,11 +160,10 @@ type Model struct {
 
 	params []*nn.Parameter
 
-	// wsPool recycles inference workspaces (see infer.go) across
-	// Predict/PredictBatch calls, and gradPool training's (backward.go)
-	// across examples and mini-batches; each borrowed workspace is used by
-	// one goroutine at a time.
-	wsPool, gradPool sync.Pool
+	// ws holds the inference workspaces (see infer.go) between calls, and
+	// grads training's (backward.go) between examples and mini-batches.
+	ws    freeList[workspace]
+	grads freeList[gradWS]
 
 	// The engine's weight set (see inferparams.go): a snapshot of the
 	// parameters and the precomputed attention projections. Rebuilt lazily
@@ -235,13 +234,15 @@ func (m *Model) Forward(f *nn.Forward, s *Sample) *autodiff.Var {
 }
 
 // Predict returns the scaled prediction for a sample. It routes through the
-// inference engine (infer.go): a pooled, allocation-free forward pass whose
+// inference engine (infer.go): an allocation-free forward pass whose
 // result matches the tape path (PredictTape) to ≤1e-9 relative (see the
 // equivalence tests). The engine's kernels reassociate sums — tiled
 // matmuls, precomputed attention projections — so agreement is
 // relaxed-equivalent rather than bit-exact.
 func (m *Model) Predict(s *Sample) float64 {
-	return predictOne(m, m.inferParams(), s)
+	var out [1]float64
+	m.predict(out[:], []*Sample{s})
+	return out[0]
 }
 
 // PredictTape is the reference prediction: Forward, the autodiff tape path.
@@ -255,18 +256,45 @@ func (m *Model) PredictTape(s *Sample) float64 {
 // PredictBatch returns scaled predictions for a batch of samples. The batch
 // is evaluated as topology families (infer.go): samples whose graphs share
 // their structure — the points of one advise grid — share every row of work
-// that their features and edge weights leave equal, and the families are
-// fanned across a bounded worker pool (at most GOMAXPROCS goroutines) with
-// one pooled engine workspace per worker. Each sample's prediction is
-// independent of its batchmates in value — bit-identical to calling Predict
-// on it alone — though not in cost. This is the call an advise request's
-// whole variant grid arrives on (internal/advisor, and internal/serve's
-// metered Batcher in front of it).
-// PredictAll is the same evaluation with a caller-chosen worker bound.
+// that their features and edge weights leave equal, one family after
+// another on the calling goroutine and one engine workspace. Each sample's
+// prediction is independent of its batchmates in value — bit-identical to
+// calling Predict on it alone — though not in cost. This is the call an
+// advise request's whole variant grid arrives on (internal/advisor, and
+// internal/serve's metered Batcher in front of it).
 func (m *Model) PredictBatch(samples []*Sample) []float64 {
 	out := make([]float64, len(samples))
-	m.predictInto(out, samples, 0)
+	m.predict(out, samples)
 	return out
+}
+
+// freeList is a Model's stock of engine workspaces of one kind. get pops
+// one, or allocates one when every workspace is out; put pushes it back. So
+// the list never holds more workspaces than the model's most concurrent
+// callers, and, unlike a sync.Pool, no collection empties it: a workspace
+// keeps the buffers it grew. A workspace whose call panicked is not put
+// back.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	v := l.free[n-1]
+	l.free = l.free[:n-1]
+	return v
+}
+
+func (l *freeList[T]) put(v *T) {
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
 }
 
 // Save writes the model weights as a checkpoint. The architecture (Config)

@@ -2,6 +2,8 @@ package gnn
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"paragraph/internal/nn"
 )
@@ -43,11 +45,26 @@ func (m *Model) EvalRMSE(samples []*Sample, workers int) float64 {
 	return math.Sqrt(acc / float64(len(samples)))
 }
 
-// PredictAll returns scaled predictions for all samples, computed across
-// workers goroutines (<= 0 defaults to GOMAXPROCS). It shares PredictBatch's
-// engine fan-out, just with a caller-chosen worker bound.
+// PredictAll returns scaled predictions for all samples: they are cut into
+// one contiguous chunk per worker (<= 0 defaults to GOMAXPROCS), and each
+// chunk is evaluated as PredictBatch would on a goroutine of its own. It is
+// the offline data parallelism of validation and the experiments, and the
+// engine's only fan-out; PredictBatch(samples) gives the same bits.
 func (m *Model) PredictAll(samples []*Sample, workers int) []float64 {
 	preds := make([]float64, len(samples))
-	m.predictInto(preds, samples, workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunk := (len(samples) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(samples); lo += chunk {
+		hi := min(lo+chunk, len(samples))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.predict(preds[lo:hi], samples[lo:hi])
+		}()
+	}
+	wg.Wait()
 	return preds
 }

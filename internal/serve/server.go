@@ -162,9 +162,10 @@ type Server struct {
 	adviseCache *Cache      // whole advise rankings
 	flights     flightGroup // collapses identical concurrent cache misses
 
-	// admit bounds the evaluations in flight (Options.PoolSize slots, so a
-	// burst queues instead of oversubscribing the CPU with grid fan-outs)
-	// and orders the waiters per-client fair with bounded backlogs.
+	// admit bounds the evaluations in flight (Options.PoolSize slots; an
+	// evaluation runs on its request's goroutine, so the slots bound the
+	// cores that evaluate and a burst queues instead of oversubscribing the
+	// CPU) and orders the waiters per-client fair with bounded backlogs.
 	admit *admit.Queue
 
 	metrics *serveMetrics // every /metrics series; /v1/stats reads the same instruments
