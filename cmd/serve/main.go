@@ -17,9 +17,9 @@
 // starts with -seed naming itself, and every other peer with -seed
 // pointing at any live member; its first gossip exchange admits it at
 // runtime (no restarts, no synchronized member lists). Every member
-// gossips a versioned membership view each -heartbeat, evicts peers
-// silent for ten heartbeats, and swaps the ring under a new epoch on every
-// change. A leaving peer drains first — SIGTERM hands its owned cache
+// gossips a versioned membership view each second (the heartbeat), evicts
+// peers silent for ten heartbeats, and swaps the ring under a new epoch on
+// every change. A leaving peer drains first — SIGTERM hands its owned cache
 // entries to the new owners (for at most 30s) before the process exits —
 // and on every ring change each peer starts handing the entries it holds
 // to the owners they gained at once, retrying what was not taken every
@@ -35,7 +35,6 @@
 //	      [-admit-queue N] [-admit-per-client N]
 //	      [-self http://host:8080 -seed http://host2:8080]
 //	      [-replication 2]
-//	      [-heartbeat 1s]
 //	      [-log-level info] [-trace-slow 250ms]
 //	      [-pprof-addr 127.0.0.1:6060]
 //
@@ -55,7 +54,7 @@
 //
 // Overload behaviour (docs/OPERATIONS.md, "Overload & Admission Control"):
 // requests beyond the -pool evaluation slots queue per client under
-// deficit-round-robin fairness up to -admit-queue/-admit-per-client, then
+// round-robin fairness up to -admit-queue/-admit-per-client, then
 // shed with 503 + Retry-After; an X-Paragraph-Deadline request header
 // sheds eagerly when the estimated drain exceeds the budget, and the
 // remaining budget propagates across cluster forwards. Every answer
@@ -117,6 +116,10 @@ type serveConfig struct {
 // snapshotEvery is the periodic -cache-file snapshot interval: a hard kill
 // loses at most this much warmth.
 const snapshotEvery = 5 * time.Minute
+
+// heartbeat is the cluster's gossip and outbox-retry interval: a silent
+// member is suspect after 3 of them and dead after 10.
+const heartbeat = time.Second
 
 func run(args []string, w, stderr io.Writer) error {
 	srv, cfg, err := buildServer(args, w, stderr)
@@ -263,14 +266,13 @@ func buildServer(args []string, w, stderr io.Writer) (*serve.Server, serveConfig
 	cacheFile := fs.String("cache-file", "", "persist the advise-response cache to this file across restarts")
 	poolSize := fs.Int("pool", 0, "evaluation slots: max advise evaluations in flight (0 = GOMAXPROCS)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the -pool slots before 503 shedding (0 = default)")
-	admitPerClient := fs.Int("admit-per-client", 0, "per-client cap on queued+running work (0 = default)")
+	admitPerClient := fs.Int("admit-per-client", 0, "per-client cap on waiting requests; its running evaluations do not count (0 = default)")
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn or error")
 	traceSlow := fs.Duration("trace-slow", 0, "log traced requests at or above this latency (0 = default 250ms, negative = disable)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	self := fs.String("self", "", "cluster mode: this process's base URL as peers reach it (http://host:port)")
 	seedFlag := fs.String("seed", "", "cluster mode: comma-separated URLs of live members to join through (the first peer of a ring names itself)")
 	replication := fs.Int("replication", 2, "cluster mode: ring successors owning each key (1 = single-owner, no replication; clamped to cluster size)")
-	heartbeat := fs.Duration("heartbeat", 0, "cluster mode: membership gossip and handoff retry interval (0 = default 1s)")
 	if err := fs.Parse(args); err != nil {
 		return nil, serveConfig{}, err
 	}
@@ -333,7 +335,7 @@ func buildServer(args []string, w, stderr io.Writer) (*serve.Server, serveConfig
 			Self:        *self,
 			Seeds:       seeds,
 			Replication: *replication,
-			Heartbeat:   *heartbeat,
+			Heartbeat:   heartbeat,
 		}); err != nil {
 			srv.Close()
 			return nil, serveConfig{}, err

@@ -425,6 +425,8 @@ func TestBuildServerFlagErrors(t *testing.T) {
 		// And the feedback log it recorded into: POST /v1/feedback is gone,
 		// so a pre-upgrade command line naming a log is refused.
 		{"-feedback-dir", "pg-feedback"},
+		// The heartbeat is a constant: no deployment ever set it.
+		{"-heartbeat", "1s"},
 		{"-platforms", "Cray-1"},
 		{"-platforms", ""},
 		{"-badflag"},
@@ -640,8 +642,8 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 	}
 	defined := flagsIn(strings.Join(names, " "))
-	if len(defined) != 14 {
-		t.Fatalf("parsed %d flags from the usage output, want the 14 serve defines:\n%s", len(defined), help.String())
+	if len(defined) != 13 {
+		t.Fatalf("parsed %d flags from the usage output, want the 13 serve defines:\n%s", len(defined), help.String())
 	}
 
 	// The table: the first cell of each row under the "## Flags" heading.

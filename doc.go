@@ -81,18 +81,20 @@
 // of kernel template, bindings, search space and model version). On a miss, identical concurrent requests are
 // collapsed into a single evaluation (singleflight), a per-client fair
 // queue admits it into one of -pool evaluation slots, and
-// the advisor evaluates it in two phases (internal/advisor): every grid
-// point is generated, parsed, built and encoded, fanned across goroutines;
-// then the whole grid goes to the model as one gnn.Model.PredictBatch call
+// the advisor evaluates it in two phases on the request's goroutine
+// (internal/advisor): each variant kind is generated and parsed once and
+// every grid point of it encoded; then the whole grid goes to the model as one gnn.Model.PredictBatch call
 // through a per-model metered front (serve.Batcher). The engine evaluates
 // the grid as topology families — the points of one variant kind are one
 // graph seen under different weights, so it runs one full pass per kind and
 // recomputes only the rows each further point changes. Nothing is coalesced
 // across requests — two requests never share a family. Rankings are
 // bit-identical to the serial pipeline; only throughput and latency change.
-// Every answer arrives on the request's own connection: the largest grid a
-// request may ask for (4096 points) evaluates cold in about half a second,
-// so there is no background job to poll.
+// Every answer arrives on the request's own connection, and there is no
+// background job to poll: the largest grid a request may ask for (4096
+// points) evaluates cold in about half a second for a suite kernel. A
+// large custom kernel costs far more (29 s for a 720-statement kernel on a
+// 2048-point grid), and nothing bounds that yet (ROADMAP item 6).
 //
 // With -cache-file the advise-response cache is snapshotted every five
 // minutes and on SIGTERM/SIGINT — shutdown stops the listener,

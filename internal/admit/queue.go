@@ -309,12 +309,17 @@ type QueueStats struct {
 	Clients       []ClientStat `json:"clients,omitempty"`
 }
 
-// Stats snapshots the queue's counters, lanes and per-client totals
-// (both sorted by client for deterministic rendering).
-func (q *Queue) Stats() QueueStats {
+// Counters is Stats without LaneStats and Clients: the queue's scalar
+// counters, read in constant time, with no copy or sort of the lanes and
+// tracked clients. Admission prices every deadline-carrying miss from it.
+func (q *Queue) Counters() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := QueueStats{
+	return q.countersLocked()
+}
+
+func (q *Queue) countersLocked() QueueStats {
+	return QueueStats{
 		Concurrency:   q.cfg.Concurrency,
 		Running:       q.running,
 		Queued:        q.queued,
@@ -325,6 +330,14 @@ func (q *Queue) Stats() QueueStats {
 		ShedQueueFull: q.shedQueueFull,
 		ShedLaneFull:  q.shedLaneFull,
 	}
+}
+
+// Stats snapshots the queue's counters, lanes and per-client totals
+// (both sorted by client for deterministic rendering).
+func (q *Queue) Stats() QueueStats {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	st := q.countersLocked()
 	for _, l := range q.order {
 		st.LaneStats = append(st.LaneStats, LaneStat{Client: l.client, Queued: len(l.fifo)})
 	}

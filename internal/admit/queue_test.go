@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -318,5 +320,66 @@ func TestQueueAdversarialArrivals(t *testing.T) {
 				t.Errorf("peak queued %d exceeded MaxQueued 16", st.PeakQueued)
 			}
 		})
+	}
+}
+
+// TestQueueCountersMatchStats: Counters is Stats' scalar half. Every read
+// taken while arrivals race into a full queue keeps the queue's bounds, and
+// once the queue settles — full, then drained — Counters equals Stats with
+// the lane and client lists left out.
+func TestQueueCountersMatchStats(t *testing.T) {
+	const conc, n = 2, 24
+	q := NewQueue(QueueConfig{Concurrency: conc, MaxQueued: 64, MaxPerClient: 16})
+	check := func(c QueueStats) {
+		t.Helper()
+		if c.LaneStats != nil || c.Clients != nil {
+			t.Fatalf("Counters copied the lists: %+v", c)
+		}
+		if c.Concurrency != conc || c.Running < 0 || c.Running > conc || c.Queued < 0 ||
+			c.Lanes > c.Queued || c.Queued+c.Running > n || c.Admitted > n ||
+			(c.Queued > 0 && c.Running != conc) {
+			t.Fatalf("Counters out of bounds: %+v", c)
+		}
+	}
+	scalars := func() QueueStats {
+		st := q.Stats()
+		st.LaneStats, st.Clients = nil, nil
+		return st
+	}
+
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		client := fmt.Sprintf("c%d", i%5)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := q.Run(context.Background(), client, func() error { <-release; return nil }); err != nil {
+				t.Errorf("%s: %v", client, err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c := q.Counters()
+		check(c)
+		if c.Queued == n-conc {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never filled: %+v", c)
+		}
+		runtime.Gosched()
+	}
+	if got, want := q.Counters(), scalars(); !reflect.DeepEqual(got, want) {
+		t.Errorf("full queue: Counters %+v, Stats %+v", got, want)
+	}
+
+	close(release)
+	wg.Wait()
+	got, want := q.Counters(), scalars()
+	check(got)
+	if !reflect.DeepEqual(got, want) || got.Admitted != n || got.Running != 0 || got.Queued != 0 {
+		t.Errorf("drained queue: Counters %+v, Stats %+v", got, want)
 	}
 }

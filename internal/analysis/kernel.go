@@ -37,9 +37,15 @@ var mathFunctions = map[string]bool{
 	"atan": true, "atan2": true, "fmod": true, "rsqrt": true,
 }
 
+// DefaultTrip is the iteration count the static rule assumes for a loop
+// whose bound it cannot resolve (§III-A.3), wherever the rule runs: the
+// ParaGraph Child weights, COMPOFF's features and the simulator's ground
+// truth.
+const DefaultTrip = 100
+
 // AnalyzeKernel statically analyzes the body of fn (a FunctionDecl) under
 // env. Loops with unresolvable bounds are assumed to run defaultTrip
-// iterations.
+// iterations; every caller outside tests passes DefaultTrip.
 func AnalyzeKernel(fn *cast.Node, env Env, defaultTrip float64) KernelCost {
 	var kc KernelCost
 	kc.CollapseDepth = 1

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sync"
 )
 
@@ -29,10 +30,10 @@ type Result struct {
 	Attempts int   // total attempts, including the successful one
 }
 
-// Config describes the simulated cluster.
+// Config describes the simulated cluster. Its nodes are GOMAXPROCS
+// workers: which attempts fail depends on the job ID, the attempt and the
+// seed alone, so the node count moves no result.
 type Config struct {
-	// Nodes is the worker count (compute nodes). Zero selects 4.
-	Nodes int
 	// FailureRate is the per-attempt probability of a simulated node
 	// failure (the paper: "our job would not run for long due to node
 	// failure or time constraints"). Deterministic per job ID and attempt.
@@ -42,13 +43,6 @@ type Config struct {
 	MaxRetries int
 	// Seed makes failures reproducible.
 	Seed int64
-}
-
-func (c Config) nodes() int {
-	if c.Nodes <= 0 {
-		return 4
-	}
-	return c.Nodes
 }
 
 func (c Config) maxRetries() int {
@@ -85,7 +79,7 @@ func New(cfg Config) *Cluster { return &Cluster{cfg: cfg} }
 // Run returns an error is NOT retried (a broken kernel stays broken), while
 // node failures are.
 func (c *Cluster) Submit(jobs []Job) ([]Result, Stats) {
-	nodes := c.cfg.nodes()
+	nodes := runtime.GOMAXPROCS(0)
 	results := make([]Result, len(jobs))
 	var wg sync.WaitGroup
 	work := make(chan int)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,7 @@ func makeJobs(n int) []Job {
 }
 
 func TestSubmitAllSucceedWithoutFailures(t *testing.T) {
-	c := New(Config{Nodes: 8, FailureRate: 0})
+	c := New(Config{FailureRate: 0})
 	jobs := makeJobs(100)
 	results, st := c.Submit(jobs)
 	if st.Succeeded != 100 || st.Failed != 0 || st.Retries != 0 {
@@ -45,7 +46,8 @@ func TestSubmitRunsConcurrently(t *testing.T) {
 	// Two jobs rendezvous: each waits until the other has started, which
 	// only completes if the pool really runs jobs in parallel. A timeout
 	// converts a (buggy) serial pool into a test failure, not a deadlock.
-	c := New(Config{Nodes: 4})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := New(Config{})
 	var arrived int32
 	release := make(chan struct{})
 	var once sync.Once
@@ -72,7 +74,7 @@ func TestSubmitRunsConcurrently(t *testing.T) {
 }
 
 func TestFailureInjectionAndRetry(t *testing.T) {
-	c := New(Config{Nodes: 4, FailureRate: 0.3, MaxRetries: 5, Seed: 42})
+	c := New(Config{FailureRate: 0.3, MaxRetries: 5, Seed: 42})
 	jobs := makeJobs(500)
 	results, st := c.Submit(jobs)
 	if st.Retries == 0 {
@@ -91,7 +93,7 @@ func TestFailureInjectionAndRetry(t *testing.T) {
 
 func TestFailureExhaustion(t *testing.T) {
 	// FailureRate 1.0: every attempt fails, all jobs exhaust retries.
-	c := New(Config{Nodes: 2, FailureRate: 1.0, MaxRetries: 2, Seed: 7})
+	c := New(Config{FailureRate: 1.0, MaxRetries: 2, Seed: 7})
 	jobs := makeJobs(10)
 	results, st := c.Submit(jobs)
 	if st.Failed != 10 || st.Succeeded != 0 {
@@ -110,7 +112,7 @@ func TestFailureExhaustion(t *testing.T) {
 func TestRealErrorsNotRetried(t *testing.T) {
 	bad := errors.New("kernel does not build")
 	calls := int32(0)
-	c := New(Config{Nodes: 1, FailureRate: 0, MaxRetries: 5})
+	c := New(Config{FailureRate: 0, MaxRetries: 5})
 	jobs := []Job{{
 		ID: "broken",
 		Run: func() (float64, error) {
@@ -130,26 +132,33 @@ func TestRealErrorsNotRetried(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossRuns: a campaign's results and stats are a
+// function of its seed, run after run and at any GOMAXPROCS (the node
+// count).
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() ([]Result, Stats) {
-		c := New(Config{Nodes: 4, FailureRate: 0.4, MaxRetries: 3, Seed: 123})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) ([]Result, Stats) {
+		runtime.GOMAXPROCS(procs)
+		c := New(Config{FailureRate: 0.4, MaxRetries: 3, Seed: 123})
 		return c.Submit(makeJobs(200))
 	}
-	r1, s1 := run()
-	r2, s2 := run()
-	if s1 != s2 {
-		t.Errorf("stats differ: %+v vs %+v", s1, s2)
-	}
-	for i := range r1 {
-		if (r1[i].Err == nil) != (r2[i].Err == nil) || r1[i].Attempts != r2[i].Attempts {
-			t.Errorf("job %d differs: %+v vs %+v", i, r1[i], r2[i])
+	r1, s1 := run(1)
+	for _, procs := range []int{1, 2, 4} {
+		r2, s2 := run(procs)
+		if s1 != s2 {
+			t.Errorf("GOMAXPROCS %d: stats differ: %+v vs %+v", procs, s1, s2)
+		}
+		for i := range r1 {
+			if (r1[i].Err == nil) != (r2[i].Err == nil) || r1[i].Attempts != r2[i].Attempts || r1[i].Value != r2[i].Value {
+				t.Errorf("GOMAXPROCS %d: job %d differs: %+v vs %+v", procs, i, r1[i], r2[i])
+			}
 		}
 	}
 }
 
 func TestSeedChangesFailures(t *testing.T) {
 	submit := func(seed int64) Stats {
-		c := New(Config{Nodes: 4, FailureRate: 0.5, MaxRetries: 1, Seed: seed})
+		c := New(Config{FailureRate: 0.5, MaxRetries: 1, Seed: seed})
 		_, st := c.Submit(makeJobs(300))
 		return st
 	}
@@ -170,7 +179,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestEmptySubmit(t *testing.T) {
-	c := New(Config{Nodes: 3})
+	c := New(Config{})
 	results, st := c.Submit(nil)
 	if len(results) != 0 || st.Submitted != 0 {
 		t.Errorf("empty submit: %v %+v", results, st)

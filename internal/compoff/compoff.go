@@ -39,16 +39,13 @@ type Features [NumFeatures]float64
 // is the manual feature engineering step the paper criticizes ("It requires
 // figuring out how many operations are contained within a kernel") —
 // implemented here via the same static analyzer the simulator uses.
-func Extract(in variants.Instance, defaultTrip float64) (Features, error) {
+func Extract(in variants.Instance) (Features, error) {
 	var f Features
 	fn, err := cparse.ParseFunction(in.Source)
 	if err != nil {
 		return f, fmt.Errorf("compoff: %w", err)
 	}
-	if defaultTrip <= 0 {
-		defaultTrip = 100
-	}
-	kc := analysis.AnalyzeKernel(fn, in.Bindings, defaultTrip)
+	kc := analysis.AnalyzeKernel(fn, in.Bindings, analysis.DefaultTrip)
 	f[0] = fp.Log1p(kc.Flops)
 	f[1] = fp.Log1p(kc.IntOps)
 	f[2] = fp.Log1p(kc.Loads)
@@ -73,6 +70,9 @@ type Sample struct {
 	Name   string
 }
 
+// hidden is the MLP's width, H.
+const hidden = 32
+
 // Model is the stacked MLP: NumFeatures → H → H → 1 with ReLU.
 type Model struct {
 	l1, l2, out *nn.Linear
@@ -82,22 +82,18 @@ type Model struct {
 	fitted  bool
 }
 
-// Config shapes the baseline model.
+// Config seeds the baseline model.
 type Config struct {
-	Hidden int // default 32
-	Seed   int64
+	Seed int64
 }
 
 // NewModel constructs the MLP.
 func NewModel(cfg Config) *Model {
-	if cfg.Hidden <= 0 {
-		cfg.Hidden = 32
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{
-		l1:  nn.NewLinear("compoff.l1", NumFeatures, cfg.Hidden, rng),
-		l2:  nn.NewLinear("compoff.l2", cfg.Hidden, cfg.Hidden, rng),
-		out: nn.NewLinear("compoff.out", cfg.Hidden, 1, rng),
+		l1:  nn.NewLinear("compoff.l1", NumFeatures, hidden, rng),
+		l2:  nn.NewLinear("compoff.l2", hidden, hidden, rng),
+		out: nn.NewLinear("compoff.out", hidden, 1, rng),
 	}
 	m.params = append(m.params, m.l1.Params()...)
 	m.params = append(m.params, m.l2.Params()...)

@@ -3,6 +3,7 @@ package compoff
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"paragraph/internal/apps"
@@ -26,7 +27,7 @@ func instance(t *testing.T, kernelName string, kind variants.Kind, teams, thread
 
 func TestExtractFeatures(t *testing.T) {
 	in := instance(t, "matmul", variants.GPUMem, 128, 64, map[string]float64{"n": 256})
-	f, err := Extract(in, 100)
+	f, err := Extract(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestExtractFeatures(t *testing.T) {
 	}
 	// Resident variant: no transfer.
 	in2 := instance(t, "matmul", variants.GPU, 128, 64, map[string]float64{"n": 256})
-	f2, err := Extract(in2, 100)
+	f2, err := Extract(in2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestExtractFeatures(t *testing.T) {
 	}
 	// Collapse variant exposes more parallel iterations.
 	in3 := instance(t, "matmul", variants.GPUCollapse, 128, 64, map[string]float64{"n": 256})
-	f3, err := Extract(in3, 100)
+	f3, err := Extract(in3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +68,17 @@ func TestExtractFeatures(t *testing.T) {
 
 func TestExtractBadSource(t *testing.T) {
 	in := variants.Instance{Source: "void broken( {"}
-	if _, err := Extract(in, 100); err == nil {
+	if _, err := Extract(in); err == nil {
 		t.Error("bad source accepted")
 	}
 }
 
 func TestFeaturesScaleWithProblemSize(t *testing.T) {
-	small, err := Extract(instance(t, "matmul", variants.GPU, 64, 64, map[string]float64{"n": 64}), 100)
+	small, err := Extract(instance(t, "matmul", variants.GPU, 64, 64, map[string]float64{"n": 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Extract(instance(t, "matmul", variants.GPU, 64, 64, map[string]float64{"n": 512}), 100)
+	big, err := Extract(instance(t, "matmul", variants.GPU, 64, 64, map[string]float64{"n": 512}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func synthSamples(n int, seed int64) []*Sample {
 func TestTrainingConverges(t *testing.T) {
 	samples := synthSamples(200, 1)
 	train, val := samples[:180], samples[180:]
-	m := NewModel(Config{Seed: 2, Hidden: 16})
+	m := NewModel(Config{Seed: 2})
 	before := math.Inf(1)
 	m.FitScaler(train)
 	before = m.EvalRMSE(val)
@@ -134,22 +135,24 @@ func TestTrainEmpty(t *testing.T) {
 
 // TestTrainDeterministicAcrossWorkers is gnn's test of the same name for the
 // baseline: the trainer they share merges gradients in batch order, so the
-// same seed and data end at the same weights at any worker count, run after
+// same seed and data end at the same weights at any GOMAXPROCS, run after
 // run.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	samples := synthSamples(60, 7)
 	train, val := samples[:50], samples[50:]
-	checksum := func(workers int) string {
-		m := NewModel(Config{Seed: 2, Hidden: 8})
-		if _, err := m.Train(train, val, nn.TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3, Workers: workers}); err != nil {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	checksum := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
+		m := NewModel(Config{Seed: 2})
+		if _, err := m.Train(train, val, nn.TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3}); err != nil {
 			t.Fatal(err)
 		}
 		return nn.ChecksumParams(m.Params())
 	}
 	want := checksum(1)
-	for _, workers := range []int{1, 2, 8, 2, 8} {
-		if got := checksum(workers); got != want {
-			t.Errorf("Workers %d trained checkpoint %.12s, Workers 1 trained %.12s", workers, got, want)
+	for _, procs := range []int{1, 2, 4, 2, 4} {
+		if got := checksum(procs); got != want {
+			t.Errorf("GOMAXPROCS %d trained checkpoint %.12s, GOMAXPROCS 1 trained %.12s", procs, got, want)
 		}
 	}
 }
@@ -202,7 +205,7 @@ func TestScaleRowClamps(t *testing.T) {
 }
 
 func TestNumParamsAndNames(t *testing.T) {
-	m := NewModel(Config{Hidden: 32})
+	m := NewModel(Config{})
 	if len(m.Params()) != 6 { // 3 layers × (W, b)
 		t.Errorf("params = %d", len(m.Params()))
 	}
@@ -232,12 +235,12 @@ func tapeGradient(m *Model, s *Sample) (grad []float64, pred, loss float64) {
 }
 
 // TestGradientMatchesTape holds the hand-written forward and backward to
-// the tape's, bit for bit: random widths and weights, fitted and unfitted
+// the tape's, bit for bit: random weights, fitted and unfitted
 // scalers (the latter feeds an all-zero input row), exact-zero features.
 func TestGradientMatchesTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 60; trial++ {
-		m := NewModel(Config{Seed: rng.Int63n(1000), Hidden: 1 + rng.Intn(16)})
+		m := NewModel(Config{Seed: rng.Int63n(1000)})
 		samples := synthSamples(6, rng.Int63())
 		samples[0].Feats[3] = 0
 		if trial%4 != 0 {
@@ -266,7 +269,7 @@ func TestGradientMatchesTape(t *testing.T) {
 // central difference of the loss.
 func TestGradientMatchesFiniteDifferences(t *testing.T) {
 	samples := synthSamples(4, 9)
-	m := NewModel(Config{Seed: 3, Hidden: 6})
+	m := NewModel(Config{Seed: 3})
 	m.FitScaler(samples)
 	const h = 1e-6
 	for _, s := range samples {

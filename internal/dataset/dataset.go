@@ -89,7 +89,7 @@ func DefaultConfig() Config {
 	return Config{
 		Sweep:   variants.DefaultSweep(),
 		Sim:     sim.Config{Seed: 1},
-		Cluster: cluster.Config{Nodes: runtime.GOMAXPROCS(0), FailureRate: 0.01, MaxRetries: 3, Seed: 1},
+		Cluster: cluster.Config{FailureRate: 0.01, MaxRetries: 3, Seed: 1},
 		Seed:    1,
 	}
 }
@@ -246,18 +246,15 @@ func Split[T any](xs []T, seed int64) (train, val []T) {
 
 // PrepConfig controls sample preparation.
 type PrepConfig struct {
-	Level   paragraph.Level
-	Seed    int64 // of the train/validation split
-	Workers int   // graph-building workers, fanned over topology families; default GOMAXPROCS
+	Level paragraph.Level
+	Seed  int64 // of the train/validation split
 }
 
 // Prepare builds graph samples for every point at the requested
-// representation level, fits the scalers on the whole slice, and splits
+// representation level, on GOMAXPROCS workers fanned over topology
+// families, fits the scalers on the whole slice, and splits
 // train/validation.
 func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("dataset: no points to prepare")
 	}
@@ -267,7 +264,7 @@ func Prepare(points []Point, cfg PrepConfig) (*Prepared, error) {
 	families := groupByTopology(points)
 	var wg sync.WaitGroup
 	work := make(chan family)
-	workers := min(cfg.Workers, len(families))
+	workers := min(runtime.GOMAXPROCS(0), len(families))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {

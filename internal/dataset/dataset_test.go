@@ -26,7 +26,7 @@ func tinyConfig() Config {
 			MaxSizesPerKernel: 1,
 		},
 		Sim:     sim.Config{Seed: 1},
-		Cluster: cluster.Config{Nodes: 4, FailureRate: 0, Seed: 1},
+		Cluster: cluster.Config{FailureRate: 0, Seed: 1},
 		Seed:    1,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -303,7 +304,7 @@ func TestEncoderRefusesWhatBuildRefuses(t *testing.T) {
 
 // TestPrepareMatchesPerPointEncoding: every sample Prepare builds is the
 // sample the per-point pipeline builds from that point's own Source, bit for
-// bit, at every level and any worker count — for a real sweep, where a
+// bit, at every level and any GOMAXPROCS — for a real sweep, where a
 // (kernel, kind) family shares one parse, and for points whose Source is not
 // what variants.Generate writes for their fields, which must be encoded as
 // themselves and not off a family's topology.
@@ -311,6 +312,7 @@ func TestPrepareMatchesPerPointEncoding(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Sweep = variants.SweepConfig{CPUThreads: []int{1, 8}, GPUTeams: []int{16, 64}, GPUThreads: []int{64, 256}, MaxSizesPerKernel: 2}
 	cfg.MaxPerPlatform = 150
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, m := range []hw.Machine{hw.Power9(), hw.V100()} {
 		p, err := Collect(m, cfg)
 		if err != nil {
@@ -332,8 +334,9 @@ func TestPrepareMatchesPerPointEncoding(t *testing.T) {
 			points = append(points, pt)
 		}
 		for _, level := range allLevels {
-			for _, workers := range []int{1, 3} {
-				prep, err := Prepare(points, PrepConfig{Level: level, Seed: 1, Workers: workers})
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				prep, err := Prepare(points, PrepConfig{Level: level, Seed: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +351,7 @@ func TestPrepareMatchesPerPointEncoding(t *testing.T) {
 					in := pt.Instance
 					want := freshEncode(t, in.Source, level, in.Threads, in.Bindings)
 					want.WScale = prep.WScale
-					requireSameGraph(t, fmt.Sprintf("%s on %s at %v, %d workers", in.Name(), m.Name, level, workers), built[in.Name()].G, want)
+					requireSameGraph(t, fmt.Sprintf("%s on %s at %v, GOMAXPROCS %d", in.Name(), m.Name, level, procs), built[in.Name()].G, want)
 				}
 			}
 		}

@@ -7,19 +7,15 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 
-	"paragraph/internal/cluster"
 	"paragraph/internal/compoff"
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 	"paragraph/internal/nn"
 	"paragraph/internal/paragraph"
-	"paragraph/internal/sim"
-	"paragraph/internal/variants"
 )
 
 // Scale sizes an experiment run. The paper's full protocol (~26k points per
@@ -80,7 +76,7 @@ type Trained struct {
 // ValActualPredMS returns (actual, predicted) runtimes in milliseconds over
 // the validation split.
 func (t *Trained) ValActualPredMS() (actual, pred []float64) {
-	return valActualPredMS(t.Prep, t.Model.PredictAll(t.Prep.Val, runtime.GOMAXPROCS(0)))
+	return valActualPredMS(t.Prep, t.Model.PredictAll(t.Prep.Val))
 }
 
 // valActualPredMS pairs prep's validation runtimes with a model's scaled
@@ -137,15 +133,13 @@ func cached[T any](r *Runner, key string, build func() (T, error)) (T, error) {
 	return v, m.err
 }
 
-// datasetConfig derives the collection configuration from the scale.
+// datasetConfig is the default collection with the scale's point cap and
+// seeds.
 func (r *Runner) datasetConfig() dataset.Config {
-	return dataset.Config{
-		Sweep:          variants.DefaultSweep(),
-		Sim:            sim.Config{Seed: r.Scale.Seed},
-		Cluster:        cluster.Config{Nodes: runtime.GOMAXPROCS(0), FailureRate: 0.01, MaxRetries: 3, Seed: r.Scale.Seed},
-		MaxPerPlatform: r.Scale.MaxPerPlatform,
-		Seed:           r.Scale.Seed,
-	}
+	cfg := dataset.DefaultConfig()
+	cfg.MaxPerPlatform = r.Scale.MaxPerPlatform
+	cfg.Seed, cfg.Sim.Seed, cfg.Cluster.Seed = r.Scale.Seed, r.Scale.Seed, r.Scale.Seed
+	return cfg
 }
 
 // Platform returns (collecting on first use) the dataset slice for machine m.
@@ -249,7 +243,7 @@ func (r *Runner) Compoff(m hw.Machine) (*trainedCompoff, error) {
 				if !ok {
 					return nil, fmt.Errorf("experiments: point %s missing", s.Name)
 				}
-				feats, err := compoff.Extract(pt.Instance, 0)
+				feats, err := compoff.Extract(pt.Instance)
 				if err != nil {
 					return nil, err
 				}
@@ -265,7 +259,7 @@ func (r *Runner) Compoff(m hw.Machine) (*trainedCompoff, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := compoff.NewModel(compoff.Config{Hidden: 32, Seed: r.Scale.Seed})
+		model := compoff.NewModel(compoff.Config{Seed: r.Scale.Seed})
 		if _, err := model.Train(trainS, valS, nn.TrainConfig{
 			Epochs: r.Scale.CompoffEpochs,
 			Seed:   r.Scale.Seed,

@@ -22,7 +22,7 @@ import (
 // whatever order. These tests hold the engine to it.
 
 // assertBatchBitIdentical evaluates batch through PredictBatch and through
-// PredictAll in one chunk and in three, and compares every prediction's bit
+// PredictAll in one chunk and in three (GOMAXPROCS 1 and 3), and compares every prediction's bit
 // pattern with a lone Predict of the same sample.
 func assertBatchBitIdentical(t *testing.T, m *Model, batch []*Sample, what string) {
 	t.Helper()
@@ -30,10 +30,15 @@ func assertBatchBitIdentical(t *testing.T, m *Model, batch []*Sample, what strin
 	for i, s := range batch {
 		want[i] = math.Float64bits(m.Predict(s))
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	predictAll := func(procs int) []float64 {
+		runtime.GOMAXPROCS(procs)
+		return m.PredictAll(batch)
+	}
 	for name, got := range map[string][]float64{
 		"PredictBatch": m.PredictBatch(batch),
-		"PredictAll/1": m.PredictAll(batch, 1),
-		"PredictAll/3": m.PredictAll(batch, 3),
+		"PredictAll/1": predictAll(1),
+		"PredictAll/3": predictAll(3),
 	} {
 		for i := range batch {
 			if math.Float64bits(got[i]) != want[i] {

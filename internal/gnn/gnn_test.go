@@ -220,8 +220,8 @@ func TestTrainingLearnsWeightSignal(t *testing.T) {
 	train, val := samples[:split], samples[split:]
 
 	m := NewModel(Config{Seed: 7, Hidden: 16, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
-	before := m.EvalRMSE(val, 2)
-	hist, err := m.Train(train, val, TrainConfig{Epochs: 30, BatchSize: 8, LR: 5e-3, Seed: 1, Workers: 4})
+	before := m.EvalRMSE(val, 0)
+	hist, err := m.Train(train, val, TrainConfig{Epochs: 30, BatchSize: 8, LR: 5e-3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,29 +267,29 @@ func determinismModel() *Model {
 }
 
 // determinismConfig is the schedule the checkpoint pins train with.
-func determinismConfig(workers int) TrainConfig {
-	return TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3, Workers: workers}
-}
+var determinismConfig = TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3}
 
 // TestTrainDeterministicAcrossWorkers pins training as a function of its
 // seed and data: per-sample gradients are merged in batch order, not in the
 // order the workers finish, so the same run yields the same weights — the
-// same Checksum — at any worker count, run after run. (Merged in arrival
-// order, Workers >= 2 gave a different checkpoint on every run.) The
+// same Checksum — at any GOMAXPROCS, run after run. (Merged in arrival
+// order, two or more workers gave a different checkpoint on every run.) The
 // checkpoint the engine's gradients reach is pinned too.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	train, val := determinismData(t)
-	checksum := func(workers int) string {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	checksum := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
 		m := determinismModel()
-		if _, err := m.Train(train, val, determinismConfig(workers)); err != nil {
+		if _, err := m.Train(train, val, determinismConfig); err != nil {
 			t.Fatal(err)
 		}
 		return m.Checksum()
 	}
 	want := checksum(1)
-	for _, workers := range []int{1, 2, 8, 2, 8} {
-		if got := checksum(workers); got != want {
-			t.Errorf("Workers %d trained checkpoint %.12s, Workers 1 trained %.12s", workers, got, want)
+	for _, procs := range []int{1, 2, 4, 2, 4} {
+		if got := checksum(procs); got != want {
+			t.Errorf("GOMAXPROCS %d trained checkpoint %.12s, GOMAXPROCS 1 trained %.12s", procs, got, want)
 		}
 	}
 	// (amd64 only: an architecture that fuses multiply-adds rounds differently.)
@@ -302,35 +302,39 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 // TestTrainLoopReachesTapeCheckpoint pins the loop apart from the numbers
 // fed into it: nn.Train driven by the tape's gradients still reaches the
 // checkpoint PR 22's gnn.Model.Train reached from the same seed and data,
-// bit for bit, at any worker count — so the shuffle, the slot-order merge,
+// bit for bit, at any GOMAXPROCS — so the shuffle, the slot-order merge,
 // clipping and Adam are unchanged, whatever computes the gradients.
 func TestTrainLoopReachesTapeCheckpoint(t *testing.T) {
 	train, val := determinismData(t)
 	const pr22 = "bafa3dd2afb4d2b2697158e0aaeb00a8ae7365c810768b1a22b85e0a4c9f9659"
-	for _, workers := range []int{1, 2, 8} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
 		m := determinismModel()
-		if _, err := nn.Train(m.params, len(train), determinismConfig(workers), tapeGradients(m, train),
-			func() float64 { m.InvalidateInference(); return m.EvalRMSE(val, workers) }); err != nil {
+		if _, err := nn.Train(m.params, len(train), determinismConfig, tapeGradients(m, train),
+			func() float64 { m.InvalidateInference(); return m.EvalRMSE(val, 0) }); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Checksum(); runtime.GOARCH == "amd64" && got != pr22 {
-			t.Errorf("Workers %d: tape-trained checkpoint %.12s, PR 22 trained %.12s from the same seed and data", workers, got, pr22)
+			t.Errorf("GOMAXPROCS %d: tape-trained checkpoint %.12s, PR 22 trained %.12s from the same seed and data", procs, got, pr22)
 		}
 	}
 }
 
 func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The same configuration predicts the same value whatever the worker
-	// count: gradients merge in batch order (TestTrainDeterministicAcrossWorkers
+	// The same configuration predicts the same value whatever GOMAXPROCS
+	// is: gradients merge in batch order (TestTrainDeterministicAcrossWorkers
 	// holds the whole checkpoint to that).
 	eg := encode(t, buildTestGraph(t, 4))
-	mk := func(workers int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	mk := func(procs int) float64 {
+		runtime.GOMAXPROCS(procs)
 		m := NewModel(Config{Seed: 9, Hidden: 8, Layers: 1, Relations: int(paragraph.NumEdgeTypes)})
 		var samples []*Sample
 		for i := 0; i < 16; i++ {
 			samples = append(samples, &Sample{G: eg, Feats: [2]float64{float64(i) / 16, 0}, Target: float64(i) / 16})
 		}
-		_, err := m.Train(samples, samples, TrainConfig{Epochs: 2, BatchSize: 4, Seed: 3, Workers: workers})
+		_, err := m.Train(samples, samples, TrainConfig{Epochs: 2, BatchSize: 4, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,8 +345,10 @@ func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
 	if p1a != p1b {
 		t.Errorf("same-config training not deterministic: %v vs %v", p1a, p1b)
 	}
-	if p4 := mk(4); p4 != p1a {
-		t.Errorf("worker counts diverge: %v at Workers 1, %v at Workers 4", p1a, p4)
+	for _, procs := range []int{2, 4} {
+		if p := mk(procs); p != p1a {
+			t.Errorf("GOMAXPROCS settings diverge: %v at 1, %v at %d", p1a, p, procs)
+		}
 	}
 }
 
@@ -353,13 +359,14 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		samples = append(samples, &Sample{G: eg, Feats: [2]float64{float64(i) / 10, 0.5}})
 	}
-	batch := m.PredictAll(samples, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	batch := m.PredictAll(samples)
 	for i, s := range samples {
 		if single := m.Predict(s); single != batch[i] {
 			t.Errorf("sample %d: %v vs %v", i, single, batch[i])
 		}
 	}
-	if got := m.PredictAll(nil, 4); len(got) != 0 {
+	if got := m.PredictAll(nil); len(got) != 0 {
 		t.Error("PredictAll(nil) non-empty")
 	}
 }
@@ -426,7 +433,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 
 func TestEvalRMSEEmptyAndExact(t *testing.T) {
 	m := NewModel(Config{Seed: 2, Hidden: 8, Layers: 1})
-	if m.EvalRMSE(nil, 2) != 0 {
+	if m.EvalRMSE(nil, 0) != 0 {
 		t.Error("empty eval not 0")
 	}
 	h := History{}

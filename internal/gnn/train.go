@@ -18,7 +18,7 @@ type (
 // Train optimizes the model on train with nn.Train — MSE against each
 // sample's scaled target, every gradient from the engine and its backward
 // (Gradient) — evaluating on val each epoch. The result depends on cfg.Seed
-// and the data, not on cfg.Workers.
+// and the data, not on GOMAXPROCS.
 func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 	return nn.Train(m.params, len(train), cfg,
 		func() nn.Gradient { return m.Gradient(train) },
@@ -26,17 +26,19 @@ func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 			// The optimizer mutated parameter values in place; the engine's
 			// precomputed projections (inferparams.go) are now stale.
 			m.InvalidateInference()
-			return m.EvalRMSE(val, cfg.Workers)
+			return m.EvalRMSE(val, 0)
 		})
 }
 
-// EvalRMSE computes the RMSE of scaled predictions over samples, in
-// parallel. Empty input returns 0.
-func (m *Model) EvalRMSE(samples []*Sample, workers int) float64 {
+// EvalRMSE computes the RMSE of scaled predictions over samples, predicted
+// by PredictAll. Empty input returns 0. The int argument is ignored; it is
+// retained because bench/layers.go calls EvalRMSE(val, 0), and it goes with
+// ROADMAP item 26.
+func (m *Model) EvalRMSE(samples []*Sample, _ int) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	preds := m.PredictAll(samples, workers)
+	preds := m.PredictAll(samples)
 	var acc float64
 	for i, s := range samples {
 		d := preds[i] - s.Target
@@ -46,16 +48,14 @@ func (m *Model) EvalRMSE(samples []*Sample, workers int) float64 {
 }
 
 // PredictAll returns scaled predictions for all samples: they are cut into
-// one contiguous chunk per worker (<= 0 defaults to GOMAXPROCS), and each
-// chunk is evaluated as PredictBatch would on a goroutine of its own. It is
-// the offline data parallelism of validation and the experiments, and the
-// engine's only fan-out; PredictBatch(samples) gives the same bits.
-func (m *Model) PredictAll(samples []*Sample, workers int) []float64 {
+// one contiguous chunk per P (GOMAXPROCS), and each chunk is evaluated as
+// PredictBatch would on a goroutine of its own. It is the offline data
+// parallelism of validation and the experiments, and the engine's only
+// fan-out; PredictBatch(samples) gives the same bits.
+func (m *Model) PredictAll(samples []*Sample) []float64 {
 	preds := make([]float64, len(samples))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := (len(samples) + workers - 1) / workers
+	procs := runtime.GOMAXPROCS(0)
+	chunk := (len(samples) + procs - 1) / procs
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(samples); lo += chunk {
 		hi := min(lo+chunk, len(samples))

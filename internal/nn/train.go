@@ -14,7 +14,6 @@ type TrainConfig struct {
 	Epochs    int     // default 40
 	BatchSize int     // default 32
 	LR        float64 // default 3e-3
-	Workers   int     // parallel gradient workers; default GOMAXPROCS
 	Seed      int64
 	// Progress, when non-nil, receives (epoch, trainLoss, valRMSE-scaled)
 	// after each epoch.
@@ -30,9 +29,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.LR <= 0 {
 		c.LR = 3e-3
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -76,14 +72,14 @@ func NumElements(params []*Parameter) int {
 
 // Train is the mini-batch trainer of every model in this tree (§IV-B: Adam
 // on MSE): each epoch shuffles the n examples, and each mini-batch computes
-// its examples' gradients data-parallel across cfg.Workers goroutines,
+// its examples' gradients data-parallel across GOMAXPROCS goroutines,
 // merges them in batch order (see batchGradients), clips the global norm
 // and takes one Adam step on params. batch is called once per mini-batch,
 // after the previous step, and returns that batch's Gradient, so a model
 // can derive whatever it computes gradients from once per step. validate
 // runs after each epoch's last step and returns that epoch's validation
 // RMSE. The result depends on cfg.Seed, the gradients and the parameter
-// values, not on Workers.
+// values, not on GOMAXPROCS.
 func Train(params []*Parameter, n int, cfg TrainConfig, batch func() Gradient, validate func() float64) (History, error) {
 	cfg = cfg.withDefaults()
 	if n == 0 {
@@ -110,7 +106,7 @@ func Train(params []*Parameter, n int, cfg TrainConfig, batch func() Gradient, v
 		var batches int
 		for lo := 0; lo < len(order); lo += cfg.BatchSize {
 			idx := order[lo:min(lo+cfg.BatchSize, len(order))]
-			epochLoss += batchGradients(params, idx, cfg.Workers, batch(), bufs)
+			epochLoss += batchGradients(params, idx, batch(), bufs)
 			ClipGradNorm(params, clipNorm)
 			opt.Step(params)
 			batches++
@@ -128,17 +124,17 @@ func Train(params []*Parameter, n int, cfg TrainConfig, batch func() Gradient, v
 }
 
 // batchGradients computes and accumulates gradients for one minibatch,
-// returning the mean loss. Workers run the per-example gradients
-// concurrently, each into its example's batch slot; the merge into the
-// shared parameters then runs over the slots in batch order. Floating-point
-// addition does not associate, so a merge in arrival order would make the
-// weights depend on goroutine scheduling; merged in batch order, training
-// is a function of its seed and data at any worker count.
-func batchGradients(params []*Parameter, batch []int, workers int, grad Gradient, bufs [][]float64) float64 {
+// returning the mean loss. GOMAXPROCS workers run the per-example
+// gradients concurrently, each into its example's batch slot; the merge
+// into the shared parameters then runs over the slots in batch order.
+// Floating-point addition does not associate, so a merge in arrival order
+// would make the weights depend on goroutine scheduling; merged in batch
+// order, training is a function of its seed and data at any worker count.
+func batchGradients(params []*Parameter, batch []int, grad Gradient, bufs [][]float64) float64 {
 	losses := make([]float64, len(batch))
 	var wg sync.WaitGroup
 	work := make(chan int)
-	workers = min(workers, len(batch))
+	workers := min(runtime.GOMAXPROCS(0), len(batch))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {

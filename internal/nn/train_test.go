@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"paragraph/internal/tensor"
@@ -10,7 +11,7 @@ import (
 // TestTrain drives the shared trainer on a linear regression: the loss
 // falls, History and Progress see every epoch, an empty set is an error, and
 // — the property both models inherit — the weights are a function of the seed
-// and data at any worker count.
+// and data at any GOMAXPROCS.
 func TestTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n = 40
@@ -21,11 +22,13 @@ func TestTrain(t *testing.T) {
 		xs[i].RandN(rng, 1)
 		ys[i] = 0.5*xs[i].Data[0] - 0.25*xs[i].Data[2] + 0.1
 	}
-	fit := func(workers int) (string, History, int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	fit := func(procs int) (string, History, int) {
+		runtime.GOMAXPROCS(procs)
 		lin := NewLinear("lin", 3, 1, rand.New(rand.NewSource(5)))
 		calls, batches := 0, 0
 		hist, err := Train(lin.Params(), n, TrainConfig{
-			Epochs: 12, BatchSize: 8, LR: 0.05, Workers: workers, Seed: 6,
+			Epochs: 12, BatchSize: 8, LR: 0.05, Seed: 6,
 			Progress: func(epoch int, _, _ float64) {
 				if epoch != calls {
 					t.Errorf("Progress saw epoch %d at call %d", epoch, calls)
@@ -69,9 +72,9 @@ func TestTrain(t *testing.T) {
 	if first, last := hist.TrainLoss[0], hist.TrainLoss[11]; !(last < first/4) {
 		t.Errorf("train loss %v → %v: the fit did not converge", first, last)
 	}
-	for _, workers := range []int{2, 8, 2, 8} {
-		if got, _, _ := fit(workers); got != want {
-			t.Errorf("Workers %d ended at %.12s, Workers 1 at %.12s", workers, got, want)
+	for _, procs := range []int{2, 4, 2, 4} {
+		if got, _, _ := fit(procs); got != want {
+			t.Errorf("GOMAXPROCS %d ended at %.12s, GOMAXPROCS 1 at %.12s", procs, got, want)
 		}
 	}
 	if _, err := Train(nil, 0, TrainConfig{}, nil, nil); err == nil {

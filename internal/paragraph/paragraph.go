@@ -145,22 +145,13 @@ type Options struct {
 	// (dataset.EncodeSource) never takes: it always passes at least 1.
 	Threads int
 
-	// Bindings resolves symbolic loop bounds (parameter values).
+	// Bindings resolves symbolic loop bounds (parameter values); a loop
+	// whose trip count cannot be derived runs analysis.DefaultTrip times.
 	Bindings analysis.Env
-
-	// DefaultTrip is assumed for loops whose trip count cannot be derived.
-	// Zero selects the package default of 100.
-	DefaultTrip float64
-
-	// MaxWeight caps Child-edge weights to keep extreme nests numerically
-	// tame. Zero selects the package default of 1e9.
-	MaxWeight float64
 }
 
-const (
-	defaultTrip      = 100
-	defaultMaxWeight = 1e9
-)
+// maxWeight caps Child-edge weights to keep extreme nests numerically tame.
+const maxWeight = 1e9
 
 // Build constructs the graph representation of the AST subtree rooted at
 // root (typically a FunctionDecl) at the requested level. It is the DOT/CLI
@@ -183,9 +174,9 @@ func Build(root *cast.Node, opts Options) (*graph.Graph, error) {
 		})
 		return true
 	})
-	rule := newWeightRule(opts)
+	rule := &weightRule{level: opts.Level, threads: opts.Threads}
 	rule.trip = func(fs *cast.Node) float64 {
-		return analysis.ForTrip(fs, opts.Bindings, rule.defaultTrip).Trip
+		return analysis.ForTrip(fs, opts.Bindings, analysis.DefaultTrip).Trip
 	}
 	walkEdges(root, rule, func(src, dst *cast.Node, t EdgeType, w float64) {
 		// A Ref may point at a declaration outside the built subtree.
@@ -229,32 +220,15 @@ func walkEdges(root *cast.Node, rule *weightRule, emit edgeFunc) {
 // weightRule is ParaGraph's Child-edge weight (§III-A.3), written once: a
 // static execution-count estimate per AST region — loop bodies multiplied by
 // trip counts, the directive-associated loop's trips divided across threads,
-// if-branches halved, every weight capped at maxWeight. Below LevelParaGraph
-// every Child edge weighs 1.
+// if-branches halved, while and do loops run analysis.DefaultTrip times,
+// every weight capped at maxWeight. Below LevelParaGraph every Child edge
+// weighs 1.
 type weightRule struct {
-	level       Level
-	threads     int
-	defaultTrip float64
-	maxWeight   float64
+	level   Level
+	threads int
 	// trip is a well-formed ForStmt's iteration count under the bindings;
 	// childEdges calls it exactly once per such loop, in walk order.
 	trip func(fs *cast.Node) float64
-}
-
-func newWeightRule(opts Options) *weightRule {
-	r := &weightRule{
-		level:       opts.Level,
-		threads:     opts.Threads,
-		defaultTrip: opts.DefaultTrip,
-		maxWeight:   opts.MaxWeight,
-	}
-	if r.defaultTrip <= 0 {
-		r.defaultTrip = defaultTrip
-	}
-	if r.maxWeight <= 0 {
-		r.maxWeight = defaultMaxWeight
-	}
-	return r
 }
 
 // childEdges descends the AST emitting n's Child edges. scale is the static
@@ -269,7 +243,7 @@ func (r *weightRule) childEdges(n *cast.Node, scale, pendingPar float64, emit ed
 		if r.level < LevelParaGraph {
 			ew = 1
 		}
-		emit(n, child, Child, math.Min(ew, r.maxWeight))
+		emit(n, child, Child, math.Min(ew, maxWeight))
 		r.childEdges(child, w, pendingPar, emit)
 	}
 	init, cond, body, inc := n.ForParts()
@@ -296,7 +270,7 @@ func (r *weightRule) childEdges(n *cast.Node, scale, pendingPar float64, emit ed
 		sub(inc, inner, 0)
 	case n.Kind == cast.KindWhileStmt || n.Kind == cast.KindDoStmt:
 		for _, c := range n.Children {
-			sub(c, scale*r.defaultTrip, 0)
+			sub(c, scale*analysis.DefaultTrip, 0)
 		}
 	case ifCond != nil:
 		// Paper §III-A.3: each branch taken with probability 1/2.

@@ -81,7 +81,7 @@ func NewTopology(root *cast.Node, level Level) (*Topology, error) {
 			}
 		}
 	}
-	rule := newWeightRule(Options{Level: level})
+	rule := &weightRule{level: level}
 	rule.trip = func(fs *cast.Node) float64 {
 		t.loops = append(t.loops, fs)
 		return 1
@@ -100,7 +100,7 @@ func NewTopology(root *cast.Node, level Level) (*Topology, error) {
 func (t *Topology) Trips(bindings analysis.Env) []float64 {
 	trips := make([]float64, len(t.loops))
 	for i, fs := range t.loops {
-		trips[i] = analysis.ForTrip(fs, bindings, defaultTrip).Trip
+		trips[i] = analysis.ForTrip(fs, bindings, analysis.DefaultTrip).Trip
 	}
 	return trips
 }
@@ -108,13 +108,13 @@ func (t *Topology) Trips(bindings analysis.Env) []float64 {
 // ChildWeights is the weighing step: the Child relation's weights, in
 // Src[Child]/Dst[Child] order, for threads (Options.Threads) and the trip
 // counts Trips returned — the weights Build gives the same AST with the same
-// Threads and Bindings and default DefaultTrip and MaxWeight, bit for bit.
+// Threads and Bindings, bit for bit.
 // Like Build it refuses a weight that is not a finite non-negative number.
 func (t *Topology) ChildWeights(threads int, trips []float64) ([]float64, error) {
 	if len(trips) != len(t.loops) {
 		return nil, fmt.Errorf("paragraph: %d trip counts for %d loops", len(trips), len(t.loops))
 	}
-	rule := newWeightRule(Options{Level: t.Level, Threads: threads})
+	rule := &weightRule{level: t.Level, threads: threads}
 	next := 0
 	rule.trip = func(*cast.Node) float64 {
 		next++

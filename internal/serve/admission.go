@@ -73,7 +73,7 @@ func (s *Server) shedCheck(ctx context.Context, cost time.Duration) *admit.ShedE
 	if !ok {
 		return nil
 	}
-	st := s.admit.Stats()
+	st := s.admit.Counters()
 	drain := admit.EstimateDrain(st.Queued+st.Running, st.Concurrency, cost)
 	return admit.CheckDeadline(time.Until(dl), drain)
 }
@@ -100,7 +100,7 @@ func asShed(err error) (*admit.ShedError, bool) {
 func (s *Server) writeShed(w http.ResponseWriter, shed *admit.ShedError, cost time.Duration) {
 	retry := shed.RetryAfter
 	if retry <= 0 {
-		st := s.admit.Stats()
+		st := s.admit.Counters()
 		retry = admit.EstimateDrain(st.Queued+st.Running, st.Concurrency, cost)
 	}
 	secs := admit.RetryAfterSeconds(retry)

@@ -9,8 +9,9 @@
 // memoizes whole advise rankings; identical concurrent misses
 // collapse into one evaluation (singleflight); and per-client fair
 // admission caps evaluations in flight — one path, Server.serveKeyed.
-// Each evaluation encodes its whole variant grid across goroutines
-// (internal/advisor), then predicts it in one gnn.Model.PredictBatch call
+// Each evaluation runs on its caller's goroutine: it encodes its whole
+// variant grid one variant kind at a time (internal/advisor), then
+// predicts it in one gnn.Model.PredictBatch call
 // through the model's metered Batcher — a cold advise is one batch, and
 // nothing waits to be coalesced with another request's samples. The
 // advise-response cache can be snapshotted and restored across restarts

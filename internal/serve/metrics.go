@@ -106,13 +106,13 @@ func newServeMetrics(s *Server) *serveMetrics {
 	// come and go with traffic, so the per-client series are discovered at
 	// scrape time (CollectFunc) rather than pre-registered.
 	m.reg.GaugeFunc("serve_admit_queued", "Requests waiting in the admission fair queue.", nil,
-		func() float64 { return float64(s.admit.Stats().Queued) })
+		func() float64 { return float64(s.admit.Counters().Queued) })
 	m.reg.GaugeFunc("serve_admit_running", "Admitted evaluations currently holding a slot.", nil,
-		func() float64 { return float64(s.admit.Stats().Running) })
+		func() float64 { return float64(s.admit.Counters().Running) })
 	m.reg.GaugeFunc("serve_admit_lanes", "Per-client lanes currently tracked by the fair queue.", nil,
-		func() float64 { return float64(s.admit.Stats().Lanes) })
+		func() float64 { return float64(s.admit.Counters().Lanes) })
 	m.reg.CounterFunc("serve_admit_admitted_total", "Requests granted an evaluation slot.", nil,
-		func() float64 { return float64(s.admit.Stats().Admitted) })
+		func() float64 { return float64(s.admit.Counters().Admitted) })
 	m.reg.CollectFunc("serve_admit_lane_depth",
 		"Requests queued per client lane.", "gauge",
 		func(emit func(obs.Labels, float64)) {

@@ -38,12 +38,6 @@ type Config struct {
 	// NoiseSigma is the lognormal sigma of run-to-run variation. Zero
 	// selects the default 0.04; negative disables noise.
 	NoiseSigma float64
-	// DefaultTrip is assumed for statically unresolvable loop bounds.
-	// Zero selects 100.
-	DefaultTrip float64
-	// CacheHitRate is the fraction of loads/stores served by caches and
-	// never reaching DRAM. Zero selects 0.7 (CPU) / 0.8 (GPU).
-	CacheHitRate float64
 }
 
 func (c Config) noiseSigma() float64 {
@@ -56,17 +50,9 @@ func (c Config) noiseSigma() float64 {
 	return c.NoiseSigma
 }
 
-func (c Config) defaultTrip() float64 {
-	if c.DefaultTrip <= 0 {
-		return 100
-	}
-	return c.DefaultTrip
-}
-
-func (c Config) cacheHit(isGPU bool) float64 {
-	if c.CacheHitRate > 0 {
-		return math.Min(c.CacheHitRate, 0.999)
-	}
+// cacheHit is the fraction of loads/stores served by caches and never
+// reaching DRAM.
+func cacheHit(isGPU bool) float64 {
 	if isGPU {
 		return 0.8
 	}
@@ -103,7 +89,7 @@ func Simulate(in variants.Instance, m hw.Machine, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: parsing instance %s: %w", in.Name(), err)
 	}
-	kc := analysis.AnalyzeKernel(fn, in.Bindings, cfg.defaultTrip())
+	kc := analysis.AnalyzeKernel(fn, in.Bindings, analysis.DefaultTrip)
 	return SimulateCost(kc, in, m, cfg)
 }
 
@@ -114,9 +100,9 @@ func SimulateCost(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 	}
 	var b Breakdown
 	if m.IsGPU {
-		b = gpuBreakdown(kc, in, m, cfg)
+		b = gpuBreakdown(kc, in, m)
 	} else {
-		b = cpuBreakdown(kc, in, m, cfg)
+		b = cpuBreakdown(kc, in, m)
 	}
 	// Roofline: compute and memory overlap; take the max rather than sum.
 	total := math.Max(b.ComputeUS, b.MemoryUS)
@@ -127,7 +113,7 @@ func SimulateCost(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 }
 
 // cpuBreakdown models a parallel-for region on a multicore CPU.
-func cpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cfg Config) Breakdown {
+func cpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine) Breakdown {
 	var b Breakdown
 	threads := float64(in.Threads)
 	if threads < 1 {
@@ -160,7 +146,7 @@ func cpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 		kc.MathCalls*mathCycles/clockHz + kc.Branches*3/clockHz
 	b.ComputeUS = serialComputeSec / eff * 1e6
 
-	missBytes := (kc.Loads + kc.Stores) * 8 * (1 - cfg.cacheHit(false))
+	missBytes := (kc.Loads + kc.Stores) * 8 * (1 - cacheHit(false))
 	// Bandwidth saturates after a handful of cores.
 	bwFrac := math.Min(1, m.SingleCoreBWFrac*math.Max(eff, 1))
 	b.MemoryUS = missBytes / (m.MemBWGBs * 1e9 * bwFrac) * 1e6
@@ -173,7 +159,7 @@ func cpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 }
 
 // gpuBreakdown models an offloaded target-teams region on a GPU.
-func gpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cfg Config) Breakdown {
+func gpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine) Breakdown {
 	var b Breakdown
 	teams := float64(in.Teams)
 	if teams < 1 {
@@ -216,7 +202,7 @@ func gpuBreakdown(kc analysis.KernelCost, in variants.Instance, m hw.Machine, cf
 		kc.Branches*8/(clockHz*math.Max(pEff/32, 1)) // divergence tax
 	b.ComputeUS = computeSec * 1e6
 
-	missBytes := (kc.Loads + kc.Stores) * 8 * (1 - cfg.cacheHit(true))
+	missBytes := (kc.Loads + kc.Stores) * 8 * (1 - cacheHit(true))
 	// Memory bandwidth needs high occupancy to saturate (latency hiding).
 	bwFrac := math.Min(1, math.Max(pEff/(hwLanes*0.25), 0.02))
 	b.MemoryUS = missBytes / (m.MemBWGBs * 1e9 * bwFrac) * 1e6
