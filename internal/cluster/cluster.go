@@ -38,19 +38,13 @@ type Config struct {
 	// failure (the paper: "our job would not run for long due to node
 	// failure or time constraints"). Deterministic per job ID and attempt.
 	FailureRate float64
-	// MaxRetries is how many times a failed job is resubmitted. Zero
-	// selects 3.
-	MaxRetries int
 	// Seed makes failures reproducible.
 	Seed int64
 }
 
-func (c Config) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 3
-	}
-	return c.MaxRetries
-}
+// maxRetries is how many times a job that hit a node failure is
+// resubmitted.
+const maxRetries = 3
 
 // ErrNodeFailure is the simulated infrastructure failure injected by the
 // cluster; it is retryable.
@@ -74,7 +68,7 @@ func New(cfg Config) *Cluster { return &Cluster{cfg: cfg} }
 
 // Submit runs all jobs across the cluster's nodes and returns their results
 // in job order, plus campaign statistics. Jobs run concurrently (one worker
-// per node); each failed attempt is retried up to MaxRetries times.
+// per node); each failed attempt is retried up to maxRetries times.
 // Injected node failures and real job errors are distinguished: a job whose
 // Run returns an error is NOT retried (a broken kernel stays broken), while
 // node failures are.
@@ -115,8 +109,7 @@ func (c *Cluster) Submit(jobs []Job) ([]Result, Stats) {
 // runJob attempts one job with retries on injected node failures.
 func (c *Cluster) runJob(j Job) Result {
 	res := Result{JobID: j.ID}
-	maxAttempts := c.cfg.maxRetries() + 1
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		res.Attempts = attempt + 1
 		if c.injectFailure(j.ID, attempt) {
 			res.Err = fmt.Errorf("%w (job %s, attempt %d)", ErrNodeFailure, j.ID, attempt+1)

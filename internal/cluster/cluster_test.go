@@ -74,13 +74,14 @@ func TestSubmitRunsConcurrently(t *testing.T) {
 }
 
 func TestFailureInjectionAndRetry(t *testing.T) {
-	c := New(Config{FailureRate: 0.3, MaxRetries: 5, Seed: 42})
+	c := New(Config{FailureRate: 0.3, Seed: 42})
 	jobs := makeJobs(500)
 	results, st := c.Submit(jobs)
 	if st.Retries == 0 {
 		t.Error("30% failure rate should force retries")
 	}
-	// With 5 retries at 30%, nearly everything eventually succeeds.
+	// With 3 retries at 30% (a job is lost with probability 0.3⁴ ≈ 0.8%),
+	// nearly everything eventually succeeds.
 	if st.Succeeded < 490 {
 		t.Errorf("succeeded = %d, want >= 490", st.Succeeded)
 	}
@@ -93,7 +94,7 @@ func TestFailureInjectionAndRetry(t *testing.T) {
 
 func TestFailureExhaustion(t *testing.T) {
 	// FailureRate 1.0: every attempt fails, all jobs exhaust retries.
-	c := New(Config{FailureRate: 1.0, MaxRetries: 2, Seed: 7})
+	c := New(Config{FailureRate: 1.0, Seed: 7})
 	jobs := makeJobs(10)
 	results, st := c.Submit(jobs)
 	if st.Failed != 10 || st.Succeeded != 0 {
@@ -103,8 +104,8 @@ func TestFailureExhaustion(t *testing.T) {
 		if !errors.Is(r.Err, ErrNodeFailure) {
 			t.Errorf("error = %v, want ErrNodeFailure", r.Err)
 		}
-		if r.Attempts != 3 { // 1 + 2 retries
-			t.Errorf("attempts = %d, want 3", r.Attempts)
+		if r.Attempts != 1+maxRetries {
+			t.Errorf("attempts = %d, want %d", r.Attempts, 1+maxRetries)
 		}
 	}
 }
@@ -112,7 +113,7 @@ func TestFailureExhaustion(t *testing.T) {
 func TestRealErrorsNotRetried(t *testing.T) {
 	bad := errors.New("kernel does not build")
 	calls := int32(0)
-	c := New(Config{FailureRate: 0, MaxRetries: 5})
+	c := New(Config{FailureRate: 0})
 	jobs := []Job{{
 		ID: "broken",
 		Run: func() (float64, error) {
@@ -139,7 +140,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(procs int) ([]Result, Stats) {
 		runtime.GOMAXPROCS(procs)
-		c := New(Config{FailureRate: 0.4, MaxRetries: 3, Seed: 123})
+		c := New(Config{FailureRate: 0.4, Seed: 123})
 		return c.Submit(makeJobs(200))
 	}
 	r1, s1 := run(1)
@@ -158,7 +159,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestSeedChangesFailures(t *testing.T) {
 	submit := func(seed int64) Stats {
-		c := New(Config{FailureRate: 0.5, MaxRetries: 1, Seed: seed})
+		c := New(Config{FailureRate: 0.5, Seed: seed})
 		_, st := c.Submit(makeJobs(300))
 		return st
 	}

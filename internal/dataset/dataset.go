@@ -89,7 +89,7 @@ func DefaultConfig() Config {
 	return Config{
 		Sweep:   variants.DefaultSweep(),
 		Sim:     sim.Config{Seed: 1},
-		Cluster: cluster.Config{FailureRate: 0.01, MaxRetries: 3, Seed: 1},
+		Cluster: cluster.Config{FailureRate: 0.01, Seed: 1},
 		Seed:    1,
 	}
 }

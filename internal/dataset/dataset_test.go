@@ -82,7 +82,6 @@ func TestCollectStats(t *testing.T) {
 func TestCollectWithFailures(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Cluster.FailureRate = 0.5
-	cfg.Cluster.MaxRetries = 1
 	p, err := Collect(hw.MI50(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 )
 
 // Encoder is the front end every graph the model sees comes through —
-// training samples in Prepare, retrain samples in registry, served requests
-// in advisor — split where the paper splits a ParaGraph. What is a function
+// training samples in Prepare, served requests in advisor — split where
+// the paper splits a ParaGraph. What is a function
 // of the AST alone (nodes, edge lists: paragraph.Topology, and their model
 // form gnn.Topology) is derived once per parsed source, here; what a grid
 // sweeps over that structure — the Child weights, a function of (threads,

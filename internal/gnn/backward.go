@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"math"
-	"slices"
 
 	"paragraph/internal/fp"
 	"paragraph/internal/nn"
@@ -28,88 +27,20 @@ import (
 // dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ (the product over the
 // relation's source rows only), daSrc = W_rᵀ·g_pSrc and daDst = W_rᵀ·g_pDst.
 
-// trainWeights is one mini-batch's weight set: the engine's, at the
-// parameter values the previous step left, plus what only the backward
-// reads.
-type trainWeights struct {
-	w      *weights
-	layers []trainLayer
-	at     modelAt
-}
-
-// trainLayer is one convolution's backward-only weights: the projections
-// transposed, the attention vectors, and where its parameters sit in a
-// gradient.
-type trainLayer struct {
-	selfT      *tensor.Matrix
-	wT         []*tensor.Matrix
-	aSrc, aDst [][]float64
-	at         layerAt
-}
-
-// modelAt and layerAt are the offsets of the parameters in a flat gradient
-// (nn.Gradient's layout: Params order).
-type (
-	modelAt struct {
-		kind, sub, featVec     int
-		fc1W, fc1B, fc2W, fc2B int
-		featW, featB           int
-		outW, outB             int
-	}
-	layerAt struct {
-		w, aSrc, aDst, wCoef []int
-		self, bias           int
-	}
-)
-
-// buildTrainWeights assembles one mini-batch's weights from the model's
-// engine weight set, which the caller has rebuilt at the current parameter
-// values.
-func buildTrainWeights(m *Model) *trainWeights {
-	at := map[*nn.Parameter]int{}
-	off := 0
-	for _, p := range m.params {
-		at[p] = off
-		off += len(p.Value.Data)
-	}
-	tw := &trainWeights{
-		w: m.inferParams(),
-		at: modelAt{
-			kind: at[m.kindEmb.Table], sub: at[m.subEmb.Table], featVec: at[m.featVec],
-			fc1W: at[m.fc1.W], fc1B: at[m.fc1.B], fc2W: at[m.fc2.W], fc2B: at[m.fc2.B],
-			featW: at[m.featFC.W], featB: at[m.featFC.B], outW: at[m.out.W], outB: at[m.out.B],
-		},
-	}
-	for _, l := range m.layers {
-		tl := trainLayer{selfT: tensor.Transpose(l.self.Value), at: layerAt{self: at[l.self], bias: at[l.bias]}}
-		for r := range l.w {
-			tl.wT = append(tl.wT, tensor.Transpose(l.w[r].Value))
-			tl.aSrc = append(tl.aSrc, slices.Clone(l.aSrc[r].Value.Data))
-			tl.aDst = append(tl.aDst, slices.Clone(l.aDst[r].Value.Data))
-			tl.at.w = append(tl.at.w, at[l.w[r]])
-			tl.at.aSrc = append(tl.at.aSrc, at[l.aSrc[r]])
-			tl.at.aDst = append(tl.at.aDst, at[l.aDst[r]])
-			tl.at.wCoef = append(tl.at.wCoef, at[l.wCoef[r]])
-		}
-		tw.layers = append(tw.layers, tl)
-	}
-	return tw
-}
-
 // Gradient returns the per-example loss gradient of samples at the model's
 // current parameter values, in nn.Train's form: the squared error against
 // each sample's scaled target, differentiated with respect to every
-// parameter. Train takes one per mini-batch; parameter changes made after
-// the call are not seen. The model keeps its training workspaces on a free
-// list, so in steady state an example's gradient allocates nothing.
+// parameter. Train takes one per mini-batch, after the previous step; the
+// result holds until the parameters next change. Gradient refreshes the
+// weight set's derived values in place, for this batch and for any Predict
+// after it, and allocates only the returned closure. The model keeps its
+// training workspaces on a free list, so in steady state an example's
+// gradient allocates nothing.
 func (m *Model) Gradient(samples []*Sample) nn.Gradient {
-	// The optimizer mutated parameter values in place since the weight set
-	// was built: rebuild it, for this batch and for any Predict after it.
-	m.InvalidateInference()
-	tw := buildTrainWeights(m)
+	m.refresh()
 	return func(i int, grad []float64) float64 {
 		gw := m.grads.get()
-		loss := tw.gradient(gw, samples[i], grad)
+		loss := m.w.gradient(gw, samples[i], grad)
 		m.grads.put(gw)
 		return loss
 	}
@@ -131,19 +62,19 @@ type gradWS struct {
 // gradient runs s forward through the engine and back, adding the squared
 // error's gradient into grad (zeroed, Params order), and returns the
 // squared error.
-func (tw *trainWeights) gradient(gw *gradWS, s *Sample, grad []float64) float64 {
-	w, ws := tw.w, &gw.workspace
+func (w *weights) gradient(gw *gradWS, s *Sample, grad []float64) float64 {
+	ws := &gw.workspace
 	st := &ws.slots[0]
 	st.buf = resize(st.buf, ws.shape(w, s.G))
 	ws.pass = resize(ws.pass, len(w.layers)*ws.n*ws.hdim+2*ws.hdim+w.featB.Cols)
 	gw.vec = resize(gw.vec, 3*ws.hdim+w.featB.Cols)
 	d := w.forward(ws, st, nil, s) - s.Target
 
-	gw.head(tw, 2*d, grad)
+	gw.head(w, 2*d, grad)
 	for li := len(w.layers) - 1; li >= 0; li-- {
-		gw.layer(tw, st, li, grad)
+		gw.layer(w, st, li, grad)
 	}
-	gw.embeddings(tw, s.G, grad)
+	gw.embeddings(w, s.G, grad)
 	// Nothing of the call's graph may outlive it in the kept workspace.
 	ws.plan, st.g = nil, nil
 	return d * d
@@ -152,8 +83,8 @@ func (tw *trainWeights) gradient(gw *gradWS, s *Sample, grad []float64) float64 
 // head backpropagates dp = dL/dprediction through the regression head, the
 // two fully connected layers and the feature branch, leaving dL/dh^L in
 // gw.dh.
-func (gw *gradWS) head(tw *trainWeights, dp float64, grad []float64) {
-	w, at, ws := tw.w, tw.at, &gw.workspace
+func (gw *gradWS) head(w *weights, dp float64, grad []float64) {
+	at, ws := w.at, &gw.workspace
 	hd, fh := ws.hdim, w.featB.Cols
 	pass := ws.pass[len(w.layers)*ws.n*hd:]
 	dEmb2, dFeat := gw.vec[:hd], gw.vec[hd:hd+fh]
@@ -252,9 +183,9 @@ func axpy(y []float64, a float64, x []float64) {
 // layer backpropagates convolution li: on entry gw.dh holds dL/dh^{li+1},
 // on return dL/dh^li, and the layer's parameter gradients are added into
 // grad.
-func (gw *gradWS) layer(tw *trainWeights, st *slot, li int, grad []float64) {
+func (gw *gradWS) layer(w *weights, st *slot, li int, grad []float64) {
 	ws := &gw.workspace
-	l, tl := &tw.w.layers[li], &tw.layers[li]
+	l := &w.layers[li]
 	n, hd := ws.n, ws.hdim
 	in := ws.h(st, li)
 
@@ -266,18 +197,18 @@ func (gw *gradWS) layer(tw *trainWeights, st *slot, li int, grad []float64) {
 			dOut.Data[i] = 0
 		}
 	}
-	gw.addATB(&in, nil, dOut, grad[tl.at.self:])
-	bias := grad[tl.at.bias : tl.at.bias+hd]
+	gw.addATB(&in, nil, dOut, grad[l.at.self:])
+	bias := grad[l.at.bias : l.at.bias+hd]
 	for i := 0; i < n; i++ {
 		for j, v := range dOut.Row(i) {
 			bias[j] += v
 		}
 	}
-	tensor.MatMulInto(dOut, tl.selfT, &gw.dIn)
+	tensor.MatMulInto(dOut, l.selfT, &gw.dIn)
 
 	for r := range min(len(st.g.Rels), len(l.w)) {
 		if len(ws.plan.rels[r].edge) > 0 {
-			gw.relation(tw, st, li, r, grad)
+			gw.relation(w, st, li, r, grad)
 		}
 	}
 	gw.dh, gw.dIn = gw.dIn, gw.dh
@@ -285,9 +216,8 @@ func (gw *gradWS) layer(tw *trainWeights, st *slot, li int, grad []float64) {
 
 // relation backpropagates relation r's messages at layer li from dL/dOut
 // (gw.dh) into dL/dh^li (gw.dIn) and the relation's parameter gradients.
-func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64) {
-	ws, w := &gw.workspace, tw.w
-	l, tl := &w.layers[li], &tw.layers[li]
+func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
+	ws, l := &gw.workspace, &w.layers[li]
 	rp, hd := &ws.plan.rels[r], ws.hdim
 	in, dOut, dIn := ws.h(st, li), &gw.dh, &gw.dIn
 	q, score := ws.q(st, li, r)
@@ -362,7 +292,7 @@ func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64
 		axpy(dIn.Row(d), dsDst, pDst)
 	}
 	if !w.noWeights {
-		grad[tl.at.wCoef[r]] += dc
+		grad[l.at.wCoef[r]] += dc
 	}
 	for si, node := range rp.srcList {
 		if ds := gw.dsSrc[si]; ds != 0 {
@@ -372,10 +302,10 @@ func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64
 	}
 
 	// dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ; da = W_rᵀ·g_p.
-	gW := grad[tl.at.w[r] : tl.at.w[r]+hd*hd]
+	gW := grad[l.at.w[r] : l.at.w[r]+hd*hd]
 	gw.addATB(&in, rp.srcList, &gw.dq, gW)
-	aSrc, aDst := tl.aSrc[r], tl.aDst[r]
-	gASrc, gADst := grad[tl.at.aSrc[r]:tl.at.aSrc[r]+hd], grad[tl.at.aDst[r]:tl.at.aDst[r]+hd]
+	aSrc, aDst := l.aSrc[r], l.aDst[r]
+	gASrc, gADst := grad[l.at.aSrc[r]:l.at.aSrc[r]+hd], grad[l.at.aDst[r]:l.at.aDst[r]+hd]
 	for i := 0; i < hd; i++ {
 		row := gW[i*hd : (i+1)*hd]
 		axpy(row, gPSrc[i], aSrc)
@@ -385,7 +315,7 @@ func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64
 		axpy(gADst, gPDst[i], wRow)
 	}
 	// dh_src += dQ·W_rᵀ.
-	tensor.MatMulInto(&gw.dq, tl.wT[r], &gw.tmp)
+	tensor.MatMulInto(&gw.dq, l.wT[r], &gw.tmp)
 	for si, node := range rp.srcList {
 		row := dIn.Row(node)
 		for j, v := range gw.tmp.Row(si) {
@@ -396,8 +326,8 @@ func (gw *gradWS) relation(tw *trainWeights, st *slot, li, r int, grad []float64
 
 // embeddings backpropagates dL/dh⁰ (gw.dh) into the kind and sub-kind
 // embedding rows and the scalar feature's projection featVec.
-func (gw *gradWS) embeddings(tw *trainWeights, g *Graph, grad []float64) {
-	hd, at := gw.hdim, tw.at
+func (gw *gradWS) embeddings(w *weights, g *Graph, grad []float64) {
+	hd, at := gw.hdim, w.at
 	featVec := grad[at.featVec : at.featVec+hd]
 	for i := 0; i < g.NumNodes; i++ {
 		row := gw.dh.Row(i)

@@ -120,7 +120,7 @@ func TestTrainGradientsMatchFiniteDifferences(t *testing.T) {
 		grad := make([]float64, m.NumParams())
 		m.Gradient([]*Sample{s})(0, grad)
 		loss := func() float64 {
-			m.InvalidateInference()
+			m.refresh()
 			d := m.Predict(s) - s.Target
 			return d * d
 		}
@@ -157,5 +157,21 @@ func TestTrainGradientZeroAllocs(t *testing.T) {
 	step(0, grad)
 	if allocs := testing.AllocsPerRun(100, func() { step(0, grad) }); allocs != 0 {
 		t.Errorf("steady-state engine gradient allocates %v times per example, want 0", allocs)
+	}
+}
+
+// TestGradientSetupAllocs: a mini-batch's Gradient refreshes the weight
+// set's derived values in storage allocated once, so after the first call
+// it allocates at most the closure it returns.
+func TestGradientSetupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are only meaningful unraced")
+	}
+	eg := encode(t, buildTestGraph(t, 8))
+	samples := []*Sample{{G: eg, Feats: [2]float64{0.5, 0.5}, Target: 0.3}}
+	m := NewModel(Config{Seed: 1, Hidden: 24, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
+	m.Gradient(samples)
+	if allocs := testing.AllocsPerRun(100, func() { m.Gradient(samples) }); allocs > 1 {
+		t.Errorf("Model.Gradient allocates %v times per mini-batch, want at most 1 (its closure)", allocs)
 	}
 }

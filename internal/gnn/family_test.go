@@ -437,3 +437,36 @@ func TestWorkspacesBoundedByCallers(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkspaceOverCapNotKept: a graph whose workspace outgrows
+// maxRetained leaves the model holding no workspace over the cap, serving's
+// and training's alike, and the next call on a small graph grows a fresh
+// one that the model keeps.
+func TestWorkspaceOverCapNotKept(t *testing.T) {
+	const n = 8192 // a chain: ≈ 2.6 kB of slot buffer per node at Hidden 32 / Layers 3
+	big := &Graph{NumNodes: n, Kinds: make([]int, n), SubKinds: make([]int, n), Feats: tensor.New(n, 1),
+		Rels: []Relation{{Src: make([]int, n-1), Dst: make([]int, n-1), LogW: make([]float64, n-1)}}}
+	for i := range n - 1 {
+		big.Rels[0].Src[i], big.Rels[0].Dst[i], big.Rels[0].LogW[i] = i, i+1, 1
+	}
+	small := randomEncodedGraph(rand.New(rand.NewSource(10)), 1)
+	m := NewModel(Config{Seed: 1, Relations: 1})
+	grad := make([]float64, m.NumParams())
+
+	m.Predict(&Sample{G: big})
+	m.Gradient([]*Sample{{G: big, Target: 1}})(0, grad)
+	if len(m.ws.free) != 0 || len(m.grads.free) != 0 {
+		t.Fatalf("after a %d-node graph the model keeps %d serving and %d training workspaces, want none",
+			n, len(m.ws.free), len(m.grads.free))
+	}
+
+	m.Predict(&Sample{G: small})
+	m.Gradient([]*Sample{{G: small, Target: 1}})(0, grad)
+	if len(m.ws.free) != 1 || len(m.grads.free) != 1 {
+		t.Fatalf("after a small graph the model keeps %d serving and %d training workspaces, want 1 and 1",
+			len(m.ws.free), len(m.grads.free))
+	}
+	if ws, gw := m.ws.free[0].retained(), m.grads.free[0].retained(); ws > maxRetained || gw > maxRetained {
+		t.Errorf("kept workspaces retain %d and %d bytes, over the %d-byte cap", ws, gw, maxRetained)
+	}
+}

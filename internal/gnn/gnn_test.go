@@ -312,7 +312,7 @@ func TestTrainLoopReachesTapeCheckpoint(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		m := determinismModel()
 		if _, err := nn.Train(m.params, len(train), determinismConfig, tapeGradients(m, train),
-			func() float64 { m.InvalidateInference(); return m.EvalRMSE(val, 0) }); err != nil {
+			func() float64 { m.refresh(); return m.EvalRMSE(val, 0) }); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Checksum(); runtime.GOARCH == "amd64" && got != pr22 {
@@ -395,6 +395,34 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	if got := m.PredictBatch(nil); len(got) != 0 {
 		t.Error("PredictBatch(nil) non-empty")
+	}
+}
+
+// TestTrainedModelMatchesItsCheckpoint: the weight set's derived values
+// are current after Train (its validation refreshes them after the last
+// step) and after Load (which builds the set over the loaded values): a
+// trained model, and a differently seeded one loaded from its checkpoint,
+// predict the same bits.
+func TestTrainedModelMatchesItsCheckpoint(t *testing.T) {
+	train, val := determinismData(t)
+	m := determinismModel()
+	if _, err := m.Train(train, val, determinismConfig); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cfg := m.Config()
+	cfg.Seed++
+	loaded := NewModel(cfg)
+	if err := loaded.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range append(train, val...) {
+		if got, want := m.Predict(s), loaded.Predict(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("sample %d: trained model predicts %v, its checkpoint %v", i, got, want)
+		}
 	}
 }
 

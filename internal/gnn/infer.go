@@ -64,15 +64,15 @@ import (
 //     cost to |sources|·H². It is topology only, so one plan — the first
 //     member's — serves a family.
 //
-//   - weights (inferparams.go): the parameters and the constants derived
-//     from them, built once per parameter state — the per-relation
-//     attention projections p_src = W_r·aSrc and p_dst = W_r·aDst (so
-//     attention scores become one H-dot per node instead of an
-//     H²-projection).
+//   - weights (inferparams.go): the parameters, read in place, and the
+//     constants derived from them, recomputed in place when the parameters
+//     change — the per-relation attention projections p_src = W_r·aSrc and
+//     p_dst = W_r·aDst (so attention scores become one H-dot per node
+//     instead of an H²-projection).
 //
 //   - workspace: the state slots and scratch of one call, sized from the
 //     model Config and graph shape through resize and kept on the Model's
-//     free list. In steady state a forward pass performs zero heap
+//     free list unless it outgrew maxRetained. In steady state a forward pass performs zero heap
 //     allocations (asserted by TestInferForwardZeroAllocs). Nothing
 //     derived from a graph's weights outlives the call: dataset.Prepare
 //     rewrites WScale after encoding.
@@ -328,6 +328,16 @@ type workspace struct {
 	pass []bool
 }
 
+// retained is the bytes ws's state slots keep. They grow with a graph's
+// nodes and hold most of what a workspace keeps, a training workspace's
+// backward scratch included.
+func (ws *workspace) retained() (n int) {
+	for _, st := range ws.slots {
+		n += 8 * cap(st.buf)
+	}
+	return n
+}
+
 // h returns layer l's input matrix (l == layers: the final embedding) in st.
 func (ws *workspace) h(st *slot, l int) tensor.Matrix {
 	sz := ws.n * ws.hdim
@@ -357,11 +367,10 @@ func (m *Model) predict(out []float64, samples []*Sample) {
 	if len(samples) == 0 {
 		return
 	}
-	w := m.inferParams()
 	ws := m.ws.get()
 	ws.group(samples)
 	for _, first := range ws.heads {
-		w.family(ws, out, samples, first, ws.next)
+		m.w.family(ws, out, samples, first, ws.next)
 	}
 	m.ws.put(ws)
 }

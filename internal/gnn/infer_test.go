@@ -177,25 +177,26 @@ func TestInferRankingMatchesTape(t *testing.T) {
 	}
 }
 
-// TestInferInvalidation pins the staleness contract: parameter mutations
-// through the package's own paths (Load) refresh the precomputed attention
-// projections, and direct mutations are covered by InvalidateInference.
+// TestInferInvalidation pins the weight set's contract: the engine reads
+// the parameters in place, a change to one reaches the derived attention
+// projections through refresh, and Load — which gives every parameter new
+// storage — builds the set again on its own.
 func TestInferInvalidation(t *testing.T) {
 	eg := encode(t, buildTestGraph(t, 8))
 	s := &Sample{G: eg, Feats: [2]float64{0.5, 0.5}}
 	m := NewModel(Config{Seed: 11, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
-	m.Predict(s) // build the derived weights
+	m.Predict(s)
 
-	// Direct mutation of an attention vector: without invalidation the
-	// engine would keep serving the stale projection.
+	// Direct mutation of an attention vector: without refresh the engine
+	// would keep scoring with the stale projection.
 	l := m.layers[0]
 	l.aSrc[0].Value.Data[0] += 0.5
-	m.InvalidateInference()
+	m.refresh()
 	if e := relErr(m.Predict(s), m.PredictTape(s)); e > equivTol {
-		t.Errorf("after direct mutation + InvalidateInference: rel err %v", e)
+		t.Errorf("after direct mutation + refresh: rel err %v", e)
 	}
 
-	// Load must invalidate on its own: round-trip different weights through
+	// Load must rebuild on its own: round-trip different weights through
 	// a checkpoint and check the engine tracks them.
 	donor := NewModel(Config{Seed: 99, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
 	var buf bytes.Buffer
@@ -228,8 +229,8 @@ func TestInferPlanSharedAcrossHeaderCopies(t *testing.T) {
 // TestPredictBatchConcurrentRace hammers the pooled workspaces: many
 // goroutines run overlapping PredictBatch calls (plus single Predicts) on
 // one model and every result must agree with a serial reference. Run under
-// -race (CI does) this is the workspace-safety gate, and it also exercises
-// the lazily built weight set under concurrency.
+// -race (CI does) this is the workspace-safety gate, and it also holds the
+// weight set, built once before the model is shared, to lock-free reads.
 func TestPredictBatchConcurrentRace(t *testing.T) {
 	m := NewModel(Config{Seed: 3, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
 	rng := rand.New(rand.NewSource(4))
@@ -243,7 +244,6 @@ func TestPredictBatchConcurrentRace(t *testing.T) {
 	for i, s := range samples {
 		want[i] = m.Predict(s)
 	}
-	m.InvalidateInference() // make the concurrent phase rebuild lazily
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
@@ -289,7 +289,7 @@ func TestInferForwardZeroAllocs(t *testing.T) {
 	eg.WScale = 10
 	s := &Sample{G: eg, Feats: [2]float64{0.5, 0.5}}
 	m := NewModel(Config{Seed: 1, Relations: int(paragraph.NumEdgeTypes)})
-	m.Predict(s) // build the plan and derived weights, grow the workspace
+	m.Predict(s) // build the plan, grow the workspace
 	if allocs := testing.AllocsPerRun(100, func() { m.Predict(s) }); allocs != 0 {
 		t.Errorf("steady-state engine forward allocates %v times per run, want 0", allocs)
 	}

@@ -1,19 +1,20 @@
 package gnn
 
 import (
-	"slices"
-
+	"paragraph/internal/nn"
 	"paragraph/internal/tensor"
 )
 
-// This file holds the engine's weight set: a snapshot of the model
-// parameters plus the constants derived from them, built once per parameter
-// state — not once per forward pass. Training mutates parameters in place
-// (Adam steps, checkpoint loads), so the set is a copy, invalidated on
-// every mutation the package performs (each mini-batch's Gradient, Train's
-// epoch ends, Load) and rebuilt lazily on the next use. Code that mutates
-// parameter values directly — tests, ablation tooling — must call
-// InvalidateInference afterwards.
+// This file holds the engine's weight set: the model's parameters, read
+// where they live, plus the values derived from them. It is built only
+// where parameters get new storage — NewModel, and Load, since
+// nn.LoadParams replaces each Parameter.Value — and every matrix in it
+// aliases its parameter's value. It owns only the derived values, in
+// storage allocated once, and refresh recomputes them in place after the
+// parameters change: Gradient at each mini-batch (after the previous Adam
+// step) and Train's validation after each epoch's last step. Parameters
+// change only through Train and Load, never while the same model predicts,
+// so a set built before the model is shared needs no lock.
 
 // layerWeights is one convolution's weights. pSrc[r] = W_r·aSrc_r and
 // pDst[r] = W_r·aDst_r (length Hidden) are the precomputed attention
@@ -22,18 +23,24 @@ import (
 // against these vectors — the H²-per-node projection cost disappears from
 // the score path entirely.
 type layerWeights struct {
-	w     []*tensor.Matrix // per-relation projection H×H
+	w          []*tensor.Matrix // per-relation projection H×H
+	aSrc, aDst [][]float64      // per-relation attention vectors, length H
+	self       *tensor.Matrix   // H×H
+	bias       []float64        // length H
+	alpha      float64
+
+	// Derived by refresh.
 	pSrc  [][]float64      // per-relation W_r·aSrc, length H
 	pDst  [][]float64      // per-relation W_r·aDst, length H
 	wCoef []float64        // per-relation edge-weight coefficient
-	self  *tensor.Matrix   // H×H
-	bias  []float64        // length H
-	alpha float64
+	selfT *tensor.Matrix   // self projection transposed, for the backward
+	wT    []*tensor.Matrix // per-relation projection transposed, likewise
+
+	at layerAt
 }
 
 // weights is the full weight set the engine runs on, serving and training
-// alike. It is immutable once built and shared by every concurrent forward
-// pass.
+// alike, shared by every concurrent forward pass.
 type weights struct {
 	hidden  int
 	kindTab *tensor.Matrix
@@ -48,76 +55,100 @@ type weights struct {
 	outW, outB   *tensor.Matrix
 
 	noWeights bool
+	at        modelAt
 }
 
-// inferParams returns the current weight set, building it under the mutex
-// on first use after an invalidation. The double-checked atomic load keeps
-// the steady-state cost of a forward pass at one atomic read.
-func (m *Model) inferParams() *weights {
-	if p := m.inferP.Load(); p != nil {
-		return p
+// modelAt and layerAt are the offsets of the parameters in a flat gradient
+// (nn.Gradient's layout: Params order).
+type (
+	modelAt struct {
+		kind, sub, featVec     int
+		fc1W, fc1B, fc2W, fc2B int
+		featW, featB           int
+		outW, outB             int
 	}
-	m.inferMu.Lock()
-	defer m.inferMu.Unlock()
-	if p := m.inferP.Load(); p != nil {
-		return p
+	layerAt struct {
+		w, aSrc, aDst, wCoef []int
+		self, bias           int
 	}
-	p := buildWeights(m)
-	m.inferP.Store(p)
-	return p
-}
+)
 
-// InvalidateInference discards the precomputed inference weights; the next
-// Predict rebuilds them from the current parameter values. The package
-// invalidates after its own parameter mutations (Train's optimizer steps,
-// Load); call this after mutating parameter values directly.
-func (m *Model) InvalidateInference() { m.inferP.Store(nil) }
-
-// PrecomputeInference builds the derived inference weights eagerly, so the
-// first request served by a freshly loaded model does not pay the build.
-func (m *Model) PrecomputeInference() { m.inferParams() }
-
-// projectAttention computes W·a for an H×H projection and an H×1 attention
-// vector: the precomputed form of the engine's attention scores.
-func projectAttention(w, a *tensor.Matrix) []float64 {
-	out := make([]float64, w.Rows)
-	for i := range out {
-		out[i] = tensor.Dot(w.Row(i), a.Data)
+// buildWeights points the model's weight set at its current parameter
+// storage, allocates the derived values and computes them.
+func (m *Model) buildWeights() {
+	at := map[*nn.Parameter]int{}
+	off := 0
+	for _, p := range m.params {
+		at[p] = off
+		off += len(p.Value.Data)
 	}
-	return out
-}
-
-// buildWeights copies the current parameter values and derives the
-// attention projections from them.
-func buildWeights(m *Model) *weights {
+	h := m.cfg.Hidden
 	w := &weights{
-		hidden:    m.cfg.Hidden,
-		kindTab:   m.kindEmb.Table.Value.Clone(),
-		subTab:    m.subEmb.Table.Value.Clone(),
-		featVec:   slices.Clone(m.featVec.Value.Data),
-		fc1W:      m.fc1.W.Value.Clone(),
-		fc1B:      m.fc1.B.Value.Clone(),
-		fc2W:      m.fc2.W.Value.Clone(),
-		fc2B:      m.fc2.B.Value.Clone(),
-		featW:     m.featFC.W.Value.Clone(),
-		featB:     m.featFC.B.Value.Clone(),
-		outW:      m.out.W.Value.Clone(),
-		outB:      m.out.B.Value.Clone(),
+		hidden:    h,
+		kindTab:   m.kindEmb.Table.Value,
+		subTab:    m.subEmb.Table.Value,
+		featVec:   m.featVec.Value.Data,
+		fc1W:      m.fc1.W.Value,
+		fc1B:      m.fc1.B.Value,
+		fc2W:      m.fc2.W.Value,
+		fc2B:      m.fc2.B.Value,
+		featW:     m.featFC.W.Value,
+		featB:     m.featFC.B.Value,
+		outW:      m.out.W.Value,
+		outB:      m.out.B.Value,
 		noWeights: m.cfg.DisableEdgeWeights,
+		at: modelAt{
+			kind: at[m.kindEmb.Table], sub: at[m.subEmb.Table], featVec: at[m.featVec],
+			fc1W: at[m.fc1.W], fc1B: at[m.fc1.B], fc2W: at[m.fc2.W], fc2B: at[m.fc2.B],
+			featW: at[m.featFC.W], featB: at[m.featFC.B], outW: at[m.out.W], outB: at[m.out.B],
+		},
 	}
 	for _, l := range m.layers {
 		lw := layerWeights{
-			self:  l.self.Value.Clone(),
-			bias:  slices.Clone(l.bias.Value.Data),
+			self:  l.self.Value,
+			bias:  l.bias.Value.Data,
 			alpha: l.alpha,
+			selfT: tensor.New(h, h),
+			wCoef: make([]float64, len(l.w)),
+			at:    layerAt{self: at[l.self], bias: at[l.bias]},
 		}
 		for r := range l.w {
-			lw.w = append(lw.w, l.w[r].Value.Clone())
-			lw.pSrc = append(lw.pSrc, projectAttention(l.w[r].Value, l.aSrc[r].Value))
-			lw.pDst = append(lw.pDst, projectAttention(l.w[r].Value, l.aDst[r].Value))
-			lw.wCoef = append(lw.wCoef, l.wCoef[r].Value.Data[0])
+			lw.w = append(lw.w, l.w[r].Value)
+			lw.aSrc = append(lw.aSrc, l.aSrc[r].Value.Data)
+			lw.aDst = append(lw.aDst, l.aDst[r].Value.Data)
+			lw.pSrc = append(lw.pSrc, make([]float64, h))
+			lw.pDst = append(lw.pDst, make([]float64, h))
+			lw.wT = append(lw.wT, tensor.New(h, h))
+			lw.at.w = append(lw.at.w, at[l.w[r]])
+			lw.at.aSrc = append(lw.at.aSrc, at[l.aSrc[r]])
+			lw.at.aDst = append(lw.at.aDst, at[l.aDst[r]])
+			lw.at.wCoef = append(lw.at.wCoef, at[l.wCoef[r]])
 		}
 		w.layers = append(w.layers, lw)
 	}
-	return w
+	m.w = w
+	m.refresh()
+}
+
+// refresh recomputes the weight set's derived values from the current
+// parameter values, in place and without allocating.
+func (m *Model) refresh() {
+	for i, l := range m.layers {
+		lw := &m.w.layers[i]
+		tensor.TransposeInto(l.self.Value, lw.selfT)
+		for r := range l.w {
+			projectAttention(lw.pSrc[r], l.w[r].Value, l.aSrc[r].Value)
+			projectAttention(lw.pDst[r], l.w[r].Value, l.aDst[r].Value)
+			lw.wCoef[r] = l.wCoef[r].Value.Data[0]
+			tensor.TransposeInto(l.w[r].Value, lw.wT[r])
+		}
+	}
+}
+
+// projectAttention computes out = W·a for an H×H projection and an H×1
+// attention vector: the precomputed form of the engine's attention scores.
+func projectAttention(out []float64, w, a *tensor.Matrix) {
+	for i := range out {
+		out[i] = tensor.Dot(w.Row(i), a.Data)
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"paragraph/internal/autodiff"
 	"paragraph/internal/nn"
@@ -143,7 +142,11 @@ func (l *rgatLayer) apply(f *nn.Forward, g *Graph, h *autodiff.Var) *autodiff.Va
 	return out
 }
 
-// Model is the full ParaGraph cost model.
+// Model is the full ParaGraph cost model. Its parameters change only
+// through Train and Load, never while the same model predicts: every caller
+// trains (or loads) first and predicts after, so the engine's weight set
+// (inferparams.go), built before the model is shared, is read by concurrent
+// predictions without a lock.
 type Model struct {
 	cfg Config
 
@@ -162,14 +165,12 @@ type Model struct {
 
 	// ws holds the inference workspaces (see infer.go) between calls, and
 	// grads training's (backward.go) between examples and mini-batches.
-	ws    freeList[workspace]
-	grads freeList[gradWS]
+	ws    freeList[workspace, *workspace]
+	grads freeList[gradWS, *gradWS]
 
-	// The engine's weight set (see inferparams.go): a snapshot of the
-	// parameters and the precomputed attention projections. Rebuilt lazily
-	// after any invalidation.
-	inferMu sync.Mutex
-	inferP  atomic.Pointer[weights]
+	// w is the engine's weight set (see inferparams.go): the parameters'
+	// own storage plus the values derived from them.
+	w *weights
 }
 
 // NewModel constructs the model with seeded initialization.
@@ -198,6 +199,7 @@ func NewModel(cfg Config) *Model {
 	m.params = append(m.params, m.fc2.Params()...)
 	m.params = append(m.params, m.featFC.Params()...)
 	m.params = append(m.params, m.out.Params()...)
+	m.buildWeights()
 	return m
 }
 
@@ -273,13 +275,24 @@ func (m *Model) PredictBatch(samples []*Sample) []float64 {
 // the list never holds more workspaces than the model's most concurrent
 // callers, and, unlike a sync.Pool, no collection empties it: a workspace
 // keeps the buffers it grew. A workspace whose call panicked is not put
-// back.
-type freeList[T any] struct {
+// back, nor is one whose buffers outgrew maxRetained.
+type freeList[T any, P interface {
+	*T
+	retained() int
+}] struct {
 	mu   sync.Mutex
-	free []*T
+	free []P
 }
 
-func (l *freeList[T]) get() *T {
+// maxRetained bounds the slot bytes a kept workspace may hold. Advising
+// each suite kernel at its largest binding over the default grid grows at
+// most 2.6 MB on POWER9 and 2.1 MB on V100 (at Hidden 24 and 32 alike:
+// buffers grow by powers of two), and training on those graphs 0.5 MB.
+// Six times the largest keeps all of them; a custom kernel of 100
+// statements (34 MB) or 720 (268 MB) is left to the collector instead.
+const maxRetained = 16 << 20
+
+func (l *freeList[T, P]) get() P {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.free)
@@ -291,7 +304,10 @@ func (l *freeList[T]) get() *T {
 	return v
 }
 
-func (l *freeList[T]) put(v *T) {
+func (l *freeList[T, P]) put(v P) {
+	if v.retained() > maxRetained {
+		return
+	}
 	l.mu.Lock()
 	l.free = append(l.free, v)
 	l.mu.Unlock()
@@ -303,11 +319,11 @@ func (l *freeList[T]) put(v *T) {
 func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.params) }
 
 // Load restores weights from a checkpoint produced by Save on an
-// identically-configured model, discarding any precomputed inference
-// weights derived from the previous values.
+// identically-configured model. nn.LoadParams gives each parameter new
+// storage, so Load builds the engine's weight set again over it.
 func (m *Model) Load(r io.Reader) error {
 	err := nn.LoadParams(r, m.params)
-	m.InvalidateInference()
+	m.buildWeights()
 	return err
 }
 

@@ -23,9 +23,10 @@ func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 	return nn.Train(m.params, len(train), cfg,
 		func() nn.Gradient { return m.Gradient(train) },
 		func() float64 {
-			// The optimizer mutated parameter values in place; the engine's
-			// precomputed projections (inferparams.go) are now stale.
-			m.InvalidateInference()
+			// The optimizer stepped the parameters in place: bring the
+			// values derived from them (inferparams.go) up to date, for
+			// validation and for every prediction after Train.
+			m.refresh()
 			return m.EvalRMSE(val, 0)
 		})
 }

@@ -282,11 +282,10 @@ func Load(dir string) (*Entry, error) {
 	return load(Checkpoint{Dir: dir, Manifest: man})
 }
 
-// load is the one loader: it validates the manifest, reads the weights,
-// verifies them against the manifest's config and checksum, and builds the
-// engine's weight set — the weights and their precomputed attention
-// projections — so the first request pays no one-time build. An entry
-// serves in float64, the width the model trained and was evaluated in: its
+// load is the one loader: it validates the manifest, reads the weights
+// (gnn.Model.Load builds the engine's weight set over them) and verifies
+// them against the manifest's config and checksum. An entry serves in
+// float64, the width the model trained and was evaluated in: its
 // PredictBatch is, bit for bit, the saved model's.
 func load(cp Checkpoint) (*Entry, error) {
 	man := cp.Manifest
@@ -317,7 +316,6 @@ func load(cp Checkpoint) (*Entry, error) {
 		return nil, fmt.Errorf("registry: %s: weights checksum mismatch (manifest %.12s…, file %.12s…)",
 			cp.Dir, man.Checksum, m.Checksum())
 	}
-	m.PrecomputeInference()
 	return &Entry{
 		Manifest: man,
 		Machine:  machine,

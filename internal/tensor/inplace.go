@@ -55,6 +55,16 @@ func MatMulInto(a, b, dst *Matrix) {
 	matMulTiled(a.Data, a.Rows, a.Cols, b.Data, b.Cols, dst.Data)
 }
 
+// TransposeInto computes dst = aᵀ. dst must not alias a.
+func TransposeInto(a, dst *Matrix) {
+	dst.reshape(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			dst.Data[j*a.Rows+i] = v
+		}
+	}
+}
+
 // AddBiasInto computes dst = a + bias, broadcasting the 1×C bias over a's
 // rows. dst may alias a.
 func AddBiasInto(a, bias, dst *Matrix) {

@@ -123,12 +123,7 @@ func Hadamard(m, o *Matrix) *Matrix {
 // Transpose returns mᵀ.
 func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
+	TransposeInto(m, out)
 	return out
 }
 
