@@ -46,8 +46,9 @@ func Exp(x float64) float64 {
 	case math.IsNaN(x) || math.IsInf(x, 1):
 		return x
 	case x == 0:
-		// A softmax segment's largest logit, and most segments hold one
-		// edge: most calls. The polynomial below gives the same 1.
+		// A softmax segment's largest logit: 68 % of calls, now that
+		// one-edge segments take none (55 923 of 81 745 in `experiments
+		// -figure 8 -scale tiny`). The polynomial below gives the same 1.
 		return 1
 	case x < underflow: // includes -Inf
 		return 0

@@ -1,9 +1,6 @@
 package gnn
 
 import (
-	"math"
-
-	"paragraph/internal/fp"
 	"paragraph/internal/nn"
 	"paragraph/internal/tensor"
 )
@@ -17,15 +14,28 @@ import (
 // of the tape's, and a central finite-difference check guards both.
 //
 // The backward walks each relation's destination runs as the forward does.
-// Per run it recomputes α from the retained scores and the destination
-// score h_d·p_dst, forms dq, dα and the coefficient's gradient through the
-// static-weight factor (1 + c·w̃), and backpropagates through the segment
-// softmax and the logits' LeakyReLU. The engine scores a node as
-// h·(W_r·a) where the tape scores (h·W_r)·a; the backward undoes that
+// Per multi-edge run it recomputes α from the retained scores and the
+// destination score h_d·p_dst, forms dq, dα and the coefficient's gradient
+// through the static-weight factor (1 + c·w̃), and backpropagates through
+// the segment softmax and the logits' LeakyReLU. The engine scores a node
+// as h·(W_r·a) where the tape scores (h·W_r)·a; the backward undoes that
 // reassociation once per relation, not per node: with
 // g_pSrc = Σ_i ds_i·h_i and g_pDst = Σ_d ds_d·h_d accumulated as H-vectors,
 // dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ (the product over the
 // relation's source rows only), daSrc = W_rᵀ·g_pSrc and daDst = W_rᵀ·g_pDst.
+//
+// A one-edge run has α = 1 (see layer in infer.go) and adds only dq and,
+// where w̃ ≠ 0, dc. What it no longer adds changes no bit. Its
+// dz = α·(1/1)·(dα − α·dα) is +0 for a finite dα (x − x = +0, and the
+// LeakyReLU slope is positive), so it added +0 to dsSrc and dsDst, ±0
+// products dsDst·h_d to g_pDst and dsDst·p_dst to dL/dh_d, and w̃·dF = ±0
+// to dc where w̃ = 0. A relation with no multi-edge run therefore has
+// g_pSrc = g_pDst = +0, and its H×H block added only ±0 products to dW_r,
+// daSrc and daDst. Every one of those accumulators starts at +0 —
+// cleared, or a matmul's output, which accumulates from +0 — and only has
+// values added. In round-to-nearest x + y is −0 only when x and y both
+// are, so such an accumulator is never −0, and adding ±0 to it returns it
+// unchanged.
 
 // Gradient returns the per-example loss gradient of samples at the model's
 // current parameter values, in nn.Train's form: the squared error against
@@ -224,12 +234,14 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 
 	reshape(&gw.dq, q.Rows, hd)
 	clear(gw.dq.Data)
-	gw.dsSrc = resize(gw.dsSrc, q.Rows)
-	clear(gw.dsSrc)
-	gw.dAlpha = resize(gw.dAlpha, len(ws.logits))
 	gPSrc, gPDst := gw.vec[:hd], gw.vec[hd:2*hd]
-	clear(gPSrc)
-	clear(gPDst)
+	if rp.multi {
+		gw.dsSrc = resize(gw.dsSrc, q.Rows)
+		clear(gw.dsSrc)
+		gw.dAlpha = resize(gw.dAlpha, len(ws.logits))
+		clear(gPSrc)
+		clear(gPDst)
+	}
 
 	wscale := st.g.weightScale()
 	logW := st.g.Rels[r].LogW
@@ -237,32 +249,30 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 	var dc float64
 	for t, d := range rp.runDst {
 		lo, hi := rp.runStart[t], rp.runStart[t+1]
+		dRow := dOut.Row(d)
+		if hi-lo == 1 {
+			// α = 1 (see layer): the message is k·q, so dq += k·dOut_d and,
+			// where w̃ ≠ 0, dc += w̃·(dOut_d·q). The rest is ±0 (see the
+			// file comment).
+			si := rp.edgeSrcIdx[lo]
+			k, wt := 1.0, 0.0
+			if !w.noWeights {
+				wt = logW[rp.edge[lo]] / wscale
+				k = float64(wt*c) + 1
+			}
+			axpy(gw.dq.Row(si), k, dRow)
+			if wt != 0 {
+				dc += float64(wt * tensor.Dot(dRow, q.Row(si)))
+			}
+			continue
+		}
 		// α exactly as the forward computed it.
 		ds := tensor.Dot(in.Row(d), pDst)
 		alpha := ws.logits[:hi-lo]
-		mx := math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			v := score[rp.edgeSrcIdx[i]] + ds
-			if v < 0 {
-				v = l.alpha * v
-			}
-			alpha[i-lo] = v
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for i, v := range alpha {
-			alpha[i] = fp.Exp(v - mx)
-			sum += alpha[i]
-		}
-		inv := 1.0
-		if sum > 0 {
-			inv = 1 / sum
-		}
+		inv := l.softmax(alpha, score, rp.edgeSrcIdx[lo:hi], ds)
 		// The message α·k·q with k = 1 + c·w̃: dq += α·k·dOut_d, dα = k·(dOut_d·q),
 		// dc += w̃·α·(dOut_d·q).
-		dRow, dAlpha := dOut.Row(d), gw.dAlpha[:hi-lo]
+		dAlpha := gw.dAlpha[:hi-lo]
 		var dot float64 // Σ α·dα over the segment
 		for i := lo; i < hi; i++ {
 			a, k, wt := alpha[i-lo]*inv, 1.0, 0.0
@@ -294,25 +304,29 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 	if !w.noWeights {
 		grad[l.at.wCoef[r]] += dc
 	}
-	for si, node := range rp.srcList {
-		if ds := gw.dsSrc[si]; ds != 0 {
-			axpy(gPSrc, ds, in.Row(node))
-			axpy(dIn.Row(node), ds, l.pSrc[r])
-		}
-	}
 
-	// dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ; da = W_rᵀ·g_p.
+	// dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ; da = W_rᵀ·g_p. A
+	// relation without a multi-edge run has g_pSrc = g_pDst = 0: its
+	// scores reach no α.
 	gW := grad[l.at.w[r] : l.at.w[r]+hd*hd]
 	gw.addATB(&in, rp.srcList, &gw.dq, gW)
-	aSrc, aDst := l.aSrc[r], l.aDst[r]
-	gASrc, gADst := grad[l.at.aSrc[r]:l.at.aSrc[r]+hd], grad[l.at.aDst[r]:l.at.aDst[r]+hd]
-	for i := 0; i < hd; i++ {
-		row := gW[i*hd : (i+1)*hd]
-		axpy(row, gPSrc[i], aSrc)
-		axpy(row, gPDst[i], aDst)
-		wRow := l.w[r].Row(i)
-		axpy(gASrc, gPSrc[i], wRow)
-		axpy(gADst, gPDst[i], wRow)
+	if rp.multi {
+		for si, node := range rp.srcList {
+			if ds := gw.dsSrc[si]; ds != 0 {
+				axpy(gPSrc, ds, in.Row(node))
+				axpy(dIn.Row(node), ds, l.pSrc[r])
+			}
+		}
+		aSrc, aDst := l.aSrc[r], l.aDst[r]
+		gASrc, gADst := grad[l.at.aSrc[r]:l.at.aSrc[r]+hd], grad[l.at.aDst[r]:l.at.aDst[r]+hd]
+		for i := 0; i < hd; i++ {
+			row := gW[i*hd : (i+1)*hd]
+			axpy(row, gPSrc[i], aSrc)
+			axpy(row, gPDst[i], aDst)
+			wRow := l.w[r].Row(i)
+			axpy(gASrc, gPSrc[i], wRow)
+			axpy(gADst, gPDst[i], wRow)
+		}
 	}
 	// dh_src += dQ·W_rᵀ.
 	tensor.MatMulInto(&gw.dq, l.wT[r], &gw.tmp)

@@ -287,6 +287,11 @@ func matmulGPUGrid(tb testing.TB) []*Sample {
 // advisor's enumeration order (kind-major, then teams, then threads): 12
 // points per GPU variant kind the kernel admits.
 func gpuGrid(tb testing.TB, name string, bindings map[string]float64) []*Sample {
+	return gpuGridOver(tb, name, bindings, []int{16, 64, 128, 256}, []int{64, 128, 256})
+}
+
+// gpuGridOver is gpuGrid over the given team and thread counts.
+func gpuGridOver(tb testing.TB, name string, bindings map[string]float64, teamCounts, threadCounts []int) []*Sample {
 	tb.Helper()
 	k, ok := apps.ByName(name)
 	if !ok {
@@ -297,8 +302,8 @@ func gpuGrid(tb testing.TB, name string, bindings map[string]float64) []*Sample 
 		if !kind.IsGPU() || (kind.IsCollapse() && !k.Collapsible) {
 			continue
 		}
-		for _, teams := range []int{16, 64, 128, 256} {
-			for _, threads := range []int{64, 128, 256} {
+		for _, teams := range teamCounts {
+			for _, threads := range threadCounts {
 				src, err := variants.Generate(k, kind, teams, threads)
 				if err != nil {
 					tb.Fatal(err)
@@ -317,6 +322,39 @@ func gpuGrid(tb testing.TB, name string, bindings map[string]float64) []*Sample 
 		}
 	}
 	return grid
+}
+
+// TestFamilyInPlaceGridOrder walks a GPU grid in the order variants emits
+// it — teams outer, threads inner — with more thread counts, and so more
+// weightings, than maxBases: consecutive members alternate between bases,
+// and the weightings past the bound run in place on the first member's
+// slot, each followed by members that read that slot again. Every member
+// must match a lone Predict bit for bit, which holds only if each in-place
+// member gives its base's slot back exactly as it found it. At five layers
+// a teams change reaches a variable's declaration, whose Ref segment then
+// reads source scores a previous member rebuilt: three layers of it stop
+// short, so only the deeper model sees a score block left unrestored.
+func TestFamilyInPlaceGridOrder(t *testing.T) {
+	teams, threads := []int{16, 64, 256}, []int{32, 64, 128, 256, 512, 1024}
+	grid := gpuGridOver(t, "matmul", map[string]float64{"n": 4096}, teams, threads)
+	per := len(teams) * len(threads) // one family per variant kind
+	for k := 0; k < len(grid); k += per {
+		var weightings []*Graph
+		for _, s := range grid[k : k+per] {
+			if !slices.ContainsFunc(weightings, func(g *Graph) bool { return sameWeights(g, s.G) }) {
+				weightings = append(weightings, s.G)
+			}
+		}
+		if len(weightings) <= maxBases {
+			t.Fatalf("family %d has %d weightings, want more than maxBases = %d", k/per, len(weightings), maxBases)
+		}
+	}
+	for _, layers := range []int{3, 5} {
+		for _, disabled := range []bool{false, true} {
+			m := NewModel(Config{Seed: 1, Hidden: 24, Layers: layers, Relations: int(paragraph.NumEdgeTypes), DisableEdgeWeights: disabled})
+			assertBatchBitIdentical(t, m, grid, fmt.Sprintf("matmul GPU grid, %d layers, disabled=%v", layers, disabled))
+		}
+	}
 }
 
 // TestPredictBatchGridAllocs: family evaluation keeps its per-call state in
@@ -341,7 +379,7 @@ func TestPredictBatchGridAllocs(t *testing.T) {
 		mixed = append(mixed, gpuGrid(t, name, bindings)...)
 	}
 	m := NewModel(Config{Seed: 1, Hidden: 24, Relations: int(paragraph.NumEdgeTypes)})
-	m.PredictBatch(grid) // build plans and derived weights, grow the workspace
+	m.PredictBatch(grid) // build the plans, grow the workspace
 	m.PredictBatch(mixed)
 	runtime.GC()
 	one := testing.AllocsPerRun(20, func() { m.PredictBatch(grid[:1]) })
@@ -438,17 +476,26 @@ func TestWorkspacesBoundedByCallers(t *testing.T) {
 	}
 }
 
+// chainGraph is an n-node path of one relation: ≈ 2.6 kB of slot buffer
+// per node at Hidden 32 / Layers 3.
+func chainGraph(n int) *Graph {
+	g := &Graph{NumNodes: n, Kinds: make([]int, n), SubKinds: make([]int, n), Feats: tensor.New(n, 1),
+		Rels: []Relation{{Src: make([]int, n-1), Dst: make([]int, n-1), LogW: make([]float64, n-1)}}}
+	for i := range n - 1 {
+		g.Rels[0].Src[i], g.Rels[0].Dst[i], g.Rels[0].LogW[i] = i, i+1, 1
+	}
+	return g
+}
+
 // TestWorkspaceOverCapNotKept: a graph whose workspace outgrows
 // maxRetained leaves the model holding no workspace over the cap, serving's
 // and training's alike, and the next call on a small graph grows a fresh
-// one that the model keeps.
+// one that the model keeps. The undo log counts too: a family whose base
+// slot fits under the cap, but whose in-place member's log takes the
+// workspace over it, leaves none either.
 func TestWorkspaceOverCapNotKept(t *testing.T) {
-	const n = 8192 // a chain: ≈ 2.6 kB of slot buffer per node at Hidden 32 / Layers 3
-	big := &Graph{NumNodes: n, Kinds: make([]int, n), SubKinds: make([]int, n), Feats: tensor.New(n, 1),
-		Rels: []Relation{{Src: make([]int, n-1), Dst: make([]int, n-1), LogW: make([]float64, n-1)}}}
-	for i := range n - 1 {
-		big.Rels[0].Src[i], big.Rels[0].Dst[i], big.Rels[0].LogW[i] = i, i+1, 1
-	}
+	const n = 8192
+	big := chainGraph(n)
 	small := randomEncodedGraph(rand.New(rand.NewSource(10)), 1)
 	m := NewModel(Config{Seed: 1, Relations: 1})
 	grad := make([]float64, m.NumParams())
@@ -468,5 +515,25 @@ func TestWorkspaceOverCapNotKept(t *testing.T) {
 	}
 	if ws, gw := m.ws.free[0].retained(), m.grads.free[0].retained(); ws > maxRetained || gw > maxRetained {
 		t.Errorf("kept workspaces retain %d and %d bytes, over the %d-byte cap", ws, gw, maxRetained)
+	}
+
+	// One slot of 2²⁰ floats (8 MiB); a member with every feature changed
+	// rebuilds every row, and its log of them adds ≈ 8.7 MB.
+	const mid = 3240
+	base := chainGraph(mid)
+	member := *base
+	member.Feats = tensor.New(mid, 1)
+	for i := range member.Feats.Data {
+		member.Feats.Data[i] = 1
+	}
+	m = NewModel(Config{Seed: 1, Relations: 1})
+	m.Predict(&Sample{G: base})
+	if len(m.ws.free) != 1 {
+		t.Fatalf("after a lone %d-node pass the model keeps %d workspaces, want 1", mid, len(m.ws.free))
+	}
+	m.PredictBatch([]*Sample{{G: base}, {G: &member}})
+	if len(m.ws.free) != 0 {
+		t.Errorf("after a %d-node family with an in-place member the model keeps %d workspaces (%d bytes), want none",
+			mid, len(m.ws.free), m.ws.free[0].retained())
 	}
 }

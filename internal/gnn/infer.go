@@ -36,22 +36,34 @@ import (
 //     per-layer state (layer inputs h⁰…h^L, their self projections and, per
 //     relation, the projected source rows q and source attention scores) in
 //     a workspace slot.
-//   - Members: every later member starts from a copy of a retained
-//     sibling's state — the one with the same edge weights if there is one,
-//     else the first member — and recomputes exactly the rows that can
-//     differ: D₀ = feature rows that differ, W = destinations with a
-//     differing in-edge weight, D_{ℓ+1} = D_ℓ ∪ W ∪ out-neighbours(D_ℓ).
-//     Layer ℓ re-projects the rows of D_ℓ and re-aggregates the rows of
-//     D_{ℓ+1}. The first member seen with a new weight vector keeps its
-//     state as a further base, up to maxBases.
+//   - Members: every later member is evaluated from a retained sibling's
+//     state — the one with the same edge weights if there is one, else the
+//     first member — and recomputes exactly the rows that can differ:
+//     D₀ = feature rows that differ, W = destinations with a differing
+//     in-edge weight, D_{ℓ+1} = D_ℓ ∪ W ∪ out-neighbours(D_ℓ). Layer ℓ
+//     re-projects the rows of D_ℓ and re-aggregates the rows of D_{ℓ+1}.
+//     The first member seen with a new weight vector keeps its state as a
+//     further base, up to maxBases; it starts from a full copy of the first
+//     member's slot. Every other member runs in place in its base's slot:
+//     before the pass overwrites a span of it (h, self, q rows, a score
+//     block) it saves the span's old contents to the workspace's undo log,
+//     and after the prediction the log is restored in reverse order.
 //
 // There is one layer routine: the full pass is the member pass with every
 // row dirty. PredictBatch(ss)[i] is bit-identical to Predict(ss[i])
 // whatever else is in the batch, because every kernel on the path computes
 // a row from its inputs alone in one fixed accumulation order (see
 // tensor/inplace.go), each recomputed row is rebuilt from scratch in the
-// full pass's relation and edge order, clean rows are copies, and pooling
-// and the head run per member over its fully materialised h^L.
+// full pass's relation and edge order, clean rows are the base's, and
+// pooling and the head run per member over its fully materialised h^L.
+//
+// Attention runs only where it can change a number. Within a relation, α
+// is a softmax over a destination's in-edges, so in a segment of one edge
+// it is exactly fp.Exp(0)·(1/1) = 1 whatever the logits. ParaGraph gives
+// every node at most one in-edge of seven of its eight edge types (only Ref
+// has longer segments; TestInDegreeCensus), so most segments take their
+// message straight through the factor 1 + c·w̃, and a relation without a
+// segment of two edges computes no attention scores at all.
 //
 // Three precomputed structures make the hot path cheap:
 //
@@ -70,10 +82,10 @@ import (
 //     p_dst = W_r·aDst (so attention scores become one H-dot per node
 //     instead of an H²-projection).
 //
-//   - workspace: the state slots and scratch of one call, sized from the
-//     model Config and graph shape through resize and kept on the Model's
-//     free list unless it outgrew maxRetained. In steady state a forward pass performs zero heap
-//     allocations (asserted by TestInferForwardZeroAllocs). Nothing
+//   - workspace: the state slots, undo log and scratch of one call, sized
+//     from the model Config and graph shape and kept on the Model's free
+//     list unless it outgrew maxRetained. In steady state a forward pass
+//     performs zero heap allocations (asserted by TestInferForwardZeroAllocs). Nothing
 //     derived from a graph's weights outlives the call: dataset.Prepare
 //     rewrites WScale after encoding.
 //
@@ -86,6 +98,7 @@ type relPlan struct {
 	runStart   []int // len(runs)+1 offsets into edge/edgeSrcIdx
 	runDst     []int // destination node of each run
 	srcList    []int // unique source nodes, ascending
+	multi      bool  // some run has two or more edges: only then is attention computed
 }
 
 // InferencePlan is the per-graph constant structure of the fused RGAT path:
@@ -150,9 +163,8 @@ func buildPlan(g *Graph) *InferencePlan {
 		for d := 0; d < g.NumNodes; d++ {
 			if start[d+1] > 0 {
 				runs++
-				if start[d+1] > p.maxRun {
-					p.maxRun = start[d+1]
-				}
+				p.maxRun = max(p.maxRun, start[d+1])
+				rp.multi = rp.multi || start[d+1] > 1
 			}
 			start[d+1] += start[d]
 		}
@@ -278,14 +290,15 @@ func (f *families) group(samples []*Sample) {
 // maxBases bounds the member states a family keeps as bases: the first
 // member plus the first members seen with a new edge-weight vector. A GPU
 // grid has one weighting per thread count (three by default); weightings
-// past the bound are evaluated against the first member and not kept.
+// past the bound are evaluated in place against the first member and not
+// kept.
 const maxBases = 4
 
 // slot is one member's retained per-layer state, laid out in one buffer so
-// a sibling starts from it with a single copy: h⁰…h^L (N×H each), then per
+// a new base starts from it with a single copy: h⁰…h^L (N×H each), then per
 // layer the self projection h^ℓ·W_self + b (N×H), the q block (the plan's
 // source rows × H, relation by relation) and the source-score block (one
-// per source row).
+// per source row; written only for relations with a multi-edge run).
 type slot struct {
 	g   *Graph // the member buf describes; nil outside a family evaluation
 	buf []float64
@@ -305,7 +318,14 @@ type workspace struct {
 	n, hdim, srcRows, layerOff, layerLen int
 	plan                                 *InferencePlan
 
-	slots [maxBases + 1]slot // retained bases, then the scratch member
+	slots [maxBases]slot // retained bases
+
+	// The undo log of a member evaluated in its base's slot (inPlace): the
+	// spans of the slot it overwrote, in order, and their old contents back
+	// to back.
+	inPlace bool
+	spans   [][]float64
+	old     []float64
 
 	dirty, dirtyNext, wDirty []bool // D_ℓ, D_ℓ₊₁ and W, indexed by node
 	rows, rowsNext           []int  // D_ℓ and D_ℓ₊₁ as ascending lists
@@ -328,14 +348,36 @@ type workspace struct {
 	pass []bool
 }
 
-// retained is the bytes ws's state slots keep. They grow with a graph's
-// nodes and hold most of what a workspace keeps, a training workspace's
-// backward scratch included.
+// retained is the bytes ws's state slots and undo log keep. They grow with
+// a graph's nodes and hold most of what a workspace keeps, a training
+// workspace's backward scratch included.
 func (ws *workspace) retained() (n int) {
 	for _, st := range ws.slots {
 		n += 8 * cap(st.buf)
 	}
-	return n
+	return n + 8*cap(ws.old) + 24*cap(ws.spans)
+}
+
+// save records span, a part of the slot the current member pass runs in,
+// before the pass overwrites it; outside an in-place pass it does nothing.
+func (ws *workspace) save(span []float64) {
+	if ws.inPlace {
+		ws.spans = append(ws.spans, span)
+		ws.old = append(ws.old, span...)
+	}
+}
+
+// restore writes the saved spans back, the last saved first, and empties
+// the log.
+func (ws *workspace) restore() {
+	end := len(ws.old)
+	for k := len(ws.spans) - 1; k >= 0; k-- {
+		span := ws.spans[k]
+		end -= len(span)
+		copy(span, ws.old[end:])
+	}
+	clear(ws.spans) // keep no slot buffer reachable through a stale span
+	ws.spans, ws.old = ws.spans[:0], ws.old[:0]
 }
 
 // h returns layer l's input matrix (l == layers: the final embedding) in st.
@@ -388,7 +430,9 @@ func (ws *workspace) shape(w *weights, g *Graph) int {
 }
 
 // family evaluates the chain of same-topology samples starting at first
-// (see families), choosing each member's base and state slot.
+// (see families), choosing each member's base and state slot. A member
+// that is not kept as a base runs in its base's slot, which the undo log
+// gives back unchanged, graph included, once the prediction is made.
 func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first int, next []int) {
 	size := ws.shape(w, samples[first].G)
 	bases := 0
@@ -397,19 +441,19 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 		st, base := &ws.slots[0], (*slot)(nil)
 		if bases == 0 {
 			bases = 1
+			st.buf = resize(st.buf, size)
 		} else {
-			st = &ws.slots[maxBases]
 			clear(ws.wDirty)
 			for b := range ws.slots[:bases] {
 				if w.noWeights || sameWeights(ws.slots[b].g, s.G) {
-					base = &ws.slots[b]
+					base, st = &ws.slots[b], &ws.slots[b]
 					break
 				}
 			}
 			if base == nil {
 				// A new weighting: evaluated against the first member, and
 				// kept as a base for later members while there is room.
-				base = &ws.slots[0]
+				base = st
 				for r := range s.G.Rels {
 					rel, bw := &s.G.Rels[r], base.g.Rels[r].LogW
 					for e, lw := range rel.LogW {
@@ -421,11 +465,18 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 				if bases < maxBases {
 					st = &ws.slots[bases]
 					bases++
+					st.buf = resize(st.buf, size)
+					copy(st.buf, base.buf)
 				}
 			}
 		}
-		st.buf = resize(st.buf, size)
+		ws.inPlace = st == base
+		g := st.g
 		out[i] = w.forward(ws, st, base, s)
+		if ws.inPlace {
+			ws.restore()
+			st.g = g
+		}
 	}
 	// Nothing of the call's graphs may outlive it in the kept workspace.
 	ws.plan = nil
@@ -438,23 +489,23 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 // node-feature assembly, the fused RGAT convolutions, mean pooling, and the
 // two-branch head. It mirrors Model.Forward (the tape path) up to float
 // reassociation. With a nil base every row is computed — the full pass;
-// otherwise st starts as a copy of base's state and the rows that can
-// differ from it (ws.wDirty is set by the caller) are recomputed.
+// otherwise st holds base's state (a copy of it, or base itself on an
+// in-place pass) and the rows that can differ from it (ws.wDirty is set by
+// the caller) are recomputed.
 func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 	g := s.G
-	st.g = g
 	dirty := ws.dirty
 	if base == nil {
 		for i := range dirty {
 			dirty[i] = true
 		}
 	} else {
-		copy(st.buf, base.buf)
 		bf := base.g.Feats.Data
 		for i, f := range g.Feats.Data {
 			dirty[i] = f != bf[i]
 		}
 	}
+	st.g = g
 
 	rows := ws.rows[:0]
 	for i, d := range dirty {
@@ -472,6 +523,7 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 		krow := w.kindTab.Row(g.Kinds[i])
 		srow := w.subTab.Row(g.SubKinds[i])
 		hrow := h0.Row(i)
+		ws.save(hrow)
 		f := g.Feats.Data[i]
 		if f != 0 {
 			for j := range hrow {
@@ -513,6 +565,35 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 	return ws.outBuf.Data[0]
 }
 
+// softmax sets run to the unnormalised attention of one destination's
+// segment — the exp of each edge's LeakyReLU'd logit score[src[i]] + ds
+// less the segment's largest — and returns the factor that normalises it.
+// The backward recomputes α through it, so both passes hold the same bits.
+func (l *layerWeights) softmax(run, score []float64, src []int, ds float64) float64 {
+	mx := math.Inf(-1)
+	for i, si := range src {
+		v := score[si] + ds
+		if v < 0 {
+			v = l.alpha * v
+		}
+		run[i] = v
+		if v > mx {
+			mx = v
+		}
+	}
+	var sum float64
+	for i, v := range run {
+		run[i] = fp.Exp(v - mx)
+		sum += run[i]
+	}
+	// Segments whose sum underflows to zero stay unnormalised, exactly as
+	// the tape's SegmentSoftmax leaves them.
+	if sum > 0 {
+		return 1 / sum
+	}
+	return 1
+}
+
 // relu is the head's ReLU, LeakyReLUInto at slope 0. A training pass first
 // records the pre-activation's signs in ws.pass from off.
 func (ws *workspace) relu(m *tensor.Matrix, off int) {
@@ -544,13 +625,20 @@ func (ws *workspace) project(src *tensor.Matrix, rows []int, b, dst *tensor.Matr
 // D_li on entry and D_li+1 on return; every row, on a full pass). The rows
 // of D_li — those whose input changed — are re-projected: the self
 // projection, and per relation the dirty unique source rows through W_r
-// with one tiled matmul, their attention scores read off the
-// precomputed projections p_src/p_dst — one H-dot per node instead of
-// re-projecting through W_r. The rows of D_li+1 are then rebuilt from their
-// self projection: LeakyReLU, segment softmax, static-weight scaling and
-// message aggregation run as one loop nest over the plan's
+// with one tiled matmul. A relation with a multi-edge run also scores
+// them off the precomputed projection p_src — one H-dot per node instead
+// of re-projecting through W_r. The rows of D_li+1 are then rebuilt from
+// their self projection: LeakyReLU, segment softmax, static-weight scaling
+// and message aggregation run as one loop nest over the plan's
 // destination-grouped runs, accumulating straight into the output row;
 // then ReLU.
+//
+// A one-edge run has α = fp.Exp(0)·(1/1) = 1 for any finite logit, so it
+// goes straight to the message with factor 1 + c·w̃: no destination score,
+// logit, exp, sum or reciprocal. That keeps every bit of the full softmax
+// for a finite model. Only a non-finite logit tells the two apart: it made
+// α NaN and now gives 1. No finite model reaches one — a score is a dot of
+// a finite h row with a finite projection.
 func (w *weights) layer(ws *workspace, st *slot, li int) {
 	l := &w.layers[li]
 	g, p := st.g, ws.plan
@@ -589,17 +677,22 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 		dst := &ws.proj
 		if all {
 			dst = &self
+			ws.save(self.Data)
 		}
 		ws.project(&in, changed, l.self, dst)
 		bias := l.bias
 		for k, d := range changed {
 			srow, prow := self.Row(d)[:len(bias)], dst.Row(k)[:len(bias)]
+			if !all {
+				ws.save(srow)
+			}
 			for j, b := range bias {
 				srow[j] = prow[j] + b
 			}
 		}
 	}
 	for _, d := range rows {
+		ws.save(out.Row(d))
 		copy(out.Row(d), self.Row(d))
 	}
 
@@ -614,8 +707,8 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 		// messages, so the projection cost scales with the relation's
 		// source set, not the graph. Attention scores come off the
 		// precomputed projections: one dot with p_src per source row;
-		// destination scores are one dot with p_dst per run, computed
-		// inline (each destination owns exactly one run).
+		// destination scores are one dot with p_dst per multi-edge run,
+		// computed inline (each destination owns exactly one run).
 		q, score := ws.q(st, li, r)
 		nodes, slots := rp.srcList, ws.srcSlots[:0] // the dirty sources and, when only some are, their rows in q
 		if !all {
@@ -632,49 +725,38 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 			dst := &q
 			if some {
 				dst = &ws.proj
+			} else {
+				ws.save(q.Data)
 			}
 			ws.project(&in, nodes, l.w[r], dst)
-			pSrc := l.pSrc[r]
-			for k, node := range nodes {
-				si := k
-				if some {
-					si = slots[k]
+			if some {
+				for k, si := range slots {
+					ws.save(q.Row(si))
 					copy(q.Row(si), dst.Row(k))
 				}
-				score[si] = tensor.Dot(in.Row(node), pSrc)
+			}
+			if rp.multi {
+				ws.save(score)
+				for k, node := range nodes {
+					si := k
+					if some {
+						si = slots[k]
+					}
+					score[si] = tensor.Dot(in.Row(node), l.pSrc[r])
+				}
 			}
 		}
-		pDst, c := l.pDst[r], l.wCoef[r]
-		logW := g.Rels[r].LogW
+		c, logW := l.wCoef[r], g.Rels[r].LogW
 		for t, d := range rp.runDst {
 			if !next[d] {
 				continue
 			}
 			lo, hi := rp.runStart[t], rp.runStart[t+1]
-			ds := tensor.Dot(in.Row(d), pDst)
-			run := ws.logits[:hi-lo]
-			mx := math.Inf(-1)
-			for i := lo; i < hi; i++ {
-				v := score[rp.edgeSrcIdx[i]] + ds
-				if v < 0 {
-					v = l.alpha * v
-				}
-				run[i-lo] = v
-				if v > mx {
-					mx = v
-				}
-			}
-			var sum float64
-			for i, v := range run {
-				e := fp.Exp(v - mx)
-				run[i] = e
-				sum += e
-			}
-			// Segments whose sum underflows to zero stay unnormalized,
-			// exactly as the tape's SegmentSoftmax leaves them.
-			inv := 1.0
-			if sum > 0 {
-				inv = 1 / sum
+			run, inv := ws.logits[:hi-lo], 1.0
+			if hi-lo == 1 {
+				run[0] = 1 // α of a one-edge segment
+			} else {
+				inv = l.softmax(run, score, rp.edgeSrcIdx[lo:hi], tensor.Dot(in.Row(d), l.pDst[r]))
 			}
 			drow := out.Row(d)
 			for i := lo; i < hi; i++ {

@@ -279,7 +279,7 @@ func TestPredictBatchConcurrentRace(t *testing.T) {
 
 // TestInferForwardZeroAllocs is the allocation regression gate: after
 // warm-up, a steady-state engine forward pass over an Encode-built graph
-// (plan cached, workspace pooled and right-sized, derived weights built)
+// (plan cached, workspace kept on the free list and right-sized)
 // must not touch the heap.
 func TestInferForwardZeroAllocs(t *testing.T) {
 	if raceEnabled {

@@ -284,11 +284,11 @@ type freeList[T any, P interface {
 	free []P
 }
 
-// maxRetained bounds the slot bytes a kept workspace may hold. Advising
-// each suite kernel at its largest binding over the default grid grows at
-// most 2.6 MB on POWER9 and 2.1 MB on V100 (at Hidden 24 and 32 alike:
-// buffers grow by powers of two), and training on those graphs 0.5 MB.
-// Six times the largest keeps all of them; a custom kernel of 100
+// maxRetained bounds the slot and undo-log bytes a kept workspace may
+// hold. Advising each suite kernel at its largest binding over the default
+// grid grows at most 2.4 MB on POWER9 and 1.6 MB on V100 (at Hidden 24 and
+// 32: slots grow by powers of two), and training on those graphs 0.5 MB.
+// About seven times the largest keeps all of them; a custom kernel of 100
 // statements (34 MB) or 720 (268 MB) is left to the collector instead.
 const maxRetained = 16 << 20
 

@@ -56,10 +56,15 @@ void k(double *a, int n) {
 	return &gnn.Sample{G: eg, Feats: [2]float64{0.25, 0.5}}
 }
 
-// saveTest writes one checkpoint and returns its model.
+// saveTest writes one checkpoint of an untrained model and returns the model.
 func saveTest(t *testing.T, root string, m hw.Machine, name string, seed int64) *gnn.Model {
 	t.Helper()
-	model := newTestModel(seed)
+	return saveModel(t, root, m, name, newTestModel(seed))
+}
+
+// saveModel writes model as one checkpoint and returns it.
+func saveModel(t *testing.T, root string, m hw.Machine, name string, model *gnn.Model) *gnn.Model {
+	t.Helper()
 	if _, err := Save(root, m, name, paragraph.LevelParaGraph, model, testPrep(), TrainInfo{
 		Scale: "tiny", Epochs: 3, TrainSamples: 90, ValSamples: 10, FinalValRMSE: 0.12,
 	}); err != nil {
@@ -70,7 +75,16 @@ func saveTest(t *testing.T, root string, m hw.Machine, name string, seed int64) 
 
 func TestSaveOpenRoundTrip(t *testing.T) {
 	root := t.TempDir()
-	model := saveTest(t, root, hw.V100(), "default", 7)
+	// Trained, so its weights are not the ones the manifest's seed draws:
+	// the entry predicts what was saved only if loading rebuilds the
+	// engine's weight set over the loaded parameters.
+	model := newTestModel(7)
+	trainOn := testSample(t)
+	trainOn.Target = 0.5
+	if _, err := model.Train([]*gnn.Sample{trainOn}, nil, gnn.TrainConfig{Epochs: 3, BatchSize: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	saveModel(t, root, hw.V100(), "default", model)
 
 	reg, err := Open(root, Options{})
 	if err != nil {
