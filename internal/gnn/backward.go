@@ -14,28 +14,27 @@ import (
 // of the tape's, and a central finite-difference check guards both.
 //
 // The backward walks each relation's destination runs as the forward does.
-// Per multi-edge run it recomputes α from the retained scores and the
-// destination score h_d·p_dst, forms dq, dα and the coefficient's gradient
-// through the static-weight factor (1 + c·w̃), and backpropagates through
-// the segment softmax and the logits' LeakyReLU. The engine scores a node
-// as h·(W_r·a) where the tape scores (h·W_r)·a; the backward undoes that
-// reassociation once per relation, not per node: with
-// g_pSrc = Σ_i ds_i·h_i and g_pDst = Σ_d ds_d·h_d accumulated as H-vectors,
-// dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ (the product over the
-// relation's source rows only), daSrc = W_rᵀ·g_pSrc and daDst = W_rᵀ·g_pDst.
+// Off Ref, and in a one-edge Ref run, α = 1 (see layer in infer.go): an
+// edge adds only dq and, on Child where w̃ ≠ 0, the coefficient's gradient
+// dc through the static-weight factor (1 + c·w̃). Per multi-edge Ref run it
+// recomputes α from the retained scores and the destination score
+// h_d·p_dst, forms dq and dα, and backpropagates through the segment
+// softmax and the logits' LeakyReLU. The engine scores a node as
+// h·(W_Ref·a) where the tape scores (h·W_Ref)·a; the backward undoes that
+// reassociation once per layer, not per node: with g_pSrc = Σ_i ds_i·h_i
+// and g_pDst = Σ_d ds_d·h_d accumulated as H-vectors,
+// dW_Ref = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ (the product over the
+// relation's source rows only), daSrc = W_Refᵀ·g_pSrc and
+// daDst = W_Refᵀ·g_pDst.
 //
-// A one-edge run has α = 1 (see layer in infer.go) and adds only dq and,
-// where w̃ ≠ 0, dc. What it no longer adds changes no bit. Its
+// What a one-edge Ref run no longer adds changes no bit. Its
 // dz = α·(1/1)·(dα − α·dα) is +0 for a finite dα (x − x = +0, and the
-// LeakyReLU slope is positive), so it added +0 to dsSrc and dsDst, ±0
-// products dsDst·h_d to g_pDst and dsDst·p_dst to dL/dh_d, and w̃·dF = ±0
-// to dc where w̃ = 0. A relation with no multi-edge run therefore has
-// g_pSrc = g_pDst = +0, and its H×H block added only ±0 products to dW_r,
-// daSrc and daDst. Every one of those accumulators starts at +0 —
-// cleared, or a matmul's output, which accumulates from +0 — and only has
-// values added. In round-to-nearest x + y is −0 only when x and y both
-// are, so such an accumulator is never −0, and adding ±0 to it returns it
-// unchanged.
+// LeakyReLU slope is positive), so it would add +0 to dsSrc and dsDst, and
+// ±0 products dsDst·h_d to g_pDst and dsDst·p_dst to dL/dh_d. The
+// accumulators it skips all start at +0 — cleared, or a matmul's output,
+// which accumulates from +0 — and only have values added. In
+// round-to-nearest x + y is −0 only when x and y both are, so such an
+// accumulator is never −0, and adding ±0 to it returns it unchanged.
 
 // Gradient returns the per-example loss gradient of samples at the model's
 // current parameter values, in nn.Train's form: the squared error against
@@ -235,7 +234,7 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 	reshape(&gw.dq, q.Rows, hd)
 	clear(gw.dq.Data)
 	gPSrc, gPDst := gw.vec[:hd], gw.vec[hd:2*hd]
-	if rp.multi {
+	if r == ref {
 		gw.dsSrc = resize(gw.dsSrc, q.Rows)
 		clear(gw.dsSrc)
 		gw.dAlpha = resize(gw.dAlpha, len(ws.logits))
@@ -244,47 +243,44 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 	}
 
 	wscale := st.g.weightScale()
-	logW := st.g.Rels[r].LogW
-	pDst, c := l.pDst[r], l.wCoef[r]
+	var logW []float64 // Child's weights and coefficient; nil off Child
+	var c float64
+	if r == child {
+		logW, c = st.g.Rels[r].LogW, l.wCoef[0]
+	}
 	var dc float64
 	for t, d := range rp.runDst {
 		lo, hi := rp.runStart[t], rp.runStart[t+1]
 		dRow := dOut.Row(d)
-		if hi-lo == 1 {
-			// α = 1 (see layer): the message is k·q, so dq += k·dOut_d and,
-			// where w̃ ≠ 0, dc += w̃·(dOut_d·q). The rest is ±0 (see the
-			// file comment).
-			si := rp.edgeSrcIdx[lo]
-			k, wt := 1.0, 0.0
-			if !w.noWeights {
-				wt = logW[rp.edge[lo]] / wscale
-				k = float64(wt*c) + 1
-			}
-			axpy(gw.dq.Row(si), k, dRow)
-			if wt != 0 {
-				dc += float64(wt * tensor.Dot(dRow, q.Row(si)))
+		if r != ref || hi-lo == 1 {
+			// α = 1: each message is k·q with k = 1 + c·w̃ on Child and 1
+			// elsewhere, so dq += k·dOut_d and, where w̃ ≠ 0,
+			// dc += w̃·(dOut_d·q).
+			for i := lo; i < hi; i++ {
+				si := rp.edgeSrcIdx[i]
+				k, wt := 1.0, 0.0
+				if logW != nil {
+					wt = logW[rp.edge[i]] / wscale
+					k = float64(wt*c) + 1
+				}
+				axpy(gw.dq.Row(si), k, dRow)
+				if wt != 0 {
+					dc += float64(wt * tensor.Dot(dRow, q.Row(si)))
+				}
 			}
 			continue
 		}
-		// α exactly as the forward computed it.
-		ds := tensor.Dot(in.Row(d), pDst)
+		// α exactly as the forward computed it. The message α·q gives
+		// dq += α·dOut_d and dα = dOut_d·q.
+		ds := tensor.Dot(in.Row(d), l.pDst)
 		alpha := ws.logits[:hi-lo]
 		inv := l.softmax(alpha, score, rp.edgeSrcIdx[lo:hi], ds)
-		// The message α·k·q with k = 1 + c·w̃: dq += α·k·dOut_d, dα = k·(dOut_d·q),
-		// dc += w̃·α·(dOut_d·q).
 		dAlpha := gw.dAlpha[:hi-lo]
 		var dot float64 // Σ α·dα over the segment
 		for i := lo; i < hi; i++ {
-			a, k, wt := alpha[i-lo]*inv, 1.0, 0.0
-			if !w.noWeights {
-				wt = logW[rp.edge[i]] / wscale
-				k = float64(wt*c) + 1
-			}
-			si := rp.edgeSrcIdx[i]
-			dF := tensor.Dot(dRow, q.Row(si))
-			axpy(gw.dq.Row(si), a*k, dRow)
-			dAlpha[i-lo] = k * dF
-			dc += float64(wt * a * dF)
+			a, si := alpha[i-lo]*inv, rp.edgeSrcIdx[i]
+			axpy(gw.dq.Row(si), a, dRow)
+			dAlpha[i-lo] = tensor.Dot(dRow, q.Row(si))
 			dot += float64(a * dAlpha[i-lo])
 		}
 		// Segment softmax, then the logits' LeakyReLU, into the two scores.
@@ -299,30 +295,28 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 			dsDst += dz
 		}
 		axpy(gPDst, dsDst, in.Row(d))
-		axpy(dIn.Row(d), dsDst, pDst)
+		axpy(dIn.Row(d), dsDst, l.pDst)
 	}
-	if !w.noWeights {
-		grad[l.at.wCoef[r]] += dc
+	if r == child {
+		grad[l.at.wCoef] += dc
 	}
 
-	// dW_r = h_srcᵀ·dQ + g_pSrc·aSrcᵀ + g_pDst·aDstᵀ; da = W_rᵀ·g_p. A
-	// relation without a multi-edge run has g_pSrc = g_pDst = 0: its
-	// scores reach no α.
+	// dW_r = h_srcᵀ·dQ; on Ref it adds g_pSrc·aSrcᵀ + g_pDst·aDstᵀ, and
+	// da = W_Refᵀ·g_p.
 	gW := grad[l.at.w[r] : l.at.w[r]+hd*hd]
 	gw.addATB(&in, rp.srcList, &gw.dq, gW)
-	if rp.multi {
+	if r == ref {
 		for si, node := range rp.srcList {
 			if ds := gw.dsSrc[si]; ds != 0 {
 				axpy(gPSrc, ds, in.Row(node))
-				axpy(dIn.Row(node), ds, l.pSrc[r])
+				axpy(dIn.Row(node), ds, l.pSrc)
 			}
 		}
-		aSrc, aDst := l.aSrc[r], l.aDst[r]
-		gASrc, gADst := grad[l.at.aSrc[r]:l.at.aSrc[r]+hd], grad[l.at.aDst[r]:l.at.aDst[r]+hd]
+		gASrc, gADst := grad[l.at.aSrc:l.at.aSrc+hd], grad[l.at.aDst:l.at.aDst+hd]
 		for i := 0; i < hd; i++ {
 			row := gW[i*hd : (i+1)*hd]
-			axpy(row, gPSrc[i], aSrc)
-			axpy(row, gPDst[i], aDst)
+			axpy(row, gPSrc[i], l.aSrc)
+			axpy(row, gPDst[i], l.aDst)
 			wRow := l.w[r].Row(i)
 			axpy(gASrc, gPSrc[i], wRow)
 			axpy(gADst, gPDst[i], wRow)

@@ -59,37 +59,43 @@ func checkGradientsMatchTape(t *testing.T, m *Model, s *Sample, what string) {
 
 // TestTrainGradientsMatchTape fuzzes the space fuzzEngineVsTape covers —
 // 1–8 relations, empty relations, single-node graphs, exact-zero features
-// and weights, WScale 0, Layers 1–3, DisableEdgeWeights — plus real encoded
-// kernels: every parameter's engine gradient must be within 1e-9 of the
+// and weights, WScale 0, Layers 1–3, graphs without weights — plus real
+// encoded kernels: every parameter's engine gradient must be within 1e-9 of the
 // tape's. Targets are drawn so the loss gradient is never zero.
 func TestTrainGradientsMatchTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < equivTrials(40); trial++ {
 		numRels := 1 + rng.Intn(8)
 		cfg := Config{
-			Seed:               rng.Int63n(1000),
-			Hidden:             []int{4, 8, 16}[rng.Intn(3)],
-			Layers:             1 + rng.Intn(3),
-			Relations:          numRels,
-			DisableEdgeWeights: rng.Intn(2) == 0,
+			Seed:      rng.Int63n(1000),
+			Hidden:    []int{4, 8, 16}[rng.Intn(3)],
+			Layers:    1 + rng.Intn(3),
+			Relations: numRels,
 		}
+		unweighted := rng.Intn(2) == 0
 		m := NewModel(cfg)
 		g := randomEncodedGraph(rng, numRels)
 		if trial%2 == 0 {
 			initPlanCache(g)
 		}
 		s := &Sample{G: g, Feats: [2]float64{rng.Float64(), rng.Float64()}, Target: rng.NormFloat64()}
+		if unweighted {
+			zeroWeights(s)
+		}
 		checkGradientsMatchTape(t, m, s, "random graph")
 	}
 	for _, threads := range []int{1, 16, 128} {
-		eg := encode(t, buildTestGraph(t, threads))
-		for _, disabled := range []bool{false, true} {
-			m := NewModel(Config{Seed: 5, Hidden: 16, Layers: 3,
-				Relations: int(paragraph.NumEdgeTypes), DisableEdgeWeights: disabled})
+		for _, unweighted := range []bool{false, true} {
+			eg := encode(t, buildTestGraph(t, threads))
+			m := NewModel(Config{Seed: 5, Hidden: 16, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
 			for _, wscale := range []float64{1, 10} {
 				scaled := *eg
 				scaled.WScale = wscale
-				checkGradientsMatchTape(t, m, &Sample{G: &scaled, Feats: [2]float64{0.4, 0.6}, Target: 0.9}, "real kernel")
+				s := &Sample{G: &scaled, Feats: [2]float64{0.4, 0.6}, Target: 0.9}
+				if unweighted {
+					zeroWeights(s)
+				}
+				checkGradientsMatchTape(t, m, s, "real kernel")
 			}
 		}
 	}

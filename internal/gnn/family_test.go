@@ -109,27 +109,28 @@ func randomFamily(rng *rand.Rand, numRels, size int, planCache bool) []*Sample {
 	return out
 }
 
-func fuzzModel(rng *rand.Rand, numRels int) *Model {
-	return NewModel(Config{
-		Seed:               rng.Int63n(1000),
-		Hidden:             []int{4, 8, 16}[rng.Intn(3)],
-		Layers:             1 + rng.Intn(3),
-		Relations:          numRels,
-		DisableEdgeWeights: rng.Intn(4) == 0,
-	})
+// fuzzModel draws a model and whether its trial's graphs go unweighted.
+func fuzzModel(rng *rand.Rand, numRels int) (*Model, bool) {
+	cfg := Config{
+		Seed:      rng.Int63n(1000),
+		Hidden:    []int{4, 8, 16}[rng.Intn(3)],
+		Layers:    1 + rng.Intn(3),
+		Relations: numRels,
+	}
+	return NewModel(cfg), rng.Intn(4) == 0
 }
 
 // TestFamilyMatchesPerSampleFuzz is the family ≡ per-sample gate: random
 // topologies × random feature-row and edge-weight perturbations, with two
 // families interleaved sample by sample, families longer than the
 // retained-base bound, repeated *Sample and *Graph pointers, a WScale-only
-// sibling, both plan-cache states and the DisableEdgeWeights ablation, in
-// shuffled order.
+// sibling, both plan-cache states and graphs without weights, in shuffled
+// order.
 func TestFamilyMatchesPerSampleFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < equivTrials(40); trial++ {
 		numRels := 1 + rng.Intn(8)
-		m := fuzzModel(rng, numRels)
+		m, unweighted := fuzzModel(rng, numRels)
 		a := randomFamily(rng, numRels, 2+rng.Intn(2*maxBases+4), trial%3 != 0)
 		b := randomFamily(rng, numRels, 1+rng.Intn(6), trial%3 != 1)
 		var batch []*Sample
@@ -148,6 +149,9 @@ func TestFamilyMatchesPerSampleFuzz(t *testing.T) {
 		batch = append(batch, &Sample{G: &rescaled, Feats: a[0].Feats})
 		if trial%2 == 0 {
 			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		}
+		if unweighted {
+			zeroWeights(batch...)
 		}
 		assertBatchBitIdentical(t, m, batch, fmt.Sprintf("trial %d (cfg %+v)", trial, m.cfg))
 	}
@@ -168,8 +172,8 @@ func TestFamilyEdgeCases(t *testing.T) {
 	for big.NumEdges() == 0 {
 		big = randomEncodedGraph(rng, numRels)
 	}
-	for _, disabled := range []bool{false, true} {
-		m := NewModel(Config{Seed: 9, Hidden: 8, Layers: 3, Relations: numRels, DisableEdgeWeights: disabled})
+	m := NewModel(Config{Seed: 9, Hidden: 8, Layers: 3, Relations: numRels})
+	for _, unweighted := range []bool{false, true} {
 		for name, g := range map[string]*Graph{"single-node": single, "edgeless": edgeless, "random": big} {
 			batch := []*Sample{{G: g, Feats: [2]float64{0.1, 0.2}}}
 			batch = append(batch, &Sample{G: perturb(rng, g, false, 0, 0), Feats: [2]float64{0.3, 0.4}}) // zero dirty rows
@@ -183,7 +187,10 @@ func TestFamilyEdgeCases(t *testing.T) {
 					batch = append(batch, &Sample{G: perturb(rng, wg, true, 0.2, 0), Feats: [2]float64{rng.Float64(), 0.5}})
 				}
 			}
-			assertBatchBitIdentical(t, m, batch, fmt.Sprintf("%s disabled=%v", name, disabled))
+			if unweighted {
+				zeroWeights(batch...)
+			}
+			assertBatchBitIdentical(t, m, batch, fmt.Sprintf("%s unweighted=%v", name, unweighted))
 		}
 	}
 }
@@ -267,8 +274,11 @@ func ompFamily(t *testing.T, rng *rand.Rand) []*Sample {
 func TestFamilyMatchesPerSampleOnGeneratedKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(314))
 	for trial := 0; trial < equivTrials(40)/4; trial++ {
-		m := fuzzModel(rng, int(paragraph.NumEdgeTypes))
+		m, unweighted := fuzzModel(rng, int(paragraph.NumEdgeTypes))
 		batch := append(ompFamily(t, rng), ompFamily(t, rng)...)
+		if unweighted {
+			zeroWeights(batch...)
+		}
 		assertBatchBitIdentical(t, m, batch, fmt.Sprintf("generated trial %d", trial))
 	}
 }
@@ -349,10 +359,13 @@ func TestFamilyInPlaceGridOrder(t *testing.T) {
 			t.Fatalf("family %d has %d weightings, want more than maxBases = %d", k/per, len(weightings), maxBases)
 		}
 	}
-	for _, layers := range []int{3, 5} {
-		for _, disabled := range []bool{false, true} {
-			m := NewModel(Config{Seed: 1, Hidden: 24, Layers: layers, Relations: int(paragraph.NumEdgeTypes), DisableEdgeWeights: disabled})
-			assertBatchBitIdentical(t, m, grid, fmt.Sprintf("matmul GPU grid, %d layers, disabled=%v", layers, disabled))
+	for _, unweighted := range []bool{false, true} {
+		if unweighted {
+			zeroWeights(grid...)
+		}
+		for _, layers := range []int{3, 5} {
+			m := NewModel(Config{Seed: 1, Hidden: 24, Layers: layers, Relations: int(paragraph.NumEdgeTypes)})
+			assertBatchBitIdentical(t, m, grid, fmt.Sprintf("matmul GPU grid, %d layers, unweighted=%v", layers, unweighted))
 		}
 	}
 }

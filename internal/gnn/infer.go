@@ -57,13 +57,11 @@ import (
 // full pass's relation and edge order, clean rows are the base's, and
 // pooling and the head run per member over its fully materialised h^L.
 //
-// Attention runs only where it can change a number. Within a relation, α
-// is a softmax over a destination's in-edges, so in a segment of one edge
-// it is exactly fp.Exp(0)·(1/1) = 1 whatever the logits. ParaGraph gives
-// every node at most one in-edge of seven of its eight edge types (only Ref
-// has longer segments; TestInDegreeCensus), so most segments take their
-// message straight through the factor 1 + c·w̃, and a relation without a
-// segment of two edges computes no attention scores at all.
+// Attention runs only on Ref, the one relation whose segments can hold two
+// edges (see ref in model.go), and there only where a segment does: in a
+// segment of one edge α is exactly fp.Exp(0)·(1/1) = 1 whatever the logits.
+// Every other message goes straight through with α = 1 — on Child through
+// the factor 1 + c·w̃ — and no other relation computes attention scores.
 //
 // Three precomputed structures make the hot path cheap:
 //
@@ -78,8 +76,8 @@ import (
 //
 //   - weights (inferparams.go): the parameters, read in place, and the
 //     constants derived from them, recomputed in place when the parameters
-//     change — the per-relation attention projections p_src = W_r·aSrc and
-//     p_dst = W_r·aDst (so attention scores become one H-dot per node
+//     change — Ref's attention projections p_src = W_Ref·aSrc and
+//     p_dst = W_Ref·aDst (so attention scores become one H-dot per node
 //     instead of an H²-projection).
 //
 //   - workspace: the state slots, undo log and scratch of one call, sized
@@ -98,7 +96,6 @@ type relPlan struct {
 	runStart   []int // len(runs)+1 offsets into edge/edgeSrcIdx
 	runDst     []int // destination node of each run
 	srcList    []int // unique source nodes, ascending
-	multi      bool  // some run has two or more edges: only then is attention computed
 }
 
 // InferencePlan is the per-graph constant structure of the fused RGAT path:
@@ -164,7 +161,6 @@ func buildPlan(g *Graph) *InferencePlan {
 			if start[d+1] > 0 {
 				runs++
 				p.maxRun = max(p.maxRun, start[d+1])
-				rp.multi = rp.multi || start[d+1] > 1
 			}
 			start[d+1] += start[d]
 		}
@@ -231,14 +227,9 @@ func sameTopology(a, b *Graph) bool {
 }
 
 // sameWeights reports whether two graphs of one family carry equal edge
-// weights, exiting at the first difference.
+// weights where the model reads them: on Child.
 func sameWeights(a, b *Graph) bool {
-	for r := range a.Rels {
-		if !sameSlice(a.Rels[r].LogW, b.Rels[r].LogW) {
-			return false
-		}
-	}
-	return true
+	return len(a.Rels) <= child || sameSlice(a.Rels[child].LogW, b.Rels[child].LogW)
 }
 
 // families partitions a batch by sameTopology: family f is the chain
@@ -298,7 +289,7 @@ const maxBases = 4
 // a new base starts from it with a single copy: h⁰…h^L (N×H each), then per
 // layer the self projection h^ℓ·W_self + b (N×H), the q block (the plan's
 // source rows × H, relation by relation) and the source-score block (one
-// per source row; written only for relations with a multi-edge run).
+// per source row; written only for Ref).
 type slot struct {
 	g   *Graph // the member buf describes; nil outside a family evaluation
 	buf []float64
@@ -445,7 +436,7 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 		} else {
 			clear(ws.wDirty)
 			for b := range ws.slots[:bases] {
-				if w.noWeights || sameWeights(ws.slots[b].g, s.G) {
+				if sameWeights(ws.slots[b].g, s.G) {
 					base, st = &ws.slots[b], &ws.slots[b]
 					break
 				}
@@ -454,12 +445,10 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 				// A new weighting: evaluated against the first member, and
 				// kept as a base for later members while there is room.
 				base = st
-				for r := range s.G.Rels {
-					rel, bw := &s.G.Rels[r], base.g.Rels[r].LogW
-					for e, lw := range rel.LogW {
-						if lw != bw[e] {
-							ws.wDirty[rel.Dst[e]] = true
-						}
+				rel, bw := &s.G.Rels[child], base.g.Rels[child].LogW
+				for e, lw := range rel.LogW {
+					if lw != bw[e] {
+						ws.wDirty[rel.Dst[e]] = true
 					}
 				}
 				if bases < maxBases {
@@ -625,20 +614,20 @@ func (ws *workspace) project(src *tensor.Matrix, rows []int, b, dst *tensor.Matr
 // D_li on entry and D_li+1 on return; every row, on a full pass). The rows
 // of D_li — those whose input changed — are re-projected: the self
 // projection, and per relation the dirty unique source rows through W_r
-// with one tiled matmul. A relation with a multi-edge run also scores
-// them off the precomputed projection p_src — one H-dot per node instead
-// of re-projecting through W_r. The rows of D_li+1 are then rebuilt from
-// their self projection: LeakyReLU, segment softmax, static-weight scaling
-// and message aggregation run as one loop nest over the plan's
+// with one tiled matmul. Ref also scores them off the precomputed
+// projection p_src — one H-dot per node instead of re-projecting through
+// W_Ref. The rows of D_li+1 are then rebuilt from their self projection:
+// Ref's LeakyReLU and segment softmax, Child's static-weight scaling and
+// message aggregation run as one loop nest over the plan's
 // destination-grouped runs, accumulating straight into the output row;
 // then ReLU.
 //
-// A one-edge run has α = fp.Exp(0)·(1/1) = 1 for any finite logit, so it
-// goes straight to the message with factor 1 + c·w̃: no destination score,
-// logit, exp, sum or reciprocal. That keeps every bit of the full softmax
-// for a finite model. Only a non-finite logit tells the two apart: it made
-// α NaN and now gives 1. No finite model reaches one — a score is a dot of
-// a finite h row with a finite projection.
+// A one-edge Ref run has α = fp.Exp(0)·(1/1) = 1 for any finite logit, so
+// it takes its message as every other relation's edges do: no destination
+// score, logit, exp, sum or reciprocal. That keeps every bit of the full
+// softmax for a finite model. Only a non-finite logit tells the two apart:
+// it would make α NaN and gives 1. No finite model reaches one — a score
+// is a dot of a finite h row with a finite projection.
 func (w *weights) layer(ws *workspace, st *slot, li int) {
 	l := &w.layers[li]
 	g, p := st.g, ws.plan
@@ -705,7 +694,7 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 		// Project the relation's dirty unique source rows through W_r:
 		// q[si] = h[srcList[si]]×W_r. Only these rows are ever read as
 		// messages, so the projection cost scales with the relation's
-		// source set, not the graph. Attention scores come off the
+		// source set, not the graph. Ref's attention scores come off the
 		// precomputed projections: one dot with p_src per source row;
 		// destination scores are one dot with p_dst per multi-edge run,
 		// computed inline (each destination owns exactly one run).
@@ -735,36 +724,42 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 					copy(q.Row(si), dst.Row(k))
 				}
 			}
-			if rp.multi {
+			if r == ref {
 				ws.save(score)
 				for k, node := range nodes {
 					si := k
 					if some {
 						si = slots[k]
 					}
-					score[si] = tensor.Dot(in.Row(node), l.pSrc[r])
+					score[si] = tensor.Dot(in.Row(node), l.pSrc)
 				}
 			}
 		}
-		c, logW := l.wCoef[r], g.Rels[r].LogW
+		var logW []float64 // Child's weights and coefficient; nil off Child
+		var c float64
+		if r == child {
+			logW, c = g.Rels[r].LogW, l.wCoef[0]
+		}
 		for t, d := range rp.runDst {
 			if !next[d] {
 				continue
 			}
 			lo, hi := rp.runStart[t], rp.runStart[t+1]
-			run, inv := ws.logits[:hi-lo], 1.0
-			if hi-lo == 1 {
-				run[0] = 1 // α of a one-edge segment
-			} else {
-				inv = l.softmax(run, score, rp.edgeSrcIdx[lo:hi], tensor.Dot(in.Row(d), l.pDst[r]))
+			var alpha []float64 // nil: α = 1 on every edge of the run
+			inv := 1.0
+			if r == ref && hi-lo > 1 {
+				alpha = ws.logits[:hi-lo]
+				inv = l.softmax(alpha, score, rp.edgeSrcIdx[lo:hi], tensor.Dot(in.Row(d), l.pDst))
 			}
 			drow := out.Row(d)
 			for i := lo; i < hi; i++ {
-				// Static edge weights scale the message through the learned
-				// per-relation coefficient: (α·q)·(1 + c_r·w̃), folded into
-				// one per-edge factor.
-				f := run[i-lo] * inv
-				if !w.noWeights {
+				// On Child, static edge weights scale the message through
+				// the learned coefficient: q·(1 + c·w̃), one per-edge factor.
+				f := inv
+				if alpha != nil {
+					f = alpha[i-lo] * inv
+				}
+				if logW != nil {
 					if wt := logW[rp.edge[i]] / wscale; wt != 0 {
 						f *= float64(wt*c) + 1
 					}

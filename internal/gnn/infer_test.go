@@ -85,9 +85,20 @@ func randomEncodedGraph(rng *rand.Rand, numRels int) *Graph {
 	return g
 }
 
+// zeroWeights clears every edge weight of the samples' graphs in place:
+// the graph-side arm of the edge-weight ablation, where the factor
+// 1 + c·w̃ is 1 on every Child edge.
+func zeroWeights(samples ...*Sample) {
+	for _, s := range samples {
+		for _, rel := range s.G.Rels {
+			clear(rel.LogW)
+		}
+	}
+}
+
 // fuzzEngineVsTape is the shared equivalence fuzz: across random graphs
 // (all relation counts, empty relations, single-node graphs), seeds, layer
-// counts, both plan-cache states, and the DisableEdgeWeights ablation, the
+// counts, both plan-cache states, and graphs with and without weights, the
 // engine prediction must stay within tol relative error of the tape path.
 func fuzzEngineVsTape(t *testing.T, seed int64, trials int) {
 	t.Helper()
@@ -95,18 +106,21 @@ func fuzzEngineVsTape(t *testing.T, seed int64, trials int) {
 	for trial := 0; trial < trials; trial++ {
 		numRels := 1 + rng.Intn(8)
 		cfg := Config{
-			Seed:               rng.Int63n(1000),
-			Hidden:             []int{4, 8, 16}[rng.Intn(3)],
-			Layers:             1 + rng.Intn(3),
-			Relations:          numRels,
-			DisableEdgeWeights: rng.Intn(2) == 0,
+			Seed:      rng.Int63n(1000),
+			Hidden:    []int{4, 8, 16}[rng.Intn(3)],
+			Layers:    1 + rng.Intn(3),
+			Relations: numRels,
 		}
+		unweighted := rng.Intn(2) == 0
 		m := NewModel(cfg)
 		g := randomEncodedGraph(rng, numRels)
 		if trial%2 == 0 {
 			initPlanCache(g) // exercise both the cached and per-call plan paths
 		}
 		s := &Sample{G: g, Feats: [2]float64{rng.Float64(), rng.Float64()}}
+		if unweighted {
+			zeroWeights(s)
+		}
 		engine := m.Predict(s)
 		tape := m.PredictTape(s)
 		if math.IsNaN(engine) || math.IsInf(engine, 0) {
@@ -130,18 +144,20 @@ func TestInferEngineMatchesTape(t *testing.T) {
 // across advisor-style header copies that override WScale.
 func TestInferEngineMatchesTapeOnRealGraph(t *testing.T) {
 	for _, threads := range []int{1, 16, 128} {
-		eg := encode(t, buildTestGraph(t, threads))
-		for _, disabled := range []bool{false, true} {
-			m := NewModel(Config{Seed: 5, Hidden: 16, Layers: 3,
-				Relations: int(paragraph.NumEdgeTypes), DisableEdgeWeights: disabled})
+		for _, unweighted := range []bool{false, true} {
+			eg := encode(t, buildTestGraph(t, threads))
+			m := NewModel(Config{Seed: 5, Hidden: 16, Layers: 3, Relations: int(paragraph.NumEdgeTypes)})
 			for _, wscale := range []float64{1, 10} {
 				scaled := *eg // what advisor.EncodeInstance does
 				scaled.WScale = wscale
 				s := &Sample{G: &scaled, Feats: [2]float64{0.4, 0.6}}
+				if unweighted {
+					zeroWeights(s)
+				}
 				engine, tape := m.Predict(s), m.PredictTape(s)
 				if e := relErr(engine, tape); e > equivTol {
-					t.Errorf("threads=%d disabled=%v wscale=%v: engine %v vs tape %v (rel err %v)",
-						threads, disabled, wscale, engine, tape, e)
+					t.Errorf("threads=%d unweighted=%v wscale=%v: engine %v vs tape %v (rel err %v)",
+						threads, unweighted, wscale, engine, tape, e)
 				}
 			}
 		}
@@ -190,7 +206,7 @@ func TestInferInvalidation(t *testing.T) {
 	// Direct mutation of an attention vector: without refresh the engine
 	// would keep scoring with the stale projection.
 	l := m.layers[0]
-	l.aSrc[0].Value.Data[0] += 0.5
+	l.aSrc.Value.Data[0] += 0.5
 	m.refresh()
 	if e := relErr(m.Predict(s), m.PredictTape(s)); e > equivTol {
 		t.Errorf("after direct mutation + refresh: rel err %v", e)
@@ -203,7 +219,7 @@ func TestInferInvalidation(t *testing.T) {
 	if err := donor.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Load(&buf); err != nil {
+	if _, err := m.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := m.Predict(s), donor.Predict(s); got != want {

@@ -16,25 +16,24 @@ import (
 // change only through Train and Load, never while the same model predicts,
 // so a set built before the model is shared needs no lock.
 
-// layerWeights is one convolution's weights. pSrc[r] = W_r·aSrc_r and
-// pDst[r] = W_r·aDst_r (length Hidden) are the precomputed attention
-// projections: the tape scores an edge as (h·W_r)·a; the engine
-// reassociates to h·(W_r·a), turning the per-node score into a single H-dot
-// against these vectors — the H²-per-node projection cost disappears from
-// the score path entirely.
+// layerWeights is one convolution's weights. pSrc = W_Ref·aSrc and
+// pDst = W_Ref·aDst (length Hidden) are the precomputed attention
+// projections: the tape scores an edge as (h·W_Ref)·a; the engine
+// reassociates to h·(W_Ref·a), turning the per-node score into a single
+// H-dot against these vectors — the H²-per-node projection cost disappears
+// from the score path entirely.
 type layerWeights struct {
 	w          []*tensor.Matrix // per-relation projection H×H
-	aSrc, aDst [][]float64      // per-relation attention vectors, length H
+	aSrc, aDst []float64        // Ref's attention vectors, length H (nil without Ref)
+	wCoef      []float64        // Child's edge-weight coefficient, one element
 	self       *tensor.Matrix   // H×H
 	bias       []float64        // length H
 	alpha      float64
 
 	// Derived by refresh.
-	pSrc  [][]float64      // per-relation W_r·aSrc, length H
-	pDst  [][]float64      // per-relation W_r·aDst, length H
-	wCoef []float64        // per-relation edge-weight coefficient
-	selfT *tensor.Matrix   // self projection transposed, for the backward
-	wT    []*tensor.Matrix // per-relation projection transposed, likewise
+	pSrc, pDst []float64        // W_Ref·aSrc and W_Ref·aDst, length H
+	selfT      *tensor.Matrix   // self projection transposed, for the backward
+	wT         []*tensor.Matrix // per-relation projection transposed, likewise
 
 	at layerAt
 }
@@ -54,8 +53,7 @@ type weights struct {
 	featW, featB *tensor.Matrix
 	outW, outB   *tensor.Matrix
 
-	noWeights bool
-	at        modelAt
+	at modelAt
 }
 
 // modelAt and layerAt are the offsets of the parameters in a flat gradient
@@ -68,8 +66,8 @@ type (
 		outW, outB             int
 	}
 	layerAt struct {
-		w, aSrc, aDst, wCoef []int
-		self, bias           int
+		w                             []int
+		aSrc, aDst, wCoef, self, bias int
 	}
 )
 
@@ -84,19 +82,18 @@ func (m *Model) buildWeights() {
 	}
 	h := m.cfg.Hidden
 	w := &weights{
-		hidden:    h,
-		kindTab:   m.kindEmb.Table.Value,
-		subTab:    m.subEmb.Table.Value,
-		featVec:   m.featVec.Value.Data,
-		fc1W:      m.fc1.W.Value,
-		fc1B:      m.fc1.B.Value,
-		fc2W:      m.fc2.W.Value,
-		fc2B:      m.fc2.B.Value,
-		featW:     m.featFC.W.Value,
-		featB:     m.featFC.B.Value,
-		outW:      m.out.W.Value,
-		outB:      m.out.B.Value,
-		noWeights: m.cfg.DisableEdgeWeights,
+		hidden:  h,
+		kindTab: m.kindEmb.Table.Value,
+		subTab:  m.subEmb.Table.Value,
+		featVec: m.featVec.Value.Data,
+		fc1W:    m.fc1.W.Value,
+		fc1B:    m.fc1.B.Value,
+		fc2W:    m.fc2.W.Value,
+		fc2B:    m.fc2.B.Value,
+		featW:   m.featFC.W.Value,
+		featB:   m.featFC.B.Value,
+		outW:    m.out.W.Value,
+		outB:    m.out.B.Value,
 		at: modelAt{
 			kind: at[m.kindEmb.Table], sub: at[m.subEmb.Table], featVec: at[m.featVec],
 			fc1W: at[m.fc1.W], fc1B: at[m.fc1.B], fc2W: at[m.fc2.W], fc2B: at[m.fc2.B],
@@ -105,24 +102,22 @@ func (m *Model) buildWeights() {
 	}
 	for _, l := range m.layers {
 		lw := layerWeights{
+			wCoef: l.wCoef.Value.Data,
 			self:  l.self.Value,
 			bias:  l.bias.Value.Data,
 			alpha: l.alpha,
 			selfT: tensor.New(h, h),
-			wCoef: make([]float64, len(l.w)),
-			at:    layerAt{self: at[l.self], bias: at[l.bias]},
+			at:    layerAt{wCoef: at[l.wCoef], self: at[l.self], bias: at[l.bias]},
+		}
+		if l.aSrc != nil {
+			lw.aSrc, lw.aDst = l.aSrc.Value.Data, l.aDst.Value.Data
+			lw.pSrc, lw.pDst = make([]float64, h), make([]float64, h)
+			lw.at.aSrc, lw.at.aDst = at[l.aSrc], at[l.aDst]
 		}
 		for r := range l.w {
 			lw.w = append(lw.w, l.w[r].Value)
-			lw.aSrc = append(lw.aSrc, l.aSrc[r].Value.Data)
-			lw.aDst = append(lw.aDst, l.aDst[r].Value.Data)
-			lw.pSrc = append(lw.pSrc, make([]float64, h))
-			lw.pDst = append(lw.pDst, make([]float64, h))
 			lw.wT = append(lw.wT, tensor.New(h, h))
 			lw.at.w = append(lw.at.w, at[l.w[r]])
-			lw.at.aSrc = append(lw.at.aSrc, at[l.aSrc[r]])
-			lw.at.aDst = append(lw.at.aDst, at[l.aDst[r]])
-			lw.at.wCoef = append(lw.at.wCoef, at[l.wCoef[r]])
 		}
 		w.layers = append(w.layers, lw)
 	}
@@ -137,10 +132,11 @@ func (m *Model) refresh() {
 		lw := &m.w.layers[i]
 		tensor.TransposeInto(l.self.Value, lw.selfT)
 		for r := range l.w {
-			projectAttention(lw.pSrc[r], l.w[r].Value, l.aSrc[r].Value)
-			projectAttention(lw.pDst[r], l.w[r].Value, l.aDst[r].Value)
-			lw.wCoef[r] = l.wCoef[r].Value.Data[0]
 			tensor.TransposeInto(l.w[r].Value, lw.wT[r])
+		}
+		if l.aSrc != nil {
+			projectAttention(lw.pSrc, l.w[ref].Value, l.aSrc.Value)
+			projectAttention(lw.pDst, l.w[ref].Value, l.aDst.Value)
 		}
 	}
 }

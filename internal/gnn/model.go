@@ -8,6 +8,7 @@ import (
 
 	"paragraph/internal/autodiff"
 	"paragraph/internal/nn"
+	"paragraph/internal/paragraph"
 	"paragraph/internal/tensor"
 )
 
@@ -19,10 +20,8 @@ func featRow(f [2]float64) *tensor.Matrix {
 	return tensor.FromData(1, 2, []float64{f[0], f[1]})
 }
 
-// onesRowConst is the shared 1×1 constant that offsets message scales to
-// 1 + c·w̃. It is bound read-only as a tape constant, so one package-level
-// matrix serves every pass (previously each forward allocated one per
-// relation per layer).
+// onesRowConst is the shared 1×1 constant that offsets Child's message
+// scales to 1 + c·w̃, bound read-only as a tape constant by every pass.
 var onesRowConst = tensor.Scalar(1)
 
 // Config shapes the model.
@@ -34,12 +33,6 @@ type Config struct {
 	Kinds      int     // node-kind vocabulary size
 	LeakyAlpha float64 // attention LeakyReLU slope (default 0.2)
 	Seed       int64
-
-	// DisableEdgeWeights cuts the static-weight message-scaling path
-	// (α·(1+c_r·w̃)·q → α·q), for ablating the design choice of how
-	// ParaGraph's W enters the network. Distinct from the representation
-	// ablation (Table IV), which removes the weights from the graph itself.
-	DisableEdgeWeights bool
 }
 
 func (c Config) withDefaults() Config {
@@ -64,78 +57,93 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// rgatLayer is one relational graph attention convolution. Attention is
-// computed within each relation (WIRGAT): per relation r, additive logits
-// over edges — aSrc·(W_r h_src) + aDst·(W_r h_dst) + c_r·w̃_e, softmax over
-// each node's incoming r-edges, message aggregation, then summation across
-// relations plus a self-loop projection.
+// The relations' roles. ParaGraph gives every node at most one in-edge of
+// every type but Ref (TestInDegreeCensus), so a softmax within a relation
+// can change a message only on Ref; and it weighs only Child edges (W is
+// zero off Child, paragraph.go). Attention is therefore Ref's alone, and
+// every other relation sends its messages with α = 1; the edge-weight
+// factor 1 + c·w̃ is Child's alone, and no other relation's LogW is read.
+const (
+	ref   = int(paragraph.Ref)
+	child = int(paragraph.Child)
+)
+
+// rgatLayer is one relational graph attention convolution. Per relation r,
+// each edge's message is its source row projected through W_r; on Ref it
+// is weighted by additive attention — aSrc·(W_r h_src) + aDst·(W_r h_dst),
+// LeakyReLU, softmax over each node's incoming Ref edges (WIRGAT) — and on
+// Child scaled by 1 + c·w̃_e. Messages are summed into their destinations
+// across relations, plus a self-loop projection.
 type rgatLayer struct {
-	w         []*nn.Parameter // per-relation projection Hidden×Hidden
-	aSrc      []*nn.Parameter // per-relation source attention Hidden×1
-	aDst      []*nn.Parameter // per-relation destination attention Hidden×1
-	wCoef     []*nn.Parameter // per-relation edge-weight coefficient 1×1
-	self      *nn.Parameter   // self-loop projection Hidden×Hidden
-	bias      *nn.Parameter   // 1×Hidden
-	alpha     float64
-	noWeights bool
+	w          []*nn.Parameter // per-relation projection Hidden×Hidden
+	aSrc, aDst *nn.Parameter   // Ref's source and destination attention Hidden×1; nil without a Ref relation
+	wCoef      *nn.Parameter   // Child's edge-weight coefficient 1×1
+	self       *nn.Parameter   // self-loop projection Hidden×Hidden
+	bias       *nn.Parameter   // 1×Hidden
+	alpha      float64
 }
 
-func newRGATLayer(name string, cfg Config, rng *rand.Rand) *rgatLayer {
-	l := &rgatLayer{alpha: cfg.LeakyAlpha, noWeights: cfg.DisableEdgeWeights}
+// newRGATLayer draws the layer's parameters from rng and adds to dropped the
+// names of those it discards.
+func newRGATLayer(name string, cfg Config, rng *rand.Rand, dropped map[string]bool) *rgatLayer {
+	l := &rgatLayer{alpha: cfg.LeakyAlpha}
 	for r := 0; r < cfg.Relations; r++ {
 		l.w = append(l.w, nn.GlorotParameter(fmt.Sprintf("%s.w%d", name, r), cfg.Hidden, cfg.Hidden, rng))
-		l.aSrc = append(l.aSrc, nn.GlorotParameter(fmt.Sprintf("%s.asrc%d", name, r), cfg.Hidden, 1, rng))
-		l.aDst = append(l.aDst, nn.GlorotParameter(fmt.Sprintf("%s.adst%d", name, r), cfg.Hidden, 1, rng))
-		c := nn.NewParameter(fmt.Sprintf("%s.wcoef%d", name, r), 1, 1)
-		c.Value.Set(0, 0, 1) // start by trusting the static weights
-		l.wCoef = append(l.wCoef, c)
+		// Every relation's attention pair is drawn, as when the model held
+		// them all, so every kept parameter keeps its seeded bits; Load
+		// skips the dropped names, which older checkpoints hold.
+		aSrc := nn.GlorotParameter(fmt.Sprintf("%s.asrc%d", name, r), cfg.Hidden, 1, rng)
+		aDst := nn.GlorotParameter(fmt.Sprintf("%s.adst%d", name, r), cfg.Hidden, 1, rng)
+		if r == ref {
+			l.aSrc, l.aDst = aSrc, aDst
+		} else {
+			dropped[aSrc.Name], dropped[aDst.Name] = true, true
+		}
+		if r != child {
+			dropped[fmt.Sprintf("%s.wcoef%d", name, r)] = true
+		}
 	}
+	l.wCoef = nn.NewParameter(fmt.Sprintf("%s.wcoef%d", name, child), 1, 1)
+	l.wCoef.Value.Set(0, 0, 1) // start by trusting the static weights
 	l.self = nn.GlorotParameter(name+".self", cfg.Hidden, cfg.Hidden, rng)
 	l.bias = nn.NewParameter(name+".bias", 1, cfg.Hidden)
 	return l
 }
 
 func (l *rgatLayer) params() []*nn.Parameter {
-	var ps []*nn.Parameter
-	ps = append(ps, l.w...)
-	ps = append(ps, l.aSrc...)
-	ps = append(ps, l.aDst...)
-	ps = append(ps, l.wCoef...)
-	ps = append(ps, l.self, l.bias)
-	return ps
+	ps := append([]*nn.Parameter(nil), l.w...)
+	if l.aSrc != nil {
+		ps = append(ps, l.aSrc, l.aDst)
+	}
+	return append(ps, l.wCoef, l.self, l.bias)
 }
 
 // apply runs the convolution over h (N×Hidden) for graph g.
 func (l *rgatLayer) apply(f *nn.Forward, g *Graph, h *autodiff.Var) *autodiff.Var {
 	tp := f.Tape
 	out := tp.AddBias(tp.MatMul(h, f.Bind(l.self)), f.Bind(l.bias))
-	for r := range g.Rels {
-		if r >= len(l.w) {
-			break
-		}
+	for r := range g.Rels[:min(len(g.Rels), len(l.w))] {
 		rel := &g.Rels[r]
 		if len(rel.Src) == 0 {
 			continue
 		}
 		q := tp.MatMul(h, f.Bind(l.w[r]))
-		srcScore := tp.MatMul(q, f.Bind(l.aSrc[r]))
-		dstScore := tp.MatMul(q, f.Bind(l.aDst[r]))
-		logits := tp.Add(tp.GatherRows(srcScore, rel.Src), tp.GatherRows(dstScore, rel.Dst))
-		logits = tp.LeakyReLU(logits, l.alpha)
-		attn := tp.SegmentSoftmax(logits, rel.Dst, g.NumNodes)
-		// Static edge weights (ParaGraph's W) scale the messages through a
-		// learned per-relation coefficient: α·(1 + c_r·w̃)·q_src. A purely
-		// logit-side weight term would vanish on tree-shaped relations —
-		// softmax over a single incoming Child edge is constant — so the
-		// multiplicative path is what lets execution counts reach the
-		// embedding. Non-Child relations carry zero weight and reduce to
-		// plain attention.
-		msgs := tp.MulColBroadcast(tp.GatherRows(q, rel.Src), attn)
-		if !l.noWeights {
-			wcol := tp.Const(g.weightColumn(r))
-			wterm := tp.MatMul(wcol, f.Bind(l.wCoef[r]))
-			scale := tp.AddBias(wterm, tp.Const(onesRowConst))
-			msgs = tp.MulColBroadcast(msgs, scale)
+		msgs := tp.GatherRows(q, rel.Src)
+		switch r {
+		case ref:
+			srcScore := tp.MatMul(q, f.Bind(l.aSrc))
+			dstScore := tp.MatMul(q, f.Bind(l.aDst))
+			logits := tp.Add(tp.GatherRows(srcScore, rel.Src), tp.GatherRows(dstScore, rel.Dst))
+			logits = tp.LeakyReLU(logits, l.alpha)
+			msgs = tp.MulColBroadcast(msgs, tp.SegmentSoftmax(logits, rel.Dst, g.NumNodes))
+		case child:
+			// Static edge weights (ParaGraph's W) scale the messages
+			// through a learned coefficient: (1 + c·w̃)·q_src. A logit-side
+			// weight term would vanish here — a softmax over a node's single
+			// incoming Child edge is constant — so the multiplicative path
+			// is what lets execution counts reach the embedding.
+			wterm := tp.MatMul(tp.Const(g.weightColumn(r)), f.Bind(l.wCoef))
+			msgs = tp.MulColBroadcast(msgs, tp.AddBias(wterm, tp.Const(onesRowConst)))
 		}
 		out = tp.Add(out, tp.ScatterAddRows(msgs, rel.Dst, g.NumNodes))
 	}
@@ -162,6 +170,9 @@ type Model struct {
 	out    *nn.Linear // regression head
 
 	params []*nn.Parameter
+	// dropped names the parameters older checkpoints hold and the model
+	// does not (see newRGATLayer).
+	dropped map[string]bool
 
 	// ws holds the inference workspaces (see infer.go) between calls, and
 	// grads training's (backward.go) between examples and mini-batches.
@@ -177,12 +188,12 @@ type Model struct {
 func NewModel(cfg Config) *Model {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{cfg: cfg}
+	m := &Model{cfg: cfg, dropped: map[string]bool{}}
 	m.kindEmb = nn.NewEmbedding("kind", cfg.Kinds, cfg.Hidden, rng)
 	m.subEmb = nn.NewEmbedding("subkind", MaxSubKinds, cfg.Hidden, rng)
 	m.featVec = nn.GlorotParameter("featvec", 1, cfg.Hidden, rng)
 	for i := 0; i < cfg.Layers; i++ {
-		m.layers = append(m.layers, newRGATLayer(fmt.Sprintf("conv%d", i), cfg, rng))
+		m.layers = append(m.layers, newRGATLayer(fmt.Sprintf("conv%d", i), cfg, rng, m.dropped))
 	}
 	m.fc1 = nn.NewLinear("fc1", cfg.Hidden, cfg.Hidden, rng)
 	m.fc2 = nn.NewLinear("fc2", cfg.Hidden, cfg.Hidden, rng)
@@ -318,13 +329,15 @@ func (l *freeList[T, P]) put(v P) {
 // internal/registry pairs the weights with a manifest carrying the Config.
 func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.params) }
 
-// Load restores weights from a checkpoint produced by Save on an
-// identically-configured model. nn.LoadParams gives each parameter new
-// storage, so Load builds the engine's weight set again over it.
-func (m *Model) Load(r io.Reader) error {
-	err := nn.LoadParams(r, m.params)
+// Load restores weights from a checkpoint written by an identically
+// configured model — by Save, or by an older model that also held the
+// dropped parameters, whose records it skips — and returns the Checksum of
+// the model that wrote it (nn.LoadParams). nn.LoadParams gives each
+// parameter new storage, so Load builds the engine's weight set again.
+func (m *Model) Load(r io.Reader) (string, error) {
+	sum, err := nn.LoadParams(r, m.params, m.dropped)
 	m.buildWeights()
-	return err
+	return sum, err
 }
 
 // Checksum fingerprints the current weights (see nn.ChecksumParams).

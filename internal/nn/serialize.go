@@ -26,11 +26,19 @@ type checkpoint struct {
 	Params  []paramRecord `json:"params"`
 }
 
+// records lays params out in their on-disk form, sharing their data.
+func records(params []*Parameter) []paramRecord {
+	recs := make([]paramRecord, len(params))
+	for i, p := range params {
+		recs[i] = paramRecord{Name: p.Name, Rows: p.Value.Rows, Cols: p.Value.Cols, Data: p.Value.Data}
+	}
+	return recs
+}
+
 // SaveParams writes the parameters' values as JSON. Parameter names must be
 // unique (they are the load-time join key).
 func SaveParams(w io.Writer, params []*Parameter) error {
 	seen := map[string]bool{}
-	cp := checkpoint{Version: 1, Params: make([]paramRecord, len(params))}
 	for i, p := range params {
 		if p.Name == "" {
 			return fmt.Errorf("nn: parameter %d has no name", i)
@@ -39,14 +47,8 @@ func SaveParams(w io.Writer, params []*Parameter) error {
 			return fmt.Errorf("nn: duplicate parameter name %q", p.Name)
 		}
 		seen[p.Name] = true
-		cp.Params[i] = paramRecord{
-			Name: p.Name,
-			Rows: p.Value.Rows,
-			Cols: p.Value.Cols,
-			Data: p.Value.Data,
-		}
 	}
-	return json.NewEncoder(w).Encode(cp)
+	return json.NewEncoder(w).Encode(checkpoint{Version: 1, Params: records(params)})
 }
 
 // ChecksumParams fingerprints a parameter set: a hex SHA-256 over every
@@ -54,12 +56,15 @@ func SaveParams(w io.Writer, params []*Parameter) error {
 // manifests store it next to the weights file so a checkpoint that was
 // corrupted or swapped after training is rejected at load time rather than
 // silently served.
-func ChecksumParams(params []*Parameter) string {
+func ChecksumParams(params []*Parameter) string { return checksum(records(params)) }
+
+// checksum is ChecksumParams over records.
+func checksum(recs []paramRecord) string {
 	h := sha256.New()
 	var buf [8]byte
-	for _, p := range params {
-		fmt.Fprintf(h, "%s:%dx%d:", p.Name, p.Value.Rows, p.Value.Cols)
-		for _, v := range p.Value.Data {
+	for _, rec := range recs {
+		fmt.Fprintf(h, "%s:%dx%d:", rec.Name, rec.Rows, rec.Cols)
+		for _, v := range rec.Data {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
 		}
@@ -68,43 +73,46 @@ func ChecksumParams(params []*Parameter) string {
 }
 
 // LoadParams reads a checkpoint into the given parameters, matching by
-// name. Every parameter must be present with matching shape; extra
-// checkpoint entries are an error (they signal a model-architecture
-// mismatch).
-func LoadParams(r io.Reader, params []*Parameter) error {
+// name, and returns the checkpoint's checksum: ChecksumParams of the
+// parameter set that wrote it, over its records as written. Every
+// parameter must be present with matching shape. A checkpoint entry that no
+// parameter takes is an error (it signals a model-architecture mismatch)
+// unless dropped holds its name: such a record is checksummed and
+// discarded.
+func LoadParams(r io.Reader, params []*Parameter, dropped map[string]bool) (string, error) {
 	var cp checkpoint
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {
-		return fmt.Errorf("nn: decoding checkpoint: %w", err)
+		return "", fmt.Errorf("nn: decoding checkpoint: %w", err)
 	}
 	if cp.Version != 1 {
-		return fmt.Errorf("nn: unsupported checkpoint version %d", cp.Version)
+		return "", fmt.Errorf("nn: unsupported checkpoint version %d", cp.Version)
 	}
 	byName := make(map[string]paramRecord, len(cp.Params))
 	for _, rec := range cp.Params {
 		byName[rec.Name] = rec
 	}
 	if len(byName) != len(cp.Params) {
-		return fmt.Errorf("nn: checkpoint has duplicate parameter names")
+		return "", fmt.Errorf("nn: checkpoint has duplicate parameter names")
 	}
 	for _, p := range params {
 		rec, ok := byName[p.Name]
 		if !ok {
-			return fmt.Errorf("nn: checkpoint missing parameter %q", p.Name)
+			return "", fmt.Errorf("nn: checkpoint missing parameter %q", p.Name)
 		}
 		if rec.Rows != p.Value.Rows || rec.Cols != p.Value.Cols {
-			return fmt.Errorf("nn: parameter %q shape %dx%d, checkpoint has %dx%d",
+			return "", fmt.Errorf("nn: parameter %q shape %dx%d, checkpoint has %dx%d",
 				p.Name, p.Value.Rows, p.Value.Cols, rec.Rows, rec.Cols)
 		}
 		if len(rec.Data) != rec.Rows*rec.Cols {
-			return fmt.Errorf("nn: parameter %q data length %d != %d", p.Name, len(rec.Data), rec.Rows*rec.Cols)
+			return "", fmt.Errorf("nn: parameter %q data length %d != %d", p.Name, len(rec.Data), rec.Rows*rec.Cols)
 		}
 		p.Value = tensor.FromData(rec.Rows, rec.Cols, append([]float64(nil), rec.Data...))
 		delete(byName, p.Name)
 	}
-	if len(byName) != 0 {
-		for name := range byName {
-			return fmt.Errorf("nn: checkpoint parameter %q does not exist in the model", name)
+	for name := range byName {
+		if !dropped[name] {
+			return "", fmt.Errorf("nn: checkpoint parameter %q does not exist in the model", name)
 		}
 	}
-	return nil
+	return checksum(cp.Params), nil
 }

@@ -30,7 +30,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for _, p := range dst {
 		p.Value.Fill(99)
 	}
-	if err := LoadParams(&buf, dst); err != nil {
+	if _, err := LoadParams(&buf, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
@@ -42,6 +42,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadChecksumsRecordsAsWritten: LoadParams returns the checksum of the
+// parameter set that wrote the checkpoint, dropped records included.
+func TestLoadChecksumsRecordsAsWritten(t *testing.T) {
+	src := paramSet(t)
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := paramSet(t)[:2]
+	sum, err := LoadParams(&buf, dst, map[string]bool{"out.W": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != ChecksumParams(src) {
+		t.Errorf("checksum %.12s, the writer's parameters give %.12s", sum, ChecksumParams(src))
+	}
+	if sum == ChecksumParams(dst) {
+		t.Error("checksum leaves the dropped record out")
+	}
+}
+
 func TestLoadedValuesAreIndependent(t *testing.T) {
 	src := paramSet(t)
 	var buf bytes.Buffer
@@ -49,7 +70,7 @@ func TestLoadedValuesAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := paramSet(t)
-	if err := LoadParams(&buf, dst); err != nil {
+	if _, err := LoadParams(&buf, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	dst[0].Value.Set(0, 0, 12345)
@@ -82,26 +103,33 @@ func TestLoadRejectsMismatches(t *testing.T) {
 
 	// Missing parameter in checkpoint.
 	extra := append(paramSet(t), NewParameter("new.W", 2, 2))
-	if err := LoadParams(save(), extra); err == nil {
+	if _, err := LoadParams(save(), extra, nil); err == nil {
 		t.Error("missing checkpoint entry accepted")
 	}
 	// Shape mismatch.
 	reshaped := paramSet(t)
 	reshaped[0] = NewParameter("layer1.W", 5, 5)
-	if err := LoadParams(save(), reshaped); err == nil {
+	if _, err := LoadParams(save(), reshaped, nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 	// Extra checkpoint entry (model smaller than checkpoint).
 	smaller := paramSet(t)[:2]
-	if err := LoadParams(save(), smaller); err == nil {
+	if _, err := LoadParams(save(), smaller, nil); err == nil {
 		t.Error("extra checkpoint entry accepted")
 	}
+	// An extra entry the caller names as dropped is skipped, and only that one.
+	if _, err := LoadParams(save(), smaller, map[string]bool{"out.W": true}); err != nil {
+		t.Errorf("dropped checkpoint entry refused: %v", err)
+	}
+	if _, err := LoadParams(save(), paramSet(t)[1:], map[string]bool{"out.W": true}); err == nil {
+		t.Error("extra checkpoint entry outside the dropped set accepted")
+	}
 	// Garbage input.
-	if err := LoadParams(strings.NewReader("{bad"), paramSet(t)); err == nil {
+	if _, err := LoadParams(strings.NewReader("{bad"), paramSet(t), nil); err == nil {
 		t.Error("garbage accepted")
 	}
 	// Wrong version.
-	if err := LoadParams(strings.NewReader(`{"version":9,"params":[]}`), nil); err == nil {
+	if _, err := LoadParams(strings.NewReader(`{"version":9,"params":[]}`), nil, nil); err == nil {
 		t.Error("future version accepted")
 	}
 }
@@ -116,7 +144,7 @@ func TestCheckpointPreservesPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2 := NewLinear("fit", 3, 1, rand.New(rand.NewSource(99)))
-	if err := LoadParams(&buf, l2.Params()); err != nil {
+	if _, err := LoadParams(&buf, l2.Params(), nil); err != nil {
 		t.Fatal(err)
 	}
 	f1 := NewForward()

@@ -16,10 +16,12 @@
 //
 // There is one way from a checkpoint directory to a model: Load, which
 // reads and verifies the manifest and weights (a config/weights mismatch or
-// checksum drift fails there, not in a later request) and returns an Entry
+// checksum drift fails there, not in a later request; an older model's
+// checkpoint, with an attention pair and a weight coefficient for every
+// relation, loads with the extras skipped, gnn.Model.Load) and returns an Entry
 // holding the model resident with its engine weights built. Open loads
 // every checkpoint under a root through it and indexes them. A model is at
-// most 34 873 parameters (272 kB in float64), so nothing is loaded lazily or
+// most 33 508 parameters (262 kB in float64), so nothing is loaded lazily or
 // evicted: an Entry, once built, never touches its files again. Entry
 // implements the serving layer's BatchPredictor, which is how cmd/serve
 // plugs checkpoints straight into its batcher without knowing about files.
@@ -309,12 +311,16 @@ func load(cp Checkpoint) (*Entry, error) {
 	}
 	defer f.Close()
 	m := gnn.NewModel(man.Config)
-	if err := m.Load(f); err != nil {
+	sum, err := m.Load(f)
+	if err != nil {
 		return nil, fmt.Errorf("registry: %s: config/weights mismatch: %w", cp.Dir, err)
 	}
-	if man.Checksum != "" && m.Checksum() != man.Checksum {
+	// The file's checksum, over its records as written: an older
+	// checkpoint holds parameters the model drops (gnn.Model.Load), so the
+	// loaded model's own Checksum no longer covers the whole file.
+	if man.Checksum != "" && sum != man.Checksum {
 		return nil, fmt.Errorf("registry: %s: weights checksum mismatch (manifest %.12s…, file %.12s…)",
-			cp.Dir, man.Checksum, m.Checksum())
+			cp.Dir, man.Checksum, sum)
 	}
 	return &Entry{
 		Manifest: man,

@@ -11,6 +11,7 @@ import (
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
+	"paragraph/internal/nn"
 	"paragraph/internal/paragraph"
 )
 
@@ -175,6 +176,85 @@ func TestOpenRejectsChecksumDrift(t *testing.T) {
 		t.Fatal("Open accepted swapped weights")
 	} else if !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Errorf("error = %v, want checksum mismatch", err)
+	}
+}
+
+// TestOpenCheckpointRecordsBeyondTheModel pins the rule for weights the
+// model lacks: a checkpoint may hold the attention vectors off Ref and the
+// edge-weight coefficients off Child that older models held (gnn.Model.Load
+// skips exactly those names), and nothing else — a record under any other
+// name is refused, even when the manifest's checksum matches the file.
+func TestOpenCheckpointRecordsBeyondTheModel(t *testing.T) {
+	for extra, ok := range map[string]bool{
+		"conv0.asrc0":  true,  // relation 0's attention vector
+		"conv0.wcoef5": true,  // relation 5's coefficient
+		"conv0.asrc8":  false, // no relation 8
+		"conv1.wcoef1": false, // no second layer
+		"conv0.gate0":  false,
+	} {
+		root := t.TempDir()
+		model := saveTest(t, root, hw.V100(), "default", 7)
+		params := append(model.Params(), nn.NewParameter(extra, 4, 1))
+		dir := ckptDir(root, hw.V100(), "default")
+		f, err := os.Create(filepath.Join(dir, "weights.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nn.SaveParams(f, params); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		rewriteManifest(t, dir, func(man *Manifest) { man.Checksum = nn.ChecksumParams(params) })
+		reg, err := Open(root, Options{})
+		switch {
+		case ok && err != nil:
+			t.Errorf("%s: a dropped record refused: %v", extra, err)
+		case ok:
+			e, _ := reg.Lookup(hw.V100().Name, "")
+			s := []*gnn.Sample{testSample(t)}
+			if got, want := e.PredictBatch(s)[0], model.PredictBatch(s)[0]; got != want {
+				t.Errorf("%s: loaded entry predicts %v, the saved model %v", extra, got, want)
+			}
+		case err == nil:
+			t.Errorf("%s: a checkpoint with a record outside the dropped set loaded", extra)
+		}
+	}
+
+	// The checksum covers the skipped records: the PR 20 checkpoint with
+	// one value of relation 0's attention vector changed is refused.
+	dir := filepath.Join(t.TempDir(), "nvidia-v100-gpu", "parent-pr20")
+	src := filepath.Join("testdata", "registry-pr20", "nvidia-v100-gpu", "parent-pr20")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"manifest.json", "weights.json"} {
+		raw, err := os.ReadFile(filepath.Join(src, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file == "weights.json" {
+			var cp struct {
+				Version int               `json:"version"`
+				Params  []json.RawMessage `json:"params"`
+			}
+			if err := json.Unmarshal(raw, &cp); err != nil {
+				t.Fatal(err)
+			}
+			for i, rec := range cp.Params {
+				if strings.Contains(string(rec), `"conv0.asrc0"`) {
+					cp.Params[i] = json.RawMessage(`{"name":"conv0.asrc0","rows":4,"cols":1,"data":[1,2,3,4]}`)
+				}
+			}
+			if raw, err = json.Marshal(cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Errorf("a checkpoint whose skipped record changed: err = %v, want a checksum mismatch", err)
 	}
 }
 
