@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -325,6 +326,46 @@ func BenchmarkGNNTrainStep(b *testing.B) {
 			step(0, grad)
 		}
 	})
+}
+
+// BenchmarkTrainEpoch measures gnn.Model.Train in offline_train's shape
+// (bench/train.go): the default POWER9 sweep prepared at the ParaGraph
+// level, a seed-1 pick of 64 training and 16 validation samples, the served
+// model's shape (Hidden 24, Layers 3) and mini-batches of 16. Each
+// iteration fits a fresh model for 15 epochs, validation included, and
+// ms/epoch is the mean epoch: per-example gradients, the merge, clip and
+// Adam step of each mini-batch, then the validation pass.
+func BenchmarkTrainEpoch(b *testing.B) {
+	plat, err := dataset.Collect(hw.Power9(), dataset.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := dataset.Prepare(plat.Points, dataset.PrepConfig{Level: paragraph.LevelParaGraph, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(from []*gnn.Sample, n int) []*gnn.Sample {
+		if len(from) < n {
+			b.Fatalf("%d samples, need %d", len(from), n)
+		}
+		out := make([]*gnn.Sample, n)
+		for i, idx := range rng.Perm(len(from))[:n] {
+			out[i] = from[idx]
+		}
+		return out
+	}
+	train, val := pick(prep.Train, 64), pick(prep.Val, 16)
+	cfg := gnn.Config{Seed: 1, Hidden: 24, Layers: 3, Relations: int(paragraph.NumEdgeTypes)}
+	const epochs = 15
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := gnn.NewModel(cfg)
+		if _, err := m.Train(train, val, gnn.TrainConfig{Epochs: epochs, BatchSize: 16, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*epochs), "ms/epoch")
 }
 
 // --- design-choice ablation benchmarks ---

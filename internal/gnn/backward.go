@@ -1,6 +1,8 @@
 package gnn
 
 import (
+	"math"
+
 	"paragraph/internal/nn"
 	"paragraph/internal/tensor"
 )
@@ -61,8 +63,8 @@ type gradWS struct {
 	workspace
 	dh, dIn tensor.Matrix // N×H: dL/d(a layer's output), then dL/d(its input)
 	dq      tensor.Matrix // a relation's source rows × H: dL/dq
-	opT     tensor.Matrix // a transposed operand
-	tmp     tensor.Matrix // a product, before it is added in
+	tmp     tensor.Matrix // dQ·W_rᵀ, before it is added in
+	offs    []int         // where each row a weight gradient reads starts in h
 	dsSrc   []float64     // per source row of a relation: dL/d(its score)
 	dAlpha  []float64     // one run's dL/dα
 	vec     []float64     // the head's, then one relation's, H-vectors
@@ -161,24 +163,19 @@ func backRow(w *tensor.Matrix, dz []float64, pass []bool, dx []float64) {
 	}
 }
 
-// addATB adds a[rows]ᵀ·b into dst (a.Cols × b.Cols, row-major) through the
-// tiled kernel; nil rows means every row of a.
-func (gw *gradWS) addATB(a *tensor.Matrix, rows []int, b *tensor.Matrix, dst []float64) {
-	m := b.Rows
-	reshape(&gw.opT, a.Cols, m)
-	for k := 0; k < m; k++ {
+// addHTB adds h[rows]ᵀ·b into dst (H × b.Cols, row-major), a weight
+// gradient read from the layer input h where it lies; nil rows means
+// every row of h, in order.
+func (gw *gradWS) addHTB(h *tensor.Matrix, rows []int, b *tensor.Matrix, dst []float64) {
+	gw.offs = resize(gw.offs, b.Rows)
+	for k := range gw.offs {
 		i := k
 		if rows != nil {
 			i = rows[k]
 		}
-		for c, v := range a.Row(i) {
-			gw.opT.Data[c*m+k] = v
-		}
+		gw.offs[k] = i * h.Cols
 	}
-	tensor.MatMulInto(&gw.opT, b, &gw.tmp)
-	for j, v := range gw.tmp.Data {
-		dst[j] += v
-	}
+	tensor.AddMatMulTInto(h, gw.offs, b, dst)
 }
 
 // axpy adds a·x into y's leading len(x) elements.
@@ -199,14 +196,20 @@ func (gw *gradWS) layer(w *weights, st *slot, li int, grad []float64) {
 	in := ws.h(st, li)
 
 	// Through the ReLU, then the self projection and bias, whose input
-	// gradient dOut·W_selfᵀ starts dL/dh^li.
+	// gradient dOut·W_selfᵀ starts dL/dh^li. The mask is an and on the
+	// bits, +0 where the ReLU blocked: the pattern is effectively random,
+	// so a branch would mispredict on half the elements.
 	dOut := &gw.dh
-	for i, ok := range ws.pass[li*n*hd : (li+1)*n*hd] {
-		if !ok {
-			dOut.Data[i] = 0
+	pass := ws.pass[li*n*hd : (li+1)*n*hd]
+	dd := dOut.Data[:len(pass)]
+	for i, ok := range pass {
+		var keep uint64
+		if ok {
+			keep = 1
 		}
+		dd[i] = math.Float64frombits(math.Float64bits(dd[i]) & -keep)
 	}
-	gw.addATB(&in, nil, dOut, grad[l.at.self:])
+	gw.addHTB(&in, nil, dOut, grad[l.at.self:])
 	bias := grad[l.at.bias : l.at.bias+hd]
 	for i := 0; i < n; i++ {
 		for j, v := range dOut.Row(i) {
@@ -242,11 +245,10 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 		clear(gPDst)
 	}
 
-	wscale := st.g.weightScale()
-	var logW []float64 // Child's weights and coefficient; nil off Child
+	var wt []float64 // Child's w̃ (plan order) and coefficient; nil off Child
 	var c float64
-	if r == child {
-		logW, c = st.g.Rels[r].LogW, l.wCoef[0]
+	if r == child && st.g.Rels[r].LogW != nil {
+		wt, c = ws.wt, l.wCoef[0]
 	}
 	var dc float64
 	for t, d := range rp.runDst {
@@ -258,14 +260,14 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 			// dc += w̃·(dOut_d·q).
 			for i := lo; i < hi; i++ {
 				si := rp.edgeSrcIdx[i]
-				k, wt := 1.0, 0.0
-				if logW != nil {
-					wt = logW[rp.edge[i]] / wscale
-					k = float64(wt*c) + 1
+				k, ew := 1.0, 0.0
+				if wt != nil {
+					ew = wt[i]
+					k = float64(ew*c) + 1
 				}
 				axpy(gw.dq.Row(si), k, dRow)
-				if wt != 0 {
-					dc += float64(wt * tensor.Dot(dRow, q.Row(si)))
+				if ew != 0 {
+					dc += float64(ew * tensor.Dot(dRow, q.Row(si)))
 				}
 			}
 			continue
@@ -304,7 +306,7 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 	// dW_r = h_srcᵀ·dQ; on Ref it adds g_pSrc·aSrcᵀ + g_pDst·aDstᵀ, and
 	// da = W_Refᵀ·g_p.
 	gW := grad[l.at.w[r] : l.at.w[r]+hd*hd]
-	gw.addATB(&in, rp.srcList, &gw.dq, gW)
+	gw.addHTB(&in, rp.srcList, &gw.dq, gW)
 	if r == ref {
 		for si, node := range rp.srcList {
 			if ds := gw.dsSrc[si]; ds != 0 {

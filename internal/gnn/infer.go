@@ -323,6 +323,7 @@ type workspace struct {
 	srcNodes, srcSlots       []int  // a relation's dirty sources: node ids and srcList indices
 	gather, proj             tensor.Matrix
 	logits                   []float64 // longest-run softmax scratch
+	wt                       []float64 // Child's w̃ = LogW/WScale per edge, in plan order
 
 	pooled  tensor.Matrix // 1×H mean-pooled graph embedding
 	emb     tensor.Matrix // 1×H fc1 output
@@ -495,6 +496,16 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 		}
 	}
 	st.g = g
+
+	// w̃ depends on the graph alone: every layer, and the backward, reads
+	// it from here.
+	if len(g.Rels) > child && g.Rels[child].LogW != nil {
+		logW, wscale, edge := g.Rels[child].LogW, g.weightScale(), ws.plan.rels[child].edge
+		ws.wt = resize(ws.wt, len(edge))
+		for i, e := range edge {
+			ws.wt[i] = logW[e] / wscale
+		}
+	}
 
 	rows := ws.rows[:0]
 	for i, d := range dirty {
@@ -685,7 +696,6 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 		copy(out.Row(d), self.Row(d))
 	}
 
-	wscale := g.weightScale()
 	for r := range rels {
 		rp := &p.rels[r]
 		if len(rp.edge) == 0 {
@@ -735,10 +745,10 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 				}
 			}
 		}
-		var logW []float64 // Child's weights and coefficient; nil off Child
+		var wt []float64 // Child's w̃ (plan order) and coefficient; nil off Child
 		var c float64
-		if r == child {
-			logW, c = g.Rels[r].LogW, l.wCoef[0]
+		if r == child && g.Rels[r].LogW != nil {
+			wt, c = ws.wt, l.wCoef[0]
 		}
 		for t, d := range rp.runDst {
 			if !next[d] {
@@ -759,10 +769,8 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 				if alpha != nil {
 					f = alpha[i-lo] * inv
 				}
-				if logW != nil {
-					if wt := logW[rp.edge[i]] / wscale; wt != 0 {
-						f *= float64(wt*c) + 1
-					}
+				if wt != nil && wt[i] != 0 {
+					f *= float64(wt[i]*c) + 1
 				}
 				for j, qv := range q.Row(rp.edgeSrcIdx[i]) {
 					drow[j] += float64(qv * f)

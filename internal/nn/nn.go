@@ -188,26 +188,30 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step applies one Adam update from the parameters' accumulated gradients
-// and zeroes them.
+// and zeroes them. The update is per element, so it runs over parameter
+// ranges on GOMAXPROCS goroutines (forEachRange) with every element's bits
+// as a sequential pass would give them.
 func (a *Adam) Step(params []*Parameter) {
 	a.step++
 	c1 := 1 - fp.Pow(a.Beta1, a.step)
 	c2 := 1 - fp.Pow(a.Beta2, a.step)
 	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = tensor.New(p.Value.Rows, p.Value.Cols)
-			a.m[p] = m
+		if _, ok := a.m[p]; !ok {
+			a.m[p] = tensor.New(p.Value.Rows, p.Value.Cols)
 			a.v[p] = tensor.New(p.Value.Rows, p.Value.Cols)
 		}
-		v := a.v[p]
-		for i, g := range p.Grad.Data {
-			m.Data[i] = float64(a.Beta1*m.Data[i]) + float64((1-a.Beta1)*g)
-			v.Data[i] = float64(a.Beta2*v.Data[i]) + float64((1-a.Beta2)*g*g)
-			mh := m.Data[i] / c1
-			vh := v.Data[i] / c2
-			p.Value.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
-		p.ZeroGrad()
 	}
+	forEachRange(params, func(k, lo, hi, _ int) {
+		p := params[k]
+		grad, val := p.Grad.Data[lo:hi], p.Value.Data[lo:hi]
+		m, v := a.m[p].Data[lo:hi], a.v[p].Data[lo:hi]
+		for i, g := range grad {
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)
+			mh := m[i] / c1
+			vh := v[i] / c2
+			val[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+		}
+		clear(grad)
+	})
 }

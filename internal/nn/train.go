@@ -74,12 +74,14 @@ func NumElements(params []*Parameter) int {
 // on MSE): each epoch shuffles the n examples, and each mini-batch computes
 // its examples' gradients data-parallel across GOMAXPROCS goroutines,
 // merges them in batch order (see batchGradients), clips the global norm
-// and takes one Adam step on params. batch is called once per mini-batch,
-// after the previous step, and returns that batch's Gradient, so a model
-// can derive whatever it computes gradients from once per step. validate
-// runs after each epoch's last step and returns that epoch's validation
-// RMSE. The result depends on cfg.Seed, the gradients and the parameter
-// values, not on GOMAXPROCS.
+// and takes one Adam step on params. The merge and the Adam step run over
+// parameter ranges on GOMAXPROCS goroutines too (forEachRange); the clip's
+// norm is one sum, in one order, on one goroutine. batch is called once
+// per mini-batch, after the previous step, and returns that batch's
+// Gradient, so a model can derive whatever it computes gradients from once
+// per step. validate runs after each epoch's last step and returns that
+// epoch's validation RMSE. The result depends on cfg.Seed, the gradients
+// and the parameter values, not on GOMAXPROCS.
 func Train(params []*Parameter, n int, cfg TrainConfig, batch func() Gradient, validate func() float64) (History, error) {
 	cfg = cfg.withDefaults()
 	if n == 0 {
@@ -126,10 +128,12 @@ func Train(params []*Parameter, n int, cfg TrainConfig, batch func() Gradient, v
 // batchGradients computes and accumulates gradients for one minibatch,
 // returning the mean loss. GOMAXPROCS workers run the per-example
 // gradients concurrently, each into its example's batch slot; the merge
-// into the shared parameters then runs over the slots in batch order.
-// Floating-point addition does not associate, so a merge in arrival order
-// would make the weights depend on goroutine scheduling; merged in batch
-// order, training is a function of its seed and data at any worker count.
+// into the shared parameters then adds the slots into every element in
+// batch order. Floating-point addition does not associate, so a merge in
+// arrival order would make the weights depend on goroutine scheduling;
+// merged in batch order, training is a function of its seed and data at
+// any worker count. The merge itself is split across goroutines by element
+// range, which changes no element's sequence of additions.
 func batchGradients(params []*Parameter, batch []int, grad Gradient, bufs [][]float64) float64 {
 	losses := make([]float64, len(batch))
 	var wg sync.WaitGroup
@@ -152,16 +156,59 @@ func batchGradients(params []*Parameter, batch []int, grad Gradient, bufs [][]fl
 	wg.Wait()
 
 	scale := 1 / float64(len(batch))
-	var totalLoss float64
-	for i, buf := range bufs[:len(batch)] {
-		for _, p := range params {
-			pg := p.Grad.Data
-			for j, v := range buf[:len(pg)] {
-				pg[j] += float64(scale * v)
+	slots := bufs[:len(batch)]
+	forEachRange(params, func(k, i, j, off int) {
+		pg := params[k].Grad.Data[i:j]
+		for _, buf := range slots {
+			for e, v := range buf[off+i : off+j] {
+				pg[e] += float64(scale * v)
 			}
-			buf = buf[len(pg):]
 		}
-		totalLoss += float64(losses[i] * scale)
+	})
+	var totalLoss float64
+	for _, l := range losses {
+		totalLoss += float64(l * scale)
 	}
 	return totalLoss
+}
+
+// forEachRange runs fn over every element of params on GOMAXPROCS
+// goroutines, the caller's included, and returns when all have finished.
+// The elements in Params order (a Gradient buffer's) are cut into one
+// contiguous range per goroutine, and fn sees each parameter's share of a
+// range: its index k in params, the elements [i, j) of its data, and off,
+// where its data starts in the flat order. Each element is in exactly one
+// range, so fn may write an element's state without synchronisation.
+func forEachRange(params []*Parameter, fn func(k, i, j, off int)) {
+	n := NumElements(params)
+	if n == 0 {
+		return
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(lo, hi int) {
+			defer wg.Done()
+			eachPart(params, lo, hi, fn)
+		}(n*w/workers, n*(w+1)/workers)
+	}
+	eachPart(params, 0, n/workers, fn)
+	wg.Wait()
+}
+
+// eachPart calls fn on every parameter's share of the flat range [lo, hi),
+// as forEachRange describes.
+func eachPart(params []*Parameter, lo, hi int, fn func(k, i, j, off int)) {
+	off := 0
+	for k, p := range params {
+		if off >= hi {
+			return
+		}
+		size := len(p.Value.Data)
+		if i, j := max(lo-off, 0), min(hi-off, size); i < j {
+			fn(k, i, j, off)
+		}
+		off += size
+	}
 }

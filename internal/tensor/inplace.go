@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // This file holds the destination-passing kernels behind the inference
 // engine (internal/gnn): each op writes into a caller-owned matrix instead of
 // allocating a fresh one, so a whole forward pass can run out of a pooled
@@ -55,6 +57,22 @@ func MatMulInto(a, b, dst *Matrix) {
 	matMulTiled(a.Data, a.Rows, a.Cols, b.Data, b.Cols, dst.Data)
 }
 
+// AddMatMulTInto computes dst += a[rows]ᵀ×b without materialising the
+// transpose. offs lists, per row t of b, where its paired row of a starts
+// in a.Data: rows[t]·a.Cols, or t·a.Cols when every row of a is used in
+// order. dst holds a.Cols×b.Cols elements, row-major, and must not alias a
+// or b. Each element sums its len(offs) products in t order from +0, each
+// product and sum rounded on its own, then adds the sum into dst once: the
+// bits of TransposeInto of the gathered rows, MatMulInto and an add, on the
+// AVX kernel and in Go alike.
+func AddMatMulTInto(a *Matrix, offs []int, b *Matrix, dst []float64) {
+	if len(offs) != b.Rows || len(dst) < a.Cols*b.Cols {
+		panic(fmt.Sprintf("tensor: AddMatMulTInto %d rows of %dx%d ᵀ× %dx%d into %d",
+			len(offs), a.Rows, a.Cols, b.Rows, b.Cols, len(dst)))
+	}
+	matMulTAdd(a.Data, offs, a.Cols, b.Data, b.Cols, dst[:a.Cols*b.Cols])
+}
+
 // TransposeInto computes dst = aᵀ. dst must not alias a.
 func TransposeInto(a, dst *Matrix) {
 	dst.reshape(a.Cols, a.Rows)
@@ -97,17 +115,35 @@ func LeakyReLUInto(a *Matrix, alpha float64, dst *Matrix) {
 // MeanRowsInto computes the 1×C mean over a's rows, accumulating in row
 // order and scaling by 1/rows exactly as the tape op does. dst must not
 // alias a.
+//
+// Four columns at a time keep their sums in registers across the rows; each
+// column is still summed row by row from +0, so the bits do not depend on
+// the blocking.
 func MeanRowsInto(a, dst *Matrix) {
 	shapeCheck(a.Rows > 0, "MeanRowsInto of empty matrix")
 	dst.reshape(1, a.Cols)
-	clear(dst.Data)
-	for i := 0; i < a.Rows; i++ {
-		for j, v := range a.Row(i) {
-			dst.Data[j] += v
+	c, d, n := a.Cols, dst.Data, a.Rows*a.Cols
+	j := 0
+	for ; j+4 <= c; j += 4 {
+		var s0, s1, s2, s3 float64
+		for off := j; off < n; off += c {
+			r := a.Data[off : off+4 : off+4]
+			s0 += r[0]
+			s1 += r[1]
+			s2 += r[2]
+			s3 += r[3]
 		}
+		d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
+	}
+	for ; j < c; j++ {
+		var s float64
+		for off := j; off < n; off += c {
+			s += a.Data[off]
+		}
+		d[j] = s
 	}
 	inv := 1 / float64(a.Rows)
-	for j := range dst.Data {
-		dst.Data[j] *= inv
+	for j := range d {
+		d[j] *= inv
 	}
 }

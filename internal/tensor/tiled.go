@@ -1,7 +1,12 @@
 package tensor
 
-// This file holds the cache-blocked matrix-multiply kernel behind
-// MatMulInto (inplace.go), the engine's only matmul.
+// This file holds the cache-blocked matrix-multiply kernels: matMulTiled
+// behind MatMulInto (inplace.go), every product of the forward pass and
+// the backward's input gradients, and the transpose-free matMulTAdd behind
+// AddMatMulTInto, the backward's weight gradients dst += a[rows]ᵀ×b. The second is the first with its left operand read
+// down the columns of a where a lies — the row paired with b's row t starts
+// at a[offs[t]] — so no transpose is ever materialised, and each result is
+// added into dst once at the end of its k loop.
 //
 // Blocking strategy, sized for the inference workload (k = Hidden ≤ 128,
 // m up to a few hundred graph nodes):
@@ -73,6 +78,108 @@ func matMulTiled(a []float64, m, k int, b []float64, n int, dst []float64) {
 			}
 			tiledRows1(a1, b, n, jc+nv, nc-nv, d1)
 		}
+	}
+}
+
+// matMulTAdd computes dst += aᵀ×b over a gathered set of a's rows: row t
+// of the gathered a (k = len(offs) rows of m elements) starts at a[offs[t]],
+// b is k×n and dst is m×n. Each dst element sums its k products from +0 in
+// t order, as matMulTiled does for the materialised transpose, and then
+// adds the sum into dst, so the result has the bits of transposing,
+// multiplying and adding. dst must not alias a or b.
+func matMulTAdd(a []float64, offs []int, m int, b []float64, n int, dst []float64) {
+	for _, off := range offs {
+		if off < 0 || off > len(a)-m {
+			panic("tensor: AddMatMulTInto row offset out of range")
+		}
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	for jc := 0; jc < n; jc += ncPanel {
+		nc := min(n-jc, ncPanel)
+		nv := 0
+		if useAVX && len(offs) > 0 {
+			nv = nc - nc%avxCols
+		}
+		i := 0
+		for ; i+mrTile <= m; i += mrTile {
+			d2 := dst[i*n : (i+2)*n]
+			if nv > 0 {
+				rows2TAVX(a, offs, i, b, n, jc, nv, d2)
+			}
+			tiledRows2T(a, offs, i, b, n, jc+nv, nc-nv, d2)
+		}
+		for ; i < m; i++ {
+			d1 := dst[i*n : (i+1)*n]
+			if nv > 0 {
+				rows1TAVX(a, offs, i, b, n, jc, nv, d1)
+			}
+			tiledRows1T(a, offs, i, b, n, jc+nv, nc-nv, d1)
+		}
+	}
+}
+
+// tiledRows2T is tiledRows2 on columns i and i+1 of the gathered a: it adds
+// a[:, i:i+2]ᵀ × b[:, jc:jc+nc] into the 2×n dst row block.
+func tiledRows2T(a []float64, offs []int, i int, b []float64, n, jc, nc int, dst []float64) {
+	d0, d1 := dst[:n], dst[n:2*n]
+	j := jc
+	for ; j+nrTile <= jc+nc; j += nrTile {
+		var c00, c01, c02, c03 float64
+		var c10, c11, c12, c13 float64
+		for t, off := range offs {
+			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
+			b0, b1, b2, b3 := bt[0], bt[1], bt[2], bt[3]
+			a2 := a[off+i : off+i+2 : off+i+2]
+			av := a2[0]
+			c00 += float64(av * b0)
+			c01 += float64(av * b1)
+			c02 += float64(av * b2)
+			c03 += float64(av * b3)
+			av = a2[1]
+			c10 += float64(av * b0)
+			c11 += float64(av * b1)
+			c12 += float64(av * b2)
+			c13 += float64(av * b3)
+		}
+		d0[j], d0[j+1], d0[j+2], d0[j+3] = d0[j]+c00, d0[j+1]+c01, d0[j+2]+c02, d0[j+3]+c03
+		d1[j], d1[j+1], d1[j+2], d1[j+3] = d1[j]+c10, d1[j+1]+c11, d1[j+2]+c12, d1[j+3]+c13
+	}
+	for ; j < jc+nc; j++ {
+		var c0, c1 float64
+		for t, off := range offs {
+			bv := b[t*n+j]
+			c0 += float64(a[off+i] * bv)
+			c1 += float64(a[off+i+1] * bv)
+		}
+		d0[j] += c0
+		d1[j] += c1
+	}
+}
+
+// tiledRows1T is tiledRows1 on column i of the gathered a: it adds
+// a[:, i]ᵀ × b[:, jc:jc+nc] into the dst row.
+func tiledRows1T(a []float64, offs []int, i int, b []float64, n, jc, nc int, dst []float64) {
+	j := jc
+	for ; j+nrTile <= jc+nc; j += nrTile {
+		var c0, c1, c2, c3 float64
+		for t, off := range offs {
+			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
+			av := a[off+i]
+			c0 += float64(av * bt[0])
+			c1 += float64(av * bt[1])
+			c2 += float64(av * bt[2])
+			c3 += float64(av * bt[3])
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = dst[j]+c0, dst[j+1]+c1, dst[j+2]+c2, dst[j+3]+c3
+	}
+	for ; j < jc+nc; j++ {
+		var c float64
+		for t, off := range offs {
+			c += float64(a[off+i] * b[t*n+j])
+		}
+		dst[j] += c
 	}
 }
 

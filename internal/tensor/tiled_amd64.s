@@ -107,6 +107,122 @@ step1:
 	VZEROUPPER
 	RET
 
+// The transposed kernels behind matMulTAdd: the same loops, with a's two
+// (or one) values at step t broadcast from a[offs[t]+i] and a[offs[t]+i+1]
+// instead of from two rows of a, and each finished accumulator added into
+// dst (VADDPD) before it is stored.
+
+// func mul2x12T(a *float64, offs *int, b, d0, d1 *float64, k, n, nblk int)
+TEXT ·mul2x12T(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), SI
+	MOVQ offs+8(FP), DI
+	MOVQ b+16(FP), DX
+	MOVQ d0+24(FP), R8
+	MOVQ d1+32(FP), R9
+	MOVQ k+40(FP), CX
+	MOVQ n+48(FP), R10
+	MOVQ nblk+56(FP), R11
+	SHLQ $3, R10 // b's row stride in bytes
+
+blockT2:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	MOVQ   DX, BX     // &b[t, j]
+	XORQ   AX, AX     // t
+
+stepT2:
+	MOVQ         (DI)(AX*8), R12 // offs[t]
+	VBROADCASTSD (SI)(R12*8), Y6
+	VBROADCASTSD 8(SI)(R12*8), Y7
+	VMOVUPD      (BX), Y8
+	VMOVUPD      32(BX), Y9
+	VMOVUPD      64(BX), Y10
+	VMULPD       Y8, Y6, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y6, Y12
+	VADDPD       Y12, Y1, Y1
+	VMULPD       Y10, Y6, Y13
+	VADDPD       Y13, Y2, Y2
+	VMULPD       Y8, Y7, Y14
+	VADDPD       Y14, Y3, Y3
+	VMULPD       Y9, Y7, Y15
+	VADDPD       Y15, Y4, Y4
+	VMULPD       Y10, Y7, Y11
+	VADDPD       Y11, Y5, Y5
+	ADDQ         R10, BX
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          stepT2
+
+	VADDPD  (R8), Y0, Y0
+	VADDPD  32(R8), Y1, Y1
+	VADDPD  64(R8), Y2, Y2
+	VADDPD  (R9), Y3, Y3
+	VADDPD  32(R9), Y4, Y4
+	VADDPD  64(R9), Y5, Y5
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, 32(R8)
+	VMOVUPD Y2, 64(R8)
+	VMOVUPD Y3, (R9)
+	VMOVUPD Y4, 32(R9)
+	VMOVUPD Y5, 64(R9)
+	ADDQ    $96, DX
+	ADDQ    $96, R8
+	ADDQ    $96, R9
+	DECQ    R11
+	JNZ     blockT2
+	VZEROUPPER
+	RET
+
+// func mul1x12T(a *float64, offs *int, b, d *float64, k, n, nblk int)
+TEXT ·mul1x12T(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), SI
+	MOVQ offs+8(FP), DI
+	MOVQ b+16(FP), DX
+	MOVQ d+24(FP), R8
+	MOVQ k+32(FP), CX
+	MOVQ n+40(FP), R10
+	MOVQ nblk+48(FP), R11
+	SHLQ $3, R10
+
+blockT1:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	MOVQ   DX, BX
+	XORQ   AX, AX
+
+stepT1:
+	MOVQ         (DI)(AX*8), R12
+	VBROADCASTSD (SI)(R12*8), Y6
+	VMULPD       (BX), Y6, Y8
+	VADDPD       Y8, Y0, Y0
+	VMULPD       32(BX), Y6, Y9
+	VADDPD       Y9, Y1, Y1
+	VMULPD       64(BX), Y6, Y10
+	VADDPD       Y10, Y2, Y2
+	ADDQ         R10, BX
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          stepT1
+
+	VADDPD  (R8), Y0, Y0
+	VADDPD  32(R8), Y1, Y1
+	VADDPD  64(R8), Y2, Y2
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, 32(R8)
+	VMOVUPD Y2, 64(R8)
+	ADDQ    $96, DX
+	ADDQ    $96, R8
+	DECQ    R11
+	JNZ     blockT1
+	VZEROUPPER
+	RET
+
 // func cpuid1ECX() uint32
 TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
 	MOVL $1, AX

@@ -187,6 +187,81 @@ func TestAVXMatchesGo(t *testing.T) {
 	}
 }
 
+// TestAddMatMulTAVXMatchesGo holds AddMatMulTInto to what it replaces:
+// gathering the listed rows of a, transposing them, MatMulInto and adding
+// the product into dst, bit for bit, on the Go kernels and on the AVX kernel.
+// The shapes cover odd a.Cols (the 1-row remainder kernel), b.Cols off the
+// 12-column block and past a 60-column panel, a single row of b, no rows at
+// all, and row lists that skip, reorder and repeat rows of a; operands and
+// dst carry signed zeros, infinities, NaNs and subnormal products.
+func TestAddMatMulTAVXMatchesGo(t *testing.T) {
+	hasAVX := useAVX
+	defer func() { useAVX = hasAVX }()
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < equivTrials(120); trial++ {
+		ar, ac, n := 1+rng.Intn(40), 1+rng.Intn(27), 1+rng.Intn(76)
+		m := rng.Intn(50)
+		switch trial % 4 {
+		case 0:
+			m = 1
+		case 1:
+			m = 0
+		}
+		rows := make([]int, m)
+		for k := range rows {
+			rows[k] = rng.Intn(ar)
+		}
+		if trial%5 == 0 {
+			m = ar
+			rows = make([]int, m)
+			for k := range rows {
+				rows[k] = k
+			}
+		}
+		scale := 1.0
+		if trial%3 == 0 {
+			scale = 1e-160
+		}
+		a, b := specialMat(rng, ar, ac, scale), specialMat(rng, m, n, scale)
+		dst0 := specialMat(rng, ac, n, 1)
+		offs := make([]int, m)
+		for k, i := range rows {
+			offs[k] = i * ac
+		}
+
+		gathered := New(m, ac)
+		for k, i := range rows {
+			copy(gathered.Row(k), a.Row(i))
+		}
+		aT, prod := New(0, 0), New(0, 0)
+		TransposeInto(gathered, aT)
+		MatMulInto(aT, b, prod)
+		want := dst0.Clone()
+		for j, v := range prod.Data {
+			want.Data[j] += v
+		}
+
+		for _, avx := range []bool{false, true} {
+			if avx && !hasAVX {
+				continue
+			}
+			useAVX = avx
+			got := dst0.Clone()
+			AddMatMulTInto(a, offs, b, got.Data)
+			assertSameBits(t, fmt.Sprintf("AddMatMulTInto (AVX %v) vs transpose, MatMulInto, add: %d of %dx%d ᵀ× %dx%d",
+				avx, m, ar, ac, b.Rows, n), got.Data, want.Data)
+		}
+		useAVX = hasAVX
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an offset past the end of a was accepted")
+		}
+	}()
+	a := New(3, 4)
+	AddMatMulTInto(a, []int{9}, New(1, 2), make([]float64, 8))
+}
+
 // naiveMatMul is the in-order reference product: plain ijk with the k loop
 // innermost and in order from +0 — the same per-element accumulation order
 // as the tiled kernel, so the two agree bit for bit, signed zeros included
@@ -286,8 +361,9 @@ func TestDot(t *testing.T) {
 }
 
 // BenchmarkMatMulInto times the engine's matmul at the engine's shapes: an
-// m-node projection m×24 · 24×24, and the backward pass's weight gradient
-// 24×N · N×24 at N = 100 nodes. Each shape runs on the Go kernels and,
+// m-node projection m×24 · 24×24, and a 24×N · N×24 sum over N = 100 nodes
+// (the backward's weight-gradient shape, which BenchmarkAddMatMulTInto
+// times as the backward runs it). Each shape runs on the Go kernels and,
 // where the CPU has AVX, on the AVX kernel; GMAC/s is multiply-adds per
 // second.
 func BenchmarkMatMulInto(b *testing.B) {
@@ -308,6 +384,37 @@ func BenchmarkMatMulInto(b *testing.B) {
 					MatMulInto(x, w, dst)
 				}
 				macs := float64(s.m*s.k*s.n) * float64(b.N)
+				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
+	}
+}
+
+// BenchmarkAddMatMulTInto times the backward's weight gradient
+// dst += h[rows]ᵀ·dZ at Hidden 24: over every row of a 100-node h (the self
+// projection's) and over 40 of its rows (a relation's sources), on the Go
+// kernels and, where the CPU has AVX, on the AVX kernel.
+func BenchmarkAddMatMulTInto(b *testing.B) {
+	hasAVX := useAVX
+	defer func() { useAVX = hasAVX }()
+	for _, path := range []string{"go", "avx"} {
+		if path == "avx" && !hasAVX {
+			continue
+		}
+		for _, rows := range []int{100, 40} {
+			b.Run(fmt.Sprintf("%s/%d-of-100-rows", path, rows), func(b *testing.B) {
+				useAVX = path == "avx"
+				rng := rand.New(rand.NewSource(28))
+				h, dz, dst := randMat(rng, 100, 24), randMat(rng, rows, 24), make([]float64, 24*24)
+				offs := make([]int, rows)
+				for k := range offs {
+					offs[k] = k * 100 / rows * 24
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					AddMatMulTInto(h, offs, dz, dst)
+				}
+				macs := float64(24*rows*24) * float64(b.N)
 				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
