@@ -161,8 +161,10 @@ func TestSegmentSoftmaxNormalizes(t *testing.T) {
 	if sm.Value.Data[4] < 0.999 {
 		t.Errorf("dominant logit prob = %v", sm.Value.Data[4])
 	}
-	if sm.Value.HasNaN() {
-		t.Error("softmax produced NaN")
+	for _, v := range sm.Value.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("softmax produced %v", v)
+		}
 	}
 }
 

@@ -63,7 +63,6 @@ type gradWS struct {
 	workspace
 	dh, dIn tensor.Matrix // N×H: dL/d(a layer's output), then dL/d(its input)
 	dq      tensor.Matrix // a relation's source rows × H: dL/dq
-	tmp     tensor.Matrix // dQ·W_rᵀ, before it is added in
 	offs    []int         // where each row a weight gradient reads starts in h
 	dsSrc   []float64     // per source row of a relation: dL/d(its score)
 	dAlpha  []float64     // one run's dL/dα
@@ -324,14 +323,8 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 			axpy(gADst, gPDst[i], wRow)
 		}
 	}
-	// dh_src += dQ·W_rᵀ.
-	tensor.MatMulInto(&gw.dq, l.wT[r], &gw.tmp)
-	for si, node := range rp.srcList {
-		row := dIn.Row(node)
-		for j, v := range gw.tmp.Row(si) {
-			row[j] += v
-		}
-	}
+	// dh_src += dQ·W_rᵀ, added into the relation's distinct source rows.
+	tensor.MatMulRowsInto(&gw.dq, nil, l.wT[r], dIn, rp.srcList, true)
 }
 
 // embeddings backpropagates dL/dh⁰ (gw.dh) into the kind and sub-kind

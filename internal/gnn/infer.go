@@ -87,7 +87,10 @@ import (
 //     derived from a graph's weights outlives the call: dataset.Prepare
 //     rewrites WScale after encoding.
 //
-// Every matmul runs the register-blocked tiled kernel (tensor.MatMulInto).
+// Every matmul runs tensor's one register-blocked tiled kernel: the head
+// through MatMulInto, and each layer's projections through MatMulRowsInto,
+// which reads the listed rows of h and writes the listed rows of the slot
+// where they lie, so no row is gathered into or scattered out of scratch.
 
 // relPlan is one relation's edges re-ordered by destination node.
 type relPlan struct {
@@ -318,10 +321,9 @@ type workspace struct {
 	spans   [][]float64
 	old     []float64
 
-	dirty, dirtyNext, wDirty []bool // D_ℓ, D_ℓ₊₁ and W, indexed by node
-	rows, rowsNext           []int  // D_ℓ and D_ℓ₊₁ as ascending lists
-	srcNodes, srcSlots       []int  // a relation's dirty sources: node ids and srcList indices
-	gather, proj             tensor.Matrix
+	dirty, dirtyNext, wDirty []bool    // D_ℓ, D_ℓ₊₁ and W, indexed by node
+	rows, rowsNext           []int     // D_ℓ and D_ℓ₊₁ as ascending lists
+	srcNodes, srcSlots       []int     // a relation's dirty sources: node ids and srcList indices
 	logits                   []float64 // longest-run softmax scratch
 	wt                       []float64 // Child's w̃ = LogW/WScale per edge, in plan order
 
@@ -340,9 +342,13 @@ type workspace struct {
 	pass []bool
 }
 
-// retained is the bytes ws's state slots and undo log keep. They grow with
-// a graph's nodes and hold most of what a workspace keeps, a training
-// workspace's backward scratch included.
+// retained is the bytes ws's state slots and undo log keep, the buffers
+// maxRetained bounds. They grow with a graph's nodes and hold most of what
+// a workspace keeps: every matmul reads and writes them in place, so no
+// per-node gather or projection buffer sits beside them uncounted. What
+// else grows with nodes — the dirty sets, row lists and per-edge scratch,
+// and a training workspace's dL/dh, dL/dh^ℓ, dL/dq and ReLU masks — holds
+// less than one slot.
 func (ws *workspace) retained() (n int) {
 	for _, st := range ws.slots {
 		n += 8 * cap(st.buf)
@@ -605,21 +611,6 @@ func (ws *workspace) relu(m *tensor.Matrix, off int) {
 	tensor.LeakyReLUInto(m, 0, m)
 }
 
-// project computes dst = src[rows]×b, one output row per listed row. rows is
-// ascending, so a list as long as src is every row and src is multiplied
-// where it lies instead of through a gathered copy.
-func (ws *workspace) project(src *tensor.Matrix, rows []int, b, dst *tensor.Matrix) {
-	a := src
-	if len(rows) != src.Rows {
-		a = &ws.gather
-		reshape(a, len(rows), src.Cols)
-		for k, i := range rows {
-			copy(a.Row(k), src.Row(i))
-		}
-	}
-	tensor.MatMulInto(a, b, dst)
-}
-
 // layer is the fused engine counterpart of rgatLayer.apply, computing the
 // rows of h^{li+1} that can differ from the base (ws.dirty and ws.rows hold
 // D_li on entry and D_li+1 on return; every row, on a full pass). The rows
@@ -670,24 +661,18 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 	ws.dirty, ws.dirtyNext = next, dirty
 	ws.rows, ws.rowsNext = rows, changed
 
-	// Self projection plus bias of the changed rows (with every row changed
-	// it lands in place); each output row to rebuild restarts from its own.
+	// Self projection plus bias of the changed rows, computed where they
+	// lie; each output row to rebuild restarts from its own.
 	self := ws.self(st, li)
 	if len(changed) > 0 {
-		dst := &ws.proj
-		if all {
-			dst = &self
-			ws.save(self.Data)
+		for _, d := range changed {
+			ws.save(self.Row(d))
 		}
-		ws.project(&in, changed, l.self, dst)
-		bias := l.bias
-		for k, d := range changed {
-			srow, prow := self.Row(d)[:len(bias)], dst.Row(k)[:len(bias)]
-			if !all {
-				ws.save(srow)
-			}
-			for j, b := range bias {
-				srow[j] = prow[j] + b
+		tensor.MatMulRowsInto(&in, changed, l.self, &self, changed, false)
+		for _, d := range changed {
+			srow := self.Row(d)[:len(l.bias)]
+			for j, b := range l.bias {
+				srow[j] += b
 			}
 		}
 	}
@@ -709,9 +694,9 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 		// destination scores are one dot with p_dst per multi-edge run,
 		// computed inline (each destination owns exactly one run).
 		q, score := ws.q(st, li, r)
-		nodes, slots := rp.srcList, ws.srcSlots[:0] // the dirty sources and, when only some are, their rows in q
+		nodes, slots := rp.srcList, []int(nil) // the dirty sources and their rows in q (nil: every row)
 		if !all {
-			nodes = ws.srcNodes[:0]
+			nodes, slots = ws.srcNodes[:0], ws.srcSlots[:0]
 			for si, node := range rp.srcList {
 				if dirty[node] {
 					nodes, slots = append(nodes, node), append(slots, si)
@@ -720,25 +705,18 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 			ws.srcNodes, ws.srcSlots = nodes, slots
 		}
 		if len(nodes) > 0 {
-			some := len(nodes) < q.Rows
-			dst := &q
-			if some {
-				dst = &ws.proj
-			} else {
+			if slots == nil {
 				ws.save(q.Data)
 			}
-			ws.project(&in, nodes, l.w[r], dst)
-			if some {
-				for k, si := range slots {
-					ws.save(q.Row(si))
-					copy(q.Row(si), dst.Row(k))
-				}
+			for _, si := range slots {
+				ws.save(q.Row(si))
 			}
+			tensor.MatMulRowsInto(&in, nodes, l.w[r], &q, slots, false)
 			if r == ref {
 				ws.save(score)
 				for k, node := range nodes {
 					si := k
-					if some {
+					if slots != nil {
 						si = slots[k]
 					}
 					score[si] = tensor.Dot(in.Row(node), l.pSrc)

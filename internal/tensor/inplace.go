@@ -7,26 +7,29 @@ import "fmt"
 // allocating a fresh one, so a whole forward pass can run out of a pooled
 // workspace with zero heap traffic. The elementwise kernels reuse the exact
 // loop body of their allocating counterparts (or the matching autodiff tape
-// op) and produce bit-identical values; MatMulInto instead runs the tiled
+// op) and produce bit-identical values. The three matmul entry points —
+// MatMulInto, MatMulRowsInto and AddMatMulTInto — instead run the one tiled
 // kernel (tiled.go, with an AVX micro-kernel on amd64), which keeps the
 // naive MatMul's per-element accumulation order and so agrees with it to
-// the last ulp.
+// the last ulp; they differ only in where it reads a and writes dst.
 //
 // These are the kernels the engine calls directly. The message path —
 // gather, attention softmax, scatter — has no op-level form here: gnn's
 // fused RGAT loop nest (gnn/infer.go) runs it in one pass over each
 // relation's edges, and the gnn equivalence fuzz pins that nest to the tape.
 //
-// MatMulInto computes every output row from its input row alone, with one
+// The kernel computes every output row from its input row alone, with one
 // fixed accumulation order per element, so any subset of rows multiplied on
-// its own equals the same rows of the full product bit for bit. gnn's family
-// evaluation recomputes row subsets on that guarantee;
-// TestMatMulRowSubsetBitIdentical pins it.
+// its own — copied out, or read where it lies by MatMulRowsInto — equals the
+// same rows of the full product bit for bit. gnn's family evaluation
+// recomputes row subsets on that guarantee; TestMatMulRowSubsetBitIdentical
+// pins it.
 //
 // The kernels are single-goroutine by design: parallelism belongs to the
 // caller, which fans out across samples (gnn.Model.PredictBatch), not across
 // rows of one product. dst is reshaped from its existing capacity,
-// allocating only when it must grow — pre-size it to stay allocation-free.
+// allocating only when it must grow — pre-size it to stay allocation-free
+// (MatMulRowsInto and AddMatMulTInto write into dst as it is).
 
 // reshape points m at a rows×cols view of its backing array, growing the
 // array only when capacity is insufficient.
@@ -54,7 +57,36 @@ func (m *Matrix) reshape(rows, cols int) {
 func MatMulInto(a, b, dst *Matrix) {
 	shapeCheck(a.Cols == b.Rows, "MatMulInto %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	dst.reshape(a.Rows, b.Cols)
-	matMulTiled(a.Data, a.Rows, a.Cols, b.Data, b.Cols, dst.Data)
+	matMul(a.Data, nil, a.Cols, identity(a.Cols), b.Data, b.Cols, dst.Data, nil, a.Rows, false)
+}
+
+// MatMulRowsInto computes row dRows[i] of dst from row aRows[i] of a times
+// b, for every i, where they lie: dst's row is overwritten or, with add,
+// has the product added into it. A nil list (not an empty one) stands for
+// every row of its matrix in order. dst keeps its shape and its other
+// rows; its listed rows must be distinct, and it must not alias a or b.
+// Each row has the bits of the same row of MatMulInto(a, b) (plus dst's
+// row, with add): the kernel computes a row from its input row alone.
+func MatMulRowsInto(a *Matrix, aRows []int, b, dst *Matrix, dRows []int, add bool) {
+	m := len(aRows)
+	if aRows == nil {
+		m = a.Rows
+	}
+	dm := len(dRows)
+	if dRows == nil {
+		dm = dst.Rows
+	}
+	shapeCheck(a.Cols == b.Rows && dst.Cols == b.Cols && m == dm,
+		"MatMulRowsInto %d rows of %dx%d × %dx%d into %d rows of %dx%d",
+		m, a.Rows, a.Cols, b.Rows, b.Cols, dm, dst.Rows, dst.Cols)
+	// The assembly reads a unchecked, so every source row is checked here;
+	// a destination row outside dst fails the kernel's slice of it.
+	for _, i := range aRows {
+		if i < 0 || i >= a.Rows {
+			panic(fmt.Sprintf("tensor: MatMulRowsInto source row %d of %d", i, a.Rows))
+		}
+	}
+	matMul(a.Data, aRows, a.Cols, identity(a.Cols), b.Data, b.Cols, dst.Data, dRows, m, add)
 }
 
 // AddMatMulTInto computes dst += a[rows]ᵀ×b without materialising the
@@ -70,7 +102,12 @@ func AddMatMulTInto(a *Matrix, offs []int, b *Matrix, dst []float64) {
 		panic(fmt.Sprintf("tensor: AddMatMulTInto %d rows of %dx%d ᵀ× %dx%d into %d",
 			len(offs), a.Rows, a.Cols, b.Rows, b.Cols, len(dst)))
 	}
-	matMulTAdd(a.Data, offs, a.Cols, b.Data, b.Cols, dst[:a.Cols*b.Cols])
+	for _, off := range offs {
+		if off < 0 || off > len(a.Data)-a.Cols {
+			panic("tensor: AddMatMulTInto row offset out of range")
+		}
+	}
+	matMul(a.Data, nil, 1, offs, b.Data, b.Cols, dst, nil, a.Cols, true)
 }
 
 // TransposeInto computes dst = aᵀ. dst must not alias a.

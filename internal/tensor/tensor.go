@@ -157,14 +157,6 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
-// Mean returns the mean of all elements (0 for empty).
-func (m *Matrix) Mean() float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.Data))
-}
-
 // Norm2 returns the Frobenius norm.
 func (m *Matrix) Norm2() float64 {
 	var s float64
@@ -172,16 +164,6 @@ func (m *Matrix) Norm2() float64 {
 		s += float64(v * v)
 	}
 	return math.Sqrt(s)
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (m *Matrix) HasNaN() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // Glorot fills the matrix with Glorot/Xavier-uniform values using rng.

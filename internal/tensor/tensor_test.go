@@ -140,30 +140,8 @@ func TestReductions(t *testing.T) {
 	if m.Sum() != -2 {
 		t.Errorf("Sum = %v", m.Sum())
 	}
-	if m.Mean() != -0.5 {
-		t.Errorf("Mean = %v", m.Mean())
-	}
 	if math.Abs(m.Norm2()-math.Sqrt(30)) > 1e-12 {
 		t.Errorf("Norm2 = %v", m.Norm2())
-	}
-	empty := New(0, 0)
-	if empty.Mean() != 0 {
-		t.Error("empty reductions nonzero")
-	}
-}
-
-func TestHasNaN(t *testing.T) {
-	m := New(2, 2)
-	if m.HasNaN() {
-		t.Error("zero matrix has NaN?")
-	}
-	m.Set(1, 1, math.NaN())
-	if !m.HasNaN() {
-		t.Error("NaN not detected")
-	}
-	m.Set(1, 1, math.Inf(1))
-	if !m.HasNaN() {
-		t.Error("Inf not detected")
 	}
 }
 

@@ -1,12 +1,21 @@
 package tensor
 
-// This file holds the cache-blocked matrix-multiply kernels: matMulTiled
-// behind MatMulInto (inplace.go), every product of the forward pass and
-// the backward's input gradients, and the transpose-free matMulTAdd behind
-// AddMatMulTInto, the backward's weight gradients dst += a[rows]ᵀ×b. The second is the first with its left operand read
-// down the columns of a where a lies — the row paired with b's row t starts
-// at a[offs[t]] — so no transpose is ever materialised, and each result is
-// added into dst once at the end of its k loop.
+import (
+	"math/bits"
+	"sync/atomic"
+)
+
+// This file holds the engine's one matrix-multiply kernel, matMul, behind
+// all three entry points in inplace.go: MatMulInto (dense products),
+// MatMulRowsInto (listed rows of a into listed rows of dst, the forward's
+// partial projections and the backward's input gradients) and
+// AddMatMulTInto (the backward's weight gradients dst += a[rows]ᵀ×b). It
+// addresses its left operand through offsets instead of reading a
+// materialised one: output row i reads the value paired with b's row t at
+// a[base_i + offs[t]], where base_i is the row's start (a row-major a, offs
+// 0, 1, …, k−1) or its column (aᵀ, offs the starts of the listed rows). So
+// no row is gathered, no transpose is built and no result is staged before
+// it reaches its row of dst.
 //
 // Blocking strategy, sized for the inference workload (k = Hidden ≤ 128,
 // m up to a few hundred graph nodes):
@@ -27,12 +36,13 @@ package tensor
 //     architecture (it would fuse them on arm64, ppc64le, s390x and
 //     riscv64); the AVX kernel keeps the same two roundings (VMULPD,
 //     VADDPD).
-//   - No k blocking: the k loop runs innermost and in order from a +0
+//   - No k blocking: the k loop runs innermost and in t order from a +0
 //     accumulator, in every kernel, so every dst element accumulates its
 //     products in the same sequence whichever kernel computes it, and the
-//     AVX and Go kernels give the same bits (TestAVXMatchesGo). Against the
-//     naive MatMul, sums can differ only through the latter's skip-zero
-//     branch (signed-zero placement), never by reassociation —
+//     AVX and Go kernels give the same bits (TestAVXMatchesGo). The sum is
+//     then stored, or added into dst once (d + sum). Against the naive
+//     MatMul, sums can differ only through the latter's skip-zero branch
+//     (signed-zero placement), never by reassociation —
 //     TestTiledMatchesNaive pins this to ≤ 1 ulp. At the depths the model
 //     uses (k ≤ 128) a micro-kernel's a-strip is ≤ 2 KiB and needs no
 //     further blocking to stay cache-resident.
@@ -47,83 +57,73 @@ const (
 	ncPanel = 60 // b-panel width, a multiple of avxCols; k×ncPanel elements kept hot
 )
 
-// matMulTiled computes dst = a×b over raw row-major slices: a is m×k, b is
-// k×n, dst is m×n and fully overwritten. dst must not alias a or b.
-func matMulTiled(a []float64, m, k int, b []float64, n int, dst []float64) {
-	if m == 0 || n == 0 {
-		return
-	}
-	if k == 0 {
-		clear(dst[:m*n])
-		return
-	}
-	for jc := 0; jc < n; jc += ncPanel {
-		nc := min(n-jc, ncPanel)
-		nv := 0 // the panel's leading columns the AVX kernel computes
-		if useAVX {
-			nv = nc - nc%avxCols
+// seq holds 0, 1, 2, …: the offsets of a dense row. Every call shares it
+// read-only; a call that needs a longer prefix publishes a longer copy.
+var seq atomic.Pointer[[]int]
+
+// identity returns 0, 1, …, k−1 from seq.
+func identity(k int) []int {
+	for {
+		p := seq.Load()
+		if p != nil && len(*p) >= k {
+			return (*p)[:k]
 		}
-		i := 0
-		for ; i+mrTile <= m; i += mrTile {
-			a2, d2 := a[i*k:(i+2)*k], dst[i*n:(i+2)*n]
-			if nv > 0 {
-				rows2AVX(a2, k, b, n, jc, nv, d2)
-			}
-			tiledRows2(a2, k, b, n, jc+nv, nc-nv, d2)
+		s := make([]int, 1<<bits.Len(uint(k)))
+		for i := range s {
+			s[i] = i
 		}
-		for ; i < m; i++ {
-			a1, d1 := a[i*k:(i+1)*k], dst[i*n:(i+1)*n]
-			if nv > 0 {
-				rows1AVX(a1, k, b, n, jc, nv, d1)
-			}
-			tiledRows1(a1, b, n, jc+nv, nc-nv, d1)
+		if seq.CompareAndSwap(p, &s) {
+			return s[:k]
 		}
 	}
 }
 
-// matMulTAdd computes dst += aᵀ×b over a gathered set of a's rows: row t
-// of the gathered a (k = len(offs) rows of m elements) starts at a[offs[t]],
-// b is k×n and dst is m×n. Each dst element sums its k products from +0 in
-// t order, as matMulTiled does for the materialised transpose, and then
-// adds the sum into dst, so the result has the bits of transposing,
-// multiplying and adding. dst must not alias a or b.
-func matMulTAdd(a []float64, offs []int, m int, b []float64, n int, dst []float64) {
-	for _, off := range offs {
-		if off < 0 || off > len(a)-m {
-			panic("tensor: AddMatMulTInto row offset out of range")
-		}
+// at is rows[i], or i when rows is nil.
+func at(rows []int, i int) int {
+	if rows == nil {
+		return i
 	}
-	if m == 0 || n == 0 {
-		return
-	}
+	return rows[i]
+}
+
+// matMul computes m output rows over raw row-major slices, k = len(offs):
+// for i < m and j < n it sets dst[at(dRows, i)·n + j] to
+// Σ_t a[at(aRows, i)·aStride + offs[t]] · b[t·n + j], summed from +0 in t
+// order, or, with add, adds that sum into it. The caller has checked that
+// every element read or written lies in a, b and dst; dRows must not
+// repeat a row, and dst must not alias a or b.
+func matMul(a []float64, aRows []int, aStride int, offs []int, b []float64, n int, dst []float64, dRows []int, m int, add bool) {
 	for jc := 0; jc < n; jc += ncPanel {
 		nc := min(n-jc, ncPanel)
-		nv := 0
+		nv := 0 // the panel's leading columns the AVX kernel computes
 		if useAVX && len(offs) > 0 {
 			nv = nc - nc%avxCols
 		}
 		i := 0
 		for ; i+mrTile <= m; i += mrTile {
-			d2 := dst[i*n : (i+2)*n]
+			a0, a1 := at(aRows, i)*aStride, at(aRows, i+1)*aStride
+			r0, r1 := at(dRows, i)*n, at(dRows, i+1)*n
+			d0, d1 := dst[r0:r0+n], dst[r1:r1+n]
 			if nv > 0 {
-				rows2TAVX(a, offs, i, b, n, jc, nv, d2)
+				rows2AVX(a, a0, a1, offs, b, n, jc, nv, d0, d1, add)
 			}
-			tiledRows2T(a, offs, i, b, n, jc+nv, nc-nv, d2)
+			rows2(a, a0, a1, offs, b, n, jc+nv, nc-nv, d0, d1, add)
 		}
-		for ; i < m; i++ {
-			d1 := dst[i*n : (i+1)*n]
+		if i < m {
+			a0, r0 := at(aRows, i)*aStride, at(dRows, i)*n
+			d0 := dst[r0 : r0+n]
 			if nv > 0 {
-				rows1TAVX(a, offs, i, b, n, jc, nv, d1)
+				rows1AVX(a, a0, offs, b, n, jc, nv, d0, add)
 			}
-			tiledRows1T(a, offs, i, b, n, jc+nv, nc-nv, d1)
+			rows1(a, a0, offs, b, n, jc+nv, nc-nv, d0, add)
 		}
 	}
 }
 
-// tiledRows2T is tiledRows2 on columns i and i+1 of the gathered a: it adds
-// a[:, i:i+2]ᵀ × b[:, jc:jc+nc] into the 2×n dst row block.
-func tiledRows2T(a []float64, offs []int, i int, b []float64, n, jc, nc int, dst []float64) {
-	d0, d1 := dst[:n], dst[n:2*n]
+// rows2 computes two output rows across columns jc…jc+nc−1 of one panel:
+// d0[j] and d1[j] (=, or += with add) Σ_t a[a0+offs[t]]·b[t, j] and
+// Σ_t a[a1+offs[t]]·b[t, j].
+func rows2(a []float64, a0, a1 int, offs []int, b []float64, n, jc, nc int, d0, d1 []float64, add bool) {
 	j := jc
 	for ; j+nrTile <= jc+nc; j += nrTile {
 		var c00, c01, c02, c03 float64
@@ -131,119 +131,65 @@ func tiledRows2T(a []float64, offs []int, i int, b []float64, n, jc, nc int, dst
 		for t, off := range offs {
 			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
 			b0, b1, b2, b3 := bt[0], bt[1], bt[2], bt[3]
-			a2 := a[off+i : off+i+2 : off+i+2]
-			av := a2[0]
+			av := a[a0+off]
 			c00 += float64(av * b0)
 			c01 += float64(av * b1)
 			c02 += float64(av * b2)
 			c03 += float64(av * b3)
-			av = a2[1]
+			av = a[a1+off]
 			c10 += float64(av * b0)
 			c11 += float64(av * b1)
 			c12 += float64(av * b2)
 			c13 += float64(av * b3)
 		}
-		d0[j], d0[j+1], d0[j+2], d0[j+3] = d0[j]+c00, d0[j+1]+c01, d0[j+2]+c02, d0[j+3]+c03
-		d1[j], d1[j+1], d1[j+2], d1[j+3] = d1[j]+c10, d1[j+1]+c11, d1[j+2]+c12, d1[j+3]+c13
-	}
-	for ; j < jc+nc; j++ {
-		var c0, c1 float64
-		for t, off := range offs {
-			bv := b[t*n+j]
-			c0 += float64(a[off+i] * bv)
-			c1 += float64(a[off+i+1] * bv)
-		}
-		d0[j] += c0
-		d1[j] += c1
-	}
-}
-
-// tiledRows1T is tiledRows1 on column i of the gathered a: it adds
-// a[:, i]ᵀ × b[:, jc:jc+nc] into the dst row.
-func tiledRows1T(a []float64, offs []int, i int, b []float64, n, jc, nc int, dst []float64) {
-	j := jc
-	for ; j+nrTile <= jc+nc; j += nrTile {
-		var c0, c1, c2, c3 float64
-		for t, off := range offs {
-			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
-			av := a[off+i]
-			c0 += float64(av * bt[0])
-			c1 += float64(av * bt[1])
-			c2 += float64(av * bt[2])
-			c3 += float64(av * bt[3])
-		}
-		dst[j], dst[j+1], dst[j+2], dst[j+3] = dst[j]+c0, dst[j+1]+c1, dst[j+2]+c2, dst[j+3]+c3
-	}
-	for ; j < jc+nc; j++ {
-		var c float64
-		for t, off := range offs {
-			c += float64(a[off+i] * b[t*n+j])
-		}
-		dst[j] += c
-	}
-}
-
-// tiledRows2 computes two output rows across one column panel: the dst rows
-// hold a(2×k) × b[:, jc:jc+nc]. a is the 2×k row block, dst the 2×n row
-// block.
-func tiledRows2(a []float64, k int, b []float64, n, jc, nc int, dst []float64) {
-	a0, a1 := a[:k], a[k:2*k]
-	d0, d1 := dst[:n], dst[n:2*n]
-	j := jc
-	for ; j+nrTile <= jc+nc; j += nrTile {
-		var c00, c01, c02, c03 float64
-		var c10, c11, c12, c13 float64
-		for t := 0; t < k; t++ {
-			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
-			b0, b1, b2, b3 := bt[0], bt[1], bt[2], bt[3]
-			av := a0[t]
-			c00 += float64(av * b0)
-			c01 += float64(av * b1)
-			c02 += float64(av * b2)
-			c03 += float64(av * b3)
-			av = a1[t]
-			c10 += float64(av * b0)
-			c11 += float64(av * b1)
-			c12 += float64(av * b2)
-			c13 += float64(av * b3)
+		if add {
+			c00, c01, c02, c03 = d0[j]+c00, d0[j+1]+c01, d0[j+2]+c02, d0[j+3]+c03
+			c10, c11, c12, c13 = d1[j]+c10, d1[j+1]+c11, d1[j+2]+c12, d1[j+3]+c13
 		}
 		d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
 		d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
 	}
 	for ; j < jc+nc; j++ {
 		var c0, c1 float64
-		for t := 0; t < k; t++ {
+		for t, off := range offs {
 			bv := b[t*n+j]
-			c0 += float64(a0[t] * bv)
-			c1 += float64(a1[t] * bv)
+			c0 += float64(a[a0+off] * bv)
+			c1 += float64(a[a1+off] * bv)
+		}
+		if add {
+			c0, c1 = d0[j]+c0, d1[j]+c1
 		}
 		d0[j], d1[j] = c0, c1
 	}
 }
 
-// tiledRows1 is the single-row remainder kernel: dst row = a(1×k) ×
-// b[:, jc:jc+nc], with four-column unrolling where the panel allows.
-func tiledRows1(a, b []float64, n, jc, nc int, dst []float64) {
-	k := len(a)
+// rows1 is rows2 for a single output row, the remainder of an odd m.
+func rows1(a []float64, a0 int, offs []int, b []float64, n, jc, nc int, d0 []float64, add bool) {
 	j := jc
 	for ; j+nrTile <= jc+nc; j += nrTile {
 		var c0, c1, c2, c3 float64
-		for t := 0; t < k; t++ {
+		for t, off := range offs {
 			bt := b[t*n+j : t*n+j+4 : t*n+j+4]
-			av := a[t]
+			av := a[a0+off]
 			c0 += float64(av * bt[0])
 			c1 += float64(av * bt[1])
 			c2 += float64(av * bt[2])
 			c3 += float64(av * bt[3])
 		}
-		dst[j], dst[j+1], dst[j+2], dst[j+3] = c0, c1, c2, c3
+		if add {
+			c0, c1, c2, c3 = d0[j]+c0, d0[j+1]+c1, d0[j+2]+c2, d0[j+3]+c3
+		}
+		d0[j], d0[j+1], d0[j+2], d0[j+3] = c0, c1, c2, c3
 	}
 	for ; j < jc+nc; j++ {
 		var c float64
-		for t := 0; t < k; t++ {
-			c += float64(a[t] * b[t*n+j])
+		for t, off := range offs {
+			c += float64(a[a0+off] * b[t*n+j])
 		}
-		dst[j] = c
+		if add {
+			c = d0[j] + c
+		}
+		d0[j] = c
 	}
 }
 

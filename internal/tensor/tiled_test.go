@@ -111,23 +111,67 @@ func TestTiledMatchesNaiveFuzz(t *testing.T) {
 	}
 }
 
+// eachKernel runs f on the Go kernels and then, where the CPU has AVX, on
+// the AVX kernel, and leaves the choice as it found it.
+func eachKernel(f func(avx bool)) {
+	hasAVX := useAVX
+	defer func() { useAVX = hasAVX }()
+	for _, avx := range []bool{false, true} {
+		if avx && !hasAVX {
+			continue
+		}
+		useAVX = avx
+		f(avx)
+	}
+}
+
 // matMulBothKernels returns a×b from MatMulInto on the Go kernels alone and,
 // where the CPU has AVX, fails unless the AVX kernel gives the same bits
 // (any NaN matching any NaN).
 func matMulBothKernels(t *testing.T, a, b *Matrix) *Matrix {
 	t.Helper()
-	hasAVX := useAVX
-	defer func() { useAVX = hasAVX }()
-	useAVX = false
 	goDst := New(0, 0)
-	MatMulInto(a, b, goDst)
-	if hasAVX {
-		useAVX = true
+	eachKernel(func(avx bool) {
+		if !avx {
+			MatMulInto(a, b, goDst)
+			return
+		}
 		avxDst := New(0, 0)
 		MatMulInto(a, b, avxDst)
 		assertSameBits(t, "AVX vs Go kernel", avxDst.Data, goDst.Data)
-	}
+	})
 	return goDst
+}
+
+// checkRowsBothKernels holds MatMulRowsInto to full = a×b on the Go
+// kernels and the AVX kernel: a list of a's rows that skips and reorders
+// them, multiplied into as many distinct rows scattered over a dst that
+// holds −0, ±Inf, NaN and subnormal values, must give full's rows there
+// (overwrite) or dst's plus full's (add), bit for bit, and leave every
+// other row of dst as it was.
+func checkRowsBothKernels(t *testing.T, rng *rand.Rand, a, b, full *Matrix) {
+	t.Helper()
+	aRows := rng.Perm(a.Rows)[:rng.Intn(a.Rows+1)]
+	dst0 := specialMat(rng, len(aRows)+rng.Intn(4), b.Cols, 1)
+	dRows := rng.Perm(dst0.Rows)[:len(aRows)]
+	for _, add := range []bool{false, true} {
+		want := dst0.Clone()
+		for k, i := range aRows {
+			row := want.Row(dRows[k])
+			for j, v := range full.Row(i) {
+				if add {
+					v = row[j] + v
+				}
+				row[j] = v
+			}
+		}
+		eachKernel(func(avx bool) {
+			got := dst0.Clone()
+			MatMulRowsInto(a, aRows, b, got, dRows, add)
+			assertSameBits(t, fmt.Sprintf("MatMulRowsInto (AVX %v, add %v): %v of %dx%d × %dx%d into %v of %d rows",
+				avx, add, aRows, a.Rows, a.Cols, b.Rows, b.Cols, dRows, dst0.Rows), got.Data, want.Data)
+		})
+	}
 }
 
 // assertSameBits compares bit patterns, so signed zeros count; a NaN
@@ -181,6 +225,7 @@ func TestAVXMatchesGo(t *testing.T) {
 					a, b := specialMat(rng, m, k, scale), specialMat(rng, k, n, scale)
 					got := matMulBothKernels(t, a, b)
 					assertSameBits(t, "Go kernel vs in-order", got.Data, naiveMatMul(a, b).Data)
+					checkRowsBothKernels(t, rng, a, b, got)
 				}
 			}
 		}
@@ -193,10 +238,11 @@ func TestAVXMatchesGo(t *testing.T) {
 // The shapes cover odd a.Cols (the 1-row remainder kernel), b.Cols off the
 // 12-column block and past a 60-column panel, a single row of b, no rows at
 // all, and row lists that skip, reorder and repeat rows of a; operands and
-// dst carry signed zeros, infinities, NaNs and subnormal products.
+// dst carry signed zeros, infinities, NaNs and subnormal products. Each
+// trial also runs MatMulRowsInto on a and a k×n operand of the same
+// classes, and an out-of-range offset, source row or destination row must
+// panic.
 func TestAddMatMulTAVXMatchesGo(t *testing.T) {
-	hasAVX := useAVX
-	defer func() { useAVX = hasAVX }()
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < equivTrials(120); trial++ {
 		ar, ac, n := 1+rng.Intn(40), 1+rng.Intn(27), 1+rng.Intn(76)
@@ -241,25 +287,36 @@ func TestAddMatMulTAVXMatchesGo(t *testing.T) {
 			want.Data[j] += v
 		}
 
-		for _, avx := range []bool{false, true} {
-			if avx && !hasAVX {
-				continue
-			}
-			useAVX = avx
+		eachKernel(func(avx bool) {
 			got := dst0.Clone()
 			AddMatMulTInto(a, offs, b, got.Data)
 			assertSameBits(t, fmt.Sprintf("AddMatMulTInto (AVX %v) vs transpose, MatMulInto, add: %d of %dx%d ᵀ× %dx%d",
 				avx, m, ar, ac, b.Rows, n), got.Data, want.Data)
-		}
-		useAVX = hasAVX
+		})
+
+		w := specialMat(rng, ac, n, scale)
+		checkRowsBothKernels(t, rng, a, w, naiveMatMul(a, w))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("an offset past the end of a was accepted")
-		}
-	}()
-	a := New(3, 4)
-	AddMatMulTInto(a, []int{9}, New(1, 2), make([]float64, 8))
+
+	a, b, dst := New(3, 4), New(4, 2), New(2, 2)
+	for name, f := range map[string]func(){
+		"offset past the end of a": func() { AddMatMulTInto(a, []int{9}, New(1, 2), make([]float64, 8)) },
+		"negative offset":          func() { AddMatMulTInto(a, []int{-1}, New(1, 2), make([]float64, 8)) },
+		"source row past a":        func() { MatMulRowsInto(a, []int{0, 3}, b, dst, nil, false) },
+		"negative source row":      func() { MatMulRowsInto(a, []int{-1}, b, dst, []int{0}, true) },
+		"destination row past dst": func() { MatMulRowsInto(a, []int{0}, b, dst, []int{2}, false) },
+		"negative destination row": func() { MatMulRowsInto(a, []int{0}, b, dst, []int{-1}, true) },
+		"row lists of two lengths": func() { MatMulRowsInto(a, []int{0, 1}, b, dst, []int{1}, false) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s was accepted", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 // naiveMatMul is the in-order reference product: plain ijk with the k loop
@@ -299,7 +356,7 @@ func TestMatMulRowSubsetBitIdentical(t *testing.T) {
 			b := randMat(rng, k, n)
 			full := matMulBothKernels(t, a, b)
 
-			var rows []int
+			rows := []int{} // never nil, which MatMulRowsInto reads as every row
 			for i := 0; i < m; i++ {
 				if rng.Intn(3) == 0 {
 					rows = append(rows, i)
@@ -313,6 +370,12 @@ func TestMatMulRowSubsetBitIdentical(t *testing.T) {
 			for j, i := range rows {
 				assertSameBits(t, "row subset", part.Row(j), full.Row(i))
 			}
+			// The same rows gathered by the kernel, read where they lie.
+			eachKernel(func(avx bool) {
+				gathered := New(len(rows), n)
+				MatMulRowsInto(a, rows, b, gathered, nil, false)
+				assertSameBits(t, fmt.Sprintf("gathered row subset (AVX %v)", avx), gathered.Data, part.Data)
+			})
 		}
 	})
 }
@@ -360,14 +423,62 @@ func TestDot(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMulInto times the engine's matmul at the engine's shapes: an
-// m-node projection m×24 · 24×24, and a 24×N · N×24 sum over N = 100 nodes
-// (the backward's weight-gradient shape, which BenchmarkAddMatMulTInto
-// times as the backward runs it). Each shape runs on the Go kernels and,
-// where the CPU has AVX, on the AVX kernel; GMAC/s is multiply-adds per
-// second.
+// BenchmarkMatMulInto times the engine's one matmul kernel at the engine's
+// shapes, through each of its three entry points: an m-node projection
+// m×24 · 24×24 and a 24×100 · 100×24 product (MatMulInto), the projection
+// of 40 of a 100-node h's
+// rows into 40 rows of a 100-row dst, read and written where they lie
+// (MatMulRowsInto, the forward's partial projections and the backward's
+// input gradients), and the backward's weight gradient dst += h[rows]ᵀ·dZ
+// over every row of a 100-node h and over 40 of its rows (AddMatMulTInto).
+// Each runs on the Go kernels and, where the CPU has AVX, on the AVX
+// kernel; GMAC/s is multiply-adds per second.
 func BenchmarkMatMulInto(b *testing.B) {
-	shapes := []struct{ m, k, n int }{{1, 24, 24}, {2, 24, 24}, {10, 24, 24}, {96, 24, 24}, {24, 100, 24}}
+	type shape struct {
+		name    string
+		m, k, n int
+		run     func(b *testing.B, rng *rand.Rand)
+	}
+	dense := func(m, k int) shape {
+		return shape{fmt.Sprintf("%dx%dx24", m, k), m, k, 24, func(b *testing.B, rng *rand.Rand) {
+			x, w, dst := randMat(rng, m, k), randMat(rng, k, 24), New(m, 24)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulInto(x, w, dst)
+			}
+		}}
+	}
+	// spread lists rows of 100, evenly spaced.
+	spread := func(rows int) []int {
+		l := make([]int, rows)
+		for k := range l {
+			l[k] = k * 100 / rows
+		}
+		return l
+	}
+	transposed := func(rows int) shape {
+		return shape{fmt.Sprintf("T-%d-of-100", rows), 24, rows, 24, func(b *testing.B, rng *rand.Rand) {
+			h, dz, dst := randMat(rng, 100, 24), randMat(rng, rows, 24), make([]float64, 24*24)
+			offs := spread(rows)
+			for k := range offs {
+				offs[k] *= 24
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AddMatMulTInto(h, offs, dz, dst)
+			}
+		}}
+	}
+	gathered := shape{"rows-40-of-100", 40, 24, 24, func(b *testing.B, rng *rand.Rand) {
+		h, w, dst := randMat(rng, 100, 24), randMat(rng, 24, 24), New(100, 24)
+		rows := spread(40)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MatMulRowsInto(h, rows, w, dst, rows, false)
+		}
+	}}
+	shapes := []shape{dense(1, 24), dense(2, 24), dense(10, 24), dense(96, 24), dense(24, 100),
+		gathered, transposed(100), transposed(40)}
 	hasAVX := useAVX
 	defer func() { useAVX = hasAVX }()
 	for _, path := range []string{"go", "avx"} {
@@ -375,46 +486,10 @@ func BenchmarkMatMulInto(b *testing.B) {
 			continue
 		}
 		for _, s := range shapes {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", path, s.m, s.k, s.n), func(b *testing.B) {
+			b.Run(path+"/"+s.name, func(b *testing.B) {
 				useAVX = path == "avx"
-				rng := rand.New(rand.NewSource(26))
-				x, w, dst := randMat(rng, s.m, s.k), randMat(rng, s.k, s.n), New(s.m, s.n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulInto(x, w, dst)
-				}
+				s.run(b, rand.New(rand.NewSource(26)))
 				macs := float64(s.m*s.k*s.n) * float64(b.N)
-				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
-			})
-		}
-	}
-}
-
-// BenchmarkAddMatMulTInto times the backward's weight gradient
-// dst += h[rows]ᵀ·dZ at Hidden 24: over every row of a 100-node h (the self
-// projection's) and over 40 of its rows (a relation's sources), on the Go
-// kernels and, where the CPU has AVX, on the AVX kernel.
-func BenchmarkAddMatMulTInto(b *testing.B) {
-	hasAVX := useAVX
-	defer func() { useAVX = hasAVX }()
-	for _, path := range []string{"go", "avx"} {
-		if path == "avx" && !hasAVX {
-			continue
-		}
-		for _, rows := range []int{100, 40} {
-			b.Run(fmt.Sprintf("%s/%d-of-100-rows", path, rows), func(b *testing.B) {
-				useAVX = path == "avx"
-				rng := rand.New(rand.NewSource(28))
-				h, dz, dst := randMat(rng, 100, 24), randMat(rng, rows, 24), make([]float64, 24*24)
-				offs := make([]int, rows)
-				for k := range offs {
-					offs[k] = k * 100 / rows * 24
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					AddMatMulTInto(h, offs, dz, dst)
-				}
-				macs := float64(24*rows*24) * float64(b.N)
 				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
