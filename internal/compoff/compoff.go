@@ -11,13 +11,13 @@ package compoff
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"paragraph/internal/analysis"
 	"paragraph/internal/cparse"
 	"paragraph/internal/dataset"
 	"paragraph/internal/fp"
+	"paragraph/internal/metrics"
 	"paragraph/internal/nn"
 	"paragraph/internal/variants"
 )
@@ -129,48 +129,20 @@ func (m *Model) scaleRow(f Features) Features {
 // pass is one forward pass: the scaled input, each hidden layer's
 // pre-activation z and ReLU output h, and the prediction.
 type pass struct {
-	x              Features
-	z1, h1, z2, h2 []float64
-	pred           float64
+	x      Features
+	z1, h1 [hidden]float64
+	z2, h2 [hidden]float64
+	pred   [1]float64
 }
 
-// dense computes z = x·W + b the way the tape's MatMul and AddBias do:
-// each output accumulates its products in input order, zero inputs
-// skipped, and the bias is added last.
-func dense(x []float64, l *nn.Linear) []float64 {
-	z := make([]float64, l.W.Value.Cols)
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		for j, wv := range l.W.Value.Row(k) {
-			z[j] += float64(xv * wv)
-		}
-	}
-	for j, b := range l.B.Value.Data {
-		z[j] += b
-	}
-	return z
-}
-
-// relu returns max(z, 0) element-wise.
-func relu(z []float64) []float64 {
-	h := make([]float64, len(z))
-	for j, v := range z {
-		h[j] = max(v, 0)
-	}
-	return h
-}
-
-// forward computes the scaled prediction for one sample.
-func (m *Model) forward(s *Sample) pass {
-	p := pass{x: m.scaleRow(s.Feats)}
-	p.z1 = dense(p.x[:], m.l1)
-	p.h1 = relu(p.z1)
-	p.z2 = dense(p.h1, m.l2)
-	p.h2 = relu(p.z2)
-	p.pred = dense(p.h2, m.out)[0]
-	return p
+// forward runs s through the MLP into p.
+func (m *Model) forward(s *Sample, p *pass) {
+	p.x = m.scaleRow(s.Feats)
+	m.l1.Row(p.x[:], p.z1[:])
+	nn.ReLU(p.z1[:], p.h1[:])
+	m.l2.Row(p.h1[:], p.z2[:])
+	nn.ReLU(p.z2[:], p.h2[:])
+	m.out.Row(p.h2[:], p.pred[:])
 }
 
 // gradient writes the squared error's gradient for s into grad — the
@@ -178,59 +150,26 @@ func (m *Model) forward(s *Sample) pass {
 // is the tape's backward written out: the same products in the same
 // order, so the two agree bit for bit.
 func (m *Model) gradient(s *Sample, grad []float64) float64 {
-	p := m.forward(s)
-	d := p.pred - s.Target
-	gL1, rest := grad[:size(m.l1)], grad[size(m.l1):]
-	gL2, gOut := rest[:size(m.l2)], rest[size(m.l2):]
-	dh2 := backDense(p.h2, []float64{2 * d}, m.out, gOut)
-	dh1 := backDense(p.h1, reluGrad(dh2, p.z2), m.l2, gL2)
-	backDense(p.x[:], reluGrad(dh1, p.z1), m.l1, gL1)
+	var p pass
+	m.forward(s, &p)
+	d := p.pred[0] - s.Target
+	at2 := nn.NumElements(m.l1.Params())
+	atOut := at2 + nn.NumElements(m.l2.Params())
+	var dh1, dh2 [hidden]float64
+	m.out.Back(p.h2[:], []float64{2 * d}, grad[atOut:], dh2[:])
+	nn.ReLUBack(p.z2[:], dh2[:])
+	m.l2.Back(p.h1[:], dh2[:], grad[at2:], dh1[:])
+	nn.ReLUBack(p.z1[:], dh1[:])
+	m.l1.Back(p.x[:], dh1[:], grad, nil)
 	return d * d
 }
 
-// size is a layer's scalar parameter count: its block in a gradient.
-func size(l *nn.Linear) int { return len(l.W.Value.Data) + len(l.B.Value.Data) }
-
-// backDense backpropagates dz through z = x·W + b: it adds xᵀ·dz and dz
-// into the layer's block of grad (W, then b) and returns dz·Wᵀ.
-func backDense(x, dz []float64, l *nn.Linear, grad []float64) []float64 {
-	gW, gB := grad[:len(l.W.Value.Data)], grad[len(l.W.Value.Data):]
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := gW[k*len(dz) : (k+1)*len(dz)]
-		for j, g := range dz {
-			row[j] += float64(xv * g)
-		}
-	}
-	dx := make([]float64, len(x))
-	for j, g := range dz {
-		gB[j] += g
-		if g == 0 {
-			continue
-		}
-		for k := range dx {
-			dx[k] += float64(g * l.W.Value.At(k, j))
-		}
-	}
-	return dx
-}
-
-// reluGrad passes dh where the pre-activation z is ≥ 0, as the tape's ReLU
-// does (z == 0 included).
-func reluGrad(dh, z []float64) []float64 {
-	dz := make([]float64, len(dh))
-	for j, v := range z {
-		if v >= 0 {
-			dz[j] = dh[j]
-		}
-	}
-	return dz
-}
-
 // Predict returns the scaled prediction for one sample.
-func (m *Model) Predict(s *Sample) float64 { return m.forward(s).pred }
+func (m *Model) Predict(s *Sample) float64 {
+	var p pass
+	m.forward(s, &p)
+	return p.pred[0]
+}
 
 // PredictAll returns scaled predictions for all samples.
 func (m *Model) PredictAll(samples []*Sample) []float64 {
@@ -242,12 +181,10 @@ func (m *Model) PredictAll(samples []*Sample) []float64 {
 }
 
 // Train fits the MLP with nn.Train — Adam on MSE, the original COMPOFF
-// recipe and the trainer the GNN uses — for 60 epochs unless cfg says
-// otherwise. It fits the feature scaler on train if not already fitted.
+// recipe and the trainer the GNN uses — for cfg.Epochs epochs (nn.Train's
+// default when zero). It fits the feature scaler on train if not already
+// fitted.
 func (m *Model) Train(train, val []*Sample, cfg nn.TrainConfig) (nn.History, error) {
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 60
-	}
 	if !m.fitted && len(train) > 0 {
 		m.FitScaler(train)
 	}
@@ -260,13 +197,9 @@ func (m *Model) Train(train, val []*Sample, cfg nn.TrainConfig) (nn.History, err
 
 // EvalRMSE returns the scaled-space RMSE over samples (0 when empty).
 func (m *Model) EvalRMSE(samples []*Sample) float64 {
-	if len(samples) == 0 {
-		return 0
+	targets := make([]float64, len(samples))
+	for i, s := range samples {
+		targets[i] = s.Target
 	}
-	var acc float64
-	for _, s := range samples {
-		d := m.Predict(s) - s.Target
-		acc += float64(d * d)
-	}
-	return math.Sqrt(acc / float64(len(samples)))
+	return metrics.RMSE(m.PredictAll(samples), targets)
 }

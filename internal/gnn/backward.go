@@ -43,15 +43,15 @@ import (
 // each sample's scaled target, differentiated with respect to every
 // parameter. Train takes one per mini-batch, after the previous step; the
 // result holds until the parameters next change. Gradient refreshes the
-// weight set's derived values in place, for this batch and for any Predict
-// after it, and allocates only the returned closure. The model keeps its
-// training workspaces on a free list, so in steady state an example's
-// gradient allocates nothing.
+// values derived from the parameters in place, for this batch and for any
+// Predict after it, and allocates only the returned closure. The model
+// keeps its training workspaces on a free list, so in steady state an
+// example's gradient allocates nothing.
 func (m *Model) Gradient(samples []*Sample) nn.Gradient {
 	m.refresh()
 	return func(i int, grad []float64) float64 {
 		gw := m.grads.get()
-		loss := m.w.gradient(gw, samples[i], grad)
+		loss := m.gradient(gw, samples[i], grad)
 		m.grads.put(gw)
 		return loss
 	}
@@ -72,19 +72,19 @@ type gradWS struct {
 // gradient runs s forward through the engine and back, adding the squared
 // error's gradient into grad (zeroed, Params order), and returns the
 // squared error.
-func (w *weights) gradient(gw *gradWS, s *Sample, grad []float64) float64 {
+func (m *Model) gradient(gw *gradWS, s *Sample, grad []float64) float64 {
 	ws := &gw.workspace
 	st := &ws.slots[0]
-	st.buf = resize(st.buf, ws.shape(w, s.G))
-	ws.pass = resize(ws.pass, len(w.layers)*ws.n*ws.hdim+2*ws.hdim+w.featB.Cols)
-	gw.vec = resize(gw.vec, 3*ws.hdim+w.featB.Cols)
-	d := w.forward(ws, st, nil, s) - s.Target
+	st.buf = resize(st.buf, ws.shape(m, s.G))
+	ws.pass = resize(ws.pass, len(m.layers)*ws.n*ws.hdim)
+	gw.vec = resize(gw.vec, 3*ws.hdim+m.cfg.FeatHidden)
+	d := m.forward(ws, st, nil, s) - s.Target
 
-	gw.head(w, 2*d, grad)
-	for li := len(w.layers) - 1; li >= 0; li-- {
-		gw.layer(w, st, li, grad)
+	m.head(gw, 2*d, grad)
+	for li := len(m.layers) - 1; li >= 0; li-- {
+		gw.layer(m.layers[li], st, li, grad)
 	}
-	gw.embeddings(w, s.G, grad)
+	m.embeddings(gw, s.G, grad)
 	// Nothing of the call's graph may outlive it in the kept workspace.
 	ws.plan, st.g = nil, nil
 	return d * d
@@ -93,26 +93,19 @@ func (w *weights) gradient(gw *gradWS, s *Sample, grad []float64) float64 {
 // head backpropagates dp = dL/dprediction through the regression head, the
 // two fully connected layers and the feature branch, leaving dL/dh^L in
 // gw.dh.
-func (gw *gradWS) head(w *weights, dp float64, grad []float64) {
-	at, ws := w.at, &gw.workspace
-	hd, fh := ws.hdim, w.featB.Cols
-	pass := ws.pass[len(w.layers)*ws.n*hd:]
-	dEmb2, dFeat := gw.vec[:hd], gw.vec[hd:hd+fh]
-	dEmb, dPooled := gw.vec[hd+fh:2*hd+fh], gw.vec[2*hd+fh:3*hd+fh]
+func (m *Model) head(gw *gradWS, dp float64, grad []float64) {
+	ws := &gw.workspace
+	hd, hc := ws.hdim, len(ws.concat)
+	dConcat, dEmb, dPooled := gw.vec[:hc], gw.vec[hc:hc+hd], gw.vec[hc+hd:hc+2*hd]
 
-	// out = [emb2 | featEmb]·outW + outB; each half came through a ReLU.
-	linearGrad(ws.concat.Data, []float64{dp}, grad[at.outW:], grad[at.outB:])
-	for j := range dEmb2 {
-		dEmb2[j] = masked(pass[hd+j], dp*w.outW.Data[j])
-	}
-	for j := range dFeat {
-		dFeat[j] = masked(pass[2*hd+j], dp*w.outW.Data[hd+j])
-	}
-	linearGrad(ws.featIn.Data, dFeat, grad[at.featW:], grad[at.featB:])
-	linearGrad(ws.emb.Data, dEmb2, grad[at.fc2W:], grad[at.fc2B:])
-	backRow(w.fc2W, dEmb2, pass[:hd], dEmb)
-	linearGrad(ws.pooled.Data, dEmb, grad[at.fc1W:], grad[at.fc1B:])
-	backRow(w.fc1W, dEmb, nil, dPooled)
+	// out = [fc2's | featFC's output]·W + b, each half out of a ReLU.
+	m.out.Back(ws.concat, []float64{dp}, grad[m.outAt:], dConcat)
+	nn.ReLUBack(ws.z2, dConcat[:hd])
+	nn.ReLUBack(ws.zFeat, dConcat[hd:])
+	m.featFC.Back(ws.featIn[:], dConcat[hd:], grad[m.featAt:], nil)
+	m.fc2.Back(ws.emb, dConcat[:hd], grad[m.fc2At:], dEmb)
+	nn.ReLUBack(ws.z1, dEmb)
+	m.fc1.Back(ws.pooled.Data, dEmb, grad[m.fc1At:], dPooled)
 
 	// pooled = mean over rows of h^L.
 	reshape(&gw.dh, ws.n, hd)
@@ -122,43 +115,6 @@ func (gw *gradWS) head(w *weights, dp float64, grad []float64) {
 		for j, v := range dPooled {
 			row[j] = v * inv
 		}
-	}
-}
-
-// masked is g where the ReLU passed its gradient, else zero.
-func masked(pass bool, g float64) float64 {
-	if pass {
-		return g
-	}
-	return 0
-}
-
-// linearGrad adds the weight and bias gradients of z = x·W + b for one row:
-// xᵀ·dz into gW and dz into gB.
-func linearGrad(x, dz, gW, gB []float64) {
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := gW[k*len(dz) : (k+1)*len(dz)]
-		for j, g := range dz {
-			row[j] += float64(xv * g)
-		}
-	}
-	for j, g := range dz {
-		gB[j] += g
-	}
-}
-
-// backRow sets dx = dz·Wᵀ, zeroed where pass (when given) says the ReLU
-// that produced x blocked its gradient.
-func backRow(w *tensor.Matrix, dz []float64, pass []bool, dx []float64) {
-	for i := range dx {
-		if pass != nil && !pass[i] {
-			dx[i] = 0
-			continue
-		}
-		dx[i] = tensor.Dot(w.Row(i), dz)
 	}
 }
 
@@ -188,9 +144,8 @@ func axpy(y []float64, a float64, x []float64) {
 // layer backpropagates convolution li: on entry gw.dh holds dL/dh^{li+1},
 // on return dL/dh^li, and the layer's parameter gradients are added into
 // grad.
-func (gw *gradWS) layer(w *weights, st *slot, li int, grad []float64) {
+func (gw *gradWS) layer(l *rgatLayer, st *slot, li int, grad []float64) {
 	ws := &gw.workspace
-	l := &w.layers[li]
 	n, hd := ws.n, ws.hdim
 	in := ws.h(st, li)
 
@@ -208,8 +163,8 @@ func (gw *gradWS) layer(w *weights, st *slot, li int, grad []float64) {
 		}
 		dd[i] = math.Float64frombits(math.Float64bits(dd[i]) & -keep)
 	}
-	gw.addHTB(&in, nil, dOut, grad[l.at.self:])
-	bias := grad[l.at.bias : l.at.bias+hd]
+	gw.addHTB(&in, nil, dOut, grad[l.selfAt:])
+	bias := grad[l.biasAt : l.biasAt+hd]
 	for i := 0; i < n; i++ {
 		for j, v := range dOut.Row(i) {
 			bias[j] += v
@@ -219,7 +174,7 @@ func (gw *gradWS) layer(w *weights, st *slot, li int, grad []float64) {
 
 	for r := range min(len(st.g.Rels), len(l.w)) {
 		if len(ws.plan.rels[r].edge) > 0 {
-			gw.relation(w, st, li, r, grad)
+			gw.relation(l, st, li, r, grad)
 		}
 	}
 	gw.dh, gw.dIn = gw.dIn, gw.dh
@@ -227,8 +182,8 @@ func (gw *gradWS) layer(w *weights, st *slot, li int, grad []float64) {
 
 // relation backpropagates relation r's messages at layer li from dL/dOut
 // (gw.dh) into dL/dh^li (gw.dIn) and the relation's parameter gradients.
-func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
-	ws, l := &gw.workspace, &w.layers[li]
+func (gw *gradWS) relation(l *rgatLayer, st *slot, li, r int, grad []float64) {
+	ws := &gw.workspace
 	rp, hd := &ws.plan.rels[r], ws.hdim
 	in, dOut, dIn := ws.h(st, li), &gw.dh, &gw.dIn
 	q, score := ws.q(st, li, r)
@@ -247,7 +202,7 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 	var wt []float64 // Child's w̃ (plan order) and coefficient; nil off Child
 	var c float64
 	if r == child && st.g.Rels[r].LogW != nil {
-		wt, c = ws.wt, l.wCoef[0]
+		wt, c = ws.wt, l.wCoef.Value.Data[0]
 	}
 	var dc float64
 	for t, d := range rp.runDst {
@@ -299,12 +254,12 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 		axpy(dIn.Row(d), dsDst, l.pDst)
 	}
 	if r == child {
-		grad[l.at.wCoef] += dc
+		grad[l.wCoefAt] += dc
 	}
 
 	// dW_r = h_srcᵀ·dQ; on Ref it adds g_pSrc·aSrcᵀ + g_pDst·aDstᵀ, and
 	// da = W_Refᵀ·g_p.
-	gW := grad[l.at.w[r] : l.at.w[r]+hd*hd]
+	gW := grad[l.wAt[r] : l.wAt[r]+hd*hd]
 	gw.addHTB(&in, rp.srcList, &gw.dq, gW)
 	if r == ref {
 		for si, node := range rp.srcList {
@@ -313,12 +268,12 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 				axpy(dIn.Row(node), ds, l.pSrc)
 			}
 		}
-		gASrc, gADst := grad[l.at.aSrc:l.at.aSrc+hd], grad[l.at.aDst:l.at.aDst+hd]
+		gASrc, gADst := grad[l.aSrcAt:l.aSrcAt+hd], grad[l.aDstAt:l.aDstAt+hd]
 		for i := 0; i < hd; i++ {
 			row := gW[i*hd : (i+1)*hd]
-			axpy(row, gPSrc[i], l.aSrc)
-			axpy(row, gPDst[i], l.aDst)
-			wRow := l.w[r].Row(i)
+			axpy(row, gPSrc[i], l.aSrc.Value.Data)
+			axpy(row, gPDst[i], l.aDst.Value.Data)
+			wRow := l.w[r].Value.Row(i)
 			axpy(gASrc, gPSrc[i], wRow)
 			axpy(gADst, gPDst[i], wRow)
 		}
@@ -329,13 +284,13 @@ func (gw *gradWS) relation(w *weights, st *slot, li, r int, grad []float64) {
 
 // embeddings backpropagates dL/dh⁰ (gw.dh) into the kind and sub-kind
 // embedding rows and the scalar feature's projection featVec.
-func (gw *gradWS) embeddings(w *weights, g *Graph, grad []float64) {
-	hd, at := gw.hdim, w.at
-	featVec := grad[at.featVec : at.featVec+hd]
+func (m *Model) embeddings(gw *gradWS, g *Graph, grad []float64) {
+	hd := gw.hdim
+	featVec := grad[m.featVecAt : m.featVecAt+hd]
 	for i := 0; i < g.NumNodes; i++ {
 		row := gw.dh.Row(i)
-		axpy(grad[at.kind+g.Kinds[i]*hd:], 1, row)
-		axpy(grad[at.sub+g.SubKinds[i]*hd:], 1, row)
+		axpy(grad[m.kindAt+g.Kinds[i]*hd:], 1, row)
+		axpy(grad[m.subAt+g.SubKinds[i]*hd:], 1, row)
 		if f := g.Feats.Data[i]; f != 0 {
 			axpy(featVec, f, row)
 		}

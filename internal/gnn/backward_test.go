@@ -166,9 +166,9 @@ func TestTrainGradientZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestGradientSetupAllocs: a mini-batch's Gradient refreshes the weight
-// set's derived values in storage allocated once, so after the first call
-// it allocates at most the closure it returns.
+// TestGradientSetupAllocs: a mini-batch's Gradient refreshes the values
+// derived from the parameters in storage allocated once, so after the
+// first call it allocates at most the closure it returns.
 func TestGradientSetupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful unraced")

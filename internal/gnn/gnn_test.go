@@ -423,11 +423,11 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestTrainedModelMatchesItsCheckpoint: the weight set's derived values
-// are current after Train (its validation refreshes them after the last
-// step) and after Load (which builds the set over the loaded values): a
-// trained model, and a differently seeded one loaded from its checkpoint,
-// predict the same bits.
+// TestTrainedModelMatchesItsCheckpoint: the values derived from the
+// parameters are current after Train (its validation refreshes them after
+// the last step) and after Load (which refreshes them from the loaded
+// values): a trained model, and a differently seeded one loaded from its
+// checkpoint, predict the same bits.
 func TestTrainedModelMatchesItsCheckpoint(t *testing.T) {
 	train, val := determinismData(t)
 	m := determinismModel()

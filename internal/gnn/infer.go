@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"paragraph/internal/fp"
+	"paragraph/internal/nn"
 	"paragraph/internal/tensor"
 )
 
@@ -15,11 +16,11 @@ import (
 // Predict/PredictBatch, in float64. It is the one forward pass: serving
 // runs it, and training runs it with its ReLU masks recorded, followed by
 // the hand-derived backward over the state it retains (backward.go), on the
-// same weight set (inferparams.go). The autodiff tape (Forward) is the
-// reference semantics; the engine reproduces its arithmetic up to float
-// reassociation — the kernels below reassociate sums (tiled matmuls,
-// precomputed attention projections, fused softmax scaling) to run near the
-// FLOP limit, so predictions agree with the tape to a relaxed tolerance
+// model's own parameters. The autodiff tape (Forward) is the reference
+// semantics; the engine reproduces its arithmetic up to float reassociation
+// — the kernels below reassociate sums (tiled matmuls, precomputed
+// attention projections, fused softmax scaling) to run near the FLOP limit,
+// so predictions agree with the tape to a relaxed tolerance
 // (TestInferEngineMatchesTape enforces ≤ 1e-9 relative) instead of bit for
 // bit.
 //
@@ -74,11 +75,10 @@ import (
 //     cost to |sources|·H². It is topology only, so one plan — the first
 //     member's — serves a family.
 //
-//   - weights (inferparams.go): the parameters, read in place, and the
-//     constants derived from them, recomputed in place when the parameters
-//     change — Ref's attention projections p_src = W_Ref·aSrc and
-//     p_dst = W_Ref·aDst (so attention scores become one H-dot per node
-//     instead of an H²-projection).
+//   - rgatLayer's derived values (model.go): recomputed in place from the
+//     parameters when they change — Ref's attention projections
+//     p_src = W_Ref·aSrc and p_dst = W_Ref·aDst (so attention scores
+//     become one H-dot per node instead of an H²-projection).
 //
 //   - workspace: the state slots, undo log and scratch of one call, sized
 //     from the model Config and graph shape and kept on the Model's free
@@ -87,10 +87,11 @@ import (
 //     derived from a graph's weights outlives the call: dataset.Prepare
 //     rewrites WScale after encoding.
 //
-// Every matmul runs tensor's one register-blocked tiled kernel: the head
-// through MatMulInto, and each layer's projections through MatMulRowsInto,
-// which reads the listed rows of h and writes the listed rows of the slot
-// where they lie, so no row is gathered into or scattered out of scratch.
+// Every matmul runs tensor's one register-blocked tiled kernel: the head's
+// dense layers through nn.Linear.Row, and each layer's projections through
+// MatMulRowsInto, which reads the listed rows of h and writes the listed
+// rows of the slot where they lie, so no row is gathered into or scattered
+// out of scratch.
 
 // relPlan is one relation's edges re-ordered by destination node.
 type relPlan struct {
@@ -327,18 +328,20 @@ type workspace struct {
 	logits                   []float64 // longest-run softmax scratch
 	wt                       []float64 // Child's w̃ = LogW/WScale per edge, in plan order
 
-	pooled  tensor.Matrix // 1×H mean-pooled graph embedding
-	emb     tensor.Matrix // 1×H fc1 output
-	emb2    tensor.Matrix // 1×H fc2 output
-	featIn  tensor.Matrix // 1×2 (teams, threads) input row
-	featEmb tensor.Matrix // 1×F feature-branch embedding
-	concat  tensor.Matrix // 1×(H+F) head input
-	outBuf  tensor.Matrix // 1×1 prediction
+	// The head: the mean-pooled graph embedding (1×H), each dense layer's
+	// pre-activation — fc1's z1 and fc2's z2 (H), featFC's zFeat (F) —
+	// which the backward's ReLU masks read, fc1's output emb, and out's
+	// input concat (H+F: fc2's output, then featFC's).
+	pooled        tensor.Matrix
+	z1, z2, zFeat []float64
+	emb, concat   []float64
+	featIn        [2]float64 // the (teams, threads) row
+	pred          [1]float64
 
 	// pass is nil on serving passes. A training pass (backward.go) records
-	// in it where each ReLU's pre-activation is ≥ 0 — where the tape's ReLU
-	// passes its gradient, v == 0 included, which max(v, 0) no longer
-	// tells: every layer's N×H block, then the head's emb, emb2 and featEmb.
+	// in it where each layer's pre-activation is ≥ 0 — where the tape's
+	// ReLU passes its gradient, v == 0 included, which max(v, 0) no longer
+	// tells — one N×H block per layer.
 	pass []bool
 }
 
@@ -410,29 +413,32 @@ func (m *Model) predict(out []float64, samples []*Sample) {
 	ws := m.ws.get()
 	ws.group(samples)
 	for _, first := range ws.heads {
-		m.w.family(ws, out, samples, first, ws.next)
+		m.family(ws, out, samples, first, ws.next)
 	}
 	m.ws.put(ws)
 }
 
-// shape sizes ws for graphs of g's topology under w and returns the length
+// shape sizes ws for graphs of g's topology under m and returns the length
 // of one state slot.
-func (ws *workspace) shape(w *weights, g *Graph) int {
+func (ws *workspace) shape(m *Model, g *Graph) int {
 	p := g.plan()
-	ws.plan, ws.n, ws.hdim, ws.srcRows = p, g.NumNodes, w.hidden, p.srcOff[len(p.srcOff)-1]
-	ws.layerOff = (len(w.layers) + 1) * ws.n * ws.hdim
-	ws.layerLen = ws.n*ws.hdim + ws.srcRows*(ws.hdim+1)
+	hd, fh, layers := m.cfg.Hidden, m.cfg.FeatHidden, len(m.layers)
+	ws.plan, ws.n, ws.hdim, ws.srcRows = p, g.NumNodes, hd, p.srcOff[len(p.srcOff)-1]
+	ws.layerOff = (layers + 1) * ws.n * hd
+	ws.layerLen = ws.n*hd + ws.srcRows*(hd+1)
 	ws.dirty, ws.dirtyNext, ws.wDirty = resize(ws.dirty, ws.n), resize(ws.dirtyNext, ws.n), resize(ws.wDirty, ws.n)
 	ws.logits = resize(ws.logits, p.maxRun)
-	return ws.layerOff + len(w.layers)*ws.layerLen
+	ws.z1, ws.z2, ws.zFeat = resize(ws.z1, hd), resize(ws.z2, hd), resize(ws.zFeat, fh)
+	ws.emb, ws.concat = resize(ws.emb, hd), resize(ws.concat, hd+fh)
+	return ws.layerOff + layers*ws.layerLen
 }
 
 // family evaluates the chain of same-topology samples starting at first
 // (see families), choosing each member's base and state slot. A member
 // that is not kept as a base runs in its base's slot, which the undo log
 // gives back unchanged, graph included, once the prediction is made.
-func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first int, next []int) {
-	size := ws.shape(w, samples[first].G)
+func (m *Model) family(ws *workspace, out []float64, samples []*Sample, first int, next []int) {
+	size := ws.shape(m, samples[first].G)
 	bases := 0
 	for i := first; i >= 0; i = next[i] {
 		s := samples[i]
@@ -468,7 +474,7 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 		}
 		ws.inPlace = st == base
 		g := st.g
-		out[i] = w.forward(ws, st, base, s)
+		out[i] = m.forward(ws, st, base, s)
 		if ws.inPlace {
 			ws.restore()
 			st.g = g
@@ -488,7 +494,7 @@ func (w *weights) family(ws *workspace, out []float64, samples []*Sample, first 
 // otherwise st holds base's state (a copy of it, or base itself on an
 // in-place pass) and the rows that can differ from it (ws.wDirty is set by
 // the caller) are recomputed.
-func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
+func (m *Model) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 	g := s.G
 	dirty := ws.dirty
 	if base == nil {
@@ -524,10 +530,10 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 	// Node features: kind embedding + sub-kind embedding + scalar feature
 	// projected through featVec, fused into one pass over the dirty rows.
 	h0 := ws.h(st, 0)
-	fv := w.featVec
+	kind, sub, fv := m.kindEmb.Table.Value, m.subEmb.Table.Value, m.featVec.Value.Data
 	for _, i := range rows {
-		krow := w.kindTab.Row(g.Kinds[i])
-		srow := w.subTab.Row(g.SubKinds[i])
+		krow := kind.Row(g.Kinds[i])
+		srow := sub.Row(g.SubKinds[i])
 		hrow := h0.Row(i)
 		ws.save(hrow)
 		f := g.Feats.Data[i]
@@ -542,40 +548,32 @@ func (w *weights) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 		}
 	}
 
-	for li := range w.layers {
-		w.layer(ws, st, li)
+	for li := range m.layers {
+		m.layer(ws, st, li)
 	}
 
-	final := ws.h(st, len(w.layers))
-	head := len(w.layers) * ws.n * ws.hdim // the head's block of ws.pass
+	// The head: fc1 and fc2 on the pooled embedding, featFC on the
+	// (teams, threads) row, each through a ReLU, and out on the two
+	// outputs side by side.
+	final := ws.h(st, len(m.layers))
+	hd := ws.hdim
 	tensor.MeanRowsInto(&final, &ws.pooled)
-	tensor.MatMulInto(&ws.pooled, w.fc1W, &ws.emb)
-	tensor.AddBiasInto(&ws.emb, w.fc1B, &ws.emb)
-	ws.relu(&ws.emb, head)
-	tensor.MatMulInto(&ws.emb, w.fc2W, &ws.emb2)
-	tensor.AddBiasInto(&ws.emb2, w.fc2B, &ws.emb2)
-	ws.relu(&ws.emb2, head+ws.hdim)
-
-	reshape(&ws.featIn, 1, 2)
-	ws.featIn.Data[0], ws.featIn.Data[1] = s.Feats[0], s.Feats[1]
-	tensor.MatMulInto(&ws.featIn, w.featW, &ws.featEmb)
-	tensor.AddBiasInto(&ws.featEmb, w.featB, &ws.featEmb)
-	ws.relu(&ws.featEmb, head+2*ws.hdim)
-
-	hc, fc := ws.emb2.Cols, ws.featEmb.Cols
-	reshape(&ws.concat, 1, hc+fc)
-	copy(ws.concat.Data[:hc], ws.emb2.Data)
-	copy(ws.concat.Data[hc:], ws.featEmb.Data)
-	tensor.MatMulInto(&ws.concat, w.outW, &ws.outBuf)
-	tensor.AddBiasInto(&ws.outBuf, w.outB, &ws.outBuf)
-	return ws.outBuf.Data[0]
+	m.fc1.Row(ws.pooled.Data, ws.z1)
+	nn.ReLU(ws.z1, ws.emb)
+	m.fc2.Row(ws.emb, ws.z2)
+	nn.ReLU(ws.z2, ws.concat[:hd])
+	ws.featIn = s.Feats
+	m.featFC.Row(ws.featIn[:], ws.zFeat)
+	nn.ReLU(ws.zFeat, ws.concat[hd:])
+	m.out.Row(ws.concat, ws.pred[:])
+	return ws.pred[0]
 }
 
 // softmax sets run to the unnormalised attention of one destination's
 // segment — the exp of each edge's LeakyReLU'd logit score[src[i]] + ds
 // less the segment's largest — and returns the factor that normalises it.
 // The backward recomputes α through it, so both passes hold the same bits.
-func (l *layerWeights) softmax(run, score []float64, src []int, ds float64) float64 {
+func (l *rgatLayer) softmax(run, score []float64, src []int, ds float64) float64 {
 	mx := math.Inf(-1)
 	for i, si := range src {
 		v := score[si] + ds
@@ -600,17 +598,6 @@ func (l *layerWeights) softmax(run, score []float64, src []int, ds float64) floa
 	return 1
 }
 
-// relu is the head's ReLU, LeakyReLUInto at slope 0. A training pass first
-// records the pre-activation's signs in ws.pass from off.
-func (ws *workspace) relu(m *tensor.Matrix, off int) {
-	if ws.pass != nil {
-		for j, v := range m.Data {
-			ws.pass[off+j] = v >= 0
-		}
-	}
-	tensor.LeakyReLUInto(m, 0, m)
-}
-
 // layer is the fused engine counterpart of rgatLayer.apply, computing the
 // rows of h^{li+1} that can differ from the base (ws.dirty and ws.rows hold
 // D_li on entry and D_li+1 on return; every row, on a full pass). The rows
@@ -630,8 +617,8 @@ func (ws *workspace) relu(m *tensor.Matrix, off int) {
 // softmax for a finite model. Only a non-finite logit tells the two apart:
 // it would make α NaN and gives 1. No finite model reaches one — a score
 // is a dot of a finite h row with a finite projection.
-func (w *weights) layer(ws *workspace, st *slot, li int) {
-	l := &w.layers[li]
+func (m *Model) layer(ws *workspace, st *slot, li int) {
+	l := m.layers[li]
 	g, p := st.g, ws.plan
 	in, out := ws.h(st, li), ws.h(st, li+1)
 	rels := g.Rels[:min(len(g.Rels), len(l.w))]
@@ -668,10 +655,11 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 		for _, d := range changed {
 			ws.save(self.Row(d))
 		}
-		tensor.MatMulRowsInto(&in, changed, l.self, &self, changed, false)
+		tensor.MatMulRowsInto(&in, changed, l.self.Value, &self, changed, false)
+		bias := l.bias.Value.Data
 		for _, d := range changed {
-			srow := self.Row(d)[:len(l.bias)]
-			for j, b := range l.bias {
+			srow := self.Row(d)[:len(bias)]
+			for j, b := range bias {
 				srow[j] += b
 			}
 		}
@@ -711,7 +699,7 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 			for _, si := range slots {
 				ws.save(q.Row(si))
 			}
-			tensor.MatMulRowsInto(&in, nodes, l.w[r], &q, slots, false)
+			tensor.MatMulRowsInto(&in, nodes, l.w[r].Value, &q, slots, false)
 			if r == ref {
 				ws.save(score)
 				for k, node := range nodes {
@@ -726,7 +714,7 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 		var wt []float64 // Child's w̃ (plan order) and coefficient; nil off Child
 		var c float64
 		if r == child && g.Rels[r].LogW != nil {
-			wt, c = ws.wt, l.wCoef[0]
+			wt, c = ws.wt, l.wCoef.Value.Data[0]
 		}
 		for t, d := range rp.runDst {
 			if !next[d] {
@@ -765,13 +753,8 @@ func (w *weights) layer(ws *workspace, st *slot, li int) {
 			}
 		}
 	}
-	// h = ReLU(out) over the rows written, branchless: the sign pattern is
-	// effectively random, so a compare-and-branch would mispredict on half
-	// the elements.
+	// h = ReLU(out) over the rows written.
 	for _, d := range rows {
-		row := out.Row(d)
-		for j, v := range row {
-			row[j] = max(v, 0)
-		}
+		nn.ReLU(out.Row(d), out.Row(d))
 	}
 }

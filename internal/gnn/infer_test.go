@@ -193,10 +193,10 @@ func TestInferRankingMatchesTape(t *testing.T) {
 	}
 }
 
-// TestInferInvalidation pins the weight set's contract: the engine reads
-// the parameters in place, a change to one reaches the derived attention
+// TestInferInvalidation pins the engine's contract with the parameters: it
+// reads them in place, a change to one reaches the derived attention
 // projections through refresh, and Load — which gives every parameter new
-// storage — builds the set again on its own.
+// storage — refreshes on its own.
 func TestInferInvalidation(t *testing.T) {
 	eg := encode(t, buildTestGraph(t, 8))
 	s := &Sample{G: eg, Feats: [2]float64{0.5, 0.5}}
@@ -212,7 +212,7 @@ func TestInferInvalidation(t *testing.T) {
 		t.Errorf("after direct mutation + refresh: rel err %v", e)
 	}
 
-	// Load must rebuild on its own: round-trip different weights through
+	// Load must refresh on its own: round-trip different weights through
 	// a checkpoint and check the engine tracks them.
 	donor := NewModel(Config{Seed: 99, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
 	var buf bytes.Buffer
@@ -246,7 +246,8 @@ func TestInferPlanSharedAcrossHeaderCopies(t *testing.T) {
 // goroutines run overlapping PredictBatch calls (plus single Predicts) on
 // one model and every result must agree with a serial reference. Run under
 // -race (CI does) this is the workspace-safety gate, and it also holds the
-// weight set, built once before the model is shared, to lock-free reads.
+// parameters and the values derived from them, set before the model is
+// shared, to lock-free reads.
 func TestPredictBatchConcurrentRace(t *testing.T) {
 	m := NewModel(Config{Seed: 3, Hidden: 8, Layers: 2, Relations: int(paragraph.NumEdgeTypes)})
 	rng := rand.New(rand.NewSource(4))

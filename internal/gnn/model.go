@@ -81,6 +81,20 @@ type rgatLayer struct {
 	self       *nn.Parameter   // self-loop projection Hidden×Hidden
 	bias       *nn.Parameter   // 1×Hidden
 	alpha      float64
+
+	// Derived from the parameters by refresh, into storage newRGATLayer
+	// allocates once: Ref's attention projections pSrc = W_Ref·aSrc and
+	// pDst = W_Ref·aDst (length Hidden; nil without Ref), which turn the
+	// engine's per-node score into one H-dot, and the transposes the
+	// backward multiplies by.
+	pSrc, pDst []float64
+	selfT      *tensor.Matrix
+	wT         []*tensor.Matrix
+
+	// Where each parameter starts in a flat gradient (Params order), set
+	// once by NewModel.
+	wAt                                     []int
+	aSrcAt, aDstAt, wCoefAt, selfAt, biasAt int
 }
 
 // newRGATLayer draws the layer's parameters from rng and adds to dropped the
@@ -102,12 +116,33 @@ func newRGATLayer(name string, cfg Config, rng *rand.Rand, dropped map[string]bo
 		if r != child {
 			dropped[fmt.Sprintf("%s.wcoef%d", name, r)] = true
 		}
+		l.wT = append(l.wT, tensor.New(cfg.Hidden, cfg.Hidden))
 	}
+	if l.aSrc != nil {
+		l.pSrc, l.pDst = make([]float64, cfg.Hidden), make([]float64, cfg.Hidden)
+	}
+	l.selfT = tensor.New(cfg.Hidden, cfg.Hidden)
 	l.wCoef = nn.NewParameter(fmt.Sprintf("%s.wcoef%d", name, child), 1, 1)
 	l.wCoef.Value.Set(0, 0, 1) // start by trusting the static weights
 	l.self = nn.GlorotParameter(name+".self", cfg.Hidden, cfg.Hidden, rng)
 	l.bias = nn.NewParameter(name+".bias", 1, cfg.Hidden)
 	return l
+}
+
+// refresh recomputes the layer's derived values from its parameters' current
+// values, in place and without allocating.
+func (l *rgatLayer) refresh() {
+	tensor.TransposeInto(l.self.Value, l.selfT)
+	for r, w := range l.w {
+		tensor.TransposeInto(w.Value, l.wT[r])
+	}
+	if l.aSrc != nil {
+		w := l.w[ref].Value
+		for i := range l.pSrc {
+			l.pSrc[i] = tensor.Dot(w.Row(i), l.aSrc.Value.Data)
+			l.pDst[i] = tensor.Dot(w.Row(i), l.aDst.Value.Data)
+		}
+	}
 }
 
 func (l *rgatLayer) params() []*nn.Parameter {
@@ -152,9 +187,8 @@ func (l *rgatLayer) apply(f *nn.Forward, g *Graph, h *autodiff.Var) *autodiff.Va
 
 // Model is the full ParaGraph cost model. Its parameters change only
 // through Train and Load, never while the same model predicts: every caller
-// trains (or loads) first and predicts after, so the engine's weight set
-// (inferparams.go), built before the model is shared, is read by concurrent
-// predictions without a lock.
+// trains (or loads) first and predicts after, so the engine reads them, and
+// the values refresh derives from them, without a lock.
 type Model struct {
 	cfg Config
 
@@ -174,14 +208,15 @@ type Model struct {
 	// does not (see newRGATLayer).
 	dropped map[string]bool
 
+	// Where the embeddings, featVec and each dense layer's block (W, then
+	// b) start in a flat gradient; the layers keep their own.
+	kindAt, subAt, featVecAt    int
+	fc1At, fc2At, featAt, outAt int
+
 	// ws holds the inference workspaces (see infer.go) between calls, and
 	// grads training's (backward.go) between examples and mini-batches.
 	ws    freeList[workspace, *workspace]
 	grads freeList[gradWS, *gradWS]
-
-	// w is the engine's weight set (see inferparams.go): the parameters'
-	// own storage plus the values derived from them.
-	w *weights
 }
 
 // NewModel constructs the model with seeded initialization.
@@ -210,8 +245,34 @@ func NewModel(cfg Config) *Model {
 	m.params = append(m.params, m.fc2.Params()...)
 	m.params = append(m.params, m.featFC.Params()...)
 	m.params = append(m.params, m.out.Params()...)
-	m.buildWeights()
+
+	at := map[*nn.Parameter]int{}
+	off := 0
+	for _, p := range m.params {
+		at[p] = off
+		off += len(p.Value.Data)
+	}
+	m.kindAt, m.subAt, m.featVecAt = at[m.kindEmb.Table], at[m.subEmb.Table], at[m.featVec]
+	m.fc1At, m.fc2At, m.featAt, m.outAt = at[m.fc1.W], at[m.fc2.W], at[m.featFC.W], at[m.out.W]
+	for _, l := range m.layers {
+		for _, w := range l.w {
+			l.wAt = append(l.wAt, at[w])
+		}
+		l.aSrcAt, l.aDstAt = at[l.aSrc], at[l.aDst]
+		l.wCoefAt, l.selfAt, l.biasAt = at[l.wCoef], at[l.self], at[l.bias]
+	}
+	m.refresh()
 	return m
+}
+
+// refresh recomputes every layer's derived values (rgatLayer.refresh) after
+// the parameters change: at each mini-batch's Gradient (after the previous
+// Adam step), in Train's validation after each epoch's last step, and in
+// Load.
+func (m *Model) refresh() {
+	for _, l := range m.layers {
+		l.refresh()
+	}
 }
 
 // Config returns the model configuration (with defaults resolved).
@@ -332,11 +393,12 @@ func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.params) }
 // Load restores weights from a checkpoint written by an identically
 // configured model — by Save, or by an older model that also held the
 // dropped parameters, whose records it skips — and returns the Checksum of
-// the model that wrote it (nn.LoadParams). nn.LoadParams gives each
-// parameter new storage, so Load builds the engine's weight set again.
+// the model that wrote it (nn.LoadParams). The engine reads the loaded
+// values where nn.LoadParams puts them; Load refreshes what is derived
+// from them.
 func (m *Model) Load(r io.Reader) (string, error) {
 	sum, err := nn.LoadParams(r, m.params, m.dropped)
-	m.buildWeights()
+	m.refresh()
 	return sum, err
 }
 

@@ -1,10 +1,10 @@
 package gnn
 
 import (
-	"math"
 	"runtime"
 	"sync"
 
+	"paragraph/internal/metrics"
 	"paragraph/internal/nn"
 )
 
@@ -24,7 +24,7 @@ func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 		func() nn.Gradient { return m.Gradient(train) },
 		func() float64 {
 			// The optimizer stepped the parameters in place: bring the
-			// values derived from them (inferparams.go) up to date, for
+			// values derived from them (refresh) up to date, for
 			// validation and for every prediction after Train.
 			m.refresh()
 			return m.EvalRMSE(val, 0)
@@ -32,20 +32,15 @@ func (m *Model) Train(train, val []*Sample, cfg TrainConfig) (History, error) {
 }
 
 // EvalRMSE computes the RMSE of scaled predictions over samples, predicted
-// by PredictAll. Empty input returns 0. The int argument is ignored; it is
-// retained because bench/layers.go calls EvalRMSE(val, 0), and it goes with
-// ROADMAP item 26.
+// by PredictAll (metrics.RMSE; 0 when empty). The int argument is ignored;
+// it is retained because bench/layers.go calls EvalRMSE(val, 0), and it
+// goes with ROADMAP item 26.
 func (m *Model) EvalRMSE(samples []*Sample, _ int) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	preds := m.PredictAll(samples)
-	var acc float64
+	targets := make([]float64, len(samples))
 	for i, s := range samples {
-		d := preds[i] - s.Target
-		acc += float64(d * d)
+		targets[i] = s.Target
 	}
-	return math.Sqrt(acc / float64(len(samples)))
+	return metrics.RMSE(m.PredictAll(samples), targets)
 }
 
 // PredictAll returns scaled predictions for all samples: they are cut into

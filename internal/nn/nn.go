@@ -112,6 +112,63 @@ func (l *Linear) Apply(f *Forward, x *autodiff.Var) *autodiff.Var {
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*Parameter { return []*Parameter{l.W, l.B} }
 
+// Row is Apply written out for one input row, the form the models' own
+// forward passes run: z = x·W + b into z, one element per column of W. Each
+// output sums its products from +0 in input order, zero inputs included,
+// then adds its bias, on tensor's tiled kernel, so it has Apply's bits
+// wherever the tape's skip of a zero input would have added a ±0 product
+// (every finite W). It allocates nothing.
+func (l *Linear) Row(x, z []float64) {
+	in := tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
+	out := tensor.Matrix{Rows: 1, Cols: len(z), Data: z}
+	tensor.MatMulRowsInto(&in, nil, l.W.Value, &out, nil, false)
+	for j, b := range l.B.Value.Data {
+		z[j] += b
+	}
+}
+
+// Back is Row's backward: given x and dz = dL/dz, it adds xᵀ·dz and dz
+// into grad, the layer's block of a flat gradient (W's elements, then b's,
+// as Params lists them), and, unless dx is nil, sets dx = dz·Wᵀ.
+func (l *Linear) Back(x, dz, grad, dx []float64) {
+	w := l.W.Value
+	gW, gB := grad[:len(w.Data)], grad[len(w.Data):len(w.Data)+len(dz)]
+	for k, xv := range x {
+		row := gW[k*len(dz) : (k+1)*len(dz)]
+		for j, g := range dz {
+			row[j] += float64(xv * g)
+		}
+	}
+	for j, g := range dz {
+		gB[j] += g
+	}
+	for k := range dx {
+		dx[k] = tensor.Dot(w.Row(k), dz)
+	}
+}
+
+// ReLU sets h = max(z, 0) element by element; h may be z. It is the tape's
+// ReLU but for the sign of a zero output, which no product or sum after it
+// can tell.
+func ReLU(z, h []float64) {
+	h = h[:len(z)]
+	for j, v := range z {
+		h[j] = max(v, 0)
+	}
+}
+
+// ReLUBack turns d = dL/dh into dL/dz for h = ReLU(z): it keeps d where
+// z ≥ 0, z == 0 included, as the tape's ReLU passes its gradient, and sets
+// it to +0 elsewhere.
+func ReLUBack(z, d []float64) {
+	d = d[:len(z)]
+	for j, v := range z {
+		if v < 0 {
+			d[j] = 0
+		}
+	}
+}
+
 // Embedding is a lookup table mapping small integer ids to dense rows.
 type Embedding struct {
 	Table *Parameter

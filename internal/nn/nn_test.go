@@ -62,6 +62,75 @@ func TestLinearApply(t *testing.T) {
 	}
 }
 
+// TestLinearRowMatchesApply holds the models' dense layer — Row, ReLU,
+// ReLUBack and Back — to Apply and ReLU on the tape, bit for bit: the
+// output, the W, b and x gradients. The input has zero elements, some
+// pre-activations are negative (so the ReLU mask blocks a gradient), and
+// one case sends an all-zero upstream gradient.
+func TestLinearRowMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const in, out = 13, 6
+	l := NewLinear("l", in, out, rng)
+	l.B.Value.RandN(rng, 0.5)
+	x := make([]float64, in)
+	for k := range x {
+		if k%4 != 1 {
+			x[k] = rng.NormFloat64()
+		}
+	}
+	up := make([]float64, out)
+	for j := range up {
+		up[j] = rng.NormFloat64()
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s[%d] = %v, tape %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		up   []float64
+	}{{"upstream", up}, {"zero upstream", make([]float64, out)}} {
+		t.Run(c.name, func(t *testing.T) {
+			// The tape: loss = Σ ReLU(x·W + b) ⊙ up, so dL/dh = up.
+			f := NewForward()
+			xv := f.Tape.Var(tensor.FromData(1, in, append([]float64(nil), x...)), true)
+			zv := l.Apply(f, xv)
+			loss := f.Tape.Sum(f.Tape.Hadamard(f.Tape.ReLU(zv), f.Tape.Const(tensor.FromData(1, out, c.up))))
+			f.Backward(loss)
+			grads := f.Gradients()
+
+			z, h := make([]float64, out), make([]float64, out)
+			l.Row(x, z)
+			same("z", z, zv.Value.Data)
+			negative := false
+			for _, v := range z {
+				negative = negative || v < 0
+			}
+			if !negative {
+				t.Fatal("no negative pre-activation: the ReLU mask is untested")
+			}
+			ReLU(z, h)
+			for j, v := range h {
+				if v != max(z[j], 0) {
+					t.Errorf("h[%d] = %v for z %v", j, v, z[j])
+				}
+			}
+			dz := append([]float64(nil), c.up...)
+			ReLUBack(z, dz)
+			grad := make([]float64, NumElements(l.Params()))
+			dx := make([]float64, in)
+			l.Back(x, dz, grad, dx)
+			same("dW", grad[:in*out], grads[l.W].Data)
+			same("db", grad[in*out:], grads[l.B].Data)
+			same("dx", dx, xv.Grad().Data)
+		})
+	}
+}
+
 func TestLinearGradientDescentConverges(t *testing.T) {
 	// Fit y = 2x - 1 with a single linear unit.
 	rng := rand.New(rand.NewSource(3))

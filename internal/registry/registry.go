@@ -285,7 +285,7 @@ func Load(dir string) (*Entry, error) {
 }
 
 // load is the one loader: it validates the manifest, reads the weights
-// (gnn.Model.Load builds the engine's weight set over them) and verifies
+// (the engine runs on them once gnn.Model.Load returns) and verifies
 // them against the manifest's config and checksum. An entry serves in
 // float64, the width the model trained and was evaluated in: its
 // PredictBatch is, bit for bit, the saved model's.

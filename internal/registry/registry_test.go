@@ -77,8 +77,8 @@ func saveModel(t *testing.T, root string, m hw.Machine, name string, model *gnn.
 func TestSaveOpenRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	// Trained, so its weights are not the ones the manifest's seed draws:
-	// the entry predicts what was saved only if loading rebuilds the
-	// engine's weight set over the loaded parameters.
+	// the entry predicts what was saved only if the engine runs on the
+	// loaded parameters.
 	model := newTestModel(7)
 	trainOn := testSample(t)
 	trainOn.Target = 0.5

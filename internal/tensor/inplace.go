@@ -5,13 +5,14 @@ import "fmt"
 // This file holds the destination-passing kernels behind the inference
 // engine (internal/gnn): each op writes into a caller-owned matrix instead of
 // allocating a fresh one, so a whole forward pass can run out of a pooled
-// workspace with zero heap traffic. The elementwise kernels reuse the exact
-// loop body of their allocating counterparts (or the matching autodiff tape
-// op) and produce bit-identical values. The three matmul entry points —
-// MatMulInto, MatMulRowsInto and AddMatMulTInto — instead run the one tiled
-// kernel (tiled.go, with an AVX micro-kernel on amd64), which keeps the
-// naive MatMul's per-element accumulation order and so agrees with it to
-// the last ulp; they differ only in where it reads a and writes dst.
+// workspace with zero heap traffic. TransposeInto and MeanRowsInto reuse
+// the exact loop body of their allocating counterparts (or the matching
+// autodiff tape op) and produce bit-identical values. The three matmul
+// entry points — MatMulInto, MatMulRowsInto and AddMatMulTInto — instead
+// run the one tiled kernel (tiled.go, with an AVX micro-kernel on amd64),
+// which keeps the naive MatMul's per-element accumulation order and so
+// agrees with it to the last ulp; they differ only in where it reads a and
+// writes dst.
 //
 // These are the kernels the engine calls directly. The message path —
 // gather, attention softmax, scatter — has no op-level form here: gnn's
@@ -117,35 +118,6 @@ func TransposeInto(a, dst *Matrix) {
 		for j, v := range a.Row(i) {
 			dst.Data[j*a.Rows+i] = v
 		}
-	}
-}
-
-// AddBiasInto computes dst = a + bias, broadcasting the 1×C bias over a's
-// rows. dst may alias a.
-func AddBiasInto(a, bias, dst *Matrix) {
-	shapeCheck(bias.Rows == 1 && bias.Cols == a.Cols,
-		"AddBiasInto %dx%d + %dx%d", a.Rows, a.Cols, bias.Rows, bias.Cols)
-	dst.reshape(a.Rows, a.Cols)
-	brow := bias.Row(0)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j, v := range arow {
-			drow[j] = v + brow[j]
-		}
-	}
-}
-
-// LeakyReLUInto computes dst = max(x, alpha*x) element-wise, using the same
-// formula as the tape op (negative values map to alpha*x, so alpha == 0
-// yields the same signed zeros as the tape's ReLU). dst may alias a.
-func LeakyReLUInto(a *Matrix, alpha float64, dst *Matrix) {
-	dst.reshape(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		if v < 0 {
-			v = alpha * v
-		}
-		dst.Data[i] = v
 	}
 }
 
