@@ -100,9 +100,6 @@ func NewQueue(cfg QueueConfig) *Queue {
 	}
 }
 
-// Concurrency reports the configured slot count.
-func (q *Queue) Concurrency() int { return q.cfg.Concurrency }
-
 // Acquire blocks until the caller holds one of the queue's slots, then
 // returns nil; the caller must Release when done. It returns a *ShedError
 // (ReasonQueueFull or ReasonLaneFull) without blocking when the queue's

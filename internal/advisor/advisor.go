@@ -139,13 +139,10 @@ type SearchSpace struct {
 	GPUThreads []int
 }
 
-// DefaultSearchSpace mirrors the dataset sweep.
+// DefaultSearchSpace is the dataset sweep's grid (variants.DefaultSweep).
 func DefaultSearchSpace() SearchSpace {
-	return SearchSpace{
-		CPUThreads: []int{1, 2, 4, 8, 16, 22, 24},
-		GPUTeams:   []int{16, 64, 128, 256},
-		GPUThreads: []int{64, 128, 256},
-	}
+	sw := variants.DefaultSweep()
+	return SearchSpace{CPUThreads: sw.CPUThreads, GPUTeams: sw.GPUTeams, GPUThreads: sw.GPUThreads}
 }
 
 // MaxGridPoints bounds the grid one Advise evaluates. The default space is
@@ -172,11 +169,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// ranks reports whether Advise ranks variant kind for k on m.
-func ranks(kind variants.Kind, k apps.Kernel, m hw.Machine) bool {
-	return kind.IsGPU() == m.IsGPU && (k.Collapsible || !kind.IsCollapse())
-}
-
 // CheckSpace reports, as a *SpaceError, why Advise would refuse space for k
 // on m: an entry below 1 (a zero drops a clause and changes the topology in
 // the middle of a kind), or more than MaxGridPoints points. It costs three
@@ -197,12 +189,7 @@ func CheckSpace(k apps.Kernel, m hw.Machine, space SearchSpace) error {
 			perKind = MaxGridPoints + 1 // the product could overflow
 		}
 	}
-	kinds := 0
-	for kind := variants.Kind(0); kind < variants.NumKinds; kind++ {
-		if ranks(kind, k, m) {
-			kinds++
-		}
-	}
+	kinds := len(variants.KindsFor(k, m.IsGPU))
 	if perKind > MaxGridPoints || kinds*perKind > MaxGridPoints {
 		return &SpaceError{"grid_points", fmt.Sprintf("advisor: search space of %d variant kinds x %d points exceeds %d grid points",
 			kinds, perKind, MaxGridPoints)}
@@ -250,12 +237,7 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 	if err := CheckSpace(k, a.machine, space); err != nil {
 		return nil, err
 	}
-	var kinds []variants.Kind
-	for _, kind := range variants.Kinds() {
-		if ranks(kind, k, a.machine) {
-			kinds = append(kinds, kind)
-		}
-	}
+	kinds := variants.KindsFor(k, a.machine.IsGPU)
 	teams, threads := []int{0}, space.CPUThreads
 	if a.machine.IsGPU {
 		teams, threads = space.GPUTeams, space.GPUThreads

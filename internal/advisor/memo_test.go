@@ -23,17 +23,6 @@ func memoSize(a *Advisor) int {
 	return n
 }
 
-// kindsOf lists the variant kinds Advise ranks for k on machine.
-func kindsOf(k apps.Kernel, machine hw.Machine) []variants.Kind {
-	var out []variants.Kind
-	for _, kind := range variants.Kinds() {
-		if ranks(kind, k, machine) {
-			out = append(out, kind)
-		}
-	}
-	return out
-}
-
 // reversed is space with every list in reverse order, so its first point —
 // the one a cold kind is parsed from — is another (teams, threads).
 func reversed(space SearchSpace) SearchSpace {
@@ -76,7 +65,7 @@ func TestEncoderMemoMatchesFreshAdvisor(t *testing.T) {
 					t.Fatal(err)
 				}
 				var shared []*int
-				perKind := len(rec.last) / len(kindsOf(k, machine))
+				perKind := len(rec.last) / len(variants.KindsFor(k, machine.IsGPU))
 				for lo := 0; lo < len(rec.last); lo += perKind {
 					shared = append(shared, &rec.last[lo].G.Kinds[0])
 				}
@@ -102,7 +91,7 @@ func TestEncoderMemoMatchesFreshAdvisor(t *testing.T) {
 func countKinds(machine hw.Machine) int {
 	n := 0
 	for _, k := range apps.Kernels() {
-		n += len(kindsOf(k, machine))
+		n += len(variants.KindsFor(k, machine.IsGPU))
 	}
 	return n
 }
@@ -156,7 +145,7 @@ func TestEncoderMemoSkipsEditedSuiteNames(t *testing.T) {
 				}
 				requireSameRanking(t, fmt.Sprintf("%s (suite first: %v)", q.name, suiteFirst), got, q.want)
 			}
-			if got, want := memoSize(a), len(kindsOf(suiteK, hw.V100())); got != want {
+			if got, want := memoSize(a), len(variants.KindsFor(suiteK, hw.V100().IsGPU)); got != want {
 				t.Errorf("%s (suite first: %v): %d memoized encoders, want matmul's %d", custom.name, suiteFirst, got, want)
 			}
 		}
@@ -253,7 +242,7 @@ func TestConcurrentAdviseSharesMemoizedTopology(t *testing.T) {
 		}
 		requireSameRanking(t, fmt.Sprintf("client %d", c), got[c], want)
 	}
-	kinds := kindsOf(k, hw.V100())
+	kinds := variants.KindsFor(k, hw.V100().IsGPU)
 	if n := memoSize(a); n != len(kinds) {
 		t.Fatalf("%d memoized encoders, want %d", n, len(kinds))
 	}

@@ -35,9 +35,6 @@ type Var struct {
 	tape         *Tape
 }
 
-// RequiresGrad reports whether gradients flow into this variable.
-func (v *Var) RequiresGrad() bool { return v.requiresGrad }
-
 // Grad returns the accumulated gradient, allocating a zero matrix on first
 // use.
 func (v *Var) Grad() *tensor.Matrix {
@@ -90,9 +87,6 @@ func (t *Tape) Backward(loss *Var) {
 		t.backward[i]()
 	}
 }
-
-// Ops returns the number of recorded operations (diagnostics).
-func (t *Tape) Ops() int { return len(t.backward) }
 
 // --- dense ops ---
 
@@ -161,37 +155,6 @@ func (t *Tape) AddBias(a, bias *Var) *Var {
 					bg.Data[j] += v
 				}
 			}
-		}
-	})
-	return out
-}
-
-// Scale returns s*a for a constant s.
-func (t *Tape) Scale(a *Var, s float64) *Var {
-	m := a.Value.Clone()
-	m.ScaleInPlace(s)
-	out := t.output(m, a)
-	t.record(func() {
-		if out.requiresGrad && a.requiresGrad {
-			a.Grad().AxpyInPlace(s, out.Grad())
-		}
-	})
-	return out
-}
-
-// Hadamard returns the element-wise product a⊙b.
-func (t *Tape) Hadamard(a, b *Var) *Var {
-	out := t.output(tensor.Hadamard(a.Value, b.Value), a, b)
-	t.record(func() {
-		if !out.requiresGrad {
-			return
-		}
-		g := out.Grad()
-		if a.requiresGrad {
-			a.Grad().AddInPlace(tensor.Hadamard(g, b.Value))
-		}
-		if b.requiresGrad {
-			b.Grad().AddInPlace(tensor.Hadamard(g, a.Value))
 		}
 	})
 	return out
@@ -447,22 +410,6 @@ func (t *Tape) MeanRows(a *Var) *Var {
 			for j := range row {
 				row[j] += float64(g.Data[j] * inv)
 			}
-		}
-	})
-	return out
-}
-
-// Sum returns the 1×1 sum of all elements.
-func (t *Tape) Sum(a *Var) *Var {
-	out := t.output(tensor.Scalar(a.Value.Sum()), a)
-	t.record(func() {
-		if !out.requiresGrad || !a.requiresGrad {
-			return
-		}
-		g := out.Grad().At(0, 0)
-		ag := a.Grad()
-		for i := range ag.Data {
-			ag.Data[i] += g
 		}
 	})
 	return out

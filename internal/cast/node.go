@@ -195,20 +195,6 @@ func (n *Node) Body() *Node {
 	return nil
 }
 
-// Params returns the ParmVarDecl children of a FunctionDecl.
-func (n *Node) Params() []*Node {
-	if n.Kind != KindFunctionDecl {
-		return nil
-	}
-	var ps []*Node
-	for _, c := range n.Children {
-		if c.Kind == KindParmVarDecl {
-			ps = append(ps, c)
-		}
-	}
-	return ps
-}
-
 // String renders a one-line description of the node.
 func (n *Node) String() string {
 	s := n.Kind.String()
@@ -282,19 +268,6 @@ func Walk(n *Node, fn func(*Node) bool) {
 	}
 }
 
-// Terminals returns the terminal ("syntax token") nodes of the subtree in
-// left-to-right source order — the order the NextToken edge chain follows.
-func Terminals(root *Node) []*Node {
-	var ts []*Node
-	Walk(root, func(n *Node) bool {
-		if n.IsTerminal() {
-			ts = append(ts, n)
-		}
-		return true
-	})
-	return ts
-}
-
 // FindAll returns every node of the given kind in preorder.
 func FindAll(root *Node, kind Kind) []*Node {
 	var out []*Node
@@ -315,11 +288,6 @@ func FindFunction(root *Node, name string) *Node {
 		}
 	}
 	return nil
-}
-
-// Directives returns every OMPExecutableDirective node in preorder.
-func Directives(root *Node) []*Node {
-	return FindAll(root, KindOMPExecutableDirective)
 }
 
 // LoopDepth returns the maximum loop-nest depth within the subtree (0 when

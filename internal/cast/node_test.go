@@ -126,7 +126,13 @@ func TestIsLoopAndTerminal(t *testing.T) {
 
 func TestTerminalsOrder(t *testing.T) {
 	root := buildTree()
-	terms := Terminals(root)
+	var terms []*Node
+	Walk(root, func(n *Node) bool {
+		if n.IsTerminal() {
+			terms = append(terms, n)
+		}
+		return true
+	})
 	// Leaves in preorder: VarDecl, BinaryOperator(leaf), then-CS, else-CS.
 	if len(terms) != 4 {
 		t.Fatalf("terminals = %d, want 4", len(terms))
@@ -211,10 +217,9 @@ func TestLoopDepth(t *testing.T) {
 	}
 }
 
-func TestBodyAndParamsOnNonFunction(t *testing.T) {
-	n := NewNode(KindCompoundStmt)
-	if n.Body() != nil || n.Params() != nil {
-		t.Error("Body/Params on non-function should be nil")
+func TestBodyOnNonFunction(t *testing.T) {
+	if NewNode(KindCompoundStmt).Body() != nil {
+		t.Error("Body on non-function should be nil")
 	}
 }
 

@@ -25,13 +25,6 @@ import (
 // NumFeatures is the engineered feature vector width.
 const NumFeatures = 13
 
-// FeatureNames documents the feature vector layout.
-var FeatureNames = [NumFeatures]string{
-	"log_flops", "log_intops", "log_loads", "log_stores", "log_branches",
-	"log_mathcalls", "log_transfer_bytes", "log_parallel_iters",
-	"collapse_depth", "loop_depth", "log_teams", "log_threads", "reductions",
-}
-
 // Features is one engineered feature vector.
 type Features [NumFeatures]float64
 
@@ -100,9 +93,6 @@ func NewModel(cfg Config) *Model {
 	m.params = append(m.params, m.out.Params()...)
 	return m
 }
-
-// Params returns the trainable parameters.
-func (m *Model) Params() []*nn.Parameter { return m.params }
 
 // FitScaler learns per-feature MinMax bounds from the training samples.
 func (m *Model) FitScaler(samples []*Sample) {

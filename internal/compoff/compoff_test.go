@@ -1,6 +1,7 @@
 package compoff
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -34,7 +35,7 @@ func TestExtractFeatures(t *testing.T) {
 	// Flops, loads, stores, transfer, parallel iters must be present.
 	for _, idx := range []int{0, 2, 3, 6, 7} {
 		if f[idx] <= 0 {
-			t.Errorf("feature %s = %v, want > 0", FeatureNames[idx], f[idx])
+			t.Errorf("feature %d = %v, want > 0", idx, f[idx])
 		}
 	}
 	if f[10] != math.Log1p(128) {
@@ -147,7 +148,7 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 		if _, err := m.Train(train, val, nn.TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3}); err != nil {
 			t.Fatal(err)
 		}
-		return nn.ChecksumParams(m.Params())
+		return nn.ChecksumParams(m.params)
 	}
 	want := checksum(1)
 	for _, procs := range []int{1, 2, 4, 2, 4} {
@@ -206,13 +207,12 @@ func TestScaleRowClamps(t *testing.T) {
 
 func TestNumParamsAndNames(t *testing.T) {
 	m := NewModel(Config{})
-	if len(m.Params()) != 6 { // 3 layers × (W, b)
-		t.Errorf("params = %d", len(m.Params()))
+	if len(m.params) != 6 { // 3 layers × (W, b)
+		t.Errorf("params = %d", len(m.params))
 	}
-	for _, name := range FeatureNames {
-		if name == "" {
-			t.Error("unnamed feature")
-		}
+	// SaveParams refuses an empty or repeated parameter name.
+	if err := nn.SaveParams(io.Discard, m.params); err != nil {
+		t.Error(err)
 	}
 }
 

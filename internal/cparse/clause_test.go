@@ -81,7 +81,7 @@ func TestParsePragma(t *testing.T) {
 	t.Run("every_directive", func(t *testing.T) {
 		for k := omp.DirParallel; k <= omp.DirMaster; k++ {
 			fn := mustParse(t, fmt.Sprintf(pragmaKernel, "#pragma omp "+k.String()))
-			dirs := cast.Directives(fn)
+			dirs := cast.FindAll(fn, cast.KindOMPExecutableDirective)
 			if len(dirs) != 1 || directiveShape(dirs[0]) != k.String() {
 				t.Errorf("#pragma omp %s: directives %v", k, dirs)
 			}
@@ -114,7 +114,7 @@ func TestParsePragma(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fn := mustParse(t, fmt.Sprintf(pragmaKernel, "#pragma omp "+c.pragma))
-			dirs := cast.Directives(fn)
+			dirs := cast.FindAll(fn, cast.KindOMPExecutableDirective)
 			if len(dirs) != 1 {
 				t.Fatalf("%d directives", len(dirs))
 			}
@@ -125,7 +125,7 @@ func TestParsePragma(t *testing.T) {
 	}
 	t.Run("pragma_once", func(t *testing.T) {
 		fn := mustParse(t, fmt.Sprintf(pragmaKernel, "#pragma once"))
-		if dirs := cast.Directives(fn); len(dirs) != 0 {
+		if dirs := cast.FindAll(fn, cast.KindOMPExecutableDirective); len(dirs) != 0 {
 			t.Errorf("#pragma once parsed as %d directives", len(dirs))
 		}
 	})
@@ -165,10 +165,10 @@ void k(double *a, double *b, int n, int m) {
         for (int j = 0; j < m; j++)
             a[i * m + j] = b[i];
 }`)
-	dir := cast.Directives(root)[0]
+	dir := cast.FindAll(root, cast.KindOMPExecutableDirective)[0]
 	clauses := cast.FindAll(dir, cast.KindOMPClause)
 	if len(clauses) != 5 {
-		t.Fatalf("clause nodes = %d, want 5:\n%s", len(clauses), cast.DumpString(dir))
+		t.Fatalf("clause nodes = %d, want 5:\n%s", len(clauses), dump(dir))
 	}
 	byKind := map[omp.ClauseKind][]*cast.Node{}
 	for _, c := range clauses {
@@ -232,7 +232,7 @@ void k(double *a, int n) {
     #pragma omp parallel for
     for (int i = 0; i < n; i++) a[i] = 0.0;
 }`)
-	dir := cast.Directives(root)[0]
+	dir := cast.FindAll(root, cast.KindOMPExecutableDirective)[0]
 	if len(dir.Children) != 1 {
 		t.Fatalf("children = %d, want 1 (loop only)", len(dir.Children))
 	}
@@ -247,7 +247,7 @@ void k(double *a, int n) {
     #pragma omp target map(tofrom: a) num_threads(4)
     { a[0] = 1.0; }
 }`)
-	dir := cast.Directives(root)[0]
+	dir := cast.FindAll(root, cast.KindOMPExecutableDirective)[0]
 	maps := cast.FindAll(dir, cast.KindOMPClause)
 	var mapClause *cast.Node
 	for _, c := range maps {
@@ -270,7 +270,7 @@ void k(double *a, int n) {
     #pragma omp target teams distribute parallel for map(to: a[0:n +])
     for (int i = 0; i < n; i++) a[i] = 0.0;
 }`)
-	dir := cast.Directives(root)[0]
+	dir := cast.FindAll(root, cast.KindOMPExecutableDirective)[0]
 	if dir == nil {
 		t.Fatal("directive lost")
 	}

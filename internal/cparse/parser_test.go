@@ -1,6 +1,7 @@
 package cparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ void f(void) {
 		t.Fatal("no compound body")
 	}
 	if len(body.Children) != 2 {
-		t.Fatalf("body has %d stmts, want 2:\n%s", len(body.Children), cast.DumpString(body))
+		t.Fatalf("body has %d stmts, want 2:\n%s", len(body.Children), dump(body))
 	}
 	ds := body.Children[0]
 	if ds.Kind != cast.KindDeclStmt || ds.Children[0].Kind != cast.KindVarDecl {
@@ -66,7 +67,7 @@ void f(void) {
 	// The read of x must be wrapped in ImplicitCastExpr.
 	ices := cast.FindAll(root, cast.KindImplicitCastExpr)
 	if len(ices) != 1 {
-		t.Fatalf("found %d ImplicitCastExpr, want 1:\n%s", len(ices), cast.DumpString(root))
+		t.Fatalf("found %d ImplicitCastExpr, want 1:\n%s", len(ices), dump(root))
 	}
 	if ices[0].Children[0].Kind != cast.KindDeclRefExpr || ices[0].Children[0].Name != "x" {
 		t.Errorf("cast wraps %s, want DeclRefExpr x", ices[0].Children[0])
@@ -162,7 +163,7 @@ func TestParseRightAssociativeAssign(t *testing.T) {
 	// Outer assign's RHS must be the inner assign.
 	outer := assigns[0]
 	if outer.Children[1].Kind != cast.KindBinaryOperator {
-		t.Errorf("a = (b = c) not right-associative:\n%s", cast.DumpString(outer))
+		t.Errorf("a = (b = c) not right-associative:\n%s", dump(outer))
 	}
 }
 
@@ -227,7 +228,7 @@ void axpy(double *x, double *y, double a, int n) {
         y[i] = a * x[i] + y[i];
     }
 }`)
-	dirs := cast.Directives(root)
+	dirs := cast.FindAll(root, cast.KindOMPExecutableDirective)
 	if len(dirs) != 1 {
 		t.Fatalf("found %d directives, want 1", len(dirs))
 	}
@@ -248,7 +249,7 @@ void k(double *a, int n, int m) {
         for (int j = 0; j < m; j++)
             a[i * m + j] = 0.0;
 }`)
-	d := cast.Directives(root)[0]
+	d := cast.FindAll(root, cast.KindOMPExecutableDirective)[0]
 	want := "target teams distribute parallel for collapse=2 teams=8 threads=128: " +
 		"collapse(2) map:tofrom(a[(n*m)]) num_teams(8) num_threads(128)"
 	if got := directiveShape(d); got != want {
@@ -317,7 +318,7 @@ void f(int x) {
     x = 2;
 }`)
 	fn := cast.FindFunction(root, "f")
-	parm := fn.Params()[0]
+	parm := cast.FindAll(fn, cast.KindParmVarDecl)[0]
 	var innerDecl *cast.Node
 	for _, vd := range cast.FindAll(root, cast.KindVarDecl) {
 		if vd.Name == "x" {
@@ -415,7 +416,13 @@ func TestParseUnaryVariants(t *testing.T) {
 
 func TestParseTerminalOrder(t *testing.T) {
 	root := mustParse(t, `void f(void) { int x; x = 50; }`)
-	terms := cast.Terminals(root)
+	var terms []*cast.Node
+	cast.Walk(root, func(n *cast.Node) bool {
+		if n.IsTerminal() {
+			terms = append(terms, n)
+		}
+		return true
+	})
 	// Terminals in source order: VarDecl is a leaf (no init), the DeclRefExpr
 	// x, then IntegerLiteral 50.
 	var names []string
@@ -467,8 +474,8 @@ func TestParseFunctionHelpers(t *testing.T) {
 	if fn == nil {
 		t.Fatal("add not found")
 	}
-	if len(fn.Params()) != 2 {
-		t.Errorf("params = %d, want 2", len(fn.Params()))
+	if n := len(cast.FindAll(fn, cast.KindParmVarDecl)); n != 2 {
+		t.Errorf("params = %d, want 2", n)
 	}
 	if fn.Body() == nil {
 		t.Error("body missing")
@@ -483,10 +490,25 @@ func TestParseFunctionHelpers(t *testing.T) {
 
 func TestDumpContainsStructure(t *testing.T) {
 	root := mustParse(t, `void f(void) { if (1) { } }`)
-	s := cast.DumpString(root)
+	s := dump(root)
 	for _, want := range []string{"TranslationUnitDecl", "FunctionDecl", "IfStmt", "IntegerLiteral"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("dump missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// dump renders a subtree one node a line, indented by depth, for failure
+// messages.
+func dump(root *cast.Node) string {
+	var sb strings.Builder
+	var rec func(n *cast.Node, depth int)
+	rec = func(n *cast.Node, depth int) {
+		fmt.Fprintf(&sb, "%s%s\n", strings.Repeat("  ", depth), n)
+		for _, c := range n.Children {
+			rec(c, depth+1)
+		}
+	}
+	rec(root, 0)
+	return sb.String()
 }

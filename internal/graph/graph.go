@@ -92,17 +92,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// EdgesOfType returns the edges with the given type, in insertion order.
-func (g *Graph) EdgesOfType(typ int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.Type == typ {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // CountByType returns the number of edges of each type.
 func (g *Graph) CountByType() []int {
 	counts := make([]int, g.NumTypes())
@@ -139,17 +128,6 @@ func (g *Graph) TotalWeight() float64 {
 		w += e.Weight
 	}
 	return w
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		Nodes:     append([]Node(nil), g.Nodes...),
-		Edges:     append([]Edge(nil), g.Edges...),
-		TypeNames: append([]string(nil), g.TypeNames...),
-		KindNames: append([]string(nil), g.KindNames...),
-	}
-	return c
 }
 
 // typeName returns a printable name for an edge type.

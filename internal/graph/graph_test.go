@@ -72,35 +72,6 @@ func TestDegreesAndCounts(t *testing.T) {
 	}
 }
 
-func TestEdgesOfType(t *testing.T) {
-	g := smallGraph()
-	child := g.EdgesOfType(0)
-	if len(child) != 2 {
-		t.Fatalf("child edges = %d, want 2", len(child))
-	}
-	ref := g.EdgesOfType(1)
-	if len(ref) != 1 || ref[0].Src != 2 {
-		t.Errorf("ref edges = %v", ref)
-	}
-	if got := g.EdgesOfType(9); got != nil {
-		t.Errorf("unknown type edges = %v", got)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := smallGraph()
-	c := g.Clone()
-	c.AddNode(Node{})
-	c.AddEdge(0, 1, 1, 9)
-	c.Nodes[0].Label = "changed"
-	if g.NumNodes() != 3 || g.NumEdges() != 3 {
-		t.Error("clone mutation leaked into original")
-	}
-	if g.Nodes[0].Label != "root" {
-		t.Error("clone node mutation leaked")
-	}
-}
-
 func TestDOTOutput(t *testing.T) {
 	g := smallGraph()
 	var buf bytes.Buffer

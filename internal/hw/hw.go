@@ -163,9 +163,3 @@ func ByName(name string) (Machine, error) {
 	}
 	return Machine{}, fmt.Errorf("hw: unknown machine %q", name)
 }
-
-// CPUs returns the CPU platforms.
-func CPUs() []Machine { return []Machine{Power9(), EPYC7401()} }
-
-// GPUs returns the GPU platforms.
-func GPUs() []Machine { return []Machine{V100(), MI50()} }

@@ -66,8 +66,8 @@ func TestPeaksAreOrderedSanely(t *testing.T) {
 }
 
 func TestGPUMemoryBandwidthExceedsCPUs(t *testing.T) {
-	for _, g := range GPUs() {
-		for _, c := range CPUs() {
+	for _, g := range byKind(true) {
+		for _, c := range byKind(false) {
 			if g.MemBWGBs <= c.MemBWGBs {
 				t.Errorf("%s BW %v should exceed %s BW %v", g.Name, g.MemBWGBs, c.Name, c.MemBWGBs)
 			}
@@ -76,18 +76,18 @@ func TestGPUMemoryBandwidthExceedsCPUs(t *testing.T) {
 }
 
 func TestGPULinkFields(t *testing.T) {
-	for _, g := range GPUs() {
+	if g := byKind(true); len(g) != 2 || g[0].Name != V100().Name || g[1].Name != MI50().Name {
+		t.Errorf("GPUs = %v, want V100 and MI50", g)
+	}
+	for _, g := range byKind(true) {
 		if g.LinkBWGBs <= 0 || g.LinkLatencyUS <= 0 {
 			t.Errorf("%s: missing link model", g.Name)
 		}
 		if g.ThreadsPerCore <= 0 {
 			t.Errorf("%s: missing occupancy shape", g.Name)
 		}
-		if !g.IsGPU {
-			t.Errorf("%s: not marked GPU", g.Name)
-		}
 	}
-	for _, c := range CPUs() {
+	for _, c := range byKind(false) {
 		if c.SingleCoreBWFrac <= 0 || c.SingleCoreBWFrac > 1 {
 			t.Errorf("%s: SingleCoreBWFrac = %v", c.Name, c.SingleCoreBWFrac)
 		}
@@ -220,4 +220,15 @@ func TestSlugMatchesBothPredecessors(t *testing.T) {
 			t.Fatalf("%q: feedback.Slug %q, registry.PlatformSlug %q, hw.Slug %q", in, f, r, got)
 		}
 	}
+}
+
+// byKind returns All()'s GPU platforms (gpu) or its CPU platforms.
+func byKind(gpu bool) []Machine {
+	var out []Machine
+	for _, m := range All() {
+		if m.IsGPU == gpu {
+			out = append(out, m)
+		}
+	}
+	return out
 }

@@ -13,9 +13,11 @@ func TestParameterLifecycle(t *testing.T) {
 	if p.Value.Rows != 2 || p.Grad.Cols != 3 {
 		t.Fatal("shapes wrong")
 	}
-	p.Grad.Fill(1)
+	for i := range p.Grad.Data {
+		p.Grad.Data[i] = 1
+	}
 	p.ZeroGrad()
-	if p.Grad.Sum() != 0 {
+	if p.Grad.Norm2() != 0 {
 		t.Error("ZeroGrad failed")
 	}
 	g := GlorotParameter("g", 4, 4, rand.New(rand.NewSource(1)))
@@ -32,8 +34,10 @@ func TestForwardBindCaching(t *testing.T) {
 	if v1 != v2 {
 		t.Error("Bind should cache per parameter")
 	}
-	if !v1.RequiresGrad() {
-		t.Error("training bind should require grad")
+	// A training bind takes gradients: MSE of 0 against 1 sends back -2.
+	f.Backward(f.Tape.MSE(v1, tensor.Scalar(1)))
+	if g := v1.Grad().At(0, 0); g != -2 {
+		t.Errorf("training bind's gradient = %v, want -2", g)
 	}
 }
 
@@ -95,12 +99,11 @@ func TestLinearRowMatchesApply(t *testing.T) {
 		up   []float64
 	}{{"upstream", up}, {"zero upstream", make([]float64, out)}} {
 		t.Run(c.name, func(t *testing.T) {
-			// The tape: loss = Σ ReLU(x·W + b) ⊙ up, so dL/dh = up.
+			// The tape: loss = ReLU(x·W + b) · up, up a column, so dL/dh = up.
 			f := NewForward()
 			xv := f.Tape.Var(tensor.FromData(1, in, append([]float64(nil), x...)), true)
 			zv := l.Apply(f, xv)
-			loss := f.Tape.Sum(f.Tape.Hadamard(f.Tape.ReLU(zv), f.Tape.Const(tensor.FromData(1, out, c.up))))
-			f.Backward(loss)
+			f.Backward(f.Tape.MatMul(f.Tape.ReLU(zv), f.Tape.Const(tensor.FromData(out, 1, c.up))))
 			grads := f.Gradients()
 
 			z, h := make([]float64, out), make([]float64, out)
@@ -187,9 +190,7 @@ func TestAccumulateScaling(t *testing.T) {
 	p.Value.Set(0, 0, 3)
 	f := NewForward()
 	v := f.Bind(p)
-	sq := f.Tape.Hadamard(v, v) // d/dp p² = 2p = 6
-	loss := f.Tape.Sum(sq)
-	f.Backward(loss)
+	f.Backward(f.Tape.MatMul(v, v)) // d/dp p² = 2p = 6
 	f.Accumulate(0.5)
 	if got := p.Grad.At(0, 0); math.Abs(got-3) > 1e-12 {
 		t.Errorf("scaled grad = %v, want 3", got)
@@ -222,7 +223,7 @@ func TestClipGradNorm(t *testing.T) {
 		t.Error("clip changed small gradients")
 	}
 	ZeroGrads(params)
-	if p1.Grad.Sum() != 0 || p2.Grad.Sum() != 0 {
+	if p1.Grad.At(0, 0) != 0 || p2.Grad.At(0, 0) != 0 {
 		t.Error("ZeroGrads failed")
 	}
 }
@@ -236,7 +237,7 @@ func TestAdamMovesAgainstGradient(t *testing.T) {
 	if p.Value.At(0, 0) >= 1 {
 		t.Errorf("Adam moved wrong way: %v", p.Value.At(0, 0))
 	}
-	if p.Grad.Sum() != 0 {
+	if p.Grad.At(0, 0) != 0 {
 		t.Error("Step should zero gradients")
 	}
 }

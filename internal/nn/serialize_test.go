@@ -28,7 +28,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	dst := paramSet(t)
 	// Perturb destination so we can tell loading worked.
 	for _, p := range dst {
-		p.Value.Fill(99)
+		for i := range p.Value.Data {
+			p.Value.Data[i] = 99
+		}
 	}
 	if _, err := LoadParams(&buf, dst, nil); err != nil {
 		t.Fatal(err)

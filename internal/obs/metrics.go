@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -385,13 +384,4 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			s.write(w, f.name, s.labels)
 		}
 	}
-}
-
-// Handler returns an http.Handler serving the registry in text exposition
-// format (the GET /metrics endpoint).
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"math"
-	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -203,18 +202,5 @@ func TestCollectFunc(t *testing.T) {
 	ia, ib := strings.Index(out, `peer="a"`), strings.Index(out, `peer="b"`)
 	if ia < 0 || ib < 0 || ia > ib {
 		t.Fatalf("collect series missing or unsorted:\n%s", out)
-	}
-}
-
-func TestHandler(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("one_total", "", nil).Inc()
-	rec := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "one_total 1") {
-		t.Fatalf("body missing counter:\n%s", rec.Body.String())
 	}
 }

@@ -10,6 +10,17 @@ import (
 	"paragraph/internal/graph"
 )
 
+// edgesOfType returns g's edges of relation typ, in insertion order.
+func edgesOfType(g *graph.Graph, typ EdgeType) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range g.Edges {
+		if e.Type == int(typ) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func build(t *testing.T, src string, opts Options) *graph.Graph {
 	t.Helper()
 	g, err := BuildKernel(src, opts)
@@ -335,7 +346,7 @@ func TestOnlyLoopDirectivesDivide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		built := g.EdgesOfType(int(Child))
+		built := edgesOfType(g, Child)
 		for i, e := range built {
 			if i >= len(ws) || ws[i] != e.Weight {
 				t.Errorf("%s: Topology child weights %v, Build's differ at edge %d", pragma, ws, i)
@@ -371,7 +382,7 @@ void f(int n) {
     x = n + 1;
 }`
 	g := build(t, src, Options{Level: LevelAugmentedAST})
-	refs := g.EdgesOfType(int(Ref))
+	refs := edgesOfType(g, Ref)
 	// Two refs: x -> VarDecl x, n -> ParmVarDecl n.
 	if len(refs) != 2 {
 		t.Fatalf("ref edges = %d, want 2", len(refs))
@@ -386,7 +397,7 @@ void f(int n) {
 
 func TestNextTokenChain(t *testing.T) {
 	g := build(t, `void f(void) { int x; x = 50; }`, Options{Level: LevelAugmentedAST})
-	nts := g.EdgesOfType(int(NextToken))
+	nts := edgesOfType(g, NextToken)
 	// Terminals: VarDecl(x), DeclRefExpr(x), IntegerLiteral(50) → 2 edges.
 	if len(nts) != 2 {
 		t.Fatalf("NextToken edges = %d, want 2", len(nts))
@@ -399,7 +410,7 @@ func TestNextTokenChain(t *testing.T) {
 
 func TestNextSibEdges(t *testing.T) {
 	g := build(t, `void f(int a, int b, int c) { }`, Options{Level: LevelAugmentedAST})
-	sibs := g.EdgesOfType(int(NextSib))
+	sibs := edgesOfType(g, NextSib)
 	// FunctionDecl has 4 children (3 parms + body) → 3 NextSib edges.
 	if len(sibs) != 3 {
 		t.Fatalf("NextSib edges = %d, want 3", len(sibs))
@@ -409,8 +420,8 @@ func TestNextSibEdges(t *testing.T) {
 func TestConTrueConFalse(t *testing.T) {
 	g := build(t, `void f(int x) { if (x > 0) { x = 1; } else { x = 2; } }`,
 		Options{Level: LevelAugmentedAST})
-	ct := g.EdgesOfType(int(ConTrue))
-	cf := g.EdgesOfType(int(ConFalse))
+	ct := edgesOfType(g, ConTrue)
+	cf := edgesOfType(g, ConFalse)
 	if len(ct) != 1 || len(cf) != 1 {
 		t.Fatalf("ConTrue/ConFalse = %d/%d, want 1/1", len(ct), len(cf))
 	}
@@ -420,10 +431,10 @@ func TestConTrueConFalse(t *testing.T) {
 	}
 	// If without else: no ConFalse.
 	g2 := build(t, `void f(int x) { if (x > 0) { x = 1; } }`, Options{Level: LevelAugmentedAST})
-	if len(g2.EdgesOfType(int(ConFalse))) != 0 {
+	if len(edgesOfType(g2, ConFalse)) != 0 {
 		t.Error("if-without-else should have no ConFalse edge")
 	}
-	if len(g2.EdgesOfType(int(ConTrue))) != 1 {
+	if len(edgesOfType(g2, ConTrue)) != 1 {
 		t.Error("if-without-else should have a ConTrue edge")
 	}
 }
@@ -431,11 +442,11 @@ func TestConTrueConFalse(t *testing.T) {
 func TestWhileAndDoControlFlow(t *testing.T) {
 	g := build(t, `void f(int n) { while (n > 0) { n--; } do { n++; } while (n < 10); }`,
 		Options{Level: LevelAugmentedAST})
-	if len(g.EdgesOfType(int(ForExec))) != 2 {
-		t.Errorf("ForExec edges = %d, want 2 (one per loop)", len(g.EdgesOfType(int(ForExec))))
+	if len(edgesOfType(g, ForExec)) != 2 {
+		t.Errorf("ForExec edges = %d, want 2 (one per loop)", len(edgesOfType(g, ForExec)))
 	}
-	if len(g.EdgesOfType(int(ForNext))) != 2 {
-		t.Errorf("ForNext edges = %d, want 2", len(g.EdgesOfType(int(ForNext))))
+	if len(edgesOfType(g, ForNext)) != 2 {
+		t.Errorf("ForNext edges = %d, want 2", len(edgesOfType(g, ForNext)))
 	}
 }
 
@@ -578,8 +589,8 @@ void k(double *a, int n) {
 	}
 	// The mapped array's DeclRefExpr inside the clause links back to the
 	// parameter via a Ref edge.
-	refs := g2.EdgesOfType(int(Ref))
-	if len(refs) <= len(g1.EdgesOfType(int(Ref))) {
+	refs := edgesOfType(g2, Ref)
+	if len(refs) <= len(edgesOfType(g1, Ref)) {
 		t.Error("map clause added no Ref edges")
 	}
 }

@@ -20,10 +20,7 @@ func TestLoad(t *testing.T) {
 	orig := saveTest(t, root, hw.V100(), "v1", 7)
 	dir := ckptDir(root, hw.V100(), "v1")
 
-	e, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := openOne(t, root)
 	if e.Manifest.Name != "v1" || e.Manifest.Platform != hw.V100().Name || e.Machine.Name != hw.V100().Name {
 		t.Fatalf("entry = %+v", e.Manifest)
 	}
@@ -33,13 +30,27 @@ func TestLoad(t *testing.T) {
 
 	// Checksum drift must fail the load.
 	rewriteManifest(t, dir, func(man *Manifest) { man.Checksum = strings.Repeat("0", 64) })
-	if _, err := Load(dir); err == nil {
+	if _, err := Open(root, Options{}); err == nil {
 		t.Fatal("checksum drift not detected")
 	}
-	// So must a directory that is not a checkpoint.
-	if _, err := Load(t.TempDir()); err == nil {
-		t.Fatal("Load of an empty directory succeeded")
+	// So must a directory that holds no checkpoint.
+	if _, err := Open(t.TempDir(), Options{}); err == nil {
+		t.Fatal("Open of an empty directory succeeded")
 	}
+}
+
+// openOne opens the registry under root and returns its only entry.
+func openOne(t *testing.T, root string) *Entry {
+	t.Helper()
+	reg, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := reg.Entries()
+	if len(es) != 1 {
+		t.Fatalf("%d checkpoints under %s, want 1", len(es), root)
+	}
+	return es[0]
 }
 
 // TestSampleIsTheSameWhereverItIsBuilt is the parity check behind "one
@@ -82,15 +93,11 @@ func TestSampleIsTheSameWhereverItIsBuilt(t *testing.T) {
 			trained[s.Name] = s
 		}
 		model := newTestModel(1)
-		dir, err := Save(t.TempDir(), m, "v1", paragraph.LevelParaGraph, model, prep, TrainInfo{})
-		if err != nil {
+		root := t.TempDir()
+		if _, err := Save(root, m, "v1", paragraph.LevelParaGraph, model, prep, TrainInfo{}); err != nil {
 			t.Fatal(err)
 		}
-		e, err := Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := advisor.New(model, e.Prep, m)
+		a := advisor.New(model, openOne(t, root).Prep, m)
 		for _, pt := range points {
 			name := pt.Instance.Name()
 			want := trained[name]

@@ -275,15 +275,6 @@ type Entry struct {
 	model *gnn.Model
 }
 
-// Load reads one checkpoint directory into a resident Entry.
-func Load(dir string) (*Entry, error) {
-	man, err := readManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	return load(Checkpoint{Dir: dir, Manifest: man})
-}
-
 // load is the one loader: it validates the manifest, reads the weights
 // (the engine runs on them once gnn.Model.Load returns) and verifies
 // them against the manifest's config and checksum. An entry serves in

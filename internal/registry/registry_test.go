@@ -2,6 +2,7 @@ package registry
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -78,12 +79,40 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	// Trained, so its weights are not the ones the manifest's seed draws:
 	// the entry predicts what was saved only if the engine runs on the
-	// loaded parameters.
-	model := newTestModel(7)
+	// loaded parameters. Two layers, so the Ref attention's logits differ
+	// within a segment: in the first layer every reference to one
+	// declaration carries the same embedding, and the softmax is uniform
+	// whatever the attention projections hold.
+	model := gnn.NewModel(gnn.Config{
+		Hidden: 8, FeatHidden: 8, Layers: 2,
+		Relations: int(paragraph.NumEdgeTypes), Seed: 7,
+	})
 	trainOn := testSample(t)
 	trainOn.Target = 0.5
 	if _, err := model.Train([]*gnn.Sample{trainOn}, nil, gnn.TrainConfig{Epochs: 3, BatchSize: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
+	}
+	// Precondition: the fixture's prediction reads the Ref attention, so a
+	// loaded model that kept its loader's attention projections would
+	// predict another number. The tape reads the parameter values directly.
+	s := testSample(t)
+	asrc := fmt.Sprintf(".asrc%d", paragraph.Ref)
+	nudged := false
+	for _, p := range model.Params() {
+		if !strings.HasSuffix(p.Name, asrc) {
+			continue
+		}
+		before := model.PredictTape(s)
+		for i := range p.Value.Data {
+			v := p.Value.Data[i]
+			p.Value.Data[i] = v + 0.5
+			changed := model.PredictTape(s) != before
+			p.Value.Data[i] = v
+			nudged = nudged || changed
+		}
+	}
+	if !nudged {
+		t.Fatalf("no %s parameter moves the fixture's prediction: the round trip cannot see the attention projections", asrc)
 	}
 	saveModel(t, root, hw.V100(), "default", model)
 
@@ -112,7 +141,6 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 
 	// The served number is the evaluated number: the entry's predictions are,
 	// bit for bit, the saved model's.
-	s := testSample(t)
 	want := model.PredictBatch([]*gnn.Sample{s})[0]
 	got := e.PredictBatch([]*gnn.Sample{s})[0]
 	if math.Float64bits(got) != math.Float64bits(want) {
@@ -222,7 +250,8 @@ func TestOpenCheckpointRecordsBeyondTheModel(t *testing.T) {
 
 	// The checksum covers the skipped records: the PR 20 checkpoint with
 	// one value of relation 0's attention vector changed is refused.
-	dir := filepath.Join(t.TempDir(), "nvidia-v100-gpu", "parent-pr20")
+	root := t.TempDir()
+	dir := filepath.Join(root, "nvidia-v100-gpu", "parent-pr20")
 	src := filepath.Join("testdata", "registry-pr20", "nvidia-v100-gpu", "parent-pr20")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -253,7 +282,7 @@ func TestOpenCheckpointRecordsBeyondTheModel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+	if _, err := Open(root, Options{}); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Errorf("a checkpoint whose skipped record changed: err = %v, want a checksum mismatch", err)
 	}
 }
@@ -421,12 +450,12 @@ func TestSaveRejectsBadNames(t *testing.T) {
 // Discover ask — says it is. The four names are pinned in internal/hw.
 func TestPlatformSlug(t *testing.T) {
 	root := filepath.Join("testdata", "registry-pr20")
-	e, err := Load(ckptDir(root, hw.V100(), "parent-pr20"))
+	man, err := readManifest(ckptDir(root, hw.V100(), "parent-pr20"))
 	if err != nil {
 		t.Fatalf("the PR 20 checkpoint is not where hw.Slug looks for it: %v", err)
 	}
-	if e.Manifest.Platform != hw.V100().Name {
-		t.Errorf("loaded %q from the V100 directory", e.Manifest.Platform)
+	if man.Platform != hw.V100().Name {
+		t.Errorf("read %q from the V100 directory", man.Platform)
 	}
 }
 

@@ -534,7 +534,7 @@ func TestClusterColdMissPeerTraffic(t *testing.T) {
 		}
 	}
 
-	before := b.srv.Stats().Requests
+	before := b.srv.snapshot().Requests
 	for _, req := range reqs {
 		if resp := postAdvise(t, a.url, req); resp.Cached || resp.ServedBy != a.url {
 			t.Fatalf("n=%v answered cached:%v served_by:%q, want a cold evaluation on A", req.Bindings["n"], resp.Cached, resp.ServedBy)
@@ -543,7 +543,7 @@ func TestClusterColdMissPeerTraffic(t *testing.T) {
 	waitCond(t, 10*time.Second, "the write-throughs to land", func() bool {
 		return b.srv.cluster.replicatedIn.Value() >= misses
 	})
-	after := b.srv.Stats().Requests
+	after := b.srv.snapshot().Requests
 	if got := after.Cluster - before.Cluster; got != 0 {
 		t.Errorf("%d cold misses cost the co-owner %d /v1/cluster/* requests, want 0", misses, got)
 	}

@@ -66,7 +66,7 @@ type keyedOutcome struct {
 }
 
 func keyedCounters(s *Server) keyedOutcome {
-	st := s.Stats()
+	st := s.snapshot()
 	c := keyedOutcome{
 		hits:      int(st.AdviseCacheHits),
 		coalesced: int(st.Coalesced),

@@ -306,9 +306,6 @@ func (s *Server) Close() {
 	}
 }
 
-// Stats snapshots the service counters (the same payload /v1/stats serves).
-func (s *Server) Stats() Stats { return s.snapshot() }
-
 func (s *Server) machineNames() []string { return sortedKeys(s.backends) }
 
 // --- request/response types ---

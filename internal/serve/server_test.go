@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -615,7 +614,7 @@ func TestConcurrentAdviseTraffic(t *testing.T) {
 	for e := range errc {
 		t.Error(e)
 	}
-	st := s.Stats()
+	st := s.snapshot()
 	var batched uint64
 	for _, m := range st.Models {
 		batched += m.Batcher.Samples
@@ -746,7 +745,7 @@ func TestPerModelStats(t *testing.T) {
 	do(t, s, http.MethodPost, "/v1/advise", req, nil)
 	do(t, s, http.MethodPost, "/v1/advise", req, nil) // cache hit, still counted
 
-	st := s.Stats()
+	st := s.snapshot()
 	if len(st.Models) != 2 {
 		t.Fatalf("stats models = %d, want 2", len(st.Models))
 	}
@@ -829,10 +828,11 @@ func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
 		model, testPrep(), registry.TrainInfo{Epochs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := registry.Load(filepath.Join(root, hw.Slug(hw.V100().Name), "v1"))
+	reg, err := registry.Open(root, registry.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := reg.Entries()[0]
 	b := CheckpointBackend(e)
 	if b.Model != BatchPredictor(e) || b.Prep != e.Prep || b.Machine.Name != hw.V100().Name || b.Default {
 		t.Errorf("backend = %+v", b)

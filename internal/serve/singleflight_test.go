@@ -192,7 +192,7 @@ func TestAdviseSingleflightCollapse(t *testing.T) {
 	if n := gm.samples.Load(); n != 8 {
 		t.Errorf("model evaluated %d samples, want 8 (one grid)", n)
 	}
-	st := s.Stats()
+	st := s.snapshot()
 	if st.Coalesced != uint64(followers) {
 		t.Errorf("stats coalesced = %d, want %d", st.Coalesced, followers)
 	}

@@ -166,12 +166,6 @@ func (r *Ring) Members() []string { return r.members }
 // VNodes returns the virtual-node count per member.
 func (r *Ring) VNodes() int { return r.vnodes }
 
-// Contains reports whether name is a ring member.
-func (r *Ring) Contains(name string) bool {
-	i := sort.SearchStrings(r.members, name)
-	return i < len(r.members) && r.members[i] == name
-}
-
 // Ownership returns each member's exact fraction of the key space: the
 // summed widths of the hash arcs its virtual nodes own, over 2^64. The
 // fractions sum to 1 (up to float rounding) and quantify how evenly the

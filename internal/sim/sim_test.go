@@ -67,7 +67,7 @@ func TestSimulatePlatformMismatch(t *testing.T) {
 }
 
 func TestRuntimeGrowsWithProblemSize(t *testing.T) {
-	for _, m := range hw.CPUs() {
+	for _, m := range machinesOf(false) {
 		small := simulate(t, instance(t, "matmul", variants.CPU, 0, 8, map[string]float64{"n": 128}), m)
 		big := simulate(t, instance(t, "matmul", variants.CPU, 0, 8, map[string]float64{"n": 512}), m)
 		if big.MicroSec <= small.MicroSec {
@@ -81,7 +81,7 @@ func TestRuntimeGrowsWithProblemSize(t *testing.T) {
 }
 
 func TestMoreThreadsHelpOnCPU(t *testing.T) {
-	for _, m := range hw.CPUs() {
+	for _, m := range machinesOf(false) {
 		t1 := simulate(t, instance(t, "matmul", variants.CPU, 0, 1, map[string]float64{"n": 512}), m)
 		t16 := simulate(t, instance(t, "matmul", variants.CPU, 0, 16, map[string]float64{"n": 512}), m)
 		if t16.MicroSec >= t1.MicroSec {
@@ -182,9 +182,9 @@ func TestBreakdownComponentsNonNegative(t *testing.T) {
 			}
 			var machines []hw.Machine
 			if kind.IsGPU() {
-				machines = hw.GPUs()
+				machines = machinesOf(true)
 			} else {
-				machines = hw.CPUs()
+				machines = machinesOf(false)
 			}
 			for _, m := range machines {
 				in := instance(t, k.Name, kind, 64, 64, bind)
@@ -237,12 +237,18 @@ func TestMachineModels(t *testing.T) {
 	if _, err := hw.ByName("nonsense"); err == nil {
 		t.Error("ByName(nonsense) should fail")
 	}
-	if len(hw.CPUs()) != 2 || len(hw.GPUs()) != 2 {
+	if len(machinesOf(false)) != 2 || len(machinesOf(true)) != 2 {
 		t.Error("CPU/GPU split wrong")
 	}
-	for _, m := range hw.CPUs() {
-		if m.IsGPU {
-			t.Errorf("%s in CPUs but IsGPU", m.Name)
+}
+
+// machinesOf returns hw.All()'s GPU platforms (gpu) or its CPU platforms.
+func machinesOf(gpu bool) []hw.Machine {
+	var out []hw.Machine
+	for _, m := range hw.All() {
+		if m.IsGPU == gpu {
+			out = append(out, m)
 		}
 	}
+	return out
 }

@@ -61,7 +61,9 @@ func TestMatMulIntoRejectsBadShapes(t *testing.T) {
 // with sufficient capacity is resliced, never reallocated.
 func TestIntoKernelsReuseCapacity(t *testing.T) {
 	a := New(4, 4)
-	a.Fill(1)
+	for i := range a.Data {
+		a.Data[i] = 1
+	}
 	dst := New(8, 8) // 64 capacity, plenty for 4×4
 	data := &dst.Data[0]
 	MatMulInto(a, a, dst)

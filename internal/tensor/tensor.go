@@ -62,13 +62,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // SameShape reports whether two matrices have identical dimensions.
 func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
@@ -110,16 +103,6 @@ func Add(m, o *Matrix) *Matrix {
 	return out
 }
 
-// Hadamard returns the element-wise product.
-func Hadamard(m, o *Matrix) *Matrix {
-	shapeCheck(m.SameShape(o), "Hadamard %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)
-	out := New(m.Rows, m.Cols)
-	for i := range out.Data {
-		out.Data[i] = m.Data[i] * o.Data[i]
-	}
-	return out
-}
-
 // Transpose returns mᵀ.
 func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows)
@@ -146,15 +129,6 @@ func MatMul(a, b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
 }
 
 // Norm2 returns the Frobenius norm.

@@ -84,6 +84,18 @@ func Kinds() []Kind {
 	return ks
 }
 
+// KindsFor lists, in Kinds order, the variant kinds kernel k has on a GPU
+// machine (gpu) or a CPU one: a collapse variant needs a collapsible nest.
+func KindsFor(k apps.Kernel, gpu bool) []Kind {
+	out := make([]Kind, 0, NumKinds)
+	for _, kind := range Kinds() {
+		if kind.IsGPU() == gpu && (k.Collapsible || !kind.IsCollapse()) {
+			out = append(out, kind)
+		}
+	}
+	return out
+}
+
 // Instance is one concrete kernel variant: a transformation applied to a
 // kernel template with bound sizes and parallelism. It is the unit the
 // dataset is built from (one Instance × one platform = one data point).
@@ -184,10 +196,7 @@ func Sweep(k apps.Kernel, cfg SweepConfig) ([]Instance, error) {
 	}
 	bindingSets := enumerateBindings(k.Params, cfg.MaxSizesPerKernel)
 	var out []Instance
-	for _, kind := range Kinds() {
-		if kind.IsCollapse() && !k.Collapsible {
-			continue
-		}
+	for _, kind := range append(KindsFor(k, false), KindsFor(k, true)...) {
 		type pt struct{ teams, threads int }
 		var levels []pt
 		if kind.IsGPU() {

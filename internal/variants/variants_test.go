@@ -126,7 +126,7 @@ func TestGeneratedSourcesParse(t *testing.T) {
 				t.Errorf("%s/%v: parse: %v\n%s", k.Name, kind, err, src)
 				continue
 			}
-			dirs := cast.Directives(fn)
+			dirs := cast.FindAll(fn, cast.KindOMPExecutableDirective)
 			if len(dirs) != 1 {
 				t.Errorf("%s/%v: %d directives, want 1", k.Name, kind, len(dirs))
 				continue
