@@ -410,9 +410,7 @@ func BenchmarkAblationWeightPath(b *testing.B) {
 		name, s := "with-weights", benchSample(b)
 		if unweighted {
 			name = "without-weights"
-			for _, rel := range s.G.Rels {
-				clear(rel.LogW)
-			}
+			clear(s.G.LogW)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -36,7 +36,8 @@ type Predictor interface {
 
 // BatchPredictor is the optional bulk extension: one call predicts a whole
 // slice, results in input order and identical to per-sample Predict.
-// *gnn.Model and registry.Entry implement it.
+// *gnn.Model and registry.Entry implement it; it is also the model a
+// serve.Backend holds and a serve.Batcher wraps.
 type BatchPredictor interface {
 	PredictBatch([]*gnn.Sample) []float64
 }

@@ -26,10 +26,8 @@ type weightOracle struct{}
 
 func (weightOracle) Predict(s *gnn.Sample) float64 {
 	var total float64
-	for _, rel := range s.G.Rels {
-		for _, w := range rel.LogW {
-			total += w
-		}
+	for _, w := range s.G.LogW {
+		total += w
 	}
 	// More per-worker weight → slower; more threads → faster.
 	return total/1e4 - 0.1*s.Feats[1]

@@ -120,12 +120,11 @@ func TestGridBatchBitIdenticalToPerSample(t *testing.T) {
 
 // TestAdviseGridSharesStructure: the sharing is real, not equal copies.
 // Within one kind of the grid Advise hands the model, node codes and every
-// relation's edge lists are the same slices, and the Child weights the same
+// relation's edge lists are one Topology, and the Child weights the same
 // column at every team count of one thread count; across kinds nothing is
 // shared; every point has a feature column and a WScale header of its own.
 func TestAdviseGridSharesStructure(t *testing.T) {
 	m := gnn.NewModel(gnn.Config{Seed: 2, Hidden: 8, Layers: 1, Relations: int(paragraph.NumEdgeTypes)})
-	child := int(paragraph.Child)
 	for _, machine := range []hw.Machine{hw.Power9(), hw.V100()} {
 		for _, k := range apps.Kernels() {
 			pts := gridOf(k, machine)
@@ -136,10 +135,10 @@ func TestAdviseGridSharesStructure(t *testing.T) {
 			for i, p := range pts {
 				g := grid[i].G
 				name := fmt.Sprintf("%s/%s g%d t%d on %s", k.Name, p.kind, p.teams, p.threads, machine.Name)
-				if feats[&g.Feats.Data[0]] {
+				if feats[&g.Feats[0]] {
 					t.Fatalf("%s: feature column shared with another point", name)
 				}
-				feats[&g.Feats.Data[0]] = true
+				feats[&g.Feats[0]] = true
 				head, seen := heads[p.kind]
 				if !seen {
 					for other, h := range heads {
@@ -150,21 +149,13 @@ func TestAdviseGridSharesStructure(t *testing.T) {
 					heads[p.kind] = g
 					head = g
 				}
-				if &g.Kinds[0] != &head.Kinds[0] || &g.SubKinds[0] != &head.SubKinds[0] {
-					t.Fatalf("%s: node codes are not the kind's shared slices", name)
-				}
-				for r := range g.Rels {
-					if len(g.Rels[r].Src) > 0 && (&g.Rels[r].Src[0] != &head.Rels[r].Src[0] || &g.Rels[r].Dst[0] != &head.Rels[r].Dst[0]) {
-						t.Fatalf("%s: %v edge lists are not the kind's shared slices", name, paragraph.EdgeType(r))
-					}
-					if r != child && len(g.Rels[r].LogW) > 0 && &g.Rels[r].LogW[0] != &head.Rels[r].LogW[0] {
-						t.Fatalf("%s: %v zero weight column is not the kind's shared one", name, paragraph.EdgeType(r))
-					}
+				if g.Topology != head.Topology {
+					t.Fatalf("%s: node codes and edge lists are not the kind's shared topology", name)
 				}
 				wkey := gridPoint{kind: p.kind, threads: p.threads}
 				if sib, seen := weights[wkey]; !seen {
 					weights[wkey] = g
-				} else if &g.Rels[child].LogW[0] != &sib.Rels[child].LogW[0] {
+				} else if &g.LogW[0] != &sib.LogW[0] {
 					t.Fatalf("%s: Child weights are not the column the first team count got at this thread count", name)
 				}
 			}
@@ -269,15 +260,13 @@ func checkFamily(t *testing.T, name string, pts []builtPoint, gpu bool, maxTeams
 			byThreads[p.threads] = p
 			first = p
 		}
-		for r := range p.eg.Rels {
-			if !reflect.DeepEqual(p.eg.Rels[r].LogW, first.eg.Rels[r].LogW) {
-				t.Fatalf("%s: edge weights differ between teams=%d and teams=%d at threads=%d — weights must depend on (threads, bindings) only: %s",
-					name, p.teams, first.teams, p.threads, consequence)
-			}
+		if !reflect.DeepEqual(p.eg.LogW, first.eg.LogW) {
+			t.Fatalf("%s: edge weights differ between teams=%d and teams=%d at threads=%d — weights must depend on (threads, bindings) only: %s",
+				name, p.teams, first.teams, p.threads, consequence)
 		}
 		var rows []int
-		for i, f := range p.eg.Feats.Data {
-			if f != base.eg.Feats.Data[i] {
+		for i, f := range p.eg.Feats {
+			if f != base.eg.Feats[i] {
 				rows = append(rows, i)
 				if !configLiteral(p.g, i) {
 					t.Fatalf("%s: teams=%d threads=%d differs from the first point in the feature of node %d (%s), not a num_teams/thread_limit/num_threads literal: %s",
@@ -431,7 +420,7 @@ func TestServedGraphMatchesTrainingGraph(t *testing.T) {
 		if !reflect.DeepEqual(got.G.Feats, want.G.Feats) {
 			t.Errorf("%s: node features differ between serving and training", name)
 		}
-		if !reflect.DeepEqual(got.G.Rels, want.G.Rels) {
+		if !reflect.DeepEqual(got.G.Rels, want.G.Rels) || !reflect.DeepEqual(got.G.LogW, want.G.LogW) {
 			t.Errorf("%s: relation edges or weights differ between serving and training", name)
 		}
 		if got.G.WScale != want.G.WScale || got.Feats != want.Feats {
@@ -443,17 +432,19 @@ func TestServedGraphMatchesTrainingGraph(t *testing.T) {
 
 // TestColdAdviseAllocations pins the cold path's garbage where tier-1 can
 // see it: one cold default-space V100 Advise, averaged over the suite at the
-// bench/ checkpoint's shape (Hidden 24, Layers 3), allocates at most 1 140
-// times and 137 kB. The warm-up sweep also fills the advisor's encoder memo,
+// bench/ checkpoint's shape (Hidden 24, Layers 3), allocates at most 1 043
+// times and 106 kB. The warm-up sweep also fills the advisor's encoder memo,
 // so the rounds measure a cold request on a kind parsed before — what every
-// advise_cold request after the first per (kernel, kind) is — at 876
-// allocations and 105.7 kB, the limits being those figures × 1.3. The
+// advise_cold request after the first per (kernel, kind) is — at 802
+// allocations and 81.3 kB, the limits being those figures × 1.3. The
 // bound holds at any GOMAXPROCS with the collector on: an advise runs on one
 // goroutine and one engine workspace, which the model keeps on its own free
 // list, so a collection between the warm-up and the rounds costs no
 // regrowth. History: parsing every grid point
 // made it 16 484 allocations and 3.16 MB; one parse per variant kind and
-// request, 2 174 and 0.38 MB (limits 5 000 and 1.2 MB).
+// request, 2 174 and 0.38 MB (limits 5 000 and 1.2 MB); a grid point that
+// copied the relation list and held its features in a matrix, 867 and
+// 105.2 kB (limits 1 140 and 137 kB).
 func TestColdAdviseAllocations(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, set := range bi.Settings {
@@ -487,7 +478,7 @@ func TestColdAdviseAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	n := float64(rounds * len(kernels))
 	allocs, bytes := float64(after.Mallocs-before.Mallocs)/n, float64(after.TotalAlloc-before.TotalAlloc)/n
-	if allocs > 1140 || bytes > 137e3 {
-		t.Errorf("a cold advise allocates %.0f times and %.0f bytes, want at most 1140 and 137e3", allocs, bytes)
+	if allocs > 1043 || bytes > 106e3 {
+		t.Errorf("a cold advise allocates %.0f times and %.0f bytes, want at most 1043 and 106e3", allocs, bytes)
 	}
 }

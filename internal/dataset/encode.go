@@ -8,18 +8,18 @@ import (
 )
 
 // Encoder is the front end every graph the model sees comes through —
-// training samples in Prepare, served requests in advisor — split where
-// the paper splits a ParaGraph. What is a function
-// of the AST alone (nodes, edge lists: paragraph.Topology, and their model
-// form gnn.Topology) is derived once per parsed source, here; what a grid
-// sweeps over that structure — the Child weights, a function of (threads,
-// bindings), and the literals of the one directive variants.Generate writes
-// — is attached per point by Grid.Graph. A variant kind's sources differ in
-// nothing else, so a kind's whole grid is one Encoder.
+// training samples in Prepare, served requests in advisor — split where the
+// paper splits a ParaGraph. What is a function of the AST alone (nodes, edge
+// lists: paragraph.Topology, and their model form gnn.Topology) is derived
+// once per parsed source, here; what a grid sweeps over that structure — the
+// Child weights, a function of (threads, bindings), and the literals of the
+// one directive variants.Generate writes — is a point's gnn.Graph, a header
+// over the one gnn.Topology made by Grid.Graph. A variant kind's sources
+// differ in nothing else, so a kind's whole grid is one Encoder.
 //
-// An Encoder is immutable and may be shared across goroutines; the slices
-// behind it are shared by every graph it encodes and are never written after
-// NewEncoder returns (callers set WScale on their own Graph header only).
+// An Encoder is immutable and may be shared across goroutines; its topology
+// and weight columns are shared by every graph it encodes and never written
+// (callers set WScale on their own Graph header only).
 type Encoder struct {
 	para      *paragraph.Topology
 	net       *gnn.Topology
@@ -82,7 +82,7 @@ func (g *Grid) Graph(teams, threads int) (*gnn.Graph, error) {
 		logW = gnn.LogWeights(ws)
 		g.logW[div] = logW
 	}
-	return g.enc.net.Graph(g.enc.para.Features(g.enc.directive, teams, threads), int(paragraph.Child), logW)
+	return g.enc.net.Graph(g.enc.para.Features(g.enc.directive, teams, threads), logW)
 }
 
 // EncodeSource encodes one source as itself — a grid of one: its topology,

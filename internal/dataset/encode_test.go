@@ -65,11 +65,11 @@ func requireSameGraph(t *testing.T, name string, got, want *gnn.Graph) {
 	if got.NumNodes != want.NumNodes || !slices.Equal(got.Kinds, want.Kinds) || !slices.Equal(got.SubKinds, want.SubKinds) {
 		t.Fatalf("%s: node codes differ from a fresh parse → Build → Encode", name)
 	}
-	if got.Feats.Rows != want.Feats.Rows || got.Feats.Cols != want.Feats.Cols {
-		t.Fatalf("%s: feature column %dx%d, want %dx%d", name, got.Feats.Rows, got.Feats.Cols, want.Feats.Rows, want.Feats.Cols)
+	if len(got.Feats) != len(want.Feats) {
+		t.Fatalf("%s: %d features, want %d", name, len(got.Feats), len(want.Feats))
 	}
-	if i := firstDiff(got.Feats.Data, want.Feats.Data); i >= 0 {
-		t.Fatalf("%s: feature of node %d is %v, a fresh parse → Build → Encode gives %v", name, i, got.Feats.Data[i], want.Feats.Data[i])
+	if i := firstDiff(got.Feats, want.Feats); i >= 0 {
+		t.Fatalf("%s: feature of node %d is %v, a fresh parse → Build → Encode gives %v", name, i, got.Feats[i], want.Feats[i])
 	}
 	if got.WScale != want.WScale || len(got.Rels) != len(want.Rels) {
 		t.Fatalf("%s: WScale %v and %d relations, want %v and %d", name, got.WScale, len(got.Rels), want.WScale, len(want.Rels))
@@ -78,10 +78,10 @@ func requireSameGraph(t *testing.T, name string, got, want *gnn.Graph) {
 		if !slices.Equal(got.Rels[r].Src, want.Rels[r].Src) || !slices.Equal(got.Rels[r].Dst, want.Rels[r].Dst) {
 			t.Fatalf("%s: %v edges differ from a fresh parse → Build → Encode", name, paragraph.EdgeType(r))
 		}
-		if i := firstDiff(got.Rels[r].LogW, want.Rels[r].LogW); i >= 0 {
-			t.Fatalf("%s: %v weights differ from a fresh parse → Build → Encode at edge %d of %d (want %d)",
-				name, paragraph.EdgeType(r), i, len(got.Rels[r].LogW), len(want.Rels[r].LogW))
-		}
+	}
+	if i := firstDiff(got.LogW, want.LogW); i >= 0 {
+		t.Fatalf("%s: Child weights differ from a fresh parse → Build → Encode at edge %d of %d (want %d)",
+			name, i, len(got.LogW), len(want.LogW))
 	}
 }
 
@@ -141,21 +141,16 @@ func TestEncoderMatchesFreshBuildOnSuiteGrids(t *testing.T) {
 							if head == nil {
 								head = got
 							}
-							if &got.Kinds[0] != &head.Kinds[0] || &got.SubKinds[0] != &head.SubKinds[0] {
-								t.Fatalf("%s: node codes are a copy, not the kind's shared slices", name)
-							}
-							for r := range got.Rels {
-								if len(got.Rels[r].Src) > 0 && (&got.Rels[r].Src[0] != &head.Rels[r].Src[0] || &got.Rels[r].Dst[0] != &head.Rels[r].Dst[0]) {
-									t.Fatalf("%s: %v edge lists are a copy, not the kind's shared slices", name, paragraph.EdgeType(r))
-								}
+							if got.Topology != head.Topology {
+								t.Fatalf("%s: node codes and edge lists are a copy, not the kind's shared topology", name)
 							}
 							sib, seen := byThreads[th]
 							if !seen {
 								byThreads[th] = got
-							} else if lw, sw := got.Rels[paragraph.Child].LogW, sib.Rels[paragraph.Child].LogW; &lw[0] != &sw[0] {
+							} else if &got.LogW[0] != &sib.LogW[0] {
 								t.Fatalf("%s: Child weights are a copy of the ones teams=%d got at this thread count, not the same column", name, teams[0])
 							}
-							if &got.Feats.Data[0] == &head.Feats.Data[0] && got != head {
+							if &got.Feats[0] == &head.Feats[0] && got != head {
 								t.Fatalf("%s: feature column shared between grid points", name)
 							}
 						}

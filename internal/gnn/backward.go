@@ -201,7 +201,7 @@ func (gw *gradWS) relation(l *rgatLayer, st *slot, li, r int, grad []float64) {
 
 	var wt []float64 // Child's w̃ (plan order) and coefficient; nil off Child
 	var c float64
-	if r == child && st.g.Rels[r].LogW != nil {
+	if r == child && st.g.LogW != nil {
 		wt, c = ws.wt, l.wCoef.Value.Data[0]
 	}
 	var dc float64
@@ -291,7 +291,7 @@ func (m *Model) embeddings(gw *gradWS, g *Graph, grad []float64) {
 		row := gw.dh.Row(i)
 		axpy(grad[m.kindAt+g.Kinds[i]*hd:], 1, row)
 		axpy(grad[m.subAt+g.SubKinds[i]*hd:], 1, row)
-		if f := g.Feats.Data[i]; f != 0 {
+		if f := g.Feats[i]; f != 0 {
 			axpy(featVec, f, row)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"paragraph/internal/fp"
 	"paragraph/internal/graph"
+	"paragraph/internal/paragraph"
 	"paragraph/internal/tensor"
 )
 
@@ -20,101 +21,101 @@ const MaxSubKinds = 64
 
 // Relation holds the edges of one type in tensorized form.
 type Relation struct {
-	Src  []int
-	Dst  []int
-	LogW []float64 // log1p of edge weights, scaled later by WScale
+	Src []int
+	Dst []int
 }
 
-// Graph is a ParaGraph encoded for the model: integer node codes, a scalar
-// feature column, and per-relation edge lists.
-type Graph struct {
+// Topology is the structure of an encoded ParaGraph: node count, integer
+// node codes, one edge list per relation (indexed by edge type) and the
+// inference plan (see infer.go). It is what sibling graphs share: the grid
+// an advisor sweeps is one graph seen many times, so every Graph of a
+// variant kind points at one Topology. Its slices are never written after
+// Encode or NewTopology returns.
+type Topology struct {
 	NumNodes int
 	Kinds    []int
 	SubKinds []int
-	Feats    *tensor.Matrix // N×1 scalar node features
-	Rels     []Relation     // indexed by edge type
-	// WScale divides LogW before it enters attention logits; the dataset
-	// fits it so weights land in [0, 1] (the paper's MinMaxScaler).
-	WScale float64
+	Rels     []Relation
 
-	// planBox caches the graph's InferencePlan (see infer.go). It is a
-	// pointer so shallow header copies (a copy made to override WScale)
-	// share one cached plan. Encode installs it; hand-built graphs may
-	// leave it nil at the cost of re-deriving the plan on every prediction.
+	// planBox caches the plan; nil in a Topology built by hand, which gets
+	// a fresh plan on every prediction.
 	planBox *planBox
 }
 
+// Graph is a ParaGraph encoded for the model: a shared, read-only Topology
+// plus what a grid point changes — the scalar node features, Child's edge
+// weights and their scale. Only Child edges carry a weight (ParaGraph's W is
+// zero off the Child type), so only Child's column exists.
+type Graph struct {
+	*Topology
+	Feats []float64 // one scalar feature per node
+	// LogW holds log1p of Child's edge weights in its edge order, nil when
+	// Child has no edges.
+	LogW []float64
+	// WScale divides LogW before it enters the model; the dataset fits it
+	// so weights land in [0, 1] (the paper's MinMaxScaler).
+	WScale float64
+}
+
 // Encode converts a built graph into model form. numRelations must be at
-// least the number of edge types used by the graph.
+// least the number of edge types used by the graph, and an edge of any type
+// but Child must weigh zero.
 func Encode(g *graph.Graph, numRelations int) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("gnn: encoding invalid graph: %w", err)
 	}
-	if g.NumNodes() == 0 {
+	n := g.NumNodes()
+	if n == 0 {
 		return nil, fmt.Errorf("gnn: cannot encode empty graph")
 	}
-	eg := &Graph{
-		NumNodes: g.NumNodes(),
-		Kinds:    make([]int, g.NumNodes()),
-		SubKinds: make([]int, g.NumNodes()),
-		Feats:    tensor.New(g.NumNodes(), 1),
+	t := &Topology{
+		NumNodes: n,
+		Kinds:    make([]int, n),
+		SubKinds: make([]int, n),
 		Rels:     make([]Relation, numRelations),
-		WScale:   1,
 		planBox:  &planBox{},
 	}
-	for i, n := range g.Nodes {
-		eg.Kinds[i] = n.Kind
-		sk := n.SubKind
-		if sk < 0 {
-			sk = 0
-		}
-		if sk >= MaxSubKinds {
-			sk = MaxSubKinds - 1
-		}
-		eg.SubKinds[i] = sk
-		eg.Feats.Set(i, 0, n.Feature)
+	eg := &Graph{Topology: t, Feats: make([]float64, n), WScale: 1}
+	for i, nd := range g.Nodes {
+		t.Kinds[i] = nd.Kind
+		t.SubKinds[i] = min(max(nd.SubKind, 0), MaxSubKinds-1)
+		eg.Feats[i] = nd.Feature
 	}
-	for _, e := range g.Edges {
+	for i, e := range g.Edges {
 		if e.Type < 0 || e.Type >= numRelations {
 			return nil, fmt.Errorf("gnn: edge type %d exceeds %d relations", e.Type, numRelations)
 		}
-		r := &eg.Rels[e.Type]
+		if e.Type != child && e.Weight != 0 {
+			return nil, fmt.Errorf("gnn: edge %d (%d→%d, %v) weighs %v: only Child edges carry a weight",
+				i, e.Src, e.Dst, paragraph.EdgeType(e.Type), e.Weight)
+		}
+		r := &t.Rels[e.Type]
 		r.Src = append(r.Src, e.Src)
 		r.Dst = append(r.Dst, e.Dst)
-		r.LogW = append(r.LogW, fp.Log1p(e.Weight))
+		if e.Type == child {
+			eg.LogW = append(eg.LogW, fp.Log1p(e.Weight))
+		}
 	}
 	return eg, nil
 }
 
-// Topology is what sibling graphs share: the grid an advisor sweeps is one
-// graph seen many times (see infer.go), so its node codes, edge lists, the
-// zero weight columns of the unweighted relations and the inference plan are
-// held once here and every Graph made from it points at them. Nothing reads
-// a Topology but Graph; the slices it shares are never written after
-// NewTopology returns — per-sample state (Feats, the weighted relation's
-// LogW, WScale) lives in each Graph's own header.
-type Topology struct {
-	kinds, subKinds []int
-	rels            []Relation // Src, Dst and an all-zero LogW per relation
-	planBox         *planBox
-}
-
 // NewTopology checks and adopts a graph structure in Encode's form: kinds
 // and subKinds per node (sub-kinds clamped into the vocabulary, as Encode
-// clamps them) and one Src/Dst edge list per relation. kinds, src and dst are
-// kept, not copied: the caller must not write them afterwards.
+// clamps them) and one Src/Dst edge list per relation, Child's among them.
+// kinds, src and dst are kept, not copied: the caller must not write them
+// afterwards.
 func NewTopology(kinds, subKinds []int, src, dst [][]int) (*Topology, error) {
 	n := len(kinds)
 	if n == 0 {
 		return nil, fmt.Errorf("gnn: cannot encode empty graph")
 	}
-	if len(subKinds) != n || len(src) != len(dst) {
+	if len(subKinds) != n || len(src) != len(dst) || len(src) <= child {
 		return nil, fmt.Errorf("gnn: topology of %d kinds, %d sub-kinds, %d source and %d destination lists",
 			n, len(subKinds), len(src), len(dst))
 	}
-	t := &Topology{kinds: kinds, subKinds: make([]int, n), rels: make([]Relation, len(src)), planBox: &planBox{}}
+	t := &Topology{NumNodes: n, Kinds: kinds, SubKinds: make([]int, n), Rels: make([]Relation, len(src)), planBox: &planBox{}}
 	for i, sk := range subKinds {
-		t.subKinds[i] = min(max(sk, 0), MaxSubKinds-1)
+		t.SubKinds[i] = min(max(sk, 0), MaxSubKinds-1)
 	}
 	for r := range src {
 		if len(src[r]) != len(dst[r]) {
@@ -126,38 +127,29 @@ func NewTopology(kinds, subKinds []int, src, dst [][]int) (*Topology, error) {
 			}
 		}
 		if len(src[r]) > 0 {
-			t.rels[r] = Relation{Src: src[r], Dst: dst[r], LogW: make([]float64, len(src[r]))}
+			t.Rels[r] = Relation{Src: src[r], Dst: dst[r]}
 		}
 	}
 	return t, nil
 }
 
 // Graph is the one constructor of a Graph over a shared Topology: feats is
-// the node feature column and logW the log1p weights of relation weighted,
-// in its edge order; every other relation weighs zero (ParaGraph's W is zero
-// off the Child type). Both slices are kept, so graphs given one logW share
-// it and the engine's same-weights test is a pointer compare. Given the
-// columns Encode would derive, the result equals Encode's, field for field.
-func (t *Topology) Graph(feats []float64, weighted int, logW []float64) (*Graph, error) {
-	if len(feats) != len(t.kinds) {
-		return nil, fmt.Errorf("gnn: %d features for %d nodes", len(feats), len(t.kinds))
+// the node feature column and logW Child's log1p weights, in its edge order.
+// Both slices are kept, so graphs given one logW share it and the engine's
+// same-weights test is a pointer compare. Given the columns Encode would
+// derive, the result equals Encode's, field for field.
+func (t *Topology) Graph(feats, logW []float64) (*Graph, error) {
+	if len(feats) != t.NumNodes {
+		return nil, fmt.Errorf("gnn: %d features for %d nodes", len(feats), t.NumNodes)
 	}
-	if weighted < 0 || weighted >= len(t.rels) || len(logW) != len(t.rels[weighted].Src) {
-		return nil, fmt.Errorf("gnn: %d weights for relation %d", len(logW), weighted)
+	if len(logW) != len(t.Rels[child].Src) {
+		return nil, fmt.Errorf("gnn: %d weights for %d Child edges", len(logW), len(t.Rels[child].Src))
 	}
-	rels := append([]Relation(nil), t.rels...)
+	g := &Graph{Topology: t, Feats: feats, WScale: 1}
 	if len(logW) > 0 {
-		rels[weighted].LogW = logW
+		g.LogW = logW
 	}
-	return &Graph{
-		NumNodes: len(t.kinds),
-		Kinds:    t.kinds,
-		SubKinds: t.subKinds,
-		Feats:    &tensor.Matrix{Rows: len(feats), Cols: 1, Data: feats},
-		Rels:     rels,
-		WScale:   1,
-		planBox:  t.planBox,
-	}, nil
+	return g, nil
 }
 
 // LogWeights rewrites a column of edge weights in place as Encode stores
@@ -172,20 +164,18 @@ func LogWeights(ws []float64) []float64 {
 // MaxLogWeight returns the largest log1p edge weight in the graph.
 func (g *Graph) MaxLogWeight() float64 {
 	var mx float64
-	for _, r := range g.Rels {
-		for _, w := range r.LogW {
-			if w > mx {
-				mx = w
-			}
+	for _, w := range g.LogW {
+		if w > mx {
+			mx = w
 		}
 	}
 	return mx
 }
 
 // NumEdges returns the total edge count across relations.
-func (g *Graph) NumEdges() int {
+func (t *Topology) NumEdges() int {
 	n := 0
-	for _, r := range g.Rels {
+	for _, r := range t.Rels {
 		n += len(r.Src)
 	}
 	return n
@@ -199,12 +189,11 @@ func (g *Graph) weightScale() float64 {
 	return g.WScale
 }
 
-// weightColumn materializes relation r's scaled weight column (E×1).
-func (g *Graph) weightColumn(r int) *tensor.Matrix {
-	rel := g.Rels[r]
-	m := tensor.New(len(rel.LogW), 1)
+// weightColumn materializes Child's scaled weight column (E×1).
+func (g *Graph) weightColumn() *tensor.Matrix {
+	m := tensor.New(len(g.LogW), 1)
 	scale := g.weightScale()
-	for i, w := range rel.LogW {
+	for i, w := range g.LogW {
 		m.Data[i] = w / scale
 	}
 	return m

@@ -13,7 +13,6 @@ import (
 	"paragraph/internal/apps"
 	"paragraph/internal/paragraph"
 	"paragraph/internal/progen"
-	"paragraph/internal/tensor"
 	"paragraph/internal/variants"
 )
 
@@ -50,39 +49,37 @@ func assertBatchBitIdentical(t *testing.T, m *Model, batch []*Sample, what strin
 }
 
 // perturb derives a family member from g: the same topology with some
-// feature rows and some edge weights redrawn. share keeps the topology
-// slices pointer-equal (a header copy); otherwise they are deep-copied, so
-// grouping has to compare elements. featP and weightP are the per-row and
-// per-edge redraw probabilities (0 leaves that part shared with g).
+// feature rows and some Child weights redrawn. share keeps g's Topology (a
+// header copy); otherwise the member gets a deep copy of it, so grouping has
+// to compare elements. featP and weightP are the per-row and per-edge redraw
+// probabilities (0 leaves that part shared with g).
 func perturb(rng *rand.Rand, g *Graph, share bool, featP, weightP float64) *Graph {
 	c := *g
 	if !share {
-		c.Kinds = append([]int(nil), g.Kinds...)
-		c.SubKinds = append([]int(nil), g.SubKinds...)
+		t := *g.Topology
+		t.Kinds = slices.Clone(t.Kinds)
+		t.SubKinds = slices.Clone(t.SubKinds)
+		t.Rels = make([]Relation, len(g.Rels))
+		for r, rel := range g.Rels {
+			t.Rels[r] = Relation{Src: slices.Clone(rel.Src), Dst: slices.Clone(rel.Dst)}
+		}
+		c.Topology = &t
 	}
 	if featP > 0 {
-		c.Feats = g.Feats.Clone()
-		for i := range c.Feats.Data {
+		c.Feats = slices.Clone(g.Feats)
+		for i := range c.Feats {
 			if rng.Float64() < featP {
-				c.Feats.Data[i] = rng.NormFloat64()
+				c.Feats[i] = rng.NormFloat64()
 			}
 		}
 	}
-	c.Rels = make([]Relation, len(g.Rels))
-	for r, rel := range g.Rels {
-		if !share {
-			rel.Src = append([]int(nil), rel.Src...)
-			rel.Dst = append([]int(nil), rel.Dst...)
-		}
-		if weightP > 0 {
-			rel.LogW = append([]float64(nil), rel.LogW...)
-			for e := range rel.LogW {
-				if rng.Float64() < weightP {
-					rel.LogW[e] = rng.Float64() * 4
-				}
+	if weightP > 0 {
+		c.LogW = slices.Clone(g.LogW)
+		for e := range c.LogW {
+			if rng.Float64() < weightP {
+				c.LogW[e] = rng.Float64() * 4
 			}
 		}
-		c.Rels[r] = rel
 	}
 	return &c
 }
@@ -165,9 +162,11 @@ func TestFamilyMatchesPerSampleFuzz(t *testing.T) {
 func TestFamilyEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const numRels = 3
-	single := &Graph{NumNodes: 1, Kinds: []int{3}, SubKinds: []int{1}, Feats: tensor.New(1, 1), Rels: make([]Relation, numRels), WScale: 1}
-	single.Rels[1] = Relation{Src: []int{0}, Dst: []int{0}, LogW: []float64{0.5}} // a self-loop
-	edgeless := &Graph{NumNodes: 4, Kinds: []int{1, 2, 3, 4}, SubKinds: make([]int, 4), Feats: tensor.New(4, 1), Rels: make([]Relation, numRels), WScale: 2}
+	single := &Graph{Topology: &Topology{NumNodes: 1, Kinds: []int{3}, SubKinds: []int{1}, Rels: make([]Relation, numRels)},
+		Feats: make([]float64, 1), LogW: []float64{0.5}, WScale: 1}
+	single.Rels[child] = Relation{Src: []int{0}, Dst: []int{0}} // a self-loop
+	edgeless := &Graph{Topology: &Topology{NumNodes: 4, Kinds: []int{1, 2, 3, 4}, SubKinds: make([]int, 4), Rels: make([]Relation, numRels)},
+		Feats: make([]float64, 4), WScale: 2}
 	big := randomEncodedGraph(rng, numRels)
 	for big.NumEdges() == 0 {
 		big = randomEncodedGraph(rng, numRels)
@@ -208,7 +207,7 @@ func TestFamilyGrouping(t *testing.T) {
 	other := randomEncodedGraph(rng, 4)
 	other.NumNodes++ // whatever was drawn, not g's shape
 	other.Kinds, other.SubKinds = append(other.Kinds, 0), append(other.SubKinds, 0)
-	other.Feats = tensor.New(other.NumNodes, 1)
+	other.Feats = make([]float64, other.NumNodes)
 
 	rescaled := *g
 	rescaled.WScale++
@@ -492,10 +491,10 @@ func TestWorkspacesBoundedByCallers(t *testing.T) {
 // chainGraph is an n-node path of one relation: ≈ 2.6 kB of slot buffer
 // per node at Hidden 32 / Layers 3.
 func chainGraph(n int) *Graph {
-	g := &Graph{NumNodes: n, Kinds: make([]int, n), SubKinds: make([]int, n), Feats: tensor.New(n, 1),
-		Rels: []Relation{{Src: make([]int, n-1), Dst: make([]int, n-1), LogW: make([]float64, n-1)}}}
+	g := &Graph{Topology: &Topology{NumNodes: n, Kinds: make([]int, n), SubKinds: make([]int, n),
+		Rels: []Relation{{Src: make([]int, n-1), Dst: make([]int, n-1)}}}, Feats: make([]float64, n), LogW: make([]float64, n-1)}
 	for i := range n - 1 {
-		g.Rels[0].Src[i], g.Rels[0].Dst[i], g.Rels[0].LogW[i] = i, i+1, 1
+		g.Rels[0].Src[i], g.Rels[0].Dst[i], g.LogW[i] = i, i+1, 1
 	}
 	return g
 }
@@ -535,9 +534,9 @@ func TestWorkspaceOverCapNotKept(t *testing.T) {
 	const mid = 3240
 	base := chainGraph(mid)
 	member := *base
-	member.Feats = tensor.New(mid, 1)
-	for i := range member.Feats.Data {
-		member.Feats.Data[i] = 1
+	member.Feats = make([]float64, mid)
+	for i := range member.Feats {
+		member.Feats[i] = 1
 	}
 	m = NewModel(Config{Seed: 1, Relations: 1})
 	m.Predict(&Sample{G: base})

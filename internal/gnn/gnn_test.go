@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"paragraph/internal/graph"
@@ -58,15 +59,18 @@ func TestEncodeShapes(t *testing.T) {
 	if len(eg.Kinds) != eg.NumNodes || len(eg.SubKinds) != eg.NumNodes {
 		t.Error("code arrays wrong length")
 	}
-	if eg.Feats.Rows != eg.NumNodes || eg.Feats.Cols != 1 {
-		t.Errorf("feats shape %dx%d", eg.Feats.Rows, eg.Feats.Cols)
+	if len(eg.Feats) != eg.NumNodes {
+		t.Errorf("%d features for %d nodes", len(eg.Feats), eg.NumNodes)
 	}
 	if len(eg.Rels) != int(paragraph.NumEdgeTypes) {
 		t.Errorf("relations = %d", len(eg.Rels))
 	}
+	if len(eg.LogW) != len(eg.Rels[child].Src) {
+		t.Errorf("%d weights for %d Child edges", len(eg.LogW), len(eg.Rels[child].Src))
+	}
 	// Weighted graph: Child edges must carry positive log-weights.
 	var hasWeight bool
-	for _, w := range eg.Rels[int(paragraph.Child)].LogW {
+	for _, w := range eg.LogW {
 		if w > 0 {
 			hasWeight = true
 		}
@@ -96,6 +100,34 @@ func TestEncodeErrors(t *testing.T) {
 	corrupt.AddEdge(0, 5, 0, 1)
 	if _, err := Encode(corrupt, 1); err == nil {
 		t.Error("invalid graph encoded")
+	}
+}
+
+// TestEncodeRefusesWeightOffChild: an encoded graph holds Child's weight
+// column alone, so Encode refuses a graph that weighs an edge of any other
+// type, naming the edge, instead of dropping the weight; a zero-weight edge
+// off Child and a weighted Child edge encode.
+func TestEncodeRefusesWeightOffChild(t *testing.T) {
+	for _, w := range []float64{2, math.SmallestNonzeroFloat64} {
+		g := graph.New(paragraph.EdgeTypeNames())
+		for range 3 {
+			g.AddNode(graph.Node{})
+		}
+		g.AddEdge(0, 1, int(paragraph.Child), 4)
+		g.AddEdge(1, 2, int(paragraph.NextToken), 0)
+		g.AddEdge(2, 0, int(paragraph.Ref), w)
+		_, err := Encode(g, int(paragraph.NumEdgeTypes))
+		if err == nil || !strings.Contains(err.Error(), "edge 2 (2→0, Ref)") {
+			t.Errorf("a Ref edge of weight %v: Encode returned %v, want an error naming edge 2 (2→0, Ref)", w, err)
+		}
+		g.Edges[2].Weight = 0
+		eg, err := Encode(g, int(paragraph.NumEdgeTypes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := LogWeights([]float64{4}); !slices.Equal(eg.LogW, want) {
+			t.Errorf("Child weights %v, want %v", eg.LogW, want)
+		}
 	}
 }
 
@@ -496,9 +528,9 @@ func TestEvalRMSEEmptyAndExact(t *testing.T) {
 }
 
 // TestTopologyGraphsShareStructure: graphs made from one Topology equal
-// Encode's field for field, share its slices, plan cache and zero weight
-// columns by pointer, and are one family — with one thread count's weight
-// column the same base — to the engine's grouping.
+// Encode's field for field, share it — node codes, edge lists and plan cache
+// — by pointer, and a weight column given to both, and are one family — with
+// one thread count's weight column the same base — to the engine's grouping.
 func TestTopologyGraphsShareStructure(t *testing.T) {
 	want := encode(t, buildTestGraph(t, 4))
 	src, dst := make([][]int, len(want.Rels)), make([][]int, len(want.Rels))
@@ -509,33 +541,28 @@ func TestTopologyGraphsShareStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := int(paragraph.Child)
-	logW := want.Rels[child].LogW
-	a, err := topo.Graph(append([]float64(nil), want.Feats.Data...), child, logW)
+	a, err := topo.Graph(slices.Clone(want.Feats), want.LogW)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := topo.Graph(append([]float64(nil), want.Feats.Data...), child, logW)
+	b, err := topo.Graph(slices.Clone(want.Feats), want.LogW)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.NumNodes != want.NumNodes || !slices.Equal(a.Kinds, want.Kinds) || !slices.Equal(a.SubKinds, want.SubKinds) ||
-		!slices.Equal(a.Feats.Data, want.Feats.Data) || a.WScale != want.WScale || len(a.Rels) != len(want.Rels) {
-		t.Fatal("Topology.Graph differs from Encode in its node columns")
+		!slices.Equal(a.Feats, want.Feats) || !slices.Equal(a.LogW, want.LogW) || a.WScale != want.WScale || len(a.Rels) != len(want.Rels) {
+		t.Fatal("Topology.Graph differs from Encode in its node or weight columns")
 	}
 	for r := range want.Rels {
-		if !slices.Equal(a.Rels[r].Src, want.Rels[r].Src) || !slices.Equal(a.Rels[r].Dst, want.Rels[r].Dst) || !slices.Equal(a.Rels[r].LogW, want.Rels[r].LogW) {
+		if !slices.Equal(a.Rels[r].Src, want.Rels[r].Src) || !slices.Equal(a.Rels[r].Dst, want.Rels[r].Dst) {
 			t.Fatalf("Topology.Graph differs from Encode in relation %d", r)
 		}
-		if (a.Rels[r].Src == nil) != (want.Rels[r].Src == nil) || (a.Rels[r].LogW == nil) != (want.Rels[r].LogW == nil) {
+		if (a.Rels[r].Src == nil) != (want.Rels[r].Src == nil) {
 			t.Fatalf("relation %d: empty relations must stay nil, as Encode leaves them", r)
 		}
-		if len(a.Rels[r].Src) > 0 && (&a.Rels[r].Src[0] != &b.Rels[r].Src[0] || &a.Rels[r].LogW[0] != &b.Rels[r].LogW[0]) {
-			t.Fatalf("relation %d is copied between sibling graphs", r)
-		}
 	}
-	if &a.Kinds[0] != &b.Kinds[0] || &a.SubKinds[0] != &b.SubKinds[0] || a.planBox == nil || a.planBox != b.planBox || a.plan() != b.plan() {
-		t.Fatal("sibling graphs do not share node codes and the inference plan")
+	if a.Topology != topo || b.Topology != topo || &a.LogW[0] != &b.LogW[0] || topo.planBox == nil || a.plan() != b.plan() {
+		t.Fatal("sibling graphs do not share the topology, its inference plan and their weight column")
 	}
 	if !sameTopology(a, b) || !sameWeights(a, b) {
 		t.Fatal("sibling graphs are not one family at one weighting")
@@ -545,11 +572,14 @@ func TestTopologyGraphsShareStructure(t *testing.T) {
 		t.Fatal("WScale is shared between sibling graphs")
 	}
 
-	if _, err := topo.Graph(make([]float64, want.NumNodes+1), child, logW); err == nil {
+	if _, err := topo.Graph(make([]float64, want.NumNodes+1), want.LogW); err == nil {
 		t.Error("feature column of the wrong length accepted")
 	}
-	if _, err := topo.Graph(want.Feats.Data, child, logW[1:]); err == nil {
+	if _, err := topo.Graph(want.Feats, want.LogW[1:]); err == nil {
 		t.Error("weight column of the wrong length accepted")
+	}
+	if _, err := NewTopology(want.Kinds, want.SubKinds, src[:child], dst[:child]); err == nil {
+		t.Error("topology without a Child relation accepted")
 	}
 	src[child] = append([]int{want.NumNodes}, src[child][1:]...)
 	if _, err := NewTopology(want.Kinds, want.SubKinds, src, dst); err == nil {

@@ -29,10 +29,11 @@ import (
 // variant's (teams, threads) configuration reaches the model through edge
 // weights and a few literal feature rows, never through structure. So:
 //
-//   - Group (families.group): samples whose graphs have equal NumNodes,
-//     Kinds, SubKinds, WScale and per-relation Src/Dst form a family. That
-//     is observed in the input, never hinted by the caller; unrelated
-//     samples simply form families of one.
+//   - Group (families.group): samples whose graphs have equal WScale and
+//     share a Topology — or, built apart, equal NumNodes, Kinds, SubKinds
+//     and per-relation Src/Dst — form a family. That is observed in the
+//     input, never hinted by the caller; unrelated samples simply form
+//     families of one.
 //   - Base: a family's first member runs the full pass and keeps its
 //     per-layer state (layer inputs h⁰…h^L, their self projections and, per
 //     relation, the projected source rows q and source attention scores) in
@@ -66,7 +67,7 @@ import (
 //
 // Three precomputed structures make the hot path cheap:
 //
-//   - InferencePlan: per encoded Graph, derived once and cached in the graph.
+//   - InferencePlan: per Topology, derived once and cached in it.
 //     It re-orders each relation's edge list CSR-style — grouped by
 //     destination node — and additionally derives the relation's
 //     unique-source list: the only rows whose W_r projection the relation
@@ -85,7 +86,7 @@ import (
 //     list unless it outgrew maxRetained. In steady state a forward pass
 //     performs zero heap allocations (asserted by TestInferForwardZeroAllocs). Nothing
 //     derived from a graph's weights outlives the call: dataset.Prepare
-//     rewrites WScale after encoding.
+//     sets WScale after encoding.
 //
 // Every matmul runs tensor's one register-blocked tiled kernel: the head's
 // dense layers through nn.Linear.Row, and each layer's projections through
@@ -95,7 +96,7 @@ import (
 
 // relPlan is one relation's edges re-ordered by destination node.
 type relPlan struct {
-	edge       []int // per slot: the edge's index in Relation.Src/Dst/LogW
+	edge       []int // per slot: the edge's index in Relation.Src/Dst (and, on Child, Graph.LogW)
 	edgeSrcIdx []int // per slot: index of its source node in srcList
 	runStart   []int // len(runs)+1 offsets into edge/edgeSrcIdx
 	runDst     []int // destination node of each run
@@ -114,21 +115,21 @@ type InferencePlan struct {
 	maxRun int
 }
 
-// planBox lazily caches a graph's InferencePlan. It is shared by pointer
-// across shallow Graph-header copies, so the plan is computed once per
-// encoded graph no matter how many advisors re-scale it.
+// planBox lazily caches a Topology's InferencePlan, so the plan is computed
+// once per topology however many graphs point at it.
 type planBox struct {
 	mu   sync.Mutex
 	plan atomic.Pointer[InferencePlan]
 }
 
-// plan returns the graph's InferencePlan, building and caching it on first
-// use. Graphs without a plan cache (hand-built, not from Encode) get a
-// fresh plan per call — correct, just not allocation-free.
-func (g *Graph) plan() *InferencePlan {
-	b := g.planBox
+// plan returns the topology's InferencePlan, building and caching it on
+// first use. A Topology without a plan cache (built by hand, not by Encode
+// or NewTopology) gets a fresh plan per call — correct, just not
+// allocation-free.
+func (t *Topology) plan() *InferencePlan {
+	b := t.planBox
 	if b == nil {
-		return buildPlan(g)
+		return buildPlan(t)
 	}
 	if p := b.plan.Load(); p != nil {
 		return p
@@ -138,7 +139,7 @@ func (g *Graph) plan() *InferencePlan {
 	if p := b.plan.Load(); p != nil {
 		return p
 	}
-	p := buildPlan(g)
+	p := buildPlan(t)
 	b.plan.Store(p)
 	return p
 }
@@ -146,22 +147,22 @@ func (g *Graph) plan() *InferencePlan {
 // buildPlan groups each relation's edges by destination with a stable
 // counting sort. Stability keeps softmax sums and message scatter-adds
 // accumulating in the tape ops' edge order within each destination.
-func buildPlan(g *Graph) *InferencePlan {
-	p := &InferencePlan{rels: make([]relPlan, len(g.Rels)), srcOff: make([]int, len(g.Rels)+1)}
-	for r := range g.Rels {
-		rel := &g.Rels[r]
+func buildPlan(t *Topology) *InferencePlan {
+	p := &InferencePlan{rels: make([]relPlan, len(t.Rels)), srcOff: make([]int, len(t.Rels)+1)}
+	for r := range t.Rels {
+		rel := &t.Rels[r]
 		e := len(rel.Src)
 		if e == 0 {
 			p.srcOff[r+1] = p.srcOff[r]
 			continue
 		}
 		rp := &p.rels[r]
-		start := make([]int, g.NumNodes+1)
+		start := make([]int, t.NumNodes+1)
 		for _, d := range rel.Dst {
 			start[d+1]++
 		}
 		runs := 0
-		for d := 0; d < g.NumNodes; d++ {
+		for d := 0; d < t.NumNodes; d++ {
 			if start[d+1] > 0 {
 				runs++
 				p.maxRun = max(p.maxRun, start[d+1])
@@ -171,11 +172,11 @@ func buildPlan(g *Graph) *InferencePlan {
 		// Unique sources, ascending, and each node's slot in that list: the
 		// relation's q-projection runs over srcList rows only, and each edge
 		// addresses its source's projected row through edgeSrcIdx.
-		seen := make([]bool, g.NumNodes)
+		seen := make([]bool, t.NumNodes)
 		for _, s := range rel.Src {
 			seen[s] = true
 		}
-		idxOf := make([]int, g.NumNodes)
+		idxOf := make([]int, t.NumNodes)
 		for i, ok := range seen {
 			if ok {
 				idxOf[i] = len(rp.srcList)
@@ -185,8 +186,8 @@ func buildPlan(g *Graph) *InferencePlan {
 		p.srcOff[r+1] = p.srcOff[r] + len(rp.srcList)
 		rp.edgeSrcIdx = make([]int, e)
 		rp.edge = make([]int, e)
-		next := make([]int, g.NumNodes)
-		copy(next, start[:g.NumNodes])
+		next := make([]int, t.NumNodes)
+		copy(next, start[:t.NumNodes])
 		for i, d := range rel.Dst {
 			slot := next[d]
 			next[d]++
@@ -195,7 +196,7 @@ func buildPlan(g *Graph) *InferencePlan {
 		}
 		rp.runStart = make([]int, 0, runs+1)
 		rp.runDst = make([]int, 0, runs)
-		for d := 0; d < g.NumNodes; d++ {
+		for d := 0; d < t.NumNodes; d++ {
 			if start[d+1] > start[d] {
 				rp.runStart = append(rp.runStart, start[d])
 				rp.runDst = append(rp.runDst, d)
@@ -207,34 +208,37 @@ func buildPlan(g *Graph) *InferencePlan {
 }
 
 // sameSlice reports whether two slices hold equal elements, short-circuiting
-// on a shared backing array (header copies of one encoded graph).
+// on a shared backing array.
 func sameSlice[T comparable](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
-// sameTopology is the family rule: equal node codes, weight scale and
-// per-relation edge lists. Node features and edge weights may differ.
+// sameTopology is the family rule: equal weight scale, and one Topology or
+// equal node codes and per-relation edge lists. Node features and edge
+// weights may differ.
 func sameTopology(a, b *Graph) bool {
-	if a == b {
-		return true
-	}
-	if a.NumNodes != b.NumNodes || a.WScale != b.WScale || len(a.Rels) != len(b.Rels) ||
-		!sameSlice(a.Kinds, b.Kinds) || !sameSlice(a.SubKinds, b.SubKinds) {
+	if a.WScale != b.WScale {
 		return false
 	}
-	for r := range a.Rels {
-		if !sameSlice(a.Rels[r].Src, b.Rels[r].Src) || !sameSlice(a.Rels[r].Dst, b.Rels[r].Dst) {
+	s, t := a.Topology, b.Topology
+	if s == t {
+		return true
+	}
+	if s.NumNodes != t.NumNodes || len(s.Rels) != len(t.Rels) ||
+		!sameSlice(s.Kinds, t.Kinds) || !sameSlice(s.SubKinds, t.SubKinds) {
+		return false
+	}
+	for r := range s.Rels {
+		if !sameSlice(s.Rels[r].Src, t.Rels[r].Src) || !sameSlice(s.Rels[r].Dst, t.Rels[r].Dst) {
 			return false
 		}
 	}
 	return true
 }
 
-// sameWeights reports whether two graphs of one family carry equal edge
-// weights where the model reads them: on Child.
-func sameWeights(a, b *Graph) bool {
-	return len(a.Rels) <= child || sameSlice(a.Rels[child].LogW, b.Rels[child].LogW)
-}
+// sameWeights reports whether two graphs of one family carry equal Child
+// weights.
+func sameWeights(a, b *Graph) bool { return sameSlice(a.LogW, b.LogW) }
 
 // families partitions a batch by sameTopology: family f is the chain
 // heads[f], next[heads[f]], … (ending at -1), members in batch order.
@@ -458,10 +462,10 @@ func (m *Model) family(ws *workspace, out []float64, samples []*Sample, first in
 				// A new weighting: evaluated against the first member, and
 				// kept as a base for later members while there is room.
 				base = st
-				rel, bw := &s.G.Rels[child], base.g.Rels[child].LogW
-				for e, lw := range rel.LogW {
+				dst, bw := s.G.Rels[child].Dst, base.g.LogW
+				for e, lw := range s.G.LogW {
 					if lw != bw[e] {
-						ws.wDirty[rel.Dst[e]] = true
+						ws.wDirty[dst[e]] = true
 					}
 				}
 				if bases < maxBases {
@@ -502,8 +506,8 @@ func (m *Model) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 			dirty[i] = true
 		}
 	} else {
-		bf := base.g.Feats.Data
-		for i, f := range g.Feats.Data {
+		bf := base.g.Feats
+		for i, f := range g.Feats {
 			dirty[i] = f != bf[i]
 		}
 	}
@@ -511,8 +515,8 @@ func (m *Model) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 
 	// w̃ depends on the graph alone: every layer, and the backward, reads
 	// it from here.
-	if len(g.Rels) > child && g.Rels[child].LogW != nil {
-		logW, wscale, edge := g.Rels[child].LogW, g.weightScale(), ws.plan.rels[child].edge
+	if g.LogW != nil {
+		logW, wscale, edge := g.LogW, g.weightScale(), ws.plan.rels[child].edge
 		ws.wt = resize(ws.wt, len(edge))
 		for i, e := range edge {
 			ws.wt[i] = logW[e] / wscale
@@ -536,7 +540,7 @@ func (m *Model) forward(ws *workspace, st, base *slot, s *Sample) float64 {
 		srow := sub.Row(g.SubKinds[i])
 		hrow := h0.Row(i)
 		ws.save(hrow)
-		f := g.Feats.Data[i]
+		f := g.Feats[i]
 		if f != 0 {
 			for j := range hrow {
 				hrow[j] = krow[j] + srow[j] + float64(f*fv[j])
@@ -713,7 +717,7 @@ func (m *Model) layer(ws *workspace, st *slot, li int) {
 		}
 		var wt []float64 // Child's w̃ (plan order) and coefficient; nil off Child
 		var c float64
-		if r == child && g.Rels[r].LogW != nil {
+		if r == child && g.LogW != nil {
 			wt, c = ws.wt, l.wCoef.Value.Data[0]
 		}
 		for t, d := range rp.runDst {

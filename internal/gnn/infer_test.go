@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"paragraph/internal/paragraph"
-	"paragraph/internal/tensor"
 )
 
 // The engine's kernels reassociate floating-point sums relative to the tape
@@ -49,50 +48,50 @@ func initPlanCache(g *Graph) {
 
 // randomEncodedGraph builds an arbitrary encoded graph directly: random
 // size (including single-node), random edges per relation (including empty
-// relations and self-loops), random weights (including exact zeros).
+// relations and self-loops), random Child weights (including exact zeros).
 func randomEncodedGraph(rng *rand.Rand, numRels int) *Graph {
 	n := 1 + rng.Intn(12)
-	g := &Graph{
+	t := &Topology{
 		NumNodes: n,
 		Kinds:    make([]int, n),
 		SubKinds: make([]int, n),
-		Feats:    tensor.New(n, 1),
 		Rels:     make([]Relation, numRels),
-		WScale:   []float64{0, 0.5, 1, 10}[rng.Intn(4)],
 	}
+	g := &Graph{Topology: t, Feats: make([]float64, n), WScale: []float64{0, 0.5, 1, 10}[rng.Intn(4)]}
 	for i := 0; i < n; i++ {
-		g.Kinds[i] = rng.Intn(40)
-		g.SubKinds[i] = rng.Intn(MaxSubKinds)
+		t.Kinds[i] = rng.Intn(40)
+		t.SubKinds[i] = rng.Intn(MaxSubKinds)
 		if rng.Float64() < 0.8 { // leave some exact-zero features
-			g.Feats.Data[i] = rng.NormFloat64()
+			g.Feats[i] = rng.NormFloat64()
 		}
 	}
-	for r := range g.Rels {
+	for r := range t.Rels {
 		if rng.Float64() < 0.25 {
 			continue // empty relation
 		}
 		e := rng.Intn(3 * n)
 		for k := 0; k < e; k++ {
-			g.Rels[r].Src = append(g.Rels[r].Src, rng.Intn(n))
-			g.Rels[r].Dst = append(g.Rels[r].Dst, rng.Intn(n))
+			t.Rels[r].Src = append(t.Rels[r].Src, rng.Intn(n))
+			t.Rels[r].Dst = append(t.Rels[r].Dst, rng.Intn(n))
+			if r != child {
+				continue
+			}
 			w := 0.0
 			if rng.Float64() < 0.7 {
 				w = rng.Float64() * 4
 			}
-			g.Rels[r].LogW = append(g.Rels[r].LogW, w)
+			g.LogW = append(g.LogW, w)
 		}
 	}
 	return g
 }
 
-// zeroWeights clears every edge weight of the samples' graphs in place:
-// the graph-side arm of the edge-weight ablation, where the factor
-// 1 + c·w̃ is 1 on every Child edge.
+// zeroWeights clears the Child weights of the samples' graphs in place: the
+// graph-side arm of the edge-weight ablation, where the factor 1 + c·w̃ is 1
+// on every Child edge.
 func zeroWeights(samples ...*Sample) {
 	for _, s := range samples {
-		for _, rel := range s.G.Rels {
-			clear(rel.LogW)
-		}
+		clear(s.G.LogW)
 	}
 }
 
@@ -313,16 +312,24 @@ func TestInferForwardZeroAllocs(t *testing.T) {
 }
 
 // TestPredictBatchWorkerPanicReachesCaller: a malformed family (an edge
-// into a node that does not exist) panics on the calling goroutine, where
-// the serving tier's recover turns it into a 500, after a sound family
-// ahead of it in the batch; the model predicts as before afterwards.
+// into a node that does not exist, written into a constructed graph's edge
+// list) panics on the calling goroutine, where the serving tier's recover
+// turns it into a 500, after a sound family ahead of it in the batch; the
+// model predicts as before afterwards.
 func TestPredictBatchWorkerPanicReachesCaller(t *testing.T) {
 	m := NewModel(Config{Seed: 5, Hidden: 8, Layers: 2, Relations: 1})
 	good := randomEncodedGraph(rand.New(rand.NewSource(6)), 1)
-	samples := []*Sample{{G: good}, {G: &Graph{
-		NumNodes: 2, Kinds: make([]int, 2), SubKinds: make([]int, 2), Feats: tensor.New(2, 1),
-		Rels: []Relation{{Src: []int{0}, Dst: []int{102}, LogW: []float64{1}}},
-	}}}
+	dst := []int{1}
+	topo, err := NewTopology(make([]int, 2), make([]int, 2), [][]int{{0}}, [][]int{dst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := topo.Graph(make([]float64, 2), []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst[0] = 102 // NewTopology keeps the list it checked
+	samples := []*Sample{{G: good}, {G: bad}}
 	want := m.Predict(samples[0])
 	func() {
 		defer func() {

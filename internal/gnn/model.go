@@ -62,7 +62,8 @@ func (c Config) withDefaults() Config {
 // can change a message only on Ref; and it weighs only Child edges (W is
 // zero off Child, paragraph.go). Attention is therefore Ref's alone, and
 // every other relation sends its messages with α = 1; the edge-weight
-// factor 1 + c·w̃ is Child's alone, and no other relation's LogW is read.
+// factor 1 + c·w̃ is Child's alone, and Graph.LogW is Child's column, the
+// only one an encoded graph carries (Encode refuses a weight elsewhere).
 const (
 	ref   = int(paragraph.Ref)
 	child = int(paragraph.Child)
@@ -177,7 +178,7 @@ func (l *rgatLayer) apply(f *nn.Forward, g *Graph, h *autodiff.Var) *autodiff.Va
 			// weight term would vanish here — a softmax over a node's single
 			// incoming Child edge is constant — so the multiplicative path
 			// is what lets execution counts reach the embedding.
-			wterm := tp.MatMul(tp.Const(g.weightColumn(r)), f.Bind(l.wCoef))
+			wterm := tp.MatMul(tp.Const(g.weightColumn()), f.Bind(l.wCoef))
 			msgs = tp.MulColBroadcast(msgs, tp.AddBias(wterm, tp.Const(onesRowConst)))
 		}
 		out = tp.Add(out, tp.ScatterAddRows(msgs, rel.Dst, g.NumNodes))
@@ -290,7 +291,7 @@ func (m *Model) Forward(f *nn.Forward, s *Sample) *autodiff.Var {
 	// Node features: kind embedding + sub-kind embedding + scalar feature
 	// projected through featVec.
 	h := tp.Add(m.kindEmb.Apply(f, s.G.Kinds), m.subEmb.Apply(f, s.G.SubKinds))
-	featProj := tp.MatMul(tp.Const(s.G.Feats), f.Bind(m.featVec))
+	featProj := tp.MatMul(tp.Const(tensor.FromData(s.G.NumNodes, 1, s.G.Feats)), f.Bind(m.featVec))
 	h = tp.Add(h, featProj)
 
 	for _, l := range m.layers {

@@ -23,8 +23,9 @@
 // every checkpoint under a root through it and indexes them. A model is at
 // most 33 508 parameters (262 kB in float64), so nothing is loaded lazily or
 // evicted: an Entry, once built, never touches its files again. Entry
-// implements the serving layer's BatchPredictor, which is how cmd/serve
-// plugs checkpoints straight into its batcher without knowing about files.
+// implements advisor.BatchPredictor, the model a serve.Backend takes, which
+// is how cmd/serve plugs checkpoints straight into its batcher without
+// knowing about files.
 package registry
 
 import (
@@ -263,7 +264,7 @@ type Registry struct {
 
 // Entry is one loaded checkpoint: manifest, the serving stack's view of it
 // (machine profile, representation level, scalers) and the model itself.
-// It implements the serving layer's BatchPredictor and is self-contained —
+// It implements advisor.BatchPredictor and is self-contained —
 // nothing it does reads the checkpoint directory again.
 type Entry struct {
 	Manifest Manifest
@@ -402,7 +403,7 @@ func (r *Registry) Default(e *Entry) bool { return r.defaults[e.Manifest.Platfor
 // Entries lists every checkpoint, sorted by (platform, name).
 func (r *Registry) Entries() []*Entry { return append([]*Entry(nil), r.sorted...) }
 
-// PredictBatch implements the serving layer's BatchPredictor.
+// PredictBatch implements advisor.BatchPredictor.
 func (e *Entry) PredictBatch(samples []*gnn.Sample) []float64 {
 	return e.model.PredictBatch(samples)
 }

@@ -6,17 +6,10 @@ import (
 	"sync"
 	"time"
 
+	"paragraph/internal/advisor"
 	"paragraph/internal/gnn"
 	"paragraph/internal/obs"
 )
-
-// BatchPredictor is the batched cost-model interface the server drives.
-// *gnn.Model and registry.Entry satisfy it via PredictBatch. Implementations
-// must be safe for concurrent use: every request evaluates on its own
-// goroutine.
-type BatchPredictor interface {
-	PredictBatch([]*gnn.Sample) []float64
-}
 
 // Batcher is the metered front of one served model: a synchronous call into
 // PredictBatch that checks the caller's context first and feeds the
@@ -31,7 +24,7 @@ type BatchPredictor interface {
 // evaluates on its own goroutine under the pool bound, so holding a sample
 // back for company would buy only latency. The batcher owns no goroutine.
 type Batcher struct {
-	model BatchPredictor
+	model advisor.BatchPredictor
 
 	latency   *obs.Histogram // per-prediction latency (a call's duration ÷ its size, so a grid's per-sample share), seconds
 	sizes     *obs.Histogram // samples per model call: its count is the calls, its sum the samples
@@ -41,10 +34,12 @@ type Batcher struct {
 	maxSeen int // largest single call
 }
 
-// NewBatcher wraps model. The two sizing arguments are ignored; they are
-// retained because bench/layers.go, which BENCHMARK.json freezes, calls
-// NewBatcher(p, 0, 0) — they go when ROADMAP item 4(d) deletes that mirror.
-func NewBatcher(model BatchPredictor, _ int, _ time.Duration) *Batcher {
+// NewBatcher wraps model, which must be safe for concurrent use: every
+// request evaluates on its own goroutine. The two sizing arguments are
+// ignored; they are retained because bench/layers.go, which BENCHMARK.json
+// freezes, calls NewBatcher(p, 0, 0) — they go when ROADMAP item 4(d)
+// deletes that mirror.
+func NewBatcher(model advisor.BatchPredictor, _ int, _ time.Duration) *Batcher {
 	return &Batcher{
 		model:     model,
 		latency:   obs.NewHistogram(obs.DefLatencyBuckets),

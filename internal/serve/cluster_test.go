@@ -345,7 +345,7 @@ func (m slowOracle) PredictBatch(ss []*gnn.Sample) []float64 {
 // at a non-owner share one proxied hop (forward-or-evaluate runs inside
 // the singleflight), instead of each holding a connection to the owner.
 func TestClusterForwardCollapsesConcurrentMisses(t *testing.T) {
-	build := func(model BatchPredictor) *Server {
+	build := func(model advisor.BatchPredictor) *Server {
 		s, err := NewServer([]Backend{{Machine: hw.V100(), Model: model, Prep: testPrep()}}, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"paragraph/internal/advisor"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 )
@@ -33,7 +34,7 @@ func (m slowModel) PredictBatch(ss []*gnn.Sample) []float64 {
 }
 
 // newOverloadServer serves the V100 profile from model under opts.
-func newOverloadServer(t *testing.T, model BatchPredictor, opts Options) *Server {
+func newOverloadServer(t *testing.T, model advisor.BatchPredictor, opts Options) *Server {
 	t.Helper()
 	s, err := NewServer([]Backend{
 		{Machine: hw.V100(), Model: model, Prep: testPrep()},

@@ -33,7 +33,7 @@ import (
 // alias.
 type Backend struct {
 	Machine hw.Machine
-	Model   BatchPredictor
+	Model   advisor.BatchPredictor
 	Prep    *dataset.Prepared
 
 	// Name is the model's version name within its platform ("" = "default").

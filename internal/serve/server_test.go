@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"paragraph/internal/advisor"
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
@@ -31,10 +32,8 @@ func (oracleModel) PredictBatch(ss []*gnn.Sample) []float64 {
 	out := make([]float64, len(ss))
 	for i, s := range ss {
 		var total float64
-		for _, rel := range s.G.Rels {
-			for _, w := range rel.LogW {
-				total += w
-			}
+		for _, w := range s.G.LogW {
+			total += w
 		}
 		out[i] = total/1e4 - 0.1*s.Feats[1]
 	}
@@ -834,7 +833,7 @@ func TestCheckpointBackendDescribesTheManifest(t *testing.T) {
 	}
 	e := reg.Entries()[0]
 	b := CheckpointBackend(e)
-	if b.Model != BatchPredictor(e) || b.Prep != e.Prep || b.Machine.Name != hw.V100().Name || b.Default {
+	if b.Model != advisor.BatchPredictor(e) || b.Prep != e.Prep || b.Machine.Name != hw.V100().Name || b.Default {
 		t.Errorf("backend = %+v", b)
 	}
 	s, err := NewServer([]Backend{b}, Options{})
